@@ -11,7 +11,10 @@
 //
 // Correctness is checked on every run (parallel output must equal
 // sequential); speedups are projected onto a simulated 64-core machine
-// from per-node works measured on this host (see DESIGN.md).
+// from per-node works measured on this host (see internal/sim and the
+// "Meters and the simulator" section of internal/runtime/README.md).
+// Measured wall-clock performance is the business of the repository
+// benchmark in bench/ (bench/README.md), not of this command.
 package main
 
 import (
@@ -43,8 +46,6 @@ type benchRecord struct {
 	Speedup float64 `json:"speedup,omitempty"`
 	SeqMs   float64 `json:"seq_ms,omitempty"`
 	Nodes   int     `json:"nodes,omitempty"`
-	Metric  string  `json:"metric,omitempty"`
-	Value   float64 `json:"value,omitempty"`
 }
 
 // benchReport is the JSON envelope.
@@ -82,34 +83,16 @@ func writeJSON(path string, scale int) {
 
 func main() {
 	var (
-		table    = flag.Int("table", 0, "regenerate a table (1 or 2)")
-		fig      = flag.Int("fig", 0, "regenerate a figure (7 or 8)")
-		exp      = flag.String("exp", "", "use case: noaa|wikipedia|sort|gnuparallel")
-		scale    = flag.Int("scale", 4, "workload scale factor")
-		widths   = flag.String("widths", "2,4,8,16,32,64", "width sweep for -fig 7")
-		bench    = flag.String("bench", "", "restrict -fig 7 to one benchmark")
-		jsonOut  = flag.String("out", "", "also write results as JSON to this file (e.g. BENCH_fig7.json)")
-		control  = flag.Bool("control", false, "measure the control plane: plan cache + pash-serve throughput")
-		distFlg  = flag.Bool("dist", false, "measure the distributed data plane: coordinator overhead vs local")
-		chaosFlg = flag.Bool("chaos", false, "measure fault-recovery latency per fault class (see BENCH_chaos.json)")
-		overFlg  = flag.Bool("overload", false, "measure shed rate and latency under 4x oversubscription plus drain latency (see BENCH_overload.json)")
-		strmFlg  = flag.Bool("stream", false, "measure streaming execution: rows/sec over a follow source, emit latency, checkpoint overhead (see BENCH_stream.json)")
-		serveFlg = flag.Bool("serve", false, "measure the multi-tenant front door: 10k+ clients under uniform and hot-key tenant distributions plus noisy-neighbor isolation (see BENCH_serve.json)")
+		table   = flag.Int("table", 0, "regenerate a table (1 or 2)")
+		fig     = flag.Int("fig", 0, "regenerate a figure (7 or 8)")
+		exp     = flag.String("exp", "", "use case: noaa|wikipedia|sort|gnuparallel")
+		scale   = flag.Int("scale", 4, "workload scale factor")
+		widths  = flag.String("widths", "2,4,8,16,32,64", "width sweep for -fig 7")
+		bench   = flag.String("bench", "", "restrict -fig 7 to one benchmark")
+		jsonOut = flag.String("out", "", "also write results as JSON to this file (e.g. BENCH_fig7.json)")
 	)
 	flag.Parse()
 	switch {
-	case *serveFlg:
-		runServeBench(*scale)
-	case *control:
-		runControl(*scale)
-	case *distFlg:
-		runDist(*scale)
-	case *chaosFlg:
-		runChaos(*scale)
-	case *overFlg:
-		runOverload(*scale)
-	case *strmFlg:
-		runStreamBench(*scale)
 	case *table == 1:
 		pash.WriteTable1(os.Stdout)
 	case *table == 2:
@@ -401,7 +384,7 @@ func runSortMicro(scale int) {
 		die(err)
 	}
 	fmt.Printf("sort --parallel output identical to sort: %v\n", seqOut == parOut)
-	fmt.Println("(see EXPERIMENTS.md: sort --parallel corresponds to the no-eager line;")
+	fmt.Println("(paper §6.5: sort --parallel corresponds to the no-eager line;")
 	fmt.Println(" PaSh with eager outperforms it by adding buffers between merge phases)")
 }
 

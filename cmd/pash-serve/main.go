@@ -91,7 +91,7 @@
 //
 // -shared-fs declares that workers see the coordinator's files at the
 // same paths (NFS, same host), enabling file-range shards that ship no
-// input bytes at all. Chunk traffic to wire-v2 workers is lz4-block
+// input bytes at all. Chunk traffic to workers is lz4-block
 // compressed per the -wire-compress policy: "auto" (default) offers
 // compression to network workers but sends raw frames over same-host
 // unix sockets, "on" forces it everywhere, "off" disables the offer

@@ -1,7 +1,9 @@
 // Package repro is a from-scratch Go reproduction of "PaSh: Light-touch
 // Data-Parallel Shell Processing" (EuroSys 2021). The public API lives in
-// package repro/pash; see README.md for the tour and DESIGN.md for the
-// system inventory and experiment index.
+// package repro/pash; examples/quickstart is the tour,
+// internal/runtime/README.md documents the runtime's contracts,
+// bench/README.md the repository benchmark and its workloads, and
+// cmd/pash-bench regenerates the paper's tables and figures.
 //
 // # Architecture
 //
@@ -121,10 +123,8 @@
 // in-flight jobs finish under a drain deadline, deregisters from
 // workers, unlinks the unix socket, and exits 0. FuzzRunScript
 // exercises the full interpreter under these budgets in a sandboxed
-// temp directory; `pash-bench -overload` measures shed rate, latency
-// percentiles under 4x oversubscription, and drain latency
-// (BENCH_overload.json). internal/runtime/README.md ("The coordinator
-// failure model") documents the contracts.
+// temp directory. internal/runtime/README.md ("The coordinator failure
+// model") documents the contracts.
 //
 // # The tenant front door
 //
@@ -142,10 +142,8 @@
 // the VSA idiom — a committed scalar base plus an atomic in-memory net
 // delta, folded to a pluggable JSONL sink only on watermark crossings
 // with hysteresis ("commit information, not traffic") — and /metrics
-// carries a row per tenant. `pash-bench -serve` load-tests the front
-// door at 10k+ in-process clients under uniform and hot-key tenant
-// distributions and gates noisy-neighbor isolation
-// (BENCH_serve.json).
+// carries a row per tenant. The serve-mixed workload (bench/README.md)
+// drives the front door over a real unix socket with four tenants.
 //
 // # Extending pash
 //
@@ -191,27 +189,33 @@
 // files vanish entirely: workers self-source newline-aligned byte
 // ranges and the coordinator ships no input at all.
 //
-// The wire protocol is versioned and negotiated by rejection: new
-// coordinators open with a v2 handshake carrying the plan, the request
-// environment, a plan fingerprint, and a feature list; a pre-v2 worker
-// rejects it before reading input and is re-dispatched at v1, so mixed
-// fleets stay byte-identical through rolling upgrades. Workers cache
+// There is one wire protocol and no negotiation: frame 0 of every
+// request is a handshake carrying the plan, the request environment, a
+// plan fingerprint, and the frame features the coordinator offers; a
+// worker that cannot accept it answers 400 before reading input, which
+// the coordinator treats like any other failed dispatch. Workers cache
 // decoded plans and instantiated kernel chains under the fingerprint
 // (an LRU busted by registry generation and pool membership), making
 // repeated dispatches of hot regions skip decode, validation, and
-// kernel construction. Under the negotiated lz4 feature (default: auto
-// — network workers yes, same-host unix sockets no) chunk frames are
-// block-compressed with a built-in dependency-free LZ4 codec, cutting
-// wire bytes several-fold on text workloads; checksums cover the
-// compressed payload, so corruption is detected before decompression.
+// kernel construction. When the lz4 feature is offered and echoed
+// (default: auto — network workers yes, same-host unix sockets no)
+// chunk frames are block-compressed with a built-in dependency-free
+// LZ4 codec, cutting wire bytes several-fold on text workloads;
+// checksums cover the compressed payload, so corruption is detected
+// before decompression.
 //
-// The frame discipline doubles as an acknowledgement protocol — output
-// frame k acknowledges input chunk k — so the coordinator retains only
-// a bounded window of unacknowledged chunks (backpressure) and, when a
-// worker dies mid-stream, re-dispatches exactly that window to a
-// surviving worker (falling back to local execution only when no peer
-// is alive): byte-identical output, no corruption, one membership
-// epoch re-planned (the plan cache keys on the pool fingerprint).
+// The coordinator runs every remote node as one dispatch session down
+// one recovery ladder: the assigned worker, then each surviving worker
+// in turn, then — only when no peer is alive — the coordinator itself,
+// through the same runtime.ExecRemoteLocal a pool-less run uses. The
+// session retains the input chunks a later rung would need: for framed
+// chains output frame k acknowledges input chunk k, so that is a
+// bounded window of unacknowledged chunks (which is also the
+// backpressure); for file ranges and contiguous streams it is every
+// chunk sent, and the rung that takes over skips the output prefix
+// already delivered. Either way: byte-identical output, no corruption,
+// one membership epoch re-planned (the plan cache keys on the pool
+// fingerprint).
 //
 // The plane is self-healing. Frames carry CRC-32C checksums, so a
 // corrupted or truncated stream is a detected failure, never wrong
@@ -252,7 +256,7 @@
 // bound; width is held as a revocable scheduler lease
 // (runtime.WidthLease) reassessed at window boundaries; and /metrics
 // job rows carry live rows/sec, window lag, and checkpoint age.
-// `pash-bench -stream` measures the streaming tax (BENCH_stream.json).
+// The stream-agg workload (bench/README.md) measures the streaming tax.
 //
 // internal/runtime/README.md documents the ownership contract, the
 // framing protocol, the fusion contract, the tree layout, the

@@ -88,7 +88,7 @@ const SimCores = 64
 // scheduling simulator and returns the total projected wall time. On
 // multi-core hosts the real Duration can be used directly; on the
 // single-core hosts this reproduction targets, SimTime supplies the
-// multicore clock (see DESIGN.md, substitutions).
+// multicore clock (see internal/sim).
 func (r *RunResult) SimTime(cores int) time.Duration {
 	var total time.Duration
 	for _, p := range r.Profiles {

@@ -59,9 +59,11 @@ func sumStats(pool *pash.WorkerPool) (requests, local, remote, retries int64, do
 
 // TestChaosFaultMatrix: every fault class, at widths 1 and 8, against
 // a coordinator with two workers. Output must be byte-identical to
-// local execution in every cell; mid-stream classes must recover via
-// the surviving worker (zero local fallback), and pre-stream classes
-// via same-worker retry (zero evictions).
+// local execution in every cell; the fault must actually have engaged
+// (a cell whose fault never fired is vacuous and fails as such, it does
+// not pass); mid-stream classes must then have recovered via the
+// surviving worker (zero local fallback), and pre-stream classes via
+// same-worker retry (zero evictions).
 func TestChaosFaultMatrix(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "in.txt"), []byte(makeInput(25000, 3)), 0o644); err != nil {
@@ -79,14 +81,17 @@ func TestChaosFaultMatrix(t *testing.T) {
 		{"refuse", dist.FaultSpec{Kind: dist.FaultRefuse, Times: 2}, true},
 		{"partition-dial", dist.FaultSpec{Kind: dist.FaultPartition, Times: 1}, true},
 		{"kill-first-byte", dist.FaultSpec{Kind: dist.FaultKill, Times: 1}, false},
-		// AfterBytes thresholds count response bytes as transmitted —
-		// lz4-compressed frames since wire v2 — so they sit well under
-		// the raw output size to guarantee the fault engages mid-stream.
-		{"kill-mid-stream", dist.FaultSpec{Kind: dist.FaultKill, AfterBytes: 12_000, Times: 1}, false},
-		{"partition-mid-stream", dist.FaultSpec{Kind: dist.FaultPartition, AfterBytes: 10_000, Times: 1}, false},
+		// AfterBytes thresholds count one connection's response bytes as
+		// transmitted (lz4 frames, HTTP framing included). At width 8 the
+		// smallest non-empty shard response here is ~13 KB, so every
+		// threshold sits past the response header and inside every
+		// shard's stream: whichever connection gets there first engages
+		// the fault.
+		{"kill-mid-stream", dist.FaultSpec{Kind: dist.FaultKill, AfterBytes: 6_000, Times: 1}, false},
+		{"partition-mid-stream", dist.FaultSpec{Kind: dist.FaultPartition, AfterBytes: 5_000, Times: 1}, false},
 		{"truncate-first-byte", dist.FaultSpec{Kind: dist.FaultTruncate, Times: 1}, false},
-		{"truncate-mid-stream", dist.FaultSpec{Kind: dist.FaultTruncate, AfterBytes: 20_000, Times: 1}, false},
-		{"corrupt-frame", dist.FaultSpec{Kind: dist.FaultCorrupt, AfterBytes: 5_000, Times: 1}, false},
+		{"truncate-mid-stream", dist.FaultSpec{Kind: dist.FaultTruncate, AfterBytes: 8_000, Times: 1}, false},
+		{"corrupt-frame", dist.FaultSpec{Kind: dist.FaultCorrupt, AfterBytes: 4_000, Times: 1}, false},
 		{"slow-worker", dist.FaultSpec{Kind: dist.FaultSlow, Latency: 2 * time.Millisecond}, false},
 	}
 
@@ -111,6 +116,10 @@ func TestChaosFaultMatrix(t *testing.T) {
 				// Width 1 compiles to a sequential plan with no remote
 				// nodes: nothing dials, so the fault cannot fire. The
 				// byte-equality check above is the whole contract here.
+				continue
+			}
+			if inj.Engaged(target) == 0 {
+				t.Errorf("%s width=%d: vacuous: fault never engaged", tc.name, width)
 				continue
 			}
 			switch {

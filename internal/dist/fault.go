@@ -47,24 +47,23 @@ const (
 	FaultCorrupt
 )
 
+// faultKindNames is the one table behind FaultKind.String and the
+// <kind> field of ParseFaultProfile.
+var faultKindNames = [...]string{
+	FaultNone:      "none",
+	FaultRefuse:    "refuse",
+	FaultPartition: "partition",
+	FaultKill:      "kill",
+	FaultSlow:      "slow",
+	FaultTruncate:  "truncate",
+	FaultCorrupt:   "corrupt",
+}
+
 func (k FaultKind) String() string {
-	switch k {
-	case FaultNone:
-		return "none"
-	case FaultRefuse:
-		return "refuse"
-	case FaultPartition:
-		return "partition"
-	case FaultKill:
-		return "kill"
-	case FaultSlow:
-		return "slow"
-	case FaultTruncate:
-		return "truncate"
-	case FaultCorrupt:
-		return "corrupt"
+	if k < 0 || int(k) >= len(faultKindNames) {
+		return "unknown"
 	}
-	return "unknown"
+	return faultKindNames[k]
 }
 
 // FaultSpec configures one worker's injected fault.
@@ -77,8 +76,11 @@ type FaultSpec struct {
 	// Latency ± uniform(Jitter).
 	Latency time.Duration
 	Jitter  time.Duration
-	// Times bounds how often the fault fires (connections refused /
-	// partitioned / wrapped); 0 means every time until cleared.
+	// Times bounds how often the fault engages — a dial refused or
+	// blackholed, a slowed connection, a stream that crossed AfterBytes
+	// and was killed, truncated, corrupted or partitioned; 0 means every
+	// time until cleared. A connection whose response never reaches
+	// AfterBytes engages nothing and spends nothing.
 	Times int
 }
 
@@ -91,8 +93,8 @@ type Injector struct {
 }
 
 type faultState struct {
-	spec  FaultSpec
-	fired int
+	spec    FaultSpec
+	engaged int
 }
 
 // NewInjector builds an injector whose jitter is driven by seed, so
@@ -119,11 +121,23 @@ func (inj *Injector) Clear(worker string) {
 	delete(inj.specs, worker)
 }
 
-// take returns the active spec for a worker and consumes one firing,
-// or false when no fault applies (none installed, or budget spent).
-func (inj *Injector) take(worker string) (FaultSpec, bool) {
+// Engaged reports how many times the fault installed for worker (an
+// address or "*") has actually engaged. A chaos cell checks it before
+// its recovery assertions: a fault that never engaged proves nothing.
+func (inj *Injector) Engaged(worker string) int {
+	inj.mu.Lock()
+	defer inj.mu.Unlock()
+	if st := inj.specs[worker]; st != nil {
+		return st.engaged
+	}
+	return 0
+}
+
+// armed returns the fault state a new connection to worker runs under,
+// or nil when none applies (none installed, or budget already spent).
+func (inj *Injector) armed(worker string) *faultState {
 	if inj == nil {
-		return FaultSpec{}, false
+		return nil
 	}
 	inj.mu.Lock()
 	defer inj.mu.Unlock()
@@ -131,14 +145,24 @@ func (inj *Injector) take(worker string) (FaultSpec, bool) {
 	if st == nil {
 		st = inj.specs["*"]
 	}
-	if st == nil || st.spec.Kind == FaultNone {
-		return FaultSpec{}, false
+	if st == nil || st.spec.Kind == FaultNone || st.spent() {
+		return nil
 	}
-	if st.spec.Times > 0 && st.fired >= st.spec.Times {
-		return FaultSpec{}, false
+	return st
+}
+
+func (st *faultState) spent() bool { return st.spec.Times > 0 && st.engaged >= st.spec.Times }
+
+// engage spends one firing of st's budget, reporting false when
+// concurrent connections already spent the last one.
+func (inj *Injector) engage(st *faultState) bool {
+	inj.mu.Lock()
+	defer inj.mu.Unlock()
+	if st.spent() {
+		return false
 	}
-	st.fired++
-	return st.spec, true
+	st.engaged++
+	return true
 }
 
 // jitter draws a deterministic jitter in [-d, d].
@@ -156,25 +180,31 @@ func (inj *Injector) jitter(d time.Duration) time.Duration {
 
 // dial applies dial-time faults and wraps the connection for
 // stream-time ones. ok=false means no fault is active and the caller
-// should dial normally.
+// should dial normally. Refuse, dial-time partition and slow engage
+// here, unconditionally; the threshold faults engage in faultConn.Read,
+// when the response actually crosses AfterBytes.
 func (inj *Injector) dial(worker string, real func() (net.Conn, error)) (net.Conn, bool, error) {
-	spec, active := inj.take(worker)
-	if !active {
+	st := inj.armed(worker)
+	if st == nil {
 		return nil, false, nil
 	}
-	switch spec.Kind {
-	case FaultRefuse:
+	spec := st.spec
+	atDial := spec.Kind == FaultRefuse || spec.Kind == FaultSlow ||
+		(spec.Kind == FaultPartition && spec.AfterBytes == 0)
+	if atDial && !inj.engage(st) {
+		return nil, false, nil
+	}
+	switch {
+	case spec.Kind == FaultRefuse:
 		return nil, true, fmt.Errorf("dist: fault: connection to %s refused", worker)
-	case FaultPartition:
-		if spec.AfterBytes == 0 {
-			return newBlackholeConn(), true, nil
-		}
+	case spec.Kind == FaultPartition && atDial:
+		return newBlackholeConn(), true, nil
 	}
 	conn, err := real()
 	if err != nil {
 		return nil, true, err
 	}
-	return &faultConn{Conn: conn, inj: inj, spec: spec}, true, nil
+	return &faultConn{Conn: conn, inj: inj, st: st, spec: spec}, true, nil
 }
 
 // faultConn injects stream-time faults on the read (response) side of
@@ -182,14 +212,28 @@ func (inj *Injector) dial(worker string, real func() (net.Conn, error)) (net.Con
 type faultConn struct {
 	net.Conn
 	inj  *Injector
+	st   *faultState
 	spec FaultSpec
 
-	mu       sync.Mutex
-	seen     int64
-	fired    bool
-	bh       *blackholeConn // non-nil once a mid-stream partition engaged
-	closedCh chan struct{}
-	closed   bool
+	mu     sync.Mutex
+	seen   int64
+	fired  bool           // the threshold fault engaged on this connection
+	passed bool           // it reached the threshold with the budget already spent
+	bh     *blackholeConn // non-nil once a mid-stream partition engaged
+	closed bool
+}
+
+// trip reports whether the threshold fault is live on this connection,
+// engaging it — spending one firing of the worker's budget — the first
+// time the response reaches the threshold. A connection that loses the
+// race for the last firing passes the rest of its stream through
+// untouched. Callers hold fc.mu.
+func (fc *faultConn) trip(reached bool) bool {
+	if !fc.fired && !fc.passed && reached {
+		fc.fired = fc.inj.engage(fc.st)
+		fc.passed = !fc.fired
+	}
+	return fc.fired
 }
 
 func (fc *faultConn) Read(p []byte) (int, error) {
@@ -199,26 +243,25 @@ func (fc *faultConn) Read(p []byte) (int, error) {
 		fc.mu.Unlock()
 		return bh.Read(p)
 	}
+	reached := fc.seen >= fc.spec.AfterBytes
 	switch fc.spec.Kind {
 	case FaultKill:
-		if fc.fired || fc.seen >= fc.spec.AfterBytes {
+		if fc.trip(reached) {
 			seen := fc.seen
-			fc.fired = true
 			fc.mu.Unlock()
 			fc.Conn.Close()
 			return 0, fmt.Errorf("dist: fault: connection to worker reset after %d bytes", seen)
 		}
 	case FaultTruncate:
-		if fc.fired || fc.seen >= fc.spec.AfterBytes {
+		if fc.trip(reached) {
 			// A clean-looking EOF mid-stream: exactly the shape that
 			// must never be mistaken for end of output.
-			fc.fired = true
 			fc.mu.Unlock()
 			fc.Conn.Close()
 			return 0, io.EOF
 		}
 	case FaultPartition:
-		if fc.seen >= fc.spec.AfterBytes {
+		if fc.trip(reached) {
 			fc.bh = newBlackholeConn()
 			if fc.closed {
 				fc.bh.Close()
@@ -228,7 +271,6 @@ func (fc *faultConn) Read(p []byte) (int, error) {
 			return bh.Read(p)
 		}
 	}
-	fired := fc.fired
 	fc.mu.Unlock()
 	if fc.spec.Kind == FaultSlow {
 		time.Sleep(fc.spec.Latency + fc.inj.jitter(fc.spec.Jitter))
@@ -237,8 +279,7 @@ func (fc *faultConn) Read(p []byte) (int, error) {
 	fc.mu.Lock()
 	fc.seen += int64(n)
 	over := fc.seen - fc.spec.AfterBytes
-	if fc.spec.Kind == FaultCorrupt && n > 0 && over > 0 && !fired {
-		fc.fired = true
+	if fc.spec.Kind == FaultCorrupt && !fc.fired && fc.trip(n > 0 && over > 0) {
 		fc.mu.Unlock()
 		// Flip one bit inside the bytes that crossed the threshold.
 		idx := n - 1
@@ -413,20 +454,12 @@ func ParseFaultProfile(profile string, seed int64) (*Injector, error) {
 			spec.AfterBytes = n
 			rest = rest[:i]
 		}
-		switch rest {
-		case "refuse":
-			spec.Kind = FaultRefuse
-		case "partition":
-			spec.Kind = FaultPartition
-		case "kill":
-			spec.Kind = FaultKill
-		case "slow":
-			spec.Kind = FaultSlow
-		case "truncate":
-			spec.Kind = FaultTruncate
-		case "corrupt":
-			spec.Kind = FaultCorrupt
-		default:
+		for k, name := range faultKindNames {
+			if name == rest {
+				spec.Kind = FaultKind(k)
+			}
+		}
+		if spec.Kind == FaultNone {
 			return nil, fmt.Errorf("fault profile %q: unknown kind %q", part, rest)
 		}
 		if spec.Kind == FaultSlow && spec.Latency == 0 {

@@ -84,7 +84,7 @@ func FuzzFrame(f *testing.F) {
 	})
 }
 
-// FuzzDataFrame exercises the wire-v2 tagged data-frame layer above the
+// FuzzDataFrame exercises the tagged data-frame layer above the
 // frame codec: whatever a negotiated connection's compressor emits —
 // raw-tagged, lz4, or bare (compression off / empty frame) — must
 // decode back to the original payload; arbitrary bytes presented as a
@@ -101,7 +101,7 @@ func FuzzDataFrame(f *testing.F) {
 		// Round trip through the negotiated encoding. decodeDataPayload
 		// takes ownership of the block it is handed and may recycle it,
 		// so feed it copies.
-		comp := newCompressor(compress)
+		comp := &compressor{enabled: compress}
 		var buf bytes.Buffer
 		wireN, err := comp.writeDataFrame(&buf, data)
 		if err != nil {

@@ -3,22 +3,15 @@ package dist
 import (
 	"bufio"
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
-	"net/http/httputil"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
-
-	"repro/internal/commands"
-	"repro/internal/dfg"
-	"repro/internal/runtime"
 )
 
 // defaultWindow bounds the unacknowledged in-flight chunks per remote
@@ -85,8 +78,6 @@ type Pool struct {
 	// sharedFS declares that workers can open the coordinator's files
 	// by the same paths, enabling file-range shards (see dfg.Distribute).
 	sharedFS bool
-	// window overrides defaultWindow when > 0.
-	window int
 
 	// fp caches the membership fingerprint: planKey consults it on
 	// every region (cache hits included), so it must not re-sort and
@@ -94,14 +85,7 @@ type Pool struct {
 	fp      string
 	fpValid bool
 
-	dialTimeout time.Duration
-
-	// Retry/backoff policy for pre-stream dispatch failures and the
-	// inactivity watchdog threshold for live streams.
-	retryAttempts int
-	retryBase     time.Duration
-	retryMax      time.Duration
-	chunkTimeout  time.Duration
+	tune tuning
 
 	// faults is the injection layer (nil in production); consulted on
 	// every dial.
@@ -123,18 +107,31 @@ type Pool struct {
 	proberCfgSet bool
 }
 
+// tuning is the dispatch-robustness configuration: the per-stream
+// in-flight window, the dial-plus-handshake deadline, the pre-stream
+// retry policy, and the inactivity watchdog threshold (0 disables).
+type tuning struct {
+	window        int
+	dialTimeout   time.Duration
+	retryAttempts int
+	retryBase     time.Duration
+	retryMax      time.Duration
+	chunkTimeout  time.Duration
+}
+
+// tuned snapshots the current tuning.
+func (p *Pool) tuned() tuning {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.tune
+}
+
 // poolWorker is one member plus its lifetime meters and health-machine
 // position.
 type poolWorker struct {
 	name  string
 	state workerState
 	stats WorkerStats
-
-	// wire is the worker's confirmed wire-protocol version: 0 while
-	// unknown (dispatch assumes v2 and downgrades on rejection), wireV1
-	// once a probe or a rejected handshake pins it, wireV2 once a probe
-	// or response header confirms it.
-	wire int
 
 	// ewmaMs is the exponentially-weighted per-chunk service time in
 	// milliseconds; samples counts completed streams behind it.
@@ -167,12 +164,12 @@ type WorkerStats struct {
 	BytesOut  int64 `json:"bytes_out"`
 	ChunksIn  int64 `json:"chunks_in"`
 	BytesIn   int64 `json:"bytes_in"`
-	// Redispatched counts chunks (or file ranges) re-run locally after
-	// the worker died mid-stream with no surviving peer to take them.
+	// Redispatched counts the shards assigned to this worker that fell
+	// to the coordinator — it died mid-stream, or was already down, and
+	// no surviving peer was left to take them.
 	Redispatched int64 `json:"redispatched"`
-	// RedispatchedRemote counts chunks (or streams) this worker failed
-	// mid-flight that were re-dispatched to a surviving worker instead
-	// of falling back to the coordinator.
+	// RedispatchedRemote counts the shards a surviving worker took over
+	// instead.
 	RedispatchedRemote int64 `json:"redispatched_remote"`
 	// WireBytesOut/WireBytesIn count the same traffic as transmitted —
 	// frame tags and lz4 blocks included — so BytesOut-WireBytesOut is
@@ -184,9 +181,6 @@ type WorkerStats struct {
 	// coordinator.
 	PlanCacheHits   int64 `json:"plan_cache_hits"`
 	PlanCacheMisses int64 `json:"plan_cache_misses"`
-	// Wire is the worker's confirmed wire-protocol version (0 while
-	// unknown).
-	Wire int `json:"wire,omitempty"`
 	// EWMAMs is the per-chunk service-time EWMA the slow-worker
 	// detector steers by.
 	EWMAMs float64 `json:"ewma_ms"`
@@ -205,13 +199,14 @@ type Transitions struct {
 // NewPool builds a pool over the given worker addresses. An address is
 // "host:port", "http://host:port", or "unix:/path/to.sock".
 func NewPool(workers ...string) *Pool {
-	p := &Pool{
+	p := &Pool{tune: tuning{
+		window:        defaultWindow,
 		dialTimeout:   5 * time.Second,
 		retryAttempts: defaultRetryAttempts,
 		retryBase:     defaultRetryBase,
 		retryMax:      defaultRetryMax,
 		chunkTimeout:  defaultChunkTimeout,
-	}
+	}}
 	for _, w := range workers {
 		p.Add(w)
 	}
@@ -230,7 +225,9 @@ func (p *Pool) SetSharedFS(shared bool) {
 // SetWindow overrides the per-stream in-flight chunk window.
 func (p *Pool) SetWindow(n int) {
 	p.mu.Lock()
-	p.window = n
+	if n > 0 {
+		p.tune.window = n
+	}
 	p.mu.Unlock()
 }
 
@@ -240,13 +237,13 @@ func (p *Pool) SetWindow(n int) {
 func (p *Pool) SetRetryPolicy(attempts int, base, max time.Duration) {
 	p.mu.Lock()
 	if attempts > 0 {
-		p.retryAttempts = attempts
+		p.tune.retryAttempts = attempts
 	}
 	if base > 0 {
-		p.retryBase = base
+		p.tune.retryBase = base
 	}
 	if max > 0 {
-		p.retryMax = max
+		p.tune.retryMax = max
 	}
 	p.mu.Unlock()
 }
@@ -256,15 +253,15 @@ func (p *Pool) SetRetryPolicy(attempts int, base, max time.Duration) {
 // mid-stream worker death (the partition shape). 0 disables.
 func (p *Pool) SetChunkTimeout(d time.Duration) {
 	p.mu.Lock()
-	p.chunkTimeout = d
+	p.tune.chunkTimeout = d
 	p.mu.Unlock()
 }
 
-// SetDialTimeout bounds dialing and the plan-frame handshake.
+// SetDialTimeout bounds dialing and the frame-0 handshake.
 func (p *Pool) SetDialTimeout(d time.Duration) {
 	p.mu.Lock()
 	if d > 0 {
-		p.dialTimeout = d
+		p.tune.dialTimeout = d
 	}
 	p.mu.Unlock()
 }
@@ -307,36 +304,6 @@ func (p *Pool) compressFor(name string) bool {
 	return !strings.HasPrefix(name, "unix:")
 }
 
-// wireFor reports the wire version to speak to a worker: its confirmed
-// version, or wireV2 while unknown — dispatch is optimistic and the
-// downgrade-by-rejection path corrects a wrong guess at the cost of
-// one rejected handshake.
-func (p *Pool) wireFor(name string) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, w := range p.workers {
-		if w.name == name {
-			if w.wire == 0 {
-				return wireV2
-			}
-			return w.wire
-		}
-	}
-	return wireV2
-}
-
-// setWire pins a worker's confirmed wire version.
-func (p *Pool) setWire(name string, v int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, w := range p.workers {
-		if w.name == name {
-			w.wire = v
-			return
-		}
-	}
-}
-
 // SetFaultInjector installs (or, with nil, removes) the fault-injection
 // layer. Dev/test only: every subsequent dial consults the injector.
 func (p *Pool) SetFaultInjector(inj *Injector) {
@@ -356,18 +323,26 @@ func (p *Pool) Add(name string) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for _, w := range p.workers {
-		if w.name == name {
-			if w.state != stateHealthy {
-				w.state = stateHealthy
-				w.okStreak, w.failStreak = 0, 0
-				p.fpValid = false
-			}
-			return
+	if w := p.findLocked(name); w != nil {
+		if w.state != stateHealthy {
+			w.state = stateHealthy
+			w.okStreak, w.failStreak = 0, 0
+			p.fpValid = false
 		}
+		return
 	}
 	p.fpValid = false
 	p.workers = append(p.workers, &poolWorker{name: name, state: stateHealthy})
+}
+
+// findLocked returns the named member, or nil. Callers hold p.mu.
+func (p *Pool) findLocked(name string) *poolWorker {
+	for _, w := range p.workers {
+		if w.name == name {
+			return w
+		}
+	}
+	return nil
 }
 
 // Remove drops a worker from the pool entirely.
@@ -375,12 +350,7 @@ func (p *Pool) Remove(name string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.fpValid = false
-	for i, w := range p.workers {
-		if w.name == name {
-			p.workers = append(p.workers[:i], p.workers[i+1:]...)
-			return
-		}
-	}
+	p.workers = slices.DeleteFunc(p.workers, func(w *poolWorker) bool { return w.name == name })
 }
 
 // markDown flags a worker down after a transport failure; future plans
@@ -390,19 +360,24 @@ func (p *Pool) Remove(name string) {
 func (p *Pool) markDown(name string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for _, w := range p.workers {
-		if w.name == name {
-			if w.state != stateDown {
-				if w.state.alive() {
-					p.fpValid = false
-				}
-				w.state = stateDown
-				w.okStreak, w.failStreak = 0, 0
-				p.trans.Down++
-			}
-			return
-		}
+	if w := p.findLocked(name); w != nil {
+		p.markDownLocked(w)
 	}
+}
+
+// markDownLocked moves one member to down, counting the transition and
+// bumping the fingerprint only when the eligible set actually shrinks.
+// Callers hold p.mu.
+func (p *Pool) markDownLocked(w *poolWorker) {
+	if w.state == stateDown {
+		return
+	}
+	if w.state.alive() {
+		p.fpValid = false
+	}
+	w.state = stateDown
+	w.okStreak, w.failStreak = 0, 0
+	p.trans.Down++
 }
 
 // eligibleLocked lists the workers new plans may target, in
@@ -422,6 +397,17 @@ func (p *Pool) eligibleLocked() []string {
 		return healthy
 	}
 	return degraded
+}
+
+// memberNames lists every member, whatever its state.
+func (p *Pool) memberNames() []string {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	names := make([]string, len(p.workers))
+	for i, w := range p.workers {
+		names[i] = w.name
+	}
+	return names
 }
 
 // WorkerNames lists the dispatch-eligible workers in registration
@@ -477,7 +463,6 @@ func (p *Pool) Stats() []WorkerStats {
 		st.Name = w.name
 		st.Healthy = w.state.alive()
 		st.State = w.state.String()
-		st.Wire = w.wire
 		st.EWMAMs = w.ewmaMs
 		out = append(out, st)
 	}
@@ -495,11 +480,8 @@ func (p *Pool) Transitions() Transitions {
 func (p *Pool) note(name string, fn func(*WorkerStats)) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for _, w := range p.workers {
-		if w.name == name {
-			fn(&w.stats)
-			return
-		}
+	if w := p.findLocked(name); w != nil {
+		fn(&w.stats)
 	}
 }
 
@@ -508,17 +490,16 @@ func (p *Pool) note(name string, fn func(*WorkerStats)) {
 func (p *Pool) noteService(name string, perChunkMs float64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for _, w := range p.workers {
-		if w.name == name {
-			if w.samples == 0 {
-				w.ewmaMs = perChunkMs
-			} else {
-				w.ewmaMs = 0.3*perChunkMs + 0.7*w.ewmaMs
-			}
-			w.samples++
-			return
-		}
+	w := p.findLocked(name)
+	if w == nil {
+		return
 	}
+	if w.samples == 0 {
+		w.ewmaMs = perChunkMs
+	} else {
+		w.ewmaMs = 0.3*perChunkMs + 0.7*w.ewmaMs
+	}
+	w.samples++
 }
 
 // CheckHealth probes every member once, reviving workers that answer
@@ -527,32 +508,18 @@ func (p *Pool) noteService(name string, perChunkMs float64) {
 // /workers/register; the background prober (StartProber) applies
 // consecutive-probe thresholds instead.
 func (p *Pool) CheckHealth(ctx context.Context) int {
-	p.mu.Lock()
-	names := make([]string, len(p.workers))
-	for i, w := range p.workers {
-		names[i] = w.name
-	}
-	p.mu.Unlock()
 	healthy := 0
-	for _, name := range names {
+	for _, name := range p.memberNames() {
 		ok := p.probe(ctx, name)
 		p.mu.Lock()
-		for _, w := range p.workers {
-			if w.name != name {
-				continue
-			}
+		if w := p.findLocked(name); w != nil {
 			if ok && !w.state.alive() {
 				w.state = stateHealthy
 				w.okStreak, w.failStreak = 0, 0
 				p.trans.Rejoined++
 				p.fpValid = false
-			} else if !ok && w.state != stateDown {
-				if w.state.alive() {
-					p.fpValid = false
-				}
-				w.state = stateDown
-				w.okStreak, w.failStreak = 0, 0
-				p.trans.Down++
+			} else if !ok {
+				p.markDownLocked(w)
 			}
 		}
 		p.mu.Unlock()
@@ -571,7 +538,7 @@ func (p *Pool) probe(ctx context.Context, name string) bool {
 	defer conn.Close()
 	// A worker that accepts but never answers (wedged, or mid-startup)
 	// must fail the probe, not hang it: bound the whole exchange.
-	deadline := time.Now().Add(p.dialTimeoutVal())
+	deadline := time.Now().Add(p.tuned().dialTimeout)
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d
 	}
@@ -583,16 +550,6 @@ func (p *Pool) probe(ctx context.Context, name string) bool {
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode == http.StatusOK {
-		// A v2 worker always advertises its wire version on /healthz, so
-		// a successful probe pins the version either way and later
-		// dispatches skip the downgrade dance.
-		if resp.Header.Get("X-Pash-Wire") == fmt.Sprintf("%d", wireV2) {
-			p.setWire(name, wireV2)
-		} else {
-			p.setWire(name, wireV1)
-		}
-	}
 	return resp.StatusCode == http.StatusOK
 }
 
@@ -614,7 +571,7 @@ func (p *Pool) dial(ctx context.Context, name string) (net.Conn, error) {
 }
 
 func (p *Pool) rawDial(ctx context.Context, name string) (net.Conn, error) {
-	d := net.Dialer{Timeout: p.dialTimeoutVal()}
+	d := net.Dialer{Timeout: p.tuned().dialTimeout}
 	if path, ok := strings.CutPrefix(name, "unix:"); ok {
 		return d.DialContext(ctx, "unix", path)
 	}
@@ -622,38 +579,20 @@ func (p *Pool) rawDial(ctx context.Context, name string) (net.Conn, error) {
 	return d.DialContext(ctx, "tcp", addr)
 }
 
-func (p *Pool) dialTimeoutVal() time.Duration {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.dialTimeout
-}
-
-func (p *Pool) retryPolicy() (int, time.Duration, time.Duration) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.retryAttempts, p.retryBase, p.retryMax
-}
-
-func (p *Pool) chunkTimeoutVal() time.Duration {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.chunkTimeout
-}
-
 // backoffWait sleeps the capped exponential backoff for the given
 // attempt number, aborting early on context cancellation.
 func (p *Pool) backoffWait(ctx context.Context, attempt int) error {
-	_, base, max := p.retryPolicy()
-	d := base << attempt
-	if d > max || d <= 0 {
-		d = max
+	t := p.tuned()
+	d := t.retryBase << attempt
+	if d > t.retryMax || d <= 0 {
+		d = t.retryMax
 	}
-	t := time.NewTimer(d)
-	defer t.Stop()
+	timer := time.NewTimer(d)
+	defer timer.Stop()
 	select {
 	case <-ctx.Done():
 		return ctx.Err()
-	case <-t.C:
+	case <-timer.C:
 		return nil
 	}
 }
@@ -662,32 +601,19 @@ func (p *Pool) backoffWait(ctx context.Context, attempt int) error {
 func (p *Pool) alive(name string) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for _, w := range p.workers {
-		if w.name == name {
-			return w.state.alive()
-		}
-	}
-	return false
+	w := p.findLocked(name)
+	return w != nil && w.state.alive()
 }
 
 // pickSurvivor chooses a re-dispatch target outside the tried set:
 // healthy first, degraded as last resort, "" when the alive set is
 // exhausted.
 func (p *Pool) pickSurvivor(tried map[string]bool) string {
-	return p.pickSurvivorWire(tried, false)
-}
-
-// pickSurvivorWire is pickSurvivor with an optional wire-version
-// filter: with needV2 set, workers confirmed at wire v1 are skipped —
-// a streamed plan sent to a legacy worker would be silently
-// misinterpreted as a chunk relay, so v1 workers are never candidates
-// for one.
-func (p *Pool) pickSurvivorWire(tried map[string]bool, needV2 bool) string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	degraded := ""
 	for _, w := range p.workers {
-		if tried[w.name] || (needV2 && w.wire == wireV1) {
+		if tried[w.name] {
 			continue
 		}
 		switch w.state {
@@ -700,765 +626,4 @@ func (p *Pool) pickSurvivorWire(tried map[string]bool, needV2 bool) string {
 		}
 	}
 	return degraded
-}
-
-// ExecRemote ships one remote node's work to its assigned worker. The
-// recovery ladder, in order: transient pre-stream errors retry the
-// same worker with capped exponential backoff; a mid-stream death
-// re-dispatches the unacknowledged window to a surviving worker; only
-// when no alive peer remains does the coordinator run the remainder
-// locally. It implements runtime.RemoteExecutor.
-func (p *Pool) ExecRemote(ctx context.Context, req *runtime.RemoteRequest) error {
-	name := req.Spec.Worker
-	if name == "" {
-		return runtime.ExecRemoteLocal(ctx, req)
-	}
-	if !p.alive(name) {
-		// The assigned worker is gone; prefer a surviving peer over
-		// running the shard on the coordinator.
-		if next := p.pickSurvivor(map[string]bool{name: true}); next != "" {
-			p.note(name, func(st *WorkerStats) { st.RedispatchedRemote++ })
-			name = next
-		} else {
-			p.note(name, func(st *WorkerStats) { st.Redispatched++ })
-			return runtime.ExecRemoteLocal(ctx, req)
-		}
-	}
-	switch {
-	case req.Spec.Path != "":
-		return p.execRange(ctx, name, req)
-	case req.Spec.Streamed:
-		return p.execStreamed(ctx, name, req)
-	default:
-		return p.execFramed(ctx, name, req)
-	}
-}
-
-// encodeWirePlan binds this run's environment snapshot into the cached
-// spec (cached templates are run-independent; env binds per request).
-func encodeWirePlan(req *runtime.RemoteRequest) ([]byte, error) {
-	wireSpec := *req.Spec
-	wireSpec.Env = req.Env
-	return dfg.EncodePlan(&wireSpec)
-}
-
-// wirePlan builds the frame-0 payload for one dispatch attempt against
-// one worker, picking the wire version the worker is known (or
-// assumed) to speak. It returns the frame, the version it encodes, and
-// whether the lz4 feature was offered. Plans are built per attempt
-// because a downgrade changes the encoding mid-ladder.
-func (p *Pool) wirePlan(req *runtime.RemoteRequest, name string) ([]byte, int, bool, error) {
-	if p.wireFor(name) == wireV1 {
-		if req.Spec.Streamed {
-			// A v1 worker would run a streamed linear chain as a framed
-			// chunk relay — silently wrong bytes. Callers route around
-			// v1 workers for streamed plans; this is the backstop.
-			return nil, wireV1, false, errors.New("dist: streamed plan requires wire v2")
-		}
-		plan, err := encodeWirePlan(req)
-		return plan, wireV1, false, err
-	}
-	wireSpec := *req.Spec
-	wireSpec.Env = nil
-	planRaw, err := dfg.EncodePlan(&wireSpec)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	lz4On := p.compressFor(name)
-	hs := wireHandshake{Wire: wireV2, Key: req.Spec.Key, Env: req.Env, Plan: planRaw}
-	if lz4On {
-		hs.Features = []string{featureLZ4}
-	}
-	b, err := json.Marshal(&hs)
-	return b, wireV2, lz4On, err
-}
-
-// wireRejectError is a worker's non-200 answer to /exec, before any
-// output frame. Status 400 against a v2 handshake is the negotiation
-// downgrade signal: the worker never read an input frame, so the same
-// dispatch retries at v1 with nothing lost.
-type wireRejectError struct {
-	name   string
-	status int
-	msg    string
-}
-
-func (e *wireRejectError) Error() string {
-	return fmt.Sprintf("dist: worker %s: %d: %s", e.name, e.status, e.msg)
-}
-
-// downgradeOn400 reports whether err is the version-skew rejection for
-// an attempt made at wire v2, pinning the worker to v1 when it is. The
-// caller retries without marking the worker down — nothing failed,
-// the fleet just has version skew.
-func (p *Pool) downgradeOn400(name string, wire int, err error) bool {
-	var rej *wireRejectError
-	if wire != wireV2 || !errors.As(err, &rej) || rej.status != http.StatusBadRequest {
-		return false
-	}
-	p.setWire(name, wireV1)
-	return true
-}
-
-// noteWireResponse digests a worker's /exec response headers: the
-// advertised wire version pins the worker as v2, the plan-cache
-// verdict feeds the stats row, and the echoed feature list decides how
-// response frames are decoded. It returns whether response payloads
-// are tagged (the lz4 feature was accepted).
-func (p *Pool) noteWireResponse(name string, h http.Header) bool {
-	if h.Get("X-Pash-Wire") != "" {
-		p.setWire(name, wireV2)
-	}
-	switch h.Get("X-Pash-Plan-Cache") {
-	case "hit":
-		p.note(name, func(st *WorkerStats) { st.PlanCacheHits++ })
-	case "miss":
-		p.note(name, func(st *WorkerStats) { st.PlanCacheMisses++ })
-	}
-	for _, f := range strings.Split(h.Get("X-Pash-Features"), ",") {
-		if strings.TrimSpace(f) == featureLZ4 {
-			return true
-		}
-	}
-	return false
-}
-
-// execConn opens the /exec request and sends the plan frame, returning
-// the connection and its chunked body writer. The whole handshake runs
-// under the dial timeout, so a partitioned worker fails fast instead
-// of hanging the dispatch; handshake failures come back marked
-// retryable (no output byte was consumed yet).
-func (p *Pool) execConn(ctx context.Context, name string, plan []byte) (net.Conn, *bufio.Writer, io.WriteCloser, error) {
-	conn, err := p.dial(ctx, name)
-	if err != nil {
-		return nil, nil, nil, runtime.MarkRetryable(err)
-	}
-	conn.SetDeadline(time.Now().Add(p.dialTimeoutVal()))
-	bw := bufio.NewWriter(conn)
-	fmt.Fprintf(bw, "POST /exec HTTP/1.1\r\nHost: pash-worker\r\n"+
-		"Content-Type: application/x-pash-frames\r\n"+
-		"Transfer-Encoding: chunked\r\nConnection: close\r\n\r\n")
-	cw := httputil.NewChunkedWriter(bw)
-	if err := writeFrame(cw, plan); err != nil {
-		conn.Close()
-		return nil, nil, nil, runtime.MarkRetryable(err)
-	}
-	if err := bw.Flush(); err != nil {
-		conn.Close()
-		return nil, nil, nil, runtime.MarkRetryable(err)
-	}
-	conn.SetDeadline(time.Time{})
-	return conn, bw, cw, nil
-}
-
-// dispatchConn runs the retry-with-backoff loop around execConn:
-// transient handshake failures retry the same worker (bounded
-// attempts), anything else surfaces.
-func (p *Pool) dispatchConn(ctx context.Context, name string, plan []byte) (net.Conn, *bufio.Writer, io.WriteCloser, error) {
-	attempts, _, _ := p.retryPolicy()
-	for attempt := 0; ; attempt++ {
-		conn, bw, cw, err := p.execConn(ctx, name, plan)
-		if err == nil {
-			return conn, bw, cw, nil
-		}
-		if runtime.ClassifyRemoteError(err) != runtime.RemoteErrRetryable ||
-			attempt+1 >= attempts || ctx.Err() != nil {
-			return nil, nil, nil, err
-		}
-		p.note(name, func(st *WorkerStats) { st.Retries++ })
-		if berr := p.backoffWait(ctx, attempt); berr != nil {
-			return nil, nil, nil, err
-		}
-	}
-}
-
-// pendingChunk is one shipped-but-unacknowledged input chunk: the
-// coordinator retains ownership until the matching output frame
-// arrives, so a dead worker's window can be re-dispatched.
-type pendingChunk struct {
-	b       []byte
-	release func()
-}
-
-func (pc pendingChunk) drop() {
-	if pc.release != nil {
-		pc.release()
-	} else {
-		commands.PutBlock(pc.b)
-	}
-}
-
-// streamWatch is the per-stream inactivity watchdog: when frames stop
-// moving in either direction for the chunk timeout while the stream
-// still owes work, it kills the connection — turning a silent
-// partition or wedged worker into an ordinary detected death the
-// failover path already handles.
-type streamWatch struct {
-	lastNano atomic.Int64
-	waiting  atomic.Int64 // outstanding acks (framed) or 1 while a range stream is live
-	done     chan struct{}
-}
-
-func newStreamWatch(timeout time.Duration, conn net.Conn) *streamWatch {
-	w := &streamWatch{done: make(chan struct{})}
-	w.touch()
-	if timeout <= 0 {
-		return w
-	}
-	go func() {
-		// A watchdog panic must not take the process down, and must not
-		// leave the stream unwatched either: record it and sever the
-		// connection so the failover ladder takes over.
-		defer func() {
-			if r := recover(); r != nil {
-				runtime.AsPanicError("stream watchdog", r)
-				conn.Close()
-			}
-		}()
-		tick := timeout / 4
-		if tick < time.Millisecond {
-			tick = time.Millisecond
-		}
-		t := time.NewTicker(tick)
-		defer t.Stop()
-		for {
-			select {
-			case <-w.done:
-				return
-			case <-t.C:
-				idle := time.Since(time.Unix(0, w.lastNano.Load()))
-				if idle >= timeout && w.waiting.Load() > 0 {
-					conn.Close()
-					return
-				}
-			}
-		}
-	}()
-	return w
-}
-
-func (w *streamWatch) touch()     { w.lastNano.Store(time.Now().UnixNano()) }
-func (w *streamWatch) stop()      { close(w.done) }
-func (w *streamWatch) expect()    { w.waiting.Add(1) }
-func (w *streamWatch) fulfilled() { w.waiting.Add(-1) }
-
-// execFramed runs a chunk-relay plan over the wire, walking the
-// recovery ladder on failure: the unacknowledged window (plus the
-// unread input) re-dispatches to surviving workers one after another,
-// and falls back to the coordinator's local chain only when no alive
-// peer remains.
-func (p *Pool) execFramed(ctx context.Context, name string, req *runtime.RemoteRequest) error {
-	var window []pendingChunk
-	tried := map[string]bool{}
-	cur := name
-	for {
-		tried[cur] = true
-		plan, wire, lz4On, err := p.wirePlan(req, cur)
-		if err != nil {
-			for _, pc := range window {
-				pc.drop()
-			}
-			return err
-		}
-		var death bool
-		window, death, err = p.execFramedOnce(ctx, cur, plan, req, window, lz4On)
-		if !death {
-			return err
-		}
-		if p.downgradeOn400(cur, wire, err) {
-			// Version skew, not a death: the worker rejected the v2
-			// handshake before reading any input, so the same attempt
-			// replays against the same worker at v1.
-			continue
-		}
-		p.failover(cur, err)
-		if next := p.pickSurvivor(tried); next != "" {
-			moved := int64(len(window))
-			if moved == 0 {
-				moved = 1
-			}
-			p.note(cur, func(st *WorkerStats) { st.RedispatchedRemote += moved })
-			cur = next
-			continue
-		}
-		return p.failoverFramed(ctx, cur, req, window)
-	}
-}
-
-// execFramedOnce drives one worker attempt. The carried window replays
-// first (oldest unacknowledged chunks, in order), then the stream
-// continues from req.In. It returns the chunks still unacknowledged
-// when the attempt died (owned by the caller), whether the failure was
-// a worker death, and the error.
-func (p *Pool) execFramedOnce(ctx context.Context, name string, plan []byte, req *runtime.RemoteRequest, window []pendingChunk, lz4On bool) ([]pendingChunk, bool, error) {
-	p.note(name, func(st *WorkerStats) { st.Requests++ })
-	conn, bw, cw, err := p.dispatchConn(ctx, name, plan)
-	if err != nil {
-		if runtime.ClassifyRemoteError(err) == runtime.RemoteErrFatal {
-			for _, pc := range window {
-				pc.drop()
-			}
-			return nil, false, err
-		}
-		return window, true, err
-	}
-	defer conn.Close()
-
-	watch := newStreamWatch(p.chunkTimeoutVal(), conn)
-	defer watch.stop()
-	start := time.Now()
-
-	size := p.windowSize()
-	if size < len(window) {
-		size = len(window)
-	}
-	pending := make(chan pendingChunk, size)
-	abort := make(chan struct{})
-
-	// Sender: carried window first, then input chunks -> pending
-	// window -> wire.
-	type sendResult struct {
-		err      error          // transport error (nil on clean input EOF)
-		inErr    error          // input-side error (propagates, no failover)
-		leftover []pendingChunk // chunks owned but never parked
-	}
-	sendc := make(chan sendResult, 1)
-	go func() {
-		// A panic in the sender must still produce a sendResult, or the
-		// receiver side would wait on sendc forever.
-		defer func() {
-			if r := recover(); r != nil {
-				sendc <- sendResult{err: runtime.AsPanicError("dispatch sender", r)}
-			}
-		}()
-		comp := newCompressor(lz4On)
-		send := func(pc pendingChunk) (ok bool, res *sendResult) {
-			select {
-			case pending <- pc:
-			case <-abort:
-				return false, &sendResult{leftover: []pendingChunk{pc}}
-			case <-ctx.Done():
-				return false, &sendResult{inErr: ctx.Err(), leftover: []pendingChunk{pc}}
-			}
-			watch.expect()
-			wireN, werr := comp.writeDataFrame(cw, pc.b)
-			if werr != nil {
-				return false, &sendResult{err: werr}
-			}
-			p.note(name, func(st *WorkerStats) {
-				st.ChunksOut++
-				st.BytesOut += int64(len(pc.b))
-				st.WireBytesOut += int64(wireN)
-			})
-			if werr := bw.Flush(); werr != nil {
-				return false, &sendResult{err: werr}
-			}
-			watch.touch()
-			return true, nil
-		}
-		for i, pc := range window {
-			if ok, res := send(pc); !ok {
-				// Chunks not yet parked stay owned by the caller.
-				res.leftover = append(res.leftover, window[i+1:]...)
-				sendc <- *res
-				return
-			}
-		}
-		for {
-			b, release, err := req.In.ReadChunk()
-			if err == io.EOF {
-				// End of input: finish the chunked body so the worker
-				// sees EOF and the response can complete.
-				if cerr := cw.Close(); cerr == nil {
-					if _, cerr = io.WriteString(bw, "\r\n"); cerr == nil {
-						cerr = bw.Flush()
-					}
-					if cerr != nil {
-						sendc <- sendResult{err: cerr}
-						return
-					}
-				} else {
-					sendc <- sendResult{err: cerr}
-					return
-				}
-				// The body is complete, so the worker owes the rest of
-				// the response unconditionally now: arm the watchdog
-				// even when no chunk is outstanding, or a partition
-				// engaging here would hang the receiver forever.
-				watch.expect()
-				sendc <- sendResult{}
-				return
-			}
-			if err != nil {
-				sendc <- sendResult{inErr: err}
-				return
-			}
-			if ok, res := send(pendingChunk{b: b, release: release}); !ok {
-				sendc <- *res
-				return
-			}
-		}
-	}()
-
-	// Receiver: response frames -> downstream, acknowledging the window.
-	frames := 0
-	recvErr := func() error {
-		resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
-		if err != nil {
-			return fmt.Errorf("dist: worker %s: %w", name, err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-			return &wireRejectError{name: name, status: resp.StatusCode, msg: strings.TrimSpace(string(msg))}
-		}
-		tagged := p.noteWireResponse(name, resp.Header)
-		for {
-			fr, err := readFrame(resp.Body)
-			if err == io.EOF {
-				if msg := resp.Trailer.Get("X-Pash-Error"); msg != "" {
-					return fmt.Errorf("dist: worker %s: %s", name, msg)
-				}
-				return nil
-			}
-			if err != nil {
-				return fmt.Errorf("dist: worker %s: %w", name, err)
-			}
-			out, wireN, err := decodeDataPayload(fr, tagged)
-			if err != nil {
-				return fmt.Errorf("dist: worker %s: %w", name, err)
-			}
-			watch.touch()
-			select {
-			case pc := <-pending:
-				pc.drop()
-				watch.fulfilled()
-			default:
-				commands.PutBlock(out)
-				return fmt.Errorf("dist: worker %s sent more frames than it was given", name)
-			}
-			frames++
-			p.note(name, func(st *WorkerStats) {
-				st.ChunksIn++
-				st.BytesIn += int64(len(out))
-				st.WireBytesIn += int64(wireN)
-			})
-			if werr := req.Out.WriteChunk(out); werr != nil {
-				return runtime.MarkFatal(fmt.Errorf("downstream: %w", werr))
-			}
-		}
-	}()
-	close(abort)
-	// Unblock a sender stuck writing to a dead or abandoned connection
-	// before waiting for it (its flush errors are classified below).
-	conn.Close()
-	sres := <-sendc
-
-	if sres.inErr != nil {
-		// Input-side errors propagate as-is: no worker failed, so
-		// neither retry nor failover applies.
-		drainPending(pending, sres.leftover)
-		return nil, false, sres.inErr
-	}
-	if recvErr == nil && sres.err == nil {
-		// Clean completion: the worker acknowledged every chunk, or the
-		// stream ended with frames it legitimately never answered?
-		// One-frame-per-frame means pending must be empty here.
-		if pcs, ok := takePending(pending, sres.leftover); ok {
-			return pcs, true, errors.New("dist: worker closed with unacknowledged chunks")
-		}
-		if frames > 0 {
-			ms := float64(time.Since(start).Milliseconds()) / float64(frames)
-			p.noteService(name, ms)
-		}
-		return nil, false, nil
-	}
-	if sres.inErr != nil {
-		drainPending(pending, sres.leftover)
-		return nil, false, sres.inErr
-	}
-	if recvErr != nil && runtime.ClassifyRemoteError(recvErr) == runtime.RemoteErrFatal {
-		drainPending(pending, sres.leftover)
-		if errors.Is(recvErr, runtime.ErrDownstreamClosed) {
-			return nil, false, runtime.ErrDownstreamClosed
-		}
-		return nil, false, recvErr
-	}
-	// Worker/transport death: hand the outstanding window back for
-	// re-dispatch.
-	err = recvErr
-	if err == nil {
-		err = sres.err
-	}
-	pcs, _ := takePending(pending, sres.leftover)
-	return pcs, true, err
-}
-
-// takePending drains the window (plus the sender's never-parked
-// leftovers, if any) in order, reporting whether anything was
-// outstanding.
-func takePending(pending chan pendingChunk, leftover []pendingChunk) ([]pendingChunk, bool) {
-	var out []pendingChunk
-	for {
-		select {
-		case pc := <-pending:
-			out = append(out, pc)
-		default:
-			out = append(out, leftover...)
-			return out, len(out) > 0
-		}
-	}
-}
-
-func drainPending(pending chan pendingChunk, leftover []pendingChunk) {
-	pcs, _ := takePending(pending, leftover)
-	for _, pc := range pcs {
-		pc.drop()
-	}
-}
-
-// failover marks the worker down after a mid-stream death.
-func (p *Pool) failover(name string, err error) {
-	p.markDown(name)
-	p.note(name, func(st *WorkerStats) { st.Failures++ })
-	_ = err
-}
-
-// failoverFramed re-dispatches the unacknowledged window locally, then
-// keeps draining the input through the local chain — the stream
-// continues without corruption, one output chunk per input chunk. This
-// is the bottom of the recovery ladder, reached only when no surviving
-// worker remains.
-func (p *Pool) failoverFramed(ctx context.Context, name string, req *runtime.RemoteRequest, window []pendingChunk) error {
-	chain, err := runtime.NewStageChain(req.Reg, req.Spec.Stages, req.Dir, req.Env, req.Stderr)
-	if err != nil {
-		for _, pc := range window {
-			pc.drop()
-		}
-		return err
-	}
-	for _, pc := range window {
-		p.note(name, func(st *WorkerStats) { st.Redispatched++ })
-		out, aerr := chain.ApplyChunk(pc.b)
-		pc.drop()
-		if aerr != nil {
-			return aerr
-		}
-		if werr := req.Out.WriteChunk(out); werr != nil {
-			return werr
-		}
-	}
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		b, release, err := req.In.ReadChunk()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		p.note(name, func(st *WorkerStats) { st.Redispatched++ })
-		out, aerr := chain.ApplyChunk(b)
-		release()
-		if aerr != nil {
-			return aerr
-		}
-		if werr := req.Out.WriteChunk(out); werr != nil {
-			return werr
-		}
-	}
-}
-
-// execRange runs a file-range plan, walking the same recovery ladder
-// as execFramed: surviving workers re-run the range (the coordinator
-// discards the prefix already delivered — deterministic stages
-// reproduce it byte-for-byte), and only an empty alive set sends the
-// range to the coordinator's local chain.
-func (p *Pool) execRange(ctx context.Context, name string, req *runtime.RemoteRequest) error {
-	var delivered int64
-	tried := map[string]bool{}
-	cur := name
-	for {
-		tried[cur] = true
-		plan, wire, _, err := p.wirePlan(req, cur)
-		if err != nil {
-			return err
-		}
-		var death bool
-		delivered, death, err = p.execRangeOnce(ctx, cur, plan, req, delivered)
-		if !death {
-			return err
-		}
-		if p.downgradeOn400(cur, wire, err) {
-			continue
-		}
-		p.failover(cur, err)
-		if next := p.pickSurvivor(tried); next != "" {
-			p.note(cur, func(st *WorkerStats) { st.RedispatchedRemote++ })
-			cur = next
-			continue
-		}
-		p.note(cur, func(st *WorkerStats) { st.Redispatched++ })
-		return p.failoverRange(req, delivered)
-	}
-}
-
-// execRangeOnce asks one worker for the whole range and forwards only
-// the bytes past skip (the prefix already delivered downstream by a
-// previous attempt). It returns the new absolute delivered offset.
-func (p *Pool) execRangeOnce(ctx context.Context, name string, plan []byte, req *runtime.RemoteRequest, skip int64) (int64, bool, error) {
-	p.note(name, func(st *WorkerStats) { st.Requests++ })
-	delivered := skip
-	conn, bw, cw, err := p.dispatchConn(ctx, name, plan)
-	if err != nil {
-		if runtime.ClassifyRemoteError(err) == runtime.RemoteErrFatal {
-			return delivered, false, err
-		}
-		return delivered, true, err
-	}
-	defer conn.Close()
-
-	watch := newStreamWatch(p.chunkTimeoutVal(), conn)
-	defer watch.stop()
-	watch.expect() // a live range stream always owes bytes until EOF
-	start := time.Now()
-	frames := 0
-
-	// The request body is just the plan frame.
-	if cerr := cw.Close(); cerr == nil {
-		if _, cerr = io.WriteString(bw, "\r\n"); cerr == nil {
-			cerr = bw.Flush()
-		}
-		err = cerr
-	} else {
-		err = cerr
-	}
-	var pos int64
-	if err == nil {
-		err = func() error {
-			resp, rerr := http.ReadResponse(bufio.NewReader(conn), nil)
-			if rerr != nil {
-				return rerr
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-				return &wireRejectError{name: name, status: resp.StatusCode, msg: strings.TrimSpace(string(msg))}
-			}
-			tagged := p.noteWireResponse(name, resp.Header)
-			for {
-				raw, ferr := readFrame(resp.Body)
-				if ferr == io.EOF {
-					if msg := resp.Trailer.Get("X-Pash-Error"); msg != "" {
-						return fmt.Errorf("dist: worker %s: %s", name, msg)
-					}
-					return nil
-				}
-				if ferr != nil {
-					return ferr
-				}
-				fr, wireN, ferr := decodeDataPayload(raw, tagged)
-				if ferr != nil {
-					return ferr
-				}
-				watch.touch()
-				frames++
-				p.note(name, func(st *WorkerStats) {
-					st.ChunksIn++
-					st.BytesIn += int64(len(fr))
-					st.WireBytesIn += int64(wireN)
-				})
-				end := pos + int64(len(fr))
-				switch {
-				case end <= skip:
-					// Entirely inside the already-delivered prefix.
-					commands.PutBlock(fr)
-				case pos >= skip:
-					if werr := req.Out.WriteChunk(fr); werr != nil {
-						return runtime.MarkFatal(fmt.Errorf("downstream: %w", werr))
-					}
-					delivered = end
-				default:
-					// Straddles the boundary: forward the unseen tail.
-					blk := append(commands.GetBlock(), fr[skip-pos:]...)
-					commands.PutBlock(fr)
-					if werr := req.Out.WriteChunk(blk); werr != nil {
-						return runtime.MarkFatal(fmt.Errorf("downstream: %w", werr))
-					}
-					delivered = end
-				}
-				pos = end
-			}
-		}()
-	}
-	if err == nil {
-		if frames > 0 {
-			ms := float64(time.Since(start).Milliseconds()) / float64(frames)
-			p.noteService(name, ms)
-		}
-		return delivered, false, nil
-	}
-	if runtime.ClassifyRemoteError(err) == runtime.RemoteErrFatal {
-		if errors.Is(err, runtime.ErrDownstreamClosed) {
-			return delivered, false, runtime.ErrDownstreamClosed
-		}
-		return delivered, false, err
-	}
-	return delivered, true, err
-}
-
-// failoverRange re-runs the whole range locally and forwards only the
-// bytes past the already-delivered prefix.
-func (p *Pool) failoverRange(req *runtime.RemoteRequest, skip int64) error {
-	chain, err := runtime.NewStageChain(req.Reg, req.Spec.Stages, req.Dir, req.Env, req.Stderr)
-	if err != nil {
-		return err
-	}
-	r, err := runtime.OpenRange(req.Dir, req.Spec.Path, req.Spec.Slice, req.Spec.Of)
-	if err != nil {
-		return err
-	}
-	defer r.Close()
-	return chain.Stream(r, &skipWriter{out: req.Out, skip: skip})
-}
-
-// skipWriter discards the first skip bytes, then forwards the rest as
-// chunks.
-type skipWriter struct {
-	out  commands.ChunkWriter
-	skip int64
-}
-
-func (s *skipWriter) Write(p []byte) (int, error) {
-	total := len(p)
-	if s.skip > 0 {
-		if int64(total) <= s.skip {
-			s.skip -= int64(total)
-			return total, nil
-		}
-		p = p[s.skip:]
-		s.skip = 0
-	}
-	blk := append(commands.GetBlock(), p...)
-	if err := s.out.WriteChunk(blk); err != nil {
-		return 0, err
-	}
-	return total, nil
-}
-
-func (s *skipWriter) WriteChunk(b []byte) error {
-	_, err := s.Write(b)
-	commands.PutBlock(b)
-	return err
-}
-
-func (p *Pool) windowSize() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.window > 0 {
-		return p.window
-	}
-	return defaultWindow
 }

@@ -98,13 +98,7 @@ func (p *Pool) proberConfig() ProberConfig {
 func (p *Pool) ProbeTick(ctx context.Context) int {
 	cfg := p.proberConfig()
 
-	p.mu.Lock()
-	names := make([]string, len(p.workers))
-	for i, w := range p.workers {
-		names[i] = w.name
-	}
-	p.mu.Unlock()
-
+	names := p.memberNames()
 	results := make(map[string]bool, len(names))
 	for _, name := range names {
 		results[name] = p.probe(ctx, name)

@@ -2,8 +2,11 @@
 // a coordinator-side Pool that ships KindRemote nodes to pash-serve
 // workers, and the worker-side /exec handler that runs them. Planning
 // (which subgraphs ship) lives in dfg.Distribute; local interpretation
-// (the failover path) lives in runtime.ExecRemoteLocal. This package
-// only moves plans and framed chunks over HTTP.
+// (the bottom rung of the recovery ladder) lives in
+// runtime.ExecRemoteLocal. This package only moves plans and framed
+// chunks over HTTP: session.go is the coordinator's single dispatch
+// path, pool.go and prober.go keep membership and health, worker.go is
+// the other end of the wire.
 //
 // # Wire format
 //
@@ -12,58 +15,53 @@
 // payload length followed by a 4-byte big-endian CRC-32C (Castagnoli)
 // of the payload — and then the payload:
 //
-//	frame 0:  wire v1: the JSON-encoded dfg.RemoteSpec (the plan)
-//	          wire v2: the JSON handshake {"pash_wire":2, "features",
-//	          "key", "env", "plan"} carrying the plan, the coordinator's
-//	          plan fingerprint (the worker plan-cache key), the request
-//	          environment, and the negotiated frame features
+//	frame 0:  the JSON handshake {"pash_wire":2, "features", "key",
+//	          "env", "plan"} carrying the plan (a dfg.RemoteSpec), the
+//	          coordinator's plan fingerprint (the worker plan-cache
+//	          key), the request environment, and the frame features the
+//	          coordinator offers
 //	frame 1…: input chunks (zero-length frames are legal and meaningful
 //	          — rotation tokens for framed plans, end-of-stream
 //	          separators for streamed plans)
+//
+// Frame 0 is the handshake, full stop: there is one protocol and no
+// negotiation of versions. A worker answers a frame 0 it cannot accept
+// — not a handshake, an unknown feature, a plan that fails validation —
+// with 400 before reading any input frame, and the coordinator treats
+// that like any other failed dispatch. An accepted handshake is
+// answered 200 with the accepted features echoed in X-Pash-Features
+// and the plan-cache verdict in X-Pash-Plan-Cache.
 //
 // The response body is the same frame format carrying output chunks.
 // For framed (chunk-relay) plans the worker emits exactly one output
 // frame per input frame, in order — frame k of the response
 // acknowledges frame k of the request, which is what makes bounded
 // re-dispatch buffers possible. For file-range plans the request
-// carries only the plan frame and the response frames carry the
+// carries only the handshake and the response frames carry the
 // transformed range in order. For streamed (contiguous-stream) plans
 // the request carries each input stream's chunks in input order, a
 // zero-length separator frame ending each stream, and the response is
 // the node's single output stream. The exit status and any execution
 // error arrive in HTTP trailers (X-Pash-Exit-Code, X-Pash-Error).
 //
-// # Negotiation
-//
-// Version negotiation is downgrade-by-rejection: the coordinator
-// opens with a v2 handshake; a worker that predates it fails to find
-// stages in frame 0 and answers 400 before reading any input frame, so
-// the coordinator retries the same worker with a v1 plan frame and
-// pins the worker's wire version for future dispatches (a worker's
-// /healthz X-Pash-Wire header seeds the same cache via probes). A v2
-// worker answers 200 with X-Pash-Wire: 2 and echoes the accepted
-// features in X-Pash-Features. Compressed frames therefore only ever
-// follow an accepted v2 handshake — an old worker can never
-// misinterpret one.
-//
 // # Compression
 //
-// Under the negotiated "lz4" feature every non-empty data frame's
-// payload is tagged: a one-byte tag (0 = raw, 1 = lz4), then for lz4 a
-// 4-byte big-endian decoded length and the LZ4 block. Zero-length
-// frames (tokens, separators) stay bare in every mode. The CRC always
-// covers the payload as transmitted — tag and compressed bytes — so a
-// bit flip fails the checksum before the decompressor runs, and a
-// corrupt block that somehow passes CRC still surfaces as
-// ErrCorruptFrame from the lz4 decoder's bounds checks. The sender
-// skips compression for incompressible payloads via a sampled ratio
-// gate: after a few near-miss attempts it only re-samples every 16th
-// frame until one compresses well again.
+// When the handshake offers the "lz4" feature and the worker echoes it,
+// every non-empty data frame's payload is tagged: a one-byte tag
+// (0 = raw, 1 = lz4), then for lz4 a 4-byte big-endian decoded length
+// and the LZ4 block. Zero-length frames (tokens, separators) stay bare
+// in every mode. The CRC always covers the payload as transmitted — tag
+// and compressed bytes — so a bit flip fails the checksum before the
+// decompressor runs, and a corrupt block that somehow passes CRC still
+// surfaces as ErrCorruptFrame from the lz4 decoder's bounds checks. The
+// sender skips compression for incompressible payloads via a sampled
+// ratio gate: after a few near-miss attempts it only re-samples every
+// 16th frame until one compresses well again.
 //
 // The checksum is what makes the no-corruption guarantee hold against
 // a misbehaving transport, not just a dead one: a frame that arrives
-// bit-flipped fails its CRC and surfaces as ErrCorruptFrame — a fatal
-// stream error that triggers re-dispatch of the unacknowledged window
+// bit-flipped fails its CRC and surfaces as ErrCorruptFrame — a stream
+// error that sends the session to the next rung of the recovery ladder
 // — instead of flowing downstream as silently wrong bytes. A stream
 // that ends inside a frame surfaces as ErrTruncatedFrame, never as a
 // clean EOF, so partial output cannot be mistaken for stream end.
@@ -92,9 +90,9 @@ const maxFrame = 16 << 20
 var ErrTruncatedFrame = errors.New("dist: truncated frame")
 
 // ErrCorruptFrame marks a frame whose payload failed its CRC. Like
-// truncation it is always fatal for the stream; the unacknowledged
-// window re-dispatches, so a flipped bit on the wire costs a retry,
-// never a wrong byte downstream.
+// truncation it is always fatal for the stream; the session
+// re-dispatches, so a flipped bit on the wire costs a retry, never a
+// wrong byte downstream.
 var ErrCorruptFrame = errors.New("dist: corrupt frame")
 
 // castagnoli is the CRC-32C table (hardware-accelerated on amd64/arm64).
@@ -157,13 +155,10 @@ func readFrame(r io.Reader) ([]byte, error) {
 	return buf, nil
 }
 
-// Wire protocol versions. v1 is the original plan-frame handshake; v2
-// adds the JSON handshake frame (plan cache key, env, feature list)
-// and, under the lz4 feature, tagged data-frame payloads.
-const (
-	wireV1 = 1
-	wireV2 = 2
-)
+// wireVersion is the handshake's pash_wire value. There is one wire
+// protocol; the number exists so a frame 0 from something else — a bare
+// plan, a stray POST — is recognizably not a handshake.
+const wireVersion = 2
 
 // featureLZ4 names the tagged lz4 frame encoding in handshake feature
 // lists and the X-Pash-Features header.
@@ -175,10 +170,10 @@ const (
 	tagLZ4 = 0x01
 )
 
-// wireHandshake is frame 0 of a v2 /exec request. Plan is the
-// env-free dfg.RemoteSpec; Env rides separately so workers can cache
-// the decoded plan across requests with different environments. Key is
-// the coordinator's plan fingerprint (empty disables worker caching).
+// wireHandshake is frame 0 of an /exec request. Plan is the env-free
+// dfg.RemoteSpec; Env rides separately so workers can cache the decoded
+// plan across requests with different environments. Key is the
+// coordinator's plan fingerprint (empty disables worker caching).
 type wireHandshake struct {
 	Wire     int               `json:"pash_wire"`
 	Features []string          `json:"features,omitempty"`
@@ -187,24 +182,14 @@ type wireHandshake struct {
 	Plan     json.RawMessage   `json:"plan,omitempty"`
 }
 
-// decodeHandshake recognizes a v2 handshake frame. A v1 plan frame (a
-// bare RemoteSpec) never carries pash_wire, so the two frame-0 forms
-// are unambiguous.
+// decodeHandshake parses frame 0, reporting false for anything that is
+// not a handshake of this protocol.
 func decodeHandshake(frame []byte) (*wireHandshake, bool) {
 	var hs wireHandshake
-	if err := json.Unmarshal(frame, &hs); err != nil || hs.Wire < wireV2 {
+	if err := json.Unmarshal(frame, &hs); err != nil || hs.Wire < wireVersion {
 		return nil, false
 	}
 	return &hs, true
-}
-
-func (hs *wireHandshake) hasFeature(name string) bool {
-	for _, f := range hs.Features {
-		if f == name {
-			return true
-		}
-	}
-	return false
 }
 
 // Sampled ratio gate parameters: after gateMissLimit consecutive
@@ -223,10 +208,6 @@ type compressor struct {
 	miss    int // consecutive poor-ratio attempts
 	tick    int // frames since the last gated attempt
 	scratch []byte
-}
-
-func newCompressor(enabled bool) *compressor {
-	return &compressor{enabled: enabled}
 }
 
 // writeDataFrame emits one data frame, compressing the payload when

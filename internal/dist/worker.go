@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -25,11 +26,6 @@ type Worker struct {
 	dir   string
 	start time.Time
 	plans *planCache
-	// legacy pins the worker to wire v1: handshake frames are fed to
-	// the plan decoder and rejected exactly as a pre-v2 build would,
-	// /healthz advertises no version. Used by version-skew tests and as
-	// an operational escape hatch.
-	legacy bool
 
 	requests     atomic.Int64
 	active       atomic.Int64
@@ -54,11 +50,6 @@ func NewWorker(reg *commands.Registry, dir string) *Worker {
 	return &Worker{reg: reg, dir: dir, start: time.Now(), plans: newPlanCache()}
 }
 
-// SetLegacyWire pins the worker to wire v1 (no handshake, no
-// compression, no plan cache), emulating a pre-v2 build for
-// version-skew tests and mixed-fleet rollouts.
-func (w *Worker) SetLegacyWire(on bool) { w.legacy = on }
-
 // Handler returns the worker's HTTP handler: POST /exec runs one
 // remote plan over the framed wire protocol; GET /healthz and
 // GET /metrics serve liveness and counters.
@@ -66,9 +57,6 @@ func (w *Worker) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/exec", w.handleExec)
 	mux.HandleFunc("/healthz", func(rw http.ResponseWriter, r *http.Request) {
-		if !w.legacy {
-			rw.Header().Set("X-Pash-Wire", fmt.Sprintf("%d", wireV2))
-		}
 		fmt.Fprintln(rw, "ok")
 	})
 	mux.HandleFunc("/metrics", w.handleMetrics)
@@ -84,63 +72,53 @@ func (w *Worker) handleExec(rw http.ResponseWriter, r *http.Request) {
 	w.active.Add(1)
 	defer w.active.Add(-1)
 
-	// Frame 0 is the plan (v1) or the handshake (v2); reject it before
-	// the response commits. A legacy worker never recognizes the
-	// handshake form — the resulting 400 is the downgrade signal.
-	planFrame, err := readFrame(r.Body)
-	if err != nil {
+	// Frame 0 is the handshake; anything wrong with it is rejected
+	// here, before the response commits and before any input frame is
+	// read.
+	reject := func(msg string) {
 		w.failures.Add(1)
-		http.Error(rw, fmt.Sprintf("reading plan: %v", err), http.StatusBadRequest)
+		http.Error(rw, msg, http.StatusBadRequest)
+	}
+	frame0, err := readFrame(r.Body)
+	if err != nil {
+		reject(fmt.Sprintf("reading handshake: %v", err))
 		return
 	}
+	hs, ok := decodeHandshake(frame0)
+	commands.PutBlock(frame0)
+	if !ok {
+		reject("frame 0 is not a pash handshake")
+		return
+	}
+	for _, f := range hs.Features {
+		if f != featureLZ4 {
+			reject(fmt.Sprintf("unsupported wire feature %q", f))
+			return
+		}
+	}
+	lz4On := slices.Contains(hs.Features, featureLZ4)
 	var (
 		spec      *dfg.RemoteSpec
 		chain     *runtime.StageChain
-		env       map[string]string
-		lz4On     bool
-		v2        bool
 		cacheNote string
 	)
-	if hs, ok := decodeHandshake(planFrame); ok && !w.legacy {
-		commands.PutBlock(planFrame)
-		v2 = true
-		for _, f := range hs.Features {
-			if f != featureLZ4 {
-				w.failures.Add(1)
-				http.Error(rw, fmt.Sprintf("unsupported wire feature %q", f), http.StatusBadRequest)
-				return
-			}
-		}
-		lz4On = hs.hasFeature(featureLZ4)
-		env = hs.Env
-		gen := w.reg.Generation()
-		if ent := w.plans.get(hs.Key, gen); ent != nil {
-			spec, chain = ent.spec, ent.chain
-			w.planHits.Add(1)
-			cacheNote = "hit"
-		} else {
-			spec, chain, err = w.decodePlan([]byte(hs.Plan))
-			if err != nil {
-				w.failures.Add(1)
-				http.Error(rw, err.Error(), http.StatusBadRequest)
-				return
-			}
-			w.planMisses.Add(1)
-			cacheNote = "miss"
-			w.plans.put(hs.Key, gen, spec, chain)
-		}
+	gen := w.reg.Generation()
+	if ent := w.plans.get(hs.Key, gen); ent != nil {
+		spec, chain = ent.spec, ent.chain
+		w.planHits.Add(1)
+		cacheNote = "hit"
 	} else {
-		spec, chain, err = w.decodePlan(planFrame)
-		commands.PutBlock(planFrame)
+		spec, chain, err = w.decodePlan([]byte(hs.Plan))
 		if err != nil {
-			w.failures.Add(1)
-			http.Error(rw, err.Error(), http.StatusBadRequest)
+			reject(err.Error())
 			return
 		}
-		env = spec.Env
+		w.planMisses.Add(1)
+		cacheNote = "miss"
+		w.plans.put(hs.Key, gen, spec, chain)
 	}
 	if chain != nil {
-		chain = chain.WithEnv(env)
+		chain = chain.WithEnv(hs.Env)
 	}
 
 	// The worker streams output frames while still reading input
@@ -149,13 +127,10 @@ func (w *Worker) handleExec(rw http.ResponseWriter, r *http.Request) {
 	flusher, _ := rw.(http.Flusher)
 	rw.Header().Set("Trailer", "X-Pash-Exit-Code, X-Pash-Error")
 	rw.Header().Set("Content-Type", "application/x-pash-frames")
-	if v2 {
-		rw.Header().Set("X-Pash-Wire", fmt.Sprintf("%d", wireV2))
-		if lz4On {
-			rw.Header().Set("X-Pash-Features", featureLZ4)
-		}
-		rw.Header().Set("X-Pash-Plan-Cache", cacheNote)
+	if lz4On {
+		rw.Header().Set("X-Pash-Features", featureLZ4)
 	}
+	rw.Header().Set("X-Pash-Plan-Cache", cacheNote)
 	rw.WriteHeader(http.StatusOK)
 	if flusher != nil {
 		// Commit the response as chunked now: trailers only travel on
@@ -163,7 +138,7 @@ func (w *Worker) handleExec(rw http.ResponseWriter, r *http.Request) {
 		flusher.Flush()
 	}
 
-	comp := newCompressor(lz4On)
+	comp := &compressor{enabled: lz4On}
 	// The recover boundary keeps one request's panic — a bug in a stage
 	// implementation, a malformed plan the decoder let through — from
 	// taking the worker process (and every other tenant's chains) down.
@@ -173,7 +148,7 @@ func (w *Worker) handleExec(rw http.ResponseWriter, r *http.Request) {
 		case spec.Path != "":
 			return w.execRange(rw, flusher, chain, spec, comp)
 		case spec.Streamed:
-			return w.execStreamed(r.Context(), rw, flusher, chain, spec, env, r.Body, lz4On, comp)
+			return w.execStreamed(r.Context(), rw, flusher, chain, spec, hs.Env, r.Body, lz4On, comp)
 		default:
 			return w.execFramed(rw, flusher, chain, r.Body, lz4On, comp)
 		}
@@ -399,9 +374,7 @@ func (f *frameStreamWriter) emit(p []byte) error {
 	if err != nil {
 		return err
 	}
-	if f.wireOut != nil {
-		f.wireOut.Add(int64(wire))
-	}
+	f.wireOut.Add(int64(wire))
 	if f.flusher != nil {
 		f.flusher.Flush()
 	}

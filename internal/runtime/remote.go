@@ -24,15 +24,16 @@ import (
 // RemoteExecutor ships one remote node's work to a worker. The executor
 // calls it once per KindRemote node; implementations must preserve the
 // node's stream contract (framed: exactly one output chunk per input
-// chunk; file-range: the slice's transformed bytes in order) even when
-// a worker dies mid-stream — internal/dist does so by re-dispatching
-// unacknowledged chunks through ExecRemoteLocal.
+// chunk; file-range and streamed: the node's output bytes in order)
+// even when a worker dies mid-stream — internal/dist does so by
+// re-dispatching what the dead worker left unfinished to a surviving
+// worker or, when none is left, through ExecRemoteLocal.
 type RemoteExecutor interface {
 	ExecRemote(ctx context.Context, req *RemoteRequest) error
 }
 
 // RemoteErrorClass partitions the errors a RemoteExecutor can hit into
-// the three recovery behaviors. The runtime owns the taxonomy because
+// the two recovery behaviors. The runtime owns the taxonomy because
 // the guarantee it encodes — a remote node's stream contract survives
 // worker failure — is the runtime's, not the transport's; internal/dist
 // supplies the stream-position knowledge by marking errors as it
@@ -45,33 +46,19 @@ const (
 	// SIGPIPE analog), or the input side failed. Re-dispatching after
 	// any of these would duplicate or fabricate work.
 	RemoteErrFatal RemoteErrorClass = iota
-	// RemoteErrRetryable is a transient dispatch failure — refused
-	// dial, a reset during the plan frame — hit before any output byte
-	// was consumed. The same worker may be retried with backoff;
-	// nothing needs re-dispatching because nothing was acknowledged.
-	RemoteErrRetryable
-	// RemoteErrMidStream is a worker or transport death after the
-	// stream was live: the unacknowledged window must re-dispatch (to a
-	// surviving worker, or locally) and the failed worker marks down.
+	// RemoteErrMidStream is a worker or transport failure: what the
+	// worker left unfinished must re-dispatch (to a surviving worker, or
+	// locally) and the failed worker marks down. (A failure while the
+	// request is still being opened needs no class of its own: the
+	// transport retries it in place, by position, before it counts.)
 	RemoteErrMidStream
 )
 
-// markedError wraps an error with its remote classification.
-type markedError struct {
-	err   error
-	class RemoteErrorClass
-}
+// fatalError marks an error as RemoteErrFatal.
+type fatalError struct{ err error }
 
-func (m *markedError) Error() string { return m.err.Error() }
-func (m *markedError) Unwrap() error { return m.err }
-
-// MarkRetryable tags err as a transient pre-stream dispatch failure.
-func MarkRetryable(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &markedError{err: err, class: RemoteErrRetryable}
-}
+func (f *fatalError) Error() string { return f.err.Error() }
+func (f *fatalError) Unwrap() error { return f.err }
 
 // MarkFatal tags err as non-recoverable for the remote node (input or
 // downstream failure): no retry, no failover.
@@ -79,19 +66,17 @@ func MarkFatal(err error) error {
 	if err == nil {
 		return nil
 	}
-	return &markedError{err: err, class: RemoteErrFatal}
+	return &fatalError{err}
 }
 
-// ClassifyRemoteError maps an error from a remote dispatch onto its
-// recovery behavior. Explicit marks win; cancellation, deadline expiry,
-// and downstream hangup are fatal by construction; everything else on
-// a live stream is a worker/transport death and re-dispatches.
+// ClassifyRemoteError maps an error from a live remote stream onto its
+// recovery behavior. Marked errors, cancellation, deadline expiry, and
+// downstream hangup are fatal; everything else is a worker/transport
+// death and re-dispatches.
 func ClassifyRemoteError(err error) RemoteErrorClass {
-	var m *markedError
-	if errors.As(err, &m) {
-		return m.class
-	}
-	if errors.Is(err, ErrDownstreamClosed) ||
+	var f *fatalError
+	if errors.As(err, &f) ||
+		errors.Is(err, ErrDownstreamClosed) ||
 		errors.Is(err, context.Canceled) ||
 		errors.Is(err, context.DeadlineExceeded) {
 		return RemoteErrFatal
@@ -102,13 +87,10 @@ func ClassifyRemoteError(err error) RemoteErrorClass {
 // RemoteRequest carries everything one remote node execution needs.
 type RemoteRequest struct {
 	Spec *dfg.RemoteSpec
-	// In streams the node's framed input chunks; nil for file-range
-	// specs (the worker self-sources) and streamed specs (which use
-	// Ins).
-	In commands.ChunkReader
-	// Ins streams a streamed spec's inputs in operand order: one entry
-	// for a linear streamed chain, one per branch for an aggregation
-	// subtree. Nil for framed and file-range specs.
+	// Ins streams the node's inputs in operand order: none for a
+	// file-range spec (the worker self-sources), one for a framed or
+	// linear streamed chain, one per branch for a streamed aggregation
+	// subtree.
 	Ins []commands.ChunkReader
 	// Out receives the node's output chunks in order.
 	Out commands.ChunkWriter
@@ -132,22 +114,12 @@ func (ex *executor) runRemote(ctx context.Context, n *dfg.Node) error {
 		Env:    ex.cfg.Env,
 		Stderr: ex.stdio.Stderr,
 	}
-	switch {
-	case n.Remote.Streamed:
-		req.Ins = make([]commands.ChunkReader, len(n.In))
-		for i, e := range n.In {
-			cr, ok := ex.readers[e].(commands.ChunkReader)
-			if !ok {
-				return fmt.Errorf("runtime: remote node #%d input %d carries no chunk framing", n.ID, i)
-			}
-			req.Ins[i] = cr
-		}
-	case n.Remote.Path == "":
-		cr, ok := ex.readers[n.In[0]].(commands.ChunkReader)
+	for i, e := range n.In {
+		cr, ok := ex.readers[e].(commands.ChunkReader)
 		if !ok {
-			return fmt.Errorf("runtime: remote node #%d input carries no chunk framing", n.ID)
+			return fmt.Errorf("runtime: remote node #%d input %d carries no chunk framing", n.ID, i)
 		}
-		req.In = cr
+		req.Ins = append(req.Ins, cr)
 	}
 	if ex.cfg.Remote != nil {
 		return ex.cfg.Remote.ExecRemote(ctx, req)
@@ -157,7 +129,8 @@ func (ex *executor) runRemote(ctx context.Context, n *dfg.Node) error {
 
 // ExecRemoteLocal interprets a remote spec on the local machine: the
 // exact computation a worker would perform, over the same chunk
-// streams. The pool client uses it to fail over when a worker dies.
+// streams. It is the no-pool path and the bottom rung of the pool
+// client's recovery ladder.
 func ExecRemoteLocal(ctx context.Context, req *RemoteRequest) error {
 	if req.Spec.Streamed {
 		ins := make([]io.Reader, len(req.Ins))
@@ -182,7 +155,7 @@ func ExecRemoteLocal(ctx context.Context, req *RemoteRequest) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		b, release, err := req.In.ReadChunk()
+		b, release, err := req.Ins[0].ReadChunk()
 		if err == io.EOF {
 			return nil
 		}
