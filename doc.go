@@ -31,9 +31,20 @@
 // the chunk protocol (commands.ChunkWriter / commands.ChunkReader), a
 // block crosses an edge by ownership transfer — zero copies. Three
 // split strategies disperse streams across parallel replicas: the
-// barrier generalSplit, the seek-based input-aware fileSplit, and the
-// streaming round-robin split whose framed chunks an order-restoring
-// merge reassembles.
+// barrier generalSplit, which holds the blocks it read and deals them
+// out as contiguous line-balanced partitions; the seek-based
+// input-aware fileSplit; and the streaming round-robin split, whose
+// interleaved blocks either pass through framed stateless replicas to
+// an order-restoring merge or feed the maps of a pure command whose
+// output cannot see line order (dfg.AggSpec.Commutative: sort, wc,
+// grep -c). Such a command absorbs the merge in front of it, so
+// `tr | sort` plans as split → tr×n → sort×n → sort -m with nothing
+// re-serialising the stream in between; only order-sensitive pure
+// commands (uniq, tail, tac) still wait behind the barrier split. sort
+// itself reads its input into one arena and sorts a pointer-free index
+// of (decorated key, offset, length) records over it, so a comparison
+// touches a line only when two 8-byte key prefixes (or parsed numbers)
+// tie.
 //
 // # Fused stateless pipelines
 //
@@ -182,9 +193,11 @@
 // its order-restoring merge — collapses into KindRemote nodes executed
 // on `pash-serve -worker` processes over a framed HTTP wire protocol,
 // while splits, merges, and aggregation roots stay on the coordinator.
-// Barrier-split consumers (sort/uniq map shards) and aggregation-tree
-// interior nodes ship too, as contiguous-stream plans — one stream per
-// input edge, one output stream back. When the pool shares the
+// Branches that are not one frame out per frame in — barrier-split
+// consumers (uniq map shards), a round-robin branch that ends in a
+// commutative map (`tr | sort`), aggregation-tree interior nodes — ship
+// too, as whole-stream plans: one stream per input edge, one output
+// stream back. When the pool shares the
 // coordinator's filesystem (SetSharedFS), splits over seekable input
 // files vanish entirely: workers self-source newline-aligned byte
 // ranges and the coordinator ships no input at all.

@@ -23,6 +23,10 @@ import (
 // flat n-ary merge (see dfg.Options.AggFanIn). Every aggregator here is
 // associative except pash-agg-bigrams, whose output drops the boundary
 // markers its own input format requires.
+//
+// Commands whose output ignores the order of their input lines are
+// marked Commutative (see dfg.AggSpec): sort under an ordering that only
+// ties byte-identical lines, wc, and grep -c.
 func Resolve(name string, flagArgs []string, inv *annot.Invocation) (*dfg.AggSpec, bool) {
 	switch name {
 	case "sort":
@@ -32,11 +36,14 @@ func Resolve(name string, flagArgs []string, inv *annot.Invocation) (*dfg.AggSpe
 			return nil, false
 		}
 		// Merging sorted runs is associative, and stability (ties in
-		// source order) composes level by level.
+		// source order) composes level by level. Input order shows only
+		// where distinct lines tie, which takes -f or -d: every other
+		// ordering falls back to comparing the lines byte by byte.
 		return &dfg.AggSpec{
 			MapName: "sort", MapArgs: flagArgs,
 			AggName: "sort", AggArgs: append([]string{"-m"}, flagArgs...),
 			Associative: true,
+			Commutative: !inv.Opts.Has("-f") && !inv.Opts.Has("-d"),
 		}, true
 	case "uniq":
 		// Boundary merging is implemented for plain uniq and uniq -c.
@@ -55,11 +62,11 @@ func Resolve(name string, flagArgs []string, inv *annot.Invocation) (*dfg.AggSpe
 			Associative: true,
 		}, true
 	case "wc":
-		// Column sums of column sums.
+		// Column sums of column sums; counts ignore line order.
 		return &dfg.AggSpec{
 			MapName: "wc", MapArgs: flagArgs,
 			AggName: "pash-agg-wc", AggArgs: flagArgs,
-			Associative: true,
+			Associative: true, Commutative: true,
 		}, true
 	case "grep":
 		// Only the counting form aggregates: sum of per-chunk counts.
@@ -71,7 +78,7 @@ func Resolve(name string, flagArgs []string, inv *annot.Invocation) (*dfg.AggSpe
 		return &dfg.AggSpec{
 			MapName: "grep", MapArgs: flagArgs,
 			AggName: "pash-agg-sum", AggArgs: nil,
-			Associative: true,
+			Associative: true, Commutative: true,
 		}, true
 	case "head":
 		n, ok := inv.Opts.Value("-n")

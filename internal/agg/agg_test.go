@@ -193,3 +193,62 @@ func TestAggSum(t *testing.T) {
 		t.Errorf("sum agg = %q", got)
 	}
 }
+
+// TestCommutativeIsPermutationInvariant defines AggSpec.Commutative: a
+// command is marked exactly when shuffling its input lines cannot change
+// its output bytes. Every invocation Resolve marks must pass over random
+// inputs and shuffles; every one it leaves unmarked must be told apart
+// by some shuffle — which is why sort -f and -d, whose orderings tie
+// distinct lines and so expose input order, stay unmarked.
+func TestCommutativeIsPermutationInvariant(t *testing.T) {
+	cases := []struct {
+		name string
+		argv []string
+	}{
+		{"sort", nil},
+		{"sort", []string{"-r"}},
+		{"sort", []string{"-n"}},
+		{"sort", []string{"-rn"}},
+		{"sort", []string{"-u"}},
+		{"sort", []string{"-k2"}},
+		{"sort", []string{"-k2,3n", "-t:"}},
+		{"sort", []string{"-f"}},
+		{"sort", []string{"-d"}},
+		{"sort", []string{"-fu"}},
+		{"wc", nil},
+		{"wc", []string{"-l"}},
+		{"wc", []string{"-lw"}},
+		{"grep", []string{"-c", "a"}},
+		{"grep", []string{"-vc", "a"}},
+		{"uniq", nil},
+		{"uniq", []string{"-c"}},
+		{"head", []string{"-n", "3"}},
+		{"tail", []string{"-n", "3"}},
+		{"tac", nil},
+		{"bigrams-aux", nil},
+	}
+	words := []string{"apple", "Apple", "APPLE", "a-b", "ab", "a b", "x:2:b", "x:10:a", "7", "07", "7.0", "kiwi", ""}
+	r := reg()
+	stdReg := annot.StdRegistry()
+	for _, c := range cases {
+		spec, ok := Resolve(c.name, c.argv, stdReg.Classify(c.name, c.argv))
+		if !ok {
+			t.Fatalf("no aggregator for %s %v", c.name, c.argv)
+		}
+		rng := rand.New(rand.NewSource(7))
+		invariant := true
+		for trial := 0; trial < 200 && invariant; trial++ {
+			lines := make([]string, 2+rng.Intn(12))
+			for i := range lines {
+				lines[i] = words[rng.Intn(len(words))]
+			}
+			want := runCmd(t, r, "", c.name, c.argv, joinLines(lines))
+			rng.Shuffle(len(lines), func(i, j int) { lines[i], lines[j] = lines[j], lines[i] })
+			invariant = runCmd(t, r, "", c.name, c.argv, joinLines(lines)) == want
+		}
+		if spec.Commutative != invariant {
+			t.Errorf("%s %v: Commutative = %v, but permutation invariance is %v",
+				c.name, c.argv, spec.Commutative, invariant)
+		}
+	}
+}

@@ -96,6 +96,14 @@ func TestFlagRefinement(t *testing.T) {
 		{"uniq", []string{"in", "out"}, SideEffectful},
 		{"wc", []string{"-l"}, Pure},
 		{"tr", []string{"-s", " "}, Stateless},
+		{"tr", []string{"-cs", "A-Za-z", `\n`}, Stateless}, // newline maps to itself
+		{"tr", []string{"-s", `\n`}, Stateless},            // squeezing keeps chunks line-aligned
+		{"tr", []string{"-d", `\n`}, Pure},                 // glues lines across chunks
+		{"tr", []string{`\n`, " "}, Pure},
+		{"tr", []string{"-d", "[:space:]"}, Pure},
+		{"tr", []string{"-cd", "a-z"}, Pure},
+		{"tr", []string{"-cd", `a-z\n`}, Stateless},
+		{"tr", []string{`\0-\r`, "x"}, Pure},
 		{"unknowncmd123", nil, SideEffectful},
 	}
 	for _, c := range cases {

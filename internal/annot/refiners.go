@@ -1,6 +1,10 @@
 package annot
 
-import "strings"
+import (
+	"strings"
+
+	"repro/internal/commands"
+)
 
 // installRefiners attaches the semantic checks that the declarative DSL
 // cannot express. They only ever *demote* an invocation to a less
@@ -11,6 +15,7 @@ func installRefiners(r *Registry) {
 	r.RegisterRefiner("sort", refineSort)
 	r.RegisterRefiner("uniq", refineUniq)
 	r.RegisterRefiner("paste", refinePaste)
+	r.RegisterRefiner("tr", refineTr)
 }
 
 // refineSed demotes sed invocations whose script is not a per-line map.
@@ -125,6 +130,20 @@ func refineUniq(inv *Invocation) {
 // single concatenated input. Single-input paste stays stateless.
 func refinePaste(inv *Invocation) {
 	if inv.Class == Stateless && len(inv.Opts.Operands) > 1 {
+		inv.Class = Pure
+	}
+}
+
+// refineTr demotes tr invocations that delete or rewrite newlines to
+// pure. Stateless means a map over lines: every consumer of a stateless
+// replica (a framed successor, a commutative map behind an absorbed
+// round-robin merge, a stream window) relies on its chunks ending where
+// lines end, and `tr -d '\n'` or `tr '\n' ' '` glues lines across chunk
+// boundaries. Squeezing newlines keeps chunks line-aligned and stays
+// stateless. The verdict is the command's own: annot does not read tr's
+// SET grammar a second time.
+func refineTr(inv *Invocation) {
+	if inv.Class == Stateless && !commands.TrKeepsNewlines(inv.Opts.Raw) {
 		inv.Class = Pure
 	}
 }

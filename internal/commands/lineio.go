@@ -3,6 +3,7 @@ package commands
 import (
 	"bytes"
 	"io"
+	"slices"
 	"sync"
 )
 
@@ -132,7 +133,8 @@ func CopyChunks(dst io.Writer, src io.Reader) (int64, error) {
 
 // EachLineBlock streams r as newline-aligned blocks: every block handed
 // to fn ends with '\n' except possibly the last (a final unterminated
-// line is delivered as-is). Ownership of each block transfers to fn,
+// line is delivered as-is); a chunk source's empty framing tokens are not
+// blocks of lines and are dropped. Ownership of each block transfers to fn,
 // which must recycle it with PutBlock or pass it onward (e.g. through a
 // ChunkWriter). This is the entry point for near-memcpy stages: combined
 // with chunk-capable pipes, a block can travel producer → consumer
@@ -168,6 +170,10 @@ func EachLineBlock(r io.Reader, fn func(block []byte) error) error {
 					PutBlock(carry)
 				}
 				return err
+			}
+			if len(b) == 0 {
+				release() // a framed producer's ordering token: not a block of lines
+				continue
 			}
 			// The pipe hands us the block's ownership; fold release into
 			// PutBlock semantics by copying out of sub-sliced blocks.
@@ -539,17 +545,78 @@ func (lw *LineWriter) WriteChunk(b []byte) error {
 // Flush flushes buffered output.
 func (lw *LineWriter) Flush() error { return lw.flushFull() }
 
-// ReadAllLines collects all lines (newline stripped) from r. For commands
-// that must block on their whole input (sort, tac).
+var newline = []byte{'\n'}
+
+// arenaMinRead is the least spare capacity readArena reads into. It is
+// also where an arena starts: commands that block on their whole input
+// run once per region, and a loop of tiny regions must not pay for a
+// large first slab — growth beyond this is geometric in what was read.
+const arenaMinRead = 4 << 10
+
+// readArena appends the whole of r to arena and returns it. A final
+// unterminated line gets its newline, so every line in the arena ends in
+// '\n'. Chunk-capable sources are drained block by block (one memcpy
+// each, the block recycled at once); plain readers read straight into
+// the arena's spare capacity.
+func readArena(r io.Reader, arena []byte) ([]byte, error) {
+	start := len(arena)
+	if cr, ok := r.(ChunkReader); ok {
+		for {
+			b, release, err := cr.ReadChunk()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				return arena, err
+			}
+			arena = append(arenaRoom(arena, len(b)), b...)
+			release()
+		}
+	} else {
+		for {
+			arena = arenaRoom(arena, arenaMinRead)
+			n, err := r.Read(arena[len(arena):cap(arena)])
+			arena = arena[:len(arena)+n]
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				return arena, err
+			}
+		}
+	}
+	if len(arena) > start && arena[len(arena)-1] != '\n' {
+		arena = append(arena, '\n')
+	}
+	return arena, nil
+}
+
+// arenaRoom returns arena with at least n spare bytes. When it must grow
+// it doubles: append's own 1.25x policy for large slices would copy the
+// input five times over and leave as much garbage behind.
+func arenaRoom(arena []byte, n int) []byte {
+	if cap(arena)-len(arena) >= n {
+		return arena
+	}
+	return slices.Grow(arena, max(n, cap(arena)))
+}
+
+// ReadAllLines collects all lines (newline stripped) from r, for
+// commands that must block on their whole input (tac, shuf, diff). The
+// lines are slices of one arena: two allocations that grow with the
+// input, not one per line.
 func ReadAllLines(r io.Reader) ([][]byte, error) {
-	var lines [][]byte
-	err := EachLine(r, func(line []byte) error {
-		cp := make([]byte, len(line))
-		copy(cp, line)
-		lines = append(lines, cp)
-		return nil
-	})
-	return lines, err
+	arena, err := readArena(r, nil)
+	if err != nil {
+		return nil, err
+	}
+	lines := make([][]byte, 0, bytes.Count(arena, newline))
+	for len(arena) > 0 {
+		i := bytes.IndexByte(arena, '\n')
+		lines = append(lines, arena[:i:i])
+		arena = arena[i+1:]
+	}
+	return lines, nil
 }
 
 // CopyLines streams r to lw unchanged.

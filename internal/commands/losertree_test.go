@@ -39,9 +39,7 @@ func TestLoserTreeMergeEquivalence(t *testing.T) {
 		}
 		var buf bytes.Buffer
 		lw := NewLineWriter(&buf)
-		if err := MergeSorted(readers, lw, func(a, b []byte) bool {
-			return bytes.Compare(a, b) < 0
-		}, false); err != nil {
+		if err := mergeSorted(readers, lw, (&sortConfig{}).order(), false); err != nil {
 			t.Fatal(err)
 		}
 		if err := lw.Flush(); err != nil {
@@ -63,7 +61,7 @@ func lineTerm(lines []string) string {
 
 // TestLoserTreeStability pins the source-order tie-break directly.
 func TestLoserTreeStability(t *testing.T) {
-	lt := newLoserTree(4, func(a, b []byte) bool { return bytes.Compare(a, b) < 0 })
+	lt := newLoserTree(4, (&sortConfig{}).order())
 	for i := 0; i < 4; i++ {
 		lt.lines[i] = []byte("same")
 		lt.live[i] = true

@@ -111,10 +111,9 @@ func TestSortMapAggregate(t *testing.T) {
 		my := runQuiet(t, "sort", nil, y)
 		var out bytes.Buffer
 		lw := NewLineWriter(&out)
-		cfg := &sortConfig{}
-		err := MergeSorted(
+		err := mergeSorted(
 			[]io.Reader{strings.NewReader(mx), strings.NewReader(my)},
-			lw, cfg.less(), false)
+			lw, (&sortConfig{}).order(), false)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,9 +2,11 @@ package commands
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
+	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -124,23 +126,26 @@ func sortCmd(ctx *Context) error {
 	}
 	lw := NewLineWriter(out)
 	defer lw.Flush()
-	less := cfg.less()
+	ord := cfg.order()
+
+	readers, cleanup, err := ctx.OpenInputs(operands)
+	if err != nil {
+		return err
+	}
+	defer cleanup()
 
 	if cfg.check {
-		readers, cleanup, err := ctx.OpenInputs(operands)
-		if err != nil {
-			return err
-		}
-		defer cleanup()
 		var prev []byte
+		var prevKey uint64
 		first := true
 		sorted := true
 		err = EachLineReaders(readers, func(line []byte) error {
-			if !first && less(line, prev) {
+			key := ord.decorate(line)
+			if !first && ord.compare(key, line, prevKey, prev) < 0 {
 				sorted = false
 				return io.EOF
 			}
-			prev = append(prev[:0], line...)
+			prev, prevKey = append(prev[:0], line...), key
 			first = false
 			return nil
 		})
@@ -156,113 +161,223 @@ func sortCmd(ctx *Context) error {
 	if cfg.merge {
 		// -m: merge already-sorted inputs (the heart of PaSh's sort
 		// aggregator).
-		readers, cleanup, err := ctx.OpenInputs(operands)
-		if err != nil {
-			return err
-		}
-		defer cleanup()
-		if err := MergeSorted(readers, lw, less, cfg.unique); err != nil {
+		if err := mergeSorted(readers, lw, ord, cfg.unique); err != nil {
 			return err
 		}
 		return lw.Flush()
 	}
 
-	readers, cleanup, err := ctx.OpenInputs(operands)
-	if err != nil {
-		return err
-	}
-	defer cleanup()
-	var lines [][]byte
+	var arena []byte
 	for _, r := range readers {
-		ls, err := ReadAllLines(r)
-		if err != nil {
+		if arena, err = readArena(r, arena); err != nil {
 			return err
 		}
-		lines = append(lines, ls...)
 	}
+	recs := sortRecs(ord.index(arena), arena, ord, cfg.parallel)
 
-	workers := cfg.parallel
-	if workers <= 1 {
-		sort.SliceStable(lines, func(i, j int) bool { return less(lines[i], lines[j]) })
-	} else {
-		parallelSort(lines, less, workers)
-	}
-
-	var prev []byte
-	firstOut := true
-	for _, line := range lines {
-		if cfg.unique && !firstOut && !less(prev, line) && !less(line, prev) {
+	var prev sortRec
+	for i, r := range recs {
+		if cfg.unique && i > 0 && ord.compareRecs(arena, prev, r) == 0 {
 			continue
 		}
-		if err := lw.WriteLine(line); err != nil {
+		// Arena lines keep their newline: one append per line.
+		if _, err := lw.Write(arena[r.off : r.off+r.len+1]); err != nil {
 			return err
 		}
-		prev = line
-		firstOut = false
+		prev = r
 	}
 	return lw.Flush()
 }
 
-// parallelSort sorts in place using the GNU sort --parallel strategy:
-// partition, sort the partitions concurrently, then k-way merge.
-func parallelSort(lines [][]byte, less func(a, b []byte) bool, workers int) {
+// sortRec is one line of the sort index: its decorated key and its place
+// in the arena. It holds no pointer, so the garbage collector never scans
+// the index and sorting moves three words per line, whatever the line's
+// length.
+type sortRec struct {
+	key      uint64
+	off, len int
+}
+
+// lineOrder is a sort invocation's ordering, compiled once from its
+// flags. Each line is decorated once with a uint64 whose integer order
+// agrees with the primary comparison — the big-endian first 8 bytes of
+// the compared field for bytewise sorts, an order-preserving image of the
+// parsed number for -n — so most comparisons never touch the line. Ties
+// on the decoration fall through to the full comparison.
+type lineOrder struct {
+	field    *sortKey // -k: the compared field range; nil compares whole lines
+	delim    byte
+	numeric  bool
+	sign     int // -1 for -r, which negates every comparison; else 1
+	foldCase bool
+	dict     bool
+}
+
+// order builds the line ordering for the configuration.
+func (cfg *sortConfig) order() *lineOrder {
+	keyed := cfg.key != nil
+	sign := 1
+	if cfg.reverse || (keyed && cfg.key.reverse) {
+		sign = -1
+	}
+	return &lineOrder{
+		field:    cfg.key,
+		delim:    cfg.delim,
+		numeric:  cfg.numeric || (keyed && cfg.key.numeric),
+		sign:     sign,
+		foldCase: cfg.foldCase,
+		dict:     cfg.dictionary,
+	}
+}
+
+// total reports whether lines that compare equal are byte-identical, in
+// which case neither stability nor the choice of -u's survivor is
+// observable. Only unkeyed -f/-d orderings have distinct equal lines: a
+// key's last resort is the whole line.
+func (o *lineOrder) total() bool {
+	return o.field != nil || !(o.foldCase || o.dict)
+}
+
+// decorate computes a line's sort key.
+func (o *lineOrder) decorate(line []byte) uint64 {
+	k := line
+	if o.field != nil {
+		k = extractKey(line, o.field, o.delim)
+	}
+	switch {
+	case o.numeric:
+		f := parseLeadingFloat(k)
+		if f == 0 {
+			f = 0 // -0 sorts with 0
+		}
+		bits := math.Float64bits(f)
+		if bits>>63 != 0 {
+			return ^bits
+		}
+		return bits | 1<<63
+	case o.foldCase || o.dict:
+		// No byte prefix orders folded or dictionary text.
+		return 0
+	}
+	if len(k) >= 8 {
+		return binary.BigEndian.Uint64(k)
+	}
+	var p [8]byte
+	copy(p[:], k)
+	return binary.BigEndian.Uint64(p[:])
+}
+
+// compare is the three-way comparison of two decorated lines.
+func (o *lineOrder) compare(ak uint64, a []byte, bk uint64, b []byte) int {
+	if ak != bk {
+		return o.byKey(ak, bk)
+	}
+	return o.sign * o.tie(a, b)
+}
+
+// byKey orders two lines whose decorations differ, without reading
+// either. It is small enough to inline into the sort's comparison.
+func (o *lineOrder) byKey(ak, bk uint64) int {
+	if ak < bk {
+		return -o.sign
+	}
+	return o.sign
+}
+
+// tie orders two lines whose decorations are equal: the compared fields
+// byte by byte (sort -n breaks numeric ties that way too), folded or
+// dictionary-filtered on request, and for keyed sorts GNU's last resort,
+// the whole line.
+func (o *lineOrder) tie(a, b []byte) int {
+	if o.field == nil {
+		if o.numeric {
+			return bytes.Compare(a, b)
+		}
+		return compareText(a, b, o.foldCase, o.dict)
+	}
+	ka, kb := extractKey(a, o.field, o.delim), extractKey(b, o.field, o.delim)
+	var c int
+	if o.numeric {
+		c = bytes.Compare(ka, kb)
+	} else {
+		c = compareText(ka, kb, o.foldCase, o.dict)
+	}
+	if c == 0 {
+		c = bytes.Compare(a, b)
+	}
+	return c
+}
+
+func (o *lineOrder) compareRecs(arena []byte, x, y sortRec) int {
+	return o.compare(x.key, arena[x.off:x.off+x.len], y.key, arena[y.off:y.off+y.len])
+}
+
+// index builds the sort index over an arena of newline-terminated lines.
+func (o *lineOrder) index(arena []byte) []sortRec {
+	recs := make([]sortRec, 0, bytes.Count(arena, newline))
+	for off := 0; off < len(arena); {
+		n := bytes.IndexByte(arena[off:], '\n')
+		recs = append(recs, sortRec{key: o.decorate(arena[off : off+n]), off: off, len: n})
+		off += n + 1
+	}
+	return recs
+}
+
+// sortRecs sorts the index and returns it. A total ordering sorts with
+// the unstable pattern-defeating quicksort, since no one can tell; -f/-d
+// keep the stable sort. With workers > 1 (GNU sort's --parallel) the
+// index is cut into runs sorted concurrently by the same kernel and
+// merged through the loser tree.
+func sortRecs(recs []sortRec, arena []byte, o *lineOrder, workers int) []sortRec {
+	cmp := func(x, y sortRec) int {
+		if x.key != y.key { // the common case, decided in this frame
+			return o.byKey(x.key, y.key)
+		}
+		return o.compareRecs(arena, x, y)
+	}
+	sortRun := slices.SortStableFunc[[]sortRec]
+	if o.total() {
+		sortRun = slices.SortFunc[[]sortRec]
+	}
 	if workers > runtime.NumCPU()*2 {
 		workers = runtime.NumCPU() * 2
 	}
-	if workers < 2 || len(lines) < 2*workers {
-		sort.SliceStable(lines, func(i, j int) bool { return less(lines[i], lines[j]) })
-		return
+	if workers < 2 || len(recs) < 2*workers {
+		sortRun(recs, cmp)
+		return recs
 	}
-	chunk := (len(lines) + workers - 1) / workers
+	chunk := (len(recs) + workers - 1) / workers
 	var wg sync.WaitGroup
-	var parts [][][]byte
-	for lo := 0; lo < len(lines); lo += chunk {
-		hi := lo + chunk
-		if hi > len(lines) {
-			hi = len(lines)
-		}
-		part := lines[lo:hi]
-		parts = append(parts, part)
+	var runs [][]sortRec
+	for lo := 0; lo < len(recs); lo += chunk {
+		run := recs[lo:min(lo+chunk, len(recs))]
+		runs = append(runs, run)
 		wg.Add(1)
-		go func(p [][]byte) {
+		go func() {
 			defer wg.Done()
-			sort.SliceStable(p, func(i, j int) bool { return less(p[i], p[j]) })
-		}(part)
+			sortRun(run, cmp)
+		}()
 	}
 	wg.Wait()
-	merged := mergeParts(parts, less)
-	copy(lines, merged)
-}
 
-func mergeParts(parts [][][]byte, less func(a, b []byte) bool) [][]byte {
-	k := len(parts)
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	out := make([][]byte, 0, total)
-	lt := newLoserTree(k, less)
-	live := 0
-	for i, p := range parts {
-		if len(p) > 0 {
-			lt.lines[i] = p[0]
-			lt.live[i] = true
-			live++
+	out := make([]sortRec, 0, len(recs))
+	lt := newLoserTree(len(runs), o)
+	load := func(i int) {
+		lt.live[i] = len(runs[i]) > 0
+		if lt.live[i] {
+			r := runs[i][0]
+			lt.keys[i], lt.lines[i] = r.key, arena[r.off:r.off+r.len]
 		}
+	}
+	for i := range runs {
+		load(i)
 	}
 	lt.build()
-	idx := make([]int, k)
-	for live > 0 {
+	for len(out) < len(recs) {
 		w := lt.winner()
-		out = append(out, lt.lines[w])
-		idx[w]++
-		if idx[w] < len(parts[w]) {
-			lt.lines[w] = parts[w][idx[w]]
-		} else {
-			lt.live[w] = false
-			lt.lines[w] = nil
-			live--
-		}
+		out = append(out, runs[w][0])
+		runs[w] = runs[w][1:]
+		load(w)
 		lt.replay(w)
 	}
 	return out
@@ -280,25 +395,27 @@ func mergeParts(parts [][][]byte, less func(a, b []byte) bool) [][]byte {
 // aggregation transformation relies on (equal lines surface in input
 // order).
 type loserTree struct {
-	less  func(a, b []byte) bool
+	ord   *lineOrder
 	k     int
 	tree  []int    // tree[0] = current winner; tree[1:] = losers by node
+	keys  []uint64 // current head line's decoration per source
 	lines [][]byte // current head line per source (valid when live)
 	live  []bool
 }
 
-func newLoserTree(k int, less func(a, b []byte) bool) *loserTree {
+func newLoserTree(k int, ord *lineOrder) *loserTree {
 	return &loserTree{
-		less:  less,
+		ord:   ord,
 		k:     k,
 		tree:  make([]int, k),
+		keys:  make([]uint64, k),
 		lines: make([][]byte, k),
 		live:  make([]bool, k),
 	}
 }
 
 // build plays the initial tournament. Callers must have populated
-// lines/live for every source first.
+// keys/lines/live for every source first.
 func (lt *loserTree) build() {
 	for i := range lt.tree {
 		lt.tree[i] = -1
@@ -339,19 +456,18 @@ func (lt *loserTree) beats(a, b int) bool {
 	if !lt.live[b] {
 		return true
 	}
-	if lt.less(lt.lines[a], lt.lines[b]) {
-		return true
-	}
-	if lt.less(lt.lines[b], lt.lines[a]) {
-		return false
+	if c := lt.ord.compare(lt.keys[a], lt.lines[a], lt.keys[b], lt.lines[b]); c != 0 {
+		return c < 0
 	}
 	return a < b // stability across sources
 }
 
-// MergeSorted streams a k-way merge of already-sorted line readers into
-// lw, selecting with a loser tree. Exported so the aggregator library
-// can reuse it.
-func MergeSorted(readers []io.Reader, lw *LineWriter, less func(a, b []byte) bool, unique bool) error {
+// mergeSorted streams a k-way merge of already-sorted line readers into
+// lw, selecting with a loser tree. A source's head line stays where its
+// scanner found it — inside the source's current block — until the
+// merge has written it out and pulls that source again, so no line is
+// copied on the way in.
+func mergeSorted(readers []io.Reader, lw *LineWriter, ord *lineOrder, unique bool) error {
 	k := len(readers)
 	if k == 0 {
 		return nil
@@ -360,90 +476,48 @@ func MergeSorted(readers []io.Reader, lw *LineWriter, less func(a, b []byte) boo
 	for i, r := range readers {
 		iters[i] = NewLineIter(r)
 	}
-	// Each source has at most one line resident in the tree at a time,
-	// so a single reusable buffer per source replaces a per-line
-	// allocation. prev needs its own copy: it must outlive its source's
-	// next pull.
-	bufs := make([][]byte, k)
-	lt := newLoserTree(k, less)
-	pull := func(i int) (bool, error) {
-		line, ok := iters[i].Next()
-		if !ok {
-			return false, iters[i].Err()
-		}
-		bufs[i] = append(bufs[i][:0], line...)
-		lt.lines[i] = bufs[i]
-		return true, nil
-	}
+	lt := newLoserTree(k, ord)
 	live := 0
-	for i := 0; i < k; i++ {
-		ok, err := pull(i)
-		if err != nil {
-			return err
-		}
+	pull := func(i int) error {
+		line, ok := iters[i].Next()
 		lt.live[i] = ok
-		if ok {
-			live++
+		if !ok {
+			lt.lines[i] = nil
+			live--
+			return iters[i].Err()
+		}
+		lt.keys[i], lt.lines[i] = ord.decorate(line), line
+		return nil
+	}
+	for i := 0; i < k; i++ {
+		live++
+		if err := pull(i); err != nil {
+			return err
 		}
 	}
 	lt.build()
+	// prev outlives its source's next pull, so -u keeps a copy.
 	var prev []byte
+	var prevKey uint64
 	first := true
 	for live > 0 {
 		w := lt.winner()
-		line := lt.lines[w]
-		if !unique || first || less(prev, line) || less(line, prev) {
+		key, line := lt.keys[w], lt.lines[w]
+		if !unique || first || ord.compare(prevKey, prev, key, line) != 0 {
 			if err := lw.WriteLine(line); err != nil {
 				return err
 			}
 			if unique {
-				// line aliases its source's pull buffer; prev must
-				// survive that source's next pull.
-				prev = append(prev[:0], line...)
+				prev, prevKey = append(prev[:0], line...), key
 			}
 			first = false
 		}
-		ok, err := pull(w)
-		if err != nil {
+		if err := pull(w); err != nil {
 			return err
-		}
-		if !ok {
-			lt.live[w] = false
-			lt.lines[w] = nil
-			live--
 		}
 		lt.replay(w)
 	}
 	return nil
-}
-
-// less builds the line comparator for the configuration.
-func (cfg *sortConfig) less() func(a, b []byte) bool {
-	keyed := cfg.key != nil
-	cmp := func(a, b []byte) int {
-		ka, kb := a, b
-		if keyed {
-			ka = extractKey(a, cfg.key, cfg.delim)
-			kb = extractKey(b, cfg.key, cfg.delim)
-		}
-		numeric := cfg.numeric || (keyed && cfg.key.numeric)
-		var c int
-		if numeric {
-			c = compareNumeric(ka, kb)
-		} else {
-			c = compareText(ka, kb, cfg.foldCase, cfg.dictionary)
-		}
-		if c == 0 && keyed {
-			// GNU sort's last-resort comparison: whole line.
-			c = bytes.Compare(a, b)
-		}
-		rev := cfg.reverse || (keyed && cfg.key.reverse)
-		if rev {
-			c = -c
-		}
-		return c
-	}
-	return func(a, b []byte) bool { return cmp(a, b) < 0 }
 }
 
 func parseSortKey(spec string) (*sortKey, error) {
@@ -566,19 +640,9 @@ func dictBytes(s []byte) []byte {
 	return out
 }
 
-// compareNumeric implements sort -n semantics: leading blanks, optional
-// sign, digits, optional fraction; non-numeric prefixes compare as 0.
-func compareNumeric(a, b []byte) int {
-	fa, fb := parseLeadingFloat(a), parseLeadingFloat(b)
-	switch {
-	case fa < fb:
-		return -1
-	case fa > fb:
-		return 1
-	}
-	return bytes.Compare(a, b) // tie-break for stability with -u semantics
-}
-
+// parseLeadingFloat implements sort -n's reading of a field: leading
+// blanks, optional sign, digits, optional fraction; a non-numeric prefix
+// is 0.
 func parseLeadingFloat(s []byte) float64 {
 	i := 0
 	for i < len(s) && (s[i] == ' ' || s[i] == '\t') {

@@ -116,6 +116,15 @@ func parseTrProgram(args []string) (*trProgram, error) {
 	return p, nil
 }
 
+// TrKeepsNewlines reports whether a tr invocation leaves every '\n' of
+// its input where it was, so that line-aligned chunks stay line-aligned.
+// The annotation library classifies tr by it. An invocation tr itself
+// rejects keeps them vacuously.
+func TrKeepsNewlines(args []string) bool {
+	p, err := parseTrProgram(args)
+	return err != nil || p.newlineIntact
+}
+
 // tr transliterates, squeezes, or deletes characters. Flags: -d (delete
 // SET1), -s (squeeze repeats from the last operand set), -c/-C
 // (complement SET1). Sets support ranges (a-z), escapes (\n, \t, \\),

@@ -49,7 +49,8 @@ type Interp struct {
 
 	profMu sync.Mutex
 	// Profiles records each executed region's graph and measured node
-	// times, feeding the multicore scheduling simulator.
+	// times, feeding the multicore scheduling simulator. Filled only
+	// under Options.MeasureMode.
 	Profiles []RegionProfile
 }
 
@@ -97,6 +98,33 @@ func NewInterp(c *Compiler, dir string, vars map[string]string, stdio runtime.St
 		stdio.Stderr = io.Discard
 	}
 	return &Interp{c: c, env: env, dir: dir, stdio: stdio, traffic: &runtime.Traffic{}}
+}
+
+// nested builds an interpreter for a scope of the same script — a
+// subshell, a compound pipeline stage, a command substitution — sharing
+// the job's compiler, budget, sandbox and traffic meter.
+func (in *Interp) nested(env *shell.Env, stdio runtime.StdIO) *Interp {
+	return &Interp{c: in.c, env: env, dir: in.dir, stdio: stdio, budget: in.budget, sandbox: in.sandbox, traffic: in.traffic}
+}
+
+// fold adds a finished nested interpreter's region metrics and profiles
+// to this one, so a region counts the same wherever in the script it
+// ran. Compound pipeline stages finish concurrently, hence the locks.
+// Command substitutions are deliberately not folded: Stats and Profiles
+// count the regions at the script's command positions, not those run
+// while expanding a word, and the committed benchmark pins the counts
+// that definition gives (loop-control iterates over `$(seq N)`).
+func (in *Interp) fold(sub *Interp) {
+	in.statsMu.Lock()
+	in.Stats.Regions += sub.Stats.Regions
+	in.Stats.TotalNodes += sub.Stats.TotalNodes
+	in.Stats.MaxNodes = max(in.Stats.MaxNodes, sub.Stats.MaxNodes)
+	in.Stats.PlanHits += sub.Stats.PlanHits
+	in.Stats.PlanMisses += sub.Stats.PlanMisses
+	in.statsMu.Unlock()
+	in.profMu.Lock()
+	in.Profiles = append(in.Profiles, sub.Profiles...)
+	in.profMu.Unlock()
 }
 
 // StatsSnapshot returns a consistent copy of the interpreter's region
@@ -289,11 +317,12 @@ func (in *Interp) runCommand(ctx context.Context, cmd shell.Command) (int, error
 			}
 		}
 	case *shell.Subshell:
-		sub := &Interp{c: in.c, env: in.env.Child(), dir: in.dir, stdio: in.stdio, budget: in.budget, sandbox: in.sandbox, traffic: in.traffic}
+		sub := in.nested(in.env.Child(), in.stdio)
 		code, err := sub.runList(ctx, cmd.Body)
 		if _, werr := sub.waitJobs(); err == nil {
 			err = werr
 		}
+		in.fold(sub)
 		return code, err
 	case *shell.Brace:
 		return in.runList(ctx, cmd.Body)
@@ -319,11 +348,12 @@ func (in *Interp) runCompoundPipeline(ctx context.Context, p *shell.Pipeline) (i
 		// Not really a pipeline — a lone negated compound (`! { ...; }`).
 		// POSIX runs it in the current environment, so assignments
 		// persist; only real multi-stage pipelines get subshell scopes.
-		sub := &Interp{c: in.c, env: in.env, dir: in.dir, stdio: in.stdio, budget: in.budget, sandbox: in.sandbox, traffic: in.traffic}
+		sub := in.nested(in.env, in.stdio)
 		code, err := sub.runCommand(ctx, p.Cmds[0])
 		if _, werr := sub.waitJobs(); err == nil {
 			err = werr
 		}
+		in.fold(sub)
 		if p.Negated {
 			code = negate(code)
 		}
@@ -351,7 +381,7 @@ func (in *Interp) runCompoundPipeline(ctx context.Context, p *shell.Pipeline) (i
 			nextReader, pw = io.Pipe()
 			stdio.Stdout = pw
 		}
-		sub := &Interp{c: in.c, env: in.env.Child(), dir: in.dir, stdio: stdio, budget: in.budget, sandbox: in.sandbox, traffic: in.traffic}
+		sub := in.nested(in.env.Child(), stdio)
 		wg.Add(1)
 		go func(i int, c shell.Command, sub *Interp, pw *io.PipeWriter, myInput *io.PipeReader) {
 			defer wg.Done()
@@ -364,6 +394,7 @@ func (in *Interp) runCompoundPipeline(ctx context.Context, p *shell.Pipeline) (i
 			if _, werr := sub.waitJobs(); err == nil {
 				err = werr
 			}
+			in.fold(sub)
 			if pw != nil {
 				pw.CloseWithError(err)
 			}
@@ -403,15 +434,7 @@ func (in *Interp) expander() *shell.Expander {
 		Dir:  in.dir,
 		CmdSub: func(src string) (string, error) {
 			var out bytes.Buffer
-			sub := &Interp{
-				c:       in.c,
-				env:     in.env,
-				dir:     in.dir,
-				stdio:   runtime.StdIO{Stdin: strings.NewReader(""), Stdout: &out, Stderr: in.stdio.Stderr},
-				budget:  in.budget,
-				sandbox: in.sandbox,
-				traffic: in.traffic,
-			}
+			sub := in.nested(in.env, runtime.StdIO{Stdin: strings.NewReader(""), Stdout: &out, Stderr: in.stdio.Stderr})
 			list, err := shell.Parse(src)
 			if err != nil {
 				return "", err
@@ -681,11 +704,15 @@ func (in *Interp) runPipeline(ctx context.Context, simples []*shell.Simple) (int
 		// sessions consult the hint, so only they pay the bookkeeping.
 		in.c.Plans.noteRun(rkey, wall)
 	}
-	in.profMu.Lock()
-	in.Profiles = append(in.Profiles, RegionProfile{
-		Graph: g, Times: res.NodeTimes, Wall: wall,
-	})
-	in.profMu.Unlock()
+	if in.c.Opts.MeasureMode {
+		// Only the simulator's measuring runs read profiles; recording
+		// them always would grow with every region a long loop executes.
+		in.profMu.Lock()
+		in.Profiles = append(in.Profiles, RegionProfile{
+			Graph: g, Times: res.NodeTimes, Wall: wall,
+		})
+		in.profMu.Unlock()
+	}
 	return res.ExitCode, nil
 }
 

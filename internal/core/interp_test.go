@@ -302,3 +302,61 @@ func TestUnknownCommandConservative(t *testing.T) {
 		t.Error("expected error for unknown command")
 	}
 }
+
+// TestProfilesOnlyUnderMeasureMode: region profiles feed the simulator's
+// measuring runs and nothing else, so an ordinary run — here a
+// 10k-iteration loop — accumulates none, while a measuring run records
+// one per region.
+func TestProfilesOnlyUnderMeasureMode(t *testing.T) {
+	var items strings.Builder
+	for i := 0; i < 10000; i++ {
+		fmt.Fprintf(&items, " %d", i)
+	}
+	run := func(opts Options, src string) *Interp {
+		in := NewInterp(NewCompiler(opts), "", nil, runtime.StdIO{Stdin: strings.NewReader("")})
+		if code, err := in.RunScript(context.Background(), src); err != nil || code != 0 {
+			t.Fatalf("code %d, err %v", code, err)
+		}
+		return in
+	}
+	in := run(DefaultOptions(2), "for i in"+items.String()+"; do echo $i; done")
+	if in.Stats.Regions != 10000 || len(in.Profiles) != 0 {
+		t.Errorf("plain run: %d regions left %d profiles, want 10000 and 0", in.Stats.Regions, len(in.Profiles))
+	}
+	measured := DefaultOptions(2)
+	measured.MeasureMode = true
+	in = run(measured, "for i in 1 2 3; do echo $i; done | wc -l")
+	if len(in.Profiles) != 4 {
+		t.Errorf("measuring run recorded %d profiles, want 4 (three loop bodies and the wc)", len(in.Profiles))
+	}
+}
+
+// TestStatsCountNestedRegions: a region counts the same whether its loop
+// runs bare, inside a subshell, or as a stage of a compound pipeline —
+// the nested interpreters' metrics fold into the script's. Regions run
+// while expanding a word (command substitution) are not counted.
+func TestStatsCountNestedRegions(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "s.txt"), []byte("one two\nfoo bar\nzoo\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const loop = `for i in 1 2 3; do cut -d " " -f1 s.txt | grep -c o; done`
+	for src, want := range map[string]InterpStats{
+		loop:                  {Regions: 3, PlanHits: 2, PlanMisses: 1},
+		"(" + loop + ")":      {Regions: 3, PlanHits: 2, PlanMisses: 1},
+		loop + " | wc -l":     {Regions: 4, PlanHits: 2, PlanMisses: 2},
+		"! { " + loop + "; }": {Regions: 3, PlanHits: 2, PlanMisses: 1},
+		"x=$(" + loop + ")":   {},
+	} {
+		var out bytes.Buffer
+		in := NewInterp(NewCompiler(DefaultOptions(2)), dir, nil, runtime.StdIO{Stdin: strings.NewReader(""), Stdout: &out})
+		if _, err := in.RunScript(context.Background(), src); err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		got := in.StatsSnapshot()
+		if got.Regions != want.Regions || got.PlanHits != want.PlanHits || got.PlanMisses != want.PlanMisses ||
+			got.TotalNodes < got.Regions || (got.MaxNodes == 0) != (want.Regions == 0) {
+			t.Errorf("%s:\n got %+v\nwant regions/hits/misses %d/%d/%d and node counts", src, got, want.Regions, want.PlanHits, want.PlanMisses)
+		}
+	}
+}

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/commands"
+	"repro/internal/dfg"
 	"repro/internal/runtime"
 )
 
@@ -408,4 +409,87 @@ func TestBackgroundJobExitPropagation(t *testing.T) {
 
 func fixedLoopScript(iters int) string {
 	return fmt.Sprintf("for i in $(seq %d); do cut -d ' ' -f1 a.txt | grep o | sort | uniq -c | head -n 3; done", iters)
+}
+
+// TestCommutativeConsumerPlanShape pins what absorption buys: a
+// commutative pure consumer behind a framed chain takes the chain's
+// replicas as its maps' inputs — no order-restoring merge, no barrier
+// split — while emission, which has no chunk framing to rely on, still
+// plans the barrier split.
+func TestCommutativeConsumerPlanShape(t *testing.T) {
+	const (
+		sortLine = `cat f | tr A-Z a-z | sort`
+		wfLine   = `cat f | tr -cs A-Za-z '\n' | tr A-Z a-z | sort | uniq -c | sort -rn`
+	)
+	shape := func(p *Plan) (nodes, merges, barrierSplits, rrSplits int) {
+		t.Helper()
+		if len(p.Items) != 1 || p.Items[0].Graph == nil {
+			t.Fatalf("not one lifted region: %+v", p.Items)
+		}
+		for _, n := range p.Items[0].Graph.Nodes {
+			nodes++
+			switch {
+			case n.Kind == dfg.KindMerge:
+				merges++
+			case n.Kind == dfg.KindSplit && n.RoundRobin:
+				rrSplits++
+			case n.Kind == dfg.KindSplit:
+				barrierSplits++
+			}
+		}
+		return
+	}
+	c := NewCompiler(DefaultOptions(2))
+
+	p, err := c.PlanExec(sortLine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nodes, merges, barriers, rr := shape(p); nodes != 6 || merges != 0 || barriers != 0 || rr != 1 {
+		t.Errorf("%s: %d nodes, %d merges, %d barrier splits, %d rr splits; want 6, 0, 0, 1\n%s",
+			sortLine, nodes, merges, barriers, rr, p.Items[0].Graph.Dump())
+	}
+
+	// sort absorbs the merge; uniq -c and sort -rn each read one stream
+	// and are order-sensitive / fed by an aggregate, so each keeps a
+	// split of its own — uniq's the barrier kind.
+	if p, err = c.PlanExec(wfLine); err != nil {
+		t.Fatal(err)
+	}
+	if nodes, merges, barriers, _ := shape(p); nodes != 14 || merges != 0 || barriers != 1 {
+		t.Errorf("%s: %d nodes, %d merges, %d barrier splits; want 14, 0, 1\n%s",
+			wfLine, nodes, merges, barriers, p.Items[0].Graph.Dump())
+	}
+
+	if p, err = c.Plan(sortLine); err != nil {
+		t.Fatal(err)
+	}
+	if _, merges, barriers, rr := shape(p); merges != 0 || rr != 0 || barriers == 0 {
+		t.Errorf("emission plan: %d merges, %d rr splits, %d barrier splits; want only barrier splits\n%s",
+			merges, rr, barriers, p.Items[0].Graph.Dump())
+	}
+}
+
+// TestNewlineRewritingTrIsNotStateless: a tr that deletes or rewrites
+// newlines glues lines across chunk boundaries, so its replicas' chunks
+// are not line-aligned and nothing line-oriented may read them directly
+// — neither a framed stateless successor nor a commutative consumer's
+// maps behind an absorbed merge. annot demotes such a tr to pure; the
+// input spans several round-robin chunks so a wrong plan shows.
+func TestNewlineRewritingTrIsNotStateless(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "f"), []byte(corpus(20000)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range []string{
+		`cat f | tr -d '\n' | sort`,
+		`cat f | tr -d '\n' | wc -w`,
+		`cat f | tr -d '\n' | grep -c fox`,
+		`cat f | tr '\n' ' ' | sort`,
+		`cat f | tr '\n' ' ' | grep fox`,
+		`cat f | tr a-z A-Z | tr -d '\n' | cut -c1-5 | sort`,
+		`cat f | tr -s '\n' | sort`,
+	} {
+		seqVsPar(t, src, "", dir, nil)
+	}
 }

@@ -97,8 +97,10 @@ type Node struct {
 
 	// RoundRobin marks a KindSplit node as the streaming round-robin
 	// block splitter (no full-input barrier). Its outputs interleave the
-	// input at block granularity, so the planner only sets it when every
-	// consumer is framed and a KindMerge restores order downstream.
+	// input at block granularity, so the planner only sets it when the
+	// interleaving cannot show: every consumer is framed and a KindMerge
+	// restores order downstream, or the consumers are the maps of a
+	// commutative pure command.
 	RoundRobin bool
 
 	// Framed marks a replica that runs under the chunk-framing protocol:
@@ -152,6 +154,16 @@ type AggSpec struct {
 	// the barrier. T still applies when an upstream cat already
 	// provides parallelism.
 	StopsEarly bool
+	// Commutative marks commands whose output depends only on the
+	// multiset of their input lines: permuting the lines leaves the
+	// output bytes unchanged. Their maps need no contiguous partition, so
+	// such a command absorbs an order-restoring KindMerge in front of it
+	// (each map reads one framed replica's interleaved stream as is) and
+	// is fed by the streaming round-robin split instead of the barrier
+	// split. The contract is exactly that permutation invariance;
+	// internal/agg's TestCommutativeIsPermutationInvariant enforces it
+	// for every spec that sets the flag and shows sort -f/-d failing it.
+	Commutative bool
 }
 
 // ArgStrings renders the template with the provided per-input names.

@@ -31,9 +31,12 @@ import (
 //     bytes at all. Branch outputs are contiguous, so a round-robin
 //     merge downgrades to a plain cat.
 //
-//   - Contiguous streams: a barrier (general) split's consumer chain —
-//     the sort/uniq map shape, where each branch processes one whole
-//     contiguous partition — becomes a streamed remote node: the
+//   - Whole streams: a branch whose output is not one frame per input
+//     frame — a barrier (general) split's consumer chain, the uniq map
+//     shape, where each branch processes one contiguous partition; or a
+//     round-robin split's branch that ends in the map of a commutative
+//     pure command, `tr | sort`, which reads its replica's interleaved
+//     blocks as one stream — becomes a streamed remote node: the
 //     coordinator relays the branch's entire input as one stream (no
 //     per-chunk framing rotation) and receives the branch's entire
 //     output as one stream. A follow-up pass then absorbs interior
@@ -44,9 +47,10 @@ import (
 //     fan-in, and the merge.
 //
 // All shapes preserve the local execution's bytes: framed relays keep
-// the rotation the merge inverts, file ranges and contiguous streams
-// keep contiguous line-partition semantics, which stateless chains and
-// the (map, agg) contract are already partition-agnostic over.
+// the rotation the merge inverts; file ranges and whole streams hand
+// each branch a line-aligned partition of the input, which stateless
+// chains and the (map, agg) contract are already partition-agnostic
+// over (contiguous for order-sensitive maps, any for commutative ones).
 
 // RemoteSpec describes the work one KindRemote node ships to a worker:
 // a linear chain of stateless stages plus, for the file-range shape,
@@ -189,14 +193,15 @@ func (o DistOptions) shippableStages(stages []FusedStage) bool {
 }
 
 // Distribute partitions an optimized graph across the worker pool,
-// in place: every rr-split consumer chain, every barrier-split consumer
-// chain ending at a collector (the streamed shape), and — with
-// FileRanges — every branch of a split over a seekable graph-input
-// file collapses into a KindRemote node. Interior aggregation-tree
-// nodes whose operands all became streamed remotes are then absorbed
-// into multi-input streamed remotes, one per fan-in group. Structure
-// the coordinator must keep — the splits themselves, merges, the root
-// fan-in — stays local. Returns the number of remote nodes created.
+// in place: every framed rr-split consumer chain, every barrier-split
+// consumer chain and every rr-split branch ending at an aggregate (the
+// streamed shape), and — with FileRanges — every branch of a split over
+// a seekable graph-input file collapses into a KindRemote node.
+// Interior aggregation-tree nodes whose operands all became streamed
+// remotes behind a barrier split are then absorbed into multi-input
+// streamed remotes, one per fan-in group. Structure the coordinator
+// must keep — the splits themselves, merges, the root fan-in — stays
+// local. Returns the number of remote nodes created.
 func Distribute(g *Graph, opts DistOptions) int {
 	if len(opts.Workers) == 0 {
 		return 0
@@ -212,11 +217,7 @@ func Distribute(g *Graph, opts DistOptions) int {
 			remotes = append(remotes, distributeFileRanges(g, split, opts)...)
 			continue
 		}
-		if split.RoundRobin {
-			remotes = append(remotes, distributeFramedChains(g, split, opts)...)
-			continue
-		}
-		remotes = append(remotes, distributeStreamedChains(g, split, opts)...)
+		remotes = append(remotes, distributeChains(g, split, opts)...)
 	}
 	remotes = groupAggSubtrees(g, opts, remotes)
 	for i, n := range remotes {
@@ -330,34 +331,47 @@ func collapseRemote(g *Graph, chain []*Node, in, out *Edge, spec *RemoteSpec) *N
 	return r
 }
 
-// distributeFramedChains rewrites every framed consumer chain of a
-// round-robin split into a framed remote node. The split and the
-// order-restoring merge stay on the coordinator.
-func distributeFramedChains(g *Graph, split *Node, opts DistOptions) []*Node {
+// distributeChains rewrites the consumer chains of a split that relays
+// its input into remote nodes, one per branch; the split and the
+// downstream collector stay on the coordinator (an aggregate may be
+// absorbed later by groupAggSubtrees). The branch's collector decides the
+// shape:
+//
+//   - A round-robin split's framed chain ending, still framed, at the
+//     order-restoring merge ships framed: one output frame per input
+//     frame is the invariant the merge inverts.
+//   - A barrier split's chain ending at any collector ships streamed:
+//     the branch processes one whole contiguous partition — the
+//     uniq/head map shape — so the wire carries one stream each way.
+//   - A round-robin split's branch ending at an aggregate — framed
+//     stateless stages feeding a commutative map, `tr | sort` — also
+//     ships streamed, as one shard: the map reads its whole input
+//     anyway, and the stateless prefix computes the same bytes over the
+//     stream as chunk by chunk.
+func distributeChains(g *Graph, split *Node, opts DistOptions) []*Node {
 	var remotes []*Node
 	for _, e := range snapshotEdges(split.Out) {
 		chain, last := remotableChain(e)
-		if len(chain) == 0 {
-			continue
-		}
-		framed := true
-		for _, n := range chain {
-			if !n.Framed {
-				framed = false
-				break
-			}
-		}
-		// The chain must end at the order-restoring merge, still framed:
-		// that is the invariant the one-frame-in/one-frame-out wire
-		// protocol preserves.
-		if !framed || last.To == nil || last.To.Kind != KindMerge {
+		if len(chain) == 0 || last.To == nil {
 			continue
 		}
 		stages := chainStages(chain)
 		if !opts.shippableStages(stages) {
 			continue
 		}
-		spec := &RemoteSpec{Stages: stages, Framed: true}
+		framed := split.RoundRobin
+		for _, n := range chain {
+			framed = framed && n.Framed
+		}
+		spec := &RemoteSpec{Stages: stages}
+		switch to := last.To.Kind; {
+		case framed && to == KindMerge:
+			spec.Framed = true
+		case to == KindAgg, !split.RoundRobin && (to == KindCat || to == KindMerge):
+			spec.Streamed = true
+		default:
+			continue
+		}
 		remotes = append(remotes, collapseRemote(g, chain, e, last, spec))
 	}
 	return remotes
@@ -419,45 +433,21 @@ func distributeFileRanges(g *Graph, split *Node, opts DistOptions) []*Node {
 	return remotes
 }
 
-// distributeStreamedChains rewrites a barrier (general) split's
-// consumer chains into streamed remote nodes, per branch. Each branch
-// processes one whole contiguous partition — the sort/uniq map shape —
-// so the wire carries the branch's input as one stream and its output
-// as one stream, with no per-chunk rotation to preserve. The split and
-// the downstream collector stay on the coordinator (the collector may
-// be absorbed later by groupAggSubtrees). Eligibility mirrors the
-// file-range shape: the chain must end at a multi-input collector.
-func distributeStreamedChains(g *Graph, split *Node, opts DistOptions) []*Node {
-	var remotes []*Node
-	for _, e := range snapshotEdges(split.Out) {
-		chain, last := remotableChain(e)
-		if len(chain) == 0 || last.To == nil {
-			continue
-		}
-		switch last.To.Kind {
-		case KindCat, KindMerge, KindAgg:
-		default:
-			continue
-		}
-		stages := chainStages(chain)
-		if !opts.shippableStages(stages) {
-			continue
-		}
-		spec := &RemoteSpec{Stages: stages, Streamed: true}
-		remotes = append(remotes, collapseRemote(g, chain, e, last, spec))
-	}
-	return remotes
-}
-
 // groupAggSubtrees absorbs interior aggregation-tree nodes into their
 // operand remotes: a KindAgg node whose every input is a single-input
-// streamed remote chain and whose output feeds another KindAgg (it is
-// interior, not the root fan-in) merges with its operands into one
-// multi-input streamed remote — the whole fan-in group (maps plus
-// combining aggregate) runs on one worker, and the wire carries one
-// result stream per group instead of one per map. The root aggregate
-// always stays on the coordinator. Returns the remote list with
-// absorbed nodes replaced by their groups.
+// streamed remote chain behind a barrier split and whose output feeds
+// another KindAgg (it is interior, not the root fan-in) merges with its
+// operands into one multi-input streamed remote — the whole fan-in
+// group (maps plus combining aggregate) runs on one worker, and the
+// wire carries one result stream per group instead of one per map. The
+// root aggregate always stays on the coordinator. Returns the remote
+// list with absorbed nodes replaced by their groups.
+//
+// Known limit: branches behind a round-robin split (a commutative
+// consumer's maps, `tr | sort`) are never grouped, so at widths where
+// the tree has interior nodes (>= 8) those interior aggregates run on
+// the coordinator. Grouping them needs a wire shape that carries a
+// shard's inputs interleaved; today's carries them one after another.
 func groupAggSubtrees(g *Graph, opts DistOptions, remotes []*Node) []*Node {
 	absorbed := map[*Node]bool{}
 	var groups []*Node
@@ -496,6 +486,16 @@ func groupAggSubtrees(g *Graph, opts DistOptions, remotes []*Node) []*Node {
 			c := e.From
 			if c == nil || c.Kind != KindRemote || c.Remote == nil ||
 				!c.Remote.Streamed || c.Remote.Agg != nil || len(c.In) != 1 {
+				eligible = false
+				break
+			}
+			// The wire carries a tree's inputs one after another, the way
+			// a barrier split emits them. A round-robin split fills its
+			// outputs in lockstep: it would block on the second while the
+			// first waits for an EOF that only the end of input brings
+			// (and buffering the others until then would serialise the
+			// maps that the single-input shards run concurrently).
+			if src := c.In[0].From; src != nil && src.RoundRobin {
 				eligible = false
 				break
 			}

@@ -28,10 +28,11 @@ type Options struct {
 	InputAwareSplit bool
 	// SplitMode selects among the three split strategies for t2-inserted
 	// splits. SplitAuto (the default) plans the streaming round-robin
-	// split for stateless consumers whose input is not a seekable
-	// graph-input file, keeps the seek-based fileSplit for the
-	// input-aware case, and falls back to the barrier split everywhere
-	// else (pure commands need contiguous chunks for their aggregators).
+	// split for stateless and commutative pure consumers whose input is
+	// not a seekable graph-input file, keeps the seek-based fileSplit for
+	// the input-aware case, and falls back to the barrier split
+	// everywhere else (order-sensitive pure commands need contiguous
+	// chunks for their aggregators).
 	SplitMode SplitMode
 	// Eager selects the laziness-overcoming behaviour of edges (§5.2).
 	Eager EagerMode
@@ -88,14 +89,14 @@ type SplitMode int
 // Split modes.
 const (
 	// SplitAuto streams with the round-robin splitter wherever that is
-	// sound (stateless consumer, non-file input) and uses the barrier or
-	// input-aware split otherwise.
+	// sound (stateless or commutative consumer, non-file input) and uses
+	// the barrier or input-aware split otherwise.
 	SplitAuto SplitMode = iota
 	// SplitGeneral always uses the barrier split — required when the
 	// graph is emitted as a shell script, where no chunk framing exists.
 	SplitGeneral
 	// SplitRoundRobin forces the streaming round-robin split for every
-	// stateless split consumer, even seekable file inputs.
+	// stateless or commutative split consumer, even seekable file inputs.
 	SplitRoundRobin
 )
 
@@ -327,10 +328,16 @@ func tryParallelize(g *Graph, n *Node, opts Options) bool {
 			return false
 		}
 	case KindMerge:
-		// A framed round-robin chain: a stateless consumer can absorb
-		// the merge and continue the frame discipline; anything else
-		// (pure commands need contiguous chunks) stops here.
-		if len(pred.In) < 2 || n.Class != annot.Stateless {
+		// A framed round-robin chain: a stateless consumer absorbs the
+		// merge and continues the frame discipline; a commutative pure
+		// consumer absorbs it outright, its maps reading one replica's
+		// stream each (chunk pipes carry framing as boundaries, not
+		// bytes). Both rely on the replicas' chunks ending where lines
+		// end, which is what annot's Stateless promises (a tr that
+		// rewrites newlines is refined to pure and never replicated).
+		// Order-sensitive pure commands need contiguous chunks and stop
+		// here.
+		if len(pred.In) < 2 || !interleavable(n) {
 			return false
 		}
 	default:
@@ -344,6 +351,13 @@ func tryParallelize(g *Graph, n *Node, opts Options) bool {
 		parallelizePure(g, n, pred, opts)
 	}
 	return true
+}
+
+// interleavable reports whether n may consume a block-interleaved
+// partition of its input: a stateless command under chunk framing, or a
+// pure command whose output ignores line order.
+func interleavable(n *Node) bool {
+	return n.Class == annot.Stateless || (n.Agg != nil && n.Agg.Commutative)
 }
 
 // detachPredecessor removes the cat node feeding n and returns the edges
@@ -515,10 +529,11 @@ func trySplit(g *Graph, n *Node, opts Options) bool {
 	// is similarly blunt: split everything the user asked to.)
 	split := g.AddNode(NewNode(KindSplit, "pash-split", nil, annot.Pure))
 	// Strategy: stream with the round-robin splitter when the consumer
-	// is stateless (framing is sound) and the input-aware fileSplit does
-	// not apply; pure consumers keep the barrier split, whose contiguous
-	// chunks their aggregators depend on.
-	if n.Class == annot.Stateless {
+	// is stateless (framing is sound) or commutative (order is moot) and
+	// the input-aware fileSplit does not apply; order-sensitive pure
+	// consumers keep the barrier split, whose contiguous chunks their
+	// aggregators depend on.
+	if interleavable(n) {
 		switch opts.SplitMode {
 		case SplitRoundRobin:
 			split.RoundRobin = true

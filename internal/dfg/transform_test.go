@@ -205,6 +205,58 @@ func TestPureMapAggregate(t *testing.T) {
 	}
 }
 
+// TestCommutativePureAbsorbsMerge: a pure consumer whose output ignores
+// line order takes a framed chain's replicas as its maps' inputs — one
+// round-robin split, no merge, no barrier — and gets the round-robin
+// split when it needs one of its own. The same commands unmarked, or
+// planned for emission, keep the merge and the barrier split.
+func TestCommutativePureAbsorbsMerge(t *testing.T) {
+	commutative := sortAgg()
+	commutative.Commutative = true
+	splits := func(g *Graph) (rr, barrier int) {
+		for _, n := range g.Nodes {
+			if n.Kind == KindSplit && n.RoundRobin {
+				rr++
+			} else if n.Kind == KindSplit {
+				barrier++
+			}
+		}
+		return
+	}
+	for _, c := range []struct {
+		name                string
+		agg                 *AggSpec
+		mode                SplitMode
+		rr, barrier, merges int
+	}{
+		{"commutative", commutative, SplitAuto, 1, 0, 0},
+		{"order-sensitive", sortAgg(), SplitAuto, 1, 1, 1},
+		{"commutative, emission", commutative, SplitGeneral, 0, 1, 0},
+	} {
+		g := chain(t, sNode("tr", "A", "a"), pNode("sort", c.agg, "-rn"))
+		Apply(g, Options{Width: 3, Split: true, Eager: EagerFull, SplitMode: c.mode})
+		if err := g.Validate(); err != nil {
+			t.Fatalf("%s: %v\n%s", c.name, err, g.Dump())
+		}
+		rr, barrier := splits(g)
+		if rr != c.rr || barrier != c.barrier || countKind(g, KindMerge) != c.merges || countKind(g, KindMap) != 3 {
+			t.Errorf("%s: %d rr splits, %d barrier splits, %d merges, %d maps; want %d, %d, %d, 3\n%s",
+				c.name, rr, barrier, countKind(g, KindMerge), countKind(g, KindMap), c.rr, c.barrier, c.merges, g.Dump())
+		}
+		for _, n := range g.Nodes {
+			if n.Kind == KindMap && n.Framed {
+				t.Errorf("%s: map %v is framed; maps read whole streams", c.name, n)
+			}
+		}
+	}
+
+	g := chain(t, pNode("sort", commutative, "-rn"))
+	Apply(g, Options{Width: 3, Split: true, Eager: EagerFull})
+	if rr, barrier := splits(g); rr != 1 || barrier != 0 {
+		t.Errorf("lone commutative consumer: %d rr splits, %d barrier splits; want 1, 0\n%s", rr, barrier, g.Dump())
+	}
+}
+
 func TestPureWithoutAggregatorStaysSequential(t *testing.T) {
 	g := chain(t, sNode("tr", "A", "a"), pNode("tail", nil, "-n", "+2"))
 	Apply(g, Options{Width: 4, Split: true, Eager: EagerFull})

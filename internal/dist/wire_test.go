@@ -14,53 +14,76 @@ import (
 	"repro/pash"
 )
 
-// TestDistributedStreamPlanStructure: barrier-split consumer chains —
-// sort/uniq maps and agg-tree interior nodes — plan as contiguous-stream
-// remote shards spread across the pool, each carrying the plan-cache
-// key workers use to skip DecodePlan on repeat dispatches.
+// TestDistributedStreamPlanStructure: branches whose output is not one
+// frame per input frame plan as whole-stream remote shards spread across
+// the pool, each carrying the plan-cache key workers use to skip
+// DecodePlan on repeat dispatches. A commutative sort absorbs the
+// round-robin merge, so its branch — the stateless stages and the sort
+// map — ships as one linear shard; an order-sensitive consumer (uniq,
+// sort -f) keeps its barrier split, whose map shards group with their
+// interior aggregate into tree shards.
 func TestDistributedStreamPlanStructure(t *testing.T) {
 	pool := dist.NewPool("http://w1", "http://w2")
 	sess := pash.NewSession(pash.DefaultOptions(8))
 	sess.UseWorkers(pool)
-	plan, err := sess.CompileExec(`cat in.txt | rev | sort | uniq`)
-	if err != nil {
-		t.Fatal(err)
+	streamedShards := func(script string) (shards []*dfg.RemoteSpec) {
+		t.Helper()
+		plan, err := sess.CompileExec(script)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var g *dfg.Graph
+		for _, item := range plan.Items {
+			if item.Graph != nil {
+				g = item.Graph
+			}
+		}
+		if g == nil {
+			t.Fatal("no compiled region")
+		}
+		workers := map[string]int{}
+		for _, n := range g.Nodes {
+			if n.Kind != dfg.KindRemote || !n.Remote.Streamed {
+				continue
+			}
+			shards = append(shards, n.Remote)
+			workers[n.Remote.Worker]++
+			if n.Remote.Framed {
+				t.Errorf("remote node is both framed and streamed: %+v", n.Remote)
+			}
+			if n.Remote.Key == "" {
+				t.Errorf("streamed shard missing plan-cache key: %+v", n.Remote)
+			}
+		}
+		if len(workers) != 2 || workers["http://w1"] != workers["http://w2"] {
+			t.Errorf("%s: streamed shard assignment unbalanced: %v", script, workers)
+		}
+		return shards
 	}
-	var g *dfg.Graph
-	for _, item := range plan.Items {
-		if item.Graph != nil {
-			g = item.Graph
+
+	branches, uniqMaps := 0, 0
+	for _, spec := range streamedShards(`cat in.txt | rev | sort | uniq`) {
+		switch last := spec.Stages[len(spec.Stages)-1].Name; {
+		case spec.Agg != nil:
+			t.Errorf("round-robin-fed branches grouped into a tree shard: %+v", spec)
+		case last == "sort" && len(spec.Stages) > 1 && spec.Stages[len(spec.Stages)-2].Name == "rev":
+			branches++
+		case last == "uniq":
+			uniqMaps++
 		}
 	}
-	if g == nil {
-		t.Fatal("no compiled region")
+	if branches != 8 || uniqMaps != 8 {
+		t.Errorf("streamed shards: %d rev|sort branches and %d uniq maps, want 8 and 8", branches, uniqMaps)
 	}
-	streamed, aggInterior := 0, 0
-	workers := map[string]int{}
-	for _, n := range g.Nodes {
-		if n.Kind != dfg.KindRemote || !n.Remote.Streamed {
-			continue
-		}
-		streamed++
-		workers[n.Remote.Worker]++
-		if n.Remote.Framed {
-			t.Errorf("remote node is both framed and streamed: %+v", n.Remote)
-		}
-		if n.Remote.Key == "" {
-			t.Errorf("streamed shard missing plan-cache key: %+v", n.Remote)
-		}
-		if n.Remote.Agg != nil {
+
+	aggInterior := 0
+	for _, spec := range streamedShards(`cat in.txt | rev | sort -f`) {
+		if spec.Agg != nil {
 			aggInterior++
 		}
 	}
-	if streamed < 8 {
-		t.Fatalf("streamed remote shards = %d, want >= 8 (sort/uniq maps + agg interior)", streamed)
-	}
 	if aggInterior == 0 {
 		t.Error("no agg-tree interior node shipped as a streamed shard")
-	}
-	if len(workers) != 2 || workers["http://w1"] != workers["http://w2"] {
-		t.Errorf("streamed shard assignment unbalanced: %v", workers)
 	}
 }
 

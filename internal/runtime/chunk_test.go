@@ -206,6 +206,77 @@ func TestRoundRobinSplitMergeRoundTrip(t *testing.T) {
 	}
 }
 
+// perLineSplit is the barrier split as it was before it moved blocks:
+// every line materialised, then written one at a time. Retained as the
+// oracle for the block-wise generalSplit.
+func perLineSplit(input string, width int) []string {
+	lines, _ := commands.ReadAllLines(strings.NewReader(input))
+	per := (len(lines) + width - 1) / width
+	parts := make([]string, width)
+	for i := range parts {
+		var sb strings.Builder
+		for j := 0; j < per && len(lines) > 0; j++ {
+			sb.Write(lines[0])
+			sb.WriteByte('\n')
+			lines = lines[1:]
+		}
+		parts[i] = sb.String()
+	}
+	return parts
+}
+
+// TestBarrierSplitMatchesPerLineSplit checks the block-wise barrier split
+// on the round-robin corpus: at every width each partition is
+// byte-identical to the per-line split's, whether the input arrives as a
+// byte stream or as chunks cut at arbitrary offsets with empty chunks in
+// between.
+func TestBarrierSplitMatchesPerLineSplit(t *testing.T) {
+	for name, input := range rrInputs() {
+		for width := 1; width <= 5; width++ {
+			want := perLineSplit(input, width)
+			for _, chunked := range []bool{false, true} {
+				var src io.Reader = strings.NewReader(input)
+				if chunked {
+					in := newEdgeStream(true, 0)
+					w := in.writer()
+					for rest := []byte(input); len(rest) > 0; {
+						n := min(len(rest), 1+(7*len(rest))%(commands.BlockSize+999))
+						if err := w.(commands.ChunkWriter).WriteChunk(append(commands.GetBlock(), rest[:n]...)); err != nil {
+							t.Fatal(err)
+						}
+						rest = rest[n:]
+						// A framed producer's ordering tokens ride along.
+						if err := w.(commands.ChunkWriter).WriteChunk(commands.GetBlock()); err != nil {
+							t.Fatal(err)
+						}
+					}
+					w.Close()
+					src = in.reader()
+				}
+				streams := make([]*edgeStream, width)
+				ws := make([]io.WriteCloser, width)
+				for i := range streams {
+					streams[i] = newEdgeStream(true, 0) // unbounded: split runs first
+					ws[i] = streams[i].writer()
+				}
+				if err := generalSplit(src, ws); err != nil {
+					t.Fatalf("%s width %d: split: %v", name, width, err)
+				}
+				for i, s := range streams {
+					got, err := io.ReadAll(s.reader())
+					if err != nil {
+						t.Fatal(err)
+					}
+					if string(got) != want[i] {
+						t.Errorf("%s width %d chunked=%v: partition %d is %d bytes, per-line split gives %d",
+							name, width, chunked, i, len(got), len(want[i]))
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestRoundRobinGraphMatchesSequential runs `tr a-z A-Z | grep` style
 // pipelines through the full transformed graph — streaming round-robin
 // split, framed replicas, order-restoring merge — and checks the output
@@ -233,6 +304,38 @@ func TestRoundRobinGraphMatchesSequential(t *testing.T) {
 		}
 		par := execGraph(t, g, input, Config{})
 		if par != seq {
+			t.Errorf("%s: parallel output diverged from sequential\nseq %d bytes, par %d bytes",
+				name, len(seq), len(par))
+		}
+	}
+}
+
+// TestRoundRobinFeedsCommutativeMaps runs `tr | sort` through the graph
+// a commutative consumer gets — round-robin split, framed replicas, sort
+// maps reading each replica's interleaved blocks as one stream, sort -m —
+// and checks the output equals the sequential run on the same
+// adversarial inputs (empty chunks, an unterminated final line, lines
+// longer than a block).
+func TestRoundRobinFeedsCommutativeMaps(t *testing.T) {
+	mk := func() []*dfg.Node {
+		sort := dfg.NewNode(dfg.KindCommand, "sort", nil, annot.Pure)
+		sort.Agg = &dfg.AggSpec{MapName: "sort", AggName: "sort", AggArgs: []string{"-m"}, Associative: true, Commutative: true}
+		return []*dfg.Node{
+			dfg.NewNode(dfg.KindCommand, "tr", []dfg.Arg{dfg.Lit("a-z"), dfg.Lit("A-Z")}, annot.Stateless),
+			sort,
+		}
+	}
+	for name, input := range rrInputs() {
+		seq := execGraph(t, buildPipeline(mk()...), input, Config{})
+
+		g := buildPipeline(mk()...)
+		dfg.Apply(g, dfg.Options{Width: 4, Split: true, Eager: dfg.EagerFull})
+		for _, n := range g.Nodes {
+			if n.Kind == dfg.KindMerge || (n.Kind == dfg.KindSplit && !n.RoundRobin) {
+				t.Fatalf("%s: planner kept %v in front of a commutative consumer\n%s", name, n, g.Dump())
+			}
+		}
+		if par := execGraph(t, g, input, Config{}); par != seq {
 			t.Errorf("%s: parallel output diverged from sequential\nseq %d bytes, par %d bytes",
 				name, len(seq), len(par))
 		}

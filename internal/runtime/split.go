@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -11,9 +12,10 @@ import (
 // This file implements the three split strategies (§5.2 Splitting
 // Challenges, plus the streaming refinement this reproduction adds):
 //
-//   - generalSplit consumes its complete input, counts lines, and then
-//     distributes them evenly — correct for any upstream producer and any
-//     consumer, but a task-parallelism barrier with O(input) memory.
+//   - generalSplit consumes its complete input as blocks, counts lines,
+//     and then distributes the blocks evenly — correct for any upstream
+//     producer and any consumer, but a task-parallelism barrier with
+//     O(input) memory.
 //   - fileSplit (the "input-aware" variant) knows its input is a regular
 //     file of known size: it seeks to newline-aligned byte offsets and
 //     streams each chunk concurrently, never reading the input twice.
@@ -24,36 +26,86 @@ import (
 //     paired it with framed consumers and a pash-rr-merge that restores
 //     byte order (see internal/dfg/transform.go).
 
-// generalSplit reads everything from r, then writes line-balanced chunks
-// to the writers in order.
+// generalSplit reads everything from r, then deals line-balanced
+// contiguous partitions to the writers in order: partition i is lines
+// [i*per, (i+1)*per) with per = ceil(lines/len(ws)). It holds the pooled
+// blocks it read and counts their newlines; whole blocks change hands by
+// ownership, and only a block that straddles a partition boundary is cut
+// (in place: the two sides share its array, each capped to its own
+// bytes). A final unterminated line gets its newline, as every line
+// consumer would have given it.
 func generalSplit(r io.Reader, ws []io.WriteCloser) error {
-	lines, err := commands.ReadAllLines(r)
+	var blocks [][]byte
+	var counts []int // newlines per block
+	total := 0
+	recycle := func() {
+		for _, b := range blocks {
+			commands.PutBlock(b)
+		}
+	}
+	err := commands.EachLineBlock(r, func(b []byte) error {
+		c := bytes.Count(b, newline)
+		blocks, counts = append(blocks, b), append(counts, c)
+		total += c
+		return nil
+	})
 	if err != nil {
+		recycle()
 		closeAll(ws)
 		return err
 	}
-	n := len(ws)
-	per := (len(lines) + n - 1) / n
-	idx := 0
+	if n := len(blocks); n > 0 {
+		if last := blocks[n-1]; last[len(last)-1] != '\n' {
+			blocks[n-1] = append(last, '\n')
+			counts[n-1]++
+			total++
+		}
+	}
+	per := (total + len(ws) - 1) / len(ws)
+	next := 0 // first block not yet handed over whole
 	for i, w := range ws {
-		lw := commands.NewLineWriter(w)
-		for j := 0; j < per && idx < len(lines); j++ {
-			if err := lw.WriteLine(lines[idx]); err != nil {
-				if err == ErrDownstreamClosed {
-					break
-				}
+		hungUp := false
+		for quota := per; quota > 0 && next < len(blocks); {
+			piece := blocks[next]
+			if counts[next] <= quota {
+				quota -= counts[next]
+				blocks[next] = nil
+				next++
+			} else {
+				cut := nthNewline(piece, quota) + 1
+				piece, blocks[next] = piece[:cut:cut], piece[cut:]
+				counts[next] -= quota
+				quota = 0
+			}
+			if hungUp {
+				commands.PutBlock(piece)
+				continue
+			}
+			if err := writeChunkTo(w, piece); err == ErrDownstreamClosed {
+				// This consumer hung up; the rest of its partition has
+				// nowhere to go, the other partitions are unaffected.
+				hungUp = true
+			} else if err != nil {
+				recycle()
 				closeAll(ws[i:])
 				return err
 			}
-			idx++
-		}
-		if err := lw.Flush(); err != nil && err != ErrDownstreamClosed {
-			closeAll(ws[i:])
-			return err
 		}
 		w.Close()
 	}
 	return nil
+}
+
+var newline = []byte{'\n'}
+
+// nthNewline returns the index of the n-th (1-based) newline in b, which
+// must contain at least n.
+func nthNewline(b []byte, n int) int {
+	pos := -1
+	for ; n > 0; n-- {
+		pos += 1 + bytes.IndexByte(b[pos+1:], '\n')
+	}
+	return pos
 }
 
 // roundRobinSplit streams newline-aligned blocks from r, transferring
