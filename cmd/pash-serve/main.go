@@ -10,8 +10,8 @@
 //	curl -s --data-binary 'seq 9 | wc -l' http://localhost:8721/run
 //	# script in the query, stdin in the body:
 //	curl -s --data-binary @input.txt 'http://localhost:8721/run?script=grep%20x%20|%20wc%20-l'
-//	# per-request planning options (width, split mode, fusion):
-//	curl -s --data-binary 'sort f.txt' 'http://localhost:8721/run?width=16&split=general&fusion=off'
+//	# per-request parallelism width:
+//	curl -s --data-binary 'sort f.txt' 'http://localhost:8721/run?width=16'
 //	curl -s http://localhost:8721/metrics
 //
 // The exit status arrives in the X-Pash-Exit-Code HTTP trailer. Each

@@ -30,14 +30,20 @@
 // (commands.BlockSize). Pipes are FIFOs of blocks; when both ends speak
 // the chunk protocol (commands.ChunkWriter / commands.ChunkReader), a
 // block crosses an edge by ownership transfer — zero copies. Three
-// split strategies disperse streams across parallel replicas: the
-// barrier generalSplit, which holds the blocks it read and deals them
-// out as contiguous line-balanced partitions; the seek-based
-// input-aware fileSplit; and the streaming round-robin split, whose
-// interleaved blocks either pass through framed stateless replicas to
-// an order-restoring merge or feed the maps of a pure command whose
-// output cannot see line order (dfg.AggSpec.Commutative: sort, wc,
-// grep -c). Such a command absorbs the merge in front of it, so
+// split implementations disperse streams across parallel replicas, and
+// the planner writes its choice on each split node (dfg.Node.Split) for
+// the executor to run as is: the barrier split, which holds the blocks
+// it read and deals them out as contiguous line-balanced partitions;
+// the file-range split, which serves a seekable input file as
+// line-aligned byte ranges read concurrently; and the streaming
+// round-robin split, whose interleaved blocks either pass through
+// framed stateless replicas to an order-restoring merge or feed the
+// maps of a pure command whose output cannot see line order
+// (dfg.AggSpec.Commutative: sort, wc, grep -c). The default
+// configuration plans round-robin for such consumers even over a
+// seekable file — the file-range split is the Par + B.Split
+// configuration, Options.InputAwareSplit — and the barrier for
+// everything else. Such a command absorbs the merge in front of it, so
 // `tr | sort` plans as split → tr×n → sort×n → sort -m with nothing
 // re-serialising the stream in between; only order-sensitive pure
 // commands (uniq, tail, tac) still wait behind the barrier split. sort
@@ -57,7 +63,10 @@
 // intermediate pipes. Framing commutes through fusion, so fused
 // replicas slot between a round-robin split and its order-restoring
 // merge unchanged, and per-stage time/byte meters are attributed
-// inside the fused loop.
+// inside the fused loop. One runner, runtime.StageChain, executes every
+// chain of stages — fused nodes, framed replicas, remote specs on a
+// worker or on the coordinator — through kernels or, stage for stage,
+// through the commands themselves.
 //
 // # Aggregation trees
 //
@@ -105,9 +114,9 @@
 // immediately: streaming stdin/stdout, Wait/Cancel/Stats/ID semantics,
 // cancellation at statement boundaries (exit status 130). Run is
 // Start + Wait. pash-serve runs one Job per request — the request
-// context cancels it when the client disconnects, per-request planning
-// options (width, split mode, fusion) ride query parameters, and
-// /metrics lists a live row per in-flight job.
+// context cancels it when the client disconnects, a per-request width
+// rides a query parameter, and /metrics lists a live row per in-flight
+// job.
 //
 // pash.WithLimits(pash.JobLimits{...}) bounds one job's resources:
 // WallTimeout (the whole script), MaxOutputBytes (stdout),
@@ -203,8 +212,9 @@
 // ranges and the coordinator ships no input at all.
 //
 // There is one wire protocol and no negotiation: frame 0 of every
-// request is a handshake carrying the plan, the request environment, a
-// plan fingerprint, and the frame features the coordinator offers; a
+// request is a handshake carrying the plan, the request environment,
+// the job's sandbox bit, a plan fingerprint, and the frame features the
+// coordinator offers; a
 // worker that cannot accept it answers 400 before reading input, which
 // the coordinator treats like any other failed dispatch. Workers cache
 // decoded plans and instantiated kernel chains under the fingerprint

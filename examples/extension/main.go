@@ -224,7 +224,7 @@ func main() {
 					}
 				}
 			}
-			if n.Kind == dfg.KindSplit && n.RoundRobin {
+			if n.Kind == dfg.KindSplit && n.Split == dfg.RoundRobinSplit {
 				rrSplits++
 			}
 		}

@@ -67,7 +67,10 @@ type OSFS struct {
 // ErrJailEscape is returned for paths a jailed OSFS refuses to touch.
 var ErrJailEscape = errors.New("commands: path escapes sandbox directory")
 
-func (fs OSFS) resolve(path string) (string, error) {
+// Resolve maps path to the host path it names: joined onto Dir when
+// relative, refused with ErrJailEscape when the filesystem is jailed and
+// the path leads outside Dir.
+func (fs OSFS) Resolve(path string) (string, error) {
 	if fs.Jail {
 		if filepath.IsAbs(path) || fs.Dir == "" {
 			return "", fmt.Errorf("%w: %s", ErrJailEscape, path)
@@ -87,7 +90,7 @@ func (fs OSFS) resolve(path string) (string, error) {
 
 // Open opens a file for reading.
 func (fs OSFS) Open(path string) (io.ReadCloser, error) {
-	p, err := fs.resolve(path)
+	p, err := fs.Resolve(path)
 	if err != nil {
 		return nil, err
 	}
@@ -96,7 +99,7 @@ func (fs OSFS) Open(path string) (io.ReadCloser, error) {
 
 // Create truncates/creates a file for writing.
 func (fs OSFS) Create(path string) (io.WriteCloser, error) {
-	p, err := fs.resolve(path)
+	p, err := fs.Resolve(path)
 	if err != nil {
 		return nil, err
 	}
@@ -105,7 +108,7 @@ func (fs OSFS) Create(path string) (io.WriteCloser, error) {
 
 // Append opens a file for appending.
 func (fs OSFS) Append(path string) (io.WriteCloser, error) {
-	p, err := fs.resolve(path)
+	p, err := fs.Resolve(path)
 	if err != nil {
 		return nil, err
 	}

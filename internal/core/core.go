@@ -20,7 +20,8 @@ type Options struct {
 	Width int
 	// Split enables split insertion (t2).
 	Split bool
-	// InputAwareSplit uses the seek-based split for file inputs.
+	// InputAwareSplit plans the file-range split for seekable graph-input
+	// files (Par + B.Split in Fig. 7).
 	InputAwareSplit bool
 	// SplitMode selects among the three split strategies (barrier,
 	// input-aware, streaming round-robin); the zero value (SplitAuto)
@@ -115,13 +116,14 @@ func NewCompiler(opts Options) *Compiler {
 
 func (c *Compiler) dfgOptions() dfg.Options {
 	return dfg.Options{
-		Width:           c.Opts.Width,
-		Split:           c.Opts.Split,
-		InputAwareSplit: c.Opts.InputAwareSplit,
-		SplitMode:       c.Opts.SplitMode,
-		Eager:           c.Opts.Eager,
-		KernelCapable:   c.Cmds.KernelCapable,
-		DisableFusion:   c.Opts.DisableFusion,
-		AggFanIn:        c.Opts.AggFanIn,
+		Width:              c.Opts.Width,
+		Split:              c.Opts.Split,
+		InputAwareSplit:    c.Opts.InputAwareSplit,
+		SplitMode:          c.Opts.SplitMode,
+		Eager:              c.Opts.Eager,
+		BlockingEagerBytes: c.Opts.BlockingEagerBytes,
+		KernelCapable:      c.Cmds.KernelCapable,
+		DisableFusion:      c.Opts.DisableFusion,
+		AggFanIn:           c.Opts.AggFanIn,
 	}
 }

@@ -649,51 +649,28 @@ func (in *Interp) runPipeline(ctx context.Context, simples []*shell.Simple) (int
 		eff, release = in.c.Sched.AcquireWidth(want)
 		defer release()
 	}
-	g, hit, err := in.c.planRegion(stages, rkey, eff)
-	if err != nil {
-		return 1, err
-	}
-
-	in.statsMu.Lock()
-	in.Stats.Regions++
-	in.Stats.TotalNodes += len(g.Nodes)
-	if len(g.Nodes) > in.Stats.MaxNodes {
-		in.Stats.MaxNodes = len(g.Nodes)
-	}
-	if hit {
-		in.Stats.PlanHits++
-	} else {
-		in.Stats.PlanMisses++
-	}
-	in.statsMu.Unlock()
-
 	restore := in.applyOverrides(overrides)
 	defer restore()
-
-	rcfg := runtime.Config{
-		BlockingEager:   in.c.Opts.BlockingEagerBytes,
-		InputAwareSplit: in.c.Opts.InputAwareSplit,
-		Dir:             in.dir,
-		Env:             in.envSnapshot(),
-		Budget:          in.budget,
-		Sandbox:         in.sandbox,
-		Traffic:         in.traffic,
-	}
-	if in.c.Workers != nil {
-		rcfg.Remote = in.c.Workers
-	}
-	if in.c.Opts.SplitMode == dfg.SplitGeneral {
-		// Forcing the barrier strategy applies at execution too, not
-		// just planning.
-		rcfg.Split = runtime.SplitGeneral
-	}
-	start := time.Now()
-	var res *runtime.Result
-	if in.c.Opts.MeasureMode {
-		res, err = runtime.Profile(ctx, g, in.c.Cmds, in.stdio, rcfg)
-	} else {
-		res, err = runtime.Execute(ctx, g, in.c.Cmds, in.stdio, rcfg)
-	}
+	var start time.Time // execution only: planning is not the region's wall
+	g, res, err := in.c.runRegion(ctx, stages, rkey, eff, in.stdio, runtime.Config{
+		Dir:     in.dir,
+		Env:     in.envSnapshot(),
+		Budget:  in.budget,
+		Sandbox: in.sandbox,
+		Traffic: in.traffic,
+	}, func(g *dfg.Graph, hit bool) {
+		in.statsMu.Lock()
+		in.Stats.Regions++
+		in.Stats.TotalNodes += len(g.Nodes)
+		in.Stats.MaxNodes = max(in.Stats.MaxNodes, len(g.Nodes))
+		if hit {
+			in.Stats.PlanHits++
+		} else {
+			in.Stats.PlanMisses++
+		}
+		in.statsMu.Unlock()
+		start = time.Now()
+	})
 	if err != nil {
 		return 1, err
 	}

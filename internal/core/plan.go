@@ -2,11 +2,13 @@ package core
 
 import (
 	"container/list"
+	"context"
 	"strconv"
 	"sync"
 	"time"
 
 	"repro/internal/dfg"
+	"repro/internal/runtime"
 )
 
 // The plan cache splits region compilation into a pure *planning* step —
@@ -303,6 +305,26 @@ func (c *Compiler) planRegion(stages []Stage, region string, width int) (g *dfg.
 	c.distribute(g, width)
 	c.Plans.insert(key, g.Clone(), width)
 	return g, false, nil
+}
+
+// runRegion is the one path from a region to its bytes: plan it at the
+// given width, let the caller count the verdict (planned sees the private
+// graph before it runs), and execute exactly that graph in the job's
+// environment — every decision about how it runs is already on it.
+func (c *Compiler) runRegion(ctx context.Context, stages []Stage, region string, width int, stdio runtime.StdIO, job runtime.Config, planned func(g *dfg.Graph, hit bool)) (*dfg.Graph, *runtime.Result, error) {
+	g, hit, err := c.planRegion(stages, region, width)
+	if err != nil {
+		return nil, nil, err
+	}
+	planned(g, hit)
+	job.Remote = c.Workers
+	job.DisableFusion = c.Opts.DisableFusion
+	run := runtime.Execute
+	if c.Opts.MeasureMode {
+		run = runtime.Profile
+	}
+	res, err := run(ctx, g, c.Cmds, stdio, job)
+	return g, res, err
 }
 
 // distribute partitions a freshly planned region across the attached

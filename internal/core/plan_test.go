@@ -431,7 +431,7 @@ func TestCommutativeConsumerPlanShape(t *testing.T) {
 			switch {
 			case n.Kind == dfg.KindMerge:
 				merges++
-			case n.Kind == dfg.KindSplit && n.RoundRobin:
+			case n.Kind == dfg.KindSplit && n.Split == dfg.RoundRobinSplit:
 				rrSplits++
 			case n.Kind == dfg.KindSplit:
 				barrierSplits++

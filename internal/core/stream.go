@@ -239,35 +239,22 @@ func (p *StreamPlan) RunWindow(ctx context.Context, win io.Reader, out, errw io.
 	if eff < 1 {
 		eff = 1
 	}
-	g, hit, err := p.c.planRegion(p.stages, p.rkey, eff)
-	if err != nil {
-		return 1, err
-	}
-	g.Window = &p.window
-	p.statsMu.Lock()
-	if hit {
-		p.hits++
-	} else {
-		p.misses++
-	}
-	p.statsMu.Unlock()
-
-	rcfg := runtime.Config{
-		BlockingEager:   p.c.Opts.BlockingEagerBytes,
-		InputAwareSplit: p.c.Opts.InputAwareSplit,
-		Dir:             p.dir,
-		Env:             p.env,
-		Budget:          p.Budget,
-		Sandbox:         p.Sandbox,
-		Traffic:         p.Traffic,
-	}
-	if p.c.Workers != nil {
-		rcfg.Remote = p.c.Workers
-	}
-	if p.c.Opts.SplitMode == dfg.SplitGeneral {
-		rcfg.Split = runtime.SplitGeneral
-	}
-	res, err := runtime.Execute(ctx, g, p.c.Cmds, runtime.StdIO{Stdin: win, Stdout: out, Stderr: errw}, rcfg)
+	_, res, err := p.c.runRegion(ctx, p.stages, p.rkey, eff, runtime.StdIO{Stdin: win, Stdout: out, Stderr: errw}, runtime.Config{
+		Dir:     p.dir,
+		Env:     p.env,
+		Budget:  p.Budget,
+		Sandbox: p.Sandbox,
+		Traffic: p.Traffic,
+	}, func(g *dfg.Graph, hit bool) {
+		g.Window = &p.window
+		p.statsMu.Lock()
+		if hit {
+			p.hits++
+		} else {
+			p.misses++
+		}
+		p.statsMu.Unlock()
+	})
 	if err != nil {
 		return 1, err
 	}

@@ -35,7 +35,7 @@ func (g *Graph) Clone() *Graph {
 			Class:      n.Class,
 			StdinInput: n.StdinInput,
 			noSplit:    n.noSplit,
-			RoundRobin: n.RoundRobin,
+			Split:      n.Split,
 			Framed:     n.Framed,
 		}
 		if len(n.Args) > 0 {
@@ -56,7 +56,7 @@ func (g *Graph) Clone() *Graph {
 	ng.Edges = make([]*Edge, 0, len(g.Edges))
 	for i, e := range g.Edges {
 		ne := &edgeSlab[i]
-		*ne = Edge{ID: e.ID, Source: e.Source, Sink: e.Sink, Eager: e.Eager}
+		*ne = Edge{ID: e.ID, Source: e.Source, Sink: e.Sink, Eager: e.Eager, EagerBytes: e.EagerBytes}
 		if e.From != nil {
 			ne.From = nodes[e.From.ID]
 		}

@@ -109,7 +109,7 @@ func nodeDotLabel(n *Node) string {
 	}
 	label := strings.TrimSpace(n.Name + " " + strings.Join(args, " "))
 	switch {
-	case n.Kind == KindSplit && n.RoundRobin:
+	case n.Kind == KindSplit && n.Split == RoundRobinSplit:
 		label += "\n[rr]"
 	case n.Framed:
 		label += "\n[framed]"

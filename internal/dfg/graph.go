@@ -95,13 +95,9 @@ type Node struct {
 	// would diverge by splitting each replica recursively.
 	noSplit bool
 
-	// RoundRobin marks a KindSplit node as the streaming round-robin
-	// block splitter (no full-input barrier). Its outputs interleave the
-	// input at block granularity, so the planner only sets it when the
-	// interleaving cannot show: every consumer is framed and a KindMerge
-	// restores order downstream, or the consumers are the maps of a
-	// commutative pure command.
-	RoundRobin bool
+	// Split is a KindSplit node's implementation, chosen by the planner
+	// (trySplit) and run as is by every executor. See SplitImpl.
+	Split SplitImpl
 
 	// Framed marks a replica that runs under the chunk-framing protocol:
 	// the runtime invokes the command once per input chunk and emits
@@ -124,6 +120,38 @@ type Node struct {
 	// self-sourced input slice. Immutable once planning finishes;
 	// clones share it. See remote.go.
 	Remote *RemoteSpec
+}
+
+// SplitImpl names the implementation a KindSplit node runs with.
+type SplitImpl int
+
+// Split implementations (internal/runtime/split.go).
+const (
+	// BarrierSplit reads its whole input, then deals contiguous
+	// line-balanced partitions: sound for any producer and consumer.
+	BarrierSplit SplitImpl = iota
+	// RoundRobinSplit streams newline-aligned blocks to its outputs in
+	// rotation, with no full-input barrier. Its outputs interleave the
+	// input at block granularity, so the planner only picks it when the
+	// interleaving cannot show: every consumer is framed and a KindMerge
+	// restores order downstream, or the consumers are the maps of a
+	// commutative pure command.
+	RoundRobinSplit
+	// FileRangeSplit serves a graph-input file as contiguous line-aligned
+	// byte ranges read concurrently: no barrier, no pass over the input.
+	FileRangeSplit
+)
+
+func (s SplitImpl) String() string {
+	switch s {
+	case BarrierSplit:
+		return "barrier"
+	case RoundRobinSplit:
+		return "round-robin"
+	case FileRangeSplit:
+		return "file-range"
+	}
+	return "?"
 }
 
 // FusedStage is one command invocation inside a fused chain. Args are
@@ -232,8 +260,11 @@ type Edge struct {
 	Sink   Binding // meaningful when To == nil
 
 	// Eager is set during back-end planning: the edge gets an eager
-	// relay buffer at execution (§5.2 Overcoming Laziness).
-	Eager bool
+	// relay buffer at execution (§5.2 Overcoming Laziness). EagerBytes
+	// bounds that buffer (the Blocking Eager configuration of Fig. 7);
+	// 0 leaves it unbounded.
+	Eager      bool
+	EagerBytes int
 }
 
 func (e *Edge) String() string {

@@ -359,7 +359,8 @@ func distributeChains(g *Graph, split *Node, opts DistOptions) []*Node {
 		if !opts.shippableStages(stages) {
 			continue
 		}
-		framed := split.RoundRobin
+		rr := split.Split == RoundRobinSplit
+		framed := rr
 		for _, n := range chain {
 			framed = framed && n.Framed
 		}
@@ -367,7 +368,7 @@ func distributeChains(g *Graph, split *Node, opts DistOptions) []*Node {
 		switch to := last.To.Kind; {
 		case framed && to == KindMerge:
 			spec.Framed = true
-		case to == KindAgg, !split.RoundRobin && (to == KindCat || to == KindMerge):
+		case to == KindAgg, !rr && (to == KindCat || to == KindMerge):
 			spec.Streamed = true
 		default:
 			continue
@@ -495,7 +496,7 @@ func groupAggSubtrees(g *Graph, opts DistOptions, remotes []*Node) []*Node {
 			// first waits for an EOF that only the end of input brings
 			// (and buffering the others until then would serialise the
 			// maps that the single-input shards run concurrently).
-			if src := c.In[0].From; src != nil && src.RoundRobin {
+			if src := c.In[0].From; src != nil && src.Split == RoundRobinSplit {
 				eligible = false
 				break
 			}

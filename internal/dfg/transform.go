@@ -21,21 +21,23 @@ type Options struct {
 	// Split enables the t2 transformation: inserting split+cat around
 	// single-input parallelizable nodes.
 	Split bool
-	// InputAwareSplit selects the optimized split implementation that
-	// avoids reading its whole input first (§5.2 Splitting Challenges).
-	// It only applies to splits whose input is a graph-input file of
-	// known size.
+	// InputAwareSplit plans the file-range split, which avoids reading
+	// its whole input first (§5.2 Splitting Challenges), for splits whose
+	// input is a graph-input file of known size.
 	InputAwareSplit bool
-	// SplitMode selects among the three split strategies for t2-inserted
-	// splits. SplitAuto (the default) plans the streaming round-robin
-	// split for stateless and commutative pure consumers whose input is
-	// not a seekable graph-input file, keeps the seek-based fileSplit for
-	// the input-aware case, and falls back to the barrier split
-	// everywhere else (order-sensitive pure commands need contiguous
-	// chunks for their aggregators).
+	// SplitMode steers the implementation t2-inserted splits carry
+	// (Node.Split, see splitImpl). SplitAuto (the default) plans the
+	// streaming round-robin split for stateless and commutative pure
+	// consumers, the file-range split for a seekable graph-input file
+	// when InputAwareSplit is set, and the barrier split everywhere else
+	// (order-sensitive pure commands need contiguous chunks for their
+	// aggregators).
 	SplitMode SplitMode
 	// Eager selects the laziness-overcoming behaviour of edges (§5.2).
 	Eager EagerMode
+	// BlockingEagerBytes bounds every eager buffer at this many bytes
+	// (Blocking Eager in Fig. 7); 0 leaves eager buffers unbounded.
+	BlockingEagerBytes int
 	// AggResolver supplies (map, aggregate) pairs for P commands. Nil
 	// means only S commands parallelize.
 	AggResolver func(name string, argv []string) (*AggSpec, bool)
@@ -82,15 +84,15 @@ func aggFanIn(opts Options, width int, spec *AggSpec) int {
 	}
 }
 
-// SplitMode selects the split strategy the planner assigns to inserted
+// SplitMode steers the implementation the planner assigns to inserted
 // split nodes.
 type SplitMode int
 
 // Split modes.
 const (
 	// SplitAuto streams with the round-robin splitter wherever that is
-	// sound (stateless or commutative consumer, non-file input) and uses
-	// the barrier or input-aware split otherwise.
+	// sound (stateless or commutative consumer) and uses the file-range
+	// or barrier split otherwise.
 	SplitAuto SplitMode = iota
 	// SplitGeneral always uses the barrier split — required when the
 	// graph is emitted as a shell script, where no chunk framing exists.
@@ -381,7 +383,7 @@ func feedFramed(e *Edge) bool {
 	if e.From == nil {
 		return false
 	}
-	return (e.From.Kind == KindSplit && e.From.RoundRobin) || e.From.Framed
+	return (e.From.Kind == KindSplit && e.From.Split == RoundRobinSplit) || e.From.Framed
 }
 
 // parallelizeStateless replaces v with n replicas and commutes the
@@ -528,20 +530,7 @@ func trySplit(g *Graph, n *Node, opts Options) bool {
 	// command outputs are worth dispersing. (The cost model in the paper
 	// is similarly blunt: split everything the user asked to.)
 	split := g.AddNode(NewNode(KindSplit, "pash-split", nil, annot.Pure))
-	// Strategy: stream with the round-robin splitter when the consumer
-	// is stateless (framing is sound) or commutative (order is moot) and
-	// the input-aware fileSplit does not apply; order-sensitive pure
-	// consumers keep the barrier split, whose contiguous chunks their
-	// aggregators depend on.
-	if interleavable(n) {
-		switch opts.SplitMode {
-		case SplitRoundRobin:
-			split.RoundRobin = true
-		case SplitAuto:
-			fileInput := in.From == nil && in.Source.Kind == BindFile
-			split.RoundRobin = !(fileInput && opts.InputAwareSplit)
-		}
-	}
+	split.Split = splitImpl(n, in, opts)
 	in.To = split
 	split.In = []*Edge{in}
 	split.StdinInput = 0
@@ -560,11 +549,33 @@ func trySplit(g *Graph, n *Node, opts Options) bool {
 	return true
 }
 
+// splitImpl picks the implementation of the split t2 inserts in front of
+// n, whose input is in. This is the whole decision: the executor runs
+// what the node says. Stream with the round-robin splitter when the
+// consumer is stateless (framing is sound) or commutative (order is
+// moot); serve a seekable graph-input file as byte ranges when the
+// input-aware split is on; order-sensitive pure consumers over anything
+// else keep the barrier split, whose contiguous chunks their aggregators
+// depend on. SplitGeneral forces the barrier, SplitRoundRobin streams
+// even a seekable file.
+func splitImpl(n *Node, in *Edge, opts Options) SplitImpl {
+	if opts.SplitMode == SplitGeneral {
+		return BarrierSplit
+	}
+	seekable := opts.InputAwareSplit && in.From == nil && in.Source.Kind == BindFile
+	switch {
+	case interleavable(n) && (opts.SplitMode == SplitRoundRobin || !seekable):
+		return RoundRobinSplit
+	case seekable:
+		return FileRangeSplit
+	}
+	return BarrierSplit
+}
+
 // planEager marks the edges that get eager relay buffers at execution:
 // every input after the first of a multi-input consumer (cat, agg, comm)
-// and every split output except the last (§5.2). EagerFull marks them
-// unbounded; EagerBlocking keeps them (bounded behaviour is chosen by the
-// runtime from Options); EagerNone marks nothing.
+// and every split output except the last (§5.2), each carrying the
+// configured byte bound (0 = unbounded). EagerNone marks nothing.
 func planEager(g *Graph, opts Options) {
 	if opts.Eager == EagerNone {
 		return
@@ -572,12 +583,12 @@ func planEager(g *Graph, opts Options) {
 	for _, n := range g.Nodes {
 		if len(n.In) > 1 {
 			for _, e := range n.In[1:] {
-				e.Eager = true
+				e.Eager, e.EagerBytes = true, opts.BlockingEagerBytes
 			}
 		}
 		if n.Kind == KindSplit && len(n.Out) > 1 {
 			for _, e := range n.Out[:len(n.Out)-1] {
-				e.Eager = true
+				e.Eager, e.EagerBytes = true, opts.BlockingEagerBytes
 			}
 		}
 	}

@@ -175,7 +175,7 @@ func TestStatelessChainGeneralSplitKeepsCat(t *testing.T) {
 		if n.Framed {
 			t.Errorf("node %s framed under SplitGeneral", n)
 		}
-		if n.Kind == KindSplit && n.RoundRobin {
+		if n.Kind == KindSplit && n.Split == RoundRobinSplit {
 			t.Errorf("split %s round-robin under SplitGeneral", n)
 		}
 	}
@@ -215,7 +215,7 @@ func TestCommutativePureAbsorbsMerge(t *testing.T) {
 	commutative.Commutative = true
 	splits := func(g *Graph) (rr, barrier int) {
 		for _, n := range g.Nodes {
-			if n.Kind == KindSplit && n.RoundRobin {
+			if n.Kind == KindSplit && n.Split == RoundRobinSplit {
 				rr++
 			} else if n.Kind == KindSplit {
 				barrier++

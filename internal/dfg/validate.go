@@ -9,6 +9,7 @@ import "fmt"
 //     input is consumed exactly once (stdin or placeholder)
 //   - the graph is acyclic
 //   - boundary edges carry bindings
+//   - a file-range split reads a graph-input file
 func (g *Graph) Validate() error {
 	nodeSet := map[*Node]bool{}
 	for _, n := range g.Nodes {
@@ -74,6 +75,10 @@ func (g *Graph) Validate() error {
 			if c != 1 {
 				return fmt.Errorf("dfg: node %s input %d consumed %d times", n, i, c)
 			}
+		}
+		if n.Kind == KindSplit && n.Split == FileRangeSplit &&
+			(len(n.In) != 1 || n.In[0].From != nil || n.In[0].Source.Kind != BindFile) {
+			return fmt.Errorf("dfg: file-range split %s must read one graph-input file", n)
 		}
 		if err := validateFused(n); err != nil {
 			return err
@@ -173,8 +178,15 @@ func containsEdge(list []*Edge, e *Edge) bool {
 }
 
 func (g *Graph) checkAcyclic() error {
-	// Kahn's algorithm over nodes.
-	indeg := map[*Node]int{}
+	_, err := g.TopoOrder()
+	return err
+}
+
+// TopoOrder returns the nodes in a topological order (Kahn's algorithm:
+// producers before their consumers, ties in node order), or an error
+// when the graph has a cycle.
+func (g *Graph) TopoOrder() ([]*Node, error) {
+	indeg := make(map[*Node]int, len(g.Nodes))
 	for _, n := range g.Nodes {
 		for _, e := range n.In {
 			if e.From != nil {
@@ -182,29 +194,25 @@ func (g *Graph) checkAcyclic() error {
 			}
 		}
 	}
-	var queue []*Node
+	order := make([]*Node, 0, len(g.Nodes))
 	for _, n := range g.Nodes {
 		if indeg[n] == 0 {
-			queue = append(queue, n)
+			order = append(order, n)
 		}
 	}
-	seen := 0
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		seen++
-		for _, e := range n.Out {
+	for i := 0; i < len(order); i++ {
+		for _, e := range order[i].Out {
 			if e.To == nil {
 				continue
 			}
 			indeg[e.To]--
 			if indeg[e.To] == 0 {
-				queue = append(queue, e.To)
+				order = append(order, e.To)
 			}
 		}
 	}
-	if seen != len(g.Nodes) {
-		return fmt.Errorf("dfg: graph has a cycle (%d of %d nodes reachable)", seen, len(g.Nodes))
+	if len(order) != len(g.Nodes) {
+		return nil, fmt.Errorf("dfg: graph has a cycle (%d of %d nodes reachable)", len(order), len(g.Nodes))
 	}
-	return nil
+	return order, nil
 }

@@ -181,7 +181,7 @@ func TestSessionWorkerDeath(t *testing.T) {
 
 	for _, shape := range shapes {
 		request := func(spec *dfg.RemoteSpec, out *collector) *runtime.RemoteRequest {
-			req := &runtime.RemoteRequest{Spec: spec, Out: out, Reg: reg, Dir: dir, Stderr: io.Discard}
+			req := &runtime.RemoteRequest{Spec: spec, Out: out, Reg: reg, FS: commands.OSFS{Dir: dir}, Stderr: io.Discard}
 			for _, in := range shape.ins {
 				req.Ins = append(req.Ins, &sliceSource{chunks: in})
 			}

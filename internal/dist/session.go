@@ -234,7 +234,8 @@ func (w *skipWriter) WriteChunk(b []byte) error {
 
 // wirePlan builds frame 0 for one attempt: the handshake carrying the
 // env-free plan (cached templates are run-independent, so this run's
-// environment snapshot rides beside it), the worker plan-cache key, and
+// environment snapshot and sandbox bit ride beside it), the worker
+// plan-cache key, and
 // the lz4 offer, which depends on the worker's transport. It returns
 // the frame and whether lz4 was offered.
 func (p *Pool) wirePlan(req *runtime.RemoteRequest, name string) ([]byte, bool, error) {
@@ -244,7 +245,7 @@ func (p *Pool) wirePlan(req *runtime.RemoteRequest, name string) ([]byte, bool, 
 	if err != nil {
 		return nil, false, err
 	}
-	hs := wireHandshake{Wire: wireVersion, Key: req.Spec.Key, Env: req.Env, Plan: planRaw}
+	hs := wireHandshake{Wire: wireVersion, Key: req.Spec.Key, Env: req.Env, Sandbox: req.FS.Jail, Plan: planRaw}
 	lz4On := p.compressFor(name)
 	if lz4On {
 		hs.Features = []string{featureLZ4}
@@ -494,6 +495,12 @@ func (l *link) send(ctx context.Context) error {
 			}
 			if err != nil {
 				return runtime.MarkFatal(err)
+			}
+			if len(b) == 0 && s.req.Spec.Streamed {
+				// A byte stream carries no framing tokens, and on this
+				// shape's wire a zero-length frame ends the stream.
+				release()
+				continue
 			}
 			// Retain before sending: once the chunk is on the wire it
 			// must survive for replay whatever happens next.

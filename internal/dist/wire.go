@@ -16,9 +16,11 @@
 // of the payload — and then the payload:
 //
 //	frame 0:  the JSON handshake {"pash_wire":2, "features", "key",
-//	          "env", "plan"} carrying the plan (a dfg.RemoteSpec), the
-//	          coordinator's plan fingerprint (the worker plan-cache
-//	          key), the request environment, and the frame features the
+//	          "env", "sandbox", "plan"} carrying the plan (a
+//	          dfg.RemoteSpec), the coordinator's plan fingerprint (the
+//	          worker plan-cache key), the request environment, the job's
+//	          sandbox bit (the worker then confines the plan's file
+//	          access to its own directory), and the frame features the
 //	          coordinator offers
 //	frame 1…: input chunks (zero-length frames are legal and meaningful
 //	          — rotation tokens for framed plans, end-of-stream
@@ -174,11 +176,14 @@ const (
 // dfg.RemoteSpec; Env rides separately so workers can cache the decoded
 // plan across requests with different environments. Key is the
 // coordinator's plan fingerprint (empty disables worker caching).
+// Sandbox is the job's sandbox bit: the worker confines the plan's file
+// access to its own directory, as the coordinator confines the job's.
 type wireHandshake struct {
 	Wire     int               `json:"pash_wire"`
 	Features []string          `json:"features,omitempty"`
 	Key      string            `json:"key,omitempty"`
 	Env      map[string]string `json:"env,omitempty"`
+	Sandbox  bool              `json:"sandbox,omitempty"`
 	Plan     json.RawMessage   `json:"plan,omitempty"`
 }
 

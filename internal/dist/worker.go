@@ -117,8 +117,11 @@ func (w *Worker) handleExec(rw http.ResponseWriter, r *http.Request) {
 		cacheNote = "miss"
 		w.plans.put(hs.Key, gen, spec, chain)
 	}
+	// A sandboxed job's plan opens files through a filesystem jailed to
+	// this worker's directory, whatever paths the plan names.
+	fs := commands.OSFS{Dir: w.dir, Jail: hs.Sandbox}
 	if chain != nil {
-		chain = chain.WithEnv(hs.Env)
+		chain = chain.Bind(fs, hs.Env)
 	}
 
 	// The worker streams output frames while still reading input
@@ -146,9 +149,9 @@ func (w *Worker) handleExec(rw http.ResponseWriter, r *http.Request) {
 		defer runtime.Contain("worker exec", &err)
 		switch {
 		case spec.Path != "":
-			return w.execRange(rw, flusher, chain, spec, comp)
+			return w.execRange(rw, flusher, chain, spec, fs, comp)
 		case spec.Streamed:
-			return w.execStreamed(r.Context(), rw, flusher, chain, spec, hs.Env, r.Body, lz4On, comp)
+			return w.execStreamed(r.Context(), rw, flusher, chain, spec, fs, hs.Env, r.Body, lz4On, comp)
 		default:
 			return w.execFramed(rw, flusher, chain, r.Body, lz4On, comp)
 		}
@@ -173,7 +176,8 @@ func (w *Worker) decodePlan(raw []byte) (*dfg.RemoteSpec, *runtime.StageChain, e
 		return nil, nil, err
 	}
 	if len(spec.Stages) > 0 {
-		chain, err := runtime.NewStageChain(w.reg, spec.Stages, w.dir, nil, io.Discard)
+		// The template is jailed; every request rebinds its own filesystem.
+		chain, err := runtime.NewStageChain(w.reg, spec.Stages, commands.OSFS{Dir: w.dir, Jail: true}, nil, io.Discard)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -233,14 +237,14 @@ func (w *Worker) execFramed(rw io.Writer, flusher http.Flusher, chain *runtime.S
 
 // execRange self-sources the plan's file slice and streams the
 // transformed bytes back as frames.
-func (w *Worker) execRange(rw io.Writer, flusher http.Flusher, chain *runtime.StageChain, spec *dfg.RemoteSpec, comp *compressor) error {
-	r, err := runtime.OpenRange(w.dir, spec.Path, spec.Slice, spec.Of)
+func (w *Worker) execRange(rw io.Writer, flusher http.Flusher, chain *runtime.StageChain, spec *dfg.RemoteSpec, fs commands.OSFS, comp *compressor) error {
+	r, err := runtime.OpenRange(fs, spec.Path, spec.Slice, spec.Of)
 	if err != nil {
 		return err
 	}
 	defer r.Close()
-	fw := w.outputWriter(rw, flusher, comp)
-	return chain.Stream(r, fw)
+	_, err = chain.Stream(r, w.outputWriter(rw, flusher, comp))
+	return err
 }
 
 // execStreamed runs a contiguous-stream plan: the request body carries
@@ -249,7 +253,7 @@ func (w *Worker) execRange(rw io.Writer, flusher http.Flusher, chain *runtime.St
 // output stream. A feeder goroutine demultiplexes the wire into one
 // in-process pipe per input while the chain (or aggregation tree)
 // consumes them.
-func (w *Worker) execStreamed(ctx context.Context, rw io.Writer, flusher http.Flusher, chain *runtime.StageChain, spec *dfg.RemoteSpec, env map[string]string, body io.Reader, tagged bool, comp *compressor) error {
+func (w *Worker) execStreamed(ctx context.Context, rw io.Writer, flusher http.Flusher, chain *runtime.StageChain, spec *dfg.RemoteSpec, fs commands.OSFS, env map[string]string, body io.Reader, tagged bool, comp *compressor) error {
 	k := 1
 	if spec.Agg != nil {
 		k = len(spec.Branches)
@@ -313,9 +317,9 @@ func (w *Worker) execStreamed(ctx context.Context, rw io.Writer, flusher http.Fl
 	fw := w.outputWriter(rw, flusher, comp)
 	var execErr error
 	if spec.Agg != nil {
-		execErr = runtime.ExecStreamTree(ctx, w.reg, spec, ins, fw, w.dir, env, io.Discard)
+		execErr = runtime.ExecStreamTree(ctx, w.reg, spec, ins, fw, fs, env, io.Discard)
 	} else {
-		execErr = chain.Stream(ins[0], fw)
+		_, execErr = chain.Stream(ins[0], fw)
 	}
 	// Unblock the feeder whatever state it is in, then wait for it: it
 	// reads the request body, which the handler must own again before

@@ -3,9 +3,12 @@ package dist
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 
@@ -93,7 +96,7 @@ func TestBarePlanFrameRejected(t *testing.T) {
 			Framed: true,
 		},
 		Ins: []commands.ChunkReader{&oneChunk{b: []byte("light touch\n")}},
-		Out: &out, Reg: reg, Dir: dir, Stderr: io.Discard,
+		Out: &out, Reg: reg, FS: commands.OSFS{Dir: dir}, Stderr: io.Discard,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -111,5 +114,42 @@ func TestBarePlanFrameRejected(t *testing.T) {
 	}
 	if st := stats[1]; st.Requests != 1 || st.Failures != 0 || !st.Healthy {
 		t.Errorf("surviving worker row = %+v, want 1 clean request", st)
+	}
+}
+
+// TestWorkerJailsSandboxedPlan: the handshake's sandbox bit confines a
+// plan to the worker's own directory. A file-range spec naming a file
+// outside it is refused by the worker and then by the coordinator's
+// local rung — the same jailed filesystem all the way down — while the
+// unsandboxed request reads it, as the shared-fs contract allows.
+func TestWorkerJailsSandboxedPlan(t *testing.T) {
+	outside := t.TempDir()
+	secret := filepath.Join(outside, "secret.txt")
+	if err := os.WriteFile(secret, []byte("secret\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	srv := httptest.NewServer(NewWorker(nil, dir).Handler())
+	t.Cleanup(srv.Close)
+	reg := commands.NewStd()
+	for _, jail := range []bool{false, true} {
+		pool := NewPool(srv.URL)
+		var out sink
+		err := pool.ExecRemote(context.Background(), &runtime.RemoteRequest{
+			Spec: &dfg.RemoteSpec{
+				Worker: srv.URL,
+				Stages: []dfg.FusedStage{{Name: "tr", Args: []string{"a-z", "A-Z"}}},
+				Path:   secret, Slice: 0, Of: 1,
+			},
+			Out: &out, Reg: reg, FS: commands.OSFS{Dir: dir, Jail: jail}, Stderr: io.Discard,
+		})
+		switch {
+		case !jail && (err != nil || out.String() != "SECRET\n"):
+			t.Errorf("unsandboxed: err=%v out=%q", err, out.String())
+		case jail && (!errors.Is(err, commands.ErrJailEscape) || out.Len() != 0):
+			t.Errorf("sandboxed: err=%v out=%q, want ErrJailEscape and no output", err, out.String())
+		case jail && pool.Stats()[0].Failures != 1:
+			t.Errorf("sandboxed: the worker did not refuse the plan itself: %+v", pool.Stats()[0])
+		}
 	}
 }

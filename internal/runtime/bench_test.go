@@ -164,7 +164,7 @@ func BenchmarkSplitStrategies(b *testing.B) {
 			b.Fatal(err)
 		}
 		run(b, func(ws []io.WriteCloser) error {
-			return fileSplit(path, ws)
+			return fileSplit(commands.OSFS{}, path, ws)
 		})
 	})
 }

@@ -295,7 +295,7 @@ func TestRoundRobinGraphMatchesSequential(t *testing.T) {
 		dfg.Apply(g, dfg.Options{Width: 4, Split: true, Eager: dfg.EagerFull})
 		rrSplits := 0
 		for _, n := range g.Nodes {
-			if n.Kind == dfg.KindSplit && n.RoundRobin {
+			if n.Kind == dfg.KindSplit && n.Split == dfg.RoundRobinSplit {
 				rrSplits++
 			}
 		}
@@ -331,7 +331,7 @@ func TestRoundRobinFeedsCommutativeMaps(t *testing.T) {
 		g := buildPipeline(mk()...)
 		dfg.Apply(g, dfg.Options{Width: 4, Split: true, Eager: dfg.EagerFull})
 		for _, n := range g.Nodes {
-			if n.Kind == dfg.KindMerge || (n.Kind == dfg.KindSplit && !n.RoundRobin) {
+			if n.Kind == dfg.KindMerge || (n.Kind == dfg.KindSplit && n.Split != dfg.RoundRobinSplit) {
 				t.Fatalf("%s: planner kept %v in front of a commutative consumer\n%s", name, n, g.Dump())
 			}
 		}

@@ -1,12 +1,10 @@
 package runtime
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,40 +14,11 @@ import (
 	"repro/internal/dfg"
 )
 
-// SplitStrategy selects the executor's implementation for split nodes
-// the planner left unmarked. (Round-robin-marked splits always run
-// round-robin: their framed consumers depend on chunk framing.)
-type SplitStrategy int
-
-// Split strategies.
-const (
-	// SplitAuto uses the seek-based fileSplit for graph-input files when
-	// InputAwareSplit is set, and the barrier generalSplit otherwise.
-	SplitAuto SplitStrategy = iota
-	// SplitGeneral forces the barrier split everywhere.
-	SplitGeneral
-	// SplitFile prefers the seek-based split whenever the split's input
-	// is a graph-input file, regardless of InputAwareSplit.
-	SplitFile
-)
-
-// Config controls graph execution.
+// Config is the environment one job's graphs execute in. What runs is
+// the graph's business alone — split implementations, eager bounds and
+// fusion are planned onto it (internal/dfg) — so a bare Config{Dir: dir}
+// executes any plan exactly as planned.
 type Config struct {
-	// BlockingEager bounds eager buffers at this many bytes (the
-	// Blocking Eager configuration in Fig. 7); 0 means eager edges are
-	// unbounded.
-	BlockingEager int
-	// InputAwareSplit selects the seek-based split for graph-input
-	// files (Par + B.Split in Fig. 7).
-	InputAwareSplit bool
-	// Split picks among the split implementations for unmarked split
-	// nodes; the zero value preserves the InputAwareSplit behaviour.
-	Split SplitStrategy
-	// DisableFusion makes the executor run KindFused nodes as their
-	// original command chain connected by internal pipes instead of the
-	// in-place kernel loop — the A/B switch behind BenchmarkFusion and a
-	// safety valve when a planned stage turns out to have no kernel.
-	DisableFusion bool
 	// Dir is the working directory for file bindings.
 	Dir string
 	// Env is the command environment.
@@ -67,6 +36,10 @@ type Config struct {
 	// Sandbox confines command file access to Dir (absolute paths and
 	// ".." escapes fail) — the execution half of JobLimits.Sandbox.
 	Sandbox bool
+	// DisableFusion is the test switch that proves fused == unfused: the
+	// executor's stage chains (fused nodes, framed replicas) run through
+	// the command implementations instead of their kernels.
+	DisableFusion bool
 }
 
 // StdIO binds the graph's boundary streams.
@@ -121,26 +94,20 @@ type StageTime struct {
 // in-memory streams, boundary edges bound to files or StdIO. It returns
 // when every node has terminated.
 func Execute(ctx context.Context, g *dfg.Graph, reg *commands.Registry, stdio StdIO, cfg Config) (*Result, error) {
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	if stdio.Stdout == nil {
-		stdio.Stdout = io.Discard
-	}
-	if stdio.Stderr == nil {
-		stdio.Stderr = io.Discard
-	}
-	ex := &executor{
-		g: g, reg: reg, stdio: stdio, cfg: cfg,
-		readers: map[*dfg.Edge]io.ReadCloser{},
-		writers: map[*dfg.Edge]io.WriteCloser{},
-		names:   map[*dfg.Edge]string{},
-		meters:  map[*dfg.Node]*int64{},
-	}
-	for _, n := range g.Nodes {
-		ex.meters[n] = new(int64)
-	}
-	return ex.run(ctx)
+	return (&executor{g: g, reg: reg, stdio: stdio, cfg: cfg}).run(ctx)
+}
+
+// Profile executes the graph in measurement mode: the same executor, but
+// nodes run one at a time in topological order over unbounded edge
+// buffers, so each node's wall time is its true compute work — free of
+// the scheduler-queuing noise that concurrent execution on a small host
+// mixes in. The output is byte-identical to Execute's; NodeTimes carry
+// the clean works that the multicore scheduling simulator consumes.
+//
+// Not suitable for graphs with unbounded producers (yes | head): in
+// measurement mode producers run to completion before their consumers.
+func Profile(ctx context.Context, g *dfg.Graph, reg *commands.Registry, stdio StdIO, cfg Config) (*Result, error) {
+	return (&executor{g: g, reg: reg, stdio: stdio, cfg: cfg, sequential: true}).run(ctx)
 }
 
 type executor struct {
@@ -148,6 +115,14 @@ type executor struct {
 	reg   *commands.Registry
 	stdio StdIO
 	cfg   Config
+	// sequential is Profile's scheduling policy: nodes one at a time in
+	// topological order, every internal edge unbounded.
+	sequential bool
+
+	// fs is the job's view of the real filesystem (jailed for a sandboxed
+	// job); overlay adds the graph's edges to it as virtual files.
+	fs      commands.OSFS
+	overlay *overlayFS
 
 	readers map[*dfg.Edge]io.ReadCloser
 	writers map[*dfg.Edge]io.WriteCloser
@@ -155,28 +130,12 @@ type executor struct {
 	meters  map[*dfg.Node]*int64 // blocked ns per node
 	pipes   []*pipe              // internal edge pipes, for traffic totals
 
-	stageMu    sync.Mutex
-	stageTimes map[*dfg.Node][]StageTime // per-stage attribution of fused nodes
+	mu          sync.Mutex
+	firstErr    error
+	finalStatus int
 
 	closers []io.Closer
 	closeMu sync.Mutex
-}
-
-// recordStages stores a fused node's per-stage attribution.
-func (ex *executor) recordStages(n *dfg.Node, st []StageTime) {
-	ex.stageMu.Lock()
-	if ex.stageTimes == nil {
-		ex.stageTimes = map[*dfg.Node][]StageTime{}
-	}
-	ex.stageTimes[n] = st
-	ex.stageMu.Unlock()
-}
-
-// stagesFor reads back a fused node's attribution (nil for plain nodes).
-func (ex *executor) stagesFor(n *dfg.Node) []StageTime {
-	ex.stageMu.Lock()
-	defer ex.stageMu.Unlock()
-	return ex.stageTimes[n]
 }
 
 // traffic sums lifetime byte/chunk movement across the internal pipes.
@@ -195,73 +154,98 @@ func (ex *executor) traffic() (bytes, chunks int64) {
 const virtualPrefix = commands.VirtualStreamPrefix
 
 func (ex *executor) run(ctx context.Context) (*Result, error) {
-	// Materialize edges.
-	osfs := commands.OSFS{Dir: ex.cfg.Dir, Jail: ex.cfg.Sandbox}
-	for _, e := range ex.g.Edges {
-		if err := ex.materialize(e, osfs); err != nil {
-			ex.closeEverything()
-			return nil, err
-		}
+	defer ex.closeEverything()
+	if err := ex.open(); err != nil {
+		return nil, err
 	}
-
-	overlay := &overlayFS{base: osfs, streams: ex.readers, names: ex.names}
-
+	order := ex.g.Nodes
+	if ex.sequential {
+		order, _ = ex.g.TopoOrder() // open has validated the graph: acyclic
+	}
+	nodeTimes := make([]NodeTime, len(order))
+	final := ex.finalNode()
 	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	var finalStatus int
-	nodeTimes := make([]NodeTime, len(ex.g.Nodes))
-	finalNode := ex.finalNode()
-
-	for i, n := range ex.g.Nodes {
-		i, n := i, n
+	for i, n := range order {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			start := time.Now()
-			// Containment boundary: a panic anywhere in this node's
-			// execution — a builtin bug, a user-registered extension
-			// kernel or aggregator, a fused stage — fails this job
-			// alone; the process and every other job survive.
-			err := func() (err error) {
-				defer Contain("node "+n.Name, &err)
-				return ex.runNode(ctx, n, overlay)
-			}()
-			wall := time.Since(start)
-			blocked := time.Duration(atomic.LoadInt64(ex.meters[n]))
-			active := wall - blocked
-			if active < 0 {
-				active = 0
-			}
-			nodeTimes[i] = NodeTime{ID: n.ID, Name: n.Name, Wall: wall, Active: active, Stages: ex.stagesFor(n)}
-			code := commands.ExitCode(err)
-			if err != nil && !isCleanTermination(err) {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = fmt.Errorf("node %s: %w", n, err)
-				}
-				mu.Unlock()
-			}
-			if n == finalNode {
-				mu.Lock()
-				finalStatus = code
-				mu.Unlock()
-			}
-			// The node is done: close its ends of every edge. Closing
-			// unread inputs delivers the SIGPIPE analog upstream —
-			// PaSh's cleanup logic that prevents dangling-FIFO
-			// deadlocks (§5.2).
-			ex.closeNodeEdges(n)
+			nodeTimes[i] = ex.runNode(ctx, n, final)
 		}()
+		if ex.sequential {
+			// One node at a time; the first failure ends the run.
+			if wg.Wait(); ex.firstErr != nil {
+				break
+			}
+		}
 	}
 	wg.Wait()
-	ex.closeEverything()
-	if firstErr != nil {
-		return nil, firstErr
+	if ex.firstErr != nil {
+		return nil, ex.firstErr
 	}
-	res := &Result{ExitCode: finalStatus, NodeCount: len(ex.g.Nodes), NodeTimes: nodeTimes}
+	res := &Result{ExitCode: ex.finalStatus, NodeCount: len(ex.g.Nodes), NodeTimes: nodeTimes}
 	res.BytesMoved, res.ChunksMoved = ex.traffic()
 	return res, nil
+}
+
+// open validates the graph and materializes its edges: after it, every
+// node finds its streams in readers/writers and every virtual name in
+// the overlay.
+func (ex *executor) open() error {
+	if err := ex.g.Validate(); err != nil {
+		return err
+	}
+	if ex.stdio.Stdout == nil {
+		ex.stdio.Stdout = io.Discard
+	}
+	if ex.stdio.Stderr == nil {
+		ex.stdio.Stderr = io.Discard
+	}
+	ex.readers = map[*dfg.Edge]io.ReadCloser{}
+	ex.writers = map[*dfg.Edge]io.WriteCloser{}
+	ex.names = map[*dfg.Edge]string{}
+	ex.meters = map[*dfg.Node]*int64{}
+	for _, n := range ex.g.Nodes {
+		ex.meters[n] = new(int64)
+	}
+	ex.fs = commands.OSFS{Dir: ex.cfg.Dir, Jail: ex.cfg.Sandbox}
+	ex.overlay = &overlayFS{base: ex.fs, streams: map[string]io.ReadCloser{}}
+	for _, e := range ex.g.Edges {
+		if err := ex.materialize(e); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// runNode runs one node to completion and settles its account: its
+// times, its error or status, and its ends of every edge.
+func (ex *executor) runNode(ctx context.Context, n, final *dfg.Node) NodeTime {
+	start := time.Now()
+	// Containment boundary: a panic anywhere in this node's execution — a
+	// builtin bug, a user-registered extension kernel or aggregator, a
+	// chain stage — fails this job alone; the process and every other job
+	// survive.
+	var stages []StageTime
+	err := func() (err error) {
+		defer Contain("node "+n.Name, &err)
+		stages, err = ex.dispatch(ctx, n)
+		return err
+	}()
+	wall := time.Since(start)
+	active := max(wall-time.Duration(atomic.LoadInt64(ex.meters[n])), 0)
+	ex.mu.Lock()
+	if err != nil && !isCleanTermination(err) && ex.firstErr == nil {
+		ex.firstErr = fmt.Errorf("node %s: %w", n, err)
+	}
+	if n == final {
+		ex.finalStatus = commands.ExitCode(err)
+	}
+	ex.mu.Unlock()
+	// The node is done: close its ends of every edge. Closing unread
+	// inputs delivers the SIGPIPE analog upstream — PaSh's cleanup logic
+	// that prevents dangling-FIFO deadlocks (§5.2).
+	ex.closeNodeEdges(n)
+	return NodeTime{ID: n.ID, Name: n.Name, Wall: wall, Active: active, Stages: stages}
 }
 
 // isCleanTermination treats downstream-closed write failures and
@@ -290,14 +274,14 @@ func (ex *executor) finalNode() *dfg.Node {
 	return fallback
 }
 
-func (ex *executor) materialize(e *dfg.Edge, osfs commands.OSFS) error {
+func (ex *executor) materialize(e *dfg.Edge) error {
 	// Producer end.
 	switch {
 	case e.From != nil:
 		// Internal producer: a stream. Created below together with the
 		// consumer end.
 	case e.Source.Kind == dfg.BindFile:
-		f, err := osfs.Open(e.Source.Path)
+		f, err := ex.fs.Open(e.Source.Path)
 		if err != nil {
 			return fmt.Errorf("runtime: input %s: %w", e.Source.Path, err)
 		}
@@ -328,9 +312,9 @@ func (ex *executor) materialize(e *dfg.Edge, osfs commands.OSFS) error {
 			var w io.WriteCloser
 			var err error
 			if e.Sink.Append {
-				w, err = osfs.Append(e.Sink.Path)
+				w, err = ex.fs.Append(e.Sink.Path)
 			} else {
-				w, err = osfs.Create(e.Sink.Path)
+				w, err = ex.fs.Create(e.Sink.Path)
 			}
 			if err != nil {
 				return fmt.Errorf("runtime: output %s: %w", e.Sink.Path, err)
@@ -345,11 +329,11 @@ func (ex *executor) materialize(e *dfg.Edge, osfs commands.OSFS) error {
 			ex.writers[e] = nopWriteCloser{io.Discard}
 		}
 	case e.To != nil && e.From != nil:
-		blocking := 0
-		if e.Eager && ex.cfg.BlockingEager > 0 {
-			blocking = ex.cfg.BlockingEager
+		s := newEdgeStream(e.Eager, e.EagerBytes)
+		if ex.sequential {
+			// A producer must be able to finish before its consumer starts.
+			s = newEdgeStream(true, 0)
 		}
-		s := newEdgeStream(e.Eager, blocking)
 		s.p.readMeter = ex.meters[e.To]
 		s.p.writeMeter = ex.meters[e.From]
 		s.p.budget = ex.cfg.Budget
@@ -367,6 +351,9 @@ func (ex *executor) materialize(e *dfg.Edge, osfs commands.OSFS) error {
 		ex.names[e] = e.Source.Path
 	} else {
 		ex.names[e] = fmt.Sprintf("%s%d", virtualPrefix, e.ID)
+		if r := ex.readers[e]; r != nil {
+			ex.overlay.streams[ex.names[e]] = r
+		}
 	}
 	return nil
 }
@@ -400,21 +387,19 @@ func (ex *executor) closeNodeEdges(n *dfg.Node) {
 	}
 }
 
-// runNode executes one node.
-func (ex *executor) runNode(ctx context.Context, n *dfg.Node, overlay *overlayFS) error {
-	if n.Kind == dfg.KindSplit {
-		return ex.runSplit(n)
-	}
-	if n.Kind == dfg.KindFused {
-		return ex.runFused(n, overlay)
-	}
-	if n.Kind == dfg.KindRemote {
-		return ex.runRemote(ctx, n)
-	}
-	if n.Framed {
-		if err, ok := ex.runFramed(n, overlay); ok {
-			return err
-		}
+// dispatch executes one node by kind; a node that ran as a stage chain
+// through kernels also reports its per-stage attribution.
+func (ex *executor) dispatch(ctx context.Context, n *dfg.Node) ([]StageTime, error) {
+	args := n.ArgStrings(func(i int) string { return ex.names[n.In[i]] })
+	switch {
+	case n.Kind == dfg.KindSplit:
+		return nil, ex.runSplit(n)
+	case n.Kind == dfg.KindFused:
+		return ex.runChain(ctx, n, n.Stages)
+	case n.Kind == dfg.KindRemote:
+		return nil, ex.runRemote(ctx, n)
+	case n.Framed && len(n.In) == 1 && len(n.Out) == 1 && n.StdinInput == 0:
+		return ex.runChain(ctx, n, []dfg.FusedStage{{Name: n.Name, Args: args}})
 	}
 	// Stdout: the (single) output edge; nodes with no outputs write to
 	// the void.
@@ -426,13 +411,12 @@ func (ex *executor) runNode(ctx context.Context, n *dfg.Node, overlay *overlayFS
 	if n.StdinInput >= 0 {
 		stdin = ex.readers[n.In[n.StdinInput]]
 	}
-	args := n.ArgStrings(func(i int) string { return ex.names[n.In[i]] })
 	cctx := &commands.Context{
 		Args:   args,
 		Stdin:  stdin,
 		Stdout: stdout,
 		Stderr: ex.stdio.Stderr,
-		FS:     overlay,
+		FS:     ex.overlay,
 		Env:    ex.cfg.Env,
 	}
 	reg := ex.reg
@@ -443,144 +427,88 @@ func (ex *executor) runNode(ctx context.Context, n *dfg.Node, overlay *overlayFS
 		// user command.
 		reg = commands.Std()
 	}
-	return reg.Run(n.Name, cctx)
+	return nil, reg.Run(n.Name, cctx)
 }
 
-// runSplit dispatches to the right split strategy: round-robin when the
-// planner marked the node (its consumers are framed), the seek-based
-// fileSplit for graph-input files under SplitFile/InputAwareSplit, and
-// the barrier generalSplit otherwise.
+// runChain executes a node that is a chain of stdin-to-stdout stages — a
+// KindFused node's collapsed commands, a framed replica's one — through
+// the one chain runner: once per chunk under the round-robin frame
+// discipline, over the whole stream otherwise, the node's exit status
+// being the last stage's.
+func (ex *executor) runChain(ctx context.Context, n *dfg.Node, stages []dfg.FusedStage) ([]StageTime, error) {
+	chain, err := NewStageChain(ex.reg, stages, ex.overlay, ex.cfg.Env, ex.stdio.Stderr)
+	if err != nil {
+		return nil, err
+	}
+	if ex.cfg.DisableFusion {
+		chain.kpool = nil
+	}
+	if chain.kpool != nil {
+		chain.meters = make([]StageTime, len(stages))
+		for i, st := range stages {
+			chain.meters[i].Name = st.Name
+		}
+	}
+	r, w := ex.readers[n.In[0]], ex.writers[n.Out[0]]
+	if n.Framed {
+		cr, rok := r.(commands.ChunkReader)
+		cw, wok := w.(commands.ChunkWriter)
+		if rok && wok {
+			return chain.meters, chain.PerChunk(ctx, cr, cw)
+		}
+		// No chunk framing on these edges: the stream is one frame.
+	}
+	status, err := chain.Stream(r, w)
+	if err == nil && status != 0 {
+		err = &commands.ExitError{Code: status}
+	}
+	return chain.meters, err
+}
+
+// runSplit runs the split implementation the planner put on the node.
 func (ex *executor) runSplit(n *dfg.Node) error {
 	ws := make([]io.WriteCloser, len(n.Out))
 	for i, e := range n.Out {
 		ws[i] = ex.writers[e]
 	}
 	in := n.In[0]
-	if n.RoundRobin {
-		return splitError(n.ID, roundRobinSplit(ex.readers[in], ws))
-	}
-	fileInput := in.From == nil && in.Source.Kind == dfg.BindFile
-	useFile := fileInput && ex.cfg.Split != SplitGeneral &&
-		(ex.cfg.Split == SplitFile || ex.cfg.InputAwareSplit)
-	if useFile {
-		path := in.Source.Path
-		if !filepath.IsAbs(path) && ex.cfg.Dir != "" {
-			path = filepath.Join(ex.cfg.Dir, path)
-		}
-		// The input edge reader is unused in this mode; close it so any
-		// producer bookkeeping settles.
+	var err error
+	switch n.Split {
+	case dfg.RoundRobinSplit:
+		err = roundRobinSplit(ex.readers[in], ws)
+	case dfg.FileRangeSplit:
+		// Each range opens the file itself; the edge's reader goes unused.
 		ex.readers[in].Close()
-		return splitError(n.ID, fileSplit(path, ws))
+		err = fileSplit(ex.fs, in.Source.Path, ws)
+	default:
+		err = generalSplit(ex.readers[in], ws)
 	}
-	return splitError(n.ID, generalSplit(ex.readers[in], ws))
-}
-
-// chunkCollector accumulates one framed invocation's output into a
-// single owned block, adopting whole chunks when it can.
-type chunkCollector struct{ buf []byte }
-
-func (c *chunkCollector) Write(p []byte) (int, error) {
-	c.buf = append(c.buf, p...)
-	return len(p), nil
-}
-
-func (c *chunkCollector) WriteChunk(b []byte) error {
-	if len(c.buf) == 0 {
-		commands.PutBlock(c.buf)
-		c.buf = b
-		return nil
+	if err != nil {
+		return fmt.Errorf("runtime: split node #%d: %w", n.ID, err)
 	}
-	c.buf = append(c.buf, b...)
-	commands.PutBlock(b)
 	return nil
-}
-
-// runFramed executes a framed replica under the round-robin protocol:
-// the command runs once per input chunk (sound for stateless commands —
-// the same per-chunk independence that justified splitting), and exactly
-// one output chunk is emitted per input chunk, empty ones included, so
-// the downstream merge can restore the original order by rotation. It
-// reports ok=false when the node's edges do not support chunk framing,
-// in which case the caller falls back to a plain streaming run.
-func (ex *executor) runFramed(n *dfg.Node, overlay *overlayFS) (error, bool) {
-	if len(n.In) != 1 || len(n.Out) != 1 || n.StdinInput != 0 {
-		return nil, false
-	}
-	cr, rok := ex.readers[n.In[0]].(commands.ChunkReader)
-	cw, wok := ex.writers[n.Out[0]].(commands.ChunkWriter)
-	if !rok || !wok {
-		return nil, false
-	}
-	args := n.ArgStrings(func(i int) string { return ex.names[n.In[i]] })
-	for {
-		b, release, err := cr.ReadChunk()
-		if err == io.EOF {
-			return nil, true
-		}
-		if err != nil {
-			return err, true
-		}
-		col := &chunkCollector{buf: commands.GetBlock()}
-		cctx := &commands.Context{
-			Args:   args,
-			Stdin:  bytes.NewReader(b),
-			Stdout: col,
-			Stderr: ex.stdio.Stderr,
-			FS:     overlay,
-			Env:    ex.cfg.Env,
-		}
-		runErr := ex.reg.Run(n.Name, cctx)
-		release()
-		if runErr != nil {
-			// Per-chunk non-zero statuses (grep finding nothing in this
-			// chunk) are normal; real failures abort the node.
-			var ee *commands.ExitError
-			if !errors.As(runErr, &ee) {
-				commands.PutBlock(col.buf)
-				return runErr, true
-			}
-		}
-		if werr := cw.WriteChunk(col.buf); werr != nil {
-			return werr, true
-		}
-	}
 }
 
 type nopWriteCloser struct{ io.Writer }
 
 func (nopWriteCloser) Close() error { return nil }
 
-// overlayFS resolves virtual edge names to live streams and passes
-// everything else through to the real filesystem. Commands are none the
-// wiser that some of their "files" are pipes — mirroring how PaSh's
-// generated scripts substitute FIFOs for files.
+// overlayFS resolves virtual stream names to live streams and passes
+// everything else through to the job's real filesystem. Commands are none
+// the wiser that some of their "files" are pipes — mirroring how PaSh's
+// generated scripts substitute FIFOs for files. The executor maps its
+// edges here; a streamed aggregation subtree maps its branch outputs.
 type overlayFS struct {
 	base    commands.OSFS
-	streams map[*dfg.Edge]io.ReadCloser
-	names   map[*dfg.Edge]string
-
-	mu     sync.Mutex
-	byName map[string]io.ReadCloser
+	streams map[string]io.ReadCloser // fixed before any command runs
 }
 
-func (o *overlayFS) index() map[string]io.ReadCloser {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if o.byName == nil {
-		o.byName = make(map[string]io.ReadCloser, len(o.streams))
-		for e, r := range o.streams {
-			o.byName[o.names[e]] = r
-		}
-	}
-	return o.byName
-}
-
-// Open resolves virtual names to edge readers.
+// Open resolves virtual names to their streams.
 func (o *overlayFS) Open(path string) (io.ReadCloser, error) {
+	if r, ok := o.streams[path]; ok {
+		return r, nil
+	}
 	if strings.HasPrefix(path, virtualPrefix) {
-		if r, ok := o.index()[path]; ok {
-			return r, nil
-		}
 		return nil, fmt.Errorf("runtime: unknown stream %s", path)
 	}
 	return o.base.Open(path)

@@ -82,48 +82,6 @@ func randomLinesInput(rng *rand.Rand, n int) string {
 	return sb.String()
 }
 
-// TestFusedMatchesUnfusedExecution is the executor-level property test:
-// the same fused graph run with the kernel loop and with the pipe-chain
-// fallback (Config.DisableFusion) produces identical bytes; so does the
-// graph planned without fusion. Covers sequential and framed
-// round-robin parallel shapes.
-func TestFusedMatchesUnfusedExecution(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 6; trial++ {
-		input := randomLinesInput(rng, rng.Intn(5000))
-		for _, width := range []int{1, 4} {
-			run := func(g *dfg.Graph, cfg Config) string {
-				var out bytes.Buffer
-				_, err := Execute(context.Background(), g, fusedReg(),
-					StdIO{Stdin: strings.NewReader(input), Stdout: &out}, cfg)
-				if err != nil {
-					t.Fatalf("width %d: %v", width, err)
-				}
-				return out.String()
-			}
-			fusedG := buildChainGraph(t, width, dfg.SplitRoundRobin, false, fusedChain...)
-			if countFused(fusedG) == 0 {
-				t.Fatalf("width %d: no fused nodes planned", width)
-			}
-			unfusedG := buildChainGraph(t, width, dfg.SplitRoundRobin, true, fusedChain...)
-			if countFused(unfusedG) != 0 {
-				t.Fatalf("width %d: fusion ran despite DisableFusion", width)
-			}
-
-			fused := run(fusedG, Config{})
-			fallback := run(buildChainGraph(t, width, dfg.SplitRoundRobin, false, fusedChain...), Config{DisableFusion: true})
-			unfused := run(unfusedG, Config{})
-			if fused != unfused {
-				t.Fatalf("trial %d width %d: fused output diverged from unfused graph\nfused:   %q\nunfused: %q",
-					trial, width, clip(fused), clip(unfused))
-			}
-			if fused != fallback {
-				t.Fatalf("trial %d width %d: fused output diverged from runtime fallback", trial, width)
-			}
-		}
-	}
-}
-
 func countFused(g *dfg.Graph) int {
 	n := 0
 	for _, node := range g.Nodes {

@@ -91,20 +91,53 @@ func TestExecuteMeteredActiveLessThanWall(t *testing.T) {
 	}
 }
 
+// TestBlockingEagerConfig: an eager edge's byte bound is the plan's, and
+// the executor builds exactly that buffer — bounded where the planner
+// bounded it, unbounded where it did not, a plain pipe elsewhere;
+// Profile alone makes every internal edge unbounded.
 func TestBlockingEagerConfig(t *testing.T) {
-	g := buildPipeline(
-		dfg.NewNode(dfg.KindCommand, "tr", []dfg.Arg{dfg.Lit("a-z"), dfg.Lit("A-Z")}, annot.Stateless),
-	)
-	dfg.Apply(g, dfg.Options{Width: 2, Split: true, Eager: dfg.EagerBlocking})
-	var out bytes.Buffer
-	_, err := Execute(context.Background(), g, testRegistry(),
-		StdIO{Stdin: strings.NewReader("x\ny\nz\n"), Stdout: &out},
-		Config{BlockingEager: 1 << 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.String() != "X\nY\nZ\n" {
-		t.Errorf("blocking eager output = %q", out.String())
+	const bound = 1 << 16
+	for _, planned := range []int{0, bound} {
+		g := buildPipeline(
+			dfg.NewNode(dfg.KindCommand, "tr", []dfg.Arg{dfg.Lit("a-z"), dfg.Lit("A-Z")}, annot.Stateless),
+		)
+		dfg.Apply(g, dfg.Options{Width: 2, Split: true, Eager: dfg.EagerBlocking, BlockingEagerBytes: planned})
+		for _, sequential := range []bool{false, true} {
+			ex := &executor{g: g, reg: testRegistry(), sequential: sequential}
+			if err := ex.open(); err != nil {
+				t.Fatal(err)
+			}
+			eager := 0
+			for _, e := range g.Edges {
+				if e.From == nil || e.To == nil {
+					continue
+				}
+				want := pipeBufSize
+				if e.Eager {
+					eager++
+					want = planned
+				}
+				if sequential {
+					want = 0
+				}
+				if got := ex.readers[e].(readEnd).p.max; got != want {
+					t.Errorf("planned bound %d, sequential=%v, edge %s (eager=%v): buffer bound %d, want %d",
+						planned, sequential, e, e.Eager, got, want)
+				}
+			}
+			ex.closeEverything()
+			if eager == 0 {
+				t.Fatal("no eager edge planned")
+			}
+		}
+		var out bytes.Buffer
+		if _, err := Execute(context.Background(), g, testRegistry(),
+			StdIO{Stdin: strings.NewReader("x\ny\nz\n"), Stdout: &out}, Config{}); err != nil {
+			t.Fatal(err)
+		}
+		if out.String() != "X\nY\nZ\n" {
+			t.Errorf("planned bound %d: output = %q", planned, out.String())
+		}
 	}
 }
 

@@ -71,12 +71,12 @@ func TestExecuteTransformedStateless(t *testing.T) {
 			dfg.NewNode(dfg.KindCommand, "grep", []dfg.Arg{dfg.Lit("a")}, annot.Stateless),
 			dfg.NewNode(dfg.KindCommand, "tr", []dfg.Arg{dfg.Lit("a-z"), dfg.Lit("A-Z")}, annot.Stateless),
 		)
-		dfg.Apply(g, dfg.Options{Width: 4, Split: true, Eager: eager})
-		cfg := Config{}
+		opts := dfg.Options{Width: 4, Split: true, Eager: eager}
 		if eager == dfg.EagerBlocking {
-			cfg.BlockingEager = 1 << 20
+			opts.BlockingEagerBytes = 1 << 20
 		}
-		got := execGraph(t, g, "apple\nberry\navocado\nbanana\ncherry\napricot\n", cfg)
+		dfg.Apply(g, opts)
+		got := execGraph(t, g, "apple\nberry\navocado\nbanana\ncherry\napricot\n", Config{})
 		if got != "APPLE\nAVOCADO\nBANANA\nAPRICOT\n" {
 			t.Errorf("eager=%v: parallel pipeline = %q", eager, got)
 		}
@@ -146,11 +146,20 @@ func TestInputAwareFileSplit(t *testing.T) {
 		n.StdinInput = 0
 		out := g.AddEdge(&dfg.Edge{From: n, Sink: dfg.Binding{Kind: dfg.BindStdout}})
 		n.Out = append(n.Out, out)
-		dfg.Apply(g, dfg.Options{Width: 4, Split: true, Eager: dfg.EagerFull})
+		dfg.Apply(g, dfg.Options{Width: 4, Split: true, Eager: dfg.EagerFull, InputAwareSplit: aware})
+		want := dfg.BarrierSplit
+		if aware {
+			want = dfg.FileRangeSplit
+		}
+		for _, n := range g.Nodes {
+			if n.Kind == dfg.KindSplit && n.Split != want {
+				t.Fatalf("aware=%v: planned the %v split, want %v", aware, n.Split, want)
+			}
+		}
 
 		var buf bytes.Buffer
 		_, err := Execute(context.Background(), g, testRegistry(),
-			StdIO{Stdout: &buf}, Config{Dir: dir, InputAwareSplit: aware})
+			StdIO{Stdout: &buf}, Config{Dir: dir})
 		if err != nil {
 			t.Fatalf("aware=%v: %v", aware, err)
 		}
@@ -288,7 +297,7 @@ func TestFileSplitAlignment(t *testing.T) {
 			streams[i] = newEdgeStream(true, 0)
 			ws[i] = streams[i].writer()
 		}
-		if err := fileSplit(path, ws); err != nil {
+		if err := fileSplit(commands.OSFS{}, path, ws); err != nil {
 			t.Fatalf("width %d: %v", width, err)
 		}
 		var all strings.Builder

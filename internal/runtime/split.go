@@ -17,8 +17,8 @@ import (
 //     producer and any consumer, but a task-parallelism barrier with
 //     O(input) memory.
 //   - fileSplit (the "input-aware" variant) knows its input is a regular
-//     file of known size: it seeks to newline-aligned byte offsets and
-//     streams each chunk concurrently, never reading the input twice.
+//     file of known size: each output streams one line-aligned byte range
+//     (OpenRange) concurrently, never reading the input twice.
 //   - roundRobinSplit streams ~64 KiB newline-aligned blocks and deals
 //     them to consumers as they arrive: no full-input barrier, O(1)
 //     memory, first block flowing downstream as soon as it is read. Its
@@ -157,53 +157,30 @@ func writeChunkTo(w io.Writer, block []byte) error {
 	return err
 }
 
-// fileSplit divides the file [path] into len(ws) byte ranges aligned to
-// line boundaries and streams each range to its writer concurrently.
-// Alignment rule: each chunk starts right after the first newline at or
-// before its nominal offset (chunk 0 starts at 0), so every line lands in
-// exactly one chunk. A single file descriptor serves both the alignment
-// probes and the concurrent range reads (ReadAt is goroutine-safe).
-func fileSplit(path string, ws []io.WriteCloser) error {
-	f, err := os.Open(path)
-	if err != nil {
-		closeAll(ws)
-		return err
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		closeAll(ws)
-		return err
-	}
-	size := st.Size()
-	n := int64(len(ws))
-	nominal := make([]int64, n+1)
-	for i := int64(0); i <= n; i++ {
-		nominal[i] = size * i / n
-	}
-	// Align offsets to line starts.
-	starts := make([]int64, n+1)
-	starts[0] = 0
-	starts[n] = size
-	for i := int64(1); i < n; i++ {
-		off, err := alignToLineStart(f, nominal[i])
-		if err != nil {
-			closeAll(ws)
-			return err
-		}
-		starts[i] = off
-	}
-	errc := make(chan error, n)
-	for i := int64(0); i < n; i++ {
-		go func(lo, hi int64, w io.WriteCloser) {
+// fileSplit streams the len(ws) line-aligned byte ranges of the file at
+// path to their writers concurrently: output i is OpenRange slice i, the
+// very bytes a file-range worker shard reads.
+func fileSplit(fs commands.OSFS, path string, ws []io.WriteCloser) error {
+	errc := make(chan error, len(ws))
+	for i, w := range ws {
+		go func() {
 			errc <- func() (err error) {
 				defer Contain("split range writer", &err)
-				return streamRange(f, lo, hi, w)
+				defer w.Close()
+				r, err := OpenRange(fs, path, i, len(ws))
+				if err != nil {
+					return err
+				}
+				defer r.Close()
+				if _, err = commands.CopyChunks(w, r); err == ErrDownstreamClosed {
+					err = nil // this consumer hung up; the others are unaffected
+				}
+				return err
 			}()
-		}(starts[i], starts[i+1], ws[i])
+		}()
 	}
 	var first error
-	for i := int64(0); i < n; i++ {
+	for range ws {
 		if err := <-errc; err != nil && first == nil {
 			first = err
 		}
@@ -211,23 +188,64 @@ func fileSplit(path string, ws []io.WriteCloser) error {
 	return first
 }
 
-// alignToLineStart finds the first byte position >= off that begins a
-// line (position 0 or one past a newline), scanning forward with ReadAt
-// on the already-open file.
-func alignToLineStart(f *os.File, off int64) (int64, error) {
-	if off == 0 {
+// OpenRange opens the slice-th of n line-aligned byte ranges of the file
+// at path, resolved through the job's filesystem (a jailed one refuses
+// paths outside its directory). Range i nominally starts at byte
+// size*i/n; alignedOffset moves that to a line start, so every line lands
+// in exactly one range and the ranges concatenate to the file. The
+// coordinator's file split and every worker compute the boundaries
+// independently but identically — the file-range wire plan ships
+// (slice, of), never absolute positions.
+func OpenRange(fs commands.OSFS, path string, slice, of int) (io.ReadCloser, error) {
+	if of < 1 || slice < 0 || slice >= of {
+		return nil, fmt.Errorf("runtime: range %d/%d invalid", slice, of)
+	}
+	path, err := fs.Resolve(path)
+	if err != nil {
+		return nil, err
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	var lo, hi int64
+	st, err := f.Stat()
+	if err == nil {
+		lo, err = alignedOffset(f, st.Size(), slice, of)
+	}
+	if err == nil {
+		hi, err = alignedOffset(f, st.Size(), slice+1, of)
+	}
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return &rangeReader{f: f, pos: lo, hi: hi}, nil
+}
+
+// alignedOffset is the one statement of the file-range alignment rule:
+// range i of n starts at the first line start at or after its nominal
+// offset size*i/n — position 0, or one past a newline, found by scanning
+// forward from the byte before the nominal offset (that byte may be the
+// newline) — and at the end of the file when no later line starts.
+func alignedOffset(f *os.File, size int64, i, n int) (int64, error) {
+	if i <= 0 {
 		return 0, nil
 	}
+	if i >= n {
+		return size, nil
+	}
 	buf := make([]byte, 4096)
-	pos := off - 1 // include the byte before off: it may be the newline
+	pos := size*int64(i)/int64(n) - 1
+	if pos < 0 {
+		return 0, nil
+	}
 	for {
-		n, err := f.ReadAt(buf, pos)
-		for i := 0; i < n; i++ {
-			if buf[i] == '\n' {
-				return pos + int64(i) + 1, nil
-			}
+		k, err := f.ReadAt(buf, pos)
+		if j := bytes.IndexByte(buf[:k], '\n'); j >= 0 {
+			return pos + int64(j) + 1, nil
 		}
-		pos += int64(n)
+		pos += int64(k)
 		if err == io.EOF {
 			return pos, nil
 		}
@@ -237,50 +255,35 @@ func alignToLineStart(f *os.File, off int64) (int64, error) {
 	}
 }
 
-// streamRange copies f[lo:hi) to w in pooled blocks, transferring block
-// ownership when w speaks the chunk protocol. ReadAt keeps the shared
-// descriptor position-independent across the concurrent ranges.
-func streamRange(f *os.File, lo, hi int64, w io.WriteCloser) error {
-	defer w.Close()
-	pos := lo
-	for pos < hi {
-		want := hi - pos
-		if want > commands.BlockSize {
-			want = commands.BlockSize
-		}
-		block := commands.GetBlock()
-		n, err := f.ReadAt(block[:want], pos)
-		if n > 0 {
-			pos += int64(n)
-			if werr := writeChunkTo(w, block[:n]); werr != nil {
-				if werr == ErrDownstreamClosed {
-					return nil
-				}
-				return werr
-			}
-		} else {
-			commands.PutBlock(block)
-		}
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+// rangeReader reads [pos, hi) of f via ReadAt.
+type rangeReader struct {
+	f   *os.File
+	pos int64
+	hi  int64
 }
+
+func (r *rangeReader) Read(p []byte) (int, error) {
+	if r.pos >= r.hi {
+		return 0, io.EOF
+	}
+	if max := r.hi - r.pos; int64(len(p)) > max {
+		p = p[:max]
+	}
+	n, err := r.f.ReadAt(p, r.pos)
+	r.pos += int64(n)
+	if n > 0 {
+		return n, nil // an error with data is met again, alone, by the next Read
+	}
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF // the file ends inside the range: it shrank
+	}
+	return 0, err
+}
+
+func (r *rangeReader) Close() error { return r.f.Close() }
 
 func closeAll(ws []io.WriteCloser) {
 	for _, w := range ws {
 		w.Close()
 	}
-}
-
-// splitError annotates split failures with the node for diagnostics.
-func splitError(nodeID int, err error) error {
-	if err == nil {
-		return nil
-	}
-	return fmt.Errorf("runtime: split node #%d: %w", nodeID, err)
 }

@@ -6,53 +6,31 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strings"
 	"sync"
 
 	"repro/internal/commands"
 	"repro/internal/dfg"
 )
 
-// This file interprets the streamed remote-spec shapes (contiguous
-// per-branch streams, see dfg.RemoteSpec.Streamed) over plain byte
-// streams. It is shared by the dist worker's /exec handler — which
-// demultiplexes wire frames into one io.Reader per input — and the
-// pool's local failover path, which replays retained input through the
-// same functions so the bytes match whatever the dead worker would
-// have produced.
-
-// ExecStreamSpec runs a streamed remote spec over whole byte streams:
-// a linear chain consumes ins[0] through its stages; an aggregation
-// subtree (spec.Agg != nil) runs one branch per input and combines the
-// branch outputs through the aggregate stage. Per-stream non-zero exit
-// statuses are normal and ignored, matching StageChain.Stream.
-func ExecStreamSpec(ctx context.Context, reg *commands.Registry, spec *dfg.RemoteSpec, ins []io.Reader, out io.Writer, dir string, env map[string]string, stderr io.Writer) error {
-	if !spec.Streamed {
-		return errors.New("runtime: spec is not streamed")
-	}
-	if spec.Agg != nil {
-		return ExecStreamTree(ctx, reg, spec, ins, out, dir, env, stderr)
-	}
-	if len(ins) != 1 {
-		return fmt.Errorf("runtime: streamed chain wants 1 input, got %d", len(ins))
-	}
-	chain, err := NewStageChain(reg, spec.Stages, dir, env, stderr)
-	if err != nil {
-		return err
-	}
-	return chain.Stream(ins[0], out)
-}
+// This file interprets the streamed aggregation-subtree shape of a remote
+// spec (see dfg.RemoteSpec.Streamed) over plain byte streams. It is
+// shared by the dist worker's /exec handler — which demultiplexes wire
+// frames into one io.Reader per input — and ExecRemoteLocal, through
+// which the pool's local rung replays retained input, so the bytes match
+// whatever the dead worker would have produced.
 
 // ExecStreamTree runs a streamed aggregation subtree: branch i's stage
 // chain consumes ins[i] into an eager in-process edge stream, and the
 // aggregate stage combines the branch outputs as ordered virtual-file
-// operands — exactly how a local KindAgg node consumes its inputs, so
-// the worker-side and coordinator-side interpretations are
-// byte-identical. Branch buffers are eager (unbounded) because the
-// wire delivers input streams sequentially: branch 0 may finish before
-// branch 1 has a single byte, and a blocking buffer would deadlock the
-// aggregate against the demultiplexer.
-func ExecStreamTree(ctx context.Context, reg *commands.Registry, spec *dfg.RemoteSpec, ins []io.Reader, out io.Writer, dir string, env map[string]string, stderr io.Writer) error {
+// operands — through the same overlay filesystem by which a local
+// KindAgg node consumes its inputs, so the worker-side and
+// coordinator-side interpretations are byte-identical. Branch buffers
+// are eager (unbounded) because the wire delivers input streams
+// sequentially: branch 0 may finish before branch 1 has a single byte,
+// and a blocking buffer would deadlock the aggregate against the
+// demultiplexer. Per-stream non-zero exit statuses are normal and
+// dropped.
+func ExecStreamTree(ctx context.Context, reg *commands.Registry, spec *dfg.RemoteSpec, ins []io.Reader, out io.Writer, fs commands.OSFS, env map[string]string, stderr io.Writer) error {
 	if len(ins) != len(spec.Branches) {
 		return fmt.Errorf("runtime: streamed tree wants %d inputs, got %d", len(spec.Branches), len(ins))
 	}
@@ -65,48 +43,41 @@ func ExecStreamTree(ctx context.Context, reg *commands.Registry, spec *dfg.Remot
 	if stderr == nil {
 		stderr = io.Discard
 	}
+	overlay := &overlayFS{base: fs, streams: make(map[string]io.ReadCloser, len(ins))}
+	args := append(make([]string, 0, len(spec.Agg.Args)+len(ins)), spec.Agg.Args...)
 	streams := make([]*edgeStream, len(ins))
-	names := make([]string, len(ins))
 	for i := range ins {
 		streams[i] = newEdgeStream(true, 0)
-		names[i] = fmt.Sprintf("%stree/%d", commands.VirtualStreamPrefix, i)
+		name := fmt.Sprintf("%stree/%d", virtualPrefix, i)
+		overlay.streams[name] = streams[i].reader()
+		args = append(args, name)
 	}
 	errs := make([]error, len(ins))
 	var wg sync.WaitGroup
 	for i, in := range ins {
-		i, in := i, in
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			w := streams[i].writer()
-			errs[i] = func() (err error) {
-				defer Contain(fmt.Sprintf("stream branch %d", i), &err)
-				if len(spec.Branches[i]) == 0 {
-					_, err := io.Copy(w, in)
-					return err
-				}
-				chain, err := NewStageChain(reg, spec.Branches[i], dir, env, stderr)
-				if err != nil {
-					return err
-				}
-				return chain.Stream(in, w)
-			}()
-			w.Close()
+			defer w.Close()
+			defer Contain(fmt.Sprintf("stream branch %d", i), &errs[i])
+			if len(spec.Branches[i]) == 0 {
+				_, errs[i] = io.Copy(w, in)
+				return
+			}
+			chain, err := NewStageChain(reg, spec.Branches[i], fs, env, stderr)
+			if err == nil {
+				_, err = chain.Stream(in, w)
+			}
+			errs[i] = err
 		}()
-	}
-	fs := &streamFS{base: commands.OSFS{Dir: dir}, streams: make(map[string]io.ReadCloser, len(ins))}
-	args := make([]string, 0, len(spec.Agg.Args)+len(ins))
-	args = append(args, spec.Agg.Args...)
-	for i := range ins {
-		fs.streams[names[i]] = streams[i].reader()
-		args = append(args, names[i])
 	}
 	cctx := &commands.Context{
 		Args:   args,
 		Stdin:  bytes.NewReader(nil),
 		Stdout: out,
 		Stderr: stderr,
-		FS:     fs,
+		FS:     overlay,
 		Env:    env,
 	}
 	aggErr := func() (err error) {
@@ -115,15 +86,12 @@ func ExecStreamTree(ctx context.Context, reg *commands.Registry, spec *dfg.Remot
 	}()
 	// Hang up on any branch still writing (the aggregate may have
 	// stopped early); downstream-closed terminations are clean.
-	for i := range ins {
-		streams[i].reader().Close()
+	for _, s := range streams {
+		s.reader().Close()
 	}
 	wg.Wait()
-	if aggErr != nil {
-		var ee *commands.ExitError
-		if !errors.As(aggErr, &ee) {
-			return aggErr
-		}
+	if _, err := exitStatus(aggErr); err != nil {
+		return err
 	}
 	for _, err := range errs {
 		if err != nil && !isCleanTermination(err) {
@@ -131,38 +99,6 @@ func ExecStreamTree(ctx context.Context, reg *commands.Registry, spec *dfg.Remot
 		}
 	}
 	return nil
-}
-
-// streamFS resolves a streamed tree's virtual operand names to the
-// live branch outputs and passes everything else through to the real
-// filesystem — the worker-side analog of the executor's overlayFS.
-type streamFS struct {
-	base    commands.OSFS
-	streams map[string]io.ReadCloser
-}
-
-func (s *streamFS) Open(path string) (io.ReadCloser, error) {
-	if r, ok := s.streams[path]; ok {
-		return r, nil
-	}
-	if strings.HasPrefix(path, commands.VirtualStreamPrefix) {
-		return nil, fmt.Errorf("runtime: unknown stream %s", path)
-	}
-	return s.base.Open(path)
-}
-
-func (s *streamFS) Create(path string) (io.WriteCloser, error) {
-	if strings.HasPrefix(path, commands.VirtualStreamPrefix) {
-		return nil, fmt.Errorf("runtime: cannot create stream %s", path)
-	}
-	return s.base.Create(path)
-}
-
-func (s *streamFS) Append(path string) (io.WriteCloser, error) {
-	if strings.HasPrefix(path, commands.VirtualStreamPrefix) {
-		return nil, fmt.Errorf("runtime: cannot append to stream %s", path)
-	}
-	return s.base.Append(path)
 }
 
 // ChunkReaderAsReader adapts a chunk-framed stream to a plain

@@ -14,15 +14,15 @@
 //	POST /run?script=<urlencoded script>   body = stdin stream
 //	POST /run                              body = script, stdin empty
 //
-// Per-request planning options ride query parameters or headers
-// (X-Pash-Width, X-Pash-Split, X-Pash-Fusion), overriding the session
-// defaults for that request only:
+// A request may ask for its own parallelism width, as a query parameter
+// or the X-Pash-Width header, overriding the session default for that
+// request only:
 //
 //	width=N        region parallelism width (1..256)
-//	split=MODE     auto | general | rr
-//	fusion=on|off  stage fusion toggle
 //
-// Invalid values are rejected with 400 before execution starts.
+// An invalid value is rejected with 400 before execution starts. How a
+// region is split, fused and buffered is the planner's business, not a
+// tenant's: the daemon exposes no knob for it.
 //
 // The response body streams the script's stdout as it is produced.
 // Because the status line is sent before the script finishes, the exit
@@ -422,54 +422,23 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// requestOptions derives this request's planning options from query
-// parameters (or X-Pash-* headers), starting from the session defaults.
-// It returns nil when the request overrides nothing.
+// requestOptions derives this request's planning options — the session
+// defaults at the width it asks for (width= or X-Pash-Width). It returns
+// nil when the request overrides nothing.
 func requestOptions(sess *pash.Session, r *http.Request) (*pash.Options, error) {
-	q := r.URL.Query()
-	get := func(param, header string) string {
-		if v := q.Get(param); v != "" {
-			return v
-		}
-		return r.Header.Get(header)
+	v := r.URL.Query().Get("width")
+	if v == "" {
+		v = r.Header.Get("X-Pash-Width")
 	}
-	o := sess.Options()
-	changed := false
-	if v := get("width", "X-Pash-Width"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 || n > 256 {
-			return nil, fmt.Errorf("invalid width %q (want 1..256)", v)
-		}
-		o.Width = n
-		changed = true
-	}
-	if v := get("split", "X-Pash-Split"); v != "" {
-		switch v {
-		case "auto":
-			o.SplitMode = pash.SplitAuto
-		case "general":
-			o.SplitMode = pash.SplitGeneral
-		case "rr", "round-robin":
-			o.SplitMode = pash.SplitRoundRobin
-		default:
-			return nil, fmt.Errorf("invalid split mode %q (want auto|general|rr)", v)
-		}
-		changed = true
-	}
-	if v := get("fusion", "X-Pash-Fusion"); v != "" {
-		switch v {
-		case "on", "true", "1":
-			o.DisableFusion = false
-		case "off", "false", "0":
-			o.DisableFusion = true
-		default:
-			return nil, fmt.Errorf("invalid fusion %q (want on|off)", v)
-		}
-		changed = true
-	}
-	if !changed {
+	if v == "" {
 		return nil, nil
 	}
+	n, err := strconv.Atoi(v)
+	if err != nil || n < 1 || n > 256 {
+		return nil, fmt.Errorf("invalid width %q (want 1..256)", v)
+	}
+	o := sess.Options()
+	o.Width = n
 	return &o, nil
 }
 

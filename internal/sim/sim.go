@@ -70,7 +70,7 @@ var blockingCommands = map[string]bool{
 // isBlocking classifies a node for the fluid model. sort -m streams (it
 // is the k-way merge), as do the boundary-fixing aggregators.
 func isBlocking(n *dfg.Node) bool {
-	if n.Kind == dfg.KindSplit && n.RoundRobin {
+	if n.Kind == dfg.KindSplit && n.Split == dfg.RoundRobinSplit {
 		// The streaming round-robin split emits blocks as they arrive;
 		// only the barrier split consumes its whole input first.
 		return false

@@ -274,7 +274,7 @@ func TestExtensionStructure(t *testing.T) {
 					}
 				}
 			}
-			if n.Kind == dfg.KindSplit && n.RoundRobin {
+			if n.Kind == dfg.KindSplit && n.Split == dfg.RoundRobinSplit {
 				rrSplits++
 			}
 		}

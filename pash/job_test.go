@@ -185,6 +185,26 @@ func TestStartWithOptions(t *testing.T) {
 	if def != seq {
 		t.Errorf("per-job width override diverged:\n%q\nvs\n%q", def, seq)
 	}
+	// Every planner option set computes the same bytes from its own plan
+	// (same region fingerprint, a different plan-cache key each).
+	before := s.PlanCacheStats().Misses
+	sets := map[string]func(*Options){
+		"split=general": func(o *Options) { o.SplitMode = SplitGeneral },
+		"split=rr":      func(o *Options) { o.SplitMode = SplitRoundRobin },
+		"fusion=off":    func(o *Options) { o.DisableFusion = true },
+		"input-aware":   func(o *Options) { o.InputAwareSplit = true },
+		"blocking":      func(o *Options) { o.Eager, o.BlockingEagerBytes = EagerBlocking, 1<<16 },
+	}
+	for name, set := range sets {
+		o := DefaultOptions(8)
+		set(&o)
+		if got := run(WithOptions(o)); got != seq {
+			t.Errorf("%s diverged:\n%q\nvs\n%q", name, got, seq)
+		}
+	}
+	if got := s.PlanCacheStats().Misses - before; got != int64(len(sets)) {
+		t.Errorf("%d option sets planned %d new plans, want one each", len(sets), got)
+	}
 	// The override is per-job: the session still plans at width 8.
 	if got := s.Options().Width; got != 8 {
 		t.Errorf("session width mutated by WithOptions: %d", got)

@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/commands"
 )
 
 // TestJobWallTimeout: a runaway script is cancelled at its wall budget
@@ -187,6 +189,57 @@ func TestJobSandbox(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(outside, "created.txt")); !os.IsNotExist(err) {
 		t.Errorf("sandboxed redirect created a file outside the jail: %v", err)
+	}
+}
+
+// TestJobSandboxHoldsWithWorkerPool: the jail is the job's, not one
+// executor's — wherever the plan sends the read (the coordinator's edge,
+// a worker's file range, the pool's local rung, the measuring executor),
+// a file outside Dir fails with ErrJailEscape and no byte of it comes out.
+func TestJobSandboxHoldsWithWorkerPool(t *testing.T) {
+	outside := t.TempDir()
+	secret := filepath.Join(outside, "secret.txt")
+	if err := os.WriteFile(secret, []byte(strings.Repeat("secret\n", 4096)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(outside, "jail")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	pool := func(shared bool, addrs ...string) *WorkerPool {
+		p := NewWorkerPool(addrs...)
+		p.SetSharedFS(shared)
+		p.SetDialTimeout(200 * time.Millisecond)
+		p.SetRetryPolicy(1, time.Millisecond, time.Millisecond)
+		return p
+	}
+	worker := startStreamWorker(t, dir, "w.sock")
+	measure := DefaultOptions(2)
+	measure.MeasureMode = true
+	for _, cell := range []struct {
+		name string
+		opts []StartOption
+	}{
+		{"no pool", nil},
+		{"pool", []StartOption{WithWorkers(pool(false, worker))}},
+		{"shared-fs pool", []StartOption{WithWorkers(pool(true, worker))}},
+		{"shared-fs pool, dead worker", []StartOption{WithWorkers(pool(true, "unix:"+filepath.Join(dir, "dead.sock")))}},
+		{"measure mode", []StartOption{WithOptions(measure)}},
+	} {
+		s := NewSession(DefaultOptions(2))
+		s.Dir = dir
+		var out bytes.Buffer
+		opts := append(cell.opts, WithLimits(JobLimits{Sandbox: true, WallTimeout: 10 * time.Second}))
+		job, err := s.Start(context.Background(), "cat "+secret+" | tr a-z A-Z | head -n 1", JobIO{Stdout: &out}, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code, err := job.Wait(); code == 0 || !errors.Is(err, commands.ErrJailEscape) {
+			t.Errorf("%s: code=%d err=%v, want ErrJailEscape", cell.name, code, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%s: leaked %d bytes from outside the jail: %q", cell.name, out.Len(), out.String())
+		}
 	}
 }
 
