@@ -19,7 +19,11 @@
 //     explicit parallel shell script (§5.2),
 //   - internal/runtime executes graphs with one goroutine per node and
 //     one in-memory pipe per edge,
-//   - internal/commands provides the UNIX command substrate,
+//   - internal/commands provides the UNIX command substrate — and is
+//     the only reader of a command's argv grammar: the verdicts annot
+//     and agg need about one (does this tr keep newlines, is this sed a
+//     map over lines, does this head take K lines) are asked of the
+//     command's own parser,
 //   - internal/agg     the custom aggregators of §3.2,
 //   - internal/sim     projects measured per-node works onto a simulated
 //     multicore machine for the §6 speedup figures.
@@ -57,8 +61,10 @@
 // Linear chains of hot stateless commands (cat, tr, grep, cut, sed,
 // rev) collapse into single dfg.KindFused nodes after the
 // transformations settle: each command contributes a composable kernel
-// (commands.Kernel — a per-block transform, byte-identical to the
-// command), and the runtime executes the whole chain as one goroutine
+// (commands.Kernel — a per-block transform that is the command's own
+// data loop: the command is its argv parser plus one driver that pushes
+// its operands through the kernel), and the runtime executes the whole
+// chain as one goroutine
 // running the composed kernels over pooled blocks with zero
 // intermediate pipes. Framing commutes through fusion, so fused
 // replicas slot between a round-robin split and its order-restoring

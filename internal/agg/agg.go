@@ -80,31 +80,21 @@ func Resolve(name string, flagArgs []string, inv *annot.Invocation) (*dfg.AggSpe
 			AggName: "pash-agg-sum", AggArgs: nil,
 			Associative: true, Commutative: true,
 		}, true
-	case "head":
-		n, ok := inv.Opts.Value("-n")
-		if inv.Opts.Has("-c") || (ok && len(n) > 0 && n[0] == '+') {
-			return nil, false
-		}
-		// head_K(x·x') == head_K(head_K(x)·head_K(x')). The aggregate is
-		// a dedicated primitive rather than head itself because real
-		// multi-file head prints "==> f <==" headers. Prefix-taking is
-		// associative; StopsEarly keeps t2 from planting a draining
+	case "head", "tail":
+		// head_K(x·x') == head_K(head_K(x)·head_K(x')), and likewise for
+		// tail: taking K lines from one end is associative, and the
+		// aggregate is the command itself over the map outputs (head and
+		// tail here print no "==> f <==" headers). Whether the invocation
+		// is such a count, in whatever spelling, is the commands' own
+		// parser's call. StopsEarly keeps t2 from planting a draining
 		// barrier split in front of a command that reads K lines.
-		return &dfg.AggSpec{
-			MapName: "head", MapArgs: flagArgs,
-			AggName: "pash-agg-head", AggArgs: flagArgs,
-			Associative: true, StopsEarly: true,
-		}, true
-	case "tail":
-		n, ok := inv.Opts.Value("-n")
-		if inv.Opts.Has("-c") || (ok && len(n) > 0 && n[0] == '+') {
+		if !commands.HeadTailLines(flagArgs) {
 			return nil, false
 		}
-		// tail_K(x·x') == tail_K(tail_K(x)·tail_K(x')).
 		return &dfg.AggSpec{
-			MapName: "tail", MapArgs: flagArgs,
-			AggName: "pash-agg-tail", AggArgs: flagArgs,
-			Associative: true,
+			MapName: name, MapArgs: flagArgs,
+			AggName: "pash-agg-" + name, AggArgs: flagArgs,
+			Associative: true, StopsEarly: name == "head",
 		}, true
 	case "tac":
 		if len(flagArgs) > 0 {
@@ -144,6 +134,10 @@ func Install(reg *commands.Registry) {
 	reg.Register("pash-agg-sum", aggSum)
 	reg.Register("pash-agg-tac", aggTac)
 	reg.Register("pash-agg-bigrams", aggBigrams)
-	reg.Register("pash-agg-head", aggHead)
-	reg.Register("pash-agg-tail", aggTail)
+	// head and tail aggregate themselves; the pash-agg- names stay what
+	// plans, emitted scripts and pash-prims call them by.
+	for _, name := range []string{"head", "tail"} {
+		f, _ := commands.Std().Lookup(name)
+		reg.Register("pash-agg-"+name, f)
+	}
 }

@@ -114,6 +114,12 @@ func TestMapAggregatePairs(t *testing.T) {
 		{"grep", []string{"-c", "a"}},
 		{"head", []string{"-n", "3"}},
 		{"tail", []string{"-n", "3"}},
+		// Every spelling of the count the commands take, the aggregators
+		// take: they are the commands.
+		{"head", []string{"-n3"}},
+		{"head", []string{"-3"}},
+		{"tail", []string{"-n3"}},
+		{"tail", []string{"-3"}},
 		{"tac", nil},
 		{"bigrams-aux", nil},
 	}
@@ -137,9 +143,12 @@ func TestResolveRefusals(t *testing.T) {
 		{"head", []string{"-n", "+2"}}, // positional
 		{"tail", []string{"-n", "+2"}}, // positional
 		{"head", []string{"-c", "10"}}, // byte counts don't chunk on lines
-		{"uniq", []string{"-d"}},       // boundary semantics unimplemented
-		{"uniq", []string{"-f", "1"}},  // key-skipping unimplemented
-		{"awk", []string{"{print}"}},   // no aggregator for awk
+		{"tail", []string{"-c", "10"}},
+		{"tail", []string{"-n", "x"}}, // a count the command's parser rejects
+		{"head", []string{"--lines=3"}},
+		{"uniq", []string{"-d"}},      // boundary semantics unimplemented
+		{"uniq", []string{"-f", "1"}}, // key-skipping unimplemented
+		{"awk", []string{"{print}"}},  // no aggregator for awk
 	}
 	for _, c := range refuse {
 		inv := stdReg.Classify(c.name, c.argv)

@@ -3,7 +3,6 @@ package agg
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"strconv"
 	"strings"
 
@@ -223,106 +222,6 @@ func aggTac(ctx *commands.Context) error {
 		}
 	}
 	return nil
-}
-
-// aggHead emits the first K lines (-n K, default 10) of its inputs'
-// concatenation — multi-file head without the "==> f <==" headers.
-func aggHead(ctx *commands.Context) error {
-	n, operands, err := parseHeadTailAgg(ctx)
-	if err != nil {
-		return err
-	}
-	readers, cleanup, err := ctx.OpenInputs(operands)
-	if err != nil {
-		return err
-	}
-	defer cleanup()
-	lw := commands.NewLineWriter(ctx.Stdout)
-	defer lw.Flush()
-	count := int64(0)
-	stop := io.EOF
-	err = commands.EachLineReaders(readers, func(line []byte) error {
-		if count >= n {
-			return stop
-		}
-		count++
-		return lw.WriteLine(line)
-	})
-	if err != nil && err != stop {
-		return err
-	}
-	return lw.Flush()
-}
-
-// aggTail emits the last K lines (-n K) of its inputs' concatenation.
-func aggTail(ctx *commands.Context) error {
-	n, operands, err := parseHeadTailAgg(ctx)
-	if err != nil {
-		return err
-	}
-	readers, cleanup, err := ctx.OpenInputs(operands)
-	if err != nil {
-		return err
-	}
-	defer cleanup()
-	if n <= 0 {
-		return nil
-	}
-	ring := make([][]byte, n)
-	total := int64(0)
-	err = commands.EachLineReaders(readers, func(line []byte) error {
-		slot := total % n
-		ring[slot] = append(ring[slot][:0], line...)
-		total++
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	lw := commands.NewLineWriter(ctx.Stdout)
-	defer lw.Flush()
-	start := int64(0)
-	if total > n {
-		start = total - n
-	}
-	for i := start; i < total; i++ {
-		if err := lw.WriteLine(ring[i%n]); err != nil {
-			return err
-		}
-	}
-	return lw.Flush()
-}
-
-func parseHeadTailAgg(ctx *commands.Context) (int64, []string, error) {
-	n := int64(10)
-	var operands []string
-	args := ctx.Args
-	for i := 0; i < len(args); i++ {
-		a := args[i]
-		switch {
-		case strings.HasPrefix(a, "-n"):
-			v := a[2:]
-			if v == "" {
-				i++
-				if i >= len(args) {
-					return 0, nil, ctx.Errorf("-n requires an argument")
-				}
-				v = args[i]
-			}
-			parsed, err := strconv.ParseInt(v, 10, 64)
-			if err != nil {
-				return 0, nil, ctx.Errorf("invalid count %q", v)
-			}
-			n = parsed
-		case a == "-":
-			operands = append(operands, a)
-		case strings.HasPrefix(a, "-"):
-			return 0, nil, ctx.Errorf("unsupported flag %q", a)
-		default:
-			operands = append(operands, a)
-		}
-	}
-	return n, operands, nil
 }
 
 // Marker prefixes for the bigram map/aggregate pair. The map emits its

@@ -92,6 +92,13 @@ func TestFlagRefinement(t *testing.T) {
 		{"sed", []string{"2d"}, NonParallelizable},    // positional address
 		{"sed", []string{"$d"}, NonParallelizable},    // last-line address
 		{"sed", []string{"N;P;D"}, NonParallelizable}, // multi-line state
+		{"sed", []string{"s/;/,/"}, Stateless},        // ';' inside a command is not a separator
+		{"sed", []string{"y/;/,/"}, Stateless},
+		{"sed", []string{"-n", "/7/p"}, Stateless},
+		{"sed", []string{"-e", "1d", "-e", "s/9/X/"}, NonParallelizable}, // every -e counts
+		{"sed", []string{"-e", "s/9/X/", "-e", "5q"}, NonParallelizable},
+		{"sed", []string{"-f", "script.sed"}, NonParallelizable},
+		{"sed", []string{"s/a/b"}, NonParallelizable}, // does not parse: one node reports it
 		{"uniq", nil, Pure},
 		{"uniq", []string{"in", "out"}, SideEffectful},
 		{"wc", []string{"-l"}, Pure},

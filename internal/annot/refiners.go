@@ -1,10 +1,6 @@
 package annot
 
-import (
-	"strings"
-
-	"repro/internal/commands"
-)
+import "repro/internal/commands"
 
 // installRefiners attaches the semantic checks that the declarative DSL
 // cannot express. They only ever *demote* an invocation to a less
@@ -18,95 +14,21 @@ func installRefiners(r *Registry) {
 	r.RegisterRefiner("tr", refineTr)
 }
 
-// refineSed demotes sed invocations whose script is not a per-line map.
-// A sed script is stateless only when each of its commands operates on
-// the pattern space of a single line: s///, y///, p, d, and = are fine;
-// anything touching the hold space (g G h H x), line addressing relative
-// to position (N D P, numeric addresses, $), branching (b t :), or
-// reading/writing files (r w) makes output depend on global line
-// positions, so the invocation drops to NonParallelizable.
+// refineSed demotes sed invocations that are not a map over lines to
+// NonParallelizable. s///, y///, p and d behind no address or a /regex/
+// one act on one line's pattern space alone (-n and s///p included: they
+// only choose what is printed for that line); a numeric or $ address, q
+// and = read the line's position in the whole input, and anything sed
+// does not parse — hold space, branching, r/w, -f, unknown flags — is
+// refused outright, so its usage error comes from one node as at width 1.
+// The verdict is the command's own, over every -e script of the argv:
+// annot does not read sed's script grammar a second time. A bare "sed"
+// is the study's question about the command's default class, not an
+// invocation: nothing to demote.
 func refineSed(inv *Invocation) {
-	if !inv.Class.DataParallelizable() {
-		return
-	}
-	var scripts []string
-	if v, ok := inv.Opts.Value("-e"); ok {
-		scripts = append(scripts, v)
-	}
-	if _, ok := inv.Opts.Value("-f"); ok {
-		// Script in a file: cannot inspect it here; be conservative.
+	if inv.Class.DataParallelizable() && len(inv.Opts.Raw) > 0 && !commands.SedIsLineMap(inv.Opts.Raw) {
 		inv.Class = NonParallelizable
-		return
 	}
-	if len(scripts) == 0 {
-		if len(inv.Opts.Operands) == 0 {
-			// No script at all: degenerate invocation, nothing to demote.
-			return
-		}
-		scripts = append(scripts, inv.Opts.Operands[0])
-	}
-	for _, s := range scripts {
-		if !sedScriptStateless(s) {
-			inv.Class = NonParallelizable
-			return
-		}
-	}
-	// sed -n with only p/s///p remains a stateless filter; sed -n with
-	// anything else already got demoted above.
-}
-
-// sedScriptStateless inspects a sed script for per-line-only commands.
-func sedScriptStateless(script string) bool {
-	for _, part := range strings.Split(script, ";") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		// Reject explicit addresses: digits or $ before the command make
-		// behaviour position-dependent.
-		c := part[0]
-		if c >= '0' && c <= '9' || c == '$' {
-			return false
-		}
-		// A leading /regex/ address is fine (line-local); skip it.
-		if c == '/' {
-			end := indexUnescaped(part[1:], '/')
-			if end < 0 {
-				return false
-			}
-			part = strings.TrimSpace(part[end+2:])
-			if part == "" {
-				return false
-			}
-			c = part[0]
-		}
-		switch c {
-		case 's', 'y':
-			// substitution/transliteration: per-line.
-		case 'p', 'd', '=':
-			// print/delete/line-number: per-line behaviour ('=' prints
-			// input line numbers which are positional — reject).
-			if c == '=' {
-				return false
-			}
-		default:
-			return false
-		}
-	}
-	return true
-}
-
-func indexUnescaped(s string, c byte) int {
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\\' {
-			i++
-			continue
-		}
-		if s[i] == c {
-			return i
-		}
-	}
-	return -1
 }
 
 // refineSort demotes sort -R (random) and sort with unknown long flags

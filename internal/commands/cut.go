@@ -9,8 +9,7 @@ import (
 
 func init() { register("cut", cut) }
 
-// cutSpec is a parsed cut invocation, shared by the command and its
-// kernel so the two can never drift apart.
+// cutSpec is a parsed cut invocation.
 type cutSpec struct {
 	ranges   []cutRange
 	delim    byte
@@ -92,20 +91,26 @@ func cut(ctx *Context) error {
 	if err != nil {
 		return ctx.Errorf("%v", err)
 	}
-	delim, suppress, ranges := spec.delim, spec.suppress, spec.ranges
+	return runKernel(ctx, spec.kernel(), spec.operands)
+}
 
-	readers, cleanup, err := ctx.OpenInputs(spec.operands)
-	if err != nil {
-		return err
+func newCutKernel(args []string) (Kernel, bool) {
+	spec, err := parseCutArgs(args)
+	if err != nil || !stdinOnly(spec.operands) {
+		return nil, false
 	}
-	defer cleanup()
-	lw := NewLineWriter(ctx.Stdout)
-	defer lw.Flush()
+	return spec.kernel(), true
+}
 
-	var out []byte
-	err = EachLineReaders(readers, func(line []byte) error {
-		out = out[:0]
-		if spec.charMode {
+// kernel is cut's per-line body: character mode copies the selected
+// ranges; field mode finds every boundary in one allocation-free scan.
+func (spec *cutSpec) kernel() *lineKernel {
+	ranges, delim, suppress, charMode := spec.ranges, spec.delim, spec.suppress, spec.charMode
+
+	var fields [][2]int // reusable per-line field boundaries
+	k := &lineKernel{}
+	k.perLine = func(out, line []byte) []byte {
+		if charMode {
 			for _, r := range ranges {
 				lo, hi := r.lo, r.hi
 				if lo < 1 {
@@ -118,16 +123,27 @@ func cut(ctx *Context) error {
 					out = append(out, line[lo-1:hi]...)
 				}
 			}
-			return lw.WriteLine(out)
+			return append(out, '\n')
 		}
-		// Field mode.
-		if !bytes.ContainsRune(line, rune(delim)) {
-			if suppress {
-				return nil
+		// Field mode: a single field means the line had no delimiter.
+		fields = fields[:0]
+		start := 0
+		for {
+			i := bytes.IndexByte(line[start:], delim)
+			if i < 0 {
+				fields = append(fields, [2]int{start, len(line)})
+				break
 			}
-			return lw.WriteLine(line)
+			fields = append(fields, [2]int{start, start + i})
+			start += i + 1
 		}
-		fields := bytes.Split(line, []byte{delim})
+		if len(fields) == 1 {
+			if suppress {
+				return out
+			}
+			out = append(out, line...)
+			return append(out, '\n')
+		}
 		first := true
 		for _, r := range ranges {
 			lo, hi := r.lo, r.hi
@@ -137,20 +153,20 @@ func cut(ctx *Context) error {
 			if hi < 0 || hi > len(fields) {
 				hi = len(fields)
 			}
-			for f := lo; f <= hi; f++ {
-				if !first {
-					out = append(out, delim)
-				}
-				out = append(out, fields[f-1]...)
-				first = false
+			if lo > hi {
+				continue
 			}
+			// Fields lo..hi are contiguous in the line with their
+			// delimiters already between them: one copy per range.
+			if !first {
+				out = append(out, delim)
+			}
+			out = append(out, line[fields[lo-1][0]:fields[hi-1][1]]...)
+			first = false
 		}
-		return lw.WriteLine(out)
-	})
-	if err != nil {
-		return err
+		return append(out, '\n')
 	}
-	return lw.Flush()
+	return k
 }
 
 type cutRange struct {

@@ -203,6 +203,93 @@ func buildGrepMatcher(spec *grepSpec) (func(line []byte) bool, *regexp.Regexp, e
 	return matcher, res[0], nil
 }
 
+// grepProgram is a compiled grep invocation: the parsed flags plus the
+// per-line predicate.
+type grepProgram struct {
+	*grepSpec
+	match  func(line []byte) bool
+	only   *regexp.Regexp // -o: print this pattern's matches, not the line
+	silent bool           // -c -l -q: selected lines are counted, not printed
+}
+
+func parseGrepProgram(args []string) (*grepProgram, error) {
+	spec, err := parseGrepArgs(args)
+	if err != nil {
+		return nil, err
+	}
+	g := &grepProgram{grepSpec: spec, silent: spec.count || spec.filesWithMatches || spec.quiet}
+	var first *regexp.Regexp
+	if g.match, first, err = buildGrepMatcher(spec); err != nil {
+		return nil, err
+	}
+	if spec.onlyMatching {
+		g.only = first
+	}
+	return g, nil
+}
+
+// emit is grep's per-line body: it reports whether the line is selected
+// and appends what grep prints for it — the line, or under -o each match,
+// behind the file name and line number when given (name "", lineno 0:
+// none); nothing under -c, -l and -q.
+func (g *grepProgram) emit(out, line []byte, name string, lineno int) ([]byte, bool) {
+	if g.match(line) == g.invert {
+		return out, false
+	}
+	switch {
+	case g.silent:
+	case g.only != nil:
+		for _, m := range g.only.FindAll(line, -1) {
+			out = appendGrepLine(out, m, name, lineno)
+		}
+	default:
+		out = appendGrepLine(out, line, name, lineno)
+	}
+	return out, true
+}
+
+func appendGrepLine(out, text []byte, name string, lineno int) []byte {
+	if name != "" {
+		out = append(append(out, name...), ':')
+	}
+	if lineno > 0 {
+		out = append(strconv.AppendInt(out, int64(lineno), 10), ':')
+	}
+	return append(append(out, text...), '\n')
+}
+
+// kernelForm reports whether the kernel runs the invocation: plain line
+// filtering — the pattern flags (-e -F -E -i -v -w -x) plus -h.
+func (g *grepProgram) kernelForm() bool {
+	return !(g.count || g.lineNums || g.quiet || g.filesWithMatches ||
+		g.onlyMatching || g.forceName || g.maxCount >= 0)
+}
+
+func newGrepKernel(args []string) (Kernel, bool) {
+	g, err := parseGrepProgram(args)
+	if err != nil || !g.kernelForm() || !stdinOnly(g.operands) {
+		return nil, false
+	}
+	return g.kernel(), true
+}
+
+func (g *grepProgram) kernel() *lineKernel {
+	matched := false
+	return &lineKernel{
+		perLine: func(out, line []byte) []byte {
+			out, sel := g.emit(out, line, "", 0)
+			matched = matched || sel
+			return out
+		},
+		status: func() error {
+			if !matched {
+				return &ExitError{Code: 1}
+			}
+			return nil
+		},
+	}
+}
+
 // grep searches inputs for lines matching a pattern. Supported flags:
 // -i (ignore case), -v (invert), -c (count), -n (line numbers),
 // -q (quiet), -l (names of matching files), -w (word match),
@@ -214,100 +301,51 @@ func buildGrepMatcher(spec *grepSpec) (func(line []byte) bool, *regexp.Regexp, e
 // benchmarks rely on. Fixed-string patterns (explicit -F, or patterns
 // without regexp metacharacters) bypass the regexp engine entirely.
 func grep(ctx *Context) error {
-	spec, err := parseGrepArgs(ctx.Args)
+	g, err := parseGrepProgram(ctx.Args)
 	if err != nil {
 		return ctx.Errorf("%v", err)
 	}
-	invert := spec.invert
-	count, lineNums, quiet := spec.count, spec.lineNums, spec.quiet
-	filesWithMatches := spec.filesWithMatches
-	maxCount := spec.maxCount
-	operands := spec.operands
-
-	matcher, onlyRe, err := buildGrepMatcher(spec)
-	if err != nil {
-		return ctx.Errorf("%v", err)
+	showName := (len(g.operands) > 1 || g.forceName) && !g.suppressName
+	if g.kernelForm() && !showName {
+		return runKernel(ctx, g.kernel(), g.operands)
 	}
-	if spec.onlyMatching && onlyRe != nil {
-		lw := NewLineWriter(ctx.Stdout)
-		defer lw.Flush()
-		readers, cleanup, err := ctx.OpenInputs(operands)
-		if err != nil {
-			return err
-		}
-		defer cleanup()
-		matched := false
-		err = EachLineReaders(readers, func(line []byte) error {
-			for _, m := range onlyRe.FindAll(line, -1) {
-				matched = true
-				if err := lw.WriteLine(m); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		if err := lw.Flush(); err != nil {
-			return err
-		}
-		if !matched {
-			return &ExitError{Code: 1}
-		}
-		return nil
-	}
-
+	// What is left counts per file: line numbers, -c and -l totals, the
+	// -m and -q stops, and the name in front of each printed line.
 	lw := NewLineWriter(ctx.Stdout)
 	defer lw.Flush()
-	showName := (len(operands) > 1 || spec.forceName) && !spec.suppressName
 	anyMatch := false
 
-	files := operands
+	files := g.operands
 	if len(files) == 0 {
 		files = []string{"-"}
 	}
-	for _, name := range files {
-		readers, cleanup, err := ctx.OpenInputs(sliceOf(name))
+	stop := fmt.Errorf("grep: stopped early")
+	var out []byte
+	for _, file := range files {
+		readers, cleanup, err := ctx.OpenInputs(sliceOf(file))
 		if err != nil {
 			return err
 		}
-		matches := 0
-		lineno := 0
-		stop := fmt.Errorf("grep: max count reached")
+		name := ""
+		if showName {
+			name = displayName(file)
+		}
+		matches, lineno := 0, 0
 		err = EachLineReaders(readers, func(line []byte) error {
 			lineno++
-			m := matcher(line)
-			if invert {
-				m = !m
+			n := 0
+			if g.lineNums {
+				n = lineno
 			}
-			if !m {
+			var sel bool
+			if out, sel = g.emit(out[:0], line, name, n); !sel {
 				return nil
 			}
 			matches++
-			anyMatch = true
-			if quiet {
-				return stop
+			if _, err := lw.Write(out); err != nil {
+				return err
 			}
-			if !count && !filesWithMatches {
-				if showName {
-					if err := lw.WriteString(displayName(name) + ":"); err != nil {
-						return err
-					}
-				}
-				if lineNums {
-					if err := lw.WriteString(strconv.Itoa(lineno) + ":"); err != nil {
-						return err
-					}
-				}
-				if err := lw.WriteLine(line); err != nil {
-					return err
-				}
-			}
-			if maxCount >= 0 && matches >= maxCount {
-				return stop
-			}
-			if filesWithMatches {
+			if g.quiet || g.filesWithMatches || g.maxCount >= 0 && matches >= g.maxCount {
 				return stop
 			}
 			return nil
@@ -316,21 +354,22 @@ func grep(ctx *Context) error {
 		if err != nil && err != stop {
 			return err
 		}
-		if count {
-			prefix := ""
+		anyMatch = anyMatch || matches > 0
+		if g.count {
+			row := strconv.Itoa(matches) + "\n"
 			if showName {
-				prefix = displayName(name) + ":"
+				row = name + ":" + row
 			}
-			if err := lw.WriteString(prefix + strconv.Itoa(matches) + "\n"); err != nil {
+			if err := lw.WriteString(row); err != nil {
 				return err
 			}
 		}
-		if filesWithMatches && matches > 0 {
-			if err := lw.WriteLine([]byte(displayName(name))); err != nil {
+		if g.filesWithMatches && matches > 0 {
+			if err := lw.WriteLine([]byte(displayName(file))); err != nil {
 				return err
 			}
 		}
-		if quiet && anyMatch {
+		if g.quiet && anyMatch {
 			break
 		}
 	}

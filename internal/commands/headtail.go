@@ -1,6 +1,7 @@
 package commands
 
 import (
+	"fmt"
 	"io"
 	"strconv"
 	"strings"
@@ -11,16 +12,19 @@ func init() {
 	register("tail", tail)
 }
 
+// headTailSpec is a parsed head or tail invocation; the two share one
+// argv grammar.
 type headTailSpec struct {
 	n        int64
 	bytes    bool
-	fromLine bool // tail -n +N
+	fromLine bool // the count was spelled +N (tail -n +N: from line N on)
 	operands []string
 }
 
-func parseHeadTail(ctx *Context, allowPlus bool) (*headTailSpec, error) {
+// parseHeadTail parses head's and tail's argv. Errors are returned plain;
+// the commands wrap them through ctx.Errorf.
+func parseHeadTail(args []string) (*headTailSpec, error) {
 	spec := &headTailSpec{n: 10}
-	args := ctx.Args
 	for i := 0; i < len(args); i++ {
 		a := args[i]
 		grab := func(attached string) (string, error) {
@@ -29,18 +33,18 @@ func parseHeadTail(ctx *Context, allowPlus bool) (*headTailSpec, error) {
 			}
 			i++
 			if i >= len(args) {
-				return "", ctx.Errorf("option %q requires an argument", a)
+				return "", fmt.Errorf("option %q requires an argument", a)
 			}
 			return args[i], nil
 		}
 		parseN := func(v string) error {
-			if allowPlus && strings.HasPrefix(v, "+") {
+			if strings.HasPrefix(v, "+") {
 				spec.fromLine = true
 				v = v[1:]
 			}
 			n, err := strconv.ParseInt(v, 10, 64)
 			if err != nil {
-				return ctx.Errorf("invalid count %q", v)
+				return fmt.Errorf("invalid count %q", v)
 			}
 			spec.n = n
 			return nil
@@ -71,7 +75,7 @@ func parseHeadTail(ctx *Context, allowPlus bool) (*headTailSpec, error) {
 				return nil, err
 			}
 		case strings.HasPrefix(a, "-"):
-			return nil, ctx.Errorf("unsupported flag %q", a)
+			return nil, fmt.Errorf("unsupported flag %q", a)
 		default:
 			spec.operands = append(spec.operands, a)
 		}
@@ -79,11 +83,22 @@ func parseHeadTail(ctx *Context, allowPlus bool) (*headTailSpec, error) {
 	return spec, nil
 }
 
-// head emits the first N lines (-n, default 10) or bytes (-c).
+// HeadTailLines reports whether a head or tail invocation keeps a fixed
+// number of whole lines from its end of the input, in any spelling of the
+// count (-n N, -nN, -N, or the default). Those are the forms the
+// aggregator library parallelizes; byte counts, +N and an argv the
+// commands reject are not.
+func HeadTailLines(args []string) bool {
+	spec, err := parseHeadTail(args)
+	return err == nil && !spec.bytes && !spec.fromLine
+}
+
+// head emits the first N lines (-n, default 10) or bytes (-c) of its
+// inputs' concatenation (no "==> f <==" headers).
 func head(ctx *Context) error {
-	spec, err := parseHeadTail(ctx, false)
+	spec, err := parseHeadTail(ctx.Args)
 	if err != nil {
-		return err
+		return ctx.Errorf("%v", err)
 	}
 	readers, cleanup, err := ctx.OpenInputs(spec.operands)
 	if err != nil {
@@ -124,11 +139,11 @@ func head(ctx *Context) error {
 }
 
 // tail emits the last N lines (-n N), everything from line N on
-// (-n +N), or the last N bytes (-c).
+// (-n +N), or the last N bytes (-c) of its inputs' concatenation.
 func tail(ctx *Context) error {
-	spec, err := parseHeadTail(ctx, true)
+	spec, err := parseHeadTail(ctx.Args)
 	if err != nil {
-		return err
+		return ctx.Errorf("%v", err)
 	}
 	readers, cleanup, err := ctx.OpenInputs(spec.operands)
 	if err != nil {

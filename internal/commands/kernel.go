@@ -2,16 +2,22 @@ package commands
 
 import (
 	"bytes"
+	"io"
 )
 
-// This file defines the composable kernel layer behind stage fusion:
-// the per-block form of the hot stateless commands. A chain like
-// tr | grep | cut normally costs one goroutine and one chunk pipe per
-// stage; the runtime's fused executor instead runs the chain's kernels
-// back to back over pooled blocks in a single goroutine, with zero
-// intermediate pipes. Kernels are therefore written to be byte-identical
-// to their commands (property-tested in kernel_test.go) while avoiding
-// the per-stage staging copies the command implementations pay.
+// This file defines the kernel layer: the per-block form of the hot
+// stateless commands, and the one driver that runs it. A kernel is not a
+// second implementation of its command — it is the command. tr, cut and
+// rev are argv-parse + runKernel; sed and grep run runKernel for every
+// invocation their kernel accepts, and keep a per-line loop of their own
+// only for the position-dependent flags (sed: numeric addresses, p d q =
+// and -n; grep: -n -c -m -q -l -o -H), around the same per-line body the
+// kernel wraps. Each kernel lives next to its command's argv parser.
+//
+// What fusion adds is only the composition: a chain like tr | grep | cut
+// normally costs one goroutine and one chunk pipe per stage; the runtime's
+// StageChain instead runs the chain's kernels back to back over pooled
+// blocks in a single goroutine, with zero intermediate pipes.
 
 // Kernel is a composable streaming transform: the per-block form of a
 // stateless command.
@@ -64,6 +70,48 @@ func KernelCapable(name string, args []string) bool {
 	return ok
 }
 
+// runKernel is the data loop of every kernel-capable command: it opens
+// the operands (standard input when there are none), pushes each reader's
+// blocks through k and hands the output blocks on by ownership transfer.
+// Finish runs at every reader's end, not only the last: an unterminated
+// final line of one file ends before the next file starts, exactly as if
+// the command had run once per file and the outputs were concatenated.
+// The result is the kernel's accumulated status.
+func runKernel(ctx *Context, k Kernel, operands []string) error {
+	readers, cleanup, err := ctx.OpenInputs(operands)
+	if err != nil {
+		return err
+	}
+	defer cleanup()
+	emit := func(out []byte) error {
+		if len(out) == 0 {
+			PutBlock(out)
+			return nil
+		}
+		return writeBlock(ctx.Stdout, out)
+	}
+	for _, r := range readers {
+		for {
+			b, release, err := NextBlock(r)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				return err
+			}
+			out := k.Apply(GetBlock(), b)
+			release()
+			if err := emit(out); err != nil {
+				return err
+			}
+		}
+		if err := emit(k.Finish(GetBlock())); err != nil {
+			return err
+		}
+	}
+	return k.Status()
+}
+
 // stdinOnly reports whether operands name standard input exclusively
 // ("-" or nothing).
 func stdinOnly(operands []string) bool {
@@ -110,7 +158,7 @@ func (ls *lineSplitter) finish(fn func(line []byte)) {
 
 // lineKernel adapts a per-line append function into a Kernel. perLine
 // appends the command's output for one input line (including any
-// trailing newline) to out.
+// trailing newline) to out; it must not retain line.
 type lineKernel struct {
 	ls      lineSplitter
 	perLine func(out, line []byte) []byte
@@ -153,257 +201,6 @@ func newCatKernel(args []string) (Kernel, bool) {
 		}
 	}
 	return identityKernel{}, true
-}
-
-// trKernel runs tr's per-byte state machine. State (squeeze history,
-// final-newline bookkeeping) resets at Finish so framed per-chunk
-// streams behave exactly like independent tr invocations.
-type trKernel struct {
-	p        *trProgram
-	lastOut  int
-	lastIn   byte
-	sawInput bool
-}
-
-func newTrKernel(args []string) (Kernel, bool) {
-	p, err := parseTrProgram(args)
-	if err != nil {
-		return nil, false
-	}
-	return &trKernel{p: p, lastOut: -1, lastIn: '\n'}, true
-}
-
-func (k *trKernel) Apply(out, in []byte) []byte {
-	if len(in) == 0 {
-		return out
-	}
-	k.sawInput = true
-	k.lastIn = in[len(in)-1]
-	p := k.p
-	if !p.del && !p.squeeze {
-		// Specialized translate-only loop: bulk-copy then rewrite in
-		// place through the table, with none of the delete/squeeze
-		// branches — the kind of per-invocation specialization fusion
-		// buys over the general-purpose command loop.
-		n := len(out)
-		out = append(out, in...)
-		seg := out[n:]
-		xlat := &p.xlat
-		for i, c := range seg {
-			seg[i] = xlat[c]
-		}
-		return out
-	}
-	for _, c := range in {
-		if p.del && p.inSet1[c] {
-			continue
-		}
-		nc := c
-		if !p.del && p.inSet1[c] {
-			nc = p.xlat[c]
-		}
-		if p.squeeze && p.inSqueeze[nc] && k.lastOut == int(nc) {
-			continue
-		}
-		out = append(out, nc)
-		k.lastOut = int(nc)
-	}
-	return out
-}
-
-func (k *trKernel) Finish(out []byte) []byte {
-	if k.p.newlineIntact && k.sawInput && k.lastIn != '\n' {
-		if !(k.p.squeeze && k.p.inSqueeze['\n'] && k.lastOut == '\n') {
-			out = append(out, '\n')
-		}
-	}
-	k.lastOut, k.lastIn, k.sawInput = -1, '\n', false
-	return out
-}
-
-func (k *trKernel) Status() error { return nil }
-
-// newGrepKernel supports grep's plain line-filtering forms: pattern
-// flags (-e/-F/-E/-i/-v/-w/-x) plus -h. Output-shaping flags (-c, -n,
-// -l, -o, -q, -m) and file operands fall back to the command.
-func newGrepKernel(args []string) (Kernel, bool) {
-	spec, err := parseGrepArgs(args)
-	if err != nil {
-		return nil, false
-	}
-	if spec.count || spec.lineNums || spec.quiet || spec.filesWithMatches ||
-		spec.onlyMatching || spec.forceName || spec.maxCount >= 0 || !stdinOnly(spec.operands) {
-		return nil, false
-	}
-	matcher, _, err := buildGrepMatcher(spec)
-	if err != nil {
-		return nil, false
-	}
-	invert := spec.invert
-	matched := false
-	k := &lineKernel{}
-	k.perLine = func(out, line []byte) []byte {
-		m := matcher(line)
-		if invert {
-			m = !m
-		}
-		if !m {
-			return out
-		}
-		matched = true
-		out = append(out, line...)
-		return append(out, '\n')
-	}
-	k.status = func() error {
-		if !matched {
-			return &ExitError{Code: 1}
-		}
-		return nil
-	}
-	return k, true
-}
-
-// newCutKernel covers cut's field and character modes, with an
-// allocation-free field scan in place of the command's bytes.Split. It
-// shares the command's argv parser (cutSpec) so the two cannot drift.
-func newCutKernel(args []string) (Kernel, bool) {
-	spec, err := parseCutArgs(args)
-	if err != nil || !stdinOnly(spec.operands) {
-		return nil, false
-	}
-	ranges, delim, suppress, charMode := spec.ranges, spec.delim, spec.suppress, spec.charMode
-
-	var fields [][2]int // reusable per-line field boundaries
-	k := &lineKernel{}
-	k.perLine = func(out, line []byte) []byte {
-		if charMode {
-			for _, r := range ranges {
-				lo, hi := r.lo, r.hi
-				if lo < 1 {
-					lo = 1
-				}
-				if hi < 0 || hi > len(line) {
-					hi = len(line)
-				}
-				if lo <= hi {
-					out = append(out, line[lo-1:hi]...)
-				}
-			}
-			return append(out, '\n')
-		}
-		// Field mode: one scan finds every boundary; a single field
-		// means the line had no delimiter.
-		fields = fields[:0]
-		start := 0
-		for {
-			i := bytes.IndexByte(line[start:], delim)
-			if i < 0 {
-				fields = append(fields, [2]int{start, len(line)})
-				break
-			}
-			fields = append(fields, [2]int{start, start + i})
-			start += i + 1
-		}
-		if len(fields) == 1 {
-			if suppress {
-				return out
-			}
-			out = append(out, line...)
-			return append(out, '\n')
-		}
-		first := true
-		for _, r := range ranges {
-			lo, hi := r.lo, r.hi
-			if lo < 1 {
-				lo = 1
-			}
-			if hi < 0 || hi > len(fields) {
-				hi = len(fields)
-			}
-			if lo > hi {
-				continue
-			}
-			// Fields lo..hi are contiguous in the line with their
-			// delimiters already between them: one copy per range.
-			if !first {
-				out = append(out, delim)
-			}
-			out = append(out, line[fields[lo-1][0]:fields[hi-1][1]]...)
-			first = false
-		}
-		return append(out, '\n')
-	}
-	return k, true
-}
-
-// newSedKernel supports scripts of per-line-stateless commands only:
-// s/// substitutions and y/// transliterations, optionally guarded by a
-// /regex/ address. Line-number addresses, $, p/d/q/=, the s///p flag and
-// -n are position- or stream-dependent and fall back to the command. It
-// shares the command's parsers (sedSpec, parseSedScript).
-func newSedKernel(args []string) (Kernel, bool) {
-	spec, err := parseSedArgs(args)
-	if err != nil || spec.suppress || !stdinOnly(spec.operands) {
-		return nil, false
-	}
-	var prog []sedCmd
-	for _, s := range spec.scripts {
-		cmds, err := parseSedScript(s)
-		if err != nil {
-			return nil, false
-		}
-		prog = append(prog, cmds...)
-	}
-	for i := range prog {
-		c := &prog[i]
-		if c.op != 's' && c.op != 'y' {
-			return nil, false
-		}
-		if c.addrLine > 0 || c.addrLast || c.printSub {
-			return nil, false
-		}
-	}
-
-	k := &lineKernel{}
-	k.perLine = func(out, line []byte) []byte {
-		pattern := append([]byte(nil), line...)
-		for i := range prog {
-			c := &prog[i]
-			if !c.matches(pattern, 0) {
-				continue
-			}
-			switch c.op {
-			case 's':
-				if c.re.Match(pattern) {
-					n := 1
-					if c.global {
-						n = -1
-					}
-					count := 0
-					pattern = replaceAllN(c.re, pattern, c.repl, n, &count)
-				}
-			case 'y':
-				pattern = c.transliterate(pattern)
-			}
-		}
-		out = append(out, pattern...)
-		return append(out, '\n')
-	}
-	return k, true
-}
-
-func newRevKernel(args []string) (Kernel, bool) {
-	if !stdinOnly(args) {
-		return nil, false
-	}
-	k := &lineKernel{}
-	k.perLine = func(out, line []byte) []byte {
-		for i := len(line) - 1; i >= 0; i-- {
-			out = append(out, line[i])
-		}
-		return append(out, '\n')
-	}
-	return k, true
 }
 
 // Compile-time interface checks.

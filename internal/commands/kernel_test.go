@@ -2,9 +2,16 @@ package commands
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"math/rand"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // runCommandOn executes a registered command over input and returns its
@@ -83,37 +90,200 @@ var kernelInputs = []string{
 	strings.Repeat("x", 3*BlockSize) + "\nshort\n", // line longer than a block
 }
 
-// TestKernelCommandEquivalence is the fusion soundness property: every
-// kernel must produce byte-identical output (and the same exit status
-// class) as its command, for any input chunking.
-func TestKernelCommandEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	inputs := append([]string{}, kernelInputs...)
-	// Random inputs: printable-ish bytes with newline sprinkles.
-	for i := 0; i < 20; i++ {
+// randomTexts returns n random inputs: printable-ish bytes with newline
+// sprinkles, the last line unterminated more often than not.
+func randomTexts(rng *rand.Rand, n int) []string {
+	var texts []string
+	for i := 0; i < n; i++ {
 		var sb strings.Builder
-		n := rng.Intn(4000)
-		for j := 0; j < n; j++ {
+		for j := rng.Intn(4000); j > 0; j-- {
 			c := byte(' ' + rng.Intn(95))
 			if rng.Intn(12) == 0 {
 				c = '\n'
 			}
 			sb.WriteByte(c)
 		}
-		inputs = append(inputs, sb.String())
+		texts = append(texts, sb.String())
 	}
+	return texts
+}
+
+// checkChunkingInvariance is the kernel soundness property, with an
+// oracle that is not the kernel's own command (the command is the
+// kernel): one Apply of the whole input followed by Finish must equal the
+// same input pushed through in pieces, for output and status alike.
+func checkChunkingInvariance(t *testing.T, name string, args []string, input string, rng *rand.Rand) {
+	t.Helper()
+	whole, ok := NewKernel(name, args)
+	if !ok {
+		t.Fatalf("NewKernel(%s %v) not capable", name, args)
+	}
+	want := string(whole.Finish(whole.Apply(nil, []byte(input))))
+	wantStatus := ExitCode(whole.Status())
+	for round := 0; round < 4; round++ {
+		got, err := runKernelOn(t, name, args, input, rng)
+		if got != want {
+			t.Fatalf("%s %v on %q: chunked run diverged\nwhole:   %q\nchunked: %q",
+				name, args, clipText(input), clipText(want), clipText(got))
+		}
+		if ExitCode(err) != wantStatus {
+			t.Fatalf("%s %v on %q: exit %d whole vs %d chunked",
+				name, args, clipText(input), wantStatus, ExitCode(err))
+		}
+	}
+}
+
+func clipText(s string) string {
+	if len(s) > 200 {
+		return s[:200] + "..."
+	}
+	return s
+}
+
+// TestKernelChunkingInvariance runs the property over every kernel case
+// and input, among them a line longer than a block and an unterminated
+// last line. That the bytes are also the right ones is for
+// TestKernelsAgainstHostCoreutils and the goldens of commands_test.go,
+// which reach the kernels through Registry.Run.
+func TestKernelChunkingInvariance(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	inputs := append(append([]string{}, kernelInputs...), randomTexts(rng, 20)...)
 	for _, tc := range kernelCases {
-		for i, input := range inputs {
-			want, werr := runCommandOn(t, tc.name, tc.args, input)
-			got, gerr := runKernelOn(t, tc.name, tc.args, input, rng)
-			if want != got {
-				t.Fatalf("%s %v input#%d: kernel diverged\ncommand: %q\nkernel:  %q",
-					tc.name, tc.args, i, want, got)
+		for _, input := range inputs {
+			checkChunkingInvariance(t, tc.name, tc.args, input, rng)
+		}
+	}
+}
+
+// FuzzKernelChunking is the same property with the fuzzer choosing the
+// kernel, the input and the chunking.
+func FuzzKernelChunking(f *testing.F) {
+	for i, input := range kernelInputs {
+		if len(input) < 4096 { // the long-line input would dominate the corpus
+			f.Add(uint8(i*7), []byte(input), int64(i))
+		}
+	}
+	f.Fuzz(func(t *testing.T, which uint8, input []byte, seed int64) {
+		tc := kernelCases[int(which)%len(kernelCases)]
+		checkChunkingInvariance(t, tc.name, tc.args, string(input), rand.New(rand.NewSource(seed)))
+	})
+}
+
+// TestKernelsAgainstHostCoreutils is the differential half: on
+// newline-terminated input, where this substrate and GNU agree, every
+// kernel case — run as its command, through the kernel driver — must
+// print what the host's tool prints under LC_ALL=C, and exit alike.
+func TestKernelsAgainstHostCoreutils(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	var inputs []string
+	for _, input := range append(append([]string{}, kernelInputs...), randomTexts(rng, 8)...) {
+		if input != "" && !strings.HasSuffix(input, "\n") {
+			input += "\n"
+		}
+		inputs = append(inputs, input)
+	}
+	for _, tool := range []string{"tr", "cut", "sed", "grep", "rev"} {
+		t.Run(tool, func(t *testing.T) {
+			path, err := exec.LookPath(tool)
+			if err != nil {
+				t.Skipf("no host %s", tool)
 			}
-			if ExitCode(werr) != ExitCode(gerr) {
-				t.Fatalf("%s %v input#%d: exit %d (command) vs %d (kernel)",
-					tc.name, tc.args, i, ExitCode(werr), ExitCode(gerr))
+			for _, tc := range kernelCases {
+				if tc.name != tool {
+					continue
+				}
+				for _, input := range inputs {
+					cmd := exec.Command(path, tc.args...)
+					cmd.Env = append(os.Environ(), "LC_ALL=C", "LANG=C")
+					cmd.Stdin = strings.NewReader(input)
+					want, herr := cmd.Output()
+					var exit *exec.ExitError
+					if herr != nil && !errors.As(herr, &exit) {
+						t.Fatalf("host %s %v: %v", tool, tc.args, herr)
+					}
+					got, err := runCommandOn(t, tc.name, tc.args, input)
+					if got != string(want) {
+						t.Fatalf("%s %v on %q:\nhost: %q\nours: %q",
+							tool, tc.args, clipText(input), clipText(string(want)), clipText(got))
+					}
+					if ExitCode(err) != cmd.ProcessState.ExitCode() {
+						t.Fatalf("%s %v on %q: exit %d, host %d",
+							tool, tc.args, clipText(input), ExitCode(err), cmd.ProcessState.ExitCode())
+					}
+				}
 			}
+		})
+	}
+}
+
+// tokenSource is a chunk source that interleaves empty framing tokens
+// with its data chunks.
+type tokenSource struct{ chunks [][]byte }
+
+func (s *tokenSource) Read([]byte) (int, error) { panic("chunk sources are read by ReadChunk") }
+
+func (s *tokenSource) ReadChunk() ([]byte, func(), error) {
+	if len(s.chunks) == 0 {
+		return nil, func() {}, io.EOF
+	}
+	b := s.chunks[0]
+	s.chunks = s.chunks[1:]
+	return b, func() {}, nil
+}
+
+// TestNextBlock pins the block reader's two promises: a chunk source's
+// empty framing tokens are dropped, and a plain reader is read once per
+// block, not until the block is full.
+func TestNextBlock(t *testing.T) {
+	drain := func(r io.Reader) (blocks []string) {
+		for {
+			b, release, err := NextBlock(r)
+			if err == io.EOF {
+				return blocks
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			blocks = append(blocks, string(b))
+			release()
+		}
+	}
+	got := drain(&tokenSource{chunks: [][]byte{{}, []byte("ab\n"), {}, {}, []byte("c")}})
+	if want := []string{"ab\n", "c"}; !slices.Equal(got, want) {
+		t.Errorf("chunk source: blocks %q, want %q", got, want)
+	}
+	got = drain(iotest.OneByteReader(strings.NewReader("xyz")))
+	if want := []string{"x", "y", "z"}; !slices.Equal(got, want) {
+		t.Errorf("plain reader: blocks %q, want %q (one Read per block)", got, want)
+	}
+}
+
+// TestKernelDriverReaderBoundaries pins what runKernel guarantees where
+// one operand ends and the next begins: the kernel finishes, so an
+// unterminated last line ends there instead of gluing onto the next
+// file's first line, and "-" takes standard input in its turn.
+func TestKernelDriverReaderBoundaries(t *testing.T) {
+	dir := t.TempDir()
+	must(t, os.WriteFile(filepath.Join(dir, "f1"), []byte("a b\nc d"), 0o644))
+	must(t, os.WriteFile(filepath.Join(dir, "f2"), []byte("e f\n"), 0o644))
+	cases := []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"cut", []string{"-d", " ", "-f1", "f1", "-", "f2"}, "a\nc\nx\ne\n"},
+		{"rev", []string{"f1", "-", "f2"}, "b a\nd c\ny x\nf e\n"},
+		{"sed", []string{"s/ /_/", "f1", "-", "f2"}, "a_b\nc_d\nx_y\ne_f\n"},
+		{"grep", []string{"-h", "-v", "a", "f1", "-", "f2"}, "c d\nx y\ne f\n"},
+	}
+	for _, c := range cases {
+		var out bytes.Buffer
+		ctx := &Context{Args: c.args, Stdin: strings.NewReader("x y"), Stdout: &out, FS: OSFS{Dir: dir}}
+		if err := Std().Run(c.name, ctx); err != nil {
+			t.Errorf("%s %v: %v", c.name, c.args, err)
+		}
+		if out.String() != c.want {
+			t.Errorf("%s %v = %q, want %q", c.name, c.args, out.String(), c.want)
 		}
 	}
 }

@@ -131,10 +131,41 @@ func CopyChunks(dst io.Writer, src io.Reader) (int64, error) {
 	}
 }
 
+// NextBlock returns the next block of r with its ownership: a
+// ChunkReader's next chunk, or one Read's worth of any other reader in a
+// pooled block. It is the one block reader under the line helpers, the
+// kernel driver and the runtime's fused loop. A single Read fills a block,
+// never ReadFull — waiting for a full block would stall line delivery on
+// slow streaming sources — and a chunk source's empty framing tokens are
+// not data and are dropped, so b is never empty. release follows the
+// ChunkReader contract; err is io.EOF at end of stream. A read error that
+// arrives together with bytes is reported by the following call.
+func NextBlock(r io.Reader) (b []byte, release func(), err error) {
+	if cr, ok := r.(ChunkReader); ok {
+		for {
+			b, release, err = cr.ReadChunk()
+			if err != nil || len(b) > 0 {
+				return b, release, err
+			}
+			release()
+		}
+	}
+	b = GetBlock()
+	n := 0
+	for n == 0 && err == nil {
+		n, err = r.Read(b[:BlockSize])
+	}
+	if n == 0 {
+		PutBlock(b)
+		return nil, func() {}, err
+	}
+	b = b[:n]
+	return b, func() { PutBlock(b) }, nil
+}
+
 // EachLineBlock streams r as newline-aligned blocks: every block handed
 // to fn ends with '\n' except possibly the last (a final unterminated
-// line is delivered as-is); a chunk source's empty framing tokens are not
-// blocks of lines and are dropped. Ownership of each block transfers to fn,
+// line is delivered as-is). Ownership of each block transfers to fn,
 // which must recycle it with PutBlock or pass it onward (e.g. through a
 // ChunkWriter). This is the entry point for near-memcpy stages: combined
 // with chunk-capable pipes, a block can travel producer → consumer
@@ -150,94 +181,39 @@ func EachLineBlock(r io.Reader, fn func(block []byte) error) error {
 		carry = nil
 		return fn(merged)
 	}
-	flushCarry := func() error {
-		if carry == nil {
-			return nil
-		}
-		b := carry
-		carry = nil
-		return fn(b)
-	}
-
-	if cr, ok := r.(ChunkReader); ok {
-		for {
-			b, release, err := cr.ReadChunk()
-			if err == io.EOF {
-				return flushCarry()
-			}
-			if err != nil {
-				if carry != nil {
-					PutBlock(carry)
-				}
-				return err
-			}
-			if len(b) == 0 {
-				release() // a framed producer's ordering token: not a block of lines
-				continue
-			}
-			// The pipe hands us the block's ownership; fold release into
-			// PutBlock semantics by copying out of sub-sliced blocks.
-			cut := bytes.LastIndexByte(b, '\n')
-			switch {
-			case cut == len(b)-1:
-				if ferr := emitOwned(b, release, emit); ferr != nil {
-					return ferr
-				}
-			case cut < 0:
-				carry = append(carryOrNew(carry), b...)
-				release()
-			default:
-				head := b[:cut+1]
-				tail := b[cut+1:]
-				nc := append(GetBlock(), tail...)
-				if ferr := emitHead(head, b, release, emit); ferr != nil {
-					PutBlock(nc)
-					return ferr
-				}
-				carry = nc
-			}
-		}
-	}
-
 	for {
-		// A single Read per block: waiting to fill the block (ReadFull)
-		// would stall line delivery on slow streaming sources.
-		b := GetBlock()
-		var n int
-		var err error
-		for n == 0 && err == nil {
-			n, err = r.Read(b[:BlockSize])
-		}
-		b = b[:n]
-		if n > 0 {
-			cut := bytes.LastIndexByte(b, '\n')
-			switch {
-			case cut == len(b)-1:
-				if ferr := emit(b); ferr != nil {
-					return ferr
-				}
-			case cut < 0:
-				carry = append(carryOrNew(carry), b...)
-				PutBlock(b)
-			default:
-				nc := append(GetBlock(), b[cut+1:]...)
-				if ferr := emit(b[:cut+1]); ferr != nil {
-					PutBlock(nc)
-					return ferr
-				}
-				carry = nc
-			}
-		} else {
-			PutBlock(b)
-		}
+		b, release, err := NextBlock(r)
 		if err == io.EOF {
-			return flushCarry()
+			if carry == nil {
+				return nil
+			}
+			b, carry = carry, nil
+			return fn(b)
 		}
 		if err != nil {
 			if carry != nil {
 				PutBlock(carry)
 			}
 			return err
+		}
+		// The source hands us the block's ownership; fold release into
+		// PutBlock semantics by copying out of sub-sliced blocks.
+		cut := bytes.LastIndexByte(b, '\n')
+		switch {
+		case cut == len(b)-1:
+			if ferr := emitOwned(b, release, emit); ferr != nil {
+				return ferr
+			}
+		case cut < 0:
+			carry = append(carryOrNew(carry), b...)
+			release()
+		default:
+			nc := append(GetBlock(), b[cut+1:]...)
+			if ferr := emitHead(b[:cut+1], b, release, emit); ferr != nil {
+				PutBlock(nc)
+				return ferr
+			}
+			carry = nc
 		}
 	}
 }
@@ -278,40 +254,26 @@ func emitHead(head, orig []byte, release func(), emit func([]byte) error) error 
 	return emit(nb)
 }
 
-// blockScanner pulls newline-delimited lines out of a stream using
-// pooled blocks, preferring zero-copy chunk reads when the source
-// supports them. It is the engine behind EachLine and LineIter.
+// blockScanner pulls newline-delimited lines out of a stream block by
+// block (NextBlock). It is the engine behind EachLine and LineIter.
 type blockScanner struct {
-	cr      ChunkReader
 	r       io.Reader
 	blk     []byte // current block (owned)
-	release func() // pipe release for blk, when from a ChunkReader
+	release func() // recycles blk
 	off     int
 	pending []byte // partial line spanning blocks
 	err     error
 	eof     bool
 }
 
-func newBlockScanner(r io.Reader) *blockScanner {
-	if cr, ok := r.(ChunkReader); ok {
-		return &blockScanner{cr: cr}
-	}
-	return &blockScanner{r: r}
-}
+func newBlockScanner(r io.Reader) *blockScanner { return &blockScanner{r: r} }
 
 // dropBlock recycles the current block.
 func (s *blockScanner) dropBlock() {
-	if s.blk == nil {
-		return
-	}
-	if s.release != nil {
+	if s.blk != nil {
 		s.release()
-		s.release = nil
-	} else {
-		PutBlock(s.blk)
+		s.blk, s.off = nil, 0
 	}
-	s.blk = nil
-	s.off = 0
 }
 
 // fill loads the next block. It reports false at EOF or on error.
@@ -320,49 +282,15 @@ func (s *blockScanner) fill() bool {
 	if s.eof {
 		return false
 	}
-	if s.cr != nil {
-		for {
-			b, release, err := s.cr.ReadChunk()
-			if err == io.EOF {
-				s.eof = true
-				return false
-			}
-			if err != nil {
-				s.err = err
-				s.eof = true
-				return false
-			}
-			if len(b) == 0 {
-				release() // framing token: invisible to byte consumers
-				continue
-			}
-			s.blk, s.release, s.off = b, release, 0
-			return true
-		}
-	}
-	// A single Read per block (not ReadFull): waiting to fill the block
-	// would stall line delivery on slow streaming sources.
-	b := GetBlock()
-	var n int
-	var err error
-	for n == 0 && err == nil {
-		n, err = s.r.Read(b[:BlockSize])
-	}
-	if n == 0 {
-		PutBlock(b)
+	b, release, err := NextBlock(s.r)
+	if err != nil {
 		s.eof = true
 		if err != io.EOF {
 			s.err = err
 		}
 		return false
 	}
-	if err == io.EOF {
-		s.eof = true
-	} else if err != nil {
-		s.err = err
-		s.eof = true
-	}
-	s.blk, s.release, s.off = b[:n], nil, 0
+	s.blk, s.release, s.off = b, release, 0
 	return true
 }
 
@@ -437,9 +365,7 @@ type LineWriter struct {
 // NewLineWriter wraps w.
 func NewLineWriter(w io.Writer) *LineWriter {
 	lw := &LineWriter{w: w, buf: GetBlock()}
-	if cw, ok := w.(ChunkWriter); ok {
-		lw.cw = cw
-	}
+	lw.cw, _ = w.(ChunkWriter)
 	return lw
 }
 
@@ -534,10 +460,16 @@ func (lw *LineWriter) WriteChunk(b []byte) error {
 		PutBlock(b)
 		return err
 	}
-	if lw.cw != nil {
-		return lw.cw.WriteChunk(b)
+	return writeBlock(lw.w, b)
+}
+
+// writeBlock hands an owned block to w: by ownership transfer when w
+// takes chunks, else its bytes are written and the block recycled.
+func writeBlock(w io.Writer, b []byte) error {
+	if cw, ok := w.(ChunkWriter); ok {
+		return cw.WriteChunk(b)
 	}
-	_, err := lw.w.Write(b)
+	_, err := w.Write(b)
 	PutBlock(b)
 	return err
 }
@@ -617,11 +549,6 @@ func ReadAllLines(r io.Reader) ([][]byte, error) {
 		arena = arena[i+1:]
 	}
 	return lines, nil
-}
-
-// CopyLines streams r to lw unchanged.
-func CopyLines(r io.Reader, lw *LineWriter) error {
-	return EachLine(r, lw.WriteLine)
 }
 
 // LineIter is a pull-based line iterator. Unlike EachLine it lets callers

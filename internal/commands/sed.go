@@ -16,22 +16,17 @@ func init() { register("sed", sed) }
 // single script operand. Patterns use Go RE2 syntax with the common BRE
 // group spelling \(...\) translated.
 func sed(ctx *Context) error {
-	spec, err := parseSedArgs(ctx.Args)
+	p, err := parseSedProgram(ctx.Args)
 	if err != nil {
 		return ctx.Errorf("%v", err)
 	}
-	suppress := spec.suppress
-
-	var prog []sedCmd
-	for _, s := range spec.scripts {
-		cmds, err := parseSedScript(s)
-		if err != nil {
-			return ctx.Errorf("%v", err)
-		}
-		prog = append(prog, cmds...)
+	if p.kernelForm() {
+		return runKernel(ctx, p.kernel(), p.operands)
 	}
-
-	readers, cleanup, err := ctx.OpenInputs(spec.operands)
+	// What is left needs the line's position in the whole input: numeric
+	// addresses, =, q, and the script forms that print other than one line
+	// per line.
+	readers, cleanup, err := ctx.OpenInputs(p.operands)
 	if err != nil {
 		return err
 	}
@@ -40,71 +35,46 @@ func sed(ctx *Context) error {
 	defer lw.Flush()
 
 	lineNo := 0
-	quit := fmt.Errorf("sed: quit")
+	errQuit := fmt.Errorf("sed: quit")
+	var out []byte
 	err = EachLineReaders(readers, func(line []byte) error {
 		lineNo++
-		pattern := append([]byte(nil), line...)
-		deleted := false
-		quitAfter := false
-		for _, c := range prog {
-			if !c.matches(pattern, lineNo) {
-				continue
-			}
-			switch c.op {
-			case 's':
-				pattern = c.substitute(pattern, lw, suppress)
-			case 'y':
-				pattern = c.transliterate(pattern)
-			case 'p':
-				if err := lw.WriteLine(pattern); err != nil {
-					return err
-				}
-			case 'd':
-				deleted = true
-			case 'q':
-				quitAfter = true
-			case '=':
-				if err := lw.WriteString(strconv.Itoa(lineNo) + "\n"); err != nil {
-					return err
-				}
-			}
-			if deleted {
-				break
-			}
+		var quit bool
+		out, quit = p.step(out[:0], line, lineNo)
+		if _, err := lw.Write(out); err != nil {
+			return err
 		}
-		if !deleted && !suppress {
-			if err := lw.WriteLine(pattern); err != nil {
-				return err
-			}
-		}
-		if quitAfter {
-			return quit
+		if quit {
+			return errQuit
 		}
 		return nil
 	})
-	if err != nil && err != quit {
+	if err != nil && err != errQuit {
 		return err
 	}
 	return lw.Flush()
 }
 
-// sedSpec is a parsed sed invocation, shared by the command and its
-// kernel so the accepted flag surface cannot drift between them.
-type sedSpec struct {
-	scripts  []string
-	suppress bool
+// sedProgram is a parsed sed invocation: every -e script (or the script
+// operand) compiled in order. It is the one reading of sed's grammar —
+// the command, the kernel and the annotation verdict all ask it.
+type sedProgram struct {
+	cmds     []sedCmd
+	suppress bool // -n
 	operands []string
 }
 
-// parseSedArgs parses sed's flags and resolves the script operand.
-// Errors are returned plain; the command path wraps them via ctx.Errorf.
-func parseSedArgs(args []string) (*sedSpec, error) {
-	spec := &sedSpec{}
+// parseSedProgram parses sed's flags, resolves the script operand and
+// compiles the scripts. Errors are returned plain; the command wraps
+// them via ctx.Errorf.
+func parseSedProgram(args []string) (*sedProgram, error) {
+	p := &sedProgram{}
+	var scripts []string
 	for i := 0; i < len(args); i++ {
 		a := args[i]
 		switch {
 		case a == "-n":
-			spec.suppress = true
+			p.suppress = true
 		case a == "-E" || a == "-r":
 			// ERE selected; our engine is RE2 either way.
 		case a == "-e":
@@ -112,25 +82,119 @@ func parseSedArgs(args []string) (*sedSpec, error) {
 			if i >= len(args) {
 				return nil, fmt.Errorf("-e requires an argument")
 			}
-			spec.scripts = append(spec.scripts, args[i])
+			scripts = append(scripts, args[i])
 		case strings.HasPrefix(a, "-e"):
-			spec.scripts = append(spec.scripts, a[2:])
+			scripts = append(scripts, a[2:])
 		case a == "-i":
 			return nil, fmt.Errorf("-i (in-place) is not supported")
 		case a == "-" || !strings.HasPrefix(a, "-"):
-			spec.operands = append(spec.operands, a)
+			p.operands = append(p.operands, a)
 		default:
 			return nil, fmt.Errorf("unsupported flag %q", a)
 		}
 	}
-	if len(spec.scripts) == 0 {
-		if len(spec.operands) == 0 {
+	if len(scripts) == 0 {
+		if len(p.operands) == 0 {
 			return nil, fmt.Errorf("missing script")
 		}
-		spec.scripts = append(spec.scripts, spec.operands[0])
-		spec.operands = spec.operands[1:]
+		scripts, p.operands = p.operands[:1], p.operands[1:]
 	}
-	return spec, nil
+	for _, s := range scripts {
+		cmds, err := parseSedScript(s)
+		if err != nil {
+			return nil, err
+		}
+		p.cmds = append(p.cmds, cmds...)
+	}
+	return p, nil
+}
+
+// lineMap reports whether the program is a map over lines: what it
+// prints for a line depends on that line alone. s, y, p and d behind no
+// address or a /regex/ one are; a numeric address, q and = read the
+// line's position in the whole input.
+func (p *sedProgram) lineMap() bool {
+	for i := range p.cmds {
+		c := &p.cmds[i]
+		if !strings.ContainsRune("sypd", rune(c.op)) || c.addrLine > 0 || c.addrLast {
+			return false
+		}
+	}
+	return true
+}
+
+// SedIsLineMap reports whether a sed invocation maps each input line to
+// its output independently of every other line, so that running it over
+// line-aligned chunks and concatenating reproduces the whole run. The
+// annotation library classifies sed by it, over all of the invocation's
+// -e scripts. An invocation sed itself rejects (-f included) is not one:
+// its usage error should come from one node, as at width 1.
+func SedIsLineMap(args []string) bool {
+	p, err := parseSedProgram(args)
+	return err == nil && p.lineMap()
+}
+
+// kernelForm reports whether the kernel runs the program: a line map
+// that prints exactly one line per line (s and y only, no s///p, no -n).
+func (p *sedProgram) kernelForm() bool {
+	for i := range p.cmds {
+		if c := &p.cmds[i]; (c.op != 's' && c.op != 'y') || c.printSub {
+			return false
+		}
+	}
+	return !p.suppress && p.lineMap()
+}
+
+func newSedKernel(args []string) (Kernel, bool) {
+	p, err := parseSedProgram(args)
+	if err != nil || !p.kernelForm() || !stdinOnly(p.operands) {
+		return nil, false
+	}
+	return p.kernel(), true
+}
+
+func (p *sedProgram) kernel() *lineKernel {
+	return &lineKernel{perLine: func(out, line []byte) []byte {
+		out, _ = p.step(out, line, 0)
+		return out
+	}}
+}
+
+// step is sed's per-line body: it runs the script over one input line,
+// appends everything sed prints for it to out, and reports whether a q
+// asked to stop after this line. Nothing edits the pattern space in
+// place, so it can start out as the input line itself.
+func (p *sedProgram) step(out, line []byte, lineNo int) (_ []byte, quit bool) {
+	pattern := line
+	for i := range p.cmds {
+		c := &p.cmds[i]
+		if !c.matches(pattern, lineNo) {
+			continue
+		}
+		switch c.op {
+		case 's':
+			if c.re.Match(pattern) {
+				pattern = c.substitute(pattern)
+				if c.printSub {
+					out = append(append(out, pattern...), '\n')
+				}
+			}
+		case 'y':
+			pattern = c.transliterate(pattern)
+		case 'p':
+			out = append(append(out, pattern...), '\n')
+		case 'd':
+			return out, quit
+		case 'q':
+			quit = true
+		case '=':
+			out = append(strconv.AppendInt(out, int64(lineNo), 10), '\n')
+		}
+	}
+	if !p.suppress {
+		out = append(append(out, pattern...), '\n')
+	}
+	return out, quit
 }
 
 type sedCmd struct {
@@ -159,39 +223,26 @@ func (c *sedCmd) matches(line []byte, lineNo int) bool {
 	return true
 }
 
-func (c *sedCmd) substitute(line []byte, lw *LineWriter, suppress bool) []byte {
-	if !c.re.Match(line) {
-		return line
-	}
+// substitute replaces the first match of the s command's pattern in
+// line (every match under the g flag), expanding & and \1..\9.
+func (c *sedCmd) substitute(line []byte) []byte {
 	n := 1
 	if c.global {
 		n = -1
 	}
-	count := 0
-	out := replaceAllN(c.re, line, c.repl, n, &count)
-	if c.printSub && count > 0 {
-		lw.WriteLine(out) //nolint:errcheck // flushed and re-checked by caller
-	}
-	return out
-}
-
-// replaceAllN substitutes up to n matches (n<0: all), expanding & and \1..\9.
-func replaceAllN(re *regexp.Regexp, src, repl []byte, n int, count *int) []byte {
 	var out []byte
 	last := 0
-	for _, m := range re.FindAllSubmatchIndex(src, n) {
-		out = append(out, src[last:m[0]]...)
-		out = appendReplacement(out, repl, src, m)
+	for _, m := range c.re.FindAllSubmatchIndex(line, n) {
+		out = append(out, line[last:m[0]]...)
+		out = appendReplacement(out, c.repl, line, m)
 		last = m[1]
-		*count++
 		// Avoid infinite loops on empty matches.
-		if m[0] == m[1] && last < len(src) {
-			out = append(out, src[last])
+		if m[0] == m[1] && last < len(line) {
+			out = append(out, line[last])
 			last++
 		}
 	}
-	out = append(out, src[last:]...)
-	return out
+	return append(out, line[last:]...)
 }
 
 func appendReplacement(out, repl, src []byte, m []int) []byte {
@@ -256,7 +307,7 @@ func parseOneSedCmd(s string) (*sedCmd, string, error) {
 	// Optional address.
 	switch {
 	case s[0] == '/':
-		end := indexUnescapedByte(s[1:], '/')
+		end := unescapedIndex(s[1:], '/')
 		if end < 0 {
 			return nil, "", fmt.Errorf("sed: unterminated address in %q", s)
 		}
@@ -289,11 +340,11 @@ func parseOneSedCmd(s string) (*sedCmd, string, error) {
 		}
 		delim := s[1]
 		body := s[2:]
-		i1 := indexUnescapedByte(body, delim)
+		i1 := unescapedIndex(body, delim)
 		if i1 < 0 {
 			return nil, "", fmt.Errorf("sed: unterminated s pattern")
 		}
-		i2rel := indexUnescapedByte(body[i1+1:], delim)
+		i2rel := unescapedIndex(body[i1+1:], delim)
 		if i2rel < 0 {
 			return nil, "", fmt.Errorf("sed: unterminated s replacement")
 		}
@@ -336,11 +387,11 @@ func parseOneSedCmd(s string) (*sedCmd, string, error) {
 		}
 		delim := s[1]
 		body := s[2:]
-		i1 := indexUnescapedByte(body, delim)
+		i1 := unescapedIndex(body, delim)
 		if i1 < 0 {
 			return nil, "", fmt.Errorf("sed: unterminated y source")
 		}
-		i2rel := indexUnescapedByte(body[i1+1:], delim)
+		i2rel := unescapedIndex(body[i1+1:], delim)
 		if i2rel < 0 {
 			return nil, "", fmt.Errorf("sed: unterminated y dest")
 		}
@@ -415,7 +466,7 @@ func unescapeDelim(s string, delim byte) string {
 	return sb.String()
 }
 
-func indexUnescapedByte(s string, c byte) int {
+func unescapedIndex(s string, c byte) int {
 	for i := 0; i < len(s); i++ {
 		if s[i] == '\\' {
 			i++

@@ -7,15 +7,23 @@ func init() {
 	register("rev", rev)
 }
 
+// plainOperands is the argv grammar of the flagless commands: every
+// argument is an input, and anything dash-led other than "-" is refused.
+func plainOperands(ctx *Context) ([]string, error) {
+	for _, a := range ctx.Args {
+		if a != "-" && strings.HasPrefix(a, "-") {
+			return nil, ctx.Errorf("unsupported flag %q", a)
+		}
+	}
+	return ctx.Args, nil
+}
+
 // tac prints input lines in reverse order. It must block on its whole
 // input — the canonical "pure but not streaming" command.
 func tac(ctx *Context) error {
-	var operands []string
-	for _, a := range ctx.Args {
-		if a != "-" && strings.HasPrefix(a, "-") {
-			return ctx.Errorf("unsupported flag %q", a)
-		}
-		operands = append(operands, a)
+	operands, err := plainOperands(ctx)
+	if err != nil {
+		return err
 	}
 	readers, cleanup, err := ctx.OpenInputs(operands)
 	if err != nil {
@@ -41,30 +49,25 @@ func tac(ctx *Context) error {
 
 // rev reverses the characters of each line.
 func rev(ctx *Context) error {
-	var operands []string
-	for _, a := range ctx.Args {
-		if a != "-" && strings.HasPrefix(a, "-") {
-			return ctx.Errorf("unsupported flag %q", a)
-		}
-		operands = append(operands, a)
-	}
-	readers, cleanup, err := ctx.OpenInputs(operands)
+	operands, err := plainOperands(ctx)
 	if err != nil {
 		return err
 	}
-	defer cleanup()
-	lw := NewLineWriter(ctx.Stdout)
-	defer lw.Flush()
-	var out []byte
-	err = EachLineReaders(readers, func(line []byte) error {
-		out = out[:0]
+	return runKernel(ctx, revKernel(), operands)
+}
+
+func newRevKernel(args []string) (Kernel, bool) {
+	if !stdinOnly(args) {
+		return nil, false
+	}
+	return revKernel(), true
+}
+
+func revKernel() *lineKernel {
+	return &lineKernel{perLine: func(out, line []byte) []byte {
 		for i := len(line) - 1; i >= 0; i-- {
 			out = append(out, line[i])
 		}
-		return lw.WriteLine(out)
-	})
-	if err != nil {
-		return err
-	}
-	return lw.Flush()
+		return append(out, '\n')
+	}}
 }

@@ -8,8 +8,7 @@ import (
 func init() { register("tr", tr) }
 
 // trProgram is the compiled form of a tr invocation: the byte tables
-// that drive the per-byte state machine. It is shared by the streaming
-// command below and the composable kernel in kernel.go.
+// that drive trKernel's per-byte state machine.
 type trProgram struct {
 	del, squeeze      bool
 	inSet1, inSqueeze [256]bool
@@ -131,68 +130,86 @@ func TrKeepsNewlines(args []string) bool {
 // and the classes [:alpha:], [:digit:], [:alnum:], [:space:], [:upper:],
 // [:lower:], [:punct:].
 func tr(ctx *Context) error {
-	p, perr := parseTrProgram(ctx.Args)
-	if perr != nil {
-		return ctx.Errorf("%v", perr)
-	}
-	del, squeeze := p.del, p.squeeze
-	inSet1, inSqueeze, xlat := &p.inSet1, &p.inSqueeze, &p.xlat
-
-	lw := NewLineWriter(ctx.Stdout)
-	defer lw.Flush()
-
-	// The whole transformation is a per-byte state machine applied in
-	// place on newline-aligned blocks — near-memcpy, with transformed
-	// blocks handed downstream by ownership transfer. Unlike a per-line
-	// loop, this treats '\n' as an ordinary byte, so tr '\n' ' ' and
-	// tr -d '\n' behave like GNU tr instead of silently no-opping.
-	//
-	// When newlines survive the transformation untouched, line structure
-	// is preserved and a final unterminated line is re-emitted
-	// newline-terminated — the convention shared by this command
-	// substrate. When the transformation deletes or rewrites newlines,
-	// output is the raw byte transformation.
-	lastOut := -1
-	lastIn := byte('\n')
-	sawInput := false
-	err := EachLineBlock(ctx.stdin(), func(block []byte) error {
-		if len(block) > 0 {
-			sawInput = true
-			lastIn = block[len(block)-1]
-		}
-		w := block[:0]
-		for _, c := range block {
-			if del && inSet1[c] {
-				continue
-			}
-			nc := c
-			if !del && inSet1[c] {
-				nc = xlat[c]
-			}
-			if squeeze && inSqueeze[nc] && lastOut == int(nc) {
-				continue
-			}
-			w = append(w, nc)
-			lastOut = int(nc)
-		}
-		if len(w) == 0 {
-			PutBlock(block)
-			return nil
-		}
-		return lw.WriteChunk(w)
-	})
+	p, err := parseTrProgram(ctx.Args)
 	if err != nil {
-		return err
+		return ctx.Errorf("%v", err)
 	}
-	if p.newlineIntact && sawInput && lastIn != '\n' {
-		if !(squeeze && inSqueeze['\n'] && lastOut == '\n') {
-			if err := lw.writeByte('\n'); err != nil {
-				return err
-			}
+	return runKernel(ctx, p.kernel(), nil)
+}
+
+// trKernel runs tr's per-byte state machine. It treats '\n' as an
+// ordinary byte, so tr '\n' ' ' and tr -d '\n' behave like GNU tr. When
+// newlines survive the transformation untouched, line structure is
+// preserved and a final unterminated line is re-emitted newline-terminated
+// — the convention shared by this command substrate; when the
+// transformation deletes or rewrites newlines, output is the raw byte
+// transformation. State (squeeze history, final-newline bookkeeping)
+// resets at Finish so framed per-chunk streams behave exactly like
+// independent tr invocations.
+type trKernel struct {
+	p        *trProgram
+	lastOut  int
+	lastIn   byte
+	sawInput bool
+}
+
+func (p *trProgram) kernel() *trKernel { return &trKernel{p: p, lastOut: -1, lastIn: '\n'} }
+
+func newTrKernel(args []string) (Kernel, bool) {
+	p, err := parseTrProgram(args)
+	if err != nil {
+		return nil, false
+	}
+	return p.kernel(), true
+}
+
+func (k *trKernel) Apply(out, in []byte) []byte {
+	if len(in) == 0 {
+		return out
+	}
+	k.sawInput = true
+	k.lastIn = in[len(in)-1]
+	p := k.p
+	if !p.del && !p.squeeze {
+		// Translate-only: bulk-copy, then rewrite in place through the
+		// table, with none of the delete/squeeze branches.
+		n := len(out)
+		out = append(out, in...)
+		seg := out[n:]
+		xlat := &p.xlat
+		for i, c := range seg {
+			seg[i] = xlat[c]
+		}
+		return out
+	}
+	for _, c := range in {
+		if p.del && p.inSet1[c] {
+			continue
+		}
+		nc := c
+		if !p.del && p.inSet1[c] {
+			nc = p.xlat[c]
+		}
+		if p.squeeze && p.inSqueeze[nc] && k.lastOut == int(nc) {
+			continue
+		}
+		out = append(out, nc)
+		k.lastOut = int(nc)
+	}
+	return out
+}
+
+func (k *trKernel) Finish(out []byte) []byte {
+	if k.p.newlineIntact && k.sawInput && k.lastIn != '\n' {
+		if !(k.p.squeeze && k.p.inSqueeze['\n'] && k.lastOut == '\n') {
+			out = append(out, '\n')
 		}
 	}
-	return lw.Flush()
+	k.lastOut, k.lastIn, k.sawInput = -1, '\n', false
+	return out
 }
+
+func (k *trKernel) Status() error { return nil }
 
 // expandTrSet expands a tr SET operand into its byte sequence.
 func expandTrSet(s string) ([]byte, error) {

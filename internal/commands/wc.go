@@ -133,29 +133,15 @@ func countStream(r io.Reader) (wcCounts, error) {
 			}
 		}
 	}
-	// Chunk sources hand us whole blocks without a copy.
-	if cr, ok := r.(ChunkReader); ok {
-		for {
-			b, release, err := cr.ReadChunk()
-			if err == io.EOF {
-				return c, nil
-			}
-			if err != nil {
-				return c, err
-			}
-			tally(b)
-			release()
-		}
-	}
-	buf := make([]byte, BlockSize)
 	for {
-		n, err := r.Read(buf)
-		tally(buf[:n])
+		b, release, err := NextBlock(r)
 		if err == io.EOF {
 			return c, nil
 		}
 		if err != nil {
 			return c, err
 		}
+		tally(b)
+		release()
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -491,5 +492,98 @@ func TestNewlineRewritingTrIsNotStateless(t *testing.T) {
 		`cat f | tr -s '\n' | sort`,
 	} {
 		seqVsPar(t, src, "", dir, nil)
+	}
+}
+
+// TestPositionalSedIsNotStateless: a sed script that reads a line's
+// position in the whole input (a numeric address, q) must not be
+// replicated over round-robin chunks, in whichever -e it sits — every
+// replica would apply "line 1" to its own first line. The verdict is
+// sed's own parser's, over all the scripts of the argv; the input spans
+// several chunks so a wrong plan shows.
+func TestPositionalSedIsNotStateless(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "f"), []byte(corpus(20000)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range []string{
+		`cat f | sed -e '1d' -e 's/9/X/'`,
+		`cat f | sed -e '5q' -e 's/9/X/'`,
+		`cat f | sed -e 's/9/X/' -e '1d'`,
+		`cat f | sed -e 's/9/X/' -e '/fox/d' | wc -l`, // a line map in two scripts still replicates
+	} {
+		seqVsPar(t, src, "", dir, nil)
+	}
+
+	// This sed has no N,M ranges: the script does not parse, at any
+	// width. It must then not be replicated either — one node reports the
+	// usage error and nothing is printed, as at width 1.
+	const ranged = `cat f | sed '2,3d;s/a/b/'`
+	for _, w := range []int{1, 2, 4} {
+		out, code, err := runScriptCode(t, DefaultOptions(w), ranged, "", dir, nil)
+		if !errors.Is(err, commands.ErrUsage) || code == 0 || out != "" {
+			t.Errorf("%s at width %d: output %q, exit %d, error %v; want sed's usage error", ranged, w, clip(out), code, err)
+		}
+	}
+	p, err := NewCompiler(DefaultOptions(4)).PlanExec(ranged)
+	if err != nil || len(p.Items) != 1 || p.Items[0].Graph == nil {
+		t.Fatalf("%s: not one lifted region: %v", ranged, err)
+	}
+	seds := 0
+	for _, n := range p.Items[0].Graph.Nodes {
+		if n.Name == "sed" {
+			seds++
+		}
+	}
+	if seds != 1 {
+		t.Errorf("%s: %d sed nodes at width 4, want 1\n%s", ranged, seds, p.Items[0].Graph.Dump())
+	}
+}
+
+// TestHeadTailSpellingsAgreeAtEveryWidth: every spelling of a line count
+// that head and tail accept at width 1 they accept as aggregators too —
+// the aggregate is the command, reading the count through the one parser
+// — and the forms that are not "K lines from one end" plan without an
+// aggregator at all.
+func TestHeadTailSpellingsAgreeAtEveryWidth(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "f"), []byte(corpus(20000)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	hasAgg := func(src string) bool {
+		t.Helper()
+		p, err := NewCompiler(DefaultOptions(4)).PlanExec(src)
+		if err != nil || len(p.Items) != 1 || p.Items[0].Graph == nil {
+			t.Fatalf("%s: not one lifted region: %v", src, err)
+		}
+		for _, n := range p.Items[0].Graph.Nodes {
+			if n.Kind == dfg.KindAgg {
+				return true
+			}
+		}
+		return false
+	}
+	for _, tc := range []struct {
+		stage string
+		agg   bool // takes K lines from one end: planned as maps + aggregate
+	}{
+		{"head -5", true}, {"head -n5", true}, {"head -n 5", true},
+		{"tail -3", true}, {"tail -n3", true}, {"tail -n 3", true},
+		{"tail -n +39990", false}, {"head -c 40", false}, {"tail -c 40", false},
+	} {
+		// Two inputs: head is only ever parallelized over inputs that are
+		// already separate (it stops early; see dfg's trySplit).
+		src := "cat f f | tr a-z A-Z | " + tc.stage
+		want, code, err := runScriptCode(t, Options{Width: 1}, src, "", dir, nil)
+		if err != nil || code != 0 {
+			t.Fatalf("%s at width 1: exit %d, %v", src, code, err)
+		}
+		got, code, err := runScriptCode(t, DefaultOptions(4), src, "", dir, nil)
+		if err != nil || code != 0 || got != want {
+			t.Errorf("%s at width 4: exit %d, %v\n--- width 1:\n%s--- width 4:\n%s", src, code, err, clip(want), clip(got))
+		}
+		if hasAgg(src) != tc.agg {
+			t.Errorf("%s: aggregator planned = %v, want %v", src, !tc.agg, tc.agg)
+		}
 	}
 }

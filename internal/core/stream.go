@@ -21,7 +21,6 @@ import (
 	"sync"
 
 	"repro/internal/annot"
-	"repro/internal/commands"
 	"repro/internal/dfg"
 	"repro/internal/runtime"
 	"repro/internal/shell"
@@ -49,6 +48,9 @@ type StreamPlan struct {
 	dir    string
 	env    map[string]string
 	window dfg.WindowSpec
+	// fold is the cumulative emit mode's combine pipeline as a stage
+	// chain (nil for EmitDelta); each window binds its two operands.
+	fold *runtime.StageChain
 
 	// Budget is the owning job's resource accounting (may be nil). The
 	// runner strips MaxPipeMemory before building it: for streaming
@@ -163,14 +165,28 @@ func (c *Compiler) PlanStream(src, dir string, vars map[string]string) (*StreamP
 		return nil, fmt.Errorf("%w: %v", ErrNotStreamable, err)
 	}
 
-	return &StreamPlan{
+	p := &StreamPlan{
 		c:      c,
 		stages: stages,
 		rkey:   regionKey(stages),
 		dir:    dir,
 		env:    tmp.envSnapshot(),
 		window: *spec,
-	}, nil
+	}
+	if len(spec.Combine) > 0 {
+		// The first stage reads the two parts as operands — the same
+		// convention an agg-tree interior node uses to read its children —
+		// and later stages read the previous stage's stdout.
+		fold := make([]dfg.FusedStage, len(spec.Combine))
+		for i, cs := range spec.Combine {
+			fold[i] = dfg.FusedStage{Name: cs.Name, Args: cs.Args}
+		}
+		fold[0].Args = append(append([]string(nil), fold[0].Args...), streamStatePath, streamPartialPath)
+		if p.fold, err = runtime.NewStageChain(c.Cmds, fold, memFS{}, p.env, nil); err != nil {
+			return nil, fmt.Errorf("core: stream combine: %w", err)
+		}
+	}
+	return p, nil
 }
 
 // classifyStream derives the window operator's emit/composition
@@ -261,47 +277,21 @@ func (p *StreamPlan) RunWindow(ctx context.Context, win io.Reader, out, errw io.
 	return res.ExitCode, nil
 }
 
-// Combine folds a new window partial into the carried state using the
-// plan's combine pipeline, returning the next state (which is also the
-// cumulative emission). The first stage reads the two parts as
-// operands through an in-memory filesystem — the same convention an
-// agg-tree interior node uses to read its children — and later stages
-// read the previous stage's stdout. A nil state means the first
-// window: the partial is the state.
+// Combine folds a new window partial into the carried state through the
+// plan's combine chain, returning the next state (which is also the
+// cumulative emission). The chain runs hermetically: its filesystem holds
+// the two parts and nothing else. A nil state means the first window: the
+// partial is the state.
 func (p *StreamPlan) Combine(state, partial []byte) ([]byte, error) {
-	if len(p.window.Combine) == 0 || state == nil {
+	if p.fold == nil || state == nil {
 		return partial, nil
 	}
-	cur := state
-	var in io.Reader
-	for i, cs := range p.window.Combine {
-		args := cs.Args
-		var fs commands.FS = memFS{}
-		if i == 0 {
-			args = append(append([]string(nil), cs.Args...), streamStatePath, streamPartialPath)
-			fs = memFS{streamStatePath: cur, streamPartialPath: partial}
-			in = bytes.NewReader(nil)
-		}
-		var outBuf bytes.Buffer
-		cctx := &commands.Context{
-			Name:   cs.Name,
-			Args:   args,
-			Stdin:  in,
-			Stdout: &outBuf,
-			Stderr: io.Discard,
-			FS:     fs,
-			Env:    p.env,
-		}
-		if err := p.c.Cmds.Run(cs.Name, cctx); err != nil {
-			var ee *commands.ExitError
-			if !errors.As(err, &ee) {
-				return nil, fmt.Errorf("core: stream combine %s: %w", cs.Name, err)
-			}
-		}
-		cur = append([]byte(nil), outBuf.Bytes()...)
-		in = bytes.NewReader(cur)
+	var out bytes.Buffer
+	fs := memFS{streamStatePath: state, streamPartialPath: partial}
+	if _, err := p.fold.Bind(fs, p.env).Stream(bytes.NewReader(nil), &out); err != nil {
+		return nil, fmt.Errorf("core: stream combine: %w", err)
 	}
-	return cur, nil
+	return out.Bytes(), nil
 }
 
 // memFS maps the fold's operand names to in-memory payloads. Everything

@@ -231,8 +231,8 @@ func (c *StageChain) Stream(r io.Reader, w io.Writer) (int, error) {
 		links[i] = newEdgeStream(false, 0)
 	}
 	errs := make([]error, len(c.stages))
-	var wg sync.WaitGroup
-	for i, st := range c.stages {
+	run := func(i int) {
+		st := c.stages[i]
 		stdin, stdout := r, w
 		if i > 0 {
 			stdin = links[i-1].reader()
@@ -240,23 +240,30 @@ func (c *StageChain) Stream(r io.Reader, w io.Writer) (int, error) {
 		if i < last {
 			stdout = links[i].writer()
 		}
+		// Done, or panicked: EOF downstream, the SIGPIPE analog
+		// upstream. The chain's own ends are the caller's to close.
+		defer func() {
+			if i < last {
+				links[i].writer().Close()
+			}
+			if i > 0 {
+				links[i-1].reader().Close()
+			}
+		}()
+		defer Contain("chain stage "+st.Name, &errs[i])
+		errs[i] = c.reg.Run(st.Name, c.context(st, stdin, stdout))
+	}
+	// The last stage runs on the caller's goroutine: a one-stage chain
+	// (a stream window's fold) starts none.
+	var wg sync.WaitGroup
+	for i := 0; i < last; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Done, or panicked: EOF downstream, the SIGPIPE analog
-			// upstream. The chain's own ends are the caller's to close.
-			defer func() {
-				if i < last {
-					links[i].writer().Close()
-				}
-				if i > 0 {
-					links[i-1].reader().Close()
-				}
-			}()
-			defer Contain("chain stage "+st.Name, &errs[i])
-			errs[i] = c.reg.Run(st.Name, c.context(st, stdin, stdout))
+			run(i)
 		}()
 	}
+	run(last)
 	wg.Wait()
 	for _, err := range errs[:last] {
 		if err != nil && !isCleanTermination(err) {
@@ -296,15 +303,14 @@ func applyStage(k commands.Kernel, m *StageTime, in []byte) []byte {
 	return out
 }
 
-// runFusedStreaming is the non-framed loop: read blocks (zero-copy when
-// the input edge speaks chunks), pass each through the kernel chain in
-// place, hand the survivor downstream, then cascade the kernels'
+// runFusedStreaming is the non-framed loop: read blocks (NextBlock:
+// zero-copy when the input edge speaks chunks), pass each through the
+// kernel chain, hand the survivor downstream, then cascade the kernels'
 // end-of-stream output. The chain's exit status is the last stage's
 // (shell pipeline semantics within the fused segment).
 func runFusedStreaming(r io.Reader, w io.Writer, kernels []commands.Kernel, meters []StageTime) error {
-	process := func(block []byte, release func()) error {
-		cur := block
-		owned := false // cur is a pool block we own (vs the pipe's block)
+	process := func(cur []byte, release func()) error {
+		owned := false // cur is a pool block we own (vs the source's block)
 		for i, k := range kernels {
 			if _, id := k.(interface{ IsPassThrough() }); id {
 				continue
@@ -312,68 +318,32 @@ func runFusedStreaming(r io.Reader, w io.Writer, kernels []commands.Kernel, mete
 			next := applyStage(k, &meters[i], cur)
 			if owned {
 				commands.PutBlock(cur)
-			} else if release != nil {
+			} else {
 				release()
-				release = nil
 			}
-			cur = next
-			owned = true
+			cur, owned = next, true
 			if len(cur) == 0 {
 				commands.PutBlock(cur)
 				return nil
 			}
 		}
-		if len(cur) == 0 {
-			if owned {
-				commands.PutBlock(cur)
-			} else if release != nil {
-				release()
-			}
-			return nil
-		}
-		// writeChunkTo transfers ownership (pool block or pipe block
-		// alike); an un-transformed pipe block simply keeps its release
+		// writeChunkTo transfers ownership (pool block or source block
+		// alike); an un-transformed source block simply keeps its release
 		// uncalled, per the ownership contract.
 		return writeChunkTo(w, cur)
 	}
 
-	var loopErr error
-	if cr, ok := r.(commands.ChunkReader); ok {
-		for loopErr == nil {
-			b, release, err := cr.ReadChunk()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return err
-			}
-			loopErr = process(b, release)
+	for {
+		b, release, err := commands.NextBlock(r)
+		if err == io.EOF {
+			break
 		}
-	} else {
-		for loopErr == nil {
-			b := commands.GetBlock()
-			var nr int
-			var err error
-			for nr == 0 && err == nil {
-				nr, err = r.Read(b[:commands.BlockSize])
-			}
-			if nr > 0 {
-				// The block came from the pool; recycle it once a stage
-				// replaces it (ownership otherwise passes to the writer).
-				loopErr = process(b[:nr], func() { commands.PutBlock(b) })
-			} else {
-				commands.PutBlock(b)
-			}
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return err
-			}
+		if err != nil {
+			return err
 		}
-	}
-	if loopErr != nil {
-		return loopErr
+		if err := process(b, release); err != nil {
+			return err
+		}
 	}
 
 	// End of stream: each stage's Finish output flows through the
