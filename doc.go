@@ -66,7 +66,11 @@
 // its operands through the kernel), and the runtime executes the whole
 // chain as one goroutine
 // running the composed kernels over pooled blocks with zero
-// intermediate pipes. Framing commutes through fusion, so fused
+// intermediate pipes. A stateless stage is meant to cost per byte, not
+// per line, and each byte once: tr maps a block in one word-wide pass,
+// grep and sed with a fixed string search the block for it and touch
+// only the lines that hold it, and the line-aligning reader under the
+// splits copies a block's partial last line, never the block. Framing commutes through fusion, so fused
 // replicas slot between a round-robin split and its order-restoring
 // merge unchanged, and per-stage time/byte meters are attributed
 // inside the fused loop. One runner, runtime.StageChain, executes every

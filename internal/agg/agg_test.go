@@ -48,7 +48,7 @@ func checkPair(t *testing.T, name string, argv []string) {
 	if !ok {
 		t.Fatalf("no aggregator for %s %v", name, argv)
 	}
-	words := []string{"apple", "apple", "banana", "12", "7", "7", "42", "zebra", "kiwi", "kiwi", "kiwi"}
+	words := []string{"apple", "apple", "banana", "12", "7", "7", "42", "zebra", "kiwi", "kiwi", "kiwi", "", ""}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		var lines []string

@@ -54,9 +54,6 @@ func aggUniq(ctx *commands.Context) error {
 		return rec{count: n, line: append([]byte(nil), trimmed[sp+1:]...)}, nil
 	}
 	emit := func(r rec) error {
-		if r.line == nil {
-			return nil
-		}
 		if counting {
 			return lw.WriteString(fmt.Sprintf("%7d %s\n", r.count, r.line))
 		}

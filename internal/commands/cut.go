@@ -103,9 +103,18 @@ func newCutKernel(args []string) (Kernel, bool) {
 }
 
 // kernel is cut's per-line body: character mode copies the selected
-// ranges; field mode finds every boundary in one allocation-free scan.
+// ranges; field mode finds the boundaries in one allocation-free scan
+// that stops at the last field the list can ask for.
 func (spec *cutSpec) kernel() *lineKernel {
 	ranges, delim, suppress, charMode := spec.ranges, spec.delim, spec.suppress, spec.charMode
+	lastField := 1 // highest field a bounded list names; -1: open-ended
+	for _, r := range ranges {
+		if r.hi < 0 || lastField < 0 {
+			lastField = -1
+		} else if r.hi > lastField {
+			lastField = r.hi
+		}
+	}
 
 	var fields [][2]int // reusable per-line field boundaries
 	k := &lineKernel{}
@@ -125,24 +134,22 @@ func (spec *cutSpec) kernel() *lineKernel {
 			}
 			return append(out, '\n')
 		}
-		// Field mode: a single field means the line had no delimiter.
 		fields = fields[:0]
-		start := 0
-		for {
+		for start := 0; len(fields) != lastField; {
 			i := bytes.IndexByte(line[start:], delim)
 			if i < 0 {
+				if start == 0 { // no delimiter at all
+					if suppress {
+						return out
+					}
+					out = append(out, line...)
+					return append(out, '\n')
+				}
 				fields = append(fields, [2]int{start, len(line)})
 				break
 			}
 			fields = append(fields, [2]int{start, start + i})
 			start += i + 1
-		}
-		if len(fields) == 1 {
-			if suppress {
-				return out
-			}
-			out = append(out, line...)
-			return append(out, '\n')
 		}
 		first := true
 		for _, r := range ranges {

@@ -127,7 +127,11 @@ func plainPattern(p string) bool {
 // stdlib substring search is several times faster than RE2's machine.
 // The case-insensitive fixed path keeps the Unicode-lowering behaviour
 // (and its allocations) for compatibility.
-func buildGrepMatcher(spec *grepSpec) (func(line []byte) bool, *regexp.Regexp, error) {
+//
+// literal is non-nil when the whole predicate is "the line contains this
+// string": one case-sensitive fixed pattern, no -x, no -w. The kernel
+// then searches blocks for it instead of asking every line.
+func buildGrepMatcher(spec *grepSpec) (match func(line []byte) bool, first *regexp.Regexp, literal []byte, err error) {
 	fixed := spec.fixed
 	if !fixed && !spec.wordMatch && !spec.onlyMatching && !spec.ignoreCase {
 		fixed = true
@@ -145,6 +149,9 @@ func buildGrepMatcher(spec *grepSpec) (func(line []byte) bool, *regexp.Regexp, e
 				pats[i] = []byte(p)
 			}
 			lineMatch := spec.lineMatch
+			if len(pats) == 1 && !lineMatch && !spec.wordMatch && len(pats[0]) > 0 && !bytes.Contains(pats[0], newline) {
+				literal = pats[0]
+			}
 			return func(line []byte) bool {
 				for _, p := range pats {
 					if lineMatch && bytes.Equal(line, p) {
@@ -155,7 +162,7 @@ func buildGrepMatcher(spec *grepSpec) (func(line []byte) bool, *regexp.Regexp, e
 					}
 				}
 				return false
-			}, nil, nil
+			}, nil, literal, nil
 		}
 		lowered := make([]string, len(spec.patterns))
 		for i, p := range spec.patterns {
@@ -173,7 +180,7 @@ func buildGrepMatcher(spec *grepSpec) (func(line []byte) bool, *regexp.Regexp, e
 				}
 			}
 			return false
-		}, nil, nil
+		}, nil, nil, nil
 	}
 	var res []*regexp.Regexp
 	for _, p := range spec.patterns {
@@ -188,7 +195,7 @@ func buildGrepMatcher(spec *grepSpec) (func(line []byte) bool, *regexp.Regexp, e
 		}
 		re, err := regexp.Compile(p)
 		if err != nil {
-			return nil, nil, fmt.Errorf("invalid pattern %q: %v", p, err)
+			return nil, nil, nil, fmt.Errorf("invalid pattern %q: %v", p, err)
 		}
 		res = append(res, re)
 	}
@@ -200,16 +207,17 @@ func buildGrepMatcher(spec *grepSpec) (func(line []byte) bool, *regexp.Regexp, e
 		}
 		return false
 	}
-	return matcher, res[0], nil
+	return matcher, res[0], nil, nil
 }
 
 // grepProgram is a compiled grep invocation: the parsed flags plus the
 // per-line predicate.
 type grepProgram struct {
 	*grepSpec
-	match  func(line []byte) bool
-	only   *regexp.Regexp // -o: print this pattern's matches, not the line
-	silent bool           // -c -l -q: selected lines are counted, not printed
+	match   func(line []byte) bool
+	literal []byte         // non-nil: match is "contains literal" (buildGrepMatcher)
+	only    *regexp.Regexp // -o: print this pattern's matches, not the line
+	silent  bool           // -c -l -q: selected lines are counted, not printed
 }
 
 func parseGrepProgram(args []string) (*grepProgram, error) {
@@ -219,7 +227,7 @@ func parseGrepProgram(args []string) (*grepProgram, error) {
 	}
 	g := &grepProgram{grepSpec: spec, silent: spec.count || spec.filesWithMatches || spec.quiet}
 	var first *regexp.Regexp
-	if g.match, first, err = buildGrepMatcher(spec); err != nil {
+	if g.match, first, g.literal, err = buildGrepMatcher(spec); err != nil {
 		return nil, err
 	}
 	if spec.onlyMatching {
@@ -273,9 +281,11 @@ func newGrepKernel(args []string) (Kernel, bool) {
 	return g.kernel(), true
 }
 
-func (g *grepProgram) kernel() *lineKernel {
+// kernel wraps emit, grep's per-line body. When the predicate is one
+// literal the block is searched for it instead (literalKernel).
+func (g *grepProgram) kernel() Kernel {
 	matched := false
-	return &lineKernel{
+	lk := lineKernel{
 		perLine: func(out, line []byte) []byte {
 			out, sel := g.emit(out, line, "", 0)
 			matched = matched || sel
@@ -288,6 +298,24 @@ func (g *grepProgram) kernel() *lineKernel {
 			return nil
 		},
 	}
+	if g.literal == nil {
+		return &lk
+	}
+	// What emit would do, without asking it line by line: the lines that
+	// hold the literal are selected, or under -v the lines that do not.
+	k := &literalKernel{lineKernel: lk, needle: g.literal}
+	if g.invert {
+		k.rest = func(out, lines []byte) []byte {
+			matched = true
+			return append(out, lines...)
+		}
+	} else {
+		k.hit = func(out, line []byte) []byte {
+			matched = true
+			return append(append(out, line...), '\n')
+		}
+	}
+	return k
 }
 
 // grep searches inputs for lines matching a pattern. Supported flags:

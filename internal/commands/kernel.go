@@ -14,6 +14,16 @@ import (
 // and -n; grep: -n -c -m -q -l -o -H), around the same per-line body the
 // kernel wraps. Each kernel lives next to its command's argv parser.
 //
+// What a kernel scans, per block and per line: tr has no lines, it maps
+// the block in one pass. lineKernel finds every newline of the block and
+// runs the command's per-line body on each line (cut, rev, and every
+// grep and sed the next form does not take). literalKernel — grep and sed
+// with one fixed string to look for — searches the block for the string
+// and runs the per-line body only on the lines that hold it; the lines
+// between two hits are copied or dropped as one run of bytes, never
+// visited on their own. The aim is a cost per byte, not per line: tr and
+// the literal form look at each input byte once, in a word-wide scan.
+//
 // What fusion adds is only the composition: a chain like tr | grep | cut
 // normally costs one goroutine and one chunk pipe per stage; the runtime's
 // StageChain instead runs the chain's kernels back to back over pooled
@@ -132,21 +142,34 @@ type lineSplitter struct {
 }
 
 func (ls *lineSplitter) feed(in []byte, fn func(line []byte)) {
+	in = ls.feedCarried(in, fn)
 	for len(in) > 0 {
 		i := bytes.IndexByte(in, '\n')
 		if i < 0 {
 			ls.carry = append(ls.carry, in...)
 			return
 		}
-		if len(ls.carry) > 0 {
-			ls.carry = append(ls.carry, in[:i]...)
-			fn(ls.carry)
-			ls.carry = ls.carry[:0]
-		} else {
-			fn(in[:i])
-		}
+		fn(in[:i])
 		in = in[i+1:]
 	}
+}
+
+// feedCarried completes the carried partial line, if there is one, from
+// the front of in, hands it to fn and returns what follows it: in from a
+// line start on (nothing, when the line did not end in this block).
+func (ls *lineSplitter) feedCarried(in []byte, fn func(line []byte)) []byte {
+	if len(ls.carry) == 0 {
+		return in
+	}
+	i := bytes.IndexByte(in, '\n')
+	if i < 0 {
+		ls.carry = append(ls.carry, in...)
+		return nil
+	}
+	ls.carry = append(ls.carry, in[:i]...)
+	fn(ls.carry)
+	ls.carry = ls.carry[:0]
+	return in[i+1:]
 }
 
 func (ls *lineSplitter) finish(fn func(line []byte)) {
@@ -182,6 +205,50 @@ func (k *lineKernel) Status() error {
 	return k.status()
 }
 
+// literalKernel is the block form of a per-line command that only has
+// work to do on the lines containing one fixed string (needle: not empty,
+// no newline). Apply searches the block, not each line, for needle and
+// widens a hit to its line, which goes through hit; the run of whole
+// lines between two hits goes through rest in one piece. Either may be
+// nil: nothing is printed. Partial lines are lineKernel's business: the
+// carried line is completed and run through perLine, the body that is
+// right for any line, before the block scan resumes — so hit and rest
+// must print what perLine would have.
+type literalKernel struct {
+	lineKernel
+	needle []byte
+	hit    func(out, line []byte) []byte
+	rest   func(out, lines []byte) []byte
+}
+
+func (k *literalKernel) Apply(out, in []byte) []byte {
+	in = k.ls.feedCarried(in, func(line []byte) { out = k.perLine(out, line) })
+	// No hit can straddle the end of the last whole line: needle has no
+	// newline in it. The unterminated tail waits for its rest.
+	end := bytes.LastIndexByte(in, '\n') + 1
+	k.ls.carry = append(k.ls.carry, in[end:]...)
+	in = in[:end]
+	for len(in) > 0 {
+		at := bytes.Index(in, k.needle)
+		if at < 0 {
+			break
+		}
+		start := bytes.LastIndexByte(in[:at], '\n') + 1
+		stop := at + bytes.IndexByte(in[at:], '\n')
+		if k.rest != nil && start > 0 {
+			out = k.rest(out, in[:start])
+		}
+		if k.hit != nil {
+			out = k.hit(out, in[start:stop])
+		}
+		in = in[stop+1:]
+	}
+	if k.rest != nil && len(in) > 0 {
+		out = k.rest(out, in)
+	}
+	return out
+}
+
 // identityKernel is cat with no flags: a pass-through. The fused
 // executor special-cases it to skip the copy entirely.
 type identityKernel struct{}
@@ -207,5 +274,6 @@ func newCatKernel(args []string) (Kernel, bool) {
 var (
 	_ Kernel = (*trKernel)(nil)
 	_ Kernel = (*lineKernel)(nil)
+	_ Kernel = (*literalKernel)(nil)
 	_ Kernel = identityKernel{}
 )

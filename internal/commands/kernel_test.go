@@ -59,8 +59,13 @@ var kernelCases = []struct {
 	{"tr", []string{"\\n", " "}},
 	{"tr", []string{"-d", "\\n"}},
 	{"tr", []string{"-cs", "A-Za-z", "\\n"}},
+	{"tr", []string{"A-Z", "a-z"}},
+	{"tr", []string{"[:upper:]", "[:lower:]"}},
+	{"tr", []string{"0-9", "a-j"}},
 	{"grep", []string{"th"}},
 	{"grep", []string{"-v", "th"}},
+	{"grep", []string{"water"}},
+	{"grep", []string{"-v", "water"}},
 	{"grep", []string{"-F", "o w"}},
 	{"grep", []string{"-i", "THE"}},
 	{"grep", []string{"-x", "the end"}},
@@ -72,7 +77,10 @@ var kernelCases = []struct {
 	{"cut", []string{"-c", "1-4"}},
 	{"cut", []string{"-c", "2,4-"}},
 	{"sed", []string{"s/the/THE/"}},
+	{"sed", []string{"s/the/<&>/"}},
+	{"sed", []string{"s/water/WATER/"}},
 	{"sed", []string{"s/o/0/g"}},
+	{"sed", []string{"s/t\\(h\\)e/\\1&/g"}},
 	{"sed", []string{"-e", "s/a/A/", "-e", "y/e/E/"}},
 	{"sed", []string{"/the/s/end/END/"}},
 	{"rev", nil},
@@ -88,6 +96,12 @@ var kernelInputs = []string{
 	"aa  bb\n\n\n  the   end",
 	strings.Repeat("the woods are lovely dark and deep\n", 40),
 	strings.Repeat("x", 3*BlockSize) + "\nshort\n", // line longer than a block
+	// A hit in the first and in the last line of a block, none between.
+	"the water\n" + strings.Repeat("a b c\n", 50) + "cold water on the end\n",
+	// Adjacent hits on one line, and a hit in an unterminated last line.
+	"waterwater thethe oo\nnothing\nwater, the last drop",
+	// High bytes around A-Z and a-z, in every lane of an 8-byte word.
+	"\x80\xc1\xdaAZ[@az`{\xff \xe9cole AZ\xc1\xda\x9a the WATER water\n@[`{\x7f\x01\xff\xe1\xfa",
 }
 
 // randomTexts returns n random inputs: printable-ish bytes with newline
@@ -193,6 +207,9 @@ func TestKernelsAgainstHostCoreutils(t *testing.T) {
 					continue
 				}
 				for _, input := range inputs {
+					if tool == "rev" && strings.ContainsFunc(input, func(r rune) bool { return r >= 0x80 }) {
+						continue // util-linux rev decodes characters and refuses high bytes under LC_ALL=C
+					}
 					cmd := exec.Command(path, tc.args...)
 					cmd.Env = append(os.Environ(), "LC_ALL=C", "LANG=C")
 					cmd.Stdin = strings.NewReader(input)
@@ -390,4 +407,298 @@ func TestGrepFixedFastPath(t *testing.T) {
 	if out != want {
 		t.Fatalf("regexp grep output %q, want %q", out, want)
 	}
+}
+
+// perLineReference folds a block-scan form's per-line body over the
+// lines of input, one at a time: what its kernel must print, computed
+// without the block scanner; status is grep's exit code.
+func perLineReference(t *testing.T, name string, args []string, input string) (out []byte, status int) {
+	t.Helper()
+	lines := strings.Split(input, "\n")
+	if lines[len(lines)-1] == "" {
+		lines = lines[:len(lines)-1]
+	}
+	switch name {
+	case "grep":
+		g, err := parseGrepProgram(args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		status = 1
+		for _, line := range lines {
+			var sel bool
+			if out, sel = g.emit(out, []byte(line), "", 0); sel {
+				status = 0
+			}
+		}
+	case "sed":
+		p, err := parseSedProgram(args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range lines {
+			out, _ = p.step(out, []byte(line), 0)
+		}
+	}
+	return out, status
+}
+
+// TestLiteralKernelMatchesPerLineBody is the block scanner's own
+// property: for the forms that search blocks for a literal, the kernel
+// prints what folding the per-line body over the lines prints — whole, cut
+// in two at every byte (so a hit, a line end and the needle itself each
+// straddle a boundary), and in random pieces.
+func TestLiteralKernelMatchesPerLineBody(t *testing.T) {
+	forms := []struct {
+		name string
+		args []string
+	}{
+		{"grep", []string{"water"}},
+		{"grep", []string{"-v", "water"}},
+		{"grep", []string{"th"}},
+		{"grep", []string{"-F", "o w"}},
+		{"grep", []string{"-v", "-F", "."}},
+		{"sed", []string{"s/water/WATER/"}},
+		{"sed", []string{"s/the/<&>/"}},
+		{"sed", []string{"s/o/0/g"}},
+		{"sed", []string{"s/oo/o/g"}},
+		{"sed", []string{"s/a b/&\\n&/"}},
+	}
+	rng := rand.New(rand.NewSource(17))
+	inputs := append(append([]string{}, kernelInputs...), randomTexts(rng, 10)...)
+	inputs = append(inputs, "o wo w. the water\nwaterwater\n\nooo the o w", "water", "\nwater\n\n")
+	for _, f := range forms {
+		k, ok := NewKernel(f.name, f.args)
+		if !ok {
+			t.Fatalf("NewKernel(%s %v) not capable", f.name, f.args)
+		}
+		if _, ok := k.(*literalKernel); !ok {
+			t.Fatalf("%s %v runs %T, want the literal block scanner", f.name, f.args, k)
+		}
+		for _, input := range inputs {
+			want, wantStatus := perLineReference(t, f.name, f.args, input)
+			check := func(how string, pieces ...string) {
+				k, _ := NewKernel(f.name, f.args)
+				var got []byte
+				for _, piece := range pieces {
+					got = k.Apply(got, []byte(piece))
+				}
+				got = k.Finish(got)
+				if !bytes.Equal(got, want) || ExitCode(k.Status()) != wantStatus {
+					t.Fatalf("%s %v on %q, %s:\nper line: %q (exit %d)\nkernel:   %q (exit %d)", f.name, f.args,
+						clipText(input), how, clipText(string(want)), wantStatus, clipText(string(got)), ExitCode(k.Status()))
+				}
+			}
+			check("whole", input)
+			if len(input) <= 400 {
+				for cut := 1; cut < len(input); cut++ {
+					check("cut in two", input[:cut], input[cut:])
+				}
+			}
+			for round := 0; round < 4; round++ {
+				var pieces []string
+				for rest := input; len(rest) > 0; {
+					n := 1 + rng.Intn(len(rest))
+					pieces, rest = append(pieces, rest[:n]), rest[n:]
+				}
+				check("random pieces", pieces...)
+			}
+		}
+	}
+	// The forms that must not take it: their per-line kernel stays.
+	for _, f := range []struct {
+		name string
+		args []string
+	}{
+		{"grep", []string{"-i", "water"}}, {"grep", []string{"-w", "water"}}, {"grep", []string{"-x", "water"}},
+		{"grep", []string{"-e", "a", "-e", "b"}}, {"grep", []string{"wat.r"}}, {"grep", []string{""}},
+		{"sed", []string{"s/wat.r/x/"}}, {"sed", []string{"s/water/x/i"}}, {"sed", []string{"/a/s/water/x/"}},
+		{"sed", []string{"-e", "s/a/b/", "-e", "s/c/d/"}}, {"sed", []string{"y/ab/ba/"}},
+	} {
+		k, ok := NewKernel(f.name, f.args)
+		if !ok {
+			t.Fatalf("NewKernel(%s %v) not capable", f.name, f.args)
+		}
+		if _, ok := k.(*lineKernel); !ok {
+			t.Errorf("%s %v runs %T, want the per-line kernel", f.name, f.args, k)
+		}
+	}
+}
+
+// TestTrShiftMatchesTable: the word-wide translate is taken for exactly
+// the one-range constant-shift tables, and agrees with the byte table on
+// every byte value in every lane.
+func TestTrShiftMatchesTable(t *testing.T) {
+	var all []byte
+	for lane := 0; lane < 9; lane++ {
+		all = append(all, make([]byte, lane)...)
+		for c := 0; c < 256; c++ {
+			all = append(all, byte(c))
+		}
+	}
+	for _, tc := range []struct {
+		args  []string
+		shift bool
+	}{
+		{[]string{"A-Z", "a-z"}, true},
+		{[]string{"a-z", "A-Z"}, true},
+		{[]string{"[:upper:]", "[:lower:]"}, true},
+		{[]string{"0-9", "a-j"}, true},
+		{[]string{"\\0-\\177", "\\0-\\177"}, false}, // identity
+		{[]string{"a", "b"}, true},
+		{[]string{"a-c", "x"}, false},         // not a constant shift
+		{[]string{"a-zA-Z", "A-Za-z"}, false}, // two ranges
+		{[]string{"\\200-\\220", "a-q"}, false},
+	} {
+		p, err := parseTrProgram(tc.args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (p.shift != nil) != tc.shift {
+			t.Errorf("tr %v: word-wide = %v, want %v", tc.args, p.shift != nil, tc.shift)
+		}
+		got := p.translate(nil, all)
+		for i, c := range all {
+			if got[i] != p.xlat[c] {
+				t.Fatalf("tr %v: byte %#x at %d became %#x, table says %#x", tc.args, c, i, got[i], p.xlat[c])
+			}
+		}
+	}
+}
+
+// kernelBenchText is n lines of the shape the benchmark's generator
+// makes: 3-7 lower-case words a line (~32 bytes), one word in eight
+// capitalised, "water" on about one line in eleven.
+func kernelBenchText(n int) []byte {
+	rng := rand.New(rand.NewSource(21))
+	words := make([][]byte, 400)
+	for i := range words {
+		w := make([]byte, 3+i*3%7)
+		for j := range w {
+			w[j] = 'a' + byte(rng.Intn(26))
+		}
+		words[i] = w
+	}
+	var text []byte
+	for i := 0; i < n; i++ {
+		for j, k := 0, 3+rng.Intn(5); j < k; j++ {
+			w := words[rng.Intn(len(words))]
+			if rng.Intn(55) == 0 {
+				w = []byte("water")
+			}
+			if j > 0 {
+				text = append(text, ' ')
+			}
+			text = append(text, w...)
+			if rng.Intn(8) == 0 {
+				text[len(text)-len(w)] -= 'a' - 'A'
+			}
+		}
+		text = append(text, '\n')
+	}
+	return text
+}
+
+// plainReader hides everything but Read.
+type plainReader struct{ r io.Reader }
+
+func (p plainReader) Read(b []byte) (int, error) { return p.r.Read(b) }
+
+// TestDataPlaneAllocations pins the steady state of the stateless data
+// plane: a kernel's Apply into a block with room allocates nothing, and
+// the line-aligning reader hands on pool blocks without allocating or
+// copying one per block.
+func TestDataPlaneAllocations(t *testing.T) {
+	text := kernelBenchText(40_000)                                     // a little over 1 MiB
+	blocks := [][]byte{text[:BlockSize], text[BlockSize : 2*BlockSize]} // both end mid-line
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"tr", []string{"A-Z", "a-z"}},
+		{"grep", []string{"water"}},
+		{"cut", []string{"-d", " ", "-f1-3"}},
+		{"sed", []string{"s/water/WATER/"}},
+	} {
+		k, ok := NewKernel(tc.name, tc.args)
+		if !ok {
+			t.Fatalf("NewKernel(%s %v) not capable", tc.name, tc.args)
+		}
+		out := make([]byte, 0, 2*BlockSize)
+		run := func() {
+			for _, b := range blocks {
+				out = k.Apply(out[:0], b)
+			}
+		}
+		run() // grow the carry and scratch buffers once
+		if a := testing.AllocsPerRun(10, run); a != 0 {
+			t.Errorf("%s %v: %.1f allocations per steady-state pass, want 0", tc.name, tc.args, a)
+		}
+	}
+
+	mib := text[:bytes.LastIndexByte(text[:1<<20], '\n')+1]
+	read := func(n int) float64 {
+		input := bytes.Repeat(mib, n)
+		return testing.AllocsPerRun(5, func() {
+			err := EachLineBlock(plainReader{bytes.NewReader(input)}, func(b []byte) error {
+				if cap(b) != BlockSize || b[len(b)-1] != '\n' {
+					t.Fatalf("block of len %d cap %d, last byte %q", len(b), cap(b), b[len(b)-1])
+				}
+				PutBlock(b)
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	// Not exactly flat: under the race detector sync.Pool drops a quarter
+	// of what it is given. One allocation per block would be 112 more.
+	if a1, a8 := read(1), read(8); a8-a1 > 112/2 {
+		t.Errorf("EachLineBlock allocates per block: %.0f over 1 MiB, %.0f over 8 MiB", a1, a8)
+	}
+}
+
+// BenchmarkKernels measures the hot kernels over generated text, block by
+// block as the chain runner feeds them, and wc -l through its command.
+func BenchmarkKernels(b *testing.B) {
+	text := kernelBenchText(200_000)
+	var blocks [][]byte
+	for rest := text; len(rest) > 0; {
+		n := min(BlockSize, len(rest))
+		blocks, rest = append(blocks, rest[:n]), rest[n:]
+	}
+	for _, tc := range []struct {
+		row, name string
+		args      []string
+	}{
+		{"tr", "tr", []string{"A-Z", "a-z"}},
+		{"grep-fixed", "grep", []string{"water"}},
+		{"sed-literal", "sed", []string{"s/water/WATER/"}},
+		{"cut", "cut", []string{"-d", " ", "-f1-3"}},
+	} {
+		b.Run(tc.row, func(b *testing.B) {
+			k, _ := NewKernel(tc.name, tc.args)
+			out := make([]byte, 0, 2*BlockSize)
+			b.SetBytes(int64(len(text)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, blk := range blocks {
+					out = k.Apply(out[:0], blk)
+				}
+				out = k.Finish(out[:0])
+			}
+		})
+	}
+	b.Run("wc-l", func(b *testing.B) {
+		b.SetBytes(int64(len(text)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			ctx := &Context{Args: []string{"-l"}, Stdin: bytes.NewReader(text), Stdout: io.Discard, Stderr: io.Discard}
+			if err := Std().Run("wc", ctx); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

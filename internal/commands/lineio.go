@@ -22,17 +22,16 @@ import (
 // It matches the Linux pipe default of 64 KiB.
 const BlockSize = 64 * 1024
 
+// blockPool holds the blocks as array pointers, which go in and out of
+// the pool's interface values without a slice header allocated per Put.
 var blockPool = sync.Pool{
-	New: func() interface{} {
-		b := make([]byte, 0, BlockSize)
-		return &b
-	},
+	New: func() interface{} { return new([BlockSize]byte) },
 }
 
 // GetBlock returns an empty block with BlockSize capacity from the
 // shared pool.
 func GetBlock() []byte {
-	return (*blockPool.Get().(*[]byte))[:0]
+	return blockPool.Get().(*[BlockSize]byte)[:0]
 }
 
 // PutBlock recycles a block obtained from GetBlock (or grown elsewhere).
@@ -43,8 +42,7 @@ func PutBlock(b []byte) {
 	if cap(b) != BlockSize {
 		return
 	}
-	b = b[:0]
-	blockPool.Put(&b)
+	blockPool.Put((*[BlockSize]byte)(b[:BlockSize]))
 }
 
 // ChunkWriter is implemented by sinks that accept whole blocks by
@@ -170,7 +168,51 @@ func NextBlock(r io.Reader) (b []byte, release func(), err error) {
 // ChunkWriter). This is the entry point for near-memcpy stages: combined
 // with chunk-capable pipes, a block can travel producer → consumer
 // without its bytes ever being copied.
+//
+// Over a plain reader every block handed to fn is a pool block
+// (cap == BlockSize) unless one line is longer than that: the partial
+// line a Read ended in is moved to the front of the next pool block and
+// the next Read lands behind it, so per block only that tail is copied
+// and nothing is allocated. Over a chunk source whole line-aligned chunks
+// pass through untouched, and a chunk that ends mid-line is completed by
+// copying.
 func EachLineBlock(r io.Reader, fn func(block []byte) error) error {
+	if _, ok := r.(ChunkReader); ok {
+		return eachLineBlockChunks(r, fn)
+	}
+	b := GetBlock() // starts with the partial line the last Read ended in
+	for {
+		if len(b) == cap(b) {
+			b = slices.Grow(b, BlockSize) // one line longer than the block
+		}
+		// NextBlock's rule: a single Read per block, never ReadFull.
+		n, err := r.Read(b[len(b):cap(b)])
+		fresh := b[len(b) : len(b)+n]
+		b = b[:len(b)+n]
+		if cut := bytes.LastIndexByte(fresh, '\n'); cut >= 0 {
+			cut += len(b) - n + 1
+			next := append(GetBlock(), b[cut:]...)
+			if ferr := fn(b[:cut]); ferr != nil {
+				PutBlock(next)
+				return ferr
+			}
+			b = next
+		}
+		if err != nil {
+			if err == io.EOF && len(b) > 0 {
+				return fn(b)
+			}
+			PutBlock(b)
+			if err == io.EOF {
+				return nil
+			}
+			return err
+		}
+	}
+}
+
+// eachLineBlockChunks is EachLineBlock over a chunk source.
+func eachLineBlockChunks(r io.Reader, fn func(block []byte) error) error {
 	var carry []byte // partial trailing line awaiting its newline
 	emit := func(b []byte) error {
 		if len(carry) == 0 {

@@ -1,6 +1,7 @@
 package commands
 
 import (
+	"bytes"
 	"fmt"
 	"regexp"
 	"strconv"
@@ -62,6 +63,10 @@ type sedProgram struct {
 	cmds     []sedCmd
 	suppress bool // -n
 	operands []string
+	// space holds the rewritten pattern space between two commands of one
+	// step: a command reads one buffer and writes the other. A program is
+	// run by one goroutine.
+	space [2][]byte
 }
 
 // parseSedProgram parses sed's flags, resolves the script operand and
@@ -153,34 +158,54 @@ func newSedKernel(args []string) (Kernel, bool) {
 	return p.kernel(), true
 }
 
-func (p *sedProgram) kernel() *lineKernel {
-	return &lineKernel{perLine: func(out, line []byte) []byte {
+// kernel wraps step, sed's per-line body. A script that is one
+// address-less s/LITERAL/REPL/ can only change the lines that contain
+// LITERAL, so the block is searched for it (literalKernel): those lines
+// go through step, everything between them is copied verbatim.
+func (p *sedProgram) kernel() Kernel {
+	lk := lineKernel{perLine: func(out, line []byte) []byte {
 		out, _ = p.step(out, line, 0)
 		return out
+	}}
+	if len(p.cmds) != 1 || p.cmds[0].lit == nil || p.cmds[0].addrRe != nil {
+		return &lk
+	}
+	return &literalKernel{lineKernel: lk, needle: p.cmds[0].lit, hit: lk.perLine, rest: func(out, lines []byte) []byte {
+		return append(out, lines...)
 	}}
 }
 
 // step is sed's per-line body: it runs the script over one input line,
 // appends everything sed prints for it to out, and reports whether a q
 // asked to stop after this line. Nothing edits the pattern space in
-// place, so it can start out as the input line itself.
+// place, so it can start out as the input line itself; a command that
+// rewrites it writes the new one into the program's spare buffer — or,
+// when it is the last thing the script does to the line, straight into
+// out.
 func (p *sedProgram) step(out, line []byte, lineNo int) (_ []byte, quit bool) {
 	pattern := line
+	spare := 0 // the p.space buffer pattern does not alias
 	for i := range p.cmds {
 		c := &p.cmds[i]
 		if !c.matches(pattern, lineNo) {
 			continue
 		}
 		switch c.op {
-		case 's':
-			if c.re.Match(pattern) {
-				pattern = c.substitute(pattern)
+		case 's', 'y':
+			if i == len(p.cmds)-1 && !p.suppress && !c.printSub {
+				if next, ok := c.rewrite(out, pattern); ok {
+					return append(next, '\n'), quit
+				}
+				break
+			}
+			next, ok := c.rewrite(p.space[spare][:0], pattern)
+			p.space[spare] = next
+			if ok {
+				pattern, spare = next, spare^1
 				if c.printSub {
 					out = append(append(out, pattern...), '\n')
 				}
 			}
-		case 'y':
-			pattern = c.transliterate(pattern)
 		case 'p':
 			out = append(append(out, pattern...), '\n')
 		case 'd':
@@ -203,6 +228,7 @@ type sedCmd struct {
 	addrLine int            // NUM address; 0 = none
 	addrLast bool           // $ address
 	re       *regexp.Regexp // for s
+	lit      []byte         // for s: non-nil when the pattern is this fixed string, and re is not consulted
 	repl     []byte         // for s, with & and \N markers resolved at run time
 	global   bool
 	printSub bool
@@ -223,26 +249,60 @@ func (c *sedCmd) matches(line []byte, lineNo int) bool {
 	return true
 }
 
-// substitute replaces the first match of the s command's pattern in
-// line (every match under the g flag), expanding & and \1..\9.
-func (c *sedCmd) substitute(line []byte) []byte {
-	n := 1
-	if c.global {
-		n = -1
+// rewrite appends what an s or y command makes of line to dst and
+// reports whether it made anything: an s whose pattern does not match
+// leaves dst as it was.
+func (c *sedCmd) rewrite(dst, line []byte) ([]byte, bool) {
+	if c.op == 'y' {
+		return c.transliterate(dst, line), true
 	}
-	var out []byte
+	return c.substitute(dst, line)
+}
+
+// substitute replaces the first match of the s command's pattern in
+// line (every match under the g flag), expanding & and \1..\9. A fixed
+// pattern is found with bytes.Index; a regexp runs once over the line.
+func (c *sedCmd) substitute(dst, line []byte) ([]byte, bool) {
+	if c.lit != nil {
+		i := bytes.Index(line, c.lit)
+		if i < 0 {
+			return dst, false
+		}
+		for {
+			end := i + len(c.lit)
+			dst = append(dst, line[:i]...)
+			dst = appendReplacement(dst, c.repl, line, []int{i, end})
+			line = line[end:]
+			if !c.global {
+				break
+			}
+			if i = bytes.Index(line, c.lit); i < 0 {
+				break
+			}
+		}
+		return append(dst, line...), true
+	}
+	var matches [][]int
+	if c.global {
+		matches = c.re.FindAllSubmatchIndex(line, -1)
+	} else if m := c.re.FindSubmatchIndex(line); m != nil {
+		matches = [][]int{m}
+	}
+	if matches == nil {
+		return dst, false
+	}
 	last := 0
-	for _, m := range c.re.FindAllSubmatchIndex(line, n) {
-		out = append(out, line[last:m[0]]...)
-		out = appendReplacement(out, c.repl, line, m)
+	for _, m := range matches {
+		dst = append(dst, line[last:m[0]]...)
+		dst = appendReplacement(dst, c.repl, line, m)
 		last = m[1]
 		// Avoid infinite loops on empty matches.
 		if m[0] == m[1] && last < len(line) {
-			out = append(out, line[last])
+			dst = append(dst, line[last])
 			last++
 		}
 	}
-	return append(out, line[last:]...)
+	return append(dst, line[last:]...), true
 }
 
 func appendReplacement(out, repl, src []byte, m []int) []byte {
@@ -271,17 +331,14 @@ func appendReplacement(out, repl, src []byte, m []int) []byte {
 	return out
 }
 
-func (c *sedCmd) transliterate(line []byte) []byte {
-	out := append([]byte(nil), line...)
-	for i, b := range out {
-		for j, f := range c.from {
-			if b == f && j < len(c.to) {
-				out[i] = c.to[j]
-				break
-			}
+func (c *sedCmd) transliterate(dst, line []byte) []byte {
+	for _, b := range line {
+		if j := bytes.IndexByte(c.from, b); j >= 0 {
+			b = c.to[j]
 		}
+		dst = append(dst, b)
 	}
-	return out
+	return dst
 }
 
 // parseSedScript parses semicolon/newline-separated sed commands.
@@ -379,6 +436,9 @@ func parseOneSedCmd(s string) (*sedCmd, string, error) {
 			return nil, "", fmt.Errorf("sed: bad pattern %q: %v", pat, err)
 		}
 		cmd.re = re
+		if !ignoreCase && pat != "" && plainPattern(pat) && !strings.Contains(pat, "\n") {
+			cmd.lit = []byte(pat)
+		}
 		cmd.repl = []byte(unescapeDelim(repl, delim))
 		return cmd, rest[flagsEnd:], nil
 	case 'y':

@@ -1,7 +1,9 @@
 package commands
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -18,6 +20,70 @@ type trProgram struct {
 	// unterminated line is re-emitted newline-terminated (the shared
 	// convention of this command substrate).
 	newlineIntact bool
+	// shift is set when xlat is the identity except for one contiguous
+	// ASCII range moved by a constant (A-Z a-z and its spellings):
+	// translate then maps eight bytes per step.
+	shift *trShift
+}
+
+// trShift is xlat as word arithmetic. With h the low seven bits of each
+// byte of a word, h+ge carries into a byte's top bit where the byte is
+// >= lo and h+gt where it is > hi. The bytes in range (and below 0x80)
+// then have delta added, as one 64-bit addition of delta times a word
+// with a 1 in each such byte: a negative delta is its two's complement,
+// and no byte carries or borrows into its neighbour because lo+delta and
+// hi+delta are bytes too.
+type trShift struct{ ge, gt, delta uint64 }
+
+const (
+	lowBytes  = 0x0101010101010101
+	highBits  = 0x8080808080808080
+	lowSevens = 0x7f7f7f7f7f7f7f7f
+)
+
+// shiftOf recognizes the tables translate can run word-wide.
+func shiftOf(xlat *[256]byte) *trShift {
+	lo, hi := -1, -1
+	for i, c := range xlat {
+		if int(c) != i {
+			if lo < 0 {
+				lo = i
+			}
+			hi = i
+		}
+	}
+	if lo < 0 || hi >= 0x80 {
+		return nil
+	}
+	delta := int(xlat[lo]) - lo
+	for i := lo; i <= hi; i++ {
+		if int(xlat[i])-i != delta {
+			return nil
+		}
+	}
+	return &trShift{ge: uint64(0x80-lo) * lowBytes, gt: uint64(0x7f-hi) * lowBytes, delta: uint64(delta)}
+}
+
+// translate appends xlat applied to every byte of in: one pass, written
+// where it lands.
+func (p *trProgram) translate(out, in []byte) []byte {
+	n := len(out)
+	out = slices.Grow(out, len(in))[:n+len(in)]
+	dst := out[n:]
+	i := 0
+	if sh := p.shift; sh != nil {
+		ge, gt, delta := sh.ge, sh.gt, sh.delta
+		for words := len(in) &^ 7; i < words; i += 8 {
+			w := binary.LittleEndian.Uint64(in[i : i+8])
+			h := w & lowSevens
+			inRange := ((h + ge) &^ (h + gt) &^ w & highBits) >> 7
+			binary.LittleEndian.PutUint64(dst[i:i+8], w+inRange*delta)
+		}
+	}
+	for ; i < len(in); i++ {
+		dst[i] = p.xlat[in[i]]
+	}
+	return out
 }
 
 // parseTrProgram compiles tr's argv into the byte tables.
@@ -112,6 +178,7 @@ func parseTrProgram(args []string) (*trProgram, error) {
 		}
 	}
 	p.newlineIntact = !(p.inSet1['\n'] && (del || p.xlat['\n'] != '\n'))
+	p.shift = shiftOf(&p.xlat)
 	return p, nil
 }
 
@@ -171,16 +238,7 @@ func (k *trKernel) Apply(out, in []byte) []byte {
 	k.lastIn = in[len(in)-1]
 	p := k.p
 	if !p.del && !p.squeeze {
-		// Translate-only: bulk-copy, then rewrite in place through the
-		// table, with none of the delete/squeeze branches.
-		n := len(out)
-		out = append(out, in...)
-		seg := out[n:]
-		xlat := &p.xlat
-		for i, c := range seg {
-			seg[i] = xlat[c]
-		}
-		return out
+		return p.translate(out, in)
 	}
 	for _, c := range in {
 		if p.del && p.inSet1[c] {

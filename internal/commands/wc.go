@@ -1,6 +1,7 @@
 package commands
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"strings"
@@ -89,7 +90,7 @@ func wc(ctx *Context) error {
 		if err != nil {
 			return err
 		}
-		c, err := countStream(readers[0])
+		c, err := countStream(readers[0], showWords || showChars)
 		cleanup()
 		if err != nil {
 			return err
@@ -111,15 +112,19 @@ func wc(ctx *Context) error {
 	return lw.Flush()
 }
 
-func countStream(r io.Reader) (wcCounts, error) {
+// countStream tallies r. Lines and bytes are always counted, by a
+// newline search and a length per block; only when words or chars are
+// asked for does it look at every byte.
+func countStream(r io.Reader, wordsOrChars bool) (wcCounts, error) {
 	var c wcCounts
 	inWord := false
 	tally := func(buf []byte) {
+		c.bytes += int64(len(buf))
+		c.lines += int64(bytes.Count(buf, newline))
+		if !wordsOrChars {
+			return
+		}
 		for _, b := range buf {
-			c.bytes++
-			if b == '\n' {
-				c.lines++
-			}
 			space := b == ' ' || b == '\t' || b == '\n' || b == '\v' || b == '\f' || b == '\r'
 			if space {
 				inWord = false

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -584,6 +585,41 @@ func TestHeadTailSpellingsAgreeAtEveryWidth(t *testing.T) {
 		}
 		if hasAgg(src) != tc.agg {
 			t.Errorf("%s: aggregator planned = %v, want %v", src, !tc.agg, tc.agg)
+		}
+	}
+}
+
+// TestUniqCountKeepsBlankLinesAtEveryWidth: an empty line is a record
+// like any other. `sort | uniq -c` over input with blank lines prints
+// their row first, and pash-agg-uniq must carry it through the
+// aggregation tree at every width.
+func TestUniqCountKeepsBlankLinesAtEveryWidth(t *testing.T) {
+	dir := t.TempDir()
+	rng := rand.New(rand.NewSource(21))
+	values := []string{"a", "b", "c", "", ""}
+	counts := map[string]int{}
+	var sb strings.Builder
+	for i := 0; i < 40000; i++ {
+		v := values[rng.Intn(len(values))]
+		counts[v]++
+		sb.WriteString(v + "\n")
+	}
+	if err := os.WriteFile(filepath.Join(dir, "f"), []byte(sb.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	counted := ""
+	for _, v := range []string{"", "a", "b", "c"} {
+		counted += fmt.Sprintf("%7d %s\n", counts[v], v)
+	}
+	for src, want := range map[string]string{
+		"cat f | sort | uniq -c": counted,
+		"cat f | sort | uniq":    "\na\nb\nc\n",
+	} {
+		for _, width := range []int{1, 2, 4} {
+			got, code, err := runScriptCode(t, DefaultOptions(width), src, "", dir, nil)
+			if err != nil || code != 0 || got != want {
+				t.Errorf("%s at width %d: exit %d, %v\n--- want:\n%s--- got:\n%s", src, width, code, err, want, got)
+			}
 		}
 	}
 }

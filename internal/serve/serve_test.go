@@ -259,14 +259,19 @@ func TestServePerRequestOptions(t *testing.T) {
 		}
 	}
 	// The overrides reached the planner: each width compiled its own
-	// plan (same region fingerprint, different keys).
+	// plan (same region fingerprint, different keys), or — when the
+	// first run was quick enough for the measured history to call the
+	// region sequential — was degraded to width 1 there, which only a
+	// width > 1 that reached the planner can be. Either way no wall time
+	// decides the outcome.
 	before := srv.Snapshot().PlanCache
-	if before.Misses < 3 {
-		t.Errorf("expected >= 3 distinct plan keys across widths, got %+v", before)
+	if before.Misses+before.SeqHints < 3 {
+		t.Errorf("expected 3 widths to reach the planner (misses + sequential hints), got %+v", before)
 	}
 	// Planner internals ride no request: the old knobs are inert and the
-	// plan for this width is served from the cache.
-	if resp, out := post("width=8&split=general&fusion=off"); resp.StatusCode != 200 || out != want {
+	// plan for this width is served from the cache (width 1, which the
+	// measured history never re-widths).
+	if resp, out := post("width=1&split=general&fusion=off"); resp.StatusCode != 200 || out != want {
 		t.Errorf("split=/fusion= parameters: status=%d out=%q", resp.StatusCode, out)
 	}
 	if after := srv.Snapshot().PlanCache; after.Misses != before.Misses {

@@ -130,6 +130,12 @@ func TestWindowerBackpressurePausesSource(t *testing.T) {
 	input := randomText(rand.New(rand.NewSource(2)), 2000)
 	const maxBuffer = 4 << 10
 	w := newWindower(NewReaderSource(bytes.NewReader(input)), time.Hour, 1<<10, maxBuffer, 0)
+	// Nothing is consumed until the reader has parked on its second chunk
+	// (the first alone is over budget), so whether it pauses does not
+	// depend on which goroutine the scheduler favours.
+	for deadline := time.Now().Add(10 * time.Second); w.Pauses() == 0 && time.Now().Before(deadline); {
+		time.Sleep(100 * time.Microsecond)
+	}
 	wins := collectWindows(t, w)
 	if got := bytes.Join(wins, nil); !bytes.Equal(got, input) {
 		t.Fatalf("backpressured stream lost data: %d vs %d bytes", len(got), len(input))
