@@ -124,7 +124,7 @@ import (
 
 func main() {
 	listen := flag.String("listen", ":8721", "listen address: host:port, or unix:/path/to.sock")
-	width := flag.Int("width", 8, "parallelism width requested per region")
+	width := flag.Int("width", 8, "parallelism width ceiling per region (each region runs as wide as its input pays for)")
 	workerTokens := flag.Int("worker-tokens", 0, "scheduler worker tokens (0 = number of CPUs)")
 	scripts := flag.Int("scripts", 0, "max concurrently admitted scripts (0 = same as tokens)")
 	queue := flag.Int("queue", 64, "max requests queued for admission before shedding (0 = unbounded)")
@@ -208,7 +208,11 @@ func main() {
 		sched.SetMaxScripts(*scripts)
 	}
 	sched.SetAdmissionQueue(*queue, *queueWait)
-	sess := pash.NewSession(pash.DefaultOptions(*width))
+	opts := pash.DefaultOptions(*width)
+	// -width (and a request's width=) is a ceiling: the planner sizes each
+	// region from its input.
+	opts.PlanWidth = true
+	sess := pash.NewSession(opts)
 	sess.Dir = *dir
 	srv := serve.New(sess, sched)
 	srv.SetDefaultLimits(pash.JobLimits{

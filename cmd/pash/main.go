@@ -30,7 +30,7 @@ import (
 
 func main() {
 	var (
-		width    = flag.Int("width", 4, "parallelism width (1 = sequential)")
+		width    = flag.Int("width", 4, "parallelism width ceiling (1 = sequential): each region runs as wide as its input pays for, at most this")
 		noSplit  = flag.Bool("no-split", false, "disable split insertion (t2)")
 		eager    = flag.String("eager", "full", "eager mode: none|blocking|full")
 		emit     = flag.Bool("emit", false, "emit the compiled parallel script instead of running")
@@ -59,6 +59,8 @@ func main() {
 	}
 
 	opts := pash.DefaultOptions(*width)
+	// -width is a ceiling: the planner sizes each region from its input.
+	opts.PlanWidth = true
 	if *noSplit {
 		opts.Split = false
 	}
@@ -120,6 +122,9 @@ func main() {
 	if *stats {
 		fmt.Fprintf(os.Stderr, "pash: %d region(s), %d total nodes, largest region %d nodes, plan cache %d hit / %d miss\n",
 			st.Regions, st.TotalNodes, st.MaxNodes, st.PlanHits, st.PlanMisses)
+		if st.Regions > 0 {
+			fmt.Fprintf(os.Stderr, "pash: planned %s\n", st.Widths)
+		}
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pash: %v\n", err)

@@ -103,11 +103,21 @@
 // A shared runtime.Scheduler lets N concurrent script executions share
 // the machine instead of each claiming its configured width: top-level
 // runs block in script admission (a bounded semaphore), and each
-// region's effective width is chosen at instantiation — measured
-// region history first (regions too short to amortize parallelism run
-// sequentially), then 1 + whatever extra worker tokens the shared pool
-// can spare, never blocking (which keeps concurrently-executing
-// pipeline stages deadlock-free).
+// region is granted 1 + whatever extra worker tokens the shared pool
+// can spare toward the width the planner wants, never blocking (which
+// keeps concurrently-executing pipeline stages deadlock-free).
+//
+// How wide a region wants to be is planned per region, at run time. In
+// the pash and pash-serve binaries -width is a ceiling
+// (core.Options.PlanWidth): a region gets one replica per 512 KiB of
+// input where the planner can state its input — file operands it can
+// stat, a regular-file stdin, a request body with a Content-Length —
+// else per millisecond of its measured history, else the ceiling. A loop over
+// a 4 KB file therefore runs two-node plans, not six-node ones, and
+// never ships them to a worker pool. The decision and its reason are
+// on the graph (pash -graph, pash -stats). Library callers and the
+// paper-artifact tooling keep the exact presets: DefaultOptions plans
+// every region at the width given. internal/runtime/README.md, "Width".
 //
 // pash.Session is safe for concurrent Run: each run takes an immutable
 // compiler snapshot, and extensions (Register, RegisterCommand,

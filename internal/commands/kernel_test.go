@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"testing/iotest"
 )
@@ -84,6 +85,24 @@ var kernelCases = []struct {
 	{"sed", []string{"-e", "s/a/A/", "-e", "y/e/E/"}},
 	{"sed", []string{"/the/s/end/END/"}},
 	{"rev", nil},
+}
+
+// positionalCases are sed invocations that read a line's position in the
+// whole input: no kernel runs them (chunking is not invariant for them by
+// design), but the command must still print what the host's sed prints.
+var positionalCases = []struct {
+	name string
+	args []string
+}{
+	{"sed", []string{"2,3d"}},
+	{"sed", []string{"-n", "2,$p"}},
+	{"sed", []string{"2,4s/the/THE/"}},
+	{"sed", []string{"3,$y/abc/ABC/"}},
+	{"sed", []string{"3,1d"}}, // an end before the start: the start line alone
+	{"sed", []string{"$d"}},
+	{"sed", []string{"-n", "$p"}},
+	{"sed", []string{"-e", "1,2d", "-e", "$s/$/ (end)/"}},
+	{"sed", []string{"2q"}},
 }
 
 var kernelInputs = []string{
@@ -185,8 +204,9 @@ func FuzzKernelChunking(f *testing.F) {
 
 // TestKernelsAgainstHostCoreutils is the differential half: on
 // newline-terminated input, where this substrate and GNU agree, every
-// kernel case — run as its command, through the kernel driver — must
-// print what the host's tool prints under LC_ALL=C, and exit alike.
+// kernel case — run as its command, through the kernel driver — and
+// every positional sed must print what the host's tool prints under
+// LC_ALL=C, and exit alike.
 func TestKernelsAgainstHostCoreutils(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	var inputs []string
@@ -202,7 +222,7 @@ func TestKernelsAgainstHostCoreutils(t *testing.T) {
 			if err != nil {
 				t.Skipf("no host %s", tool)
 			}
-			for _, tc := range kernelCases {
+			for _, tc := range slices.Concat(kernelCases, positionalCases) {
 				if tc.name != tool {
 					continue
 				}
@@ -437,7 +457,7 @@ func perLineReference(t *testing.T, name string, args []string, input string) (o
 			t.Fatal(err)
 		}
 		for _, line := range lines {
-			out, _ = p.step(out, []byte(line), 0)
+			out, _ = p.step(out, []byte(line), 0, false)
 		}
 	}
 	return out, status
@@ -658,6 +678,93 @@ func TestDataPlaneAllocations(t *testing.T) {
 		t.Errorf("EachLineBlock allocates per block: %.0f over 1 MiB, %.0f over 8 MiB", a1, a8)
 	}
 }
+
+// chunkSink is a ChunkWriter that recycles what it is handed, as a pipe's
+// reader does once it has drained a chunk.
+type chunkSink struct{ bytes, chunks int }
+
+func (c *chunkSink) Write(p []byte) (int, error) { c.bytes += len(p); return len(p), nil }
+func (c *chunkSink) WriteChunk(b []byte) error {
+	c.bytes, c.chunks = c.bytes+len(b), c.chunks+1
+	PutBlock(b)
+	return nil
+}
+
+// TestLineWriterReturnsItsBlock: a LineWriter takes its staging block on
+// the first write and Flush gives it up — downstream with a ChunkWriter,
+// back to the pool otherwise — so a command that writes less than a block
+// leaves the pool as it found it. Counted at the pool: every GetBlock the
+// pool cannot serve from a returned block is a fresh 64 KiB allocation.
+// The bound is half a block per cycle, not zero, because under the race
+// detector sync.Pool drops a quarter of what it is given; a writer that
+// keeps its block costs one per cycle (two behind a ChunkWriter).
+func TestLineWriterReturnsItsBlock(t *testing.T) {
+	var fresh atomic.Int64
+	origNew := blockPool.New
+	blockPool.New = func() interface{} { fresh.Add(1); return origNew() }
+	defer func() { blockPool.New = origNew }()
+
+	const cycles = 200
+	line := []byte("a line of output")
+	for _, tc := range []struct {
+		name  string
+		plain bool
+	}{{"chunk writer", false}, {"plain writer", true}} {
+		c := &chunkSink{}
+		var w io.Writer = c
+		if tc.plain {
+			w = plainWriter{c}
+		}
+		if err := NewLineWriter(w).Flush(); err != nil { // never written to
+			t.Fatal(err)
+		}
+		before := fresh.Load()
+		for i := 0; i < cycles; i++ {
+			lw := NewLineWriter(w)
+			if lw.buf != nil {
+				t.Fatalf("%s: a block is held before the first write", tc.name)
+			}
+			for j := 0; j < 3; j++ {
+				if err := lw.WriteLine(line); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := lw.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if lw.buf != nil {
+				t.Fatalf("%s: a block is held after Flush", tc.name)
+			}
+		}
+		if n := fresh.Load() - before; n > cycles/2 {
+			t.Errorf("%s: %d fresh blocks over %d write-and-flush cycles, want the pool's own block to come back", tc.name, n, cycles)
+		}
+		if want := cycles * 3 * (len(line) + 1); c.bytes != want {
+			t.Errorf("%s: %d bytes reached the sink, want %d", tc.name, c.bytes, want)
+		}
+		if want := map[bool]int{false: cycles, true: 0}[tc.plain]; c.chunks != want {
+			t.Errorf("%s: %d chunks handed over, want %d", tc.name, c.chunks, want)
+		}
+	}
+
+	// A writer that fills its block hands it on and takes another: what is
+	// written is what arrives, and the last block comes back too.
+	c := &chunkSink{}
+	lw := NewLineWriter(c)
+	long := bytes.Repeat([]byte("x"), BlockSize/4)
+	for i := 0; i < 9; i++ {
+		must(t, lw.WriteLine(long))
+	}
+	must(t, lw.Flush())
+	if want := 9 * (len(long) + 1); c.bytes != want || c.chunks != 3 || lw.buf != nil {
+		t.Errorf("multi-block: %d bytes in %d chunks (held %v), want %d in 3", c.bytes, c.chunks, lw.buf != nil, want)
+	}
+}
+
+// plainWriter hides everything but Write.
+type plainWriter struct{ w io.Writer }
+
+func (p plainWriter) Write(b []byte) (int, error) { return p.w.Write(b) }
 
 // BenchmarkKernels measures the hot kernels over generated text, block by
 // block as the chain runner feeds them, and wc -l through its command.

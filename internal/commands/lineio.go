@@ -394,31 +394,39 @@ func EachLineReaders(rs []io.Reader, fn func(line []byte) error) error {
 	return nil
 }
 
-// LineWriter buffers line-oriented output in pooled blocks. When the
-// underlying writer is a ChunkWriter, full blocks are handed over by
+// LineWriter buffers line-oriented output in a pooled block. When the
+// underlying writer is a ChunkWriter, a full block is handed over by
 // ownership transfer — the bytes are staged once and never copied again.
-// Always Flush before returning from the command.
+//
+// The block's lifetime is the writer's use of it: taken from the pool by
+// the first write, handed downstream (ChunkWriter) or rewound in place
+// (plain writer) when it fills, and given up by Flush — handed downstream
+// if it holds anything a ChunkWriter will take, returned to the pool
+// otherwise. A LineWriter that is never written to takes no block, and
+// one that is flushed keeps none, so a command whose output fits in a
+// block costs the pool nothing once it is warm. Always Flush before
+// returning from the command.
 type LineWriter struct {
 	w   io.Writer
 	cw  ChunkWriter // non-nil when w supports chunk handoff
-	buf []byte      // pooled staging block
+	buf []byte      // pooled staging block; nil before the first write and after Flush
 }
 
 // NewLineWriter wraps w.
 func NewLineWriter(w io.Writer) *LineWriter {
-	lw := &LineWriter{w: w, buf: GetBlock()}
+	lw := &LineWriter{w: w}
 	lw.cw, _ = w.(ChunkWriter)
 	return lw
 }
 
-// flushFull ships the staging block downstream.
+// flushFull ships the staged bytes downstream.
 func (lw *LineWriter) flushFull() error {
 	if len(lw.buf) == 0 {
 		return nil
 	}
 	if lw.cw != nil {
 		err := lw.cw.WriteChunk(lw.buf)
-		lw.buf = GetBlock()
+		lw.buf = nil
 		return err
 	}
 	_, err := lw.w.Write(lw.buf)
@@ -426,7 +434,13 @@ func (lw *LineWriter) flushFull() error {
 	return err
 }
 
-func (lw *LineWriter) room() int { return cap(lw.buf) - len(lw.buf) }
+// room is the space left in the staging block, taking one if none is held.
+func (lw *LineWriter) room() int {
+	if lw.buf == nil {
+		lw.buf = GetBlock()
+	}
+	return cap(lw.buf) - len(lw.buf)
+}
 
 // WriteLine writes line plus a newline.
 func (lw *LineWriter) WriteLine(line []byte) error {
@@ -516,8 +530,15 @@ func writeBlock(w io.Writer, b []byte) error {
 	return err
 }
 
-// Flush flushes buffered output.
-func (lw *LineWriter) Flush() error { return lw.flushFull() }
+// Flush flushes buffered output and gives up the staging block.
+func (lw *LineWriter) Flush() error {
+	err := lw.flushFull()
+	if lw.buf != nil {
+		PutBlock(lw.buf)
+		lw.buf = nil
+	}
+	return err
+}
 
 var newline = []byte{'\n'}
 

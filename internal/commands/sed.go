@@ -12,9 +12,9 @@ func init() { register("sed", sed) }
 
 // sed implements a practical subset of the stream editor: the s///
 // substitution (with g, p, i flags and arbitrary delimiters), y///
-// transliteration, p, d, q and = commands, optional /regex/, NUM and $
-// addresses, -n (suppress auto-print), and multiple -e scripts or a
-// single script operand. Patterns use Go RE2 syntax with the common BRE
+// transliteration, p, d, q and = commands, optional /regex/, NUM, $,
+// NUM,NUM and NUM,$ addresses, -n (suppress auto-print), and multiple -e
+// scripts or a single script operand. Patterns use Go RE2 syntax with the common BRE
 // group spelling \(...\) translated.
 func sed(ctx *Context) error {
 	p, err := parseSedProgram(ctx.Args)
@@ -38,10 +38,10 @@ func sed(ctx *Context) error {
 	lineNo := 0
 	errQuit := fmt.Errorf("sed: quit")
 	var out []byte
-	err = EachLineReaders(readers, func(line []byte) error {
+	emit := func(line []byte, last bool) error {
 		lineNo++
 		var quit bool
-		out, quit = p.step(out[:0], line, lineNo)
+		out, quit = p.step(out[:0], line, lineNo, last)
 		if _, err := lw.Write(out); err != nil {
 			return err
 		}
@@ -49,7 +49,26 @@ func sed(ctx *Context) error {
 			return errQuit
 		}
 		return nil
+	}
+	// A $ address needs to know a line is the last one when it is run:
+	// such a program runs one line behind its input.
+	var held []byte
+	holding := false
+	err = EachLineReaders(readers, func(line []byte) error {
+		if !p.readsLast() {
+			return emit(line, false)
+		}
+		if holding {
+			if err := emit(held, false); err != nil {
+				return err
+			}
+		}
+		held, holding = append(held[:0], line...), true
+		return nil
 	})
+	if err == nil && holding {
+		err = emit(held, true)
+	}
 	if err != nil && err != errQuit {
 		return err
 	}
@@ -114,10 +133,20 @@ func parseSedProgram(args []string) (*sedProgram, error) {
 	return p, nil
 }
 
+// readsLast reports whether a command is addressed by the last line.
+func (p *sedProgram) readsLast() bool {
+	for i := range p.cmds {
+		if p.cmds[i].addrLast || p.cmds[i].addrToLast {
+			return true
+		}
+	}
+	return false
+}
+
 // lineMap reports whether the program is a map over lines: what it
 // prints for a line depends on that line alone. s, y, p and d behind no
-// address or a /regex/ one are; a numeric address, q and = read the
-// line's position in the whole input.
+// address or a /regex/ one are; a numeric address or range, $, q and =
+// read the line's position in the whole input.
 func (p *sedProgram) lineMap() bool {
 	for i := range p.cmds {
 		c := &p.cmds[i]
@@ -164,7 +193,7 @@ func newSedKernel(args []string) (Kernel, bool) {
 // go through step, everything between them is copied verbatim.
 func (p *sedProgram) kernel() Kernel {
 	lk := lineKernel{perLine: func(out, line []byte) []byte {
-		out, _ = p.step(out, line, 0)
+		out, _ = p.step(out, line, 0, false)
 		return out
 	}}
 	if len(p.cmds) != 1 || p.cmds[0].lit == nil || p.cmds[0].addrRe != nil {
@@ -175,19 +204,19 @@ func (p *sedProgram) kernel() Kernel {
 	}}
 }
 
-// step is sed's per-line body: it runs the script over one input line,
-// appends everything sed prints for it to out, and reports whether a q
-// asked to stop after this line. Nothing edits the pattern space in
+// step is sed's per-line body: it runs the script over one input line
+// (the lineNo-th, and the last one if last), appends everything sed
+// prints for it to out, and reports whether a q asked to stop after it. Nothing edits the pattern space in
 // place, so it can start out as the input line itself; a command that
 // rewrites it writes the new one into the program's spare buffer — or,
 // when it is the last thing the script does to the line, straight into
 // out.
-func (p *sedProgram) step(out, line []byte, lineNo int) (_ []byte, quit bool) {
+func (p *sedProgram) step(out, line []byte, lineNo int, last bool) (_ []byte, quit bool) {
 	pattern := line
 	spare := 0 // the p.space buffer pattern does not alias
 	for i := range p.cmds {
 		c := &p.cmds[i]
-		if !c.matches(pattern, lineNo) {
+		if !c.matches(pattern, lineNo, last) {
 			continue
 		}
 		switch c.op {
@@ -225,26 +254,33 @@ func (p *sedProgram) step(out, line []byte, lineNo int) (_ []byte, quit bool) {
 type sedCmd struct {
 	op       byte
 	addrRe   *regexp.Regexp // /re/ address
-	addrLine int            // NUM address; 0 = none
-	addrLast bool           // $ address
-	re       *regexp.Regexp // for s
-	lit      []byte         // for s: non-nil when the pattern is this fixed string, and re is not consulted
-	repl     []byte         // for s, with & and \N markers resolved at run time
-	global   bool
-	printSub bool
-	from, to []byte // for y
+	addrLine int            // NUM address, or the start of a range; 0 = none
+	addrEnd  int            // NUM,NUM: the range's last line; 0 = none
+	// addrToLast is NUM,$: from addrLine to the end of input. addrLast is
+	// $ alone: the last line only.
+	addrToLast bool
+	addrLast   bool
+	re         *regexp.Regexp // for s
+	lit        []byte         // for s: non-nil when the pattern is this fixed string, and re is not consulted
+	repl       []byte         // for s, with & and \N markers resolved at run time
+	global     bool
+	printSub   bool
+	from, to   []byte // for y
 }
 
-func (c *sedCmd) matches(line []byte, lineNo int) bool {
+func (c *sedCmd) matches(line []byte, lineNo int, last bool) bool {
 	switch {
 	case c.addrRe != nil:
 		return c.addrRe.Match(line)
+	case c.addrToLast:
+		return lineNo >= c.addrLine
+	case c.addrEnd > 0:
+		// A range whose end is not past its start is its first line.
+		return lineNo == c.addrLine || (lineNo > c.addrLine && lineNo <= c.addrEnd)
 	case c.addrLine > 0:
 		return lineNo == c.addrLine
 	case c.addrLast:
-		// Last-line detection needs lookahead; unsupported in streaming
-		// mode. parseSedScript rejects $ so this is unreachable.
-		return false
+		return last
 	}
 	return true
 }
@@ -375,15 +411,26 @@ func parseOneSedCmd(s string) (*sedCmd, string, error) {
 		cmd.addrRe = re
 		s = strings.TrimLeft(s[2+end:], " \t")
 	case s[0] >= '0' && s[0] <= '9':
-		j := 0
-		for j < len(s) && s[j] >= '0' && s[j] <= '9' {
-			j++
+		cmd.addrLine, s = leadingInt(s)
+		if cmd.addrLine == 0 {
+			return nil, "", fmt.Errorf("sed: invalid line address 0")
 		}
-		n, _ := strconv.Atoi(s[:j])
-		cmd.addrLine = n
-		s = strings.TrimLeft(s[j:], " \t")
+		if s != "" && s[0] == ',' {
+			s = strings.TrimLeft(s[1:], " \t")
+			switch {
+			case s != "" && s[0] == '$':
+				cmd.addrToLast, s = true, s[1:]
+			case s != "" && s[0] >= '0' && s[0] <= '9':
+				cmd.addrEnd, s = leadingInt(s)
+				cmd.addrEnd = max(cmd.addrEnd, 1) // N,0 is line N, like any end before the start
+			default:
+				return nil, "", fmt.Errorf("sed: unsupported address range end in %q (want N,M or N,$)", s)
+			}
+		}
+		s = strings.TrimLeft(s, " \t")
 	case s[0] == '$':
-		return nil, "", fmt.Errorf("sed: $ (last line) addresses are not supported in streaming mode")
+		cmd.addrLast = true
+		s = strings.TrimLeft(s[1:], " \t")
 	}
 	if s == "" {
 		return nil, "", fmt.Errorf("sed: missing command")
@@ -466,6 +513,16 @@ func parseOneSedCmd(s string) (*sedCmd, string, error) {
 		return cmd, s[1:], nil
 	}
 	return nil, "", fmt.Errorf("sed: unsupported command %q", string(op))
+}
+
+// leadingInt splits s after its leading decimal digits.
+func leadingInt(s string) (int, string) {
+	j := 0
+	for j < len(s) && s[j] >= '0' && s[j] <= '9' {
+		j++
+	}
+	n, _ := strconv.Atoi(s[:j])
+	return n, s[j:]
 }
 
 // compileSedRegexp compiles an address pattern.

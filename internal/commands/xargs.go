@@ -7,6 +7,12 @@ import (
 
 func init() { register("xargs", xargs) }
 
+// InputIsIndex reports whether the named builtin reads its input lines as
+// names of other things to read or run: xargs runs a command per batch,
+// file opens each path. The bytes such a command reads say nothing about
+// the work it does, so the planner does not size a region by them.
+func InputIsIndex(name string) bool { return name == "xargs" || name == "file" }
+
 // xargs builds command invocations from input lines. Flags: -n MAX (args
 // per invocation), -L MAX (lines per invocation), -I REPL (replace REPL
 // in the template with each input line, one line per invocation).

@@ -18,6 +18,14 @@ import (
 type Options struct {
 	// Width is the parallelism factor (1 disables parallelization).
 	Width int
+	// PlanWidth makes Width a ceiling: each region's width is planned at
+	// run time from what is known about its input — the bytes the planner
+	// can state, else the region's measured history, else the ceiling
+	// (Compiler.regionWidth). The zero value is the paper's exact
+	// configurations, where every region is planned at Width: the tests
+	// and the artifact tool (Fig. 7-8) need the width they ask for. The
+	// pash and pash-serve binaries always set it; it has no flag.
+	PlanWidth bool
 	// Split enables split insertion (t2).
 	Split bool
 	// InputAwareSplit plans the file-range split for seekable graph-input

@@ -26,7 +26,11 @@ func (p *Plan) Dot() string {
 			continue
 		}
 		fmt.Fprintf(&b, "  subgraph cluster_%d {\n", i)
-		fmt.Fprintf(&b, "    label=\"region %d\";\n    color=gray60;\n", i)
+		label := fmt.Sprintf("region %d", i)
+		if item.Graph.Width.Asked > 0 {
+			label += ": " + item.Graph.Width.String()
+		}
+		fmt.Fprintf(&b, "    label=%q;\n    color=gray60;\n", label)
 		item.Graph.WriteDot(&b, "    ", fmt.Sprintf("r%d_", i))
 		b.WriteString("  }\n")
 	}

@@ -5,6 +5,7 @@ import (
 	"io"
 	"strings"
 
+	"repro/internal/commands"
 	"repro/internal/dfg"
 	"repro/internal/shell"
 )
@@ -33,7 +34,7 @@ type PlanItem struct {
 // of real processes and FIFOs); everything else is preserved verbatim —
 // PaSh's conservative treatment of incomplete information (§5.1).
 func (c *Compiler) Plan(src string) (*Plan, error) {
-	return c.plan(src, true)
+	return c.plan(src, nil)
 }
 
 // PlanExec compiles like Plan but optimizes each region for in-process
@@ -42,28 +43,41 @@ func (c *Compiler) Plan(src string) (*Plan, error) {
 // and so cannot be emitted as a shell script; use it for inspection
 // (Plan.Dot, `pash -graph`).
 func (c *Compiler) PlanExec(src string) (*Plan, error) {
-	return c.plan(src, false)
+	return c.PlanExecIn(src, commands.OSFS{})
 }
 
-func (c *Compiler) plan(src string, emission bool) (*Plan, error) {
+// PlanExecIn is PlanExec for a job that would see the filesystem as fs:
+// each region's width is decided as the interpreter would decide it there
+// (regionWidth), so `pash -graph` shows the plan `pash` would run. No
+// stdin is bound yet, so a region reading it has no stated size.
+func (c *Compiler) PlanExecIn(src string, fs commands.OSFS) (*Plan, error) {
+	return c.plan(src, &RegionInput{FS: fs, Stdin: unboundStdin{}})
+}
+
+// unboundStdin stands for the stdin of a job not started yet.
+type unboundStdin struct{ io.Reader }
+
+// plan compiles src for execution in the given job environment, or for
+// emission when exec is nil.
+func (c *Compiler) plan(src string, exec *RegionInput) (*Plan, error) {
 	list, err := shell.Parse(src)
 	if err != nil {
 		return nil, err
 	}
 	p := &Plan{}
 	env := shell.NewEnv()
-	c.planList(p, list, env, emission)
+	c.planList(p, list, env, exec)
 	return p, nil
 }
 
 // planList walks a list, lifting what it can.
-func (c *Compiler) planList(p *Plan, list *shell.List, env *shell.Env, emission bool) {
+func (c *Compiler) planList(p *Plan, list *shell.List, env *shell.Env, exec *RegionInput) {
 	for _, item := range list.Items {
-		c.planCommand(p, item.Cmd, env, item.Background, emission)
+		c.planCommand(p, item.Cmd, env, item.Background, exec)
 	}
 }
 
-func (c *Compiler) planCommand(p *Plan, cmd shell.Command, env *shell.Env, background, emission bool) {
+func (c *Compiler) planCommand(p *Plan, cmd shell.Command, env *shell.Env, background bool, exec *RegionInput) {
 	verbatim := func() {
 		p.Items = append(p.Items, PlanItem{Verbatim: shell.Print(cmd), Background: background})
 	}
@@ -85,7 +99,7 @@ func (c *Compiler) planCommand(p *Plan, cmd shell.Command, env *shell.Env, backg
 			p.Items = append(p.Items, PlanItem{Verbatim: shell.Print(cmd), Background: background})
 			return
 		}
-		if g, ok := c.tryCompileStatic([]*shell.Simple{cmd}, env, emission); ok {
+		if g, ok := c.tryCompileStatic([]*shell.Simple{cmd}, env, exec); ok {
 			p.Items = append(p.Items, PlanItem{Graph: g, Background: background})
 			return
 		}
@@ -104,7 +118,7 @@ func (c *Compiler) planCommand(p *Plan, cmd shell.Command, env *shell.Env, backg
 			verbatim()
 			return
 		}
-		if g, ok := c.tryCompileStatic(simples, env, emission); ok {
+		if g, ok := c.tryCompileStatic(simples, env, exec); ok {
 			p.Items = append(p.Items, PlanItem{Graph: g, Background: background})
 			return
 		}
@@ -120,7 +134,7 @@ func (c *Compiler) planCommand(p *Plan, cmd shell.Command, env *shell.Env, backg
 
 // tryCompileStatic compiles a pipeline if every word expands statically
 // (undefined variables count as dynamic — the conservative default).
-func (c *Compiler) tryCompileStatic(simples []*shell.Simple, env *shell.Env, emission bool) (*dfg.Graph, bool) {
+func (c *Compiler) tryCompileStatic(simples []*shell.Simple, env *shell.Env, exec *RegionInput) (*dfg.Graph, bool) {
 	x := &shell.Expander{Env: env, Strict: true}
 	var stages []Stage
 	for _, s := range simples {
@@ -148,17 +162,24 @@ func (c *Compiler) tryCompileStatic(simples []*shell.Simple, env *shell.Env, emi
 		}
 		stages = append(stages, st)
 	}
-	g, err := c.CompilePipeline(stages, RegionIO{})
+	if exec == nil {
+		g, err := c.CompilePipeline(stages, RegionIO{})
+		if err != nil {
+			return nil, false
+		}
+		c.OptimizeForEmission(g)
+		return g, true
+	}
+	// The execution view is planned, and distributed, exactly as the
+	// interpreter would: Plan.Dot shows the width decision and the shard
+	// map.
+	wp, lifted, err := c.regionWidth(stages, regionKey(stages), c.Opts.Width, *exec)
 	if err != nil {
 		return nil, false
 	}
-	if emission {
-		c.OptimizeForEmission(g)
-	} else {
-		c.Optimize(g)
-		// The execution view distributes exactly as the interpreter
-		// would, so Plan.Dot shows the shard map.
-		c.distribute(g, c.Opts.Width)
+	g, err := c.compileAt(stages, wp, lifted)
+	if err != nil {
+		return nil, false
 	}
 	return g, true
 }

@@ -41,6 +41,11 @@ type Interp struct {
 	jobMu sync.Mutex
 	jobs  []chan jobResult
 
+	// envSnap is env as of generation envGen (envSnapshot).
+	envMu   sync.Mutex
+	envSnap map[string]string
+	envGen  uint64
+
 	statsMu sync.Mutex
 	// Stats accumulates per-region compilation metrics for Tab. 2.
 	// Read it only after RunScript returns (background jobs update it
@@ -70,6 +75,8 @@ type InterpStats struct {
 	// costs the full compile+optimize pass).
 	PlanHits   int
 	PlanMisses int
+	// Widths counts the regions by what decided their width.
+	Widths dfg.WidthTally
 	// BytesMoved / ChunksMoved total the live data-plane traffic across
 	// the interpreter's regions. They are filled by StatsSnapshot (from
 	// the live meter), so they are meaningful mid-run, not only at exit.
@@ -121,6 +128,7 @@ func (in *Interp) fold(sub *Interp) {
 	in.Stats.MaxNodes = max(in.Stats.MaxNodes, sub.Stats.MaxNodes)
 	in.Stats.PlanHits += sub.Stats.PlanHits
 	in.Stats.PlanMisses += sub.Stats.PlanMisses
+	in.Stats.Widths.Add(sub.Stats.Widths)
 	in.statsMu.Unlock()
 	in.profMu.Lock()
 	in.Profiles = append(in.Profiles, sub.Profiles...)
@@ -580,7 +588,7 @@ func (in *Interp) runPipeline(ctx context.Context, simples []*shell.Simple) (int
 				overrides = append(overrides, envOverride{name: a.Name, value: v})
 			}
 		}
-		var argv []string
+		argv := make([]string, 0, len(s.Args))
 		for _, w := range s.Args {
 			fs, err := x.ExpandWord(w)
 			if err != nil {
@@ -629,30 +637,32 @@ func (in *Interp) runPipeline(ctx context.Context, simples []*shell.Simple) (int
 		}
 	}
 
-	// Control plane: fingerprint the region, consult the measured
-	// history for a width hint, take width tokens from the shared
-	// scheduler, then plan (cache hit: clone; miss: compile+optimize).
+	// Control plane: fingerprint the region, ask the planner how wide it
+	// should be, take that many width tokens from the shared scheduler,
+	// then plan (cache hit: clone; miss: compile+optimize).
 	rkey := regionKey(stages)
-	// The job's replica budget caps the width before the scheduler is
-	// even asked, so an over-budget region never takes tokens it cannot
-	// use.
-	eff := in.budget.CapWidth(in.c.Opts.Width)
+	// The job's replica budget caps the width before anyone is asked, so
+	// an over-budget region never takes tokens it cannot use.
+	wp, lifted, err := in.c.regionWidth(stages, rkey, in.budget.CapWidth(in.c.Opts.Width), RegionInput{
+		FS:    commands.OSFS{Dir: in.dir, Jail: in.sandbox},
+		Stdin: in.stdio.Stdin,
+	})
+	if err != nil {
+		return 1, err
+	}
 	if in.c.Sched != nil {
-		// Multi-tenant instantiation: measured history first (regions
-		// too short to amortize parallelism run sequentially), then the
-		// shared token pool caps what the machine can spare right now.
-		want := eff
-		if in.c.Plans != nil {
-			want = in.budget.CapWidth(in.c.Plans.widthHint(rkey, want))
-		}
-		var release func()
-		eff, release = in.c.Sched.AcquireWidth(want)
+		// Multi-tenant instantiation: the shared token pool caps what the
+		// machine can spare right now. A width-1 region takes no token.
+		granted, release := in.c.Sched.AcquireWidth(wp.Planned)
 		defer release()
+		if granted < wp.Planned {
+			wp.Planned, wp.Reason, wp.Measure = granted, dfg.WidthGranted, int64(wp.Planned)
+		}
 	}
 	restore := in.applyOverrides(overrides)
 	defer restore()
 	var start time.Time // execution only: planning is not the region's wall
-	g, res, err := in.c.runRegion(ctx, stages, rkey, eff, in.stdio, runtime.Config{
+	g, res, err := in.c.runRegion(ctx, stages, rkey, wp, lifted, in.stdio, runtime.Config{
 		Dir:     in.dir,
 		Env:     in.envSnapshot(),
 		Budget:  in.budget,
@@ -668,6 +678,7 @@ func (in *Interp) runPipeline(ctx context.Context, simples []*shell.Simple) (int
 		} else {
 			in.Stats.PlanMisses++
 		}
+		in.Stats.Widths.Note(wp)
 		in.statsMu.Unlock()
 		start = time.Now()
 	})
@@ -675,11 +686,13 @@ func (in *Interp) runPipeline(ctx context.Context, simples []*shell.Simple) (int
 		return 1, err
 	}
 	wall := time.Since(start)
-	if in.c.Plans != nil && in.c.Sched != nil && !in.c.Opts.MeasureMode {
-		// Close the JIT loop: the measured wall feeds the next
-		// instantiation's width hint. Only scheduled (multi-tenant)
-		// sessions consult the hint, so only they pay the bookkeeping.
-		in.c.Plans.noteRun(rkey, wall)
+	if in.c.Plans != nil {
+		in.c.Plans.noteWidth(wp)
+		if in.c.Opts.PlanWidth && !in.c.Opts.MeasureMode {
+			// Close the JIT loop: the measured wall is what sizes this
+			// region next time, should its bytes not be statable then.
+			in.c.Plans.noteRun(rkey, wall)
+		}
 	}
 	if in.c.Opts.MeasureMode {
 		// Only the simulator's measuring runs read profiles; recording
@@ -693,12 +706,16 @@ func (in *Interp) runPipeline(ctx context.Context, simples []*shell.Simple) (int
 	return res.ExitCode, nil
 }
 
+// envSnapshot is the command environment of the next region: the shell
+// variables as they stand. Regions only read it, so one snapshot serves
+// every region until a variable changes.
 func (in *Interp) envSnapshot() map[string]string {
-	out := map[string]string{}
-	for _, k := range in.env.Names() {
-		out[k] = in.env.Get(k)
+	in.envMu.Lock()
+	defer in.envMu.Unlock()
+	if in.envSnap == nil || in.env.Generation() != in.envGen {
+		in.envSnap, in.envGen = in.env.Snapshot()
 	}
-	return out
+	return in.envSnap
 }
 
 // builtin handles the few commands that must mutate interpreter state.

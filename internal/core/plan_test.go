@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -516,15 +515,27 @@ func TestPositionalSedIsNotStateless(t *testing.T) {
 		seqVsPar(t, src, "", dir, nil)
 	}
 
-	// This sed has no N,M ranges: the script does not parse, at any
-	// width. It must then not be replicated either — one node reports the
-	// usage error and nothing is printed, as at width 1.
+	// An address range, or $, reads the line's position just the same:
+	// the bytes are width 1's under every configuration, and the sed that
+	// carries one is never replicated.
 	const ranged = `cat f | sed '2,3d;s/a/b/'`
-	for _, w := range []int{1, 2, 4} {
-		out, code, err := runScriptCode(t, DefaultOptions(w), ranged, "", dir, nil)
-		if !errors.Is(err, commands.ErrUsage) || code == 0 || out != "" {
-			t.Errorf("%s at width %d: output %q, exit %d, error %v; want sed's usage error", ranged, w, clip(out), code, err)
+	for _, src := range []string{
+		ranged,
+		`cat f | sed -n '2,$p'`,
+		`cat f | sed -e '3,19990s/fox/FOX/' -e '$d'`,
+		`cat f | sed -n '$p'`,
+		`cat f | sed '19999,$y/abc/ABC/' | wc -c`,
+	} {
+		seqVsPar(t, src, "", dir, nil)
+		want := runScript(t, DefaultOptions(1), src, "", dir, nil)
+		for _, w := range []int{2, 4} {
+			if got := runScript(t, DefaultOptions(w), src, "", dir, nil); got != want {
+				t.Errorf("%s at width %d differs from width 1:\n%s\n-- want --\n%s", src, w, clip(got), clip(want))
+			}
 		}
+	}
+	if commands.SedIsLineMap([]string{"2,3d;s/a/b/"}) || commands.SedIsLineMap([]string{"-n", "2,$p"}) || commands.SedIsLineMap([]string{"$d"}) {
+		t.Error("SedIsLineMap calls an address range or $ a line map")
 	}
 	p, err := NewCompiler(DefaultOptions(4)).PlanExec(ranged)
 	if err != nil || len(p.Items) != 1 || p.Items[0].Graph == nil {

@@ -255,7 +255,7 @@ func (p *StreamPlan) RunWindow(ctx context.Context, win io.Reader, out, errw io.
 	if eff < 1 {
 		eff = 1
 	}
-	_, res, err := p.c.runRegion(ctx, p.stages, p.rkey, eff, runtime.StdIO{Stdin: win, Stdout: out, Stderr: errw}, runtime.Config{
+	_, res, err := p.c.runRegion(ctx, p.stages, p.rkey, dfg.WidthPlan{Asked: eff, Planned: eff}, nil, runtime.StdIO{Stdin: win, Stdout: out, Stderr: errw}, runtime.Config{
 		Dir:     p.dir,
 		Env:     p.env,
 		Budget:  p.Budget,

@@ -11,7 +11,7 @@ package dfg
 func (g *Graph) Clone() *Graph {
 	// The window spec is immutable once attached (like AggSpec), so
 	// clones share it.
-	ng := &Graph{nextID: g.nextID, Window: g.Window}
+	ng := &Graph{nextID: g.nextID, Window: g.Window, Width: g.Width}
 	// IDs are unique across nodes and edges, so one ID-indexed table
 	// maps originals to copies without map overhead on the hot path.
 	nodes := make([]*Node, g.nextID)

@@ -13,6 +13,9 @@ import (
 func (g *Graph) Dot() string {
 	var b strings.Builder
 	b.WriteString("digraph pash {\n  rankdir=LR;\n  node [fontname=\"monospace\", fontsize=10];\n")
+	if g.Width.Asked > 0 {
+		fmt.Fprintf(&b, "  label=%q;\n", g.Width.String())
+	}
 	g.WriteDot(&b, "  ", "")
 	b.WriteString("}\n")
 	return b.String()

@@ -299,6 +299,11 @@ type Graph struct {
 	// and the spec says how windows trigger and how their results
 	// compose. See Windowize.
 	Window *WindowSpec
+	// Width is the planner's width decision for this region — asked,
+	// planned, and why — set where the region is planned, beside
+	// Node.Split and Edge.EagerBytes. The zero value means "not recorded"
+	// (a graph built by hand).
+	Width WidthPlan
 }
 
 // New returns an empty graph.
@@ -338,6 +343,10 @@ func (g *Graph) Connect(from, to *Node) *Edge {
 	}
 	return e
 }
+
+// IDBound is one past the largest node or edge ID in the graph: IDs come
+// from one counter, so a slice of this length is a table over both.
+func (g *Graph) IDBound() int { return g.nextID }
 
 // InputEdges returns the edges with no producing node.
 func (g *Graph) InputEdges() []*Edge {

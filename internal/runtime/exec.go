@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -124,11 +125,14 @@ type executor struct {
 	fs      commands.OSFS
 	overlay *overlayFS
 
-	readers map[*dfg.Edge]io.ReadCloser
-	writers map[*dfg.Edge]io.WriteCloser
-	names   map[*dfg.Edge]string
-	meters  map[*dfg.Node]*int64 // blocked ns per node
-	pipes   []*pipe              // internal edge pipes, for traffic totals
+	// Tables over the graph's one ID space (dfg.Graph.IDBound): an edge's
+	// two ends and its operand name at its ID, a node's blocked
+	// nanoseconds at its.
+	readers []io.ReadCloser
+	writers []io.WriteCloser
+	names   []string
+	meters  []int64
+	pipes   []*pipe // internal edge pipes, for traffic totals
 
 	mu          sync.Mutex
 	firstErr    error
@@ -164,21 +168,35 @@ func (ex *executor) run(ctx context.Context) (*Result, error) {
 	}
 	nodeTimes := make([]NodeTime, len(order))
 	final := ex.finalNode()
-	var wg sync.WaitGroup
-	for i, n := range order {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			nodeTimes[i] = ex.runNode(ctx, n, final)
-		}()
-		if ex.sequential {
-			// One node at a time; the first failure ends the run.
-			if wg.Wait(); ex.firstErr != nil {
+	if ex.sequential {
+		// One node at a time; the first failure ends the run.
+		for i, n := range order {
+			if nodeTimes[i] = ex.runNode(ctx, n, final); ex.firstErr != nil {
 				break
 			}
 		}
+	} else {
+		// The caller waits for the region anyway: the node whose status is
+		// the region's runs on this goroutine, and a one-node region
+		// starts none at all.
+		var wg sync.WaitGroup
+		finalAt := -1
+		for i, n := range order {
+			if n == final {
+				finalAt = i
+				continue
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				nodeTimes[i] = ex.runNode(ctx, n, final)
+			}()
+		}
+		if finalAt >= 0 {
+			nodeTimes[finalAt] = ex.runNode(ctx, final, final)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 	if ex.firstErr != nil {
 		return nil, ex.firstErr
 	}
@@ -200,18 +218,37 @@ func (ex *executor) open() error {
 	if ex.stdio.Stderr == nil {
 		ex.stdio.Stderr = io.Discard
 	}
-	ex.readers = map[*dfg.Edge]io.ReadCloser{}
-	ex.writers = map[*dfg.Edge]io.WriteCloser{}
-	ex.names = map[*dfg.Edge]string{}
-	ex.meters = map[*dfg.Node]*int64{}
-	for _, n := range ex.g.Nodes {
-		ex.meters[n] = new(int64)
-	}
+	ids := ex.g.IDBound()
+	ex.readers = make([]io.ReadCloser, ids)
+	ex.writers = make([]io.WriteCloser, ids)
+	ex.names = make([]string, ids)
+	ex.meters = make([]int64, ids)
 	ex.fs = commands.OSFS{Dir: ex.cfg.Dir, Jail: ex.cfg.Sandbox}
-	ex.overlay = &overlayFS{base: ex.fs, streams: map[string]io.ReadCloser{}}
+	ex.overlay = &overlayFS{base: ex.fs}
 	for _, e := range ex.g.Edges {
 		if err := ex.materialize(e); err != nil {
 			return err
+		}
+	}
+	// Only an input a command opens by name needs one: an operand, not
+	// its stdin. A graph-input file keeps its real name — commands that
+	// embed input names in their output (grep's file prefixes) behave as
+	// in a real shell, and the overlay passes the path through; any other
+	// edge gets a virtual name the overlay resolves to its stream.
+	for _, n := range ex.g.Nodes {
+		for i, e := range n.In {
+			switch {
+			case i == n.StdinInput:
+			case e.From == nil && e.Source.Kind == dfg.BindFile:
+				ex.names[e.ID] = e.Source.Path
+			default:
+				name := virtualPrefix + strconv.Itoa(e.ID)
+				ex.names[e.ID] = name
+				if ex.overlay.streams == nil {
+					ex.overlay.streams = map[string]io.ReadCloser{}
+				}
+				ex.overlay.streams[name] = ex.readers[e.ID]
+			}
 		}
 	}
 	return nil
@@ -232,7 +269,7 @@ func (ex *executor) runNode(ctx context.Context, n, final *dfg.Node) NodeTime {
 		return err
 	}()
 	wall := time.Since(start)
-	active := max(wall-time.Duration(atomic.LoadInt64(ex.meters[n])), 0)
+	active := max(wall-time.Duration(atomic.LoadInt64(&ex.meters[n.ID])), 0)
 	ex.mu.Lock()
 	if err != nil && !isCleanTermination(err) && ex.firstErr == nil {
 		ex.firstErr = fmt.Errorf("node %s: %w", n, err)
@@ -262,8 +299,8 @@ func isCleanTermination(err error) bool {
 // present, else any graph output).
 func (ex *executor) finalNode() *dfg.Node {
 	var fallback *dfg.Node
-	for _, e := range ex.g.OutputEdges() {
-		if e.From == nil {
+	for _, e := range ex.g.Edges {
+		if e.To != nil || e.From == nil {
 			continue
 		}
 		if e.Sink.Kind == dfg.BindStdout {
@@ -285,21 +322,21 @@ func (ex *executor) materialize(e *dfg.Edge) error {
 		if err != nil {
 			return fmt.Errorf("runtime: input %s: %w", e.Source.Path, err)
 		}
-		ex.readers[e] = f
+		ex.readers[e.ID] = f
 		ex.track(f)
 	case e.Source.Kind == dfg.BindStdin:
 		r := ex.stdio.Stdin
 		if r == nil {
 			r = strings.NewReader("")
 		}
-		ex.readers[e] = io.NopCloser(r)
+		ex.readers[e.ID] = io.NopCloser(r)
 	case e.Source.Kind == dfg.BindLiteral:
 		// Literal input (a heredoc body): the edge reads the carried
 		// bytes directly, no file involved.
-		ex.readers[e] = io.NopCloser(strings.NewReader(e.Source.Data))
+		ex.readers[e.ID] = io.NopCloser(strings.NewReader(e.Source.Data))
 	default:
 		// Unbound input: empty stream.
-		ex.readers[e] = io.NopCloser(strings.NewReader(""))
+		ex.readers[e.ID] = io.NopCloser(strings.NewReader(""))
 	}
 
 	// Consumer end.
@@ -319,14 +356,14 @@ func (ex *executor) materialize(e *dfg.Edge) error {
 			if err != nil {
 				return fmt.Errorf("runtime: output %s: %w", e.Sink.Path, err)
 			}
-			ex.writers[e] = w
+			ex.writers[e.ID] = w
 			ex.track(w)
 		case dfg.BindStdout:
-			ex.writers[e] = nopWriteCloser{ex.stdio.Stdout}
+			ex.writers[e.ID] = nopWriteCloser{ex.stdio.Stdout}
 		case dfg.BindNone:
 			// Explicitly discarded stream (a pipe whose consumer reads a
 			// file instead, POSIX `a | b <f` semantics).
-			ex.writers[e] = nopWriteCloser{io.Discard}
+			ex.writers[e.ID] = nopWriteCloser{io.Discard}
 		}
 	case e.To != nil && e.From != nil:
 		s := newEdgeStream(e.Eager, e.EagerBytes)
@@ -334,26 +371,15 @@ func (ex *executor) materialize(e *dfg.Edge) error {
 			// A producer must be able to finish before its consumer starts.
 			s = newEdgeStream(true, 0)
 		}
-		s.p.readMeter = ex.meters[e.To]
-		s.p.writeMeter = ex.meters[e.From]
+		s.p.readMeter = &ex.meters[e.To.ID]
+		s.p.writeMeter = &ex.meters[e.From.ID]
 		s.p.budget = ex.cfg.Budget
 		s.p.traffic = ex.cfg.Traffic
-		ex.readers[e] = s.reader()
-		ex.writers[e] = s.writer()
+		ex.readers[e.ID] = s.reader()
+		ex.writers[e.ID] = s.writer()
 		ex.pipes = append(ex.pipes, s.p)
 	case e.To == nil && e.From == nil:
 		return fmt.Errorf("runtime: edge %s is fully unbound", e)
-	}
-	if e.From == nil && e.Source.Kind == dfg.BindFile {
-		// File inputs keep their real name: commands that embed input
-		// names in their output (grep's file prefixes) behave exactly as
-		// in a real shell, and the overlay passes the path through.
-		ex.names[e] = e.Source.Path
-	} else {
-		ex.names[e] = fmt.Sprintf("%s%d", virtualPrefix, e.ID)
-		if r := ex.readers[e]; r != nil {
-			ex.overlay.streams[ex.names[e]] = r
-		}
 	}
 	return nil
 }
@@ -376,12 +402,12 @@ func (ex *executor) closeEverything() {
 // closeNodeEdges closes the node's side of each of its edges.
 func (ex *executor) closeNodeEdges(n *dfg.Node) {
 	for _, e := range n.Out {
-		if w := ex.writers[e]; w != nil {
+		if w := ex.writers[e.ID]; w != nil {
 			w.Close()
 		}
 	}
 	for _, e := range n.In {
-		if r := ex.readers[e]; r != nil {
+		if r := ex.readers[e.ID]; r != nil {
 			r.Close()
 		}
 	}
@@ -390,7 +416,7 @@ func (ex *executor) closeNodeEdges(n *dfg.Node) {
 // dispatch executes one node by kind; a node that ran as a stage chain
 // through kernels also reports its per-stage attribution.
 func (ex *executor) dispatch(ctx context.Context, n *dfg.Node) ([]StageTime, error) {
-	args := n.ArgStrings(func(i int) string { return ex.names[n.In[i]] })
+	args := n.ArgStrings(func(i int) string { return ex.names[n.In[i].ID] })
 	switch {
 	case n.Kind == dfg.KindSplit:
 		return nil, ex.runSplit(n)
@@ -405,11 +431,11 @@ func (ex *executor) dispatch(ctx context.Context, n *dfg.Node) ([]StageTime, err
 	// the void.
 	var stdout io.Writer = io.Discard
 	if len(n.Out) > 0 {
-		stdout = ex.writers[n.Out[0]]
+		stdout = ex.writers[n.Out[0].ID]
 	}
 	var stdin io.Reader = strings.NewReader("")
 	if n.StdinInput >= 0 {
-		stdin = ex.readers[n.In[n.StdinInput]]
+		stdin = ex.readers[n.In[n.StdinInput].ID]
 	}
 	cctx := &commands.Context{
 		Args:   args,
@@ -449,7 +475,7 @@ func (ex *executor) runChain(ctx context.Context, n *dfg.Node, stages []dfg.Fuse
 			chain.meters[i].Name = st.Name
 		}
 	}
-	r, w := ex.readers[n.In[0]], ex.writers[n.Out[0]]
+	r, w := ex.readers[n.In[0].ID], ex.writers[n.Out[0].ID]
 	if n.Framed {
 		cr, rok := r.(commands.ChunkReader)
 		cw, wok := w.(commands.ChunkWriter)
@@ -469,19 +495,19 @@ func (ex *executor) runChain(ctx context.Context, n *dfg.Node, stages []dfg.Fuse
 func (ex *executor) runSplit(n *dfg.Node) error {
 	ws := make([]io.WriteCloser, len(n.Out))
 	for i, e := range n.Out {
-		ws[i] = ex.writers[e]
+		ws[i] = ex.writers[e.ID]
 	}
 	in := n.In[0]
 	var err error
 	switch n.Split {
 	case dfg.RoundRobinSplit:
-		err = roundRobinSplit(ex.readers[in], ws)
+		err = roundRobinSplit(ex.readers[in.ID], ws)
 	case dfg.FileRangeSplit:
 		// Each range opens the file itself; the edge's reader goes unused.
-		ex.readers[in].Close()
+		ex.readers[in.ID].Close()
 		err = fileSplit(ex.fs, in.Source.Path, ws)
 	default:
-		err = generalSplit(ex.readers[in], ws)
+		err = generalSplit(ex.readers[in.ID], ws)
 	}
 	if err != nil {
 		return fmt.Errorf("runtime: split node #%d: %w", n.ID, err)

@@ -120,7 +120,7 @@ func TestBlockingEagerConfig(t *testing.T) {
 				if sequential {
 					want = 0
 				}
-				if got := ex.readers[e].(readEnd).p.max; got != want {
+				if got := ex.readers[e.ID].(readEnd).p.max; got != want {
 					t.Errorf("planned bound %d, sequential=%v, edge %s (eager=%v): buffer bound %d, want %d",
 						planned, sequential, e, e.Eager, got, want)
 				}

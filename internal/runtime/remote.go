@@ -106,7 +106,7 @@ type RemoteRequest struct {
 func (ex *executor) runRemote(ctx context.Context, n *dfg.Node) error {
 	req := &RemoteRequest{
 		Spec:   n.Remote,
-		Out:    ex.writers[n.Out[0]].(commands.ChunkWriter),
+		Out:    ex.writers[n.Out[0].ID].(commands.ChunkWriter),
 		Reg:    ex.reg,
 		FS:     ex.fs,
 		Env:    ex.cfg.Env,
@@ -121,7 +121,7 @@ func (ex *executor) runRemote(ctx context.Context, n *dfg.Node) error {
 		}
 	}
 	for i, e := range n.In {
-		cr, ok := ex.readers[e].(commands.ChunkReader)
+		cr, ok := ex.readers[e.ID].(commands.ChunkReader)
 		if !ok {
 			return fmt.Errorf("runtime: remote node #%d input %d carries no chunk framing", n.ID, i)
 		}

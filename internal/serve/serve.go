@@ -422,6 +422,24 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// sizedBody is a request body that knows how much of it is left to read:
+// the request's Content-Length less what the script has consumed. A
+// background command may be reading while the next region is planned,
+// hence the atomic.
+type sizedBody struct {
+	r    io.Reader
+	left atomic.Int64
+}
+
+func (b *sizedBody) Read(p []byte) (int, error) {
+	n, err := b.r.Read(p)
+	b.left.Add(int64(-n))
+	return n, err
+}
+
+// Len is what the planner asks (core.RegionInput): bytes not yet read.
+func (b *sizedBody) Len() int { return int(max(b.left.Load(), 0)) }
+
 // requestOptions derives this request's planning options — the session
 // defaults at the width it asks for (width= or X-Pash-Width). It returns
 // nil when the request overrides nothing.
@@ -458,8 +476,15 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	script := r.URL.Query().Get("script")
 	var stdin io.Reader
 	if script != "" {
-		// Script in the query: the body is the script's stdin.
+		// Script in the query: the body is the script's stdin, with the
+		// size the request declared, so the planner can size the region
+		// that reads it (a chunked body declares none).
 		stdin = r.Body
+		if r.ContentLength >= 0 {
+			sb := &sizedBody{r: r.Body}
+			sb.left.Store(r.ContentLength)
+			stdin = sb
+		}
 	} else {
 		// Script in the body: stdin is empty. Read one byte past the
 		// limit so an oversized script is rejected, not truncated to a

@@ -16,19 +16,22 @@ import (
 // observes is inherently timing-dependent, as in a real shell; the lock
 // only rules out map corruption.)
 type Env struct {
-	mu     *sync.RWMutex // shared across the whole scope chain
+	mu *sync.RWMutex // shared across the whole scope chain
+	// gen counts the Sets and Unsets made anywhere in the chain (under
+	// mu): two Snapshots with one generation hold the same variables.
+	gen    *uint64
 	vars   map[string]string
 	parent *Env
 }
 
 // NewEnv returns an empty environment.
 func NewEnv() *Env {
-	return &Env{mu: &sync.RWMutex{}, vars: map[string]string{}}
+	return &Env{mu: &sync.RWMutex{}, gen: new(uint64), vars: map[string]string{}}
 }
 
 // Child returns a scope that shadows e. Sets go to the child.
 func (e *Env) Child() *Env {
-	return &Env{mu: e.mu, vars: map[string]string{}, parent: e}
+	return &Env{mu: e.mu, gen: e.gen, vars: map[string]string{}, parent: e}
 }
 
 // Get looks a variable up through the scope chain. Missing variables
@@ -54,6 +57,7 @@ func (e *Env) Lookup(name string) (string, bool) {
 func (e *Env) Set(name, value string) {
 	e.mu.Lock()
 	e.vars[name] = value
+	*e.gen++
 	e.mu.Unlock()
 }
 
@@ -63,25 +67,32 @@ func (e *Env) Set(name, value string) {
 func (e *Env) Unset(name string) {
 	e.mu.Lock()
 	delete(e.vars, name)
+	*e.gen++
 	e.mu.Unlock()
 }
 
-// Names returns the defined variable names, sorted, across all scopes.
-func (e *Env) Names() []string {
+// Generation identifies the current contents of the scope chain: it
+// changes with every Set and Unset in any scope of it.
+func (e *Env) Generation() uint64 {
 	e.mu.RLock()
-	seen := map[string]bool{}
+	defer e.mu.RUnlock()
+	return *e.gen
+}
+
+// Snapshot copies the variables visible from e (inner scopes shadowing
+// outer ones) into a fresh map, with the generation it was taken at.
+func (e *Env) Snapshot() (map[string]string, uint64) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	out := make(map[string]string, len(e.vars))
 	for s := e; s != nil; s = s.parent {
-		for k := range s.vars {
-			seen[k] = true
+		for k, v := range s.vars {
+			if _, shadowed := out[k]; !shadowed {
+				out[k] = v
+			}
 		}
 	}
-	e.mu.RUnlock()
-	out := make([]string, 0, len(seen))
-	for k := range seen {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+	return out, *e.gen
 }
 
 // ExpandError reports an expansion the engine refuses to perform (command
@@ -131,6 +142,21 @@ func (x *Expander) runCmdSub(src string) (string, error) {
 // ExpandWord performs brace, parameter, and (optionally) pathname
 // expansion plus field splitting, returning the resulting fields.
 func (x *Expander) ExpandWord(w *Word) ([]string, error) {
+	// A word that is one literal — a command name, a flag, most operands,
+	// a single-quoted pattern — expands to itself: no brace, parameter,
+	// split or glob pass has anything to do, and none is run.
+	if len(w.Parts) == 1 {
+		text, literal := "", false
+		switch p := w.Parts[0].(type) {
+		case *Lit:
+			text, literal = p.Text, true
+		case *SglQuoted:
+			text, literal = p.Text, true
+		}
+		if literal && !(x.Glob && strings.ContainsAny(text, "*?[")) {
+			return []string{text}, nil
+		}
+	}
 	// Brace expansion first, producing one or more words.
 	words, err := expandBraces(w)
 	if err != nil {

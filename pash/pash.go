@@ -38,6 +38,7 @@ import (
 	"sync"
 
 	"repro/internal/annot"
+	"repro/internal/commands"
 	"repro/internal/core"
 	"repro/internal/dfg"
 	"repro/internal/dist"
@@ -312,9 +313,11 @@ func (s *Session) Compile(src string) (*Plan, error) {
 // CompileExec builds the in-process execution view of a script: regions
 // are optimized exactly as the interpreter would run them (stage
 // fusion, streaming splits, aggregation trees). The result cannot be
-// emitted as a shell script; inspect it with Plan.Dot.
+// emitted as a shell script; inspect it with Plan.Dot. With
+// Options.PlanWidth each region's width is decided as a run in the
+// session's Dir would decide it (a run's stdin is not known here).
 func (s *Session) CompileExec(src string) (*Plan, error) {
-	return s.snapshot().PlanExec(src)
+	return s.snapshot().PlanExecIn(src, commands.OSFS{Dir: s.Dir})
 }
 
 // Table1 re-exports the parallelizability study (§3.1).
