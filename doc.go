@@ -233,19 +233,21 @@
 //
 // There is one wire protocol and no negotiation: frame 0 of every
 // request is a handshake carrying the plan, the request environment,
-// the job's sandbox bit, a plan fingerprint, and the frame features the
-// coordinator offers; a
-// worker that cannot accept it answers 400 before reading input, which
-// the coordinator treats like any other failed dispatch. Workers cache
-// decoded plans and instantiated kernel chains under the fingerprint
-// (an LRU busted by registry generation and pool membership), making
-// repeated dispatches of hot regions skip decode, validation, and
-// kernel construction. When the lz4 feature is offered and echoed
-// (default: auto — network workers yes, same-host unix sockets no)
-// chunk frames are block-compressed with a built-in dependency-free
-// LZ4 codec, cutting wire bytes several-fold on text workloads;
-// checksums cover the compressed payload, so corruption is detected
-// before decompression.
+// the job's sandbox bit and a plan fingerprint; a worker that cannot
+// accept it answers 400 before reading input, which the coordinator
+// treats like any other failed dispatch. Workers cache decoded plans
+// and instantiated kernel chains under the fingerprint (an LRU busted
+// by registry generation and pool membership), making repeated
+// dispatches of hot regions skip decode, validation, and kernel
+// construction. Every data frame carries a one-byte tag, raw or lz4
+// (a built-in dependency-free codec), and each sender picks per frame
+// from what it measures: lz4 only when its link is slower than its
+// codec can take bytes off it, wire < codec × (1 − ratio). Loopback
+// and LAN links stay raw at one byte per frame; a slow link carrying
+// text moves several-fold fewer bytes. There is no knob. Checksums
+// cover the payload as sent, so corruption is detected before
+// decompression. The input a session keeps for replay is charged to
+// the job's pipe-memory budget.
 //
 // The coordinator runs every remote node as one dispatch session down
 // one recovery ladder: the assigned worker, then each surviving worker

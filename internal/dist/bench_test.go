@@ -22,20 +22,27 @@ import (
 // coordinator.
 const distBenchScript = `cat in.txt | tr A-Z a-z | grep -E '(the|of|and).*(water|people|number).*(time|day|zebra)' | wc -l`
 
+// unixWorker serves one worker rooted at dir on a unix socket of the
+// given name in dir and returns its pool address.
+func unixWorker(tb testing.TB, dir, name string) string {
+	tb.Helper()
+	sock := filepath.Join(dir, name)
+	ln, err := net.Listen("unix", sock)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	srv := &http.Server{Handler: dist.NewWorker(nil, dir).Handler()}
+	go srv.Serve(ln)
+	tb.Cleanup(func() { srv.Close() })
+	return "unix:" + sock
+}
+
 // benchPool starts n unix-socket workers rooted at dir.
 func benchPool(tb testing.TB, n int, dir string) *pash.WorkerPool {
 	tb.Helper()
 	pool := pash.NewWorkerPool()
 	for i := 0; i < n; i++ {
-		sock := filepath.Join(dir, fmt.Sprintf("bw%d.sock", i))
-		ln, err := net.Listen("unix", sock)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		srv := &http.Server{Handler: dist.NewWorker(nil, dir).Handler()}
-		go srv.Serve(ln)
-		tb.Cleanup(func() { srv.Close() })
-		pool.Add("unix:" + sock)
+		pool.Add(unixWorker(tb, dir, fmt.Sprintf("bw%d.sock", i)))
 	}
 	return pool
 }
@@ -96,14 +103,15 @@ func TestDistOverheadAtWidth8(t *testing.T) {
 
 // BenchmarkDistThroughput reports end-to-end bytes/sec of the
 // compute-bound pipeline at width 8: local vs distributed over two
-// local workers, both shard shapes.
+// local workers, both shard shapes, over unix sockets and over loopback
+// TCP (the transport dist-2w uses).
 func BenchmarkDistThroughput(b *testing.B) {
 	dir := b.TempDir()
 	input := makeInput(120_000, 3)
 	if err := os.WriteFile(filepath.Join(dir, "in.txt"), []byte(input), 0o644); err != nil {
 		b.Fatal(err)
 	}
-	pool := benchPool(b, 2, dir)
+	pool, tcp := benchPool(b, 2, dir), startWorkers(b, 2, dir)
 	for _, cfg := range []struct {
 		name     string
 		pool     *pash.WorkerPool
@@ -112,6 +120,8 @@ func BenchmarkDistThroughput(b *testing.B) {
 		{"local", nil, false},
 		{"dist-framed", pool, false},
 		{"dist-range", pool, true},
+		{"dist-framed-tcp", tcp, false},
+		{"dist-range-tcp", tcp, true},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			if cfg.pool != nil {

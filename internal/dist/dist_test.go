@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"math/rand"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -43,9 +42,9 @@ func TestPlanRoundTrip(t *testing.T) {
 	}
 }
 
-// startWorkers launches n in-process workers over HTTP and returns a
-// pool spanning them.
-func startWorkers(t *testing.T, n int, dir string) *pash.WorkerPool {
+// startWorkers launches n in-process workers over loopback TCP and
+// returns a pool spanning them.
+func startWorkers(t testing.TB, n int, dir string) *pash.WorkerPool {
 	t.Helper()
 	names := make([]string, n)
 	for i := 0; i < n; i++ {
@@ -56,24 +55,9 @@ func startWorkers(t *testing.T, n int, dir string) *pash.WorkerPool {
 	return pash.NewWorkerPool(names...)
 }
 
-// input generates deterministic multi-line text with some long and some
-// unterminated lines.
-func makeInput(lines int, seed int64) string {
-	rng := rand.New(rand.NewSource(seed))
-	words := []string{"the", "water", "People", "number", "X", "waltz", "time", "day", "zebra", "quick"}
-	var sb strings.Builder
-	for i := 0; i < lines; i++ {
-		k := 1 + rng.Intn(8)
-		for j := 0; j < k; j++ {
-			if j > 0 {
-				sb.WriteByte(' ')
-			}
-			sb.WriteString(words[rng.Intn(len(words))])
-		}
-		sb.WriteByte('\n')
-	}
-	return sb.String()
-}
+// makeInput generates deterministic multi-line text (see the internal
+// test package's makeInput, which the codec benchmark shares).
+var makeInput = dist.MakeInput
 
 var distScripts = []string{
 	`cat in.txt | tr A-Z a-z | grep the | sort`,

@@ -3,6 +3,7 @@ package dist_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"math/rand"
 	"net/http"
@@ -202,8 +203,16 @@ func TestSessionWorkerDeath(t *testing.T) {
 				spec := shape.spec
 				spec.Worker = pool.WorkerNames()[0]
 				var got collector
-				if err := pool.ExecRemote(context.Background(), request(&spec, &got)); err != nil {
+				req := request(&spec, &got)
+				req.Budget = runtime.NewBudget(runtime.JobLimits{MaxPipeMemory: 1 << 30})
+				if err := pool.ExecRemote(context.Background(), req); err != nil {
 					t.Fatal(err)
+				}
+				// Every retained chunk was charged, and every rung that
+				// took one over (ack, replay, the local rung, the end of
+				// the session) gave its charge back.
+				if u := req.Budget.Usage(); u.PipeBytes != 0 || (shape.ins != nil && u.PipeBytesPeak == 0) {
+					t.Errorf("retained input: %d bytes still charged (peak %d), want 0 after a peak > 0", u.PipeBytes, u.PipeBytesPeak)
 				}
 				if !bytes.Equal(got.Bytes(), want.Bytes()) {
 					t.Fatalf("output diverged from local execution (%d vs %d bytes)", got.Len(), want.Len())
@@ -227,6 +236,36 @@ func TestSessionWorkerDeath(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestSessionBudgetBreach: a streamed shard's retained input over the
+// job's pipe budget fails the node with the typed breach. The workers
+// did nothing wrong, so none is failed, marked down or replaced, and
+// nothing stays charged.
+func TestSessionBudgetBreach(t *testing.T) {
+	dir := t.TempDir()
+	chunks := lineChunks(makeInput(20000, 5), 8<<10)
+	reg := commands.NewStd()
+	pool := startWorkers(t, 2, dir)
+	budget := runtime.NewBudget(runtime.JobLimits{MaxPipeMemory: 4 * 8 << 10})
+	var out collector
+	err := pool.ExecRemote(context.Background(), &runtime.RemoteRequest{
+		Spec: &dfg.RemoteSpec{Worker: pool.WorkerNames()[0], Stages: []dfg.FusedStage{{Name: "sort"}}, Streamed: true},
+		Ins:  []commands.ChunkReader{&sliceSource{chunks: chunks}},
+		Out:  &out, Reg: reg, FS: commands.OSFS{Dir: dir}, Stderr: io.Discard, Budget: budget,
+	})
+	var be *runtime.BudgetError
+	if !errors.As(err, &be) || be.Resource != "pipe-memory" {
+		t.Fatalf("err = %v, want a pipe-memory BudgetError", err)
+	}
+	for _, st := range pool.Stats() {
+		if st.Failures != 0 || st.Redispatched != 0 || st.RedispatchedRemote != 0 || !st.Healthy {
+			t.Errorf("budget breach treated as a worker death: %+v", st)
+		}
+	}
+	if u := budget.Usage(); u.PipeBytes != 0 {
+		t.Errorf("%d bytes still charged after the breach", u.PipeBytes)
 	}
 }
 

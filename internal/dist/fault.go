@@ -304,15 +304,15 @@ func (fc *faultConn) Close() error {
 }
 
 // blackholeConn is a connection into a network partition: every read
-// and write blocks until its deadline (or Close). It satisfies the
-// net.Conn deadline contract so probe timeouts and the handshake
-// deadline observe the partition instead of hanging forever.
+// and write blocks until its deadline (one for both directions) or
+// Close. It satisfies the net.Conn deadline contract so probe timeouts
+// and the handshake deadline observe the partition instead of hanging
+// forever.
 type blackholeConn struct {
-	mu      sync.Mutex
-	readDL  time.Time
-	writeDL time.Time
-	closed  chan struct{}
-	done    bool
+	mu     sync.Mutex
+	dl     time.Time
+	closed chan struct{}
+	once   sync.Once
 }
 
 func newBlackholeConn() *blackholeConn {
@@ -327,7 +327,10 @@ func (timeoutError) Error() string   { return "dist: fault: i/o timeout (partiti
 func (timeoutError) Timeout() bool   { return true }
 func (timeoutError) Temporary() bool { return true }
 
-func (b *blackholeConn) wait(dl time.Time) error {
+func (b *blackholeConn) wait() error {
+	b.mu.Lock()
+	dl := b.dl
+	b.mu.Unlock()
 	var timer <-chan time.Time
 	if !dl.IsZero() {
 		d := time.Until(dl)
@@ -346,53 +349,21 @@ func (b *blackholeConn) wait(dl time.Time) error {
 	}
 }
 
-func (b *blackholeConn) Read(p []byte) (int, error) {
-	b.mu.Lock()
-	dl := b.readDL
-	b.mu.Unlock()
-	return 0, b.wait(dl)
-}
-
-func (b *blackholeConn) Write(p []byte) (int, error) {
-	b.mu.Lock()
-	dl := b.writeDL
-	b.mu.Unlock()
-	return 0, b.wait(dl)
-}
-
-func (b *blackholeConn) Close() error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if !b.done {
-		b.done = true
-		close(b.closed)
-	}
-	return nil
-}
-
-func (b *blackholeConn) LocalAddr() net.Addr  { return blackholeAddr{} }
-func (b *blackholeConn) RemoteAddr() net.Addr { return blackholeAddr{} }
+func (b *blackholeConn) Read(p []byte) (int, error)  { return 0, b.wait() }
+func (b *blackholeConn) Write(p []byte) (int, error) { return 0, b.wait() }
+func (b *blackholeConn) Close() error                { b.once.Do(func() { close(b.closed) }); return nil }
+func (b *blackholeConn) LocalAddr() net.Addr         { return blackholeAddr{} }
+func (b *blackholeConn) RemoteAddr() net.Addr        { return blackholeAddr{} }
 
 func (b *blackholeConn) SetDeadline(t time.Time) error {
 	b.mu.Lock()
-	b.readDL, b.writeDL = t, t
+	b.dl = t
 	b.mu.Unlock()
 	return nil
 }
 
-func (b *blackholeConn) SetReadDeadline(t time.Time) error {
-	b.mu.Lock()
-	b.readDL = t
-	b.mu.Unlock()
-	return nil
-}
-
-func (b *blackholeConn) SetWriteDeadline(t time.Time) error {
-	b.mu.Lock()
-	b.writeDL = t
-	b.mu.Unlock()
-	return nil
-}
+func (b *blackholeConn) SetReadDeadline(t time.Time) error  { return b.SetDeadline(t) }
+func (b *blackholeConn) SetWriteDeadline(t time.Time) error { return b.SetDeadline(t) }
 
 type blackholeAddr struct{}
 

@@ -5,6 +5,9 @@ import (
 	"errors"
 	"io"
 	"testing"
+	"time"
+
+	"repro/internal/commands"
 )
 
 // FuzzFrame exercises the frame codec three ways per input: a
@@ -84,51 +87,63 @@ func FuzzFrame(f *testing.F) {
 	})
 }
 
-// FuzzDataFrame exercises the tagged data-frame layer above the
-// frame codec: whatever a negotiated connection's compressor emits —
-// raw-tagged, lz4, or bare (compression off / empty frame) — must
-// decode back to the original payload; arbitrary bytes presented as a
-// tagged payload must never panic and must fail only as ErrCorruptFrame;
-// and a bit flip anywhere in an encoded compressed frame must surface
-// as corruption (CRC or lz4 bounds), never as different clean bytes.
+// FuzzDataFrame exercises the data-frame layer above the frame codec:
+// whatever a sender emits — raw-tagged, lz4, or bare (an empty frame) —
+// must decode back to the original chunk, a raw one in its pooled
+// block where it landed (no shift, no copy); arbitrary bytes presented
+// as a data frame's payload must never panic and must fail only as
+// ErrCorruptFrame; and a bit flip anywhere in an encoded frame must
+// surface as corruption (CRC or lz4 bounds), never as different clean
+// bytes.
 func FuzzDataFrame(f *testing.F) {
 	f.Add([]byte(""), true, byte(0))
 	f.Add([]byte("hello hello hello hello hello hello hello"), true, byte(7))
 	f.Add([]byte{tagLZ4, 0, 0, 0, 9, 0xff, 0xee}, false, byte(3))
 	f.Add([]byte{tagRaw, 'o', 'k'}, true, byte(1))
+	f.Add([]byte{tagRaw}, false, byte(2))
 	f.Add(bytes.Repeat([]byte("GET /index.html HTTP/1.1 200\n"), 40), true, byte(5))
-	f.Fuzz(func(t *testing.T, data []byte, compress bool, mut byte) {
-		// Round trip through the negotiated encoding. decodeDataPayload
-		// takes ownership of the block it is handed and may recycle it,
-		// so feed it copies.
-		comp := &compressor{enabled: compress}
+	f.Add(bytes.Repeat([]byte("0123456789abcdef"), commands.BlockSize/16), false, byte(9))
+	f.Fuzz(func(t *testing.T, data []byte, slow bool, mut byte) {
+		// Round trip through a real sender: on a link measured at 1 MB/s
+		// the rule compresses whatever lz4 shrinks; on an unmeasured one
+		// every frame goes raw.
 		var buf bytes.Buffer
-		wireN, err := comp.writeDataFrame(&buf, data)
+		comp := &compressor{w: &buf, flush: func() error { return nil }}
+		if slow {
+			comp.wire.add(1<<20, 0, time.Second)
+		}
+		wireN, err := comp.send(data)
 		if err != nil {
-			t.Fatalf("writeDataFrame: %v", err)
+			t.Fatalf("send: %v", err)
 		}
 		encoded := append([]byte(nil), buf.Bytes()...)
-		payload, err := readFrame(&buf)
-		if err != nil {
-			t.Fatalf("readFrame: %v", err)
+		if len(encoded) != 8+wireN {
+			t.Fatalf("send reported %d wire bytes, frame carries %d", wireN, len(encoded)-8)
 		}
-		if len(payload) != wireN {
-			t.Fatalf("writeDataFrame reported %d wire bytes, frame carries %d", wireN, len(payload))
-		}
-		tagged := compress && len(data) > 0
-		got, gotWire, err := decodeDataPayload(payload, tagged)
+		got, gotWire, err := readDataFrame(&buf)
 		if err != nil {
-			t.Fatalf("decodeDataPayload(own encoding): %v", err)
+			t.Fatalf("readDataFrame(own encoding): %v", err)
 		}
 		if gotWire != wireN || !bytes.Equal(got, data) {
-			t.Fatalf("tagged round trip mangled payload: %d bytes in, %d out (wire %d vs %d)",
-				len(data), len(got), wireN, gotWire)
+			t.Fatalf("round trip mangled chunk: %d bytes in, %d out (wire %d vs %d)", len(data), len(got), wireN, gotWire)
+		}
+		switch {
+		case len(data) == 0 && wireN != 0:
+			t.Fatalf("empty chunk sent as a %d-byte payload, want a bare frame", wireN)
+		case len(data) > 0 && encoded[8] == tagRaw && wireN != len(data)+1:
+			t.Fatalf("raw frame of %d bytes costs %d on the wire, want %d", len(data), wireN, len(data)+1)
+		case len(data) > 0 && encoded[8] == tagRaw && len(data) <= commands.BlockSize && cap(got) != commands.BlockSize:
+			t.Fatalf("raw chunk of %d bytes decoded into a %d-byte buffer, not a pooled block", len(data), cap(got))
+		case !slow && len(data) > 0 && encoded[8] != tagRaw:
+			t.Fatalf("unmeasured link sent tag 0x%02x, want raw", encoded[8])
 		}
 
-		// Arbitrary bytes as a tagged payload: no panic, and any failure
-		// must keep the transport's corruption taxonomy.
-		if _, _, err := decodeDataPayload(append([]byte(nil), data...), true); err != nil && !errors.Is(err, ErrCorruptFrame) {
-			t.Fatalf("unclassified tagged-payload error: %v", err)
+		// Arbitrary bytes as a data frame's payload: no panic, and any
+		// failure must keep the transport's corruption taxonomy.
+		buf.Reset()
+		writeFrame(&buf, data)
+		if _, _, err := readDataFrame(&buf); err != nil && !errors.Is(err, ErrCorruptFrame) {
+			t.Fatalf("unclassified data-frame error: %v", err)
 		}
 
 		// A flipped bit in the encoded frame must never decode cleanly
@@ -139,19 +154,12 @@ func FuzzDataFrame(f *testing.F) {
 		if flipped[pos] == encoded[pos] {
 			return
 		}
-		payload, err = readFrame(bytes.NewReader(flipped))
-		if err != nil {
-			if !errors.Is(err, ErrCorruptFrame) && !errors.Is(err, ErrTruncatedFrame) {
-				t.Fatalf("flipped frame: unclassified error %v", err)
-			}
-			return
-		}
-		got, _, err = decodeDataPayload(payload, tagged)
+		got, _, err = readDataFrame(bytes.NewReader(flipped))
 		if err == nil && !bytes.Equal(got, data) {
 			t.Fatalf("bit flip at %d decoded cleanly into different bytes", pos)
 		}
-		if err != nil && !errors.Is(err, ErrCorruptFrame) {
-			t.Fatalf("flipped payload: unclassified error %v", err)
+		if err != nil && !errors.Is(err, ErrCorruptFrame) && !errors.Is(err, ErrTruncatedFrame) {
+			t.Fatalf("flipped frame: unclassified error %v", err)
 		}
 	})
 }

@@ -8,10 +8,9 @@ import (
 
 // This file is a self-contained LZ4 block codec (the classic block
 // format: token byte, literal run, 2-byte little-endian offset, match
-// run). The wire protocol compresses chunk frames with it when both
-// ends negotiate the "lz4" feature; no external dependency is
-// acceptable on either side of the wire, so the implementation lives
-// here rather than behind an import.
+// run). A sender compresses a data frame with it when its measured link
+// is slower than the codec; no external dependency is acceptable on
+// either side of the wire, so the implementation lives here.
 //
 // The compressor is a greedy single-pass matcher over a 2^13-entry
 // hash table — the classic fast level. It follows the format's end
@@ -23,6 +22,7 @@ import (
 // FuzzLZ4 and the frame fuzzers hold it to that.
 
 const (
+	lz4MinInput  = 32 // shorter inputs are never worth a block
 	lz4MinMatch  = 4  // matches shorter than this don't pay for the token
 	lz4LastLits  = 5  // format rule: the block ends with >= 5 literals
 	lz4MFLimit   = 12 // format rule: no match starts past len(src)-12
@@ -53,7 +53,7 @@ func lz4Hash(u uint32) uint32 { return (u * 2654435761) >> (32 - lz4TableBits) }
 // decode cost on the other side.
 func lz4Compress(dst, src []byte) ([]byte, bool) {
 	n := len(src)
-	if n < 32 || n > maxFrame {
+	if n < lz4MinInput || n > maxFrame {
 		return dst, false
 	}
 	budget := len(dst) + n - n/16

@@ -106,3 +106,86 @@ func FuzzLZ4(f *testing.F) {
 		lz4Decompress(make([]byte, rawLen), data)
 	})
 }
+
+// makeInput generates deterministic multi-line text.
+func makeInput(lines int, seed int64) string {
+	rng := rand.New(rand.NewSource(seed))
+	words := []string{"the", "water", "People", "number", "X", "waltz", "time", "day", "zebra", "quick"}
+	var sb strings.Builder
+	for i := 0; i < lines; i++ {
+		k := 1 + rng.Intn(8)
+		for j := 0; j < k; j++ {
+			if j > 0 {
+				sb.WriteByte(' ')
+			}
+			sb.WriteString(words[rng.Intn(len(words))])
+		}
+		sb.WriteByte('\n')
+	}
+	return sb.String()
+}
+
+// TestCompressDecision pins the rule every sender applies: lz4 only when
+// the wire is slower than the codec takes bytes off it, and never when
+// either rate is unknown or the codec saves less than 1/16.
+func TestCompressDecision(t *testing.T) {
+	const mb = 1e6
+	for _, c := range []struct {
+		name               string
+		wire, codec, ratio float64
+		want               bool
+	}{
+		{"unknown wire", 0, 160 * mb, 0.55, false},
+		{"unknown codec", 10 * mb, 0, 1, false},
+		{"loopback", 2000 * mb, 160 * mb, 0.55, false},
+		{"10 GbE", 1250 * mb, 160 * mb, 0.25, false},
+		{"10 MB/s, half the bytes", 10 * mb, 160 * mb, 0.5, true},
+		{"just below break-even", 71 * mb, 160 * mb, 0.55, true},
+		{"just above break-even", 73 * mb, 160 * mb, 0.55, false},
+		{"incompressible on a slow wire", 1 * mb, 160 * mb, 15.0 / 16, false},
+		{"incompressible on any wire", 0.01 * mb, 160 * mb, 0.99, false},
+	} {
+		if got := compressWins(c.wire, c.codec, c.ratio); got != c.want {
+			t.Errorf("%s: compressWins(%g, %g, %g) = %v, want %v", c.name, c.wire, c.codec, c.ratio, got, c.want)
+		}
+	}
+}
+
+// BenchmarkLZ4 reports the codec's compress and decompress MB/s over the
+// benchmark's text and over incompressible bytes; "ratio" is compressed
+// over input size (1 when the block is refused).
+func BenchmarkLZ4(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	noise := make([]byte, 64<<10)
+	rng.Read(noise)
+	for _, in := range []struct {
+		name string
+		src  []byte
+	}{{"text", []byte(makeInput(20_000, 3))[:64<<10]}, {"random", noise}} {
+		enc, ok := lz4Compress(nil, in.src)
+		ratio := 1.0
+		if ok {
+			ratio = float64(len(enc)) / float64(len(in.src))
+		}
+		b.Run("compress/"+in.name, func(b *testing.B) {
+			b.SetBytes(int64(len(in.src)))
+			dst := make([]byte, 0, len(in.src))
+			for i := 0; i < b.N; i++ {
+				lz4Compress(dst[:0], in.src)
+			}
+			b.ReportMetric(ratio, "ratio")
+		})
+		if !ok {
+			continue
+		}
+		b.Run("decompress/"+in.name, func(b *testing.B) {
+			b.SetBytes(int64(len(in.src)))
+			dst := make([]byte, len(in.src))
+			for i := 0; i < b.N; i++ {
+				if err := lz4Decompress(dst, enc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -91,20 +91,13 @@ type Pool struct {
 	// every dial.
 	faults *Injector
 
-	// compress selects the frame-compression policy. The zero value is
-	// auto: offer lz4 to network workers, where wire bytes cost real
-	// bandwidth, but not over same-host unix sockets, where bytes are
-	// free and the codec's CPU is stolen from the pipeline itself.
-	compress int8
-
 	// trans counts worker state transitions, surfaced in /metrics.
 	trans Transitions
 
 	// probing guards against double StartProber; proberCfg tunes the
 	// hysteresis and slow-worker thresholds (see prober.go).
-	probing      bool
-	proberCfg    ProberConfig
-	proberCfgSet bool
+	probing   bool
+	proberCfg ProberConfig
 }
 
 // tuning is the dispatch-robustness configuration: the per-stream
@@ -137,6 +130,9 @@ type poolWorker struct {
 	// milliseconds; samples counts completed streams behind it.
 	ewmaMs  float64
 	samples int64
+	// wire is the link's send-side history: every attempt starts its
+	// compressor from it and folds back what it measured.
+	wire window
 
 	// Prober hysteresis streaks.
 	okStreak   int
@@ -176,6 +172,10 @@ type WorkerStats struct {
 	// the outbound wire savings from compression.
 	WireBytesOut int64 `json:"bytes_out_wire"`
 	WireBytesIn  int64 `json:"bytes_in_wire"`
+	// WireMBs is the send rate measured to this worker (0 = not yet);
+	// LZ4FramesOut counts the frames sent compressed.
+	WireMBs      float64 `json:"wire_mb_s"`
+	LZ4FramesOut int64   `json:"lz4_frames_out"`
 	// PlanCacheHits/PlanCacheMisses mirror the worker's plan-cache
 	// verdicts (the X-Pash-Plan-Cache response header) as seen by this
 	// coordinator.
@@ -199,7 +199,7 @@ type Transitions struct {
 // NewPool builds a pool over the given worker addresses. An address is
 // "host:port", "http://host:port", or "unix:/path/to.sock".
 func NewPool(workers ...string) *Pool {
-	p := &Pool{tune: tuning{
+	p := &Pool{proberCfg: DefaultProberConfig(), tune: tuning{
 		window:        defaultWindow,
 		dialTimeout:   5 * time.Second,
 		retryAttempts: defaultRetryAttempts,
@@ -264,44 +264,6 @@ func (p *Pool) SetDialTimeout(d time.Duration) {
 		p.tune.dialTimeout = d
 	}
 	p.mu.Unlock()
-}
-
-// Frame-compression policy values.
-const (
-	compressAuto int8 = iota // lz4 for network workers, raw for unix sockets
-	compressOn               // always offer lz4
-	compressOff              // never offer lz4
-)
-
-// SetCompression forces the lz4 frame feature on or off for every
-// worker, overriding the default auto policy (lz4 offered to network
-// workers only). Workers echo the accepted features per connection, so
-// flipping this mid-run is safe.
-func (p *Pool) SetCompression(on bool) {
-	p.mu.Lock()
-	if on {
-		p.compress = compressOn
-	} else {
-		p.compress = compressOff
-	}
-	p.mu.Unlock()
-}
-
-// compressFor decides whether to offer lz4 on a connection to the
-// named worker: the forced setting when one is set, otherwise on
-// exactly for network transports — a same-host unix socket moves bytes
-// for free, so compressing for it only burns pipeline CPU.
-func (p *Pool) compressFor(name string) bool {
-	p.mu.Lock()
-	mode := p.compress
-	p.mu.Unlock()
-	switch mode {
-	case compressOn:
-		return true
-	case compressOff:
-		return false
-	}
-	return !strings.HasPrefix(name, "unix:")
 }
 
 // SetFaultInjector installs (or, with nil, removes) the fault-injection
@@ -464,6 +426,7 @@ func (p *Pool) Stats() []WorkerStats {
 		st.Healthy = w.state.alive()
 		st.State = w.state.String()
 		st.EWMAMs = w.ewmaMs
+		st.WireMBs = w.wire.wireRate() / 1e6
 		out = append(out, st)
 	}
 	return out
@@ -486,20 +449,44 @@ func (p *Pool) note(name string, fn func(*WorkerStats)) {
 }
 
 // noteService feeds one completed stream's per-chunk service time into
-// the worker's EWMA (the slow-worker detector's input).
-func (p *Pool) noteService(name string, perChunkMs float64) {
+// the worker's EWMA (the slow-worker detector's input). Sub-millisecond
+// chunks keep their fraction: a fast pool's median must not read 0.
+func (p *Pool) noteService(name string, elapsed time.Duration, frames int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	w := p.findLocked(name)
 	if w == nil {
 		return
 	}
+	perChunkMs := elapsed.Seconds() * 1e3 / float64(frames)
 	if w.samples == 0 {
 		w.ewmaMs = perChunkMs
 	} else {
 		w.ewmaMs = 0.3*perChunkMs + 0.7*w.ewmaMs
 	}
 	w.samples++
+}
+
+// compressorFor builds an attempt's send side, seeded with the worker's
+// wire history.
+func (p *Pool) compressorFor(name string, w io.Writer, flush func() error) *compressor {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	c := &compressor{w: w, flush: flush}
+	if pw := p.findLocked(name); pw != nil {
+		c.wire = pw.wire
+	}
+	return c
+}
+
+// noteLink keeps what an attempt's compressor measured and decided.
+func (p *Pool) noteLink(name string, c *compressor) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if w := p.findLocked(name); w != nil {
+		w.wire.adopt(&c.wire, c.frames)
+		w.stats.LZ4FramesOut += c.lz4Frames
+	}
 }
 
 // CheckHealth probes every member once, reviving workers that answer

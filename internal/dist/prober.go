@@ -74,17 +74,12 @@ func (c ProberConfig) withDefaults() ProberConfig {
 func (p *Pool) SetProberConfig(cfg ProberConfig) {
 	p.mu.Lock()
 	p.proberCfg = cfg.withDefaults()
-	p.proberCfgSet = true
 	p.mu.Unlock()
 }
 
 func (p *Pool) proberConfig() ProberConfig {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if !p.proberCfgSet {
-		p.proberCfg = DefaultProberConfig()
-		p.proberCfgSet = true
-	}
 	return p.proberCfg
 }
 

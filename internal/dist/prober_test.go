@@ -196,54 +196,68 @@ func TestProberFlappingProperty(t *testing.T) {
 // TestProberSlowWorkerDetection: a worker whose per-chunk EWMA is far
 // above the pool median degrades after SlowAfter ticks (steering plans
 // away while staying alive for failover), and recovers to healthy once
-// its decayed EWMA holds under the threshold for UpAfter ticks.
+// its decayed EWMA holds under the threshold for UpAfter ticks. The
+// sub-millisecond row is a fast pool: whole-stream times under 1 ms must
+// still rank the workers, not all read 0 and blind the detector.
 func TestProberSlowWorkerDetection(t *testing.T) {
-	pool, _, names := proberPool(t, 3)
-	pool.SetProberConfig(ProberConfig{DownAfter: 3, UpAfter: 2, SlowFactor: 4, SlowAfter: 2, MinSamples: 1})
-	ctx := context.Background()
-	slow := names[0]
+	for _, row := range []struct {
+		name         string
+		slow, fast   time.Duration // one stream's service time
+		slowN, fastN int           // its chunks
+	}{
+		{"milliseconds", 100 * time.Millisecond, 4 * time.Millisecond, 1, 1},
+		{"sub-millisecond", 900 * time.Microsecond, 100 * time.Microsecond, 1, 4},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			pool, _, names := proberPool(t, 3)
+			pool.SetProberConfig(ProberConfig{DownAfter: 3, UpAfter: 2, SlowFactor: 4, SlowAfter: 2, MinSamples: 1})
+			ctx := context.Background()
+			slow := names[0]
 
-	pool.noteService(slow, 100)
-	for _, n := range names[1:] {
-		pool.noteService(n, 4)
-	}
-
-	// Tick 1: slow streak starts, nothing moves yet.
-	pool.ProbeTick(ctx)
-	if got := len(pool.WorkerNames()); got != 3 {
-		t.Fatalf("tick 1: eligible = %d, want 3 (SlowAfter not reached)", got)
-	}
-	// Tick 2: degraded — out of planning, still alive.
-	pool.ProbeTick(ctx)
-	if tr := pool.Transitions(); tr.Degraded != 1 {
-		t.Fatalf("tick 2: transitions = %+v, want Degraded=1", tr)
-	}
-	for _, n := range pool.WorkerNames() {
-		if n == slow {
-			t.Fatal("tick 2: degraded worker still in the dispatch set")
-		}
-	}
-	for _, st := range pool.Stats() {
-		if st.Name == slow {
-			if st.State != "degraded" || !st.Healthy {
-				t.Fatalf("tick 2: slow worker row = {state:%s healthy:%v}, want degraded+alive", st.State, st.Healthy)
+			pool.noteService(slow, row.slow, row.slowN)
+			for _, n := range names[1:] {
+				pool.noteService(n, row.fast, row.fastN)
 			}
-		}
-	}
 
-	// Degraded workers get no traffic, so recovery rides the EWMA decay:
-	// within a bounded number of ticks the worker must be restored.
-	for i := 0; i < 40; i++ {
-		pool.ProbeTick(ctx)
-		if pool.Transitions().Restored == 1 {
-			break
-		}
-	}
-	if tr := pool.Transitions(); tr.Restored != 1 {
-		t.Fatalf("slow worker never restored: %+v", tr)
-	}
-	if got := len(pool.WorkerNames()); got != 3 {
-		t.Fatalf("after restore: eligible = %d, want 3", got)
+			// Tick 1: slow streak starts, nothing moves yet.
+			pool.ProbeTick(ctx)
+			if got := len(pool.WorkerNames()); got != 3 {
+				t.Fatalf("tick 1: eligible = %d, want 3 (SlowAfter not reached)", got)
+			}
+			// Tick 2: degraded — out of planning, still alive.
+			pool.ProbeTick(ctx)
+			if tr := pool.Transitions(); tr.Degraded != 1 {
+				t.Fatalf("tick 2: transitions = %+v, want Degraded=1", tr)
+			}
+			for _, n := range pool.WorkerNames() {
+				if n == slow {
+					t.Fatal("tick 2: degraded worker still in the dispatch set")
+				}
+			}
+			for _, st := range pool.Stats() {
+				if st.Name == slow {
+					if st.State != "degraded" || !st.Healthy {
+						t.Fatalf("tick 2: slow worker row = {state:%s healthy:%v}, want degraded+alive", st.State, st.Healthy)
+					}
+				}
+			}
+
+			// Degraded workers get no traffic, so recovery rides the EWMA
+			// decay: within a bounded number of ticks the worker must be
+			// restored.
+			for i := 0; i < 40; i++ {
+				pool.ProbeTick(ctx)
+				if pool.Transitions().Restored == 1 {
+					break
+				}
+			}
+			if tr := pool.Transitions(); tr.Restored != 1 {
+				t.Fatalf("slow worker never restored: %+v", tr)
+			}
+			if got := len(pool.WorkerNames()); got != 3 {
+				t.Fatalf("after restore: eligible = %d, want 3", got)
+			}
+		})
 	}
 }
 

@@ -48,9 +48,8 @@ type pendingChunk struct {
 // per-chunk proof — output is not 1:1 with input — so they retain every
 // chunk sent, replay all of it to the next rung, and discard the output
 // prefix already delivered: the chains are deterministic, so a re-run
-// reproduces it byte for byte. That retention is bounded by the shard's
-// input (1/width of the job), the price of shipping barrier-split
-// consumers.
+// reproduces it byte for byte. That retention, up to the shard's input,
+// is charged to the job's pipe budget like any queued chunk.
 type session struct {
 	req   *runtime.RemoteRequest
 	acked bool
@@ -116,10 +115,18 @@ func (p *Pool) run(ctx context.Context, s *session) error {
 	}
 }
 
-func (s *session) retain(i int, pc pendingChunk) {
+// retain keeps one input chunk for replay, charged to the job's pipe
+// budget until released. A refused charge fails the run: no worker is
+// at fault.
+func (s *session) retain(i int, pc pendingChunk) error {
+	if err := s.req.Budget.ChargePipe(len(pc.b)); err != nil {
+		pc.release()
+		return runtime.MarkFatal(err)
+	}
 	s.mu.Lock()
 	s.retained[i] = append(s.retained[i], pc)
 	s.mu.Unlock()
+	return nil
 }
 
 // snapshot returns input i's retained chunks as of now. Elements are
@@ -131,7 +138,8 @@ func (s *session) snapshot(i int) []pendingChunk {
 	return s.retained[i]
 }
 
-// pop hands over input i's oldest retained chunk.
+// pop hands over input i's oldest retained chunk, and its budget
+// charge with it.
 func (s *session) pop(i int) (pendingChunk, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -140,6 +148,7 @@ func (s *session) pop(i int) (pendingChunk, bool) {
 	}
 	pc := s.retained[i][0]
 	s.retained[i] = s.retained[i][1:]
+	s.req.Budget.ReleasePipe(len(pc.b))
 	return pc, true
 }
 
@@ -148,6 +157,7 @@ func (s *session) pop(i int) (pendingChunk, bool) {
 func (s *session) release() {
 	for i := range s.retained {
 		for _, pc := range s.retained[i] {
+			s.req.Budget.ReleasePipe(len(pc.b))
 			pc.release()
 		}
 		s.retained[i] = nil
@@ -234,43 +244,16 @@ func (w *skipWriter) WriteChunk(b []byte) error {
 
 // wirePlan builds frame 0 for one attempt: the handshake carrying the
 // env-free plan (cached templates are run-independent, so this run's
-// environment snapshot and sandbox bit ride beside it), the worker
-// plan-cache key, and
-// the lz4 offer, which depends on the worker's transport. It returns
-// the frame and whether lz4 was offered.
-func (p *Pool) wirePlan(req *runtime.RemoteRequest, name string) ([]byte, bool, error) {
+// environment snapshot and sandbox bit ride beside it) and the worker
+// plan-cache key.
+func wirePlan(req *runtime.RemoteRequest) ([]byte, error) {
 	spec := *req.Spec
 	spec.Env = nil
 	planRaw, err := dfg.EncodePlan(&spec)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	hs := wireHandshake{Wire: wireVersion, Key: req.Spec.Key, Env: req.Env, Sandbox: req.FS.Jail, Plan: planRaw}
-	lz4On := p.compressFor(name)
-	if lz4On {
-		hs.Features = []string{featureLZ4}
-	}
-	b, err := json.Marshal(&hs)
-	return b, lz4On, err
-}
-
-// noteResponse digests a worker's /exec response headers: the
-// plan-cache verdict feeds the stats row, and the echoed feature list
-// decides how response frames are decoded. It returns whether response
-// payloads are tagged (the lz4 feature was accepted).
-func (p *Pool) noteResponse(name string, h http.Header) bool {
-	switch h.Get("X-Pash-Plan-Cache") {
-	case "hit":
-		p.note(name, func(st *WorkerStats) { st.PlanCacheHits++ })
-	case "miss":
-		p.note(name, func(st *WorkerStats) { st.PlanCacheMisses++ })
-	}
-	for _, f := range strings.Split(h.Get("X-Pash-Features"), ",") {
-		if strings.TrimSpace(f) == featureLZ4 {
-			return true
-		}
-	}
-	return false
+	return json.Marshal(&wireHandshake{Wire: wireVersion, Key: req.Spec.Key, Env: req.Env, Sandbox: req.FS.Jail, Plan: planRaw})
 }
 
 // openExec opens one /exec request: dial, request head, handshake
@@ -382,7 +365,7 @@ type link struct {
 	s     *session
 	bw    *bufio.Writer
 	cw    io.WriteCloser
-	comp  *compressor
+	comp  *compressor // the request body's send side
 	watch *streamWatch
 	// slots is an acked session's in-flight window: one token per chunk
 	// on the wire whose output frame has not arrived. The sender blocks
@@ -404,7 +387,7 @@ var errAbandoned = errors.New("dist: attempt abandoned")
 // as opposed to an input-side, downstream or cancellation error, which
 // aborts the node like any local node.
 func (p *Pool) attempt(ctx context.Context, name string, s *session) (death bool, err error) {
-	plan, lz4On, err := p.wirePlan(s.req, name)
+	plan, err := wirePlan(s.req)
 	if err != nil {
 		return false, err
 	}
@@ -422,16 +405,19 @@ func (p *Pool) attempt(ctx context.Context, name string, s *session) (death bool
 	tune := p.tuned()
 	l := &link{
 		p: p, name: name, s: s, bw: bw, cw: cw,
-		comp:  &compressor{enabled: lz4On},
+		comp:  p.compressorFor(name, cw, bw.Flush),
 		watch: newStreamWatch(tune.chunkTimeout, conn),
 		abort: make(chan struct{}),
 	}
 	defer l.watch.stop()
+	defer p.noteLink(name, l.comp)
 	if s.acked {
 		l.slots = make(chan struct{}, tune.window)
 	}
 	start := time.Now()
-
+	fatal := func(err error) bool {
+		return err != nil && runtime.ClassifyRemoteError(err) == runtime.RemoteErrFatal
+	}
 	sendc := make(chan error, 1)
 	go func() {
 		// A panic in the sender must still produce a result, or the
@@ -439,7 +425,11 @@ func (p *Pool) attempt(ctx context.Context, name string, s *session) (death bool
 		var err error
 		defer func() { sendc <- err }()
 		defer runtime.Contain("dispatch sender", &err)
-		err = l.send(ctx)
+		if err = l.send(ctx); fatal(err) {
+			// The receiver may be waiting on a worker that waits for
+			// input that will never come: cut it loose.
+			conn.Close()
+		}
 	}()
 	frames, recvErr := l.receive(conn)
 	close(l.abort)
@@ -449,9 +439,6 @@ func (p *Pool) attempt(ctx context.Context, name string, s *session) (death bool
 	conn.Close()
 	sendErr := <-sendc
 
-	fatal := func(err error) bool {
-		return err != nil && runtime.ClassifyRemoteError(err) == runtime.RemoteErrFatal
-	}
 	switch {
 	case fatal(sendErr):
 		// The input side failed or the run was cancelled: no worker is
@@ -470,7 +457,7 @@ func (p *Pool) attempt(ctx context.Context, name string, s *session) (death bool
 	// stream or a range, a late sender-side transport hiccup cannot
 	// change those bytes.
 	if frames > 0 {
-		p.noteService(name, float64(time.Since(start).Milliseconds())/float64(frames))
+		p.noteService(name, time.Since(start), frames)
 	}
 	return false, nil
 }
@@ -504,13 +491,15 @@ func (l *link) send(ctx context.Context) error {
 			}
 			// Retain before sending: once the chunk is on the wire it
 			// must survive for replay whatever happens next.
-			s.retain(i, pendingChunk{b: b, release: release})
+			if err := s.retain(i, pendingChunk{b: b, release: release}); err != nil {
+				return err
+			}
 			if err := l.sendChunk(ctx, b); err != nil {
 				return err
 			}
 		}
 		if s.req.Spec.Streamed {
-			if err := l.guarded(func() error { return writeFrame(l.cw, nil) }); err != nil {
+			if err := l.guarded(func() error { _, err := l.comp.send(nil); return err }); err != nil {
 				return err
 			}
 		}
@@ -523,13 +512,15 @@ func (l *link) send(ctx context.Context) error {
 		if err := l.cw.Close(); err != nil {
 			return err
 		}
-		_, err := io.WriteString(l.bw, "\r\n")
-		return err
+		if _, err := io.WriteString(l.bw, "\r\n"); err != nil {
+			return err
+		}
+		return l.bw.Flush()
 	})
 }
 
-// guarded runs one wire write and its flush with the watchdog armed: a
-// worker that stops reading wedges the writer, and nothing else would
+// guarded runs one wire write, flush included, with the watchdog armed:
+// a worker that stops reading wedges the writer, and nothing else would
 // notice. The watchdog is deliberately NOT armed while the sender merely
 // waits for upstream input — a streamed shard's input legitimately
 // idles, because the coordinator's split fills its outputs one after
@@ -538,9 +529,6 @@ func (l *link) send(ctx context.Context) error {
 func (l *link) guarded(write func() error) error {
 	l.watch.expect()
 	err := write()
-	if err == nil {
-		err = l.bw.Flush()
-	}
 	l.watch.fulfilled()
 	l.watch.touch()
 	return err
@@ -562,7 +550,7 @@ func (l *link) sendChunk(ctx context.Context, b []byte) error {
 	}
 	var wireN int
 	err := l.guarded(func() (err error) {
-		wireN, err = l.comp.writeDataFrame(l.cw, b)
+		wireN, err = l.comp.send(b)
 		return err
 	})
 	if err != nil {
@@ -591,20 +579,21 @@ func (l *link) receive(conn net.Conn) (frames int, err error) {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return 0, blame(fmt.Errorf("%d: %s", resp.StatusCode, strings.TrimSpace(string(msg))))
 	}
-	tagged := l.p.noteResponse(l.name, resp.Header)
+	switch resp.Header.Get("X-Pash-Plan-Cache") {
+	case "hit":
+		l.p.note(l.name, func(st *WorkerStats) { st.PlanCacheHits++ })
+	case "miss":
+		l.p.note(l.name, func(st *WorkerStats) { st.PlanCacheMisses++ })
+	}
 	out := l.s.output()
 	for {
-		raw, err := readFrame(resp.Body)
+		fr, wireN, err := readDataFrame(resp.Body)
 		if err == io.EOF {
 			if msg := resp.Trailer.Get("X-Pash-Error"); msg != "" {
 				return frames, blame(errors.New(msg))
 			}
 			return frames, nil
 		}
-		if err != nil {
-			return frames, blame(err)
-		}
-		fr, wireN, err := decodeDataPayload(raw, tagged)
 		if err != nil {
 			return frames, blame(err)
 		}

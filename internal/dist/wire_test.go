@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/dfg"
 	"repro/internal/dist"
@@ -101,89 +104,120 @@ func logLikeInput(lines int) string {
 	return sb.String()
 }
 
-// TestWireCompressionSavesBytes: on log-structured text the negotiated
-// lz4 frames must move at least 3x fewer bytes than the raw chunks they
-// carry, and switching compression off must put the meters back in
-// exact agreement — same output bytes either way.
+// linkRate paces the throttled proxy: 512 KiB/s, over 20x below the
+// codec even under the race detector, so the rule must compress.
+const linkRate = 512 << 10
+
+// throttledWorker serves one worker on a unix socket in dir behind a
+// proxy that paces the coordinator's sends at linkRate — a slow link
+// with nothing else wrong — and returns the proxy's address. Responses
+// come back at full speed.
+func throttledWorker(t *testing.T, dir string) string {
+	t.Helper()
+	target := strings.TrimPrefix(unixWorker(t, dir, "paced-worker.sock"), "unix:")
+	ln, err := net.Listen("unix", filepath.Join(dir, "paced.sock"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer c.Close()
+				w, err := net.Dial("unix", target)
+				if err != nil {
+					return
+				}
+				defer w.Close()
+				go io.Copy(c, w)
+				buf := make([]byte, 4096)
+				for {
+					n, err := c.Read(buf)
+					time.Sleep(time.Duration(n) * time.Second / linkRate)
+					if _, werr := w.Write(buf[:n]); err != nil || werr != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return "unix:" + ln.Addr().String()
+}
+
+// overSlowLink runs script twice through one worker behind the paced
+// proxy — the first run teaches the pool the link, since the socket
+// buffer takes a connection's first frames at memory speed — and
+// returns the second run's output and outbound meters: raw bytes, wire
+// bytes and lz4 frames.
+func overSlowLink(t *testing.T, dir, script string) (out string, raw, wire, lz4 int64) {
+	t.Helper()
+	pool := pash.NewWorkerPool(throttledWorker(t, dir))
+	runScript(t, script, dir, 2, pool)
+	before := pool.Stats()[0]
+	out = runScript(t, script, dir, 2, pool)
+	after := pool.Stats()[0]
+	return out, after.BytesOut - before.BytesOut, after.WireBytesOut - before.WireBytesOut, after.LZ4FramesOut - before.LZ4FramesOut
+}
+
+// TestWireCompressionSavesBytes: on log-structured text sent over a slow
+// link, lz4 frames move at least 3x fewer bytes than the raw chunks
+// they carry, and the output is the local output.
 func TestWireCompressionSavesBytes(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "log.txt"), []byte(logLikeInput(12000)), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "log.txt"), []byte(logLikeInput(6000)), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	script := `cat log.txt | tr A-Z a-z | sort`
-	local := runScript(t, script, dir, 8, nil)
-
-	wireAndRaw := func(pool *pash.WorkerPool) (wire, raw int64) {
-		for _, st := range pool.Stats() {
-			wire += st.WireBytesOut + st.WireBytesIn
-			raw += st.BytesOut + st.BytesIn
-		}
-		return
-	}
-
-	pool := startWorkers(t, 2, dir)
-	if got := runScript(t, script, dir, 8, pool); got != local {
+	local := runScript(t, script, dir, 2, nil)
+	got, raw, wire, _ := overSlowLink(t, dir, script)
+	if got != local {
 		t.Fatalf("compressed run diverged (%d vs %d bytes)", len(got), len(local))
 	}
-	wire, raw := wireAndRaw(pool)
 	if raw == 0 {
 		t.Fatal("no traffic shipped")
 	}
 	if ratio := float64(raw) / float64(wire); ratio < 3 {
 		t.Errorf("lz4 wire savings = %.2fx (%d raw, %d wire), want >= 3x on log text", ratio, raw, wire)
 	}
-
-	plain := startWorkers(t, 2, dir)
-	plain.SetCompression(false)
-	if got := runScript(t, script, dir, 8, plain); got != local {
-		t.Fatalf("uncompressed run diverged (%d vs %d bytes)", len(got), len(local))
-	}
-	wire, raw = wireAndRaw(plain)
-	if wire != raw {
-		t.Errorf("compression off but wire bytes (%d) != raw bytes (%d)", wire, raw)
-	}
 }
 
-// TestCompressionAutoPolicy: under the default auto policy a same-host
-// unix-socket worker is offered no lz4 and moves raw frames — bytes are
-// free there and the codec's CPU is not — so the wire meters track
-// the raw meters exactly; forcing compression on the same pool then
-// shrinks the wire.
-func TestCompressionAutoPolicy(t *testing.T) {
+// TestCompressionFollowsTheWire: the same log-text job over two links.
+// Behind a proxy paced far below the codec, the coordinator's sends go
+// lz4 and move at least 2x fewer bytes than they carry — only the
+// compressed path can do that. Over a plain unix socket, which moves
+// bytes faster than lz4 can shrink them, every frame in both directions
+// goes raw and costs exactly its tag byte. Output is byte-identical to
+// local both ways.
+func TestCompressionFollowsTheWire(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "log.txt"), []byte(logLikeInput(6000)), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	script := `cat log.txt | tr A-Z a-z | sort`
-	local := runScript(t, script, dir, 8, nil)
-	pool := benchPool(t, 2, dir)
+	local := runScript(t, script, dir, 2, nil)
 
-	if got := runScript(t, script, dir, 8, pool); got != local {
-		t.Fatalf("auto-policy run diverged (%d vs %d bytes)", len(got), len(local))
+	fast := pash.NewWorkerPool(unixWorker(t, dir, "fast.sock"))
+	if got := runScript(t, script, dir, 2, fast); got != local {
+		t.Fatalf("unix-socket run diverged (%d vs %d bytes)", len(got), len(local))
 	}
-	var wire, raw int64
-	for _, st := range pool.Stats() {
-		wire += st.WireBytesOut + st.WireBytesIn
-		raw += st.BytesOut + st.BytesIn
+	st := fast.Stats()[0]
+	if st.BytesOut == 0 || st.BytesIn == 0 {
+		t.Fatalf("no traffic shipped: %+v", st)
 	}
-	if raw == 0 {
-		t.Fatal("no traffic shipped")
-	}
-	if wire != raw {
-		t.Errorf("auto policy compressed a unix-socket connection: %d wire vs %d raw bytes", wire, raw)
+	if st.WireBytesOut != st.BytesOut+st.ChunksOut || st.WireBytesIn != st.BytesIn+st.ChunksIn || st.LZ4FramesOut != 0 {
+		t.Errorf("unix socket compressed: %+v, want wire = raw + 1 per frame both ways", st)
 	}
 
-	pool.SetCompression(true)
-	if got := runScript(t, script, dir, 8, pool); got != local {
-		t.Fatalf("forced-lz4 run diverged (%d vs %d bytes)", len(got), len(local))
+	got, raw, wire, lz4 := overSlowLink(t, dir, script)
+	if got != local {
+		t.Fatalf("throttled run diverged (%d vs %d bytes)", len(got), len(local))
 	}
-	var wire2, raw2 int64
-	for _, st := range pool.Stats() {
-		wire2 += st.WireBytesOut + st.WireBytesIn
-		raw2 += st.BytesOut + st.BytesIn
-	}
-	if wire2-wire >= raw2-raw {
-		t.Errorf("forcing compression on saved nothing: +%d wire vs +%d raw bytes", wire2-wire, raw2-raw)
+	if lz4 == 0 || float64(raw) < 2*float64(wire) {
+		t.Errorf("throttled link: %d raw bytes (%d lz4 frames) moved as %d wire bytes, want at least 2x fewer", raw, lz4, wire)
 	}
 }
 

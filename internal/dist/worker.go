@@ -6,8 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"slices"
-	"sync/atomic"
+	"sync"
 	"time"
 
 	"repro/internal/agg"
@@ -27,16 +26,17 @@ type Worker struct {
 	start time.Time
 	plans *planCache
 
-	requests     atomic.Int64
-	active       atomic.Int64
-	failures     atomic.Int64
-	chunksIn     atomic.Int64
-	bytesIn      atomic.Int64
-	bytesOut     atomic.Int64
-	wireBytesIn  atomic.Int64
-	wireBytesOut atomic.Int64
-	planHits     atomic.Int64
-	planMisses   atomic.Int64
+	// mu guards the meters and wire, the responses' send-side history.
+	mu   sync.Mutex
+	m    WorkerMetrics
+	wire window
+}
+
+// meter applies one update to the worker's meters.
+func (w *Worker) meter(fn func(*WorkerMetrics)) {
+	w.mu.Lock()
+	fn(&w.m)
+	w.mu.Unlock()
 }
 
 // NewWorker builds a worker over the standard command registry (with
@@ -68,15 +68,14 @@ func (w *Worker) handleExec(rw http.ResponseWriter, r *http.Request) {
 		http.Error(rw, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	w.requests.Add(1)
-	w.active.Add(1)
-	defer w.active.Add(-1)
+	w.meter(func(m *WorkerMetrics) { m.Requests++; m.Active++ })
+	defer w.meter(func(m *WorkerMetrics) { m.Active-- })
 
 	// Frame 0 is the handshake; anything wrong with it is rejected
 	// here, before the response commits and before any input frame is
 	// read.
 	reject := func(msg string) {
-		w.failures.Add(1)
+		w.meter(func(m *WorkerMetrics) { m.Failures++ })
 		http.Error(rw, msg, http.StatusBadRequest)
 	}
 	frame0, err := readFrame(r.Body)
@@ -90,13 +89,6 @@ func (w *Worker) handleExec(rw http.ResponseWriter, r *http.Request) {
 		reject("frame 0 is not a pash handshake")
 		return
 	}
-	for _, f := range hs.Features {
-		if f != featureLZ4 {
-			reject(fmt.Sprintf("unsupported wire feature %q", f))
-			return
-		}
-	}
-	lz4On := slices.Contains(hs.Features, featureLZ4)
 	var (
 		spec      *dfg.RemoteSpec
 		chain     *runtime.StageChain
@@ -105,7 +97,7 @@ func (w *Worker) handleExec(rw http.ResponseWriter, r *http.Request) {
 	gen := w.reg.Generation()
 	if ent := w.plans.get(hs.Key, gen); ent != nil {
 		spec, chain = ent.spec, ent.chain
-		w.planHits.Add(1)
+		w.meter(func(m *WorkerMetrics) { m.PlanCacheHits++ })
 		cacheNote = "hit"
 	} else {
 		spec, chain, err = w.decodePlan([]byte(hs.Plan))
@@ -113,7 +105,7 @@ func (w *Worker) handleExec(rw http.ResponseWriter, r *http.Request) {
 			reject(err.Error())
 			return
 		}
-		w.planMisses.Add(1)
+		w.meter(func(m *WorkerMetrics) { m.PlanCacheMisses++ })
 		cacheNote = "miss"
 		w.plans.put(hs.Key, gen, spec, chain)
 	}
@@ -126,22 +118,17 @@ func (w *Worker) handleExec(rw http.ResponseWriter, r *http.Request) {
 
 	// The worker streams output frames while still reading input
 	// frames: full duplex, which HTTP/1 handlers must opt into.
-	http.NewResponseController(rw).EnableFullDuplex()
-	flusher, _ := rw.(http.Flusher)
+	rc := http.NewResponseController(rw)
+	rc.EnableFullDuplex()
 	rw.Header().Set("Trailer", "X-Pash-Exit-Code, X-Pash-Error")
 	rw.Header().Set("Content-Type", "application/x-pash-frames")
-	if lz4On {
-		rw.Header().Set("X-Pash-Features", featureLZ4)
-	}
 	rw.Header().Set("X-Pash-Plan-Cache", cacheNote)
 	rw.WriteHeader(http.StatusOK)
-	if flusher != nil {
-		// Commit the response as chunked now: trailers only travel on
-		// chunked responses, and acks must flow before input ends.
-		flusher.Flush()
-	}
+	// Commit the response as chunked now: trailers only travel on
+	// chunked responses, and acks must flow before input ends.
+	rc.Flush()
 
-	comp := &compressor{enabled: lz4On}
+	comp := &compressor{w: rw, flush: rc.Flush}
 	// The recover boundary keeps one request's panic — a bug in a stage
 	// implementation, a malformed plan the decoder let through — from
 	// taking the worker process (and every other tenant's chains) down.
@@ -149,16 +136,20 @@ func (w *Worker) handleExec(rw http.ResponseWriter, r *http.Request) {
 		defer runtime.Contain("worker exec", &err)
 		switch {
 		case spec.Path != "":
-			return w.execRange(rw, flusher, chain, spec, fs, comp)
+			return w.execRange(chain, spec, fs, comp)
 		case spec.Streamed:
-			return w.execStreamed(r.Context(), rw, flusher, chain, spec, fs, hs.Env, r.Body, lz4On, comp)
+			return w.execStreamed(r.Context(), chain, spec, fs, hs.Env, r.Body, comp)
 		default:
-			return w.execFramed(rw, flusher, chain, r.Body, lz4On, comp)
+			return w.execFramed(chain, r.Body, comp)
 		}
 	}()
+	w.mu.Lock()
+	w.m.LZ4FramesOut += comp.lz4Frames
+	w.wire.adopt(&comp.wire, comp.frames)
+	w.mu.Unlock()
 	code := 0
 	if execErr != nil {
-		w.failures.Add(1)
+		w.meter(func(m *WorkerMetrics) { m.Failures++ })
 		code = 1
 		rw.Header().Set("X-Pash-Error", execErr.Error())
 	}
@@ -201,49 +192,50 @@ func (w *Worker) decodePlan(raw []byte) (*dfg.RemoteSpec, *runtime.StageChain, e
 // execFramed is the chunk-relay loop: one output frame per input
 // frame, flushed eagerly so the coordinator's acknowledgement window
 // keeps moving.
-func (w *Worker) execFramed(rw io.Writer, flusher http.Flusher, chain *runtime.StageChain, body io.Reader, tagged bool, comp *compressor) error {
+func (w *Worker) execFramed(chain *runtime.StageChain, body io.Reader, comp *compressor) error {
 	for {
-		fr, err := readFrame(body)
+		in, wire, err := readDataFrame(body)
 		if err == io.EOF {
 			return nil
 		}
 		if err != nil {
 			return err
 		}
-		in, wire, err := decodeDataPayload(fr, tagged)
-		if err != nil {
-			return err
-		}
-		w.chunksIn.Add(1)
-		w.bytesIn.Add(int64(len(in)))
-		w.wireBytesIn.Add(int64(wire))
+		w.meterIn(in, wire)
 		out, err := chain.ApplyChunk(in)
 		commands.PutBlock(in)
 		if err != nil {
 			return err
 		}
-		w.bytesOut.Add(int64(len(out)))
-		wireOut, werr := comp.writeDataFrame(rw, out)
+		err = w.sendOut(comp, out)
 		commands.PutBlock(out)
-		if werr != nil {
-			return werr
-		}
-		w.wireBytesOut.Add(int64(wireOut))
-		if flusher != nil {
-			flusher.Flush()
+		if err != nil {
+			return err
 		}
 	}
 }
 
+// sendOut sends one response frame and meters it.
+func (w *Worker) sendOut(comp *compressor, p []byte) error {
+	wire, err := comp.send(p)
+	w.meter(func(m *WorkerMetrics) { m.BytesOut += int64(len(p)); m.WireBytesOut += int64(wire) })
+	return err
+}
+
+// meterIn counts one request frame.
+func (w *Worker) meterIn(chunk []byte, wire int) {
+	w.meter(func(m *WorkerMetrics) { m.ChunksIn++; m.BytesIn += int64(len(chunk)); m.WireBytesIn += int64(wire) })
+}
+
 // execRange self-sources the plan's file slice and streams the
 // transformed bytes back as frames.
-func (w *Worker) execRange(rw io.Writer, flusher http.Flusher, chain *runtime.StageChain, spec *dfg.RemoteSpec, fs commands.OSFS, comp *compressor) error {
+func (w *Worker) execRange(chain *runtime.StageChain, spec *dfg.RemoteSpec, fs commands.OSFS, comp *compressor) error {
 	r, err := runtime.OpenRange(fs, spec.Path, spec.Slice, spec.Of)
 	if err != nil {
 		return err
 	}
 	defer r.Close()
-	_, err = chain.Stream(r, w.outputWriter(rw, flusher, comp))
+	_, err = chain.Stream(r, &frameStreamWriter{w, comp})
 	return err
 }
 
@@ -253,7 +245,7 @@ func (w *Worker) execRange(rw io.Writer, flusher http.Flusher, chain *runtime.St
 // output stream. A feeder goroutine demultiplexes the wire into one
 // in-process pipe per input while the chain (or aggregation tree)
 // consumes them.
-func (w *Worker) execStreamed(ctx context.Context, rw io.Writer, flusher http.Flusher, chain *runtime.StageChain, spec *dfg.RemoteSpec, fs commands.OSFS, env map[string]string, body io.Reader, tagged bool, comp *compressor) error {
+func (w *Worker) execStreamed(ctx context.Context, chain *runtime.StageChain, spec *dfg.RemoteSpec, fs commands.OSFS, env map[string]string, body io.Reader, comp *compressor) error {
 	k := 1
 	if spec.Agg != nil {
 		k = len(spec.Branches)
@@ -276,7 +268,7 @@ func (w *Worker) execStreamed(ctx context.Context, rw io.Writer, flusher http.Fl
 			feedDone <- err
 		}
 		for cur < k {
-			fr, err := readFrame(body)
+			raw, wire, err := readDataFrame(body)
 			if err == io.EOF {
 				// The body ended before every stream's separator: the
 				// missing bytes must not masquerade as stream end.
@@ -287,21 +279,14 @@ func (w *Worker) execStreamed(ctx context.Context, rw io.Writer, flusher http.Fl
 				fail(err)
 				return
 			}
-			if len(fr) == 0 {
-				commands.PutBlock(fr)
+			if wire == 0 {
+				commands.PutBlock(raw)
 				pws[cur].Close()
 				cur++
 				discard = false
 				continue
 			}
-			raw, wire, err := decodeDataPayload(fr, tagged)
-			if err != nil {
-				fail(err)
-				return
-			}
-			w.chunksIn.Add(1)
-			w.bytesIn.Add(int64(len(raw)))
-			w.wireBytesIn.Add(int64(wire))
+			w.meterIn(raw, wire)
 			if !discard {
 				if _, werr := pws[cur].Write(raw); werr != nil {
 					// The consumer stopped early; swallow the rest of
@@ -314,7 +299,7 @@ func (w *Worker) execStreamed(ctx context.Context, rw io.Writer, flusher http.Fl
 		feedDone <- nil
 	}()
 
-	fw := w.outputWriter(rw, flusher, comp)
+	fw := &frameStreamWriter{w, comp}
 	var execErr error
 	if spec.Agg != nil {
 		execErr = runtime.ExecStreamTree(ctx, w.reg, spec, ins, fw, fs, env, io.Discard)
@@ -334,24 +319,11 @@ func (w *Worker) execStreamed(ctx context.Context, rw io.Writer, flusher http.Fl
 	return feedErr
 }
 
-// outputWriter builds the response-side frame writer with the
-// connection's compressor and the worker's meters attached.
-func (w *Worker) outputWriter(rw io.Writer, flusher http.Flusher, comp *compressor) *frameStreamWriter {
-	return &frameStreamWriter{
-		w: rw, flusher: flusher, comp: comp,
-		bytesOut: &w.bytesOut, wireOut: &w.wireBytesOut,
-	}
-}
-
-// frameStreamWriter frames a plain output stream for the wire,
-// adopting whole chunks when the producer hands them over and
-// compressing payloads when the connection negotiated it.
+// frameStreamWriter frames a plain output stream for the wire, adopting
+// whole chunks when the producer hands them over.
 type frameStreamWriter struct {
-	w        io.Writer
-	flusher  http.Flusher
-	comp     *compressor
-	bytesOut *atomic.Int64
-	wireOut  *atomic.Int64
+	w    *Worker
+	comp *compressor
 }
 
 func (f *frameStreamWriter) Write(p []byte) (int, error) {
@@ -373,22 +345,17 @@ func (f *frameStreamWriter) emit(p []byte) error {
 		// streams have no tokens to convey.
 		return nil
 	}
-	f.bytesOut.Add(int64(len(p)))
-	wire, err := f.comp.writeDataFrame(f.w, p)
-	if err != nil {
-		return err
-	}
-	f.wireOut.Add(int64(wire))
-	if f.flusher != nil {
-		f.flusher.Flush()
-	}
-	return nil
+	return f.w.sendOut(f.comp, p)
 }
 
 // WorkerMetrics is the worker's /metrics JSON document. BytesIn and
 // BytesOut count decoded chunk bytes; the WireBytes pair counts the
 // same traffic as transmitted (tags and lz4 blocks included), so
 // WireBytesOut/BytesOut is the worker's outbound compression ratio.
+// The response side's decision inputs ride beside it: WireMBs is the
+// send rate the last measured response saw, CodecMBs and CodecRatio
+// this process's lz4 (0 and 1 until it has compressed), and
+// LZ4FramesOut the response frames sent compressed.
 type WorkerMetrics struct {
 	UptimeSeconds   float64 `json:"uptime_seconds"`
 	Requests        int64   `json:"requests"`
@@ -401,23 +368,22 @@ type WorkerMetrics struct {
 	WireBytesOut    int64   `json:"bytes_out_wire"`
 	PlanCacheHits   int64   `json:"plan_cache_hits"`
 	PlanCacheMisses int64   `json:"plan_cache_misses"`
+	WireMBs         float64 `json:"wire_mb_s"`
+	CodecMBs        float64 `json:"codec_mb_s"`
+	CodecRatio      float64 `json:"codec_ratio"`
+	LZ4FramesOut    int64   `json:"lz4_frames_out"`
 }
 
 func (w *Worker) handleMetrics(rw http.ResponseWriter, r *http.Request) {
+	w.mu.Lock()
+	m := w.m
+	m.WireMBs = w.wire.wireRate() / 1e6
+	w.mu.Unlock()
+	m.UptimeSeconds = time.Since(w.start).Seconds()
+	m.CodecMBs, m.CodecRatio = codecStats()
+	m.CodecMBs /= 1e6
 	rw.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(rw)
 	enc.SetIndent("", "  ")
-	enc.Encode(WorkerMetrics{
-		UptimeSeconds:   time.Since(w.start).Seconds(),
-		Requests:        w.requests.Load(),
-		Active:          w.active.Load(),
-		Failures:        w.failures.Load(),
-		ChunksIn:        w.chunksIn.Load(),
-		BytesIn:         w.bytesIn.Load(),
-		BytesOut:        w.bytesOut.Load(),
-		WireBytesIn:     w.wireBytesIn.Load(),
-		WireBytesOut:    w.wireBytesOut.Load(),
-		PlanCacheHits:   w.planHits.Load(),
-		PlanCacheMisses: w.planMisses.Load(),
-	})
+	enc.Encode(m)
 }

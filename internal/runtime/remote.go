@@ -98,6 +98,10 @@ type RemoteRequest struct {
 	FS     commands.OSFS
 	Env    map[string]string
 	Stderr io.Writer
+	// Budget is the job's resource accounting (nil = unlimited): the
+	// input chunks a remote session keeps for replay are charged to its
+	// pipe memory like chunks queued in a pipe.
+	Budget *Budget
 }
 
 // runRemote executes a KindRemote node: through the configured remote
@@ -111,6 +115,7 @@ func (ex *executor) runRemote(ctx context.Context, n *dfg.Node) error {
 		FS:     ex.fs,
 		Env:    ex.cfg.Env,
 		Stderr: ex.stdio.Stderr,
+		Budget: ex.cfg.Budget,
 	}
 	if n.Remote.Path != "" {
 		// A file range names a file for someone else to open: resolve it

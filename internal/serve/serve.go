@@ -630,8 +630,8 @@ type WireTotals struct {
 	BytesRaw  int64 `json:"bytes_raw"`
 	BytesWire int64 `json:"bytes_wire"`
 	// SavedBytes is BytesRaw - BytesWire: what compression kept off
-	// the network (negative only if every block were incompressible
-	// enough for the tag overhead to dominate).
+	// the network, less one tag byte per frame (so a fleet whose links
+	// all measure faster than lz4 shows minus its frame count).
 	SavedBytes      int64 `json:"saved_bytes"`
 	PlanCacheHits   int64 `json:"plan_cache_hits"`
 	PlanCacheMisses int64 `json:"plan_cache_misses"`

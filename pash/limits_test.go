@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -92,6 +93,63 @@ func TestJobPipeMemoryBudget(t *testing.T) {
 	var be *BudgetError
 	if !errors.As(werr, &be) || be.Resource != "pipe-memory" {
 		t.Errorf("breach = %+v, want pipe-memory", be)
+	}
+}
+
+// TestRemoteRetentionChargesBudget: the input a remote session keeps for
+// replay is job memory. A distributed sort whose shards retain four
+// times the pipe budget stops with the typed breach — and, the workers
+// being fine, without a failover — while a budget that holds the
+// retained input plus the sorted output in flight (twice the input)
+// runs byte-identical to local.
+func TestRemoteRetentionChargesBudget(t *testing.T) {
+	dir := t.TempDir()
+	var sb strings.Builder
+	for i := 0; sb.Len() < 4<<20; i++ {
+		fmt.Fprintf(&sb, "Line %d of the Retained Input, %x\n", i*7919%100003, i)
+	}
+	input := sb.Len()
+	if err := os.WriteFile(filepath.Join(dir, "big.txt"), []byte(sb.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	script := "cat big.txt | tr A-Z a-z | sort"
+	s := NewSession(DefaultOptions(2))
+	s.Dir = dir
+	var want bytes.Buffer
+	if code, err := s.Run(context.Background(), script, strings.NewReader(""), &want, io.Discard); err != nil || code != 0 {
+		t.Fatalf("local: code=%d err=%v", code, err)
+	}
+	run := func(budget int64) (int, error, string, []WorkerStats) {
+		pool := NewWorkerPool(startStreamWorker(t, dir, fmt.Sprintf("b%d-1.sock", budget)), startStreamWorker(t, dir, fmt.Sprintf("b%d-2.sock", budget)))
+		var out bytes.Buffer
+		job, err := s.Start(context.Background(), script, JobIO{Stdout: &out},
+			WithWorkers(pool), WithLimits(JobLimits{MaxPipeMemory: budget, WallTimeout: 20 * time.Second}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, werr := job.Wait()
+		return code, werr, out.String(), pool.Stats()
+	}
+
+	code, err, _, stats := run(int64(input) / 4)
+	var be *BudgetError
+	if code != ExitBudgetExceeded || !errors.As(err, &be) || be.Resource != "pipe-memory" {
+		t.Errorf("input 4x the budget: code=%d err=%v, want %d and a pipe-memory BudgetError", code, err, ExitBudgetExceeded)
+	}
+	for _, st := range stats {
+		if st.Failures != 0 || st.Redispatched != 0 || st.RedispatchedRemote != 0 {
+			t.Errorf("budget breach treated as a worker death: %+v", st)
+		}
+	}
+
+	code, err, out, stats := run(2 * int64(input))
+	if code != 0 || err != nil || out != want.String() {
+		t.Errorf("budget = input: code=%d err=%v, output %d bytes (local %d)", code, err, len(out), want.Len())
+	}
+	for _, st := range stats {
+		if st.Requests == 0 {
+			t.Errorf("worker %s got no shard: the budget test did not ship", st.Name)
+		}
 	}
 }
 
