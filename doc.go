@@ -120,8 +120,8 @@
 // every region at the width given. internal/runtime/README.md, "Width".
 //
 // pash.Session is safe for concurrent Run: each run takes an immutable
-// compiler snapshot, and extensions (Register, RegisterCommand,
-// RegisterAnnotation, SetOptions) swap registries copy-on-write.
+// compiler snapshot, and extensions (Register, SetOptions) swap
+// registries copy-on-write.
 // cmd/pash-serve multiplexes many clients over one session — one plan
 // cache, one scheduler — streaming stdin/stdout over HTTP (TCP or unix
 // socket) with exit codes in response trailers and cache/scheduler/
@@ -217,19 +217,19 @@
 // A session with a worker pool attached (pash.NewWorkerPool +
 // Session.UseWorkers, per-job WithWorkers, `pash -workers`, or
 // `pash-serve -workers`) stretches the data plane across machines.
-// Planning partitions each parallel region (dfg.Distribute): the
-// stateless interior — framed chains between a round-robin split and
-// its order-restoring merge — collapses into KindRemote nodes executed
-// on `pash-serve -worker` processes over a framed HTTP wire protocol,
-// while splits, merges, and aggregation roots stay on the coordinator.
-// Branches that are not one frame out per frame in — barrier-split
-// consumers (uniq map shards), a round-robin branch that ends in a
-// commutative map (`tr | sort`), aggregation-tree interior nodes — ship
-// too, as whole-stream plans: one stream per input edge, one output
-// stream back. When the pool shares the
-// coordinator's filesystem (SetSharedFS), splits over seekable input
-// files vanish entirely: workers self-source newline-aligned byte
-// ranges and the coordinator ships no input at all.
+// Planning partitions each parallel region (dfg.Distribute) into
+// KindRemote nodes executed on `pash-serve -worker` processes over a
+// framed HTTP wire protocol, while splits, merges, and aggregation
+// roots stay on the coordinator. Branches that read a whole partition —
+// barrier-split consumers (uniq map shards), a round-robin branch that
+// ends in a commutative map (`tr | sort`), aggregation-tree interior
+// nodes — ship as whole-stream plans: one stream per input edge, one
+// output stream back. When the pool shares the coordinator's
+// filesystem (SetSharedFS), splits over seekable input files vanish
+// entirely: workers self-source newline-aligned byte ranges and the
+// coordinator ships no input at all. A round-robin chain that ends at
+// the order-restoring merge stays on the coordinator as framed
+// replicas: one chunk out per chunk in costs more to relay than to run.
 //
 // There is one wire protocol and no negotiation: frame 0 of every
 // request is a handshake carrying the plan, the request environment,
@@ -253,14 +253,10 @@
 // one recovery ladder: the assigned worker, then each surviving worker
 // in turn, then — only when no peer is alive — the coordinator itself,
 // through the same runtime.ExecRemoteLocal a pool-less run uses. The
-// session retains the input chunks a later rung would need: for framed
-// chains output frame k acknowledges input chunk k, so that is a
-// bounded window of unacknowledged chunks (which is also the
-// backpressure); for file ranges and contiguous streams it is every
-// chunk sent, and the rung that takes over skips the output prefix
-// already delivered. Either way: byte-identical output, no corruption,
-// one membership epoch re-planned (the plan cache keys on the pool
-// fingerprint).
+// session retains every input chunk it sent, and the rung that takes
+// over replays them and skips the output prefix already delivered:
+// byte-identical output, no corruption, one membership epoch re-planned
+// (the plan cache keys on the pool fingerprint).
 //
 // The plane is self-healing. Frames carry CRC-32C checksums, so a
 // corrupted or truncated stream is a detected failure, never wrong

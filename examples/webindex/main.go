@@ -44,21 +44,11 @@ func main() {
 		// annotation record is all PaSh needs to parallelize it (§3.2) —
 		// "the annotation for the remaining commands amounts to a
 		// single record".
-		s.RegisterCommand("strip-stopwords", func(args []string, stdin io.Reader, stdout io.Writer) error {
-			stop := map[string]bool{"the": true, "of": true, "and": true, "a": true, "to": true}
-			buf, err := io.ReadAll(stdin)
-			if err != nil {
-				return err
-			}
-			for _, line := range strings.Split(string(buf), "\n") {
-				if line == "" || stop[line] {
-					continue
-				}
-				fmt.Fprintln(stdout, line)
-			}
-			return nil
-		})
-		if err := s.RegisterAnnotation(`strip-stopwords { | _ => (S, [stdin], [stdout]) }`); err != nil {
+		if err := s.Register(pash.CommandSpec{
+			Name:       "strip-stopwords",
+			Run:        stripStopwords,
+			Annotation: pash.StdinStdout(pash.ClassStateless),
+		}); err != nil {
 			log.Fatal(err)
 		}
 
@@ -76,4 +66,20 @@ func main() {
 	fmt.Println("top terms (stop words removed):")
 	fmt.Print(parOut)
 	fmt.Printf("parallel output identical to sequential: %v\n", parOut == seqOut)
+}
+
+// stripStopwords drops blank lines and a few English stop words.
+func stripStopwords(args []string, stdin io.Reader, stdout io.Writer) error {
+	stop := map[string]bool{"the": true, "of": true, "and": true, "a": true, "to": true}
+	buf, err := io.ReadAll(stdin)
+	if err != nil {
+		return err
+	}
+	for _, line := range strings.Split(string(buf), "\n") {
+		if line == "" || stop[line] {
+			continue
+		}
+		fmt.Fprintln(stdout, line)
+	}
+	return nil
 }

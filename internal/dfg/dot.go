@@ -95,8 +95,6 @@ func nodeDotLabel(n *Node) string {
 		switch {
 		case n.Remote.Path != "":
 			parts = append(parts, fmt.Sprintf("[range %d/%d of %s]", n.Remote.Slice, n.Remote.Of, n.Remote.Path))
-		case n.Remote.Framed:
-			parts = append(parts, "[framed]")
 		case n.Remote.Streamed:
 			parts = append(parts, "[stream]")
 		}

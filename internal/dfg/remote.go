@@ -15,13 +15,7 @@ import (
 // (linear chains of stateless stages), each collapsed into a single
 // KindRemote node carrying a serializable RemoteSpec.
 //
-// Three shard shapes exist, mirroring the split strategies:
-//
-//   - Framed relays: a round-robin split's framed consumer chain becomes
-//     a remote node fed by the split's chunk stream. The coordinator
-//     ships each 64 KiB newline-aligned chunk to the worker and receives
-//     exactly one output chunk per input chunk, so the downstream
-//     pash-rr-merge restores order exactly as it does locally.
+// Two shard shapes exist, mirroring the split strategies:
 //
 //   - File ranges: when the split's input is a seekable graph-input file
 //     and the worker pool shares the coordinator's filesystem, the split
@@ -31,26 +25,27 @@ import (
 //     bytes at all. Branch outputs are contiguous, so a round-robin
 //     merge downgrades to a plain cat.
 //
-//   - Whole streams: a branch whose output is not one frame per input
-//     frame — a barrier (general) split's consumer chain, the uniq map
-//     shape, where each branch processes one contiguous partition; or a
+//   - Whole streams: a branch that reads one whole partition — a barrier
+//     (general) split's consumer chain, the uniq map shape; or a
 //     round-robin split's branch that ends in the map of a commutative
 //     pure command, `tr | sort`, which reads its replica's interleaved
 //     blocks as one stream — becomes a streamed remote node: the
-//     coordinator relays the branch's entire input as one stream (no
-//     per-chunk framing rotation) and receives the branch's entire
-//     output as one stream. A follow-up pass then absorbs interior
-//     aggregation-tree nodes whose every operand is such a streamed
-//     branch into a single multi-input streamed remote (Branches + Agg),
-//     so a fan-in group's maps AND its combining aggregate all run on
-//     one worker; the coordinator keeps only the split, the root
-//     fan-in, and the merge.
+//     coordinator relays the branch's entire input as one stream and
+//     receives the branch's entire output as one stream. A follow-up
+//     pass then absorbs interior aggregation-tree nodes whose every
+//     operand is such a streamed branch into a single multi-input
+//     streamed remote (Branches + Agg), so a fan-in group's maps AND its
+//     combining aggregate all run on one worker; the coordinator keeps
+//     only the split, the root fan-in, and the merge.
 //
-// All shapes preserve the local execution's bytes: framed relays keep
-// the rotation the merge inverts; file ranges and whole streams hand
-// each branch a line-aligned partition of the input, which stateless
-// chains and the (map, agg) contract are already partition-agnostic
-// over (contiguous for order-sensitive maps, any for commutative ones).
+// A round-robin split's stateless chain that ends at the order-restoring
+// merge does not ship: its replicas answer one output chunk per input
+// chunk, and relaying that over the wire cost more than running the
+// replica on the coordinator. Both shapes preserve the local execution's
+// bytes: each branch gets a line-aligned partition of the input, which
+// stateless chains and the (map, agg) contract are already
+// partition-agnostic over (contiguous for order-sensitive maps, any for
+// commutative ones).
 
 // RemoteSpec describes the work one KindRemote node ships to a worker:
 // a linear chain of stateless stages plus, for the file-range shape,
@@ -65,13 +60,10 @@ type RemoteSpec struct {
 	// Stages is the shipped chain in pipeline order; every stage is a
 	// plain literal invocation reading the previous stage's stdout.
 	Stages []FusedStage `json:"stages"`
-	// Framed marks the chunk-relay shape: the worker must emit exactly
-	// one output frame per input frame (empty frames included).
-	Framed bool `json:"framed,omitempty"`
 	// Path/Slice/Of describe the file-range shape: the worker opens
 	// Path (resolved against its own working directory — the shared-fs
 	// contract) and processes the Slice-th of Of newline-aligned byte
-	// ranges. Path == "" means the chunk-relay shape.
+	// ranges. Path == "" means a relayed (streamed) shape.
 	Path  string `json:"path,omitempty"`
 	Slice int    `json:"slice,omitempty"`
 	Of    int    `json:"of,omitempty"`
@@ -108,7 +100,10 @@ type RemoteSpec struct {
 // EncodePlan serializes a remote spec for the wire.
 func EncodePlan(spec *RemoteSpec) ([]byte, error) { return json.Marshal(spec) }
 
-// DecodePlan parses and validates a wire plan.
+// DecodePlan parses and validates a wire plan. Every plan names its
+// shape: a file range, or the streamed flag. A linear plan with neither
+// — an older coordinator's framed relay, whose "framed" field JSON
+// drops — is refused rather than run as some shape it did not ask for.
 func DecodePlan(data []byte) (*RemoteSpec, error) {
 	var spec RemoteSpec
 	if err := json.Unmarshal(data, &spec); err != nil {
@@ -126,12 +121,11 @@ func DecodePlan(data []byte) (*RemoteSpec, error) {
 		if spec.Of < 1 || spec.Slice < 0 || spec.Slice >= spec.Of {
 			return nil, fmt.Errorf("dfg: remote plan range %d/%d invalid", spec.Slice, spec.Of)
 		}
-		if spec.Framed || spec.Streamed {
-			return nil, fmt.Errorf("dfg: remote plan cannot be both file-range and relayed")
+		if spec.Streamed {
+			return nil, fmt.Errorf("dfg: remote plan cannot be both file-range and streamed")
 		}
-	}
-	if spec.Framed && spec.Streamed {
-		return nil, fmt.Errorf("dfg: remote plan cannot be both framed and streamed")
+	} else if !spec.Streamed {
+		return nil, fmt.Errorf("dfg: remote plan names no shape (neither a file range nor streamed)")
 	}
 	if spec.Agg != nil {
 		if !spec.Streamed {
@@ -193,10 +187,10 @@ func (o DistOptions) shippableStages(stages []FusedStage) bool {
 }
 
 // Distribute partitions an optimized graph across the worker pool,
-// in place: every framed rr-split consumer chain, every barrier-split
-// consumer chain and every rr-split branch ending at an aggregate (the
-// streamed shape), and — with FileRanges — every branch of a split over
-// a seekable graph-input file collapses into a KindRemote node.
+// in place: every barrier-split consumer chain and every rr-split branch
+// ending at an aggregate (the streamed shape), and — with FileRanges —
+// every branch of a split over a seekable graph-input file collapses into
+// a KindRemote node. An rr-split chain ending at the merge stays local.
 // Interior aggregation-tree nodes whose operands all became streamed
 // remotes behind a barrier split are then absorbed into multi-input
 // streamed remotes, one per fan-in group. Structure the coordinator
@@ -312,7 +306,6 @@ func chainStages(chain []*Node) []FusedStage {
 func collapseRemote(g *Graph, chain []*Node, in, out *Edge, spec *RemoteSpec) *Node {
 	r := g.AddNode(NewNode(KindRemote, "pash-remote", nil, annot.Stateless))
 	r.Remote = spec
-	r.Framed = spec.Framed
 	if in != nil {
 		in.To = r
 		r.In = []*Edge{in}
@@ -334,12 +327,9 @@ func collapseRemote(g *Graph, chain []*Node, in, out *Edge, spec *RemoteSpec) *N
 // distributeChains rewrites the consumer chains of a split that relays
 // its input into remote nodes, one per branch; the split and the
 // downstream collector stay on the coordinator (an aggregate may be
-// absorbed later by groupAggSubtrees). The branch's collector decides the
-// shape:
+// absorbed later by groupAggSubtrees). The branch's collector decides
+// whether it ships; a shipped chain is always the streamed shape:
 //
-//   - A round-robin split's framed chain ending, still framed, at the
-//     order-restoring merge ships framed: one output frame per input
-//     frame is the invariant the merge inverts.
 //   - A barrier split's chain ending at any collector ships streamed:
 //     the branch processes one whole contiguous partition — the
 //     uniq/head map shape — so the wire carries one stream each way.
@@ -348,6 +338,8 @@ func collapseRemote(g *Graph, chain []*Node, in, out *Edge, spec *RemoteSpec) *N
 //     ships streamed, as one shard: the map reads its whole input
 //     anyway, and the stateless prefix computes the same bytes over the
 //     stream as chunk by chunk.
+//   - A round-robin split's chain ending at the order-restoring merge
+//     stays on the coordinator as framed replicas.
 func distributeChains(g *Graph, split *Node, opts DistOptions) []*Node {
 	var remotes []*Node
 	for _, e := range snapshotEdges(split.Out) {
@@ -359,20 +351,11 @@ func distributeChains(g *Graph, split *Node, opts DistOptions) []*Node {
 		if !opts.shippableStages(stages) {
 			continue
 		}
-		rr := split.Split == RoundRobinSplit
-		framed := rr
-		for _, n := range chain {
-			framed = framed && n.Framed
-		}
-		spec := &RemoteSpec{Stages: stages}
-		switch to := last.To.Kind; {
-		case framed && to == KindMerge:
-			spec.Framed = true
-		case to == KindAgg, !rr && (to == KindCat || to == KindMerge):
-			spec.Streamed = true
-		default:
+		to, rr := last.To.Kind, split.Split == RoundRobinSplit
+		if ships := to == KindAgg || !rr && (to == KindCat || to == KindMerge); !ships {
 			continue
 		}
+		spec := &RemoteSpec{Stages: stages, Streamed: true}
 		remotes = append(remotes, collapseRemote(g, chain, e, last, spec))
 	}
 	return remotes

@@ -393,3 +393,52 @@ func TestStatsByKind(t *testing.T) {
 		t.Error("stats counts mismatch")
 	}
 }
+
+// TestDistributeShapes pins which branches ship and as what. A
+// round-robin chain that ends at the order-restoring merge stays on the
+// coordinator as framed replicas; a barrier split's chain and a
+// round-robin branch ending at a commutative map ship streamed; a split
+// over a file ships as ranges when the pool shares the filesystem.
+func TestDistributeShapes(t *testing.T) {
+	commutative := sortAgg()
+	commutative.Commutative = true
+	stateless := func() []*Node { return []*Node{sNode("grep", "x"), sNode("tr", "a", "b")} }
+	for _, c := range []struct {
+		name                     string
+		nodes                    []*Node
+		mode                     SplitMode
+		fileRanges               bool
+		streamed, ranges, splits int
+		framedLeft               bool
+	}{
+		{"rr chain to the merge", stateless(), SplitAuto, false, 0, 0, 1, true},
+		{"barrier-split sort chain", []*Node{sNode("tr", "A", "a"), pNode("sort", sortAgg(), "-rn")}, SplitGeneral, false, 4, 0, 1, false},
+		{"tr | sort over rr", []*Node{sNode("tr", "A", "a"), pNode("sort", commutative, "-rn")}, SplitAuto, false, 4, 0, 1, false},
+		{"file ranges", stateless(), SplitAuto, true, 0, 4, 0, false},
+	} {
+		g := chain(t, c.nodes...)
+		Apply(g, Options{Width: 4, Split: true, Eager: EagerFull, SplitMode: c.mode})
+		n := Distribute(g, DistOptions{Workers: []string{"w1", "w2"}, FileRanges: c.fileRanges})
+		if err := g.Validate(); err != nil {
+			t.Fatalf("%s: %v\n%s", c.name, err, g.Dump())
+		}
+		streamed, ranges, framed := 0, 0, 0
+		for _, node := range g.Nodes {
+			switch {
+			case node.Kind == KindRemote && node.Remote.Path != "":
+				ranges++
+			case node.Kind == KindRemote && node.Remote.Streamed:
+				streamed++
+			case node.Kind == KindRemote:
+				t.Errorf("%s: remote node names no shape: %+v", c.name, node.Remote)
+			}
+			if node.Framed {
+				framed++
+			}
+		}
+		if n != streamed+ranges || streamed != c.streamed || ranges != c.ranges || countKind(g, KindSplit) != c.splits || (framed > 0) != c.framedLeft {
+			t.Errorf("%s: Distribute = %d, %d streamed, %d ranges, %d splits, %d framed; want %d streamed, %d ranges, %d splits, framed replicas left %v\n%s",
+				c.name, n, streamed, ranges, countKind(g, KindSplit), framed, c.streamed, c.ranges, c.splits, c.framedLeft, g.Dump())
+		}
+	}
+}

@@ -123,7 +123,7 @@ func validateFused(n *Node) error {
 
 // validateRemote checks the KindRemote invariants: only remote nodes
 // carry a RemoteSpec; a remote node has exactly one output and either
-// one stdin input (the framed chunk-relay and linear streamed shapes),
+// one stdin input (the linear streamed shape),
 // none at all (the self-sourcing file-range shape, which must name a
 // path and slice), or one placeholder-consumed input per branch (the
 // streamed aggregation-subtree shape).
@@ -149,10 +149,10 @@ func validateRemote(n *Node) error {
 		}
 		return nil
 	}
+	if !n.Remote.Streamed {
+		return fmt.Errorf("dfg: remote node %s is neither a file range nor streamed", n)
+	}
 	if n.Remote.Agg != nil {
-		if !n.Remote.Streamed {
-			return fmt.Errorf("dfg: remote node %s aggregation requires the streamed shape", n)
-		}
 		if len(n.In) != len(n.Remote.Branches) {
 			return fmt.Errorf("dfg: streamed tree node %s has %d inputs for %d branches",
 				n, len(n.In), len(n.Remote.Branches))

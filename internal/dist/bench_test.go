@@ -17,9 +17,9 @@ import (
 )
 
 // distBenchScript is a compute-bound stateless chain (NFA regex over
-// every line) — the workload shape sharding exists for. The shipped
-// part is the fused cat|tr|grep chain; wc -l aggregates on the
-// coordinator.
+// every line) — the workload shape sharding exists for. Each branch —
+// the fused cat|tr|grep chain and wc -l's map — ships as one stream; the
+// coordinator sums the counts.
 const distBenchScript = `cat in.txt | tr A-Z a-z | grep -E '(the|of|and).*(water|people|number).*(time|day|zebra)' | wc -l`
 
 // unixWorker serves one worker rooted at dir on a unix socket of the
@@ -91,14 +91,14 @@ func TestDistOverheadAtWidth8(t *testing.T) {
 	pool := benchPool(t, 2, dir)
 	local, want := timeOnce(t, dir, 8, nil)
 	pool.SetSharedFS(false)
-	framed, gotF := timeOnce(t, dir, 8, pool)
+	streamed, gotS := timeOnce(t, dir, 8, pool)
 	pool.SetSharedFS(true)
 	ranged, gotR := timeOnce(t, dir, 8, pool)
-	if gotF != want || gotR != want {
-		t.Fatalf("distributed output diverged: %q / %q vs %q", gotF, gotR, want)
+	if gotS != want || gotR != want {
+		t.Fatalf("distributed output diverged: %q / %q vs %q", gotS, gotR, want)
 	}
-	t.Logf("local %v, framed %v (%.2fx), range %v (%.2fx)", local,
-		framed, framed.Seconds()/local.Seconds(), ranged, ranged.Seconds()/local.Seconds())
+	t.Logf("local %v, streamed %v (%.2fx), range %v (%.2fx)", local,
+		streamed, streamed.Seconds()/local.Seconds(), ranged, ranged.Seconds()/local.Seconds())
 }
 
 // BenchmarkDistThroughput reports end-to-end bytes/sec of the
@@ -118,9 +118,9 @@ func BenchmarkDistThroughput(b *testing.B) {
 		sharedFS bool
 	}{
 		{"local", nil, false},
-		{"dist-framed", pool, false},
+		{"dist-stream", pool, false},
 		{"dist-range", pool, true},
-		{"dist-framed-tcp", tcp, false},
+		{"dist-stream-tcp", tcp, false},
 		{"dist-range-tcp", tcp, true},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {

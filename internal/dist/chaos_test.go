@@ -145,7 +145,7 @@ func TestChaosFaultMatrix(t *testing.T) {
 	}
 }
 
-// TestChaosRandomizedRounds: seeded random fault/width/window/worker
+// TestChaosRandomizedRounds: seeded random fault/width/worker
 // combinations over the whole script corpus. Every round must end
 // byte-identical to local execution — the property the whole recovery
 // ladder exists to preserve.
@@ -178,7 +178,6 @@ func TestChaosRandomizedRounds(t *testing.T) {
 
 		local := runScript(t, script, dir, width, nil)
 		pool, inj := chaosPool(t, workers, dir, rng.Int63())
-		pool.SetWindow(1 + rng.Intn(64))
 		pool.SetSharedFS(rng.Intn(2) == 0)
 		names := pool.WorkerNames()
 		target := names[rng.Intn(len(names))]

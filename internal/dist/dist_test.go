@@ -15,12 +15,15 @@ import (
 	"repro/pash"
 )
 
-// TestPlanRoundTrip: the wire plan format round-trips and validates.
+// TestPlanRoundTrip: the wire plan format round-trips and validates. A
+// plan must name its shape: a linear chain that is neither a file range
+// nor streamed — what a coordinator that still shipped framed relays
+// sends, its "framed" field dropped by the decoder — is refused.
 func TestPlanRoundTrip(t *testing.T) {
 	spec := &dfg.RemoteSpec{
-		Worker: "http://w1",
-		Stages: []dfg.FusedStage{{Name: "tr", Args: []string{"a-z", "A-Z"}}, {Name: "grep", Args: []string{"X"}}},
-		Framed: true,
+		Worker:   "http://w1",
+		Stages:   []dfg.FusedStage{{Name: "tr", Args: []string{"a-z", "A-Z"}}, {Name: "grep", Args: []string{"X"}}},
+		Streamed: true,
 	}
 	data, err := dfg.EncodePlan(spec)
 	if err != nil {
@@ -30,12 +33,14 @@ func TestPlanRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Worker != spec.Worker || len(got.Stages) != 2 || !got.Framed {
+	if got.Worker != spec.Worker || len(got.Stages) != 2 || !got.Streamed {
 		t.Fatalf("round trip mangled spec: %+v", got)
 	}
 	for _, bad := range []string{"", "{}", `{"stages":[]}`, `{"stages":[{"name":""}]}`,
 		`{"stages":[{"name":"tr"}],"path":"f","slice":3,"of":2}`,
-		`{"stages":[{"name":"tr"}],"path":"f","slice":0,"of":1,"framed":true}`} {
+		`{"stages":[{"name":"tr"}],"path":"f","slice":0,"of":1,"streamed":true}`,
+		`{"stages":[{"name":"tr"}]}`,
+		`{"stages":[{"name":"tr"}],"framed":true}`} {
 		if _, err := dfg.DecodePlan([]byte(bad)); err == nil {
 			t.Errorf("DecodePlan(%q) accepted invalid plan", bad)
 		}
@@ -85,9 +90,9 @@ func runScript(t *testing.T, script, dir string, width int, pool *pash.WorkerPoo
 	return out.String()
 }
 
-// TestDistributedEquivalence: distributed execution over real HTTP
-// workers is byte-identical to local execution, for both the framed
-// chunk-relay shape and the file-range shape.
+// TestDistributedEquivalence: execution with a pool of real HTTP
+// workers is byte-identical to local execution, for the streamed and the
+// file-range shapes and for the round-robin chains that stay local.
 func TestDistributedEquivalence(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "in.txt"), []byte(makeInput(4000, 1)), 0o644); err != nil {
@@ -140,32 +145,30 @@ func TestDistributedShipsWork(t *testing.T) {
 	}
 }
 
-// TestDistributedPlanStructure: with a pool attached, the planned graph
-// actually contains remote nodes assigned across the workers.
+// TestDistributedPlanStructure: with a pool attached, a round-robin
+// stateless chain that ends at the merge stays on the coordinator as
+// framed replicas, while a shared-fs pool turns the same region into
+// self-sourcing file ranges assigned across the workers.
 func TestDistributedPlanStructure(t *testing.T) {
 	g := mustPlan(t, []string{"http://w1", "http://w2"}, false, 8)
-	remotes := 0
-	workers := map[string]int{}
+	framed := 0
 	for _, n := range g.Nodes {
 		if n.Kind == dfg.KindRemote {
-			remotes++
-			workers[n.Remote.Worker]++
-			if !n.Remote.Framed || n.Remote.Path != "" {
-				t.Errorf("expected framed chunk-relay shard, got %+v", n.Remote)
-			}
+			t.Errorf("rr chain ending at the merge shipped: %+v", n.Remote)
+		}
+		if n.Framed {
+			framed++
 		}
 	}
-	if remotes != 8 {
-		t.Fatalf("remote nodes = %d, want 8", remotes)
-	}
-	if len(workers) != 2 || workers["http://w1"] != 4 || workers["http://w2"] != 4 {
-		t.Fatalf("worker assignment unbalanced: %v", workers)
+	if framed != 8 {
+		t.Fatalf("framed replicas = %d, want 8", framed)
 	}
 
 	// Shared-fs pools turn the same region into self-sourcing file
 	// ranges: no split node survives and no input bytes ship.
 	g = mustPlan(t, []string{"http://w1", "http://w2"}, true, 8)
 	ranges, splits := 0, 0
+	workers := map[string]int{}
 	for _, n := range g.Nodes {
 		switch n.Kind {
 		case dfg.KindRemote:
@@ -173,12 +176,16 @@ func TestDistributedPlanStructure(t *testing.T) {
 				t.Errorf("expected file-range shard, got %+v", n.Remote)
 			}
 			ranges++
+			workers[n.Remote.Worker]++
 		case dfg.KindSplit:
 			splits++
 		}
 	}
 	if ranges != 8 || splits != 0 {
 		t.Fatalf("file-range plan: %d ranges, %d splits; want 8, 0", ranges, splits)
+	}
+	if len(workers) != 2 || workers["http://w1"] != 4 || workers["http://w2"] != 4 {
+		t.Fatalf("worker assignment unbalanced: %v", workers)
 	}
 }
 

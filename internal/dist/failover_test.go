@@ -152,7 +152,6 @@ func TestSessionWorkerDeath(t *testing.T) {
 		spec dfg.RemoteSpec
 		ins  [][][]byte
 	}{
-		{"framed", dfg.RemoteSpec{Stages: filter, Framed: true}, [][][]byte{chunks}},
 		{"filerange", dfg.RemoteSpec{Stages: filter, Path: "in.txt", Slice: 0, Of: 1}, nil},
 		{"streamed-linear", dfg.RemoteSpec{Stages: sorted, Streamed: true}, [][][]byte{chunks}},
 		{"streamed-tree", dfg.RemoteSpec{
@@ -166,8 +165,8 @@ func TestSessionWorkerDeath(t *testing.T) {
 	// {Failures, RedispatchedRemote, Redispatched} row each worker must
 	// end with. A killer at 9 lets one whole output frame through (its
 	// 8-byte header, then its payload) and dies on the next, so the next
-	// rung has a delivered prefix to skip (or acknowledged chunks not to
-	// resend); a killer at 0 dies before delivering anything.
+	// rung has a delivered prefix to skip; a killer at 0 dies before
+	// delivering anything.
 	rungs := []struct {
 		name    string
 		killers []int64
@@ -199,7 +198,6 @@ func TestSessionWorkerDeath(t *testing.T) {
 		for _, rung := range rungs {
 			t.Run(shape.name+"/"+rung.name, func(t *testing.T) {
 				pool, killers := startPoolWithKiller(t, rung.healthy, dir, rung.killers...)
-				pool.SetWindow(4)
 				spec := shape.spec
 				spec.Worker = pool.WorkerNames()[0]
 				var got collector
@@ -209,8 +207,8 @@ func TestSessionWorkerDeath(t *testing.T) {
 					t.Fatal(err)
 				}
 				// Every retained chunk was charged, and every rung that
-				// took one over (ack, replay, the local rung, the end of
-				// the session) gave its charge back.
+				// took one over (the local rung, the end of the session)
+				// gave its charge back.
 				if u := req.Budget.Usage(); u.PipeBytes != 0 || (shape.ins != nil && u.PipeBytesPeak == 0) {
 					t.Errorf("retained input: %d bytes still charged (peak %d), want 0 after a peak > 0", u.PipeBytes, u.PipeBytesPeak)
 				}
@@ -271,8 +269,8 @@ func TestSessionBudgetBreach(t *testing.T) {
 
 // TestDistributedEquivalenceProperty: distributed == local, byte for
 // byte, under random worker counts (1-8), random input shapes (line
-// lengths, trailing unterminated lines), random windows, and one
-// injected mid-stream worker kill per round. Run under -race in CI.
+// lengths, trailing unterminated lines), and one injected mid-stream
+// worker kill per round. Run under -race in CI.
 func TestDistributedEquivalenceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	rounds := 6
@@ -299,7 +297,6 @@ func TestDistributedEquivalenceProperty(t *testing.T) {
 			pool = startWorkers(t, workers, dir)
 		}
 		pool.SetSharedFS(rng.Intn(2) == 0)
-		pool.SetWindow(1 + rng.Intn(64))
 		width := 2 + rng.Intn(10)
 		script := distScripts[rng.Intn(len(distScripts))]
 		local := runScript(t, script, dir, width, nil)

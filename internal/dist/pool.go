@@ -14,12 +14,6 @@ import (
 	"time"
 )
 
-// defaultWindow bounds the unacknowledged in-flight chunks per remote
-// stream. The window is simultaneously the backpressure mechanism (the
-// sender blocks when it fills) and the failover budget (everything in
-// it can be re-dispatched, because nothing past it has been sent).
-const defaultWindow = 32
-
 // Dispatch-robustness defaults. Retry is capped exponential backoff
 // against the same worker for pre-stream (retryable) failures; the
 // chunk timeout arms the per-stream inactivity watchdog that turns a
@@ -100,11 +94,10 @@ type Pool struct {
 	proberCfg ProberConfig
 }
 
-// tuning is the dispatch-robustness configuration: the per-stream
-// in-flight window, the dial-plus-handshake deadline, the pre-stream
-// retry policy, and the inactivity watchdog threshold (0 disables).
+// tuning is the dispatch-robustness configuration: the
+// dial-plus-handshake deadline, the pre-stream retry policy, and the
+// inactivity watchdog threshold (0 disables).
 type tuning struct {
-	window        int
 	dialTimeout   time.Duration
 	retryAttempts int
 	retryBase     time.Duration
@@ -200,7 +193,6 @@ type Transitions struct {
 // "host:port", "http://host:port", or "unix:/path/to.sock".
 func NewPool(workers ...string) *Pool {
 	p := &Pool{proberCfg: DefaultProberConfig(), tune: tuning{
-		window:        defaultWindow,
 		dialTimeout:   5 * time.Second,
 		retryAttempts: defaultRetryAttempts,
 		retryBase:     defaultRetryBase,
@@ -219,15 +211,6 @@ func (p *Pool) SetSharedFS(shared bool) {
 	p.mu.Lock()
 	p.sharedFS = shared
 	p.fpValid = false
-	p.mu.Unlock()
-}
-
-// SetWindow overrides the per-stream in-flight chunk window.
-func (p *Pool) SetWindow(n int) {
-	p.mu.Lock()
-	if n > 0 {
-		p.tune.window = n
-	}
 	p.mu.Unlock()
 }
 

@@ -11,7 +11,6 @@ import (
 	"net/http"
 	"net/http/httputil"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -28,35 +27,28 @@ import (
 // ("One session, one recovery ladder") draws it.
 
 // pendingChunk is one input chunk the session has read and still owns:
-// release recycles it exactly once, when an output frame acknowledges
-// it, when the local rung consumes it, or when the session ends.
+// release recycles it exactly once, when the local rung consumes it or
+// when the session ends.
 type pendingChunk struct {
 	b       []byte
 	release func()
 }
 
 // session is one remote node's dispatch state, carried across attempts.
-// The three wire shapes differ only in how many inputs they ship and in
-// what an output frame proves:
+// The two wire shapes differ only in how many inputs they ship:
 //
 //	file range   0 inputs   one output stream, reproducible from byte 0
-//	framed       1 input    output frame k acknowledges input chunk k
 //	streamed     k inputs   one output stream, reproducible from byte 0
 //
-// A framed session (acked) therefore retains only its unacknowledged
-// window and forwards every output frame whole. The other two have no
-// per-chunk proof — output is not 1:1 with input — so they retain every
-// chunk sent, replay all of it to the next rung, and discard the output
-// prefix already delivered: the chains are deterministic, so a re-run
-// reproduces it byte for byte. That retention, up to the shard's input,
-// is charged to the job's pipe budget like any queued chunk.
+// Neither has a per-chunk proof of progress — output is not 1:1 with
+// input — so a session retains every chunk sent, replays all of it to
+// the next rung, and discards the output prefix already delivered: the
+// chains are deterministic, so a re-run reproduces it byte for byte.
+// That retention, up to the shard's input, is charged to the job's pipe
+// budget like any queued chunk.
 type session struct {
-	req   *runtime.RemoteRequest
-	acked bool
+	req *runtime.RemoteRequest
 
-	// mu guards retained: during an attempt the sender appends while
-	// the receiver of an acked session releases from the front.
-	mu sync.Mutex
 	// retained holds, per input, the chunks read from req.Ins[i] and not
 	// yet released, in order. Every new rung replays them before it
 	// reads live.
@@ -66,7 +58,7 @@ type session struct {
 	// Written by the single in-flight sender, read after it has finished.
 	consumed int
 	// delivered counts the output bytes already forwarded downstream,
-	// which a later rung skips. Unused when acked.
+	// which a later rung skips.
 	delivered int64
 }
 
@@ -77,11 +69,7 @@ func (p *Pool) ExecRemote(ctx context.Context, req *runtime.RemoteRequest) error
 	if req.Spec.Worker == "" {
 		return runtime.ExecRemoteLocal(ctx, req)
 	}
-	s := &session{
-		req:      req,
-		acked:    req.Spec.Path == "" && !req.Spec.Streamed,
-		retained: make([][]pendingChunk, len(req.Ins)),
-	}
+	s := &session{req: req, retained: make([][]pendingChunk, len(req.Ins))}
 	defer s.release()
 	return p.run(ctx, s)
 }
@@ -123,26 +111,13 @@ func (s *session) retain(i int, pc pendingChunk) error {
 		pc.release()
 		return runtime.MarkFatal(err)
 	}
-	s.mu.Lock()
 	s.retained[i] = append(s.retained[i], pc)
-	s.mu.Unlock()
 	return nil
-}
-
-// snapshot returns input i's retained chunks as of now. Elements are
-// never overwritten — pop only advances the head — so the sender can
-// replay the snapshot while the receiver acknowledges its front.
-func (s *session) snapshot(i int) []pendingChunk {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.retained[i]
 }
 
 // pop hands over input i's oldest retained chunk, and its budget
 // charge with it.
 func (s *session) pop(i int) (pendingChunk, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if len(s.retained[i]) == 0 {
 		return pendingChunk{}, false
 	}
@@ -164,12 +139,9 @@ func (s *session) release() {
 	}
 }
 
-// output is where a rung writes the node's output: straight downstream
-// for an acked session, through the delivered-prefix skip otherwise.
+// output is where a rung writes the node's output: downstream, through
+// the skip of the prefix an earlier rung already delivered.
 func (s *session) output() commands.ChunkWriter {
-	if s.acked {
-		return s.req.Out
-	}
 	return &skipWriter{out: s.req.Out, skip: s.delivered, delivered: &s.delivered}
 }
 
@@ -310,7 +282,7 @@ func (p *Pool) dispatchConn(ctx context.Context, name string, plan []byte) (net.
 // already handles.
 type streamWatch struct {
 	lastNano atomic.Int64
-	waiting  atomic.Int64 // things the worker currently owes: acks, a blocked write, the rest of the response
+	waiting  atomic.Int64 // things the worker currently owes: a blocked write, the rest of the response
 	done     chan struct{}
 }
 
@@ -367,19 +339,7 @@ type link struct {
 	cw    io.WriteCloser
 	comp  *compressor // the request body's send side
 	watch *streamWatch
-	// slots is an acked session's in-flight window: one token per chunk
-	// on the wire whose output frame has not arrived. The sender blocks
-	// on it — the backpressure — and the receiver frees one per
-	// acknowledgement, so the window also bounds what a death can strand.
-	// Nil for the other shapes.
-	slots chan struct{}
-	// abort is closed once the receiver has returned, releasing a sender
-	// parked on slots.
-	abort chan struct{}
 }
-
-// errAbandoned ends a sender whose receiver has already returned.
-var errAbandoned = errors.New("dist: attempt abandoned")
 
 // attempt drives the session against one worker: replay what is
 // retained, continue live, forward the output. It reports whether a
@@ -402,18 +362,13 @@ func (p *Pool) attempt(ctx context.Context, name string, s *session) (death bool
 	}
 	defer conn.Close()
 
-	tune := p.tuned()
 	l := &link{
 		p: p, name: name, s: s, bw: bw, cw: cw,
 		comp:  p.compressorFor(name, cw, bw.Flush),
-		watch: newStreamWatch(tune.chunkTimeout, conn),
-		abort: make(chan struct{}),
+		watch: newStreamWatch(p.tuned().chunkTimeout, conn),
 	}
 	defer l.watch.stop()
 	defer p.noteLink(name, l.comp)
-	if s.acked {
-		l.slots = make(chan struct{}, tune.window)
-	}
 	start := time.Now()
 	fatal := func(err error) bool {
 		return err != nil && runtime.ClassifyRemoteError(err) == runtime.RemoteErrFatal
@@ -425,14 +380,13 @@ func (p *Pool) attempt(ctx context.Context, name string, s *session) (death bool
 		var err error
 		defer func() { sendc <- err }()
 		defer runtime.Contain("dispatch sender", &err)
-		if err = l.send(ctx); fatal(err) {
+		if err = l.send(); fatal(err) {
 			// The receiver may be waiting on a worker that waits for
 			// input that will never come: cut it loose.
 			conn.Close()
 		}
 	}()
 	frames, recvErr := l.receive(conn)
-	close(l.abort)
 	// Sever the connection before waiting for the sender: one blocked
 	// on a dead or abandoned socket unblocks with a write error, which
 	// the classification below subsumes.
@@ -448,14 +402,9 @@ func (p *Pool) attempt(ctx context.Context, name string, s *session) (death bool
 		return false, recvErr
 	case recvErr != nil:
 		return true, recvErr
-	case s.acked && len(s.retained[0]) > 0:
-		return true, fmt.Errorf("dist: worker %s closed with unacknowledged chunks", name)
-	case s.acked && sendErr != nil:
-		return true, sendErr
 	}
-	// The worker delivered its complete output and trailers. For a
-	// stream or a range, a late sender-side transport hiccup cannot
-	// change those bytes.
+	// The worker delivered its complete output and trailers: a late
+	// sender-side transport hiccup cannot change those bytes.
 	if frames > 0 {
 		p.noteService(name, time.Since(start), frames)
 	}
@@ -463,14 +412,14 @@ func (p *Pool) attempt(ctx context.Context, name string, s *session) (death bool
 }
 
 // send is the attempt's request body: per input, the retained replay,
-// then live chunks from where the last rung stopped, then — streamed
-// shapes only — the zero-length separator that ends the stream. A file
-// range has no inputs and sends just the end of the body.
-func (l *link) send(ctx context.Context) error {
+// then live chunks from where the last rung stopped, then the
+// zero-length separator that ends the stream. A file range has no
+// inputs and sends just the end of the body.
+func (l *link) send() error {
 	s := l.s
 	for i, in := range s.req.Ins {
-		for _, pc := range s.snapshot(i) {
-			if err := l.sendChunk(ctx, pc.b); err != nil {
+		for _, pc := range s.retained[i] {
+			if err := l.sendChunk(pc.b); err != nil {
 				return err
 			}
 		}
@@ -483,9 +432,9 @@ func (l *link) send(ctx context.Context) error {
 			if err != nil {
 				return runtime.MarkFatal(err)
 			}
-			if len(b) == 0 && s.req.Spec.Streamed {
-				// A byte stream carries no framing tokens, and on this
-				// shape's wire a zero-length frame ends the stream.
+			if len(b) == 0 {
+				// A byte stream carries no empty chunks, and on the
+				// wire a zero-length frame ends the stream.
 				release()
 				continue
 			}
@@ -494,14 +443,12 @@ func (l *link) send(ctx context.Context) error {
 			if err := s.retain(i, pendingChunk{b: b, release: release}); err != nil {
 				return err
 			}
-			if err := l.sendChunk(ctx, b); err != nil {
+			if err := l.sendChunk(b); err != nil {
 				return err
 			}
 		}
-		if s.req.Spec.Streamed {
-			if err := l.guarded(func() error { _, err := l.comp.send(nil); return err }); err != nil {
-				return err
-			}
+		if err := l.guarded(func() error { _, err := l.comp.send(nil); return err }); err != nil {
+			return err
 		}
 	}
 	// The body is complete, so the worker owes the rest of the response
@@ -534,20 +481,8 @@ func (l *link) guarded(write func() error) error {
 	return err
 }
 
-// sendChunk puts one input chunk on the wire. In an acked session it
-// first takes a window slot, and the chunk stays owed to the watchdog
-// until its output frame arrives.
-func (l *link) sendChunk(ctx context.Context, b []byte) error {
-	if l.slots != nil {
-		select {
-		case l.slots <- struct{}{}:
-		case <-l.abort:
-			return errAbandoned
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-		l.watch.expect()
-	}
+// sendChunk puts one input chunk on the wire.
+func (l *link) sendChunk(b []byte) error {
 	var wireN int
 	err := l.guarded(func() (err error) {
 		wireN, err = l.comp.send(b)
@@ -604,28 +539,8 @@ func (l *link) receive(conn net.Conn) (frames int, err error) {
 			st.BytesIn += int64(len(fr))
 			st.WireBytesIn += int64(wireN)
 		})
-		if l.s.acked && !l.ack() {
-			commands.PutBlock(fr)
-			return frames, blame(errors.New("sent more frames than it was given"))
-		}
 		if werr := out.WriteChunk(fr); werr != nil {
 			return frames, runtime.MarkFatal(fmt.Errorf("downstream: %w", werr))
 		}
 	}
-}
-
-// ack releases the oldest chunk on the wire against one output frame,
-// reporting false when the worker answered a chunk it was never sent.
-func (l *link) ack() bool {
-	select {
-	case <-l.slots:
-	default:
-		return false
-	}
-	// A slot is only ever taken for a chunk already retained, so the
-	// front of the window exists.
-	pc, _ := l.s.pop(0)
-	pc.release()
-	l.watch.fulfilled()
-	return true
 }

@@ -4,9 +4,10 @@
 // (which subgraphs ship) lives in dfg.Distribute; local interpretation
 // (the bottom rung of the recovery ladder) lives in
 // runtime.ExecRemoteLocal. This package only moves plans and framed
-// chunks over HTTP: session.go is the coordinator's single dispatch
-// path, pool.go and prober.go keep membership and health, worker.go is
-// the other end of the wire.
+// chunks over HTTP — a file range or a whole stream per remote node:
+// session.go is the coordinator's single dispatch path, pool.go and
+// prober.go keep membership and health, worker.go is the other end of
+// the wire.
 //
 // # Wire format
 //
@@ -19,9 +20,8 @@
 //	          "sandbox", "plan"}: the plan (a dfg.RemoteSpec), the
 //	          worker plan-cache key, the request environment, and the
 //	          job's sandbox bit (the worker then jails the plan's files)
-//	frame 1…: input chunks (zero-length frames are legal and meaningful
-//	          — rotation tokens for framed plans, end-of-stream
-//	          separators for streamed plans)
+//	frame 1…: input chunks (a zero-length frame is the end-of-stream
+//	          separator of a streamed plan's input)
 //
 // Frame 0 is the handshake, full stop: there is one protocol, no
 // negotiation of versions and no feature list. A worker answers a frame
@@ -31,12 +31,10 @@
 // answered 200 with the plan-cache verdict in X-Pash-Plan-Cache.
 //
 // The response body is the same frame format carrying output chunks.
-// For framed (chunk-relay) plans the worker emits exactly one output
-// frame per input frame, in order — frame k of the response
-// acknowledges frame k of the request, which is what makes bounded
-// re-dispatch buffers possible. For file-range plans the request
-// carries only the handshake and the response frames carry the
-// transformed range in order. For streamed (contiguous-stream) plans
+// Every plan is one of two shapes (dfg.DecodePlan refuses a plan that
+// names neither). For file-range plans the request carries only the
+// handshake and the response frames carry the transformed range in
+// order. For streamed (contiguous-stream) plans
 // the request carries each input stream's chunks in input order, a
 // zero-length separator frame ending each stream, and the response is
 // the node's single output stream. The exit status and any execution
@@ -46,9 +44,9 @@
 //
 // Every non-empty data frame, in both directions, is tagged: one byte
 // (0 = raw, 1 = lz4), then the chunk, or a 4-byte big-endian decoded
-// length and its LZ4 block; zero-length frames (tokens, separators)
-// stay bare. Tag and body are written and read apart under one running
-// CRC, so a raw frame costs one byte and no copy. Each sender decides
+// length and its LZ4 block; zero-length frames (separators) stay bare.
+// Tag and body are written and read apart under one running CRC, so a
+// raw frame costs one byte and no copy. Each sender decides
 // per frame from its own measurements (compressWins). The CRC covers
 // the payload as sent, so a bit flip fails it before the decompressor
 // runs and surfaces as ErrCorruptFrame — a stream error that moves the
@@ -333,9 +331,9 @@ const resampleEvery = 16
 
 // compressor is one connection's send side. It writes and flushes each
 // data frame, timing only that, so its wire window is this link's bytes
-// per second of time blocked in the socket — not a wait for a window
-// slot or for upstream input. Per frame it applies compressWins to that
-// window and the codec's. It compresses to learn when it must: while
+// per second of time blocked in the socket — not a wait for upstream
+// input. Per frame it applies compressWins to that window and the
+// codec's. It compresses to learn when it must: while
 // the codec is unknown, and every resampleEvery-th frame while the wire
 // is slower than the codec but the ratio says raw; what it learned
 // goes out as lz4 only if the rule then agrees.
@@ -349,7 +347,7 @@ type compressor struct {
 }
 
 // send writes one data frame and flushes it, returning the payload size
-// as transmitted. A zero-length payload is a bare token.
+// as transmitted. A zero-length payload is a bare separator.
 func (c *compressor) send(payload []byte) (int, error) {
 	if len(payload) == 0 {
 		if err := writeFrame(c.w, nil); err != nil {

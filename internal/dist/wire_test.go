@@ -51,9 +51,6 @@ func TestDistributedStreamPlanStructure(t *testing.T) {
 			}
 			shards = append(shards, n.Remote)
 			workers[n.Remote.Worker]++
-			if n.Remote.Framed {
-				t.Errorf("remote node is both framed and streamed: %+v", n.Remote)
-			}
 			if n.Remote.Key == "" {
 				t.Errorf("streamed shard missing plan-cache key: %+v", n.Remote)
 			}

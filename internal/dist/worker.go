@@ -125,7 +125,7 @@ func (w *Worker) handleExec(rw http.ResponseWriter, r *http.Request) {
 	rw.Header().Set("X-Pash-Plan-Cache", cacheNote)
 	rw.WriteHeader(http.StatusOK)
 	// Commit the response as chunked now: trailers only travel on
-	// chunked responses, and acks must flow before input ends.
+	// chunked responses, and output may flow before input ends.
 	rc.Flush()
 
 	comp := &compressor{w: rw, flush: rc.Flush}
@@ -134,14 +134,10 @@ func (w *Worker) handleExec(rw http.ResponseWriter, r *http.Request) {
 	// taking the worker process (and every other tenant's chains) down.
 	execErr := func() (err error) {
 		defer runtime.Contain("worker exec", &err)
-		switch {
-		case spec.Path != "":
+		if spec.Path != "" {
 			return w.execRange(chain, spec, fs, comp)
-		case spec.Streamed:
-			return w.execStreamed(r.Context(), chain, spec, fs, hs.Env, r.Body, comp)
-		default:
-			return w.execFramed(chain, r.Body, comp)
 		}
+		return w.execStreamed(r.Context(), chain, spec, fs, hs.Env, r.Body, comp)
 	}()
 	w.mu.Lock()
 	w.m.LZ4FramesOut += comp.lz4Frames
@@ -187,32 +183,6 @@ func (w *Worker) decodePlan(raw []byte) (*dfg.RemoteSpec, *runtime.StageChain, e
 		}
 	}
 	return spec, nil, nil
-}
-
-// execFramed is the chunk-relay loop: one output frame per input
-// frame, flushed eagerly so the coordinator's acknowledgement window
-// keeps moving.
-func (w *Worker) execFramed(chain *runtime.StageChain, body io.Reader, comp *compressor) error {
-	for {
-		in, wire, err := readDataFrame(body)
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		w.meterIn(in, wire)
-		out, err := chain.ApplyChunk(in)
-		commands.PutBlock(in)
-		if err != nil {
-			return err
-		}
-		err = w.sendOut(comp, out)
-		commands.PutBlock(out)
-		if err != nil {
-			return err
-		}
-	}
 }
 
 // sendOut sends one response frame and meters it.
@@ -341,8 +311,8 @@ func (f *frameStreamWriter) WriteChunk(b []byte) error {
 
 func (f *frameStreamWriter) emit(p []byte) error {
 	if len(p) == 0 {
-		// A zero-length frame is a framing token on the wire; plain
-		// streams have no tokens to convey.
+		// A zero-length frame is a separator on the wire; plain
+		// streams have none to convey.
 		return nil
 	}
 	return f.w.sendOut(f.comp, p)

@@ -91,9 +91,9 @@ func TestBarePlanFrameRejected(t *testing.T) {
 	var out sink
 	err := pool.ExecRemote(context.Background(), &runtime.RemoteRequest{
 		Spec: &dfg.RemoteSpec{
-			Worker: stripper.URL,
-			Stages: []dfg.FusedStage{{Name: "tr", Args: []string{"a-z", "A-Z"}}},
-			Framed: true,
+			Worker:   stripper.URL,
+			Stages:   []dfg.FusedStage{{Name: "tr", Args: []string{"a-z", "A-Z"}}},
+			Streamed: true,
 		},
 		Ins: []commands.ChunkReader{&oneChunk{b: []byte("light touch\n")}},
 		Out: &out, Reg: reg, FS: commands.OSFS{Dir: dir}, Stderr: io.Discard,

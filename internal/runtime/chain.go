@@ -18,7 +18,7 @@ import (
 // collapsed commands, a framed replica's single command, a remote spec's
 // shipped chain on a worker or on the coordinator's local rung. It runs
 // the chain over a whole stream (Stream) or once per input chunk
-// (ApplyChunk, PerChunk), through composed kernels — one goroutine, zero
+// (PerChunk), through composed kernels — one goroutine, zero
 // intermediate pipes — when every stage has one, and through the
 // registry's command implementations otherwise. The two forms produce the
 // same bytes and the same status (TestStageChainEquivalence). See
@@ -115,23 +115,13 @@ func exitStatus(err error) (int, error) {
 	return 1, err
 }
 
-// ApplyChunk runs the whole chain over one chunk as an independent
-// stream, returning a pooled output block the caller owns. The input
-// chunk is not consumed. A chunk's exit status is not the stream's
-// (grep finding nothing in this chunk is normal) and is dropped.
-func (c *StageChain) ApplyChunk(chunk []byte) ([]byte, error) {
-	ks := c.kernels()
-	out, err := c.applyChunk(ks, chunk, func() {})
-	if err == nil && ks != nil {
-		c.kpool.Put(ks)
-	}
-	return out, err
-}
-
-// applyChunk is ApplyChunk with the kernel set in hand (nil: commands)
-// over a chunk whose block it gives back: it calls release exactly once,
-// as soon as no stage reads the input any more, so the block is back in
-// the pool, still warm, for the next stage's output.
+// applyChunk runs the whole chain, with the kernel set in hand (nil:
+// commands), over one chunk as an independent stream, returning a pooled
+// output block the caller owns. A chunk's exit status is not the
+// stream's (grep finding nothing in this chunk is normal) and is
+// dropped. It gives the chunk's block back by calling release exactly
+// once, as soon as no stage reads the input any more, so the block is
+// back in the pool, still warm, for the next stage's output.
 func (c *StageChain) applyChunk(ks []commands.Kernel, chunk []byte, release func()) ([]byte, error) {
 	cur, owned := chunk, false
 	recycle := func() { // cur's block: the caller's until a stage has replaced it

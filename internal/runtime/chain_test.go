@@ -128,7 +128,8 @@ func chainGraph(t *testing.T, reg *commands.Registry, stages []dfg.FusedStage, w
 // directly, the executor's fused nodes and framed replicas, the
 // coordinator's local interpretation of a remote spec, a worker behind a
 // unix socket — through kernels and through the registry's commands, over
-// the whole stream and once per chunk, must compute the width-1
+// the whole stream and (the chain and the framed replicas) once per
+// chunk, must compute the width-1
 // pipeline's bytes: in per-chunk mode one output chunk per input chunk,
 // each the pipeline's output over that chunk; in stream mode the last
 // stage's exit status. The worker and the coordinator run the same
@@ -213,16 +214,6 @@ func TestStageChainEquivalence(t *testing.T) {
 					}
 					var out chunkSink
 					err = chain.PerChunk(ctx, &chunkSource{chunks: chunks}, &out)
-					return out.frames, -1, err
-				},
-				"local": func(chunks []string) ([]string, int, error) {
-					var out chunkSink
-					err := runtime.ExecRemoteLocal(ctx, request(dfg.RemoteSpec{Framed: true}, chunks, &out))
-					return out.frames, -1, err
-				},
-				"worker": func(chunks []string) ([]string, int, error) {
-					var out chunkSink
-					err := pool.ExecRemote(ctx, request(dfg.RemoteSpec{Framed: true, Worker: pool.WorkerNames()[0]}, chunks, &out))
 					return out.frames, -1, err
 				},
 			}

@@ -19,11 +19,10 @@ import (
 
 // RemoteExecutor ships one remote node's work to a worker. The executor
 // calls it once per KindRemote node; implementations must preserve the
-// node's stream contract (framed: exactly one output chunk per input
-// chunk; file-range and streamed: the node's output bytes in order)
-// even when a worker dies mid-stream — internal/dist does so by
-// re-dispatching what the dead worker left unfinished to a surviving
-// worker or, when none is left, through ExecRemoteLocal.
+// node's stream contract (the node's output bytes in order) even when
+// a worker dies mid-stream — internal/dist does so by re-dispatching
+// what the dead worker left unfinished to a surviving worker or, when
+// none is left, through ExecRemoteLocal.
 type RemoteExecutor interface {
 	ExecRemote(ctx context.Context, req *RemoteRequest) error
 }
@@ -84,9 +83,8 @@ func ClassifyRemoteError(err error) RemoteErrorClass {
 type RemoteRequest struct {
 	Spec *dfg.RemoteSpec
 	// Ins streams the node's inputs in operand order: none for a
-	// file-range spec (the worker self-sources), one for a framed or
-	// linear streamed chain, one per branch for a streamed aggregation
-	// subtree.
+	// file-range spec (the worker self-sources), one for a linear
+	// streamed chain, one per branch for a streamed aggregation subtree.
 	Ins []commands.ChunkReader
 	// Out receives the node's output chunks in order.
 	Out commands.ChunkWriter
@@ -156,20 +154,17 @@ func ExecRemoteLocal(ctx context.Context, req *RemoteRequest) error {
 	if err != nil {
 		return err
 	}
-	switch {
-	case spec.Path != "":
-		r, err := OpenRange(req.FS, spec.Path, spec.Slice, spec.Of)
-		if err != nil {
-			return err
-		}
-		defer r.Close()
-		_, err = chain.Stream(r, out)
-		return err
-	case spec.Streamed:
+	if spec.Path == "" {
 		_, err = chain.Stream(ChunkReaderAsReader(req.Ins[0]), out)
 		return err
 	}
-	return chain.PerChunk(ctx, req.Ins[0], req.Out)
+	r, err := OpenRange(req.FS, spec.Path, spec.Slice, spec.Of)
+	if err != nil {
+		return err
+	}
+	defer r.Close()
+	_, err = chain.Stream(r, out)
+	return err
 }
 
 // chunkOnlyWriter adapts a ChunkWriter to io.Writer for streaming

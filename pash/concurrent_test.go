@@ -129,10 +129,12 @@ func TestConcurrentRegistrationDuringRuns(t *testing.T) {
 				return
 			default:
 			}
-			s.RegisterCommand(fmt.Sprintf("custom%d", i%4),
-				func(args []string, stdin io.Reader, stdout io.Writer) error { return nil })
-			if err := s.RegisterAnnotation(fmt.Sprintf("custom%d { | _ => (S, [stdin], [stdout]) }", i%4)); err != nil {
-				t.Errorf("register annotation: %v", err)
+			if err := s.Register(CommandSpec{
+				Name:       fmt.Sprintf("custom%d", i%4),
+				Run:        func(args []string, stdin io.Reader, stdout io.Writer) error { return nil },
+				Annotation: StdinStdout(ClassStateless),
+			}); err != nil {
+				t.Errorf("register: %v", err)
 				return
 			}
 		}

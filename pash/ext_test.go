@@ -344,11 +344,13 @@ func TestShadowBuiltinPrecedence(t *testing.T) {
 	// Shadow grep: the user implementation ignores the pattern and
 	// reports a marker. User registration wins; the cached plan for the
 	// same region must not survive.
-	s.RegisterCommand("grep", func(args []string, stdin io.Reader, stdout io.Writer) error {
+	if err := s.Register(CommandSpec{Name: "grep", Run: func(args []string, stdin io.Reader, stdout io.Writer) error {
 		io.Copy(io.Discard, stdin)
 		fmt.Fprintf(stdout, "custom-grep:%s\n", strings.Join(args, ","))
 		return nil
-	})
+	}}); err != nil {
+		t.Fatal(err)
+	}
 	if st := s.PlanCacheStats(); st.Entries != 0 {
 		t.Errorf("plan cache not busted by re-registration: %+v", st)
 	}

@@ -27,9 +27,6 @@
 //	        Annotation: pash.StdinStdout(pash.ClassStateless),
 //	        Kernel:     myKernelFactory,
 //	})
-//
-// The string-DSL shims (RegisterAnnotation, RegisterCommand) remain as
-// thin wrappers over the same machinery.
 package pash
 
 import (
@@ -92,10 +89,9 @@ func NewScheduler(tokens int) *Scheduler { return runtime.NewScheduler(tokens) }
 // Session holds a compiler configuration plus the execution environment.
 // Sessions are safe for concurrent Run calls: each run takes an
 // immutable snapshot of the compiler, and extension methods
-// (RegisterAnnotation, RegisterCommand, SetOptions, UseScheduler)
-// replace registries copy-on-write instead of mutating state a running
-// script may be reading. Dir and Vars are plain fields — set them
-// before sharing the session.
+// (Register, SetOptions, UseScheduler) replace registries copy-on-write
+// instead of mutating state a running script may be reading. Dir and
+// Vars are plain fields — set them before sharing the session.
 type Session struct {
 	mu       sync.RWMutex
 	compiler *core.Compiler
@@ -107,7 +103,7 @@ type Session struct {
 
 	isolatedAnnot bool
 	// userAnnot names the commands whose annotation the user supplied
-	// (via Register or RegisterAnnotation): shadowing a command never
+	// (via Register): shadowing a command never
 	// clears a user-supplied record, only inherited builtin ones.
 	userAnnot map[string]bool
 
@@ -182,11 +178,11 @@ type FaultInjector = dist.Injector
 // ("host:port", "http://host:port", or "unix:/path/to.sock").
 func NewWorkerPool(workers ...string) *WorkerPool { return dist.NewPool(workers...) }
 
-// UseWorkers attaches a worker pool: parallelizable stateless chains in
-// every subsequent run are shipped to pool workers as framed chunk
-// streams (or file-range shards when the pool shares the session's
-// filesystem), with automatic local failover when a worker dies
-// mid-stream. Pass nil to detach. The plan cache keys on the pool's
+// UseWorkers attaches a worker pool: the shippable branches of every
+// subsequent run's parallel regions go to pool workers as whole streams
+// (or file-range shards when the pool shares the session's filesystem),
+// with failover to a surviving worker or the coordinator when a worker
+// dies mid-stream. Pass nil to detach. The plan cache keys on the pool's
 // membership fingerprint, so attaching, detaching, or losing workers
 // re-plans affected regions instead of serving stale shard maps.
 func (s *Session) UseWorkers(pool *WorkerPool) {
@@ -238,46 +234,9 @@ func (s *Session) isolateAnnotLocked(cc *core.Compiler) error {
 	return nil
 }
 
-// RegisterAnnotation adds or replaces annotation records in the
-// session's registry (the string-DSL shim over the typed construction
-// path — see Session.Register for the typed form). The registry is
-// cloned copy-on-write and the plan cache invalidated, so cached plans
-// never survive a classification change.
-func (s *Session) RegisterAnnotation(record string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cc := *s.compiler
-	if err := s.isolateAnnotLocked(&cc); err != nil {
-		return err
-	}
-	recs, err := cc.Annot.RegisterRecords(record)
-	if err != nil {
-		return err
-	}
-	for _, rec := range recs {
-		s.userAnnot[rec.Name] = true
-	}
-	cc.Plans = core.NewPlanCache(0)
-	s.compiler = &cc
-	return nil
-}
-
 // CommandFunc is a user-supplied command implementation: it reads stdin,
 // writes stdout, and returns an error (nil = exit 0).
 type CommandFunc func(args []string, stdin io.Reader, stdout io.Writer) error
-
-// RegisterCommand installs a custom command under the given name — the
-// implementation-only shim over the typed Session.Register. The user
-// registration shadows any builtin of the same name completely
-// (implementation, kernel, aggregator, and — unless the session has its
-// own annotation for the name — the builtin's annotation record), and
-// the plan cache is invalidated. It panics on an empty name or nil fn
-// (programmer error; use Register for an error return).
-func (s *Session) RegisterCommand(name string, fn CommandFunc) {
-	if err := s.Register(CommandSpec{Name: name, Run: fn}); err != nil {
-		panic("pash: RegisterCommand: " + err.Error())
-	}
-}
 
 // Run parses and executes a script with PaSh's parallelizing
 // interpreter, returning the script's exit status. It is Start + Wait:

@@ -44,7 +44,7 @@ func TestSessionParallelMatchesSequential(t *testing.T) {
 
 func TestRegisterCommandAndAnnotation(t *testing.T) {
 	s := NewSession(DefaultOptions(4))
-	s.RegisterCommand("double", func(args []string, stdin io.Reader, stdout io.Writer) error {
+	double := func(args []string, stdin io.Reader, stdout io.Writer) error {
 		data, err := io.ReadAll(stdin)
 		if err != nil {
 			return err
@@ -53,8 +53,8 @@ func TestRegisterCommandAndAnnotation(t *testing.T) {
 			fmt.Fprintf(stdout, "%s %s\n", line, line)
 		}
 		return nil
-	})
-	if err := s.RegisterAnnotation(`double { | _ => (S, [stdin], [stdout]) }`); err != nil {
+	}
+	if err := s.Register(CommandSpec{Name: "double", Run: double, Annotation: StdinStdout(ClassStateless)}); err != nil {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer

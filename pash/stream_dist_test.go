@@ -44,7 +44,9 @@ func TestStreamDistWorkerKillMidStream(t *testing.T) {
 	for i := 0; i < 12000; i++ {
 		fmt.Fprintf(&data, "the quick zebra %d jumps over the lazy dog\n", i)
 	}
-	script := "tr a-z A-Z | grep ZEBRA"
+	// The sort makes each branch a streamed shard; a stateless chain
+	// that ends at the round-robin merge would stay on the coordinator.
+	script := "tr a-z A-Z | grep ZEBRA | sort"
 
 	streamOnce := func(spec *dist.FaultSpec) (string, []dist.WorkerStats) {
 		pool := NewWorkerPool(w1, w2)
