@@ -294,9 +294,9 @@
 // offset at a window boundary) make a restarted job resume replaying
 // only the post-checkpoint suffix. Streaming jobs are exempt from
 // WallTimeout; MaxPipeMemory becomes a pause-the-source backpressure
-// bound; width is held as a revocable scheduler lease
-// (runtime.WidthLease) reassessed at window boundaries; and /metrics
-// job rows carry live rows/sec, window lag, and checkpoint age.
+// bound; each window's width is planned from its own bytes and granted
+// only while it runs, like any region's; and /metrics job rows carry
+// live rows/sec, window lag, and checkpoint age.
 // The stream-agg workload (bench/README.md) measures the streaming tax.
 //
 // internal/runtime/README.md documents the ownership contract, the

@@ -173,10 +173,11 @@ func (c *Compiler) tryCompileStatic(simples []*shell.Simple, env *shell.Env, exe
 	// The execution view is planned, and distributed, exactly as the
 	// interpreter would: Plan.Dot shows the width decision and the shard
 	// map.
-	wp, lifted, err := c.regionWidth(stages, regionKey(stages), c.Opts.Width, *exec)
+	wp, lifted, release, err := c.regionWidth(stages, regionKey(stages), c.Opts.Width, nil, *exec)
 	if err != nil {
 		return nil, false
 	}
+	release() // nothing runs here: the view keeps the decision, not the tokens
 	g, err := c.compileAt(stages, wp, lifted)
 	if err != nil {
 		return nil, false

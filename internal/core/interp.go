@@ -84,6 +84,20 @@ type InterpStats struct {
 	ChunksMoved int64
 }
 
+// noteRegion counts one planned region: its nodes, its plan-cache
+// verdict and its width decision.
+func (st *InterpStats) noteRegion(g *dfg.Graph, hit bool) {
+	st.Regions++
+	st.TotalNodes += len(g.Nodes)
+	st.MaxNodes = max(st.MaxNodes, len(g.Nodes))
+	if hit {
+		st.PlanHits++
+	} else {
+		st.PlanMisses++
+	}
+	st.Widths.Note(g.Width)
+}
+
 // RegionProfile is one executed region's graph plus measured node times.
 type RegionProfile struct {
 	Graph *dfg.Graph
@@ -637,32 +651,20 @@ func (in *Interp) runPipeline(ctx context.Context, simples []*shell.Simple) (int
 		}
 	}
 
-	// Control plane: fingerprint the region, ask the planner how wide it
-	// should be, take that many width tokens from the shared scheduler,
+	// Control plane: fingerprint the region, decide and take its width,
 	// then plan (cache hit: clone; miss: compile+optimize).
 	rkey := regionKey(stages)
-	// The job's replica budget caps the width before anyone is asked, so
-	// an over-budget region never takes tokens it cannot use.
-	wp, lifted, err := in.c.regionWidth(stages, rkey, in.budget.CapWidth(in.c.Opts.Width), RegionInput{
+	wp, lifted, release, err := in.c.regionWidth(stages, rkey, in.c.Opts.Width, in.budget, RegionInput{
 		FS:    commands.OSFS{Dir: in.dir, Jail: in.sandbox},
 		Stdin: in.stdio.Stdin,
 	})
 	if err != nil {
 		return 1, err
 	}
-	if in.c.Sched != nil {
-		// Multi-tenant instantiation: the shared token pool caps what the
-		// machine can spare right now. A width-1 region takes no token.
-		granted, release := in.c.Sched.AcquireWidth(wp.Planned)
-		defer release()
-		if granted < wp.Planned {
-			wp.Planned, wp.Reason, wp.Measure = granted, dfg.WidthGranted, int64(wp.Planned)
-		}
-	}
+	defer release()
 	restore := in.applyOverrides(overrides)
 	defer restore()
-	var start time.Time // execution only: planning is not the region's wall
-	g, res, err := in.c.runRegion(ctx, stages, rkey, wp, lifted, in.stdio, runtime.Config{
+	g, res, wall, err := in.c.runRegion(ctx, stages, rkey, wp, lifted, in.stdio, runtime.Config{
 		Dir:     in.dir,
 		Env:     in.envSnapshot(),
 		Budget:  in.budget,
@@ -670,29 +672,11 @@ func (in *Interp) runPipeline(ctx context.Context, simples []*shell.Simple) (int
 		Traffic: in.traffic,
 	}, func(g *dfg.Graph, hit bool) {
 		in.statsMu.Lock()
-		in.Stats.Regions++
-		in.Stats.TotalNodes += len(g.Nodes)
-		in.Stats.MaxNodes = max(in.Stats.MaxNodes, len(g.Nodes))
-		if hit {
-			in.Stats.PlanHits++
-		} else {
-			in.Stats.PlanMisses++
-		}
-		in.Stats.Widths.Note(wp)
+		in.Stats.noteRegion(g, hit)
 		in.statsMu.Unlock()
-		start = time.Now()
 	})
 	if err != nil {
 		return 1, err
-	}
-	wall := time.Since(start)
-	if in.c.Plans != nil {
-		in.c.Plans.noteWidth(wp)
-		if in.c.Opts.PlanWidth && !in.c.Opts.MeasureMode {
-			// Close the JIT loop: the measured wall is what sizes this
-			// region next time, should its bytes not be statable then.
-			in.c.Plans.noteRun(rkey, wall)
-		}
 	}
 	if in.c.Opts.MeasureMode {
 		// Only the simulator's measuring runs read profiles; recording

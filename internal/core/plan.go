@@ -270,22 +270,25 @@ func (c *Compiler) inputsOf(g *dfg.Graph) *regionInputs {
 	return ri
 }
 
-// regionWidth is the one place a region's width is decided, asked once
-// per region before it is planned. capped is Options.Width after the
-// job's replica budget. Under the exact presets (Options.PlanWidth off)
-// that is the answer. Otherwise the width is planned from the best
-// statement of the region's work there is, in this order: the bytes of
-// its inputs, where the planner can state them all (inputs.bytes); else
-// the region's measured wall (PlanCache.widthHint); else nothing is
-// known, the region is assumed large and keeps capped — a pipe into pash
-// runs as wide as it was asked to.
+// regionWidth is the one path from the width a region asks for to the
+// width it runs at, for a script region and a stream window alike, taken
+// once per region before it is planned. The job's replica budget caps the
+// ask. Under the exact presets (Options.PlanWidth off) the capped ask is
+// the plan. Otherwise the width is planned from the best statement of the
+// region's work there is, in this order: the bytes of its inputs, where
+// the planner can state them all (inputs.bytes); else the region's
+// measured wall; else nothing is known, the region is assumed large and
+// keeps the capped ask — a pipe into pash runs as wide as it was asked to.
+// Last, the shared scheduler grants tokens for the replicas past the
+// first; the caller runs the region, then calls release.
 //
 // A region seen for the first time is lifted here to learn what it reads;
 // the lifted graph is returned for planLifted to optimize, so a cache
 // miss still lifts once. After that the region's inputs are remembered
 // beside its history and deciding costs one stat per file operand.
-func (c *Compiler) regionWidth(stages []Stage, region string, capped int, in RegionInput) (wp dfg.WidthPlan, lifted *dfg.Graph, err error) {
-	wp = dfg.WidthPlan{Asked: c.Opts.Width, Planned: capped}
+func (c *Compiler) regionWidth(stages []Stage, region string, asked int, budget *runtime.Budget, in RegionInput) (wp dfg.WidthPlan, lifted *dfg.Graph, release func(), err error) {
+	capped := budget.CapWidth(asked)
+	wp = dfg.WidthPlan{Asked: asked, Planned: capped}
 	if c.Opts.PlanWidth && capped > 1 {
 		var rs regionStats
 		if c.Plans != nil {
@@ -293,7 +296,7 @@ func (c *Compiler) regionWidth(stages []Stage, region string, capped int, in Reg
 		}
 		if rs.inputs == nil {
 			if lifted, err = c.lift(stages); err != nil {
-				return wp, nil, err
+				return wp, nil, nil, err
 			}
 			rs.inputs = c.inputsOf(lifted)
 			if c.Plans != nil {
@@ -303,7 +306,7 @@ func (c *Compiler) regionWidth(stages []Stage, region string, capped int, in Reg
 		if n, ok := rs.inputs.bytes(in); ok {
 			wp.Planned, wp.Reason, wp.Measure = widthFor(n, perReplicaBytes, capped), dfg.WidthInput, n
 		} else if rs.runs > 0 {
-			wp.Planned, wp.Reason, wp.Measure = c.Plans.widthHint(region, capped), dfg.WidthHistory, int64(rs.ewmaWall)
+			wp.Planned, wp.Reason, wp.Measure = widthFor(int64(rs.ewmaWall), int64(perReplicaWall), capped), dfg.WidthHistory, int64(rs.ewmaWall)
 		} else {
 			wp.Reason = dfg.WidthUnknown
 		}
@@ -311,7 +314,16 @@ func (c *Compiler) regionWidth(stages []Stage, region string, capped int, in Reg
 	if wp.Planned == capped && capped < wp.Asked {
 		wp.Reason, wp.Measure = dfg.WidthBudget, 0
 	}
-	return wp, lifted, nil
+	release = func() {}
+	if c.Sched != nil {
+		// The shared token pool caps what the machine can spare right now.
+		// A width-1 region takes no token.
+		var granted int
+		if granted, release = c.Sched.AcquireWidth(wp.Planned); granted < wp.Planned {
+			wp.Planned, wp.Reason, wp.Measure = granted, dfg.WidthGranted, int64(wp.Planned)
+		}
+	}
+	return wp, lifted, release, nil
 }
 
 // lift is CompilePipeline for a region on its way to execution, counted
@@ -328,9 +340,6 @@ type PlanCacheStats struct {
 	Hits    int64 `json:"hits"`
 	Misses  int64 `json:"misses"`
 	Entries int   `json:"entries"`
-	// SeqHints counts instantiations where measured history degraded
-	// the region to sequential width.
-	SeqHints int64 `json:"seq_hints"`
 	// Lifts counts regions lifted to a graph on their way to execution: a
 	// miss lifts once, a hit never (its inputs are remembered).
 	Lifts int64 `json:"lifts"`
@@ -353,7 +362,6 @@ type PlanCache struct {
 	statsLRU list.List
 	hits     int64
 	misses   int64
-	seqHint  int64
 	widths   dfg.WidthTally
 	lifts    atomic.Int64
 }
@@ -450,7 +458,8 @@ func (pc *PlanCache) memoInputs(region string, ri *regionInputs) {
 	pc.record(region, true).inputs = ri
 }
 
-// noteRun records a measured region execution for future width hints.
+// noteRun records a measured region execution, the history the width
+// rule reads for a region whose bytes it cannot state.
 func (pc *PlanCache) noteRun(region string, wall time.Duration) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
@@ -470,39 +479,17 @@ func (pc *PlanCache) noteWidth(wp dfg.WidthPlan) {
 	pc.mu.Unlock()
 }
 
-// widthHint picks the width for a region from its measured history: one
-// replica per perReplicaWall of smoothed wall time, so a region too short
-// to pay a second replica back runs sequentially; a region with no
-// history keeps the requested width.
-func (pc *PlanCache) widthHint(region string, want int) int {
-	if want <= 1 {
-		return want
-	}
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	st := pc.record(region, false)
-	if st == nil || st.runs == 0 {
-		return want
-	}
-	w := widthFor(int64(st.ewmaWall), int64(perReplicaWall), want)
-	if w == 1 {
-		pc.seqHint++
-	}
-	return w
-}
-
 // Stats snapshots the cache counters.
 func (pc *PlanCache) Stats() PlanCacheStats {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	return PlanCacheStats{
-		Hits:     pc.hits,
-		Misses:   pc.misses,
-		Entries:  pc.lru.Len(),
-		SeqHints: pc.seqHint,
-		Lifts:    pc.lifts.Load(),
-		Regions:  pc.statsLRU.Len(),
-		Widths:   pc.widths,
+		Hits:    pc.hits,
+		Misses:  pc.misses,
+		Entries: pc.lru.Len(),
+		Lifts:   pc.lifts.Load(),
+		Regions: pc.statsLRU.Len(),
+		Widths:  pc.widths,
 	}
 }
 
@@ -569,13 +556,19 @@ func (c *Compiler) compileAt(stages []Stage, wp dfg.WidthPlan, lifted *dfg.Graph
 }
 
 // runRegion is the one path from a region to its bytes: plan it at the
-// decided width, let the caller count the verdict (planned sees the
-// private graph before it runs), and execute exactly that graph in the
-// job's environment — every decision about how it runs is already on it.
-func (c *Compiler) runRegion(ctx context.Context, stages []Stage, region string, wp dfg.WidthPlan, lifted *dfg.Graph, stdio runtime.StdIO, job runtime.Config, planned func(g *dfg.Graph, hit bool)) (*dfg.Graph, *runtime.Result, error) {
+// decided width, count the decision, let the caller count the verdict
+// (planned sees the private graph before it runs), and execute exactly
+// that graph in the job's environment — every decision about how it runs
+// is already on it. The returned wall is execution only, not planning;
+// it is what sizes the region next time should its bytes not be statable
+// then.
+func (c *Compiler) runRegion(ctx context.Context, stages []Stage, region string, wp dfg.WidthPlan, lifted *dfg.Graph, stdio runtime.StdIO, job runtime.Config, planned func(g *dfg.Graph, hit bool)) (*dfg.Graph, *runtime.Result, time.Duration, error) {
 	g, hit, err := c.planLifted(stages, region, wp, lifted)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, 0, err
+	}
+	if c.Plans != nil {
+		c.Plans.noteWidth(wp)
 	}
 	planned(g, hit)
 	job.Remote = c.Workers
@@ -584,8 +577,16 @@ func (c *Compiler) runRegion(ctx context.Context, stages []Stage, region string,
 	if c.Opts.MeasureMode {
 		run = runtime.Profile
 	}
+	start := time.Now()
 	res, err := run(ctx, g, c.Cmds, stdio, job)
-	return g, res, err
+	if err != nil {
+		return g, res, 0, err
+	}
+	wall := time.Since(start)
+	if c.Plans != nil && c.Opts.PlanWidth && !c.Opts.MeasureMode {
+		c.Plans.noteRun(region, wall)
+	}
+	return g, res, wall, nil
 }
 
 // distribute partitions a freshly planned region across the attached

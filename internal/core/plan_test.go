@@ -210,25 +210,33 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 	}
 }
 
+// TestWidthHintDegradesTinyRegions: a region known only by its history
+// runs sequentially while its measured wall is too short to pay a second
+// replica back, and at the ceiling again once its wall grows.
 func TestWidthHintDegradesTinyRegions(t *testing.T) {
-	pc := NewPlanCache(0)
-	rk := "region"
-	if w := pc.widthHint(rk, 8); w != 8 {
-		t.Errorf("no history: hint = %d, want 8", w)
+	c := NewCompiler(plannedOptions(8))
+	stages := []Stage{{Name: "seq", Args: []string{"1", "9"}}}
+	rk := regionKey(stages)
+	width := func() int {
+		wp, _, _, err := c.regionWidth(stages, rk, 8, nil, RegionInput{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return wp.Planned
 	}
-	pc.noteRun(rk, 50*time.Microsecond)
-	if w := pc.widthHint(rk, 8); w != 1 {
-		t.Errorf("tiny region: hint = %d, want 1", w)
+	if w := width(); w != 8 {
+		t.Errorf("no history: width = %d, want 8", w)
+	}
+	c.Plans.noteRun(rk, 50*time.Microsecond)
+	if w := width(); w != 1 {
+		t.Errorf("tiny region: width = %d, want 1", w)
 	}
 	// A large measured wall restores the requested width (EWMA moves).
 	for i := 0; i < 8; i++ {
-		pc.noteRun(rk, 50*time.Millisecond)
+		c.Plans.noteRun(rk, 50*time.Millisecond)
 	}
-	if w := pc.widthHint(rk, 8); w != 8 {
-		t.Errorf("large region: hint = %d, want 8", w)
-	}
-	if s := pc.Stats(); s.SeqHints != 1 {
-		t.Errorf("seq hints = %d, want 1", s.SeqHints)
+	if w := width(); w != 8 {
+		t.Errorf("large region: width = %d, want 8", w)
 	}
 }
 

@@ -21,6 +21,7 @@ import (
 	"sync"
 
 	"repro/internal/annot"
+	"repro/internal/commands"
 	"repro/internal/dfg"
 	"repro/internal/runtime"
 	"repro/internal/shell"
@@ -63,8 +64,7 @@ type StreamPlan struct {
 	Sandbox bool
 
 	statsMu sync.Mutex
-	hits    int64
-	misses  int64
+	stats   InterpStats
 }
 
 // streamStatePath and streamPartialPath name the fold's two operands in
@@ -237,25 +237,35 @@ func (p *StreamPlan) Window() *dfg.WindowSpec { return &p.window }
 // Stages reports the expanded pipeline (for metrics and tests).
 func (p *StreamPlan) Stages() []Stage { return p.stages }
 
-// PlanHits reports plan-cache verdicts across the windows run so far.
-func (p *StreamPlan) PlanHits() (hits, misses int64) {
+// Stats counts the windows run so far as the interpreter counts regions:
+// nodes, plan-cache verdicts and width decisions.
+func (p *StreamPlan) Stats() InterpStats {
 	p.statsMu.Lock()
 	defer p.statsMu.Unlock()
-	return p.hits, p.misses
+	return p.stats
 }
 
-// RunWindow executes one window of the stream as a normal batch region
-// at the given effective width: the plan cache serves the template
-// (each distinct width compiles once, every later window pays one
-// clone), and the graph runs through the full runtime — fusion, rr
-// split, agg trees, and the distributed worker plane when the compiler
-// has one. win is the window's line-aligned payload; out receives the
-// window's raw result (the caller composes it per the emit mode).
-func (p *StreamPlan) RunWindow(ctx context.Context, win io.Reader, out, errw io.Writer, eff int) (int, error) {
-	if eff < 1 {
-		eff = 1
+// RunWindow executes one window of the stream as a normal batch region.
+// width is the window's ask, a ceiling as Options.Width is for a script
+// region, and the window goes through the same decision: its width is
+// planned from its own bytes — the runner hands it a sized reader — and
+// granted by the scheduler for as long as the window runs, so between
+// windows the job holds no width token. The plan cache serves the template
+// (each distinct width compiles once, every later window pays one clone),
+// and the graph runs through the full runtime — fusion, rr split, agg
+// trees, and the distributed worker plane when the compiler has one. win
+// is the window's line-aligned payload; out receives the window's raw
+// result (the caller composes it per the emit mode).
+func (p *StreamPlan) RunWindow(ctx context.Context, win io.Reader, out, errw io.Writer, width int) (int, error) {
+	wp, lifted, release, err := p.c.regionWidth(p.stages, p.rkey, max(width, 1), p.Budget, RegionInput{
+		FS:    commands.OSFS{Dir: p.dir, Jail: p.Sandbox},
+		Stdin: win,
+	})
+	if err != nil {
+		return 1, err
 	}
-	_, res, err := p.c.runRegion(ctx, p.stages, p.rkey, dfg.WidthPlan{Asked: eff, Planned: eff}, nil, runtime.StdIO{Stdin: win, Stdout: out, Stderr: errw}, runtime.Config{
+	defer release()
+	_, res, _, err := p.c.runRegion(ctx, p.stages, p.rkey, wp, lifted, runtime.StdIO{Stdin: win, Stdout: out, Stderr: errw}, runtime.Config{
 		Dir:     p.dir,
 		Env:     p.env,
 		Budget:  p.Budget,
@@ -264,11 +274,7 @@ func (p *StreamPlan) RunWindow(ctx context.Context, win io.Reader, out, errw io.
 	}, func(g *dfg.Graph, hit bool) {
 		g.Window = &p.window
 		p.statsMu.Lock()
-		if hit {
-			p.hits++
-		} else {
-			p.misses++
-		}
+		p.stats.noteRegion(g, hit)
 		p.statsMu.Unlock()
 	})
 	if err != nil {

@@ -128,7 +128,7 @@ func TestRegionWidthRule(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			c := NewCompiler(plannedOptions(tc.asked))
 			in := RegionInput{FS: commands.OSFS{Dir: dir, Jail: tc.jail}, Stdin: tc.stdin}
-			wp, lifted, err := c.regionWidth(tc.stages, regionKey(tc.stages), tc.asked, in)
+			wp, lifted, _, err := c.regionWidth(tc.stages, regionKey(tc.stages), tc.asked, nil, in)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -141,12 +141,12 @@ func TestRegionWidthRule(t *testing.T) {
 			}
 			// The second sight decides the same from the memo, lifting nothing.
 			before := c.Plans.Stats().Lifts
-			if again, lifted, _ := c.regionWidth(tc.stages, regionKey(tc.stages), tc.asked, in); again != wp || lifted != nil || c.Plans.Stats().Lifts != before {
+			if again, lifted, _, _ := c.regionWidth(tc.stages, regionKey(tc.stages), tc.asked, nil, in); again != wp || lifted != nil || c.Plans.Stats().Lifts != before {
 				t.Errorf("second decision %v (lifted again: %v), want %v from the memo", again, lifted != nil, wp)
 			}
 			// The exact preset is the width it was asked for, whatever the input.
 			exact := NewCompiler(DefaultOptions(tc.asked))
-			if wp, lifted, _ := exact.regionWidth(tc.stages, regionKey(tc.stages), tc.asked, in); wp != (dfg.WidthPlan{Asked: tc.asked, Planned: tc.asked}) || lifted != nil {
+			if wp, lifted, _, _ := exact.regionWidth(tc.stages, regionKey(tc.stages), tc.asked, nil, in); wp != (dfg.WidthPlan{Asked: tc.asked, Planned: tc.asked}) || lifted != nil {
 				t.Errorf("exact preset planned %v, want the asked width untouched", wp)
 			}
 		})
@@ -157,7 +157,7 @@ func TestRegionWidthRule(t *testing.T) {
 		stages := []Stage{{Name: "seq", Args: []string{"1", "200"}}, {Name: "wc", Args: []string{"-l"}}}
 		rk := regionKey(stages)
 		decide := func() dfg.WidthPlan {
-			wp, _, err := c.regionWidth(stages, rk, 8, RegionInput{})
+			wp, _, _, err := c.regionWidth(stages, rk, 8, nil, RegionInput{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -186,10 +186,11 @@ func TestRegionWidthRule(t *testing.T) {
 		in := RegionInput{FS: commands.OSFS{Dir: dir}}
 		// The job's replica cap binds a large input; a small one is still
 		// narrowed by its size.
-		if wp, _, _ := c.regionWidth(cutGrep("64m.txt"), "big", 2, in); wp != (dfg.WidthPlan{Asked: 8, Planned: 2, Reason: dfg.WidthBudget}) {
+		capped := runtime.NewBudget(runtime.JobLimits{MaxProcs: 2})
+		if wp, _, _, _ := c.regionWidth(cutGrep("64m.txt"), "big", 8, capped, in); wp != (dfg.WidthPlan{Asked: 8, Planned: 2, Reason: dfg.WidthBudget}) {
 			t.Errorf("64 MB under a cap of 2: %v", wp)
 		}
-		if wp, _, _ := c.regionWidth(cutGrep("4k.txt"), "small", 2, in); wp.Planned != 1 || wp.Reason != dfg.WidthInput {
+		if wp, _, _, _ := c.regionWidth(cutGrep("4k.txt"), "small", 8, capped, in); wp.Planned != 1 || wp.Reason != dfg.WidthInput {
 			t.Errorf("4 KB under a cap of 2: %v", wp)
 		}
 	})
@@ -213,7 +214,7 @@ func TestPlanHitDoesNotLiftAgain(t *testing.T) {
 	// The decision follows the file: once it outgrows the break-even the
 	// same region is planned wide, from the same memo.
 	sparseFile(t, filepath.Join(in.dir, "s.txt"), 4<<20)
-	wp, lifted, err := in.c.regionWidth(smallRegionStages, regionKey(smallRegionStages), 2, RegionInput{FS: commands.OSFS{Dir: in.dir}})
+	wp, lifted, _, err := in.c.regionWidth(smallRegionStages, regionKey(smallRegionStages), 2, nil, RegionInput{FS: commands.OSFS{Dir: in.dir}})
 	if err != nil || lifted != nil || wp != (dfg.WidthPlan{Asked: 2, Planned: 2, Reason: dfg.WidthInput, Measure: 4 << 20}) {
 		t.Errorf("after the file grew: %v (lifted %v, err %v)", wp, lifted != nil, err)
 	}
@@ -293,8 +294,8 @@ func TestHistoryKeepsLearningPastItsBound(t *testing.T) {
 	pc.noteRun(name(0), time.Millisecond) // region 0 is in use again
 	pc.noteRun(name(maxTrackedRegions), 50*time.Microsecond)
 	pc.memoInputs(name(maxTrackedRegions+1), &regionInputs{})
-	if w := pc.widthHint(name(maxTrackedRegions), 8); w != 1 {
-		t.Errorf("region %d has no history: hint %d, want 1", maxTrackedRegions+1, w)
+	if st := pc.region(name(maxTrackedRegions)); st.runs != 1 || st.ewmaWall != 50*time.Microsecond {
+		t.Errorf("region %d past the bound has no history: %d runs, %v", maxTrackedRegions, st.runs, st.ewmaWall)
 	}
 	if pc.region(name(maxTrackedRegions+1)).inputs == nil {
 		t.Error("a memo past the bound was refused")

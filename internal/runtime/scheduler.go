@@ -34,6 +34,8 @@ import (
 //     region that wants width 8 on a busy machine degrades toward
 //     sequential rather than queueing, which keeps pipelines of
 //     concurrently-executing stages deadlock-free by construction.
+//     A grant lives as long as one region: a stream takes one per
+//     window, so between windows it holds none.
 type Scheduler struct {
 	tokens chan struct{} // extra-replica width tokens
 
@@ -66,10 +68,6 @@ type Scheduler struct {
 	tokensOut  atomic.Int64 // width tokens currently held
 	widthAsks  atomic.Int64 // AcquireWidth calls
 	widthTrims atomic.Int64 // AcquireWidth calls granted less than asked
-
-	leases        atomic.Int64 // WidthLeases currently outstanding
-	leaseDegrades atomic.Int64 // leases that shed extras under queue pressure
-	leaseRestores atomic.Int64 // leases that regrew after pressure cleared
 }
 
 // admitWaiter is one blocked admission. granted is set under amu before
@@ -380,118 +378,6 @@ grab:
 	return 1 + extra, release
 }
 
-// WidthLease is a reassessable width grant for long-running jobs. A
-// plain AcquireWidth holds its extra tokens until release — fine for a
-// region that runs milliseconds, but a streaming job's "region" runs
-// forever, and tokens it took at admission time would starve every
-// later script down to sequential width for the job's whole lifetime.
-// A lease makes the grant revocable at the holder's own safe points:
-// the streaming runner calls Reassess at each window boundary, and the
-// lease sheds its extra tokens whenever the admission queue is
-// non-empty (scripts are waiting — the machine is oversubscribed),
-// regrowing toward the requested width once the pressure clears.
-type WidthLease struct {
-	s    *Scheduler
-	want int
-
-	mu    sync.Mutex
-	extra int
-	done  bool
-}
-
-// LeaseWidth grants an effective width like AcquireWidth (1 plus up to
-// want-1 extra tokens, never blocking) but returns a revocable lease.
-// Call Reassess at safe points to keep the grant honest under load, and
-// Release when the job ends.
-func (s *Scheduler) LeaseWidth(want int) *WidthLease {
-	s.widthAsks.Add(1)
-	if want < 1 {
-		want = 1
-	}
-	l := &WidthLease{s: s, want: want}
-	l.grow()
-	if 1+l.extra < want {
-		s.widthTrims.Add(1)
-	}
-	s.leases.Add(1)
-	return l
-}
-
-// grow takes tokens non-blockingly up to the lease's ask. Callers hold
-// l.mu (or exclusively own a just-constructed lease).
-func (l *WidthLease) grow() {
-	for l.extra < l.want-1 {
-		select {
-		case <-l.s.tokens:
-			l.extra++
-			l.s.tokensOut.Add(1)
-		default:
-			return
-		}
-	}
-}
-
-// shed returns every extra token to the pool. Callers hold l.mu.
-func (l *WidthLease) shed() {
-	if l.extra == 0 {
-		return
-	}
-	l.s.tokensOut.Add(int64(-l.extra))
-	for i := 0; i < l.extra; i++ {
-		l.s.tokens <- struct{}{}
-	}
-	l.extra = 0
-}
-
-// Reassess re-evaluates the grant against current load and returns the
-// effective width to use from here on: when admissions are queued the
-// lease degrades to sequential (its extras go back to the pool, where
-// the queued scripts' regions can take them), and when the queue is
-// empty it regrows toward the original ask from whatever tokens are
-// free. Safe to call from the owning job at any frequency.
-func (l *WidthLease) Reassess() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.done {
-		return 1
-	}
-	if l.s.queued.Load() > 0 {
-		if l.extra > 0 {
-			l.shed()
-			l.s.leaseDegrades.Add(1)
-		}
-	} else if l.extra < l.want-1 {
-		before := l.extra
-		l.grow()
-		if l.extra > before {
-			l.s.leaseRestores.Add(1)
-		}
-	}
-	return 1 + l.extra
-}
-
-// Width reports the current grant without reassessing it.
-func (l *WidthLease) Width() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.done {
-		return 1
-	}
-	return 1 + l.extra
-}
-
-// Release returns the lease's tokens for good. Idempotent.
-func (l *WidthLease) Release() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.done {
-		return
-	}
-	l.done = true
-	l.shed()
-	l.s.leases.Add(-1)
-}
-
 // SchedulerStats is a point-in-time snapshot for metrics export.
 type SchedulerStats struct {
 	ScriptSlots   int           `json:"script_slots"`
@@ -512,11 +398,6 @@ type SchedulerStats struct {
 	TokensInUse int64         `json:"tokens_in_use"`
 	WidthAsks   int64         `json:"width_asks"`
 	WidthTrims  int64         `json:"width_trims"`
-	// ActiveLeases counts outstanding long-running width leases;
-	// LeaseDegrades/LeaseRestores count their shed/regrow transitions.
-	ActiveLeases  int64 `json:"active_leases,omitempty"`
-	LeaseDegrades int64 `json:"lease_degrades,omitempty"`
-	LeaseRestores int64 `json:"lease_restores,omitempty"`
 }
 
 // Stats snapshots the scheduler's counters.
@@ -537,8 +418,5 @@ func (s *Scheduler) Stats() SchedulerStats {
 		TokensInUse:   s.tokensOut.Load(),
 		WidthAsks:     s.widthAsks.Load(),
 		WidthTrims:    s.widthTrims.Load(),
-		ActiveLeases:  s.leases.Load(),
-		LeaseDegrades: s.leaseDegrades.Load(),
-		LeaseRestores: s.leaseRestores.Load(),
 	}
 }

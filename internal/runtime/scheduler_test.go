@@ -93,9 +93,11 @@ func TestSchedulerAdmissionBlocksAndReleases(t *testing.T) {
 	// Third admission blocks until a slot frees.
 	entered := make(chan struct{})
 	go func() {
+		// Released before entered closes, so the counters read below
+		// never see this script still active.
 		rel3, err := s.Admit(context.Background())
 		if err == nil {
-			defer rel3()
+			rel3()
 		}
 		close(entered)
 	}()
@@ -263,78 +265,6 @@ func TestSchedulerCancelledWhileQueuedReturnsSlot(t *testing.T) {
 			t.Fatalf("round %d: slot leaked after queued cancel: %v", round, err)
 		}
 		got()
-	}
-}
-
-func TestWidthLeaseDegradesUnderQueueAndRestores(t *testing.T) {
-	s := NewScheduler(4)
-	s.SetMaxScripts(1)
-
-	// The streaming job holds the only script slot and leases full width.
-	release, err := s.Admit(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	lease := s.LeaseWidth(4)
-	if w := lease.Width(); w != 4 {
-		t.Fatalf("uncontended lease width = %d, want 4", w)
-	}
-	if st := s.Stats(); st.ActiveLeases != 1 {
-		t.Fatalf("active leases = %d, want 1", st.ActiveLeases)
-	}
-
-	// A second script queues behind the held slot; the next reassessment
-	// must shed the lease's extras down to sequential.
-	admitted := make(chan func(), 1)
-	go func() {
-		rel, err := s.Admit(context.Background())
-		if err != nil {
-			t.Error(err)
-			rel = func() {}
-		}
-		admitted <- rel
-	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Stats().QueueDepth == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("second admission never queued")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if w := lease.Reassess(); w != 1 {
-		t.Fatalf("reassess under queue = %d, want 1", w)
-	}
-	st := s.Stats()
-	if st.LeaseDegrades == 0 {
-		t.Errorf("no degrade counted: %+v", st)
-	}
-	// The shed tokens are free for the queued script's regions.
-	if w, rel := s.AcquireWidth(4); w != 4 {
-		t.Errorf("shed tokens not returned: acquire = %d, want 4", w)
-	} else {
-		rel()
-	}
-
-	// Queue drains: the lease regrows toward its ask.
-	release()
-	rel2 := <-admitted
-	rel2()
-	if w := lease.Reassess(); w != 4 {
-		t.Fatalf("reassess after drain = %d, want 4", w)
-	}
-	if st := s.Stats(); st.LeaseRestores == 0 {
-		t.Errorf("no restore counted: %+v", st)
-	}
-
-	// Release is idempotent and returns every token.
-	lease.Release()
-	lease.Release()
-	st = s.Stats()
-	if st.TokensInUse != 0 || st.ActiveLeases != 0 {
-		t.Errorf("lease leaked tokens: %+v", st)
-	}
-	if w := lease.Reassess(); w != 1 {
-		t.Errorf("reassess after release = %d, want 1", w)
 	}
 }
 

@@ -19,7 +19,7 @@ package serve
 //	window-bytes=N    window size trigger (deterministic boundaries)
 //	checkpoint=PATH   checkpoint file (enables failover)
 //	resume=1          resume from the checkpoint at PATH
-//	width/split/fusion as /run
+//	width=N           as /run: each window's ceiling
 //
 // The response streams each window's emission as it is produced
 // (delta output, or the running cumulative value per window) and
@@ -159,8 +159,8 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	// Admission mirrors /run: tenant quota/rate gates, then scheduler
 	// admission under the tenant's key, all decided before the response
 	// commits. The job holds the slot for its whole (unbounded) life,
-	// but its width tokens are a revocable lease — Reassess at each
-	// window boundary sheds extra width while later admissions queue.
+	// but width tokens only while a window runs: each window is a region
+	// with its own grant.
 	tenant, trow, admitRelease, ok := s.admitFrontDoor(w, r)
 	if !ok {
 		return

@@ -33,7 +33,8 @@ func plannedTestServer(t *testing.T, dir string, width int) (*Server, *httptest.
 // a generator, a pipeline over a 64 KB server-side file, a 256 KB body
 // with a Content-Length — are under break-even and run at width 1; a 2 MB
 // body gets the ceiling; a chunked body declares no size and is assumed
-// large. Asserted on the decisions and the bytes, never on a clock.
+// large. A /stream window is sized by its own bytes like any body.
+// Asserted on the decisions and the bytes, never on a clock.
 func TestPlannedWidthPerRequest(t *testing.T) {
 	dir := t.TempDir()
 	var text strings.Builder
@@ -119,5 +120,70 @@ func TestPlannedWidthPerRequest(t *testing.T) {
 	}
 	if tally := srv.Snapshot().PlanCache.Widths; tally.N != counts {
 		t.Errorf("second runs: regions by reason %v, want %v", tally.N, counts)
+	}
+
+	// A stream window is a region whose input is its own bytes: each full
+	// 1 MiB window of a 2.5 MiB stream plans 2 of the 8 it asks for, and
+	// the short final one plans 1. The body is fed one window at a time,
+	// and each decision is read once that window's emission is back.
+	const winBytes = 1 << 20
+	var stream strings.Builder
+	for i := 0; stream.Len() < 5<<19; i++ {
+		fmt.Fprintf(&stream, "w%d Water under the %d bridge\n", i%97, i)
+	}
+	var wins []string
+	for rest := stream.String(); rest != ""; {
+		end := len(rest)
+		if end >= winBytes {
+			end = winBytes + strings.IndexByte(rest[winBytes-1:], '\n')
+		}
+		wins = append(wins, rest[:end])
+		rest = rest[end:]
+	}
+	streamURL := "/stream?script=" + queryEscape("tr A-Z a-z") + fmt.Sprintf("&window-bytes=%d&window=1h", winBytes)
+	pr, pw := io.Pipe()
+	defer pw.Close()
+	resp, err := http.Post(ts.URL+streamURL+"&width=8", "application/octet-stream", pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var got strings.Builder
+	for k, win := range wins {
+		if _, err := io.WriteString(pw, win); err != nil {
+			t.Fatal(err)
+		}
+		if k == len(wins)-1 {
+			pw.Close() // the final window is cut at the end of the stream
+		}
+		emission := make([]byte, len(win))
+		if _, err := io.ReadFull(resp.Body, emission); err != nil {
+			t.Fatalf("window %d: emission short: %v", k, err)
+		}
+		got.Write(emission)
+		want := dfg.WidthPlan{Asked: 8, Planned: 2, Reason: dfg.WidthInput, Measure: int64(len(win))}
+		if k == len(wins)-1 {
+			want.Planned = 1
+		}
+		counts[dfg.WidthInput]++
+		tally := srv.Snapshot().PlanCache.Widths
+		if tally.N != counts || tally.Last[dfg.WidthInput] != want {
+			t.Errorf("window %d of %d: planned %v, regions by reason %v; want %v, %v", k+1, len(wins), tally.Last[dfg.WidthInput], tally.N, want, counts)
+		}
+	}
+	if rest, err := io.ReadAll(resp.Body); err != nil || len(rest) != 0 || resp.Trailer.Get("X-Pash-Exit-Code") != "0" {
+		t.Fatalf("stream end: %d more bytes, read error %v, exit %q, error %q", len(rest), err,
+			resp.Trailer.Get("X-Pash-Exit-Code"), resp.Trailer.Get("X-Pash-Error"))
+	}
+	if len(wins) != 3 {
+		t.Errorf("%d windows, want two full ones and a short one", len(wins))
+	}
+	refResp, err := http.Post(ref.URL+streamURL, "application/octet-stream", strings.NewReader(stream.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer refResp.Body.Close()
+	if want, err := io.ReadAll(refResp.Body); err != nil || got.String() != string(want) {
+		t.Errorf("stream emissions differ from the width-1 daemon's (%d vs %d bytes, read error %v)", got.Len(), len(want), err)
 	}
 }

@@ -16,8 +16,9 @@ import (
 // folds cumulative partials. core.StreamPlan is the implementation;
 // the interface keeps this package free of compiler imports.
 type Executor interface {
-	// RunWindow executes the pipeline over one window payload at the
-	// given effective width, writing the window's raw result to out.
+	// RunWindow executes the pipeline over one window payload, width
+	// being the window's ask (the planner decides and the scheduler
+	// grants what it runs at), writing the window's raw result to out.
 	RunWindow(ctx context.Context, win io.Reader, out, errw io.Writer, width int) (int, error)
 	// Combine folds a window partial into carried state, returning the
 	// next state. A nil state means the first window.
@@ -57,10 +58,9 @@ type Config struct {
 	// have positioned Source at Resume.SourceOffset.
 	Resume *Checkpoint
 
-	// Width, when set, is consulted at every window boundary for the
-	// effective parallelism (the scheduler lease's Reassess hook).
-	// Nil runs every window at width 1.
-	Width func() int
+	// Width is the width every window asks for; how wide each one runs
+	// is decided per window from its bytes. Below 1 asks for 1.
+	Width int
 
 	// Out receives emissions; Errw receives stage stderr (both
 	// required; Errw may be io.Discard).
@@ -85,7 +85,6 @@ type Stats struct {
 	BufferedBytes    int64   `json:"buffered_bytes,omitempty"`
 	Rotations        int64   `json:"rotations,omitempty"`
 	Emit             string  `json:"emit"`
-	Width            int     `json:"width"`
 	Resumed          bool    `json:"resumed,omitempty"`
 }
 
@@ -100,7 +99,6 @@ type Runner struct {
 	bytesIn  atomic.Int64
 	lagMs    atomic.Int64
 	rateBits atomic.Uint64 // math.Float64bits of the rows/sec EWMA
-	width    atomic.Int64
 
 	ckptSeq   atomic.Int64
 	ckptTime  atomic.Int64 // unix nanos of last save
@@ -128,7 +126,6 @@ func NewRunner(cfg Config) (*Runner, error) {
 	// The windower (and its source-reader goroutine) starts here so
 	// that Stats never races Run's startup; Run must follow promptly.
 	r.w = newWindower(cfg.Source, cfg.Interval, cfg.MaxBytes, cfg.MaxBuffer, cfg.Source.Offset())
-	r.width.Store(1)
 	if cfg.Resume != nil {
 		r.resumed = true
 		r.windows.Store(cfg.Resume.Windows)
@@ -158,17 +155,9 @@ func (r *Runner) Run(ctx context.Context) error {
 		win, final, err := r.w.Next(ctx)
 		if len(win) > 0 {
 			t0 := time.Now()
-			width := 1
-			if cfg.Width != nil {
-				if width = cfg.Width(); width < 1 {
-					width = 1
-				}
-			}
-			r.width.Store(int64(width))
-
 			if cfg.Cumulative {
 				var partial bytes.Buffer
-				if _, werr := cfg.Exec.RunWindow(ctx, bytes.NewReader(win), &partial, cfg.Errw, width); werr != nil {
+				if _, werr := cfg.Exec.RunWindow(ctx, bytes.NewReader(win), &partial, cfg.Errw, cfg.Width); werr != nil {
 					return werr
 				}
 				state, err = cfg.Exec.Combine(state, partial.Bytes())
@@ -179,7 +168,7 @@ func (r *Runner) Run(ctx context.Context) error {
 					return fmt.Errorf("stream: emit: %w", werr)
 				}
 			} else {
-				if _, werr := cfg.Exec.RunWindow(ctx, bytes.NewReader(win), cfg.Out, cfg.Errw, width); werr != nil {
+				if _, werr := cfg.Exec.RunWindow(ctx, bytes.NewReader(win), cfg.Out, cfg.Errw, cfg.Width); werr != nil {
 					return werr
 				}
 			}
@@ -301,7 +290,6 @@ func (r *Runner) Stats() Stats {
 		Bytes:       r.bytesIn.Load(),
 		RowsPerSec:  math.Float64frombits(r.rateBits.Load()),
 		WindowLagMs: r.lagMs.Load(),
-		Width:       int(r.width.Load()),
 		Resumed:     r.resumed,
 		Emit:        "delta",
 	}

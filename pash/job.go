@@ -353,19 +353,12 @@ func (j *Job) Stats() JobStats {
 		st.WallSeconds = time.Since(j.started).Seconds()
 		// Live counters: a running batch job reports its interpreter's
 		// current regions and bytes/chunks moved; a running streaming
-		// job reports the plan-cache and traffic meters directly.
+		// job reports its stream plan's and traffic meter's.
 		switch {
 		case j.live != nil:
 			st.Interp = j.live.StatsSnapshot()
 		case j.runner != nil:
-			st.Interp.Regions = int(j.runner.Stats().Windows)
-			if j.splan != nil {
-				h, m := j.splan.PlanHits()
-				st.Interp.PlanHits, st.Interp.PlanMisses = int(h), int(m)
-			}
-			if j.straffic != nil {
-				st.Interp.BytesMoved, st.Interp.ChunksMoved = j.straffic.Moved()
-			}
+			st.Interp = streamStats(j.splan, j.straffic)
 		}
 	}
 	if j.runner != nil {

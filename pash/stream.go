@@ -163,18 +163,6 @@ func (j *Job) runStream(ctx context.Context, c *core.Compiler, dir string, vars 
 		stderr = io.Discard
 	}
 
-	// Width: a streaming job holds its parallelism as a revocable lease
-	// so an endless job cannot starve later admissions — at every
-	// window boundary Reassess sheds the extra width tokens while the
-	// admission queue is non-empty and regrows once it drains.
-	want := j.budget.CapWidth(c.Opts.Width)
-	widthFn := func() int { return want }
-	if c.Sched != nil && want > 1 {
-		lease := c.Sched.LeaseWidth(want)
-		defer lease.Release()
-		widthFn = lease.Reassess
-	}
-
 	r, err := stream.NewRunner(stream.Config{
 		Source:          src,
 		Exec:            plan,
@@ -185,7 +173,7 @@ func (j *Job) runStream(ctx context.Context, c *core.Compiler, dir string, vars 
 		CheckpointPath:  sc.CheckpointPath,
 		CheckpointEvery: sc.CheckpointEvery,
 		Resume:          cp,
-		Width:           widthFn,
+		Width:           c.Opts.Width,
 		Out:             stdout,
 		Errw:            stderr,
 	})
@@ -214,26 +202,14 @@ func (j *Job) runStream(ctx context.Context, c *core.Compiler, dir string, vars 
 	if be := j.budget.Exceeded(); be != nil {
 		code, err = ExitBudgetExceeded, be
 	}
-	j.finish(code, err, j.streamInterpStats())
+	j.finish(code, err, streamStats(plan, tr))
 }
 
-// streamInterpStats shapes the streaming job's data-plane counters into
-// the InterpStats slot of JobStats: regions = windows executed, plan
-// hits/misses from the stream plan, live traffic from the meter.
-func (j *Job) streamInterpStats() core.InterpStats {
-	j.mu.Lock()
-	r, plan, tr := j.runner, j.splan, j.straffic
-	j.mu.Unlock()
-	var st core.InterpStats
-	if r != nil {
-		st.Regions = int(r.Stats().Windows)
-	}
-	if plan != nil {
-		h, m := plan.PlanHits()
-		st.PlanHits, st.PlanMisses = int(h), int(m)
-	}
-	if tr != nil {
-		st.BytesMoved, st.ChunksMoved = tr.Moved()
-	}
+// streamStats shapes a streaming job's counters into the InterpStats slot
+// of JobStats: the windows it ran, counted by the stream plan as regions
+// (nodes, plan verdicts, width decisions), and live traffic from the meter.
+func streamStats(plan *core.StreamPlan, tr *runtime.Traffic) core.InterpStats {
+	st := plan.Stats()
+	st.BytesMoved, st.ChunksMoved = tr.Moved()
 	return st
 }

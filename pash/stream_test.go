@@ -12,6 +12,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/dfg"
 )
 
 // chunkReader yields data in random-sized chunks, simulating a bursty
@@ -416,6 +418,62 @@ func TestStreamBackpressure(t *testing.T) {
 	}
 	if st := j.Stats(); st.Stream == nil || st.Stream.Pauses == 0 {
 		t.Errorf("expected backpressure pauses, got %+v", j.Stats().Stream)
+	}
+}
+
+// TestStreamHoldsNoWidthBetweenWindows: a window is granted its width
+// tokens for as long as it runs, like any region, so a stream parked
+// between windows holds none, and a batch region asking then is granted
+// its full width. Asserted on the scheduler's counters and the bytes,
+// never on a clock.
+func TestStreamHoldsNoWidthBetweenWindows(t *testing.T) {
+	sched := NewScheduler(4)
+	s := NewSession(DefaultOptions(4))
+	s.UseScheduler(sched)
+	pr, pw := io.Pipe()
+	defer pw.Close()
+	rec := &emitRecorder{}
+	j, err := s.Start(context.Background(), "tr a-z A-Z", JobIO{Stdout: rec},
+		WithStreamInput(StreamConfig{Reader: pr, Interval: time.Hour, WindowBytes: 64}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	window := strings.Repeat("ab cd ef\n", 8) // 72 bytes: one size-triggered window
+	if _, err := io.WriteString(pw, window); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 10*time.Second, func() bool {
+		st := j.Stats()
+		return st.Stream != nil && st.Stream.Windows == 1
+	})
+
+	// The source is parked in Read: the job is between windows.
+	st := sched.Stats()
+	if st.TokensInUse != 0 {
+		t.Errorf("between windows the stream holds %d width tokens, want 0", st.TokensInUse)
+	}
+	if st.WidthAsks != 1 || st.WidthTrims != 0 {
+		t.Errorf("the window asked %d times, trimmed %d; want one grant in full", st.WidthAsks, st.WidthTrims)
+	}
+	if w, release := sched.AcquireWidth(4); w != 4 {
+		t.Errorf("a batch region asking for 4 between windows is granted %d", w)
+	} else {
+		release()
+	}
+	want := dfg.WidthPlan{Asked: 4, Planned: 4}
+	if js := j.Stats().Interp; js.Regions != 1 || js.Widths.N[dfg.WidthAsked] != 1 || js.Widths.Last[dfg.WidthAsked] != want {
+		t.Errorf("job counted %d regions, widths %v; want one window at %v", js.Regions, js.Widths, want)
+	}
+
+	pw.Close()
+	if code, err := j.Wait(); err != nil || code != 0 {
+		t.Fatalf("stream: code=%d err=%v", code, err)
+	}
+	if got := strings.Join(rec.snapshot(), ""); got != strings.ToUpper(window) {
+		t.Errorf("emitted %q, want %q", got, strings.ToUpper(window))
+	}
+	if st := sched.Stats(); st.TokensInUse != 0 {
+		t.Errorf("the finished stream left %d width tokens taken", st.TokensInUse)
 	}
 }
 
