@@ -25,6 +25,7 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/annot"
 	"repro/internal/baseline"
@@ -32,6 +33,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dfg"
 	"repro/internal/runtime"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -116,42 +118,18 @@ func fig7Bench(b *testing.B, name string, opts func(int) core.Options) {
 }
 
 // BenchmarkFig7OneLiners covers the Fig. 7 grid: every Tab. 2 script
-// under the "Par + Split" configuration (sub-benchmarks), plus the
-// ablation configurations on the sort script.
+// under the "Par + Split" preset (sub-benchmarks), plus the ablation
+// presets on the sort script. (The split strategies themselves are
+// compared by internal/runtime's BenchmarkSplitStrategies.)
 func BenchmarkFig7OneLiners(b *testing.B) {
 	for _, bench := range benchscripts.OneLiners() {
-		bench := bench
 		b.Run(bench.Name, func(b *testing.B) {
-			fig7Bench(b, bench.Name, func(w int) core.Options {
-				return core.Options{Width: w, Split: true, Eager: dfg.EagerFull}
-			})
+			fig7Bench(b, bench.Name, core.DefaultOptions)
 		})
 	}
-	for _, cfg := range []struct {
-		name  string
-		bench string
-		eager dfg.EagerMode
-		split bool
-		mode  dfg.SplitMode
-	}{
-		{"sort-no-eager", "sort", dfg.EagerNone, false, dfg.SplitAuto},
-		{"sort-blocking-eager", "sort", dfg.EagerBlocking, false, dfg.SplitAuto},
-		{"sort-parallel", "sort", dfg.EagerFull, false, dfg.SplitAuto},
-		// Split-strategy ablation (before/after the chunked streaming
-		// runtime): the barrier split is the pre-chunk design, the
-		// round-robin split the streaming default.
-		{"grep-general-split", "grep", dfg.EagerFull, true, dfg.SplitGeneral},
-		{"grep-rr-split", "grep", dfg.EagerFull, true, dfg.SplitRoundRobin},
-	} {
-		cfg := cfg
-		b.Run(cfg.name, func(b *testing.B) {
-			fig7Bench(b, cfg.bench, func(w int) core.Options {
-				opts := core.Options{Width: w, Split: cfg.split, Eager: cfg.eager, SplitMode: cfg.mode}
-				if cfg.eager == dfg.EagerBlocking {
-					opts.BlockingEagerBytes = 1 << 20
-				}
-				return opts
-			})
+	for _, p := range []core.Preset{core.NoEager, core.BlockingEager, core.Parallel} {
+		b.Run("sort-"+p.String(), func(b *testing.B) {
+			fig7Bench(b, "sort", func(w int) core.Options { return core.Options{Width: w, Preset: p} })
 		})
 	}
 }
@@ -241,11 +219,11 @@ func BenchmarkMicroSort(b *testing.B) {
 	var eager, noEager float64
 	for i := 0; i < b.N; i++ {
 		var err error
-		eager, _, _, err = benchscripts.Speedup(p, core.Options{Width: 16, Split: true, Eager: dfg.EagerFull})
+		eager, _, _, err = benchscripts.Speedup(p, core.DefaultOptions(16))
 		if err != nil {
 			b.Fatal(err)
 		}
-		noEager, _, _, err = benchscripts.Speedup(p, core.Options{Width: 16, Split: true, Eager: dfg.EagerNone})
+		noEager, _, _, err = benchscripts.Speedup(p, core.Options{Width: 16, Preset: core.SplitNoEager})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -254,12 +232,13 @@ func BenchmarkMicroSort(b *testing.B) {
 	b.ReportMetric(noEager, "speedup-noeager@16x")
 }
 
-// BenchmarkAggTree sweeps width for a sort pipeline comparing the flat
-// n-ary aggregate (AggFanIn: -1) against fan-in-4 aggregation trees
-// (the automatic default at width >= 8), reporting projected speedups
-// on the simulated 64-core machine. The flat merge is a single
-// sequential node whose work grows with width; the tree's leaves merge
-// in parallel, so tree > flat from width 16 on.
+// BenchmarkAggTree sweeps width for a sort comparing the flat n-ary
+// aggregate (AggFanIn: -1) against fan-in-4 aggregation trees (the
+// automatic default at width >= 8), reporting projected speedups on the
+// simulated 64-core machine. The flat merge is a single sequential node
+// whose work grows with width; the tree's leaves merge in parallel, so
+// tree > flat from width 16 on. No preset forces the flat aggregate at
+// these widths, so the graphs are planned with dfg.Apply directly.
 func BenchmarkAggTree(b *testing.B) {
 	dir, err := os.MkdirTemp("", "pashaggtree-*")
 	if err != nil {
@@ -269,29 +248,26 @@ func BenchmarkAggTree(b *testing.B) {
 	if err := workload.TextFile(dir+"/in.txt", 60000**benchScale, 7); err != nil {
 		b.Fatal(err)
 	}
-	p := &benchscripts.Prepared{
-		Bench:  benchscripts.Bench{Name: "agg-tree"},
-		Dir:    dir,
-		Script: "cat in.txt | sort",
+	c := core.NewCompiler(core.DefaultOptions(1))
+	project := func(width, fanIn int) time.Duration {
+		g, err := c.CompilePipeline([]core.Stage{{Name: "cat", Args: []string{"in.txt"}}, {Name: "sort"}}, core.RegionIO{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		dfg.Apply(g, dfg.Options{Width: width, Split: true, Eager: true, AggFanIn: fanIn})
+		res, err := runtime.Profile(context.Background(), g, c.Cmds, runtime.StdIO{}, runtime.Config{Dir: dir})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return sim.Makespan(g, res.NodeTimes, sim.Config{Cores: benchscripts.SimCores, PerNodeOverhead: 200 * time.Microsecond})
 	}
 	widths := []int{8, 16, 32}
 	speedups := map[string]float64{}
 	for i := 0; i < b.N; i++ {
+		seq := float64(project(1, 0))
 		for _, w := range widths {
-			flat, _, _, err := benchscripts.Speedup(p, core.Options{
-				Width: w, Split: true, Eager: dfg.EagerFull, AggFanIn: -1,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			tree, _, _, err := benchscripts.Speedup(p, core.Options{
-				Width: w, Split: true, Eager: dfg.EagerFull,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			speedups[fmt.Sprintf("flat@%dx", w)] = flat
-			speedups[fmt.Sprintf("tree@%dx", w)] = tree
+			speedups[fmt.Sprintf("flat@%dx", w)] = seq / float64(project(w, -1))
+			speedups[fmt.Sprintf("tree@%dx", w)] = seq / float64(project(w, 0))
 		}
 	}
 	for _, w := range widths {

@@ -31,7 +31,6 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/benchscripts"
 	"repro/internal/core"
-	"repro/internal/dfg"
 	"repro/internal/workload"
 	"repro/pash"
 )
@@ -143,12 +142,11 @@ func runTable2(scale int) {
 		"Script", "Structure", "Input", "Seq. time", "N(16)", "N(64)", "Compile(16)", "Compile(64)")
 	for _, b := range benchscripts.OneLiners() {
 		dir := tmpdir()
-		defer os.RemoveAll(dir)
 		p, err := benchscripts.Prepare(b, dir, scale)
 		if err != nil {
 			die(err)
 		}
-		seq, err := p.Execute(core.Options{Width: 1})
+		seq, err := p.Execute(core.Options{Width: 1, Preset: core.NoEager})
 		if err != nil {
 			die(err)
 		}
@@ -165,6 +163,7 @@ func runTable2(scale int) {
 			n16, n64, c16.Round(1e4), c64.Round(1e4))
 		record(benchRecord{Bench: b.Name, Config: "table2",
 			SeqMs: float64(seq.Duration) / 1e6, Nodes: n16})
+		os.RemoveAll(dir)
 	}
 }
 
@@ -188,26 +187,7 @@ func inputSize(dir string) string {
 }
 
 // fig7Configs are the five lines of Fig. 7.
-var fig7Configs = []struct {
-	name string
-	opts func(width int) core.Options
-}{
-	{"par+split", func(w int) core.Options {
-		return core.Options{Width: w, Split: true, Eager: dfg.EagerFull}
-	}},
-	{"par+bsplit", func(w int) core.Options {
-		return core.Options{Width: w, Split: true, Eager: dfg.EagerFull, InputAwareSplit: true}
-	}},
-	{"parallel", func(w int) core.Options {
-		return core.Options{Width: w, Split: false, Eager: dfg.EagerFull}
-	}},
-	{"blocking-eager", func(w int) core.Options {
-		return core.Options{Width: w, Split: false, Eager: dfg.EagerBlocking, BlockingEagerBytes: 1 << 20}
-	}},
-	{"no-eager", func(w int) core.Options {
-		return core.Options{Width: w, Split: false, Eager: dfg.EagerNone}
-	}},
-}
+var fig7Configs = []core.Preset{core.ParSplit, core.ParBSplit, core.Parallel, core.BlockingEager, core.NoEager}
 
 // runFig7 prints speedups per (script, config, width) — the data behind
 // Fig. 7's curves.
@@ -228,15 +208,15 @@ func runFig7(scale int, widths []int, only string) {
 			die(err)
 		}
 		for _, cfg := range fig7Configs {
-			fmt.Printf("%-18s %-15s", b.Name, cfg.name)
+			fmt.Printf("%-18s %-15s", b.Name, cfg)
 			for _, w := range widths {
-				sp, _, _, err := benchscripts.Speedup(p, cfg.opts(w))
+				sp, _, _, err := benchscripts.Speedup(p, core.Options{Width: w, Preset: cfg})
 				if err != nil {
 					die(err)
 				}
 				fmt.Printf(" %6.2f ", sp)
-				record(benchRecord{Bench: b.Name, Config: cfg.name, Width: w, Speedup: sp})
-				if cfg.name == "par+split" {
+				record(benchRecord{Bench: b.Name, Config: cfg.String(), Width: w, Speedup: sp})
+				if cfg == core.ParSplit {
 					avg[w] = append(avg[w], sp)
 				}
 			}
@@ -310,7 +290,7 @@ func runUseCase(b benchscripts.Bench, scale int, widths []int) {
 	if err != nil {
 		die(err)
 	}
-	seq, err := p.Execute(core.Options{Width: 1, MeasureMode: true})
+	seq, err := p.Execute(core.Options{Width: 1, Preset: core.NoEager, MeasureMode: true})
 	if err != nil {
 		die(err)
 	}
@@ -349,19 +329,15 @@ func runSortMicro(scale int) {
 	}
 	fmt.Println()
 	for _, cfg := range []struct {
-		name string
-		opts func(w int) core.Options
+		name   string
+		preset core.Preset
 	}{
-		{"pash (eager)", func(w int) core.Options {
-			return core.Options{Width: w, Split: true, Eager: dfg.EagerFull}
-		}},
-		{"pash (no eager)", func(w int) core.Options {
-			return core.Options{Width: w, Split: true, Eager: dfg.EagerNone}
-		}},
+		{"pash (eager)", core.ParSplit},
+		{"pash (no eager)", core.SplitNoEager},
 	} {
 		fmt.Printf("%-22s", cfg.name)
 		for _, w := range widths {
-			sp, _, _, err := benchscripts.Speedup(p, cfg.opts(w))
+			sp, _, _, err := benchscripts.Speedup(p, core.Options{Width: w, Preset: cfg.preset})
 			if err != nil {
 				die(err)
 			}

@@ -205,11 +205,9 @@ func main() {
 		sched.SetMaxScripts(*scripts)
 	}
 	sched.SetAdmissionQueue(*queue, *queueWait)
-	opts := pash.DefaultOptions(*width)
 	// -width (and a request's width=) is a ceiling: the planner sizes each
 	// region from its input.
-	opts.PlanWidth = true
-	sess := pash.NewSession(opts)
+	sess := pash.NewSession(pash.Options{Width: *width, Preset: pash.Planned})
 	sess.Dir = *dir
 	srv := serve.New(sess, sched)
 	srv.SetDefaultLimits(pash.JobLimits{

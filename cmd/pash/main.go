@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	pash [-width N] [-no-split] [-eager MODE] [-curl-root DIR] script.sh
+//	pash [-width N] [-curl-root DIR] script.sh
 //	pash -c 'cat f | grep x | sort'
 //	pash -emit script.sh     # print the Fig. 3-style parallel script
 //	pash -graph -c '...'     # print the optimized DFG as Graphviz dot
@@ -24,15 +24,12 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/dfg"
 	"repro/pash"
 )
 
 func main() {
 	var (
 		width    = flag.Int("width", 4, "parallelism width ceiling (1 = sequential): each region runs as wide as its input pays for, at most this")
-		noSplit  = flag.Bool("no-split", false, "disable split insertion (t2)")
-		eager    = flag.String("eager", "full", "eager mode: none|blocking|full")
 		emit     = flag.Bool("emit", false, "emit the compiled parallel script instead of running")
 		graph    = flag.Bool("graph", false, "print the optimized dataflow graph as Graphviz dot instead of running")
 		script   = flag.String("c", "", "script source (instead of a file argument)")
@@ -58,26 +55,8 @@ func main() {
 		src = string(data)
 	}
 
-	opts := pash.DefaultOptions(*width)
 	// -width is a ceiling: the planner sizes each region from its input.
-	opts.PlanWidth = true
-	if *noSplit {
-		opts.Split = false
-	}
-	switch *eager {
-	case "none":
-		opts.Eager = dfg.EagerNone
-	case "blocking":
-		opts.Eager = dfg.EagerBlocking
-		opts.BlockingEagerBytes = 1 << 20
-	case "full":
-		opts.Eager = dfg.EagerFull
-	default:
-		fmt.Fprintf(os.Stderr, "pash: unknown eager mode %q\n", *eager)
-		os.Exit(2)
-	}
-
-	s := pash.NewSession(opts)
+	s := pash.NewSession(pash.Options{Width: *width, Preset: pash.Planned})
 	s.Dir = *dir
 	if *curlRoot != "" {
 		s.Vars = map[string]string{"PASH_CURL_ROOT": *curlRoot}

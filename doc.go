@@ -43,13 +43,12 @@
 // round-robin split, whose interleaved blocks either pass through
 // framed stateless replicas to an order-restoring merge or feed the
 // maps of a pure command whose output cannot see line order
-// (dfg.AggSpec.Commutative: sort, wc, grep -c). The default
-// configuration plans round-robin for such consumers even over a
-// seekable file — the file-range split is the Par + B.Split
-// configuration, Options.InputAwareSplit — and the barrier for
-// everything else. Such a command absorbs the merge in front of it, so
-// `tr | sort` plans as split → tr×n → sort×n → sort -m with nothing
-// re-serialising the stream in between; only order-sensitive pure
+// (dfg.AggSpec.Commutative: sort, wc, grep -c). The default preset
+// plans round-robin for such consumers even over a seekable file — the
+// file-range split is the Par + B.Split preset, core.ParBSplit — and the
+// barrier for everything else. Such a command absorbs the merge in
+// front of it, so `tr | sort` plans as split → tr×n → sort×n → sort -m
+// with nothing re-serialising the stream in between; only order-sensitive pure
 // commands (uniq, tail, tac) still wait behind the barrier split. sort
 // itself reads its input into one arena and sorts a pointer-free index
 // of (decorated key, offset, length) records over it, so a comparison
@@ -95,8 +94,8 @@
 // planned template, bind per-run IO). Planned templates live in an LRU
 // plan cache keyed by the canonical fingerprint of the expanded region
 // — per stage: name, argv, resolved redirections, all length-prefixed —
-// plus the planning options (effective width, split/eager/fusion
-// knobs). A loop body re-plans only when its expanded argv changes, so
+// plus the planning options (effective width, preset, fusion). A loop
+// body re-plans only when its expanded argv changes, so
 // `for f in *; do cut ... | grep ... | wc; done` compiles once and
 // every later iteration pays one graph clone (see BenchmarkPlanCache).
 //
@@ -108,16 +107,28 @@
 // keeps concurrently-executing pipeline stages deadlock-free).
 //
 // How wide a region wants to be is planned per region, at run time. In
-// the pash and pash-serve binaries -width is a ceiling
-// (core.Options.PlanWidth): a region gets one replica per 512 KiB of
+// the pash and pash-serve binaries -width is a ceiling (the Planned
+// preset): a region gets one replica per 512 KiB of
 // input where the planner can state its input — file operands it can
 // stat, a regular-file stdin, a request body with a Content-Length —
 // else per millisecond of its measured history, else the ceiling. A loop over
 // a 4 KB file therefore runs two-node plans, not six-node ones, and
 // never ships them to a worker pool. The decision and its reason are
 // on the graph (pash -graph, pash -stats). Library callers and the
-// paper-artifact tooling keep the exact presets: DefaultOptions plans
-// every region at the width given. internal/runtime/README.md, "Width".
+// paper-artifact tooling keep the other presets, which plan every region
+// at the width given. internal/runtime/README.md, "Width".
+//
+// # Presets
+//
+// The planner has one configuration knob, core.Options.Preset, and the
+// paper's ablations are its values. Par + Split (core.ParSplit, the zero
+// value, what DefaultOptions returns), Par + B.Split, Parallel, Blocking
+// Eager (eager buffers bounded at 1 MiB) and No Eager are the five lines
+// of Fig. 7; split without eager is the §6.5 sort micro-benchmark's
+// second line; Planned is Par + Split with the width a ceiling. One table
+// in internal/core maps each preset to the dfg.Options it plans with, the
+// plan cache keys on the preset, and cmd/pash-bench picks the presets by
+// name.
 //
 // pash.Session is safe for concurrent Run: each run takes an immutable
 // compiler snapshot, and extensions (Register, SetOptions) swap

@@ -51,7 +51,7 @@ func NaiveParallel(ctx context.Context, script, stdin, dir string, vars map[stri
 		wg.Add(1)
 		go func(w int, block string) {
 			defer wg.Done()
-			c := core.NewCompiler(core.Options{Width: 1})
+			c := core.NewCompiler(core.Options{Width: 1, Preset: core.NoEager})
 			var out bytes.Buffer
 			_, err := core.Run(ctx, c, script, dir, vars, runtime.StdIO{
 				Stdin:  strings.NewReader(block),

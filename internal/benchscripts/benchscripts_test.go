@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/dfg"
 )
 
 // TestOneLinersCorrectness runs every Tab. 2 benchmark sequentially and
@@ -27,10 +26,10 @@ func TestOneLinersCorrectness(t *testing.T) {
 				t.Fatalf("%s: sequential output empty — benchmark is degenerate", b.Name)
 			}
 			for _, opts := range []core.Options{
-				{Width: 2, Eager: dfg.EagerFull},
-				{Width: 4, Split: true, Eager: dfg.EagerFull},
-				{Width: 4, Split: true, Eager: dfg.EagerNone},
-				{Width: 8, Split: true, Eager: dfg.EagerFull, InputAwareSplit: true},
+				{Width: 2, Preset: core.Parallel},
+				{Width: 4, Preset: core.ParSplit},
+				{Width: 4, Preset: core.SplitNoEager},
+				{Width: 8, Preset: core.ParBSplit},
 			} {
 				par, err := p.Execute(opts)
 				if err != nil {

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/dfg"
 )
 
 // TestFusionCorpusEquivalence is the tentpole's corpus-wide property
@@ -23,7 +22,7 @@ func TestFusionCorpusEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, w := range []int{1, 8, 16} {
-				opts := core.Options{Width: w, Split: w > 1, Eager: dfg.EagerFull}
+				opts := core.DefaultOptions(w)
 				fused, err := p.Execute(opts)
 				if err != nil {
 					t.Fatalf("width %d fused: %v", w, err)
@@ -44,8 +43,9 @@ func TestFusionCorpusEquivalence(t *testing.T) {
 	}
 }
 
-// TestAggTreeCorpusEquivalence pins tree aggregation against the flat
-// aggregate across the corpus at width 16 (where trees form).
+// TestAggTreeCorpusEquivalence pins tree aggregation against the
+// sequential oracle across the corpus at width 16, where trees form (the
+// width-4 rows of the correctness tests run the flat aggregate).
 func TestAggTreeCorpusEquivalence(t *testing.T) {
 	benches := append(append([]Bench{}, OneLiners()...), Unix50()...)
 	for _, b := range benches {
@@ -56,16 +56,16 @@ func TestAggTreeCorpusEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tree, err := p.Execute(core.Options{Width: 16, Split: true, Eager: dfg.EagerFull})
+			tree, err := p.Execute(core.DefaultOptions(16))
 			if err != nil {
 				t.Fatalf("tree: %v", err)
 			}
-			flat, err := p.Execute(core.Options{Width: 16, Split: true, Eager: dfg.EagerFull, AggFanIn: -1})
+			seq, err := p.Execute(core.Options{Width: 1})
 			if err != nil {
-				t.Fatalf("flat: %v", err)
+				t.Fatalf("sequential: %v", err)
 			}
-			if tree.Hash != flat.Hash {
-				t.Errorf("tree aggregation diverged from flat at width 16")
+			if tree.Hash != seq.Hash {
+				t.Errorf("tree aggregation at width 16 diverged from width 1")
 			}
 		})
 	}

@@ -120,7 +120,7 @@ func (p *Prepared) Sequential() (*RunResult, error) {
 	if p.seq != nil {
 		return p.seq, nil
 	}
-	seq, err := p.Execute(core.Options{Width: 1, MeasureMode: true})
+	seq, err := p.Execute(core.Options{Width: 1, Preset: core.NoEager, MeasureMode: true})
 	if err != nil {
 		return nil, err
 	}

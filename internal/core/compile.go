@@ -319,7 +319,6 @@ func (c *Compiler) Optimize(g *dfg.Graph) {
 // has no shell rendering (its kernels exist only in-process).
 func (c *Compiler) OptimizeForEmission(g *dfg.Graph) {
 	opts := c.dfgOptions()
-	opts.SplitMode = dfg.SplitGeneral
-	opts.DisableFusion = true
+	opts.Emit = true
 	dfg.Apply(g, opts)
 }

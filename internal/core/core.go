@@ -13,58 +13,72 @@ import (
 	"repro/internal/runtime"
 )
 
-// Options selects the degree of parallelism and which runtime primitives
-// are in play — the knobs behind the configurations of Fig. 7.
+// Options selects the degree of parallelism and the planner configuration.
 type Options struct {
-	// Width is the parallelism factor (1 disables parallelization).
+	// Width is the parallelism factor (1 disables parallelization). Under
+	// the Planned preset it is a ceiling.
 	Width int
-	// PlanWidth makes Width a ceiling: each region's width is planned at
-	// run time from what is known about its input — the bytes the planner
-	// can state, else the region's measured history, else the ceiling
-	// (Compiler.regionWidth). The zero value is the paper's exact
-	// configurations, where every region is planned at Width: the tests
-	// and the artifact tool (Fig. 7-8) need the width they ask for. The
-	// pash and pash-serve binaries always set it; it has no flag.
-	PlanWidth bool
-	// Split enables split insertion (t2).
-	Split bool
-	// InputAwareSplit plans the file-range split for seekable graph-input
-	// files (Par + B.Split in Fig. 7).
-	InputAwareSplit bool
-	// SplitMode selects among the three split strategies (barrier,
-	// input-aware, streaming round-robin); the zero value (SplitAuto)
-	// streams wherever that is sound. See dfg.SplitMode.
-	SplitMode dfg.SplitMode
-	// Eager selects edge eagerness (§5.2 Overcoming Laziness).
-	Eager dfg.EagerMode
-	// BlockingEagerBytes bounds eager buffers (Blocking Eager config);
-	// 0 = unbounded eager buffers.
-	BlockingEagerBytes int
+	// Preset names the planner configuration; the zero value is Par + Split.
+	Preset Preset
 	// DisableFusion turns off the stage-fusion pass that collapses
 	// chains of kernel-capable stateless commands into single fused
 	// nodes (dfg.KindFused). Fusion is on by default for in-process
 	// execution; emission always disables it (fused nodes have no shell
 	// rendering).
 	DisableFusion bool
-	// AggFanIn shapes the aggregation stage of parallelized pure
-	// commands: 0 = automatic (fan-in-4 trees for associative
-	// aggregators once width >= 8), negative = always flat, k >= 2 =
-	// fan-in-k trees. See dfg.Options.AggFanIn.
-	AggFanIn int
 	// MeasureMode runs regions through the profiling executor (nodes
 	// sequential, unbounded buffers) to collect clean per-node works
 	// for the multicore scheduling simulator. Output is identical.
 	MeasureMode bool
 }
 
-// DefaultOptions is the configuration the paper calls "Par + Split".
-func DefaultOptions(width int) Options {
-	return Options{
-		Width: width,
-		Split: true,
-		Eager: dfg.EagerFull,
-	}
+// Preset is one whole planner configuration: a line of Fig. 7, the split
+// without eager of the §6.5 sort micro-benchmark, or Planned, which the
+// pash and pash-serve binaries run.
+type Preset uint8
+
+// The presets. Every one but Planned plans each region at exactly Width,
+// which the tests and the artifact tool (Fig. 7-8) need.
+const (
+	// ParSplit is Par + Split: t2 splits and unbounded eager relays.
+	ParSplit Preset = iota
+	// ParBSplit is Par + B.Split: a seekable input file splits by range.
+	ParBSplit
+	// Parallel inserts no splits.
+	Parallel
+	// BlockingEager inserts no splits and bounds each eager relay at 1 MiB.
+	BlockingEager
+	// NoEager inserts no splits and no eager relays.
+	NoEager
+	// SplitNoEager inserts splits but no eager relays.
+	SplitNoEager
+	// Planned is Par + Split with Width a ceiling: each region's width is
+	// planned at run time from what is known about its input — the bytes
+	// the planner can state, else the region's measured history, else the
+	// ceiling (Compiler.regionWidth).
+	Planned
+)
+
+// presets is what each preset sets: the transformation options it hands
+// dfg.Apply and whether Width is a ceiling.
+var presets = [...]struct {
+	name      string
+	dfg       dfg.Options
+	planWidth bool
+}{
+	ParSplit:      {"par+split", dfg.Options{Split: true, Eager: true}, false},
+	ParBSplit:     {"par+bsplit", dfg.Options{Split: true, InputAwareSplit: true, Eager: true}, false},
+	Parallel:      {"parallel", dfg.Options{Eager: true}, false},
+	BlockingEager: {"blocking-eager", dfg.Options{Eager: true, EagerBytes: 1 << 20}, false},
+	NoEager:       {"no-eager", dfg.Options{}, false},
+	SplitNoEager:  {"split-no-eager", dfg.Options{Split: true}, false},
+	Planned:       {"planned", dfg.Options{Split: true, Eager: true}, true},
 }
+
+func (p Preset) String() string { return presets[p].name }
+
+// DefaultOptions is the configuration the paper calls "Par + Split".
+func DefaultOptions(width int) Options { return Options{Width: width} }
 
 // Compiler holds the registries the compilation pipeline consults plus
 // the shared control-plane state: the plan cache and, optionally, the
@@ -123,15 +137,13 @@ func NewCompiler(opts Options) *Compiler {
 }
 
 func (c *Compiler) dfgOptions() dfg.Options {
-	return dfg.Options{
-		Width:              c.Opts.Width,
-		Split:              c.Opts.Split,
-		InputAwareSplit:    c.Opts.InputAwareSplit,
-		SplitMode:          c.Opts.SplitMode,
-		Eager:              c.Opts.Eager,
-		BlockingEagerBytes: c.Opts.BlockingEagerBytes,
-		KernelCapable:      c.Cmds.KernelCapable,
-		DisableFusion:      c.Opts.DisableFusion,
-		AggFanIn:           c.Opts.AggFanIn,
-	}
+	o := presets[c.Opts.Preset].dfg
+	o.Width = c.Opts.Width
+	o.KernelCapable = c.Cmds.KernelCapable
+	o.DisableFusion = c.Opts.DisableFusion
+	return o
 }
+
+// planWidth reports whether Width is a ceiling the planner sizes each
+// region under.
+func (c *Compiler) planWidth() bool { return presets[c.Opts.Preset].planWidth }

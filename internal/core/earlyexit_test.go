@@ -49,7 +49,7 @@ func TestHeadEarlyExitThroughInterpreter(t *testing.T) {
 		{"width1", Options{Width: 1}, 8 << 20},
 		// Bounded pipes: run-ahead is capped by pipe capacities, so the
 		// bound is tight.
-		{"width8-lazy", Options{Width: 8, Split: true}, 32 << 20},
+		{"width8-lazy", Options{Width: 8, Preset: SplitNoEager}, 32 << 20},
 		// Unbounded eager buffers never backpressure the splitter, so
 		// run-ahead is scheduling-dependent; before the StopsEarly fix
 		// the barrier split deterministically drained all 256MB.

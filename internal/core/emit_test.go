@@ -103,9 +103,11 @@ func TestEmitSplitUsesPrims(t *testing.T) {
 	}
 }
 
-// TestEmittedScriptRunsUnderSh executes a generated script with the
-// system shell and real coreutils, checking output equivalence against
-// the in-process run. Skipped when sh or the commands are unavailable.
+// TestEmittedScriptRunsUnderSh executes generated scripts with the
+// system shell and real coreutils under every preset, checking output
+// equivalence against the in-process width-1 run: whatever a preset
+// plans in-process, emission gives it barrier splits and no fused nodes.
+// Skipped when sh or the commands are unavailable.
 func TestEmittedScriptRunsUnderSh(t *testing.T) {
 	shPath, err := exec.LookPath("sh")
 	if err != nil {
@@ -117,8 +119,7 @@ func TestEmittedScriptRunsUnderSh(t *testing.T) {
 		}
 	}
 	dir := t.TempDir()
-	input := "delta\nalpha\ncharlie\nbravo\nalpha\n"
-	if err := os.WriteFile(filepath.Join(dir, "in.txt"), []byte(input), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "in.txt"), []byte(corpus(300)), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	// Build pash-prims into the temp dir.
@@ -129,24 +130,41 @@ func TestEmittedScriptRunsUnderSh(t *testing.T) {
 		t.Skipf("cannot build pash-prims: %v\n%s", err, out)
 	}
 
-	script := "cat in.txt | grep -v x | sort | head -n 3"
-	var gen bytes.Buffer
-	if err := planFor(t, DefaultOptions(2), script).Emit(&gen); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "gen.sh"), gen.Bytes(), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	sh := exec.Command(shPath, "gen.sh")
-	sh.Dir = dir
-	sh.Env = append(os.Environ(), "PASH_PRIMS="+prims, "LC_ALL=C")
-	out, err := sh.CombinedOutput()
-	if err != nil {
-		t.Fatalf("generated script failed: %v\n%s\nscript:\n%s", err, out, gen.String())
-	}
-	want := "alpha\nalpha\nbravo\n"
-	if string(out) != want {
-		t.Errorf("generated script output = %q, want %q", out, want)
+	for _, script := range []string{
+		// A split in front of the chain: round-robin (framed replicas to
+		// an order-restoring merge) or file ranges in-process, the barrier
+		// and a cat when emitted.
+		"grep -v x in.txt | tr a-z A-Z",
+		"grep -v x in.txt | tr a-z A-Z | sort | head -n 3",
+		// Two inputs: every preset parallelizes behind the cat.
+		"cat in.txt in.txt | grep -v o | sort -r | head -n 5",
+	} {
+		want := runScript(t, Options{Width: 1}, script, "", dir, nil)
+		for p := ParSplit; p <= Planned; p++ {
+			var gen bytes.Buffer
+			if err := planFor(t, Options{Width: 3, Preset: p}, script).Emit(&gen); err != nil {
+				t.Fatal(err)
+			}
+			if strings.Contains(gen.String(), "pash-rr-merge") {
+				// No process can reassemble round-robin blocks: the script
+				// would wait on its FIFOs forever.
+				t.Errorf("%s: %q: emitted a round-robin merge:\n%s", p, script, gen.String())
+				continue
+			}
+			if err := os.WriteFile(filepath.Join(dir, "gen.sh"), gen.Bytes(), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			sh := exec.Command(shPath, "gen.sh")
+			sh.Dir = dir
+			sh.Env = append(os.Environ(), "PASH_PRIMS="+prims, "LC_ALL=C")
+			out, err := sh.CombinedOutput()
+			if err != nil {
+				t.Fatalf("%s: generated script failed: %v\n%s\nscript:\n%s", p, err, out, gen.String())
+			}
+			if string(out) != want {
+				t.Errorf("%s: %q: generated script output = %q, want %q", p, script, out, want)
+			}
+		}
 	}
 }
 

@@ -21,9 +21,7 @@ func TestMissingInputFileFails(t *testing.T) {
 func TestMissingInputFileParallelFails(t *testing.T) {
 	// Same failure with the transformed graph (split over a missing
 	// file must not hang).
-	opts := DefaultOptions(8)
-	opts.InputAwareSplit = true
-	_, _, err := runScriptCode(t, opts, "grep x < nope.txt | tr a-z A-Z", "", t.TempDir(), nil)
+	_, _, err := runScriptCode(t, Options{Width: 8, Preset: ParBSplit}, "grep x < nope.txt | tr a-z A-Z", "", t.TempDir(), nil)
 	if err == nil {
 		t.Fatal("missing redirect input must error")
 	}

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/dfg"
 	"repro/internal/runtime"
 )
 
@@ -39,11 +38,13 @@ func seqVsPar(t *testing.T, src, stdin, dir string, vars map[string]string) {
 	t.Helper()
 	want := runScript(t, Options{Width: 1}, src, stdin, dir, vars)
 	for _, cfg := range []Options{
-		{Width: 2, Split: false, Eager: dfg.EagerFull},
-		{Width: 4, Split: true, Eager: dfg.EagerFull},
-		{Width: 4, Split: true, Eager: dfg.EagerNone},
-		{Width: 4, Split: true, Eager: dfg.EagerBlocking, BlockingEagerBytes: 1 << 18},
-		{Width: 8, Split: true, Eager: dfg.EagerFull, InputAwareSplit: true},
+		{Width: 2, Preset: Parallel},
+		{Width: 4, Preset: ParSplit},
+		{Width: 4, Preset: SplitNoEager},
+		{Width: 4, Preset: BlockingEager},
+		{Width: 4, Preset: NoEager},
+		{Width: 8, Preset: ParBSplit},
+		{Width: 8, Preset: Planned},
 	} {
 		got := runScript(t, cfg, src, stdin, dir, vars)
 		if got != want {

@@ -31,11 +31,10 @@ import (
 // Cache key. A plan is keyed by the canonical fingerprint of the
 // *expanded* region — per stage: command name, argv, and resolved
 // redirections, all length-prefixed — concatenated with the planning
-// options that shape the optimized graph (effective width, split flags
-// and mode, eagerness, fusion, aggregation fan-in). Keying on expanded
-// argv makes env-dependent regions miss exactly when their argv
-// changes: `grep "$PAT" f` re-plans when PAT changes and hits when it
-// does not. Per-run state that planning never reads — the variable
+// options that shape the optimized graph (effective width, preset,
+// fusion). Keying on expanded argv makes env-dependent regions miss
+// exactly when their argv changes: `grep "$PAT" f` re-plans when PAT
+// changes and hits when it does not. Per-run state that planning never reads — the variable
 // environment snapshot, the working directory, the stdio bindings — is
 // deliberately outside the key; it binds at instantiation/execution.
 
@@ -102,13 +101,11 @@ func (c *Compiler) planKey(region string, width int) string {
 	b = strconv.AppendUint(b, c.Cmds.Generation(), 10)
 	b = append(b, 'w')
 	b = strconv.AppendInt(b, int64(width), 10)
-	b = appendBool(b, o.Split)
-	b = appendBool(b, o.InputAwareSplit)
-	b = strconv.AppendInt(b, int64(o.SplitMode), 10)
-	b = strconv.AppendInt(b, int64(o.Eager), 10)
-	b = strconv.AppendInt(b, int64(o.BlockingEagerBytes), 10)
-	b = appendBool(b, o.DisableFusion)
-	b = strconv.AppendInt(b, int64(o.AggFanIn), 10)
+	b = append(b, 'p')
+	b = strconv.AppendInt(b, int64(o.Preset), 10)
+	if o.DisableFusion {
+		b = append(b, 'u')
+	}
 	if c.Workers != nil {
 		// Distributed plans embed worker assignments; key them to the
 		// membership epoch so a pool change re-plans instead of
@@ -119,13 +116,6 @@ func (c *Compiler) planKey(region string, width int) string {
 	b = append(b, '|')
 	b = append(b, region...)
 	return string(b)
-}
-
-func appendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, '|', '1')
-	}
-	return append(b, '|', '0')
 }
 
 // Break-even. A second replica costs a split, a merge or aggregator, and
@@ -273,9 +263,9 @@ func (c *Compiler) inputsOf(g *dfg.Graph) *regionInputs {
 // regionWidth is the one path from the width a region asks for to the
 // width it runs at, for a script region and a stream window alike, taken
 // once per region before it is planned. The job's replica budget caps the
-// ask. Under the exact presets (Options.PlanWidth off) the capped ask is
-// the plan. Otherwise the width is planned from the best statement of the
-// region's work there is, in this order: the bytes of its inputs, where
+// ask. Under every preset but Planned the capped ask is the plan.
+// Otherwise the width is planned from the best statement of the region's
+// work there is, in this order: the bytes of its inputs, where
 // the planner can state them all (inputs.bytes); else the region's
 // measured wall; else nothing is known, the region is assumed large and
 // keeps the capped ask — a pipe into pash runs as wide as it was asked to.
@@ -289,7 +279,7 @@ func (c *Compiler) inputsOf(g *dfg.Graph) *regionInputs {
 func (c *Compiler) regionWidth(stages []Stage, region string, asked int, budget *runtime.Budget, in RegionInput) (wp dfg.WidthPlan, lifted *dfg.Graph, release func(), err error) {
 	capped := budget.CapWidth(asked)
 	wp = dfg.WidthPlan{Asked: asked, Planned: capped}
-	if c.Opts.PlanWidth && capped > 1 {
+	if c.planWidth() && capped > 1 {
 		var rs regionStats
 		if c.Plans != nil {
 			rs = c.Plans.region(region)
@@ -583,7 +573,7 @@ func (c *Compiler) runRegion(ctx context.Context, stages []Stage, region string,
 		return g, res, 0, err
 	}
 	wall := time.Since(start)
-	if c.Plans != nil && c.Opts.PlanWidth && !c.Opts.MeasureMode {
+	if c.Plans != nil && c.planWidth() && !c.Opts.MeasureMode {
 		c.Plans.noteRun(region, wall)
 	}
 	return g, res, wall, nil

@@ -379,7 +379,7 @@ wait`
 	// Background and foreground regions write stdout concurrently (as
 	// in a real shell), so the capture buffer must be synchronized.
 	out := &syncWriter{}
-	c := NewCompiler(Options{Width: 2, Split: true})
+	c := NewCompiler(Options{Width: 2, Preset: SplitNoEager})
 	in := NewInterp(c, dir, nil, runtime.StdIO{Stdin: strings.NewReader(""), Stdout: out, Stderr: os.Stderr})
 	if _, err := in.RunScript(context.Background(), src); err != nil {
 		t.Fatal(err)

@@ -12,9 +12,9 @@ import (
 	"repro/internal/runtime"
 )
 
-// TestExecuteRunsThePlan: the graph is the whole plan. Each Fig. 7
-// configuration is planned through core.Options and then executed the
-// way a caller that knows nothing about the options does it — a bare
+// TestExecuteRunsThePlan: the graph is the whole plan. Each preset is
+// planned through core.Options and then executed the way a caller that
+// knows nothing about the options does it — a bare
 // runtime.Config{Dir: dir} — and must still run what was planned: the
 // decision is on the graph (split implementation, eager bound), every
 // planned node ran, the bytes are the sequential ones, and where an
@@ -36,6 +36,15 @@ func TestExecuteRunsThePlan(t *testing.T) {
 	split := []Stage{{Name: "grep", Args: []string{"-v", "nomatch", "in.txt"}}, {Name: "tr", Args: []string{"a-z", "A-Z"}}}
 	multi := []Stage{{Name: "cat", Args: []string{"a.txt", "b.txt"}}, {Name: "tr", Args: []string{"a-z", "A-Z"}}}
 
+	exec := func(c *Compiler, g *dfg.Graph) (*runtime.Result, string) {
+		t.Helper()
+		var out bytes.Buffer
+		res, err := runtime.Execute(context.Background(), g, c.Cmds, runtime.StdIO{Stdout: &out}, runtime.Config{Dir: dir})
+		if err != nil {
+			t.Fatalf("%+v: %v", c.Opts, err)
+		}
+		return res, out.String()
+	}
 	run := func(opts Options, stages []Stage) (*dfg.Graph, *runtime.Result, string) {
 		t.Helper()
 		c := NewCompiler(opts)
@@ -43,35 +52,45 @@ func TestExecuteRunsThePlan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var out bytes.Buffer
-		res, err := runtime.Execute(context.Background(), g, c.Cmds, runtime.StdIO{Stdout: &out}, runtime.Config{Dir: dir})
-		if err != nil {
-			t.Fatalf("%+v: %v", opts, err)
-		}
-		return g, res, out.String()
+		res, out := exec(c, g)
+		return g, res, out
 	}
 	_, _, wantSplit := run(Options{Width: 1}, split)
 	_, _, wantMulti := run(Options{Width: 1}, multi)
-	_, barrier, _ := run(Options{Width: 2, Split: true, Eager: dfg.EagerFull, SplitMode: dfg.SplitGeneral}, split)
+	// The barrier split's trace, with the chain fused as in every row:
+	// emission's barrier split, then the fusion pass emission skips.
+	c := NewCompiler(DefaultOptions(2))
+	bg, err := c.lift(split)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := c.dfgOptions()
+	o.Emit = true
+	dfg.Apply(bg, o)
+	o.Emit = false
+	dfg.Fuse(bg, o)
+	barrier, _ := exec(c, bg)
 
 	for _, cfg := range []struct {
-		name   string
-		opts   Options
+		preset Preset
 		stages []Stage
 		want   string
 		split  dfg.SplitImpl // the one split's implementation; -1: no split planned
 		eager  bool
 		bound  int
 	}{
-		{"par+split", Options{Width: 2, Split: true, Eager: dfg.EagerFull}, split, wantSplit, dfg.RoundRobinSplit, true, 0},
-		{"par+bsplit", Options{Width: 2, Split: true, Eager: dfg.EagerFull, InputAwareSplit: true}, split, wantSplit, dfg.FileRangeSplit, true, 0},
-		{"parallel", Options{Width: 2, Eager: dfg.EagerFull}, multi, wantMulti, -1, true, 0},
-		{"blocking-eager", Options{Width: 2, Eager: dfg.EagerBlocking, BlockingEagerBytes: 1 << 20}, multi, wantMulti, -1, true, 1 << 20},
-		{"no-eager", Options{Width: 2, Eager: dfg.EagerNone}, multi, wantMulti, -1, false, 0},
+		{ParSplit, split, wantSplit, dfg.RoundRobinSplit, true, 0},
+		{ParBSplit, split, wantSplit, dfg.FileRangeSplit, true, 0},
+		{Parallel, multi, wantMulti, -1, true, 0},
+		{BlockingEager, multi, wantMulti, -1, true, 1 << 20},
+		{NoEager, multi, wantMulti, -1, false, 0},
+		{SplitNoEager, split, wantSplit, dfg.RoundRobinSplit, false, 0},
+		{Planned, split, wantSplit, dfg.RoundRobinSplit, true, 0},
 	} {
-		g, res, out := run(cfg.opts, cfg.stages)
+		name := cfg.preset.String()
+		g, res, out := run(Options{Width: 2, Preset: cfg.preset}, cfg.stages)
 		if out != cfg.want {
-			t.Errorf("%s: output diverged from width 1:\n%s", cfg.name, clip(out))
+			t.Errorf("%s: output diverged from width 1:\n%s", name, clip(out))
 		}
 		// Every planned node ran, and nothing else.
 		ran := map[int]bool{}
@@ -81,17 +100,17 @@ func TestExecuteRunsThePlan(t *testing.T) {
 		splits := 0
 		for _, n := range g.Nodes {
 			if !ran[n.ID] {
-				t.Errorf("%s: planned node %s never ran", cfg.name, n)
+				t.Errorf("%s: planned node %s never ran", name, n)
 			}
 			if n.Kind == dfg.KindSplit {
 				splits++
 				if n.Split != cfg.split {
-					t.Errorf("%s: planned the %v split, want %v", cfg.name, n.Split, cfg.split)
+					t.Errorf("%s: planned the %v split, want %v", name, n.Split, cfg.split)
 				}
 			}
 		}
 		if res.NodeCount != len(g.Nodes) || (splits == 1) != (cfg.split >= 0) {
-			t.Errorf("%s: ran %d of %d nodes, %d split(s)", cfg.name, res.NodeCount, len(g.Nodes), splits)
+			t.Errorf("%s: ran %d of %d nodes, %d split(s)", name, res.NodeCount, len(g.Nodes), splits)
 		}
 		eager := 0
 		for _, e := range g.Edges {
@@ -100,7 +119,7 @@ func TestExecuteRunsThePlan(t *testing.T) {
 			}
 			eager++
 			if e.EagerBytes != cfg.bound {
-				t.Errorf("%s: eager edge %s bounded at %d bytes, want %d", cfg.name, e, e.EagerBytes, cfg.bound)
+				t.Errorf("%s: eager edge %s bounded at %d bytes, want %d", name, e, e.EagerBytes, cfg.bound)
 			}
 			if cfg.bound > 0 || cfg.split >= 0 {
 				continue
@@ -109,64 +128,73 @@ func TestExecuteRunsThePlan(t *testing.T) {
 			// producer reads a file: it cannot have blocked at all.
 			for _, nt := range res.NodeTimes {
 				if nt.ID == e.From.ID && nt.Active != nt.Wall {
-					t.Errorf("%s: producer %s of an unbounded eager edge blocked for %v", cfg.name, e.From, nt.Wall-nt.Active)
+					t.Errorf("%s: producer %s of an unbounded eager edge blocked for %v", name, e.From, nt.Wall-nt.Active)
 				}
 			}
 		}
 		if (eager > 0) != cfg.eager {
-			t.Errorf("%s: %d eager edges planned", cfg.name, eager)
+			t.Errorf("%s: %d eager edges planned", name, eager)
 		}
 		switch cfg.split {
 		case dfg.FileRangeSplit, dfg.RoundRobinSplit:
 			if res.BytesMoved != barrier.BytesMoved-1 {
 				t.Errorf("%s: moved %d bytes, the barrier split %d: the planned %v split did not run",
-					cfg.name, res.BytesMoved, barrier.BytesMoved, cfg.split)
+					name, res.BytesMoved, barrier.BytesMoved, cfg.split)
 			}
 		}
 	}
 }
 
 // TestPlanKeySeparatesSplitAndEagerDecisions: the split implementation
-// and the eager bound now live on the cached graph, so the options that
+// and the eager bound live on the cached graph, so the presets that
 // choose them must keep separating plan-cache entries — a hit would
-// replay the other configuration's decision.
+// replay the other preset's decision.
 func TestPlanKeySeparatesSplitAndEagerDecisions(t *testing.T) {
-	c := NewCompiler(DefaultOptions(2))
-	stages := []Stage{{Name: "grep", Args: []string{"x", "in.txt"}}, {Name: "sort"}}
-	decisions := func(g *dfg.Graph) (impl dfg.SplitImpl, bound int) {
-		for _, n := range g.Nodes {
-			if n.Kind == dfg.KindSplit {
-				impl = n.Split
-			}
-		}
-		for _, e := range g.Edges {
-			if e.Eager {
-				bound = e.EagerBytes
-			}
-		}
-		return impl, bound
-	}
-	for _, step := range []struct {
-		set   func(o *Options)
-		hit   bool
-		impl  dfg.SplitImpl
+	type decisions struct {
+		impl  dfg.SplitImpl // of `grep x in.txt | sort`; -1: no split
+		eager bool          // of `cat a.txt b.txt | tr a-z A-Z`
 		bound int
-	}{
-		{func(o *Options) {}, false, dfg.RoundRobinSplit, 0},
-		{func(o *Options) { o.InputAwareSplit = true }, false, dfg.FileRangeSplit, 0},
-		{func(o *Options) { o.BlockingEagerBytes = 1 << 20 }, false, dfg.FileRangeSplit, 1 << 20},
-		{func(o *Options) { o.SplitMode = dfg.SplitGeneral }, false, dfg.BarrierSplit, 1 << 20},
-		{func(o *Options) { o.SplitMode = dfg.SplitAuto }, true, dfg.FileRangeSplit, 1 << 20},
-		{func(o *Options) { o.InputAwareSplit, o.BlockingEagerBytes = false, 0 }, true, dfg.RoundRobinSplit, 0},
-	} {
-		step.set(&c.Opts)
-		g, hit, err := c.PlanRegion(stages, 2)
+	}
+	split := []Stage{{Name: "grep", Args: []string{"x", "in.txt"}}, {Name: "sort"}}
+	multi := []Stage{{Name: "cat", Args: []string{"a.txt", "b.txt"}}, {Name: "tr", Args: []string{"a-z", "A-Z"}}}
+	c := NewCompiler(DefaultOptions(2))
+	plan := func(stages []Stage, hit bool) *dfg.Graph {
+		t.Helper()
+		g, gotHit, err := c.PlanRegion(stages, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if impl, bound := decisions(g); hit != step.hit || impl != step.impl || bound != step.bound {
-			t.Errorf("%+v: hit=%v split=%v eager bound=%d, want hit=%v split=%v bound=%d",
-				c.Opts, hit, impl, bound, step.hit, step.impl, step.bound)
+		if gotHit != hit {
+			t.Errorf("%s: hit=%v, want %v", c.Opts.Preset, gotHit, hit)
+		}
+		return g
+	}
+	want := map[Preset]decisions{
+		ParSplit:      {dfg.RoundRobinSplit, true, 0},
+		ParBSplit:     {dfg.FileRangeSplit, true, 0},
+		Parallel:      {-1, true, 0},
+		BlockingEager: {-1, true, 1 << 20},
+		NoEager:       {-1, false, 0},
+		SplitNoEager:  {dfg.RoundRobinSplit, false, 0},
+		Planned:       {dfg.RoundRobinSplit, true, 0},
+	}
+	for _, hit := range []bool{false, true} {
+		for p := ParSplit; p <= Planned; p++ {
+			c.Opts.Preset = p
+			d := decisions{impl: -1}
+			for _, n := range plan(split, hit).Nodes {
+				if n.Kind == dfg.KindSplit {
+					d.impl = n.Split
+				}
+			}
+			for _, e := range plan(multi, hit).Edges {
+				if e.Eager {
+					d.eager, d.bound = true, e.EagerBytes
+				}
+			}
+			if d != want[p] {
+				t.Errorf("%s (hit=%v): %+v, want %+v", p, hit, d, want[p])
+			}
 		}
 	}
 }

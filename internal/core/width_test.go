@@ -19,13 +19,8 @@ import (
 	"repro/internal/shell"
 )
 
-// plannedOptions is what the pash and pash-serve binaries run with: the
-// exact preset with Width as a ceiling.
-func plannedOptions(width int) Options {
-	o := DefaultOptions(width)
-	o.PlanWidth = true
-	return o
-}
+// plannedOptions is what the pash and pash-serve binaries run with.
+func plannedOptions(width int) Options { return Options{Width: width, Preset: Planned} }
 
 // sparseFile creates a file that stats as size bytes.
 func sparseFile(tb testing.TB, path string, size int64) {
@@ -144,10 +139,10 @@ func TestRegionWidthRule(t *testing.T) {
 			if again, lifted, _, _ := c.regionWidth(tc.stages, regionKey(tc.stages), tc.asked, nil, in); again != wp || lifted != nil || c.Plans.Stats().Lifts != before {
 				t.Errorf("second decision %v (lifted again: %v), want %v from the memo", again, lifted != nil, wp)
 			}
-			// The exact preset is the width it was asked for, whatever the input.
+			// Par + Split plans the width it was asked for, whatever the input.
 			exact := NewCompiler(DefaultOptions(tc.asked))
 			if wp, lifted, _, _ := exact.regionWidth(tc.stages, regionKey(tc.stages), tc.asked, nil, in); wp != (dfg.WidthPlan{Asked: tc.asked, Planned: tc.asked}) || lifted != nil {
-				t.Errorf("exact preset planned %v, want the asked width untouched", wp)
+				t.Errorf("par+split planned %v, want the asked width untouched", wp)
 			}
 		})
 	}
@@ -230,7 +225,7 @@ func loopScripts(iters int) (hit, miss string) {
 // small file plans each distinct region once, at the width its file pays
 // for — the first iteration already, which a rule that waits for history
 // cannot do (it would miss once at width 2 and once more at width 1). The
-// hit / miss counts are the exact preset's, which bench/bench_test.go
+// hit / miss counts are par+split's, which bench/bench_test.go
 // pins; only the plans are smaller.
 func TestLoopOverSmallFilePlansOnce(t *testing.T) {
 	const iters = 20

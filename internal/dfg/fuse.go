@@ -18,9 +18,10 @@ import "repro/internal/annot"
 // unchanged.
 
 // Fuse collapses fusable chains in place. It is a no-op unless
-// opts.KernelCapable is supplied and fusion is not disabled.
+// opts.KernelCapable is supplied and fusion is neither disabled nor
+// emitted.
 func Fuse(g *Graph, opts Options) {
-	if opts.DisableFusion || opts.KernelCapable == nil {
+	if opts.DisableFusion || opts.Emit || opts.KernelCapable == nil {
 		return
 	}
 	for _, n := range snapshot(g.Nodes) {

@@ -17,7 +17,7 @@ func testKernelCapable(name string, args []string) bool {
 }
 
 func fuseOpts(width int) Options {
-	return Options{Width: width, Split: true, Eager: EagerFull, KernelCapable: testKernelCapable}
+	return Options{Width: width, Split: true, Eager: true, KernelCapable: testKernelCapable}
 }
 
 func stagesOf(n *Node) []string {
@@ -93,9 +93,7 @@ func TestFuseFramedReplicas(t *testing.T) {
 		sNode("grep", "TH"),
 		sNode("cut", "-c1-10"),
 	)
-	opts := fuseOpts(4)
-	opts.SplitMode = SplitRoundRobin
-	Apply(g, opts)
+	Apply(g, fuseOpts(4))
 	if err := g.Validate(); err != nil {
 		t.Fatalf("invalid: %v", err)
 	}
@@ -119,7 +117,7 @@ func TestFuseFramedReplicas(t *testing.T) {
 }
 
 // chainStdin is chain() with the graph input bound to stdin instead of
-// a file, so SplitAuto would also pick the round-robin strategy.
+// a file, so the split is the round-robin one.
 func chainStdin(t *testing.T, specs ...*Node) *Graph {
 	t.Helper()
 	g := New()
@@ -228,7 +226,7 @@ func assocSortAgg() *AggSpec {
 // 16-ary node.
 func TestAggTreeShape(t *testing.T) {
 	g := chain(t, pNode("sort", assocSortAgg(), "-rn"))
-	Apply(g, Options{Width: 16, Split: true, Eager: EagerFull})
+	Apply(g, Options{Width: 16, Split: true, Eager: true})
 	if err := g.Validate(); err != nil {
 		t.Fatalf("invalid: %v", err)
 	}
@@ -259,25 +257,25 @@ func TestAggTreeShape(t *testing.T) {
 func TestAggTreeThresholdAndKnobs(t *testing.T) {
 	// Width 4 < 8: flat.
 	g := chain(t, pNode("sort", assocSortAgg(), "-rn"))
-	Apply(g, Options{Width: 4, Split: true, Eager: EagerFull})
+	Apply(g, Options{Width: 4, Split: true, Eager: true})
 	if got := countKind(g, KindAgg); got != 1 {
 		t.Fatalf("width 4: expected flat aggregate, got %d agg nodes", got)
 	}
 	// Non-associative spec stays flat at any width.
 	g = chain(t, pNode("sort", sortAgg(), "-rn"))
-	Apply(g, Options{Width: 16, Split: true, Eager: EagerFull})
+	Apply(g, Options{Width: 16, Split: true, Eager: true})
 	if got := countKind(g, KindAgg); got != 1 {
 		t.Fatalf("non-associative: expected flat aggregate, got %d agg nodes", got)
 	}
 	// AggFanIn < 0 forces flat.
 	g = chain(t, pNode("sort", assocSortAgg(), "-rn"))
-	Apply(g, Options{Width: 16, Split: true, Eager: EagerFull, AggFanIn: -1})
+	Apply(g, Options{Width: 16, Split: true, Eager: true, AggFanIn: -1})
 	if got := countKind(g, KindAgg); got != 1 {
 		t.Fatalf("AggFanIn<0: expected flat aggregate, got %d agg nodes", got)
 	}
 	// Explicit fan-in 2 at width 8: 4 + 2 + 1 = 7 agg nodes.
 	g = chain(t, pNode("sort", assocSortAgg(), "-rn"))
-	Apply(g, Options{Width: 8, Split: true, Eager: EagerFull, AggFanIn: 2})
+	Apply(g, Options{Width: 8, Split: true, Eager: true, AggFanIn: 2})
 	if got := countKind(g, KindAgg); got != 7 {
 		t.Fatalf("fan-in 2 at width 8: expected 7 agg nodes, got %d:\n%s", got, g.Dump())
 	}
@@ -287,7 +285,7 @@ func TestAggTreeThresholdAndKnobs(t *testing.T) {
 // their later inputs get eager relays like the flat aggregate's.
 func TestAggTreeEagerPlanning(t *testing.T) {
 	g := chain(t, pNode("sort", assocSortAgg(), "-rn"))
-	Apply(g, Options{Width: 16, Split: true, Eager: EagerFull})
+	Apply(g, Options{Width: 16, Split: true, Eager: true})
 	for _, n := range g.Nodes {
 		if n.Kind != KindAgg {
 			continue

@@ -52,7 +52,7 @@ func TestQuickTransformPreservesValidity(t *testing.T) {
 		opts := Options{
 			Width: 1 + rng.Intn(16),
 			Split: rng.Intn(2) == 0,
-			Eager: EagerMode(rng.Intn(3)),
+			Eager: rng.Intn(2) == 0,
 		}
 		Apply(g, opts)
 		if err := g.Validate(); err != nil {
@@ -86,7 +86,7 @@ func TestQuickNonParallelizableNeverReplicated(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomChain(rng)
 		before := countName(g, "sha1sum")
-		Apply(g, Options{Width: 8, Split: true, Eager: EagerFull})
+		Apply(g, Options{Width: 8, Split: true, Eager: true})
 		return countName(g, "sha1sum") == before
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -101,8 +101,8 @@ func TestQuickWidthMonotoneNodes(t *testing.T) {
 		g4 := randomChain(rng)
 		rng2 := rand.New(rand.NewSource(seed))
 		g8 := randomChain(rng2)
-		Apply(g4, Options{Width: 4, Split: true, Eager: EagerFull})
-		Apply(g8, Options{Width: 8, Split: true, Eager: EagerFull})
+		Apply(g4, Options{Width: 4, Split: true, Eager: true})
+		Apply(g8, Options{Width: 8, Split: true, Eager: true})
 		return len(g8.Nodes) >= len(g4.Nodes)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

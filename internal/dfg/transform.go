@@ -7,14 +7,14 @@ import (
 )
 
 // Options configures the parallelization transformations and the runtime
-// behaviours planned on the resulting graph. The configurations in Fig. 7
-// map onto these knobs:
+// behaviours planned on the resulting graph. The configurations of Fig. 7
+// are presets over these fields (core.Preset):
 //
-//	No Eager:       Eager = EagerNone,     Split = false
-//	Blocking Eager: Eager = EagerBlocking, Split = false
-//	Parallel:       Eager = EagerFull,     Split = false
-//	Par + Split:    Eager = EagerFull,     Split = true
-//	Par + B.Split:  Eager = EagerFull,     Split = true, InputAwareSplit = true
+//	No Eager:       Split = false, Eager = false
+//	Blocking Eager: Split = false, Eager = true, EagerBytes = 1 MiB
+//	Parallel:       Split = false, Eager = true
+//	Par + Split:    Split = true,  Eager = true
+//	Par + B.Split:  Split = true,  Eager = true, InputAwareSplit = true
 type Options struct {
 	// Width is the parallelism factor n (the paper sweeps 2..64).
 	Width int
@@ -25,19 +25,15 @@ type Options struct {
 	// its whole input first (§5.2 Splitting Challenges), for splits whose
 	// input is a graph-input file of known size.
 	InputAwareSplit bool
-	// SplitMode steers the implementation t2-inserted splits carry
-	// (Node.Split, see splitImpl). SplitAuto (the default) plans the
-	// streaming round-robin split for stateless and commutative pure
-	// consumers, the file-range split for a seekable graph-input file
-	// when InputAwareSplit is set, and the barrier split everywhere else
-	// (order-sensitive pure commands need contiguous chunks for their
-	// aggregators).
-	SplitMode SplitMode
-	// Eager selects the laziness-overcoming behaviour of edges (§5.2).
-	Eager EagerMode
-	// BlockingEagerBytes bounds every eager buffer at this many bytes
-	// (Blocking Eager in Fig. 7); 0 leaves eager buffers unbounded.
-	BlockingEagerBytes int
+	// Eager places eager relay buffers where laziness would serialize the
+	// graph (§5.2 Overcoming Laziness); EagerBytes bounds each of them
+	// (Blocking Eager in Fig. 7), 0 leaves them unbounded.
+	Eager      bool
+	EagerBytes int
+	// Emit plans a graph that is rendered as a shell script, where real
+	// processes have no chunk framing and fused nodes have no rendering:
+	// every split is the barrier split and nothing fuses.
+	Emit bool
 	// AggResolver supplies (map, aggregate) pairs for P commands. Nil
 	// means only S commands parallelize.
 	AggResolver func(name string, argv []string) (*AggSpec, bool)
@@ -47,8 +43,7 @@ type Options struct {
 	// entirely (no capability information).
 	KernelCapable func(name string, args []string) bool
 	// DisableFusion turns the stage-fusion pass off even when
-	// KernelCapable is available. Emission paths set it: a fused node
-	// has no shell rendering.
+	// KernelCapable is available.
 	DisableFusion bool
 	// AggFanIn shapes the aggregation stage of parallelized pure
 	// commands: 0 picks automatically (fan-in-4 trees once the width
@@ -82,65 +77,6 @@ func aggFanIn(opts Options, width int, spec *AggSpec) int {
 		}
 		return width
 	}
-}
-
-// SplitMode steers the implementation the planner assigns to inserted
-// split nodes.
-type SplitMode int
-
-// Split modes.
-const (
-	// SplitAuto streams with the round-robin splitter wherever that is
-	// sound (stateless or commutative consumer) and uses the file-range
-	// or barrier split otherwise.
-	SplitAuto SplitMode = iota
-	// SplitGeneral always uses the barrier split — required when the
-	// graph is emitted as a shell script, where no chunk framing exists.
-	SplitGeneral
-	// SplitRoundRobin forces the streaming round-robin split for every
-	// stateless or commutative split consumer, even seekable file inputs.
-	SplitRoundRobin
-)
-
-func (m SplitMode) String() string {
-	switch m {
-	case SplitAuto:
-		return "auto"
-	case SplitGeneral:
-		return "general"
-	case SplitRoundRobin:
-		return "round-robin"
-	}
-	return "?"
-}
-
-// EagerMode selects edge buffering behaviour.
-type EagerMode int
-
-// Eager modes.
-const (
-	// EagerNone leaves every edge a plain bounded FIFO (maximum
-	// laziness, Fig. 6a).
-	EagerNone EagerMode = iota
-	// EagerBlocking inserts eager relays only where deadlock-adjacent
-	// laziness occurs (cat/agg inputs after the first), with a bounded
-	// buffer that blocks when full (Fig. 6c-flavoured).
-	EagerBlocking
-	// EagerFull inserts unbounded eager relays at all multi-input
-	// consumers and split outputs (Fig. 6d).
-	EagerFull
-)
-
-func (m EagerMode) String() string {
-	switch m {
-	case EagerNone:
-		return "no-eager"
-	case EagerBlocking:
-		return "blocking-eager"
-	case EagerFull:
-		return "eager"
-	}
-	return "?"
 }
 
 // Apply runs the parallelization transformations to fixpoint: t1 (input
@@ -556,18 +492,15 @@ func trySplit(g *Graph, n *Node, opts Options) bool {
 // moot); serve a seekable graph-input file as byte ranges when the
 // input-aware split is on; order-sensitive pure consumers over anything
 // else keep the barrier split, whose contiguous chunks their aggregators
-// depend on. SplitGeneral forces the barrier, SplitRoundRobin streams
-// even a seekable file.
+// depend on. An emitted graph always gets the barrier.
 func splitImpl(n *Node, in *Edge, opts Options) SplitImpl {
-	if opts.SplitMode == SplitGeneral {
-		return BarrierSplit
-	}
-	seekable := opts.InputAwareSplit && in.From == nil && in.Source.Kind == BindFile
 	switch {
-	case interleavable(n) && (opts.SplitMode == SplitRoundRobin || !seekable):
-		return RoundRobinSplit
-	case seekable:
+	case opts.Emit:
+		return BarrierSplit
+	case opts.InputAwareSplit && in.From == nil && in.Source.Kind == BindFile:
 		return FileRangeSplit
+	case interleavable(n):
+		return RoundRobinSplit
 	}
 	return BarrierSplit
 }
@@ -575,20 +508,20 @@ func splitImpl(n *Node, in *Edge, opts Options) SplitImpl {
 // planEager marks the edges that get eager relay buffers at execution:
 // every input after the first of a multi-input consumer (cat, agg, comm)
 // and every split output except the last (§5.2), each carrying the
-// configured byte bound (0 = unbounded). EagerNone marks nothing.
+// configured byte bound (0 = unbounded). Without Eager it marks nothing.
 func planEager(g *Graph, opts Options) {
-	if opts.Eager == EagerNone {
+	if !opts.Eager {
 		return
 	}
 	for _, n := range g.Nodes {
 		if len(n.In) > 1 {
 			for _, e := range n.In[1:] {
-				e.Eager, e.EagerBytes = true, opts.BlockingEagerBytes
+				e.Eager, e.EagerBytes = true, opts.EagerBytes
 			}
 		}
 		if n.Kind == KindSplit && len(n.Out) > 1 {
 			for _, e := range n.Out[:len(n.Out)-1] {
-				e.Eager, e.EagerBytes = true, opts.BlockingEagerBytes
+				e.Eager, e.EagerBytes = true, opts.EagerBytes
 			}
 		}
 	}

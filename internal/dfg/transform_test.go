@@ -78,7 +78,7 @@ func TestGrepMultiFileNotConcatenated(t *testing.T) {
 	}
 	out := g.AddEdge(&Edge{From: n, Sink: Binding{Kind: BindStdout}})
 	n.Out = append(n.Out, out)
-	Apply(g, Options{Width: 2, Eager: EagerFull})
+	Apply(g, Options{Width: 2, Eager: true})
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestT1InsertsCat(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	Apply(g, Options{Width: 2, Eager: EagerFull})
+	Apply(g, Options{Width: 2, Eager: true})
 	if err := g.Validate(); err != nil {
 		t.Fatalf("after transform: %v\n%s", err, g.Dump())
 	}
@@ -133,7 +133,7 @@ func TestStatelessChainCommutes(t *testing.T) {
 	// in -> grep -> tr -> stdout with split: both stages replicate, and
 	// the intermediate cat disappears (replicas pipe directly).
 	g := chain(t, sNode("grep", "x"), sNode("tr", "a", "b"))
-	Apply(g, Options{Width: 4, Split: true, Eager: EagerFull})
+	Apply(g, Options{Width: 4, Split: true, Eager: true})
 	if err := g.Validate(); err != nil {
 		t.Fatalf("after transform: %v\n%s", err, g.Dump())
 	}
@@ -153,7 +153,7 @@ func TestStatelessChainCommutes(t *testing.T) {
 		t.Errorf("collectors = %d, want 1\n%s", got, g.Dump())
 	}
 	if got := countKind(g, KindMerge); got != 1 {
-		t.Errorf("rr merge = %d, want 1 under SplitAuto\n%s", got, g.Dump())
+		t.Errorf("rr merge = %d, want 1\n%s", got, g.Dump())
 	}
 }
 
@@ -161,7 +161,7 @@ func TestStatelessChainGeneralSplitKeepsCat(t *testing.T) {
 	// Forcing the barrier split reproduces the paper's original shape:
 	// replicas collected by a plain cat, no merges, no framing.
 	g := chain(t, sNode("grep", "x"), sNode("tr", "a", "b"))
-	Apply(g, Options{Width: 4, Split: true, Eager: EagerFull, SplitMode: SplitGeneral})
+	Apply(g, Options{Width: 4, Split: true, Eager: true, Emit: true})
 	if err := g.Validate(); err != nil {
 		t.Fatalf("after transform: %v\n%s", err, g.Dump())
 	}
@@ -169,21 +169,21 @@ func TestStatelessChainGeneralSplitKeepsCat(t *testing.T) {
 		t.Errorf("cats = %d, want 1\n%s", got, g.Dump())
 	}
 	if got := countKind(g, KindMerge); got != 0 {
-		t.Errorf("merges = %d, want 0 under SplitGeneral\n%s", got, g.Dump())
+		t.Errorf("merges = %d, want 0 under emission\n%s", got, g.Dump())
 	}
 	for _, n := range g.Nodes {
 		if n.Framed {
-			t.Errorf("node %s framed under SplitGeneral", n)
+			t.Errorf("node %s framed under emission", n)
 		}
 		if n.Kind == KindSplit && n.Split == RoundRobinSplit {
-			t.Errorf("split %s round-robin under SplitGeneral", n)
+			t.Errorf("split %s round-robin under emission", n)
 		}
 	}
 }
 
 func TestPureMapAggregate(t *testing.T) {
 	g := chain(t, sNode("tr", "A", "a"), pNode("sort", sortAgg(), "-rn"))
-	Apply(g, Options{Width: 3, Split: true, Eager: EagerFull})
+	Apply(g, Options{Width: 3, Split: true, Eager: true})
 	if err := g.Validate(); err != nil {
 		t.Fatalf("after transform: %v\n%s", err, g.Dump())
 	}
@@ -226,15 +226,15 @@ func TestCommutativePureAbsorbsMerge(t *testing.T) {
 	for _, c := range []struct {
 		name                string
 		agg                 *AggSpec
-		mode                SplitMode
+		emit                bool
 		rr, barrier, merges int
 	}{
-		{"commutative", commutative, SplitAuto, 1, 0, 0},
-		{"order-sensitive", sortAgg(), SplitAuto, 1, 1, 1},
-		{"commutative, emission", commutative, SplitGeneral, 0, 1, 0},
+		{"commutative", commutative, false, 1, 0, 0},
+		{"order-sensitive", sortAgg(), false, 1, 1, 1},
+		{"commutative, emission", commutative, true, 0, 1, 0},
 	} {
 		g := chain(t, sNode("tr", "A", "a"), pNode("sort", c.agg, "-rn"))
-		Apply(g, Options{Width: 3, Split: true, Eager: EagerFull, SplitMode: c.mode})
+		Apply(g, Options{Width: 3, Split: true, Eager: true, Emit: c.emit})
 		if err := g.Validate(); err != nil {
 			t.Fatalf("%s: %v\n%s", c.name, err, g.Dump())
 		}
@@ -251,7 +251,7 @@ func TestCommutativePureAbsorbsMerge(t *testing.T) {
 	}
 
 	g := chain(t, pNode("sort", commutative, "-rn"))
-	Apply(g, Options{Width: 3, Split: true, Eager: EagerFull})
+	Apply(g, Options{Width: 3, Split: true, Eager: true})
 	if rr, barrier := splits(g); rr != 1 || barrier != 0 {
 		t.Errorf("lone commutative consumer: %d rr splits, %d barrier splits; want 1, 0\n%s", rr, barrier, g.Dump())
 	}
@@ -259,7 +259,7 @@ func TestCommutativePureAbsorbsMerge(t *testing.T) {
 
 func TestPureWithoutAggregatorStaysSequential(t *testing.T) {
 	g := chain(t, sNode("tr", "A", "a"), pNode("tail", nil, "-n", "+2"))
-	Apply(g, Options{Width: 4, Split: true, Eager: EagerFull})
+	Apply(g, Options{Width: 4, Split: true, Eager: true})
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestPureWithoutAggregatorStaysSequential(t *testing.T) {
 func TestNonParallelizableUntouched(t *testing.T) {
 	n := NewNode(KindCommand, "sha1sum", nil, annot.NonParallelizable)
 	g := chain(t, sNode("grep", "x"), n)
-	Apply(g, Options{Width: 4, Split: true, Eager: EagerFull})
+	Apply(g, Options{Width: 4, Split: true, Eager: true})
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestNonParallelizableUntouched(t *testing.T) {
 
 func TestNoSplitWhenDisabled(t *testing.T) {
 	g := chain(t, sNode("grep", "x"))
-	Apply(g, Options{Width: 8, Split: false, Eager: EagerFull})
+	Apply(g, Options{Width: 8, Split: false, Eager: true})
 	if got := countKind(g, KindSplit); got != 0 {
 		t.Errorf("split inserted with Split=false")
 	}
@@ -298,7 +298,7 @@ func TestNoSplitWhenDisabled(t *testing.T) {
 func TestWidthOneIsIdentity(t *testing.T) {
 	g := chain(t, sNode("grep", "x"), sNode("tr", "a", "b"))
 	before := len(g.Nodes)
-	Apply(g, Options{Width: 1, Split: true, Eager: EagerFull})
+	Apply(g, Options{Width: 1, Split: true, Eager: true})
 	if len(g.Nodes) != before {
 		t.Errorf("width 1 changed the graph: %d -> %d nodes", before, len(g.Nodes))
 	}
@@ -310,7 +310,7 @@ func TestFixpointTerminates(t *testing.T) {
 	g := chain(t,
 		sNode("grep", "a"), sNode("tr", "x", "y"), sNode("sed", "s/a/b/"),
 		sNode("cut", "-c", "1-3"), sNode("grep", "-v", "z"))
-	Apply(g, Options{Width: 8, Split: true, Eager: EagerFull})
+	Apply(g, Options{Width: 8, Split: true, Eager: true})
 	if err := g.Validate(); err != nil {
 		t.Fatalf("after transform: %v", err)
 	}
@@ -332,7 +332,7 @@ func TestSplitAfterAggregate(t *testing.T) {
 	// the stage after an aggregate re-splits.
 	uniqAgg := &AggSpec{MapName: "uniq", MapArgs: nil, AggName: "pash-agg-uniq", AggArgs: nil}
 	g := chain(t, pNode("sort", sortAgg(), "-rn"), pNode("uniq", uniqAgg))
-	Apply(g, Options{Width: 2, Split: true, Eager: EagerFull})
+	Apply(g, Options{Width: 2, Split: true, Eager: true})
 	if err := g.Validate(); err != nil {
 		t.Fatalf("after transform: %v\n%s", err, g.Dump())
 	}
@@ -346,15 +346,15 @@ func TestSplitAfterAggregate(t *testing.T) {
 
 func TestEagerPlanning(t *testing.T) {
 	g := chain(t, sNode("grep", "x"), sNode("tr", "a", "b"))
-	Apply(g, Options{Width: 4, Split: true, Eager: EagerFull})
+	Apply(g, Options{Width: 4, Split: true, Eager: true})
 	stats := g.Stats()
 	if stats.EagerEdges == 0 {
-		t.Error("no eager edges planned under EagerFull")
+		t.Error("no eager edges planned under Eager")
 	}
 	g2 := chain(t, sNode("grep", "x"), sNode("tr", "a", "b"))
-	Apply(g2, Options{Width: 4, Split: true, Eager: EagerNone})
+	Apply(g2, Options{Width: 4, Split: true})
 	if g2.Stats().EagerEdges != 0 {
-		t.Error("eager edges planned under EagerNone")
+		t.Error("eager edges planned without Eager")
 	}
 }
 
@@ -384,7 +384,7 @@ func TestValidateCatchesCycle(t *testing.T) {
 
 func TestStatsByKind(t *testing.T) {
 	g := chain(t, sNode("grep", "x"), pNode("sort", sortAgg(), "-rn"))
-	Apply(g, Options{Width: 4, Split: true, Eager: EagerFull})
+	Apply(g, Options{Width: 4, Split: true, Eager: true})
 	s := g.Stats()
 	if s.ByKind[KindMap] != 4 || s.ByKind[KindAgg] != 1 || s.ByKind[KindSplit] < 1 {
 		t.Errorf("stats = %+v\n%s", s, g.Dump())
@@ -406,18 +406,18 @@ func TestDistributeShapes(t *testing.T) {
 	for _, c := range []struct {
 		name                     string
 		nodes                    []*Node
-		mode                     SplitMode
+		emit                     bool
 		fileRanges               bool
 		streamed, ranges, splits int
 		framedLeft               bool
 	}{
-		{"rr chain to the merge", stateless(), SplitAuto, false, 0, 0, 1, true},
-		{"barrier-split sort chain", []*Node{sNode("tr", "A", "a"), pNode("sort", sortAgg(), "-rn")}, SplitGeneral, false, 4, 0, 1, false},
-		{"tr | sort over rr", []*Node{sNode("tr", "A", "a"), pNode("sort", commutative, "-rn")}, SplitAuto, false, 4, 0, 1, false},
-		{"file ranges", stateless(), SplitAuto, true, 0, 4, 0, false},
+		{"rr chain to the merge", stateless(), false, false, 0, 0, 1, true},
+		{"barrier-split sort chain", []*Node{sNode("tr", "A", "a"), pNode("sort", sortAgg(), "-rn")}, true, false, 4, 0, 1, false},
+		{"tr | sort over rr", []*Node{sNode("tr", "A", "a"), pNode("sort", commutative, "-rn")}, false, false, 4, 0, 1, false},
+		{"file ranges", stateless(), false, true, 0, 4, 0, false},
 	} {
 		g := chain(t, c.nodes...)
-		Apply(g, Options{Width: 4, Split: true, Eager: EagerFull, SplitMode: c.mode})
+		Apply(g, Options{Width: 4, Split: true, Eager: true, Emit: c.emit})
 		n := Distribute(g, DistOptions{Workers: []string{"w1", "w2"}, FileRanges: c.fileRanges})
 		if err := g.Validate(); err != nil {
 			t.Fatalf("%s: %v\n%s", c.name, err, g.Dump())

@@ -114,7 +114,7 @@ func chainGraph(t *testing.T, reg *commands.Registry, stages []dfg.FusedStage, w
 	}
 	prev.Out = append(prev.Out, g.AddEdge(&dfg.Edge{From: prev, Sink: dfg.Binding{Kind: dfg.BindStdout}}))
 	dfg.Apply(g, dfg.Options{
-		Width: width, Split: width > 1, Eager: dfg.EagerFull, SplitMode: dfg.SplitRoundRobin,
+		Width: width, Split: width > 1, Eager: true,
 		KernelCapable: reg.KernelCapable,
 	})
 	if err := g.Validate(); err != nil {

@@ -292,7 +292,7 @@ func TestRoundRobinGraphMatchesSequential(t *testing.T) {
 		seq := execGraph(t, buildPipeline(mk()...), input, Config{})
 
 		g := buildPipeline(mk()...)
-		dfg.Apply(g, dfg.Options{Width: 4, Split: true, Eager: dfg.EagerFull})
+		dfg.Apply(g, dfg.Options{Width: 4, Split: true, Eager: true})
 		rrSplits := 0
 		for _, n := range g.Nodes {
 			if n.Kind == dfg.KindSplit && n.Split == dfg.RoundRobinSplit {
@@ -329,7 +329,7 @@ func TestRoundRobinFeedsCommutativeMaps(t *testing.T) {
 		seq := execGraph(t, buildPipeline(mk()...), input, Config{})
 
 		g := buildPipeline(mk()...)
-		dfg.Apply(g, dfg.Options{Width: 4, Split: true, Eager: dfg.EagerFull})
+		dfg.Apply(g, dfg.Options{Width: 4, Split: true, Eager: true})
 		for _, n := range g.Nodes {
 			if n.Kind == dfg.KindMerge || (n.Kind == dfg.KindSplit && n.Split != dfg.RoundRobinSplit) {
 				t.Fatalf("%s: planner kept %v in front of a commutative consumer\n%s", name, n, g.Dump())
@@ -348,7 +348,7 @@ func TestRoundRobinTrafficCounters(t *testing.T) {
 	g := buildPipeline(
 		dfg.NewNode(dfg.KindCommand, "tr", []dfg.Arg{dfg.Lit("a-z"), dfg.Lit("A-Z")}, annot.Stateless),
 	)
-	dfg.Apply(g, dfg.Options{Width: 2, Split: true, Eager: dfg.EagerFull})
+	dfg.Apply(g, dfg.Options{Width: 2, Split: true, Eager: true})
 	var out bytes.Buffer
 	input := strings.Repeat("stream me\n", 5000)
 	res, err := Execute(context.Background(), g, testRegistry(),

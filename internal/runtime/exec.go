@@ -121,7 +121,8 @@ type executor struct {
 	sequential bool
 
 	// fs is the job's view of the real filesystem (jailed for a sandboxed
-	// job); overlay adds the graph's edges to it as virtual files.
+	// job); overlay adds the graph's edges to it as virtual files, and its
+	// base opens every input file the region reads.
 	fs      commands.OSFS
 	overlay *overlayFS
 
@@ -224,7 +225,9 @@ func (ex *executor) open() error {
 	ex.names = make([]string, ids)
 	ex.meters = make([]int64, ids)
 	ex.fs = commands.OSFS{Dir: ex.cfg.Dir, Jail: ex.cfg.Sandbox}
-	ex.overlay = &overlayFS{base: ex.fs}
+	if ex.overlay == nil {
+		ex.overlay = &overlayFS{base: ex.fs}
+	}
 	for _, e := range ex.g.Edges {
 		if err := ex.materialize(e); err != nil {
 			return err
@@ -233,8 +236,9 @@ func (ex *executor) open() error {
 	// Only an input a command opens by name needs one: an operand, not
 	// its stdin. A graph-input file keeps its real name — commands that
 	// embed input names in their output (grep's file prefixes) behave as
-	// in a real shell, and the overlay passes the path through; any other
-	// edge gets a virtual name the overlay resolves to its stream.
+	// in a real shell, and opening it hands the command the file opened
+	// above (operandFS); any other edge gets a virtual name the overlay
+	// resolves to its stream.
 	for _, n := range ex.g.Nodes {
 		for i, e := range n.In {
 			switch {
@@ -318,7 +322,9 @@ func (ex *executor) materialize(e *dfg.Edge) error {
 		// Internal producer: a stream. Created below together with the
 		// consumer end.
 	case e.Source.Kind == dfg.BindFile:
-		f, err := ex.fs.Open(e.Source.Path)
+		// Opened before any node runs: a missing or jailed input fails the
+		// region before it writes a byte.
+		f, err := ex.overlay.base.Open(e.Source.Path)
 		if err != nil {
 			return fmt.Errorf("runtime: input %s: %w", e.Source.Path, err)
 		}
@@ -445,6 +451,18 @@ func (ex *executor) dispatch(ctx context.Context, n *dfg.Node) ([]StageTime, err
 		FS:     ex.overlay,
 		Env:    ex.cfg.Env,
 	}
+	var files map[string][]io.ReadCloser
+	for i, e := range n.In {
+		if i != n.StdinInput && e.From == nil && e.Source.Kind == dfg.BindFile {
+			if files == nil {
+				files = map[string][]io.ReadCloser{}
+			}
+			files[e.Source.Path] = append(files[e.Source.Path], ex.readers[e.ID])
+		}
+	}
+	if files != nil {
+		cctx.FS = &operandFS{ex.overlay, files}
+	}
 	reg := ex.reg
 	if n.Kind == dfg.KindCat || n.Kind == dfg.KindMerge || n.Kind == dfg.KindRelay {
 		// Collector and relay nodes are the runtime's own primitives,
@@ -525,8 +543,25 @@ func (nopWriteCloser) Close() error { return nil }
 // generated scripts substitute FIFOs for files. The executor maps its
 // edges here; a streamed aggregation subtree maps its branch outputs.
 type overlayFS struct {
-	base    commands.OSFS
+	base    commands.FS
 	streams map[string]io.ReadCloser // fixed before any command runs
+}
+
+// operandFS is one node's view of the overlay: opening one of its file
+// operands returns the file the executor already opened for that edge,
+// so each operand is opened once per region (cat f f takes both of f's).
+// Any other open goes to the overlay.
+type operandFS struct {
+	*overlayFS
+	files map[string][]io.ReadCloser
+}
+
+func (o *operandFS) Open(path string) (io.ReadCloser, error) {
+	if fs := o.files[path]; len(fs) > 0 {
+		o.files[path] = fs[1:]
+		return fs[0], nil
+	}
+	return o.overlayFS.Open(path)
 }
 
 // Open resolves virtual names to their streams.

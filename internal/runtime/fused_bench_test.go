@@ -5,10 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
-
 	"testing"
-
-	"repro/internal/dfg"
 )
 
 // benchFusionInput builds ~8 MiB of multi-field lines with mixed case,
@@ -49,7 +46,7 @@ func BenchmarkFusion(b *testing.B) {
 		b.SetBytes(int64(len(input)))
 		var out int64
 		for i := 0; i < b.N; i++ {
-			g := buildChainGraph(b, 1, dfg.SplitAuto, disablePlan, chain...)
+			g := buildChainGraph(b, 1, disablePlan, chain...)
 			counter := &countWriter{}
 			_, err := Execute(context.Background(), g, reg,
 				StdIO{Stdin: bytes.NewReader(input), Stdout: counter}, cfg)
@@ -95,7 +92,7 @@ func BenchmarkFusedWidth(b *testing.B) {
 			b.Run(fmt.Sprintf("w%d-%s", width, mode.name), func(b *testing.B) {
 				b.SetBytes(int64(len(input)))
 				for i := 0; i < b.N; i++ {
-					g := buildChainGraph(b, width, dfg.SplitRoundRobin, mode.disable, chain...)
+					g := buildChainGraph(b, width, mode.disable, chain...)
 					_, err := Execute(context.Background(), g, reg,
 						StdIO{Stdin: bytes.NewReader(input), Stdout: io.Discard}, Config{})
 					if err != nil {

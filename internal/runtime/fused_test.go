@@ -24,7 +24,7 @@ func fusedReg() *commands.Registry {
 
 // buildChainGraph wires stdin -> specs... -> stdout and applies the
 // transformations with fusion capability information.
-func buildChainGraph(t testing.TB, width int, mode dfg.SplitMode, disableFusion bool, specs ...[2]interface{}) *dfg.Graph {
+func buildChainGraph(t testing.TB, width int, disableFusion bool, specs ...[2]interface{}) *dfg.Graph {
 	t.Helper()
 	g := dfg.New()
 	var prev *dfg.Node
@@ -48,7 +48,7 @@ func buildChainGraph(t testing.TB, width int, mode dfg.SplitMode, disableFusion 
 	e := g.AddEdge(&dfg.Edge{From: prev, Sink: dfg.Binding{Kind: dfg.BindStdout}})
 	prev.Out = append(prev.Out, e)
 	dfg.Apply(g, dfg.Options{
-		Width: width, Split: width > 1, Eager: dfg.EagerFull, SplitMode: mode,
+		Width: width, Split: width > 1, Eager: true,
 		KernelCapable: commands.KernelCapable, DisableFusion: disableFusion,
 	})
 	if err := g.Validate(); err != nil {
@@ -103,7 +103,7 @@ func clip(s string) string {
 // no-match status as the chain's exit code, matching pipeline
 // semantics for the collapsed segment.
 func TestFusedExitStatus(t *testing.T) {
-	g := buildChainGraph(t, 1, dfg.SplitAuto, false,
+	g := buildChainGraph(t, 1, false,
 		[2]interface{}{"tr", []string{"a-z", "A-Z"}},
 		[2]interface{}{"grep", []string{"NOSUCHTOKEN"}},
 	)
@@ -133,7 +133,7 @@ func TestFusedExitStatus(t *testing.T) {
 // TestFusedStageMeters: the fused loop attributes per-stage time and
 // byte traffic even though no pipes separate the stages.
 func TestFusedStageMeters(t *testing.T) {
-	g := buildChainGraph(t, 1, dfg.SplitAuto, false, fusedChain...)
+	g := buildChainGraph(t, 1, false, fusedChain...)
 	input := randomLinesInput(rand.New(rand.NewSource(5)), 2000)
 	var out bytes.Buffer
 	res, err := Execute(context.Background(), g, fusedReg(),
@@ -221,7 +221,7 @@ func TestFusedEarlyExit(t *testing.T) {
 		e := g.AddEdge(&dfg.Edge{From: head, Sink: dfg.Binding{Kind: dfg.BindStdout}})
 		head.Out = append(head.Out, e)
 		dfg.Apply(g, dfg.Options{
-			Width: width, Split: width > 1, Eager: dfg.EagerNone, SplitMode: dfg.SplitRoundRobin,
+			Width: width, Split: width > 1, Eager: false,
 			KernelCapable: commands.KernelCapable,
 		})
 		if err := g.Validate(); err != nil {

@@ -16,7 +16,7 @@ func TestProfileMatchesExecute(t *testing.T) {
 			dfg.NewNode(dfg.KindCommand, "grep", []dfg.Arg{dfg.Lit("a")}, annot.Stateless),
 			dfg.NewNode(dfg.KindCommand, "sort", nil, annot.Pure),
 		)
-		dfg.Apply(g, dfg.Options{Width: 4, Split: true, Eager: dfg.EagerFull,
+		dfg.Apply(g, dfg.Options{Width: 4, Split: true, Eager: true,
 			AggResolver: nil})
 		return g
 	}
@@ -51,7 +51,7 @@ func TestProfileMapAggregate(t *testing.T) {
 		AggName: "sort", AggArgs: []string{"-m", "-n"},
 	}
 	g := buildPipeline(sortNode)
-	dfg.Apply(g, dfg.Options{Width: 3, Split: true, Eager: dfg.EagerFull})
+	dfg.Apply(g, dfg.Options{Width: 3, Split: true, Eager: true})
 	var out bytes.Buffer
 	res, err := Profile(context.Background(), g, testRegistry(),
 		StdIO{Stdin: strings.NewReader("3\n1\n2\n9\n5\n4\n"), Stdout: &out}, Config{})
@@ -101,7 +101,7 @@ func TestBlockingEagerConfig(t *testing.T) {
 		g := buildPipeline(
 			dfg.NewNode(dfg.KindCommand, "tr", []dfg.Arg{dfg.Lit("a-z"), dfg.Lit("A-Z")}, annot.Stateless),
 		)
-		dfg.Apply(g, dfg.Options{Width: 2, Split: true, Eager: dfg.EagerBlocking, BlockingEagerBytes: planned})
+		dfg.Apply(g, dfg.Options{Width: 2, Split: true, Eager: true, EagerBytes: planned})
 		for _, sequential := range []bool{false, true} {
 			ex := &executor{g: g, reg: testRegistry(), sequential: sequential}
 			if err := ex.open(); err != nil {

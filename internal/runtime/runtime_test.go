@@ -66,19 +66,19 @@ func TestExecuteSimplePipeline(t *testing.T) {
 }
 
 func TestExecuteTransformedStateless(t *testing.T) {
-	for _, eager := range []dfg.EagerMode{dfg.EagerNone, dfg.EagerBlocking, dfg.EagerFull} {
+	for _, opts := range []dfg.Options{
+		{Width: 4, Split: true},
+		{Width: 4, Split: true, Eager: true, EagerBytes: 1 << 20},
+		{Width: 4, Split: true, Eager: true},
+	} {
 		g := buildPipeline(
 			dfg.NewNode(dfg.KindCommand, "grep", []dfg.Arg{dfg.Lit("a")}, annot.Stateless),
 			dfg.NewNode(dfg.KindCommand, "tr", []dfg.Arg{dfg.Lit("a-z"), dfg.Lit("A-Z")}, annot.Stateless),
 		)
-		opts := dfg.Options{Width: 4, Split: true, Eager: eager}
-		if eager == dfg.EagerBlocking {
-			opts.BlockingEagerBytes = 1 << 20
-		}
 		dfg.Apply(g, opts)
 		got := execGraph(t, g, "apple\nberry\navocado\nbanana\ncherry\napricot\n", Config{})
 		if got != "APPLE\nAVOCADO\nBANANA\nAPRICOT\n" {
-			t.Errorf("eager=%v: parallel pipeline = %q", eager, got)
+			t.Errorf("%+v: parallel pipeline = %q", opts, got)
 		}
 	}
 }
@@ -93,7 +93,7 @@ func TestExecuteMapAggregate(t *testing.T) {
 		dfg.NewNode(dfg.KindCommand, "grep", []dfg.Arg{dfg.Lit("[0-9]")}, annot.Stateless),
 		sortNode,
 	)
-	dfg.Apply(g, dfg.Options{Width: 3, Split: true, Eager: dfg.EagerFull})
+	dfg.Apply(g, dfg.Options{Width: 3, Split: true, Eager: true})
 	got := execGraph(t, g, "5\n3\n9\n1\n7\n2\n8\n", Config{})
 	if got != "9\n8\n7\n5\n3\n2\n1\n" {
 		t.Errorf("map/agg sort = %q", got)
@@ -146,7 +146,7 @@ func TestInputAwareFileSplit(t *testing.T) {
 		n.StdinInput = 0
 		out := g.AddEdge(&dfg.Edge{From: n, Sink: dfg.Binding{Kind: dfg.BindStdout}})
 		n.Out = append(n.Out, out)
-		dfg.Apply(g, dfg.Options{Width: 4, Split: true, Eager: dfg.EagerFull, InputAwareSplit: aware})
+		dfg.Apply(g, dfg.Options{Width: 4, Split: true, Eager: true, InputAwareSplit: aware})
 		want := dfg.BarrierSplit
 		if aware {
 			want = dfg.FileRangeSplit
@@ -188,7 +188,7 @@ func TestHeadOverParallelStages(t *testing.T) {
 		dfg.NewNode(dfg.KindCommand, "tr", []dfg.Arg{dfg.Lit("a-z"), dfg.Lit("A-Z")}, annot.Stateless),
 		dfg.NewNode(dfg.KindCommand, "head", []dfg.Arg{dfg.Lit("-n"), dfg.Lit("1")}, annot.Pure),
 	)
-	dfg.Apply(g, dfg.Options{Width: 4, Split: true, Eager: dfg.EagerFull})
+	dfg.Apply(g, dfg.Options{Width: 4, Split: true, Eager: true})
 	var in strings.Builder
 	for i := 0; i < 10000; i++ {
 		in.WriteString("line\n")

@@ -15,12 +15,10 @@ import (
 )
 
 // plannedTestServer builds a daemon the way cmd/pash-serve does: the
-// exact preset with -width as a ceiling, one scheduler.
+// planned preset with -width as a ceiling, one scheduler.
 func plannedTestServer(t *testing.T, dir string, width int) (*Server, *httptest.Server) {
 	t.Helper()
-	opts := pash.DefaultOptions(width)
-	opts.PlanWidth = true
-	sess := pash.NewSession(opts)
+	sess := pash.NewSession(pash.Options{Width: width, Preset: pash.Planned})
 	sess.Dir = dir
 	srv := New(sess, pash.NewScheduler(8))
 	ts := httptest.NewServer(srv.Handler())

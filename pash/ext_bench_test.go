@@ -192,7 +192,6 @@ func extSpeedups(t testing.TB, lines int) (kernel, agg float64) {
 	input := extInput(lines)
 
 	rr := DefaultOptions(8)
-	rr.SplitMode = SplitRoundRobin
 
 	script := "heavy | tr a-f A-F"
 	seqOut, seqTime := measureExt(t, SequentialOptions(), script, input)

@@ -204,14 +204,11 @@ func TestExtensionEquivalenceProperty(t *testing.T) {
 			&chunkyReader{data: input, rng: rand.New(rand.NewSource(int64(round)))})
 
 		rrOpts := DefaultOptions(8)
-		rrOpts.SplitMode = SplitRoundRobin
 		rrOpts.DisableFusion = true
 		rr := runExt(t, rrOpts, specs, script,
 			&chunkyReader{data: input, rng: rand.New(rand.NewSource(int64(round) + 100))})
 
-		fusedOpts := DefaultOptions(8)
-		fusedOpts.SplitMode = SplitRoundRobin
-		fused := runExt(t, fusedOpts, specs, script,
+		fused := runExt(t, DefaultOptions(8), specs, script,
 			&chunkyReader{data: input, rng: rand.New(rand.NewSource(int64(round) + 200))})
 
 		if seq != rr {

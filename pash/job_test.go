@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 func TestJobStartWaitStats(t *testing.T) {
@@ -185,25 +187,21 @@ func TestStartWithOptions(t *testing.T) {
 	if def != seq {
 		t.Errorf("per-job width override diverged:\n%q\nvs\n%q", def, seq)
 	}
-	// Every planner option set computes the same bytes from its own plan
-	// (same region fingerprint, a different plan-cache key each).
-	before := s.PlanCacheStats().Misses
-	sets := map[string]func(*Options){
-		"split=general": func(o *Options) { o.SplitMode = SplitGeneral },
-		"split=rr":      func(o *Options) { o.SplitMode = SplitRoundRobin },
-		"fusion=off":    func(o *Options) { o.DisableFusion = true },
-		"input-aware":   func(o *Options) { o.InputAwareSplit = true },
-		"blocking":      func(o *Options) { o.Eager, o.BlockingEagerBytes = EagerBlocking, 1<<16 },
+	// Every other preset, and the session's with fusion off, computes the
+	// same bytes from its own plan (same region fingerprint, a different
+	// plan-cache key each).
+	sets := []Options{{Width: 8, DisableFusion: true}}
+	for p := core.ParBSplit; p <= core.Planned; p++ {
+		sets = append(sets, Options{Width: 8, Preset: p})
 	}
-	for name, set := range sets {
-		o := DefaultOptions(8)
-		set(&o)
+	for _, o := range sets {
+		before := s.PlanCacheStats().Misses
 		if got := run(WithOptions(o)); got != seq {
-			t.Errorf("%s diverged:\n%q\nvs\n%q", name, got, seq)
+			t.Errorf("%+v diverged:\n%q\nvs\n%q", o, got, seq)
 		}
-	}
-	if got := s.PlanCacheStats().Misses - before; got != int64(len(sets)) {
-		t.Errorf("%d option sets planned %d new plans, want one each", len(sets), got)
+		if got := s.PlanCacheStats().Misses - before; got != 1 {
+			t.Errorf("%+v planned %d new plans, want one", o, got)
+		}
 	}
 	// The override is per-job: the session still plans at width 8.
 	if got := s.Options().Width; got != 8 {

@@ -8,6 +8,12 @@
 //	code, err := s.Run(ctx, "cat big.txt | grep needle | sort | uniq -c",
 //	        os.Stdin, os.Stdout, os.Stderr)
 //
+// Options are a width and a preset, not a set of knobs. The zero preset
+// is the paper's Par + Split at exactly that width (DefaultOptions);
+// pash.Planned, what the pash and pash-serve binaries run, makes the
+// width a ceiling and plans each region as wide as its input pays for.
+// The other lines of Fig. 7 are presets the artifact tool picks.
+//
 // Long-running callers use the Job API instead of blocking Run: Start
 // returns a handle with streaming stdio, cancellation, and live stats:
 //
@@ -37,39 +43,28 @@ import (
 	"repro/internal/annot"
 	"repro/internal/commands"
 	"repro/internal/core"
-	"repro/internal/dfg"
 	"repro/internal/dist"
 	"repro/internal/runtime"
 )
 
-// Options selects parallelism width and runtime primitives; it mirrors
-// the paper's evaluation configurations (Fig. 7).
+// Options selects the parallelism width and a planner preset: the zero
+// Preset is the paper's Par + Split (Fig. 7), at exactly Width.
 type Options = core.Options
 
 // Plan is an ahead-of-time compiled script; Emit renders it as an
 // explicit parallel POSIX script (Fig. 3).
 type Plan = core.Plan
 
-// Eager-mode constants for Options.Eager.
-const (
-	EagerNone     = dfg.EagerNone
-	EagerBlocking = dfg.EagerBlocking
-	EagerFull     = dfg.EagerFull
-)
-
-// Split-mode constants for Options.SplitMode.
-const (
-	SplitAuto       = dfg.SplitAuto
-	SplitGeneral    = dfg.SplitGeneral
-	SplitRoundRobin = dfg.SplitRoundRobin
-)
+// Planned is the preset the pash and pash-serve binaries run: Par + Split
+// with Width a ceiling, each region as wide as its input pays for.
+const Planned = core.Planned
 
 // DefaultOptions returns the paper's best configuration ("Par + Split")
 // at the given width.
 func DefaultOptions(width int) Options { return core.DefaultOptions(width) }
 
 // SequentialOptions disables parallelization entirely.
-func SequentialOptions() Options { return Options{Width: 1} }
+func SequentialOptions() Options { return Options{Width: 1, Preset: core.NoEager} }
 
 // Scheduler is the shared machine scheduler: script admission slots
 // plus a width-token pool that concurrent executions draw from. Build
@@ -272,9 +267,9 @@ func (s *Session) Compile(src string) (*Plan, error) {
 // CompileExec builds the in-process execution view of a script: regions
 // are optimized exactly as the interpreter would run them (stage
 // fusion, streaming splits, aggregation trees). The result cannot be
-// emitted as a shell script; inspect it with Plan.Dot. With
-// Options.PlanWidth each region's width is decided as a run in the
-// session's Dir would decide it (a run's stdin is not known here).
+// emitted as a shell script; inspect it with Plan.Dot. Under the Planned
+// preset each region's width is decided as a run in the session's Dir
+// would decide it (a run's stdin is not known here).
 func (s *Session) CompileExec(src string) (*Plan, error) {
 	return s.snapshot().PlanExecIn(src, commands.OSFS{Dir: s.Dir})
 }

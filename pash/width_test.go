@@ -22,9 +22,7 @@ func TestSmallRegionStaysLocal(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	opts := DefaultOptions(4)
-	opts.PlanWidth = true
-	sess := NewSession(opts)
+	sess := NewSession(Options{Width: 4, Preset: Planned})
 	sess.Dir = dir
 	sess.UseWorkers(pool)
 	shipped := func() (n int64) {
