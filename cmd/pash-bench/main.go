@@ -1,5 +1,5 @@
-// Command pash-bench regenerates the paper's evaluation artifacts
-// (§6): Table 1 (study), Table 2 (one-liner summary), Fig. 7 (speedup vs
+// Command pash-bench prints the paper's evaluation artifacts (§6):
+// Table 1 (study), Table 2 (one-liner summary), Fig. 7 (speedup vs
 // width under five configurations), Fig. 8 (Unix50), the NOAA and
 // Wikipedia use cases (§6.3, §6.4), and the §6.5 micro-benchmarks.
 //
@@ -9,104 +9,60 @@
 //	pash-bench -fig 8 [-scale N]
 //	pash-bench -exp noaa | wikipedia | sort | gnuparallel
 //
-// Correctness is checked on every run (parallel output must equal
-// sequential); speedups are projected onto a simulated 64-core machine
-// from per-node works measured on this host (see internal/sim and the
-// "Meters and the simulator" section of internal/runtime/README.md).
-// Measured wall-clock performance is the business of the repository
-// benchmark in bench/ (bench/README.md), not of this command.
+// The artifacts are computed by internal/paper. Parallel output must
+// equal sequential output on every run, and a failed check exits 1.
+// Speedups are projected onto a simulated 64-core machine from per-node
+// works measured on this host and are labelled "projected"; measured
+// wall times are labelled "measured". Measured performance of the system
+// is the business of the repository benchmark in bench/.
 package main
 
 import (
-	"context"
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
 
-	"repro/internal/baseline"
-	"repro/internal/benchscripts"
-	"repro/internal/core"
-	"repro/internal/workload"
-	"repro/pash"
+	"repro/internal/paper"
 )
-
-// benchRecord is one machine-readable measurement. pash-bench -out
-// writes these so successive PRs can track the perf trajectory in
-// BENCH_*.json files.
-type benchRecord struct {
-	Bench   string  `json:"bench"`
-	Config  string  `json:"config,omitempty"`
-	Width   int     `json:"width,omitempty"`
-	Speedup float64 `json:"speedup,omitempty"`
-	SeqMs   float64 `json:"seq_ms,omitempty"`
-	Nodes   int     `json:"nodes,omitempty"`
-}
-
-// benchReport is the JSON envelope.
-type benchReport struct {
-	Tool      string        `json:"tool"`
-	Timestamp string        `json:"timestamp"`
-	Scale     int           `json:"scale"`
-	Records   []benchRecord `json:"records"`
-}
-
-var jsonRecords []benchRecord
-
-func record(r benchRecord) { jsonRecords = append(jsonRecords, r) }
-
-func writeJSON(path string, scale int) {
-	if path == "" {
-		return
-	}
-	rep := benchReport{
-		Tool:      "pash-bench",
-		Timestamp: time.Now().UTC().Format(time.RFC3339),
-		Scale:     scale,
-		Records:   jsonRecords,
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		die(err)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		die(err)
-	}
-	fmt.Fprintf(os.Stderr, "pash-bench: wrote %d records to %s\n", len(jsonRecords), path)
-}
 
 func main() {
 	var (
-		table   = flag.Int("table", 0, "regenerate a table (1 or 2)")
-		fig     = flag.Int("fig", 0, "regenerate a figure (7 or 8)")
-		exp     = flag.String("exp", "", "use case: noaa|wikipedia|sort|gnuparallel")
-		scale   = flag.Int("scale", 4, "workload scale factor")
-		widths  = flag.String("widths", "2,4,8,16,32,64", "width sweep for -fig 7")
-		bench   = flag.String("bench", "", "restrict -fig 7 to one benchmark")
-		jsonOut = flag.String("out", "", "also write results as JSON to this file (e.g. BENCH_fig7.json)")
+		table  = flag.Int("table", 0, "print a table (1 or 2)")
+		fig    = flag.Int("fig", 0, "print a figure (7 or 8)")
+		exp    = flag.String("exp", "", "use case or micro-benchmark: noaa|wikipedia|sort|gnuparallel")
+		scale  = flag.Int("scale", 4, "workload scale factor")
+		widths = flag.String("widths", "2,4,8,16,32,64", "width sweep for -fig 7")
+		bench  = flag.String("bench", "", "restrict -fig 7 to one benchmark")
 	)
 	flag.Parse()
+	var err error
 	switch {
 	case *table == 1:
-		pash.WriteTable1(os.Stdout)
+		table1()
 	case *table == 2:
-		runTable2(*scale)
+		err = table2(*scale)
 	case *fig == 7:
-		runFig7(*scale, parseWidths(*widths), *bench)
+		err = fig7(*scale, parseWidths(*widths), *bench)
 	case *fig == 8:
-		runFig8(*scale)
+		err = fig8(*scale)
+	case *exp == "sort":
+		err = sortMicro(*scale)
+	case *exp == "gnuparallel":
+		err = gnuParallel(*scale)
 	case *exp != "":
-		runExp(*exp, *scale)
+		err = useCase(*exp, *scale)
 	default:
 		flag.Usage()
 		os.Exit(2)
 	}
-	writeJSON(*jsonOut, *scale)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "pash-bench: %v\n", err)
+		os.Exit(1)
+	}
 }
 
 func parseWidths(s string) []int {
@@ -122,278 +78,123 @@ func parseWidths(s string) []int {
 	return out
 }
 
-func die(err error) {
-	fmt.Fprintf(os.Stderr, "pash-bench: %v\n", err)
-	os.Exit(1)
+func table1() {
+	fmt.Printf("%-28s %-18s %-16s %s\n", "Class", "Key Examples", "Coreutils", "POSIX")
+	for _, r := range paper.Table1() {
+		fmt.Printf("%-28s %-18s %3d (%4.1f%%)     %3d (%4.1f%%)\n",
+			r.Name+" ("+r.Class.String()+")", r.Examples, r.Coreutils, r.CoreutilsPct, r.POSIX, r.POSIXPct)
+	}
 }
 
-func tmpdir() string {
-	dir, err := os.MkdirTemp("", "pash-bench-*")
+func table2(scale int) error {
+	rows, err := paper.Table2(scale)
 	if err != nil {
-		die(err)
+		return err
 	}
-	return dir
+	fmt.Printf("%-18s %-10s %9s %14s %7s %7s %12s %12s\n",
+		"Script", "Structure", "Input", "Seq (measured)", "N(16)", "N(64)", "Compile(16)", "Compile(64)")
+	for _, r := range rows {
+		fmt.Printf("%-18s %-10s %9s %14s %7d %7d %12s %12s\n",
+			r.Script, r.Structure, size(r.InputBytes), r.SeqWall.Round(time.Millisecond),
+			r.Nodes16, r.Nodes64, r.Compile16.Round(10*time.Microsecond), r.Compile64.Round(10*time.Microsecond))
+	}
+	return nil
 }
 
-// runTable2 prints Tab. 2: structure, input size, sequential time,
-// #nodes and compile time at widths 16 and 64.
-func runTable2(scale int) {
-	fmt.Printf("%-18s %-10s %9s %12s %7s %7s %12s %12s\n",
-		"Script", "Structure", "Input", "Seq. time", "N(16)", "N(64)", "Compile(16)", "Compile(64)")
-	for _, b := range benchscripts.OneLiners() {
-		dir := tmpdir()
-		p, err := benchscripts.Prepare(b, dir, scale)
-		if err != nil {
-			die(err)
-		}
-		seq, err := p.Execute(core.Options{Width: 1, Preset: core.NoEager})
-		if err != nil {
-			die(err)
-		}
-		n16, c16, err := p.CompileStats(core.DefaultOptions(16))
-		if err != nil {
-			die(err)
-		}
-		n64, c64, err := p.CompileStats(core.DefaultOptions(64))
-		if err != nil {
-			die(err)
-		}
-		fmt.Printf("%-18s %-10s %9s %12s %7d %7d %12s %12s\n",
-			b.Name, b.Structure, inputSize(dir), seq.Duration.Round(1e6),
-			n16, n64, c16.Round(1e4), c64.Round(1e4))
-		record(benchRecord{Bench: b.Name, Config: "table2",
-			SeqMs: float64(seq.Duration) / 1e6, Nodes: n16})
-		os.RemoveAll(dir)
-	}
-}
-
-func inputSize(dir string) string {
-	var total int64
-	_ = filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
-		if err == nil && !d.IsDir() {
-			if info, err := d.Info(); err == nil {
-				total += info.Size()
-			}
-		}
-		return nil
-	})
+func size(n int64) string {
 	switch {
-	case total > 1<<20:
-		return fmt.Sprintf("%.1fMB", float64(total)/(1<<20))
-	case total > 1<<10:
-		return fmt.Sprintf("%.1fKB", float64(total)/(1<<10))
+	case n > 1<<20:
+		return fmt.Sprintf("%.1fMB", float64(n)/(1<<20))
+	case n > 1<<10:
+		return fmt.Sprintf("%.1fKB", float64(n)/(1<<10))
 	}
-	return fmt.Sprintf("%dB", total)
+	return fmt.Sprintf("%dB", n)
 }
 
-// fig7Configs are the five lines of Fig. 7.
-var fig7Configs = []core.Preset{core.ParSplit, core.ParBSplit, core.Parallel, core.BlockingEager, core.NoEager}
+// speedups prints one row of projected speedups.
+func speedups(label string, sps []float64) {
+	fmt.Print(label)
+	for _, sp := range sps {
+		fmt.Printf(" %6.2f ", sp)
+	}
+	fmt.Println()
+}
 
-// runFig7 prints speedups per (script, config, width) — the data behind
-// Fig. 7's curves.
-func runFig7(scale int, widths []int, only string) {
-	fmt.Printf("%-18s %-15s", "Script", "Config")
+func widthHeader(label string, widths []int) {
+	fmt.Print(label)
 	for _, w := range widths {
 		fmt.Printf(" %6dx", w)
 	}
-	fmt.Println()
-	avg := map[int][]float64{}
-	for _, b := range benchscripts.OneLiners() {
-		if only != "" && b.Name != only {
-			continue
-		}
-		dir := tmpdir()
-		p, err := benchscripts.Prepare(b, dir, scale)
-		if err != nil {
-			die(err)
-		}
-		for _, cfg := range fig7Configs {
-			fmt.Printf("%-18s %-15s", b.Name, cfg)
-			for _, w := range widths {
-				sp, _, _, err := benchscripts.Speedup(p, core.Options{Width: w, Preset: cfg})
-				if err != nil {
-					die(err)
-				}
-				fmt.Printf(" %6.2f ", sp)
-				record(benchRecord{Bench: b.Name, Config: cfg.String(), Width: w, Speedup: sp})
-				if cfg == core.ParSplit {
-					avg[w] = append(avg[w], sp)
-				}
-			}
-			fmt.Println()
-		}
-		os.RemoveAll(dir)
-	}
-	if only == "" {
-		fmt.Printf("%-18s %-15s", "AVERAGE", "par+split")
-		for _, w := range widths {
-			sum := 0.0
-			for _, v := range avg[w] {
-				sum += v
-			}
-			fmt.Printf(" %6.2f ", sum/float64(len(avg[w])))
-		}
-		fmt.Println()
-	}
+	fmt.Println("  (projected speedup)")
 }
 
-// runFig8 prints the Unix50 speedups at width 16 (Fig. 8).
-func runFig8(scale int) {
-	fmt.Printf("%-12s %-14s %10s %9s\n", "Pipeline", "Structure", "Seq", "Speedup")
-	var speedups []float64
-	for _, b := range benchscripts.Unix50() {
-		dir := tmpdir()
-		p, err := benchscripts.Prepare(b, dir, scale)
-		if err != nil {
-			die(err)
-		}
-		sp, seq, _, err := benchscripts.Speedup(p, core.DefaultOptions(16))
-		if err != nil {
-			die(err)
-		}
-		fmt.Printf("%-12s %-14s %10s %8.2fx\n", b.Name, b.Structure,
-			seq.SimTime(benchscripts.SimCores).Round(1e6), sp)
-		record(benchRecord{Bench: b.Name, Config: "unix50", Width: 16, Speedup: sp,
-			SeqMs: float64(seq.SimTime(benchscripts.SimCores)) / 1e6})
-		speedups = append(speedups, sp)
-		os.RemoveAll(dir)
+func fig7(scale int, widths []int, only string) error {
+	rows, err := paper.Fig7(scale, widths, only)
+	if err != nil {
+		return err
 	}
-	sum := 0.0
-	for _, s := range speedups {
-		sum += s
+	widthHeader(fmt.Sprintf("%-18s %-15s", "Script", "Config"), widths)
+	for _, r := range rows {
+		speedups(fmt.Sprintf("%-18s %-15s", r.Script, r.Preset), r.Projected)
 	}
-	fmt.Printf("average speedup: %.2fx  (paper: 5.49x avg, 6.07x median at 16x)\n",
-		sum/float64(len(speedups)))
+	return nil
 }
 
-// runExp runs the use cases and micro-benchmarks.
-func runExp(name string, scale int) {
-	switch name {
-	case "noaa":
-		runUseCase(benchscripts.NOAA(), scale, []int{2, 10, 16})
-	case "wikipedia":
-		runUseCase(benchscripts.WebIndex(), scale, []int{2, 16})
-	case "sort":
-		runSortMicro(scale)
-	case "gnuparallel":
-		runGNUParallelMicro(scale)
-	default:
-		fmt.Fprintf(os.Stderr, "pash-bench: unknown experiment %q\n", name)
-		os.Exit(2)
+func fig8(scale int) error {
+	rows, mean, err := paper.Fig8(scale)
+	if err != nil {
+		return err
 	}
+	fmt.Printf("%-12s %-14s %15s %19s\n", "Pipeline", "Structure", "Seq (projected)", "Speedup (projected)")
+	for _, r := range rows {
+		fmt.Printf("%-12s %-14s %15s %18.2fx\n", r.Pipeline, r.Structure, r.SeqProjected.Round(time.Millisecond), r.Projected)
+	}
+	fmt.Printf("average projected speedup: %.2fx  (paper: 5.49x avg, 6.07x median at 16x)\n", mean)
+	return nil
 }
 
-func runUseCase(b benchscripts.Bench, scale int, widths []int) {
-	dir := tmpdir()
-	defer os.RemoveAll(dir)
-	p, err := benchscripts.Prepare(b, dir, scale)
+func useCase(name string, scale int) error {
+	res, err := paper.UseCase(name, scale)
 	if err != nil {
-		die(err)
+		return err
 	}
-	seq, err := p.Execute(core.Options{Width: 1, Preset: core.NoEager, MeasureMode: true})
-	if err != nil {
-		die(err)
+	fmt.Printf("%s: sequential %s measured (projected on %d cores: %s)\n",
+		res.Name, res.SeqWall.Round(time.Millisecond), paper.SimCores, res.SeqProjected.Round(time.Millisecond))
+	for _, r := range res.Rows {
+		fmt.Printf("  width %2d: projected %s, projected speedup %.2fx (output identical: yes)\n",
+			r.Width, r.Projected.Round(time.Millisecond), r.Speedup)
 	}
-	fmt.Printf("%s: sequential %s (projected on %d cores: %s)\n",
-		b.Name, seq.Duration.Round(1e6), benchscripts.SimCores,
-		seq.SimTime(benchscripts.SimCores).Round(1e6))
-	for _, w := range widths {
-		sp, _, par, err := benchscripts.Speedup(p, core.DefaultOptions(w))
-		if err != nil {
-			die(err)
-		}
-		fmt.Printf("  width %2d: projected %s, speedup %.2fx (output identical: yes)\n",
-			w, par.SimTime(benchscripts.SimCores).Round(1e6), sp)
-		record(benchRecord{Bench: b.Name, Config: "use-case", Width: w, Speedup: sp})
-	}
+	return nil
 }
 
-// runSortMicro compares PaSh-parallelized sort (with and without eager)
-// against the command-internal threading of sort --parallel (§6.5).
-func runSortMicro(scale int) {
-	dir := tmpdir()
-	defer os.RemoveAll(dir)
-	if err := workload.TextFile(dir+"/in.txt", 30000*scale, 7); err != nil {
-		die(err)
-	}
-	script := "cat in.txt | sort"
-	p := &benchscripts.Prepared{
-		Bench:  benchscripts.Bench{Name: "sort-micro"},
-		Dir:    dir,
-		Script: script,
-	}
-	fmt.Printf("%-22s", "Config")
-	widths := []int{4, 8, 16, 32, 64}
-	for _, w := range widths {
-		fmt.Printf(" %6dx", w)
-	}
-	fmt.Println()
-	for _, cfg := range []struct {
-		name   string
-		preset core.Preset
-	}{
-		{"pash (eager)", core.ParSplit},
-		{"pash (no eager)", core.SplitNoEager},
-	} {
-		fmt.Printf("%-22s", cfg.name)
-		for _, w := range widths {
-			sp, _, _, err := benchscripts.Speedup(p, core.Options{Width: w, Preset: cfg.preset})
-			if err != nil {
-				die(err)
-			}
-			fmt.Printf(" %6.2f ", sp)
-		}
-		fmt.Println()
-	}
-	// The command-internal baseline: sort --parallel (real correctness
-	// check plus the same projection applied to its phases).
-	input, err := os.ReadFile(dir + "/in.txt")
+func sortMicro(scale int) error {
+	rows, matches, err := paper.SortMicro(scale)
 	if err != nil {
-		die(err)
+		return err
 	}
-	seqOut, err := baseline.ParallelSort(string(input), 1)
-	if err != nil {
-		die(err)
+	widthHeader(fmt.Sprintf("%-22s", "Config"), paper.SortWidths)
+	for _, r := range rows {
+		speedups(fmt.Sprintf("%-22s", r.Config), r.Projected)
 	}
-	parOut, err := baseline.ParallelSort(string(input), 8)
-	if err != nil {
-		die(err)
-	}
-	fmt.Printf("sort --parallel output identical to sort: %v\n", seqOut == parOut)
+	fmt.Printf("sort --parallel output identical to sort: %v\n", matches)
 	fmt.Println("(paper §6.5: sort --parallel corresponds to the no-eager line;")
 	fmt.Println(" PaSh with eager outperforms it by adding buffers between merge phases)")
+	if !matches {
+		return errors.New("check failed: sort --parallel output differs from sort")
+	}
+	return nil
 }
 
-// runGNUParallelMicro reproduces the §6.5 GNU parallel comparison: PaSh
-// is correct; blind block-parallelism is fast but wrong.
-func runGNUParallelMicro(scale int) {
-	dir := tmpdir()
-	defer os.RemoveAll(dir)
-	input := workload.Text(20000*scale, 99)
-	// A bio-like pipeline where one command dominates (harsh for PaSh).
-	script := `tr A-Z a-z | grep -E '(the|of|and).*(water|people)' | sort | uniq -c | sort -rn`
-
-	seqSession := pash.NewSession(pash.SequentialOptions())
-	var seqOut strings.Builder
-	if _, err := seqSession.Run(context.Background(), script,
-		strings.NewReader(input), &seqOut, os.Stderr); err != nil {
-		die(err)
-	}
-
-	parSession := pash.NewSession(pash.DefaultOptions(8))
-	var parOut strings.Builder
-	if _, err := parSession.Run(context.Background(), script,
-		strings.NewReader(input), &parOut, os.Stderr); err != nil {
-		die(err)
-	}
-
-	naiveOut, err := baseline.NaiveParallel(context.Background(), script, input, dir, nil, 8)
+func gnuParallel(scale int) error {
+	res, err := paper.GNUParallel(scale)
 	if err != nil {
-		die(err)
+		return err
 	}
-
-	fmt.Printf("pash output identical to sequential:   %v\n", parOut.String() == seqOut.String())
-	fmt.Printf("naive-parallel identical to sequential: %v\n", naiveOut == seqOut.String())
-	fmt.Printf("naive-parallel output divergence:       %.0f%% of lines (paper: 92%%)\n",
-		100*baseline.Divergence(seqOut.String(), naiveOut))
+	fmt.Printf("pash output identical to sequential:   %v\n", res.PashMatches)
+	fmt.Printf("naive-parallel identical to sequential: %v\n", res.NaiveMatches)
+	fmt.Printf("naive-parallel output divergence:       %.0f%% of lines (paper: 92%%)\n", 100*res.Divergence)
+	if !res.PashMatches || res.NaiveMatches {
+		return errors.New("check failed: want pash identical to sequential and naive-parallel not")
+	}
+	return nil
 }

@@ -3,7 +3,7 @@
 // package repro/pash; examples/quickstart is the tour,
 // internal/runtime/README.md documents the runtime's contracts,
 // bench/README.md the repository benchmark and its workloads, and
-// cmd/pash-bench regenerates the paper's tables and figures.
+// cmd/pash-bench prints the paper's tables and figures (internal/paper).
 //
 // # Architecture
 //
@@ -25,8 +25,13 @@
 //     map over lines, does this head take K lines) are asked of the
 //     command's own parser,
 //   - internal/agg     the custom aggregators of §3.2,
-//   - internal/sim     projects measured per-node works onto a simulated
-//     multicore machine for the §6 speedup figures.
+//   - internal/paper   is the §6 evaluation: the benchmark corpus, seeded
+//     inputs, the §6.5 baselines, the §3.1 study, and a simulator that
+//     projects per-node works measured by a profiling run
+//     (core.Interp.Measure) onto a multicore machine. One function per
+//     table or figure returns its rows; cmd/pash-bench prints them.
+//     internal/benchscripts holds only tests: that corpus run sequential
+//     against parallel, fused against unfused, and against dash/bash.
 //
 // # The chunked data plane
 //
@@ -278,8 +283,8 @@
 // through a healthy→degraded→down→rejoining state machine with
 // hysteresis — a dead worker drains out of planning, a restarted one
 // rejoins, and a slow one is steered away from, all without restarting
-// the coordinator. A fault-injection layer (dist.ParseFaultProfile,
-// `pash-serve -fault-profile`) and a chaos suite drive every fault
+// the coordinator. A fault-injection layer (dist.Injector, installed
+// with Pool.SetFaultInjector) lets the chaos suite drive every fault
 // class through the real stack to hold the no-corruption guarantee.
 // Per-worker meters and state-transition counters ride the
 // coordinator's /metrics; workers register at runtime via POST

@@ -32,7 +32,7 @@ import (
 	"time"
 
 	"repro/internal/dfg"
-	"repro/internal/workload"
+	"repro/internal/paper"
 	"repro/pash"
 )
 
@@ -186,7 +186,7 @@ func run(s *pash.Session, script, input string) (string, time.Duration) {
 }
 
 func main() {
-	input := workload.Text(40_000, 7)
+	input := paper.Text(40_000, 7)
 	seq := newSession(pash.SequentialOptions())
 	par := newSession(pash.DefaultOptions(8))
 

@@ -10,14 +10,14 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/workload"
+	"repro/internal/paper"
 	"repro/pash"
 )
 
 func main() {
 	// McIlroy's word-frequency one-liner (§6.1 "Wf").
 	script := `tr -cs A-Za-z '\n' | tr A-Z a-z | sort | uniq -c | sort -rn | head -n 10`
-	input := workload.Text(50_000, 42)
+	input := paper.Text(50_000, 42)
 
 	// 1. Sequential run.
 	seq := pash.NewSession(pash.SequentialOptions())

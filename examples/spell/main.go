@@ -13,7 +13,7 @@ import (
 	"path/filepath"
 	"strings"
 
-	"repro/internal/workload"
+	"repro/internal/paper"
 	"repro/pash"
 )
 
@@ -27,10 +27,10 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 	if err := os.WriteFile(filepath.Join(dir, "essay.txt"),
-		[]byte(workload.Text(40_000, 11)), 0o644); err != nil {
+		[]byte(paper.Text(40_000, 11)), 0o644); err != nil {
 		log.Fatal(err)
 	}
-	if err := workload.Dictionary(filepath.Join(dir, "dict.txt")); err != nil {
+	if err := paper.Dictionary(filepath.Join(dir, "dict.txt")); err != nil {
 		log.Fatal(err)
 	}
 

@@ -11,7 +11,7 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/workload"
+	"repro/internal/paper"
 	"repro/pash"
 )
 
@@ -32,11 +32,7 @@ func main() {
 	}
 	defer os.RemoveAll(root)
 	fmt.Println("generating synthetic NOAA archive (5 years)...")
-	err = workload.NOAA(root, workload.NOAAConfig{
-		FirstYear: 2015, LastYear: 2019,
-		Stations: 8, RecordsPerStation: 5000, Seed: 1,
-	})
-	if err != nil {
+	if err := paper.NOAAArchive(root, 8, 5000, 1); err != nil {
 		log.Fatal(err)
 	}
 

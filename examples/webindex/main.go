@@ -12,7 +12,7 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/workload"
+	"repro/internal/paper"
 	"repro/pash"
 )
 
@@ -25,7 +25,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(root)
-	if _, err := workload.Web(root, workload.WebConfig{Pages: 60, ParasPerPage: 25, Seed: 3}); err != nil {
+	if err := paper.WebCorpus(root, 60, 25, 3); err != nil {
 		log.Fatal(err)
 	}
 

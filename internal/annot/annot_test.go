@@ -238,55 +238,6 @@ func TestRegistryRegisterOverride(t *testing.T) {
 	}
 }
 
-func TestTable1MatchesPaperCounts(t *testing.T) {
-	rows := Table1()
-	want := []struct {
-		class     Class
-		coreutils int
-		posix     int
-	}{
-		{Stateless, 22, 28},
-		{Pure, 8, 9},
-		{NonParallelizable, 13, 13},
-		{SideEffectful, 57, 105},
-	}
-	for i, w := range want {
-		if rows[i].Class != w.class || rows[i].CoreutilsCount != w.coreutils || rows[i].POSIXCount != w.posix {
-			t.Errorf("row %d = %+v, want %+v", i, rows[i], w)
-		}
-	}
-}
-
-func TestStudyNoDuplicates(t *testing.T) {
-	for _, s := range []*Study{CoreutilsStudy(), POSIXStudy()} {
-		seen := map[string]Class{}
-		for _, e := range s.Entries {
-			if prev, dup := seen[e.Name]; dup {
-				t.Errorf("%s: %q in both %v and %v", s.SetName, e.Name, prev, e.Class)
-			}
-			seen[e.Name] = e.Class
-		}
-	}
-}
-
-func TestStudyAgreesWithAnnotations(t *testing.T) {
-	// For every command that has both a default annotation and a study
-	// entry, the default-flag class must match the study class.
-	reg := StdRegistry()
-	for _, s := range []*Study{CoreutilsStudy(), POSIXStudy()} {
-		for _, e := range s.Entries {
-			if _, ok := reg.Lookup(e.Name); !ok {
-				continue
-			}
-			inv := reg.Classify(e.Name, nil)
-			if inv.Class != e.Class {
-				t.Errorf("%s/%s: annotation default %v != study %v",
-					s.SetName, e.Name, inv.Class, e.Class)
-			}
-		}
-	}
-}
-
 func TestPredString(t *testing.T) {
 	src := `x { | not ( -a /\ value -b = "c" ) \/ -d => (S, [stdin], [stdout]) }`
 	rec, err := ParseRecord(src)

@@ -183,6 +183,7 @@ takesvalue ;
 
 grep {
 takesvalue -e -f -m -A -B -C --include ;
+| -l \/ -L => (N, [args[1:]], [stdout])
 | ( -e \/ -f ) /\ -c => (P, [args[0:]], [stdout])
 | -c => (P, [args[1:]], [stdout])
 | ( -e \/ -f ) /\ ( -n \/ -b ) => (P, [args[0:]], [stdout])
@@ -250,8 +251,9 @@ seq {
 }
 
 # xargs applies its command to bounded batches of input lines; with a
-# stateless command (the only way PaSh uses it) the whole node is
-# stateless. This mirrors the paper's treatment in Fig. 3 (xargs curl -s).
+# stateless command (the only way PaSh uses it) and one item per batch
+# the whole node is stateless. This mirrors the paper's treatment in
+# Fig. 3 (xargs -n 1 curl -s); refineXargs demotes larger batches.
 xargs {
 takesvalue -n -I -s -L ;
 | _ => (S, [stdin], [stdout])

@@ -12,6 +12,7 @@ func installRefiners(r *Registry) {
 	r.RegisterRefiner("uniq", refineUniq)
 	r.RegisterRefiner("paste", refinePaste)
 	r.RegisterRefiner("tr", refineTr)
+	r.RegisterRefiner("xargs", refineXargs)
 }
 
 // refineSed demotes sed invocations that are not a map over lines to
@@ -67,5 +68,16 @@ func refinePaste(inv *Invocation) {
 func refineTr(inv *Invocation) {
 	if inv.Class == Stateless && !commands.TrKeepsNewlines(inv.Opts.Raw) {
 		inv.Class = Pure
+	}
+}
+
+// refineXargs demotes xargs to non-parallelizable unless it runs its
+// command once per word (-n 1) or per line (-L 1, -I): a larger batch,
+// the default one included, groups items across line boundaries, so a
+// replica's batches are not width 1's. The verdict is the command's own
+// (commands.XargsPerLine).
+func refineXargs(inv *Invocation) {
+	if inv.Class == Stateless && !commands.XargsPerLine(inv.Opts.Raw) {
+		inv.Class = NonParallelizable
 	}
 }

@@ -8,8 +8,8 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/baseline"
 	"repro/internal/core"
+	"repro/internal/paper"
 	"repro/internal/shell"
 )
 
@@ -17,8 +17,7 @@ import (
 // output to a real POSIX shell running the same script over the same
 // inputs — at width 1 (plain interpretation) and width 8 (the full
 // parallelizing pipeline: splits, framing, fusion, aggregation trees).
-// Divergences are reported with the baseline.Divergence line-level
-// fraction, the paper's §6.5 corruption metric.
+// A divergence is reported with the first line that differs.
 
 // systemShell picks the comparison shell: dash (the paper's host shell)
 // first, then bash, then sh.
@@ -114,6 +113,24 @@ func runSystemShell(t *testing.T, shPath, script, dir string) (string, error) {
 	return out.String(), nil
 }
 
+// firstDiff returns the 1-based number of the first line where want and
+// got differ, with both versions of that line.
+func firstDiff(want, got string) (int, string, string) {
+	wl, gl := strings.Split(want, "\n"), strings.Split(got, "\n")
+	for i := 0; ; i++ {
+		var w, g string
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if w != g || (i >= len(wl) && i >= len(gl)) {
+			return i + 1, w, g
+		}
+	}
+}
+
 // conformanceCorpus lists the benches the suite covers: the Tab. 2
 // one-liners, the full Unix50 set, and the shell-form scripts
 // (heredocs, subshells). The diff bench is excluded:
@@ -122,11 +139,9 @@ func runSystemShell(t *testing.T, shPath, script, dir string) (string, error) {
 // or smaller — edit scripts than a minimal Myers diff), so its piped
 // `grep -c '^>'` count cannot be compared byte-for-byte across
 // implementations.
-func conformanceCorpus() []Bench {
-	var out []Bench
-	all := append(OneLiners(), Unix50()...)
-	all = append(all, ShellForms()...)
-	for _, b := range all {
+func conformanceCorpus() []paper.Bench {
+	var out []paper.Bench
+	for _, b := range append(corpus(), paper.ShellForms()...) {
 		if b.Name == "diff" {
 			continue
 		}
@@ -147,27 +162,23 @@ func TestShellFormsAgainstDashAndBash(t *testing.T) {
 			continue
 		}
 		shells++
-		for _, b := range ShellForms() {
+		for _, b := range paper.ShellForms() {
 			b := b
 			t.Run(sh+"/"+b.Name, func(t *testing.T) {
-				dir := t.TempDir()
-				p, err := Prepare(b, dir, 1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := runSystemShell(t, shPath, p.Script, dir)
+				p := prepare(t, b)
+				want, err := runSystemShell(t, shPath, p.script, p.dir)
 				if err != nil {
 					t.Skipf("%s cannot run this script: %v", sh, err)
 				}
 				for _, w := range []int{1, 8} {
-					res, err := p.Execute(core.DefaultOptions(w))
+					res, err := p.execute(core.DefaultOptions(w))
 					if err != nil {
 						t.Fatalf("width %d: %v", w, err)
 					}
-					if got := string(res.Output); got != want {
-						div := baseline.Divergence(want, got)
-						t.Errorf("width %d diverges from %s: %.1f%% of lines differ\n--- want:\n%s--- got:\n%s",
-							w, sh, 100*div, want, got)
+					if got := string(res.output); got != want {
+						line, wl, gl := firstDiff(want, got)
+						t.Errorf("width %d diverges from %s at line %d: want %q, got %q\n--- want:\n%s--- got:\n%s",
+							w, sh, line, wl, gl, want, got)
 					}
 				}
 			})
@@ -184,12 +195,8 @@ func TestConformanceAgainstSystemShell(t *testing.T) {
 	for _, b := range conformanceCorpus() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
-			dir := t.TempDir()
-			p, err := Prepare(b, dir, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, name := range scriptCommands(t, p.Script) {
+			p := prepare(t, b)
+			for _, name := range scriptCommands(t, p.script) {
 				if shellBuiltins[name] {
 					continue
 				}
@@ -197,20 +204,20 @@ func TestConformanceAgainstSystemShell(t *testing.T) {
 					t.Skipf("host lacks %q; cannot run the system-shell baseline", name)
 				}
 			}
-			want, err := runSystemShell(t, shPath, p.Script, dir)
+			want, err := runSystemShell(t, shPath, p.script, p.dir)
 			if err != nil {
 				t.Skipf("system shell cannot run this script: %v", err)
 			}
 			for _, w := range widths {
-				res, err := p.Execute(core.DefaultOptions(w))
+				res, err := p.execute(core.DefaultOptions(w))
 				if err != nil {
 					t.Fatalf("width %d: %v", w, err)
 				}
-				got := string(res.Output)
+				got := string(res.output)
 				if got != want {
-					div := baseline.Divergence(want, got)
-					t.Errorf("width %d diverges from %s: %.1f%% of lines differ (%d vs %d bytes)\nscript:\n%s",
-						w, shPath, 100*div, len(got), len(want), p.Script)
+					line, wl, gl := firstDiff(want, got)
+					t.Errorf("width %d diverges from %s at line %d: want %q, got %q (%d vs %d bytes)\nscript:\n%s",
+						w, shPath, line, wl, gl, len(got), len(want), p.script)
 				}
 			}
 		})

@@ -1,6 +1,7 @@
 package commands
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 )
@@ -13,83 +14,96 @@ func init() { register("xargs", xargs) }
 // the work it does, so the planner does not size a region by them.
 func InputIsIndex(name string) bool { return name == "xargs" || name == "file" }
 
+// xargsArgs is a parsed xargs argv.
+type xargsArgs struct {
+	maxArgs  int      // -n: words per invocation (0 = up to 1024)
+	maxLines int      // -L: lines per invocation
+	repl     string   // -I: one line per invocation, substituted for repl
+	template []string // the command and its leading arguments
+}
+
+// parseXargs reads xargs's options, which end at the first operand (the
+// command to run).
+func parseXargs(args []string) (xargsArgs, error) {
+	var x xargsArgs
+	i := 0
+	for ; i < len(args); i++ {
+		a := args[i]
+		if !strings.HasPrefix(a, "-") || a == "-" {
+			break
+		}
+		val := a[min(2, len(a)):]
+		if val == "" && (a == "-n" || a == "-L" || a == "-I") {
+			if i++; i >= len(args) {
+				return x, fmt.Errorf("option %q requires an argument", a)
+			}
+			val = args[i]
+		}
+		switch {
+		case strings.HasPrefix(a, "-n"), strings.HasPrefix(a, "-L"):
+			n, err := strconv.Atoi(val)
+			if err != nil || n < 1 {
+				return x, fmt.Errorf("invalid %s value %q", a[:2], val)
+			}
+			if a[1] == 'n' {
+				x.maxArgs = n
+			} else {
+				x.maxLines = n
+			}
+		case strings.HasPrefix(a, "-I"):
+			x.repl = val
+		case a == "-s" || a == "-P":
+			i++ // accept and ignore with argument
+		default:
+			return x, fmt.Errorf("unsupported flag %q", a)
+		}
+	}
+	x.template = args[i:]
+	if len(x.template) == 0 {
+		x.template = []string{"echo"}
+	}
+	return x, nil
+}
+
+// XargsPerLine reports whether xargs under argv runs its command once per
+// input item that never spans lines — one word (-n 1) or one line (-L 1,
+// -I) — so that its output over line-aligned chunks is the concatenation
+// of their outputs. Any larger batch groups items across line boundaries;
+// an argv xargs refuses is not a map either.
+func XargsPerLine(argv []string) bool {
+	x, err := parseXargs(argv)
+	switch {
+	case err != nil:
+		return false
+	case x.repl != "" || x.maxLines > 0:
+		return x.repl != "" || x.maxLines == 1
+	}
+	return x.maxArgs == 1
+}
+
 // xargs builds command invocations from input lines. Flags: -n MAX (args
 // per invocation), -L MAX (lines per invocation), -I REPL (replace REPL
 // in the template with each input line, one line per invocation).
 // Input items are whitespace-separated words (newline-separated whole
 // lines for -I/-L).
 func xargs(ctx *Context) error {
-	maxArgs := 0
-	maxLines := 0
-	replStr := ""
-	var template []string
-	args := ctx.Args
-	i := 0
-	for ; i < len(args); i++ {
-		a := args[i]
-		grab := func(attached string) (string, error) {
-			if attached != "" {
-				return attached, nil
-			}
-			i++
-			if i >= len(args) {
-				return "", ctx.Errorf("option %q requires an argument", a)
-			}
-			return args[i], nil
-		}
-		if !strings.HasPrefix(a, "-") || a == "-" {
-			break
-		}
-		switch {
-		case strings.HasPrefix(a, "-n"):
-			v, err := grab(a[2:])
-			if err != nil {
-				return err
-			}
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 1 {
-				return ctx.Errorf("invalid -n value %q", v)
-			}
-			maxArgs = n
-		case strings.HasPrefix(a, "-L"):
-			v, err := grab(a[2:])
-			if err != nil {
-				return err
-			}
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 1 {
-				return ctx.Errorf("invalid -L value %q", v)
-			}
-			maxLines = n
-		case strings.HasPrefix(a, "-I"):
-			v, err := grab(a[2:])
-			if err != nil {
-				return err
-			}
-			replStr = v
-		case a == "-s" || a == "-P":
-			i++ // accept and ignore with argument
-		default:
-			return ctx.Errorf("unsupported flag %q", a)
-		}
-	}
-	template = args[i:]
-	if len(template) == 0 {
-		template = []string{"echo"}
+	x, err := parseXargs(ctx.Args)
+	if err != nil {
+		return ctx.Errorf("%v", err)
 	}
 	if ctx.Exec == nil {
 		return ctx.Errorf("no exec hook available")
 	}
 
 	runOnce := func(argv []string) error {
-		name := template[0]
+		name := x.template[0]
 		var callArgs []string
-		if replStr != "" {
-			for _, t := range template[1:] {
-				callArgs = append(callArgs, strings.ReplaceAll(t, replStr, argv[0]))
+		if x.repl != "" {
+			for _, t := range x.template[1:] {
+				callArgs = append(callArgs, strings.ReplaceAll(t, x.repl, argv[0]))
 			}
 		} else {
-			callArgs = append(callArgs, template[1:]...)
+			callArgs = append(callArgs, x.template[1:]...)
 			callArgs = append(callArgs, argv...)
 		}
 		err := ctx.Exec(name, callArgs, strings.NewReader(""), ctx.Stdout)
@@ -102,11 +116,11 @@ func xargs(ctx *Context) error {
 		return nil
 	}
 
-	if replStr != "" || maxLines > 0 {
+	if x.repl != "" || x.maxLines > 0 {
 		// Line mode.
 		batch := make([]string, 0, 16)
-		limit := maxLines
-		if replStr != "" {
+		limit := x.maxLines
+		if x.repl != "" {
 			limit = 1
 		}
 		flush := func() error {
@@ -135,7 +149,7 @@ func xargs(ctx *Context) error {
 
 	// Word mode.
 	var batch []string
-	limit := maxArgs
+	limit := x.maxArgs
 	if limit == 0 {
 		limit = 1024
 	}
@@ -147,7 +161,7 @@ func xargs(ctx *Context) error {
 		batch = nil
 		return err
 	}
-	err := EachLine(ctx.stdin(), func(line []byte) error {
+	err = EachLine(ctx.stdin(), func(line []byte) error {
 		for _, w := range strings.Fields(string(line)) {
 			batch = append(batch, w)
 			if len(batch) >= limit {

@@ -26,10 +26,6 @@ type Options struct {
 	// execution; emission always disables it (fused nodes have no shell
 	// rendering).
 	DisableFusion bool
-	// MeasureMode runs regions through the profiling executor (nodes
-	// sequential, unbounded buffers) to collect clean per-node works
-	// for the multicore scheduling simulator. Output is identical.
-	MeasureMode bool
 }
 
 // Preset is one whole planner configuration: a line of Fig. 7, the split

@@ -37,6 +37,9 @@ type Interp struct {
 	// this interpreter (and its nested interpreters) executes, so a
 	// running job's stats show bytes moved so far instead of zeros.
 	traffic *runtime.Traffic
+	// profile runs every region through the profiling executor and
+	// records its RegionProfile (Measure).
+	profile bool
 
 	jobMu sync.Mutex
 	jobs  []chan jobResult
@@ -55,7 +58,7 @@ type Interp struct {
 	profMu sync.Mutex
 	// Profiles records each executed region's graph and measured node
 	// times, feeding the multicore scheduling simulator. Filled only
-	// under Options.MeasureMode.
+	// after Measure.
 	Profiles []RegionProfile
 }
 
@@ -125,7 +128,7 @@ func NewInterp(c *Compiler, dir string, vars map[string]string, stdio runtime.St
 // subshell, a compound pipeline stage, a command substitution — sharing
 // the job's compiler, budget, sandbox and traffic meter.
 func (in *Interp) nested(env *shell.Env, stdio runtime.StdIO) *Interp {
-	return &Interp{c: in.c, env: env, dir: in.dir, stdio: stdio, budget: in.budget, sandbox: in.sandbox, traffic: in.traffic}
+	return &Interp{c: in.c, env: env, dir: in.dir, stdio: stdio, budget: in.budget, sandbox: in.sandbox, traffic: in.traffic, profile: in.profile}
 }
 
 // fold adds a finished nested interpreter's region metrics and profiles
@@ -168,6 +171,13 @@ func (in *Interp) UseBudget(b *runtime.Budget, sandbox bool) {
 	in.budget = b
 	in.sandbox = sandbox
 }
+
+// Measure makes this a measuring run: every region goes through the
+// profiling executor (runtime.Profile: nodes one at a time, unbounded
+// buffers, output identical) and leaves its graph and per-node works in
+// Profiles for the multicore scheduling simulator. Call before
+// RunScript/RunParsed; nested interpreters inherit it.
+func (in *Interp) Measure() { in.profile = true }
 
 // RunScript parses and executes src, returning the final exit status.
 func (in *Interp) RunScript(ctx context.Context, src string) (int, error) {
@@ -670,7 +680,7 @@ func (in *Interp) runPipeline(ctx context.Context, simples []*shell.Simple) (int
 		Budget:  in.budget,
 		Sandbox: in.sandbox,
 		Traffic: in.traffic,
-	}, func(g *dfg.Graph, hit bool) {
+	}, in.profile, func(g *dfg.Graph, hit bool) {
 		in.statsMu.Lock()
 		in.Stats.noteRegion(g, hit)
 		in.statsMu.Unlock()
@@ -678,7 +688,7 @@ func (in *Interp) runPipeline(ctx context.Context, simples []*shell.Simple) (int
 	if err != nil {
 		return 1, err
 	}
-	if in.c.Opts.MeasureMode {
+	if in.profile {
 		// Only the simulator's measuring runs read profiles; recording
 		// them always would grow with every region a long loop executes.
 		in.profMu.Lock()

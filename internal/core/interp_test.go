@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"compress/gzip"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/commands"
 	"repro/internal/runtime"
 )
 
@@ -305,30 +307,58 @@ func TestUnknownCommandConservative(t *testing.T) {
 }
 
 // TestProfilesOnlyUnderMeasureMode: region profiles feed the simulator's
-// measuring runs and nothing else, so an ordinary run — here a
-// 10k-iteration loop — accumulates none, while a measuring run records
-// one per region.
+// measuring runs (Interp.Measure) and nothing else, so an ordinary run —
+// here a 10k-iteration loop — accumulates none, while a measuring run
+// records one per region, nested regions included.
 func TestProfilesOnlyUnderMeasureMode(t *testing.T) {
 	var items strings.Builder
 	for i := 0; i < 10000; i++ {
 		fmt.Fprintf(&items, " %d", i)
 	}
-	run := func(opts Options, src string) *Interp {
-		in := NewInterp(NewCompiler(opts), "", nil, runtime.StdIO{Stdin: strings.NewReader("")})
+	run := func(measure bool, src string) *Interp {
+		in := NewInterp(NewCompiler(DefaultOptions(2)), "", nil, runtime.StdIO{Stdin: strings.NewReader("")})
+		if measure {
+			in.Measure()
+		}
 		if code, err := in.RunScript(context.Background(), src); err != nil || code != 0 {
 			t.Fatalf("code %d, err %v", code, err)
 		}
 		return in
 	}
-	in := run(DefaultOptions(2), "for i in"+items.String()+"; do echo $i; done")
+	in := run(false, "for i in"+items.String()+"; do echo $i; done")
 	if in.Stats.Regions != 10000 || len(in.Profiles) != 0 {
 		t.Errorf("plain run: %d regions left %d profiles, want 10000 and 0", in.Stats.Regions, len(in.Profiles))
 	}
-	measured := DefaultOptions(2)
-	measured.MeasureMode = true
-	in = run(measured, "for i in 1 2 3; do echo $i; done | wc -l")
+	in = run(true, "for i in 1 2 3; do echo $i; done | wc -l")
 	if len(in.Profiles) != 4 {
 		t.Errorf("measuring run recorded %d profiles, want 4 (three loop bodies and the wc)", len(in.Profiles))
+	}
+}
+
+// TestMeasuringRunStaysJailed: the profiling executor a measuring run
+// switches to honours the sandbox like the one it replaces — a file
+// outside the jail fails the region with ErrJailEscape and no byte of it
+// comes out.
+func TestMeasuringRunStaysJailed(t *testing.T) {
+	outside := t.TempDir()
+	secret := filepath.Join(outside, "secret.txt")
+	if err := os.WriteFile(secret, []byte(strings.Repeat("secret\n", 4096)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(outside, "jail")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	in := NewInterp(NewCompiler(DefaultOptions(2)), dir, nil, runtime.StdIO{Stdout: &out})
+	in.UseBudget(nil, true)
+	in.Measure()
+	code, err := in.RunScript(context.Background(), "cat "+secret+" | tr a-z A-Z | head -n 1")
+	if code == 0 || !errors.Is(err, commands.ErrJailEscape) {
+		t.Errorf("code=%d err=%v, want ErrJailEscape", code, err)
+	}
+	if out.Len() != 0 {
+		t.Errorf("leaked %d bytes from outside the jail: %q", out.Len(), out.String())
 	}
 }
 

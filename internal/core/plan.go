@@ -549,10 +549,11 @@ func (c *Compiler) compileAt(stages []Stage, wp dfg.WidthPlan, lifted *dfg.Graph
 // decided width, count the decision, let the caller count the verdict
 // (planned sees the private graph before it runs), and execute exactly
 // that graph in the job's environment — every decision about how it runs
-// is already on it. The returned wall is execution only, not planning;
-// it is what sizes the region next time should its bytes not be statable
-// then.
-func (c *Compiler) runRegion(ctx context.Context, stages []Stage, region string, wp dfg.WidthPlan, lifted *dfg.Graph, stdio runtime.StdIO, job runtime.Config, planned func(g *dfg.Graph, hit bool)) (*dfg.Graph, *runtime.Result, time.Duration, error) {
+// is already on it. profile runs it through the profiling executor
+// instead (Interp.Measure). The returned wall is execution only, not
+// planning; it is what sizes the region next time should its bytes not
+// be statable then.
+func (c *Compiler) runRegion(ctx context.Context, stages []Stage, region string, wp dfg.WidthPlan, lifted *dfg.Graph, stdio runtime.StdIO, job runtime.Config, profile bool, planned func(g *dfg.Graph, hit bool)) (*dfg.Graph, *runtime.Result, time.Duration, error) {
 	g, hit, err := c.planLifted(stages, region, wp, lifted)
 	if err != nil {
 		return nil, nil, 0, err
@@ -564,7 +565,7 @@ func (c *Compiler) runRegion(ctx context.Context, stages []Stage, region string,
 	job.Remote = c.Workers
 	job.DisableFusion = c.Opts.DisableFusion
 	run := runtime.Execute
-	if c.Opts.MeasureMode {
+	if profile {
 		run = runtime.Profile
 	}
 	start := time.Now()
@@ -573,7 +574,7 @@ func (c *Compiler) runRegion(ctx context.Context, stages []Stage, region string,
 		return g, res, 0, err
 	}
 	wall := time.Since(start)
-	if c.Plans != nil && c.planWidth() && !c.Opts.MeasureMode {
+	if c.Plans != nil && c.planWidth() && !profile {
 		c.Plans.noteRun(region, wall)
 	}
 	return g, res, wall, nil

@@ -271,7 +271,7 @@ func (p *StreamPlan) RunWindow(ctx context.Context, win io.Reader, out, errw io.
 		Budget:  p.Budget,
 		Sandbox: p.Sandbox,
 		Traffic: p.Traffic,
-	}, func(g *dfg.Graph, hit bool) {
+	}, false, func(g *dfg.Graph, hit bool) {
 		g.Window = &p.window
 		p.statsMu.Lock()
 		p.stats.noteRegion(g, hit)

@@ -1,16 +1,15 @@
-// Package benchscripts defines the paper's benchmark corpus in
-// executable form: the twelve classic one-liners of Tab. 2 / Fig. 7, the
-// Unix50 pipelines of Fig. 8, and the two large use cases (§6.3 NOAA,
-// §6.4 Wikipedia). Each benchmark knows how to generate its input data
-// at a given scale and produce the script to run.
-package benchscripts
+package paper
 
 import (
-	"os"
+	"fmt"
 	"path/filepath"
-
-	"repro/internal/workload"
 )
+
+// This file is the paper's benchmark corpus in executable form: the
+// twelve classic one-liners of Tab. 2 / Fig. 7, the Unix50 pipelines of
+// Fig. 8, the two large use cases (§6.3 NOAA, §6.4 Wikipedia), and the
+// shell forms the conformance suite adds. Each benchmark generates its
+// own input at a given scale and returns the script to run.
 
 // Bench is one benchmark script plus its workload.
 type Bench struct {
@@ -27,11 +26,8 @@ type Bench struct {
 	Vars func(dir string) map[string]string
 }
 
-// seed for all generated workloads; fixed for reproducibility.
-const seed = 20210426 // EuroSys'21 presentation day
-
 func writeText(dir, name string, lines int) error {
-	return workload.TextFile(filepath.Join(dir, name), lines, seed)
+	return textFile(filepath.Join(dir, name), lines, seed)
 }
 
 // OneLiners returns the Tab. 2 collection. scale=1 means roughly 20k
@@ -101,7 +97,7 @@ func OneLiners() []Bench {
 				if err := writeText(dir, "in.txt", 20000*scale); err != nil {
 					return "", err
 				}
-				if err := workload.Dictionary(filepath.Join(dir, "dict.txt")); err != nil {
+				if err := Dictionary(filepath.Join(dir, "dict.txt")); err != nil {
 					return "", err
 				}
 				return `cat in.txt | iconv -f utf-8 -t ascii | tr -cs A-Za-z '\n' | tr A-Z a-z | tr -d '0-9' | sort | uniq | comm -23 - dict.txt`, nil
@@ -116,11 +112,9 @@ func OneLiners() []Bench {
 				if n > 1000 {
 					n = 1000
 				}
-				listing, err := workload.ScriptsDir(filepath.Join(dir, "bin"), n, seed)
-				if err != nil {
+				if err := scriptsDir(filepath.Join(dir, "bin"), n, seed); err != nil {
 					return "", err
 				}
-				_ = listing
 				return `cat bin/PATHLIST | sed 's;^;bin/;' | file | grep -E 'script' | cut -d: -f1 | xargs -L 1 wc -l | sort -n | head -n 15`, nil
 			},
 		},
@@ -132,8 +126,7 @@ func OneLiners() []Bench {
 				if err := writeText(dir, "in1.txt", 8000*scale); err != nil {
 					return "", err
 				}
-				if err := os.WriteFile(filepath.Join(dir, "in2.txt"),
-					[]byte(workload.Text(8000*scale, seed+1)), 0o644); err != nil {
+				if err := textFile(filepath.Join(dir, "in2.txt"), 8000*scale, seed+1); err != nil {
 					return "", err
 				}
 				return `tr A-Z a-z < in1.txt | sort > s1.tmp
@@ -173,8 +166,7 @@ paste -d ' ' words.tmp next.tmp | sort | uniq`, nil
 				if err := writeText(dir, "in1.txt", 10000*scale); err != nil {
 					return "", err
 				}
-				if err := os.WriteFile(filepath.Join(dir, "in2.txt"),
-					[]byte(workload.Text(10000*scale, seed+2)), 0o644); err != nil {
+				if err := textFile(filepath.Join(dir, "in2.txt"), 10000*scale, seed+2); err != nil {
 					return "", err
 				}
 				// Both branches deduplicate (sort -u) before comm: like
@@ -278,16 +270,6 @@ grep water in.txt) | sort`, nil
 	}
 }
 
-// FindOneLiner returns the named Tab. 2 benchmark.
-func FindOneLiner(name string) (Bench, bool) {
-	for _, b := range OneLiners() {
-		if b.Name == name {
-			return b, true
-		}
-	}
-	return Bench{}, false
-}
-
 // NOAA returns the §6.3 weather use case (Fig. 1's script against the
 // offline archive).
 func NOAA() Bench {
@@ -296,13 +278,7 @@ func NOAA() Bench {
 		Structure:  "Fig. 1 (12 stages)",
 		Highlights: "temperature analysis, pre-processing + max",
 		Setup: func(dir string, scale int) (string, error) {
-			cfg := workload.NOAAConfig{
-				FirstYear: 2015, LastYear: 2019,
-				Stations:          4 * scale,
-				RecordsPerStation: 2000 * scale,
-				Seed:              seed,
-			}
-			if err := workload.NOAA(dir, cfg); err != nil {
+			if err := NOAAArchive(dir, 4*scale, 2000*scale, seed); err != nil {
 				return "", err
 			}
 			return `base="ftp://host/noaa";
@@ -327,12 +303,7 @@ func WebIndex() Bench {
 		Structure:  "S-heavy multi-language pipeline",
 		Highlights: "HTML-to-text dominates; custom annotated commands",
 		Setup: func(dir string, scale int) (string, error) {
-			_, err := workload.Web(dir, workload.WebConfig{
-				Pages:        40 * scale,
-				ParasPerPage: 30,
-				Seed:         seed,
-			})
-			if err != nil {
+			if err := WebCorpus(dir, 40*scale, 30, seed); err != nil {
 				return "", err
 			}
 			return `cat urls.txt | xargs -n 1 curl -s | html-to-text | word-stem |
@@ -343,4 +314,80 @@ cat urls.txt | xargs -n 1 curl -s | html-to-text | trigrams | sort | uniq -c | s
 			return map[string]string{"PASH_CURL_ROOT": dir}
 		},
 	}
+}
+
+// Unix50 returns the 34 found-in-the-wild pipelines of §6.2, modeled on
+// the unofficial Unix50-game solutions: 2-12 stage pipelines written by
+// non-experts, mixing parallelizable stages with awk/sed usage that PaSh
+// must conservatively leave alone, and a few head-only pipelines whose
+// runtime is dominated by setup (the paper's slowdown cases 2, 19, 31).
+// The original solutions operate on the Unix-history text corpus; the
+// synthetic corpus preserves the line/word statistics that matter.
+func Unix50() []Bench {
+	pipelines := []struct {
+		script    string
+		structure string
+	}{
+		// 0-5: sort-centric pipelines (capped speedup per the paper).
+		{`cat in.txt | tr A-Z a-z | sort | uniq -c | sort -rn | head -n 20`, "2xS,4xP"},
+		{`cat in.txt | cut -d ' ' -f1 | sort | uniq | wc -l`, "2xS,3xP"},
+		{`cat in.txt | head -n 2 | tr A-Z a-z`, "head-bound"},
+		{`cat in.txt | tr -cs A-Za-z '\n' | sort -u`, "2xS,P"},
+		{`cat in.txt | grep the | wc -l`, "S,P"},
+		{`cat in.txt | cut -d ' ' -f2 | grep -c a`, "2xS,P"},
+		// 6-12: deeper pipelines with existing task parallelism.
+		{`cat in.txt | tr A-Z a-z | tr -cs a-z '\n' | grep -v '^$' | sort | uniq -c | sort -rn | head -n 10`, "3xS,4xP"},
+		{`cat in.txt | grep of | tr A-Z a-z | cut -d ' ' -f1-3 | sort | uniq | head -n 50`, "3xS,3xP"},
+		{`cat in.txt | sed 's/ /\n/g' | grep -v '^$' | sort | uniq -c | sort -n | tail -n 5`, "2xS,4xP"},
+		{`cat in.txt | cut -d ' ' -f3 | sed 's/[^a-zA-Z]//g' | grep -v '^$' | sort -u`, "3xS,P"},
+		{`cat in.txt | rev | cut -c 1-5 | rev | sort | uniq -c | sort -rn | head -n 10`, "3xS,4xP"},
+		{`cat in.txt | fold -w 30 | grep a | wc -l`, "2xS,P"},
+		{`cat in.txt | tr ' ' '\n' | grep -c '^the$'`, "S,P"},
+		// 13: awk column reordering — PaSh cannot parallelize awk (the
+		// paper's example: replacing it with sort -k unlocks 8.1x).
+		{`cat in.txt | awk '{print $2, $0}' | sort -r | head -n 10`, "awk-bound"},
+		// 14-18: mixed.
+		{`cat in.txt | grep -E '(water|number)' | tr A-Z a-z | sort | uniq`, "2xS,2xP"},
+		{`cat in.txt | cut -d ' ' -f1,2 | tr ' ' '-' | sort | uniq -c | sort -rn | head -n 10`, "3xS,4xP"},
+		{`cat in.txt | tr -d '0-9' | tr -s ' ' | sort | head -n 30`, "3xS,2xP"},
+		{`cat in.txt | grep people | cut -d ' ' -f1 | sort | uniq -c`, "2xS,2xP"},
+		{`cat in.txt | tr A-Z a-z | grep -o 'th.' | sort | uniq -c | sort -rn`, "2xS,3xP"},
+		// 19: head-only (slowdown case: setup dominates).
+		{`cat in.txt | head -n 1`, "head-bound"},
+		// 20-23: wordy pipelines.
+		{`cat in.txt | tr -cs A-Za-z '\n' | tr A-Z a-z | sort | uniq -u | wc -l`, "3xS,3xP"},
+		{`cat in.txt | cut -c 1-40 | sort | uniq | wc -l`, "2xS,3xP"},
+		{`cat in.txt | grep -v the | wc`, "S,P"},
+		{`cat in.txt | sed 's/the/THE/g' | grep -c THE`, "2xS,P"},
+		// 24-26: awk/sed-bound (no speedup group).
+		{`cat in.txt | awk '{s += NF} END {print s}'`, "awk-bound"},
+		{`cat in.txt | awk 'NR % 2 == 0'`, "awk-bound"},
+		{`cat in.txt | sed -n '2p'`, "positional-sed"},
+		// 27-28: sort-heavy deep pipelines.
+		{`cat in.txt | tr ' ' '\n' | sort | uniq -c | sort -rn | head -n 40 | tac`, "2xS,5xP"},
+		{`cat in.txt | cut -d ' ' -f1 | sort | uniq -c | sort -n | tail -n 3`, "2xS,4xP"},
+		// 29-30: no parallelizable stages / stateful stream edits.
+		{`cat in.txt | awk '{print NR, $1}' | head -n 5`, "awk-bound"},
+		{`cat in.txt | nl | grep '5' | head -n 5`, "nl-bound"},
+		// 31: another setup-dominated one.
+		{`cat in.txt | head -n 3 | rev`, "head-bound"},
+		// 32-33: closing sort-centric pair.
+		{`cat in.txt | tr A-Z a-z | tr -cs a-z '\n' | bigrams-aux | sort | uniq -c | sort -rn | head -n 10`, "2xS,5xP"},
+		{`cat in.txt | grep -E '[aeiou]{2}' | sort -u | wc -l`, "S,3xP"},
+	}
+	out := make([]Bench, len(pipelines))
+	for i, p := range pipelines {
+		i, p := i, p
+		out[i] = Bench{
+			Name:      fmt.Sprintf("unix50-%02d", i),
+			Structure: p.structure,
+			Setup: func(dir string, scale int) (string, error) {
+				if err := textFile(filepath.Join(dir, "in.txt"), 10000*scale, seed+int64(i)); err != nil {
+					return "", err
+				}
+				return p.script, nil
+			},
+		}
+	}
+	return out
 }

@@ -1,4 +1,4 @@
-package workload
+package paper
 
 import (
 	"compress/gzip"
@@ -20,22 +20,6 @@ func TestTextDeterministic(t *testing.T) {
 	lines := strings.Count(a, "\n")
 	if lines != 100 {
 		t.Errorf("line count = %d, want 100", lines)
-	}
-}
-
-func TestWordsAndNumbers(t *testing.T) {
-	w := Words(50, 1)
-	if strings.Count(w, "\n") != 50 {
-		t.Error("Words line count wrong")
-	}
-	for _, line := range strings.Split(strings.TrimSpace(w), "\n") {
-		if strings.ContainsAny(line, " \t") {
-			t.Fatalf("Words produced multi-word line %q", line)
-		}
-	}
-	n := Numbers(50, 1)
-	if strings.Count(n, "\n") != 50 {
-		t.Error("Numbers line count wrong")
 	}
 }
 
@@ -63,8 +47,7 @@ func TestDictionary(t *testing.T) {
 
 func TestNOAALayout(t *testing.T) {
 	root := t.TempDir()
-	cfg := NOAAConfig{FirstYear: 2015, LastYear: 2016, Stations: 2, RecordsPerStation: 10, Seed: 1}
-	if err := NOAA(root, cfg); err != nil {
+	if err := NOAAArchive(root, 2, 10, 1); err != nil {
 		t.Fatal(err)
 	}
 	idx, err := os.ReadFile(filepath.Join(root, "host", "noaa", "2015.index"))
@@ -105,11 +88,10 @@ func TestNOAALayout(t *testing.T) {
 
 func TestWebLayout(t *testing.T) {
 	root := t.TempDir()
-	urls, err := Web(root, WebConfig{Pages: 5, ParasPerPage: 2, Seed: 1})
-	if err != nil {
+	if err := WebCorpus(root, 5, 2, 1); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(urls)
+	data, err := os.ReadFile(filepath.Join(root, "urls.txt"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,11 +110,10 @@ func TestWebLayout(t *testing.T) {
 
 func TestScriptsDir(t *testing.T) {
 	dir := t.TempDir()
-	listing, err := ScriptsDir(filepath.Join(dir, "bin"), 20, 1)
-	if err != nil {
+	if err := scriptsDir(filepath.Join(dir, "bin"), 20, 1); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(listing)
+	data, err := os.ReadFile(filepath.Join(dir, "bin", "PATHLIST"))
 	if err != nil {
 		t.Fatal(err)
 	}

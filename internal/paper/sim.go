@@ -1,10 +1,19 @@
-// Package sim projects a dataflow graph execution onto a multicore
-// machine. This reproduction's host may have a single CPU, where
-// data-parallel speedups cannot physically manifest; following the
-// substitution rule of the reproduction, the missing hardware is
-// simulated: the real runtime *measures* every node's active work
-// (wall time minus pipe-blocked time) during a correct execution, and
-// this package replays that work on a fluid model of a P-core machine.
+package paper
+
+import (
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/dfg"
+	"repro/internal/runtime"
+)
+
+// This file projects a dataflow graph's execution onto a multicore
+// machine. This reproduction's host may have too few cores for
+// data-parallel speedups to show, so the missing hardware is simulated:
+// the profiling executor (core.Interp.Measure) measures every node's
+// active work (wall time minus pipe-blocked time) during a correct run,
+// and makespan replays that work on a fluid model of a P-core machine.
 //
 // The model captures what the paper's evaluation hinges on:
 //
@@ -19,28 +28,23 @@
 //     buffering removes that stall (Fig. 6d);
 //   - cores are shared fairly among runnable nodes (work-conserving,
 //     at most one core per node), like the kernel scheduler.
-package sim
 
-import (
-	"time"
+// SimCores is the simulated machine width: the paper's testbed had 64
+// physical cores.
+const SimCores = 64
 
-	"repro/internal/dfg"
-	"repro/internal/runtime"
-)
+// nodeOverhead models the process spawn and pipe setup cost added to
+// every node's work (what bends the paper's curves down at high widths).
+const nodeOverhead = 200 * time.Microsecond
 
-// Config parameterizes the machine model.
-type Config struct {
-	// Cores is the simulated machine width (the paper's machine: 64).
-	Cores int
-	// Eager buffers edges unboundedly; lazy (false) stalls producers
-	// whose consumer is not yet reading their edge.
-	Eager bool
-	// PerNodeOverhead models process spawn/pipe setup cost added to
-	// every node's work (what bends the paper's curves down at high
-	// widths).
-	PerNodeOverhead time.Duration
-	// Step is the integration step; 0 picks total/4000.
-	Step time.Duration
+// Project is the projected wall time of a measuring run's regions on a
+// simulated machine of the given width.
+func Project(profiles []core.RegionProfile, cores int) time.Duration {
+	var total time.Duration
+	for _, p := range profiles {
+		total += makespan(p.Graph, p.Times, cores, nodeOverhead)
+	}
+	return total
 }
 
 // nodeState is the fluid state of one node.
@@ -86,13 +90,11 @@ func isBlocking(n *dfg.Node) bool {
 	return blockingCommands[n.Name]
 }
 
-// Makespan simulates the graph's execution with the measured per-node
-// active times and returns the projected wall-clock time on the
-// configured machine.
-func Makespan(g *dfg.Graph, times []runtime.NodeTime, cfg Config) time.Duration {
-	if cfg.Cores < 1 {
-		cfg.Cores = 1
-	}
+// makespan simulates the graph's execution with the measured per-node
+// active times, each plus overhead, and returns the projected wall-clock
+// time on a machine of the given width.
+func makespan(g *dfg.Graph, times []runtime.NodeTime, cores int, overhead time.Duration) time.Duration {
+	cores = max(cores, 1)
 	workOf := map[int]float64{}
 	for _, nt := range times {
 		workOf[nt.ID] = nt.Active.Seconds()
@@ -108,7 +110,7 @@ func Makespan(g *dfg.Graph, times []runtime.NodeTime, cfg Config) time.Duration 
 	for i, n := range g.Nodes {
 		st := &nodeState{
 			node:     n,
-			work:     workOf[n.ID] + cfg.PerNodeOverhead.Seconds(),
+			work:     workOf[n.ID] + overhead.Seconds(),
 			blocking: isBlocking(n),
 		}
 		for _, e := range n.In {
@@ -124,19 +126,13 @@ func Makespan(g *dfg.Graph, times []runtime.NodeTime, cfg Config) time.Duration 
 	if total <= 0 {
 		return 0
 	}
-	step := cfg.Step.Seconds()
-	if step <= 0 {
-		step = total / 4000
-		if step <= 0 {
-			step = 1e-6
-		}
-	}
+	step := total / 4000
 
 	elapsed := 0.0
 	for iter := 0; iter < 4_000_000; iter++ {
 		// Refresh input availability from current producer progress.
 		for _, st := range states {
-			st.consumed = st.available2(states)
+			st.consumed = st.available(states)
 		}
 		// Which nodes can run this step?
 		runnable := make([]int, 0, len(states))
@@ -145,10 +141,9 @@ func Makespan(g *dfg.Graph, times []runtime.NodeTime, cfg Config) time.Duration 
 				continue
 			}
 			hasData := st.consumed > st.progress()+1e-12 || st.allInputsComplete(states)
-			if hasData && st.producerMayRun(states, cfg.Eager) {
+			if hasData && st.producerMayRun(states) {
 				runnable = append(runnable, i)
 			}
-			_ = i
 		}
 		if len(runnable) == 0 {
 			// Stall guard: force the least-finished node to complete.
@@ -166,7 +161,7 @@ func Makespan(g *dfg.Graph, times []runtime.NodeTime, cfg Config) time.Duration 
 			}
 			continue
 		}
-		share := float64(cfg.Cores) / float64(len(runnable))
+		share := float64(cores) / float64(len(runnable))
 		if share > 1 {
 			share = 1
 		}
@@ -229,12 +224,7 @@ func (st *nodeState) refreshOut() {
 // available returns the fraction of this node's total input that has
 // arrived, honoring ordered consumption: input k contributes only after
 // inputs 0..k-1 are fully available.
-func (st *nodeState) available() float64 {
-	return st.consumed
-}
-
-// available2 recomputes availability from the producers' out fractions.
-func (st *nodeState) available2(states []*nodeState) float64 {
+func (st *nodeState) available(states []*nodeState) float64 {
 	if len(st.inputs) == 0 {
 		return 1
 	}
@@ -267,12 +257,12 @@ func (st *nodeState) allInputsComplete(states []*nodeState) bool {
 
 // producerMayRun models lazy edges: a producer stalls when a non-eager
 // output edge feeds a consumer that has not yet reached that edge in its
-// ordered consumption (the Fig. 6a serialization). Eager edges (or the
-// allEager override) buffer, so their producers never stall.
-func (st *nodeState) producerMayRun(states []*nodeState, allEager bool) bool {
+// ordered consumption (the Fig. 6a serialization). Eager edges buffer,
+// so their producers never stall.
+func (st *nodeState) producerMayRun(states []*nodeState) bool {
 	n := st.node
 	for _, e := range n.Out {
-		if e.To == nil || e.Eager || allEager {
+		if e.To == nil || e.Eager {
 			continue
 		}
 		consumer := states[indexOf(states, e.To)]

@@ -1,4 +1,4 @@
-package sim
+package paper
 
 import (
 	"testing"
@@ -51,17 +51,17 @@ func approx(t *testing.T, got, want time.Duration, tolFrac float64, msg string) 
 func TestStreamingChainOverlaps(t *testing.T) {
 	// Two streaming stages of 1s each on 2+ cores overlap: makespan ~1s.
 	g, times := buildChain(spec{"grep", time.Second}, spec{"tr", time.Second})
-	ms := Makespan(g, times, Config{Cores: 4})
+	ms := makespan(g, times, 4, 0)
 	approx(t, ms, time.Second, 0.15, "streaming overlap")
 	// On one core they serialize: ~2s.
-	ms1 := Makespan(g, times, Config{Cores: 1})
+	ms1 := makespan(g, times, 1, 0)
 	approx(t, ms1, 2*time.Second, 0.15, "single core serialization")
 }
 
 func TestBlockingStageSerializes(t *testing.T) {
 	// sort blocks: downstream cannot start until it finishes.
 	g, times := buildChain(spec{"sort", time.Second}, spec{"tr", time.Second})
-	ms := Makespan(g, times, Config{Cores: 8})
+	ms := makespan(g, times, 8, 0)
 	approx(t, ms, 2*time.Second, 0.15, "blocking serialization")
 }
 
@@ -90,9 +90,9 @@ func TestFanOutScales(t *testing.T) {
 	for _, e := range g.Edges {
 		e.Eager = true
 	}
-	ms8 := Makespan(g, times, Config{Cores: 8})
+	ms8 := makespan(g, times, 8, 0)
 	approx(t, ms8, time.Second, 0.2, "8 replicas on 8 cores")
-	ms2 := Makespan(g, times, Config{Cores: 2})
+	ms2 := makespan(g, times, 2, 0)
 	approx(t, ms2, 4*time.Second, 0.2, "8 replicas on 2 cores")
 }
 
@@ -119,7 +119,7 @@ func TestLazyEdgesSerializeOrderedConsumers(t *testing.T) {
 		out := g.AddEdge(&dfg.Edge{From: cat, Sink: dfg.Binding{Kind: dfg.BindStdout}})
 		cat.Out = append(cat.Out, out)
 		times = append(times, runtime.NodeTime{ID: cat.ID, Name: "cat", Active: 10 * time.Millisecond})
-		return Makespan(g, times, Config{Cores: 16}), time.Second
+		return makespan(g, times, 16, 0), time.Second
 	}
 	lazyMs, unit := mkGraph(false)
 	eagerMs, _ := mkGraph(true)
@@ -136,8 +136,8 @@ func TestLazyEdgesSerializeOrderedConsumers(t *testing.T) {
 
 func TestOverheadBendsCurve(t *testing.T) {
 	g, times := buildChain(spec{"grep", 100 * time.Millisecond})
-	noOv := Makespan(g, times, Config{Cores: 64})
-	withOv := Makespan(g, times, Config{Cores: 64, PerNodeOverhead: 10 * time.Millisecond})
+	noOv := makespan(g, times, 64, 0)
+	withOv := makespan(g, times, 64, 10*time.Millisecond)
 	if withOv <= noOv {
 		t.Error("per-node overhead must increase makespan")
 	}
@@ -145,7 +145,7 @@ func TestOverheadBendsCurve(t *testing.T) {
 
 func TestZeroWorkGraph(t *testing.T) {
 	g, times := buildChain(spec{"true", 0})
-	if ms := Makespan(g, times, Config{Cores: 4}); ms != 0 {
+	if ms := makespan(g, times, 4, 0); ms != 0 {
 		t.Errorf("zero-work makespan = %v", ms)
 	}
 }

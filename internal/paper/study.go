@@ -1,10 +1,6 @@
-package annot
+package paper
 
-import (
-	"fmt"
-	"io"
-	"sort"
-)
+import "repro/internal/annot"
 
 // This file encodes the parallelizability study of §3.1 (Table 1): a
 // classification of GNU Coreutils and POSIX utilities into the four
@@ -15,30 +11,24 @@ import (
 //	Coreutils   22 (21.1%)  8 (7.6%)   13 (12.4%)  57 (58.8%)
 //	POSIX       28 (18%)    9 (5%)     13 (8.3%)   105 (67.8%)
 
-// StudyEntry is one command's classification in the study.
-type StudyEntry struct {
-	Name  string
-	Class Class
-}
-
 // coreutilsStudy classifies the GNU Coreutils command set.
-var coreutilsStudy = map[Class][]string{
-	Stateless: {
+var coreutilsStudy = map[annot.Class][]string{
+	annot.Stateless: {
 		"base32", "base64", "basenc", "basename", "cat", "cut", "dirname",
 		"echo", "expand", "factor", "fmt", "fold", "numfmt", "od", "paste",
 		"pr", "printf", "realpath", "seq", "tr", "unexpand", "yes",
 	},
-	Pure: {
+	annot.Pure: {
 		"comm", "head", "nl", "sort", "tac", "tail", "uniq", "wc",
 	},
-	NonParallelizable: {
+	annot.NonParallelizable: {
 		// Hashes/checksums keep complex sequential state; csplit is
 		// borderline (pure content split, but writes output files);
 		// shuf is pure only under a fixed random source.
 		"b2sum", "cksum", "csplit", "md5sum", "ptx", "sha1sum", "sha224sum",
 		"sha256sum", "sha384sum", "sha512sum", "shuf", "sum", "tsort",
 	},
-	SideEffectful: {
+	annot.SideEffectful: {
 		"arch", "chcon", "chgrp", "chmod", "chown", "chroot", "cp", "date",
 		"dd", "df", "dir", "dircolors", "du", "env", "expr", "false",
 		"groups", "hostid", "id", "install", "kill", "link", "ln",
@@ -51,8 +41,8 @@ var coreutilsStudy = map[Class][]string{
 }
 
 // posixStudy classifies the POSIX (XCU) utility set.
-var posixStudy = map[Class][]string{
-	Stateless: {
+var posixStudy = map[annot.Class][]string{
+	annot.Stateless: {
 		// dd in its default form is a pure byte-stream copy; device- and
 		// seek-oriented flags demote it (handled by annotations, not the
 		// study). more acts as a stateless formatter when non-interactive.
@@ -61,17 +51,17 @@ var posixStudy = map[Class][]string{
 		"od", "paste", "pr", "printf", "sed", "strings", "tr", "unexpand",
 		"uudecode", "uuencode", "what", "xargs",
 	},
-	Pure: {
+	annot.Pure: {
 		"cmp", "comm", "head", "join", "nl", "sort", "tail", "uniq", "wc",
 	},
-	NonParallelizable: {
+	annot.NonParallelizable: {
 		// Compressors/codecs carry stream state; lex/yacc are pure
 		// compilers over their whole input (borderline: they write
 		// fixed-name output files).
 		"awk", "bc", "cksum", "compress", "csplit", "dc", "diff", "lex",
 		"m4", "tsort", "uncompress", "yacc", "zcat",
 	},
-	SideEffectful: {
+	annot.SideEffectful: {
 		"admin", "alias", "ar", "at", "batch", "bg", "c99", "cal", "cd",
 		"cflow", "chgrp", "chmod", "chown", "command", "cp", "crontab",
 		"ctags", "cxref", "date", "delta", "df", "du", "ed", "env", "ex",
@@ -89,107 +79,35 @@ var posixStudy = map[Class][]string{
 	},
 }
 
-// Study is the result of the parallelizability study for one command set.
-type Study struct {
-	SetName string
-	Entries []StudyEntry
-}
-
-// Count returns the number of commands in the given class.
-func (s *Study) Count(c Class) int {
-	n := 0
-	for _, e := range s.Entries {
-		if e.Class == c {
-			n++
-		}
-	}
-	return n
-}
-
-// Total returns the number of classified commands.
-func (s *Study) Total() int { return len(s.Entries) }
-
-// Percent returns the share of commands in the class, in percent.
-func (s *Study) Percent(c Class) float64 {
-	if s.Total() == 0 {
-		return 0
-	}
-	return 100 * float64(s.Count(c)) / float64(s.Total())
-}
-
-// Classify returns the study class for a command, if present.
-func (s *Study) Classify(name string) (Class, bool) {
-	for _, e := range s.Entries {
-		if e.Name == name {
-			return e.Class, true
-		}
-	}
-	return 0, false
-}
-
-func buildStudy(name string, m map[Class][]string) *Study {
-	s := &Study{SetName: name}
-	for _, c := range []Class{Stateless, Pure, NonParallelizable, SideEffectful} {
-		names := append([]string(nil), m[c]...)
-		sort.Strings(names)
-		for _, n := range names {
-			s.Entries = append(s.Entries, StudyEntry{Name: n, Class: c})
-		}
-	}
-	return s
-}
-
-// CoreutilsStudy returns the GNU Coreutils study.
-func CoreutilsStudy() *Study { return buildStudy("Coreutils", coreutilsStudy) }
-
-// POSIXStudy returns the POSIX utility study.
-func POSIXStudy() *Study { return buildStudy("POSIX", posixStudy) }
-
-// Table1Row is one row of the paper's Table 1.
+// Table1Row is one class's row of the paper's Table 1.
 type Table1Row struct {
-	Class          Class
-	Examples       string
-	CoreutilsCount int
+	Class          annot.Class
+	Name, Examples string
+	Coreutils      int
 	CoreutilsPct   float64
-	POSIXCount     int
+	POSIX          int
 	POSIXPct       float64
 }
 
-// Table1 recomputes the paper's Table 1 from the study data.
+// Table1 recomputes the paper's Table 1 from the study.
 func Table1() []Table1Row {
-	cu, px := CoreutilsStudy(), POSIXStudy()
-	examples := map[Class]string{
-		Stateless:         "tr, cat, grep",
-		Pure:              "sort, wc, uniq",
-		NonParallelizable: "sha1sum",
-		SideEffectful:     "env, cp, whoami",
+	share := func(study map[annot.Class][]string, c annot.Class) (int, float64) {
+		total := 0
+		for _, names := range study {
+			total += len(names)
+		}
+		return len(study[c]), 100 * float64(len(study[c])) / float64(total)
 	}
 	var rows []Table1Row
-	for _, c := range []Class{Stateless, Pure, NonParallelizable, SideEffectful} {
-		rows = append(rows, Table1Row{
-			Class:          c,
-			Examples:       examples[c],
-			CoreutilsCount: cu.Count(c),
-			CoreutilsPct:   cu.Percent(c),
-			POSIXCount:     px.Count(c),
-			POSIXPct:       px.Percent(c),
-		})
+	for _, r := range []Table1Row{
+		{Class: annot.Stateless, Name: "Stateless", Examples: "tr, cat, grep"},
+		{Class: annot.Pure, Name: "Parallelizable Pure", Examples: "sort, wc, uniq"},
+		{Class: annot.NonParallelizable, Name: "Non-parallelizable Pure", Examples: "sha1sum"},
+		{Class: annot.SideEffectful, Name: "Side-effectful", Examples: "env, cp, whoami"},
+	} {
+		r.Coreutils, r.CoreutilsPct = share(coreutilsStudy, r.Class)
+		r.POSIX, r.POSIXPct = share(posixStudy, r.Class)
+		rows = append(rows, r)
 	}
 	return rows
-}
-
-// WriteTable1 renders Table 1 in the paper's layout.
-func WriteTable1(w io.Writer) {
-	fmt.Fprintf(w, "%-28s %-18s %-16s %s\n", "Class", "Key Examples", "Coreutils", "POSIX")
-	names := map[Class]string{
-		Stateless:         "Stateless",
-		Pure:              "Parallelizable Pure",
-		NonParallelizable: "Non-parallelizable Pure",
-		SideEffectful:     "Side-effectful",
-	}
-	for _, r := range Table1() {
-		fmt.Fprintf(w, "%-28s %-18s %3d (%4.1f%%)     %3d (%4.1f%%)\n",
-			names[r.Class]+" ("+r.Class.String()+")", r.Examples,
-			r.CoreutilsCount, r.CoreutilsPct, r.POSIXCount, r.POSIXPct)
-	}
 }

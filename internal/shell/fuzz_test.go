@@ -20,7 +20,7 @@ import (
 // lightly. CI runs each target for a 30s smoke on every push.
 
 // fuzzSeeds feeds the same corpus to all three targets. Scripts are
-// inlined rather than imported from internal/benchscripts: that
+// inlined rather than imported from internal/paper's corpus: that
 // package depends on core, which depends on this one.
 var fuzzSeeds = []string{
 	// Tab. 2 one-liners.

@@ -20,8 +20,8 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/paper"
 	"repro/internal/runtime"
-	"repro/internal/sim"
 )
 
 // heavySpec is a CPU-bound custom command: `heavy` prefixes each line
@@ -167,23 +167,15 @@ func measureExt(t testing.TB, opts Options, script, input string) (string, time.
 	if err := s.Register(heavySpec()); err != nil {
 		t.Fatal(err)
 	}
-	cc := *s.snapshot()
-	cc.Opts.MeasureMode = true
 	var out bytes.Buffer
-	in := core.NewInterp(&cc, "", nil,
+	in := core.NewInterp(s.snapshot(), "", nil,
 		runtime.StdIO{Stdin: strings.NewReader(input), Stdout: &out})
+	in.Measure()
 	code, err := in.RunScript(context.Background(), script)
 	if err != nil || code != 0 {
 		t.Fatalf("%q: code=%d err=%v", script, code, err)
 	}
-	var total time.Duration
-	for _, p := range in.Profiles {
-		total += sim.Makespan(p.Graph, p.Times, sim.Config{
-			Cores:           8,
-			PerNodeOverhead: 200 * time.Microsecond,
-		})
-	}
-	return out.String(), total
+	return out.String(), paper.Project(in.Profiles, 8)
 }
 
 // extSpeedups measures the width-8 projected speedups of the

@@ -252,8 +252,10 @@ func TestJobSandbox(t *testing.T) {
 
 // TestJobSandboxHoldsWithWorkerPool: the jail is the job's, not one
 // executor's — wherever the plan sends the read (the coordinator's edge,
-// a worker's file range, the pool's local rung, the measuring executor),
-// a file outside Dir fails with ErrJailEscape and no byte of it comes out.
+// a worker's file range, the pool's local rung), a file outside Dir fails
+// with ErrJailEscape and no byte of it comes out. The profiling executor
+// of a measuring run is checked where it is switched on
+// (core.TestMeasuringRunStaysJailed).
 func TestJobSandboxHoldsWithWorkerPool(t *testing.T) {
 	outside := t.TempDir()
 	secret := filepath.Join(outside, "secret.txt")
@@ -272,8 +274,6 @@ func TestJobSandboxHoldsWithWorkerPool(t *testing.T) {
 		return p
 	}
 	worker := startStreamWorker(t, dir, "w.sock")
-	measure := DefaultOptions(2)
-	measure.MeasureMode = true
 	for _, cell := range []struct {
 		name string
 		opts []StartOption
@@ -282,7 +282,6 @@ func TestJobSandboxHoldsWithWorkerPool(t *testing.T) {
 		{"pool", []StartOption{WithWorkers(pool(false, worker))}},
 		{"shared-fs pool", []StartOption{WithWorkers(pool(true, worker))}},
 		{"shared-fs pool, dead worker", []StartOption{WithWorkers(pool(true, "unix:"+filepath.Join(dir, "dead.sock")))}},
-		{"measure mode", []StartOption{WithOptions(measure)}},
 	} {
 		s := NewSession(DefaultOptions(2))
 		s.Dir = dir

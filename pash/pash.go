@@ -165,10 +165,6 @@ type WorkerTransitions = dist.Transitions
 // ProberConfig re-exports the background health prober's tuning knobs.
 type ProberConfig = dist.ProberConfig
 
-// FaultInjector re-exports the dist fault-injection layer (dev/test
-// only; see dist.ParseFaultProfile).
-type FaultInjector = dist.Injector
-
 // NewWorkerPool builds a pool over the given worker addresses
 // ("host:port", "http://host:port", or "unix:/path/to.sock").
 func NewWorkerPool(workers ...string) *WorkerPool { return dist.NewPool(workers...) }
@@ -273,9 +269,3 @@ func (s *Session) Compile(src string) (*Plan, error) {
 func (s *Session) CompileExec(src string) (*Plan, error) {
 	return s.snapshot().PlanExecIn(src, commands.OSFS{Dir: s.Dir})
 }
-
-// Table1 re-exports the parallelizability study (§3.1).
-func Table1() []annot.Table1Row { return annot.Table1() }
-
-// WriteTable1 renders the study in the paper's Table 1 layout.
-func WriteTable1(w io.Writer) { annot.WriteTable1(w) }

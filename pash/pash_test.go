@@ -5,6 +5,9 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -102,14 +105,73 @@ func TestRunStats(t *testing.T) {
 	}
 }
 
-func TestTable1Export(t *testing.T) {
-	rows := Table1()
-	if len(rows) != 4 {
-		t.Fatalf("Table1 rows = %d", len(rows))
+// TestWidthFourMatchesWidthOneOnGroupingCommands runs, as the pash binary
+// does (the Planned preset), commands whose output depends on how their
+// input is grouped over a file large enough to plan width 4: grep -l/-L
+// print operand names (a replica would see "(standard input)"), and xargs
+// batches words or lines across line boundaries unless a batch is one
+// word or one line. Stdout, stderr and the exit status must be width 1's,
+// and the per-item xargs forms must still be planned wide.
+func TestWidthFourMatchesWidthOneOnGroupingCommands(t *testing.T) {
+	dir := t.TempDir()
+	rng := rand.New(rand.NewSource(3))
+	words := []string{"alpha", "beta", "gamma", "delta", "a", "b"}
+	var sb strings.Builder
+	for sb.Len() < 2200<<10 {
+		for i, n := 0, rng.Intn(6); i < n; i++ {
+			if i > 0 {
+				sb.WriteByte(' ')
+			}
+			sb.WriteString(words[rng.Intn(len(words))])
+		}
+		sb.WriteByte('\n')
 	}
-	var buf bytes.Buffer
-	WriteTable1(&buf)
-	if !strings.Contains(buf.String(), "Stateless") {
-		t.Error("WriteTable1 output malformed")
+	if err := os.WriteFile(filepath.Join(dir, "u"), []byte(sb.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	run := func(opts Options, script string) string {
+		s := NewSession(opts)
+		s.Dir = dir
+		var out bytes.Buffer
+		code, _ := s.Run(context.Background(), script, strings.NewReader(""), &out, &out)
+		return fmt.Sprintf("exit %d\n%s", code, out.String())
+	}
+	// replicas counts the nodes running the script's first command in the
+	// width-4 plan.
+	replicas := func(script string) int {
+		s := NewSession(Options{Width: 4, Preset: Planned})
+		s.Dir = dir
+		p, err := s.CompileExec(script)
+		if err != nil || len(p.Items) != 1 || p.Items[0].Graph == nil {
+			t.Fatalf("%s: not one lifted region: %v", script, err)
+		}
+		n := 0
+		for _, node := range p.Items[0].Graph.Nodes {
+			if node.Name == strings.Fields(script)[0] {
+				n++
+			}
+		}
+		return n
+	}
+	for _, tc := range []struct {
+		script string
+		wide   bool // the first command is replicated
+	}{
+		{"grep -l a u", false},
+		{"grep -l -e a u", false},
+		{"grep -L a u", false},
+		{"xargs -n 3 echo < u | wc -l", false},
+		{"xargs echo < u | wc -l", false},
+		{"xargs < u | wc -l", false},
+		{"xargs -L 2 echo < u | wc -l", false},
+		{"xargs -n 1 echo < u | wc -l", true},
+		{"xargs -L 1 echo < u | wc -l", true},
+	} {
+		if want, got := run(Options{Width: 1}, tc.script), run(Options{Width: 4, Preset: Planned}, tc.script); got != want {
+			t.Errorf("%s: width 4 differs from width 1\n--- width 1:\n%.300s\n--- width 4:\n%.300s", tc.script, want, got)
+		}
+		if n := replicas(tc.script); (n > 1) != tc.wide {
+			t.Errorf("%s: %d replicas at width 4, want wide = %v", tc.script, n, tc.wide)
+		}
 	}
 }
