@@ -54,11 +54,17 @@
 // barrier for everything else. Such a command absorbs the merge in
 // front of it, so `tr | sort` plans as split → tr×n → sort×n → sort -m
 // with nothing re-serialising the stream in between; only order-sensitive pure
-// commands (uniq, tail, tac) still wait behind the barrier split. sort
-// itself reads its input into one arena and sorts a pointer-free index
-// of (decorated key, offset, length) records over it, so a comparison
-// touches a line only when two 8-byte key prefixes (or parsed numbers)
-// tie.
+// commands (uniq, tail, tac, and sort -s or -u under a key) still wait
+// behind the barrier split. sort itself reads its input into one arena
+// and sorts a pointer-free index of (key, offset, length) records over
+// it. A bytewise order (plain, -r, -u, each run of --parallel) is a
+// multikey quicksort on 8-byte words: the index splits three ways on
+// each line's next 8 bytes read as one integer, and the equal group
+// moves on to the following 8, so no comparison walks a shared prefix
+// byte by byte. A key (-k, -n, -f, -d, -b) is a comparator sort on a
+// decorated key — its first 8 bytes, or an image of the number — with
+// GNU's tie rules: key ties fall back to the whole line unless -s or -u
+// keep them in input order.
 //
 // # Fused stateless pipelines
 //

@@ -25,8 +25,8 @@ import (
 // markers its own input format requires.
 //
 // Commands whose output ignores the order of their input lines are
-// marked Commutative (see dfg.AggSpec): sort under an ordering that only
-// ties byte-identical lines, wc, and grep -c.
+// marked Commutative (see dfg.AggSpec): sort unless it keeps input order
+// among key ties, wc, and grep -c.
 func Resolve(name string, flagArgs []string, inv *annot.Invocation) (*dfg.AggSpec, bool) {
 	switch name {
 	case "sort":
@@ -37,13 +37,16 @@ func Resolve(name string, flagArgs []string, inv *annot.Invocation) (*dfg.AggSpe
 		}
 		// Merging sorted runs is associative, and stability (ties in
 		// source order) composes level by level. Input order shows only
-		// where distinct lines tie, which takes -f or -d: every other
-		// ordering falls back to comparing the lines byte by byte.
+		// where distinct lines tie: under a key (-k, -n, -f, -d, -b) whose
+		// ties -s or -u keep in input order instead of falling back to
+		// the whole line.
+		keyed := inv.Opts.Has("-k") || inv.Opts.Has("-n") || inv.Opts.Has("-f") ||
+			inv.Opts.Has("-d") || inv.Opts.Has("-b")
 		return &dfg.AggSpec{
 			MapName: "sort", MapArgs: flagArgs,
 			AggName: "sort", AggArgs: append([]string{"-m"}, flagArgs...),
 			Associative: true,
-			Commutative: !inv.Opts.Has("-f") && !inv.Opts.Has("-d"),
+			Commutative: !keyed || !inv.Opts.Has("-s") && !inv.Opts.Has("-u"),
 		}, true
 	case "uniq":
 		// Boundary merging is implemented for plain uniq and uniq -c.

@@ -207,8 +207,9 @@ func TestAggSum(t *testing.T) {
 // command is marked exactly when shuffling its input lines cannot change
 // its output bytes. Every invocation Resolve marks must pass over random
 // inputs and shuffles; every one it leaves unmarked must be told apart
-// by some shuffle — which is why sort -f and -d, whose orderings tie
-// distinct lines and so expose input order, stay unmarked.
+// by some shuffle — which is why sort -s and sort -u under a key, whose
+// key ties keep input order, stay unmarked, while sort -f and -d, whose
+// key ties fall back to the whole line, are marked.
 func TestCommutativeIsPermutationInvariant(t *testing.T) {
 	cases := []struct {
 		name string
@@ -224,6 +225,18 @@ func TestCommutativeIsPermutationInvariant(t *testing.T) {
 		{"sort", []string{"-f"}},
 		{"sort", []string{"-d"}},
 		{"sort", []string{"-fu"}},
+		{"sort", []string{"-du"}},
+		{"sort", []string{"-nu"}},
+		{"sort", []string{"-nru"}},
+		{"sort", []string{"-u", "-k2"}},
+		{"sort", []string{"-bu"}},
+		{"sort", []string{"-s"}},
+		{"sort", []string{"-rs"}},
+		{"sort", []string{"-s", "-k2,2"}},
+		{"sort", []string{"-fs"}},
+		{"sort", []string{"-ns"}},
+		{"sort", []string{"-b"}},
+		{"sort", []string{"-ru"}},
 		{"wc", nil},
 		{"wc", []string{"-l"}},
 		{"wc", []string{"-lw"}},
@@ -236,7 +249,7 @@ func TestCommutativeIsPermutationInvariant(t *testing.T) {
 		{"tac", nil},
 		{"bigrams-aux", nil},
 	}
-	words := []string{"apple", "Apple", "APPLE", "a-b", "ab", "a b", "x:2:b", "x:10:a", "7", "07", "7.0", "kiwi", ""}
+	words := []string{"apple", "Apple", "APPLE", "a-b", "ab", "a b", "x:2:b", "x:10:a", "7", "07", "7.0", "kiwi", "", " kiwi"}
 	r := reg()
 	stdReg := annot.StdRegistry()
 	for _, c := range cases {

@@ -204,29 +204,54 @@ func FuzzKernelChunking(f *testing.F) {
 
 // TestKernelsAgainstHostCoreutils is the differential half: on
 // newline-terminated input, where this substrate and GNU agree, every
-// kernel case — run as its command, through the kernel driver — and
-// every positional sed must print what the host's tool prints under
-// LC_ALL=C, and exit alike.
+// kernel case — run as its command, through the kernel driver — every
+// positional sed and every sort invocation of the sort kernel's own
+// differential test but -m and --parallel (plus -c) must print what the
+// host's tool prints under LC_ALL=C, and exit alike. For sort that pins
+// the oracle of TestSortKernelDifferential to GNU's tie rules.
 func TestKernelsAgainstHostCoreutils(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	var inputs []string
-	for _, input := range append(append([]string{}, kernelInputs...), randomTexts(rng, 8)...) {
+	var inputs, sortInputs []string
+	terminated := func(input string) string {
 		if input != "" && !strings.HasSuffix(input, "\n") {
 			input += "\n"
 		}
-		inputs = append(inputs, input)
+		return input
 	}
-	for _, tool := range []string{"tr", "cut", "sed", "grep", "rev"} {
+	for _, input := range append(append([]string{}, kernelInputs...), randomTexts(rng, 8)...) {
+		inputs = append(inputs, terminated(input))
+	}
+	for i := 0; i < 40; i++ {
+		sortInputs = append(sortInputs, terminated(genSortText(rng, 60)))
+	}
+	sortArgs := [][]string{{"-c"}, {"-cu"}, {"-c", "-n"}, {"-cnu"}, {"-cs", "-k2,2"}}
+	for _, c := range sortCases {
+		if !c.cfg.merge && c.cfg.parallel == 0 {
+			sortArgs = append(sortArgs, c.args)
+		}
+	}
+	hostCases := slices.Concat(kernelCases, positionalCases)
+	for _, args := range sortArgs {
+		hostCases = append(hostCases, struct {
+			name string
+			args []string
+		}{"sort", args})
+	}
+	for _, tool := range []string{"tr", "cut", "sed", "grep", "rev", "sort"} {
 		t.Run(tool, func(t *testing.T) {
 			path, err := exec.LookPath(tool)
 			if err != nil {
 				t.Skipf("no host %s", tool)
 			}
-			for _, tc := range slices.Concat(kernelCases, positionalCases) {
+			toolInputs := inputs
+			if tool == "sort" {
+				toolInputs = slices.Concat(inputs, sortInputs)
+			}
+			for _, tc := range hostCases {
 				if tc.name != tool {
 					continue
 				}
-				for _, input := range inputs {
+				for _, input := range toolInputs {
 					if tool == "rev" && strings.ContainsFunc(input, func(r rune) bool { return r >= 0x80 }) {
 						continue // util-linux rev decodes characters and refuses high bytes under LC_ALL=C
 					}

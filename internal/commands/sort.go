@@ -3,8 +3,9 @@ package commands
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
-	"math"
+	"math/bits"
 	"runtime"
 	"slices"
 	"strconv"
@@ -14,29 +15,45 @@ import (
 
 func init() { register("sort", sortCmd) }
 
-// sortConfig captures the comparison behaviour of a sort invocation.
+// sortConfig captures a sort invocation. The five global ordering flags
+// (-n -r -f -d -b) act as the key when no -k is given, and a -k key with
+// no ordering letters of its own inherits them, as in GNU sort.
 type sortConfig struct {
 	numeric    bool
 	reverse    bool
 	foldCase   bool
-	unique     bool
-	merge      bool
 	dictionary bool
+	blanks     bool // -b
+	unique     bool
+	stable     bool // -s
+	merge      bool
+	check      bool     // -c
 	key        *sortKey // single -k POS1[,POS2] spec (common case)
 	delim      byte     // -t; 0 means blank runs
 	parallel   int      // --parallel=N; 0 = default
-	check      bool     // -c
 }
 
+// sortKey is one -k F[.C][OPTS][,F[.C][OPTS]] spec: fields and characters
+// count from 1, and the ordering letters are the key's own.
 type sortKey struct {
-	startField int // 1-based
-	endField   int // 0 = end of line
-	numeric    bool
-	reverse    bool
+	startField, startChar int // startChar 0: the field's first byte
+	endField, endChar     int // endField 0: end of line; endChar 0: end of the field
+	numeric               bool
+	reverse               bool
+	foldCase              bool
+	dictionary            bool
+	skipStart, skipEnd    bool // b on POS1 / POS2: skip the blanks a position lands on
 }
 
-// sortCmd implements sort: flags -n, -r, -u, -f, -d, -m, -c, -k POS1[,POS2]
-// (with per-key n/r modifiers), -t SEP, -o FILE, --parallel=N.
+// ordered reports whether the key carries an ordering option other than
+// -r (GNU's !default_key_compare): a key that does is compared by it.
+func (k *sortKey) ordered() bool {
+	return k.numeric || k.foldCase || k.dictionary || k.skipStart || k.skipEnd
+}
+
+// sortCmd implements sort: flags -n, -r, -u, -f, -d, -b, -s, -m, -c,
+// -k POS1[,POS2] (with per-key b/d/f/n/r), -t SEP, -o FILE, --parallel=N.
+// Comparisons are GNU sort's under LC_ALL=C.
 func sortCmd(ctx *Context) error {
 	cfg := sortConfig{}
 	var operands []string
@@ -101,13 +118,14 @@ func sortCmd(ctx *Context) error {
 					cfg.foldCase = true
 				case 'd':
 					cfg.dictionary = true
+				case 'b':
+					cfg.blanks = true
+				case 's':
+					cfg.stable = true
 				case 'm':
 					cfg.merge = true
 				case 'c':
 					cfg.check = true
-				case 'b', 's':
-					// -b ignore leading blanks is implied by our key
-					// handling; -s stability is the default here.
 				default:
 					return ctx.Errorf("unsupported flag -%c", c)
 				}
@@ -135,15 +153,19 @@ func sortCmd(ctx *Context) error {
 	defer cleanup()
 
 	if cfg.check {
+		// Disorder is a line above its successor; under -u an equal
+		// neighbour is disorder too.
 		var prev []byte
 		var prevKey uint64
 		first := true
 		sorted := true
 		err = EachLineReaders(readers, func(line []byte) error {
 			key := ord.decorate(line)
-			if !first && ord.compare(key, line, prevKey, prev) < 0 {
-				sorted = false
-				return io.EOF
+			if !first {
+				if c := ord.compare(prevKey, prev, key, line); c > 0 || cfg.unique && c == 0 {
+					sorted = false
+					return io.EOF
+				}
 			}
 			prev, prevKey = append(prev[:0], line...), key
 			first = false
@@ -175,16 +197,19 @@ func sortCmd(ctx *Context) error {
 	}
 	recs := sortRecs(ord.index(arena), arena, ord, cfg.parallel)
 
-	var prev sortRec
+	// -u prints the first line of each run of equal lines. The sorted
+	// index's keys are scratch, so equality is read from the lines.
+	var prev []byte
 	for i, r := range recs {
-		if cfg.unique && i > 0 && ord.compareRecs(arena, prev, r) == 0 {
+		line := arena[r.off : r.off+r.len]
+		if cfg.unique && i > 0 && ord.equal(prev, line) {
 			continue
 		}
 		// Arena lines keep their newline: one append per line.
 		if _, err := lw.Write(arena[r.off : r.off+r.len+1]); err != nil {
 			return err
 		}
-		prev = r
+		prev = line
 	}
 	return lw.Flush()
 }
@@ -199,117 +224,155 @@ type sortRec struct {
 }
 
 // lineOrder is a sort invocation's ordering, compiled once from its
-// flags. Each line is decorated once with a uint64 whose integer order
-// agrees with the primary comparison — the big-endian first 8 bytes of
-// the compared field for bytewise sorts, an order-preserving image of the
-// parsed number for -n — so most comparisons never touch the line. Ties
-// on the decoration fall through to the full comparison.
+// flags: GNU sort's compare() under LC_ALL=C. Without a key the order is
+// bytewise over whole lines. With one (-k, or a global -n/-f/-d/-b)
+// lines are ordered by the key and, unless -s or -u, key ties fall to a
+// last resort, the bytewise whole-line order; -r reverses that last
+// resort too, but not the input order -s and -u keep.
+//
+// Each line is decorated once with a uint64 whose integer order agrees
+// with the key comparison — the big-endian first 8 bytes of the key
+// (folded and filtered for -f/-d), or an order-preserving image of the
+// number for -n — so most comparisons never touch the line. Equal
+// decorations fall through to tie. A bytewise order's decoration is the
+// line's first 8 bytes, which the multikey quicksort overwrites with
+// later ones as it goes.
 type lineOrder struct {
-	field    *sortKey // -k: the compared field range; nil compares whole lines
-	delim    byte
-	numeric  bool
-	sign     int // -1 for -r, which negates every comparison; else 1
-	foldCase bool
-	dict     bool
+	key        *sortKey // the key, with global options inherited; nil: bytewise
+	delim      byte
+	keySign    int  // -1 when the key comparison is reversed; else 1
+	sign       int  // -1 for -r, which reverses the whole-line comparison; else 1
+	lastResort bool // key ties fall to the whole line (neither -s nor -u)
 }
 
 // order builds the line ordering for the configuration.
 func (cfg *sortConfig) order() *lineOrder {
-	keyed := cfg.key != nil
-	sign := 1
-	if cfg.reverse || (keyed && cfg.key.reverse) {
-		sign = -1
+	global := sortKey{
+		startField: 1,
+		numeric:    cfg.numeric,
+		reverse:    cfg.reverse,
+		foldCase:   cfg.foldCase,
+		dictionary: cfg.dictionary,
+		skipStart:  cfg.blanks,
+		skipEnd:    cfg.blanks,
 	}
-	return &lineOrder{
-		field:    cfg.key,
-		delim:    cfg.delim,
-		numeric:  cfg.numeric || (keyed && cfg.key.numeric),
-		sign:     sign,
-		foldCase: cfg.foldCase,
-		dict:     cfg.dictionary,
+	o := &lineOrder{delim: cfg.delim, sign: 1, lastResort: !cfg.stable && !cfg.unique}
+	if cfg.reverse {
+		o.sign = -1
 	}
+	switch k := cfg.key; {
+	case k != nil && (k.ordered() || k.reverse):
+		o.key = k
+	case k != nil:
+		inherited := global
+		inherited.startField, inherited.startChar = k.startField, k.startChar
+		inherited.endField, inherited.endChar = k.endField, k.endChar
+		o.key = &inherited
+	case global.ordered():
+		o.key = &global
+	}
+	o.keySign = o.sign
+	if o.key != nil && !o.key.reverse {
+		o.keySign = 1
+	}
+	return o
 }
 
 // total reports whether lines that compare equal are byte-identical, in
 // which case neither stability nor the choice of -u's survivor is
-// observable. Only unkeyed -f/-d orderings have distinct equal lines: a
-// key's last resort is the whole line.
-func (o *lineOrder) total() bool {
-	return o.field != nil || !(o.foldCase || o.dict)
-}
+// observable: every order but a key without its last resort.
+func (o *lineOrder) total() bool { return o.key == nil || o.lastResort }
 
 // decorate computes a line's sort key.
 func (o *lineOrder) decorate(line []byte) uint64 {
-	k := line
-	if o.field != nil {
-		k = extractKey(line, o.field, o.delim)
+	if o.key == nil {
+		return prefixWord(line)
 	}
+	k := o.keyOf(line)
 	switch {
-	case o.numeric:
-		f := parseLeadingFloat(k)
-		if f == 0 {
-			f = 0 // -0 sorts with 0
+	case o.key.numeric:
+		if o.key.dictionary {
+			k = dictBytes(k)
 		}
-		bits := math.Float64bits(f)
-		if bits>>63 != 0 {
-			return ^bits
+		return numImage(k)
+	case o.key.foldCase || o.key.dictionary:
+		var p [8]byte
+		n := 0
+		for _, c := range k {
+			if o.key.dictionary && !dictByte(c) {
+				continue
+			}
+			if o.key.foldCase {
+				c = upperByte(c)
+			}
+			p[n] = c
+			if n++; n == len(p) {
+				break
+			}
 		}
-		return bits | 1<<63
-	case o.foldCase || o.dict:
-		// No byte prefix orders folded or dictionary text.
-		return 0
+		return binary.BigEndian.Uint64(p[:])
 	}
-	if len(k) >= 8 {
-		return binary.BigEndian.Uint64(k)
+	return prefixWord(k)
+}
+
+// prefixWord is the big-endian first 8 bytes of b, zero padded: its
+// integer order agrees with bytes.Compare wherever two words differ.
+func prefixWord(b []byte) uint64 {
+	if len(b) >= 8 {
+		return binary.BigEndian.Uint64(b)
 	}
 	var p [8]byte
-	copy(p[:], k)
+	copy(p[:], b)
 	return binary.BigEndian.Uint64(p[:])
 }
 
 // compare is the three-way comparison of two decorated lines.
 func (o *lineOrder) compare(ak uint64, a []byte, bk uint64, b []byte) int {
-	if ak != bk {
+	switch {
+	case ak != bk:
 		return o.byKey(ak, bk)
+	case o.key != nil && o.key.numeric && numExact(ak):
+		return o.last(a, b) // equal numbers
 	}
-	return o.sign * o.tie(a, b)
+	return o.tie(a, b)
 }
 
 // byKey orders two lines whose decorations differ, without reading
 // either. It is small enough to inline into the sort's comparison.
 func (o *lineOrder) byKey(ak, bk uint64) int {
 	if ak < bk {
-		return -o.sign
+		return -o.keySign
 	}
-	return o.sign
+	return o.keySign
 }
 
-// tie orders two lines whose decorations are equal: the compared fields
-// byte by byte (sort -n breaks numeric ties that way too), folded or
-// dictionary-filtered on request, and for keyed sorts GNU's last resort,
-// the whole line.
+// tie orders two lines without their decorations: by the key, if there
+// is one, and then as last orders them.
 func (o *lineOrder) tie(a, b []byte) int {
-	if o.field == nil {
-		if o.numeric {
-			return bytes.Compare(a, b)
+	if o.key != nil {
+		if c := o.keySign * o.keyCompare(a, b); c != 0 {
+			return c
 		}
-		return compareText(a, b, o.foldCase, o.dict)
 	}
-	ka, kb := extractKey(a, o.field, o.delim), extractKey(b, o.field, o.delim)
-	var c int
-	if o.numeric {
-		c = bytes.Compare(ka, kb)
-	} else {
-		c = compareText(ka, kb, o.foldCase, o.dict)
-	}
-	if c == 0 {
-		c = bytes.Compare(a, b)
-	}
-	return c
+	return o.last(a, b)
 }
 
-func (o *lineOrder) compareRecs(arena []byte, x, y sortRec) int {
-	return o.compare(x.key, arena[x.off:x.off+x.len], y.key, arena[y.off:y.off+y.len])
+// last orders two lines whose keys are equal: bytewise, which -r
+// reverses — the whole order without a key, the last resort with one —
+// unless -s or -u keep the lines as equal.
+func (o *lineOrder) last(a, b []byte) int {
+	if o.key != nil && !o.lastResort {
+		return 0
+	}
+	return o.sign * bytes.Compare(a, b)
+}
+
+// equal reports whether two lines compare equal, reading only the lines.
+func (o *lineOrder) equal(a, b []byte) bool {
+	if o.key == nil {
+		return bytes.Equal(a, b)
+	}
+	return o.tie(a, b) == 0
 }
 
 // index builds the sort index over an arena of newline-terminated lines.
@@ -317,33 +380,28 @@ func (o *lineOrder) index(arena []byte) []sortRec {
 	recs := make([]sortRec, 0, bytes.Count(arena, newline))
 	for off := 0; off < len(arena); {
 		n := bytes.IndexByte(arena[off:], '\n')
-		recs = append(recs, sortRec{key: o.decorate(arena[off : off+n]), off: off, len: n})
+		var key uint64
+		if o.key == nil {
+			key = loadWord(arena, off, n)
+		} else {
+			key = o.decorate(arena[off : off+n])
+		}
+		recs = append(recs, sortRec{key: key, off: off, len: n})
 		off += n + 1
 	}
 	return recs
 }
 
-// sortRecs sorts the index and returns it. A total ordering sorts with
-// the unstable pattern-defeating quicksort, since no one can tell; -f/-d
-// keep the stable sort. With workers > 1 (GNU sort's --parallel) the
-// index is cut into runs sorted concurrently by the same kernel and
-// merged through the loser tree.
+// sortRecs sorts the index and returns it. With workers > 1 (GNU sort's
+// --parallel) the index is cut into runs sorted concurrently by the same
+// kernel and merged through the loser tree, which decorates each run's
+// head afresh: the kernel leaves keys as scratch.
 func sortRecs(recs []sortRec, arena []byte, o *lineOrder, workers int) []sortRec {
-	cmp := func(x, y sortRec) int {
-		if x.key != y.key { // the common case, decided in this frame
-			return o.byKey(x.key, y.key)
-		}
-		return o.compareRecs(arena, x, y)
-	}
-	sortRun := slices.SortStableFunc[[]sortRec]
-	if o.total() {
-		sortRun = slices.SortFunc[[]sortRec]
-	}
 	if workers > runtime.NumCPU()*2 {
 		workers = runtime.NumCPU() * 2
 	}
 	if workers < 2 || len(recs) < 2*workers {
-		sortRun(recs, cmp)
+		o.sortRun(recs, arena)
 		return recs
 	}
 	chunk := (len(recs) + workers - 1) / workers
@@ -355,7 +413,7 @@ func sortRecs(recs []sortRec, arena []byte, o *lineOrder, workers int) []sortRec
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sortRun(run, cmp)
+			o.sortRun(run, arena)
 		}()
 	}
 	wg.Wait()
@@ -366,7 +424,8 @@ func sortRecs(recs []sortRec, arena []byte, o *lineOrder, workers int) []sortRec
 		lt.live[i] = len(runs[i]) > 0
 		if lt.live[i] {
 			r := runs[i][0]
-			lt.keys[i], lt.lines[i] = r.key, arena[r.off:r.off+r.len]
+			lt.lines[i] = arena[r.off : r.off+r.len]
+			lt.keys[i] = o.decorate(lt.lines[i])
 		}
 	}
 	for i := range runs {
@@ -381,6 +440,153 @@ func sortRecs(recs []sortRec, arena []byte, o *lineOrder, workers int) []sortRec
 		lt.replay(w)
 	}
 	return out
+}
+
+// sortRun sorts one run of the index. A bytewise order is sorted by the
+// multikey quicksort and reversed for -r, which for a total order is
+// exactly the reversed order; a key goes to the comparator sort.
+func (o *lineOrder) sortRun(recs []sortRec, arena []byte) {
+	if o.key == nil {
+		mkqsort(recs, arena, 0, 2*bits.Len(uint(len(recs))))
+		if o.sign < 0 {
+			slices.Reverse(recs)
+		}
+		return
+	}
+	o.cmpSort(recs, arena)
+}
+
+// cmpSort is the comparator sort: the unstable pattern-defeating
+// quicksort when equal lines are byte-identical, since no one can tell,
+// and the stable sort when -s or -u must keep input order among ties.
+// Every key must be the line's decoration under o.
+func (o *lineOrder) cmpSort(recs []sortRec, arena []byte) {
+	cmp := func(x, y sortRec) int {
+		if x.key != y.key { // the common case, decided in this frame
+			return o.byKey(x.key, y.key)
+		}
+		return o.compare(x.key, arena[x.off:x.off+x.len], y.key, arena[y.off:y.off+y.len])
+	}
+	if o.total() {
+		slices.SortFunc(recs, cmp)
+	} else {
+		slices.SortStableFunc(recs, cmp)
+	}
+}
+
+// ascending is the plain bytewise order, the multikey quicksort's
+// fallback.
+var ascending = &lineOrder{sign: 1, keySign: 1}
+
+// mkqSmall is the group size at and below which the multikey quicksort
+// finishes with an insertion sort.
+const mkqSmall = 16
+
+// mkqsort sorts recs bytewise by whole line: a multikey quicksort
+// (Bentley & Sedgewick, SODA '97) over 8-byte words instead of bytes. On
+// entry every key is its line's word d — bytes [8d, 8d+8), zero padded —
+// and all lines agree on their first 8d bytes; on return the keys are
+// scratch. Each pass splits three ways on the key. The < and > groups
+// recurse at the same depth, each spending one unit of budget; the =
+// group moves on to word d+1 in this frame, so a long shared prefix
+// costs a pass per word but no stack. A group that runs out of budget
+// has partitioned badly, and goes to the comparator sort.
+func mkqsort(recs []sortRec, arena []byte, d, budget int) {
+	for len(recs) > mkqSmall {
+		if budget == 0 {
+			ascending.cmpSort(recs, arena)
+			return
+		}
+		p := pivotKey(recs)
+		lt, gt := 0, len(recs)
+		for i := 0; i < gt; {
+			switch k := recs[i].key; {
+			case k < p:
+				recs[lt], recs[i] = recs[i], recs[lt]
+				lt++
+				i++
+			case k > p:
+				gt--
+				recs[i], recs[gt] = recs[gt], recs[i]
+			default:
+				i++
+			}
+		}
+		mkqsort(recs[:lt], arena, d, budget-1)
+		mkqsort(recs[gt:], arena, d, budget-1)
+		recs = recs[lt:gt]
+
+		// Lines that end inside word d come first, shortest first: each
+		// is a prefix of every longer line of the group, and equal
+		// lengths are equal lines. A line can end before the word does
+		// only where p's low bytes are zero padding, so there is one
+		// pass per such byte, plus one.
+		end := 8 * (d + 1)
+		n := 0
+		for l := end - bits.TrailingZeros64(p)/8; l <= end; l++ {
+			for i := n; i < len(recs); i++ {
+				if recs[i].len == l {
+					recs[n], recs[i] = recs[i], recs[n]
+					n++
+				}
+			}
+		}
+		recs = recs[n:]
+		for i := range recs {
+			r := &recs[i]
+			r.key = loadWord(arena, r.off+end, r.len-end)
+		}
+		d++
+	}
+	insertionSort(recs, arena, 8*d)
+}
+
+// pivotKey picks a partitioning key: the median of three, or Tukey's
+// ninther for large groups, so sorted, reversed and organ-pipe inputs
+// split evenly.
+func pivotKey(recs []sortRec) uint64 {
+	n := len(recs)
+	med := func(i, j, k int) uint64 { return median3(recs[i].key, recs[j].key, recs[k].key) }
+	if n < 128 {
+		return med(0, n/2, n-1)
+	}
+	s := n / 8
+	return median3(med(0, s, 2*s), med(n/2-s, n/2, n/2+s), med(n-1-2*s, n-1-s, n-1))
+}
+
+func median3(a, b, c uint64) uint64 {
+	if a > b {
+		a, b = b, a
+	}
+	return max(a, min(b, c))
+}
+
+// insertionSort finishes a small group whose lines agree on their first
+// at bytes and whose keys are the next word.
+func insertionSort(recs []sortRec, arena []byte, at int) {
+	for i := 1; i < len(recs); i++ {
+		for j := i; j > 0; j-- {
+			x, y := recs[j], recs[j-1]
+			if x.key > y.key || x.key == y.key &&
+				bytes.Compare(arena[x.off+at:x.off+x.len], arena[y.off+at:y.off+y.len]) >= 0 {
+				break
+			}
+			recs[j], recs[j-1] = y, x
+		}
+	}
+}
+
+// loadWord is the big-endian word of the n bytes at arena[off:], zero
+// padded past them. A short tail is read as a whole word and masked when
+// the arena has the room, which it does for all but its last line.
+func loadWord(arena []byte, off, n int) uint64 {
+	switch {
+	case n >= 8:
+		return binary.BigEndian.Uint64(arena[off:])
+	case off+8 <= len(arena):
+		return binary.BigEndian.Uint64(arena[off:]) & ^(^uint64(0) >> (8 * n))
+	}
+	return prefixWord(arena[off : off+n])
 }
 
 // loserTree is a tournament tree for k-way merging: each internal node
@@ -520,156 +726,306 @@ func mergeSorted(readers []io.Reader, lw *LineWriter, ord *lineOrder, unique boo
 	return nil
 }
 
+// parseSortKey parses a -k spec, F[.C][OPTS][,F[.C][OPTS]], as GNU sort
+// does: a field or a start character of 0 is an error, an end character
+// of 0 means the end of the field, and OPTS are letters of bdfnr (b
+// applies to the position it follows, the rest to the key).
 func parseSortKey(spec string) (*sortKey, error) {
 	k := &sortKey{}
-	parsePos := func(s string) (field int, mods string, err error) {
-		// POS is F[.C][OPTS]; we support the field part and opts.
-		num := s
-		for i := 0; i < len(s); i++ {
-			if s[i] < '0' || s[i] > '9' {
-				num, mods = s[:i], s[i:]
-				break
+	pos := func(s string, end bool) (field, char int, rest string, err error) {
+		num := func() (int, error) {
+			i := 0
+			for i < len(s) && s[i] >= '0' && s[i] <= '9' {
+				i++
+			}
+			n, err := strconv.Atoi(s[:i])
+			s = s[i:]
+			return n, err
+		}
+		if field, err = num(); err != nil {
+			return 0, 0, "", err
+		}
+		if field == 0 {
+			return 0, 0, "", errors.New("field number is zero")
+		}
+		if strings.HasPrefix(s, ".") {
+			s = s[1:]
+			if char, err = num(); err != nil {
+				return 0, 0, "", err
+			}
+			if char == 0 && !end {
+				return 0, 0, "", errors.New("character offset is zero")
 			}
 		}
-		if dot := strings.IndexByte(mods, '.'); dot == 0 {
-			// Skip character offset; consume digits after the dot.
-			rest := mods[1:]
-			j := 0
-			for j < len(rest) && rest[j] >= '0' && rest[j] <= '9' {
-				j++
-			}
-			mods = rest[j:]
-		}
-		field, err = strconv.Atoi(num)
-		return field, mods, err
-	}
-	parts := strings.SplitN(spec, ",", 2)
-	f, mods, err := parsePos(parts[0])
-	if err != nil {
-		return nil, err
-	}
-	k.startField = f
-	applyMods := func(mods string) {
-		for _, c := range mods {
-			switch c {
+		for ; s != "" && s[0] != ','; s = s[1:] {
+			switch s[0] {
+			case 'b':
+				if end {
+					k.skipEnd = true
+				} else {
+					k.skipStart = true
+				}
+			case 'd':
+				k.dictionary = true
+			case 'f':
+				k.foldCase = true
 			case 'n':
 				k.numeric = true
 			case 'r':
 				k.reverse = true
+			default:
+				return 0, 0, "", errors.New("unsupported key option " + strconv.QuoteRune(rune(s[0])))
 			}
 		}
+		return field, char, s, nil
 	}
-	applyMods(mods)
-	if len(parts) == 2 {
-		f, mods, err := parsePos(parts[1])
-		if err != nil {
+	var err error
+	var rest string
+	if k.startField, k.startChar, rest, err = pos(spec, false); err != nil {
+		return nil, err
+	}
+	if rest != "" {
+		if k.endField, k.endChar, rest, err = pos(rest[1:], true); err != nil {
 			return nil, err
 		}
-		k.endField = f
-		applyMods(mods)
+		if rest != "" {
+			return nil, errors.New("stray character in field spec")
+		}
 	}
 	return k, nil
 }
 
-// extractKey pulls the -k field range out of a line.
-func extractKey(line []byte, k *sortKey, delim byte) []byte {
-	fields := splitSortFields(line, delim)
-	lo := k.startField
-	hi := k.endField
-	if hi == 0 || hi > len(fields) {
-		hi = len(fields)
+// keyOf returns the part of a line the key compares (GNU's begfield and
+// limfield). Under -t a field ends at the separator; otherwise a field
+// is a run of blanks and the non-blanks after it, so a key that does not
+// skip blanks starts with the ones in front of its field.
+func (o *lineOrder) keyOf(line []byte) []byte {
+	k := o.key
+	beg := o.fieldStart(line, k.startField-1)
+	if k.skipStart {
+		beg = skipBlanks(line, beg)
 	}
-	if lo > len(fields) {
-		return nil
-	}
-	if lo == hi {
-		return fields[lo-1]
-	}
-	// Join the covered fields (approximation of byte-offset semantics).
-	var out []byte
-	for i := lo - 1; i < hi; i++ {
-		if i > lo-1 {
-			out = append(out, ' ')
+	beg = min(len(line), beg+max(k.startChar-1, 0))
+	end := len(line)
+	switch {
+	case k.endField == 0:
+	case k.endChar == 0:
+		end = o.fieldStart(line, k.endField-1)
+		if o.delim != 0 {
+			if i := bytes.IndexByte(line[end:], o.delim); i >= 0 {
+				end += i
+			} else {
+				end = len(line)
+			}
+		} else {
+			end = skipNonBlanks(line, skipBlanks(line, end))
 		}
-		out = append(out, fields[i]...)
+	default:
+		end = o.fieldStart(line, k.endField-1)
+		if k.skipEnd {
+			end = skipBlanks(line, end)
+		}
+		end = min(len(line), end+k.endChar)
 	}
-	return out
+	return line[beg:max(beg, end)]
 }
 
-func splitSortFields(line []byte, delim byte) [][]byte {
-	if delim != 0 {
-		return bytes.Split(line, []byte{delim})
-	}
-	// Default: fields are separated by runs of blanks; each field begins
-	// at the blank run (GNU semantics approximated by trimming).
-	var fields [][]byte
+// fieldStart is the offset of field n (from 0), or the line's length
+// when the line has fewer fields.
+func (o *lineOrder) fieldStart(line []byte, n int) int {
 	i := 0
-	for i < len(line) {
-		for i < len(line) && (line[i] == ' ' || line[i] == '\t') {
-			i++
+	for ; n > 0 && i < len(line); n-- {
+		if o.delim == 0 {
+			i = skipNonBlanks(line, skipBlanks(line, i))
+			continue
 		}
-		start := i
-		for i < len(line) && line[i] != ' ' && line[i] != '\t' {
-			i++
+		j := bytes.IndexByte(line[i:], o.delim)
+		if j < 0 {
+			return len(line)
 		}
-		if start < i {
-			fields = append(fields, line[start:i])
-		}
+		i += j + 1
 	}
-	return fields
+	return i
 }
 
+func skipBlanks(line []byte, i int) int {
+	for i < len(line) && (line[i] == ' ' || line[i] == '\t') {
+		i++
+	}
+	return i
+}
+
+func skipNonBlanks(line []byte, i int) int {
+	for i < len(line) && line[i] != ' ' && line[i] != '\t' {
+		i++
+	}
+	return i
+}
+
+// keyCompare compares the keys of two lines, before any reversal.
+func (o *lineOrder) keyCompare(a, b []byte) int {
+	k := o.key
+	ka, kb := o.keyOf(a), o.keyOf(b)
+	switch {
+	case k.numeric:
+		if k.dictionary {
+			ka, kb = dictBytes(ka), dictBytes(kb)
+		}
+		return numCompare(ka, kb)
+	case k.foldCase || k.dictionary:
+		return compareText(ka, kb, k.foldCase, k.dictionary)
+	}
+	return bytes.Compare(ka, kb)
+}
+
+// compareText compares a and b byte by byte, skipping what -d ignores and
+// folding what -f folds: C-locale toupper, ASCII letters only.
 func compareText(a, b []byte, fold, dict bool) int {
-	if dict {
-		a, b = dictBytes(a), dictBytes(b)
+	i, j := 0, 0
+	for {
+		if dict {
+			for i < len(a) && !dictByte(a[i]) {
+				i++
+			}
+			for j < len(b) && !dictByte(b[j]) {
+				j++
+			}
+		}
+		if i == len(a) || j == len(b) {
+			break
+		}
+		ca, cb := a[i], b[j]
+		if fold {
+			ca, cb = upperByte(ca), upperByte(cb)
+		}
+		if ca != cb {
+			if ca < cb {
+				return -1
+			}
+			return 1
+		}
+		i++
+		j++
 	}
-	if fold {
-		return bytes.Compare(bytes.ToUpper(a), bytes.ToUpper(b))
+	switch {
+	case i < len(a):
+		return 1
+	case j < len(b):
+		return -1
 	}
-	return bytes.Compare(a, b)
+	return 0
+}
+
+func upperByte(c byte) byte {
+	if c >= 'a' && c <= 'z' {
+		return c - 'a' + 'A'
+	}
+	return c
+}
+
+// dictByte reports whether -d keeps c: blanks and alphanumerics.
+func dictByte(c byte) bool {
+	return c == ' ' || c == '\t' ||
+		c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9'
 }
 
 func dictBytes(s []byte) []byte {
 	out := make([]byte, 0, len(s))
 	for _, c := range s {
-		if c == ' ' || c == '\t' ||
-			c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' {
+		if dictByte(c) {
 			out = append(out, c)
 		}
 	}
 	return out
 }
 
-// parseLeadingFloat implements sort -n's reading of a field: leading
-// blanks, optional sign, digits, optional fraction; a non-numeric prefix
-// is 0.
-func parseLeadingFloat(s []byte) float64 {
-	i := 0
-	for i < len(s) && (s[i] == ' ' || s[i] == '\t') {
+// numParts reads sort -n's number at the start of s, as GNU's strnumcmp
+// does under LC_ALL=C: leading blanks, an optional '-', digits, an
+// optional '.' and more digits; no '+', no exponent, no thousands
+// separator. It returns the integer digits without leading zeros and
+// the fraction digits without trailing zeros. A number without digits,
+// or with only zeros, is zero and not negative.
+func numParts(s []byte) (neg bool, whole, frac []byte) {
+	i := skipBlanks(s, 0)
+	if i < len(s) && s[i] == '-' {
+		neg = true
+		i++
+	}
+	for i < len(s) && s[i] == '0' {
 		i++
 	}
 	start := i
-	if i < len(s) && (s[i] == '-' || s[i] == '+') {
-		i++
-	}
-	digits := false
 	for i < len(s) && s[i] >= '0' && s[i] <= '9' {
 		i++
-		digits = true
 	}
+	whole = s[start:i]
 	if i < len(s) && s[i] == '.' {
 		i++
+		start = i
 		for i < len(s) && s[i] >= '0' && s[i] <= '9' {
 			i++
-			digits = true
+		}
+		frac = bytes.TrimRight(s[start:i], "0")
+	}
+	if len(whole) == 0 && len(frac) == 0 {
+		neg = false
+	}
+	return neg, whole, frac
+}
+
+// numCompare is sort -n's comparison: exact, at any length.
+func numCompare(a, b []byte) int {
+	an, aw, af := numParts(a)
+	bn, bw, bf := numParts(b)
+	if an != bn {
+		if an {
+			return -1
+		}
+		return 1
+	}
+	c := len(aw) - len(bw)
+	if c == 0 {
+		if c = bytes.Compare(aw, bw); c == 0 {
+			c = bytes.Compare(af, bf)
 		}
 	}
-	if !digits {
-		return 0
+	if an {
+		c = -c
 	}
-	f, err := strconv.ParseFloat(string(s[start:i]), 64)
-	if err != nil {
-		return 0
-	}
-	return f
+	return c
 }
+
+// numImage is an order-preserving image of sort -n's number: the sign
+// bit, then the integer part's digit count (8 bits, saturating), then
+// the first 13 digits at 4 bits each, and last a bit set when digits are
+// left over, all complemented for a negative number. Numbers that agree
+// that far share an image and are told apart by numCompare, unless the
+// image holds them whole (numExact).
+func numImage(s []byte) uint64 {
+	neg, whole, frac := numParts(s)
+	img := ^uint64(0)
+	if len(whole) < 255 {
+		img = uint64(1)<<63 | uint64(len(whole))<<55
+		n := 0
+		for _, digits := range [2][]byte{whole, frac} {
+			for _, c := range digits {
+				if n == 13 {
+					img |= 1
+					break
+				}
+				img |= uint64(c-'0') << (51 - 4*n)
+				n++
+			}
+		}
+	}
+	if neg {
+		img = ^img
+	}
+	return img
+}
+
+// numExact reports whether a numImage holds its number whole, so that
+// an equal image is an equal number. A left-over digit makes a number
+// larger in magnitude than its 13-digit prefix, so the flag orders
+// correctly on either side of zero.
+func numExact(img uint64) bool { return (img^img>>63)&1 == 1 }

@@ -6,52 +6,158 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/big"
 	"math/rand"
+	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 )
 
-// The oracle for the sort kernel: the closure-chain comparator sort used
-// before the pointer-free index, run under sort.SliceStable over one
-// []byte per line. It shares only the field helpers (extractKey,
-// compareText, parseLeadingFloat) with sort.go; decoration, the 3-way
-// comparator, the index, pdqsort, the loser tree and -u are all checked
-// against it.
+// The oracle for the sort kernel: GNU sort's compare() under LC_ALL=C,
+// restated without the kernel's machinery and run under sort.SliceStable
+// over one []byte per line. Each line's key is cut from a table of field
+// spans, numbers are read as exact rationals, and -f/-d transform a copy;
+// the kernel's decoration, index, multikey quicksort, comparator sort,
+// loser tree and -u are all checked against it. The tie rules:
+//   - no key (no -k, -n, -f, -d or -b): the whole line, bytewise; -r
+//     reverses it;
+//   - a key: the key, then — unless -s or -u — the whole line bytewise
+//     as a last resort, which -r reverses too; with -s or -u, key ties
+//     keep input order, which -r does not reverse;
+//   - -u prints the first line, in that order, of each run of equal ones.
 
-func refLess(cfg *sortConfig) func(a, b []byte) bool {
-	keyed := cfg.key != nil
-	compareNumeric := func(a, b []byte) int {
-		fa, fb := parseLeadingFloat(a), parseLeadingFloat(b)
-		switch {
-		case fa < fb:
-			return -1
-		case fa > fb:
-			return 1
+// refKey is the key cfg compares by, with the global options inherited
+// by a -k key that has no ordering letters of its own; nil for none.
+func refKey(cfg *sortConfig) *sortKey {
+	global := sortKey{startField: 1, numeric: cfg.numeric, reverse: cfg.reverse,
+		foldCase: cfg.foldCase, dictionary: cfg.dictionary, skipStart: cfg.blanks, skipEnd: cfg.blanks}
+	if k := cfg.key; k != nil {
+		if k.numeric || k.foldCase || k.dictionary || k.skipStart || k.skipEnd || k.reverse {
+			return k
 		}
-		return bytes.Compare(a, b)
+		global.startField, global.startChar, global.endField, global.endChar =
+			k.startField, k.startChar, k.endField, k.endChar
+		return &global
 	}
-	cmp := func(a, b []byte) int {
-		ka, kb := a, b
-		if keyed {
-			ka = extractKey(a, cfg.key, cfg.delim)
-			kb = extractKey(b, cfg.key, cfg.delim)
+	if cfg.numeric || cfg.foldCase || cfg.dictionary || cfg.blanks {
+		return &global
+	}
+	return nil
+}
+
+// refKeyText cuts the key out of a line from its field spans: under -t
+// the text between separators, otherwise a run of blanks and the
+// non-blanks after it.
+func refKeyText(line []byte, k *sortKey, delim byte) []byte {
+	blank := func(c byte) bool { return c == ' ' || c == '\t' }
+	var starts, ends []int
+	if delim != 0 {
+		s := 0
+		for i := 0; i <= len(line); i++ {
+			if i == len(line) || line[i] == delim {
+				starts, ends = append(starts, s), append(ends, i)
+				s = i + 1
+			}
 		}
-		var c int
-		if cfg.numeric || (keyed && cfg.key.numeric) {
-			c = compareNumeric(ka, kb)
-		} else {
-			c = compareText(ka, kb, cfg.foldCase, cfg.dictionary)
+	} else {
+		for i := 0; i < len(line); {
+			s := i
+			for i < len(line) && blank(line[i]) {
+				i++
+			}
+			for i < len(line) && !blank(line[i]) {
+				i++
+			}
+			starts, ends = append(starts, s), append(ends, i)
 		}
-		if c == 0 && keyed {
-			c = bytes.Compare(a, b)
+	}
+	at := func(field int, skip bool, char int) int {
+		p := len(line)
+		if field-1 < len(starts) {
+			p = starts[field-1]
 		}
-		if cfg.reverse || (keyed && cfg.key.reverse) {
+		for skip && p < len(line) && blank(line[p]) {
+			p++
+		}
+		return min(len(line), p+char)
+	}
+	beg := at(k.startField, k.skipStart, max(k.startChar-1, 0))
+	end := len(line)
+	switch {
+	case k.endField == 0:
+	case k.endChar == 0:
+		if k.endField-1 < len(ends) {
+			end = ends[k.endField-1]
+		}
+	default:
+		end = at(k.endField, k.skipEnd, k.endChar)
+	}
+	return line[beg:max(beg, end)]
+}
+
+var refNumber = regexp.MustCompile(`^[ \t]*(-?)([0-9]*)(?:\.([0-9]*))?`)
+
+// refValue is sort -n's reading of a key as an exact rational.
+func refValue(key []byte) *big.Rat {
+	m := refNumber.FindSubmatch(key)
+	r, _ := new(big.Rat).SetString(string(m[1]) + "0" + string(m[2]) + "." + string(m[3]) + "0")
+	return r
+}
+
+// refSortLine is a line with its key already read.
+type refSortLine struct {
+	line []byte
+	text []byte   // the key, -d filtered and -f folded
+	num  *big.Rat // -n: the key's value
+}
+
+// refCompare is GNU sort's compare(): the key (if any), then the
+// last resort.
+func refCompare(cfg *sortConfig) (read func([]byte) refSortLine, cmp func(a, b refSortLine) int) {
+	key := refKey(cfg)
+	read = func(line []byte) refSortLine {
+		l := refSortLine{line: line}
+		if key == nil {
+			return l
+		}
+		for _, c := range refKeyText(line, key, cfg.delim) {
+			if key.dictionary && !(c == ' ' || c == '\t' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9') {
+				continue
+			}
+			if key.foldCase && c >= 'a' && c <= 'z' {
+				c -= 'a' - 'A'
+			}
+			l.text = append(l.text, c)
+		}
+		if key.numeric {
+			l.num = refValue(l.text)
+		}
+		return l
+	}
+	cmp = func(a, b refSortLine) int {
+		if key != nil {
+			var c int
+			if key.numeric {
+				c = a.num.Cmp(b.num)
+			} else {
+				c = bytes.Compare(a.text, b.text)
+			}
+			if key.reverse {
+				c = -c
+			}
+			if c != 0 || cfg.stable || cfg.unique {
+				return c
+			}
+		}
+		c := bytes.Compare(a.line, b.line)
+		if cfg.reverse {
 			c = -c
 		}
 		return c
 	}
-	return func(a, b []byte) bool { return cmp(a, b) < 0 }
+	return read, cmp
 }
 
 // refLines splits text the way the line-IO layer does: a final
@@ -68,19 +174,21 @@ func refLines(text string) [][]byte {
 }
 
 func refSort(cfg *sortConfig, inputs ...string) string {
-	var lines [][]byte
+	read, cmp := refCompare(cfg)
+	var lines []refSortLine
 	for _, in := range inputs {
-		lines = append(lines, refLines(in)...)
+		for _, l := range refLines(in) {
+			lines = append(lines, read(l))
+		}
 	}
-	less := refLess(cfg)
-	sort.SliceStable(lines, func(i, j int) bool { return less(lines[i], lines[j]) })
+	sort.SliceStable(lines, func(i, j int) bool { return cmp(lines[i], lines[j]) < 0 })
 	var out bytes.Buffer
-	var prev []byte
+	var prev refSortLine
 	for i, l := range lines {
-		if cfg.unique && i > 0 && !less(prev, l) && !less(l, prev) {
+		if cfg.unique && i > 0 && cmp(prev, l) == 0 {
 			continue
 		}
-		out.Write(l)
+		out.Write(l.line)
 		out.WriteByte('\n')
 		prev = l
 	}
@@ -109,6 +217,16 @@ var sortCases = []sortCase{
 	{[]string{"-mu"}, sortConfig{merge: true, unique: true}},
 	{[]string{"--parallel=3"}, sortConfig{parallel: 3}},
 	{[]string{"--parallel=3", "-f"}, sortConfig{parallel: 3, foldCase: true}},
+	{[]string{"--parallel=3", "-u"}, sortConfig{parallel: 3, unique: true}},
+	{[]string{"-s", "-k2,2"}, sortConfig{stable: true, key: &sortKey{startField: 2, endField: 2}}},
+	{[]string{"-fs"}, sortConfig{foldCase: true, stable: true}},
+	{[]string{"-ru"}, sortConfig{reverse: true, unique: true}},
+	{[]string{"-nru"}, sortConfig{numeric: true, reverse: true, unique: true}},
+	{[]string{"-u", "-k2"}, sortConfig{unique: true, key: &sortKey{startField: 2}}},
+	{[]string{"-r", "-k2,2f"}, sortConfig{reverse: true, key: &sortKey{startField: 2, endField: 2, foldCase: true}}},
+	{[]string{"-b", "-k1.2,2.3"}, sortConfig{blanks: true, key: &sortKey{startField: 1, startChar: 2, endField: 2, endChar: 3}}},
+	{[]string{"-k2.2b,3d"}, sortConfig{key: &sortKey{startField: 2, startChar: 2, skipStart: true, endField: 3, dictionary: true}}},
+	{[]string{"-bdu"}, sortConfig{blanks: true, dictionary: true, unique: true}},
 }
 
 // stringFS serves operands from memory (sort -m reads its runs as files).
@@ -155,13 +273,15 @@ func checkSortCase(c sortCase, text string) string {
 
 // genSortText draws lines that collide where the kernel is delicate:
 // shared prefixes past the 8 decorated bytes, zero padding against real
-// NULs, high bytes, case and punctuation variants, numbers that tie as
-// floats, and fields under both separators.
+// NULs, high bytes, case and punctuation variants, numbers that are
+// equal, and numbers too long for their decoration, and fields under
+// both separators.
 func genSortText(r *rand.Rand, maxLines int) string {
 	atoms := []string{
 		"", "a", "A", "b", "ab", "aB", "a-b", "a b", "abcdefgh", "abcdefgh\x00", "abcdefghi", "abcdefgH",
 		"ABCDEFGH", "\x00", "\x00\x00", "\xff", "\xfe\xff", "é", "É", "0", "-0", "+0", "00", "1", "01",
 		"1.0", "1.50", "-1", "-1.5", " 2", "\t2", "10", "9", "1e3", "x1", ".", "-", ":", "::", " ", "  ",
+		"12345678901234567", "12345678901234568", "-12345678901234567", "1234567890123.4", "0.00000000000001",
 	}
 	n := r.Intn(maxLines + 1)
 	var sb strings.Builder
@@ -195,7 +315,43 @@ func TestSortKernelDifferential(t *testing.T) {
 		"-0\n0\n+0\n0.0\n-0.0\n00\n",
 		"x:10:b\nx:9:a\ny:9:a\nx:9\nx\n:::\n",
 	}
+	// The multikey quicksort's edges, checked under every ordering it
+	// sorts (those without a key): one equal group all the way down, a
+	// shared prefix of 125 words, lines that end on either side of a word
+	// boundary with real NULs where a shorter line has padding, and
+	// inputs that defeat a naive pivot.
 	rng := rand.New(rand.NewSource(16))
+	var prefixed, padded strings.Builder
+	prefix := strings.Repeat("p", 1000)
+	for i := 0; i < 5000; i++ {
+		fmt.Fprintf(&prefixed, "%s%x\n", prefix, rng.Intn(1<<20))
+	}
+	var pads []string
+	for _, stem := range []string{"", "a", "abcdefg", "abcdefgh", "abcdefgh\x00a"} {
+		pads = append(pads, stem)
+		for _, n := range []int{7, 8, 9, 15, 16, 17} {
+			if n > len(stem) {
+				pads = append(pads, stem+strings.Repeat("\x00", n-len(stem)))
+			}
+		}
+	}
+	for i := 0; i < 400; i++ {
+		padded.WriteString(pads[rng.Intn(len(pads))] + "\n")
+	}
+	const n = 50_000
+	var ascending, descending, organPipe strings.Builder
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&ascending, "%08d\n", i)
+		fmt.Fprintf(&descending, "%08d\n", n-i)
+		fmt.Fprintf(&organPipe, "%08d\n", min(i, n-i))
+	}
+	// Sorted in runs of 50 by --parallel=3, each run's head has been
+	// reloaded past its first word: a merge or -u that read those keys
+	// would put zzzzzzzzA first, or keep one of abcdefghS and xxxxxxxxS.
+	stale := strings.Repeat("zzzzzzzzA\n", 50) + strings.Repeat("bbbbbbbbz\n", 50) +
+		strings.Repeat("abcdefghS\n", 25) + strings.Repeat("xxxxxxxxS\n", 25)
+	bytewise := []string{strings.Repeat("identical line\n", 10_000), prefixed.String(), padded.String(),
+		ascending.String(), descending.String(), organPipe.String(), stale}
 	for trial := 0; trial < 300; trial++ {
 		text := genSortText(rng, 60)
 		if rng.Intn(4) == 0 {
@@ -204,7 +360,11 @@ func TestSortKernelDifferential(t *testing.T) {
 		fixed = append(fixed, text)
 	}
 	for _, c := range sortCases {
-		for _, text := range fixed {
+		texts := fixed
+		if refKey(&c.cfg) == nil {
+			texts = slices.Concat(fixed, bytewise)
+		}
+		for _, text := range texts {
 			if msg := checkSortCase(c, text); msg != "" {
 				t.Fatal(msg)
 			}
@@ -276,13 +436,54 @@ func TestSortKernelAllocations(t *testing.T) {
 	}
 }
 
-// BenchmarkSortKernel is the sort leg of the batch-sort workload without
-// the process around it: 150k lines through the sort command.
+// sortWorkloadText is the batch-sort workload's text as its sort steps
+// see it: Zipf(1.1) draws from a 5,000-word lower-case vocabulary, as
+// lines of 3-7 words (sort.txt after tr A-Z a-z) or, with perLine 1, as
+// the one-word lines of the word-frequency one-liner's word stream.
+func sortWorkloadText(lines, perLine int) []byte {
+	rng := rand.New(rand.NewSource(20210426))
+	vocab := make([][]byte, 5000)
+	for i := range vocab {
+		vocab[i] = make([]byte, 3+i*3%7)
+		for j := range vocab[i] {
+			vocab[i][j] = 'a' + byte(rng.Intn(26))
+		}
+	}
+	zipf := rand.NewZipf(rng, 1.1, 1, uint64(len(vocab)-1))
+	var buf bytes.Buffer
+	for i := 0; i < lines; i++ {
+		n := perLine
+		if n == 0 {
+			n = 3 + rng.Intn(5)
+		}
+		for w := 0; w < n; w++ {
+			if w > 0 {
+				buf.WriteByte(' ')
+			}
+			buf.Write(vocab[zipf.Uint64()])
+		}
+		buf.WriteByte('\n')
+	}
+	return buf.Bytes()
+}
+
+// BenchmarkSortKernel is the sort command without the process around
+// it: 150k hex-word lines, the batch-sort workload's 150k sort.txt lines,
+// and its 166k-word word-frequency stream.
 func BenchmarkSortKernel(b *testing.B) {
-	text := sortBenchText(150_000)
-	b.SetBytes(int64(len(text)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		runSortDiscard(b, text)
+	for _, in := range []struct {
+		name string
+		text []byte
+	}{
+		{"hex", sortBenchText(150_000)},
+		{"sort.txt", sortWorkloadText(150_000, 0)},
+		{"wf-words", sortWorkloadText(166_000, 1)},
+	} {
+		b.Run(in.name, func(b *testing.B) {
+			b.SetBytes(int64(len(in.text)))
+			for i := 0; i < b.N; i++ {
+				runSortDiscard(b, in.text)
+			}
+		})
 	}
 }

@@ -190,7 +190,8 @@ type AggSpec struct {
 	// is fed by the streaming round-robin split instead of the barrier
 	// split. The contract is exactly that permutation invariance;
 	// internal/agg's TestCommutativeIsPermutationInvariant enforces it
-	// for every spec that sets the flag and shows sort -f/-d failing it.
+	// for every spec that sets the flag and shows sort -s/-u under a key
+	// failing it.
 	Commutative bool
 }
 

@@ -23,8 +23,8 @@ import (
 // DecodePlan on repeat dispatches. A commutative sort absorbs the
 // round-robin merge, so its branch — the stateless stages and the sort
 // map — ships as one linear shard; an order-sensitive consumer (uniq,
-// sort -f) keeps its barrier split, whose map shards group with their
-// interior aggregate into tree shards.
+// sort -s under a key) keeps its barrier split, whose map shards group
+// with their interior aggregate into tree shards.
 func TestDistributedStreamPlanStructure(t *testing.T) {
 	pool := dist.NewPool("http://w1", "http://w2")
 	sess := pash.NewSession(pash.DefaultOptions(8))
@@ -77,7 +77,7 @@ func TestDistributedStreamPlanStructure(t *testing.T) {
 	}
 
 	aggInterior := 0
-	for _, spec := range streamedShards(`cat in.txt | rev | sort -f`) {
+	for _, spec := range streamedShards(`cat in.txt | rev | sort -s -k2`) {
 		if spec.Agg != nil {
 			aggInterior++
 		}

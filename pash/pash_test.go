@@ -7,9 +7,13 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/paper"
 )
 
 func TestSessionRun(t *testing.T) {
@@ -172,6 +176,72 @@ func TestWidthFourMatchesWidthOneOnGroupingCommands(t *testing.T) {
 		}
 		if n := replicas(tc.script); (n > 1) != tc.wide {
 			t.Errorf("%s: %d replicas at width 4, want wide = %v", tc.script, n, tc.wide)
+		}
+	}
+}
+
+// TestSortTieRulesMatchHost checks sort's tie rules against the host's
+// GNU sort under LC_ALL=C, through a session that plans like the pash
+// binary: each script reads its input from a pipe, so it plans the whole
+// width ceiling, 1, 2, 4 and 8. Every input is over 1 MiB. -nu and -nru
+// keep the first of each run of equal keys in input order, -u -k2,2 and
+// -s -k2,2 do the same for a field, -f falls back to the whole line, and
+// -cu reports equal neighbours.
+func TestSortTieRulesMatchHost(t *testing.T) {
+	host, err := exec.LookPath("sort")
+	if err != nil {
+		t.Skip("no host sort")
+	}
+	rng := rand.New(rand.NewSource(33))
+	var ints, numbered strings.Builder
+	for ints.Len() < 1200<<10 {
+		fmt.Fprintf(&ints, "%s%d\n", strings.Repeat("0", rng.Intn(3)), rng.Intn(1000))
+	}
+	// Capitalise one line in eight, so -f has case to fold.
+	text := paper.Text(40_000, 33)
+	lines := strings.SplitAfter(text[:len(text)-1], "\n")
+	for i := 0; i < len(lines); i += 8 {
+		lines[i] = strings.ToUpper(lines[i][:1]) + lines[i][1:]
+	}
+	text = strings.Join(lines, "") + "\n"
+	for i, line := range lines {
+		fmt.Fprintf(&numbered, "%d %s", i%100, line)
+	}
+	numbered.WriteByte('\n')
+	sortedInts := strings.SplitAfter(ints.String(), "\n")
+	slices.Sort(sortedInts)
+	for _, tc := range []struct {
+		argv  []string
+		input string
+	}{
+		{[]string{"-nu"}, ints.String()},
+		{[]string{"-u", "-k2,2"}, text},
+		{[]string{"-f"}, text},
+		{[]string{"-s", "-k2,2"}, text},
+		{[]string{"-nru"}, numbered.String()},
+		{[]string{"-cu"}, strings.Join(sortedInts, "")},
+	} {
+		if len(tc.input) < 1<<20 {
+			t.Fatalf("sort %v: input is %d bytes, want over 1 MiB", tc.argv, len(tc.input))
+		}
+		cmd := exec.Command(host, tc.argv...)
+		cmd.Env = append(os.Environ(), "LC_ALL=C")
+		cmd.Stdin = strings.NewReader(tc.input)
+		want, err := cmd.Output()
+		if _, exit := err.(*exec.ExitError); err != nil && !exit {
+			t.Fatal(err)
+		}
+		script := "sort " + strings.Join(tc.argv, " ")
+		for _, width := range []int{1, 2, 4, 8} {
+			s := NewSession(Options{Width: width, Preset: Planned})
+			var out bytes.Buffer
+			pipe := struct{ io.Reader }{strings.NewReader(tc.input)} // no size to plan from
+			code, st, _ := s.RunStats(context.Background(), script, pipe, &out, io.Discard)
+			if code != cmd.ProcessState.ExitCode() || out.String() != string(want) {
+				t.Errorf("%s at width %d (%v): exit %d and %d lines, host exit %d and %d lines",
+					script, width, st.Widths, code, strings.Count(out.String(), "\n"),
+					cmd.ProcessState.ExitCode(), bytes.Count(want, []byte("\n")))
+			}
 		}
 	}
 }
