@@ -91,11 +91,11 @@
 //
 // -shared-fs declares that workers see the coordinator's files at the
 // same paths (NFS, same host), enabling file-range shards that ship no
-// input bytes at all. Each end lz4-compresses a chunk frame only when
-// its measured link is slower than its measured codec; there is no
-// flag. The coordinator's /metrics gains per-worker rows — raw vs
-// on-the-wire byte counts, the measured wire rate and the lz4 frame
-// count, and plan-cache verdicts, plus a fleet-wide "wire" summary —
+// input bytes at all. Chunks travel as plain checksummed frames, each
+// costing its 8-byte header. The coordinator's /metrics gains
+// per-worker rows — the failover state (healthy, down or rejoining),
+// chunk vs on-the-wire byte counts and plan-cache verdicts, plus a
+// fleet-wide "wire" summary —
 // GET /workers lists live membership, POST /workers/register adds a
 // member at runtime, and POST /workers/deregister removes one (a
 // draining worker calls it on itself).

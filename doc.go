@@ -261,15 +261,13 @@
 // and instantiated kernel chains under the fingerprint (an LRU busted
 // by registry generation and pool membership), making repeated
 // dispatches of hot regions skip decode, validation, and kernel
-// construction. Every data frame carries a one-byte tag, raw or lz4
-// (a built-in dependency-free codec), and each sender picks per frame
-// from what it measures: lz4 only when its link is slower than its
-// codec can take bytes off it, wire < codec × (1 − ratio). Loopback
-// and LAN links stay raw at one byte per frame; a slow link carrying
-// text moves several-fold fewer bytes. There is no knob. Checksums
-// cover the payload as sent, so corruption is detected before
-// decompression. The input a session keeps for replay is charged to
-// the job's pipe-memory budget.
+// construction. A data frame is a plain frame — an 8-byte header
+// (length and CRC-32C) and the chunk, nothing rewritten — and a
+// zero-length frame separates one input stream from the next; frames
+// are not compressed, since the loopback and unix-socket links workers
+// run over move bytes faster than a codec could shrink them. The input
+// a session keeps for replay is charged to the job's pipe-memory
+// budget.
 //
 // The coordinator runs every remote node as one dispatch session down
 // one recovery ladder: the assigned worker, then each surviving worker
@@ -286,10 +284,11 @@
 // with capped exponential backoff; a handshake deadline and a
 // per-stream inactivity watchdog turn silent network partitions into
 // ordinary detected deaths; and a background prober walks each worker
-// through a healthy→degraded→down→rejoining state machine with
-// hysteresis — a dead worker drains out of planning, a restarted one
-// rejoins, and a slow one is steered away from, all without restarting
-// the coordinator. A fault-injection layer (dist.Injector, installed
+// through a healthy→down→rejoining state machine with hysteresis (three
+// missed probes to leave, two answered ones to return) — a dead worker
+// drains out of planning and a restarted one rejoins, without
+// restarting the coordinator. A slow worker is not dead: it keeps its
+// shards, and only probes and observed transport deaths move it. A fault-injection layer (dist.Injector, installed
 // with Pool.SetFaultInjector) lets the chaos suite drive every fault
 // class through the real stack to hold the no-corruption guarantee.
 // Per-worker meters and state-transition counters ride the

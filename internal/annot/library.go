@@ -183,6 +183,8 @@ takesvalue ;
 
 grep {
 takesvalue -e -f -m -A -B -C --include ;
+| ( -e \/ -f ) /\ -m => (N, [args[0:]], [stdout])
+| -m => (N, [args[1:]], [stdout])
 | -l \/ -L => (N, [args[1:]], [stdout])
 | ( -e \/ -f ) /\ -c => (P, [args[0:]], [stdout])
 | -c => (P, [args[1:]], [stdout])

@@ -8,6 +8,7 @@ import (
 	"io"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/commands"
@@ -43,6 +44,12 @@ type Interp struct {
 
 	jobMu sync.Mutex
 	jobs  []chan jobResult
+
+	// status is $?, the exit status of the most recent pipeline. It is
+	// kept here, not in env: a variable write would bump env's
+	// generation and make every region re-copy the environment.
+	// Background jobs update it too, hence atomic.
+	status atomic.Int32
 
 	// envSnap is env as of generation envGen (envSnapshot).
 	envMu   sync.Mutex
@@ -128,7 +135,9 @@ func NewInterp(c *Compiler, dir string, vars map[string]string, stdio runtime.St
 // subshell, a compound pipeline stage, a command substitution — sharing
 // the job's compiler, budget, sandbox and traffic meter.
 func (in *Interp) nested(env *shell.Env, stdio runtime.StdIO) *Interp {
-	return &Interp{c: in.c, env: env, dir: in.dir, stdio: stdio, budget: in.budget, sandbox: in.sandbox, traffic: in.traffic, profile: in.profile}
+	sub := &Interp{c: in.c, env: env, dir: in.dir, stdio: stdio, budget: in.budget, sandbox: in.sandbox, traffic: in.traffic, profile: in.profile}
+	sub.status.Store(in.status.Load())
+	return sub
 }
 
 // fold adds a finished nested interpreter's region metrics and profiles
@@ -244,10 +253,12 @@ func (in *Interp) runList(ctx context.Context, list *shell.List) (int, error) {
 				ch <- jobResult{code: c, err: err}
 			}()
 			code = 0
+			in.status.Store(0)
 			continue
 		}
 		var err error
 		code, err = in.runCommand(ctx, item.Cmd)
+		in.status.Store(int32(code))
 		if err != nil {
 			return code, err
 		}
@@ -286,6 +297,7 @@ func (in *Interp) runCommand(ctx context.Context, cmd shell.Command) (int, error
 			if part.Op == shell.OrOp && code == 0 {
 				continue
 			}
+			in.status.Store(int32(code))
 			code, err = in.runCommand(ctx, part.Cmd)
 			if err != nil {
 				return code, err
@@ -461,9 +473,10 @@ func (in *Interp) runCompoundPipeline(ctx context.Context, p *shell.Pipeline) (i
 // nested sequential interpreter.
 func (in *Interp) expander() *shell.Expander {
 	return &shell.Expander{
-		Env:  in.env,
-		Glob: true,
-		Dir:  in.dir,
+		Env:    in.env,
+		Glob:   true,
+		Dir:    in.dir,
+		Status: func() int { return int(in.status.Load()) },
 		CmdSub: func(src string) (string, error) {
 			var out bytes.Buffer
 			sub := in.nested(in.env, runtime.StdIO{Stdin: strings.NewReader(""), Stdout: &out, Stderr: in.stdio.Stderr})

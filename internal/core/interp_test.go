@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -188,6 +189,33 @@ func TestExitCodes(t *testing.T) {
 	_, code, err = runScriptCode(t, Options{Width: 1}, "grep nomatch | cat", "abc\n", "", nil)
 	if err != nil || code != 0 {
 		t.Errorf("pipeline status: code=%d err=%v", code, err)
+	}
+}
+
+// TestStatusParameter: $? is the exit status of the most recent
+// pipeline, and dash agrees when it is on PATH.
+func TestStatusParameter(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "f"), []byte("aa\nbb\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	dash, _ := exec.LookPath("dash")
+	for _, tc := range []struct{ src, want string }{
+		{`false; echo $?`, "1\n"},
+		{`true; echo $?`, "0\n"},
+		{`grep -q zz f; echo $?`, "1\n"},
+	} {
+		if got := runScript(t, Options{Width: 1}, tc.src, "", dir, nil); got != tc.want {
+			t.Errorf("%s: got %q, want %q", tc.src, got, tc.want)
+		}
+		if dash == "" {
+			continue
+		}
+		cmd := exec.Command(dash, "-c", tc.src)
+		cmd.Dir = dir
+		if out, err := cmd.Output(); err != nil || string(out) != tc.want {
+			t.Errorf("%s: dash printed %q (%v), want %q", tc.src, out, err, tc.want)
+		}
 	}
 }
 

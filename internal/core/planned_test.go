@@ -198,3 +198,29 @@ func TestPlanKeySeparatesSplitAndEagerDecisions(t *testing.T) {
 		}
 	}
 }
+
+// TestGrepMaxCountIsSequential: grep -m N stops after N matches of the
+// whole input, so a replica per chunk would print up to N lines each.
+// Through the Planned preset, over input large enough to plan width 4,
+// every spelling prints the width-1 bytes.
+func TestGrepMaxCountIsSequential(t *testing.T) {
+	dir := t.TempDir()
+	text := corpus(200000)
+	if len(text) <= 1<<20 {
+		t.Fatalf("corpus is %d bytes, want over 1 MiB", len(text))
+	}
+	if err := os.WriteFile(filepath.Join(dir, "t"), []byte(text), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range []string{
+		`grep -m 3 a t`,
+		`grep -n -m 3 a t`,
+		`grep -e a -m 3 t`,
+		`cat t | grep -m 3 a`,
+	} {
+		want := runScript(t, Options{Width: 1}, src, "", dir, nil)
+		if got := runScript(t, Options{Width: 4, Preset: Planned}, src, "", dir, nil); got != want {
+			t.Errorf("%s: width 4 printed %d lines, width 1 %d", src, strings.Count(got, "\n"), strings.Count(want, "\n"))
+		}
+	}
+}

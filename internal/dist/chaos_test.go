@@ -82,7 +82,7 @@ func TestChaosFaultMatrix(t *testing.T) {
 		{"partition-dial", dist.FaultSpec{Kind: dist.FaultPartition, Times: 1}, true},
 		{"kill-first-byte", dist.FaultSpec{Kind: dist.FaultKill, Times: 1}, false},
 		// AfterBytes thresholds count one connection's response bytes as
-		// transmitted (lz4 frames, HTTP framing included). At width 8 the
+		// transmitted (frame headers and HTTP chunking included). At width 8 the
 		// smallest non-empty shard response here is ~13 KB, so every
 		// threshold sits past the response header and inside every
 		// shard's stream: whichever connection gets there first engages
@@ -208,12 +208,7 @@ func TestChaosFlappingWorkerRejoins(t *testing.T) {
 	local := runScript(t, script, dir, 8, nil)
 
 	pool, inj := chaosPool(t, 2, dir, 11)
-	pool.SetProberConfig(pash.ProberConfig{
-		Interval:   15 * time.Millisecond,
-		DownAfter:  2,
-		UpAfter:    2,
-		MinSamples: 1 << 30, // liveness only; keep the slow detector out of this test
-	})
+	pool.SetProberConfig(pash.ProberConfig{Interval: 15 * time.Millisecond})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	stop := pool.StartProber(ctx)

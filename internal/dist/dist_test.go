@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math/rand"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -60,9 +61,23 @@ func startWorkers(t testing.TB, n int, dir string) *pash.WorkerPool {
 	return pash.NewWorkerPool(names...)
 }
 
-// makeInput generates deterministic multi-line text (see the internal
-// test package's makeInput, which the codec benchmark shares).
-var makeInput = dist.MakeInput
+// makeInput generates deterministic multi-line text.
+func makeInput(lines int, seed int64) string {
+	rng := rand.New(rand.NewSource(seed))
+	words := []string{"the", "water", "People", "number", "X", "waltz", "time", "day", "zebra", "quick"}
+	var sb strings.Builder
+	for i := 0; i < lines; i++ {
+		k := 1 + rng.Intn(8)
+		for j := 0; j < k; j++ {
+			if j > 0 {
+				sb.WriteByte(' ')
+			}
+			sb.WriteString(words[rng.Intn(len(words))])
+		}
+		sb.WriteByte('\n')
+	}
+	return sb.String()
+}
 
 var distScripts = []string{
 	`cat in.txt | tr A-Z a-z | grep the | sort`,

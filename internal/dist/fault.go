@@ -34,7 +34,8 @@ const (
 	// bytes: a worker dying mid-stream.
 	FaultKill
 	// FaultSlow delays every read by Latency (± Jitter): a slow — not
-	// dead — worker, the shape the EWMA degrade detector exists for.
+	// dead — worker, which must keep its traffic and its place in the
+	// dispatch set.
 	FaultSlow
 	// FaultTruncate ends the stream with a clean-looking EOF after
 	// AfterBytes: the torn-frame shape ErrTruncatedFrame guards.

@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"slices"
 	"testing"
-	"time"
 
 	"repro/internal/commands"
 )
@@ -87,79 +87,107 @@ func FuzzFrame(f *testing.F) {
 	})
 }
 
-// FuzzDataFrame exercises the data-frame layer above the frame codec:
-// whatever a sender emits — raw-tagged, lz4, or bare (an empty frame) —
-// must decode back to the original chunk, a raw one in its pooled
-// block where it landed (no shift, no copy); arbitrary bytes presented
-// as a data frame's payload must never panic and must fail only as
-// ErrCorruptFrame; and a bit flip anywhere in an encoded frame must
-// surface as corruption (CRC or lz4 bounds), never as different clean
-// bytes.
+// FuzzDataFrame exercises data frames as a sender streams them: the
+// chunk of data, whole or cut in two, then the bare separator, each
+// frame written and flushed on its own. Read back, the stream must give
+// the chunks unchanged — each in a pooled block when it fits, at
+// exactly its length plus the 8-byte header on the wire — then the
+// separator, then a clean EOF. A cut anywhere but a frame boundary must
+// read as ErrTruncatedFrame, and a flipped bit must surface as
+// ErrCorruptFrame or ErrTruncatedFrame, never as different clean bytes.
 func FuzzDataFrame(f *testing.F) {
 	f.Add([]byte(""), true, byte(0))
 	f.Add([]byte("hello hello hello hello hello hello hello"), true, byte(7))
-	f.Add([]byte{tagLZ4, 0, 0, 0, 9, 0xff, 0xee}, false, byte(3))
-	f.Add([]byte{tagRaw, 'o', 'k'}, true, byte(1))
-	f.Add([]byte{tagRaw}, false, byte(2))
+	f.Add([]byte{0x01, 0, 0, 0, 9, 0xff, 0xee}, false, byte(3))
+	f.Add([]byte{0x00, 'o', 'k'}, true, byte(1))
+	f.Add([]byte{0x00}, false, byte(2))
 	f.Add(bytes.Repeat([]byte("GET /index.html HTTP/1.1 200\n"), 40), true, byte(5))
 	f.Add(bytes.Repeat([]byte("0123456789abcdef"), commands.BlockSize/16), false, byte(9))
-	f.Fuzz(func(t *testing.T, data []byte, slow bool, mut byte) {
-		// Round trip through a real sender: on a link measured at 1 MB/s
-		// the rule compresses whatever lz4 shrinks; on an unmeasured one
-		// every frame goes raw.
-		var buf bytes.Buffer
-		comp := &compressor{w: &buf, flush: func() error { return nil }}
-		if slow {
-			comp.wire.add(1<<20, 0, time.Second)
+	f.Fuzz(func(t *testing.T, data []byte, split bool, mut byte) {
+		var chunks [][]byte
+		if cut := int(mut) % (len(data) + 1); split && cut > 0 && cut < len(data) {
+			chunks = [][]byte{data[:cut], data[cut:]}
+		} else if len(data) > 0 {
+			chunks = [][]byte{data}
 		}
-		wireN, err := comp.send(data)
-		if err != nil {
-			t.Fatalf("send: %v", err)
+		var buf bytes.Buffer
+		flushes := 0
+		flush := func() error { flushes++; return nil }
+		var ends []int // stream offset after each frame
+		for _, c := range append(chunks, nil) {
+			if err := sendFrame(&buf, flush, c); err != nil {
+				t.Fatalf("sendFrame: %v", err)
+			}
+			ends = append(ends, buf.Len())
 		}
 		encoded := append([]byte(nil), buf.Bytes()...)
-		if len(encoded) != 8+wireN {
-			t.Fatalf("send reported %d wire bytes, frame carries %d", wireN, len(encoded)-8)
+		if flushes != len(chunks)+1 {
+			t.Fatalf("%d flushes for %d frames, want one each", flushes, len(chunks)+1)
 		}
-		got, gotWire, err := readDataFrame(&buf)
-		if err != nil {
-			t.Fatalf("readDataFrame(own encoding): %v", err)
-		}
-		if gotWire != wireN || !bytes.Equal(got, data) {
-			t.Fatalf("round trip mangled chunk: %d bytes in, %d out (wire %d vs %d)", len(data), len(got), wireN, gotWire)
-		}
-		switch {
-		case len(data) == 0 && wireN != 0:
-			t.Fatalf("empty chunk sent as a %d-byte payload, want a bare frame", wireN)
-		case len(data) > 0 && encoded[8] == tagRaw && wireN != len(data)+1:
-			t.Fatalf("raw frame of %d bytes costs %d on the wire, want %d", len(data), wireN, len(data)+1)
-		case len(data) > 0 && encoded[8] == tagRaw && len(data) <= commands.BlockSize && cap(got) != commands.BlockSize:
-			t.Fatalf("raw chunk of %d bytes decoded into a %d-byte buffer, not a pooled block", len(data), cap(got))
-		case !slow && len(data) > 0 && encoded[8] != tagRaw:
-			t.Fatalf("unmeasured link sent tag 0x%02x, want raw", encoded[8])
+		if want := frameHeader*(len(chunks)+1) + len(data); len(encoded) != want {
+			t.Fatalf("stream of %d chunk bytes is %d bytes on the wire, want %d", len(data), len(encoded), want)
 		}
 
-		// Arbitrary bytes as a data frame's payload: no panic, and any
-		// failure must keep the transport's corruption taxonomy.
-		buf.Reset()
-		writeFrame(&buf, data)
-		if _, _, err := readDataFrame(&buf); err != nil && !errors.Is(err, ErrCorruptFrame) {
-			t.Fatalf("unclassified data-frame error: %v", err)
+		for i, c := range append(chunks, nil) {
+			got, err := readFrame(&buf)
+			if err != nil {
+				t.Fatalf("frame %d: %v", i, err)
+			}
+			if !bytes.Equal(got, c) {
+				t.Fatalf("frame %d: %d bytes in, %d out", i, len(c), len(got))
+			}
+			if len(c) <= commands.BlockSize && cap(got) != commands.BlockSize {
+				t.Fatalf("frame %d: %d bytes read into a %d-byte buffer, not a pooled block", i, len(c), cap(got))
+			}
+			commands.PutBlock(got)
+		}
+		if rest, err := readFrame(&buf); err != io.EOF {
+			t.Fatalf("after the separator: got (%d bytes, %v), want io.EOF", len(rest), err)
 		}
 
-		// A flipped bit in the encoded frame must never decode cleanly
-		// into different bytes.
+		// drain reads frames until the first error, which it returns.
+		drain := func(b []byte) error {
+			r := bytes.NewReader(b)
+			for {
+				fr, err := readFrame(r)
+				if err != nil {
+					return err
+				}
+				commands.PutBlock(fr)
+			}
+		}
+		if cut := int(mut) * 131 % len(encoded); cut > 0 {
+			err := drain(encoded[:cut])
+			if slices.Contains(ends, cut) {
+				if err != io.EOF {
+					t.Fatalf("cut at frame boundary %d: got %v, want io.EOF", cut, err)
+				}
+			} else if !errors.Is(err, ErrTruncatedFrame) || errors.Is(err, io.EOF) {
+				t.Fatalf("cut at %d/%d bytes: got %v, want a truncation error", cut, len(encoded), err)
+			}
+		}
+
 		flipped := append([]byte(nil), encoded...)
 		pos := int(mut) % len(flipped)
 		flipped[pos] ^= 1 << (mut % 8)
 		if flipped[pos] == encoded[pos] {
 			return
 		}
-		got, _, err = readDataFrame(bytes.NewReader(flipped))
-		if err == nil && !bytes.Equal(got, data) {
-			t.Fatalf("bit flip at %d decoded cleanly into different bytes", pos)
-		}
-		if err != nil && !errors.Is(err, ErrCorruptFrame) && !errors.Is(err, ErrTruncatedFrame) {
-			t.Fatalf("flipped frame: unclassified error %v", err)
+		r := bytes.NewReader(flipped)
+		for i := 0; ; i++ {
+			got, err := readFrame(r)
+			if err == io.EOF {
+				t.Fatalf("bit flip at %d: stream read cleanly to its end", pos)
+			}
+			if err != nil {
+				if !errors.Is(err, ErrCorruptFrame) && !errors.Is(err, ErrTruncatedFrame) {
+					t.Fatalf("bit flip at %d: unclassified error %v", pos, err)
+				}
+				break
+			}
+			if i > len(chunks) || !bytes.Equal(got, append(chunks, nil)[i]) {
+				t.Fatalf("bit flip at %d: frame %d decoded cleanly into different bytes", pos, i)
+			}
 		}
 	})
 }

@@ -26,16 +26,12 @@ const (
 )
 
 // workerState is the per-worker position in the failover state
-// machine: healthy → (degraded ⇄) → down → rejoining → healthy.
+// machine: healthy → down → rejoining → healthy.
 type workerState int
 
 const (
 	// stateHealthy: in the dispatch set, plans assign shards to it.
 	stateHealthy workerState = iota
-	// stateDegraded: alive but slow (per-chunk EWMA far above the pool
-	// median); new plans steer away, in-flight streams continue, and it
-	// still serves as a failover target of last resort.
-	stateDegraded
 	// stateDown: probes or a mid-stream death marked it dead; excluded
 	// from planning and failover until the prober rejoins it.
 	stateDown
@@ -48,8 +44,6 @@ func (s workerState) String() string {
 	switch s {
 	case stateHealthy:
 		return "healthy"
-	case stateDegraded:
-		return "degraded"
 	case stateDown:
 		return "down"
 	case stateRejoining:
@@ -58,8 +52,8 @@ func (s workerState) String() string {
 	return "unknown"
 }
 
-// alive reports whether the worker can carry traffic at all.
-func (s workerState) alive() bool { return s == stateHealthy || s == stateDegraded }
+// alive reports whether the worker can carry traffic.
+func (s workerState) alive() bool { return s == stateHealthy }
 
 // Pool is the coordinator's view of the worker fleet: membership,
 // health, per-worker meters, and the ExecRemote client the runtime
@@ -88,8 +82,8 @@ type Pool struct {
 	// trans counts worker state transitions, surfaced in /metrics.
 	trans Transitions
 
-	// probing guards against double StartProber; proberCfg tunes the
-	// hysteresis and slow-worker thresholds (see prober.go).
+	// probing guards against double StartProber; proberCfg sets its
+	// interval (see prober.go).
 	probing   bool
 	proberCfg ProberConfig
 }
@@ -119,27 +113,17 @@ type poolWorker struct {
 	state workerState
 	stats WorkerStats
 
-	// ewmaMs is the exponentially-weighted per-chunk service time in
-	// milliseconds; samples counts completed streams behind it.
-	ewmaMs  float64
-	samples int64
-	// wire is the link's send-side history: every attempt starts its
-	// compressor from it and folds back what it measured.
-	wire window
-
 	// Prober hysteresis streaks.
 	okStreak   int
 	failStreak int
-	slowStreak int
-	fastStreak int
 }
 
 // WorkerStats is one worker's coordinator-side meter row, surfaced in
 // pash-serve's /metrics.
 type WorkerStats struct {
 	Name string `json:"name"`
-	// Healthy means the worker can carry traffic (healthy or degraded);
-	// State is the precise failover-machine position.
+	// Healthy means the worker can carry traffic; State is the precise
+	// failover-machine position (healthy, down or rejoining).
 	Healthy  bool   `json:"healthy"`
 	State    string `json:"state"`
 	Requests int64  `json:"requests"`
@@ -160,23 +144,15 @@ type WorkerStats struct {
 	// RedispatchedRemote counts the shards a surviving worker took over
 	// instead.
 	RedispatchedRemote int64 `json:"redispatched_remote"`
-	// WireBytesOut/WireBytesIn count the same traffic as transmitted —
-	// frame tags and lz4 blocks included — so BytesOut-WireBytesOut is
-	// the outbound wire savings from compression.
+	// WireBytesOut/WireBytesIn count the same traffic as transmitted:
+	// each chunk plus its 8-byte frame header.
 	WireBytesOut int64 `json:"bytes_out_wire"`
 	WireBytesIn  int64 `json:"bytes_in_wire"`
-	// WireMBs is the send rate measured to this worker (0 = not yet);
-	// LZ4FramesOut counts the frames sent compressed.
-	WireMBs      float64 `json:"wire_mb_s"`
-	LZ4FramesOut int64   `json:"lz4_frames_out"`
 	// PlanCacheHits/PlanCacheMisses mirror the worker's plan-cache
 	// verdicts (the X-Pash-Plan-Cache response header) as seen by this
 	// coordinator.
 	PlanCacheHits   int64 `json:"plan_cache_hits"`
 	PlanCacheMisses int64 `json:"plan_cache_misses"`
-	// EWMAMs is the per-chunk service-time EWMA the slow-worker
-	// detector steers by.
-	EWMAMs float64 `json:"ewma_ms"`
 }
 
 // Transitions counts the pool's worker state transitions — the
@@ -185,8 +161,6 @@ type WorkerStats struct {
 type Transitions struct {
 	Down     int64 `json:"down"`
 	Rejoined int64 `json:"rejoined"`
-	Degraded int64 `json:"degraded"`
-	Restored int64 `json:"restored"`
 }
 
 // NewPool builds a pool over the given worker addresses. An address is
@@ -325,23 +299,16 @@ func (p *Pool) markDownLocked(w *poolWorker) {
 	p.trans.Down++
 }
 
-// eligibleLocked lists the workers new plans may target, in
-// registration order: the healthy set, or — when every alive worker is
-// degraded — the degraded set (slow beats none). Callers hold p.mu.
+// eligibleLocked lists the workers new plans may target — the healthy
+// set — in registration order. Callers hold p.mu.
 func (p *Pool) eligibleLocked() []string {
-	var healthy, degraded []string
+	var healthy []string
 	for _, w := range p.workers {
-		switch w.state {
-		case stateHealthy:
+		if w.state.alive() {
 			healthy = append(healthy, w.name)
-		case stateDegraded:
-			degraded = append(degraded, w.name)
 		}
 	}
-	if len(healthy) > 0 {
-		return healthy
-	}
-	return degraded
+	return healthy
 }
 
 // memberNames lists every member, whatever its state.
@@ -356,8 +323,7 @@ func (p *Pool) memberNames() []string {
 }
 
 // WorkerNames lists the dispatch-eligible workers in registration
-// order — the order dfg.Distribute assigns shards in. Degraded (slow)
-// workers are steered away from unless nothing else is alive.
+// order — the order dfg.Distribute assigns shards in.
 func (p *Pool) WorkerNames() []string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -408,8 +374,6 @@ func (p *Pool) Stats() []WorkerStats {
 		st.Name = w.name
 		st.Healthy = w.state.alive()
 		st.State = w.state.String()
-		st.EWMAMs = w.ewmaMs
-		st.WireMBs = w.wire.wireRate() / 1e6
 		out = append(out, st)
 	}
 	return out
@@ -428,47 +392,6 @@ func (p *Pool) note(name string, fn func(*WorkerStats)) {
 	defer p.mu.Unlock()
 	if w := p.findLocked(name); w != nil {
 		fn(&w.stats)
-	}
-}
-
-// noteService feeds one completed stream's per-chunk service time into
-// the worker's EWMA (the slow-worker detector's input). Sub-millisecond
-// chunks keep their fraction: a fast pool's median must not read 0.
-func (p *Pool) noteService(name string, elapsed time.Duration, frames int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	w := p.findLocked(name)
-	if w == nil {
-		return
-	}
-	perChunkMs := elapsed.Seconds() * 1e3 / float64(frames)
-	if w.samples == 0 {
-		w.ewmaMs = perChunkMs
-	} else {
-		w.ewmaMs = 0.3*perChunkMs + 0.7*w.ewmaMs
-	}
-	w.samples++
-}
-
-// compressorFor builds an attempt's send side, seeded with the worker's
-// wire history.
-func (p *Pool) compressorFor(name string, w io.Writer, flush func() error) *compressor {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	c := &compressor{w: w, flush: flush}
-	if pw := p.findLocked(name); pw != nil {
-		c.wire = pw.wire
-	}
-	return c
-}
-
-// noteLink keeps what an attempt's compressor measured and decided.
-func (p *Pool) noteLink(name string, c *compressor) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if w := p.findLocked(name); w != nil {
-		w.wire.adopt(&c.wire, c.frames)
-		w.stats.LZ4FramesOut += c.lz4Frames
 	}
 }
 
@@ -575,25 +498,15 @@ func (p *Pool) alive(name string) bool {
 	return w != nil && w.state.alive()
 }
 
-// pickSurvivor chooses a re-dispatch target outside the tried set:
-// healthy first, degraded as last resort, "" when the alive set is
-// exhausted.
+// pickSurvivor chooses a re-dispatch target outside the tried set: the
+// first healthy one, "" when the alive set is exhausted.
 func (p *Pool) pickSurvivor(tried map[string]bool) string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	degraded := ""
 	for _, w := range p.workers {
-		if tried[w.name] {
-			continue
-		}
-		switch w.state {
-		case stateHealthy:
+		if !tried[w.name] && w.state.alive() {
 			return w.name
-		case stateDegraded:
-			if degraded == "" {
-				degraded = w.name
-			}
 		}
 	}
-	return degraded
+	return ""
 }

@@ -337,7 +337,6 @@ type link struct {
 	s     *session
 	bw    *bufio.Writer
 	cw    io.WriteCloser
-	comp  *compressor // the request body's send side
 	watch *streamWatch
 }
 
@@ -364,12 +363,9 @@ func (p *Pool) attempt(ctx context.Context, name string, s *session) (death bool
 
 	l := &link{
 		p: p, name: name, s: s, bw: bw, cw: cw,
-		comp:  p.compressorFor(name, cw, bw.Flush),
 		watch: newStreamWatch(p.tuned().chunkTimeout, conn),
 	}
 	defer l.watch.stop()
-	defer p.noteLink(name, l.comp)
-	start := time.Now()
 	fatal := func(err error) bool {
 		return err != nil && runtime.ClassifyRemoteError(err) == runtime.RemoteErrFatal
 	}
@@ -386,7 +382,7 @@ func (p *Pool) attempt(ctx context.Context, name string, s *session) (death bool
 			conn.Close()
 		}
 	}()
-	frames, recvErr := l.receive(conn)
+	recvErr := l.receive(conn)
 	// Sever the connection before waiting for the sender: one blocked
 	// on a dead or abandoned socket unblocks with a write error, which
 	// the classification below subsumes.
@@ -405,9 +401,6 @@ func (p *Pool) attempt(ctx context.Context, name string, s *session) (death bool
 	}
 	// The worker delivered its complete output and trailers: a late
 	// sender-side transport hiccup cannot change those bytes.
-	if frames > 0 {
-		p.noteService(name, time.Since(start), frames)
-	}
 	return false, nil
 }
 
@@ -447,7 +440,7 @@ func (l *link) send() error {
 				return err
 			}
 		}
-		if err := l.guarded(func() error { _, err := l.comp.send(nil); return err }); err != nil {
+		if err := l.guarded(func() error { return sendFrame(l.cw, l.bw.Flush, nil) }); err != nil {
 			return err
 		}
 	}
@@ -483,36 +476,31 @@ func (l *link) guarded(write func() error) error {
 
 // sendChunk puts one input chunk on the wire.
 func (l *link) sendChunk(b []byte) error {
-	var wireN int
-	err := l.guarded(func() (err error) {
-		wireN, err = l.comp.send(b)
-		return err
-	})
-	if err != nil {
+	if err := l.guarded(func() error { return sendFrame(l.cw, l.bw.Flush, b) }); err != nil {
 		return err
 	}
 	l.p.note(l.name, func(st *WorkerStats) {
 		st.ChunksOut++
 		st.BytesOut += int64(len(b))
-		st.WireBytesOut += int64(wireN)
+		st.WireBytesOut += int64(frameHeader + len(b))
 	})
 	return nil
 }
 
 // receive parses the worker's response and forwards its output frames
-// until the stream ends, returning how many arrived. A clean end is an
-// EOF at a frame boundary followed by trailers without X-Pash-Error;
-// everything else is an error naming the worker.
-func (l *link) receive(conn net.Conn) (frames int, err error) {
+// until the stream ends. A clean end is an EOF at a frame boundary
+// followed by trailers without X-Pash-Error; everything else is an
+// error naming the worker.
+func (l *link) receive(conn net.Conn) error {
 	blame := func(err error) error { return fmt.Errorf("dist: worker %s: %w", l.name, err) }
 	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
 	if err != nil {
-		return 0, blame(err)
+		return blame(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return 0, blame(fmt.Errorf("%d: %s", resp.StatusCode, strings.TrimSpace(string(msg))))
+		return blame(fmt.Errorf("%d: %s", resp.StatusCode, strings.TrimSpace(string(msg))))
 	}
 	switch resp.Header.Get("X-Pash-Plan-Cache") {
 	case "hit":
@@ -522,25 +510,24 @@ func (l *link) receive(conn net.Conn) (frames int, err error) {
 	}
 	out := l.s.output()
 	for {
-		fr, wireN, err := readDataFrame(resp.Body)
+		fr, err := readFrame(resp.Body)
 		if err == io.EOF {
 			if msg := resp.Trailer.Get("X-Pash-Error"); msg != "" {
-				return frames, blame(errors.New(msg))
+				return blame(errors.New(msg))
 			}
-			return frames, nil
+			return nil
 		}
 		if err != nil {
-			return frames, blame(err)
+			return blame(err)
 		}
 		l.watch.touch()
-		frames++
 		l.p.note(l.name, func(st *WorkerStats) {
 			st.ChunksIn++
 			st.BytesIn += int64(len(fr))
-			st.WireBytesIn += int64(wireN)
+			st.WireBytesIn += int64(frameHeader + len(fr))
 		})
 		if werr := out.WriteChunk(fr); werr != nil {
-			return frames, runtime.MarkFatal(fmt.Errorf("downstream: %w", werr))
+			return runtime.MarkFatal(fmt.Errorf("downstream: %w", werr))
 		}
 	}
 }

@@ -3,14 +3,10 @@ package dist_test
 import (
 	"bytes"
 	"context"
-	"fmt"
-	"io"
-	"net"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/dfg"
 	"repro/internal/dist"
@@ -87,134 +83,35 @@ func TestDistributedStreamPlanStructure(t *testing.T) {
 	}
 }
 
-// logLikeInput builds structured access-log text — the workload class
-// the wire-savings target is stated for. Random-word corpora sit on an
-// LZ4 entropy floor near 2x; real log lines share long literal runs.
-func logLikeInput(lines int) string {
-	paths := []string{"/index.html", "/api/v1/items", "/static/app.js", "/health", "/api/v1/users/profile"}
-	agents := []string{"Mozilla/5.0 (X11; Linux x86_64) AppleWebKit/537.36", "curl/8.5.0", "Go-http-client/2.0"}
-	var sb strings.Builder
-	for i := 0; i < lines; i++ {
-		fmt.Fprintf(&sb, "10.0.%d.%d - - [07/Aug/2026:10:%02d:%02d +0000] \"GET %s HTTP/1.1\" %d %d \"-\" \"%s\"\n",
-			i%250, (i*7)%250, i%60, (i*13)%60, paths[i%len(paths)], 200+(i%3)*100, 512+(i*37)%4096, agents[i%len(agents)])
-	}
-	return sb.String()
-}
-
-// linkRate paces the throttled proxy: 512 KiB/s, over 20x below the
-// codec even under the race detector, so the rule must compress.
-const linkRate = 512 << 10
-
-// throttledWorker serves one worker on a unix socket in dir behind a
-// proxy that paces the coordinator's sends at linkRate — a slow link
-// with nothing else wrong — and returns the proxy's address. Responses
-// come back at full speed.
-func throttledWorker(t *testing.T, dir string) string {
-	t.Helper()
-	target := strings.TrimPrefix(unixWorker(t, dir, "paced-worker.sock"), "unix:")
-	ln, err := net.Listen("unix", filepath.Join(dir, "paced.sock"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer c.Close()
-				w, err := net.Dial("unix", target)
-				if err != nil {
-					return
-				}
-				defer w.Close()
-				go io.Copy(c, w)
-				buf := make([]byte, 4096)
-				for {
-					n, err := c.Read(buf)
-					time.Sleep(time.Duration(n) * time.Second / linkRate)
-					if _, werr := w.Write(buf[:n]); err != nil || werr != nil {
-						return
-					}
-				}
-			}()
-		}
-	}()
-	return "unix:" + ln.Addr().String()
-}
-
-// overSlowLink runs script twice through one worker behind the paced
-// proxy — the first run teaches the pool the link, since the socket
-// buffer takes a connection's first frames at memory speed — and
-// returns the second run's output and outbound meters: raw bytes, wire
-// bytes and lz4 frames.
-func overSlowLink(t *testing.T, dir, script string) (out string, raw, wire, lz4 int64) {
-	t.Helper()
-	pool := pash.NewWorkerPool(throttledWorker(t, dir))
-	runScript(t, script, dir, 2, pool)
-	before := pool.Stats()[0]
-	out = runScript(t, script, dir, 2, pool)
-	after := pool.Stats()[0]
-	return out, after.BytesOut - before.BytesOut, after.WireBytesOut - before.WireBytesOut, after.LZ4FramesOut - before.LZ4FramesOut
-}
-
-// TestWireCompressionSavesBytes: on log-structured text sent over a slow
-// link, lz4 frames move at least 3x fewer bytes than the raw chunks
-// they carry, and the output is the local output.
-func TestWireCompressionSavesBytes(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "log.txt"), []byte(logLikeInput(6000)), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	script := `cat log.txt | tr A-Z a-z | sort`
-	local := runScript(t, script, dir, 2, nil)
-	got, raw, wire, _ := overSlowLink(t, dir, script)
-	if got != local {
-		t.Fatalf("compressed run diverged (%d vs %d bytes)", len(got), len(local))
-	}
-	if raw == 0 {
-		t.Fatal("no traffic shipped")
-	}
-	if ratio := float64(raw) / float64(wire); ratio < 3 {
-		t.Errorf("lz4 wire savings = %.2fx (%d raw, %d wire), want >= 3x on log text", ratio, raw, wire)
-	}
-}
-
-// TestCompressionFollowsTheWire: the same log-text job over two links.
-// Behind a proxy paced far below the codec, the coordinator's sends go
-// lz4 and move at least 2x fewer bytes than they carry — only the
-// compressed path can do that. Over a plain unix socket, which moves
-// bytes faster than lz4 can shrink them, every frame in both directions
-// goes raw and costs exactly its tag byte. Output is byte-identical to
-// local both ways.
+// TestCompressionFollowsTheWire: nothing on the wire rewrites a
+// payload. Over a unix socket and over loopback TCP, every data frame in
+// either direction costs exactly its 8-byte header on top of the chunk
+// it carries — WireBytes − Bytes = 8 × Chunks, out and in — and the
+// output is byte-identical to local.
 func TestCompressionFollowsTheWire(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "log.txt"), []byte(logLikeInput(6000)), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "in.txt"), []byte(makeInput(20000, 17)), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	script := `cat log.txt | tr A-Z a-z | sort`
+	script := `cat in.txt | tr A-Z a-z | sort`
 	local := runScript(t, script, dir, 2, nil)
-
-	fast := pash.NewWorkerPool(unixWorker(t, dir, "fast.sock"))
-	if got := runScript(t, script, dir, 2, fast); got != local {
-		t.Fatalf("unix-socket run diverged (%d vs %d bytes)", len(got), len(local))
-	}
-	st := fast.Stats()[0]
-	if st.BytesOut == 0 || st.BytesIn == 0 {
-		t.Fatalf("no traffic shipped: %+v", st)
-	}
-	if st.WireBytesOut != st.BytesOut+st.ChunksOut || st.WireBytesIn != st.BytesIn+st.ChunksIn || st.LZ4FramesOut != 0 {
-		t.Errorf("unix socket compressed: %+v, want wire = raw + 1 per frame both ways", st)
-	}
-
-	got, raw, wire, lz4 := overSlowLink(t, dir, script)
-	if got != local {
-		t.Fatalf("throttled run diverged (%d vs %d bytes)", len(got), len(local))
-	}
-	if lz4 == 0 || float64(raw) < 2*float64(wire) {
-		t.Errorf("throttled link: %d raw bytes (%d lz4 frames) moved as %d wire bytes, want at least 2x fewer", raw, lz4, wire)
+	for _, link := range []struct {
+		name string
+		pool *pash.WorkerPool
+	}{
+		{"unix", pash.NewWorkerPool(unixWorker(t, dir, "w.sock"))},
+		{"tcp", startWorkers(t, 1, dir)},
+	} {
+		if got := runScript(t, script, dir, 2, link.pool); got != local {
+			t.Fatalf("%s: output diverged (%d vs %d bytes)", link.name, len(got), len(local))
+		}
+		st := link.pool.Stats()[0]
+		if st.ChunksOut == 0 || st.ChunksIn == 0 {
+			t.Fatalf("%s: no traffic shipped: %+v", link.name, st)
+		}
+		if st.WireBytesOut-st.BytesOut != 8*st.ChunksOut || st.WireBytesIn-st.BytesIn != 8*st.ChunksIn {
+			t.Errorf("%s: %+v, want wire = bytes + 8 per chunk both ways", link.name, st)
+		}
 	}
 }
 

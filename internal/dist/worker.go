@@ -26,10 +26,9 @@ type Worker struct {
 	start time.Time
 	plans *planCache
 
-	// mu guards the meters and wire, the responses' send-side history.
-	mu   sync.Mutex
-	m    WorkerMetrics
-	wire window
+	// mu guards the meters.
+	mu sync.Mutex
+	m  WorkerMetrics
 }
 
 // meter applies one update to the worker's meters.
@@ -128,21 +127,17 @@ func (w *Worker) handleExec(rw http.ResponseWriter, r *http.Request) {
 	// chunked responses, and output may flow before input ends.
 	rc.Flush()
 
-	comp := &compressor{w: rw, flush: rc.Flush}
+	out := &frameStreamWriter{w: w, rw: rw, flush: rc.Flush}
 	// The recover boundary keeps one request's panic — a bug in a stage
 	// implementation, a malformed plan the decoder let through — from
 	// taking the worker process (and every other tenant's chains) down.
 	execErr := func() (err error) {
 		defer runtime.Contain("worker exec", &err)
 		if spec.Path != "" {
-			return w.execRange(chain, spec, fs, comp)
+			return w.execRange(chain, spec, fs, out)
 		}
-		return w.execStreamed(r.Context(), chain, spec, fs, hs.Env, r.Body, comp)
+		return w.execStreamed(r.Context(), chain, spec, fs, hs.Env, r.Body, out)
 	}()
-	w.mu.Lock()
-	w.m.LZ4FramesOut += comp.lz4Frames
-	w.wire.adopt(&comp.wire, comp.frames)
-	w.mu.Unlock()
 	code := 0
 	if execErr != nil {
 		w.meter(func(m *WorkerMetrics) { m.Failures++ })
@@ -185,27 +180,15 @@ func (w *Worker) decodePlan(raw []byte) (*dfg.RemoteSpec, *runtime.StageChain, e
 	return spec, nil, nil
 }
 
-// sendOut sends one response frame and meters it.
-func (w *Worker) sendOut(comp *compressor, p []byte) error {
-	wire, err := comp.send(p)
-	w.meter(func(m *WorkerMetrics) { m.BytesOut += int64(len(p)); m.WireBytesOut += int64(wire) })
-	return err
-}
-
-// meterIn counts one request frame.
-func (w *Worker) meterIn(chunk []byte, wire int) {
-	w.meter(func(m *WorkerMetrics) { m.ChunksIn++; m.BytesIn += int64(len(chunk)); m.WireBytesIn += int64(wire) })
-}
-
 // execRange self-sources the plan's file slice and streams the
 // transformed bytes back as frames.
-func (w *Worker) execRange(chain *runtime.StageChain, spec *dfg.RemoteSpec, fs commands.OSFS, comp *compressor) error {
+func (w *Worker) execRange(chain *runtime.StageChain, spec *dfg.RemoteSpec, fs commands.OSFS, out *frameStreamWriter) error {
 	r, err := runtime.OpenRange(fs, spec.Path, spec.Slice, spec.Of)
 	if err != nil {
 		return err
 	}
 	defer r.Close()
-	_, err = chain.Stream(r, &frameStreamWriter{w, comp})
+	_, err = chain.Stream(r, out)
 	return err
 }
 
@@ -215,7 +198,7 @@ func (w *Worker) execRange(chain *runtime.StageChain, spec *dfg.RemoteSpec, fs c
 // output stream. A feeder goroutine demultiplexes the wire into one
 // in-process pipe per input while the chain (or aggregation tree)
 // consumes them.
-func (w *Worker) execStreamed(ctx context.Context, chain *runtime.StageChain, spec *dfg.RemoteSpec, fs commands.OSFS, env map[string]string, body io.Reader, comp *compressor) error {
+func (w *Worker) execStreamed(ctx context.Context, chain *runtime.StageChain, spec *dfg.RemoteSpec, fs commands.OSFS, env map[string]string, body io.Reader, out *frameStreamWriter) error {
 	k := 1
 	if spec.Agg != nil {
 		k = len(spec.Branches)
@@ -238,7 +221,7 @@ func (w *Worker) execStreamed(ctx context.Context, chain *runtime.StageChain, sp
 			feedDone <- err
 		}
 		for cur < k {
-			raw, wire, err := readDataFrame(body)
+			raw, err := readFrame(body)
 			if err == io.EOF {
 				// The body ended before every stream's separator: the
 				// missing bytes must not masquerade as stream end.
@@ -249,14 +232,18 @@ func (w *Worker) execStreamed(ctx context.Context, chain *runtime.StageChain, sp
 				fail(err)
 				return
 			}
-			if wire == 0 {
+			if len(raw) == 0 {
 				commands.PutBlock(raw)
 				pws[cur].Close()
 				cur++
 				discard = false
 				continue
 			}
-			w.meterIn(raw, wire)
+			w.meter(func(m *WorkerMetrics) {
+				m.ChunksIn++
+				m.BytesIn += int64(len(raw))
+				m.WireBytesIn += int64(frameHeader + len(raw))
+			})
 			if !discard {
 				if _, werr := pws[cur].Write(raw); werr != nil {
 					// The consumer stopped early; swallow the rest of
@@ -269,12 +256,11 @@ func (w *Worker) execStreamed(ctx context.Context, chain *runtime.StageChain, sp
 		feedDone <- nil
 	}()
 
-	fw := &frameStreamWriter{w, comp}
 	var execErr error
 	if spec.Agg != nil {
-		execErr = runtime.ExecStreamTree(ctx, w.reg, spec, ins, fw, fs, env, io.Discard)
+		execErr = runtime.ExecStreamTree(ctx, w.reg, spec, ins, out, fs, env, io.Discard)
 	} else {
-		_, execErr = chain.Stream(ins[0], fw)
+		_, execErr = chain.Stream(ins[0], out)
 	}
 	// Unblock the feeder whatever state it is in, then wait for it: it
 	// reads the request body, which the handler must own again before
@@ -289,11 +275,13 @@ func (w *Worker) execStreamed(ctx context.Context, chain *runtime.StageChain, sp
 	return feedErr
 }
 
-// frameStreamWriter frames a plain output stream for the wire, adopting
-// whole chunks when the producer hands them over.
+// frameStreamWriter frames a plain output stream for the wire, one
+// flushed frame per write, adopting whole chunks when the producer
+// hands them over.
 type frameStreamWriter struct {
-	w    *Worker
-	comp *compressor
+	w     *Worker
+	rw    io.Writer
+	flush func() error
 }
 
 func (f *frameStreamWriter) Write(p []byte) (int, error) {
@@ -315,17 +303,17 @@ func (f *frameStreamWriter) emit(p []byte) error {
 		// streams have none to convey.
 		return nil
 	}
-	return f.w.sendOut(f.comp, p)
+	err := sendFrame(f.rw, f.flush, p)
+	f.w.meter(func(m *WorkerMetrics) {
+		m.BytesOut += int64(len(p))
+		m.WireBytesOut += int64(frameHeader + len(p))
+	})
+	return err
 }
 
 // WorkerMetrics is the worker's /metrics JSON document. BytesIn and
-// BytesOut count decoded chunk bytes; the WireBytes pair counts the
-// same traffic as transmitted (tags and lz4 blocks included), so
-// WireBytesOut/BytesOut is the worker's outbound compression ratio.
-// The response side's decision inputs ride beside it: WireMBs is the
-// send rate the last measured response saw, CodecMBs and CodecRatio
-// this process's lz4 (0 and 1 until it has compressed), and
-// LZ4FramesOut the response frames sent compressed.
+// BytesOut count chunk bytes; the WireBytes pair counts the same
+// traffic as transmitted, each chunk plus its 8-byte frame header.
 type WorkerMetrics struct {
 	UptimeSeconds   float64 `json:"uptime_seconds"`
 	Requests        int64   `json:"requests"`
@@ -338,20 +326,13 @@ type WorkerMetrics struct {
 	WireBytesOut    int64   `json:"bytes_out_wire"`
 	PlanCacheHits   int64   `json:"plan_cache_hits"`
 	PlanCacheMisses int64   `json:"plan_cache_misses"`
-	WireMBs         float64 `json:"wire_mb_s"`
-	CodecMBs        float64 `json:"codec_mb_s"`
-	CodecRatio      float64 `json:"codec_ratio"`
-	LZ4FramesOut    int64   `json:"lz4_frames_out"`
 }
 
 func (w *Worker) handleMetrics(rw http.ResponseWriter, r *http.Request) {
 	w.mu.Lock()
 	m := w.m
-	m.WireMBs = w.wire.wireRate() / 1e6
 	w.mu.Unlock()
 	m.UptimeSeconds = time.Since(w.start).Seconds()
-	m.CodecMBs, m.CodecRatio = codecStats()
-	m.CodecMBs /= 1e6
 	rw.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(rw)
 	enc.SetIndent("", "  ")

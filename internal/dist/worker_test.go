@@ -3,6 +3,7 @@ package dist
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -150,6 +151,62 @@ func TestWorkerJailsSandboxedPlan(t *testing.T) {
 			t.Errorf("sandboxed: err=%v out=%q, want ErrJailEscape and no output", err, out.String())
 		case jail && pool.Stats()[0].Failures != 1:
 			t.Errorf("sandboxed: the worker did not refuse the plan itself: %+v", pool.Stats()[0])
+		}
+	}
+}
+
+// readWatch is a request body past frame 0 that records whether the
+// worker read any of it.
+type readWatch struct {
+	r    io.Reader
+	read bool
+}
+
+func (w *readWatch) Read(p []byte) (int, error) {
+	w.read = true
+	return w.r.Read(p)
+}
+
+// TestHandshakeVersionRejected: a worker accepts only its own pash_wire
+// version. A version-2 peer (which tagged every data frame) and a
+// version-4 one each get 400 before any input frame is read; the same
+// request at version 3 runs.
+func TestHandshakeVersionRejected(t *testing.T) {
+	plan, err := dfg.EncodePlan(&dfg.RemoteSpec{
+		Stages:   []dfg.FusedStage{{Name: "tr", Args: []string{"a-z", "A-Z"}}},
+		Streamed: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	worker := NewWorker(nil, t.TempDir()).Handler()
+	for _, tc := range []struct {
+		version int
+		code    int
+	}{{2, http.StatusBadRequest}, {4, http.StatusBadRequest}, {wireVersion, http.StatusOK}} {
+		hs, err := json.Marshal(&wireHandshake{Wire: tc.version, Plan: plan})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var head, input bytes.Buffer
+		writeFrame(&head, hs)
+		writeFrame(&input, []byte("light touch\n"))
+		writeFrame(&input, nil)
+		rest := &readWatch{r: &input}
+		req := httptest.NewRequest(http.MethodPost, "/exec", io.MultiReader(&head, rest))
+		rec := httptest.NewRecorder()
+		worker.ServeHTTP(rec, req)
+		if rec.Code != tc.code {
+			t.Errorf("pash_wire %d: status %d, want %d", tc.version, rec.Code, tc.code)
+		}
+		if tc.code != http.StatusOK && rest.read {
+			t.Errorf("pash_wire %d: the worker read input frames before refusing the handshake", tc.version)
+		}
+		if tc.code == http.StatusOK {
+			out, err := readFrame(rec.Body)
+			if err != nil || string(out) != "LIGHT TOUCH\n" {
+				t.Errorf("pash_wire %d: first output frame = %q, %v", tc.version, out, err)
+			}
 		}
 	}
 }

@@ -616,23 +616,18 @@ type Metrics struct {
 	// when the daemon coordinates a pool).
 	Workers []pash.WorkerStats `json:"workers,omitempty"`
 	// WorkerTransitions counts worker state transitions (down /
-	// rejoined / degraded / restored) — the prober's visible output.
+	// rejoined) — the prober's visible output.
 	WorkerTransitions *pash.WorkerTransitions `json:"worker_transitions,omitempty"`
 	// Wire aggregates the pool's wire-level meters across all workers:
-	// payload bytes before framing vs bytes as transmitted (tags and
-	// lz4 blocks included, both directions summed) and the fleet-wide
-	// plan-cache verdicts.
+	// chunk bytes vs bytes as transmitted (frame headers included, both
+	// directions summed) and the fleet-wide plan-cache verdicts.
 	Wire *WireTotals `json:"wire,omitempty"`
 }
 
 // WireTotals is the fleet-wide wire summary in /metrics.
 type WireTotals struct {
-	BytesRaw  int64 `json:"bytes_raw"`
-	BytesWire int64 `json:"bytes_wire"`
-	// SavedBytes is BytesRaw - BytesWire: what compression kept off
-	// the network, less one tag byte per frame (so a fleet whose links
-	// all measure faster than lz4 shows minus its frame count).
-	SavedBytes      int64 `json:"saved_bytes"`
+	BytesRaw        int64 `json:"bytes_raw"`
+	BytesWire       int64 `json:"bytes_wire"`
 	PlanCacheHits   int64 `json:"plan_cache_hits"`
 	PlanCacheMisses int64 `json:"plan_cache_misses"`
 }
@@ -676,7 +671,6 @@ func (s *Server) Snapshot() Metrics {
 			wt.PlanCacheHits += ws.PlanCacheHits
 			wt.PlanCacheMisses += ws.PlanCacheMisses
 		}
-		wt.SavedBytes = wt.BytesRaw - wt.BytesWire
 		m.Wire = &wt
 	}
 	return m

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -118,9 +119,17 @@ type Expander struct {
 	// of the empty string. Static analysis (the ahead-of-time planner)
 	// uses it to detect dynamic words conservatively.
 	Strict bool
+	// Status, when set, gives the special parameter $?: the exit status
+	// of the most recent pipeline. It is not a variable — setting one
+	// would change Env for every command — and without Status, $? is
+	// looked up in Env like any name (undefined, so dynamic to Strict).
+	Status func() int
 }
 
 func (x *Expander) param(name string) (string, error) {
+	if name == "?" && x.Status != nil {
+		return strconv.Itoa(x.Status()), nil
+	}
 	v, ok := x.Env.Lookup(name)
 	if !ok && x.Strict {
 		return "", &ExpandError{Msg: "undefined variable $" + name}

@@ -159,7 +159,7 @@ type WorkerPool = dist.Pool
 type WorkerStats = dist.WorkerStats
 
 // WorkerTransitions re-exports the pool's worker state-transition
-// counters (down / rejoined / degraded / restored).
+// counters (down / rejoined).
 type WorkerTransitions = dist.Transitions
 
 // ProberConfig re-exports the background health prober's tuning knobs.
