@@ -242,14 +242,13 @@
 // Planning partitions each parallel region (dfg.Distribute) into
 // KindRemote nodes executed on `pash-serve -worker` processes over a
 // framed HTTP wire protocol, while splits, merges, and aggregation
-// roots stay on the coordinator. Branches that read a whole partition —
+// trees stay on the coordinator. Branches that read a whole partition —
 // barrier-split consumers (uniq map shards), a round-robin branch that
-// ends in a commutative map (`tr | sort`), aggregation-tree interior
-// nodes — ship as whole-stream plans: one stream per input edge, one
-// output stream back. When the pool shares the coordinator's
-// filesystem (SetSharedFS), splits over seekable input files vanish
-// entirely: workers self-source newline-aligned byte ranges and the
-// coordinator ships no input at all. A round-robin chain that ends at
+// ends in a commutative map (`tr | sort`) — ship as whole-stream plans:
+// one input stream in, one output stream back. When the pool shares
+// the coordinator's filesystem (SetSharedFS), splits over seekable
+// input files vanish entirely: workers self-source newline-aligned byte
+// ranges and the coordinator ships no input at all. A round-robin chain that ends at
 // the order-restoring merge stays on the coordinator as framed
 // replicas: one chunk out per chunk in costs more to relay than to run.
 //
@@ -263,9 +262,9 @@
 // dispatches of hot regions skip decode, validation, and kernel
 // construction. A data frame is a plain frame — an 8-byte header
 // (length and CRC-32C) and the chunk, nothing rewritten — and a
-// zero-length frame separates one input stream from the next; frames
-// are not compressed, since the loopback and unix-socket links workers
-// run over move bytes faster than a codec could shrink them. The input
+// zero-length frame ends the input stream; frames are not compressed,
+// since the loopback and unix-socket links workers run over move bytes
+// faster than a codec could shrink them. The input
 // a session keeps for replay is charged to the job's pipe-memory
 // budget.
 //

@@ -65,10 +65,16 @@ func Resolve(name string, flagArgs []string, inv *annot.Invocation) (*dfg.AggSpe
 			Associative: true,
 		}, true
 	case "wc":
-		// Column sums of column sums; counts ignore line order.
+		// Column sums of column sums; counts ignore line order. The maps
+		// read stdin, so a single file operand's name reaches the output
+		// only through the aggregate.
+		aggArgs := flagArgs
+		if ops := inv.Opts.Operands; len(ops) == 1 && ops[0] != "-" {
+			aggArgs = append(flagArgs[:len(flagArgs):len(flagArgs)], "--label="+ops[0])
+		}
 		return &dfg.AggSpec{
 			MapName: "wc", MapArgs: flagArgs,
-			AggName: "pash-agg-wc", AggArgs: flagArgs,
+			AggName: "pash-agg-wc", AggArgs: aggArgs,
 			Associative: true, Commutative: true,
 		}, true
 	case "grep":

@@ -104,32 +104,43 @@ func aggUniq(ctx *commands.Context) error {
 // aggWc sums the numeric columns of the per-chunk wc outputs, preserving
 // wc's formatting (bare number for a single column, %7d columns
 // otherwise). It handles any of wc's column subsets (wc -lw, -lwc, ...).
+// --label=NAME appends a file name as wc prints it; a labelled input row
+// (an interior tree node's) parses by its leading columns.
 func aggWc(ctx *commands.Context) error {
 	var operands []string
+	label, cols := "", map[rune]bool{}
 	for _, a := range ctx.Args {
-		if strings.HasPrefix(a, "-") && a != "-" {
-			// Column-selection flags only affect formatting of the
-			// inputs, which we infer from the data itself.
-			continue
+		switch {
+		case strings.HasPrefix(a, "--label="):
+			label = a[len("--label="):]
+		case strings.HasPrefix(a, "-") && a != "-":
+			for _, c := range a[1:] {
+				cols[c] = true
+			}
+		default:
+			operands = append(operands, a)
 		}
-		operands = append(operands, a)
+	}
+	ncols := len(cols)
+	if ncols == 0 {
+		ncols = 3 // lines, words, bytes
 	}
 	readers, cleanup, err := ctx.OpenInputs(operands)
 	if err != nil {
 		return err
 	}
 	defer cleanup()
-	var sums []int64
+	sums := make([]int64, ncols)
 	for _, r := range readers {
 		err := commands.EachLine(r, func(line []byte) error {
 			fields := bytes.Fields(line)
-			for i, f := range fields {
+			if len(fields) < ncols || label == "" && len(fields) > ncols {
+				return fmt.Errorf("pash-agg-wc: row %q does not have %d columns", line, ncols)
+			}
+			for i, f := range fields[:ncols] {
 				n, err := strconv.ParseInt(string(f), 10, 64)
 				if err != nil {
 					return fmt.Errorf("pash-agg-wc: non-numeric column %q", f)
-				}
-				if i >= len(sums) {
-					sums = append(sums, 0)
 				}
 				sums[i] += n
 			}
@@ -139,14 +150,6 @@ func aggWc(ctx *commands.Context) error {
 			return err
 		}
 	}
-	lw := commands.NewLineWriter(ctx.Stdout)
-	defer lw.Flush()
-	if len(sums) == 1 {
-		if err := lw.WriteString(strconv.FormatInt(sums[0], 10) + "\n"); err != nil {
-			return err
-		}
-		return lw.Flush()
-	}
 	var sb strings.Builder
 	for i, s := range sums {
 		if i > 0 {
@@ -154,7 +157,15 @@ func aggWc(ctx *commands.Context) error {
 		}
 		fmt.Fprintf(&sb, "%7d", s)
 	}
-	if err := lw.WriteString(sb.String() + "\n"); err != nil {
+	row := sb.String()
+	if ncols == 1 {
+		row = strings.TrimLeft(row, " ")
+	}
+	if label != "" {
+		row += " " + label
+	}
+	lw := commands.NewLineWriter(ctx.Stdout)
+	if err := lw.WriteString(row + "\n"); err != nil {
 		return err
 	}
 	return lw.Flush()

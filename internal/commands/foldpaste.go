@@ -138,8 +138,18 @@ func paste(ctx *Context) error {
 		return lw.Flush()
 	}
 
+	// A repeated "-" reads stdin alternately, as GNU paste does: one
+	// iterator serves every occurrence.
 	iters := make([]*LineIter, len(readers))
+	var stdinIt *LineIter
 	for i, r := range readers {
+		if i < len(operands) && operands[i] == "-" {
+			if stdinIt == nil {
+				stdinIt = NewLineIter(r)
+			}
+			iters[i] = stdinIt
+			continue
+		}
 		iters[i] = NewLineIter(r)
 	}
 	for {

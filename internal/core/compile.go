@@ -85,8 +85,12 @@ func (c *Compiler) CompilePipeline(stages []Stage, io RegionIO) (*dfg.Graph, err
 		for _, in := range inv.Inputs {
 			switch in.Kind {
 			case annot.StreamStdin:
-				hasStdin = true
-				order++ // reserve the slot; stdin handled below
+				// One slot however often stdin is named: `paste - -`
+				// reads the one stream alternately.
+				if !hasStdin {
+					hasStdin = true
+					order++ // reserve the slot; stdin handled below
+				}
 			case annot.StreamFile:
 				idx, ok := takeOperand(operandArgIdx, in.Path, st.Args)
 				if !ok {
@@ -119,8 +123,10 @@ func (c *Compiler) CompilePipeline(stages []Stage, io RegionIO) (*dfg.Graph, err
 		for _, in := range inv.Inputs {
 			switch in.Kind {
 			case annot.StreamStdin:
-				stdinSlot = slot
-				slot++
+				if stdinSlot < 0 {
+					stdinSlot = slot
+					slot++
+				}
 			case annot.StreamFile:
 				e := g.AddEdge(&dfg.Edge{Source: dfg.Binding{Kind: dfg.BindFile, Path: in.Path}, To: node})
 				node.In[slot] = e

@@ -82,16 +82,6 @@ func nodeDotLabel(n *Node) string {
 		for _, st := range n.Remote.Stages {
 			parts = append(parts, strings.TrimSpace(st.Name+" "+strings.Join(st.Args, " ")))
 		}
-		for i, br := range n.Remote.Branches {
-			names := make([]string, len(br))
-			for j, st := range br {
-				names[j] = st.Name
-			}
-			parts = append(parts, fmt.Sprintf("branch %d: %s", i, strings.Join(names, "|")))
-		}
-		if a := n.Remote.Agg; a != nil {
-			parts = append(parts, strings.TrimSpace("agg: "+a.Name+" "+strings.Join(a.Args, " ")))
-		}
 		switch {
 		case n.Remote.Path != "":
 			parts = append(parts, fmt.Sprintf("[range %d/%d of %s]", n.Remote.Slice, n.Remote.Of, n.Remote.Path))

@@ -31,12 +31,11 @@ import (
 //     pure command, `tr | sort`, which reads its replica's interleaved
 //     blocks as one stream — becomes a streamed remote node: the
 //     coordinator relays the branch's entire input as one stream and
-//     receives the branch's entire output as one stream. A follow-up
-//     pass then absorbs interior aggregation-tree nodes whose every
-//     operand is such a streamed branch into a single multi-input
-//     streamed remote (Branches + Agg), so a fan-in group's maps AND its
-//     combining aggregate all run on one worker; the coordinator keeps
-//     only the split, the root fan-in, and the merge.
+//     receives the branch's entire output as one stream.
+//
+// Every remote node reads at most one stream and writes one. The
+// aggregation tree — its interior nodes, the root fan-in — and the
+// splits and merges stay on the coordinator.
 //
 // A round-robin split's stateless chain that ends at the order-restoring
 // merge does not ship: its replicas answer one output chunk per input
@@ -67,24 +66,11 @@ type RemoteSpec struct {
 	Path  string `json:"path,omitempty"`
 	Slice int    `json:"slice,omitempty"`
 	Of    int    `json:"of,omitempty"`
-	// Streamed marks the contiguous-stream shape: each input edge
+	// Streamed marks the contiguous-stream shape: the node's one input
 	// arrives as one whole stream (chunk frames ended by a zero-length
-	// separator on the wire, no per-chunk framing rotation) and the
-	// node's output is one whole stream. A linear streamed node runs
-	// Stages over its single input; a tree node (Agg != nil) runs
-	// Branches[i] over input i and combines the branch outputs — in
-	// input order — through the Agg stage.
+	// separator on the wire, no per-chunk framing rotation), Stages run
+	// over it, and the node's output is one whole stream.
 	Streamed bool `json:"streamed,omitempty"`
-	// Branches holds the per-input stage chains of a streamed
-	// aggregation subtree; len(Branches) equals the node's input count.
-	// An empty branch chain passes its input through unchanged.
-	Branches [][]FusedStage `json:"branches,omitempty"`
-	// Agg is the aggregate stage combining the branch outputs as
-	// ordered operand streams (the KindAgg shape). Its Args are the
-	// literal aggregator arguments; the operand streams append after
-	// them in input order, exactly as a local KindAgg node renders its
-	// placeholders.
-	Agg *FusedStage `json:"agg,omitempty"`
 	// Key is the coordinator's fingerprint of this spec (worker and env
 	// excluded): the worker-side plan-cache key. Empty disables worker
 	// caching for the node.
@@ -101,15 +87,17 @@ type RemoteSpec struct {
 func EncodePlan(spec *RemoteSpec) ([]byte, error) { return json.Marshal(spec) }
 
 // DecodePlan parses and validates a wire plan. Every plan names its
-// shape: a file range, or the streamed flag. A linear plan with neither
-// — an older coordinator's framed relay, whose "framed" field JSON
-// drops — is refused rather than run as some shape it did not ask for.
+// stages and its shape: a file range, or the streamed flag. A plan with
+// neither — an older coordinator's framed relay, whose "framed" field
+// JSON drops — and a plan with no stages — an older coordinator's
+// aggregation tree, whose "branches" and "agg" fields JSON drops — are
+// refused rather than run as some shape they did not ask for.
 func DecodePlan(data []byte) (*RemoteSpec, error) {
 	var spec RemoteSpec
 	if err := json.Unmarshal(data, &spec); err != nil {
 		return nil, fmt.Errorf("dfg: bad remote plan: %w", err)
 	}
-	if len(spec.Stages) == 0 && spec.Agg == nil {
+	if len(spec.Stages) == 0 {
 		return nil, fmt.Errorf("dfg: remote plan has no stages")
 	}
 	for _, st := range spec.Stages {
@@ -126,29 +114,6 @@ func DecodePlan(data []byte) (*RemoteSpec, error) {
 		}
 	} else if !spec.Streamed {
 		return nil, fmt.Errorf("dfg: remote plan names no shape (neither a file range nor streamed)")
-	}
-	if spec.Agg != nil {
-		if !spec.Streamed {
-			return nil, fmt.Errorf("dfg: remote plan aggregation requires the streamed shape")
-		}
-		if len(spec.Stages) != 0 {
-			return nil, fmt.Errorf("dfg: streamed tree plan carries both stages and branches")
-		}
-		if len(spec.Branches) == 0 {
-			return nil, fmt.Errorf("dfg: streamed tree plan has no branches")
-		}
-		if spec.Agg.Name == "" {
-			return nil, fmt.Errorf("dfg: streamed tree plan aggregate has no name")
-		}
-		for _, br := range spec.Branches {
-			for _, st := range br {
-				if st.Name == "" {
-					return nil, fmt.Errorf("dfg: remote plan stage with empty name")
-				}
-			}
-		}
-	} else if len(spec.Branches) != 0 {
-		return nil, fmt.Errorf("dfg: remote plan branches require an aggregate")
 	}
 	return &spec, nil
 }
@@ -190,12 +155,10 @@ func (o DistOptions) shippableStages(stages []FusedStage) bool {
 // in place: every barrier-split consumer chain and every rr-split branch
 // ending at an aggregate (the streamed shape), and — with FileRanges —
 // every branch of a split over a seekable graph-input file collapses into
-// a KindRemote node. An rr-split chain ending at the merge stays local.
-// Interior aggregation-tree nodes whose operands all became streamed
-// remotes behind a barrier split are then absorbed into multi-input
-// streamed remotes, one per fan-in group. Structure the coordinator
-// must keep — the splits themselves, merges, the root fan-in — stays
-// local. Returns the number of remote nodes created.
+// a KindRemote node. An rr-split chain ending at the merge stays local,
+// and so does the structure around the shards: the splits themselves,
+// merges and every aggregate. Returns the number of remote nodes
+// created.
 func Distribute(g *Graph, opts DistOptions) int {
 	if len(opts.Workers) == 0 {
 		return 0
@@ -213,7 +176,6 @@ func Distribute(g *Graph, opts DistOptions) int {
 		}
 		remotes = append(remotes, distributeChains(g, split, opts)...)
 	}
-	remotes = groupAggSubtrees(g, opts, remotes)
 	for i, n := range remotes {
 		n.Remote.Worker = opts.Workers[i%len(opts.Workers)]
 		n.Remote.Key = fingerprintSpec(n.Remote, opts.KeySalt)
@@ -326,8 +288,7 @@ func collapseRemote(g *Graph, chain []*Node, in, out *Edge, spec *RemoteSpec) *N
 
 // distributeChains rewrites the consumer chains of a split that relays
 // its input into remote nodes, one per branch; the split and the
-// downstream collector stay on the coordinator (an aggregate may be
-// absorbed later by groupAggSubtrees). The branch's collector decides
+// downstream collector stay on the coordinator. The branch's collector decides
 // whether it ships; a shipped chain is always the streamed shape:
 //
 //   - A barrier split's chain ending at any collector ships streamed:
@@ -415,112 +376,4 @@ func distributeFileRanges(g *Graph, split *Node, opts DistOptions) []*Node {
 	split.In, split.Out = nil, nil
 	g.removeNode(split)
 	return remotes
-}
-
-// groupAggSubtrees absorbs interior aggregation-tree nodes into their
-// operand remotes: a KindAgg node whose every input is a single-input
-// streamed remote chain behind a barrier split and whose output feeds
-// another KindAgg (it is interior, not the root fan-in) merges with its
-// operands into one multi-input streamed remote — the whole fan-in
-// group (maps plus combining aggregate) runs on one worker, and the
-// wire carries one result stream per group instead of one per map. The
-// root aggregate always stays on the coordinator. Returns the remote
-// list with absorbed nodes replaced by their groups.
-//
-// Known limit: branches behind a round-robin split (a commutative
-// consumer's maps, `tr | sort`) are never grouped, so at widths where
-// the tree has interior nodes (>= 8) those interior aggregates run on
-// the coordinator. Grouping them needs a wire shape that carries a
-// shard's inputs interleaved; today's carries them one after another.
-func groupAggSubtrees(g *Graph, opts DistOptions, remotes []*Node) []*Node {
-	absorbed := map[*Node]bool{}
-	var groups []*Node
-	for _, a := range snapshot(g.Nodes) {
-		if a.Kind != KindAgg || len(a.In) < 2 || len(a.Out) != 1 {
-			continue
-		}
-		parent := a.Out[0].To
-		if parent == nil || parent.Kind != KindAgg {
-			continue
-		}
-		if opts.Shippable != nil && !opts.Shippable(a.Name) {
-			continue
-		}
-		// Every operand must be a leaf streamed chain, and the agg's
-		// argument template must be literals plus one placeholder per
-		// operand (the shape buildAggTree constructs).
-		eligible := true
-		var aggLits []string
-		places := 0
-		for _, arg := range a.Args {
-			if arg.InputIdx >= 0 {
-				places++
-				continue
-			}
-			if places > 0 {
-				eligible = false // placeholders must trail the literals
-				break
-			}
-			aggLits = append(aggLits, arg.Text)
-		}
-		if !eligible || places != len(a.In) || a.StdinInput >= 0 {
-			continue
-		}
-		for _, e := range a.In {
-			c := e.From
-			if c == nil || c.Kind != KindRemote || c.Remote == nil ||
-				!c.Remote.Streamed || c.Remote.Agg != nil || len(c.In) != 1 {
-				eligible = false
-				break
-			}
-			// The wire carries a tree's inputs one after another, the way
-			// a barrier split emits them. A round-robin split fills its
-			// outputs in lockstep: it would block on the second while the
-			// first waits for an EOF that only the end of input brings
-			// (and buffering the others until then would serialise the
-			// maps that the single-input shards run concurrently).
-			if src := c.In[0].From; src != nil && src.Split == RoundRobinSplit {
-				eligible = false
-				break
-			}
-		}
-		if !eligible {
-			continue
-		}
-		spec := &RemoteSpec{
-			Streamed: true,
-			Agg:      &FusedStage{Name: a.Name, Args: aggLits},
-		}
-		r := g.AddNode(NewNode(KindRemote, "pash-remote", nil, annot.Stateless))
-		r.Remote = spec
-		for i, e := range snapshotEdges(a.In) {
-			child := e.From
-			feed := child.In[0]
-			feed.To = r
-			r.In = append(r.In, feed)
-			r.Args = append(r.Args, InArg(i))
-			spec.Branches = append(spec.Branches, child.Remote.Stages)
-			e.From, e.To = nil, nil
-			g.removeEdge(e)
-			child.In, child.Out = nil, nil
-			g.removeNode(child)
-			absorbed[child] = true
-		}
-		out := a.Out[0]
-		out.From = r
-		r.Out = []*Edge{out}
-		a.In, a.Out = nil, nil
-		g.removeNode(a)
-		groups = append(groups, r)
-	}
-	if len(groups) == 0 {
-		return remotes
-	}
-	kept := remotes[:0]
-	for _, n := range remotes {
-		if !absorbed[n] {
-			kept = append(kept, n)
-		}
-	}
-	return append(kept, groups...)
 }

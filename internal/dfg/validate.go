@@ -123,10 +123,8 @@ func validateFused(n *Node) error {
 
 // validateRemote checks the KindRemote invariants: only remote nodes
 // carry a RemoteSpec; a remote node has exactly one output and either
-// one stdin input (the linear streamed shape),
-// none at all (the self-sourcing file-range shape, which must name a
-// path and slice), or one placeholder-consumed input per branch (the
-// streamed aggregation-subtree shape).
+// one stdin input (the streamed shape) or none at all (the
+// self-sourcing file-range shape, which must name a path and slice).
 func validateRemote(n *Node) error {
 	if n.Kind != KindRemote {
 		if n.Remote != nil {
@@ -134,7 +132,7 @@ func validateRemote(n *Node) error {
 		}
 		return nil
 	}
-	if n.Remote == nil || (len(n.Remote.Stages) == 0 && n.Remote.Agg == nil) {
+	if n.Remote == nil || len(n.Remote.Stages) == 0 {
 		return fmt.Errorf("dfg: remote node %s has no shipped stages", n)
 	}
 	if len(n.Out) != 1 {
@@ -151,16 +149,6 @@ func validateRemote(n *Node) error {
 	}
 	if !n.Remote.Streamed {
 		return fmt.Errorf("dfg: remote node %s is neither a file range nor streamed", n)
-	}
-	if n.Remote.Agg != nil {
-		if len(n.In) != len(n.Remote.Branches) {
-			return fmt.Errorf("dfg: streamed tree node %s has %d inputs for %d branches",
-				n, len(n.In), len(n.Remote.Branches))
-		}
-		if n.StdinInput >= 0 {
-			return fmt.Errorf("dfg: streamed tree node %s must consume inputs as operands", n)
-		}
-		return nil
 	}
 	if len(n.In) != 1 || n.StdinInput != 0 {
 		return fmt.Errorf("dfg: relayed remote node %s must consume one stdin input", n)

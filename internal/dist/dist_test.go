@@ -41,7 +41,9 @@ func TestPlanRoundTrip(t *testing.T) {
 		`{"stages":[{"name":"tr"}],"path":"f","slice":3,"of":2}`,
 		`{"stages":[{"name":"tr"}],"path":"f","slice":0,"of":1,"streamed":true}`,
 		`{"stages":[{"name":"tr"}]}`,
-		`{"stages":[{"name":"tr"}],"framed":true}`} {
+		`{"stages":[{"name":"tr"}],"framed":true}`,
+		// An older coordinator's aggregation-tree shard: no stages.
+		`{"streamed":true,"branches":[[{"name":"sort"}],[{"name":"sort"}]],"agg":{"name":"sort","args":["-m"]}}`} {
 		if _, err := dfg.DecodePlan([]byte(bad)); err == nil {
 			t.Errorf("DecodePlan(%q) accepted invalid plan", bad)
 		}
@@ -84,6 +86,9 @@ var distScripts = []string{
 	`cat in.txt | tr -cs A-Za-z '\n' | tr A-Z a-z | grep -v '^$' | sort | uniq -c | sort -rn`,
 	`cat in.txt | grep water | cut -d ' ' -f1 | wc -l`,
 	`cat in.txt | rev | sort | uniq`,
+	// At width 8 an aggregation tree with interior nodes over
+	// barrier-split map shards: the shards ship, the tree stays local.
+	`cat in.txt | rev | sort -s -k2`,
 }
 
 // runScript executes a script in dir with the given session options.

@@ -141,7 +141,6 @@ func TestSessionWorkerDeath(t *testing.T) {
 		t.Fatal(err)
 	}
 	chunks := lineChunks(text, 8<<10)
-	half := len(chunks) / 2
 	reg := commands.NewStd()
 	agg.Install(reg)
 	filter := []dfg.FusedStage{{Name: "tr", Args: []string{"A-Z", "a-z"}}, {Name: "grep", Args: []string{"the"}}}
@@ -150,15 +149,10 @@ func TestSessionWorkerDeath(t *testing.T) {
 	shapes := []struct {
 		name string
 		spec dfg.RemoteSpec
-		ins  [][][]byte
+		in   [][]byte
 	}{
 		{"filerange", dfg.RemoteSpec{Stages: filter, Path: "in.txt", Slice: 0, Of: 1}, nil},
-		{"streamed-linear", dfg.RemoteSpec{Stages: sorted, Streamed: true}, [][][]byte{chunks}},
-		{"streamed-tree", dfg.RemoteSpec{
-			Streamed: true,
-			Branches: [][]dfg.FusedStage{sorted, sorted},
-			Agg:      &dfg.FusedStage{Name: "sort", Args: []string{"-m"}},
-		}, [][][]byte{chunks[:half], chunks[half:]}},
+		{"streamed-linear", dfg.RemoteSpec{Stages: sorted, Streamed: true}, chunks},
 	}
 	// Each rung: the killers in ladder order (bytes of response they
 	// stream before dying), the healthy workers behind them, and the
@@ -182,8 +176,8 @@ func TestSessionWorkerDeath(t *testing.T) {
 	for _, shape := range shapes {
 		request := func(spec *dfg.RemoteSpec, out *collector) *runtime.RemoteRequest {
 			req := &runtime.RemoteRequest{Spec: spec, Out: out, Reg: reg, FS: commands.OSFS{Dir: dir}, Stderr: io.Discard}
-			for _, in := range shape.ins {
-				req.Ins = append(req.Ins, &sliceSource{chunks: in})
+			if shape.in != nil {
+				req.In = &sliceSource{chunks: shape.in}
 			}
 			return req
 		}
@@ -209,7 +203,7 @@ func TestSessionWorkerDeath(t *testing.T) {
 				// Every retained chunk was charged, and every rung that
 				// took one over (the local rung, the end of the session)
 				// gave its charge back.
-				if u := req.Budget.Usage(); u.PipeBytes != 0 || (shape.ins != nil && u.PipeBytesPeak == 0) {
+				if u := req.Budget.Usage(); u.PipeBytes != 0 || (shape.in != nil && u.PipeBytesPeak == 0) {
 					t.Errorf("retained input: %d bytes still charged (peak %d), want 0 after a peak > 0", u.PipeBytes, u.PipeBytesPeak)
 				}
 				if !bytes.Equal(got.Bytes(), want.Bytes()) {
@@ -250,7 +244,7 @@ func TestSessionBudgetBreach(t *testing.T) {
 	var out collector
 	err := pool.ExecRemote(context.Background(), &runtime.RemoteRequest{
 		Spec: &dfg.RemoteSpec{Worker: pool.WorkerNames()[0], Stages: []dfg.FusedStage{{Name: "sort"}}, Streamed: true},
-		Ins:  []commands.ChunkReader{&sliceSource{chunks: chunks}},
+		In:   &sliceSource{chunks: chunks},
 		Out:  &out, Reg: reg, FS: commands.OSFS{Dir: dir}, Stderr: io.Discard, Budget: budget,
 	})
 	var be *runtime.BudgetError

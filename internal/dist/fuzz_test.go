@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/commands"
+	"repro/internal/dfg"
 )
 
 // FuzzFrame exercises the frame codec three ways per input: a
@@ -188,6 +189,47 @@ func FuzzDataFrame(f *testing.F) {
 			if i > len(chunks) || !bytes.Equal(got, append(chunks, nil)[i]) {
 				t.Fatalf("bit flip at %d: frame %d decoded cleanly into different bytes", pos, i)
 			}
+		}
+	})
+}
+
+// FuzzDecodePlan fuzzes the worker's plan parser, which reads network
+// input. It must never panic; a plan it accepts names non-empty stages
+// and exactly one shape (a valid file range, or streamed); and an
+// accepted plan survives EncodePlan → DecodePlan unchanged.
+func FuzzDecodePlan(f *testing.F) {
+	f.Add([]byte(`{"stages":[{"name":"tr","args":["a-z","A-Z"]}],"streamed":true,"key":"k"}`))
+	f.Add([]byte(`{"stages":[{"name":"grep","args":["x"]}],"path":"in.txt","slice":1,"of":3}`))
+	f.Add([]byte(`{"streamed":true,"branches":[[{"name":"sort"}]],"agg":{"name":"sort","args":["-m"]}}`))
+	f.Add([]byte(`{"stages":[{"name":"tr"}],"framed":true}`))
+	f.Add([]byte(`{"stages":[{"name":""}],"streamed":true,"env":{}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec, err := dfg.DecodePlan(data)
+		if err != nil {
+			return
+		}
+		if len(spec.Stages) == 0 {
+			t.Fatalf("accepted a plan with no stages: %q", data)
+		}
+		for _, st := range spec.Stages {
+			if st.Name == "" {
+				t.Fatalf("accepted a stage with no name: %q", data)
+			}
+		}
+		fileRange := spec.Path != "" && spec.Of >= 1 && spec.Slice >= 0 && spec.Slice < spec.Of
+		if fileRange == spec.Streamed {
+			t.Fatalf("accepted plan does not name exactly one valid shape: %+v", spec)
+		}
+		enc, err := dfg.EncodePlan(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := dfg.DecodePlan(enc)
+		if err != nil {
+			t.Fatalf("re-decoding an accepted plan: %v", err)
+		}
+		if enc2, _ := dfg.EncodePlan(again); !bytes.Equal(enc, enc2) {
+			t.Fatalf("round trip changed the plan:\n%s\n%s", enc, enc2)
 		}
 	})
 }

@@ -15,11 +15,9 @@ import (
 // unique keys cannot grow worker memory without limit.
 const planCacheCap = 64
 
-// planEntry is one cached plan: the decoded env-free spec plus, for
-// linear-chain shapes, the validated StageChain template whose kernel
-// pool persists across requests. Aggregation-tree specs cache with a
-// nil chain — their branch chains are built per run — but still skip
-// the JSON decode and name validation on a hit.
+// planEntry is one cached plan: the decoded env-free spec plus its
+// validated StageChain template, never nil, whose kernel pool persists
+// across requests.
 type planEntry struct {
 	key   string
 	gen   uint64

@@ -35,10 +35,10 @@ type pendingChunk struct {
 }
 
 // session is one remote node's dispatch state, carried across attempts.
-// The two wire shapes differ only in how many inputs they ship:
+// The two wire shapes differ only in whether they ship an input:
 //
-//	file range   0 inputs   one output stream, reproducible from byte 0
-//	streamed     k inputs   one output stream, reproducible from byte 0
+//	file range   no input   one output stream, reproducible from byte 0
+//	streamed     one input  one output stream, reproducible from byte 0
 //
 // Neither has a per-chunk proof of progress — output is not 1:1 with
 // input — so a session retains every chunk sent, replays all of it to
@@ -49,14 +49,13 @@ type pendingChunk struct {
 type session struct {
 	req *runtime.RemoteRequest
 
-	// retained holds, per input, the chunks read from req.Ins[i] and not
-	// yet released, in order. Every new rung replays them before it
-	// reads live.
-	retained [][]pendingChunk
-	// consumed counts the inputs read to EOF; a later rung serves those
-	// from retained alone and resumes live reading at index consumed.
-	// Written by the single in-flight sender, read after it has finished.
-	consumed int
+	// retained holds the chunks read from req.In and not yet released,
+	// in order. Every new rung replays them before it reads live.
+	retained []pendingChunk
+	// consumed records that req.In was read to EOF; a later rung then
+	// serves the input from retained alone. Written by the single
+	// in-flight sender, read after it has finished.
+	consumed bool
 	// delivered counts the output bytes already forwarded downstream,
 	// which a later rung skips.
 	delivered int64
@@ -69,7 +68,7 @@ func (p *Pool) ExecRemote(ctx context.Context, req *runtime.RemoteRequest) error
 	if req.Spec.Worker == "" {
 		return runtime.ExecRemoteLocal(ctx, req)
 	}
-	s := &session{req: req, retained: make([][]pendingChunk, len(req.Ins))}
+	s := &session{req: req}
 	defer s.release()
 	return p.run(ctx, s)
 }
@@ -106,23 +105,23 @@ func (p *Pool) run(ctx context.Context, s *session) error {
 // retain keeps one input chunk for replay, charged to the job's pipe
 // budget until released. A refused charge fails the run: no worker is
 // at fault.
-func (s *session) retain(i int, pc pendingChunk) error {
+func (s *session) retain(pc pendingChunk) error {
 	if err := s.req.Budget.ChargePipe(len(pc.b)); err != nil {
 		pc.release()
 		return runtime.MarkFatal(err)
 	}
-	s.retained[i] = append(s.retained[i], pc)
+	s.retained = append(s.retained, pc)
 	return nil
 }
 
-// pop hands over input i's oldest retained chunk, and its budget
-// charge with it.
-func (s *session) pop(i int) (pendingChunk, bool) {
-	if len(s.retained[i]) == 0 {
+// pop hands over the oldest retained chunk, and its budget charge with
+// it.
+func (s *session) pop() (pendingChunk, bool) {
+	if len(s.retained) == 0 {
 		return pendingChunk{}, false
 	}
-	pc := s.retained[i][0]
-	s.retained[i] = s.retained[i][1:]
+	pc := s.retained[0]
+	s.retained = s.retained[1:]
 	s.req.Budget.ReleasePipe(len(pc.b))
 	return pc, true
 }
@@ -130,13 +129,11 @@ func (s *session) pop(i int) (pendingChunk, bool) {
 // release recycles whatever is still retained; it runs on every exit
 // path of the session.
 func (s *session) release() {
-	for i := range s.retained {
-		for _, pc := range s.retained[i] {
-			s.req.Budget.ReleasePipe(len(pc.b))
-			pc.release()
-		}
-		s.retained[i] = nil
+	for _, pc := range s.retained {
+		s.req.Budget.ReleasePipe(len(pc.b))
+		pc.release()
 	}
+	s.retained = nil
 }
 
 // output is where a rung writes the node's output: downstream, through
@@ -146,34 +143,30 @@ func (s *session) output() commands.ChunkWriter {
 }
 
 // local is the bottom rung: the coordinator interprets the spec itself,
-// each input being the retained replay followed by whatever is still
+// its input being the retained replay followed by whatever is still
 // unread.
 func (s *session) local(ctx context.Context) error {
 	req := *s.req
-	req.Ins = make([]commands.ChunkReader, len(s.req.Ins))
-	for i := range req.Ins {
-		req.Ins[i] = replayReader{s: s, i: i}
+	if req.In != nil {
+		req.In = replayReader{s}
 	}
 	req.Out = s.output()
 	return runtime.ExecRemoteLocal(ctx, &req)
 }
 
-// replayReader is input i as the local rung reads it. Ownership of each
-// retained chunk passes to the consumer; anything it leaves unread stays
-// with the session and is released there.
-type replayReader struct {
-	s *session
-	i int
-}
+// replayReader is the input as the local rung reads it. Ownership of
+// each retained chunk passes to the consumer; anything it leaves unread
+// stays with the session and is released there.
+type replayReader struct{ s *session }
 
 func (r replayReader) ReadChunk() ([]byte, func(), error) {
-	if pc, ok := r.s.pop(r.i); ok {
+	if pc, ok := r.s.pop(); ok {
 		return pc.b, pc.release, nil
 	}
-	if r.i < r.s.consumed {
+	if r.s.consumed {
 		return nil, func() {}, io.EOF
 	}
-	return r.s.req.Ins[r.i].ReadChunk()
+	return r.s.req.In.ReadChunk()
 }
 
 // skipWriter forwards an output stream minus the prefix an earlier rung
@@ -404,45 +397,13 @@ func (p *Pool) attempt(ctx context.Context, name string, s *session) (death bool
 	return false, nil
 }
 
-// send is the attempt's request body: per input, the retained replay,
-// then live chunks from where the last rung stopped, then the
-// zero-length separator that ends the stream. A file range has no
-// inputs and sends just the end of the body.
+// send is the attempt's request body: the retained replay, then live
+// chunks from where the last rung stopped, then the zero-length
+// separator that ends the stream. A file range has no input and sends
+// just the end of the body.
 func (l *link) send() error {
-	s := l.s
-	for i, in := range s.req.Ins {
-		for _, pc := range s.retained[i] {
-			if err := l.sendChunk(pc.b); err != nil {
-				return err
-			}
-		}
-		for i >= s.consumed {
-			b, release, err := in.ReadChunk()
-			if err == io.EOF {
-				s.consumed = i + 1
-				break
-			}
-			if err != nil {
-				return runtime.MarkFatal(err)
-			}
-			if len(b) == 0 {
-				// A byte stream carries no empty chunks, and on the
-				// wire a zero-length frame ends the stream.
-				release()
-				continue
-			}
-			// Retain before sending: once the chunk is on the wire it
-			// must survive for replay whatever happens next.
-			if err := s.retain(i, pendingChunk{b: b, release: release}); err != nil {
-				return err
-			}
-			if err := l.sendChunk(b); err != nil {
-				return err
-			}
-		}
-		if err := l.guarded(func() error { return sendFrame(l.cw, l.bw.Flush, nil) }); err != nil {
-			return err
-		}
+	if err := l.sendInput(); err != nil {
+		return err
 	}
 	// The body is complete, so the worker owes the rest of the response
 	// unconditionally from here: the watchdog stays armed until the
@@ -457,6 +418,44 @@ func (l *link) send() error {
 		}
 		return l.bw.Flush()
 	})
+}
+
+// sendInput sends the input stream, if the shard has one.
+func (l *link) sendInput() error {
+	s := l.s
+	if s.req.In == nil {
+		return nil
+	}
+	for _, pc := range s.retained {
+		if err := l.sendChunk(pc.b); err != nil {
+			return err
+		}
+	}
+	for !s.consumed {
+		b, release, err := s.req.In.ReadChunk()
+		if err == io.EOF {
+			s.consumed = true
+			break
+		}
+		if err != nil {
+			return runtime.MarkFatal(err)
+		}
+		if len(b) == 0 {
+			// A byte stream carries no empty chunks, and on the wire a
+			// zero-length frame ends the stream.
+			release()
+			continue
+		}
+		// Retain before sending: once the chunk is on the wire it must
+		// survive for replay whatever happens next.
+		if err := s.retain(pendingChunk{b: b, release: release}); err != nil {
+			return err
+		}
+		if err := l.sendChunk(b); err != nil {
+			return err
+		}
+	}
+	return l.guarded(func() error { return sendFrame(l.cw, l.bw.Flush, nil) })
 }
 
 // guarded runs one wire write, flush included, with the watchdog armed:

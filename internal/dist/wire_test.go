@@ -19,19 +19,19 @@ import (
 // DecodePlan on repeat dispatches. A commutative sort absorbs the
 // round-robin merge, so its branch — the stateless stages and the sort
 // map — ships as one linear shard; an order-sensitive consumer (uniq,
-// sort -s under a key) keeps its barrier split, whose map shards group
-// with their interior aggregate into tree shards.
+// sort -s under a key) keeps its barrier split, whose map shards ship
+// while the aggregation tree above them stays on the coordinator. No
+// remote node reads more than one stream.
 func TestDistributedStreamPlanStructure(t *testing.T) {
 	pool := dist.NewPool("http://w1", "http://w2")
 	sess := pash.NewSession(pash.DefaultOptions(8))
 	sess.UseWorkers(pool)
-	streamedShards := func(script string) (shards []*dfg.RemoteSpec) {
+	compile := func(script string) (g *dfg.Graph, shards []*dfg.RemoteSpec) {
 		t.Helper()
 		plan, err := sess.CompileExec(script)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var g *dfg.Graph
 		for _, item := range plan.Items {
 			if item.Graph != nil {
 				g = item.Graph
@@ -42,7 +42,13 @@ func TestDistributedStreamPlanStructure(t *testing.T) {
 		}
 		workers := map[string]int{}
 		for _, n := range g.Nodes {
-			if n.Kind != dfg.KindRemote || !n.Remote.Streamed {
+			if n.Kind != dfg.KindRemote {
+				continue
+			}
+			if len(n.In) > 1 {
+				t.Errorf("%s: remote node reads %d streams: %+v", script, len(n.In), n.Remote)
+			}
+			if !n.Remote.Streamed {
 				continue
 			}
 			shards = append(shards, n.Remote)
@@ -54,14 +60,13 @@ func TestDistributedStreamPlanStructure(t *testing.T) {
 		if len(workers) != 2 || workers["http://w1"] != workers["http://w2"] {
 			t.Errorf("%s: streamed shard assignment unbalanced: %v", script, workers)
 		}
-		return shards
+		return g, shards
 	}
 
 	branches, uniqMaps := 0, 0
-	for _, spec := range streamedShards(`cat in.txt | rev | sort | uniq`) {
+	_, shards := compile(`cat in.txt | rev | sort | uniq`)
+	for _, spec := range shards {
 		switch last := spec.Stages[len(spec.Stages)-1].Name; {
-		case spec.Agg != nil:
-			t.Errorf("round-robin-fed branches grouped into a tree shard: %+v", spec)
 		case last == "sort" && len(spec.Stages) > 1 && spec.Stages[len(spec.Stages)-2].Name == "rev":
 			branches++
 		case last == "uniq":
@@ -72,14 +77,20 @@ func TestDistributedStreamPlanStructure(t *testing.T) {
 		t.Errorf("streamed shards: %d rev|sort branches and %d uniq maps, want 8 and 8", branches, uniqMaps)
 	}
 
-	aggInterior := 0
-	for _, spec := range streamedShards(`cat in.txt | rev | sort -s -k2`) {
-		if spec.Agg != nil {
-			aggInterior++
+	// Width 8 builds an aggregation tree with interior nodes over the
+	// barrier-split map shards; every one of them runs on the coordinator.
+	g, shards := compile(`cat in.txt | rev | sort -s -k2`)
+	if len(shards) != 8 {
+		t.Errorf("sort -s -k2: %d streamed shards, want 8", len(shards))
+	}
+	interior := 0
+	for _, n := range g.Nodes {
+		if n.Kind == dfg.KindAgg && len(n.Out) == 1 && n.Out[0].To != nil && n.Out[0].To.Kind == dfg.KindAgg {
+			interior++
 		}
 	}
-	if aggInterior == 0 {
-		t.Error("no agg-tree interior node shipped as a streamed shard")
+	if interior == 0 {
+		t.Error("sort -s -k2 at width 8: no interior aggregate on the coordinator")
 	}
 }
 

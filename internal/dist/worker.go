@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -19,7 +18,7 @@ import (
 // `pash-serve -worker`. It is deliberately session-less — no shell, no
 // scheduler — just a command registry, a working directory, and a
 // plan-keyed cache of decoded specs, because a worker only ever sees
-// straight-line stateless stage chains and their aggregation subtrees.
+// straight-line stateless stage chains over at most one input stream.
 type Worker struct {
 	reg   *commands.Registry
 	dir   string
@@ -111,9 +110,7 @@ func (w *Worker) handleExec(rw http.ResponseWriter, r *http.Request) {
 	// A sandboxed job's plan opens files through a filesystem jailed to
 	// this worker's directory, whatever paths the plan names.
 	fs := commands.OSFS{Dir: w.dir, Jail: hs.Sandbox}
-	if chain != nil {
-		chain = chain.Bind(fs, hs.Env)
-	}
+	chain = chain.Bind(fs, hs.Env)
 
 	// The worker streams output frames while still reading input
 	// frames: full duplex, which HTTP/1 handlers must opt into.
@@ -136,7 +133,7 @@ func (w *Worker) handleExec(rw http.ResponseWriter, r *http.Request) {
 		if spec.Path != "" {
 			return w.execRange(chain, spec, fs, out)
 		}
-		return w.execStreamed(r.Context(), chain, spec, fs, hs.Env, r.Body, out)
+		return w.execStreamed(chain, r.Body, out)
 	}()
 	code := 0
 	if execErr != nil {
@@ -147,37 +144,20 @@ func (w *Worker) handleExec(rw http.ResponseWriter, r *http.Request) {
 	rw.Header().Set("X-Pash-Exit-Code", fmt.Sprintf("%d", code))
 }
 
-// decodePlan decodes and validates one plan, returning the spec and —
-// for shapes with a linear stage chain — the env-free chain template.
-// Tree shapes return a nil chain but still have every branch and
-// aggregate command name validated here, so a bad plan fails the
-// request before the response commits.
+// decodePlan decodes and validates one plan, returning the spec and
+// its env-free stage chain template, so a bad plan fails the request
+// before the response commits.
 func (w *Worker) decodePlan(raw []byte) (*dfg.RemoteSpec, *runtime.StageChain, error) {
 	spec, err := dfg.DecodePlan(raw)
 	if err != nil {
 		return nil, nil, err
 	}
-	if len(spec.Stages) > 0 {
-		// The template is jailed; every request rebinds its own filesystem.
-		chain, err := runtime.NewStageChain(w.reg, spec.Stages, commands.OSFS{Dir: w.dir, Jail: true}, nil, io.Discard)
-		if err != nil {
-			return nil, nil, err
-		}
-		return spec, chain, nil
+	// The template is jailed; every request rebinds its own filesystem.
+	chain, err := runtime.NewStageChain(w.reg, spec.Stages, commands.OSFS{Dir: w.dir, Jail: true}, nil, io.Discard)
+	if err != nil {
+		return nil, nil, err
 	}
-	for _, br := range spec.Branches {
-		for _, st := range br {
-			if _, ok := w.reg.Lookup(st.Name); !ok {
-				return nil, nil, fmt.Errorf("dist: plan branch: unknown command %q", st.Name)
-			}
-		}
-	}
-	if spec.Agg != nil {
-		if _, ok := w.reg.Lookup(spec.Agg.Name); !ok {
-			return nil, nil, fmt.Errorf("dist: plan aggregate: unknown command %q", spec.Agg.Name)
-		}
-	}
-	return spec, nil, nil
+	return spec, chain, nil
 }
 
 // execRange self-sources the plan's file slice and streams the
@@ -193,86 +173,60 @@ func (w *Worker) execRange(chain *runtime.StageChain, spec *dfg.RemoteSpec, fs c
 }
 
 // execStreamed runs a contiguous-stream plan: the request body carries
-// each input stream's chunks in input order with a zero-length
-// separator frame ending each, and the response is the node's single
-// output stream. A feeder goroutine demultiplexes the wire into one
-// in-process pipe per input while the chain (or aggregation tree)
-// consumes them.
-func (w *Worker) execStreamed(ctx context.Context, chain *runtime.StageChain, spec *dfg.RemoteSpec, fs commands.OSFS, env map[string]string, body io.Reader, out *frameStreamWriter) error {
-	k := 1
-	if spec.Agg != nil {
-		k = len(spec.Branches)
-	}
-	prs := make([]*io.PipeReader, k)
-	pws := make([]*io.PipeWriter, k)
-	ins := make([]io.Reader, k)
-	for i := range ins {
-		prs[i], pws[i] = io.Pipe()
-		ins[i] = prs[i]
-	}
-	feedDone := make(chan error, 1)
-	go func() {
-		cur := 0
-		discard := false // consumer hung up on the current stream
-		fail := func(err error) {
-			for ; cur < k; cur++ {
-				pws[cur].CloseWithError(err)
-			}
-			feedDone <- err
+// the input stream's chunks ended by a zero-length separator frame, and
+// the response is the node's output stream. The chain reads the frames
+// straight off the body; whatever it leaves unread (a head that stopped
+// early) is drained afterwards, so the coordinator's sender completes.
+func (w *Worker) execStreamed(chain *runtime.StageChain, body io.Reader, out *frameStreamWriter) error {
+	in := &frameSource{w: w, body: body}
+	_, execErr := chain.Stream(runtime.ChunkReaderAsReader(in), out)
+	for {
+		_, release, err := in.ReadChunk()
+		if err == io.EOF {
+			return execErr
 		}
-		for cur < k {
-			raw, err := readFrame(body)
-			if err == io.EOF {
-				// The body ended before every stream's separator: the
-				// missing bytes must not masquerade as stream end.
-				fail(fmt.Errorf("%w: input ended inside stream %d of %d", ErrTruncatedFrame, cur, k))
-				return
+		if err != nil {
+			if execErr != nil {
+				return execErr
 			}
-			if err != nil {
-				fail(err)
-				return
-			}
-			if len(raw) == 0 {
-				commands.PutBlock(raw)
-				pws[cur].Close()
-				cur++
-				discard = false
-				continue
-			}
-			w.meter(func(m *WorkerMetrics) {
-				m.ChunksIn++
-				m.BytesIn += int64(len(raw))
-				m.WireBytesIn += int64(frameHeader + len(raw))
-			})
-			if !discard {
-				if _, werr := pws[cur].Write(raw); werr != nil {
-					// The consumer stopped early; swallow the rest of
-					// this stream so later streams still line up.
-					discard = true
-				}
-			}
-			commands.PutBlock(raw)
+			return err
 		}
-		feedDone <- nil
-	}()
+		release()
+	}
+}
 
-	var execErr error
-	if spec.Agg != nil {
-		execErr = runtime.ExecStreamTree(ctx, w.reg, spec, ins, out, fs, env, io.Discard)
-	} else {
-		_, execErr = chain.Stream(ins[0], out)
+// frameSource reads one input stream's data frames off the request
+// body, up to the separator. The end it reaches, clean or not, sticks.
+type frameSource struct {
+	w    *Worker
+	body io.Reader
+	err  error
+}
+
+func (f *frameSource) ReadChunk() ([]byte, func(), error) {
+	if f.err != nil {
+		return nil, func() {}, f.err
 	}
-	// Unblock the feeder whatever state it is in, then wait for it: it
-	// reads the request body, which the handler must own again before
-	// returning.
-	for _, pr := range prs {
-		pr.CloseWithError(io.ErrClosedPipe)
+	raw, err := readFrame(f.body)
+	switch {
+	case err == io.EOF:
+		// The body ended before the separator: the missing bytes must
+		// not masquerade as stream end.
+		err = fmt.Errorf("%w: input ended before its separator", ErrTruncatedFrame)
+	case err == nil && len(raw) == 0:
+		commands.PutBlock(raw)
+		err = io.EOF
 	}
-	feedErr := <-feedDone
-	if execErr != nil {
-		return execErr
+	if err != nil {
+		f.err = err
+		return nil, func() {}, err
 	}
-	return feedErr
+	f.w.meter(func(m *WorkerMetrics) {
+		m.ChunksIn++
+		m.BytesIn += int64(len(raw))
+		m.WireBytesIn += int64(frameHeader + len(raw))
+	})
+	return raw, func() { commands.PutBlock(raw) }, nil
 }
 
 // frameStreamWriter frames a plain output stream for the wire, one

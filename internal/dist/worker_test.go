@@ -96,7 +96,7 @@ func TestBarePlanFrameRejected(t *testing.T) {
 			Stages:   []dfg.FusedStage{{Name: "tr", Args: []string{"a-z", "A-Z"}}},
 			Streamed: true,
 		},
-		Ins: []commands.ChunkReader{&oneChunk{b: []byte("light touch\n")}},
+		In:  &oneChunk{b: []byte("light touch\n")},
 		Out: &out, Reg: reg, FS: commands.OSFS{Dir: dir}, Stderr: io.Discard,
 	})
 	if err != nil {
@@ -208,5 +208,55 @@ func TestHandshakeVersionRejected(t *testing.T) {
 				t.Errorf("pash_wire %d: first output frame = %q, %v", tc.version, out, err)
 			}
 		}
+	}
+}
+
+// TestWorkerSingleStream posts a handshake and data frames straight to
+// /exec. A body that ends before its separator fails the request with
+// an error trailer, never a clean short output; a chain that stops
+// reading early (head) still answers exit 0 with the rest of the body
+// drained; and a plan with no stages — an older coordinator's
+// aggregation tree — gets 400 before any input frame is read.
+func TestWorkerSingleStream(t *testing.T) {
+	worker := NewWorker(nil, t.TempDir()).Handler()
+	exec := func(plan string, frames [][]byte) (*http.Response, *bytes.Reader) {
+		t.Helper()
+		hs, err := json.Marshal(&wireHandshake{Wire: wireVersion, Plan: json.RawMessage(plan)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var head, input bytes.Buffer
+		writeFrame(&head, hs)
+		for _, f := range frames {
+			writeFrame(&input, f)
+		}
+		rest := bytes.NewReader(input.Bytes())
+		rec := httptest.NewRecorder()
+		worker.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/exec", io.MultiReader(&head, rest)))
+		return rec.Result(), rest
+	}
+	line := bytes.Repeat([]byte("light touch\n"), 1000)
+
+	resp, _ := exec(`{"stages":[{"name":"tr","args":["a-z","A-Z"]}],"streamed":true}`, [][]byte{line, line})
+	if resp.StatusCode != http.StatusOK || resp.Trailer.Get("X-Pash-Error") == "" || resp.Trailer.Get("X-Pash-Exit-Code") != "1" {
+		t.Errorf("body without separator: status %d, trailers %v; want an X-Pash-Error and exit 1", resp.StatusCode, resp.Trailer)
+	}
+
+	frames := [][]byte{line, line, line, line, line, nil}
+	resp, rest := exec(`{"stages":[{"name":"head","args":["-n","1"]}],"streamed":true}`, frames)
+	out, err := readFrame(resp.Body)
+	if resp.StatusCode != http.StatusOK || err != nil || string(out) != "light touch\n" {
+		t.Errorf("head -n 1: status %d, first frame %q, %v", resp.StatusCode, out, err)
+	}
+	if msg, code := resp.Trailer.Get("X-Pash-Error"), resp.Trailer.Get("X-Pash-Exit-Code"); msg != "" || code != "0" {
+		t.Errorf("head -n 1: exit %q, error %q; want exit 0", code, msg)
+	}
+	if rest.Len() != 0 {
+		t.Errorf("head -n 1: %d body bytes left unread", rest.Len())
+	}
+
+	resp, rest = exec(`{"streamed":true,"branches":[[{"name":"sort"}]],"agg":{"name":"sort","args":["-m"]}}`, frames)
+	if resp.StatusCode != http.StatusBadRequest || int64(rest.Len()) != rest.Size() {
+		t.Errorf("tree plan: status %d after reading %d input bytes; want 400 before any", resp.StatusCode, rest.Size()-int64(rest.Len()))
 	}
 }

@@ -178,7 +178,7 @@ func TestStageChainEquivalence(t *testing.T) {
 			request := func(spec dfg.RemoteSpec, chunks []string, out *chunkSink) *runtime.RemoteRequest {
 				spec.Stages = stages
 				return &runtime.RemoteRequest{
-					Spec: &spec, Ins: []commands.ChunkReader{&chunkSource{chunks: chunks}}, Out: out,
+					Spec: &spec, In: &chunkSource{chunks: chunks}, Out: out,
 					Reg: reg, FS: commands.OSFS{Dir: dir}, Stderr: io.Discard,
 				}
 			}

@@ -541,7 +541,7 @@ func (nopWriteCloser) Close() error { return nil }
 // everything else through to the job's real filesystem. Commands are none
 // the wiser that some of their "files" are pipes — mirroring how PaSh's
 // generated scripts substitute FIFOs for files. The executor maps its
-// edges here; a streamed aggregation subtree maps its branch outputs.
+// edges here.
 type overlayFS struct {
 	base    commands.FS
 	streams map[string]io.ReadCloser // fixed before any command runs

@@ -82,10 +82,9 @@ func ClassifyRemoteError(err error) RemoteErrorClass {
 // RemoteRequest carries everything one remote node execution needs.
 type RemoteRequest struct {
 	Spec *dfg.RemoteSpec
-	// Ins streams the node's inputs in operand order: none for a
-	// file-range spec (the worker self-sources), one for a linear
-	// streamed chain, one per branch for a streamed aggregation subtree.
-	Ins []commands.ChunkReader
+	// In streams the node's input: nil for a file-range spec (the
+	// worker self-sources), the one input of a streamed chain otherwise.
+	In commands.ChunkReader
 	// Out receives the node's output chunks in order.
 	Out commands.ChunkWriter
 	// Reg, FS, Env, and Stderr configure local (fallback) execution of
@@ -123,12 +122,12 @@ func (ex *executor) runRemote(ctx context.Context, n *dfg.Node) error {
 			return err
 		}
 	}
-	for i, e := range n.In {
-		cr, ok := ex.readers[e.ID].(commands.ChunkReader)
+	if len(n.In) > 0 {
+		cr, ok := ex.readers[n.In[0].ID].(commands.ChunkReader)
 		if !ok {
-			return fmt.Errorf("runtime: remote node #%d input %d carries no chunk framing", n.ID, i)
+			return fmt.Errorf("runtime: remote node #%d input carries no chunk framing", n.ID)
 		}
-		req.Ins = append(req.Ins, cr)
+		req.In = cr
 	}
 	if ex.cfg.Remote != nil {
 		return ex.cfg.Remote.ExecRemote(ctx, req)
@@ -143,19 +142,12 @@ func (ex *executor) runRemote(ctx context.Context, n *dfg.Node) error {
 // (a collector follows every remote node) and are dropped.
 func ExecRemoteLocal(ctx context.Context, req *RemoteRequest) error {
 	spec, out := req.Spec, chunkOnlyWriter{req.Out}
-	if spec.Agg != nil {
-		ins := make([]io.Reader, len(req.Ins))
-		for i, cr := range req.Ins {
-			ins[i] = ChunkReaderAsReader(cr)
-		}
-		return ExecStreamTree(ctx, req.Reg, spec, ins, out, req.FS, req.Env, req.Stderr)
-	}
 	chain, err := NewStageChain(req.Reg, spec.Stages, req.FS, req.Env, req.Stderr)
 	if err != nil {
 		return err
 	}
 	if spec.Path == "" {
-		_, err = chain.Stream(ChunkReaderAsReader(req.Ins[0]), out)
+		_, err = chain.Stream(ChunkReaderAsReader(req.In), out)
 		return err
 	}
 	r, err := OpenRange(req.FS, spec.Path, spec.Slice, spec.Of)
@@ -188,3 +180,58 @@ func (w chunkOnlyWriter) Write(p []byte) (int, error) {
 }
 
 func (w chunkOnlyWriter) WriteChunk(b []byte) error { return w.cw.WriteChunk(b) }
+
+// ChunkReaderAsReader adapts a chunk-framed stream to a plain
+// io.Reader for the streamed local-interpretation paths. When the
+// source already reads bytes (the executor's edge streams do), it is
+// returned as-is so chunk framing survives for the fused fast path;
+// otherwise the adapter buffers partial chunks and still exposes
+// ReadChunk for consumers that probe for it.
+func ChunkReaderAsReader(cr commands.ChunkReader) io.Reader {
+	if r, ok := cr.(io.Reader); ok {
+		return r
+	}
+	return &chunkStreamReader{cr: cr}
+}
+
+type chunkStreamReader struct {
+	cr      commands.ChunkReader
+	buf     []byte
+	release func()
+}
+
+func (r *chunkStreamReader) Read(p []byte) (int, error) {
+	for len(r.buf) == 0 {
+		r.drop()
+		b, rel, err := r.cr.ReadChunk()
+		if err != nil {
+			return 0, err
+		}
+		r.buf, r.release = b, rel
+	}
+	n := copy(p, r.buf)
+	r.buf = r.buf[n:]
+	if len(r.buf) == 0 {
+		r.drop()
+	}
+	return n, nil
+}
+
+// ReadChunk passes framing through when no partial chunk is buffered;
+// a buffered remainder is handed off as one owned chunk.
+func (r *chunkStreamReader) ReadChunk() ([]byte, func(), error) {
+	if len(r.buf) > 0 {
+		blk := append(commands.GetBlock(), r.buf...)
+		r.buf = nil
+		r.drop()
+		return blk, func() { commands.PutBlock(blk) }, nil
+	}
+	return r.cr.ReadChunk()
+}
+
+func (r *chunkStreamReader) drop() {
+	if r.release != nil {
+		r.release()
+		r.release = nil
+	}
+}

@@ -245,3 +245,69 @@ func TestSortTieRulesMatchHost(t *testing.T) {
 		}
 	}
 }
+
+// hostOutput runs a host command in dir over stdin under LC_ALL=C,
+// skipping the test when the host has no such command.
+func hostOutput(t *testing.T, dir, stdin, name string, argv ...string) string {
+	t.Helper()
+	host, err := exec.LookPath(name)
+	if err != nil {
+		t.Skipf("no host %s", name)
+	}
+	cmd := exec.Command(host, argv...)
+	cmd.Dir, cmd.Stdin = dir, strings.NewReader(stdin)
+	cmd.Env = append(os.Environ(), "LC_ALL=C")
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("host %s %v: %v", name, argv, err)
+	}
+	return string(out)
+}
+
+// runAt runs a script at exactly the given width, in dir, over stdin.
+func runAt(t *testing.T, width int, dir, script, stdin string) string {
+	t.Helper()
+	s := NewSession(DefaultOptions(width))
+	s.Dir = dir
+	var out bytes.Buffer
+	if code, err := s.Run(context.Background(), script, strings.NewReader(stdin), &out, io.Discard); err != nil || code != 0 {
+		t.Fatalf("%s at width %d: exit %d, %v", script, width, code, err)
+	}
+	return out.String()
+}
+
+// TestPasteStdinMatchesHost: a paste that names stdin more than once
+// reads the one stream alternately, at every width.
+func TestPasteStdinMatchesHost(t *testing.T) {
+	text := paper.Text(50_001, 35) // an odd number of lines
+	if len(text) < 1<<20 || strings.Count(text, "\n")%2 == 0 {
+		t.Fatalf("input: %d bytes, %d lines; want over 1 MiB and odd", len(text), strings.Count(text, "\n"))
+	}
+	for _, argv := range [][]string{{"-", "-"}, {"-", "-", "-"}, {"-d,", "-", "-"}} {
+		want := hostOutput(t, "", text, "paste", argv...)
+		script := "cat | paste " + strings.Join(argv, " ")
+		for _, width := range []int{1, 4} {
+			if got := runAt(t, width, "", script, text); got != want {
+				t.Errorf("%s at width %d: %d bytes, host %d", script, width, len(got), len(want))
+			}
+		}
+	}
+}
+
+// TestWcFileNameMatchesHost: wc over one file operand prints its name
+// at every width, through every level of the aggregation tree.
+func TestWcFileNameMatchesHost(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "t"), []byte(paper.Text(150_000, 36)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, argv := range [][]string{{"t"}, {"-l", "t"}, {"-c", "t"}, {"-lw", "t"}} {
+		want := hostOutput(t, dir, "", "wc", argv...)
+		script := "wc " + strings.Join(argv, " ")
+		for _, width := range []int{1, 2, 4, 8, 16} {
+			if got := runAt(t, width, dir, script, ""); got != want {
+				t.Errorf("%s at width %d: %q, host %q", script, width, got, want)
+			}
+		}
+	}
+}
