@@ -27,10 +27,10 @@ type sortConfig struct {
 	unique     bool
 	stable     bool // -s
 	merge      bool
-	check      bool     // -c
-	key        *sortKey // single -k POS1[,POS2] spec (common case)
-	delim      byte     // -t; 0 means blank runs
-	parallel   int      // --parallel=N; 0 = default
+	check      bool       // -c
+	keys       []*sortKey // -k POS1[,POS2] specs, in order
+	delim      byte       // -t; 0 means blank runs
+	parallel   int        // --parallel=N; 0 = default
 }
 
 // sortKey is one -k F[.C][OPTS][,F[.C][OPTS]] spec: fields and characters
@@ -89,7 +89,7 @@ func sortCmd(ctx *Context) error {
 			if err != nil {
 				return ctx.Errorf("invalid key %q: %v", v, err)
 			}
-			cfg.key = k
+			cfg.keys = append(cfg.keys, k)
 		case strings.HasPrefix(a, "-t"):
 			v, err := grab(a[2:])
 			if err != nil {
@@ -226,9 +226,10 @@ type sortRec struct {
 // lineOrder is a sort invocation's ordering, compiled once from its
 // flags: GNU sort's compare() under LC_ALL=C. Without a key the order is
 // bytewise over whole lines. With one (-k, or a global -n/-f/-d/-b)
-// lines are ordered by the key and, unless -s or -u, key ties fall to a
-// last resort, the bytewise whole-line order; -r reverses that last
-// resort too, but not the input order -s and -u keep.
+// lines are ordered by the key, ties by each later -k key in turn and,
+// unless -s or -u, the remaining ties fall to a last resort, the
+// bytewise whole-line order; -r reverses that last resort too, but not
+// the input order -s and -u keep.
 //
 // Each line is decorated once with a uint64 whose integer order agrees
 // with the key comparison — the big-endian first 8 bytes of the key
@@ -238,7 +239,8 @@ type sortRec struct {
 // line's first 8 bytes, which the multikey quicksort overwrites with
 // later ones as it goes.
 type lineOrder struct {
-	key        *sortKey // the key, with global options inherited; nil: bytewise
+	key        *sortKey     // the first key, with global options inherited; nil: bytewise
+	then       []*lineOrder // the later keys, each with its own key and keySign
 	delim      byte
 	keySign    int  // -1 when the key comparison is reversed; else 1
 	sign       int  // -1 for -r, which reverses the whole-line comparison; else 1
@@ -260,22 +262,35 @@ func (cfg *sortConfig) order() *lineOrder {
 	if cfg.reverse {
 		o.sign = -1
 	}
-	switch k := cfg.key; {
-	case k != nil && (k.ordered() || k.reverse):
-		o.key = k
-	case k != nil:
-		inherited := global
-		inherited.startField, inherited.startChar = k.startField, k.startChar
-		inherited.endField, inherited.endChar = k.endField, k.endChar
-		o.key = &inherited
-	case global.ordered():
+	o.keySign = o.sign
+	if len(cfg.keys) == 0 && global.ordered() {
 		o.key = &global
 	}
-	o.keySign = o.sign
-	if o.key != nil && !o.key.reverse {
-		o.keySign = 1
+	for i, k := range cfg.keys {
+		if !k.ordered() && !k.reverse {
+			inherited := global
+			inherited.startField, inherited.startChar = k.startField, k.startChar
+			inherited.endField, inherited.endChar = k.endField, k.endChar
+			k = &inherited
+		}
+		if i == 0 {
+			o.key = k
+		} else {
+			o.then = append(o.then, &lineOrder{key: k, delim: cfg.delim, keySign: keySign(k)})
+		}
+	}
+	if o.key != nil {
+		o.keySign = keySign(o.key)
 	}
 	return o
+}
+
+// keySign is -1 for a reversed key, else 1.
+func keySign(k *sortKey) int {
+	if k.reverse {
+		return -1
+	}
+	return 1
 }
 
 // total reports whether lines that compare equal are byte-identical, in
@@ -357,10 +372,16 @@ func (o *lineOrder) tie(a, b []byte) int {
 	return o.last(a, b)
 }
 
-// last orders two lines whose keys are equal: bytewise, which -r
-// reverses — the whole order without a key, the last resort with one —
-// unless -s or -u keep the lines as equal.
+// last orders two lines whose first keys are equal: by each later key
+// in turn, then bytewise, which -r reverses — the whole order without a
+// key, the last resort with one — unless -s or -u keep the lines as
+// equal.
 func (o *lineOrder) last(a, b []byte) int {
+	for _, t := range o.then {
+		if c := t.keySign * t.keyCompare(a, b); c != 0 {
+			return c
+		}
+	}
 	if o.key != nil && !o.lastResort {
 		return 0
 	}

@@ -23,28 +23,34 @@ import (
 // loser tree and -u are all checked against it. The tie rules:
 //   - no key (no -k, -n, -f, -d or -b): the whole line, bytewise; -r
 //     reverses it;
-//   - a key: the key, then — unless -s or -u — the whole line bytewise
-//     as a last resort, which -r reverses too; with -s or -u, key ties
-//     keep input order, which -r does not reverse;
+//   - keys: each key in turn, then — unless -s or -u — the whole line
+//     bytewise as a last resort, which -r reverses too; with -s or -u,
+//     key ties keep input order, which -r does not reverse;
 //   - -u prints the first line, in that order, of each run of equal ones.
 
-// refKey is the key cfg compares by, with the global options inherited
-// by a -k key that has no ordering letters of its own; nil for none.
-func refKey(cfg *sortConfig) *sortKey {
+// refKeys are the keys cfg compares by, with the global options
+// inherited by a -k key that has no ordering letters of its own; none
+// for a bytewise order.
+func refKeys(cfg *sortConfig) []*sortKey {
 	global := sortKey{startField: 1, numeric: cfg.numeric, reverse: cfg.reverse,
 		foldCase: cfg.foldCase, dictionary: cfg.dictionary, skipStart: cfg.blanks, skipEnd: cfg.blanks}
-	if k := cfg.key; k != nil {
-		if k.numeric || k.foldCase || k.dictionary || k.skipStart || k.skipEnd || k.reverse {
-			return k
+	if len(cfg.keys) == 0 {
+		if cfg.numeric || cfg.foldCase || cfg.dictionary || cfg.blanks {
+			return []*sortKey{&global}
 		}
-		global.startField, global.startChar, global.endField, global.endChar =
-			k.startField, k.startChar, k.endField, k.endChar
-		return &global
+		return nil
 	}
-	if cfg.numeric || cfg.foldCase || cfg.dictionary || cfg.blanks {
-		return &global
+	var keys []*sortKey
+	for _, k := range cfg.keys {
+		if !(k.numeric || k.foldCase || k.dictionary || k.skipStart || k.skipEnd || k.reverse) {
+			inherited := global
+			inherited.startField, inherited.startChar, inherited.endField, inherited.endChar =
+				k.startField, k.startChar, k.endField, k.endChar
+			k = &inherited
+		}
+		keys = append(keys, k)
 	}
-	return nil
+	return keys
 }
 
 // refKeyText cuts the key out of a line from its field spans: under -t
@@ -106,50 +112,56 @@ func refValue(key []byte) *big.Rat {
 	return r
 }
 
-// refSortLine is a line with its key already read.
+// refSortLine is a line with its keys already read.
 type refSortLine struct {
 	line []byte
-	text []byte   // the key, -d filtered and -f folded
-	num  *big.Rat // -n: the key's value
+	text [][]byte   // each key, -d filtered and -f folded
+	num  []*big.Rat // -n: each key's value
 }
 
-// refCompare is GNU sort's compare(): the key (if any), then the
-// last resort.
+// refCompare is GNU sort's compare(): the keys (if any) in turn, then
+// the last resort.
 func refCompare(cfg *sortConfig) (read func([]byte) refSortLine, cmp func(a, b refSortLine) int) {
-	key := refKey(cfg)
+	keys := refKeys(cfg)
 	read = func(line []byte) refSortLine {
 		l := refSortLine{line: line}
-		if key == nil {
-			return l
-		}
-		for _, c := range refKeyText(line, key, cfg.delim) {
-			if key.dictionary && !(c == ' ' || c == '\t' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9') {
-				continue
+		for _, key := range keys {
+			var text []byte
+			for _, c := range refKeyText(line, key, cfg.delim) {
+				if key.dictionary && !(c == ' ' || c == '\t' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9') {
+					continue
+				}
+				if key.foldCase && c >= 'a' && c <= 'z' {
+					c -= 'a' - 'A'
+				}
+				text = append(text, c)
 			}
-			if key.foldCase && c >= 'a' && c <= 'z' {
-				c -= 'a' - 'A'
+			l.text = append(l.text, text)
+			if key.numeric {
+				l.num = append(l.num, refValue(text))
+			} else {
+				l.num = append(l.num, nil)
 			}
-			l.text = append(l.text, c)
-		}
-		if key.numeric {
-			l.num = refValue(l.text)
 		}
 		return l
 	}
 	cmp = func(a, b refSortLine) int {
-		if key != nil {
+		for i, key := range keys {
 			var c int
 			if key.numeric {
-				c = a.num.Cmp(b.num)
+				c = a.num[i].Cmp(b.num[i])
 			} else {
-				c = bytes.Compare(a.text, b.text)
+				c = bytes.Compare(a.text[i], b.text[i])
 			}
 			if key.reverse {
 				c = -c
 			}
-			if c != 0 || cfg.stable || cfg.unique {
+			if c != 0 {
 				return c
 			}
+		}
+		if len(keys) > 0 && (cfg.stable || cfg.unique) {
+			return 0
 		}
 		c := bytes.Compare(a.line, b.line)
 		if cfg.reverse {
@@ -211,22 +223,27 @@ var sortCases = []sortCase{
 	{[]string{"-f"}, sortConfig{foldCase: true}},
 	{[]string{"-fu"}, sortConfig{foldCase: true, unique: true}},
 	{[]string{"-d"}, sortConfig{dictionary: true}},
-	{[]string{"-k2"}, sortConfig{key: &sortKey{startField: 2}}},
-	{[]string{"-k2,3n", "-t:"}, sortConfig{key: &sortKey{startField: 2, endField: 3, numeric: true}, delim: ':'}},
+	{[]string{"-k2"}, sortConfig{keys: []*sortKey{{startField: 2}}}},
+	{[]string{"-k2,3n", "-t:"}, sortConfig{keys: []*sortKey{{startField: 2, endField: 3, numeric: true}}, delim: ':'}},
 	{[]string{"-m"}, sortConfig{merge: true}},
 	{[]string{"-mu"}, sortConfig{merge: true, unique: true}},
 	{[]string{"--parallel=3"}, sortConfig{parallel: 3}},
 	{[]string{"--parallel=3", "-f"}, sortConfig{parallel: 3, foldCase: true}},
 	{[]string{"--parallel=3", "-u"}, sortConfig{parallel: 3, unique: true}},
-	{[]string{"-s", "-k2,2"}, sortConfig{stable: true, key: &sortKey{startField: 2, endField: 2}}},
+	{[]string{"-s", "-k2,2"}, sortConfig{stable: true, keys: []*sortKey{{startField: 2, endField: 2}}}},
 	{[]string{"-fs"}, sortConfig{foldCase: true, stable: true}},
 	{[]string{"-ru"}, sortConfig{reverse: true, unique: true}},
 	{[]string{"-nru"}, sortConfig{numeric: true, reverse: true, unique: true}},
-	{[]string{"-u", "-k2"}, sortConfig{unique: true, key: &sortKey{startField: 2}}},
-	{[]string{"-r", "-k2,2f"}, sortConfig{reverse: true, key: &sortKey{startField: 2, endField: 2, foldCase: true}}},
-	{[]string{"-b", "-k1.2,2.3"}, sortConfig{blanks: true, key: &sortKey{startField: 1, startChar: 2, endField: 2, endChar: 3}}},
-	{[]string{"-k2.2b,3d"}, sortConfig{key: &sortKey{startField: 2, startChar: 2, skipStart: true, endField: 3, dictionary: true}}},
+	{[]string{"-u", "-k2"}, sortConfig{unique: true, keys: []*sortKey{{startField: 2}}}},
+	{[]string{"-r", "-k2,2f"}, sortConfig{reverse: true, keys: []*sortKey{{startField: 2, endField: 2, foldCase: true}}}},
+	{[]string{"-b", "-k1.2,2.3"}, sortConfig{blanks: true, keys: []*sortKey{{startField: 1, startChar: 2, endField: 2, endChar: 3}}}},
+	{[]string{"-k2.2b,3d"}, sortConfig{keys: []*sortKey{{startField: 2, startChar: 2, skipStart: true, endField: 3, dictionary: true}}}},
 	{[]string{"-bdu"}, sortConfig{blanks: true, dictionary: true, unique: true}},
+	{[]string{"-k2,2r"}, sortConfig{keys: []*sortKey{{startField: 2, endField: 2, reverse: true}}}},
+	{[]string{"-k1,1n", "-k2,2n"}, sortConfig{keys: []*sortKey{{startField: 1, endField: 1, numeric: true}, {startField: 2, endField: 2, numeric: true}}}},
+	{[]string{"-r", "-k2,2", "-k1,1n", "-t:"}, sortConfig{reverse: true, keys: []*sortKey{{startField: 2, endField: 2}, {startField: 1, endField: 1, numeric: true}}, delim: ':'}},
+	{[]string{"-u", "-k1,1f", "-k3"}, sortConfig{unique: true, keys: []*sortKey{{startField: 1, endField: 1, foldCase: true}, {startField: 3}}}},
+	{[]string{"-m", "-k1,1n", "-k2r"}, sortConfig{merge: true, keys: []*sortKey{{startField: 1, endField: 1, numeric: true}, {startField: 2, reverse: true}}}},
 }
 
 // stringFS serves operands from memory (sort -m reads its runs as files).
@@ -361,7 +378,7 @@ func TestSortKernelDifferential(t *testing.T) {
 	}
 	for _, c := range sortCases {
 		texts := fixed
-		if refKey(&c.cfg) == nil {
+		if refKeys(&c.cfg) == nil {
 			texts = slices.Concat(fixed, bytewise)
 		}
 		for _, text := range texts {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 )
 
@@ -22,7 +23,9 @@ func (c *wcCounts) add(o wcCounts) {
 }
 
 // wc counts lines, words, bytes, and characters. Flags: -l, -w, -c, -m.
-// Default output is lines, words, bytes. Multiple files get a totals row.
+// Default output is lines, words, bytes. Multiple files get a totals row
+// and GNU's column width: the digits of the files' total size, at least
+// 7 when one of them is stdin (GNU's width for a pipe).
 func wc(ctx *Context) error {
 	var showLines, showWords, showBytes, showChars bool
 	var operands []string
@@ -54,24 +57,28 @@ func wc(ctx *Context) error {
 	lw := NewLineWriter(ctx.Stdout)
 	defer lw.Flush()
 
+	width := 1 // several files; one input is padded to 7
+	if len(operands) < 2 {
+		width = 7
+	}
 	emit := func(c wcCounts, name string) error {
 		var cols []string
 		if showLines {
-			cols = append(cols, fmt.Sprintf("%7d", c.lines))
+			cols = append(cols, fmt.Sprintf("%*d", width, c.lines))
 		}
 		if showWords {
-			cols = append(cols, fmt.Sprintf("%7d", c.words))
+			cols = append(cols, fmt.Sprintf("%*d", width, c.words))
 		}
 		if showChars {
-			cols = append(cols, fmt.Sprintf("%7d", c.chars))
+			cols = append(cols, fmt.Sprintf("%*d", width, c.chars))
 		}
 		if showBytes {
-			cols = append(cols, fmt.Sprintf("%7d", c.bytes))
+			cols = append(cols, fmt.Sprintf("%*d", width, c.bytes))
 		}
-		// GNU wc: 7-wide right-aligned columns joined by one space; a
-		// single-column result prints the bare number.
+		// GNU wc: right-aligned columns joined by one space; one input
+		// counted in one column prints the bare number.
 		row := strings.Join(cols, " ")
-		if len(cols) == 1 {
+		if len(cols) == 1 && len(operands) < 2 {
 			row = strings.TrimLeft(row, " ")
 		}
 		if name != "" {
@@ -84,25 +91,41 @@ func wc(ctx *Context) error {
 	if len(files) == 0 {
 		files = []string{"-"}
 	}
-	var total wcCounts
+	// The width of several files' rows is known only once all are
+	// counted, so every file is counted before the first row.
+	var counts []wcCounts
+	var err error
 	for _, name := range files {
-		readers, cleanup, err := ctx.OpenInputs(sliceOf(name))
-		if err != nil {
-			return err
+		var c wcCounts
+		if c, err = wcFile(ctx, name, showWords || showChars); err != nil {
+			break
 		}
-		c, err := countStream(readers[0], showWords || showChars)
-		cleanup()
-		if err != nil {
-			return err
-		}
+		counts = append(counts, c)
+	}
+	var total wcCounts
+	var fileBytes int64
+	for i, c := range counts {
 		total.add(c)
-		label := name
+		if files[i] == "-" {
+			width = max(width, 7) // stdin counts as a pipe
+		} else {
+			fileBytes += c.bytes
+		}
+	}
+	if len(files) > 1 {
+		width = max(width, len(strconv.FormatInt(fileBytes, 10)))
+	}
+	for i, c := range counts {
+		label := files[i]
 		if len(operands) == 0 {
 			label = ""
 		}
-		if err := emit(c, label); err != nil {
-			return err
+		if werr := emit(c, label); werr != nil {
+			return werr
 		}
+	}
+	if err != nil {
+		return err
 	}
 	if len(files) > 1 {
 		if err := emit(total, "total"); err != nil {
@@ -110,6 +133,16 @@ func wc(ctx *Context) error {
 		}
 	}
 	return lw.Flush()
+}
+
+// wcFile counts one operand, "-" being stdin.
+func wcFile(ctx *Context, name string, wordsOrChars bool) (wcCounts, error) {
+	readers, cleanup, err := ctx.OpenInputs(sliceOf(name))
+	if err != nil {
+		return wcCounts{}, err
+	}
+	defer cleanup()
+	return countStream(readers[0], wordsOrChars)
 }
 
 // countStream tallies r. Lines and bytes are always counted, by a

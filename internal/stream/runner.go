@@ -43,9 +43,9 @@ type Config struct {
 	Interval time.Duration
 	MaxBytes int64
 
-	// MaxBuffer bounds bytes buffered between the source and the
-	// windower; at the bound the source is paused, not killed. 0 means
-	// unbounded.
+	// MaxBuffer bounds the bytes the windower reads ahead of the
+	// runner; at the bound the source is paused, not killed. 0 means
+	// the bound is one window.
 	MaxBuffer int64
 
 	// CheckpointPath enables checkpointed failover. CheckpointEvery
@@ -174,12 +174,13 @@ func (r *Runner) Run(ctx context.Context) error {
 			}
 
 			now := time.Now()
+			rows := int64(bytes.Count(win, []byte{'\n'}))
 			r.windows.Add(1)
-			r.rows.Add(int64(bytes.Count(win, []byte{'\n'})))
+			r.rows.Add(rows)
 			r.bytesIn.Add(int64(len(win)))
 			r.lagMs.Store(now.Sub(t0).Milliseconds())
 			r.noteLatency(now.Sub(t0))
-			r.noteRate(win, now.Sub(lastWindow))
+			r.noteRate(rows, now.Sub(lastWindow))
 			lastWindow = now
 
 			if cfg.CheckpointPath != "" &&
@@ -236,11 +237,11 @@ func (r *Runner) checkpoint(state []byte) error {
 
 // noteRate updates the rows/sec EWMA from one window's row count and
 // the gap since the previous window closed.
-func (r *Runner) noteRate(win []byte, dt time.Duration) {
+func (r *Runner) noteRate(rows int64, dt time.Duration) {
 	if dt <= 0 {
 		dt = time.Millisecond
 	}
-	inst := float64(bytes.Count(win, []byte{'\n'})) / dt.Seconds()
+	inst := float64(rows) / dt.Seconds()
 	prev := math.Float64frombits(r.rateBits.Load())
 	next := inst
 	if prev > 0 {

@@ -14,43 +14,49 @@ import (
 // triggers: a size trigger (deterministic — window boundaries depend
 // only on the input bytes, which replay-exact failover tests rely on)
 // and a time trigger (a window closes after Interval if it holds at
-// least one complete line). A dedicated reader goroutine pulls from
-// the source through a byte-budgeted hand-off: when buffered bytes
-// would exceed MaxBuffer the reader blocks — the source is paused, not
-// killed. That is the streaming meaning of MaxPipeMemory: for a batch
-// job breaching the pipe-memory budget kills the job (the input is
-// finite, the job is wedged); for a streaming job the input is endless
-// by design, so the bound throttles intake instead.
+// least one complete line).
+//
+// There is one buffer. A reader goroutine reads the Source straight
+// into the spare capacity of the array that windows are cut from, and
+// cuts each size-triggered window in place as a capped subslice, so a
+// byte is copied once, by the read. The bytes not yet in a window (the
+// tail) move to a new array only when the spare capacity falls below
+// one read.
+//
+// The reader reads ahead while the runner executes a window. It parks
+// only once a cut window is waiting and the bytes it holds (queued
+// windows plus the tail) reach the bound: MaxBuffer when set, else one
+// window. A time-only stream cuts no window ahead, so its reader parks
+// at the bound whenever the runner is not waiting in Next. Parking
+// under MaxBuffer is the streaming meaning of MaxPipeMemory: a batch
+// job breaching the pipe-memory budget is killed (the input is finite,
+// the job is wedged); a streaming job's input is endless by design, so
+// the bound pauses the source instead, and each pause is counted.
 type windower struct {
-	src      Source
-	interval time.Duration
-	maxBytes int64
-
-	chunks chan []byte
-
-	mu        sync.Mutex
-	cond      *sync.Cond
-	buffered  int64
+	src       Source
+	interval  time.Duration
+	maxBytes  int64
 	maxBuffer int64
+	bound     int64 // the read-ahead bound: maxBuffer, else one window
 
-	pauses   atomic.Int64
-	bufGauge atomic.Int64
+	wake chan struct{} // capacity 1: the reader cut a window or ended
 
-	// pending holds complete lines not yet emitted; carry holds the
-	// trailing partial line.
-	pending []byte
-	carry   []byte
+	mu      sync.Mutex
+	cond    *sync.Cond // the parked reader waits here
+	ready   [][]byte   // cut windows, oldest first
+	queued  int64      // bytes in ready
+	tail    []byte     // read but in no window; its spare capacity is the reader's
+	scan    int        // tail[maxBytes-1:scan] holds no '\n'
+	waiting bool       // the consumer is inside Next
+	ended   bool
+	stopped bool
+	readErr error
 
-	// boundary is the source offset at the end of the last emitted
-	// window: initial offset + bytes emitted in windows. Checkpoints
-	// record this — resuming re-reads pending+carry, which no emitted
-	// window covered.
+	pauses atomic.Int64
+	// boundary is the source offset at the end of the last window Next
+	// handed out. Checkpoints record it: resuming re-reads the queued
+	// windows and the tail, which no emitted window covered.
 	boundary atomic.Int64
-
-	readErr  error
-	errOnce  sync.Once
-	done     chan struct{}
-	stopOnce sync.Once
 }
 
 const readChunk = 32 << 10
@@ -64,8 +70,11 @@ func newWindower(src Source, interval time.Duration, maxBytes, maxBuffer int64, 
 		interval:  interval,
 		maxBytes:  maxBytes,
 		maxBuffer: maxBuffer,
-		chunks:    make(chan []byte, 1),
-		done:      make(chan struct{}),
+		bound:     maxBuffer,
+		wake:      make(chan struct{}, 1),
+	}
+	if w.bound <= 0 {
+		w.bound = max(maxBytes, readChunk)
 	}
 	w.cond = sync.NewCond(&w.mu)
 	w.boundary.Store(startOffset)
@@ -73,113 +82,74 @@ func newWindower(src Source, interval time.Duration, maxBytes, maxBuffer int64, 
 	return w
 }
 
-// read is the source-side goroutine: it owns all Source.Read calls and
-// parks (pausing the source) whenever the consumer is behind budget.
+// read is the source-side goroutine: it owns every Source.Read call and
+// every reallocation of the tail.
 func (w *windower) read() {
-	defer close(w.chunks)
-	buf := make([]byte, readChunk)
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	for {
-		n, err := w.src.Read(buf)
-		if n > 0 {
-			c := append([]byte(nil), buf[:n]...)
-			if !w.acquire(int64(len(c))) {
-				return
-			}
+		if w.parks() && w.maxBuffer > 0 {
+			w.pauses.Add(1)
+		}
+		for w.parks() {
+			w.cond.Wait()
+		}
+		if w.stopped {
+			return
+		}
+		if cap(w.tail)-len(w.tail) < readChunk {
+			grown := make([]byte, len(w.tail), len(w.tail)+max(len(w.tail), int(w.maxBytes), readChunk)+readChunk)
+			copy(grown, w.tail)
+			w.tail = grown
+		}
+		dst := w.tail[len(w.tail) : len(w.tail)+readChunk]
+		w.mu.Unlock()
+		n, err := w.src.Read(dst)
+		w.mu.Lock()
+		w.tail = w.tail[:len(w.tail)+n]
+		cut := w.cut()
+		if err != nil {
+			w.ended, w.readErr = true, err
+		}
+		if cut || err != nil {
 			select {
-			case w.chunks <- c:
-			case <-w.done:
-				return
+			case w.wake <- struct{}{}:
+			default:
 			}
 		}
 		if err != nil {
-			w.errOnce.Do(func() { w.readErr = err })
 			return
 		}
 	}
 }
 
-// acquire blocks until len fits under the buffer budget (or the
-// windower stops). Each wait counts one pause.
-func (w *windower) acquire(n int64) bool {
-	if w.maxBuffer <= 0 {
-		w.bufGauge.Add(n)
-		return true
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	waited := false
-	for w.buffered > 0 && w.buffered+n > w.maxBuffer {
-		if !waited {
-			waited = true
-			w.pauses.Add(1)
-		}
-		select {
-		case <-w.done:
-			return false
-		default:
-		}
-		w.cond.Wait()
-	}
-	select {
-	case <-w.done:
+// parks reports whether the reader must wait before its next read.
+func (w *windower) parks() bool {
+	if w.stopped || w.queued+int64(len(w.tail)) < w.bound {
 		return false
-	default:
 	}
-	w.buffered += n
-	w.bufGauge.Store(w.buffered)
-	return true
+	return len(w.ready) > 0 || (w.maxBytes <= 0 && !w.waiting)
 }
 
-// release returns consumed bytes to the budget, unparking the reader.
-func (w *windower) release(n int64) {
-	if w.maxBuffer <= 0 {
-		w.bufGauge.Add(-n)
-		return
+// cut moves every size-triggered window at the front of the tail to
+// ready. A window ends at the first line end at or past maxBytes, so
+// for a given input the windows are the same however reads chunked it.
+func (w *windower) cut() bool {
+	cut := false
+	for w.maxBytes > 0 && int64(len(w.tail)) >= w.maxBytes {
+		from := max(w.scan, int(w.maxBytes)-1)
+		i := bytes.IndexByte(w.tail[from:], '\n')
+		if i < 0 {
+			w.scan = len(w.tail)
+			break
+		}
+		end := from + i + 1
+		w.ready = append(w.ready, w.tail[:end:end])
+		w.queued += int64(end)
+		w.tail, w.scan = w.tail[end:], 0
+		cut = true
 	}
-	w.mu.Lock()
-	w.buffered -= n
-	w.bufGauge.Store(w.buffered)
-	w.mu.Unlock()
-	w.cond.Broadcast()
-}
-
-// ingest folds a raw chunk into pending/carry, keeping pending a run
-// of complete lines.
-func (w *windower) ingest(c []byte) {
-	w.carry = append(w.carry, c...)
-	if i := bytes.LastIndexByte(w.carry, '\n'); i >= 0 {
-		w.pending = append(w.pending, w.carry[:i+1]...)
-		w.carry = w.carry[i+1:]
-	}
-}
-
-// cut returns the next size-triggered window from pending, or nil when
-// pending hasn't reached maxBytes. The boundary is the first line end
-// at or past maxBytes, so for a given input the windows are identical
-// regardless of how reads chunked it.
-func (w *windower) cut() []byte {
-	if w.maxBytes <= 0 || int64(len(w.pending)) < w.maxBytes {
-		return nil
-	}
-	i := bytes.IndexByte(w.pending[w.maxBytes-1:], '\n')
-	end := int(w.maxBytes) - 1 + i // absolute index of that '\n'
-	win := append([]byte(nil), w.pending[:end+1]...)
-	w.pending = append(w.pending[:0], w.pending[end+1:]...)
-	return win
-}
-
-// takeAll drains pending (time trigger / final flush).
-func (w *windower) takeAll(includeCarry bool) []byte {
-	var win []byte
-	if len(w.pending) > 0 {
-		win = append(win, w.pending...)
-		w.pending = w.pending[:0]
-	}
-	if includeCarry && len(w.carry) > 0 {
-		win = append(win, w.carry...)
-		w.carry = w.carry[:0]
-	}
-	return win
+	return cut
 }
 
 // Next blocks until a window closes. It returns the window payload and
@@ -187,73 +157,90 @@ func (w *windower) takeAll(includeCarry bool) []byte {
 // distinguishes them); the final window may be empty. The source
 // offset of the window's end is recorded in boundary.
 func (w *windower) Next(ctx context.Context) (win []byte, final bool, err error) {
-	// Serve a size-triggered window already buffered before touching
-	// the channel.
-	if v := w.cut(); v != nil {
-		w.boundary.Add(int64(len(v)))
-		return v, false, nil
-	}
 	timer := time.NewTimer(w.interval)
 	defer timer.Stop()
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.waiting = true
+	defer func() { w.waiting = false }()
+	w.cond.Signal()
+	fired := false
 	for {
-		select {
-		case <-ctx.Done():
-			return nil, true, ctx.Err()
-		case <-timer.C:
-			if v := w.takeAll(false); len(v) > 0 {
-				w.boundary.Add(int64(len(v)))
-				return v, false, nil
+		switch {
+		case len(w.ready) > 0:
+			win = w.ready[0]
+			w.ready[0], w.ready = nil, w.ready[1:]
+			w.queued -= int64(len(win))
+			w.cond.Signal()
+			return w.emit(win), false, nil
+		case w.ended:
+			// Flush everything, including an unterminated last line.
+			win, w.tail = w.tail, nil
+			return w.emit(win), true, w.errLocked()
+		case fired:
+			fired = false
+			if i := bytes.LastIndexByte(w.tail, '\n'); i >= 0 {
+				win = w.tail[: i+1 : i+1]
+				w.tail, w.scan = w.tail[i+1:], 0
+				w.cond.Signal()
+				return w.emit(win), false, nil
 			}
 			timer.Reset(w.interval)
-		case c, ok := <-w.chunks:
-			if !ok {
-				// Source ended: flush everything, including an
-				// unterminated last line.
-				v := w.takeAll(true)
-				w.boundary.Add(int64(len(v)))
-				return v, true, w.Err()
-			}
-			w.release(int64(len(c)))
-			w.ingest(c)
-			if v := w.cut(); v != nil {
-				w.boundary.Add(int64(len(v)))
-				return v, false, nil
-			}
 		}
+		w.mu.Unlock()
+		select {
+		case <-ctx.Done():
+			w.mu.Lock()
+			return nil, true, ctx.Err()
+		case <-timer.C:
+			fired = true
+		case <-w.wake:
+		}
+		w.mu.Lock()
 	}
+}
+
+func (w *windower) emit(win []byte) []byte {
+	w.boundary.Add(int64(len(win)))
+	return win
 }
 
 // Boundary is the source offset at the last emitted window's end — the
 // checkpointable position.
 func (w *windower) Boundary() int64 { return w.boundary.Load() }
 
-// Pauses reports how many times backpressure paused the source.
+// Pauses reports how many times MaxBuffer paused the source.
 func (w *windower) Pauses() int64 { return w.pauses.Load() }
 
-// Buffered reports bytes currently buffered ahead of the consumer.
-func (w *windower) Buffered() int64 { return w.bufGauge.Load() }
+// Buffered reports bytes read but not yet handed out: the queued
+// windows plus the tail.
+func (w *windower) Buffered() int64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.queued + int64(len(w.tail))
+}
 
 // Err reports the source's terminal error, with io.EOF mapped to nil
 // (clean end of stream).
 func (w *windower) Err() error {
-	w.errOnce.Do(func() {})
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.errLocked()
+}
+
+func (w *windower) errLocked() error {
 	if w.readErr == nil || errors.Is(w.readErr, io.EOF) {
 		return nil
 	}
 	return errSourceGone(w.readErr)
 }
 
-// stop tears the windower down: unparks a paused reader and detaches
-// from the source (the caller closes the Source itself, which unblocks
-// a blocked Read).
+// stop tears the windower down: it unparks a paused reader and detaches
+// it from the source (the caller closes the Source itself, which
+// unblocks a blocked Read).
 func (w *windower) stop() {
-	w.stopOnce.Do(func() {
-		close(w.done)
-		w.cond.Broadcast()
-		// Drain so the reader isn't wedged on a full channel.
-		go func() {
-			for range w.chunks {
-			}
-		}()
-	})
+	w.mu.Lock()
+	w.stopped = true
+	w.mu.Unlock()
+	w.cond.Signal()
 }

@@ -185,17 +185,21 @@ func TestWidthFourMatchesWidthOneOnGroupingCommands(t *testing.T) {
 // binary: each script reads its input from a pipe, so it plans the whole
 // width ceiling, 1, 2, 4 and 8. Every input is over 1 MiB. -nu and -nru
 // keep the first of each run of equal keys in input order, -u -k2,2 and
-// -s -k2,2 do the same for a field, -f falls back to the whole line, and
-// -cu reports equal neighbours.
+// -s -k2,2 do the same for a field, -f falls back to the whole line,
+// -cu reports equal neighbours, and a later -k key breaks an earlier
+// one's ties.
 func TestSortTieRulesMatchHost(t *testing.T) {
 	host, err := exec.LookPath("sort")
 	if err != nil {
 		t.Skip("no host sort")
 	}
 	rng := rand.New(rand.NewSource(33))
-	var ints, numbered strings.Builder
+	var ints, numbered, pairs strings.Builder
 	for ints.Len() < 1200<<10 {
 		fmt.Fprintf(&ints, "%s%d\n", strings.Repeat("0", rng.Intn(3)), rng.Intn(1000))
+	}
+	for pairs.Len() < 1200<<10 {
+		fmt.Fprintf(&pairs, "%d %d\n", rng.Intn(50), rng.Intn(1000))
 	}
 	// Capitalise one line in eight, so -f has case to fold.
 	text := paper.Text(40_000, 33)
@@ -220,6 +224,7 @@ func TestSortTieRulesMatchHost(t *testing.T) {
 		{[]string{"-s", "-k2,2"}, text},
 		{[]string{"-nru"}, numbered.String()},
 		{[]string{"-cu"}, strings.Join(sortedInts, "")},
+		{[]string{"-k1,1n", "-k2,2n"}, pairs.String()},
 	} {
 		if len(tc.input) < 1<<20 {
 			t.Fatalf("sort %v: input is %d bytes, want over 1 MiB", tc.argv, len(tc.input))
@@ -305,6 +310,31 @@ func TestWcFileNameMatchesHost(t *testing.T) {
 		want := hostOutput(t, dir, "", "wc", argv...)
 		script := "wc " + strings.Join(argv, " ")
 		for _, width := range []int{1, 2, 4, 8, 16} {
+			if got := runAt(t, width, dir, script, ""); got != want {
+				t.Errorf("%s at width %d: %q, host %q", script, width, got, want)
+			}
+		}
+	}
+}
+
+// TestWcFilesMatchHost checks wc over several files against the host's:
+// GNU pads every column to the digits of the files' total size, a
+// single-column count included.
+func TestWcFilesMatchHost(t *testing.T) {
+	dir := t.TempDir()
+	var seq strings.Builder
+	for i := 1; i <= 12345; i++ {
+		fmt.Fprintf(&seq, "%d\n", i)
+	}
+	for name, body := range map[string]string{"w1": "a\nb\n", "w2": seq.String()} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, argv := range [][]string{{"-l", "w1", "w2"}, {"w1", "w2"}, {"-c", "w1", "w2", "w1"}, {"-lw", "w2", "w1"}, {"-m", "w1", "w1"}} {
+		want := hostOutput(t, dir, "", "wc", argv...)
+		script := "wc " + strings.Join(argv, " ")
+		for _, width := range []int{1, 4} {
 			if got := runAt(t, width, dir, script, ""); got != want {
 				t.Errorf("%s at width %d: %q, host %q", script, width, got, want)
 			}
