@@ -1,25 +1,26 @@
-// Command pash-prims provides PaSh's runtime primitives to generated
-// scripts (§5.2): split, eager relays, identity relays, and the custom
-// aggregators. Emitted scripts invoke it as "$PASH_PRIMS" <subcommand>.
+// Command pash-prims runs PaSh's runtime primitives for generated scripts
+// (§5.2). It is an argv shim over the code the in-process runtime runs:
+// emitted scripts invoke it as "$PASH_PRIMS" <subcommand>.
 //
-//	pash-prims split IN OUT1 OUT2...   # line-balanced input dispersal
-//	pash-prims eager < IN > OUT        # eager relay (unbounded buffer)
-//	pash-prims relay < IN > OUT        # identity relay
-//	pash-prims agg-uniq [-c] F1 F2...  # uniq boundary merge
-//	pash-prims agg-wc F1 F2...         # wc column sums
-//	pash-prims agg-sum F1 F2...        # integer sum
-//	pash-prims agg-tac F1 F2...        # reverse-order concatenation
-//	pash-prims agg-bigrams F1 F2...    # bigram boundary stitching
+//	pash-prims split IN OUT1 OUT2...  # runtime.GeneralSplit, the barrier split; IN "-" is stdin
+//	pash-prims eager < IN > OUT       # runtime.Eager, the unbounded eager pipe
+//	pash-prims agg-NAME ARGS...       # the aggregator agg.Install registers as pash-agg-NAME
+//
+// split opens its outputs in partition order, each as the split reaches
+// it, so an empty partition still opens and closes its FIFO; a reader that
+// hangs up loses the rest of its partition, as in-process.
 package main
 
 import (
-	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"os"
+	"syscall"
 
 	"repro/internal/agg"
 	"repro/internal/commands"
+	"repro/internal/runtime"
 )
 
 func main() {
@@ -27,18 +28,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, "pash-prims: missing subcommand")
 		os.Exit(2)
 	}
-	sub := os.Args[1]
-	args := os.Args[2:]
+	sub, args := os.Args[1], os.Args[2:]
 	var err error
 	switch sub {
 	case "split":
-		err = runSplit(args)
-	case "eager", "relay":
-		// In a separate process, both are a buffered copy loop: the
-		// process's scheduling makes it eager (it consumes input as fast
-		// as the producer writes, buffering in its own memory).
-		err = relay(os.Stdin, os.Stdout)
-	case "agg-uniq", "agg-wc", "agg-sum", "agg-tac", "agg-bigrams", "agg-head", "agg-tail":
+		err = split(args)
+	case "eager":
+		err = runtime.Eager(os.Stdout, os.Stdin)
+	default:
 		reg := commands.NewRegistry()
 		agg.Install(reg)
 		err = reg.Run("pash-"+sub, &commands.Context{
@@ -48,9 +45,6 @@ func main() {
 			Stderr: os.Stderr,
 			FS:     commands.OSFS{},
 		})
-	default:
-		fmt.Fprintf(os.Stderr, "pash-prims: unknown subcommand %q\n", sub)
-		os.Exit(2)
 	}
 	if err != nil {
 		code := commands.ExitCode(err)
@@ -62,13 +56,13 @@ func main() {
 	}
 }
 
-// runSplit reads IN (or stdin when IN is "-") and distributes its lines
-// evenly across the output files, counting first (the general split).
-func runSplit(args []string) error {
+// split binds runtime.GeneralSplit to its argv: IN (or stdin for "-") and
+// one output file per partition.
+func split(args []string) error {
 	if len(args) < 2 {
 		return fmt.Errorf("usage: split IN OUT...")
 	}
-	var in io.Reader = os.Stdin
+	in := os.Stdin
 	if args[0] != "-" {
 		f, err := os.Open(args[0])
 		if err != nil {
@@ -77,40 +71,41 @@ func runSplit(args []string) error {
 		defer f.Close()
 		in = f
 	}
-	lines, err := commands.ReadAllLines(in)
-	if err != nil {
-		return err
+	outs := make([]io.WriteCloser, len(args)-1)
+	for i, name := range args[1:] {
+		outs[i] = &output{name: name}
 	}
-	outs := args[1:]
-	per := (len(lines) + len(outs) - 1) / len(outs)
-	idx := 0
-	for _, name := range outs {
-		f, err := os.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-		if err != nil {
-			return err
-		}
-		bw := bufio.NewWriterSize(f, 1<<16)
-		for j := 0; j < per && idx < len(lines); j++ {
-			bw.Write(lines[idx]) //nolint:errcheck // flushed below
-			bw.WriteByte('\n')   //nolint:errcheck
-			idx++
-		}
-		if err := bw.Flush(); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return runtime.GeneralSplit(in, outs)
 }
 
-// relay copies input to output through a large buffer.
-func relay(r io.Reader, w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if _, err := io.Copy(bw, bufio.NewReaderSize(r, 1<<20)); err != nil {
+// output opens its file (a FIFO, in an emitted script) on first use, and
+// reports a reader that hung up as the runtime's ErrDownstreamClosed.
+type output struct {
+	name string
+	f    *os.File
+}
+
+func (o *output) open() (err error) {
+	if o.f == nil {
+		o.f, err = os.OpenFile(o.name, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	}
+	return err
+}
+
+func (o *output) Write(b []byte) (int, error) {
+	if err := o.open(); err != nil {
+		return 0, err
+	}
+	n, err := o.f.Write(b)
+	if errors.Is(err, syscall.EPIPE) {
+		err = runtime.ErrDownstreamClosed
+	}
+	return n, err
+}
+
+func (o *output) Close() error {
+	if err := o.open(); err != nil {
 		return err
 	}
-	return bw.Flush()
+	return o.f.Close()
 }

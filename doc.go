@@ -33,6 +33,17 @@
 //     internal/benchscripts holds only tests: that corpus run sequential
 //     against parallel, fused against unfused, and against dash/bash.
 //
+// The emitted script (pash -emit) runs the interpreter's code. One
+// function expands a pipeline's words into stages for the interpreter,
+// the emitter and the stream planner. The emitter's expander is strict:
+// an undefined variable, a command substitution, an unquoted glob or an
+// assignment prefix keeps its region verbatim, for sh to run. The
+// script's split, eager relays and aggregators are cmd/pash-prims, an
+// argv shim over the runtime's barrier split (runtime.GeneralSplit), its
+// unbounded eager pipe (runtime.Eager) and the aggregators agg.Install
+// registers. TestEmittedScriptRunsUnderSh runs the scripts under sh
+// against the host.
+//
 // # The chunked data plane
 //
 // Bytes move between nodes in pooled 64 KiB blocks

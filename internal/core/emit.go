@@ -77,90 +77,45 @@ func (c *Compiler) planList(p *Plan, list *shell.List, env *shell.Env, exec *Reg
 	}
 }
 
+// planCommand lifts one pipeline of simple commands whose words are
+// static. Everything else is a barrier kept verbatim: compound bodies
+// could be planned recursively, but loop and conditional variables make
+// their regions dynamic, and the shell running the script has the full
+// dynamic information.
 func (c *Compiler) planCommand(p *Plan, cmd shell.Command, env *shell.Env, background bool, exec *RegionInput) {
-	verbatim := func() {
-		p.Items = append(p.Items, PlanItem{Verbatim: shell.Print(cmd), Background: background})
-	}
-	switch cmd := cmd.(type) {
-	case *shell.Simple:
-		// Track static assignments for constant propagation.
-		if len(cmd.Args) == 0 {
-			x := &shell.Expander{Env: env}
-			ok := true
-			for _, a := range cmd.Assigns {
-				v, err := x.ExpandString(a.Value)
-				if err != nil {
-					ok = false
-					break
-				}
+	if s, ok := cmd.(*shell.Simple); ok && len(s.Args) == 0 {
+		// Track static assignments for constant propagation; a dynamic
+		// value makes its variable dynamic.
+		x := &shell.Expander{Env: env, Strict: true}
+		for _, a := range s.Assigns {
+			if v, err := x.ExpandString(a.Value); err == nil {
 				env.Set(a.Name, v)
+			} else {
+				env.Unset(a.Name)
 			}
-			_ = ok
-			p.Items = append(p.Items, PlanItem{Verbatim: shell.Print(cmd), Background: background})
-			return
 		}
-		if g, ok := c.tryCompileStatic([]*shell.Simple{cmd}, env, exec); ok {
-			p.Items = append(p.Items, PlanItem{Graph: g, Background: background})
-			return
-		}
-		verbatim()
-	case *shell.Pipeline:
-		var simples []*shell.Simple
-		for _, s := range cmd.Cmds {
-			sc, ok := s.(*shell.Simple)
-			if !ok {
-				verbatim()
-				return
-			}
-			simples = append(simples, sc)
-		}
-		if cmd.Negated {
-			verbatim()
-			return
-		}
+	} else if simples, negated, ok := simplePipeline(cmd); ok && !negated {
 		if g, ok := c.tryCompileStatic(simples, env, exec); ok {
 			p.Items = append(p.Items, PlanItem{Graph: g, Background: background})
 			return
 		}
-		verbatim()
-	default:
-		// Compound commands are barriers; their bodies could be planned
-		// recursively, but loop/conditional variables make inner regions
-		// dynamic, so we keep them verbatim (the interpreter handles
-		// them with full dynamic information instead).
-		verbatim()
 	}
+	p.Items = append(p.Items, PlanItem{Verbatim: shell.Print(cmd), Background: background})
 }
 
-// tryCompileStatic compiles a pipeline if every word expands statically
-// (undefined variables count as dynamic — the conservative default).
+// tryCompileStatic compiles a pipeline if every word expands statically:
+// an undefined variable, a command substitution or a glob is dynamic (the
+// conservative default), and so is an assignment prefix, which a region
+// of processes has no scope for.
 func (c *Compiler) tryCompileStatic(simples []*shell.Simple, env *shell.Env, exec *RegionInput) (*dfg.Graph, bool) {
-	x := &shell.Expander{Env: env, Strict: true}
-	var stages []Stage
 	for _, s := range simples {
 		if len(s.Assigns) > 0 {
 			return nil, false
 		}
-		var argv []string
-		for _, w := range s.Args {
-			fs, err := x.ExpandWord(w)
-			if err != nil {
-				return nil, false
-			}
-			argv = append(argv, fs...)
-		}
-		if len(argv) == 0 {
-			return nil, false
-		}
-		st := Stage{Name: argv[0], Args: argv[1:]}
-		for _, r := range s.Redirs {
-			tgt, err := x.ExpandString(r.Target)
-			if err != nil {
-				return nil, false
-			}
-			st.Redirs = append(st.Redirs, Redir{N: r.N, Op: r.Op, Target: tgt})
-		}
-		stages = append(stages, st)
+	}
+	stages, _, err := expandStages(&shell.Expander{Env: env, Strict: true}, simples)
+	if err != nil {
+		return nil, false
 	}
 	if exec == nil {
 		g, err := c.CompilePipeline(stages, RegionIO{})
@@ -251,6 +206,10 @@ func emitGraph(w io.Writer, g *dfg.Graph, regionID int) error {
 	// Each background job's PID is appended to pash_pids so the cleanup
 	// can signal stragglers (§5.2 Dangling FIFOs and Zombie Producers).
 	fmt.Fprintf(&b, "pash_pids=\"\"\n")
+	// Without job control a background job's stdin is /dev/null (POSIX),
+	// so the jobs are started in a group whose fd 3 is the script's stdin,
+	// and a node that reads the script's stdin reads fd 3.
+	fmt.Fprintf(&b, "{\n")
 	// Eager relays first (they must be reading before producers run into
 	// full pipes, though FIFO opens synchronize either way).
 	for _, e := range g.Edges {
@@ -274,6 +233,7 @@ func emitGraph(w io.Writer, g *dfg.Graph, regionID int) error {
 			fmt.Fprintf(&b, "pash_pids=\"$pash_pids $!\"\n")
 		}
 	}
+	fmt.Fprintf(&b, "} 3<&0\n")
 	if haveOut {
 		// Block only on the region's output producer, then deliver PIPE
 		// to any remaining upstream processes.
@@ -298,12 +258,11 @@ func renderNode(n *dfg.Node, fifo func(*dfg.Edge) string, readName func(*dfg.Edg
 		// them out of emitted graphs.
 		return "", false, fmt.Errorf("core: fused node %s cannot be emitted as shell", n)
 	case n.Kind == dfg.KindSplit:
-		parts = append(parts, `"$PASH_PRIMS"`, "split")
-		parts = append(parts, shellQuote(readName(n.In[0])))
+		parts = append(parts, `"$PASH_PRIMS"`, "split", "-")
 		for _, e := range n.Out {
 			parts = append(parts, shellQuote(fifo(e)))
 		}
-		return strings.Join(parts, " "), false, nil
+		return strings.Join(stdinFrom(parts, n.In[0], readName), " "), false, nil
 	case strings.HasPrefix(n.Name, "pash-agg-"):
 		parts = append(parts, `"$PASH_PRIMS"`, strings.TrimPrefix(n.Name, "pash-"))
 	default:
@@ -316,25 +275,8 @@ func renderNode(n *dfg.Node, fifo func(*dfg.Edge) string, readName func(*dfg.Edg
 		}
 		parts = append(parts, shellQuote(a.Text))
 	}
-	// Stdin redirection.
 	if n.StdinInput >= 0 {
-		e := n.In[n.StdinInput]
-		switch {
-		case e.From == nil && e.Source.Kind == dfg.BindFile:
-			parts = append(parts, "<", shellQuote(e.Source.Path))
-		case e.From == nil && e.Source.Kind == dfg.BindStdin:
-			// Inherit the script's stdin.
-		case e.From == nil && e.Source.Kind == dfg.BindLiteral:
-			// Heredoc payload: feed the literal body through a pipe so the
-			// rendering stays one line (a real heredoc would need its body
-			// after the command's newline, which the emitter's line-per-node
-			// layout cannot accommodate).
-			parts = append([]string{"printf", "%s", shellQuote(e.Source.Data), "|"}, parts...)
-		case e.From == nil:
-			parts = append(parts, "<", "/dev/null")
-		default:
-			parts = append(parts, "<", shellQuote(readName(e)))
-		}
+		parts = stdinFrom(parts, n.In[n.StdinInput], readName)
 	}
 	// Stdout redirection.
 	isOutput := false
@@ -356,6 +298,25 @@ func renderNode(n *dfg.Node, fifo func(*dfg.Edge) string, readName func(*dfg.Edg
 		}
 	}
 	return strings.Join(parts, " "), isOutput, nil
+}
+
+// stdinFrom binds a command line's stdin to edge e: a file, the FIFO of
+// an internal edge, a heredoc's body piped in, or the script's own stdin.
+func stdinFrom(parts []string, e *dfg.Edge, readName func(*dfg.Edge) string) []string {
+	switch {
+	case e.From == nil && e.Source.Kind == dfg.BindFile:
+		return append(parts, "<", shellQuote(e.Source.Path))
+	case e.From == nil && e.Source.Kind == dfg.BindStdin:
+		return append(parts, "<&3")
+	case e.From == nil && e.Source.Kind == dfg.BindLiteral:
+		// The body goes through a pipe so the rendering stays one line (a
+		// real heredoc would need its body after the command's newline,
+		// which the emitter's line-per-node layout cannot accommodate).
+		return append([]string{"printf", "%s", shellQuote(e.Source.Data), "|"}, parts...)
+	case e.From == nil:
+		return append(parts, "<", "/dev/null")
+	}
+	return append(parts, "<", shellQuote(readName(e)))
 }
 
 // shellQuote quotes a string for safe inclusion in generated scripts.

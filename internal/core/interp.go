@@ -268,20 +268,14 @@ func (in *Interp) runList(ctx context.Context, list *shell.List) (int, error) {
 
 func (in *Interp) runCommand(ctx context.Context, cmd shell.Command) (int, error) {
 	switch cmd := cmd.(type) {
-	case *shell.Simple:
-		return in.runPipeline(ctx, []*shell.Simple{cmd})
-	case *shell.Pipeline:
-		stages := make([]*shell.Simple, 0, len(cmd.Cmds))
-		for _, c := range cmd.Cmds {
-			s, ok := c.(*shell.Simple)
-			if !ok {
-				// Compound stages stream through bounded pipes.
-				return in.runCompoundPipeline(ctx, cmd)
-			}
-			stages = append(stages, s)
+	case *shell.Simple, *shell.Pipeline:
+		simples, negated, ok := simplePipeline(cmd)
+		if !ok {
+			// Compound stages stream through bounded pipes.
+			return in.runCompoundPipeline(ctx, cmd.(*shell.Pipeline))
 		}
-		code, err := in.runPipeline(ctx, stages)
-		if cmd.Negated {
+		code, err := in.runPipeline(ctx, simples)
+		if negated {
 			code = negate(code)
 		}
 		return code, err
@@ -596,75 +590,9 @@ func (in *Interp) runPipeline(ctx context.Context, simples []*shell.Simple) (int
 		return 0, nil
 	}
 
-	stages := make([]Stage, 0, len(simples))
-	var overrides []envOverride
-	for _, s := range simples {
-		if len(s.Assigns) > 0 {
-			if len(s.Args) == 0 {
-				// Assignment-only stage inside a pipeline: it runs in a
-				// subshell in a real shell, so its sets are invisible;
-				// we keep the historical behaviour of applying them.
-				for _, a := range s.Assigns {
-					v, err := x.ExpandString(a.Value)
-					if err != nil {
-						return 1, err
-					}
-					in.env.Set(a.Name, v)
-				}
-				continue
-			}
-			// Per-command assignment prefixes (FOO=1 cmd) scope to the
-			// command: expanded now (before the prefix could influence
-			// its own argv, per POSIX), installed only around execution,
-			// and restored afterward.
-			for _, a := range s.Assigns {
-				v, err := x.ExpandString(a.Value)
-				if err != nil {
-					return 1, err
-				}
-				overrides = append(overrides, envOverride{name: a.Name, value: v})
-			}
-		}
-		argv := make([]string, 0, len(s.Args))
-		for _, w := range s.Args {
-			fs, err := x.ExpandWord(w)
-			if err != nil {
-				return 1, err
-			}
-			argv = append(argv, fs...)
-		}
-		if len(argv) == 0 {
-			return 1, fmt.Errorf("core: empty command after expansion")
-		}
-		st := Stage{Name: argv[0], Args: argv[1:]}
-		for _, r := range s.Redirs {
-			if r.Op == shell.RedirHeredoc {
-				// The delimiter is never expanded; the body is, but only
-				// when the delimiter was written unquoted (POSIX).
-				body := r.Heredoc
-				if r.Target.Bare {
-					bw, err := shell.ParseHeredocBody(body)
-					if err != nil {
-						return 1, err
-					}
-					body, err = x.ExpandString(bw)
-					if err != nil {
-						return 1, err
-					}
-				}
-				st.Redirs = append(st.Redirs, Redir{N: r.N, Op: r.Op, Body: body})
-				continue
-			}
-			tgt, err := x.ExpandString(r.Target)
-			if err != nil {
-				return 1, err
-			}
-			st.Redirs = append(st.Redirs, Redir{N: r.N, Op: r.Op, Target: tgt})
-		}
-		stages = append(stages, st)
-	}
-	if len(stages) == 0 {
-		return 0, nil
+	stages, overrides, err := expandStages(x, simples)
+	if err != nil {
+		return 1, err
 	}
 
 	// Builtins that affect interpreter state can't go through the DFG.
@@ -711,6 +639,94 @@ func (in *Interp) runPipeline(ctx context.Context, simples []*shell.Simple) (int
 		in.profMu.Unlock()
 	}
 	return res.ExitCode, nil
+}
+
+// simplePipeline returns the stages of cmd when it is one simple command
+// or a pipeline of simple commands, and whether the pipeline is negated:
+// the shape the interpreter runs as one region, the emitter lifts and the
+// stream planner windows.
+func simplePipeline(cmd shell.Command) (simples []*shell.Simple, negated, ok bool) {
+	switch cmd := cmd.(type) {
+	case *shell.Simple:
+		return []*shell.Simple{cmd}, false, true
+	case *shell.Pipeline:
+		simples = make([]*shell.Simple, len(cmd.Cmds))
+		for i, c := range cmd.Cmds {
+			if simples[i], ok = c.(*shell.Simple); !ok {
+				return nil, false, false
+			}
+		}
+		return simples, cmd.Negated, true
+	}
+	return nil, false, false
+}
+
+// expandStages is the one place a pipeline's words become stages: argv,
+// redirection targets, heredoc bodies and assignment prefixes, all
+// through the caller's expander, which carries the caller's rule (the
+// interpreter globs and runs command substitutions, the emitter's strict
+// expander refuses both). The prefixes come back unapplied, in order; a
+// caller that cannot scope them refuses them. An assignment-only stage
+// runs in a subshell of its own in a real shell: its values are expanded,
+// nothing is set, and the stage is `true`, so the next stage reads EOF.
+func expandStages(x *shell.Expander, simples []*shell.Simple) ([]Stage, []envOverride, error) {
+	stages := make([]Stage, 0, len(simples))
+	var overrides []envOverride
+	for _, s := range simples {
+		for _, a := range s.Assigns {
+			// Expanded before the prefix could influence its own argv,
+			// per POSIX.
+			v, err := x.ExpandString(a.Value)
+			if err != nil {
+				return nil, nil, err
+			}
+			if len(s.Args) > 0 {
+				overrides = append(overrides, envOverride{name: a.Name, value: v})
+			}
+		}
+		var st Stage
+		if len(s.Args) == 0 {
+			st.Name = "true"
+		} else {
+			argv := make([]string, 0, len(s.Args))
+			for _, w := range s.Args {
+				fs, err := x.ExpandWord(w)
+				if err != nil {
+					return nil, nil, err
+				}
+				argv = append(argv, fs...)
+			}
+			if len(argv) == 0 {
+				return nil, nil, fmt.Errorf("core: empty command after expansion")
+			}
+			st = Stage{Name: argv[0], Args: argv[1:]}
+		}
+		for _, r := range s.Redirs {
+			if r.Op == shell.RedirHeredoc {
+				// The delimiter is never expanded; the body is, but only
+				// when the delimiter was written unquoted (POSIX).
+				body := r.Heredoc
+				if r.Target.Bare {
+					bw, err := shell.ParseHeredocBody(body)
+					if err != nil {
+						return nil, nil, err
+					}
+					if body, err = x.ExpandString(bw); err != nil {
+						return nil, nil, err
+					}
+				}
+				st.Redirs = append(st.Redirs, Redir{N: r.N, Op: r.Op, Body: body})
+				continue
+			}
+			tgt, err := x.ExpandString(r.Target)
+			if err != nil {
+				return nil, nil, err
+			}
+			st.Redirs = append(st.Redirs, Redir{N: r.N, Op: r.Op, Target: tgt})
+		}
+		stages = append(stages, st)
+	}
+	return stages, overrides, nil
 }
 
 // envSnapshot is the command environment of the next region: the shell

@@ -98,30 +98,10 @@ func (c *Compiler) PlanStream(src, dir string, vars map[string]string) (*StreamP
 	if list.Items[0].Background {
 		return nil, notStreamable("background jobs cannot stream")
 	}
-	var simples []*shell.Simple
-	switch cmd := list.Items[0].Cmd.(type) {
-	case *shell.Simple:
-		simples = []*shell.Simple{cmd}
-	case *shell.Pipeline:
-		if cmd.Negated {
-			return nil, notStreamable("negated pipelines cannot stream")
-		}
-		for _, s := range cmd.Cmds {
-			ss, ok := s.(*shell.Simple)
-			if !ok {
-				return nil, notStreamable("compound pipeline stages cannot stream")
-			}
-			simples = append(simples, ss)
-		}
-	default:
-		return nil, notStreamable("%T is not a pipeline", cmd)
+	simples, negated, ok := simplePipeline(list.Items[0].Cmd)
+	if !ok || negated {
+		return nil, notStreamable("want one pipeline of simple commands")
 	}
-
-	// Expand with a throwaway interpreter: same env/expansion semantics
-	// as a batch run, paid once at plan time.
-	tmp := NewInterp(c, dir, vars, runtime.StdIO{})
-	x := tmp.expander()
-	stages := make([]Stage, 0, len(simples))
 	for _, s := range simples {
 		if len(s.Assigns) > 0 {
 			return nil, notStreamable("assignment prefixes cannot stream")
@@ -129,22 +109,19 @@ func (c *Compiler) PlanStream(src, dir string, vars map[string]string) (*StreamP
 		if len(s.Redirs) > 0 {
 			return nil, notStreamable("redirections cannot stream (the stream owns stdin/stdout)")
 		}
-		var argv []string
-		for _, w := range s.Args {
-			fs, err := x.ExpandWord(w)
-			if err != nil {
-				return nil, err
-			}
-			argv = append(argv, fs...)
-		}
-		if len(argv) == 0 {
-			return nil, notStreamable("empty command after expansion")
-		}
-		switch argv[0] {
+	}
+	// Expand with a throwaway interpreter: same env/expansion semantics
+	// as a batch run, paid once at plan time.
+	tmp := NewInterp(c, dir, vars, runtime.StdIO{})
+	stages, _, err := expandStages(tmp.expander(), simples)
+	if err != nil {
+		return nil, err
+	}
+	for _, st := range stages {
+		switch st.Name {
 		case "cd", "export", "wait", "exec", "set", "umask", "ulimit":
-			return nil, notStreamable("builtin %s cannot stream", argv[0])
+			return nil, notStreamable("builtin %s cannot stream", st.Name)
 		}
-		stages = append(stages, Stage{Name: argv[0], Args: argv[1:]})
 	}
 
 	// Compile once, unoptimized, to reuse the batch classification:

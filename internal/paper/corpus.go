@@ -267,6 +267,14 @@ EOF
 grep water in.txt) | sort`, nil
 			},
 		},
+		{
+			Name:       "assign-stage",
+			Structure:  "S|{S|S;S}",
+			Highlights: "an assignment-only pipeline stage sets nothing and writes nothing: the next stage reads EOF",
+			Setup: func(dir string, scale int) (string, error) {
+				return `echo STDIN | { x=1 | cat; echo "[$x]"; }`, nil
+			},
+		},
 	}
 }
 

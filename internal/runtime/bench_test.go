@@ -124,7 +124,7 @@ func drainStreams(streams []*edgeStream) chan struct{} {
 }
 
 // BenchmarkSplitStrategies compares the three split implementations on
-// the same workload at width 4: the barrier generalSplit, the streaming
+// the same workload at width 4: the barrier GeneralSplit, the streaming
 // roundRobinSplit, and the seek-based fileSplit.
 func BenchmarkSplitStrategies(b *testing.B) {
 	input := benchSplitInput()
@@ -149,7 +149,7 @@ func BenchmarkSplitStrategies(b *testing.B) {
 
 	b.Run("general", func(b *testing.B) {
 		run(b, func(ws []io.WriteCloser) error {
-			return generalSplit(bytes.NewReader(input), ws)
+			return GeneralSplit(bytes.NewReader(input), ws)
 		})
 	})
 	b.Run("round-robin", func(b *testing.B) {

@@ -208,7 +208,7 @@ func TestRoundRobinSplitMergeRoundTrip(t *testing.T) {
 
 // perLineSplit is the barrier split as it was before it moved blocks:
 // every line materialised, then written one at a time. Retained as the
-// oracle for the block-wise generalSplit.
+// oracle for the block-wise GeneralSplit.
 func perLineSplit(input string, width int) []string {
 	lines, _ := commands.ReadAllLines(strings.NewReader(input))
 	per := (len(lines) + width - 1) / width
@@ -259,7 +259,7 @@ func TestBarrierSplitMatchesPerLineSplit(t *testing.T) {
 					streams[i] = newEdgeStream(true, 0) // unbounded: split runs first
 					ws[i] = streams[i].writer()
 				}
-				if err := generalSplit(src, ws); err != nil {
+				if err := GeneralSplit(src, ws); err != nil {
 					t.Fatalf("%s width %d: split: %v", name, width, err)
 				}
 				for i, s := range streams {

@@ -525,7 +525,7 @@ func (ex *executor) runSplit(n *dfg.Node) error {
 		ex.readers[in.ID].Close()
 		err = fileSplit(ex.fs, in.Source.Path, ws)
 	default:
-		err = generalSplit(ex.readers[in.ID], ws)
+		err = GeneralSplit(ex.readers[in.ID], ws)
 	}
 	if err != nil {
 		return fmt.Errorf("runtime: split node #%d: %w", n.ID, err)

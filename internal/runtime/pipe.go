@@ -309,6 +309,27 @@ func (p *pipe) moved() (bytes, chunks int64) {
 	return p.bytesMoved, p.chunksMoved
 }
 
+// Eager copies r to w through the buffer an in-process eager edge gets,
+// an unbounded pipe: one goroutine fills it from r as fast as r delivers,
+// while the caller drains it to w at w's pace. It is the eager relay of an
+// emitted script (§5.2), so a producer never waits on a lazy consumer.
+// When w fails, Eager returns at once; the filler stops at its next write
+// or when r ends.
+func Eager(w io.Writer, r io.Reader) error {
+	p := newPipe(0)
+	filled := make(chan error, 1)
+	go func() {
+		_, err := commands.CopyChunks(writeEnd{p}, r)
+		p.CloseWrite()
+		filled <- err
+	}()
+	if _, err := commands.CopyChunks(w, readEnd{p}); err != nil {
+		p.CloseRead()
+		return err
+	}
+	return <-filled
+}
+
 // edgeStream packages the two ends of an edge.
 type edgeStream struct {
 	p *pipe

@@ -3,11 +3,13 @@ package runtime
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/agg"
 	"repro/internal/annot"
@@ -315,5 +317,41 @@ func TestFileSplitAlignment(t *testing.T) {
 		if all.String() != content {
 			t.Errorf("width %d: reassembled %q != original", width, all.String())
 		}
+	}
+}
+
+// TestEagerReadsAhead: Eager takes in its whole input while nothing reads
+// its output yet, as an in-process eager edge does. A bounded relay would
+// leave the producer blocked and the gate shut.
+func TestEagerReadsAhead(t *testing.T) {
+	in := bytes.Repeat([]byte("eager line\n"), 400_000) // 4.4 MB, far past a pipe
+	pr, pw := io.Pipe()
+	wrote := make(chan struct{})
+	go func() {
+		pw.Write(in) //nolint:errcheck // a short write shows as a mismatch below
+		pw.Close()
+		close(wrote)
+	}()
+	out := &gatedWriter{gate: wrote}
+	if err := Eager(out, pr); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.buf.Bytes(), in) {
+		t.Fatalf("Eager moved %d bytes, want the %d it was given", out.buf.Len(), len(in))
+	}
+}
+
+// gatedWriter accepts writes only once gate is closed, or fails after 10 s.
+type gatedWriter struct {
+	gate chan struct{}
+	buf  bytes.Buffer
+}
+
+func (g *gatedWriter) Write(b []byte) (int, error) {
+	select {
+	case <-g.gate:
+		return g.buf.Write(b)
+	case <-time.After(10 * time.Second):
+		return 0, errors.New("the producer never finished: the relay is not eager")
 	}
 }

@@ -12,7 +12,7 @@ import (
 // This file implements the three split strategies (§5.2 Splitting
 // Challenges, plus the streaming refinement this reproduction adds):
 //
-//   - generalSplit consumes its complete input as blocks, counts lines,
+//   - GeneralSplit consumes its complete input as blocks, counts lines,
 //     and then distributes the blocks evenly — correct for any upstream
 //     producer and any consumer, but a task-parallelism barrier with
 //     O(input) memory.
@@ -26,7 +26,7 @@ import (
 //     paired it with framed consumers and a pash-rr-merge that restores
 //     byte order (see internal/dfg/transform.go).
 
-// generalSplit reads everything from r, then deals line-balanced
+// GeneralSplit reads everything from r, then deals line-balanced
 // contiguous partitions to the writers in order: partition i is lines
 // [i*per, (i+1)*per) with per = ceil(lines/len(ws)). It holds the pooled
 // blocks it read and counts their newlines; whole blocks change hands by
@@ -34,7 +34,7 @@ import (
 // (in place: the two sides share its array, each capped to its own
 // bytes). A final unterminated line gets its newline, as every line
 // consumer would have given it.
-func generalSplit(r io.Reader, ws []io.WriteCloser) error {
+func GeneralSplit(r io.Reader, ws []io.WriteCloser) error {
 	var blocks [][]byte
 	var counts []int // newlines per block
 	total := 0

@@ -116,8 +116,9 @@ type Expander struct {
 	// the conservative static-analysis behaviour.
 	CmdSub func(src string) (string, error)
 	// Strict makes expansion of an undefined variable an error instead
-	// of the empty string. Static analysis (the ahead-of-time planner)
-	// uses it to detect dynamic words conservatively.
+	// of the empty string, and so is a word the shell would glob at run
+	// time (an unquoted *, ? or [). Static analysis (the ahead-of-time
+	// planner) uses it to detect dynamic words conservatively.
 	Strict bool
 	// Status, when set, gives the special parameter $?: the exit status
 	// of the most recent pipeline. It is not a variable — setting one
@@ -162,7 +163,7 @@ func (x *Expander) ExpandWord(w *Word) ([]string, error) {
 		case *SglQuoted:
 			text, literal = p.Text, true
 		}
-		if literal && !(x.Glob && strings.ContainsAny(text, "*?[")) {
+		if literal && !((x.Glob || x.Strict) && strings.ContainsAny(text, "*?[")) {
 			return []string{text}, nil
 		}
 	}
@@ -250,6 +251,9 @@ func (x *Expander) expandFields(w *Word) ([]string, error) {
 	for _, p := range w.Parts {
 		switch p := p.(type) {
 		case *Lit:
+			if x.Strict && strings.ContainsAny(p.Text, "*?[") {
+				return nil, &ExpandError{Msg: "pattern " + p.Text + " is globbed at run time"}
+			}
 			segs = append(segs, segment{text: p.Text, quoted: true})
 		case *SglQuoted:
 			segs = append(segs, segment{text: p.Text, quoted: true})
@@ -267,6 +271,9 @@ func (x *Expander) expandFields(w *Word) ([]string, error) {
 			v, err := x.param(p.Name)
 			if err != nil {
 				return nil, err
+			}
+			if x.Strict && strings.ContainsAny(v, "*?[") {
+				return nil, &ExpandError{Msg: "$" + p.Name + " is globbed at run time"}
 			}
 			segs = append(segs, segment{text: v, quoted: false})
 		case *CmdSub:

@@ -275,6 +275,13 @@ func (l *lexer) lexWord() (*Word, error) {
 			if e == '\n' {
 				continue // line continuation
 			}
+			if e == '*' || e == '?' || e == '[' {
+				// An escaped pattern character stays quoted in the AST, so
+				// a Lit's *, ? and [ are the ones a shell globs.
+				flush()
+				parts = append(parts, &SglQuoted{Text: string(e)})
+				continue
+			}
 			lit.WriteByte(e)
 		case '\'':
 			flush()

@@ -315,14 +315,16 @@ func printParam(sb *strings.Builder, p *Param) {
 }
 
 // quoteLit escapes shell metacharacters in an unquoted literal so that
-// re-parsing yields the same text.
+// re-parsing yields the same text. Pattern characters stay bare: in a
+// Lit they were written unquoted, and the shell running the printed
+// script globs them as it would have globbed the source.
 func quoteLit(s string) string {
 	var sb strings.Builder
 	for i := 0; i < len(s); i++ {
 		c := s[i]
 		switch c {
 		case ' ', '\t', '\n', ';', '&', '|', '(', ')', '<', '>', '#',
-			'\'', '"', '\\', '$', '`', '*', '?', '[', ']', '{', '}', '~':
+			'\'', '"', '\\', '$', '`', '{', '}', '~':
 			sb.WriteByte('\\')
 		}
 		sb.WriteByte(c)
