@@ -220,14 +220,18 @@
 //
 // # Extending pash
 //
-// The typed extension API (pash.CommandSpec) makes a user command a
-// full citizen of the parallelizing compiler. One registration carries:
+// The extension API (pash.CommandSpec) makes a user command a full
+// citizen of the parallelizing compiler. One registration carries:
 //
 //   - the implementation (a CommandFunc),
-//   - a builder-style annotation — clauses guarded by option predicates
-//     (pash.Opt, OptEq, Not, AllOf, AnyOf) assigning a class and I/O
-//     shape (pash.Stdin, Stdout, Arg, Args), mirroring the DSL records
-//     of Appendix A,
+//   - an annotation: one record of the Appendix A language, the one
+//     every builtin is annotated in (internal/annot/library.go) —
+//     clauses guarded by option predicates (-t, value -d = x, not,
+//     /\ and \/) assigning a class (S, P, N, E) and an I/O shape
+//     (stdin, stdout, args[i], args[lo:hi]), for example
+//     `score { | -t => (P, [stdin], [stdout]) | _ => (S, [stdin], [stdout]) }`;
+//     Session.Register rejects a record that does not parse, names
+//     another command, or comes with a second record,
 //   - an optional pash.KernelFactory: the per-block form that lets
 //     stateless invocations join fused chains and framed round-robin
 //     split regions,

@@ -1,5 +1,5 @@
 // Extension: make a user command a first-class citizen of the
-// parallelizing compiler with the typed extension API.
+// parallelizing compiler with the extension API.
 //
 // The custom command here is `score`, a CPU-heavy per-line hasher:
 //
@@ -8,16 +8,17 @@
 //
 // One CommandSpec registration gives it everything a builtin has:
 //
-//   - a typed annotation (clause-per-flag classification),
+//   - an annotation record in the Appendix A language, the one the
+//     builtin commands are annotated in (one clause per flag case),
 //   - a Kernel, so stateless invocations round-robin split and fuse
 //     into single-goroutine chains with builtins like tr,
 //   - an AggregatorSpec, so `score -t` parallelizes as map+aggregate
 //     and joins fan-in aggregation trees at high widths.
 //
-// The program registers the command, proves parallel output is
-// byte-identical to sequential, times both, and inspects the planned
-// graphs to show the custom command really sits inside fused nodes and
-// aggregation trees.
+// The program registers the command, checks that parallel output is
+// byte-identical to sequential (exiting 1 when it is not), times both,
+// and inspects the planned graphs to show the custom command really
+// sits inside fused nodes and aggregation trees.
 package main
 
 import (
@@ -140,16 +141,15 @@ func sumAggregator(args []string, inputs []io.Reader, stdout io.Writer) error {
 	return err
 }
 
-// scoreSpec is the complete typed registration.
+// scoreSpec is the complete registration.
 func scoreSpec() pash.CommandSpec {
 	return pash.CommandSpec{
 		Name: "score",
 		Run:  runScore,
-		Annotation: pash.NewAnnotation().
-			When(pash.Opt("-t"), pash.ClassPure,
-				[]pash.IO{pash.Stdin()}, []pash.IO{pash.Stdout()}).
-			Otherwise(pash.ClassStateless,
-				[]pash.IO{pash.Stdin()}, []pash.IO{pash.Stdout()}),
+		Annotation: `score {
+		| -t => (P, [stdin], [stdout])
+		| _  => (S, [stdin], [stdout])
+		}`,
 		Kernel: func(args []string) (pash.Kernel, bool) {
 			for _, a := range args {
 				if a != "-" {
@@ -194,17 +194,22 @@ func main() {
 	script := "score | tr a-f A-F"
 	seqOut, seqWall := run(seq, script, input)
 	parOut, parWall := run(par, script, input)
-	fmt.Printf("%-18s width 1: %8s   width 8: %8s   identical: %v\n",
-		script, seqWall.Round(time.Millisecond), parWall.Round(time.Millisecond),
-		seqOut == parOut)
+	if seqOut != parOut {
+		log.Fatalf("%q: width 8 output differs from width 1", script)
+	}
+	fmt.Printf("%-18s width 1: %8s   width 8: %8s   identical\n",
+		script, seqWall.Round(time.Millisecond), parWall.Round(time.Millisecond))
 
 	// 2. The pure form: map + aggregation tree.
 	script = "score -t"
 	seqOut, seqWall = run(seq, script, input)
 	parOut, parWall = run(par, script, input)
-	fmt.Printf("%-18s width 1: %8s   width 8: %8s   identical: %v (total %s)\n",
+	if seqOut != parOut {
+		log.Fatalf("%q: width 8 output differs from width 1", script)
+	}
+	fmt.Printf("%-18s width 1: %8s   width 8: %8s   identical (total %s)\n",
 		script, seqWall.Round(time.Millisecond), parWall.Round(time.Millisecond),
-		seqOut == parOut, strings.TrimSpace(parOut))
+		strings.TrimSpace(parOut))
 
 	// 3. Structure: the custom command really is inside the fast paths.
 	plan, err := par.CompileExec("score | tr a-f A-F")

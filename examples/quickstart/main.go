@@ -41,8 +41,10 @@ func main() {
 	fmt.Printf("\nexit status: %d\n", code)
 	fmt.Printf("regions parallelized: %d, dataflow nodes: %d\n",
 		stats.Regions, stats.TotalNodes)
-	fmt.Printf("parallel output identical to sequential: %v\n",
-		parOut.String() == seqOut.String())
+	if parOut.String() != seqOut.String() {
+		log.Fatal("parallel output differs from sequential")
+	}
+	fmt.Println("parallel output identical to sequential")
 
 	// 3. Show the Fig. 3-style compiled script for a static pipeline.
 	plan, err := par.Compile(`grep -c needle haystack.txt`)

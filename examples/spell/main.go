@@ -49,7 +49,10 @@ func main() {
 	par := run(pash.DefaultOptions(8))
 	fmt.Println("words not in the dictionary:")
 	fmt.Print(par)
-	fmt.Printf("parallel output identical to sequential: %v\n", par == seq)
+	if par != seq {
+		log.Fatal("parallel output differs from sequential")
+	}
+	fmt.Println("parallel output identical to sequential")
 
 	// Show what the compiler did with the comm stage.
 	s := pash.NewSession(pash.DefaultOptions(4))

@@ -56,6 +56,8 @@ func main() {
 	fmt.Printf("sequential: %v\n", seqDur.Round(time.Millisecond))
 
 	parOut, parDur := run(8)
-	fmt.Printf("pash width 8: %v (output identical: %v)\n",
-		parDur.Round(time.Millisecond), parOut == seqOut)
+	if parOut != seqOut {
+		log.Fatal("width 8 output differs from sequential")
+	}
+	fmt.Printf("pash width 8: %v (output identical)\n", parDur.Round(time.Millisecond))
 }

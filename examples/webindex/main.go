@@ -1,7 +1,8 @@
 // Web indexing: the §6.4 use case. Builds a synthetic Wikipedia
-// fragment, registers the custom text-processing commands *with
-// annotations* (the light-touch extensibility story of §3.2), and runs
-// the indexing pipeline sequentially and in parallel.
+// fragment, registers a custom text-processing command *with an
+// annotation record* (the light-touch extensibility story of §3.2), and
+// runs the indexing pipeline sequentially and in parallel, exiting 1
+// when the two outputs differ.
 package main
 
 import (
@@ -47,7 +48,7 @@ func main() {
 		if err := s.Register(pash.CommandSpec{
 			Name:       "strip-stopwords",
 			Run:        stripStopwords,
-			Annotation: pash.StdinStdout(pash.ClassStateless),
+			Annotation: "strip-stopwords { | _ => (S, [stdin], [stdout]) }",
 		}); err != nil {
 			log.Fatal(err)
 		}
@@ -65,7 +66,10 @@ func main() {
 	parOut := run(8)
 	fmt.Println("top terms (stop words removed):")
 	fmt.Print(parOut)
-	fmt.Printf("parallel output identical to sequential: %v\n", parOut == seqOut)
+	if parOut != seqOut {
+		log.Fatal("parallel output differs from sequential")
+	}
+	fmt.Println("parallel output identical to sequential")
 }
 
 // stripStopwords drops blank lines and a few English stop words.

@@ -202,13 +202,19 @@ func TestPredicateEval(t *testing.T) {
 
 func TestParseErrors(t *testing.T) {
 	bad := []string{
-		"",                                    // no record
-		"x { }",                               // no clauses
-		"x { | -a => (Z, [], []) }",           // bad class
-		"x { | => (S, [], []) }",              // missing predicate
-		"x { | -a (S, [], []) }",              // missing arrow
-		"x { | -a => (S, [], [) }",            // bad list
-		"x { | -a => (S [stdin], [stdout]) }", // missing comma
+		"",                                       // no record
+		"x { }",                                  // no clauses
+		"x { | -a => (Z, [], []) }",              // bad class
+		"x { | => (S, [], []) }",                 // missing predicate
+		"x { | -a (S, [], []) }",                 // missing arrow
+		"x { | -a => (S, [], [) }",               // bad list
+		"x { | -a => (S [stdin], [stdout]) }",    // missing comma
+		`\`,                                      // lone backslash
+		`x { | -a\b => (S, [stdin], [stdout]) }`, // backslash outside /\ and \/
+		`x { | -a || -b => (S, [stdin], [stdout]) }`, // || is not an operator
+		`x { | value -a = "abc`,                      // unterminated string
+		"x { | _ => (S, [args[-1]], [stdout]) }",     // negative operand index
+		"x { | _ => (S, [args[0:-2]], [stdout]) }",   // negative upper bound
 	}
 	for _, src := range bad {
 		if _, err := ParseRecords(src); err == nil && src != "" {
@@ -221,10 +227,7 @@ func TestParseErrors(t *testing.T) {
 }
 
 func TestRegistryRegisterOverride(t *testing.T) {
-	reg, err := NewStdRegistry()
-	if err != nil {
-		t.Fatal(err)
-	}
+	reg := StdRegistry().Clone()
 	// A user demotes grep to E (maintenance story from §3.2).
 	if err := reg.Register("grep { | _ => (E, [], [stdout]) }"); err != nil {
 		t.Fatal(err)
@@ -250,4 +253,39 @@ func TestPredString(t *testing.T) {
 			t.Errorf("Pred.String() = %q missing %q", s, frag)
 		}
 	}
+}
+
+// FuzzParseRecords: any text either parses to records or returns an
+// error — no panic, no hang — and every record it parses resolves an
+// argv without panicking.
+func FuzzParseRecords(f *testing.F) {
+	f.Add(stdlibSrc)
+	f.Add(`cut { takesvalue -d -f; | -z => (E, [], [stdout]) | _ => (S, [args[0:]], [stdout]) }`)
+	f.Add(`x { | not -a => (S, [stdin], [stdout]) | _ => (E, [], []) }`)
+	f.Add(`x { | value -n = "1" \/ -c => (P, [args[1:3], arg[0]], [stdout]) }`)
+	f.Add(`comm { | -1 /\ not -3 => (S, [args[1]], [stdout]) | _ => (P, [args[:2], args[2:]], [stdout]) }`)
+	argvs := [][]string{
+		nil,
+		{"-a"},
+		{"-n", "1", "f"},
+		{"-13", "--", "-", "a", "b"},
+		{"--long=v", "-d", ",", "-f2", "f", "g", "h"},
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		recs, err := ParseRecords(src)
+		if err != nil {
+			if recs != nil {
+				t.Fatalf("ParseRecords(%q) returned records and an error", src)
+			}
+			return
+		}
+		for _, rec := range recs {
+			if len(rec.Clauses) == 0 {
+				t.Fatalf("ParseRecords(%q): record %s has no clauses", src, rec.Name)
+			}
+			for _, argv := range argvs {
+				rec.Resolve(argv)
+			}
+		}
+	})
 }

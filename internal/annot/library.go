@@ -40,17 +40,9 @@ func NewRegistry() *Registry {
 // records with the same name (the §3.2 maintenance story: annotations can
 // be updated as commands evolve).
 func (r *Registry) Register(src string) error {
-	_, err := r.RegisterRecords(src)
-	return err
-}
-
-// RegisterRecords parses DSL source, adds all records, and returns them —
-// the typed construction path's sibling, for callers that need to know
-// which names a registration touched.
-func (r *Registry) RegisterRecords(src string) ([]*Record, error) {
 	recs, err := ParseRecords(src)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -58,13 +50,12 @@ func (r *Registry) RegisterRecords(src string) ([]*Record, error) {
 		r.recs[rec.Name] = rec
 	}
 	r.gen = registryGen.Add(1)
-	return recs, nil
+	return nil
 }
 
-// Add inserts a pre-built record: the typed construction path beside the
-// string parser. Records built programmatically (the public extension
-// API's annotation builder compiles to one) classify identically to
-// parsed ones.
+// Add inserts one parsed record, replacing any record of the same name.
+// The session layer parses and checks a user's record before it copies
+// the registry, so a rejected record leaves the session unchanged.
 func (r *Registry) Add(rec *Record) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -469,15 +460,4 @@ func StdRegistry() *Registry {
 		panic(fmt.Sprintf("annot: standard library failed to parse: %v", stdErr))
 	}
 	return stdReg
-}
-
-// NewStdRegistry returns a fresh registry with the standard library,
-// isolated from the shared one (for tests that mutate annotations).
-func NewStdRegistry() (*Registry, error) {
-	r := NewRegistry()
-	if err := r.Register(stdlibSrc); err != nil {
-		return nil, err
-	}
-	installRefiners(r)
-	return r, nil
 }

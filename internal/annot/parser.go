@@ -20,7 +20,11 @@ import (
 // pragma as the first record element (declaring options that consume a
 // value), `\/` for or (mirroring /\ for and), and `#` line comments.
 func ParseRecords(src string) ([]*Record, error) {
-	p := &rparser{toks: tokenizeDSL(src)}
+	toks, err := tokenizeDSL(src)
+	if err != nil {
+		return nil, err
+	}
+	p := &rparser{toks: toks}
 	var recs []*Record
 	for !p.eof() {
 		r, err := p.parseRecord()
@@ -51,7 +55,7 @@ type dtok struct {
 	line int
 }
 
-func tokenizeDSL(src string) []dtok {
+func tokenizeDSL(src string) ([]dtok, error) {
 	var toks []dtok
 	line := 1
 	i := 0
@@ -69,7 +73,7 @@ func tokenizeDSL(src string) []dtok {
 				i++
 			}
 		case c == '{' || c == '}' || c == '(' || c == ')' || c == '[' || c == ']' ||
-			c == ',' || c == '|' && (i+1 >= len(src) || src[i+1] != '|') || c == ';' || c == ':':
+			c == ',' || c == '|' || c == ';' || c == ':':
 			push(string(c))
 			i++
 		case strings.HasPrefix(src[i:], "=>"):
@@ -89,6 +93,9 @@ func tokenizeDSL(src string) []dtok {
 			for j < len(src) && src[j] != '"' {
 				j++
 			}
+			if j == len(src) {
+				return nil, fmt.Errorf("annot: line %d: unterminated string", line)
+			}
 			push(src[i : j+1])
 			i = j + 1
 		default:
@@ -96,11 +103,16 @@ func tokenizeDSL(src string) []dtok {
 			for j < len(src) && !isDSLBreak(src[j]) {
 				j++
 			}
+			if j == i {
+				// The one break character no case above consumes: a
+				// backslash outside /\ and \/.
+				return nil, fmt.Errorf("annot: line %d: unexpected %q", line, c)
+			}
 			push(src[i:j])
 			i = j
 		}
 	}
-	return toks
+	return toks, nil
 }
 
 func isDSLBreak(c byte) bool {
@@ -350,21 +362,20 @@ func (p *rparser) parseIORef() (IORef, error) {
 			return IORef{}, err
 		}
 		lo, hasLo := 0, false
-		hi, hasHi := -1, false
-		if n, err := strconv.Atoi(p.peek()); err == nil {
+		hi := -1
+		if n, ok := operandIndex(p.peek()); ok {
 			lo, hasLo = n, true
 			p.next()
 		}
 		if p.peek() == ":" {
 			p.next()
-			if n, err := strconv.Atoi(p.peek()); err == nil {
-				hi, hasHi = n, true
+			if n, ok := operandIndex(p.peek()); ok {
+				hi = n
 				p.next()
 			}
 			if err := p.expect("]"); err != nil {
 				return IORef{}, err
 			}
-			_ = hasHi
 			return IORef{Kind: IOArgs, Lo: lo, Hi: hi}, nil
 		}
 		if !hasLo {
@@ -376,6 +387,13 @@ func (p *rparser) parseIORef() (IORef, error) {
 		return IORef{Kind: IOArg, Lo: lo}, nil
 	}
 	return IORef{}, fmt.Errorf("annot: line %d: expected io ref, got %q", p.line(), p.peek())
+}
+
+// operandIndex parses a bound of args[...]: operands count from 0, so a
+// negative bound is not an index (and would index before the operands).
+func operandIndex(s string) (int, bool) {
+	n, err := strconv.Atoi(s)
+	return n, err == nil && n >= 0
 }
 
 func isCommandName(s string) bool {

@@ -310,18 +310,26 @@ func (r *Registry) AggFor(name string) (AggSpec, bool) {
 // externally-registered kernels and falling back to the builtin table —
 // except for custom names, whose user implementation shadows the
 // builtin kernel (which would be byte-faithful to the wrong command).
+// A maker that reports true with a nil kernel counts as no kernel form.
 func (r *Registry) NewKernel(name string, args []string) (Kernel, bool) {
 	r.mu.RLock()
 	mk := r.kernels[name]
 	custom := r.custom[name]
 	r.mu.RUnlock()
-	if mk != nil {
-		return mk(args)
+	var k Kernel
+	var ok bool
+	switch {
+	case mk != nil:
+		k, ok = mk(args)
+	case custom:
+		return nil, false
+	default:
+		k, ok = NewKernel(name, args)
 	}
-	if custom {
+	if !ok || k == nil {
 		return nil, false
 	}
-	return NewKernel(name, args)
+	return k, true
 }
 
 // KernelCapable reports whether the invocation can run as a fused

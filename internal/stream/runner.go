@@ -111,7 +111,8 @@ type Runner struct {
 	lats  []time.Duration
 }
 
-// maxLatSamples bounds the emit-latency record (bench percentiles).
+// maxLatSamples bounds the emit-latency record, the samples behind
+// Stats.EmitP50Ms and Stats.EmitP99Ms.
 const maxLatSamples = 1 << 16
 
 // NewRunner validates cfg and builds a runner. Call Run once.
@@ -256,14 +257,6 @@ func (r *Runner) noteLatency(d time.Duration) {
 		r.lats = append(r.lats, d)
 	}
 	r.latMu.Unlock()
-}
-
-// Latencies returns the recorded window emit latencies (close → emit),
-// up to maxLatSamples. Bench percentiles come from here.
-func (r *Runner) Latencies() []time.Duration {
-	r.latMu.Lock()
-	defer r.latMu.Unlock()
-	return append([]time.Duration(nil), r.lats...)
 }
 
 // latPercentiles computes the p50/p99 window emit latency in

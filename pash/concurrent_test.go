@@ -132,7 +132,7 @@ func TestConcurrentRegistrationDuringRuns(t *testing.T) {
 			if err := s.Register(CommandSpec{
 				Name:       fmt.Sprintf("custom%d", i%4),
 				Run:        func(args []string, stdin io.Reader, stdout io.Writer) error { return nil },
-				Annotation: StdinStdout(ClassStateless),
+				Annotation: fmt.Sprintf("custom%d { | _ => (S, [stdin], [stdout]) }", i%4),
 			}); err != nil {
 				t.Errorf("register: %v", err)
 				return

@@ -1,15 +1,15 @@
 package pash
 
-// This file is the typed extension API: the first-class path for making
-// a user command a full citizen of the parallelizing compiler. The
-// paper's claim (§3.2) is that a light-touch annotation suffices for
-// arbitrary commands to join automatic parallelization; CommandSpec is
-// that annotation in typed form — class and I/O shape via a builder
-// (mirroring the DSL's records without exposing internals), plus the
-// two runtime hooks the string DSL cannot express: a KernelFactory
-// (stage fusion, framed round-robin splitting) and an AggregatorSpec
-// (map/aggregate parallelization, fan-in aggregation trees). A command
-// registered with all three parallelizes exactly like a builtin.
+// This file is the extension API: the path for making a user command a
+// full citizen of the parallelizing compiler. The paper's claim (§3.2)
+// is that a light-touch annotation suffices for arbitrary commands to
+// join automatic parallelization; CommandSpec carries that annotation
+// as one Appendix A record (the language of the standard library's
+// records), plus the two runtime hooks the DSL cannot express: a
+// KernelFactory (stage fusion, framed round-robin splitting) and an
+// AggregatorSpec (map/aggregate parallelization, fan-in aggregation
+// trees). A command registered with all three parallelizes exactly
+// like a builtin.
 
 import (
 	"errors"
@@ -22,173 +22,9 @@ import (
 	"repro/internal/core"
 )
 
-// Class is a parallelizability class (§3.1): how much the compiler may
-// assume about a command when parallelizing it.
-type Class = annot.Class
-
-// Parallelizability classes.
-const (
-	// ClassStateless commands map/filter individual lines with no state
-	// across them; replicas' outputs concatenate. They round-robin
-	// split, fuse, and replicate freely.
-	ClassStateless = annot.Stateless
-	// ClassPure commands are functionally pure but keep state across
-	// the whole pass (sort, wc). They parallelize only with an
-	// AggregatorSpec.
-	ClassPure = annot.Pure
-	// ClassNonParallelizable commands are pure but not data-parallel on
-	// one input (sha1sum).
-	ClassNonParallelizable = annot.NonParallelizable
-	// ClassSideEffectful commands touch the environment; never
-	// parallelized. This is the conservative default for unannotated
-	// commands.
-	ClassSideEffectful = annot.SideEffectful
-)
-
-// Pred is a predicate over an invocation's option multiset, used to
-// guard annotation clauses ("with -c this command is pure"). The zero
-// Pred matches every invocation.
-type Pred struct{ p annot.Pred }
-
-// Opt matches when the option is present (clustered short flags are
-// split, so -rn registers both -r and -n).
-func Opt(name string) Pred { return Pred{&annot.HasOpt{Opt: name}} }
-
-// OptEq matches when the option is present with exactly this value.
-func OptEq(name, value string) Pred { return Pred{&annot.ValueEq{Opt: name, Val: value}} }
-
-// Not negates a predicate. Negating the zero ("match everything")
-// predicate yields one that matches nothing.
-func Not(p Pred) Pred {
-	if p.p == nil {
-		// No invocation carries this impossible option name.
-		return Pred{&annot.HasOpt{Opt: "\x00never"}}
-	}
-	return Pred{&annot.Not{P: p.p}}
-}
-
-// AllOf conjoins predicates; with no arguments it matches everything.
-func AllOf(ps ...Pred) Pred {
-	var acc annot.Pred
-	for _, p := range ps {
-		if p.p == nil {
-			continue
-		}
-		if acc == nil {
-			acc = p.p
-		} else {
-			acc = &annot.And{L: acc, R: p.p}
-		}
-	}
-	return Pred{acc}
-}
-
-// AnyOf disjoins predicates; with no arguments it matches everything.
-func AnyOf(ps ...Pred) Pred {
-	var acc annot.Pred
-	for _, p := range ps {
-		if p.p == nil {
-			return Pred{}
-		}
-		if acc == nil {
-			acc = p.p
-		} else {
-			acc = &annot.Or{L: acc, R: p.p}
-		}
-	}
-	return Pred{acc}
-}
-
-// IO names one abstract input or output position of a command: standard
-// input, standard output, or operand positions (non-option arguments).
-type IO struct{ ref annot.IORef }
-
-// Stdin refers to the command's standard input.
-func Stdin() IO { return IO{annot.IORef{Kind: annot.IOStdin}} }
-
-// Stdout refers to the command's standard output.
-func Stdout() IO { return IO{annot.IORef{Kind: annot.IOStdout}} }
-
-// Arg refers to the i-th operand (0-based, counting only non-option
-// arguments) as a file stream.
-func Arg(i int) IO { return IO{annot.IORef{Kind: annot.IOArg, Lo: i}} }
-
-// Args refers to operands lo..hi (exclusive; hi < 0 means "to the
-// end") as file streams in order.
-func Args(lo, hi int) IO { return IO{annot.IORef{Kind: annot.IOArgs, Lo: lo, Hi: hi}} }
-
-// Annotation is the builder-style form of an annotation record: an
-// ordered list of clauses, each guarded by an option predicate, giving
-// the parallelizability class and I/O shape of matching invocations.
-// The first matching clause wins; invocations matching no clause fall
-// back to the conservative side-effectful default.
-type Annotation struct {
-	valueOpts []string
-	clauses   []annotClause
-}
-
-type annotClause struct {
-	pred    Pred
-	class   Class
-	in, out []IO
-}
-
-// NewAnnotation returns an empty annotation builder.
-func NewAnnotation() *Annotation { return &Annotation{} }
-
-// StdinStdout is the common whole-command annotation: every invocation
-// has the given class, reads standard input, writes standard output —
-// the typed form of `cmd { | _ => (C, [stdin], [stdout]) }`.
-func StdinStdout(class Class) *Annotation {
-	return NewAnnotation().Otherwise(class, []IO{Stdin()}, []IO{Stdout()})
-}
-
-// ValueOpts declares options that consume the following argument as
-// their value (cut's -d, head's -n), so option parsing can separate
-// them from operands.
-func (a *Annotation) ValueOpts(opts ...string) *Annotation {
-	a.valueOpts = append(a.valueOpts, opts...)
-	return a
-}
-
-// When appends a guarded clause: invocations matching pred get the
-// class and I/O shape. Clauses are tried in the order added.
-func (a *Annotation) When(pred Pred, class Class, inputs, outputs []IO) *Annotation {
-	a.clauses = append(a.clauses, annotClause{pred: pred, class: class, in: inputs, out: outputs})
-	return a
-}
-
-// Otherwise appends an unguarded clause (the `_` arm): it matches every
-// invocation that reached it, so it should come last.
-func (a *Annotation) Otherwise(class Class, inputs, outputs []IO) *Annotation {
-	return a.When(Pred{}, class, inputs, outputs)
-}
-
-// record compiles the builder to an internal annotation record — the
-// typed construction path beside the DSL parser.
-func (a *Annotation) record(name string) (*annot.Record, error) {
-	if len(a.clauses) == 0 {
-		return nil, fmt.Errorf("pash: annotation for %q has no clauses", name)
-	}
-	rec := &annot.Record{Name: name, ValueOpts: map[string]bool{}}
-	for _, o := range a.valueOpts {
-		rec.ValueOpts[o] = true
-	}
-	for _, cl := range a.clauses {
-		ac := annot.Clause{Pred: cl.pred.p, Assign: annot.Assignment{Class: cl.class}}
-		for _, r := range cl.in {
-			ac.Assign.Inputs = append(ac.Assign.Inputs, r.ref)
-		}
-		for _, r := range cl.out {
-			ac.Assign.Outputs = append(ac.Assign.Outputs, r.ref)
-		}
-		rec.Clauses = append(rec.Clauses, ac)
-	}
-	return rec, nil
-}
-
 // Kernel is the per-block form of a stateless command: the contract
-// that lets it join fused chains and framed round-robin regions.
+// that lets it join fused chains and framed round-robin regions. It is
+// the interface the builtin kernels implement.
 //
 // Apply appends the transform of one input block to out and returns the
 // grown slice; it must not retain in. Blocks arrive in stream order but
@@ -198,16 +34,13 @@ func (a *Annotation) record(name string) (*annot.Record, error) {
 // processes a sequence of independent streams under the framed
 // protocol: one stream per chunk). Status reports the accumulated exit
 // status across all streams; nil means 0.
-type Kernel interface {
-	Apply(out, in []byte) []byte
-	Finish(out []byte) []byte
-	Status() error
-}
+type Kernel = commands.Kernel
 
 // KernelFactory builds the kernel for one invocation of the command, or
 // reports false when this flag combination has no kernel form (the
-// command then runs unfused, which is always safe).
-type KernelFactory func(args []string) (Kernel, bool)
+// command then runs unfused, which is always safe). A nil kernel
+// reported with true counts as no kernel form.
+type KernelFactory = commands.KernelMaker
 
 // AggregatorFunc is an aggregate implementation: it merges the partial
 // outputs of parallel map instances back into the sequential command's
@@ -246,21 +79,28 @@ type AggregatorSpec struct {
 	StopsEarly bool
 }
 
-// CommandSpec is a complete typed registration: implementation,
+// CommandSpec is a complete registration: implementation,
 // classification, and the optional hooks that admit the command to the
 // planner's fast paths. Zero hooks is always sound — the command runs,
-// classified by Annotation (or conservatively when nil).
+// classified by Annotation (or conservatively when it is empty).
 type CommandSpec struct {
 	// Name is the command name scripts invoke (required).
 	Name string
 	// Run is the implementation (required).
 	Run CommandFunc
-	// Annotation classifies invocations. Nil leaves the name
-	// unannotated: the conservative side-effectful default, never
-	// parallelized. Registering a builtin name with a nil Annotation
+	// Annotation classifies invocations: one record of the Appendix A
+	// annotation language, named Name, e.g.
+	//
+	//	score { | -t => (P, [stdin], [stdout]) | _ => (S, [stdin], [stdout]) }
+	//
+	// Clauses are tried in order; an invocation matching none falls
+	// back to the conservative side-effectful default. An optional
+	// `takesvalue -d -f;` first element names options that consume the
+	// next argument. "" leaves the name unannotated: the side-effectful
+	// default, never parallelized. Registering a builtin name with ""
 	// also clears the builtin's annotation — user registrations shadow
 	// builtins completely (see Session.Register).
-	Annotation *Annotation
+	Annotation string
 	// Kernel, when set, gives stateless invocations a per-block form:
 	// they join fused chains and framed round-robin split regions.
 	Kernel KernelFactory
@@ -269,7 +109,7 @@ type CommandSpec struct {
 	Aggregator *AggregatorSpec
 }
 
-// Register installs a typed command spec into the session, making the
+// Register installs a command spec into the session, making the
 // command a first-class citizen of the parallelizing compiler: it
 // classifies through Annotation, round-robin splits and fuses through
 // Kernel, and joins fan-in aggregation trees through Aggregator.
@@ -300,10 +140,13 @@ func (s *Session) Register(spec CommandSpec) error {
 		}
 	}
 	var rec *annot.Record
-	if spec.Annotation != nil {
-		r, err := spec.Annotation.record(spec.Name)
+	if spec.Annotation != "" {
+		r, err := annot.ParseRecord(spec.Annotation)
 		if err != nil {
-			return err
+			return fmt.Errorf("pash: annotation for %q: %w", spec.Name, err)
+		}
+		if r.Name != spec.Name {
+			return fmt.Errorf("pash: annotation record names %q, want %q", r.Name, spec.Name)
 		}
 		rec = r
 	}
@@ -314,14 +157,7 @@ func (s *Session) Register(spec CommandSpec) error {
 	cc.Cmds = cc.Cmds.Clone()
 	cc.Cmds.Register(spec.Name, wrapCommand(spec.Run))
 	if spec.Kernel != nil {
-		f := spec.Kernel
-		cc.Cmds.RegisterKernel(spec.Name, func(args []string) (commands.Kernel, bool) {
-			k, ok := f(args)
-			if !ok || k == nil {
-				return nil, false
-			}
-			return k, true
-		})
+		cc.Cmds.RegisterKernel(spec.Name, spec.Kernel)
 	}
 	if spec.Aggregator != nil {
 		ag := *spec.Aggregator
@@ -342,9 +178,7 @@ func (s *Session) Register(spec CommandSpec) error {
 			StopsEarly:  ag.StopsEarly,
 		})
 	}
-	if err := s.isolateAnnotLocked(&cc); err != nil {
-		return err
-	}
+	cc.Annot = cc.Annot.Clone()
 	if rec != nil {
 		cc.Annot.Add(rec)
 		s.userAnnot[spec.Name] = true

@@ -79,9 +79,10 @@ func heavySpec() CommandSpec {
 			_, err = stdout.Write(out)
 			return err
 		},
-		Annotation: NewAnnotation().
-			When(Opt("-t"), ClassPure, []IO{Stdin()}, []IO{Stdout()}).
-			Otherwise(ClassStateless, []IO{Stdin()}, []IO{Stdout()}),
+		Annotation: `heavy {
+		| -t => (P, [stdin], [stdout])
+		| _  => (S, [stdin], [stdout])
+		}`,
 		Kernel: func(args []string) (Kernel, bool) {
 			if len(args) != 0 {
 				return nil, false

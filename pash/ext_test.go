@@ -41,7 +41,7 @@ func revSpec() CommandSpec {
 			}
 			return nil
 		},
-		Annotation: StdinStdout(ClassStateless),
+		Annotation: "myrev { | _ => (S, [stdin], [stdout]) }",
 		Kernel: func(args []string) (Kernel, bool) {
 			if len(args) != 0 {
 				return nil, false
@@ -119,7 +119,7 @@ func sumSpec() CommandSpec {
 			_, err = fmt.Fprintf(stdout, "%d\n", total)
 			return err
 		},
-		Annotation: StdinStdout(ClassPure),
+		Annotation: "mysum { | _ => (P, [stdin], [stdout]) }",
 		Aggregator: &AggregatorSpec{
 			AggName: "mysum-agg",
 			AggArgs: []string{},
@@ -399,6 +399,7 @@ func TestShadowBuiltinPrecedence(t *testing.T) {
 func TestShadowWithSpecRestoresFastPaths(t *testing.T) {
 	spec := revSpec()
 	spec.Name = "grep" // deliberately collide with a builtin
+	spec.Annotation = "grep { | _ => (S, [stdin], [stdout]) }"
 	s := NewSession(DefaultOptions(8))
 	if err := s.Register(spec); err != nil {
 		t.Fatal(err)
@@ -424,15 +425,44 @@ func TestShadowWithSpecRestoresFastPaths(t *testing.T) {
 	}
 }
 
-// TestAnnotationBuilderClauses exercises the predicate combinators
+// TestNilKernelMeansNoKernelForm: a factory that reports true with a
+// nil kernel has no kernel form for that invocation — the command plans
+// unfused and runs — the same check the builtin kernels pass.
+func TestNilKernelMeansNoKernelForm(t *testing.T) {
+	spec := revSpec()
+	spec.Kernel = func(args []string) (Kernel, bool) { return nil, true }
+	s := NewSession(DefaultOptions(8))
+	if err := s.Register(spec); err != nil {
+		t.Fatal(err)
+	}
+	plan, err := s.CompileExec("myrev | tr a-z A-Z")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, item := range plan.Items {
+		for _, n := range item.Graph.Nodes {
+			for _, st := range n.Stages {
+				if st.Name == "myrev" {
+					t.Errorf("myrev fused through a nil kernel: %v", n)
+				}
+			}
+		}
+	}
+	if got := runExt(t, DefaultOptions(8), []CommandSpec{spec}, "myrev | tr a-z A-Z", strings.NewReader("abc\n")); got != "CBA#3\n" {
+		t.Errorf("output = %q, want %q", got, "CBA#3\n")
+	}
+}
+
+// TestAnnotationClauses exercises the record's predicate operators
 // through classification behavior: a guarded clause demotes -s
 // invocations to side-effectful (sequential), everything else stays
 // stateless and parallelizes.
-func TestAnnotationBuilderClauses(t *testing.T) {
+func TestAnnotationClauses(t *testing.T) {
 	spec := revSpec()
-	spec.Annotation = NewAnnotation().
-		When(AnyOf(Opt("-s"), AllOf(Opt("-x"), Not(Opt("-y")))), ClassSideEffectful, nil, nil).
-		Otherwise(ClassStateless, []IO{Stdin()}, []IO{Stdout()})
+	spec.Annotation = `myrev {
+	| -s \/ (-x /\ not -y) => (E, [], [])
+	| _ => (S, [stdin], [stdout])
+	}`
 	s := NewSession(DefaultOptions(8))
 	if err := s.Register(spec); err != nil {
 		t.Fatal(err)
@@ -468,9 +498,9 @@ func TestAnnotationBuilderClauses(t *testing.T) {
 		t.Errorf("-s invocation replicas = %d, want 0 (side-effectful clause)", got)
 	}
 	if got := countMaps("myrev -x | tr a-z A-Z"); got != 0 {
-		t.Errorf("-x invocation replicas = %d, want 0 (AllOf(-x, Not(-y)))", got)
+		t.Errorf("-x invocation replicas = %d, want 0 (-x /\\ not -y)", got)
 	}
-	// -x -y: the AllOf guard fails (Not(-y) is false) → stateless arm.
+	// -x -y: the -x /\ not -y guard fails (not -y is false) → stateless arm.
 	// The kernel factory rejects flagged invocations, so it replicates
 	// framed rather than fusing.
 	if got := countMaps("myrev -x -y | tr a-z A-Z"); got != 8 {
@@ -496,7 +526,7 @@ func TestRegisterValidation(t *testing.T) {
 	}
 	if err := s.Register(CommandSpec{
 		Name: "x", Run: noop,
-		Annotation: NewAnnotation(),
+		Annotation: "x { }",
 	}); err == nil {
 		t.Error("annotation without clauses accepted")
 	}
@@ -514,10 +544,48 @@ func TestRegisterValidation(t *testing.T) {
 	// ... and with a nil Agg it is allowed (sort / sort -m style).
 	if err := s.Register(CommandSpec{
 		Name: "x", Run: noop,
-		Annotation: StdinStdout(ClassPure),
+		Annotation: "x { | _ => (P, [stdin], [stdout]) }",
 		Aggregator: &AggregatorSpec{AggName: "x", AggArgs: []string{"-m"}},
 	}); err != nil {
 		t.Errorf("self-aggregating spec rejected: %v", err)
+	}
+}
+
+// TestRegisterRejectsBadAnnotation: an annotation that is not exactly
+// one record, named after the command, with at least one clause, is an
+// error, and the session keeps the registration it had.
+func TestRegisterRejectsBadAnnotation(t *testing.T) {
+	s := NewSession(DefaultOptions(2))
+	if err := s.Register(revSpec()); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ name, annotation string }{
+		{"syntax error", "myrev { | _ => (S, [stdin] [stdout]) }"},
+		{"mismatched name", "yourrev { | _ => (S, [stdin], [stdout]) }"},
+		{"two records", "myrev { | _ => (S, [stdin], [stdout]) } other { | _ => (E, [], []) }"},
+		{"zero clauses", "myrev { }"},
+	} {
+		before := s.snapshot()
+		spec := revSpec()
+		spec.Run = func(args []string, stdin io.Reader, stdout io.Writer) error {
+			_, err := io.WriteString(stdout, "replaced\n")
+			return err
+		}
+		spec.Annotation = tc.annotation
+		if err := s.Register(spec); err == nil {
+			t.Errorf("%s: %q accepted", tc.name, tc.annotation)
+		}
+		after := s.snapshot()
+		if after.Cmds.Generation() != before.Cmds.Generation() || after.Annot.Generation() != before.Annot.Generation() {
+			t.Errorf("%s: registry generations moved", tc.name)
+		}
+		var out bytes.Buffer
+		if code, err := s.Run(context.Background(), "myrev", strings.NewReader("abc\n"), &out, io.Discard); err != nil || code != 0 {
+			t.Fatalf("%s: code=%d err=%v", tc.name, code, err)
+		}
+		if out.String() != "cba#3\n" {
+			t.Errorf("%s: myrev output = %q, want the previous registration's", tc.name, out.String())
+		}
 	}
 }
 

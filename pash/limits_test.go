@@ -309,7 +309,7 @@ func panickySpec() CommandSpec {
 			io.Copy(io.Discard, stdin)
 			panic("extension bug: nil map write")
 		},
-		Annotation: StdinStdout(ClassStateless),
+		Annotation: "panicky { | _ => (S, [stdin], [stdout]) }",
 		Kernel: func(args []string) (Kernel, bool) {
 			return &panicKernel{}, true
 		},

@@ -20,17 +20,17 @@
 //	job, err := s.Start(ctx, script, pash.JobIO{Stdin: in, Stdout: out})
 //	code, err := job.Wait()
 //
-// Command developers extend the system through the typed extension API
-// (§3.2): a CommandSpec carries the implementation, a builder-style
-// annotation (class, option predicates, I/O shape), and the optional
-// kernel and aggregator hooks that make a user command parallelize
-// exactly like a builtin — round-robin splits, fused chains, fan-in
-// aggregation trees:
+// Command developers extend the system through the extension API
+// (§3.2): a CommandSpec carries the implementation, an annotation
+// record in the Appendix A language (class and I/O shape per option
+// predicate), and the optional kernel and aggregator hooks that make a
+// user command parallelize exactly like a builtin — round-robin splits,
+// fused chains, fan-in aggregation trees:
 //
 //	s.Register(pash.CommandSpec{
 //	        Name:       "mycmd",
 //	        Run:        myImpl,
-//	        Annotation: pash.StdinStdout(pash.ClassStateless),
+//	        Annotation: "mycmd { | _ => (S, [stdin], [stdout]) }",
 //	        Kernel:     myKernelFactory,
 //	})
 package pash
@@ -40,7 +40,6 @@ import (
 	"io"
 	"sync"
 
-	"repro/internal/annot"
 	"repro/internal/commands"
 	"repro/internal/core"
 	"repro/internal/dist"
@@ -96,7 +95,6 @@ type Session struct {
 	// Vars seeds the shell variable environment (e.g. PASH_CURL_ROOT).
 	Vars map[string]string
 
-	isolatedAnnot bool
 	// userAnnot names the commands whose annotation the user supplied
 	// (via Register): shadowing a command never
 	// clears a user-supplied record, only inherited builtin ones.
@@ -206,23 +204,6 @@ func (s *Session) PlanCacheStats() PlanCacheStats {
 		return PlanCacheStats{}
 	}
 	return c.Plans.Stats()
-}
-
-// isolateAnnotLocked gives the pending compiler snapshot a private,
-// mutable annotation registry: a fresh standard registry on first use,
-// a copy-on-write clone afterward. Callers hold s.mu.
-func (s *Session) isolateAnnotLocked(cc *core.Compiler) error {
-	if !s.isolatedAnnot {
-		reg, err := annot.NewStdRegistry()
-		if err != nil {
-			return err
-		}
-		cc.Annot = reg
-		s.isolatedAnnot = true
-		return nil
-	}
-	cc.Annot = cc.Annot.Clone()
-	return nil
 }
 
 // CommandFunc is a user-supplied command implementation: it reads stdin,

@@ -61,7 +61,7 @@ func TestRegisterCommandAndAnnotation(t *testing.T) {
 		}
 		return nil
 	}
-	if err := s.Register(CommandSpec{Name: "double", Run: double, Annotation: StdinStdout(ClassStateless)}); err != nil {
+	if err := s.Register(CommandSpec{Name: "double", Run: double, Annotation: "double { | _ => (S, [stdin], [stdout]) }"}); err != nil {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
