@@ -135,15 +135,18 @@ func (r *Registry) Names() []string {
 }
 
 // Classify resolves an invocation. Unknown commands get the conservative
-// default: side-effectful, no known inputs or outputs (§5.1 "resorts to
-// conservative defaults if none is found").
+// default (§5.1 "resorts to conservative defaults if none is found"):
+// side-effectful, reading stdin.
 func (r *Registry) Classify(name string, argv []string) *Invocation {
 	rec, ok := r.Lookup(name)
 	if !ok {
+		// A user CommandFunc cannot open files, so stdin is the only
+		// thing an unannotated name can ever read.
 		return &Invocation{
-			Name:  name,
-			Class: SideEffectful,
-			Opts:  (&Record{Name: name}).ParseArgs(argv),
+			Name:   name,
+			Class:  SideEffectful,
+			Opts:   (&Record{Name: name}).ParseArgs(argv),
+			Inputs: []StreamRef{{Kind: StreamStdin}},
 		}
 	}
 	inv := rec.Resolve(argv)
@@ -394,7 +397,7 @@ takesvalue -o -d ;
 }
 
 tee {
-| _ => (E, [args[0:]], [stdout])
+| _ => (E, [stdin], [stdout])
 }
 
 mkfifo {

@@ -348,6 +348,11 @@ func expandCmd(ctx *Context) error {
 				continue
 			}
 			out = append(out, c)
+			if c == '\b' {
+				// A backspace moves back a column, as in GNU expand.
+				col = max(col-1, 0)
+				continue
+			}
 			col++
 		}
 		return lw.WriteLine(out)
@@ -358,19 +363,20 @@ func expandCmd(ctx *Context) error {
 	return lw.Flush()
 }
 
-// unexpandCmd converts leading spaces to tabs (-t N, default 8; -a for
-// all runs, default leading only).
+// unexpandCmd converts blanks to tabs as GNU unexpand does: a run of
+// blanks that reaches a tab stop becomes a tab. Only the line's leading
+// blanks convert unless -a is given or -t N (which implies -a, as in
+// GNU) sets the tab size.
 func unexpandCmd(ctx *Context) error {
 	tab := 8
+	all := false
 	var operands []string
 	args := ctx.Args
 	for i := 0; i < len(args); i++ {
 		a := args[i]
 		switch {
 		case a == "-a":
-			// -a converts interior runs too; we approximate by always
-			// converting leading whitespace only, which the benchmarks
-			// use. Accept the flag for compatibility.
+			all = true
 		case strings.HasPrefix(a, "-t"):
 			v := a[2:]
 			if v == "" {
@@ -384,7 +390,7 @@ func unexpandCmd(ctx *Context) error {
 			if err != nil || n < 1 {
 				return ctx.Errorf("invalid tab size %q", v)
 			}
-			tab = n
+			tab, all = n, true
 		case a == "-":
 			operands = append(operands, a)
 		case strings.HasPrefix(a, "-"):
@@ -400,30 +406,78 @@ func unexpandCmd(ctx *Context) error {
 	defer cleanup()
 	lw := NewLineWriter(ctx.Stdout)
 	defer lw.Flush()
-	var out []byte
+	var out, pend []byte
 	err = EachLineReaders(readers, func(line []byte) error {
-		out = out[:0]
-		spaces := 0
-		i := 0
-		for ; i < len(line); i++ {
-			if line[i] == ' ' {
-				spaces++
-				if spaces == tab {
-					out = append(out, '\t')
-					spaces = 0
-				}
-				continue
-			}
-			break
-		}
-		for s := 0; s < spaces; s++ {
-			out = append(out, ' ')
-		}
-		out = append(out, line[i:]...)
+		out, pend = unexpandLine(out[:0], pend[:0], line, tab, all)
 		return lw.WriteLine(out)
 	})
 	if err != nil {
 		return err
 	}
 	return lw.Flush()
+}
+
+// unexpandLine appends line to out with its blanks converted, following
+// GNU unexpand's loop: blanks wait in pend until the run reaches a tab
+// stop (they become one tab) or ends short of it (they are written as
+// they were). A single blank that reached a stop after a non-blank stays
+// a blank unless the run goes on. pend is scratch space, returned for
+// reuse.
+func unexpandLine(out, pend, line []byte, tab int, all bool) ([]byte, []byte) {
+	convert, prevBlank, oneBlankBeforeStop := true, true, false
+	column := 0
+	flush := func() {
+		if len(pend) > 1 && oneBlankBeforeStop {
+			pend[0] = '\t'
+		}
+		out = append(out, pend...)
+		pend, oneBlankBeforeStop = pend[:0], false
+	}
+	for _, c := range line {
+		if !convert {
+			out = append(out, c)
+			continue
+		}
+		blank := c == ' ' || c == '\t'
+		switch {
+		case blank:
+			next := column + tab - column%tab
+			if c == ' ' {
+				column++
+				if !prevBlank || column != next {
+					// Not yet time to write the pending blanks, or a tab.
+					oneBlankBeforeStop = oneBlankBeforeStop || column == next
+					pend = append(pend, c)
+					prevBlank = true
+					continue
+				}
+				c = '\t'
+			} else {
+				column = next
+			}
+			// The run reached a stop: c is its tab, and the pending blanks
+			// go, except a single blank that stood before the previous
+			// stop, which becomes a tab of its own.
+			if len(pend) > 0 {
+				pend[0] = '\t'
+			}
+			if oneBlankBeforeStop {
+				pend = pend[:1]
+			} else {
+				pend = pend[:0]
+			}
+		case c == '\b':
+			if column > 0 {
+				column--
+			}
+		default:
+			column++
+		}
+		flush()
+		out = append(out, c)
+		prevBlank = blank
+		convert = all || blank
+	}
+	flush()
+	return out, pend
 }

@@ -356,7 +356,7 @@ func iconv(ctx *Context) error {
 }
 
 // stringsCmd prints runs of at least N (-n, default 4) printable
-// characters.
+// characters. TAB counts as printable, as in GNU strings.
 func stringsCmd(ctx *Context) error {
 	minLen := 4
 	var operands []string
@@ -405,7 +405,7 @@ func stringsCmd(ctx *Context) error {
 	}
 	err = EachLineReaders(readers, func(line []byte) error {
 		for _, c := range line {
-			if c >= 0x20 && c < 0x7f {
+			if c == '\t' || c >= 0x20 && c < 0x7f {
 				run = append(run, c)
 				continue
 			}

@@ -36,27 +36,31 @@ func TestExecuteRunsThePlan(t *testing.T) {
 	split := []Stage{{Name: "grep", Args: []string{"-v", "nomatch", "in.txt"}}, {Name: "tr", Args: []string{"a-z", "A-Z"}}}
 	multi := []Stage{{Name: "cat", Args: []string{"a.txt", "b.txt"}}, {Name: "tr", Args: []string{"a-z", "A-Z"}}}
 
-	exec := func(c *Compiler, g *dfg.Graph) (*runtime.Result, string) {
+	// exec returns the run's result, its output and the bytes its
+	// internal edges moved.
+	exec := func(c *Compiler, g *dfg.Graph) (*runtime.Result, string, int64) {
 		t.Helper()
 		var out bytes.Buffer
-		res, err := runtime.Execute(context.Background(), g, c.Cmds, runtime.StdIO{Stdout: &out}, runtime.Config{Dir: dir})
+		var traffic runtime.Traffic
+		res, err := runtime.Execute(context.Background(), g, c.Cmds, runtime.StdIO{Stdout: &out}, runtime.Config{Dir: dir, Traffic: &traffic})
 		if err != nil {
 			t.Fatalf("%+v: %v", c.Opts, err)
 		}
-		return res, out.String()
+		moved, _ := traffic.Moved()
+		return res, out.String(), moved
 	}
-	run := func(opts Options, stages []Stage) (*dfg.Graph, *runtime.Result, string) {
+	run := func(opts Options, stages []Stage) (*dfg.Graph, *runtime.Result, string, int64) {
 		t.Helper()
 		c := NewCompiler(opts)
 		g, _, err := c.PlanRegion(stages, opts.Width)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, out := exec(c, g)
-		return g, res, out
+		res, out, moved := exec(c, g)
+		return g, res, out, moved
 	}
-	_, _, wantSplit := run(Options{Width: 1}, split)
-	_, _, wantMulti := run(Options{Width: 1}, multi)
+	_, _, wantSplit, _ := run(Options{Width: 1}, split)
+	_, _, wantMulti, _ := run(Options{Width: 1}, multi)
 	// The barrier split's trace, with the chain fused as in every row:
 	// emission's barrier split, then the fusion pass emission skips.
 	c := NewCompiler(DefaultOptions(2))
@@ -69,7 +73,7 @@ func TestExecuteRunsThePlan(t *testing.T) {
 	dfg.Apply(bg, o)
 	o.Emit = false
 	dfg.Fuse(bg, o)
-	barrier, _ := exec(c, bg)
+	_, _, barrier := exec(c, bg)
 
 	for _, cfg := range []struct {
 		preset Preset
@@ -88,7 +92,7 @@ func TestExecuteRunsThePlan(t *testing.T) {
 		{Planned, split, wantSplit, dfg.RoundRobinSplit, true, 0},
 	} {
 		name := cfg.preset.String()
-		g, res, out := run(Options{Width: 2, Preset: cfg.preset}, cfg.stages)
+		g, res, out, moved := run(Options{Width: 2, Preset: cfg.preset}, cfg.stages)
 		if out != cfg.want {
 			t.Errorf("%s: output diverged from width 1:\n%s", name, clip(out))
 		}
@@ -137,9 +141,9 @@ func TestExecuteRunsThePlan(t *testing.T) {
 		}
 		switch cfg.split {
 		case dfg.FileRangeSplit, dfg.RoundRobinSplit:
-			if res.BytesMoved != barrier.BytesMoved-1 {
+			if moved != barrier-1 {
 				t.Errorf("%s: moved %d bytes, the barrier split %d: the planned %v split did not run",
-					name, res.BytesMoved, barrier.BytesMoved, cfg.split)
+					name, moved, barrier, cfg.split)
 			}
 		}
 	}

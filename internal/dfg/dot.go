@@ -118,8 +118,6 @@ func nodeDotShape(n *Node) string {
 		return "hexagon"
 	case KindFused, KindRemote:
 		return "box3d"
-	case KindRelay:
-		return "cds"
 	}
 	return "box"
 }

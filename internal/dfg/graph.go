@@ -24,7 +24,6 @@ const (
 	KindCommand NodeKind = iota
 	KindCat              // concatenation (the paper's cat nodes)
 	KindSplit            // input dispersal (t2)
-	KindRelay            // identity relay (t3); eagerness is a runtime property
 	KindMap              // replicated map instance of a P command
 	KindAgg              // aggregate stage of a P command
 	KindMerge            // order-restoring round-robin merge (inverse of a RR split)
@@ -40,8 +39,6 @@ func (k NodeKind) String() string {
 		return "cat"
 	case KindSplit:
 		return "split"
-	case KindRelay:
-		return "relay"
 	case KindMap:
 		return "map"
 	case KindAgg:

@@ -34,9 +34,6 @@ type Options struct {
 	// processes have no chunk framing and fused nodes have no rendering:
 	// every split is the barrier split and nothing fuses.
 	Emit bool
-	// AggResolver supplies (map, aggregate) pairs for P commands. Nil
-	// means only S commands parallelize.
-	AggResolver func(name string, argv []string) (*AggSpec, bool)
 	// KernelCapable reports whether a command invocation has a
 	// composable kernel implementation (commands.KernelCapable). It
 	// drives the post-transformation fusion pass; nil disables fusion

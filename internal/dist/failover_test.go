@@ -301,3 +301,68 @@ func TestDistributedEquivalenceProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestRunRemoteSpecShapes: one runner, runtime.RunRemoteSpec, runs a
+// spec on a worker and on the coordinator's local rung. A file-range
+// shard and a streamed shard run on a worker; the streamed shard, whose
+// chain has a stage with no kernel (so its stages run as commands over
+// byte streams), also dies mid-stream with no survivor and finishes on
+// the coordinator. Every output is the width-1 pipeline's.
+func TestRunRemoteSpecShapes(t *testing.T) {
+	dir := t.TempDir()
+	text := makeInput(30000, 11)
+	if err := os.WriteFile(filepath.Join(dir, "in.txt"), []byte(text), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reg := commands.NewStd()
+	agg.Install(reg)
+	filter := []dfg.FusedStage{{Name: "tr", Args: []string{"A-Z", "a-z"}}, {Name: "grep", Args: []string{"the"}}}
+	copied := []dfg.FusedStage{{Name: "tee"}, {Name: "tr", Args: []string{"A-Z", "a-z"}}, {Name: "tee"}}
+	for _, tc := range []struct {
+		name    string
+		spec    dfg.RemoteSpec
+		in      [][]byte
+		killers []int64
+		healthy int
+		local   int64 // shards the coordinator finished
+		script  string
+	}{
+		{"filerange-on-worker", dfg.RemoteSpec{Stages: filter, Path: "in.txt", Slice: 0, Of: 1}, nil, nil, 1, 0,
+			"tr A-Z a-z < in.txt | grep the"},
+		{"streamed-on-worker", dfg.RemoteSpec{Stages: copied, Streamed: true}, lineChunks(text, 8<<10), nil, 1, 0,
+			"cat in.txt | tee | tr A-Z a-z | tee"},
+		{"streamed-fails-over-to-coordinator", dfg.RemoteSpec{Stages: copied, Streamed: true}, lineChunks(text, 8<<10), []int64{9}, 0, 1,
+			"cat in.txt | tee | tr A-Z a-z | tee"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want := runScript(t, tc.script, dir, 1, nil)
+			pool, killers := startPoolWithKiller(t, tc.healthy, dir, tc.killers...)
+			spec := tc.spec
+			spec.Worker = pool.WorkerNames()[0]
+			var got collector
+			req := &runtime.RemoteRequest{Spec: &spec, Out: &got, Reg: reg, FS: commands.OSFS{Dir: dir}, Stderr: io.Discard}
+			if tc.in != nil {
+				req.In = &sliceSource{chunks: tc.in}
+			}
+			if err := pool.ExecRemote(context.Background(), req); err != nil {
+				t.Fatal(err)
+			}
+			if got.String() != want {
+				t.Fatalf("output diverged from width 1 (%d vs %d bytes)", got.Len(), len(want))
+			}
+			for i, kh := range killers {
+				if !kh.killed.Load() {
+					t.Errorf("killer %d never died", i)
+				}
+			}
+			var requests, local int64
+			for _, st := range pool.Stats() {
+				requests += st.Requests
+				local += st.Redispatched
+			}
+			if requests == 0 || local != tc.local {
+				t.Errorf("%d worker requests, %d shards finished on the coordinator; want > 0 and %d", requests, local, tc.local)
+			}
+		})
+	}
+}

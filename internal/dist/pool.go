@@ -3,6 +3,7 @@ package dist
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -231,27 +232,49 @@ func (p *Pool) SetFaultInjector(inj *Injector) {
 	p.mu.Unlock()
 }
 
-// Add registers a worker (idempotent); new workers start healthy.
-// Addresses are normalized (surrounding whitespace and a trailing slash
-// stripped), and an empty address is ignored, so callers can feed Add
-// the raw pieces of a comma-separated flag directly.
+// Add registers a worker (idempotent); new workers start healthy, and a
+// known member is left as it is: only the prober and observed deaths
+// move its state. Addresses are normalized (surrounding whitespace and a
+// trailing slash stripped), and an empty address is ignored, so callers
+// can feed Add the raw pieces of a comma-separated flag directly.
 func (p *Pool) Add(name string) {
-	name = strings.TrimSuffix(strings.TrimSpace(name), "/")
+	name = normalizeAddr(name)
 	if name == "" {
 		return
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if w := p.findLocked(name); w != nil {
-		if w.state != stateHealthy {
-			w.state = stateHealthy
-			w.okStreak, w.failStreak = 0, 0
-			p.fpValid = false
-		}
+	if p.findLocked(name) != nil {
 		return
 	}
 	p.fpValid = false
 	p.workers = append(p.workers, &poolWorker{name: name, state: stateHealthy})
+}
+
+// Join admits a worker at run time. A newcomer is probed once and added
+// only if it answers; a known member is not probed, and its state stays
+// the prober's to move, so re-registering a down worker readmits it no
+// sooner than upAfter answered probes.
+func (p *Pool) Join(ctx context.Context, name string) error {
+	name = normalizeAddr(name)
+	if name == "" {
+		return errors.New("dist: empty worker address")
+	}
+	p.mu.Lock()
+	known := p.findLocked(name) != nil
+	p.mu.Unlock()
+	if known {
+		return nil
+	}
+	if !p.probe(ctx, name) {
+		return fmt.Errorf("dist: worker %s failed its health probe", name)
+	}
+	p.Add(name)
+	return nil
+}
+
+func normalizeAddr(name string) string {
+	return strings.TrimSuffix(strings.TrimSpace(name), "/")
 }
 
 // findLocked returns the named member, or nil. Callers hold p.mu.
@@ -393,34 +416,6 @@ func (p *Pool) note(name string, fn func(*WorkerStats)) {
 	if w := p.findLocked(name); w != nil {
 		fn(&w.stats)
 	}
-}
-
-// CheckHealth probes every member once, reviving workers that answer
-// and marking down those that do not. It returns the healthy count.
-// This is the manual, hysteresis-free path behind /workers and
-// /workers/register; the background prober (StartProber) applies
-// consecutive-probe thresholds instead.
-func (p *Pool) CheckHealth(ctx context.Context) int {
-	healthy := 0
-	for _, name := range p.memberNames() {
-		ok := p.probe(ctx, name)
-		p.mu.Lock()
-		if w := p.findLocked(name); w != nil {
-			if ok && !w.state.alive() {
-				w.state = stateHealthy
-				w.okStreak, w.failStreak = 0, 0
-				p.trans.Rejoined++
-				p.fpValid = false
-			} else if !ok {
-				p.markDownLocked(w)
-			}
-		}
-		p.mu.Unlock()
-		if ok {
-			healthy++
-		}
-	}
-	return healthy
 }
 
 func (p *Pool) probe(ctx context.Context, name string) bool {

@@ -117,7 +117,7 @@ func (p *Pool) ProbeTick(ctx context.Context) int {
 // stop function. One prober per pool: a second call while the first is
 // running returns a no-op stop. The prober is what lets a restarted
 // worker rejoin — and a silently dead one drain — without any
-// coordinator restart or manual /workers poke.
+// coordinator restart.
 func (p *Pool) StartProber(ctx context.Context) (stop func()) {
 	p.mu.Lock()
 	if p.probing {

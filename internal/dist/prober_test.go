@@ -188,7 +188,7 @@ func TestProberFlappingProperty(t *testing.T) {
 }
 
 // TestProberStartStop: the background goroutine probes on its own —
-// a worker that dies rejoins with zero manual CheckHealth calls — and
+// a worker that dies rejoins with no registration or listing call — and
 // double-starting is a no-op.
 func TestProberStartStop(t *testing.T) {
 	pool, inj, names := proberPool(t, 2)

@@ -24,7 +24,7 @@ import (
 // down one recovery ladder, one Pool.attempt at a time: the assigned
 // worker, then each alive worker not yet tried, then the coordinator
 // itself through runtime.ExecRemoteLocal. internal/runtime/README.md
-// ("One session, one recovery ladder") draws it.
+// ("Failure model") states the ladder's contract.
 
 // pendingChunk is one input chunk the session has read and still owns:
 // release recycles it exactly once, when the local rung consumes it or

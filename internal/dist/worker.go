@@ -131,9 +131,10 @@ func (w *Worker) handleExec(rw http.ResponseWriter, r *http.Request) {
 	execErr := func() (err error) {
 		defer runtime.Contain("worker exec", &err)
 		if spec.Path != "" {
-			return w.execRange(chain, spec, fs, out)
+			return runtime.RunRemoteSpec(chain, spec, fs, nil, out)
 		}
-		return w.execStreamed(chain, r.Body, out)
+		in := &frameSource{w: w, body: r.Body}
+		return in.drain(runtime.RunRemoteSpec(chain, spec, fs, runtime.ChunkReaderAsReader(in), out))
 	}()
 	code := 0
 	if execErr != nil {
@@ -160,43 +161,9 @@ func (w *Worker) decodePlan(raw []byte) (*dfg.RemoteSpec, *runtime.StageChain, e
 	return spec, chain, nil
 }
 
-// execRange self-sources the plan's file slice and streams the
-// transformed bytes back as frames.
-func (w *Worker) execRange(chain *runtime.StageChain, spec *dfg.RemoteSpec, fs commands.OSFS, out *frameStreamWriter) error {
-	r, err := runtime.OpenRange(fs, spec.Path, spec.Slice, spec.Of)
-	if err != nil {
-		return err
-	}
-	defer r.Close()
-	_, err = chain.Stream(r, out)
-	return err
-}
-
-// execStreamed runs a contiguous-stream plan: the request body carries
-// the input stream's chunks ended by a zero-length separator frame, and
-// the response is the node's output stream. The chain reads the frames
-// straight off the body; whatever it leaves unread (a head that stopped
-// early) is drained afterwards, so the coordinator's sender completes.
-func (w *Worker) execStreamed(chain *runtime.StageChain, body io.Reader, out *frameStreamWriter) error {
-	in := &frameSource{w: w, body: body}
-	_, execErr := chain.Stream(runtime.ChunkReaderAsReader(in), out)
-	for {
-		_, release, err := in.ReadChunk()
-		if err == io.EOF {
-			return execErr
-		}
-		if err != nil {
-			if execErr != nil {
-				return execErr
-			}
-			return err
-		}
-		release()
-	}
-}
-
-// frameSource reads one input stream's data frames off the request
-// body, up to the separator. The end it reaches, clean or not, sticks.
+// frameSource reads a streamed plan's one input off the request body:
+// its data frames, up to the zero-length separator. The end it reaches,
+// clean or not, sticks.
 type frameSource struct {
 	w    *Worker
 	body io.Reader
@@ -227,6 +194,25 @@ func (f *frameSource) ReadChunk() ([]byte, func(), error) {
 		m.WireBytesIn += int64(frameHeader + len(raw))
 	})
 	return raw, func() { commands.PutBlock(raw) }, nil
+}
+
+// drain reads whatever input the chain left unread (a head that stopped
+// early), so the coordinator's sender completes, and returns the
+// chain's error, else the input's.
+func (f *frameSource) drain(execErr error) error {
+	for {
+		_, release, err := f.ReadChunk()
+		if err == io.EOF {
+			return execErr
+		}
+		if err != nil {
+			if execErr != nil {
+				return execErr
+			}
+			return err
+		}
+		release()
+	}
 }
 
 // frameStreamWriter frames a plain output stream for the wire, one

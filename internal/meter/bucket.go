@@ -16,17 +16,16 @@ import (
 // bucket admits `burst` back-to-back requests before throttling to
 // the sustained rate.
 type gcra struct {
-	// interval is nanoseconds per job (0 = unlimited).
-	interval atomic.Int64
+	// interval is nanoseconds per job (0 = unlimited). interval and
+	// tolerance are set once, before the tenant is published.
+	interval int64
 	// tolerance is the burst allowance in nanoseconds.
-	tolerance atomic.Int64
+	tolerance int64
 	tat       atomic.Int64
 }
 
 func (g *gcra) init(rate float64, burst int) {
 	if rate <= 0 {
-		g.interval.Store(0)
-		g.tolerance.Store(0)
 		return
 	}
 	iv := int64(math.Round(float64(time.Second) / rate))
@@ -36,18 +35,18 @@ func (g *gcra) init(rate float64, burst int) {
 	if burst < 1 {
 		burst = 1
 	}
-	g.interval.Store(iv)
-	g.tolerance.Store(int64(burst-1) * iv)
+	g.interval = iv
+	g.tolerance = int64(burst-1) * iv
 }
 
 // allow decides one admission at unix-nano time now. On denial it
 // returns how long until the bucket would conform again.
 func (g *gcra) allow(now int64) (ok bool, retryAfter time.Duration) {
-	iv := g.interval.Load()
+	iv := g.interval
 	if iv == 0 {
 		return true, 0
 	}
-	tol := g.tolerance.Load()
+	tol := g.tolerance
 	for {
 		old := g.tat.Load()
 		tat := old

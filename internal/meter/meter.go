@@ -70,7 +70,7 @@ const (
 // no rate limit, committing with the default watermarks.
 type Config struct {
 	// DefaultQuota is the job quota installed on first sight of a
-	// tenant (0 = unlimited). Override per tenant with Tenant.SetQuota.
+	// tenant (0 = unlimited).
 	DefaultQuota int64
 	// Rate is the sustained per-tenant admission rate in jobs/second
 	// (0 = unlimited); Burst is the bucket depth in jobs (default:
@@ -158,8 +158,9 @@ type Tenant struct {
 	m    *Meter
 
 	// quota is the scalar quota base: the total jobs this tenant may
-	// ever be admitted for (0 = unlimited).
-	quota atomic.Int64
+	// ever be admitted for (0 = unlimited). Set once, before the tenant
+	// is published.
+	quota int64
 
 	// Committed base (S): usage folded in by past commits.
 	cJobs, cWall, cBytes atomic.Int64
@@ -197,8 +198,7 @@ func (m *Meter) Tenant(name string) *Tenant {
 	if t = m.tenants[name]; t != nil {
 		return t
 	}
-	t = &Tenant{name: name, m: m}
-	t.quota.Store(m.cfg.DefaultQuota)
+	t = &Tenant{name: name, m: m, quota: m.cfg.DefaultQuota}
 	t.armed.Store(true)
 	t.bucket.init(m.cfg.Rate, m.cfg.Burst)
 	m.tenants[name] = t
@@ -208,20 +208,6 @@ func (m *Meter) Tenant(name string) *Tenant {
 
 // Name returns the tenant identifier.
 func (t *Tenant) Name() string { return t.name }
-
-// SetQuota replaces the tenant's job quota (0 = unlimited).
-func (t *Tenant) SetQuota(q int64) { t.quota.Store(q) }
-
-// SetRate replaces the tenant's rate limit (rate 0 = unlimited).
-func (t *Tenant) SetRate(rate float64, burst int) {
-	if burst <= 0 {
-		burst = int(rate + 0.999)
-		if burst < 1 {
-			burst = 1
-		}
-	}
-	t.bucket.init(rate, burst)
-}
 
 // Admit runs the quota and rate gates for one job, charging the quota
 // reserve on success. On refusal it returns the cause (quota before
@@ -250,7 +236,7 @@ func (t *Tenant) Admit() (Cause, time.Duration) {
 // base add-first (see fold), which can only over-count transiently —
 // denial on a stale read is conservative, over-admission is impossible.
 func (t *Tenant) tryChargeJob() bool {
-	q := t.quota.Load()
+	q := t.quota
 	if q <= 0 {
 		t.dJobs.Add(1)
 		return true
@@ -308,7 +294,7 @@ func (t *Tenant) noteCharge() {
 // from RAM: quota base minus committed minus uncommitted. limited is
 // false (and n -1) for unlimited tenants.
 func (t *Tenant) Remaining() (n int64, limited bool) {
-	q := t.quota.Load()
+	q := t.quota
 	if q <= 0 {
 		return -1, false
 	}
@@ -477,7 +463,7 @@ func (t *Tenant) Stats() TenantStats {
 	rem, _ := t.Remaining()
 	return TenantStats{
 		Name:         t.name,
-		Quota:        t.quota.Load(),
+		Quota:        t.quota,
 		Remaining:    rem,
 		Used:         t.Used(),
 		Pending:      t.pending(),

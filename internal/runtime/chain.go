@@ -21,8 +21,7 @@ import (
 // (PerChunk), through composed kernels — one goroutine, zero
 // intermediate pipes — when every stage has one, and through the
 // registry's command implementations otherwise. The two forms produce the
-// same bytes and the same status (TestStageChainEquivalence). See
-// internal/runtime/README.md ("Stage fusion") for the contract.
+// same bytes and the same status (TestStageChainEquivalence).
 type StageChain struct {
 	reg    *commands.Registry
 	stages []dfg.FusedStage

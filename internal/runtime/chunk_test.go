@@ -343,23 +343,41 @@ func TestRoundRobinFeedsCommutativeMaps(t *testing.T) {
 }
 
 // TestRoundRobinTrafficCounters checks that the bytes/chunks-moved
-// meters see the streamed data.
+// meter sees the streamed data.
 func TestRoundRobinTrafficCounters(t *testing.T) {
 	g := buildPipeline(
 		dfg.NewNode(dfg.KindCommand, "tr", []dfg.Arg{dfg.Lit("a-z"), dfg.Lit("A-Z")}, annot.Stateless),
 	)
 	dfg.Apply(g, dfg.Options{Width: 2, Split: true, Eager: true})
 	var out bytes.Buffer
+	var traffic Traffic
 	input := strings.Repeat("stream me\n", 5000)
-	res, err := Execute(context.Background(), g, testRegistry(),
-		StdIO{Stdin: strings.NewReader(input), Stdout: &out}, Config{})
-	if err != nil {
+	if _, err := Execute(context.Background(), g, testRegistry(),
+		StdIO{Stdin: strings.NewReader(input), Stdout: &out}, Config{Traffic: &traffic}); err != nil {
 		t.Fatal(err)
 	}
-	if res.BytesMoved < int64(len(input)) {
-		t.Errorf("BytesMoved = %d, want >= %d", res.BytesMoved, len(input))
+	moved, chunks := traffic.Moved()
+	if moved < int64(len(input)) {
+		t.Errorf("bytes moved = %d, want >= %d", moved, len(input))
 	}
-	if res.ChunksMoved == 0 {
-		t.Error("ChunksMoved = 0, want > 0")
+	if chunks == 0 {
+		t.Error("chunks moved = 0, want > 0")
+	}
+}
+
+// TestTrafficCountsCoalescedWrites: small writes coalesce into the
+// queue's tail block, and the meter still counts every byte of them,
+// in the one block they share.
+func TestTrafficCountsCoalescedWrites(t *testing.T) {
+	var traffic Traffic
+	p := newPipe(0)
+	p.traffic = &traffic
+	for i := 0; i < 100; i++ {
+		if _, err := p.Write([]byte("hello\n")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if moved, chunks := traffic.Moved(); moved != 600 || chunks != 1 {
+		t.Errorf("traffic = %d bytes in %d chunks, want 600 in 1", moved, chunks)
 	}
 }

@@ -32,7 +32,7 @@ type Config struct {
 	// unlimited.
 	Budget *Budget
 	// Traffic, when set, receives live byte/chunk movement as pipes
-	// enqueue — the running-job view of what Result reports at the end.
+	// enqueue.
 	Traffic *Traffic
 	// Sandbox confines command file access to Dir (absolute paths and
 	// ".." escapes fail) — the execution half of JobLimits.Sandbox.
@@ -62,11 +62,6 @@ type Result struct {
 	// pipe-blocked) durations, feeding the multicore scheduling
 	// simulator on single-core hosts.
 	NodeTimes []NodeTime
-	// BytesMoved and ChunksMoved total the traffic through the graph's
-	// internal edges: payload bytes and discrete blocks enqueued. The
-	// ratio exposes how chunky (amortized) the data plane ran.
-	BytesMoved  int64
-	ChunksMoved int64
 }
 
 // NodeTime is one node's measured execution profile.
@@ -133,7 +128,6 @@ type executor struct {
 	writers []io.WriteCloser
 	names   []string
 	meters  []int64
-	pipes   []*pipe // internal edge pipes, for traffic totals
 
 	mu          sync.Mutex
 	firstErr    error
@@ -141,16 +135,6 @@ type executor struct {
 
 	closers []io.Closer
 	closeMu sync.Mutex
-}
-
-// traffic sums lifetime byte/chunk movement across the internal pipes.
-func (ex *executor) traffic() (bytes, chunks int64) {
-	for _, p := range ex.pipes {
-		b, c := p.moved()
-		bytes += b
-		chunks += c
-	}
-	return bytes, chunks
 }
 
 // virtualPrefix namespaces edge streams in the overlay filesystem. The
@@ -201,9 +185,7 @@ func (ex *executor) run(ctx context.Context) (*Result, error) {
 	if ex.firstErr != nil {
 		return nil, ex.firstErr
 	}
-	res := &Result{ExitCode: ex.finalStatus, NodeCount: len(ex.g.Nodes), NodeTimes: nodeTimes}
-	res.BytesMoved, res.ChunksMoved = ex.traffic()
-	return res, nil
+	return &Result{ExitCode: ex.finalStatus, NodeCount: len(ex.g.Nodes), NodeTimes: nodeTimes}, nil
 }
 
 // open validates the graph and materializes its edges: after it, every
@@ -383,7 +365,6 @@ func (ex *executor) materialize(e *dfg.Edge) error {
 		s.p.traffic = ex.cfg.Traffic
 		ex.readers[e.ID] = s.reader()
 		ex.writers[e.ID] = s.writer()
-		ex.pipes = append(ex.pipes, s.p)
 	case e.To == nil && e.From == nil:
 		return fmt.Errorf("runtime: edge %s is fully unbound", e)
 	}
@@ -464,8 +445,8 @@ func (ex *executor) dispatch(ctx context.Context, n *dfg.Node) ([]StageTime, err
 		cctx.FS = &operandFS{ex.overlay, files}
 	}
 	reg := ex.reg
-	if n.Kind == dfg.KindCat || n.Kind == dfg.KindMerge || n.Kind == dfg.KindRelay {
-		// Collector and relay nodes are the runtime's own primitives,
+	if n.Kind == dfg.KindCat || n.Kind == dfg.KindMerge {
+		// Collector nodes are the runtime's own primitives,
 		// inserted by the transformations: they always run the builtin
 		// implementations, even when a session shadows "cat" with a
 		// user command.

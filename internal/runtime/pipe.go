@@ -69,13 +69,9 @@ type pipe struct {
 	// block pool no longer is the only line of defense.
 	budget *Budget
 
-	// traffic, when set, mirrors every enqueue into the owning job's
-	// live meter, so observers see bytes/chunks moved while the graph is
-	// still running (bytesMoved/chunksMoved are only summed at the end).
+	// traffic, when set, counts every byte and block enqueued into the
+	// owning job's live meter.
 	traffic *Traffic
-
-	bytesMoved  int64 // total payload bytes ever enqueued (under mu)
-	chunksMoved int64 // total blocks ever enqueued (under mu)
 }
 
 func newPipe(max int) *pipe {
@@ -101,9 +97,7 @@ func (p *pipe) metered(c *sync.Cond, meter *int64) {
 func (p *pipe) enqueue(b []byte) {
 	p.blocks = append(p.blocks, b)
 	p.size += len(b)
-	p.bytesMoved += int64(len(b))
-	p.chunksMoved++
-	p.traffic.note(len(b))
+	p.traffic.note(len(b), 1)
 	p.rwait.Signal()
 }
 
@@ -165,7 +159,7 @@ func (p *pipe) Write(b []byte) (int, error) {
 				}
 				p.blocks[len(p.blocks)-1] = append(tail, b[:n]...)
 				p.size += n
-				p.bytesMoved += int64(n)
+				p.traffic.note(n, 0)
 				b = b[n:]
 				written += n
 				p.rwait.Signal()
@@ -299,14 +293,6 @@ func (p *pipe) CloseRead() {
 	p.size = 0
 	p.rwait.Broadcast()
 	p.wwait.Broadcast()
-}
-
-// moved reports the pipe's lifetime traffic: payload bytes and chunk
-// count ever enqueued.
-func (p *pipe) moved() (bytes, chunks int64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.bytesMoved, p.chunksMoved
 }
 
 // Eager copies r to w through the buffer an in-process eager edge gets,

@@ -16,8 +16,7 @@ func TestProfileMatchesExecute(t *testing.T) {
 			dfg.NewNode(dfg.KindCommand, "grep", []dfg.Arg{dfg.Lit("a")}, annot.Stateless),
 			dfg.NewNode(dfg.KindCommand, "sort", nil, annot.Pure),
 		)
-		dfg.Apply(g, dfg.Options{Width: 4, Split: true, Eager: true,
-			AggResolver: nil})
+		dfg.Apply(g, dfg.Options{Width: 4, Split: true, Eager: true})
 		return g
 	}
 	in := "banana\napple\navocado\ncherry\nfig\napricot\n"

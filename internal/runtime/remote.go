@@ -15,7 +15,8 @@ import (
 // client plugs into, and the local interpretation of remote specs that
 // serves both the no-pool case and the pool's failover path. The wire
 // transport itself lives in internal/dist; the runtime only sees chunk
-// streams. See internal/runtime/README.md ("Distributed execution").
+// streams. internal/runtime/README.md states the wire format and the
+// failure model.
 
 // RemoteExecutor ships one remote node's work to a worker. The executor
 // calls it once per KindRemote node; implementations must preserve the
@@ -138,24 +139,35 @@ func (ex *executor) runRemote(ctx context.Context, n *dfg.Node) error {
 // ExecRemoteLocal interprets a remote spec on the local machine: the
 // exact computation a worker would perform, over the same chunk
 // streams. It is the no-pool path and the bottom rung of the pool
-// client's recovery ladder. Per-stream exit statuses are not the node's
-// (a collector follows every remote node) and are dropped.
+// client's recovery ladder.
 func ExecRemoteLocal(ctx context.Context, req *RemoteRequest) error {
-	spec, out := req.Spec, chunkOnlyWriter{req.Out}
-	chain, err := NewStageChain(req.Reg, spec.Stages, req.FS, req.Env, req.Stderr)
+	chain, err := NewStageChain(req.Reg, req.Spec.Stages, req.FS, req.Env, req.Stderr)
 	if err != nil {
 		return err
 	}
-	if spec.Path == "" {
-		_, err = chain.Stream(ChunkReaderAsReader(req.In), out)
-		return err
+	var in io.Reader
+	if req.In != nil {
+		in = ChunkReaderAsReader(req.In)
 	}
-	r, err := OpenRange(req.FS, spec.Path, spec.Slice, spec.Of)
-	if err != nil {
-		return err
+	return RunRemoteSpec(chain, req.Spec, req.FS, in, chunkOnlyWriter{req.Out})
+}
+
+// RunRemoteSpec runs a remote spec over a prepared stage chain: a file
+// range reads its slice of spec.Path through fs, a streamed spec reads
+// in. A worker (with its cached chain, rebound per request) and
+// ExecRemoteLocal both run a spec through it. Per-stream exit statuses
+// are not the node's (a collector follows every remote node) and are
+// dropped.
+func RunRemoteSpec(chain *StageChain, spec *dfg.RemoteSpec, fs commands.OSFS, in io.Reader, out io.Writer) error {
+	if spec.Path != "" {
+		r, err := OpenRange(fs, spec.Path, spec.Slice, spec.Of)
+		if err != nil {
+			return err
+		}
+		defer r.Close()
+		in = r
 	}
-	defer r.Close()
-	_, err = chain.Stream(r, out)
+	_, err := chain.Stream(in, out)
 	return err
 }
 

@@ -56,10 +56,10 @@
 // A daemon with an attached worker pool (AttachWorkers; `pash-serve
 // -workers`) is a distribution coordinator: every request's stateless
 // chains shard across the pool's `pash-serve -worker` processes, and
-// two more endpoints appear — GET /workers (per-worker meter rows,
-// health re-probed) and POST /workers/register?url=ADDR (runtime
-// membership; the worker is probed before admission). The same rows
-// ride /metrics as "workers".
+// two more endpoints appear — GET /workers (per-worker meter rows, read
+// only) and POST /workers/register?url=ADDR (runtime membership; a new
+// worker is probed before admission, a known one left to the prober).
+// The same rows ride /metrics as "workers".
 package serve
 
 import (
@@ -312,16 +312,13 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// handleWorkers lists the pool's per-worker meter rows, re-probing
-// health first so operators see live membership.
+// handleWorkers lists the pool's per-worker meter rows. It only reads:
+// the prober and observed deaths are what move a worker's state.
 func (s *Server) handleWorkers(w http.ResponseWriter, r *http.Request) {
 	if s.pool == nil {
 		http.Error(w, "no worker pool attached", http.StatusNotFound)
 		return
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), 5*time.Second)
-	defer cancel()
-	s.pool.CheckHealth(ctx)
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -329,8 +326,9 @@ func (s *Server) handleWorkers(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleRegisterWorker adds a worker to the pool: POST with url=<addr>
-// (form or query). The worker is probed before admission, so a typo'd
-// address is rejected instead of poisoning future plans.
+// (form or query). A newcomer is probed before admission, so a typo'd
+// address is rejected instead of poisoning future plans; a known member
+// is left to the prober (Pool.Join).
 func (s *Server) handleRegisterWorker(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -345,13 +343,10 @@ func (s *Server) handleRegisterWorker(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "missing url", http.StatusBadRequest)
 		return
 	}
-	s.pool.Add(url)
 	ctx, cancel := context.WithTimeout(r.Context(), 5*time.Second)
 	defer cancel()
-	s.pool.CheckHealth(ctx)
-	if !workerHealthy(s.pool, url) {
-		s.pool.Remove(url)
-		http.Error(w, fmt.Sprintf("worker %s failed its health probe", url), http.StatusBadGateway)
+	if err := s.pool.Join(ctx, url); err != nil {
+		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}
 	fmt.Fprintf(w, "registered %s\n", url)
@@ -389,15 +384,6 @@ func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 	s.Drain()
 	w.WriteHeader(http.StatusAccepted)
 	fmt.Fprintln(w, "draining")
-}
-
-func workerHealthy(pool *pash.WorkerPool, url string) bool {
-	for _, st := range pool.Stats() {
-		if st.Name == url && st.Healthy {
-			return true
-		}
-	}
-	return false
 }
 
 // countingWriter streams stdout to the client, flushing eagerly so

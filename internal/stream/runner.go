@@ -48,11 +48,9 @@ type Config struct {
 	// the bound is one window.
 	MaxBuffer int64
 
-	// CheckpointPath enables checkpointed failover. CheckpointEvery
-	// throttles saves; <= 0 checkpoints after every window (the
-	// replay-exact setting: resume never duplicates an emission).
-	CheckpointPath  string
-	CheckpointEvery time.Duration
+	// CheckpointPath enables checkpointed failover: a checkpoint is
+	// saved after every window, so resume never duplicates an emission.
+	CheckpointPath string
 
 	// Resume carries a previously loaded checkpoint. The caller must
 	// have positioned Source at Resume.SourceOffset.
@@ -150,7 +148,6 @@ func (r *Runner) Run(ctx context.Context) error {
 		state = append([]byte(nil), cfg.Resume.State...)
 	}
 	lastWindow := time.Now()
-	lastCkpt := time.Now()
 
 	for {
 		win, final, err := r.w.Next(ctx)
@@ -184,12 +181,10 @@ func (r *Runner) Run(ctx context.Context) error {
 			r.noteRate(rows, now.Sub(lastWindow))
 			lastWindow = now
 
-			if cfg.CheckpointPath != "" &&
-				(cfg.CheckpointEvery <= 0 || now.Sub(lastCkpt) >= cfg.CheckpointEvery) {
+			if cfg.CheckpointPath != "" {
 				if cerr := r.checkpoint(state); cerr != nil {
 					return cerr
 				}
-				lastCkpt = now
 			}
 		}
 		if final {

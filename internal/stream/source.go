@@ -46,12 +46,16 @@ const DefaultPollInterval = 50 * time.Millisecond
 type FollowSource struct {
 	path      string
 	poll      time.Duration
-	f         *os.File
 	off       atomic.Int64
 	rotations atomic.Int64
-	done      chan struct{}
-	closeOnce sync.Once
-	closeErr  error
+	done      chan struct{} // closed by Close: wakes a parked poll
+
+	// mu hands the open file between Read (which replaces it on
+	// rotation) and Close.
+	mu       sync.Mutex
+	f        *os.File
+	closed   bool
+	closeErr error
 }
 
 // NewFollowSource opens path for following, starting at offset (a
@@ -88,31 +92,26 @@ func NewFollowSource(path string, offset int64, poll time.Duration) (*FollowSour
 
 // Read returns appended bytes, blocking (polling) while the file has
 // no new data. On rotation it reopens the path and continues from the
-// new file's start. After Close it returns io.EOF.
+// new file's start. After Close it returns io.EOF, whatever the closed
+// file made the read in flight fail with.
 func (s *FollowSource) Read(p []byte) (int, error) {
 	for {
-		select {
-		case <-s.done:
+		f := s.file()
+		if f == nil {
 			return 0, io.EOF
-		default:
 		}
-		n, err := s.f.Read(p)
+		n, err := f.Read(p)
 		if n > 0 {
 			s.off.Add(int64(n))
 			return n, nil
 		}
 		if err != nil && err != io.EOF {
-			select {
-			case <-s.done:
-				return 0, io.EOF
-			default:
-			}
-			return 0, err
+			return 0, s.closedOr(err)
 		}
 		// At end of file (or a zero-length read): check for rotation,
 		// then wait for more data.
-		if rotated, rerr := s.checkRotation(); rerr != nil {
-			return 0, rerr
+		if rotated, rerr := s.checkRotation(f); rerr != nil {
+			return 0, s.closedOr(rerr)
 		} else if rotated {
 			continue
 		}
@@ -124,10 +123,31 @@ func (s *FollowSource) Read(p []byte) (int, error) {
 	}
 }
 
-// checkRotation reopens the path when it no longer names the open file
-// or the file shrank below our offset (copytruncate-style rotation).
-func (s *FollowSource) checkRotation() (bool, error) {
-	cur, err := s.f.Stat()
+// file returns the open file, nil once the source is closed.
+func (s *FollowSource) file() *os.File {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return nil
+	}
+	return s.f
+}
+
+// closedOr returns io.EOF once the source is closed, err before.
+func (s *FollowSource) closedOr(err error) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return io.EOF
+	}
+	return err
+}
+
+// checkRotation reopens the path when it no longer names f, the open
+// file, or the file shrank below our offset (copytruncate-style
+// rotation).
+func (s *FollowSource) checkRotation(f *os.File) (bool, error) {
+	cur, err := f.Stat()
 	if err != nil {
 		return false, err
 	}
@@ -146,8 +166,15 @@ func (s *FollowSource) checkRotation() (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	s.f.Close()
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		nf.Close()
+		return false, io.EOF
+	}
 	s.f = nf
+	s.mu.Unlock()
+	f.Close()
 	s.off.Store(0)
 	s.rotations.Add(1)
 	return true, nil
@@ -162,10 +189,13 @@ func (s *FollowSource) Rotations() int64 { return s.rotations.Load() }
 
 // Close ends the stream: any blocked Read returns io.EOF.
 func (s *FollowSource) Close() error {
-	s.closeOnce.Do(func() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.closed {
+		s.closed = true
 		close(s.done)
 		s.closeErr = s.f.Close()
-	})
+	}
 	return s.closeErr
 }
 

@@ -237,6 +237,41 @@ func TestFollowSourceAppendsAndRotation(t *testing.T) {
 	}
 }
 
+// TestFollowSourceCloseDuringPoll closes a source while its reader
+// spins through the end-of-file poll (read, rotation check, wait), a
+// thousand times: the reader must see io.EOF every time, never the
+// closed file's error. Run it under -race: Read and Close hand the file
+// between them.
+func TestFollowSourceCloseDuringPoll(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "app.log")
+	if err := os.WriteFile(path, []byte("one\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1000; i++ {
+		src, err := NewFollowSource(path, 0, time.Nanosecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() {
+			buf := make([]byte, 64)
+			for {
+				if _, err := src.Read(buf); err != nil {
+					done <- err
+					return
+				}
+			}
+		}()
+		for src.Offset() < 4 {
+			time.Sleep(10 * time.Microsecond)
+		}
+		src.Close()
+		if err := <-done; err != io.EOF {
+			t.Fatalf("round %d: Read after Close = %v, want io.EOF", i, err)
+		}
+	}
+}
+
 func TestFollowSourceResumeOffset(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "resume.log")

@@ -619,3 +619,21 @@ func TestAggNameShadowsBuiltinAnnotation(t *testing.T) {
 		}
 	}
 }
+
+// TestUnannotatedCommandReadsStdin: a command registered with no
+// annotation reads stdin at the head of a pipeline as well as behind a
+// pipe, and never parallelizes.
+func TestUnannotatedCommandReadsStdin(t *testing.T) {
+	upper := CommandSpec{Name: "upper", Run: func(args []string, stdin io.Reader, stdout io.Writer) error {
+		_, err := io.Copy(stdout, stdin)
+		return err
+	}}
+	in := strings.Repeat("some line\n", 10000)
+	for _, width := range []int{1, 4} {
+		for _, script := range []string{"upper | wc -l", "cat | upper | wc -l"} {
+			if got := runExt(t, DefaultOptions(width), []CommandSpec{upper}, script, strings.NewReader(in)); got != "10000\n" {
+				t.Errorf("width %d: %q printed %q, want 10000", width, script, got)
+			}
+		}
+	}
+}

@@ -2,8 +2,8 @@ package pash
 
 // Resource governance and fault containment re-exports: the public face
 // of the runtime's per-job budgets, load-shedding scheduler bounds, and
-// panic containment ring. See "The coordinator failure model" in the
-// runtime README for the full story.
+// panic containment ring. internal/runtime/README.md ("Failure model")
+// states the contract.
 
 import "repro/internal/runtime"
 

@@ -2,7 +2,7 @@ package pash
 
 // Tenant governance re-exports: the public face of the meter package's
 // per-tenant quotas, rate limits, and VSA-style usage accounting. See
-// "Multi-tenant front door" in the runtime README for the full story.
+// "The tenant front door" in DESIGN.md.
 
 import "repro/internal/meter"
 

@@ -58,12 +58,11 @@ type StreamConfig struct {
 	Interval    time.Duration
 	WindowBytes int64
 
-	// CheckpointPath enables checkpointed failover; CheckpointEvery
-	// throttles saves (<= 0 saves after every window). Resume loads the
-	// checkpoint at CheckpointPath and continues from it.
-	CheckpointPath  string
-	CheckpointEvery time.Duration
-	Resume          bool
+	// CheckpointPath enables checkpointed failover, saving after every
+	// window. Resume loads the checkpoint at CheckpointPath and
+	// continues from it.
+	CheckpointPath string
+	Resume         bool
 }
 
 // WithStreamInput runs the job as a streaming execution over sc's
@@ -164,18 +163,17 @@ func (j *Job) runStream(ctx context.Context, c *core.Compiler, dir string, vars 
 	}
 
 	r, err := stream.NewRunner(stream.Config{
-		Source:          src,
-		Exec:            plan,
-		Cumulative:      cumulative,
-		Interval:        spec.Interval,
-		MaxBytes:        spec.MaxBytes,
-		MaxBuffer:       j.limits.MaxPipeMemory,
-		CheckpointPath:  sc.CheckpointPath,
-		CheckpointEvery: sc.CheckpointEvery,
-		Resume:          cp,
-		Width:           c.Opts.Width,
-		Out:             stdout,
-		Errw:            stderr,
+		Source:         src,
+		Exec:           plan,
+		Cumulative:     cumulative,
+		Interval:       spec.Interval,
+		MaxBytes:       spec.MaxBytes,
+		MaxBuffer:      j.limits.MaxPipeMemory,
+		CheckpointPath: sc.CheckpointPath,
+		Resume:         cp,
+		Width:          c.Opts.Width,
+		Out:            stdout,
+		Errw:           stderr,
 	})
 	if err != nil {
 		j.finish(1, err, core.InterpStats{})
