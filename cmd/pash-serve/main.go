@@ -28,9 +28,10 @@
 // down as they close (?window=1s time trigger, ?window-bytes=N
 // deterministic size trigger); ?checkpoint=PATH enables checkpointed
 // failover and ?resume=1 continues from the checkpoint, replaying
-// only the post-checkpoint suffix. Unstreamable scripts get 400
-// before the response commits; streaming job rows in /metrics carry
-// live rows/sec, window lag, and checkpoint age.
+// only the post-checkpoint suffix. Relative follow and checkpoint
+// paths are under -dir. Unstreamable scripts get 400 before the
+// response commits; streaming job rows in /metrics carry live
+// rows/sec, window lag, and checkpoint age.
 //
 //	# running count of ERR lines in a growing log, every second:
 //	curl -sN -X POST 'http://localhost:8721/stream?script=grep%20-c%20ERR&follow=/var/log/app.log&window=1s'

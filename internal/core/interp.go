@@ -602,30 +602,9 @@ func (in *Interp) runPipeline(ctx context.Context, simples []*shell.Simple) (int
 		}
 	}
 
-	// Control plane: fingerprint the region, decide and take its width,
-	// then plan (cache hit: clone; miss: compile+optimize).
-	rkey := regionKey(stages)
-	wp, lifted, release, err := in.c.regionWidth(stages, rkey, in.c.Opts.Width, in.budget, RegionInput{
-		FS:    commands.OSFS{Dir: in.dir, Jail: in.sandbox},
-		Stdin: in.stdio.Stdin,
-	})
-	if err != nil {
-		return 1, err
-	}
-	defer release()
 	restore := in.applyOverrides(overrides)
 	defer restore()
-	g, res, wall, err := in.c.runRegion(ctx, stages, rkey, wp, lifted, in.stdio, runtime.Config{
-		Dir:     in.dir,
-		Env:     in.envSnapshot(),
-		Budget:  in.budget,
-		Sandbox: in.sandbox,
-		Traffic: in.traffic,
-	}, in.profile, func(g *dfg.Graph, hit bool) {
-		in.statsMu.Lock()
-		in.Stats.noteRegion(g, hit)
-		in.statsMu.Unlock()
-	})
+	g, res, wall, err := in.region(ctx, stages, regionKey(stages), in.c.Opts.Width, in.stdio, in.envSnapshot())
 	if err != nil {
 		return 1, err
 	}
@@ -639,6 +618,34 @@ func (in *Interp) runPipeline(ctx context.Context, simples []*shell.Simple) (int
 		in.profMu.Unlock()
 	}
 	return res.ExitCode, nil
+}
+
+// region plans and runs one region of this interpreter — a pipeline of
+// the script, or a window of a stream it planned. The control plane
+// fingerprints it (rkey), decides and takes its width from its input,
+// and plans it (cache hit: clone; miss: compile+optimize); the region
+// then runs under the job's budget, jail and traffic meter, and counts
+// in Stats.
+func (in *Interp) region(ctx context.Context, stages []Stage, rkey string, width int, stdio runtime.StdIO, env map[string]string) (*dfg.Graph, *runtime.Result, time.Duration, error) {
+	wp, lifted, release, err := in.c.regionWidth(stages, rkey, width, in.budget, RegionInput{
+		FS:    commands.OSFS{Dir: in.dir, Jail: in.sandbox},
+		Stdin: stdio.Stdin,
+	})
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	defer release()
+	return in.c.runRegion(ctx, stages, rkey, wp, lifted, stdio, runtime.Config{
+		Dir:     in.dir,
+		Env:     env,
+		Budget:  in.budget,
+		Sandbox: in.sandbox,
+		Traffic: in.traffic,
+	}, in.profile, func(g *dfg.Graph, hit bool) {
+		in.statsMu.Lock()
+		in.Stats.noteRegion(g, hit)
+		in.statsMu.Unlock()
+	})
 }
 
 // simplePipeline returns the stages of cmd when it is one simple command

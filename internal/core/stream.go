@@ -1,16 +1,15 @@
 package core
 
-// Streaming plan support: PlanStream classifies a single pipeline for
-// windowed execution over an unbounded input, and StreamPlan runs it
-// one window at a time. The micro-batch design keeps every layer of
-// the batch stack on the hot path unchanged — each window is a normal
-// region execution through the plan cache (a hit costs one clone), the
-// scheduler, and the distributed worker plane — while the dfg window
-// operator carries the composition contract between windows. The
-// cumulative fold runs the same associative aggregate commands the
-// agg-tree fan-in uses (pash-agg-wc, sort -m, pash-agg-uniq, ...), so
-// "windowed aggregation" is literally the agg tree extended in time:
-// level k merges replicas within a window, the fold merges windows.
+// Streaming plan support: an interpreter plans a single pipeline for
+// windowed execution over an unbounded input (PlanStream), and the
+// StreamPlan runs it one window at a time. Each window is an ordinary
+// region of the interpreter that planned it — plan cache (a hit costs
+// one clone), scheduler, distributed worker plane, and the job's budget,
+// jail, traffic meter and Stats. The cumulative fold runs the same
+// associative aggregate commands the agg-tree fan-in uses (pash-agg-wc,
+// sort -m, pash-agg-uniq, ...), so "windowed aggregation" is literally
+// the agg tree extended in time: level k merges replicas within a
+// window, the fold merges windows.
 
 import (
 	"bytes"
@@ -18,19 +17,17 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 
 	"repro/internal/annot"
-	"repro/internal/commands"
 	"repro/internal/dfg"
 	"repro/internal/runtime"
 	"repro/internal/shell"
 )
 
 // ErrNotStreamable marks scripts PlanStream rejects: anything that is
-// not a single pipeline whose stages are stateless except for an
-// associative aggregation tail. Callers (pash-serve) turn it into a
-// 400 instead of a runtime failure.
+// not a single pipeline reading standard input whose stages are
+// stateless except for an associative aggregation tail. Callers
+// (pash-serve) turn it into a 400 instead of a runtime failure.
 var ErrNotStreamable = errors.New("core: script is not streamable")
 
 // notStreamable builds a reasoned ErrNotStreamable.
@@ -39,32 +36,17 @@ func notStreamable(format string, args ...interface{}) error {
 }
 
 // StreamPlan is a compiled streaming pipeline: the expanded stages,
-// their region fingerprint, and the window operator spec. One plan
-// serves every window of one streaming job. The exported fields bind
-// per-job execution state; set them before the first RunWindow.
+// their region fingerprint, and the fold that composes window results.
+// One plan serves every window of one streaming job.
 type StreamPlan struct {
-	c      *Compiler
+	in     *Interp
 	stages []Stage
 	rkey   string
-	dir    string
 	env    map[string]string
-	window dfg.WindowSpec
 	// fold is the cumulative emit mode's combine pipeline as a stage
-	// chain (nil for EmitDelta); each window binds its two operands.
+	// chain (nil when window outputs concatenate); each window binds
+	// its two operands.
 	fold *runtime.StageChain
-
-	// Budget is the owning job's resource accounting (may be nil). The
-	// runner strips MaxPipeMemory before building it: for streaming
-	// jobs that ceiling governs the source buffer with pause semantics,
-	// not the first-breach-kills budget.
-	Budget *runtime.Budget
-	// Traffic receives live data-plane movement (may be nil).
-	Traffic *runtime.Traffic
-	// Sandbox confines command file access to the plan's directory.
-	Sandbox bool
-
-	statsMu sync.Mutex
-	stats   InterpStats
 }
 
 // streamStatePath and streamPartialPath name the fold's two operands in
@@ -75,23 +57,29 @@ const (
 	streamPartialPath = "/pash/stream/partial"
 )
 
-// PlanStream parses and classifies src for windowed streaming
-// execution. The script must be exactly one foreground pipeline of
-// simple stages, with no redirections or assignment prefixes (the
-// stream owns stdin and stdout), and must fit one of the streamable
-// shapes:
-//
-//   - every stage stateless             → EmitDelta
-//   - stateless* + associative agg tail → EmitCumulative
-//   - stateless* + sort | head (top-k)  → EmitCumulative, 2-stage fold
-//
-// Word expansion (variables, command substitution) happens here, once,
-// exactly as it would at the top of a batch run.
+// PlanStream plans src for windowed execution through a fresh
+// interpreter over dir and vars; see Interp.PlanStream.
 func (c *Compiler) PlanStream(src, dir string, vars map[string]string) (*StreamPlan, error) {
 	list, err := shell.Parse(src)
 	if err != nil {
 		return nil, err
 	}
+	return NewInterp(c, dir, vars, runtime.StdIO{}).PlanStream(list)
+}
+
+// PlanStream classifies list for windowed streaming execution by this
+// interpreter. The script must be exactly one foreground pipeline of
+// simple stages that reads standard input, with no redirections or
+// assignment prefixes (the stream owns stdin and stdout), and must fit
+// one of the streamable shapes:
+//
+//   - every stage stateless             → delta: window outputs concatenate
+//   - stateless* + associative agg tail → cumulative
+//   - stateless* + sort | head (top-k)  → cumulative, 2-stage fold
+//
+// Word expansion (variables, command substitution) happens here, once,
+// through this interpreter: under its jail and budget, in its directory.
+func (in *Interp) PlanStream(list *shell.List) (*StreamPlan, error) {
 	if len(list.Items) != 1 {
 		return nil, notStreamable("want exactly one pipeline, got %d statements", len(list.Items))
 	}
@@ -110,10 +98,7 @@ func (c *Compiler) PlanStream(src, dir string, vars map[string]string) (*StreamP
 			return nil, notStreamable("redirections cannot stream (the stream owns stdin/stdout)")
 		}
 	}
-	// Expand with a throwaway interpreter: same env/expansion semantics
-	// as a batch run, paid once at plan time.
-	tmp := NewInterp(c, dir, vars, runtime.StdIO{})
-	stages, _, err := expandStages(tmp.expander(), simples)
+	stages, _, err := expandStages(in.expander(), simples)
 	if err != nil {
 		return nil, err
 	}
@@ -127,48 +112,42 @@ func (c *Compiler) PlanStream(src, dir string, vars map[string]string) (*StreamP
 	// Compile once, unoptimized, to reuse the batch classification:
 	// CompilePipeline adds one node per stage in order, attaching the
 	// (map, aggregate) pair wherever the agg library knows one.
-	g, err := c.CompilePipeline(stages, RegionIO{})
+	g, err := in.c.CompilePipeline(stages, RegionIO{})
 	if err != nil {
 		return nil, err
 	}
-	spec, err := classifyStream(g.Nodes)
+	// The windower feeds each window through the script's stdin: a
+	// pipeline that reads none never consumes the stream.
+	stdin := false
+	for _, e := range g.InputEdges() {
+		stdin = stdin || e.Source.Kind == dfg.BindStdin
+	}
+	if !stdin {
+		return nil, notStreamable("the pipeline does not read standard input")
+	}
+	fold, err := streamFold(g.Nodes)
 	if err != nil {
 		return nil, err
-	}
-	// Windowize validates the streaming shape (stdin in, stdout out)
-	// against the compiled graph; the spec stays on the plan and is
-	// attached to each window's private clone at execution time.
-	if err := dfg.Windowize(g, spec); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrNotStreamable, err)
 	}
 
-	p := &StreamPlan{
-		c:      c,
-		stages: stages,
-		rkey:   regionKey(stages),
-		dir:    dir,
-		env:    tmp.envSnapshot(),
-		window: *spec,
-	}
-	if len(spec.Combine) > 0 {
+	p := &StreamPlan{in: in, stages: stages, rkey: regionKey(stages), env: in.envSnapshot()}
+	if fold != nil {
 		// The first stage reads the two parts as operands — the same
 		// convention an agg-tree interior node uses to read its children —
 		// and later stages read the previous stage's stdout.
-		fold := make([]dfg.FusedStage, len(spec.Combine))
-		for i, cs := range spec.Combine {
-			fold[i] = dfg.FusedStage{Name: cs.Name, Args: cs.Args}
-		}
 		fold[0].Args = append(append([]string(nil), fold[0].Args...), streamStatePath, streamPartialPath)
-		if p.fold, err = runtime.NewStageChain(c.Cmds, fold, memFS{}, p.env, nil); err != nil {
+		if p.fold, err = runtime.NewStageChain(in.c.Cmds, fold, memFS{}, p.env, nil); err != nil {
 			return nil, fmt.Errorf("core: stream combine: %w", err)
 		}
 	}
 	return p, nil
 }
 
-// classifyStream derives the window operator's emit/composition
-// contract from a compiled (unoptimized) pipeline — one node per stage.
-func classifyStream(nodes []*dfg.Node) (*dfg.WindowSpec, error) {
+// streamFold derives how window results compose from a compiled
+// (unoptimized) pipeline — one node per stage: nil for a stateless
+// pipeline, whose window outputs concatenate, or the fold pipeline that
+// merges a window's partial into the carried state.
+func streamFold(nodes []*dfg.Node) ([]dfg.FusedStage, error) {
 	statelessThrough := func(k int) bool {
 		for i := 0; i < k; i++ {
 			if nodes[i].Class != annot.Stateless {
@@ -181,79 +160,40 @@ func classifyStream(nodes []*dfg.Node) (*dfg.WindowSpec, error) {
 	last := nodes[n-1]
 	switch {
 	case last.Class == annot.Stateless && statelessThrough(n-1):
-		// Stateless end to end: window outputs concatenate.
-		return &dfg.WindowSpec{Emit: dfg.EmitDelta}, nil
+		return nil, nil
 	case last.Agg != nil && last.Agg.Associative && statelessThrough(n-1):
 		// Terminal associative aggregator (wc, sum/grep -c, uniq -c,
 		// sort): the window partial folds into carried state with the
 		// same aggregate command the agg tree uses.
-		return &dfg.WindowSpec{
-			Emit:    dfg.EmitCumulative,
-			Combine: []dfg.CombineStage{{Name: last.Agg.AggName, Args: last.Agg.AggArgs}},
-		}, nil
+		return []dfg.FusedStage{{Name: last.Agg.AggName, Args: last.Agg.AggArgs}}, nil
 	case n >= 2 && last.Agg != nil && last.Agg.Associative && last.Agg.StopsEarly &&
 		nodes[n-2].Name == "sort" && nodes[n-2].Agg != nil && statelessThrough(n-2):
 		// sort | head -n K (top-k): fold = merge the sorted top-k runs,
 		// then re-take the top k. Sound because the global top-k is
 		// contained in the union of per-part top-ks.
-		return &dfg.WindowSpec{
-			Emit: dfg.EmitCumulative,
-			Combine: []dfg.CombineStage{
-				{Name: nodes[n-2].Agg.AggName, Args: nodes[n-2].Agg.AggArgs},
-				{Name: last.Agg.AggName, Args: last.Agg.AggArgs},
-			},
+		return []dfg.FusedStage{
+			{Name: nodes[n-2].Agg.AggName, Args: nodes[n-2].Agg.AggArgs},
+			{Name: last.Agg.AggName, Args: last.Agg.AggArgs},
 		}, nil
 	}
 	return nil, notStreamable("stage %q has no windowed form (want stateless stages with an associative aggregation tail)", last.Name)
 }
 
-// Window exposes the plan's window operator spec; the runner fills the
-// trigger policy (interval, max bytes) before the first window.
-func (p *StreamPlan) Window() *dfg.WindowSpec { return &p.window }
+// Cumulative reports the emit mode: true when window partials fold into
+// carried state and every window emits the running value, false when
+// window outputs concatenate.
+func (p *StreamPlan) Cumulative() bool { return p.fold != nil }
 
-// Stages reports the expanded pipeline (for metrics and tests).
-func (p *StreamPlan) Stages() []Stage { return p.stages }
-
-// Stats counts the windows run so far as the interpreter counts regions:
-// nodes, plan-cache verdicts and width decisions.
-func (p *StreamPlan) Stats() InterpStats {
-	p.statsMu.Lock()
-	defer p.statsMu.Unlock()
-	return p.stats
-}
-
-// RunWindow executes one window of the stream as a normal batch region.
-// width is the window's ask, a ceiling as Options.Width is for a script
-// region, and the window goes through the same decision: its width is
-// planned from its own bytes — the runner hands it a sized reader — and
-// granted by the scheduler for as long as the window runs, so between
-// windows the job holds no width token. The plan cache serves the template
-// (each distinct width compiles once, every later window pays one clone),
-// and the graph runs through the full runtime — fusion, rr split, agg
-// trees, and the distributed worker plane when the compiler has one. win
+// RunWindow executes one window of the stream as a region of the
+// interpreter that planned it. width is the window's ask, a ceiling as
+// Options.Width is for a script region, and the window goes through the
+// same decision: its width is planned from its own bytes — the runner
+// hands it a sized reader — and granted by the scheduler for as long as
+// the window runs, so between windows the job holds no width token. win
 // is the window's line-aligned payload; out receives the window's raw
 // result (the caller composes it per the emit mode).
 func (p *StreamPlan) RunWindow(ctx context.Context, win io.Reader, out, errw io.Writer, width int) (int, error) {
-	wp, lifted, release, err := p.c.regionWidth(p.stages, p.rkey, max(width, 1), p.Budget, RegionInput{
-		FS:    commands.OSFS{Dir: p.dir, Jail: p.Sandbox},
-		Stdin: win,
-	})
-	if err != nil {
-		return 1, err
-	}
-	defer release()
-	_, res, _, err := p.c.runRegion(ctx, p.stages, p.rkey, wp, lifted, runtime.StdIO{Stdin: win, Stdout: out, Stderr: errw}, runtime.Config{
-		Dir:     p.dir,
-		Env:     p.env,
-		Budget:  p.Budget,
-		Sandbox: p.Sandbox,
-		Traffic: p.Traffic,
-	}, false, func(g *dfg.Graph, hit bool) {
-		g.Window = &p.window
-		p.statsMu.Lock()
-		p.stats.noteRegion(g, hit)
-		p.statsMu.Unlock()
-	})
+	_, res, _, err := p.in.region(ctx, p.stages, p.rkey, max(width, 1), runtime.StdIO{Stdin: win, Stdout: out, Stderr: errw}, p.env)
 	if err != nil {
 		return 1, err
 	}

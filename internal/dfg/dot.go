@@ -26,10 +26,6 @@ func (g *Graph) Dot() string {
 // so multiple graphs can share one document as clusters.
 func (g *Graph) WriteDot(b *strings.Builder, indent, prefix string) {
 	id := func(n *Node) string { return fmt.Sprintf("%sn%d", prefix, n.ID) }
-	if g.Window != nil {
-		fmt.Fprintf(b, "%s%swin [label=%q, shape=note, style=filled, fillcolor=\"#fcf3cf\"];\n",
-			indent, prefix, g.Window.String())
-	}
 	for _, n := range g.Nodes {
 		fmt.Fprintf(b, "%s%s [label=%q, shape=%s%s];\n",
 			indent, id(n), nodeDotLabel(n), nodeDotShape(n), nodeDotStyle(n))

@@ -292,11 +292,6 @@ type Graph struct {
 	Nodes  []*Node
 	Edges  []*Edge
 	nextID int
-	// Window, when set, marks this plan as one leg of a streaming
-	// execution: the graph runs once per window of an unbounded input,
-	// and the spec says how windows trigger and how their results
-	// compose. See Windowize.
-	Window *WindowSpec
 	// Width is the planner's width decision for this region — asked,
 	// planned, and why — set where the region is planned, beside
 	// Node.Split and Edge.EagerBytes. The zero value means "not recorded"

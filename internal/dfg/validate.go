@@ -87,9 +87,6 @@ func (g *Graph) Validate() error {
 			return err
 		}
 	}
-	if err := g.validateWindow(); err != nil {
-		return err
-	}
 	return g.checkAcyclic()
 }
 

@@ -34,6 +34,11 @@
 // Scripts that fail to parse are rejected with 400 (the Job API
 // validates syntax synchronously, before the response commits).
 //
+// POST /stream runs a script windowed over the body or a followed file
+// (stream.go). It shares /run's request→job→trailers lifecycle; its
+// follow= and checkpoint= paths are relative to the session directory
+// (-dir), and a sandboxed daemon refuses those that leave it.
+//
 // Requests carry a tenant identity (X-Pash-Tenant header or tenant=
 // parameter; a configurable default otherwise). With a meter attached
 // the identity is governed — per-tenant job quota and rate limit —
@@ -447,6 +452,61 @@ func requestOptions(sess *pash.Session, r *http.Request) (*pash.Options, error) 
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
+	s.serveJob(w, r, runRequest, nil)
+}
+
+// runRequest is what /run takes from a request. With the script in the
+// query, the body is the script's stdin, with the size the request
+// declared, so the planner can size the region that reads it (a chunked
+// body declares none). With the script in the body, stdin is empty.
+func runRequest(w http.ResponseWriter, r *http.Request) (string, io.Reader, []pash.StartOption, bool) {
+	if script := r.URL.Query().Get("script"); script != "" {
+		if r.ContentLength < 0 {
+			return script, r.Body, nil, true
+		}
+		sb := &sizedBody{r: r.Body}
+		sb.left.Store(r.ContentLength)
+		return script, sb, nil, true
+	}
+	// Read one byte past the limit so an oversized script is rejected,
+	// not truncated to a prefix that might still parse and run.
+	const maxScript = 1 << 20
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxScript+1))
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return "", nil, nil, false
+	}
+	if len(body) > maxScript {
+		http.Error(w, "script exceeds 1 MiB", http.StatusRequestEntityTooLarge)
+		return "", nil, nil, false
+	}
+	if len(body) == 0 {
+		http.Error(w, "empty script", http.StatusBadRequest)
+		return "", nil, nil, false
+	}
+	return string(body), nil, nil, true
+}
+
+// A jobRequest is what one endpoint takes from a request: the script,
+// the job's stdin and the endpoint's own Start options. It answers a
+// request it refuses itself (ok=false).
+type jobRequest func(w http.ResponseWriter, r *http.Request) (script string, stdin io.Reader, opts []pash.StartOption, ok bool)
+
+// serveJob is the request→job→trailers lifecycle /run and /stream
+// share. Everything that can refuse the request — drain, the endpoint's
+// own reading, width, tenant gates, admission, and Start's parse and
+// plan — happens before the response commits, and every refusal after
+// admission hands back the slot and the tenant's job. jobs, when set,
+// counts the jobs started.
+func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, read jobRequest, jobs *atomic.Int64) {
+	// A job may leave its stdin unread (echo hi), and a refusal reads
+	// none. Under full duplex the server does not drain what is left
+	// before it reads the next request on a keep-alive connection; the
+	// drain it does when it closes the body afterwards starts a read
+	// that races that next one (net/http panics "invalid concurrent
+	// Body.Read call"). Closing the body while the handler still owns
+	// the connection drains it first.
+	defer r.Body.Close()
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
@@ -459,41 +519,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.active.Add(1)
 	defer s.active.Add(-1)
 
-	script := r.URL.Query().Get("script")
-	var stdin io.Reader
-	if script != "" {
-		// Script in the query: the body is the script's stdin, with the
-		// size the request declared, so the planner can size the region
-		// that reads it (a chunked body declares none).
-		stdin = r.Body
-		if r.ContentLength >= 0 {
-			sb := &sizedBody{r: r.Body}
-			sb.left.Store(r.ContentLength)
-			stdin = sb
-		}
-	} else {
-		// Script in the body: stdin is empty. Read one byte past the
-		// limit so an oversized script is rejected, not truncated to a
-		// prefix that might still parse and run.
-		const maxScript = 1 << 20
-		body, err := io.ReadAll(io.LimitReader(r.Body, maxScript+1))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if len(body) > maxScript {
-			http.Error(w, "script exceeds 1 MiB", http.StatusRequestEntityTooLarge)
-			return
-		}
-		script = string(body)
-		stdin = nil
-	}
-	if script == "" {
-		http.Error(w, "empty script", http.StatusBadRequest)
+	script, stdin, startOpts, ok := read(w, r)
+	if !ok {
 		return
 	}
-
-	var startOpts []pash.StartOption
 	if o, err := requestOptions(s.sess, r); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -509,7 +538,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// the scheduler queue, width pool, or plan cache), then scheduler
 	// admission under the tenant's key (503 + derived Retry-After on
 	// saturation). The job inherits the slot (WithAdmitted) instead of
-	// admitting a second time.
+	// admitting a second time; a stream holds it for its whole life, and
+	// width tokens only while a window runs.
 	tenant, trow, admitRelease, ok := s.admitFrontDoor(w, r)
 	if !ok {
 		return
@@ -519,9 +549,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		startOpts = append(startOpts, pash.WithAdmitted(admitRelease))
 	}
 
-	// The script reads the request body (stdin) while streaming the
-	// response body (stdout): full duplex, which HTTP/1 handlers must
-	// opt into.
+	// The script reads the request body (stdin, or a stream's source)
+	// while streaming the response body (stdout): full duplex, which
+	// HTTP/1 handlers must opt into.
 	http.NewResponseController(w).EnableFullDuplex()
 
 	flusher, _ := w.(http.Flusher)
@@ -529,8 +559,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	stdout := &countingWriter{w: w, flush: flusher, n: &s.bytesOut, ready: ready}
 
 	// One job per request: r.Context() cancels it when the client
-	// disconnects. Start validates the script's syntax synchronously,
-	// so parse errors still get a clean 400 (nothing streamed yet).
+	// disconnects. Start parses the script and plans a stream
+	// synchronously, so either failing still gets a clean 400 (nothing
+	// streamed yet).
 	job, err := s.sess.Start(r.Context(), script, pash.JobIO{Stdin: stdin, Stdout: stdout}, startOpts...)
 	if err != nil {
 		if admitRelease != nil {
@@ -544,6 +575,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.failures.Add(1)
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
+	}
+	if jobs != nil {
+		jobs.Add(1)
 	}
 
 	// Trailers must be declared before the body starts streaming.

@@ -13,6 +13,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/stream"
+	"repro/pash"
 )
 
 // streamRemote posts a body-source streaming request and returns the
@@ -77,8 +80,12 @@ func TestServeStreamDeltaBodySource(t *testing.T) {
 }
 
 func TestServeStreamRejectsUnstreamable(t *testing.T) {
-	_, ts := newTestServer(t, "")
-	for _, script := range []string{"sort | uniq -c", "grep a && grep b", "wc -l > out.txt"} {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "f"), []byte("x\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, dir)
+	for _, script := range []string{"sort | uniq -c", "grep a && grep b", "wc -l > out.txt", "cat f | wc -l", "wc -l f"} {
 		resp, err := http.Post(ts.URL+"/stream?script="+queryEscape(script),
 			"application/octet-stream", strings.NewReader("x\n"))
 		if err != nil {
@@ -90,8 +97,13 @@ func TestServeStreamRejectsUnstreamable(t *testing.T) {
 			t.Errorf("script %q: status = %d, want 400", script, resp.StatusCode)
 		}
 	}
-	// Bad parameters are 400 too.
-	for _, q := range []string{"script=wc&window=nope", "script=wc&window-bytes=0", "script=wc&resume=1"} {
+	// Bad parameters are 400 too, and so is a follow source with a body
+	// source's emit-mode checkpoint to resume.
+	if err := stream.SaveCheckpoint(filepath.Join(dir, "delta.ckpt"), &stream.Checkpoint{Emit: stream.EmitName(false)}); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{"script=wc&window=nope", "script=wc&window-bytes=0", "script=wc&resume=1",
+		"script=wc&follow=f&checkpoint=delta.ckpt&resume=1"} {
 		resp, err := http.Post(ts.URL+"/stream?"+q, "application/octet-stream", strings.NewReader(""))
 		if err != nil {
 			t.Fatal(err)
@@ -181,4 +193,117 @@ func fetchStreamMetrics(t testing.TB, ts *httptest.Server) Metrics {
 		t.Fatal(err)
 	}
 	return m
+}
+
+// TestServeStreamJailed: a sandboxed daemon plans a stream inside the
+// job's jail, as /run runs a script there. A command substitution that
+// reads outside it, and a follow= or checkpoint= path that leaves the
+// session directory, get 400 and leak nothing; relative paths resolve
+// under the session directory.
+func TestServeStreamJailed(t *testing.T) {
+	outside := t.TempDir()
+	if err := os.WriteFile(filepath.Join(outside, "secret.txt"), []byte("needle\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(outside, "jail")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "app.log"), []byte("a\nb\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv, ts := newTestServer(t, dir)
+	srv.SetDefaultLimits(pash.JobLimits{Sandbox: true})
+	for _, q := range []string{
+		"script=" + queryEscape("grep $(cat ../secret.txt)"),
+		"script=wc&follow=../secret.txt",
+		"script=wc&follow=" + queryEscape(filepath.Join(outside, "secret.txt")),
+		"script=wc&checkpoint=../job.ckpt",
+	} {
+		resp, err := http.Post(ts.URL+"/stream?"+q, "application/octet-stream", strings.NewReader("needle\nhay\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || strings.Contains(string(body), "needle\n") {
+			t.Errorf("%s: status %d, body %q; want 400 and nothing leaked", q, resp.StatusCode, body)
+		}
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
+		ts.URL+"/stream?script=wc%20-l&follow=app.log&checkpoint=job.ckpt&window-bytes=1&window=1h", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("follow=app.log under the session directory: status %d", resp.StatusCode)
+	}
+	// The second emission is the running count after both lines, and
+	// the job checkpoints before it emits the next window.
+	buf := make([]byte, 0, 8)
+	for !strings.HasSuffix(string(buf), "2\n") {
+		var b [8]byte
+		n, err := resp.Body.Read(b[:])
+		if err != nil {
+			t.Fatalf("emitted %q, then %v", buf, err)
+		}
+		buf = append(buf, b[:n]...)
+	}
+	waitForFile(t, filepath.Join(dir, "job.ckpt"))
+}
+
+// TestServeStreamPlansOnce: a /stream request plans its script once, so
+// a command substitution in it runs once.
+func TestServeStreamPlansOnce(t *testing.T) {
+	dir := t.TempDir()
+	_, ts := newTestServer(t, dir)
+	out, code, errMsg := streamRemote(t, ts, "script="+queryEscape("grep $(echo x >> log.txt; echo a)"), "a\nb\n")
+	if code != "0" || out != "a\n" {
+		t.Fatalf("exit %q (%s), output %q", code, errMsg, out)
+	}
+	if log, err := os.ReadFile(filepath.Join(dir, "log.txt")); err != nil || string(log) != "x\n" {
+		t.Errorf("log.txt = %q, %v; want the substitution to have run once", log, err)
+	}
+}
+
+// TestServeStreamRefusalRefunds: a stream Start refuses hands back its
+// admission slot and its tenant's job, as a /run parse error does, so
+// under a quota of one the next good stream is admitted.
+func TestServeStreamRefusalRefunds(t *testing.T) {
+	srv, ts := newTestServer(t, "")
+	srv.SetMeter(pash.NewMeter(pash.MeterConfig{DefaultQuota: 1}))
+	resp, err := http.Post(ts.URL+"/stream?script="+queryEscape("sort | uniq -c"), "application/octet-stream", strings.NewReader("x\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("unstreamable: status %d, want 400", resp.StatusCode)
+	}
+	out, code, errMsg := streamRemote(t, ts, "script=wc%20-l", "x\ny\n")
+	if code != "0" || strings.TrimSpace(out) != "2" {
+		t.Errorf("the next stream: exit %q (%s), output %q", code, errMsg, out)
+	}
+	if st := srv.Snapshot().Scheduler; st != nil && st.ActiveScripts != 0 {
+		t.Errorf("%d admission slots still held", st.ActiveScripts)
+	}
+}
+
+func waitForFile(t *testing.T, path string) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+		if _, err := os.Stat(path); err == nil {
+			return
+		}
+	}
+	t.Fatalf("%s never appeared", path)
 }

@@ -427,8 +427,15 @@ func (l *lexer) lexDollar() (WordPart, error) {
 			return nil, l.errf("unterminated ${")
 		}
 		name := l.src[l.pos+1 : l.pos+end]
+		if !braceableName(name) {
+			// ${name:-word}, ${#name}, ${name%suffix}, ...: refused
+			// rather than expanded as a parameter nobody set.
+			return nil, l.errf("unsupported parameter expansion ${%s}", name)
+		}
 		l.pos += end + 1
 		return &Param{Name: name, Braced: true}, nil
+	case c == '(' && strings.HasPrefix(l.src[l.pos:], "(("):
+		return nil, l.errf("unsupported arithmetic expansion $((")
 	case c == '(':
 		// $( ... ) with nesting, quote-aware: parens inside single or
 		// double quotes (or backslash-escaped) do not count, matching
@@ -454,6 +461,25 @@ func (l *lexer) lexDollar() (WordPart, error) {
 		return &Param{Name: string(c)}, nil
 	}
 	return &Lit{Text: "$"}, nil
+}
+
+// braceableName reports whether ${name} is a plain parameter: a name,
+// positional digits, or one special parameter.
+func braceableName(name string) bool {
+	switch {
+	case name == "":
+		return false
+	case len(name) == 1 && strings.Contains("#?@*!$-", name):
+		return true
+	case isNameByte(name[0], true):
+		for i := 1; i < len(name); i++ {
+			if !isNameByte(name[i], false) {
+				return false
+			}
+		}
+		return true
+	}
+	return strings.Trim(name, "0123456789") == ""
 }
 
 // scanBrace attempts to scan a brace expansion ({lo..hi} or {a,b,c}) at the

@@ -421,3 +421,27 @@ func TestEscapedReservedWords(t *testing.T) {
 		}
 	}
 }
+
+// TestParseRefusesUnsupportedExpansions: parameter operators, ${#name}
+// and arithmetic expansion are parse errors that name the construct,
+// never a silently empty word or a command named "3*4"; plain $x and
+// ${x} forms still parse.
+func TestParseRefusesUnsupportedExpansions(t *testing.T) {
+	for src, want := range map[string]string{
+		`echo ${y:-def}`:      "${y:-def}",
+		`x=abc; echo ${#x}`:   "${#x}",
+		`x=a.b; echo ${x%.b}`: "${x%.b}",
+		`echo "${x#a}"`:       "${x#a}",
+		`echo $((3*4))`:       "$((",
+	} {
+		_, err := Parse(src)
+		if _, ok := err.(*SyntaxError); !ok || !strings.Contains(err.Error(), want) {
+			t.Errorf("%q: err = %v, want a syntax error naming %s", src, err, want)
+		}
+	}
+	for _, src := range []string{`echo $x ${x} ${x}y ${10} ${#} ${?} "$@" ${*}`, `echo $(echo a) $( (echo b) )`} {
+		if _, err := Parse(src); err != nil {
+			t.Errorf("%q: %v", src, err)
+		}
+	}
+}

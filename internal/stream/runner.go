@@ -105,13 +105,26 @@ type Runner struct {
 
 	resumed bool
 
+	// lats rings the most recent maxLatSamples emit latencies; latN
+	// counts every latency noted, so latN % maxLatSamples is the next
+	// slot to overwrite.
 	latMu sync.Mutex
 	lats  []time.Duration
+	latN  int
 }
 
 // maxLatSamples bounds the emit-latency record, the samples behind
-// Stats.EmitP50Ms and Stats.EmitP99Ms.
+// Stats.EmitP50Ms and Stats.EmitP99Ms: the most recent windows', so the
+// percentiles keep following a job that runs for days.
 const maxLatSamples = 1 << 16
+
+// EmitName names an emit mode the way Stats and checkpoints record it.
+func EmitName(cumulative bool) string {
+	if cumulative {
+		return "cumulative"
+	}
+	return "delta"
+}
 
 // NewRunner validates cfg and builds a runner. Call Run once.
 func NewRunner(cfg Config) (*Runner, error) {
@@ -205,16 +218,12 @@ func (r *Runner) Run(ctx context.Context) error {
 
 // checkpoint saves the current window boundary + fold state.
 func (r *Runner) checkpoint(state []byte) error {
-	emit := "delta"
-	if r.cfg.Cumulative {
-		emit = "cumulative"
-	}
 	cp := &Checkpoint{
 		Seq:          r.ckptSeq.Load() + 1,
 		SourceOffset: r.w.Boundary(),
 		Windows:      r.windows.Load(),
 		Rows:         r.rows.Load(),
-		Emit:         emit,
+		Emit:         EmitName(r.cfg.Cumulative),
 		Time:         time.Now(),
 	}
 	if state != nil {
@@ -250,7 +259,10 @@ func (r *Runner) noteLatency(d time.Duration) {
 	r.latMu.Lock()
 	if len(r.lats) < maxLatSamples {
 		r.lats = append(r.lats, d)
+	} else {
+		r.lats[r.latN%maxLatSamples] = d
 	}
+	r.latN++
 	r.latMu.Unlock()
 }
 
@@ -280,10 +292,7 @@ func (r *Runner) Stats() Stats {
 		RowsPerSec:  math.Float64frombits(r.rateBits.Load()),
 		WindowLagMs: r.lagMs.Load(),
 		Resumed:     r.resumed,
-		Emit:        "delta",
-	}
-	if r.cfg.Cumulative {
-		st.Emit = "cumulative"
+		Emit:        EmitName(r.cfg.Cumulative),
 	}
 	if seq := r.ckptSeq.Load(); seq > 0 {
 		st.CheckpointSeq = seq

@@ -348,3 +348,22 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Error("corrupt checkpoint loaded without error")
 	}
 }
+
+// TestEmitLatencyFollowsRecentWindows: past maxLatSamples windows the
+// emit-latency record keeps the most recent ones, so the percentiles
+// describe the stream as it runs now, not its first windows.
+func TestEmitLatencyFollowsRecentWindows(t *testing.T) {
+	r := &Runner{}
+	for i := 0; i < maxLatSamples; i++ {
+		r.noteLatency(time.Millisecond)
+	}
+	for i := 0; i < maxLatSamples*3/4; i++ {
+		r.noteLatency(9 * time.Millisecond)
+	}
+	if p50, p99 := r.latPercentiles(); p50 != 9 || p99 != 9 {
+		t.Errorf("p50, p99 = %v, %v ms; want 9, 9 from the recent windows", p50, p99)
+	}
+	if len(r.lats) != maxLatSamples {
+		t.Errorf("the record holds %d samples, want the cap %d", len(r.lats), maxLatSamples)
+	}
+}

@@ -16,6 +16,7 @@ import (
 	"time"
 	"unicode/utf8"
 
+	"repro/internal/commands"
 	"repro/internal/core"
 	"repro/internal/runtime"
 	"repro/internal/shell"
@@ -113,21 +114,20 @@ type Job struct {
 	admitted func()
 	tenant   string
 
-	stream *StreamConfig
+	// live is the job's interpreter: it runs the script, or plans the
+	// stream whose windows run as its regions, and its Stats are the
+	// job's region and traffic counters, live and final.
+	live *core.Interp
+	// stream, when set, is the stream the job runs instead of a script.
+	stream *streamJob
 
 	mu       sync.Mutex
 	finished bool
 	code     int
 	err      error
 	wall     time.Duration
-	interp   core.InterpStats
-	// live holds the interpreter while a batch job runs, so Stats can
-	// snapshot real region/traffic counters instead of zeros.
-	live *core.Interp
-	// runner/splan/straffic hold the streaming execution's live state.
-	runner   *stream.Runner
-	splan    *core.StreamPlan
-	straffic *runtime.Traffic
+	// runner is the streaming execution's live state.
+	runner *stream.Runner
 }
 
 // JobStats is a point-in-time view of a job, live while it runs and
@@ -157,8 +157,11 @@ type JobStats struct {
 
 // Start parses and launches a script, returning a handle immediately.
 // The script's syntax is validated synchronously (a parse error returns
-// without starting anything); execution — including scheduler admission
-// when the session has one — happens in the job's own goroutine.
+// without starting anything), and so is a stream's plan
+// (WithStreamInput): its command substitutions run here, under the
+// job's jail and budget, and a script that cannot stream returns
+// ErrNotStreamable. Execution — including scheduler admission when the
+// session has one — happens in the job's own goroutine.
 // Cancelling ctx, or calling Job.Cancel, stops the script at the next
 // statement boundary with exit status 130.
 func (s *Session) Start(ctx context.Context, src string, stdio JobIO, opts ...StartOption) (*Job, error) {
@@ -212,21 +215,38 @@ func (s *Session) Start(ctx context.Context, src string, stdio JobIO, opts ...St
 		budget:   runtime.NewBudget(blimits),
 		admitted: cfg.admitted,
 		tenant:   cfg.tenant,
-		stream:   cfg.stream,
+	}
+	stdout := stdio.Stdout
+	if stdout == nil {
+		stdout = io.Discard
+	}
+	if cfg.limits.MaxOutputBytes > 0 {
+		stdout = runtime.LimitWriter(stdout, j.budget, cancel)
+	}
+	j.live = core.NewInterp(c, s.Dir, s.Vars,
+		runtime.StdIO{Stdin: stdio.Stdin, Stdout: stdout, Stderr: stdio.Stderr})
+	j.live.UseBudget(j.budget, cfg.limits.Sandbox)
+	if cfg.stream != nil {
+		j.stream, err = planStream(j.live, list, *cfg.stream, commands.OSFS{Dir: s.Dir, Jail: cfg.limits.Sandbox},
+			stream.Config{MaxBuffer: cfg.limits.MaxPipeMemory, Width: c.Opts.Width, Out: stdout, Errw: stdio.Stderr})
+		if err != nil {
+			cancel()
+			return nil, err
+		}
 	}
 	s.trackJob(j)
-	go j.run(jctx, c, s.Dir, s.Vars, stdio)
+	go j.run(jctx, c.Sched)
 	return j, nil
 }
 
-func (j *Job) run(ctx context.Context, c *core.Compiler, dir string, vars map[string]string, stdio JobIO) {
+func (j *Job) run(ctx context.Context, sched *runtime.Scheduler) {
 	defer j.cancel()
 	defer close(j.done)
 	defer j.sess.untrackJob(j)
 	if j.admitted != nil {
 		defer j.admitted()
-	} else if c.Sched != nil {
-		release, err := c.Sched.AdmitKey(ctx, j.tenant)
+	} else if sched != nil {
+		release, err := sched.AdmitKey(ctx, j.tenant)
 		if err != nil {
 			code := 1
 			if ctx.Err() != nil {
@@ -234,47 +254,32 @@ func (j *Job) run(ctx context.Context, c *core.Compiler, dir string, vars map[st
 				// as cancellation mid-script.
 				code = 130
 			}
-			j.finish(code, err, core.InterpStats{})
+			j.finish(code, err)
 			return
 		}
 		defer release()
 	}
-	if j.stream != nil {
-		j.runStream(ctx, c, dir, vars, stdio)
-		return
-	}
-	// Wall-clock budget: the timer attributes the kill to the budget
-	// before cancelling, so the breach outranks the generic 130.
-	if j.limits.WallTimeout > 0 {
-		t := time.AfterFunc(j.limits.WallTimeout, func() {
-			j.budget.TripWall()
-			j.cancel()
-		})
-		defer t.Stop()
-	}
-	stdout := stdio.Stdout
-	if j.limits.MaxOutputBytes > 0 {
-		if stdout == nil {
-			stdout = io.Discard
-		}
-		stdout = runtime.LimitWriter(stdout, j.budget, j.cancel)
-	}
-	in := core.NewInterp(c, dir, vars,
-		runtime.StdIO{Stdin: stdio.Stdin, Stdout: stdout, Stderr: stdio.Stderr})
-	in.UseBudget(j.budget, j.limits.Sandbox)
-	// Publish the interpreter so Stats reports live region and traffic
-	// counters while the job runs, not zeros-until-Wait.
-	j.mu.Lock()
-	j.live = in
-	j.mu.Unlock()
-	// Reuse the list Start already parsed for validation. The recover
-	// boundary turns a panic anywhere in the interpreter's own frame —
-	// including user extension code running inline — into this job's
-	// error, never a process crash.
+	// The recover boundary turns a panic anywhere in the interpreter's
+	// own frame — including user extension code running inline — into
+	// this job's error, never a process crash.
 	var code int
 	err := func() (err error) {
 		defer runtime.Contain("job", &err)
-		code, err = in.RunParsed(ctx, j.parsed)
+		if j.stream != nil {
+			code, err = j.stream.run(ctx, j)
+			return err
+		}
+		// Wall-clock budget: the timer attributes the kill to the budget
+		// before cancelling, so the breach outranks the generic 130.
+		if j.limits.WallTimeout > 0 {
+			t := time.AfterFunc(j.limits.WallTimeout, func() {
+				j.budget.TripWall()
+				j.cancel()
+			})
+			defer t.Stop()
+		}
+		// Reuse the list Start already parsed for validation.
+		code, err = j.live.RunParsed(ctx, j.parsed)
 		return err
 	}()
 	// Budget breaches outrank the generic failure codes they cascade
@@ -285,15 +290,14 @@ func (j *Job) run(ctx context.Context, c *core.Compiler, dir string, vars map[st
 	} else if err != nil && errors.Is(err, ErrBudgetExceeded) {
 		code = ExitBudgetExceeded
 	}
-	j.finish(code, err, in.StatsSnapshot())
+	j.finish(code, err)
 }
 
-func (j *Job) finish(code int, err error, st core.InterpStats) {
+func (j *Job) finish(code int, err error) {
 	j.mu.Lock()
 	j.finished = true
 	j.code = code
 	j.err = err
-	j.interp = st
 	j.wall = time.Since(j.started)
 	j.mu.Unlock()
 }
@@ -340,6 +344,7 @@ func (j *Job) Stats() JobStats {
 		Start:  j.started,
 		Limits: j.limits,
 		Budget: j.budget.Usage(),
+		Interp: j.live.StatsSnapshot(),
 	}
 	if j.finished {
 		st.WallSeconds = j.wall.Seconds()
@@ -347,19 +352,9 @@ func (j *Job) Stats() JobStats {
 		if j.err != nil {
 			st.Err = j.err.Error()
 		}
-		st.Interp = j.interp
 	} else {
 		st.Running = true
 		st.WallSeconds = time.Since(j.started).Seconds()
-		// Live counters: a running batch job reports its interpreter's
-		// current regions and bytes/chunks moved; a running streaming
-		// job reports its stream plan's and traffic meter's.
-		switch {
-		case j.live != nil:
-			st.Interp = j.live.StatsSnapshot()
-		case j.runner != nil:
-			st.Interp = streamStats(j.splan, j.straffic)
-		}
 	}
 	if j.runner != nil {
 		ss := j.runner.Stats()

@@ -1,12 +1,12 @@
 package pash
 
-// Streaming jobs: WithStreamInput turns a Start call into a continuous
-// execution over an unbounded source. The script is compiled once into
-// a StreamPlan (stateless stages plus, optionally, an associative
-// aggregation tail), and the internal/stream runner executes it window
-// by window — each window a normal batch region through the plan
-// cache, scheduler, and distributed plane. Lifecycle differences from
-// batch jobs, per the streaming contract:
+// Streaming jobs: WithStreamInput makes a job's one statement run
+// windowed over an unbounded source. Start plans the stream once,
+// through the job's own interpreter — its budget, jail, traffic meter
+// and Session.Dir — and that plan is the one the job runs, window by
+// window through the internal/stream runner, each window a region of
+// that interpreter. Lifecycle differences from batch jobs, per the
+// streaming contract:
 //
 //   - WallTimeout does not apply (the job is unbounded by design);
 //     cancel the context or call Job.Cancel to stop it.
@@ -23,9 +23,10 @@ import (
 	"io"
 	"time"
 
+	"repro/internal/commands"
 	"repro/internal/core"
-	"repro/internal/dfg"
 	"repro/internal/runtime"
+	"repro/internal/shell"
 	"repro/internal/stream"
 )
 
@@ -34,21 +35,19 @@ import (
 type StreamStats = stream.Stats
 
 // ErrNotStreamable marks scripts the streaming planner rejects; only
-// single pipelines of stateless stages with an optional associative
-// aggregation tail can stream.
+// single pipelines reading stdin, of stateless stages with an optional
+// associative aggregation tail, can stream.
 var ErrNotStreamable = core.ErrNotStreamable
 
 // StreamConfig shapes one streaming job. Exactly one of FollowPath and
-// Reader must be set.
+// Reader must be set. Relative paths resolve under Session.Dir, and a
+// sandboxed job refuses paths that leave it, as its commands do.
 type StreamConfig struct {
 	// FollowPath tails a file with rotation detection (tail -F).
 	FollowPath string
 	// Reader streams from an arbitrary reader (socket, request body);
 	// its EOF ends the stream cleanly.
 	Reader io.Reader
-	// Offset starts a follow source at a byte offset (ignored when a
-	// checkpoint resume supplies one).
-	Offset int64
 	// Poll is the follow source's no-data poll interval (default 50ms).
 	Poll time.Duration
 
@@ -60,87 +59,88 @@ type StreamConfig struct {
 
 	// CheckpointPath enables checkpointed failover, saving after every
 	// window. Resume loads the checkpoint at CheckpointPath and
-	// continues from it.
+	// continues from it; a missing checkpoint starts fresh.
 	CheckpointPath string
 	Resume         bool
 }
 
 // WithStreamInput runs the job as a streaming execution over sc's
-// source instead of a batch run over stdio.Stdin.
+// source instead of a batch run over stdio.Stdin. Start plans the
+// stream, so the script's command substitutions run there, under the
+// job's jail and budget, and a script that cannot stream fails Start
+// with ErrNotStreamable.
 func WithStreamInput(sc StreamConfig) StartOption {
 	return func(c *startConfig) { scc := sc; c.stream = &scc }
 }
 
-// CheckStream reports whether src can run as a streaming job, without
-// starting one: nil, or an error matching ErrNotStreamable explaining
-// which shape rule the script breaks. pash-serve uses it to answer 400
-// before committing a streaming response.
-func (s *Session) CheckStream(src string) error {
-	_, err := s.snapshot().PlanStream(src, s.Dir, s.Vars)
-	return err
+// streamJob is a stream planned at Start: its config with the paths
+// resolved, and the runner's config, whole but for the source.
+type streamJob struct {
+	sc StreamConfig
+	rc stream.Config
 }
 
-// runStream is the streaming counterpart of the batch half of Job.run;
-// admission has already happened in run.
-func (j *Job) runStream(ctx context.Context, c *core.Compiler, dir string, vars map[string]string, stdio JobIO) {
-	sc := j.stream
-	plan, err := c.PlanStream(j.src, dir, vars)
+// planStream is Start's half of a streaming job: it checks sc, resolves
+// its paths through fs (the job's directory and jail), plans list
+// through in, and loads the checkpoint a resume continues from. rc
+// brings the runner's sinks, width and buffer bound. A panic in the
+// plan's command substitutions is the Start's error, as one while the
+// job runs is the job's.
+func planStream(in *core.Interp, list *shell.List, sc StreamConfig, fs commands.OSFS, rc stream.Config) (_ *streamJob, err error) {
+	defer runtime.Contain("stream plan", &err)
+	if (sc.FollowPath == "") == (sc.Reader == nil) {
+		return nil, errors.New("pash: StreamConfig needs exactly one of FollowPath and Reader")
+	}
+	if sc.Resume && sc.CheckpointPath == "" {
+		return nil, errors.New("pash: StreamConfig.Resume needs a CheckpointPath")
+	}
+	for _, p := range []*string{&sc.FollowPath, &sc.CheckpointPath} {
+		if *p == "" {
+			continue
+		}
+		if *p, err = fs.Resolve(*p); err != nil {
+			return nil, err
+		}
+	}
+	plan, err := in.PlanStream(list)
 	if err != nil {
-		code := 1
-		if errors.Is(err, core.ErrNotStreamable) {
-			code = 2
-		}
-		j.finish(code, err, core.InterpStats{})
-		return
+		return nil, err
 	}
-	tr := &runtime.Traffic{}
-	plan.Budget = j.budget
-	plan.Traffic = tr
-	plan.Sandbox = j.limits.Sandbox
-
-	spec := plan.Window()
-	if sc.Interval > 0 {
-		spec.Interval = sc.Interval
-	}
-	spec.MaxBytes = sc.WindowBytes
-	cumulative := spec.Emit == dfg.EmitCumulative
-
-	var cp *stream.Checkpoint
-	if sc.CheckpointPath != "" && sc.Resume {
-		cp, err = stream.LoadCheckpoint(sc.CheckpointPath)
+	rc.Exec, rc.Cumulative = plan, plan.Cumulative()
+	rc.Interval, rc.MaxBytes, rc.CheckpointPath = sc.Interval, sc.WindowBytes, sc.CheckpointPath
+	sj := &streamJob{sc: sc, rc: rc}
+	if sc.Resume {
+		cp, err := stream.LoadCheckpoint(sc.CheckpointPath)
 		if err != nil {
-			j.finish(1, err, core.InterpStats{})
-			return
+			return nil, err
 		}
-		if cp != nil && cp.Emit != spec.Emit.String() {
-			j.finish(1, fmt.Errorf("pash: checkpoint is %s but plan is %s", cp.Emit, spec.Emit), core.InterpStats{})
-			return
+		if emit := stream.EmitName(plan.Cumulative()); cp != nil && cp.Emit != emit {
+			return nil, fmt.Errorf("pash: checkpoint is %s but plan is %s", cp.Emit, emit)
 		}
+		sj.rc.Resume = cp
 	}
+	return sj, nil
+}
 
+// run is the streaming job's half of Job.run: it opens the source and
+// runs the windows until the source ends (exit 0) or ctx is cancelled
+// (exit 130).
+func (sj *streamJob) run(ctx context.Context, j *Job) (int, error) {
 	var src stream.Source
-	switch {
-	case sc.FollowPath != "" && sc.Reader != nil:
-		j.finish(1, errors.New("pash: StreamConfig sets both FollowPath and Reader"), core.InterpStats{})
-		return
-	case sc.FollowPath != "":
-		offset := sc.Offset
-		if cp != nil {
-			offset = cp.SourceOffset
+	if sj.sc.FollowPath != "" {
+		var offset int64
+		if sj.rc.Resume != nil {
+			offset = sj.rc.Resume.SourceOffset
 		}
-		fs, ferr := stream.NewFollowSource(sc.FollowPath, offset, sc.Poll)
-		if ferr != nil {
-			j.finish(1, ferr, core.InterpStats{})
-			return
+		fs, err := stream.NewFollowSource(sj.sc.FollowPath, offset, sj.sc.Poll)
+		if err != nil {
+			return 1, err
 		}
 		src = fs
-	case sc.Reader != nil:
+	} else {
 		// A plain reader cannot seek: a resume keeps the fold state but
 		// replays nothing.
-		src = stream.NewReaderSource(sc.Reader)
-	default:
-		j.finish(1, errors.New("pash: StreamConfig needs FollowPath or Reader"), core.InterpStats{})
-		return
+		src = stream.NewReaderSource(sj.sc.Reader)
 	}
 	defer src.Close()
 	// Cancellation must unblock a source parked in Read. Job.run
@@ -150,64 +150,20 @@ func (j *Job) runStream(ctx context.Context, c *core.Compiler, dir string, vars 
 		src.Close()
 	}()
 
-	stdout := stdio.Stdout
-	if stdout == nil {
-		stdout = io.Discard
-	}
-	if j.limits.MaxOutputBytes > 0 {
-		stdout = runtime.LimitWriter(stdout, j.budget, j.cancel)
-	}
-	stderr := stdio.Stderr
-	if stderr == nil {
-		stderr = io.Discard
-	}
-
-	r, err := stream.NewRunner(stream.Config{
-		Source:         src,
-		Exec:           plan,
-		Cumulative:     cumulative,
-		Interval:       spec.Interval,
-		MaxBytes:       spec.MaxBytes,
-		MaxBuffer:      j.limits.MaxPipeMemory,
-		CheckpointPath: sc.CheckpointPath,
-		Resume:         cp,
-		Width:          c.Opts.Width,
-		Out:            stdout,
-		Errw:           stderr,
-	})
+	rc := sj.rc
+	rc.Source = src
+	r, err := stream.NewRunner(rc)
 	if err != nil {
-		j.finish(1, err, core.InterpStats{})
-		return
+		return 1, err
 	}
 	j.mu.Lock()
 	j.runner = r
-	j.splan = plan
-	j.straffic = tr
 	j.mu.Unlock()
-
-	err = func() (err error) {
-		defer runtime.Contain("stream-job", &err)
-		return r.Run(ctx)
-	}()
-	code := 0
-	switch {
-	case err == nil:
-	case ctx.Err() != nil:
-		code, err = 130, nil
-	default:
-		code = 1
+	if err := r.Run(ctx); err != nil {
+		if ctx.Err() != nil {
+			return 130, nil
+		}
+		return 1, err
 	}
-	if be := j.budget.Exceeded(); be != nil {
-		code, err = ExitBudgetExceeded, be
-	}
-	j.finish(code, err, streamStats(plan, tr))
-}
-
-// streamStats shapes a streaming job's counters into the InterpStats slot
-// of JobStats: the windows it ran, counted by the stream plan as regions
-// (nodes, plan verdicts, width decisions), and live traffic from the meter.
-func streamStats(plan *core.StreamPlan, tr *runtime.Traffic) core.InterpStats {
-	st := plan.Stats()
-	st.BytesMoved, st.ChunksMoved = tr.Moved()
-	return st
+	return 0, nil
 }

@@ -3,6 +3,7 @@ package pash
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -13,7 +14,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/commands"
 	"repro/internal/dfg"
+	"repro/internal/stream"
 )
 
 // chunkReader yields data in random-sized chunks, simulating a bursty
@@ -223,10 +226,16 @@ func TestStreamTopK(t *testing.T) {
 	}
 }
 
-// TestStreamNotStreamable: stateful non-associative scripts are
-// rejected with the typed error before any execution.
+// TestStreamNotStreamable: Start refuses, synchronously and before any
+// window runs, a script that cannot stream — including a pipeline that
+// reads no stdin — and a StreamConfig the job could not run.
 func TestStreamNotStreamable(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "f"), []byte("a\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	s := NewSession(DefaultOptions(2))
+	s.Dir = dir
 	for _, script := range []string{
 		"grep a && grep b", // not a plain pipeline
 		"sort | uniq -c",   // two-stage fold would be unsound
@@ -234,36 +243,93 @@ func TestStreamNotStreamable(t *testing.T) {
 		"cd /tmp",          // builtin
 		"grep a; grep b",   // two statements
 		"x=1 grep a",       // assignment prefix
+		"cat f | wc -l",    // reads no stdin
+		"wc -l f",          // reads no stdin
 	} {
 		j, err := s.Start(context.Background(), script, JobIO{},
 			WithStreamInput(StreamConfig{Reader: strings.NewReader("a\n")}))
-		if err != nil {
-			t.Fatalf("%q: start: %v", script, err)
+		if j != nil || !errors.Is(err, ErrNotStreamable) {
+			t.Errorf("%q: Start = %v, %v; want ErrNotStreamable", script, j, err)
 		}
-		code, err := j.Wait()
-		if err == nil || !isNotStreamable(err) || code != 2 {
-			t.Errorf("%q: code=%d err=%v, want ErrNotStreamable and code 2", script, code, err)
+	}
+
+	// A checkpoint a delta job left, which a cumulative job cannot resume.
+	if err := stream.SaveCheckpoint(filepath.Join(dir, "delta.ckpt"), &stream.Checkpoint{Emit: stream.EmitName(false)}); err != nil {
+		t.Fatal(err)
+	}
+	for name, sc := range map[string]StreamConfig{
+		"no source":              {},
+		"two sources":            {FollowPath: "f", Reader: strings.NewReader("a\n")},
+		"resume, no checkpoint":  {Reader: strings.NewReader("a\n"), Resume: true},
+		"other emit mode resume": {Reader: strings.NewReader("a\n"), CheckpointPath: "delta.ckpt", Resume: true},
+	} {
+		if j, err := s.Start(context.Background(), "wc -l", JobIO{}, WithStreamInput(sc)); j != nil || err == nil {
+			t.Errorf("%s: Start = %v, %v; want a refusal", name, j, err)
 		}
 	}
 }
 
-func isNotStreamable(err error) bool {
-	return err != nil && strings.Contains(err.Error(), "not streamable") ||
-		errIs(err, ErrNotStreamable)
-}
-
-func errIs(err, target error) bool {
-	for e := err; e != nil; {
-		if e == target {
-			return true
-		}
-		u, ok := e.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		e = u.Unwrap()
+// TestStreamSandbox: a stream is planned and opened inside its job's
+// jail, as TestJobSandbox holds for scripts. A command substitution that
+// reads outside it fails Start and leaks nothing; relative FollowPath
+// and CheckpointPath resolve under Session.Dir, and a sandboxed job
+// refuses paths that leave it.
+func TestStreamSandbox(t *testing.T) {
+	outside := t.TempDir()
+	if err := os.WriteFile(filepath.Join(outside, "secret.txt"), []byte("needle\n"), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	return false
+	dir := filepath.Join(outside, "jail")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "app.log"), []byte("a\nb\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := NewSession(DefaultOptions(2))
+	s.Dir = dir
+	jailed := WithLimits(JobLimits{Sandbox: true})
+
+	var out bytes.Buffer
+	if j, err := s.Start(context.Background(), "grep $(cat ../secret.txt)", JobIO{Stdout: &out},
+		WithStreamInput(StreamConfig{Reader: strings.NewReader("needle\nhay\n")}), jailed); err == nil {
+		code, werr := j.Wait()
+		t.Errorf("command substitution escaped the jail: Start ok, exit %d, %v", code, werr)
+	}
+	if strings.Contains(out.String(), "needle") {
+		t.Errorf("leaked %q", out.String())
+	}
+
+	for _, sc := range []StreamConfig{
+		{FollowPath: "../secret.txt"},
+		{FollowPath: filepath.Join(outside, "secret.txt")},
+		{FollowPath: "app.log", CheckpointPath: "../job.ckpt"},
+		{Reader: strings.NewReader("a\n"), CheckpointPath: filepath.Join(outside, "job.ckpt")},
+	} {
+		if j, err := s.Start(context.Background(), "wc -l", JobIO{}, WithStreamInput(sc), jailed); j != nil || !errors.Is(err, commands.ErrJailEscape) {
+			t.Errorf("%+v: Start = %v, %v; want ErrJailEscape", sc, j, err)
+		}
+	}
+
+	rec := &emitRecorder{}
+	j, err := s.Start(context.Background(), "wc -l", JobIO{Stdout: rec}, jailed, WithStreamInput(StreamConfig{
+		FollowPath: "app.log", CheckpointPath: "job.ckpt", Interval: time.Hour, WindowBytes: 1, Poll: 5 * time.Millisecond,
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 10*time.Second, func() bool {
+		st := j.Stats()
+		return st.Stream != nil && st.Stream.CheckpointSeq >= 2
+	})
+	j.Cancel()
+	j.Wait()
+	if emits := rec.snapshot(); len(emits) < 2 || emits[len(emits)-1] != "2\n" {
+		t.Errorf("followed app.log under Session.Dir: emitted %q, want a running count ending in 2", emits)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "job.ckpt")); err != nil {
+		t.Errorf("checkpoint not under Session.Dir: %v", err)
+	}
 }
 
 // TestStreamFollowCheckpointResume is the failover contract: a job
