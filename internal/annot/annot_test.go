@@ -1,8 +1,13 @@
 package annot
 
 import (
+	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/commands"
 )
 
 func TestParseCommRecord(t *testing.T) {
@@ -88,11 +93,11 @@ func TestFlagRefinement(t *testing.T) {
 		{"sort", []string{"-R"}, NonParallelizable},
 		{"sed", []string{"s/a/b/"}, Stateless},
 		{"sed", []string{"-n", "s/a/b/p"}, Stateless},
-		{"sed", []string{"-i", "s/a/b/", "f"}, SideEffectful},
-		{"sed", []string{"2d"}, NonParallelizable},    // positional address
-		{"sed", []string{"$d"}, NonParallelizable},    // last-line address
-		{"sed", []string{"N;P;D"}, NonParallelizable}, // multi-line state
-		{"sed", []string{"s/;/,/"}, Stateless},        // ';' inside a command is not a separator
+		{"sed", []string{"-i", "s/a/b/", "f"}, NonParallelizable}, // sed refuses -i: one node reports it
+		{"sed", []string{"2d"}, NonParallelizable},                // positional address
+		{"sed", []string{"$d"}, NonParallelizable},                // last-line address
+		{"sed", []string{"N;P;D"}, NonParallelizable},             // multi-line state
+		{"sed", []string{"s/;/,/"}, Stateless},                    // ';' inside a command is not a separator
 		{"sed", []string{"y/;/,/"}, Stateless},
 		{"sed", []string{"-n", "/7/p"}, Stateless},
 		{"sed", []string{"-e", "1d", "-e", "s/9/X/"}, NonParallelizable}, // every -e counts
@@ -288,4 +293,97 @@ func FuzzParseRecords(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestRecordFlagsAreTaken: a stdlib record names only flags its command
+// takes. Each takesvalue flag and each flag a clause tests runs through
+// the registered builtin (width 1: one command, no planner) over a
+// three-line input, with a sample value when it takes one; a usage error
+// fails the test.
+func TestRecordFlagsAreTaken(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, "h"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"f1", "f2", "h/x"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("a\nb\nc\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// value is a flag's sample value, by "command flag" and then by flag.
+	value := map[string]string{
+		"-e": "a", "-m": "1", "-n": "1", "-c": "1", "-b": "1", "-f": "1", "-s": "1", "-w": "1",
+		"-d": ",", "-t": ",", "-k": "1", "-o": "out", "-I": "{}", "-L": "1",
+		"sed -e": "p", "nl -b": "a", "xargs -s": "100", "iconv -f": "utf-8", "iconv -t": "utf-8",
+	}
+	// operands follow the flag, by "command flag" and then by command.
+	operands := map[string][]string{
+		"grep": {"a"}, "grep -e": nil, "sed": {"p"}, "sed -e": nil, "cut -d": {"-f1"},
+		"comm": {"f1", "f2"}, "xargs": {"echo"}, "curl": {"http://h/x"},
+	}
+	lookup := func(name, flag string) (string, []string) {
+		v, ok := value[name+" "+flag]
+		if !ok {
+			v = value[flag]
+		}
+		ops, ok := operands[name+" "+flag]
+		if !ok {
+			ops = operands[name]
+		}
+		return v, ops
+	}
+	reg := StdRegistry()
+	tried := 0
+	for _, name := range reg.Names() {
+		if _, ok := commands.Std().Lookup(name); !ok {
+			continue
+		}
+		rec, _ := reg.Lookup(name)
+		flags := map[string]bool{}
+		for f := range rec.ValueOpts {
+			flags[f] = true
+		}
+		var walk func(p Pred)
+		walk = func(p Pred) {
+			switch p := p.(type) {
+			case *HasOpt:
+				flags[p.Opt] = true
+			case *ValueEq:
+				flags[p.Opt] = true
+			case *Not:
+				walk(p.P)
+			case *And:
+				walk(p.L)
+				walk(p.R)
+			case *Or:
+				walk(p.L)
+				walk(p.R)
+			}
+		}
+		for _, c := range rec.Clauses {
+			if c.Pred != nil {
+				walk(c.Pred)
+			}
+		}
+		for flag := range flags {
+			v, ops := lookup(name, flag)
+			argv := []string{flag}
+			if rec.ValueOpts[flag] {
+				argv = append(argv, v)
+			}
+			argv = append(argv, ops...)
+			var stderr strings.Builder
+			ctx := &commands.Context{
+				Args: argv, Stdin: strings.NewReader("c 3\na 1\nb 2\n"), Stderr: &stderr,
+				FS: commands.OSFS{Dir: dir}, Env: map[string]string{"PASH_CURL_ROOT": dir},
+			}
+			if err := commands.Std().Run(name, ctx); errors.Is(err, commands.ErrUsage) {
+				t.Errorf("%s %s: %s", name, strings.Join(argv, " "), strings.TrimSpace(stderr.String()))
+			}
+			tried++
+		}
+	}
+	if tried < 30 {
+		t.Errorf("tried %d flags; the records name more", tried)
+	}
 }

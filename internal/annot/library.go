@@ -176,16 +176,16 @@ takesvalue ;
 }
 
 grep {
-takesvalue -e -f -m -A -B -C --include ;
-| ( -e \/ -f ) /\ -m => (N, [args[0:]], [stdout])
+takesvalue -e -m ;
+| -e /\ -m => (N, [args[0:]], [stdout])
 | -m => (N, [args[1:]], [stdout])
 | -l \/ -L => (N, [args[1:]], [stdout])
-| ( -e \/ -f ) /\ -c => (P, [args[0:]], [stdout])
+| -e /\ -c => (P, [args[0:]], [stdout])
 | -c => (P, [args[1:]], [stdout])
-| ( -e \/ -f ) /\ ( -n \/ -b ) => (P, [args[0:]], [stdout])
-| -n \/ -b => (P, [args[1:]], [stdout])
+| -e /\ -n => (P, [args[0:]], [stdout])
+| -n => (P, [args[1:]], [stdout])
 | -q => (N, [args[1:]], [stdout])
-| -e \/ -f => (S, [args[0:]], [stdout])
+| -e => (S, [args[0:]], [stdout])
 | _ => (S, [args[1:]], [stdout])
 }
 
@@ -195,9 +195,8 @@ takesvalue -d -f -c -b ;
 }
 
 sed {
-takesvalue -e -f ;
-| -i => (E, [args[0:]], [stdout])
-| -e \/ -f => (S, [args[0:]], [stdout])
+takesvalue -e ;
+| -e => (S, [args[0:]], [stdout])
 | _ => (S, [args[1:]], [stdout])
 }
 
@@ -210,16 +209,6 @@ takesvalue -w ;
 | _ => (S, [args[0:]], [stdout])
 }
 
-expand {
-takesvalue -t ;
-| _ => (S, [args[0:]], [stdout])
-}
-
-unexpand {
-takesvalue -t ;
-| _ => (S, [args[0:]], [stdout])
-}
-
 iconv {
 takesvalue -f -t ;
 | _ => (S, [args[0:]], [stdout])
@@ -228,14 +217,6 @@ takesvalue -f -t ;
 strings {
 takesvalue -n ;
 | _ => (S, [args[0:]], [stdout])
-}
-
-basename {
-| _ => (S, [], [stdout])
-}
-
-dirname {
-| _ => (S, [], [stdout])
 }
 
 echo {
@@ -263,9 +244,9 @@ file {
 
 # --- parallelizable pure --------------------------------------------------
 sort {
-takesvalue -k -t -o -S --parallel --buffer-size ;
+takesvalue -k -t -o ;
 | -o => (E, [args[0:]], [stdout])
-| -c \/ -C => (N, [args[0:]], [stdout])
+| -c => (N, [args[0:]], [stdout])
 | _ => (P, [args[0:]], [stdout])
 }
 
@@ -308,11 +289,6 @@ comm {
 | _ => (P, [args[0], args[1]], [stdout])
 }
 
-join {
-takesvalue -t -1 -2 -j -o ;
-| _ => (P, [args[0], args[1]], [stdout])
-}
-
 paste {
 takesvalue -d ;
 | -s => (P, [args[0:]], [stdout])
@@ -320,44 +296,19 @@ takesvalue -d ;
 }
 
 # --- non-parallelizable pure ----------------------------------------------
-sha1sum {
-| _ => (N, [args[0:]], [stdout])
-}
-
-md5sum {
-| _ => (N, [args[0:]], [stdout])
-}
-
 cksum {
 | _ => (N, [args[0:]], [stdout])
 }
 
 diff {
-takesvalue -u ;
 | _ => (N, [args[0], args[1]], [stdout])
 }
 
 awk {
-takesvalue -F -v -f ;
-| -f => (N, [args[0:]], [stdout])
 | _ => (N, [args[1:]], [stdout])
 }
 
 gunzip {
-| _ => (N, [args[0:]], [stdout])
-}
-
-gzip {
-| -d => (N, [args[0:]], [stdout])
-| _ => (N, [args[0:]], [stdout])
-}
-
-zcat {
-| _ => (N, [args[0:]], [stdout])
-}
-
-shuf {
-takesvalue -n --random-source ;
 | _ => (N, [args[0:]], [stdout])
 }
 
@@ -392,12 +343,8 @@ bigrams-aux {
 
 # --- side-effectful -------------------------------------------------------
 curl {
-takesvalue -o -d ;
+takesvalue -o ;
 | _ => (E, [], [stdout])
-}
-
-tee {
-| _ => (E, [stdin], [stdout])
 }
 
 mkfifo {

@@ -9,8 +9,6 @@ func init() {
 	register("fold", fold)
 	register("paste", paste)
 	register("nl", nl)
-	register("expand", expandCmd)
-	register("unexpand", unexpandCmd)
 }
 
 // fold wraps lines to a width (-w, default 80); -s breaks at blanks.
@@ -295,189 +293,4 @@ func nl(ctx *Context) error {
 		return err
 	}
 	return lw.Flush()
-}
-
-// expandCmd converts tabs to spaces (-t N, default 8).
-func expandCmd(ctx *Context) error {
-	tab := 8
-	var operands []string
-	args := ctx.Args
-	for i := 0; i < len(args); i++ {
-		a := args[i]
-		switch {
-		case strings.HasPrefix(a, "-t"):
-			v := a[2:]
-			if v == "" {
-				i++
-				if i >= len(args) {
-					return ctx.Errorf("-t requires an argument")
-				}
-				v = args[i]
-			}
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 1 {
-				return ctx.Errorf("invalid tab size %q", v)
-			}
-			tab = n
-		case a == "-":
-			operands = append(operands, a)
-		case strings.HasPrefix(a, "-"):
-			return ctx.Errorf("unsupported flag %q", a)
-		default:
-			operands = append(operands, a)
-		}
-	}
-	readers, cleanup, err := ctx.OpenInputs(operands)
-	if err != nil {
-		return err
-	}
-	defer cleanup()
-	lw := NewLineWriter(ctx.Stdout)
-	defer lw.Flush()
-	var out []byte
-	err = EachLineReaders(readers, func(line []byte) error {
-		out = out[:0]
-		col := 0
-		for _, c := range line {
-			if c == '\t' {
-				spaces := tab - col%tab
-				for s := 0; s < spaces; s++ {
-					out = append(out, ' ')
-				}
-				col += spaces
-				continue
-			}
-			out = append(out, c)
-			if c == '\b' {
-				// A backspace moves back a column, as in GNU expand.
-				col = max(col-1, 0)
-				continue
-			}
-			col++
-		}
-		return lw.WriteLine(out)
-	})
-	if err != nil {
-		return err
-	}
-	return lw.Flush()
-}
-
-// unexpandCmd converts blanks to tabs as GNU unexpand does: a run of
-// blanks that reaches a tab stop becomes a tab. Only the line's leading
-// blanks convert unless -a is given or -t N (which implies -a, as in
-// GNU) sets the tab size.
-func unexpandCmd(ctx *Context) error {
-	tab := 8
-	all := false
-	var operands []string
-	args := ctx.Args
-	for i := 0; i < len(args); i++ {
-		a := args[i]
-		switch {
-		case a == "-a":
-			all = true
-		case strings.HasPrefix(a, "-t"):
-			v := a[2:]
-			if v == "" {
-				i++
-				if i >= len(args) {
-					return ctx.Errorf("-t requires an argument")
-				}
-				v = args[i]
-			}
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 1 {
-				return ctx.Errorf("invalid tab size %q", v)
-			}
-			tab, all = n, true
-		case a == "-":
-			operands = append(operands, a)
-		case strings.HasPrefix(a, "-"):
-			return ctx.Errorf("unsupported flag %q", a)
-		default:
-			operands = append(operands, a)
-		}
-	}
-	readers, cleanup, err := ctx.OpenInputs(operands)
-	if err != nil {
-		return err
-	}
-	defer cleanup()
-	lw := NewLineWriter(ctx.Stdout)
-	defer lw.Flush()
-	var out, pend []byte
-	err = EachLineReaders(readers, func(line []byte) error {
-		out, pend = unexpandLine(out[:0], pend[:0], line, tab, all)
-		return lw.WriteLine(out)
-	})
-	if err != nil {
-		return err
-	}
-	return lw.Flush()
-}
-
-// unexpandLine appends line to out with its blanks converted, following
-// GNU unexpand's loop: blanks wait in pend until the run reaches a tab
-// stop (they become one tab) or ends short of it (they are written as
-// they were). A single blank that reached a stop after a non-blank stays
-// a blank unless the run goes on. pend is scratch space, returned for
-// reuse.
-func unexpandLine(out, pend, line []byte, tab int, all bool) ([]byte, []byte) {
-	convert, prevBlank, oneBlankBeforeStop := true, true, false
-	column := 0
-	flush := func() {
-		if len(pend) > 1 && oneBlankBeforeStop {
-			pend[0] = '\t'
-		}
-		out = append(out, pend...)
-		pend, oneBlankBeforeStop = pend[:0], false
-	}
-	for _, c := range line {
-		if !convert {
-			out = append(out, c)
-			continue
-		}
-		blank := c == ' ' || c == '\t'
-		switch {
-		case blank:
-			next := column + tab - column%tab
-			if c == ' ' {
-				column++
-				if !prevBlank || column != next {
-					// Not yet time to write the pending blanks, or a tab.
-					oneBlankBeforeStop = oneBlankBeforeStop || column == next
-					pend = append(pend, c)
-					prevBlank = true
-					continue
-				}
-				c = '\t'
-			} else {
-				column = next
-			}
-			// The run reached a stop: c is its tab, and the pending blanks
-			// go, except a single blank that stood before the previous
-			// stop, which becomes a tab of its own.
-			if len(pend) > 0 {
-				pend[0] = '\t'
-			}
-			if oneBlankBeforeStop {
-				pend = pend[:1]
-			} else {
-				pend = pend[:0]
-			}
-		case c == '\b':
-			if column > 0 {
-				column--
-			}
-		default:
-			column++
-		}
-		flush()
-		out = append(out, c)
-		prevBlank = blank
-		convert = all || blank
-	}
-	flush()
-	return out, pend
 }

@@ -13,7 +13,8 @@ func init() { register("grep", grep) }
 // grepSpec is a parsed grep invocation.
 type grepSpec struct {
 	ignoreCase, invert, count, lineNums, quiet bool
-	filesWithMatches, wordMatch, lineMatch     bool
+	filesWithMatches, filesWithout             bool
+	wordMatch, lineMatch                       bool
 	fixed, onlyMatching                        bool
 	forceName, suppressName                    bool
 	maxCount                                   int
@@ -48,6 +49,8 @@ func parseGrepArgs(args []string) (*grepSpec, error) {
 					spec.quiet = true
 				case 'l':
 					spec.filesWithMatches = true
+				case 'L':
+					spec.filesWithout = true
 				case 'w':
 					spec.wordMatch = true
 				case 'x':
@@ -217,7 +220,7 @@ type grepProgram struct {
 	match   func(line []byte) bool
 	literal []byte         // non-nil: match is "contains literal" (buildGrepMatcher)
 	only    *regexp.Regexp // -o: print this pattern's matches, not the line
-	silent  bool           // -c -l -q: selected lines are counted, not printed
+	silent  bool           // -c -l -L -q: selected lines are counted, not printed
 }
 
 func parseGrepProgram(args []string) (*grepProgram, error) {
@@ -225,7 +228,7 @@ func parseGrepProgram(args []string) (*grepProgram, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := &grepProgram{grepSpec: spec, silent: spec.count || spec.filesWithMatches || spec.quiet}
+	g := &grepProgram{grepSpec: spec, silent: spec.count || spec.filesWithMatches || spec.filesWithout || spec.quiet}
 	var first *regexp.Regexp
 	if g.match, first, g.literal, err = buildGrepMatcher(spec); err != nil {
 		return nil, err
@@ -269,7 +272,7 @@ func appendGrepLine(out, text []byte, name string, lineno int) []byte {
 // kernelForm reports whether the kernel runs the invocation: plain line
 // filtering — the pattern flags (-e -F -E -i -v -w -x) plus -h.
 func (g *grepProgram) kernelForm() bool {
-	return !(g.count || g.lineNums || g.quiet || g.filesWithMatches ||
+	return !(g.count || g.lineNums || g.quiet || g.filesWithMatches || g.filesWithout ||
 		g.onlyMatching || g.forceName || g.maxCount >= 0)
 }
 
@@ -320,10 +323,11 @@ func (g *grepProgram) kernel() Kernel {
 
 // grep searches inputs for lines matching a pattern. Supported flags:
 // -i (ignore case), -v (invert), -c (count), -n (line numbers),
-// -q (quiet), -l (names of matching files), -w (word match),
-// -x (whole-line match), -F (fixed string), -E (extended regexp, the
-// native Go syntax), -o (print matches only), -m NUM (stop after NUM),
-// -e PAT (pattern), -H/-h (with/without filename prefixes).
+// -q (quiet), -l and -L (names of the files with and without a match),
+// -w (word match), -x (whole-line match), -F (fixed string), -E
+// (extended regexp, the native Go syntax), -o (print matches only),
+// -m NUM (stop after NUM), -e PAT (pattern), -H/-h (with/without
+// filename prefixes).
 //
 // Patterns use Go's RE2 syntax, which covers the ERE subset the
 // benchmarks rely on. Fixed-string patterns (explicit -F, or patterns
@@ -373,7 +377,7 @@ func grep(ctx *Context) error {
 			if _, err := lw.Write(out); err != nil {
 				return err
 			}
-			if g.quiet || g.filesWithMatches || g.maxCount >= 0 && matches >= g.maxCount {
+			if g.quiet || g.filesWithMatches || g.filesWithout || g.maxCount >= 0 && matches >= g.maxCount {
 				return stop
 			}
 			return nil
@@ -392,7 +396,7 @@ func grep(ctx *Context) error {
 				return err
 			}
 		}
-		if g.filesWithMatches && matches > 0 {
+		if g.filesWithMatches && matches > 0 || g.filesWithout && matches == 0 {
 			if err := lw.WriteLine([]byte(displayName(file))); err != nil {
 				return err
 			}

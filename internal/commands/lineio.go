@@ -597,7 +597,7 @@ func arenaRoom(arena []byte, n int) []byte {
 }
 
 // ReadAllLines collects all lines (newline stripped) from r, for
-// commands that must block on their whole input (tac, shuf, diff). The
+// commands that must block on their whole input (tac, diff). The
 // lines are slices of one arena: two allocations that grow with the
 // input, not one per line.
 func ReadAllLines(r io.Reader) ([][]byte, error) {

@@ -1,8 +1,6 @@
 package commands
 
 import (
-	"fmt"
-	"path"
 	"strconv"
 	"strings"
 )
@@ -10,14 +8,10 @@ import (
 func init() {
 	register("echo", echo)
 	register("seq", seq)
-	register("printf", printfCmd)
-	register("basename", basenameCmd)
-	register("dirname", dirnameCmd)
 	register("true", trueCmd)
 	register("false", falseCmd)
 	register("test", testCmd)
 	register("[", bracketCmd)
-	register("yes", yes)
 	register("iconv", iconv)
 	register("strings", stringsCmd)
 }
@@ -80,106 +74,6 @@ func seq(ctx *Context) error {
 		}
 	}
 	return lw.Flush()
-}
-
-// printfCmd implements a practical printf subset: %s %d %i %c %% plus
-// \n \t \\ escapes. The format is reapplied until arguments run out, as
-// POSIX requires.
-func printfCmd(ctx *Context) error {
-	if len(ctx.Args) == 0 {
-		return ctx.Errorf("missing format")
-	}
-	format := ctx.Args[0]
-	args := ctx.Args[1:]
-	lw := NewLineWriter(ctx.Stdout)
-	defer lw.Flush()
-	emitOnce := func(args []string) (used int, err error) {
-		var sb strings.Builder
-		ai := 0
-		for i := 0; i < len(format); i++ {
-			c := format[i]
-			switch {
-			case c == '\\' && i+1 < len(format):
-				i++
-				switch format[i] {
-				case 'n':
-					sb.WriteByte('\n')
-				case 't':
-					sb.WriteByte('\t')
-				case '\\':
-					sb.WriteByte('\\')
-				default:
-					sb.WriteByte('\\')
-					sb.WriteByte(format[i])
-				}
-			case c == '%' && i+1 < len(format):
-				i++
-				verb := format[i]
-				var arg string
-				if verb != '%' && ai < len(args) {
-					arg = args[ai]
-					ai++
-				}
-				switch verb {
-				case '%':
-					sb.WriteByte('%')
-				case 's', 'c':
-					if verb == 'c' && len(arg) > 0 {
-						arg = arg[:1]
-					}
-					sb.WriteString(arg)
-				case 'd', 'i':
-					n, _ := strconv.ParseInt(strings.TrimSpace(arg), 10, 64)
-					sb.WriteString(strconv.FormatInt(n, 10))
-				default:
-					return 0, ctx.Errorf("unsupported verb %%%c", verb)
-				}
-			default:
-				sb.WriteByte(c)
-			}
-		}
-		if err := lw.WriteString(sb.String()); err != nil {
-			return 0, err
-		}
-		return ai, nil
-	}
-	used, err := emitOnce(args)
-	if err != nil {
-		return err
-	}
-	for used > 0 && used < len(args) {
-		args = args[used:]
-		used, err = emitOnce(args)
-		if err != nil {
-			return err
-		}
-	}
-	return lw.Flush()
-}
-
-// basenameCmd strips the directory prefix (and an optional suffix).
-func basenameCmd(ctx *Context) error {
-	if len(ctx.Args) == 0 {
-		return ctx.Errorf("missing operand")
-	}
-	b := path.Base(ctx.Args[0])
-	if len(ctx.Args) > 1 {
-		b = strings.TrimSuffix(b, ctx.Args[1])
-		if b == "" {
-			b = path.Base(ctx.Args[0])
-		}
-	}
-	_, err := fmt.Fprintln(ctx.Stdout, b)
-	return err
-}
-
-// dirnameCmd strips the last path component.
-func dirnameCmd(ctx *Context) error {
-	if len(ctx.Args) == 0 {
-		return ctx.Errorf("missing operand")
-	}
-	_, err := fmt.Fprintln(ctx.Stdout, path.Dir(ctx.Args[0]))
-	return err
 }
 
 func trueCmd(*Context) error  { return nil }
@@ -271,21 +165,6 @@ func evalTest(ctx *Context, args []string) error {
 		return ctx.Errorf("unsupported test %v", args)
 	}
 	return ctx.Errorf("unsupported test %v", args)
-}
-
-// yes repeats its argument (default "y") forever. It stops when the
-// output returns an error (pipe closed) — which is how it is always used.
-func yes(ctx *Context) error {
-	word := "y"
-	if len(ctx.Args) > 0 {
-		word = strings.Join(ctx.Args, " ")
-	}
-	line := []byte(word + "\n")
-	for {
-		if _, err := ctx.Stdout.Write(line); err != nil {
-			return nil // consumer closed: normal termination
-		}
-	}
 }
 
 // iconv converts between character encodings. ASCII/UTF-8 passthrough

@@ -2,10 +2,7 @@ package commands
 
 import (
 	"compress/gzip"
-	"crypto/md5"
-	"crypto/sha1"
 	"fmt"
-	"hash"
 	"io"
 	"strings"
 )
@@ -13,11 +10,6 @@ import (
 func init() {
 	register("curl", curl)
 	register("gunzip", gunzip)
-	register("zcat", gunzip)
-	register("gzip", gzipCmd)
-	register("md5sum", func(ctx *Context) error { return hashCmd(ctx, md5.New) })
-	register("sha1sum", func(ctx *Context) error { return hashCmd(ctx, sha1.New) })
-	register("tee", tee)
 	register("file", fileCmd)
 }
 
@@ -126,95 +118,6 @@ func gunzip(ctx *Context) error {
 		}
 	}
 	return nil
-}
-
-// gzipCmd compresses stdin to stdout (-d decompresses).
-func gzipCmd(ctx *Context) error {
-	for _, a := range ctx.Args {
-		switch a {
-		case "-d":
-			return gunzip(&Context{
-				Name: "gunzip", Args: nil, Stdin: ctx.Stdin, Stdout: ctx.Stdout,
-				Stderr: ctx.Stderr, FS: ctx.FS, Env: ctx.Env,
-			})
-		case "-c", "-f", "-9", "-1":
-		default:
-			return ctx.Errorf("unsupported flag %q", a)
-		}
-	}
-	zw := gzip.NewWriter(ctx.Stdout)
-	if _, err := io.Copy(zw, ctx.stdin()); err != nil {
-		return err
-	}
-	return zw.Close()
-}
-
-// hashCmd computes a digest per input.
-func hashCmd(ctx *Context, mk func() hash.Hash) error {
-	var operands []string
-	for _, a := range ctx.Args {
-		if a != "-" && strings.HasPrefix(a, "-") {
-			return ctx.Errorf("unsupported flag %q", a)
-		}
-		operands = append(operands, a)
-	}
-	lw := NewLineWriter(ctx.Stdout)
-	defer lw.Flush()
-	files := operands
-	if len(files) == 0 {
-		files = []string{"-"}
-	}
-	for _, name := range files {
-		readers, cleanup, err := ctx.OpenInputs(sliceOf(name))
-		if err != nil {
-			return err
-		}
-		h := mk()
-		_, cerr := io.Copy(h, readers[0])
-		cleanup()
-		if cerr != nil {
-			return cerr
-		}
-		if err := lw.WriteString(fmt.Sprintf("%x  %s\n", h.Sum(nil), name)); err != nil {
-			return err
-		}
-	}
-	return lw.Flush()
-}
-
-// tee copies stdin to stdout and to each named file (-a appends).
-func tee(ctx *Context) error {
-	appendMode := false
-	var operands []string
-	for _, a := range ctx.Args {
-		switch {
-		case a == "-a":
-			appendMode = true
-		case a == "-":
-			operands = append(operands, a)
-		case strings.HasPrefix(a, "-"):
-			return ctx.Errorf("unsupported flag %q", a)
-		default:
-			operands = append(operands, a)
-		}
-	}
-	writers := []io.Writer{ctx.Stdout}
-	for _, name := range operands {
-		var w io.WriteCloser
-		var err error
-		if appendMode {
-			w, err = ctx.FS.Append(name)
-		} else {
-			w, err = ctx.FS.Create(name)
-		}
-		if err != nil {
-			return err
-		}
-		defer w.Close()
-		writers = append(writers, w)
-	}
-	_, err := io.Copy(io.MultiWriter(writers...), ctx.stdin())
-	return err
 }
 
 // fileCmd guesses file types: each operand is opened and sniffed,

@@ -1,84 +1,16 @@
 package commands
 
 import (
-	"math/rand"
 	"regexp"
-	"strconv"
 	"strings"
 )
 
 func init() {
-	register("shuf", shuf)
 	register("url-extract", urlExtract)
 	register("html-to-text", htmlToText)
 	register("word-stem", wordStem)
 	register("trigrams", trigrams)
 	register("bigrams-aux", bigramsAux)
-}
-
-// shuf permutes input lines. Determinism hook: PASH_SHUF_SEED fixes the
-// RNG seed so tests and benchmarks are reproducible.
-func shuf(ctx *Context) error {
-	limit := -1
-	var operands []string
-	args := ctx.Args
-	for i := 0; i < len(args); i++ {
-		a := args[i]
-		switch {
-		case strings.HasPrefix(a, "-n"):
-			v := a[2:]
-			if v == "" {
-				i++
-				if i >= len(args) {
-					return ctx.Errorf("-n requires an argument")
-				}
-				v = args[i]
-			}
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 0 {
-				return ctx.Errorf("invalid -n value %q", v)
-			}
-			limit = n
-		case a == "-":
-			operands = append(operands, a)
-		case strings.HasPrefix(a, "-"):
-			return ctx.Errorf("unsupported flag %q", a)
-		default:
-			operands = append(operands, a)
-		}
-	}
-	readers, cleanup, err := ctx.OpenInputs(operands)
-	if err != nil {
-		return err
-	}
-	defer cleanup()
-	var lines [][]byte
-	for _, r := range readers {
-		ls, err := ReadAllLines(r)
-		if err != nil {
-			return err
-		}
-		lines = append(lines, ls...)
-	}
-	seed := int64(1)
-	if s := ctx.Getenv("PASH_SHUF_SEED"); s != "" {
-		if n, err := strconv.ParseInt(s, 10, 64); err == nil {
-			seed = n
-		}
-	}
-	rng := rand.New(rand.NewSource(seed))
-	rng.Shuffle(len(lines), func(i, j int) { lines[i], lines[j] = lines[j], lines[i] })
-	if limit >= 0 && limit < len(lines) {
-		lines = lines[:limit]
-	}
-	lw := NewLineWriter(ctx.Stdout)
-	defer lw.Flush()
-	for _, l := range lines {
-		if err := lw.WriteLine(l); err != nil {
-			return err
-		}
-	}
-	return lw.Flush()
 }
 
 var hrefRe = regexp.MustCompile(`href="([^"]+)"`)

@@ -317,7 +317,9 @@ func TestRunRemoteSpecShapes(t *testing.T) {
 	reg := commands.NewStd()
 	agg.Install(reg)
 	filter := []dfg.FusedStage{{Name: "tr", Args: []string{"A-Z", "a-z"}}, {Name: "grep", Args: []string{"the"}}}
-	copied := []dfg.FusedStage{{Name: "tee"}, {Name: "tr", Args: []string{"A-Z", "a-z"}}, {Name: "tee"}}
+	// cat passes its bytes through; paste over one stream does too, and
+	// has no kernel.
+	copied := []dfg.FusedStage{{Name: "cat"}, {Name: "tr", Args: []string{"A-Z", "a-z"}}, {Name: "paste"}}
 	for _, tc := range []struct {
 		name    string
 		spec    dfg.RemoteSpec
@@ -330,9 +332,9 @@ func TestRunRemoteSpecShapes(t *testing.T) {
 		{"filerange-on-worker", dfg.RemoteSpec{Stages: filter, Path: "in.txt", Slice: 0, Of: 1}, nil, nil, 1, 0,
 			"tr A-Z a-z < in.txt | grep the"},
 		{"streamed-on-worker", dfg.RemoteSpec{Stages: copied, Streamed: true}, lineChunks(text, 8<<10), nil, 1, 0,
-			"cat in.txt | tee | tr A-Z a-z | tee"},
+			"cat in.txt | cat | tr A-Z a-z | paste"},
 		{"streamed-fails-over-to-coordinator", dfg.RemoteSpec{Stages: copied, Streamed: true}, lineChunks(text, 8<<10), []int64{9}, 0, 1,
-			"cat in.txt | tee | tr A-Z a-z | tee"},
+			"cat in.txt | cat | tr A-Z a-z | paste"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			want := runScript(t, tc.script, dir, 1, nil)

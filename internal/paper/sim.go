@@ -65,10 +65,9 @@ type nodeState struct {
 
 // blockingCommands emit no output before consuming all input.
 var blockingCommands = map[string]bool{
-	"sort": true, "tac": true, "shuf": true, "wc": true, "diff": true,
-	"sha1sum": true, "md5sum": true, "cksum": true, "tsort": true,
-	"bc": true, "pash-split": true, "pash-agg-tac": true,
-	"pash-agg-wc": true, "pash-agg-sum": true,
+	"sort": true, "tac": true, "wc": true, "diff": true,
+	"pash-split": true, "pash-agg-tac": true, "pash-agg-wc": true,
+	"pash-agg-sum": true,
 }
 
 // isBlocking classifies a node for the fluid model. sort -m streams (it

@@ -100,7 +100,7 @@ func Execute(ctx context.Context, g *dfg.Graph, reg *commands.Registry, stdio St
 // mixes in. The output is byte-identical to Execute's; NodeTimes carry
 // the clean works that the multicore scheduling simulator consumes.
 //
-// Not suitable for graphs with unbounded producers (yes | head): in
+// Not suitable for graphs with unbounded producers (a huge seq | head): in
 // measurement mode producers run to completion before their consumers.
 func Profile(ctx context.Context, g *dfg.Graph, reg *commands.Registry, stdio StdIO, cfg Config) (*Result, error) {
 	return (&executor{g: g, reg: reg, stdio: stdio, cfg: cfg, sequential: true}).run(ctx)

@@ -172,14 +172,15 @@ func TestInputAwareFileSplit(t *testing.T) {
 }
 
 func TestEarlyConsumerExitTerminatesProducers(t *testing.T) {
-	// seq-like infinite producer: yes | head -n 3 must terminate.
+	// A producer no run could exhaust (10^15 lines): seq | head -n 3
+	// terminates only if head's exit stops seq.
 	g := buildPipeline(
-		dfg.NewNode(dfg.KindCommand, "yes", []dfg.Arg{dfg.Lit("hi")}, annot.SideEffectful),
+		dfg.NewNode(dfg.KindCommand, "seq", []dfg.Arg{dfg.Lit("1000000000000000")}, annot.Stateless),
 		dfg.NewNode(dfg.KindCommand, "head", []dfg.Arg{dfg.Lit("-n"), dfg.Lit("3")}, annot.Pure),
 	)
 	got := execGraph(t, g, "", Config{})
-	if got != "hi\nhi\nhi\n" {
-		t.Errorf("yes | head -n 3 = %q", got)
+	if got != "1\n2\n3\n" {
+		t.Errorf("seq | head -n 3 = %q", got)
 	}
 }
 

@@ -342,58 +342,51 @@ func TestWcFilesMatchHost(t *testing.T) {
 	}
 }
 
-// TestTextToolsMatchHost: expand, unexpand, strings and tee against the
-// host's under LC_ALL=C, at widths 1 and 2; tee's file as well as its
-// stdout.
+// TestTextToolsMatchHost: strings against the host's under LC_ALL=C,
+// at widths 1 and 2.
 func TestTextToolsMatchHost(t *testing.T) {
-	text := "a\tbc\t\tdef\n        eight\n    \tmixed\n\t\tx\nno tabs\nx       y\n\n" +
-		"  two\n                sixteen then\ttab\nab\bc\td  e\b\b  \tf\n"
 	binary := "\x01\x02abc\tdef\x7fghij\n\tx\ncol1\tcol2\n\x00\x00hello world\x80\xffzz\na\tb\tc\n\t\t\t\t\n"
-	for _, tc := range []struct {
-		input string
-		argv  []string
-	}{
-		{text, []string{"expand"}},
-		{text, []string{"expand", "-t", "4"}},
-		{text, []string{"expand", "-t3"}},
-		{text, []string{"unexpand"}},
-		{text, []string{"unexpand", "-t", "4"}},
-		{binary, []string{"strings"}},
-		{binary, []string{"strings", "-n", "2"}},
-		{binary, []string{"strings", "-n6"}},
-		{text, []string{"tee"}},
-	} {
-		want := hostOutput(t, "", tc.input, tc.argv[0], tc.argv[1:]...)
-		script := "cat | " + strings.Join(tc.argv, " ")
+	for _, argv := range [][]string{{"strings"}, {"strings", "-n", "2"}, {"strings", "-n6"}} {
+		want := hostOutput(t, "", binary, argv[0], argv[1:]...)
+		script := "cat | " + strings.Join(argv, " ")
 		for _, width := range []int{1, 2} {
-			if got := runAt(t, width, "", script, tc.input); got != want {
+			if got := runAt(t, width, "", script, binary); got != want {
 				t.Errorf("%s at width %d: %q, host %q", script, width, got, want)
 			}
 		}
 	}
 }
 
-// TestTeeWritesItsFiles: tee's operands are outputs. It copies its
-// stdin to stdout and to each file, replacing what the file held, and
-// a missing file is created.
-func TestTeeWritesItsFiles(t *testing.T) {
-	in := "b\na\nb\n"
-	for _, width := range []int{1, 2} {
-		for _, old := range []string{"precious", ""} {
+// TestAwkRefusedByName: awk runs only the subset its doc comment
+// states. Each program in the table is valid POSIX awk outside it, and
+// fails before reading input, with stderr naming the construct, at
+// widths 1 and 4 — writing no file.
+func TestAwkRefusedByName(t *testing.T) {
+	table, err := os.ReadFile("../internal/commands/testdata/awk-refused.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range strings.Split(strings.TrimSpace(string(table)), "\n") {
+		if strings.HasPrefix(row, "#") {
+			continue
+		}
+		cols := strings.Split(row, "\t")
+		name, script := cols[0], "awk '"+strings.Join(cols[1:], "' '")+"' f"
+		for _, width := range []int{1, 4} {
 			dir := t.TempDir()
-			if err := os.WriteFile(filepath.Join(dir, "in3.txt"), []byte(in), 0o644); err != nil {
+			if err := os.WriteFile(filepath.Join(dir, "f"), []byte("a b\nc d\n"), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if old != "" {
-				if err := os.WriteFile(filepath.Join(dir, "t1.out"), []byte(old), 0o644); err != nil {
-					t.Fatal(err)
-				}
+			s := NewSession(DefaultOptions(width))
+			s.Dir = dir
+			var out, errOut bytes.Buffer
+			code, err := s.Run(context.Background(), script, strings.NewReader(""), &out, &errOut)
+			if code == 0 && err == nil || out.Len() > 0 || !strings.Contains(errOut.String(), name) {
+				t.Errorf("%s at width %d: exit %d, %v, stdout %q, stderr %q; want a failure naming %s",
+					script, width, code, err, out.String(), errOut.String(), name)
 			}
-			if got := runAt(t, width, dir, "cat in3.txt | tee t1.out | wc -l", ""); got != "3\n" {
-				t.Errorf("width %d, t1.out %q before: printed %q, want 3", width, old, got)
-			}
-			if got, err := os.ReadFile(filepath.Join(dir, "t1.out")); err != nil || string(got) != in {
-				t.Errorf("width %d, t1.out %q before: t1.out holds %q (%v), want %q", width, old, got, err, in)
+			if ents, _ := os.ReadDir(dir); len(ents) != 1 {
+				t.Errorf("%s at width %d: left %d files in its directory", script, width, len(ents))
 			}
 		}
 	}
