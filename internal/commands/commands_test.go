@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -254,6 +255,21 @@ func TestUniq(t *testing.T) {
 	}
 	if got := run(t, "uniq", []string{"-f", "1"}, "1 x\n2 x\n3 y\n"); got != "1 x\n3 y\n" {
 		t.Errorf("uniq -f 1 = %q", got)
+	}
+	// From 10,000,000 on the count outgrows its seven columns: GNU prints
+	// it whole, then the space.
+	big := "b\n" + strings.Repeat("a\n", 12_345_678)
+	want := "      1 b\n12345678 a\n"
+	if got := run(t, "uniq", []string{"-c"}, big); got != want {
+		t.Errorf("uniq -c over 12,345,678 repeats = %q, want %q", got, want)
+	}
+	if _, err := exec.LookPath("uniq"); err == nil {
+		host := exec.Command("uniq", "-c")
+		host.Env = append(os.Environ(), "LC_ALL=C")
+		host.Stdin = strings.NewReader(big)
+		if out, err := host.Output(); err != nil || string(out) != want {
+			t.Errorf("host uniq -c = %q (%v), want %q", out, err, want)
+		}
 	}
 }
 

@@ -2,7 +2,9 @@ package commands
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -122,9 +124,6 @@ func (spec *cutSpec) kernel() *lineKernel {
 		if charMode {
 			for _, r := range ranges {
 				lo, hi := r.lo, r.hi
-				if lo < 1 {
-					lo = 1
-				}
 				if hi < 0 || hi > len(line) {
 					hi = len(line)
 				}
@@ -154,9 +153,6 @@ func (spec *cutSpec) kernel() *lineKernel {
 		first := true
 		for _, r := range ranges {
 			lo, hi := r.lo, r.hi
-			if lo < 1 {
-				lo = 1
-			}
 			if hi < 0 || hi > len(fields) {
 				hi = len(fields)
 			}
@@ -211,5 +207,28 @@ func parseCutList(spec string) ([]cutRange, error) {
 		}
 		out = append(out, cutRange{lo: n, hi: n})
 	}
-	return out, nil
+	return mergeCutRanges(out), nil
+}
+
+// mergeCutRanges orders the ranges by start and joins those that overlap
+// or touch, so that each field or character prints once and in input
+// order, whatever order the list named them in (POSIX). Every start is
+// 1 or more after it, and a range that selects nothing leaves.
+func mergeCutRanges(ranges []cutRange) []cutRange {
+	for i := range ranges {
+		ranges[i].lo = max(ranges[i].lo, 1)
+	}
+	ranges = slices.DeleteFunc(ranges, func(r cutRange) bool { return r.hi >= 0 && r.hi < r.lo })
+	slices.SortFunc(ranges, func(a, b cutRange) int { return cmp.Compare(a.lo, b.lo) })
+	merged := ranges[:0]
+	for _, r := range ranges {
+		last := len(merged) - 1
+		switch {
+		case last < 0 || merged[last].hi >= 0 && r.lo > merged[last].hi+1:
+			merged = append(merged, r)
+		case merged[last].hi >= 0 && (r.hi < 0 || r.hi > merged[last].hi):
+			merged[last].hi = r.hi
+		}
+	}
+	return merged
 }

@@ -2,7 +2,9 @@ package commands
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
+	"math/bits"
 )
 
 // This file defines the kernel layer: the per-block form of the hot
@@ -23,6 +25,10 @@ import (
 // between two hits are copied or dropped as one run of bytes, never
 // visited on their own. The aim is a cost per byte, not per line: tr and
 // the literal form look at each input byte once, in a word-wide scan.
+// The literal scan (indexLiteral) tests eight start positions a step for
+// the needle's first and last byte; a position that passes both is only a
+// candidate, and bytes.Equal decides it, so a false candidate costs one
+// compare and no hit is missed.
 //
 // What fusion adds is only the composition: a chain like tr | grep | cut
 // normally costs one goroutine and one chunk pipe per stage; the runtime's
@@ -229,7 +235,7 @@ func (k *literalKernel) Apply(out, in []byte) []byte {
 	k.ls.carry = append(k.ls.carry, in[end:]...)
 	in = in[:end]
 	for len(in) > 0 {
-		at := bytes.Index(in, k.needle)
+		at := indexLiteral(in, k.needle)
 		if at < 0 {
 			break
 		}
@@ -247,6 +253,71 @@ func (k *literalKernel) Apply(out, in []byte) []byte {
 		out = k.rest(out, in)
 	}
 	return out
+}
+
+// indexLiteral is bytes.Index(hay, needle) for the literal kernel's
+// needles. A one-byte needle is IndexByte's; a longer one goes to
+// literalCandidates, which tests eight start positions a step, and each
+// candidate it reports is verified here, lowest first.
+func indexLiteral(hay, needle []byte) int {
+	n := len(needle)
+	switch {
+	case n == 1:
+		return bytes.IndexByte(hay, needle[0])
+	case n > len(hay):
+		return -1
+	}
+	first, last := lowBytes*uint64(needle[0]), lowBytes*uint64(needle[n-1])
+	i := 0
+	for {
+		at, cand := literalCandidates(hay[i:], first, last, n-1)
+		i += at
+		if cand == 0 {
+			break
+		}
+		for ; cand != 0; cand &= cand - 1 {
+			j := i + bits.TrailingZeros64(cand)>>3
+			if bytes.Equal(hay[j:j+n], needle) {
+				return j
+			}
+		}
+		i += 8
+	}
+	// Fewer than n+15 bytes are left: too few for a loop of two steps.
+	if j := bytes.Index(hay[i:], needle); j >= 0 {
+		return i + j
+	}
+	return -1
+}
+
+// literalCandidates scans hay for the starts of a needle whose first
+// byte, repeated in every lane, is first, and whose last byte, lastOff
+// bytes on, is last. A step tests the eight starts of one word: x, the
+// word XOR first OR'd with the word lastOff on XOR last, has a zero byte
+// exactly where both bytes match, and the has-zero mask sets that byte's
+// high bit. The mask is exact up to its lowest zero byte; above it a
+// borrow can flag a byte that does not match, which the caller's compare
+// throws out. Each loop takes two steps and branches once. It returns the
+// offset of the first word with a candidate and its mask; or, with cand
+// 0, the offset where fewer than lastOff+16 bytes are left. It calls
+// nothing, so the loop's state stays in registers; the compare is the
+// caller's.
+func literalCandidates(hay []byte, first, last uint64, lastOff int) (at int, cand uint64) {
+	heads, tails := hay[:len(hay)-lastOff], hay[lastOff:]
+	for len(heads) >= 16 && len(tails) >= 16 {
+		lo := (binary.LittleEndian.Uint64(heads) ^ first) | (binary.LittleEndian.Uint64(tails) ^ last)
+		hi := (binary.LittleEndian.Uint64(heads[8:]) ^ first) | (binary.LittleEndian.Uint64(tails[8:]) ^ last)
+		lo, hi = (lo-lowBytes)&^lo&highBits, (hi-lowBytes)&^hi&highBits
+		if lo|hi != 0 {
+			at = len(hay) - lastOff - len(heads)
+			if lo == 0 {
+				return at + 8, hi
+			}
+			return at, lo
+		}
+		heads, tails = heads[16:], tails[16:]
+	}
+	return len(hay) - lastOff - len(heads), 0
 }
 
 // identityKernel is cat with no flags: a pass-through. The fused

@@ -72,11 +72,27 @@ var kernelCases = []struct {
 	{"grep", []string{"-x", "the end"}},
 	{"grep", []string{"-w", "the"}},
 	{"grep", []string{"-E", "t.e|o+"}},
+	// Literal needles of 7, 8, 9 and 16 bytes around the word step ("th"
+	// and "water" above are 2 and 5); each has hits in kernelInputs.
+	{"grep", []string{"e woods"}},
+	{"grep", []string{"the wood"}},
+	{"grep", []string{"-v", "the woods"}},
+	{"grep", []string{"woods are lovely"}},
+	{"sed", []string{"s/woods are lovely/W/"}},
 	{"cut", []string{"-d", " ", "-f", "1"}},
 	{"cut", []string{"-d", " ", "-f", "2-3,5-"}},
 	{"cut", []string{"-d", " ", "-f", "1", "-s"}},
 	{"cut", []string{"-c", "1-4"}},
 	{"cut", []string{"-c", "2,4-"}},
+	// Lists out of order, overlapping or repeated: each field or
+	// character prints once, in input order.
+	{"cut", []string{"-d", " ", "-f3,1"}},
+	{"cut", []string{"-d", " ", "-f1-3,2"}},
+	{"cut", []string{"-d", " ", "-f2,2"}},
+	{"cut", []string{"-d", " ", "-f4-,-2"}},
+	{"cut", []string{"-d", " ", "-f3-,2"}},
+	{"cut", []string{"-c3,1"}},
+	{"cut", []string{"-c", "5-,2-3,1"}},
 	{"sed", []string{"s/the/THE/"}},
 	{"sed", []string{"s/the/<&>/"}},
 	{"sed", []string{"s/water/WATER/"}},
@@ -121,6 +137,16 @@ var kernelInputs = []string{
 	"waterwater thethe oo\nnothing\nwater, the last drop",
 	// High bytes around A-Z and a-z, in every lane of an 8-byte word.
 	"\x80\xc1\xdaAZ[@az`{\xff \xe9cole AZ\xc1\xda\x9a the WATER water\n@[`{\x7f\x01\xff\xe1\xfa",
+	// A block whose last line holds a hit starting in its last 8 bytes,
+	// where the literal search has too few bytes left for its word loop.
+	strings.Repeat("z", BlockSize-11) + " the water\n",
+	// Candidate-dense: the needles' first and last bytes everywhere, so
+	// most word steps flag a start that the compare throws out.
+	strings.Repeat("wrwr wwrr wxter wateR tttt hhhh tht wy woods are lovelY\n", 12) +
+		"twthrw the woods are lovely water th\nwaterwater\n",
+	// 0x01 and 0x80-0xff next to hits: a byte one above a match borrows
+	// in the has-zero mask, a high byte must never count as a match.
+	"\x01water\x01\x80water\xff\x01\x01th\x01\xfe\n\xffthe\x80woods are lovely\x01\n\x01\x01\x01\x01\x01\x01\x01\x01th\x80\x80\x80\n",
 }
 
 // randomTexts returns n random inputs: printable-ish bytes with newline
@@ -608,7 +634,44 @@ func TestTrShiftMatchesTable(t *testing.T) {
 				t.Fatalf("tr %v: byte %#x at %d became %#x, table says %#x", tc.args, c, i, got[i], p.xlat[c])
 			}
 		}
+		// Every length from 0 to 40, appended behind earlier output: the
+		// sixteen-byte step, its byte tail, and both together.
+		for n := 0; n <= 40; n++ {
+			in := all[37*n%len(all):][:n]
+			got := p.translate([]byte("out"), in)
+			if len(got) != 3+n || string(got[:3]) != "out" {
+				t.Fatalf("tr %v on %d bytes: %q", tc.args, n, got)
+			}
+			for i, c := range in {
+				if got[3+i] != p.xlat[c] {
+					t.Fatalf("tr %v on %d bytes: byte %#x at %d became %#x, table says %#x", tc.args, n, c, i, got[3+i], p.xlat[c])
+				}
+			}
+		}
 	}
+}
+
+// FuzzLiteralIndex: the literal kernels' word-wide search finds what
+// bytes.Index finds, for any haystack and any needle, so a candidate the
+// scan misses or one the compare wrongly keeps fails here.
+func FuzzLiteralIndex(f *testing.F) {
+	// Each haystack is long enough for the word loop, not only its tail.
+	f.Add([]byte("the water is cold, the water is deep"), []byte("water"))
+	f.Add([]byte("pqqpq pqqpq pqqpq pqqpq"), []byte("pq"))                                  // a byte one above a match
+	f.Add([]byte("\x01water\x01\x80water\xff\x01r\x01\x80w\x80\x80"), []byte("r\x01\x80w")) // borrows and high bytes
+	f.Add([]byte(strings.Repeat("wxxxr", 20)+"water"), []byte("water"))                     // candidate-dense, hit at the end
+	f.Add([]byte(strings.Repeat("woods are lovely ", 3)), []byte("woods are lovely"))
+	f.Add([]byte("abcdefgh abcdefgh abcdefgh"), []byte("abcdefghi"))
+	f.Add([]byte("aaaaaaaaaaaaaaaaaaaaaab"), []byte("aab"))
+	f.Add([]byte("a`cc...................."), []byte("acc")) // a borrowed flag whose middle matches
+	f.Fuzz(func(t *testing.T, hay, needle []byte) {
+		if len(needle) == 0 {
+			return // the literal kernels never search for nothing
+		}
+		if got, want := indexLiteral(hay, needle), bytes.Index(hay, needle); got != want {
+			t.Fatalf("indexLiteral(%q, %q) = %d, bytes.Index says %d", hay, needle, got, want)
+		}
+	})
 }
 
 // kernelBenchText is n lines of the shape the benchmark's generator

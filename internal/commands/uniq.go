@@ -2,7 +2,6 @@ package commands
 
 import (
 	"bytes"
-	"fmt"
 	"strconv"
 	"strings"
 )
@@ -107,8 +106,7 @@ func uniq(ctx *Context) error {
 	lw := NewLineWriter(ctx.Stdout)
 	defer lw.Flush()
 
-	var cur []byte
-	var curKey []byte
+	var cur, curKey, counted []byte
 	count := 0
 	emit := func() error {
 		if count == 0 {
@@ -121,9 +119,8 @@ func uniq(ctx *Context) error {
 			return nil
 		}
 		if countFlag {
-			if err := lw.WriteString(fmt.Sprintf("%7d ", count)); err != nil {
-				return err
-			}
+			counted = append(appendUniqCount(counted[:0], count), cur...)
+			return lw.WriteLine(counted)
 		}
 		return lw.WriteLine(cur)
 	}
@@ -148,4 +145,15 @@ func uniq(ctx *Context) error {
 		return err
 	}
 	return lw.Flush()
+}
+
+// appendUniqCount appends count as uniq -c prints it: right-aligned in
+// seven columns, or as wide as it is from 10,000,000 on, then one space.
+func appendUniqCount(b []byte, count int) []byte {
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], int64(count), 10)
+	for i := len(d); i < 7; i++ {
+		b = append(b, ' ')
+	}
+	return append(append(b, d...), ' ')
 }
