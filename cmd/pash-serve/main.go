@@ -117,6 +117,7 @@ import (
 	"time"
 
 	"repro/internal/dist"
+	"repro/internal/meter"
 	"repro/internal/serve"
 	"repro/pash"
 )
@@ -222,7 +223,7 @@ func main() {
 	// rows). The committer runs for the daemon's life and flushes
 	// outstanding usage deltas on stop.
 	if *tenantQuota > 0 || *tenantRate > 0 || *meterCommit != "" {
-		mc := pash.MeterConfig{
+		mc := meter.Config{
 			DefaultQuota:   *tenantQuota,
 			Rate:           *tenantRate,
 			Burst:          *tenantBurst,
@@ -230,7 +231,7 @@ func main() {
 			CommitInterval: *meterInterval,
 		}
 		if *meterCommit != "" {
-			sink, err := pash.NewMeterFileSink(*meterCommit)
+			sink, err := meter.NewFileSink(*meterCommit)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "pash-serve: -meter-commit:", err)
 				os.Exit(2)
@@ -238,7 +239,7 @@ func main() {
 			defer sink.Close()
 			mc.Sink = sink
 		}
-		mtr := pash.NewMeter(mc)
+		mtr := meter.New(mc)
 		stopMeter := mtr.Start()
 		defer stopMeter()
 		srv.SetMeter(mtr)
@@ -250,7 +251,7 @@ func main() {
 	pool := pash.NewWorkerPool(strings.Split(*workers, ",")...)
 	pool.SetSharedFS(*sharedFS)
 	if *probeInterval > 0 {
-		pool.SetProberConfig(pash.ProberConfig{Interval: *probeInterval})
+		pool.SetProberConfig(dist.ProberConfig{Interval: *probeInterval})
 	}
 	srv.AttachWorkers(pool)
 	stopProber := srv.StartProber(context.Background())

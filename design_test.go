@@ -3,6 +3,9 @@ package repro
 import (
 	"bytes"
 	"encoding/json"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -16,6 +19,11 @@ import (
 var designProse = []string{"DESIGN.md", "doc.go", "internal/runtime/README.md"}
 
 const designMaxLines = 1318
+
+// publicMaxNames is the ceiling on the exported names package pash
+// declares: a name added past it has to say what it offers that the
+// internal package behind it does not.
+const publicMaxNames = 61
 
 var (
 	citedTest = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z][A-Za-z0-9_]*`)
@@ -119,4 +127,64 @@ func ledgerRows(t *testing.T) map[string]bool {
 		rows[r.Workload+"/"+r.Name] = true
 	}
 	return rows
+}
+
+// TestPublicSurface counts the exported identifiers the non-test files of
+// package pash declare — top-level names and the methods of exported
+// types — and fails above publicMaxNames.
+func TestPublicSurface(t *testing.T) {
+	pkgs, err := parser.ParseDir(token.NewFileSet(), "pash", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					if d.Recv != nil && !ast.IsExported(receiverType(d.Recv.List[0].Type)) {
+						continue
+					}
+					if d.Name.IsExported() {
+						names = append(names, d.Name.Name)
+					}
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						switch sp := spec.(type) {
+						case *ast.TypeSpec:
+							if sp.Name.IsExported() {
+								names = append(names, sp.Name.Name)
+							}
+						case *ast.ValueSpec:
+							for _, n := range sp.Names {
+								if n.IsExported() {
+									names = append(names, n.Name)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if len(names) == 0 {
+		t.Fatal("package pash declares no exported name")
+	}
+	if len(names) > publicMaxNames {
+		t.Errorf("package pash exports %d names, more than %d: %v", len(names), publicMaxNames, names)
+	}
+}
+
+// receiverType names a method receiver's base type.
+func receiverType(e ast.Expr) string {
+	switch x := e.(type) {
+	case *ast.StarExpr:
+		return receiverType(x.X)
+	case *ast.Ident:
+		return x.Name
+	}
+	return ""
 }

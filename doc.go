@@ -9,6 +9,7 @@
 // model. bench/README.md describes the repository benchmark.
 //
 // This package holds only repository-level tests: the ledger's count gate
-// (TestLedgerCounts) and the check that DESIGN.md cites only tests and
-// ledger rows that exist (TestDesignCitations).
+// (TestLedgerCounts), the check that DESIGN.md cites only tests and
+// ledger rows that exist (TestDesignCitations), and the cap on the names
+// package pash exports (TestPublicSurface).
 package repro

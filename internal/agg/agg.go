@@ -134,19 +134,20 @@ func Resolve(name string, flagArgs []string, inv *annot.Invocation) (*dfg.AggSpe
 	return nil, false
 }
 
-// Install registers the aggregate command implementations into a command
-// registry. They live on the PATH like any other command (§2.3), so both
-// the in-process runtime and emitted scripts can invoke them.
+// Install adds the aggregate command implementations to a command
+// registry as library entries. They live on the PATH like any other
+// command (§2.3), so both the in-process runtime and emitted scripts can
+// invoke them.
 func Install(reg *commands.Registry) {
-	reg.Register("pash-agg-uniq", aggUniq)
-	reg.Register("pash-agg-wc", aggWc)
-	reg.Register("pash-agg-sum", aggSum)
-	reg.Register("pash-agg-tac", aggTac)
-	reg.Register("pash-agg-bigrams", aggBigrams)
+	reg.Set("pash-agg-uniq", commands.Entry{Run: aggUniq})
+	reg.Set("pash-agg-wc", commands.Entry{Run: aggWc})
+	reg.Set("pash-agg-sum", commands.Entry{Run: aggSum})
+	reg.Set("pash-agg-tac", commands.Entry{Run: aggTac})
+	reg.Set("pash-agg-bigrams", commands.Entry{Run: aggBigrams})
 	// head and tail aggregate themselves; the pash-agg- names stay what
 	// plans, emitted scripts and pash-prims call them by.
 	for _, name := range []string{"head", "tail"} {
 		f, _ := commands.Std().Lookup(name)
-		reg.Register("pash-agg-"+name, f)
+		reg.Set("pash-agg-"+name, commands.Entry{Run: f})
 	}
 }

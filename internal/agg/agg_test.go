@@ -172,6 +172,17 @@ func TestAggUniqBoundaryMerge(t *testing.T) {
 	if got != "      5 x\n      1 y\n" {
 		t.Errorf("boundary merge = %q", got)
 	}
+	// A merged count past seven digits prints as wide as it is, as
+	// uniq -c prints 12,345,678 repeats of x.
+	if err := os.WriteFile(filepath.Join(dir, "c"), []byte("5000000 x\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "d"), []byte("7345678 x\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got := runCmd(t, r, dir, "pash-agg-uniq", []string{"-c", "c", "d"}, ""); got != "12345678 x\n" {
+		t.Errorf("wide merge = %q, want %q", got, "12345678 x\n")
+	}
 }
 
 func TestAggWcFormats(t *testing.T) {

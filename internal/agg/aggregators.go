@@ -53,9 +53,11 @@ func aggUniq(ctx *commands.Context) error {
 		}
 		return rec{count: n, line: append([]byte(nil), trimmed[sp+1:]...)}, nil
 	}
+	var counted []byte
 	emit := func(r rec) error {
 		if counting {
-			return lw.WriteString(fmt.Sprintf("%7d %s\n", r.count, r.line))
+			counted = append(commands.AppendUniqCount(counted[:0], r.count), r.line...)
+			return lw.WriteLine(counted)
 		}
 		return lw.WriteLine(r.line)
 	}

@@ -15,25 +15,14 @@ var registryGen atomic.Uint64
 // It plays the role of PaSh's annotation store: records are expressed once
 // per command (not per script) and looked up by name during compilation.
 type Registry struct {
-	mu       sync.RWMutex
-	recs     map[string]*Record
-	refiners map[string]Refiner
-	gen      uint64
+	mu   sync.RWMutex
+	recs map[string]*Record
+	gen  uint64
 }
-
-// Refiner post-processes a resolved invocation. PaSh needs a few
-// command-specific semantic checks that the declarative DSL cannot
-// express (e.g. demoting sed to non-parallelizable when its script uses
-// the hold space). Refiners keep those checks out of the compiler.
-type Refiner func(inv *Invocation)
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		recs:     map[string]*Record{},
-		refiners: map[string]Refiner{},
-		gen:      registryGen.Add(1),
-	}
+	return &Registry{recs: map[string]*Record{}, gen: registryGen.Add(1)}
 }
 
 // Register parses DSL source and adds all records, replacing any existing
@@ -53,35 +42,19 @@ func (r *Registry) Register(src string) error {
 	return nil
 }
 
-// Add inserts one parsed record, replacing any record of the same name.
-// The session layer parses and checks a user's record before it copies
-// the registry, so a rejected record leaves the session unchanged.
-func (r *Registry) Add(rec *Record) {
+// Replace installs rec as name's record, replacing the record the name
+// had together with the refiner it carried. A nil rec leaves the name
+// unannotated: the conservative side-effectful default. The session
+// layer parses and checks a user's record before it copies the
+// registry, so a rejected record leaves the session unchanged.
+func (r *Registry) Replace(name string, rec *Record) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.recs[rec.Name] = rec
-	r.gen = registryGen.Add(1)
-}
-
-// Remove deletes a command's record, returning it to the conservative
-// side-effectful default. Session-level command shadowing uses it: a
-// user implementation under a builtin name must not inherit the
-// builtin's parallelizability claims.
-func (r *Registry) Remove(name string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.recs[name]; !ok {
-		return
+	if rec == nil {
+		delete(r.recs, name)
+	} else {
+		r.recs[name] = rec
 	}
-	delete(r.recs, name)
-	r.gen = registryGen.Add(1)
-}
-
-// RegisterRefiner attaches a semantic refiner to a command name.
-func (r *Registry) RegisterRefiner(name string, f Refiner) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.refiners[name] = f
 	r.gen = registryGen.Add(1)
 }
 
@@ -100,16 +73,9 @@ func (r *Registry) Generation() uint64 {
 func (r *Registry) Clone() *Registry {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	nr := &Registry{
-		recs:     make(map[string]*Record, len(r.recs)),
-		refiners: make(map[string]Refiner, len(r.refiners)),
-		gen:      r.gen,
-	}
+	nr := &Registry{recs: make(map[string]*Record, len(r.recs)), gen: r.gen}
 	for k, v := range r.recs {
 		nr.recs[k] = v
-	}
-	for k, v := range r.refiners {
-		nr.refiners[k] = v
 	}
 	return nr
 }
@@ -150,11 +116,8 @@ func (r *Registry) Classify(name string, argv []string) *Invocation {
 		}
 	}
 	inv := rec.Resolve(argv)
-	r.mu.RLock()
-	ref := r.refiners[name]
-	r.mu.RUnlock()
-	if ref != nil {
-		ref(inv)
+	if rec.refine != nil {
+		rec.refine(inv)
 	}
 	return inv
 }
@@ -211,11 +174,6 @@ takesvalue -w ;
 
 iconv {
 takesvalue -f -t ;
-| _ => (S, [args[0:]], [stdout])
-}
-
-strings {
-takesvalue -n ;
 | _ => (S, [args[0:]], [stdout])
 }
 
@@ -321,10 +279,6 @@ bc {
 }
 
 # --- custom commands outside POSIX/GNU (the §6.4 extensibility story) ----
-url-extract {
-| _ => (S, [stdin], [stdout])
-}
-
 html-to-text {
 | _ => (S, [stdin], [stdout])
 }

@@ -2,17 +2,29 @@ package annot
 
 import "repro/internal/commands"
 
-// installRefiners attaches the semantic checks that the declarative DSL
-// cannot express. They only ever *demote* an invocation to a less
-// parallelizable class, never promote — keeping the conservative
-// direction of the paper's analysis.
+// refiner post-processes a resolved invocation. PaSh needs a few
+// command-specific semantic checks that the declarative DSL cannot
+// express (e.g. demoting sed to non-parallelizable when its script uses
+// the hold space). A refiner judges argv by its builtin's grammar, so it
+// belongs to the builtin's record: a record parsed from a user's source
+// has none, and a registration that replaces the record drops it.
+type refiner func(inv *Invocation)
+
+// installRefiners attaches the semantic checks to the standard library's
+// records, before the registry is shared. They only ever *demote* an
+// invocation to a less parallelizable class, never promote — keeping the
+// conservative direction of the paper's analysis.
 func installRefiners(r *Registry) {
-	r.RegisterRefiner("sed", refineSed)
-	r.RegisterRefiner("sort", refineSort)
-	r.RegisterRefiner("uniq", refineUniq)
-	r.RegisterRefiner("paste", refinePaste)
-	r.RegisterRefiner("tr", refineTr)
-	r.RegisterRefiner("xargs", refineXargs)
+	for name, f := range map[string]refiner{
+		"sed":   refineSed,
+		"sort":  refineSort,
+		"uniq":  refineUniq,
+		"paste": refinePaste,
+		"tr":    refineTr,
+		"xargs": refineXargs,
+	} {
+		r.recs[name].refine = f
+	}
 }
 
 // refineSed demotes sed invocations that are not a map over lines to

@@ -188,10 +188,10 @@ func (ctx *Context) stdin() io.Reader {
 }
 
 // KernelMaker builds the composable per-block kernel for one invocation
-// of an externally-registered command, or reports false when this flag
-// combination has no kernel form. It is the extension-API analog of the
-// builtin kernelMakers table: a command that supplies one participates
-// in stage fusion exactly like the builtins.
+// of a command, or reports false when this flag combination has no
+// kernel form. A builtin entry carries its maker from kernelMakers; a
+// user entry carries the one its registration supplied, and joins stage
+// fusion exactly like the builtins.
 type KernelMaker func(args []string) (Kernel, bool)
 
 // AggSpec is the extension-API (map, aggregate) pair for a
@@ -210,122 +210,77 @@ type AggSpec struct {
 	StopsEarly  bool
 }
 
+// Entry is everything the registry holds for one command name. A name
+// has one entry, and installing one replaces all of it: a kernel or an
+// aggregator pair never outlives the implementation it describes.
+type Entry struct {
+	// Run is the implementation.
+	Run Func
+	// Kernel builds an invocation's per-block form; nil means none.
+	Kernel KernelMaker
+	// Agg is a user entry's (map, aggregate) pair; nil means none.
+	Agg *AggSpec
+	// User marks an entry installed through the public extension path.
+	// Its Agg is the only pair it has (a library entry's comes from the
+	// agg library), and it never ships to a worker, whose registry does
+	// not hold it.
+	User bool
+}
+
 // registryGen hands out globally unique generation numbers: any two
 // registries that ever diverged by a registration carry different
 // generations, so plan-cache keys built from them can never collide.
 var registryGen atomic.Uint64
 
-// Registry maps command names to implementations — the in-process PATH —
-// plus the extension metadata (kernels, aggregator specs) that lets
-// user-registered commands join the planner's fast paths.
+// Registry maps command names to entries — the in-process PATH plus the
+// metadata that admits a command to the planner's fast paths.
 type Registry struct {
 	mu      sync.RWMutex
-	cmds    map[string]Func
-	kernels map[string]KernelMaker
-	aggs    map[string]*AggSpec
-	// custom marks names whose implementation was supplied through the
-	// public registration path. A custom implementation shadows every
-	// piece of builtin metadata for that name: builtin kernels and
-	// aggregator pairs no longer apply (they describe the replaced
-	// implementation, not the user's).
-	custom map[string]bool
-	gen    uint64
+	entries map[string]Entry
+	gen     uint64
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		cmds:    map[string]Func{},
-		kernels: map[string]KernelMaker{},
-		aggs:    map[string]*AggSpec{},
-		custom:  map[string]bool{},
-		gen:     registryGen.Add(1),
-	}
+	return &Registry{entries: map[string]Entry{}, gen: registryGen.Add(1)}
 }
 
-// Register adds or replaces a command. The name is marked
-// user-registered: it shadows the builtin of the same name completely,
-// including the builtin's kernel and aggregator metadata (re-register
-// those through RegisterKernel/RegisterAgg if the replacement supports
-// them).
+// Set installs e under name, replacing the name's whole entry.
+func (r *Registry) Set(name string, e Entry) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.entries[name] = e
+	r.gen = registryGen.Add(1)
+}
+
+// Register installs f under name as a user entry with no kernel and no
+// aggregator pair.
 func (r *Registry) Register(name string, f Func) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.cmds[name] = f
-	r.custom[name] = true
-	// A fresh implementation invalidates any extension metadata that
-	// described the previous one.
-	delete(r.kernels, name)
-	delete(r.aggs, name)
-	r.gen = registryGen.Add(1)
+	r.Set(name, Entry{Run: f, User: true})
 }
 
-// RegisterKernel attaches a kernel constructor to a (user-registered)
-// command name, making its invocations fusable and framed-splittable.
-func (r *Registry) RegisterKernel(name string, mk KernelMaker) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.kernels[name] = mk
-	r.gen = registryGen.Add(1)
+// Entry returns the name's entry.
+func (r *Registry) Entry(name string) (Entry, bool) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	e, ok := r.entries[name]
+	return e, ok
 }
 
-// RegisterAgg attaches a (map, aggregate) pair to a (user-registered)
-// command name, letting the parallelization transformation apply to its
-// pure invocations.
-func (r *Registry) RegisterAgg(name string, spec AggSpec) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.aggs[name] = &spec
-	r.gen = registryGen.Add(1)
-}
-
-// Lookup finds a command.
+// Lookup finds a command's implementation.
 func (r *Registry) Lookup(name string) (Func, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	f, ok := r.cmds[name]
-	return f, ok
+	e, ok := r.Entry(name)
+	return e.Run, ok
 }
 
-// IsCustom reports whether the name's implementation came through the
-// public registration path (and therefore shadows builtin metadata).
-func (r *Registry) IsCustom(name string) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.custom[name]
-}
-
-// AggFor returns the externally-registered aggregator pair for a
-// command name.
-func (r *Registry) AggFor(name string) (AggSpec, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if spec := r.aggs[name]; spec != nil {
-		return *spec, true
-	}
-	return AggSpec{}, false
-}
-
-// NewKernel builds the kernel for an invocation, preferring
-// externally-registered kernels and falling back to the builtin table —
-// except for custom names, whose user implementation shadows the
-// builtin kernel (which would be byte-faithful to the wrong command).
+// NewKernel builds the kernel for an invocation from the name's entry.
 // A maker that reports true with a nil kernel counts as no kernel form.
 func (r *Registry) NewKernel(name string, args []string) (Kernel, bool) {
-	r.mu.RLock()
-	mk := r.kernels[name]
-	custom := r.custom[name]
-	r.mu.RUnlock()
-	var k Kernel
-	var ok bool
-	switch {
-	case mk != nil:
-		k, ok = mk(args)
-	case custom:
+	e, _ := r.Entry(name)
+	if e.Kernel == nil {
 		return nil, false
-	default:
-		k, ok = NewKernel(name, args)
 	}
+	k, ok := e.Kernel(args)
 	if !ok || k == nil {
 		return nil, false
 	}
@@ -340,8 +295,8 @@ func (r *Registry) KernelCapable(name string, args []string) bool {
 }
 
 // Generation identifies the registry's registration state. It changes
-// on every Register/RegisterKernel/RegisterAgg call and is globally
-// unique across diverged registries, so plan caches can key on it.
+// on every Set and is globally unique across diverged registries, so
+// plan caches can key on it.
 func (r *Registry) Generation() uint64 {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -355,24 +310,9 @@ func (r *Registry) Generation() uint64 {
 func (r *Registry) Clone() *Registry {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	nr := &Registry{
-		cmds:    make(map[string]Func, len(r.cmds)),
-		kernels: make(map[string]KernelMaker, len(r.kernels)),
-		aggs:    make(map[string]*AggSpec, len(r.aggs)),
-		custom:  make(map[string]bool, len(r.custom)),
-		gen:     r.gen,
-	}
-	for k, v := range r.cmds {
-		nr.cmds[k] = v
-	}
-	for k, v := range r.kernels {
-		nr.kernels[k] = v
-	}
-	for k, v := range r.aggs {
-		nr.aggs[k] = v
-	}
-	for k, v := range r.custom {
-		nr.custom[k] = v
+	nr := &Registry{entries: make(map[string]Entry, len(r.entries)), gen: r.gen}
+	for k, v := range r.entries {
+		nr.entries[k] = v
 	}
 	return nr
 }
@@ -381,8 +321,8 @@ func (r *Registry) Clone() *Registry {
 func (r *Registry) Names() []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.cmds))
-	for k := range r.cmds {
+	out := make([]string, 0, len(r.entries))
+	for k := range r.entries {
 		out = append(out, k)
 	}
 	sort.Strings(out)
@@ -447,11 +387,8 @@ func NewStd() *Registry {
 func installAll(r *Registry) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	// Builtins bypass Register so they carry no custom mark: their
-	// kernel and aggregator metadata stays live until a user
-	// registration shadows the name.
 	for name, f := range builtins {
-		r.cmds[name] = f
+		r.entries[name] = Entry{Run: f, Kernel: kernelMakers[name]}
 	}
 }
 

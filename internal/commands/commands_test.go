@@ -525,9 +525,6 @@ func TestCurlSimulation(t *testing.T) {
 
 func TestTextProc(t *testing.T) {
 	html := `<html><body><a href="http://x/1">one</a> text &amp; more</body></html>` + "\n"
-	if got := run(t, "url-extract", nil, html); got != "http://x/1\n" {
-		t.Errorf("url-extract = %q", got)
-	}
 	got := run(t, "html-to-text", nil, html)
 	if strings.Contains(got, "<") || !strings.Contains(got, "one") {
 		t.Errorf("html-to-text = %q", got)

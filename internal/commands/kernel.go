@@ -54,10 +54,11 @@ type Kernel interface {
 	Status() error
 }
 
-// kernelMakers maps command names to kernel constructors. A constructor
-// returns false when this particular flag combination has no kernel
-// form (the command then runs unfused).
-var kernelMakers = map[string]func(args []string) (Kernel, bool){
+// kernelMakers maps builtin command names to kernel constructors, which
+// their registry entries carry. A constructor returns false when this
+// particular flag combination has no kernel form (the command then runs
+// unfused).
+var kernelMakers = map[string]KernelMaker{
 	"cat":  newCatKernel,
 	"tr":   newTrKernel,
 	"grep": newGrepKernel,

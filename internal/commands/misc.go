@@ -13,7 +13,6 @@ func init() {
 	register("test", testCmd)
 	register("[", bracketCmd)
 	register("iconv", iconv)
-	register("strings", stringsCmd)
 }
 
 // echo prints its arguments separated by spaces; -n suppresses the
@@ -229,75 +228,6 @@ func iconv(ctx *Context) error {
 		return lw.WriteLine(out)
 	})
 	if err != nil {
-		return err
-	}
-	return lw.Flush()
-}
-
-// stringsCmd prints runs of at least N (-n, default 4) printable
-// characters. TAB counts as printable, as in GNU strings.
-func stringsCmd(ctx *Context) error {
-	minLen := 4
-	var operands []string
-	args := ctx.Args
-	for i := 0; i < len(args); i++ {
-		a := args[i]
-		switch {
-		case strings.HasPrefix(a, "-n"):
-			v := a[2:]
-			if v == "" {
-				i++
-				if i >= len(args) {
-					return ctx.Errorf("-n requires an argument")
-				}
-				v = args[i]
-			}
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 1 {
-				return ctx.Errorf("invalid length %q", v)
-			}
-			minLen = n
-		case a == "-":
-			operands = append(operands, a)
-		case strings.HasPrefix(a, "-"):
-			return ctx.Errorf("unsupported flag %q", a)
-		default:
-			operands = append(operands, a)
-		}
-	}
-	readers, cleanup, err := ctx.OpenInputs(operands)
-	if err != nil {
-		return err
-	}
-	defer cleanup()
-	lw := NewLineWriter(ctx.Stdout)
-	defer lw.Flush()
-	var run []byte
-	flush := func() error {
-		if len(run) >= minLen {
-			if err := lw.WriteLine(run); err != nil {
-				return err
-			}
-		}
-		run = run[:0]
-		return nil
-	}
-	err = EachLineReaders(readers, func(line []byte) error {
-		for _, c := range line {
-			if c == '\t' || c >= 0x20 && c < 0x7f {
-				run = append(run, c)
-				continue
-			}
-			if err := flush(); err != nil {
-				return err
-			}
-		}
-		return flush()
-	})
-	if err != nil {
-		return err
-	}
-	if err := flush(); err != nil {
 		return err
 	}
 	return lw.Flush()

@@ -86,7 +86,6 @@ func TestStatelessHomomorphism(t *testing.T) {
 		{"rev", nil},
 		{"fold", []string{"-w", "5"}},
 		{"html-to-text", nil},
-		{"url-extract", nil},
 		{"word-stem", nil},
 		{"trigrams", nil},
 	}

@@ -6,32 +6,10 @@ import (
 )
 
 func init() {
-	register("url-extract", urlExtract)
 	register("html-to-text", htmlToText)
 	register("word-stem", wordStem)
 	register("trigrams", trigrams)
 	register("bigrams-aux", bigramsAux)
-}
-
-var hrefRe = regexp.MustCompile(`href="([^"]+)"`)
-
-// urlExtract prints every href target in its HTML input, one per line —
-// the paper's url-extract stage (written in JavaScript there, §6.4).
-func urlExtract(ctx *Context) error {
-	lw := NewLineWriter(ctx.Stdout)
-	defer lw.Flush()
-	err := EachLine(ctx.stdin(), func(line []byte) error {
-		for _, m := range hrefRe.FindAllSubmatch(line, -1) {
-			if err := lw.WriteLine(m[1]); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	return lw.Flush()
 }
 
 var (

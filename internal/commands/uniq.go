@@ -119,7 +119,7 @@ func uniq(ctx *Context) error {
 			return nil
 		}
 		if countFlag {
-			counted = append(appendUniqCount(counted[:0], count), cur...)
+			counted = append(AppendUniqCount(counted[:0], int64(count)), cur...)
 			return lw.WriteLine(counted)
 		}
 		return lw.WriteLine(cur)
@@ -147,11 +147,12 @@ func uniq(ctx *Context) error {
 	return lw.Flush()
 }
 
-// appendUniqCount appends count as uniq -c prints it: right-aligned in
+// AppendUniqCount appends count as uniq -c prints it: right-aligned in
 // seven columns, or as wide as it is from 10,000,000 on, then one space.
-func appendUniqCount(b []byte, count int) []byte {
+// The uniq -c aggregate formats its merged counts with it too.
+func AppendUniqCount(b []byte, count int64) []byte {
 	var digits [20]byte
-	d := strconv.AppendInt(digits[:0], int64(count), 10)
+	d := strconv.AppendInt(digits[:0], count, 10)
 	for i := len(d); i < 7; i++ {
 		b = append(b, ' ')
 	}

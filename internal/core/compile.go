@@ -278,17 +278,15 @@ func literalArgs(n *dfg.Node) []string {
 }
 
 // resolveAgg picks the (map, aggregate) pair for a pure invocation.
-// User-registered commands consult the command registry's external
-// aggregator specs — a user implementation shadows any builtin pair of
-// the same name, which would describe the replaced command — while
-// builtins keep using the agg library. Nil MapArgs/AggArgs in an
-// external spec default to the invocation's own flags (the sort /
-// sort -m convention), and an empty MapName means the command maps
-// itself.
+// A user entry's own pair is the only one it has — a builtin pair of
+// the same name would describe the replaced command — while library
+// entries keep using the agg library. Nil MapArgs/AggArgs in a user
+// pair default to the invocation's own flags (the sort / sort -m
+// convention), and an empty MapName means the command maps itself.
 func (c *Compiler) resolveAgg(name string, flagLits []string, inv *annot.Invocation) (*dfg.AggSpec, bool) {
-	if c.Cmds.IsCustom(name) {
-		as, ok := c.Cmds.AggFor(name)
-		if !ok {
+	if e, _ := c.Cmds.Entry(name); e.User {
+		as := e.Agg
+		if as == nil {
 			return nil, false
 		}
 		spec := &dfg.AggSpec{

@@ -243,7 +243,7 @@ func readerBytes(r io.Reader) (int64, bool) {
 func (c *Compiler) inputsOf(g *dfg.Graph) *regionInputs {
 	ri := &regionInputs{sized: true}
 	for _, n := range g.Nodes {
-		if len(n.In) == 0 || n.Class == annot.SideEffectful || c.Cmds.IsCustom(n.Name) || commands.InputIsIndex(n.Name) {
+		if len(n.In) == 0 || n.Class == annot.SideEffectful || c.isUser(n.Name) || commands.InputIsIndex(n.Name) {
 			ri.sized = false
 		}
 	}
@@ -580,9 +580,15 @@ func (c *Compiler) runRegion(ctx context.Context, stages []Stage, region string,
 	return g, res, wall, nil
 }
 
+// isUser reports whether name's entry came through the extension API.
+func (c *Compiler) isUser(name string) bool {
+	e, _ := c.Cmds.Entry(name)
+	return e.User
+}
+
 // distribute partitions a freshly planned region across the attached
-// worker pool (no-op without one). Custom user commands never ship:
-// they exist only in the coordinator's registry.
+// worker pool (no-op without one). User entries never ship: they exist
+// only in the coordinator's registry.
 func (c *Compiler) distribute(g *dfg.Graph, width int) {
 	if c.Workers == nil || width < 2 {
 		return
@@ -594,7 +600,7 @@ func (c *Compiler) distribute(g *dfg.Graph, width int) {
 	dfg.Distribute(g, dfg.DistOptions{
 		Workers:    names,
 		FileRanges: c.Workers.SharedFS(),
-		Shippable:  func(name string) bool { return !c.Cmds.IsCustom(name) },
+		Shippable:  func(name string) bool { return !c.isUser(name) },
 		// Salt plan-cache keys with the coordinator's registry
 		// generation: re-registering a command produces fresh keys, so
 		// workers can never serve a plan cached under old semantics.

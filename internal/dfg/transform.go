@@ -188,7 +188,7 @@ func snapshotEdges(es []*Edge) []*Edge {
 func consumesInOrder(n *Node) bool {
 	switch n.Name {
 	case "cat", "sed", "tr", "cut", "head", "tail", "fold",
-		"rev", "strings", "iconv", "nl", "uniq":
+		"rev", "iconv", "nl", "uniq":
 		return true
 	case "sort":
 		// sort -m interleaves its inputs (an N-way merge), so

@@ -208,7 +208,7 @@ func TestChaosFlappingWorkerRejoins(t *testing.T) {
 	local := runScript(t, script, dir, 8, nil)
 
 	pool, inj := chaosPool(t, 2, dir, 11)
-	pool.SetProberConfig(pash.ProberConfig{Interval: 15 * time.Millisecond})
+	pool.SetProberConfig(dist.ProberConfig{Interval: 15 * time.Millisecond})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	stop := pool.StartProber(ctx)

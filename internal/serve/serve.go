@@ -80,6 +80,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/dist"
+	"repro/internal/meter"
 	"repro/pash"
 )
 
@@ -88,7 +90,7 @@ type Server struct {
 	sess  *pash.Session
 	sched *pash.Scheduler
 	pool  *pash.WorkerPool
-	mtr   *pash.Meter
+	mtr   *meter.Meter
 	start time.Time
 
 	// limits is the default per-job resource budget applied to every
@@ -139,7 +141,7 @@ func (s *Server) SetDefaultLimits(l pash.JobLimits) { s.limits = l }
 // SetMeter attaches the tenant governance plane: every request passes
 // its tenant's quota and rate gates before scheduler admission, and
 // /metrics grows per-tenant rows. Call before serving.
-func (s *Server) SetMeter(m *pash.Meter) { s.mtr = m }
+func (s *Server) SetMeter(m *meter.Meter) { s.mtr = m }
 
 // SetDefaultTenant names the identity assigned to requests that carry
 // no X-Pash-Tenant header or tenant= parameter (default "anonymous").
@@ -195,7 +197,7 @@ func (s *Server) DrainRequested() <-chan struct{} { return s.drainCh }
 // "slow down" (429) from "the machine is saturated" (503). Rate and
 // capacity sheds carry a Retry-After hint; for capacity it is derived
 // from live scheduler state, not a constant.
-func (s *Server) shed(w http.ResponseWriter, cause pash.ShedCause, status, retryAfter int, reason string) {
+func (s *Server) shed(w http.ResponseWriter, cause meter.Cause, status, retryAfter int, reason string) {
 	s.sheds.Add(1)
 	w.Header().Set("X-Pash-Shed-Cause", string(cause))
 	if retryAfter > 0 {
@@ -208,7 +210,7 @@ func (s *Server) shed(w http.ResponseWriter, cause pash.ShedCause, status, retry
 // drain sheds both: a draining daemon's clients should retry elsewhere
 // or later, so the hint stays present).
 func (s *Server) shedCapacity(w http.ResponseWriter, reason string) {
-	s.shed(w, pash.ShedCapacity, http.StatusServiceUnavailable, s.retryAfterSeconds(), reason)
+	s.shed(w, meter.CauseCapacity, http.StatusServiceUnavailable, s.retryAfterSeconds(), reason)
 }
 
 // admitFrontDoor runs the request through the tenant quota/rate gates
@@ -218,17 +220,17 @@ func (s *Server) shedCapacity(w http.ResponseWriter, reason string) {
 // ok=true the caller owns release (nil without a scheduler) and must
 // hand it to the job or call it; trow (nil without a meter) has been
 // charged one job, which every no-run path below refunds.
-func (s *Server) admitFrontDoor(w http.ResponseWriter, r *http.Request) (tenant string, trow *pash.Tenant, release func(), ok bool) {
+func (s *Server) admitFrontDoor(w http.ResponseWriter, r *http.Request) (tenant string, trow *meter.Tenant, release func(), ok bool) {
 	tenant = s.tenantFor(r)
 	if s.mtr != nil {
 		trow = s.mtr.Tenant(tenant)
 		cause, retry := trow.Admit()
 		switch cause {
-		case pash.ShedQuota:
+		case meter.CauseQuota:
 			s.shed(w, cause, http.StatusForbidden, 0,
 				fmt.Sprintf("tenant %q quota exhausted", tenant))
 			return "", nil, nil, false
-		case pash.ShedRate:
+		case meter.CauseRate:
 			secs := int((retry + time.Second - 1) / time.Second)
 			if secs < 1 {
 				secs = 1
@@ -269,7 +271,7 @@ func (s *Server) admitFrontDoor(w http.ResponseWriter, r *http.Request) (tenant 
 
 // chargeJob meters a finished job's wall time and data-plane bytes to
 // its tenant (the job itself was charged at admission).
-func chargeJob(trow *pash.Tenant, job *pash.Job) {
+func chargeJob(trow *meter.Tenant, job *pash.Job) {
 	if trow == nil {
 		return
 	}
@@ -629,7 +631,7 @@ type Metrics struct {
 	// Meter carries the tenant governance rows: per-tenant admitted,
 	// sheds by cause, usage vs quota, and commit counts (only when a
 	// meter is attached).
-	Meter *pash.MeterStats `json:"meter,omitempty"`
+	Meter *meter.Stats `json:"meter,omitempty"`
 	// Jobs lists the in-flight jobs, one live row each.
 	Jobs []pash.JobStats `json:"jobs,omitempty"`
 	// Workers lists the distribution pool's per-worker meter rows (only
@@ -637,7 +639,7 @@ type Metrics struct {
 	Workers []pash.WorkerStats `json:"workers,omitempty"`
 	// WorkerTransitions counts worker state transitions (down /
 	// rejoined) — the prober's visible output.
-	WorkerTransitions *pash.WorkerTransitions `json:"worker_transitions,omitempty"`
+	WorkerTransitions *dist.Transitions `json:"worker_transitions,omitempty"`
 	// Wire aggregates the pool's wire-level meters across all workers:
 	// chunk bytes vs bytes as transmitted (frame headers included, both
 	// directions summed) and the fleet-wide plan-cache verdicts.

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/meter"
 	"repro/internal/stream"
 	"repro/pash"
 )
@@ -279,7 +280,7 @@ func TestServeStreamPlansOnce(t *testing.T) {
 // under a quota of one the next good stream is admitted.
 func TestServeStreamRefusalRefunds(t *testing.T) {
 	srv, ts := newTestServer(t, "")
-	srv.SetMeter(pash.NewMeter(pash.MeterConfig{DefaultQuota: 1}))
+	srv.SetMeter(meter.New(meter.Config{DefaultQuota: 1}))
 	resp, err := http.Post(ts.URL+"/stream?script="+queryEscape("sort | uniq -c"), "application/octet-stream", strings.NewReader("x\n"))
 	if err != nil {
 		t.Fatal(err)

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/meter"
 	"repro/pash"
 )
 
@@ -40,7 +41,7 @@ func TestServeTenantQuotaShedsWith403(t *testing.T) {
 	sess := pash.NewSession(pash.DefaultOptions(4))
 	sched := pash.NewScheduler(4)
 	srv := New(sess, sched)
-	srv.SetMeter(pash.NewMeter(pash.MeterConfig{DefaultQuota: 2}))
+	srv.SetMeter(meter.New(meter.Config{DefaultQuota: 2}))
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -101,7 +102,7 @@ func TestServeTenantRateShedsWith429(t *testing.T) {
 	srv := New(sess, pash.NewScheduler(4))
 	// 1 job burst at a rate slow enough that the bucket cannot recover
 	// mid-test.
-	srv.SetMeter(pash.NewMeter(pash.MeterConfig{DefaultQuota: 100, Rate: 0.1, Burst: 1}))
+	srv.SetMeter(meter.New(meter.Config{DefaultQuota: 100, Rate: 0.1, Burst: 1}))
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -140,7 +141,7 @@ func TestServeCapacityShedRefundsQuota(t *testing.T) {
 	sched.SetMaxScripts(1)
 	sched.SetAdmissionQueue(1, 0)
 	srv := New(sess, sched)
-	srv.SetMeter(pash.NewMeter(pash.MeterConfig{DefaultQuota: 100}))
+	srv.SetMeter(meter.New(meter.Config{DefaultQuota: 100}))
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -210,7 +211,7 @@ func TestServeCapacityShedRefundsQuota(t *testing.T) {
 func TestServeDrainShedKeepsRetryAfter(t *testing.T) {
 	sess := pash.NewSession(pash.DefaultOptions(4))
 	srv := New(sess, pash.NewScheduler(4))
-	srv.SetMeter(pash.NewMeter(pash.MeterConfig{DefaultQuota: 100}))
+	srv.SetMeter(meter.New(meter.Config{DefaultQuota: 100}))
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -241,7 +242,7 @@ func TestServeDrainShedKeepsRetryAfter(t *testing.T) {
 func TestServeTenantIdentityResolution(t *testing.T) {
 	sess := pash.NewSession(pash.DefaultOptions(4))
 	srv := New(sess, pash.NewScheduler(4))
-	srv.SetMeter(pash.NewMeter(pash.MeterConfig{}))
+	srv.SetMeter(meter.New(meter.Config{}))
 	srv.SetDefaultTenant("house")
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -274,7 +275,7 @@ func TestServeTenantIsolationUnderLoad(t *testing.T) {
 	sched := pash.NewScheduler(8)
 	sched.SetMaxScripts(4)
 	srv := New(sess, sched)
-	srv.SetMeter(pash.NewMeter(pash.MeterConfig{DefaultQuota: 10000}))
+	srv.SetMeter(meter.New(meter.Config{DefaultQuota: 10000}))
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -327,7 +328,7 @@ func TestServeTenantIsolationUnderLoad(t *testing.T) {
 func TestServeJobRowsCarryTenant(t *testing.T) {
 	sess := pash.NewSession(pash.DefaultOptions(4))
 	srv := New(sess, pash.NewScheduler(4))
-	srv.SetMeter(pash.NewMeter(pash.MeterConfig{}))
+	srv.SetMeter(meter.New(meter.Config{}))
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

@@ -97,9 +97,9 @@ type CommandSpec struct {
 	// back to the conservative side-effectful default. An optional
 	// `takesvalue -d -f;` first element names options that consume the
 	// next argument. "" leaves the name unannotated: the side-effectful
-	// default, never parallelized. Registering a builtin name with ""
-	// also clears the builtin's annotation — user registrations shadow
-	// builtins completely (see Session.Register).
+	// default, never parallelized. The record replaces whatever record
+	// the name had, a builtin's semantic checks included (see
+	// Session.Register).
 	Annotation string
 	// Kernel, when set, gives stateless invocations a per-block form:
 	// they join fused chains and framed round-robin split regions.
@@ -114,13 +114,14 @@ type CommandSpec struct {
 // classifies through Annotation, round-robin splits and fuses through
 // Kernel, and joins fan-in aggregation trees through Aggregator.
 //
-// Shadowing precedence: a user registration wins over a builtin of the
-// same name *completely* within this session. The builtin's
-// implementation, kernel, aggregator pair, and annotation record all
-// stop applying (they describe the replaced command, not the user's);
-// only what the spec itself supplies is used. Re-registration bumps the
-// session's registry generation, so every cached plan that mentioned
-// the old registration is invalidated.
+// One rule decides shadowing: a registration replaces the name's whole
+// entry within this session — implementation, kernel, aggregator pair,
+// annotation record and the semantic checks a builtin's record carries —
+// whether the name held a builtin or an earlier registration. Only what
+// the spec supplies applies. An Aggregator with an Agg installs AggName
+// the same way, as an unannotated command of its own. Registration
+// starts a fresh plan cache and bumps the registry generations, so no
+// plan made under the old entry is served.
 func (s *Session) Register(spec CommandSpec) error {
 	if spec.Name == "" {
 		return errors.New("pash: CommandSpec.Name is required")
@@ -151,48 +152,37 @@ func (s *Session) Register(spec CommandSpec) error {
 		rec = r
 	}
 
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cc := *s.compiler
-	cc.Cmds = cc.Cmds.Clone()
-	cc.Cmds.Register(spec.Name, wrapCommand(spec.Run))
-	if spec.Kernel != nil {
-		cc.Cmds.RegisterKernel(spec.Name, spec.Kernel)
-	}
-	if spec.Aggregator != nil {
-		ag := *spec.Aggregator
-		if ag.Agg != nil {
-			cc.Cmds.Register(ag.AggName, wrapAggregator(ag.Agg))
-		} else if _, ok := cc.Cmds.Lookup(ag.AggName); !ok {
-			// A nil Agg promises AggName already exists; surface the
-			// broken promise here rather than as command-not-found the
-			// first time a script parallelizes.
-			return fmt.Errorf("pash: AggregatorSpec.AggName %q names no registered command (supply Agg or register it first)", ag.AggName)
-		}
-		cc.Cmds.RegisterAgg(spec.Name, commands.AggSpec{
+	var pair *commands.AggSpec
+	if ag := spec.Aggregator; ag != nil {
+		pair = &commands.AggSpec{
 			MapName:     ag.MapName,
 			MapArgs:     ag.MapArgs,
 			AggName:     ag.AggName,
 			AggArgs:     ag.AggArgs,
 			Associative: ag.Associative,
 			StopsEarly:  ag.StopsEarly,
-		})
+		}
 	}
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	cc := *s.compiler
+	cc.Cmds = cc.Cmds.Clone()
 	cc.Annot = cc.Annot.Clone()
-	if rec != nil {
-		cc.Annot.Add(rec)
-		s.userAnnot[spec.Name] = true
-	} else if !s.userAnnot[spec.Name] {
-		// Shadowing a builtin name without supplying an annotation:
-		// drop the builtin's record rather than let its
-		// parallelizability claims apply to an arbitrary replacement.
-		cc.Annot.Remove(spec.Name)
-	}
-	if spec.Aggregator != nil && spec.Aggregator.Agg != nil && !s.userAnnot[spec.Aggregator.AggName] {
-		// The aggregate implementation shadows its name too: a builtin
-		// annotation must not keep classifying (and parallelizing) a
-		// name that now runs the user's aggregate wrapper.
-		cc.Annot.Remove(spec.Aggregator.AggName)
+	cc.Cmds.Set(spec.Name, commands.Entry{Run: wrapCommand(spec.Run), Kernel: spec.Kernel, Agg: pair, User: true})
+	cc.Annot.Replace(spec.Name, rec)
+	if ag := spec.Aggregator; ag != nil {
+		if ag.Agg != nil {
+			// The aggregate is a user entry of its own, with no record:
+			// nothing the name meant before describes the wrapper.
+			cc.Cmds.Set(ag.AggName, commands.Entry{Run: wrapAggregator(ag.Agg), User: true})
+			cc.Annot.Replace(ag.AggName, nil)
+		} else if _, ok := cc.Cmds.Lookup(ag.AggName); !ok {
+			// A nil Agg promises AggName already exists; surface the
+			// broken promise here rather than as command-not-found the
+			// first time a script parallelizes.
+			return fmt.Errorf("pash: AggregatorSpec.AggName %q names no registered command (supply Agg or register it first)", ag.AggName)
+		}
 	}
 	cc.Plans = core.NewPlanCache(0)
 	s.compiler = &cc

@@ -637,3 +637,91 @@ func TestUnannotatedCommandReadsStdin(t *testing.T) {
 		}
 	}
 }
+
+// passKernel copies its input: the per-block form of shadowSpec.
+type passKernel struct{}
+
+func (passKernel) Apply(out, in []byte) []byte { return append(out, in...) }
+func (passKernel) Finish(out []byte) []byte    { return out }
+func (passKernel) Status() error               { return nil }
+
+// shadowSpec is a stateless command with a kernel for any argv.
+func shadowSpec(name string) CommandSpec {
+	return CommandSpec{
+		Name: name,
+		Run: func(args []string, stdin io.Reader, stdout io.Writer) error {
+			_, err := io.Copy(stdout, stdin)
+			return err
+		},
+		Annotation: name + " { | _ => (S, [stdin], [stdout]) }",
+		Kernel:     func(args []string) (Kernel, bool) { return passKernel{}, true },
+	}
+}
+
+// TestShadowingIsWhole: a registration under a builtin's name plans
+// exactly as the same spec under a fresh name — no semantic check of the
+// builtin's record judges the user's argv — for every builtin whose
+// record carries one. Re-registering a user-annotated name as an
+// aggregate leaves it unannotated, and the aggregates the library
+// installs are not user entries.
+func TestShadowingIsWhole(t *testing.T) {
+	shape := func(name, script string) (map[dfg.NodeKind]int, int) {
+		t.Helper()
+		s := NewSession(DefaultOptions(4))
+		if err := s.Register(shadowSpec(name)); err != nil {
+			t.Fatal(err)
+		}
+		plan, err := s.CompileExec(script)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kinds, replicas := map[dfg.NodeKind]int{}, 0
+		for _, item := range plan.Items {
+			for _, n := range item.Graph.Nodes {
+				kinds[n.Kind]++
+				if n.Name == name {
+					replicas++
+				}
+				for _, st := range n.Stages {
+					if st.Name == name {
+						replicas++
+					}
+				}
+			}
+		}
+		return kinds, replicas
+	}
+	for _, tc := range []struct{ builtin, args string }{
+		{"sed", "5q"},
+		{"tr", `'\n' x`},
+		{"xargs", "-n 3"},
+		{"sort", "-R"},
+		{"uniq", "a b"},
+		{"paste", "a b"},
+	} {
+		wantKinds, want := shape("mycmd", "cat | mycmd "+tc.args)
+		if want != 4 {
+			t.Fatalf("mycmd %s: %d replicas, want 4", tc.args, want)
+		}
+		kinds, got := shape(tc.builtin, "cat | "+tc.builtin+" "+tc.args)
+		if got != want || fmt.Sprint(kinds) != fmt.Sprint(wantKinds) {
+			t.Errorf("shadowed %s %s plans %d replicas of %v, fresh name %d of %v", tc.builtin, tc.args, got, kinds, want, wantKinds)
+		}
+	}
+
+	s := NewSession(DefaultOptions(4))
+	if err := s.Register(shadowSpec("mytool")); err != nil {
+		t.Fatal(err)
+	}
+	sum := sumSpec()
+	sum.Aggregator.AggName = "mytool"
+	if err := s.Register(sum); err != nil {
+		t.Fatal(err)
+	}
+	if rec, ok := s.snapshot().Annot.Lookup("mytool"); ok {
+		t.Errorf("mytool re-registered as an aggregate keeps the record %v", rec)
+	}
+	if e, ok := s.snapshot().Cmds.Entry("pash-agg-uniq"); !ok || e.User {
+		t.Errorf("pash-agg-uniq: entry found %v, user %v; want a library entry", ok, e.User)
+	}
+}

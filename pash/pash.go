@@ -95,11 +95,6 @@ type Session struct {
 	// Vars seeds the shell variable environment (e.g. PASH_CURL_ROOT).
 	Vars map[string]string
 
-	// userAnnot names the commands whose annotation the user supplied
-	// (via Register): shadowing a command never
-	// clears a user-supplied record, only inherited builtin ones.
-	userAnnot map[string]bool
-
 	// jobsMu/jobs track the session's running jobs (see job.go).
 	jobsMu sync.Mutex
 	jobs   map[int64]*Job
@@ -108,7 +103,7 @@ type Session struct {
 // NewSession builds a session with the standard command and annotation
 // libraries.
 func NewSession(opts Options) *Session {
-	return &Session{compiler: core.NewCompiler(opts), userAnnot: map[string]bool{}}
+	return &Session{compiler: core.NewCompiler(opts)}
 }
 
 // snapshot returns an immutable per-run view of the compiler: the
@@ -155,13 +150,6 @@ type WorkerPool = dist.Pool
 
 // WorkerStats re-exports a worker's coordinator-side meter row.
 type WorkerStats = dist.WorkerStats
-
-// WorkerTransitions re-exports the pool's worker state-transition
-// counters (down / rejoined).
-type WorkerTransitions = dist.Transitions
-
-// ProberConfig re-exports the background health prober's tuning knobs.
-type ProberConfig = dist.ProberConfig
 
 // NewWorkerPool builds a pool over the given worker addresses
 // ("host:port", "http://host:port", or "unix:/path/to.sock").

@@ -342,21 +342,6 @@ func TestWcFilesMatchHost(t *testing.T) {
 	}
 }
 
-// TestTextToolsMatchHost: strings against the host's under LC_ALL=C,
-// at widths 1 and 2.
-func TestTextToolsMatchHost(t *testing.T) {
-	binary := "\x01\x02abc\tdef\x7fghij\n\tx\ncol1\tcol2\n\x00\x00hello world\x80\xffzz\na\tb\tc\n\t\t\t\t\n"
-	for _, argv := range [][]string{{"strings"}, {"strings", "-n", "2"}, {"strings", "-n6"}} {
-		want := hostOutput(t, "", binary, argv[0], argv[1:]...)
-		script := "cat | " + strings.Join(argv, " ")
-		for _, width := range []int{1, 2} {
-			if got := runAt(t, width, "", script, binary); got != want {
-				t.Errorf("%s at width %d: %q, host %q", script, width, got, want)
-			}
-		}
-	}
-}
-
 // TestAwkRefusedByName: awk runs only the subset its doc comment
 // states. Each program in the table is valid POSIX awk outside it, and
 // fails before reading input, with stderr naming the construct, at
