@@ -95,16 +95,22 @@ func Resolve(name string, flagArgs []string, inv *annot.Invocation) (*dfg.AggSpe
 		// aggregate is the command itself over the map outputs (head and
 		// tail here print no "==> f <==" headers). Whether the invocation
 		// is such a count, in whatever spelling, is the commands' own
-		// parser's call. StopsEarly keeps t2 from planting a draining
-		// barrier split in front of a command that reads K lines.
-		if !commands.HeadTailLines(flagArgs) {
+		// parser's call. head's Takes keeps t2 from planting a draining
+		// barrier split in front of a command that reads K lines, and
+		// limits what feeds it; head -n 0 still reads one line to stop.
+		k, ok := commands.HeadTailLines(flagArgs)
+		if !ok {
 			return nil, false
 		}
-		return &dfg.AggSpec{
+		spec := &dfg.AggSpec{
 			MapName: name, MapArgs: flagArgs,
 			AggName: "pash-agg-" + name, AggArgs: flagArgs,
-			Associative: true, StopsEarly: name == "head",
-		}, true
+			Associative: true,
+		}
+		if name == "head" {
+			spec.Takes = max(k, 1)
+		}
+		return spec, true
 	case "tac":
 		if len(flagArgs) > 0 {
 			return nil, false

@@ -133,6 +133,11 @@ type Context struct {
 	// Exec lets commands that run other commands (xargs) dispatch through
 	// the registry.
 	Exec func(name string, args []string, stdin io.Reader, stdout io.Writer) error
+	// Limit, when positive, is the planner's promise that whatever reads
+	// the command's standard output reads only its first Limit lines
+	// (dfg.Node.Limit). A command may stop after them; ignoring it is
+	// always correct, and every command but sort does.
+	Limit int
 }
 
 // Getenv looks up a context environment variable.

@@ -83,14 +83,17 @@ func parseHeadTail(args []string) (*headTailSpec, error) {
 	return spec, nil
 }
 
-// HeadTailLines reports whether a head or tail invocation keeps a fixed
-// number of whole lines from its end of the input, in any spelling of the
-// count (-n N, -nN, -N, or the default). Those are the forms the
-// aggregator library parallelizes; byte counts, +N and an argv the
-// commands reject are not.
-func HeadTailLines(args []string) bool {
+// HeadTailLines returns the count of a head or tail invocation that
+// keeps a fixed number of whole lines from its end of the input, in any
+// spelling of the count (-n N, -nN, -N, or the default), and reports
+// whether it is one. Those are the forms the aggregator library
+// parallelizes; byte counts, +N and an argv the commands reject are not.
+func HeadTailLines(args []string) (int, bool) {
 	spec, err := parseHeadTail(args)
-	return err == nil && !spec.bytes && !spec.fromLine
+	if err != nil || spec.bytes || spec.fromLine {
+		return 0, false
+	}
+	return int(spec.n), true
 }
 
 // head emits the first N lines (-n, default 10) or bytes (-c) of its

@@ -79,14 +79,6 @@ func NewKernel(name string, args []string) (Kernel, bool) {
 	return mk(args)
 }
 
-// KernelCapable reports whether the invocation can run as a fused
-// kernel. The planner consults it when deciding which chains to
-// collapse (dfg.Options.KernelCapable).
-func KernelCapable(name string, args []string) bool {
-	_, ok := NewKernel(name, args)
-	return ok
-}
-
 // runKernel is the data loop of every kernel-capable command: it opens
 // the operands (standard input when there are none), pushes each reader's
 // blocks through k and hands the output blocks on by ownership transfer.

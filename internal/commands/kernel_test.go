@@ -422,7 +422,7 @@ func TestKernelCapability(t *testing.T) {
 		{"rev", []string{}},
 	}
 	for _, c := range capable {
-		if !KernelCapable(c[0].(string), c[1].([]string)) {
+		if !Std().KernelCapable(c[0].(string), c[1].([]string)) {
 			t.Errorf("expected %s %v to be kernel-capable", c[0], c[1])
 		}
 	}
@@ -440,7 +440,7 @@ func TestKernelCapability(t *testing.T) {
 		{"wc", []string{"-l"}},
 	}
 	for _, c := range incapable {
-		if KernelCapable(c[0].(string), c[1].([]string)) {
+		if Std().KernelCapable(c[0].(string), c[1].([]string)) {
 			t.Errorf("expected %s %v to NOT be kernel-capable", c[0], c[1])
 		}
 	}

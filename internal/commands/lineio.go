@@ -491,6 +491,10 @@ func (lw *LineWriter) WriteString(s string) error {
 
 // Write implements io.Writer.
 func (lw *LineWriter) Write(p []byte) (int, error) {
+	if lw.buf != nil && len(p) <= cap(lw.buf)-len(lw.buf) {
+		lw.buf = append(lw.buf, p...) // the common case: it fits
+		return len(p), nil
+	}
 	total := len(p)
 	for len(p) > 0 {
 		if lw.room() == 0 {

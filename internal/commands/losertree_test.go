@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -39,7 +40,7 @@ func TestLoserTreeMergeEquivalence(t *testing.T) {
 		}
 		var buf bytes.Buffer
 		lw := NewLineWriter(&buf)
-		if err := mergeSorted(readers, lw, (&sortConfig{}).order(), false); err != nil {
+		if err := mergeSorted(readers, lw, (&sortConfig{}).order(), false, math.MaxInt); err != nil {
 			t.Fatal(err)
 		}
 		if err := lw.Flush(); err != nil {

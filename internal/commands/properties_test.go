@@ -3,6 +3,7 @@ package commands
 import (
 	"bytes"
 	"io"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -112,7 +113,7 @@ func TestSortMapAggregate(t *testing.T) {
 		lw := NewLineWriter(&out)
 		err := mergeSorted(
 			[]io.Reader{strings.NewReader(mx), strings.NewReader(my)},
-			lw, (&sortConfig{}).order(), false)
+			lw, (&sortConfig{}).order(), false, math.MaxInt)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,9 +2,11 @@ package commands
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"math/bits"
 	"runtime"
 	"slices"
@@ -180,10 +182,18 @@ func sortCmd(ctx *Context) error {
 		return nil
 	}
 
+	// The limit is the planner's promise that only the first limit lines
+	// are read. -u's limit-th line can lie arbitrarily deep in the sorted
+	// index and -o's file is read whole, so they print every line.
+	limit := ctx.Limit
+	if limit <= 0 || cfg.unique || outFile != "" {
+		limit = math.MaxInt
+	}
+
 	if cfg.merge {
 		// -m: merge already-sorted inputs (the heart of PaSh's sort
 		// aggregator).
-		if err := mergeSorted(readers, lw, ord, cfg.unique); err != nil {
+		if err := mergeSorted(readers, lw, ord, cfg.unique, limit); err != nil {
 			return err
 		}
 		return lw.Flush()
@@ -195,7 +205,7 @@ func sortCmd(ctx *Context) error {
 			return err
 		}
 	}
-	recs := sortRecs(ord.index(arena), arena, ord, cfg.parallel)
+	recs := sortRecs(ord.index(arena), arena, ord, cfg.parallel, limit)
 
 	// -u prints the first line of each run of equal lines. The sorted
 	// index's keys are scratch, so equality is read from the lines.
@@ -413,17 +423,19 @@ func (o *lineOrder) index(arena []byte) []sortRec {
 	return recs
 }
 
-// sortRecs sorts the index and returns it. With workers > 1 (GNU sort's
-// --parallel) the index is cut into runs sorted concurrently by the same
-// kernel and merged through the loser tree, which decorates each run's
-// head afresh: the kernel leaves keys as scratch.
-func sortRecs(recs []sortRec, arena []byte, o *lineOrder, workers int) []sortRec {
+// sortRecs sorts the index and returns its first limit records. With
+// workers > 1 (GNU sort's --parallel) the index is cut into runs sorted
+// concurrently by the same kernel and merged through the loser tree,
+// which decorates each run's head afresh: the kernel leaves keys as
+// scratch.
+func sortRecs(recs []sortRec, arena []byte, o *lineOrder, workers, limit int) []sortRec {
 	if workers > runtime.NumCPU()*2 {
 		workers = runtime.NumCPU() * 2
 	}
+	limit = min(limit, len(recs))
 	if workers < 2 || len(recs) < 2*workers {
-		o.sortRun(recs, arena)
-		return recs
+		o.sortRun(recs, arena, limit)
+		return recs[:limit]
 	}
 	chunk := (len(recs) + workers - 1) / workers
 	var wg sync.WaitGroup
@@ -434,12 +446,14 @@ func sortRecs(recs []sortRec, arena []byte, o *lineOrder, workers int) []sortRec
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			o.sortRun(run, arena)
+			o.sortRun(run, arena, limit)
 		}()
 	}
 	wg.Wait()
 
-	out := make([]sortRec, 0, len(recs))
+	// No run gives the merge more than limit records, so each settles
+	// only its first limit.
+	out := make([]sortRec, 0, limit)
 	lt := newLoserTree(len(runs), o)
 	load := func(i int) {
 		lt.live[i] = len(runs[i]) > 0
@@ -453,7 +467,7 @@ func sortRecs(recs []sortRec, arena []byte, o *lineOrder, workers int) []sortRec
 		load(i)
 	}
 	lt.build()
-	for len(out) < len(recs) {
+	for len(out) < limit {
 		w := lt.winner()
 		out = append(out, runs[w][0])
 		runs[w] = runs[w][1:]
@@ -463,79 +477,151 @@ func sortRecs(recs []sortRec, arena []byte, o *lineOrder, workers int) []sortRec
 	return out
 }
 
-// sortRun sorts one run of the index. A bytewise order is sorted by the
-// multikey quicksort and reversed for -r, which for a total order is
-// exactly the reversed order; a key goes to the comparator sort.
-func (o *lineOrder) sortRun(recs []sortRec, arena []byte) {
+// sortRun sorts one run of the index far enough that its first limit
+// records are the run's first limit lines in order; the rest are left
+// in some order. A range that exhausts a quicksort's depth budget, twice
+// the bit length of the run, has partitioned badly and goes to the
+// comparator sort.
+//
+// A bytewise order is the multikey quicksort, reversed for -r, which
+// for a total order is exactly the reversed order. A keyed order is a
+// quicksort on the decorations — complemented for a reversed key, so
+// that ascending integers are the key order — that settles each group
+// of equal decorations by what the group's lines still differ in: a
+// number the decoration holds whole (numExact), with no later key to
+// consult, ties to the last resort alone, so the group is the bytewise
+// sort of its lines, or their input order under -s or -u; any other
+// group goes to the comparator sort.
+func (o *lineOrder) sortRun(recs []sortRec, arena []byte, limit int) {
 	if o.key == nil {
-		mkqsort(recs, arena, 0, 2*bits.Len(uint(len(recs))))
-		if o.sign < 0 {
-			slices.Reverse(recs)
-		}
+		settleLines(recs, arena, o.sign < 0, 0, limit)
 		return
+	}
+	if o.keySign < 0 {
+		complementKeys(recs)
+	}
+	o.keySort(recs, arena, depthBudget(recs), 0, limit)
+}
+
+// depthBudget is the depth budget of either quicksort over recs.
+func depthBudget(recs []sortRec) int { return 2 * bits.Len(uint(len(recs))) }
+
+// keySort sorts recs, keyed by their decorations (complemented for a
+// reversed key), far enough to settle positions [lo, hi). Ranges that
+// lie outside it are not partitioned further: a partial quicksort
+// (Martínez, 2004), which puts the first K of n lines in order in
+// O(n + K log K) expected time.
+func (o *lineOrder) keySort(recs []sortRec, arena []byte, budget, lo, hi int) {
+	for len(recs) > 1 && lo < len(recs) && hi > 0 {
+		if budget == 0 || len(recs) <= mkqSmall {
+			o.tieSort(recs, arena)
+			return
+		}
+		lt, gt := partition3(recs, pivotKey(recs))
+		o.keySort(recs[:lt], arena, budget-1, lo, hi)
+		o.settleTies(recs[lt:gt], arena, lo-lt, hi-lt)
+		recs, lo, hi, budget = recs[gt:], lo-gt, hi-gt, budget-1
+	}
+}
+
+// settleTies sorts a group of lines with equal decorations, settling
+// positions [lo, hi) of it.
+func (o *lineOrder) settleTies(recs []sortRec, arena []byte, lo, hi int) {
+	switch {
+	case len(recs) < 2 || lo >= len(recs) || hi <= 0:
+	case !o.key.numeric || len(o.then) > 0 || !numExact(recs[0].key):
+		o.tieSort(recs, arena)
+	case o.lastResort:
+		for i := range recs {
+			r := &recs[i]
+			r.key = loadWord(arena, r.off, r.len)
+		}
+		settleLines(recs, arena, o.sign < 0, lo, hi)
+	default:
+		slices.SortFunc(recs, func(x, y sortRec) int { return cmp.Compare(x.off, y.off) })
+	}
+}
+
+// tieSort hands a range of keySort's to the comparator sort, first
+// restoring its decorations.
+func (o *lineOrder) tieSort(recs []sortRec, arena []byte) {
+	if o.keySign < 0 {
+		complementKeys(recs)
 	}
 	o.cmpSort(recs, arena)
 }
 
-// cmpSort is the comparator sort: the unstable pattern-defeating
-// quicksort when equal lines are byte-identical, since no one can tell,
-// and the stable sort when -s or -u must keep input order among ties.
-// Every key must be the line's decoration under o.
+func complementKeys(recs []sortRec) {
+	for i := range recs {
+		recs[i].key = ^recs[i].key
+	}
+}
+
+// settleLines sorts recs bytewise by whole line, descending when
+// reverse, settling positions [lo, hi); every key must be its line's
+// first word. Reversed, those are positions [n-hi, n-lo) of the
+// ascending order, which is reversed at the end.
+func settleLines(recs []sortRec, arena []byte, reverse bool, lo, hi int) {
+	if reverse {
+		lo, hi = len(recs)-hi, len(recs)-lo
+	}
+	mkqsort(recs, arena, 0, depthBudget(recs), lo, hi)
+	if reverse {
+		slices.Reverse(recs)
+	}
+}
+
+// cmpSort is the comparator sort, the unstable pattern-defeating
+// quicksort. Lines that compare equal keep input order (their arena
+// order): under -s or -u that is the order GNU sort keeps, and
+// otherwise they are byte-identical and no one can tell. Every key
+// must be the line's decoration under o.
 func (o *lineOrder) cmpSort(recs []sortRec, arena []byte) {
-	cmp := func(x, y sortRec) int {
+	slices.SortFunc(recs, func(x, y sortRec) int {
 		if x.key != y.key { // the common case, decided in this frame
 			return o.byKey(x.key, y.key)
 		}
-		return o.compare(x.key, arena[x.off:x.off+x.len], y.key, arena[y.off:y.off+y.len])
-	}
-	if o.total() {
-		slices.SortFunc(recs, cmp)
-	} else {
-		slices.SortStableFunc(recs, cmp)
-	}
+		if c := o.compare(x.key, arena[x.off:x.off+x.len], y.key, arena[y.off:y.off+y.len]); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.off, y.off)
+	})
 }
 
 // ascending is the plain bytewise order, the multikey quicksort's
 // fallback.
 var ascending = &lineOrder{sign: 1, keySign: 1}
 
-// mkqSmall is the group size at and below which the multikey quicksort
-// finishes with an insertion sort.
+// mkqSmall is the group size at and below which either quicksort
+// finishes with an insertion sort or the comparator sort.
 const mkqSmall = 16
 
-// mkqsort sorts recs bytewise by whole line: a multikey quicksort
-// (Bentley & Sedgewick, SODA '97) over 8-byte words instead of bytes. On
-// entry every key is its line's word d — bytes [8d, 8d+8), zero padded —
-// and all lines agree on their first 8d bytes; on return the keys are
-// scratch. Each pass splits three ways on the key. The < and > groups
-// recurse at the same depth, each spending one unit of budget; the =
-// group moves on to word d+1 in this frame, so a long shared prefix
-// costs a pass per word but no stack. A group that runs out of budget
-// has partitioned badly, and goes to the comparator sort.
-func mkqsort(recs []sortRec, arena []byte, d, budget int) {
-	for len(recs) > mkqSmall {
-		if budget == 0 {
+// mkqsort sorts recs bytewise by whole line, far enough to settle
+// positions [lo, hi): a multikey quicksort (Bentley & Sedgewick, SODA
+// '97) over 8-byte words instead of bytes, which leaves ranges outside
+// [lo, hi) unpartitioned. On entry every key is its line's word d —
+// bytes [8d, 8d+8), zero padded — and all lines agree on their first 8d
+// bytes; on return the keys are scratch. Each pass splits three ways on
+// the key. The < and > groups recurse at the same depth, each spending
+// one unit of budget; the = group moves on to word d+1 in this frame, so
+// a long shared prefix costs a pass per word but no stack. A group that
+// runs out of budget has partitioned badly, and goes to the comparator
+// sort.
+func mkqsort(recs []sortRec, arena []byte, d, budget, lo, hi int) {
+	for len(recs) > 1 && lo < len(recs) && hi > 0 {
+		switch {
+		case len(recs) <= mkqSmall:
+			insertionSort(recs, arena, 8*d)
+			return
+		case budget == 0:
 			ascending.cmpSort(recs, arena)
 			return
 		}
 		p := pivotKey(recs)
-		lt, gt := 0, len(recs)
-		for i := 0; i < gt; {
-			switch k := recs[i].key; {
-			case k < p:
-				recs[lt], recs[i] = recs[i], recs[lt]
-				lt++
-				i++
-			case k > p:
-				gt--
-				recs[i], recs[gt] = recs[gt], recs[i]
-			default:
-				i++
-			}
-		}
-		mkqsort(recs[:lt], arena, d, budget-1)
-		mkqsort(recs[gt:], arena, d, budget-1)
-		recs = recs[lt:gt]
+		lt, gt := partition3(recs, p)
+		mkqsort(recs[:lt], arena, d, budget-1, lo, hi)
+		mkqsort(recs[gt:], arena, d, budget-1, lo-gt, hi-gt)
+		recs, lo, hi = recs[lt:gt], lo-lt, hi-lt
 
 		// Lines that end inside word d come first, shortest first: each
 		// is a prefix of every longer line of the group, and equal
@@ -552,14 +638,37 @@ func mkqsort(recs []sortRec, arena []byte, d, budget int) {
 				}
 			}
 		}
-		recs = recs[n:]
+		recs, lo, hi = recs[n:], lo-n, hi-n
+		if lo >= len(recs) || hi <= 0 {
+			return
+		}
 		for i := range recs {
 			r := &recs[i]
 			r.key = loadWord(arena, r.off+end, r.len-end)
 		}
 		d++
 	}
-	insertionSort(recs, arena, 8*d)
+}
+
+// partition3 splits recs three ways around the key p: keys below it
+// come to recs[:lt], keys equal to it to recs[lt:gt], keys above it to
+// recs[gt:].
+func partition3(recs []sortRec, p uint64) (lt, gt int) {
+	lt, gt = 0, len(recs)
+	for i := 0; i < gt; {
+		switch k := recs[i].key; {
+		case k < p:
+			recs[lt], recs[i] = recs[i], recs[lt]
+			lt++
+			i++
+		case k > p:
+			gt--
+			recs[i], recs[gt] = recs[gt], recs[i]
+		default:
+			i++
+		}
+	}
+	return lt, gt
 }
 
 // pivotKey picks a partitioning key: the median of three, or Tukey's
@@ -690,11 +799,11 @@ func (lt *loserTree) beats(a, b int) bool {
 }
 
 // mergeSorted streams a k-way merge of already-sorted line readers into
-// lw, selecting with a loser tree. A source's head line stays where its
-// scanner found it — inside the source's current block — until the
-// merge has written it out and pulls that source again, so no line is
-// copied on the way in.
-func mergeSorted(readers []io.Reader, lw *LineWriter, ord *lineOrder, unique bool) error {
+// lw, selecting with a loser tree, and stops after limit lines. A
+// source's head line stays where its scanner found it — inside the
+// source's current block — until the merge has written it out and pulls
+// that source again, so no line is copied on the way in.
+func mergeSorted(readers []io.Reader, lw *LineWriter, ord *lineOrder, unique bool, limit int) error {
 	k := len(readers)
 	if k == 0 {
 		return nil
@@ -727,13 +836,14 @@ func mergeSorted(readers []io.Reader, lw *LineWriter, ord *lineOrder, unique boo
 	var prev []byte
 	var prevKey uint64
 	first := true
-	for live > 0 {
+	for written := 0; live > 0 && written < limit; {
 		w := lt.winner()
 		key, line := lt.keys[w], lt.lines[w]
 		if !unique || first || ord.compare(prevKey, prev, key, line) != 0 {
 			if err := lw.WriteLine(line); err != nil {
 				return err
 			}
+			written++
 			if unique {
 				prev, prevKey = append(prev[:0], line...), key
 			}
@@ -1021,25 +1131,47 @@ func numCompare(a, b []byte) int {
 // the first 13 digits at 4 bits each, and last a bit set when digits are
 // left over, all complemented for a negative number. Numbers that agree
 // that far share an image and are told apart by numCompare, unless the
-// image holds them whole (numExact).
+// image holds them whole (numExact). It reads the number as numParts
+// does, in one pass: a fraction's zero digits add nothing to the image,
+// so only a nonzero one past the thirteenth is left over.
 func numImage(s []byte) uint64 {
-	neg, whole, frac := numParts(s)
-	img := ^uint64(0)
-	if len(whole) < 255 {
-		img = uint64(1)<<63 | uint64(len(whole))<<55
-		n := 0
-		for _, digits := range [2][]byte{whole, frac} {
-			for _, c := range digits {
-				if n == 13 {
-					img |= 1
-					break
-				}
-				img |= uint64(c-'0') << (51 - 4*n)
+	i := skipBlanks(s, 0)
+	neg := i < len(s) && s[i] == '-'
+	if neg {
+		i++
+	}
+	for i < len(s) && s[i] == '0' {
+		i++
+	}
+	var digits uint64
+	n, whole, nonzero := 0, 0, false
+	for ; i < len(s) && s[i] >= '0' && s[i] <= '9'; i++ {
+		if n < 13 {
+			digits |= uint64(s[i]-'0') << (51 - 4*n)
+			n++
+		} else {
+			digits |= 1
+		}
+		whole++
+	}
+	if i < len(s) && s[i] == '.' {
+		for i++; i < len(s) && s[i] >= '0' && s[i] <= '9'; i++ {
+			d := uint64(s[i] - '0')
+			switch {
+			case n < 13:
+				digits |= d << (51 - 4*n)
 				n++
+			case d != 0:
+				digits |= 1
 			}
+			nonzero = nonzero || d != 0
 		}
 	}
-	if neg {
+	img := ^uint64(0)
+	if whole < 255 {
+		img = uint64(1)<<63 | uint64(whole)<<55 | digits
+	}
+	if neg && (whole > 0 || nonzero) {
 		img = ^img
 	}
 	return img

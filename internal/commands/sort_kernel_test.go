@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"math/big"
 	"math/rand"
@@ -259,11 +260,14 @@ func (fs stringFS) Open(path string) (io.ReadCloser, error) {
 func (stringFS) Create(string) (io.WriteCloser, error) { return nil, errors.New("read-only") }
 func (stringFS) Append(string) (io.WriteCloser, error) { return nil, errors.New("read-only") }
 
-// checkSortCase runs one invocation over text and returns a description
-// of the divergence from the oracle, or "".
-func checkSortCase(c sortCase, text string) string {
+// checkSortCase runs one invocation over text at each limit and returns
+// a description of the first divergence from the oracle, or "". Limit 0
+// is none; at a positive limit the command prints at least that many
+// leading lines of its output: sort -u prints them all, every other form
+// exactly that many.
+func checkSortCase(c sortCase, text string, limits []int) string {
 	want := refSort(&c.cfg, text)
-	ctx := &Context{Args: c.args, Stdin: strings.NewReader(text), Stderr: io.Discard}
+	args, fs := c.args, FS(nil)
 	if c.cfg.merge {
 		// Merge wants sorted runs: cut the text in two at a line boundary
 		// and sort each half with the oracle. A stable merge of sorted
@@ -273,19 +277,53 @@ func checkSortCase(c sortCase, text string) string {
 		runCfg.unique = false
 		a, b := refSort(&runCfg, text[:cut]), refSort(&runCfg, text[cut:])
 		want = refSort(&c.cfg, a, b)
-		ctx.FS = stringFS{"a": a, "b": b}
-		ctx.Args = append(append([]string{}, c.args...), "a", "b")
+		fs = stringFS{"a": a, "b": b}
+		args = append(append([]string{}, c.args...), "a", "b")
 	}
-	var out bytes.Buffer
-	ctx.Stdout = &out
-	if err := Std().Run("sort", ctx); err != nil {
-		return fmt.Sprintf("sort %v: %v", c.args, err)
-	}
-	if out.String() != want {
-		return fmt.Sprintf("sort %v over %d bytes diverges from the reference\n got: %.200q\nwant: %.200q",
-			c.args, len(text), out.String(), want)
+	for _, limit := range limits {
+		wantAt := want
+		if limit > 0 && !c.cfg.unique {
+			wantAt = strings.Join(strings.SplitAfter(want, "\n")[:min(limit, strings.Count(want, "\n"))], "")
+		}
+		var out bytes.Buffer
+		ctx := &Context{Args: args, Stdin: strings.NewReader(text), Stdout: &out, Stderr: io.Discard, FS: fs, Limit: limit}
+		if err := Std().Run("sort", ctx); err != nil {
+			return fmt.Sprintf("sort %v at limit %d: %v", c.args, limit, err)
+		}
+		if out.String() != wantAt {
+			return fmt.Sprintf("sort %v at limit %d over %d bytes diverges from the reference\n got: %.200q\nwant: %.200q",
+				c.args, limit, len(text), out.String(), wantAt)
+		}
 	}
 	return ""
+}
+
+// sortLimits are the limits a text of n lines is sorted at: none, 1, a
+// K below n, n, and past n.
+func sortLimits(text string) []int {
+	n := strings.Count(text, "\n")
+	return []int{0, 1, max(n/3, 2), n, n + 7}
+}
+
+// genCountText draws uniq -c output, the input sort -rn meets most:
+// counts padded to seven columns, most of them small and equal, some
+// unpadded or zero-led, and some numbers too long for their decoration
+// to hold (numExact) that agree in the digits it does hold. A word list
+// of three makes whole lines tie too.
+func genCountText(r *rand.Rand, maxLines int) string {
+	n := r.Intn(maxLines + 1)
+	var sb strings.Builder
+	for i := 0; i < n; i++ {
+		count := fmt.Sprintf("%7d", 1+r.Intn(3)*r.Intn(3))
+		switch r.Intn(8) {
+		case 0:
+			count = fmt.Sprintf("12345678901234%d", r.Intn(3))
+		case 1:
+			count = fmt.Sprintf("%0*d", 1+r.Intn(3), 1+r.Intn(3))
+		}
+		fmt.Fprintf(&sb, "%s %s\n", count, []string{"a", "b", "water"}[r.Intn(3)])
+	}
+	return sb.String()
 }
 
 // genSortText draws lines that collide where the kernel is delicate:
@@ -376,27 +414,78 @@ func TestSortKernelDifferential(t *testing.T) {
 		}
 		fixed = append(fixed, text)
 	}
+	for trial := 0; trial < 60; trial++ {
+		fixed = append(fixed, genCountText(rng, 300))
+	}
 	for _, c := range sortCases {
 		texts := fixed
 		if refKeys(&c.cfg) == nil {
 			texts = slices.Concat(fixed, bytewise)
 		}
 		for _, text := range texts {
-			if msg := checkSortCase(c, text); msg != "" {
+			if msg := checkSortCase(c, text, sortLimits(text)); msg != "" {
 				t.Fatal(msg)
 			}
 		}
 	}
 }
 
-// FuzzSortKernel runs the same oracle over fuzzer-chosen bytes.
+// TestNumImageMatchesParts checks the one-pass numImage against the
+// image built from numParts' integer and fraction digits, over numbers
+// with leading and trailing zeros, signs, blanks, long digit runs on
+// either side of the point and every digit count around 13 and 255.
+func TestNumImageMatchesParts(t *testing.T) {
+	ref := func(s []byte) uint64 {
+		neg, whole, frac := numParts(s)
+		img := ^uint64(0)
+		if len(whole) < 255 {
+			img = uint64(1)<<63 | uint64(len(whole))<<55
+			digits := append(append([]byte(nil), whole...), frac...)
+			for n, c := range digits {
+				if n == 13 {
+					img |= 1
+					break
+				}
+				img |= uint64(c-'0') << (51 - 4*n)
+			}
+		}
+		if neg {
+			img = ^img
+		}
+		return img
+	}
+	rng := rand.New(rand.NewSource(44))
+	digits := func(n int) string {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = "0000123456789"[rng.Intn(13)]
+		}
+		return string(b)
+	}
+	lengths := []int{0, 1, 2, 12, 13, 14, 20, 254, 255, 256}
+	for trial := 0; trial < 20000; trial++ {
+		s := []string{"", " ", "\t "}[rng.Intn(3)] + []string{"", "-", "+"}[rng.Intn(3)] +
+			strings.Repeat("0", rng.Intn(3)) + digits(lengths[rng.Intn(len(lengths))])
+		if rng.Intn(2) == 0 {
+			s += "." + digits(lengths[rng.Intn(len(lengths))]) + strings.Repeat("0", rng.Intn(3))
+		}
+		s += []string{"", "x", " 7", ".5"}[rng.Intn(4)]
+		if got, want := numImage([]byte(s)), ref([]byte(s)); got != want {
+			t.Fatalf("numImage(%q) = %#x, want %#x", s, got, want)
+		}
+	}
+}
+
+// FuzzSortKernel runs the same oracle over fuzzer-chosen bytes, orders
+// and limits.
 func FuzzSortKernel(f *testing.F) {
-	f.Add([]byte("b\na\n"), uint8(0))
-	f.Add([]byte("10\n9\n-0\n0\nx\n"), uint8(3))
-	f.Add([]byte("abcdefgh\x00\nabcdefgh\nABCDEFGH"), uint8(7))
-	f.Add([]byte("x:2:b\nx:10:a\n"), uint8(10))
-	f.Fuzz(func(t *testing.T, data []byte, mode uint8) {
-		if msg := checkSortCase(sortCases[int(mode)%len(sortCases)], string(data)); msg != "" {
+	f.Add([]byte("b\na\n"), uint8(0), uint16(0))
+	f.Add([]byte("10\n9\n-0\n0\nx\n"), uint8(3), uint16(2))
+	f.Add([]byte("abcdefgh\x00\nabcdefgh\nABCDEFGH"), uint8(7), uint16(1))
+	f.Add([]byte("x:2:b\nx:10:a\n"), uint8(10), uint16(5))
+	f.Add([]byte("      1 b\n      2 a\n      1 a\n12345678901234 a\n12345678901235 a\n"), uint8(3), uint16(3))
+	f.Fuzz(func(t *testing.T, data []byte, mode uint8, limit uint16) {
+		if msg := checkSortCase(sortCases[int(mode)%len(sortCases)], string(data), []int{int(limit)}); msg != "" {
 			t.Fatal(msg)
 		}
 	})
@@ -425,8 +514,12 @@ func sortBenchText(n int) []byte {
 	return buf.Bytes()
 }
 
-func runSortDiscard(tb testing.TB, text []byte) {
-	ctx := &Context{Stdin: bytes.NewReader(text), Stdout: io.Discard, Stderr: io.Discard}
+func runSortDiscard(tb testing.TB, text []byte) { runSortArgs(tb, text, nil, 0) }
+
+// runSortArgs runs sort with args at a limit over text, discarding the
+// output.
+func runSortArgs(tb testing.TB, text []byte, args []string, limit int) {
+	ctx := &Context{Args: args, Stdin: bytes.NewReader(text), Stdout: io.Discard, Stderr: io.Discard, Limit: limit}
 	if err := Std().Run("sort", ctx); err != nil {
 		tb.Fatal(err)
 	}
@@ -484,22 +577,44 @@ func sortWorkloadText(lines, perLine int) []byte {
 	return buf.Bytes()
 }
 
+// uniqCountText is the sort input of serve-mixed's file leg, `sort |
+// uniq -c` over the first words of the batch-sort text's lines: one line
+// per distinct word in word order, a Zipf count padded to seven columns
+// in front, most counts equal.
+func uniqCountText(lines int) []byte {
+	counts := map[string]int{}
+	for _, line := range strings.Split(strings.TrimSuffix(string(sortWorkloadText(lines, 0)), "\n"), "\n") {
+		counts[strings.Fields(line)[0]]++
+	}
+	var buf bytes.Buffer
+	for _, w := range slices.Sorted(maps.Keys(counts)) {
+		fmt.Fprintf(&buf, "%7d %s\n", counts[w], w)
+	}
+	return buf.Bytes()
+}
+
 // BenchmarkSortKernel is the sort command without the process around
 // it: 150k hex-word lines, the batch-sort workload's 150k sort.txt lines,
-// and its 166k-word word-frequency stream.
+// its 166k-word word-frequency stream, and serve-mixed's uniq -c counts
+// sorted by sort -rn, in full and as read by head -n 5.
 func BenchmarkSortKernel(b *testing.B) {
+	counts := uniqCountText(2000)
 	for _, in := range []struct {
-		name string
-		text []byte
+		name  string
+		text  []byte
+		args  []string
+		limit int
 	}{
-		{"hex", sortBenchText(150_000)},
-		{"sort.txt", sortWorkloadText(150_000, 0)},
-		{"wf-words", sortWorkloadText(166_000, 1)},
+		{"hex", sortBenchText(150_000), nil, 0},
+		{"sort.txt", sortWorkloadText(150_000, 0), nil, 0},
+		{"wf-words", sortWorkloadText(166_000, 1), nil, 0},
+		{"uniq-c-rn", counts, []string{"-rn"}, 0},
+		{"uniq-c-rn-first5", counts, []string{"-rn"}, 5},
 	} {
 		b.Run(in.name, func(b *testing.B) {
 			b.SetBytes(int64(len(in.text)))
 			for i := 0; i < b.N; i++ {
-				runSortDiscard(b, in.text)
+				runSortArgs(b, in.text, in.args, in.limit)
 			}
 		})
 	}

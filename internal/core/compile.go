@@ -295,7 +295,9 @@ func (c *Compiler) resolveAgg(name string, flagLits []string, inv *annot.Invocat
 			AggName:     as.AggName,
 			AggArgs:     as.AggArgs,
 			Associative: as.Associative,
-			StopsEarly:  as.StopsEarly,
+		}
+		if as.StopsEarly {
+			spec.Takes = dfg.TakesUnknown
 		}
 		if spec.MapName == "" {
 			spec.MapName = name

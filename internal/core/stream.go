@@ -166,7 +166,7 @@ func streamFold(nodes []*dfg.Node) ([]dfg.FusedStage, error) {
 		// sort): the window partial folds into carried state with the
 		// same aggregate command the agg tree uses.
 		return []dfg.FusedStage{{Name: last.Agg.AggName, Args: last.Agg.AggArgs}}, nil
-	case n >= 2 && last.Agg != nil && last.Agg.Associative && last.Agg.StopsEarly &&
+	case n >= 2 && last.Agg != nil && last.Agg.Associative && last.Agg.Takes > 0 &&
 		nodes[n-2].Name == "sort" && nodes[n-2].Agg != nil && statelessThrough(n-2):
 		// sort | head -n K (top-k): fold = merge the sorted top-k runs,
 		// then re-take the top k. Sound because the global top-k is

@@ -35,6 +35,7 @@ func (g *Graph) Clone() *Graph {
 			noSplit:    n.noSplit,
 			Split:      n.Split,
 			Framed:     n.Framed,
+			Limit:      n.Limit,
 		}
 		if len(n.Args) > 0 {
 			start := len(argSlab)

@@ -8,7 +8,8 @@ import (
 // Dot renders the graph in Graphviz dot syntax as a standalone digraph.
 // Fused nodes list their collapsed stages line by line, aggregation
 // trees appear as the KindAgg fan-in they are, and boundary bindings
-// (stdin, stdout, files) render as small external terminals — the
+// (stdin, stdout, files) render as small external terminals, a node
+// with a line limit says `[first K]` — the
 // debugging view behind Plan.Dot and `pash -graph`.
 func (g *Graph) Dot() string {
 	var b strings.Builder
@@ -27,8 +28,12 @@ func (g *Graph) Dot() string {
 func (g *Graph) WriteDot(b *strings.Builder, indent, prefix string) {
 	id := func(n *Node) string { return fmt.Sprintf("%sn%d", prefix, n.ID) }
 	for _, n := range g.Nodes {
+		label := nodeDotLabel(n)
+		if n.Limit > 0 {
+			label += fmt.Sprintf("\n[first %d]", n.Limit)
+		}
 		fmt.Fprintf(b, "%s%s [label=%q, shape=%s%s];\n",
-			indent, id(n), nodeDotLabel(n), nodeDotShape(n), nodeDotStyle(n))
+			indent, id(n), label, nodeDotShape(n), nodeDotStyle(n))
 	}
 	ext := 0
 	for _, e := range g.Edges {

@@ -6,7 +6,7 @@ import (
 	"repro/internal/annot"
 )
 
-// testKernelCapable mimics commands.KernelCapable for planning tests:
+// testKernelCapable mimics commands.Registry.KernelCapable for planning tests:
 // the hot stateless commands fuse, everything else does not.
 func testKernelCapable(name string, args []string) bool {
 	switch name {

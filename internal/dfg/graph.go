@@ -10,6 +10,7 @@ package dfg
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/annot"
@@ -112,12 +113,20 @@ type Node struct {
 	// one-chunk-in/one-chunk-out discipline.
 	Stages []FusedStage
 
+	// Limit, when positive, is the number of leading output lines the
+	// node's one consumer reads (see limitPrefixes): the executor hands
+	// it to the command, which may stop after them.
+	Limit int
+
 	// Remote carries a KindRemote node's shipped work: the stage chain,
 	// the assigned worker, and (for the file-range shape) the
 	// self-sourced input slice. Immutable once planning finishes;
 	// clones share it. See remote.go.
 	Remote *RemoteSpec
 }
+
+// TakesUnknown is AggSpec.Takes for a prefix-taker of unknown count.
+const TakesUnknown = math.MaxInt
 
 // SplitImpl names the implementation a KindSplit node runs with.
 type SplitImpl int
@@ -172,13 +181,16 @@ type AggSpec struct {
 	// aggregators may be arranged into fan-in-k trees; the conservative
 	// default (false) keeps the flat n-ary aggregate.
 	Associative bool
-	// StopsEarly marks prefix-taking commands (head -n K): they stop
-	// reading after a bounded prefix, so inserting a split before them
-	// (t2) is pure loss — the barrier split drains the whole input the
-	// command would never have read, and early-exit propagation dies at
-	// the barrier. T still applies when an upstream cat already
-	// provides parallelism.
-	StopsEarly bool
+	// Takes is the number of lines a prefix-taking command (head -n K)
+	// reads at most; 0 means it is not one. Inserting a split before a
+	// prefix-taker (t2) is pure loss — the barrier split drains the whole
+	// input the command would never have read, and early-exit
+	// propagation dies at the barrier — while T still applies when an
+	// upstream cat already provides parallelism. The node that feeds
+	// its standard input gets Node.Limit = Takes. A prefix-taker whose
+	// count the planner cannot read (a user command registered as
+	// stopping early) takes TakesUnknown lines, which limits nothing.
+	Takes int
 	// Commutative marks commands whose output depends only on the
 	// multiset of their input lines: permuting the lines leaves the
 	// output bytes unchanged. Their maps need no contiguous partition, so

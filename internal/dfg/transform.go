@@ -35,7 +35,7 @@ type Options struct {
 	// every split is the barrier split and nothing fuses.
 	Emit bool
 	// KernelCapable reports whether a command invocation has a
-	// composable kernel implementation (commands.KernelCapable). It
+	// composable kernel implementation (commands.Registry.KernelCapable). It
 	// drives the post-transformation fusion pass; nil disables fusion
 	// entirely (no capability information).
 	KernelCapable func(name string, args []string) bool
@@ -84,6 +84,7 @@ func Apply(g *Graph, opts Options) {
 	if opts.Width < 2 {
 		planEager(g, opts)
 		Fuse(g, opts)
+		limitPrefixes(g, opts)
 		return
 	}
 	// t1: concatenate multi-input parallelizable nodes so T can fire.
@@ -119,6 +120,38 @@ func Apply(g *Graph, opts Options) {
 	}
 	planEager(g, opts)
 	Fuse(g, opts)
+	limitPrefixes(g, opts)
+}
+
+// limitPrefixes writes the line limits of prefix-takers onto the graph:
+// the node whose only output is the standard input of a node that takes
+// K lines gets Limit K. A limited sort -m aggregate passes its limit on
+// to every node feeding it — the sort maps and the tree's interior
+// merges — because the first K lines of a merge of sorted runs are among
+// the first K of each run. No other aggregate passes a limit on: uniq
+// -c's first K output lines, say, can need more than K input lines. An
+// emitted script has no way to say a limit, so it gets none.
+func limitPrefixes(g *Graph, opts Options) {
+	if opts.Emit {
+		return
+	}
+	var limit func(n *Node, k int)
+	limit = func(n *Node, k int) {
+		if n == nil || len(n.Out) != 1 {
+			return
+		}
+		n.Limit = k
+		if n.Kind == KindAgg && n.Name == "sort" {
+			for _, e := range n.In {
+				limit(e.From, k)
+			}
+		}
+	}
+	for _, n := range g.Nodes {
+		if n.Agg != nil && n.Agg.Takes > 0 && n.Agg.Takes != TakesUnknown && n.StdinInput >= 0 {
+			limit(n.In[n.StdinInput].From, n.Agg.Takes)
+		}
+	}
 }
 
 func snapshot(ns []*Node) []*Node {
@@ -449,7 +482,7 @@ func trySplit(g *Graph, n *Node, opts Options) bool {
 	// Prefix-takers (head) read a bounded prefix and hang up; a split
 	// would drain the entire input behind a barrier to feed maps that
 	// discard almost all of it, and kill early-exit propagation.
-	if n.Agg != nil && n.Agg.StopsEarly {
+	if n.Agg != nil && n.Agg.Takes > 0 {
 		return false
 	}
 	if len(n.In) != 1 {

@@ -431,6 +431,7 @@ func (ex *executor) dispatch(ctx context.Context, n *dfg.Node) ([]StageTime, err
 		Stderr: ex.stdio.Stderr,
 		FS:     ex.overlay,
 		Env:    ex.cfg.Env,
+		Limit:  n.Limit,
 	}
 	var files map[string][]io.ReadCloser
 	for i, e := range n.In {

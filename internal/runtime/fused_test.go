@@ -49,7 +49,7 @@ func buildChainGraph(t testing.TB, width int, disableFusion bool, specs ...[2]in
 	prev.Out = append(prev.Out, e)
 	dfg.Apply(g, dfg.Options{
 		Width: width, Split: width > 1, Eager: true,
-		KernelCapable: commands.KernelCapable, DisableFusion: disableFusion,
+		KernelCapable: commands.Std().KernelCapable, DisableFusion: disableFusion,
 	})
 	if err := g.Validate(); err != nil {
 		t.Fatalf("graph invalid: %v", err)
@@ -222,7 +222,7 @@ func TestFusedEarlyExit(t *testing.T) {
 		head.Out = append(head.Out, e)
 		dfg.Apply(g, dfg.Options{
 			Width: width, Split: width > 1, Eager: false,
-			KernelCapable: commands.KernelCapable,
+			KernelCapable: commands.Std().KernelCapable,
 		})
 		if err := g.Validate(); err != nil {
 			t.Fatal(err)

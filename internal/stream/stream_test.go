@@ -39,7 +39,8 @@ func randomText(rng *rand.Rand, lines int) []byte {
 	return b.Bytes()
 }
 
-// collectWindows drains a windower to the end of its source.
+// collectWindows drains a windower to the end of its source, copying
+// each window: Next may reuse the bytes of the windows it returned.
 func collectWindows(t *testing.T, w *windower) [][]byte {
 	t.Helper()
 	defer w.stop()
@@ -52,7 +53,7 @@ func collectWindows(t *testing.T, w *windower) [][]byte {
 			t.Fatalf("Next: %v", err)
 		}
 		if len(win) > 0 {
-			wins = append(wins, win)
+			wins = append(wins, bytes.Clone(win))
 		}
 		if final {
 			return wins

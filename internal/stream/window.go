@@ -16,12 +16,15 @@ import (
 // and a time trigger (a window closes after Interval if it holds at
 // least one complete line).
 //
-// There is one buffer. A reader goroutine reads the Source straight
-// into the spare capacity of the array that windows are cut from, and
-// cuts each size-triggered window in place as a capped subslice, so a
-// byte is copied once, by the read. The bytes not yet in a window (the
-// tail) move to a new array only when the spare capacity falls below
-// one read.
+// A reader goroutine reads the Source straight into the spare capacity
+// of the array that windows are cut from, and cuts each size-triggered
+// window in place as a capped subslice, so a byte is copied once, by the
+// read. The bytes not yet in a window (the tail) move to another array
+// only when the spare capacity falls below one read. The arrays are
+// recycled: one may take the tail again once no queued window and no
+// handed-out window lies in it, and the runner is done with a window
+// when it asks Next for the next one. A steady stream of size-triggered
+// windows lives in two arrays.
 //
 // The reader reads ahead while the runner executes a window. It parks
 // only once a cut window is waiting and the bytes it holds (queued
@@ -47,6 +50,11 @@ type windower struct {
 	queued  int64      // bytes in ready
 	tail    []byte     // read but in no window; its spare capacity is the reader's
 	scan    int        // tail[maxBytes-1:scan] holds no '\n'
+	array   []byte     // the whole array the tail lies in
+	left    []retired  // arrays the tail has left, oldest first
+	cuts    int64      // windows cut so far
+	given   int64      // windows Next has handed out
+	done    int64      // windows the runner is done with
 	waiting bool       // the consumer is inside Next
 	ended   bool
 	stopped bool
@@ -57,6 +65,13 @@ type windower struct {
 	// handed out. Checkpoints record it: resuming re-reads the queued
 	// windows and the tail, which no emitted window covered.
 	boundary atomic.Int64
+}
+
+// retired is an array the tail has left, and the number of windows cut
+// before it did: it is free once the runner is done with that many.
+type retired struct {
+	array []byte
+	cuts  int64
 }
 
 const readChunk = 32 << 10
@@ -98,9 +113,7 @@ func (w *windower) read() {
 			return
 		}
 		if cap(w.tail)-len(w.tail) < readChunk {
-			grown := make([]byte, len(w.tail), len(w.tail)+max(len(w.tail), int(w.maxBytes), readChunk)+readChunk)
-			copy(grown, w.tail)
-			w.tail = grown
+			w.move()
 		}
 		dst := w.tail[len(w.tail) : len(w.tail)+readChunk]
 		w.mu.Unlock()
@@ -121,6 +134,36 @@ func (w *windower) read() {
 			return
 		}
 	}
+}
+
+// move gives the tail an array of at least a window and four reads, and
+// of twice the tail and a read: the first free array that size, else a
+// new one; it drops the other free arrays. A window that starts at the
+// front of an array fits in it, so for windows larger than a read what
+// moves is the few reads past a window's end, not the window.
+func (w *windower) move() {
+	size := max(int(w.maxBytes)+4*readChunk, 2*len(w.tail)+readChunk)
+	if w.array != nil {
+		w.left = append(w.left, retired{w.array, w.cuts})
+	}
+	var next []byte
+	kept := w.left[:0]
+	for _, r := range w.left {
+		switch {
+		case r.cuts > w.done:
+			kept = append(kept, r)
+		case next == nil && cap(r.array) >= size:
+			next = r.array[:0]
+		}
+	}
+	clear(w.left[len(kept):])
+	w.left = kept
+	if next == nil {
+		next = make([]byte, 0, size)
+	}
+	// The tail may lie in next itself, further on: copy handles that.
+	w.array = next[:cap(next)]
+	w.tail = append(next, w.tail...)
 }
 
 // parks reports whether the reader must wait before its next read.
@@ -147,6 +190,7 @@ func (w *windower) cut() bool {
 		w.ready = append(w.ready, w.tail[:end:end])
 		w.queued += int64(end)
 		w.tail, w.scan = w.tail[end:], 0
+		w.cuts++
 		cut = true
 	}
 	return cut
@@ -155,12 +199,15 @@ func (w *windower) cut() bool {
 // Next blocks until a window closes. It returns the window payload and
 // final=true when the source ended (clean EOF or error — Err()
 // distinguishes them); the final window may be empty. The source
-// offset of the window's end is recorded in boundary.
+// offset of the window's end is recorded in boundary. The caller is
+// done with every window Next returned before: their bytes may be
+// overwritten.
 func (w *windower) Next(ctx context.Context) (win []byte, final bool, err error) {
 	timer := time.NewTimer(w.interval)
 	defer timer.Stop()
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	w.done = w.given
 	w.waiting = true
 	defer func() { w.waiting = false }()
 	w.cond.Signal()
@@ -182,6 +229,7 @@ func (w *windower) Next(ctx context.Context) (win []byte, final bool, err error)
 			if i := bytes.LastIndexByte(w.tail, '\n'); i >= 0 {
 				win = w.tail[: i+1 : i+1]
 				w.tail, w.scan = w.tail[i+1:], 0
+				w.cuts++
 				w.cond.Signal()
 				return w.emit(win), false, nil
 			}
@@ -201,6 +249,7 @@ func (w *windower) Next(ctx context.Context) (win []byte, final bool, err error)
 }
 
 func (w *windower) emit(win []byte) []byte {
+	w.given++
 	w.boundary.Add(int64(len(win)))
 	return win
 }

@@ -96,6 +96,7 @@ func TestWindowerReadAhead(t *testing.T) {
 	if err != nil || !bytes.Equal(win, want[0]) {
 		t.Fatalf("window 1: %d bytes, err %v", len(win), err)
 	}
+	win = bytes.Clone(win) // the next Next may reuse its bytes
 	waitFor(t, "window 2 to be read ahead", func() bool { return w.Buffered() == int64(len(want[1])) })
 	if w.Boundary() != int64(len(want[0])) {
 		t.Errorf("boundary = %d while window 2 is queued, want %d", w.Boundary(), len(want[0]))
@@ -127,7 +128,7 @@ func TestWindowerReadAheadBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got = append(got, win)
+		got = append(got, bytes.Clone(win))
 		if final {
 			break
 		}
@@ -249,6 +250,50 @@ func FuzzWindowerChunking(f *testing.F) {
 		}
 		sameWindows(t, run(&chunked{r: bytes.NewReader(input), rng: rand.New(rand.NewSource(seed))}), ref)
 	})
+}
+
+// The arrays windows are cut from are reused once the runner is done
+// with every window in them: each window, checked when Next returns it
+// and not after, holds its bytes while the reader fills recycled arrays
+// behind it, MaxBuffer keeps windows queued in two arrays or more, and
+// the windower never holds more arrays than its bound spans.
+func TestWindowerRecyclesArrays(t *testing.T) {
+	input := randomText(rand.New(rand.NewSource(6)), 60000)
+	const maxBytes, maxBuffer = 16 << 10, 256 << 10
+	want := refWindows(input, maxBytes)
+	w := newWindower(NewReaderSource(&chunked{r: bytes.NewReader(input), rng: rand.New(rand.NewSource(7))}), time.Hour, maxBytes, maxBuffer, 0)
+	defer w.stop()
+	ctx := testCtx(t)
+	for i := 0; ; i++ {
+		win, final, err := w.Next(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i >= len(want) || !bytes.Equal(win, want[i]) {
+			t.Fatalf("window %d differs from the reference", i)
+		}
+		if final {
+			if i != len(want)-1 {
+				t.Fatalf("%d windows, want %d", i+1, len(want))
+			}
+			break
+		}
+		// Let the reader fill the next arrays while this window is held.
+		waitFor(t, "the reader to park or end", func() bool {
+			w.mu.Lock()
+			defer w.mu.Unlock()
+			return w.parks() || w.ended
+		})
+		if !bytes.Equal(win, want[i]) {
+			t.Fatalf("window %d changed while it was held", i)
+		}
+		w.mu.Lock()
+		arrays := len(w.left) + 1
+		w.mu.Unlock()
+		if arrays > 4 {
+			t.Fatalf("after window %d the windower holds %d arrays, want at most 4", i, arrays)
+		}
+	}
 }
 
 // BenchmarkWindower cuts an 8 MiB in-memory source into 1 MiB windows.

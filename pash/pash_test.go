@@ -251,6 +251,74 @@ func TestSortTieRulesMatchHost(t *testing.T) {
 	}
 }
 
+// TestSortLimitMatchesHost checks that a sort read by head -n K, which
+// the planner limits to its first K lines, prints what the host's sort |
+// head prints under LC_ALL=C, at widths 1, 2 and 4 through a session
+// that plans like the pash binary (input from a pipe). Every input is
+// over 1 MiB: uniq -c counts, most of them equal, for the orders without
+// a key and -n; words with one line in eight capitalised for -f, -k2,
+// -s -k1,1 and -u; colon-separated numbers for -t: -k2n.
+func TestSortLimitMatchesHost(t *testing.T) {
+	host, err := exec.LookPath("sort")
+	if err != nil {
+		t.Skip("no host sort")
+	}
+	rng := rand.New(rand.NewSource(44))
+	zipf := rand.NewZipf(rng, 1.3, 1, 5000)
+	var counts, colons strings.Builder
+	for counts.Len() < 1200<<10 {
+		fmt.Fprintf(&counts, "%7d w%d\n", 1+zipf.Uint64()%40, rng.Intn(3000))
+	}
+	for colons.Len() < 1200<<10 {
+		fmt.Fprintf(&colons, "k%d:%d:%d\n", rng.Intn(9), rng.Intn(500), rng.Intn(10))
+	}
+	text := paper.Text(40_000, 44)
+	lines := strings.SplitAfter(text[:len(text)-1], "\n")
+	for i := 0; i < len(lines); i += 8 {
+		lines[i] = strings.ToUpper(lines[i][:1]) + lines[i][1:]
+	}
+	text = strings.Join(lines, "") + "\n"
+	for _, tc := range []struct {
+		argv  []string
+		input string
+	}{
+		{nil, counts.String()},
+		{[]string{"-r"}, counts.String()},
+		{[]string{"-n"}, counts.String()},
+		{[]string{"-rn"}, counts.String()},
+		{[]string{"-f"}, text},
+		{[]string{"-k2"}, text},
+		{[]string{"-t:", "-k2n"}, colons.String()},
+		{[]string{"-s", "-k1,1"}, text},
+		{[]string{"-u"}, text},
+	} {
+		if len(tc.input) < 1<<20 {
+			t.Fatalf("sort %v: input is %d bytes, want over 1 MiB", tc.argv, len(tc.input))
+		}
+		for _, k := range []int{1, 7, 3000} {
+			cmd := exec.Command("sh", "-c", fmt.Sprintf(`"$0" "$@" | head -n %d`, k), host)
+			cmd.Args = append(cmd.Args, tc.argv...)
+			cmd.Env = append(os.Environ(), "LC_ALL=C")
+			cmd.Stdin = strings.NewReader(tc.input)
+			want, err := cmd.Output()
+			if err != nil {
+				t.Fatal(err)
+			}
+			script := fmt.Sprintf("sort %s | head -n %d", strings.Join(tc.argv, " "), k)
+			for _, width := range []int{1, 2, 4} {
+				s := NewSession(Options{Width: width, Preset: Planned})
+				var out bytes.Buffer
+				pipe := struct{ io.Reader }{strings.NewReader(tc.input)} // no size to plan from
+				code, st, err := s.RunStats(context.Background(), script, pipe, &out, io.Discard)
+				if err != nil || code != 0 || out.String() != string(want) {
+					t.Errorf("%s at width %d (%v): exit %d, err %v, %d lines differ from the host's %d",
+						script, width, st.Widths, code, err, strings.Count(out.String(), "\n"), bytes.Count(want, []byte("\n")))
+				}
+			}
+		}
+	}
+}
+
 // hostOutput runs a host command in dir over stdin under LC_ALL=C,
 // skipping the test when the host has no such command.
 func hostOutput(t *testing.T, dir, stdin, name string, argv ...string) string {
