@@ -113,7 +113,7 @@ func ledgerRows(t *testing.T) map[string]bool {
 			rows[workload+"/"+name] = true
 		}
 	}
-	raw, err = os.ReadFile("ledger/PR42-change-trace.json")
+	raw, err = os.ReadFile("ledger/PR45-change-trace.json")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,6 +98,8 @@ func Resolve(name string, flagArgs []string, inv *annot.Invocation) (*dfg.AggSpe
 		// parser's call. head's Takes keeps t2 from planting a draining
 		// barrier split in front of a command that reads K lines, and
 		// limits what feeds it; head -n 0 still reads one line to stop.
+		// head -n -K prints all but the last K lines: no count, so no
+		// aggregator and no Takes, and it runs once.
 		k, ok := commands.HeadTailLines(flagArgs)
 		if !ok {
 			return nil, false

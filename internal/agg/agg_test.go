@@ -146,6 +146,9 @@ func TestResolveRefusals(t *testing.T) {
 		{"tail", []string{"-c", "10"}},
 		{"tail", []string{"-n", "x"}}, // a count the command's parser rejects
 		{"head", []string{"--lines=3"}},
+		{"head", []string{"-n", "-2"}}, // all but the last 2: no count to take
+		{"head", []string{"-n-2"}},
+		{"tail", []string{"-n", "-2"}},
 		{"uniq", []string{"-d"}},      // boundary semantics unimplemented
 		{"uniq", []string{"-f", "1"}}, // key-skipping unimplemented
 		{"awk", []string{"{print}"}},  // no aggregator for awk

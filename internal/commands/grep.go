@@ -121,6 +121,18 @@ func plainPattern(p string) bool {
 	return !strings.ContainsAny(p, regexpMetaBytes)
 }
 
+// asciiFold maps A-Z onto a-z and every other byte onto itself: what -i
+// does to a fixed pattern, as GNU grep folds case under LC_ALL=C.
+var asciiFold = func() (t [256]byte) {
+	for i := range t {
+		t[i] = byte(i)
+		if 'A' <= i && i <= 'Z' {
+			t[i] += 'a' - 'A'
+		}
+	}
+	return t
+}()
+
 // buildGrepMatcher compiles the spec's patterns into a per-line
 // predicate.
 //
@@ -128,15 +140,16 @@ func plainPattern(p string) bool {
 // metacharacters) runs on bytes.Contains/bytes.Equal with zero per-line
 // allocations instead of compiling a regexp — on fixed patterns the
 // stdlib substring search is several times faster than RE2's machine.
-// The case-insensitive fixed path keeps the Unicode-lowering behaviour
-// (and its allocations) for compatibility.
+// Under -i a fixed pattern is folded to lower case and searched for
+// through asciiFold: ASCII letters only, and no allocation either. A
+// regexp under -i keeps RE2's Unicode folding.
 //
-// literal is non-nil when the whole predicate is "the line contains this
-// string": one case-sensitive fixed pattern, no -x, no -w. The kernel
-// then searches blocks for it instead of asking every line.
-func buildGrepMatcher(spec *grepSpec) (match func(line []byte) bool, first *regexp.Regexp, literal []byte, err error) {
+// lit is non-nil when the whole predicate is "the line contains this
+// string": one fixed pattern, no -x, no -w. The kernel then searches
+// blocks for it instead of asking every line.
+func buildGrepMatcher(spec *grepSpec) (match func(line []byte) bool, first *regexp.Regexp, lit *literal, err error) {
 	fixed := spec.fixed
-	if !fixed && !spec.wordMatch && !spec.onlyMatching && !spec.ignoreCase {
+	if !fixed && !spec.wordMatch && !spec.onlyMatching {
 		fixed = true
 		for _, p := range spec.patterns {
 			if !plainPattern(p) {
@@ -146,44 +159,33 @@ func buildGrepMatcher(spec *grepSpec) (match func(line []byte) bool, first *rege
 		}
 	}
 	if fixed {
-		if !spec.ignoreCase {
-			pats := make([][]byte, len(spec.patterns))
-			for i, p := range spec.patterns {
-				pats[i] = []byte(p)
-			}
-			lineMatch := spec.lineMatch
-			if len(pats) == 1 && !lineMatch && !spec.wordMatch && len(pats[0]) > 0 && !bytes.Contains(pats[0], newline) {
-				literal = pats[0]
-			}
-			return func(line []byte) bool {
-				for _, p := range pats {
-					if lineMatch && bytes.Equal(line, p) {
-						return true
-					}
-					if !lineMatch && bytes.Contains(line, p) {
-						return true
-					}
-				}
-				return false
-			}, nil, literal, nil
+		var table *[256]byte
+		if spec.ignoreCase {
+			table = &asciiFold
 		}
-		lowered := make([]string, len(spec.patterns))
+		pats := make([]literal, len(spec.patterns))
 		for i, p := range spec.patterns {
-			lowered[i] = strings.ToLower(p)
+			needle := []byte(p)
+			if table != nil {
+				for j, c := range needle {
+					needle[j] = table[c]
+				}
+			}
+			pats[i] = newLiteral(needle, table)
 		}
 		lineMatch := spec.lineMatch
+		if len(pats) == 1 && !lineMatch && !spec.wordMatch && len(pats[0].needle) > 0 && !bytes.Contains(pats[0].needle, newline) {
+			lit = &pats[0]
+		}
 		return func(line []byte) bool {
-			s := strings.ToLower(string(line))
-			for _, p := range lowered {
-				if lineMatch && s == p {
-					return true
-				}
-				if !lineMatch && strings.Contains(s, p) {
+			for i := range pats {
+				p := &pats[i]
+				if lineMatch && p.equal(line) || !lineMatch && p.contains(line) {
 					return true
 				}
 			}
 			return false
-		}, nil, nil, nil
+		}, nil, lit, nil
 	}
 	var res []*regexp.Regexp
 	for _, p := range spec.patterns {
@@ -217,10 +219,10 @@ func buildGrepMatcher(spec *grepSpec) (match func(line []byte) bool, first *rege
 // per-line predicate.
 type grepProgram struct {
 	*grepSpec
-	match   func(line []byte) bool
-	literal []byte         // non-nil: match is "contains literal" (buildGrepMatcher)
-	only    *regexp.Regexp // -o: print this pattern's matches, not the line
-	silent  bool           // -c -l -L -q: selected lines are counted, not printed
+	match  func(line []byte) bool
+	lit    *literal       // non-nil: match is "contains lit" (buildGrepMatcher)
+	only   *regexp.Regexp // -o: print this pattern's matches, not the line
+	silent bool           // -c -l -L -q: selected lines are counted, not printed
 }
 
 func parseGrepProgram(args []string) (*grepProgram, error) {
@@ -230,7 +232,7 @@ func parseGrepProgram(args []string) (*grepProgram, error) {
 	}
 	g := &grepProgram{grepSpec: spec, silent: spec.count || spec.filesWithMatches || spec.filesWithout || spec.quiet}
 	var first *regexp.Regexp
-	if g.match, first, g.literal, err = buildGrepMatcher(spec); err != nil {
+	if g.match, first, g.lit, err = buildGrepMatcher(spec); err != nil {
 		return nil, err
 	}
 	if spec.onlyMatching {
@@ -285,7 +287,8 @@ func newGrepKernel(args []string) (Kernel, bool) {
 }
 
 // kernel wraps emit, grep's per-line body. When the predicate is one
-// literal the block is searched for it instead (literalKernel).
+// literal the block is searched for it instead (literalKernel), through
+// the case fold under -i.
 func (g *grepProgram) kernel() Kernel {
 	matched := false
 	lk := lineKernel{
@@ -301,22 +304,45 @@ func (g *grepProgram) kernel() Kernel {
 			return nil
 		},
 	}
-	if g.literal == nil {
+	if g.lit == nil {
 		return &lk
 	}
 	// What emit would do, without asking it line by line: the lines that
 	// hold the literal are selected, or under -v the lines that do not.
-	k := &literalKernel{lineKernel: lk, needle: g.literal}
+	k := &literalKernel{lineKernel: lk, lit: *g.lit}
 	if g.invert {
 		k.rest = func(out, lines []byte) []byte {
 			matched = true
 			return append(out, lines...)
 		}
-	} else {
-		k.hit = func(out, line []byte) []byte {
-			matched = true
-			return append(append(out, line...), '\n')
+		return k
+	}
+	k.hit = func(out, line []byte, _ int) []byte {
+		matched = true
+		return append(append(out, line...), '\n')
+	}
+	if g.lit.table != nil {
+		return k
+	}
+	// The tr ahead of this grep, when Compose hands it over: the block is
+	// searched through tr's table, and only the lines printed, and the
+	// partial ones, are translated.
+	k.absorb = func(p *trProgram) bool {
+		lit := newLiteral(g.lit.needle, &p.xlat)
+		if !p.mapsLines() || lit.firstPre > 2 || lit.lastPre > 2 {
+			return false
 		}
+		k.lit = lit
+		var image []byte
+		k.perLine = func(out, line []byte) []byte {
+			image = p.translate(image[:0], line)
+			return lk.perLine(out, image)
+		}
+		k.hit = func(out, line []byte, _ int) []byte {
+			matched = true
+			return append(p.translate(out, line), '\n')
+		}
+		return true
 	}
 	return k
 }

@@ -18,6 +18,9 @@ type headTailSpec struct {
 	n        int64
 	bytes    bool
 	fromLine bool // the count was spelled +N (tail -n +N: from line N on)
+	// allBut: the count was spelled -N, and n is N. head then prints all
+	// but the last N lines or bytes; to tail, -N is N.
+	allBut   bool
 	operands []string
 }
 
@@ -38,15 +41,16 @@ func parseHeadTail(args []string) (*headTailSpec, error) {
 			return args[i], nil
 		}
 		parseN := func(v string) error {
-			if strings.HasPrefix(v, "+") {
-				spec.fromLine = true
-				v = v[1:]
+			spec.fromLine, spec.allBut = strings.HasPrefix(v, "+"), strings.HasPrefix(v, "-")
+			digits := v
+			if spec.fromLine || spec.allBut {
+				digits = v[1:]
 			}
-			n, err := strconv.ParseInt(v, 10, 64)
+			n, err := strconv.ParseUint(digits, 10, 63)
 			if err != nil {
 				return fmt.Errorf("invalid count %q", v)
 			}
-			spec.n = n
+			spec.n = int64(n)
 			return nil
 		}
 		switch {
@@ -87,17 +91,19 @@ func parseHeadTail(args []string) (*headTailSpec, error) {
 // keeps a fixed number of whole lines from its end of the input, in any
 // spelling of the count (-n N, -nN, -N, or the default), and reports
 // whether it is one. Those are the forms the aggregator library
-// parallelizes; byte counts, +N and an argv the commands reject are not.
+// parallelizes; byte counts, +N, -n -N (head: all but the last N) and an
+// argv the commands reject are not.
 func HeadTailLines(args []string) (int, bool) {
 	spec, err := parseHeadTail(args)
-	if err != nil || spec.bytes || spec.fromLine {
+	if err != nil || spec.bytes || spec.fromLine || spec.allBut {
 		return 0, false
 	}
 	return int(spec.n), true
 }
 
 // head emits the first N lines (-n, default 10) or bytes (-c) of its
-// inputs' concatenation (no "==> f <==" headers).
+// inputs' concatenation (no "==> f <==" headers); with the count spelled
+// -N, all but the last N.
 func head(ctx *Context) error {
 	spec, err := parseHeadTail(ctx.Args)
 	if err != nil {
@@ -111,6 +117,9 @@ func head(ctx *Context) error {
 	lw := NewLineWriter(ctx.Stdout)
 	defer lw.Flush()
 
+	if spec.allBut {
+		return headAllBut(lw, readers, spec)
+	}
 	if spec.bytes {
 		var left = spec.n
 		for _, r := range readers {
@@ -141,8 +150,63 @@ func head(ctx *Context) error {
 	return lw.Flush()
 }
 
-// tail emits the last N lines (-n N), everything from line N on
-// (-n +N), or the last N bytes (-c) of its inputs' concatenation.
+// headAllBut is head -n -N and head -c -N: every line or byte but the
+// last N, printed as soon as N more have been read behind it.
+func headAllBut(lw *LineWriter, readers []io.Reader, spec *headTailSpec) error {
+	if spec.bytes {
+		var held []byte
+		buf := make([]byte, 64*1024)
+		for _, r := range readers {
+			for {
+				n, err := r.Read(buf)
+				held = append(held, buf[:n]...)
+				// Write out once the held bytes are twice what must stay
+				// held, or a buffer more: each byte is moved once or twice.
+				if over := int64(len(held)) - spec.n; over > max(spec.n, int64(len(buf))) {
+					if _, err := lw.Write(held[:over]); err != nil {
+						return err
+					}
+					held = held[:copy(held, held[over:])]
+				}
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					return err
+				}
+			}
+		}
+		if over := int64(len(held)) - spec.n; over > 0 {
+			if _, err := lw.Write(held[:over]); err != nil {
+				return err
+			}
+		}
+		return lw.Flush()
+	}
+	// A ring of the last N+1 lines, grown as lines come: the newest line
+	// goes in and the one N before it comes out.
+	var ring [][]byte
+	total := int64(0)
+	err := EachLineReaders(readers, func(line []byte) error {
+		slot := total % (spec.n + 1)
+		if slot == int64(len(ring)) {
+			ring = append(ring, nil)
+		}
+		ring[slot] = append(ring[slot][:0], line...)
+		total++
+		if total > spec.n {
+			return lw.WriteLine(ring[(total-1-spec.n)%(spec.n+1)])
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	return lw.Flush()
+}
+
+// tail emits the last N lines (-n N, or -n -N), everything from line N
+// on (-n +N), or the last N bytes (-c) of its inputs' concatenation.
 func tail(ctx *Context) error {
 	spec, err := parseHeadTail(ctx.Args)
 	if err != nil {

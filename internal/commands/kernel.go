@@ -25,15 +25,27 @@ import (
 // between two hits are copied or dropped as one run of bytes, never
 // visited on their own. The aim is a cost per byte, not per line: tr and
 // the literal form look at each input byte once, in a word-wide scan.
-// The literal scan (indexLiteral) tests eight start positions a step for
+// The literal scan (literal.index) tests eight start positions a step for
 // the needle's first and last byte; a position that passes both is only a
-// candidate, and bytes.Equal decides it, so a false candidate costs one
+// candidate, and a compare decides it, so a false candidate costs one
 // compare and no hit is missed.
+//
+// The scan can read the block through a 256-byte table: it then finds
+// the needle in the table's image of the block without making that
+// image. Each loaded word is OR'd with the bits in which the preimages of
+// the needle's end bytes differ (one bit for a case fold), so a word
+// passes where either preimage stands, and the candidate is compared
+// through the table. grep -i searches through the ASCII fold and prints
+// the line as it was; a grep that absorbed the tr before it (Compose)
+// searches through tr's table and translates only the lines it prints.
+// sed's literal form copies a plain replacement in at the offset the
+// scan found, instead of searching the line again.
 //
 // What fusion adds is only the composition: a chain like tr | grep | cut
 // normally costs one goroutine and one chunk pipe per stage; the runtime's
 // StageChain instead runs the chain's kernels back to back over pooled
-// blocks in a single goroutine, with zero intermediate pipes.
+// blocks in a single goroutine, with zero intermediate pipes, after
+// Compose has merged the one pair of kernels whose work it can share.
 
 // Kernel is a composable streaming transform: the per-block form of a
 // stateless command.
@@ -205,30 +217,35 @@ func (k *lineKernel) Status() error {
 }
 
 // literalKernel is the block form of a per-line command that only has
-// work to do on the lines containing one fixed string (needle: not empty,
-// no newline). Apply searches the block, not each line, for needle and
-// widens a hit to its line, which goes through hit; the run of whole
-// lines between two hits goes through rest in one piece. Either may be
-// nil: nothing is printed. Partial lines are lineKernel's business: the
-// carried line is completed and run through perLine, the body that is
-// right for any line, before the block scan resumes — so hit and rest
-// must print what perLine would have.
+// work to do on the lines containing one fixed string (lit: its needle is
+// not empty and has no newline). Apply searches the block, not each line,
+// for the needle and widens a hit to its line, which goes through hit
+// with the hit's offset in it; the run of whole lines between two hits
+// goes through rest in one piece. Either may be nil: nothing is printed.
+// Partial lines are lineKernel's business: the carried line is completed
+// and run through perLine, the body that is right for any line, before
+// the block scan resumes — so hit and rest must print what perLine would
+// have.
 type literalKernel struct {
 	lineKernel
-	needle []byte
-	hit    func(out, line []byte) []byte
-	rest   func(out, lines []byte) []byte
+	lit  literal
+	hit  func(out, line []byte, at int) []byte
+	rest func(out, lines []byte) []byte
+	// absorb, when set, takes over a tr translation that runs right
+	// before the kernel (Compose): it reports whether it did.
+	absorb func(p *trProgram) bool
 }
 
 func (k *literalKernel) Apply(out, in []byte) []byte {
 	in = k.ls.feedCarried(in, func(line []byte) { out = k.perLine(out, line) })
-	// No hit can straddle the end of the last whole line: needle has no
-	// newline in it. The unterminated tail waits for its rest.
+	// No hit can straddle the end of the last whole line: the needle has
+	// no newline in it, and a table maps no other byte onto one. The
+	// unterminated tail waits for its rest.
 	end := bytes.LastIndexByte(in, '\n') + 1
 	k.ls.carry = append(k.ls.carry, in[end:]...)
 	in = in[:end]
 	for len(in) > 0 {
-		at := indexLiteral(in, k.needle)
+		at := k.lit.index(in)
 		if at < 0 {
 			break
 		}
@@ -238,7 +255,7 @@ func (k *literalKernel) Apply(out, in []byte) []byte {
 			out = k.rest(out, in[:start])
 		}
 		if k.hit != nil {
-			out = k.hit(out, in[start:stop])
+			out = k.hit(out, in[start:stop], at-start)
 		}
 		in = in[stop+1:]
 	}
@@ -248,39 +265,147 @@ func (k *literalKernel) Apply(out, in []byte) []byte {
 	return out
 }
 
-// indexLiteral is bytes.Index(hay, needle) for the literal kernel's
-// needles. A one-byte needle is IndexByte's; a longer one goes to
-// literalCandidates, which tests eight start positions a step, and each
-// candidate it reports is verified here, lowest first.
-func indexLiteral(hay, needle []byte) int {
-	n := len(needle)
+// Compose applies the kernel layer's one composition rule to a chain's
+// kernel set, in place: a pure tr translation right before grep's
+// literal kernel (no -v) is handed to that kernel, which then searches
+// the untranslated block through tr's table and translates only the
+// lines it prints; tr's slot gets the pass-through kernel. It applies
+// when tr neither deletes nor squeezes, maps '\n' to itself and no other
+// byte to '\n', and the needle's first and last bytes have at most two
+// preimages each. Any other pair, and every kernel this package did not
+// build, is left as it is.
+func Compose(ks []Kernel) {
+	for i := 0; i+1 < len(ks); i++ {
+		t, ok := ks[i].(*trKernel)
+		g, ok2 := ks[i+1].(*literalKernel)
+		if ok && ok2 && g.absorb != nil && g.absorb(t.p) {
+			ks[i] = identityKernel{}
+		}
+	}
+}
+
+// literal is the needle a literal kernel searches for, and, when table is
+// set, the byte map the haystack is read through: hay holds the needle at
+// j when table maps hay[j:j+n] onto it. The word-wide scan needs a single
+// byte to compare each lane with; a needle end with two preimages under
+// the table (w and W under a case fold) is compared with both OR'd
+// together, after OR-ing each lane of the word with the bits in which
+// they differ (mask), so the scan passes a superset of the starts and the
+// table compare decides.
+type literal struct {
+	needle              []byte
+	table               *[256]byte
+	first, last         uint64 // the compare bytes of the needle's ends, in every lane
+	firstMask, lastMask uint64 // the bits OR'd into every lane before the compare
+	firstPre, lastPre   int    // the number of preimages of the needle's ends
+}
+
+// newLiteral prepares the search for needle through table (nil: the
+// identity). The empty needle gets no scan state: only contains and
+// equal are asked of it.
+func newLiteral(needle []byte, table *[256]byte) literal {
+	l := literal{needle: needle, table: table}
+	if len(needle) == 0 {
+		return l
+	}
+	end := func(c byte) (cmp, mask uint64, pre int) {
+		if table == nil {
+			return lowBytes * uint64(c), 0, 1
+		}
+		var b0 byte
+		var diff byte
+		for b := 0; b < 256; b++ {
+			if table[b] != c {
+				continue
+			}
+			if pre == 0 {
+				b0 = byte(b)
+			}
+			diff |= byte(b) ^ b0
+			pre++
+		}
+		if pre == 0 {
+			b0 = c // nothing maps onto c: every candidate fails the compare
+		}
+		return lowBytes * uint64(b0|diff), lowBytes * uint64(diff), pre
+	}
+	l.first, l.firstMask, l.firstPre = end(needle[0])
+	l.last, l.lastMask, l.lastPre = end(needle[len(needle)-1])
+	return l
+}
+
+// index is bytes.Index(hay, needle), read through the table when there is
+// one. A one-byte needle with no table is IndexByte's; every other one
+// goes to literalCandidates (maskedCandidates when an end has a mask),
+// which tests eight start positions a step, and each candidate it reports
+// is verified here, lowest first.
+func (l *literal) index(hay []byte) int {
+	n := len(l.needle)
 	switch {
-	case n == 1:
-		return bytes.IndexByte(hay, needle[0])
+	case n == 1 && l.table == nil:
+		return bytes.IndexByte(hay, l.needle[0])
 	case n > len(hay):
 		return -1
 	}
-	first, last := lowBytes*uint64(needle[0]), lowBytes*uint64(needle[n-1])
 	i := 0
 	for {
-		at, cand := literalCandidates(hay[i:], first, last, n-1)
+		var at int
+		var cand uint64
+		if l.firstMask|l.lastMask == 0 {
+			at, cand = literalCandidates(hay[i:], l.first, l.last, n-1)
+		} else {
+			at, cand = maskedCandidates(hay[i:], l.first, l.last, l.firstMask, l.lastMask, n-1)
+		}
 		i += at
 		if cand == 0 {
 			break
 		}
 		for ; cand != 0; cand &= cand - 1 {
 			j := i + bits.TrailingZeros64(cand)>>3
-			if bytes.Equal(hay[j:j+n], needle) {
+			if l.equal(hay[j : j+n]) {
 				return j
 			}
 		}
 		i += 8
 	}
 	// Fewer than n+15 bytes are left: too few for a loop of two steps.
-	if j := bytes.Index(hay[i:], needle); j >= 0 {
-		return i + j
+	if l.table == nil {
+		if j := bytes.Index(hay[i:], l.needle); j >= 0 {
+			return i + j
+		}
+		return -1
+	}
+	for j := i; j+n <= len(hay); j++ {
+		if l.equal(hay[j : j+n]) {
+			return j
+		}
 	}
 	return -1
+}
+
+// equal reports whether b, read through the table, is the needle.
+func (l *literal) equal(b []byte) bool {
+	if l.table == nil {
+		return bytes.Equal(b, l.needle)
+	}
+	if len(b) != len(l.needle) {
+		return false
+	}
+	for i, c := range b {
+		if l.table[c] != l.needle[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// contains reports whether line holds the needle; every line holds the
+// empty one.
+func (l *literal) contains(line []byte) bool {
+	if l.table == nil {
+		return bytes.Contains(line, l.needle)
+	}
+	return len(l.needle) == 0 || l.index(line) >= 0
 }
 
 // literalCandidates scans hay for the starts of a needle whose first
@@ -300,6 +425,29 @@ func literalCandidates(hay []byte, first, last uint64, lastOff int) (at int, can
 	for len(heads) >= 16 && len(tails) >= 16 {
 		lo := (binary.LittleEndian.Uint64(heads) ^ first) | (binary.LittleEndian.Uint64(tails) ^ last)
 		hi := (binary.LittleEndian.Uint64(heads[8:]) ^ first) | (binary.LittleEndian.Uint64(tails[8:]) ^ last)
+		lo, hi = (lo-lowBytes)&^lo&highBits, (hi-lowBytes)&^hi&highBits
+		if lo|hi != 0 {
+			at = len(hay) - lastOff - len(heads)
+			if lo == 0 {
+				return at + 8, hi
+			}
+			return at, lo
+		}
+		heads, tails = heads[16:], tails[16:]
+	}
+	return len(hay) - lastOff - len(heads), 0
+}
+
+// maskedCandidates is literalCandidates with each loaded word OR'd with
+// its end's mask before the compare: the loop of a search through a table
+// under which a needle end has several preimages. It is a loop of its
+// own because the extra ORs, with zero masks, slowed the plain scan by
+// about a tenth.
+func maskedCandidates(hay []byte, first, last, firstMask, lastMask uint64, lastOff int) (at int, cand uint64) {
+	heads, tails := hay[:len(hay)-lastOff], hay[lastOff:]
+	for len(heads) >= 16 && len(tails) >= 16 {
+		lo := ((binary.LittleEndian.Uint64(heads) | firstMask) ^ first) | ((binary.LittleEndian.Uint64(tails) | lastMask) ^ last)
+		hi := ((binary.LittleEndian.Uint64(heads[8:]) | firstMask) ^ first) | ((binary.LittleEndian.Uint64(tails[8:]) | lastMask) ^ last)
 		lo, hi = (lo-lowBytes)&^lo&highBits, (hi-lowBytes)&^hi&highBits
 		if lo|hi != 0 {
 			at = len(hay) - lastOff - len(heads)

@@ -69,6 +69,8 @@ var kernelCases = []struct {
 	{"grep", []string{"-v", "water"}},
 	{"grep", []string{"-F", "o w"}},
 	{"grep", []string{"-i", "THE"}},
+	{"grep", []string{"-i", "-v", "WaTer"}},
+	{"grep", []string{"-i", "\xc3\xa9"}}, // é: no fold outside ASCII, as under LC_ALL=C
 	{"grep", []string{"-x", "the end"}},
 	{"grep", []string{"-w", "the"}},
 	{"grep", []string{"-E", "t.e|o+"}},
@@ -96,6 +98,7 @@ var kernelCases = []struct {
 	{"sed", []string{"s/the/THE/"}},
 	{"sed", []string{"s/the/<&>/"}},
 	{"sed", []string{"s/water/WATER/"}},
+	{"sed", []string{"s/water/W/g"}},
 	{"sed", []string{"s/o/0/g"}},
 	{"sed", []string{"s/t\\(h\\)e/\\1&/g"}},
 	{"sed", []string{"-e", "s/a/A/", "-e", "y/e/E/"}},
@@ -135,6 +138,7 @@ var kernelInputs = []string{
 	"the water\n" + strings.Repeat("a b c\n", 50) + "cold water on the end\n",
 	// Adjacent hits on one line, and a hit in an unterminated last line.
 	"waterwater thethe oo\nnothing\nwater, the last drop",
+	"caf\xc3\xa9 CAF\xc3\x89 Caf\xc3\xa9\nCAF\xc3\x89\nthe WATER, the Water\n",
 	// High bytes around A-Z and a-z, in every lane of an 8-byte word.
 	"\x80\xc1\xdaAZ[@az`{\xff \xe9cole AZ\xc1\xda\x9a the WATER water\n@[`{\x7f\x01\xff\xe1\xfa",
 	// A block whose last line holds a hit starting in its last 8 bytes,
@@ -529,7 +533,19 @@ func TestLiteralKernelMatchesPerLineBody(t *testing.T) {
 		{"grep", []string{"th"}},
 		{"grep", []string{"-F", "o w"}},
 		{"grep", []string{"-v", "-F", "."}},
+		// Through the ASCII case fold: needles of 1, 2, 5 and 16 bytes.
+		{"grep", []string{"-i", "water"}},
+		{"grep", []string{"-i", "WaTeR"}},
+		{"grep", []string{"-i", "-v", "water"}},
+		{"grep", []string{"-i", "th"}},
+		{"grep", []string{"-i", "o"}},
+		{"grep", []string{"-i", "-F", "woods are lovely"}},
+		// Plain replacements, copied in at the search's offset: without
+		// g, with g, and with adjacent and overlapping needles.
 		{"sed", []string{"s/water/WATER/"}},
+		{"sed", []string{"s/water/W/g"}},
+		{"sed", []string{"s/aa/b/g"}},
+		{"sed", []string{"s/the//"}},
 		{"sed", []string{"s/the/<&>/"}},
 		{"sed", []string{"s/o/0/g"}},
 		{"sed", []string{"s/oo/o/g"}},
@@ -537,7 +553,8 @@ func TestLiteralKernelMatchesPerLineBody(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(17))
 	inputs := append(append([]string{}, kernelInputs...), randomTexts(rng, 10)...)
-	inputs = append(inputs, "o wo w. the water\nwaterwater\n\nooo the o w", "water", "\nwater\n\n")
+	inputs = append(inputs, "o wo w. the water\nwaterwater\n\nooo the o w", "water", "\nwater\n\n",
+		"aaaaa aa a\nWATER WaTeR\n\xc3\x89 \xc3\xa9 WOODS ARE LOVELY wAter\n")
 	for _, f := range forms {
 		k, ok := NewKernel(f.name, f.args)
 		if !ok {
@@ -581,7 +598,7 @@ func TestLiteralKernelMatchesPerLineBody(t *testing.T) {
 		name string
 		args []string
 	}{
-		{"grep", []string{"-i", "water"}}, {"grep", []string{"-w", "water"}}, {"grep", []string{"-x", "water"}},
+		{"grep", []string{"-i", "wat.r"}}, {"grep", []string{"-w", "water"}}, {"grep", []string{"-x", "water"}},
 		{"grep", []string{"-e", "a", "-e", "b"}}, {"grep", []string{"wat.r"}}, {"grep", []string{""}},
 		{"sed", []string{"s/wat.r/x/"}}, {"sed", []string{"s/water/x/i"}}, {"sed", []string{"/a/s/water/x/"}},
 		{"sed", []string{"-e", "s/a/b/", "-e", "s/c/d/"}}, {"sed", []string{"y/ab/ba/"}},
@@ -668,10 +685,26 @@ func FuzzLiteralIndex(f *testing.F) {
 		if len(needle) == 0 {
 			return // the literal kernels never search for nothing
 		}
-		if got, want := indexLiteral(hay, needle), bytes.Index(hay, needle); got != want {
-			t.Fatalf("indexLiteral(%q, %q) = %d, bytes.Index says %d", hay, needle, got, want)
+		l := newLiteral(needle, nil)
+		if got, want := l.index(hay), bytes.Index(hay, needle); got != want {
+			t.Fatalf("index(%q, %q) = %d, bytes.Index says %d", hay, needle, got, want)
+		}
+		// Through the case fold: the masked loop, and the table compare.
+		folded := foldASCII(needle)
+		l = newLiteral(folded, &asciiFold)
+		if got, want := l.index(hay), bytes.Index(foldASCII(hay), folded); got != want {
+			t.Fatalf("folded index(%q, %q) = %d, bytes.Index of the folded bytes says %d", hay, folded, got, want)
 		}
 	})
+}
+
+// foldASCII is b through asciiFold, in a new slice.
+func foldASCII(b []byte) []byte {
+	out := make([]byte, len(b))
+	for i, c := range b {
+		out[i] = asciiFold[c]
+	}
+	return out
 }
 
 // kernelBenchText is n lines of the shape the benchmark's generator
@@ -883,6 +916,37 @@ func BenchmarkKernels(b *testing.B) {
 					out = k.Apply(out[:0], blk)
 				}
 				out = k.Finish(out[:0])
+			}
+		})
+	}
+	// tr A-Z a-z | grep water as two kernels one after the other, and as
+	// the one kernel Compose makes of them.
+	for _, composed := range []bool{false, true} {
+		row := "tr+grep"
+		if composed {
+			row = "tr|grep-composed"
+		}
+		b.Run(row, func(b *testing.B) {
+			tk, _ := NewKernel("tr", []string{"A-Z", "a-z"})
+			gk, _ := NewKernel("grep", []string{"water"})
+			ks := []Kernel{tk, gk}
+			if composed {
+				Compose(ks)
+			}
+			mid, out := make([]byte, 0, 2*BlockSize), make([]byte, 0, 2*BlockSize)
+			b.SetBytes(int64(len(text)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, blk := range blocks {
+					in := blk
+					if !composed {
+						mid = ks[0].Apply(mid[:0], blk)
+						in = mid
+					}
+					out = ks[1].Apply(out[:0], in)
+				}
+				out = ks[1].Finish(out[:0])
 			}
 		})
 	}

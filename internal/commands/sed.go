@@ -190,7 +190,9 @@ func newSedKernel(args []string) (Kernel, bool) {
 // kernel wraps step, sed's per-line body. A script that is one
 // address-less s/LITERAL/REPL/ can only change the lines that contain
 // LITERAL, so the block is searched for it (literalKernel): those lines
-// go through step, everything between them is copied verbatim.
+// are rewritten, everything between them is copied verbatim. A
+// replacement with no & and no \ is copied in where the search found
+// LITERAL (replaceAt); any other goes through step.
 func (p *sedProgram) kernel() Kernel {
 	lk := lineKernel{perLine: func(out, line []byte) []byte {
 		out, _ = p.step(out, line, 0, false)
@@ -199,9 +201,34 @@ func (p *sedProgram) kernel() Kernel {
 	if len(p.cmds) != 1 || p.cmds[0].lit == nil || p.cmds[0].addrRe != nil {
 		return &lk
 	}
-	return &literalKernel{lineKernel: lk, needle: p.cmds[0].lit, hit: lk.perLine, rest: func(out, lines []byte) []byte {
+	c := &p.cmds[0]
+	k := &literalKernel{lineKernel: lk, lit: newLiteral(c.lit, nil), rest: func(out, lines []byte) []byte {
 		return append(out, lines...)
 	}}
+	if bytes.ContainsAny(c.repl, `&\`) {
+		k.hit = func(out, line []byte, _ int) []byte { return lk.perLine(out, line) }
+	} else {
+		k.hit = func(out, line []byte, at int) []byte { return c.replaceAt(out, line, at, &k.lit) }
+	}
+	return k
+}
+
+// replaceAt is what step prints for a line whose first match of the s
+// command's fixed pattern lit found at offset at, when the replacement
+// is plain bytes: prefix, replacement and suffix are copied as they are,
+// and under g the rest of the line is searched for the next match.
+func (c *sedCmd) replaceAt(out, line []byte, at int, lit *literal) []byte {
+	for {
+		out = append(append(out, line[:at]...), c.repl...)
+		line = line[at+len(c.lit):]
+		if !c.global {
+			break
+		}
+		if at = lit.index(line); at < 0 {
+			break
+		}
+	}
+	return append(append(out, line...), '\n')
 }
 
 // step is sed's per-line body: it runs the script over one input line

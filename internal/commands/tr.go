@@ -86,6 +86,21 @@ func (p *trProgram) translate(out, in []byte) []byte {
 	return out
 }
 
+// mapsLines reports whether the program is a pure byte map that leaves
+// every line where it was: no -d, no -s, '\n' onto itself and no other
+// byte onto '\n'. Such a tr can run inside the grep after it (Compose).
+func (p *trProgram) mapsLines() bool {
+	if p.del || p.squeeze || p.xlat['\n'] != '\n' {
+		return false
+	}
+	for i, c := range p.xlat {
+		if c == '\n' && i != '\n' {
+			return false
+		}
+	}
+	return true
+}
+
 // word shifts the in-range bytes of w.
 func (sh trShift) word(w uint64) uint64 {
 	h := w & lowSevens

@@ -80,7 +80,8 @@ func (c *StageChain) Bind(fs commands.FS, env map[string]string) *StageChain {
 // available, freshly built through the execution registry otherwise, so
 // externally-registered kernels and user shadowing of builtin names
 // resolve as the planner's capability check did — or nil when the chain
-// runs as commands.
+// runs as commands. A fresh set goes through commands.Compose before its
+// first use, so every set of the pool is composed.
 func (c *StageChain) kernels() []commands.Kernel {
 	if c.kpool == nil {
 		return nil
@@ -96,6 +97,7 @@ func (c *StageChain) kernels() []commands.Kernel {
 		}
 		ks[i] = k
 	}
+	commands.Compose(ks)
 	return ks
 }
 
@@ -337,8 +339,12 @@ func runFusedStreaming(r io.Reader, w io.Writer, kernels []commands.Kernel, mete
 
 	// End of stream: each stage's Finish output flows through the
 	// stages after it, in order, before those stages finish themselves.
+	// A pass-through kernel has none, and is not charged for it.
 	tail := commands.GetBlock()
 	for i := range kernels {
+		if _, id := kernels[i].(interface{ IsPassThrough() }); id {
+			continue
+		}
 		start := time.Now()
 		t := kernels[i].Finish(commands.GetBlock())
 		meters[i].Active += time.Since(start)

@@ -131,7 +131,8 @@ func TestFusedExitStatus(t *testing.T) {
 }
 
 // TestFusedStageMeters: the fused loop attributes per-stage time and
-// byte traffic even though no pipes separate the stages.
+// byte traffic even though no pipes separate the stages; a tr composed
+// into the grep after it charges its work to grep's slot.
 func TestFusedStageMeters(t *testing.T) {
 	g := buildChainGraph(t, 1, false, fusedChain...)
 	input := randomLinesInput(rand.New(rand.NewSource(5)), 2000)
@@ -162,6 +163,42 @@ func TestFusedStageMeters(t *testing.T) {
 	}
 	if st[2].BytesOut != int64(out.Len()) {
 		t.Fatalf("cut stage BytesOut = %d, want %d", st[2].BytesOut, out.Len())
+	}
+
+	// tr A-Z a-z | grep water composes: the stages keep their names and
+	// order, tr's slot runs the pass-through kernel and charges nothing,
+	// and grep's reads the chain's input and charges the translation.
+	g = buildChainGraph(t, 1, false,
+		[2]interface{}{"tr", []string{"A-Z", "a-z"}},
+		[2]interface{}{"grep", []string{"water"}},
+	)
+	input = strings.Repeat("Cold WATER\nwarm air\nwater, water\n", 500) + "last Water"
+	out.Reset()
+	if res, err = Execute(context.Background(), g, fusedReg(),
+		StdIO{Stdin: strings.NewReader(input), Stdout: &out}, Config{}); err != nil {
+		t.Fatal(err)
+	}
+	if want := strings.Repeat("cold water\nwater, water\n", 500) + "last water\n"; out.String() != want {
+		t.Fatalf("tr | grep printed %q, want %q", clip(out.String()), clip(want))
+	}
+	fusedTimes = nil
+	for _, nt := range res.NodeTimes {
+		if len(nt.Stages) > 0 {
+			fusedTimes = append(fusedTimes, nt)
+		}
+	}
+	if len(fusedTimes) != 1 {
+		t.Fatalf("expected 1 fused node time, got %d", len(fusedTimes))
+	}
+	st = fusedTimes[0].Stages
+	if len(st) != 2 || st[0].Name != "tr" || st[1].Name != "grep" {
+		t.Fatalf("stage names wrong: %+v", st)
+	}
+	if st[0] != (StageTime{Name: "tr"}) {
+		t.Fatalf("absorbed tr slot charged %+v, want nothing", st[0])
+	}
+	if st[1].BytesIn != int64(len(input)) || st[1].BytesOut != int64(out.Len()) || st[1].Active <= 0 {
+		t.Fatalf("grep slot %+v: want %d bytes in, %d out, and active time", st[1], len(input), out.Len())
 	}
 }
 

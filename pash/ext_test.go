@@ -658,6 +658,65 @@ func shadowSpec(name string) CommandSpec {
 	}
 }
 
+// upperKernel maps every byte to upper case and records what it read.
+type upperKernel struct{ seen *bytes.Buffer }
+
+func (k upperKernel) Apply(out, in []byte) []byte {
+	k.seen.Write(in)
+	return append(out, bytes.ToUpper(in)...)
+}
+func (upperKernel) Finish(out []byte) []byte { return out }
+func (upperKernel) Status() error            { return nil }
+
+// TestShadowedTrGrepNeverCompose: the kernel layer hands a tr to the grep
+// after it only when both are the builtins' own kernels. A user tr or
+// grep registered under the builtin's name runs as its own stage: the
+// user tr's map reaches grep, and the user grep reads tr's output.
+func TestShadowedTrGrepNeverCompose(t *testing.T) {
+	input := "Cold water\nWATER\nair\n"
+	for _, tc := range []struct{ name, script, want, seen string }{
+		{"tr", "tr A-Z a-z | grep WATER", "COLD WATER\nWATER\n", input},
+		{"grep", "tr A-Z a-z | grep water", "COLD WATER\nWATER\nAIR\n", "cold water\nwater\nair\n"},
+	} {
+		var seen bytes.Buffer
+		s := NewSession(DefaultOptions(1))
+		err := s.Register(CommandSpec{
+			Name: tc.name,
+			Run: func(args []string, stdin io.Reader, stdout io.Writer) error {
+				_, err := io.Copy(stdout, stdin)
+				return err
+			},
+			Annotation: tc.name + " { | _ => (S, [stdin], [stdout]) }",
+			Kernel:     func(args []string) (Kernel, bool) { return upperKernel{&seen}, true },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := s.CompileExec(tc.script)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fused := 0
+		for _, item := range plan.Items {
+			for _, n := range item.Graph.Nodes {
+				if n.Kind == dfg.KindFused {
+					fused++
+				}
+			}
+		}
+		if fused != 1 {
+			t.Fatalf("%s: %d fused nodes, want the chain fused into 1", tc.script, fused)
+		}
+		var out bytes.Buffer
+		if _, err := s.Run(context.Background(), tc.script, strings.NewReader(input), &out, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		if out.String() != tc.want || seen.String() != tc.seen {
+			t.Errorf("user %s in %q: printed %q, its kernel read %q; want %q and %q", tc.name, tc.script, out.String(), seen.String(), tc.want, tc.seen)
+		}
+	}
+}
+
 // TestShadowingIsWhole: a registration under a builtin's name plans
 // exactly as the same spec under a fresh name — no semantic check of the
 // builtin's record judges the user's argv — for every builtin whose

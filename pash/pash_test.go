@@ -3,6 +3,7 @@ package pash
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -441,6 +442,140 @@ func TestAwkRefusedByName(t *testing.T) {
 			if ents, _ := os.ReadDir(dir); len(ents) != 1 {
 				t.Errorf("%s at width %d: left %d files in its directory", script, width, len(ents))
 			}
+		}
+	}
+}
+
+// matchesHost runs script through sessions that plan like the pash
+// binary, at widths 1, 2 and 4, with input from a pipe and, when file is
+// set, from the file named f in the session's directory, and requires
+// the bytes sh prints for it under LC_ALL=C, and at width 1 its exit
+// status. A wider plan's status is its final merge's: a grep that selects
+// nothing behind a split exits 0, where the host's exits 1.
+func matchesHost(t *testing.T, script, input string, file bool) {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "f"), []byte(input), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command("sh", "-c", script)
+	cmd.Dir = dir
+	cmd.Env = append(os.Environ(), "LC_ALL=C")
+	cmd.Stdin = strings.NewReader(input)
+	want, err := cmd.Output()
+	var exit *exec.ExitError
+	if err != nil && !errors.As(err, &exit) {
+		t.Fatalf("host %q: %v", script, err)
+	}
+	wantCode := cmd.ProcessState.ExitCode()
+	for _, width := range []int{1, 2, 4} {
+		for _, fromFile := range []bool{false, true} {
+			if fromFile && !file {
+				continue
+			}
+			s := NewSession(Options{Width: width, Preset: Planned})
+			s.Dir = dir
+			var stdin io.Reader = struct{ io.Reader }{strings.NewReader(input)} // no size to plan from
+			if fromFile {
+				stdin = strings.NewReader("")
+			}
+			var out bytes.Buffer
+			code, st, err := s.RunStats(context.Background(), script, stdin, &out, io.Discard)
+			if err != nil || width == 1 && code != wantCode || out.String() != string(want) {
+				t.Errorf("%q at width %d (%v, file %v): exit %d (host %d), err %v, %d bytes, host %d; first difference at byte %d",
+					script, width, st.Widths, fromFile, code, wantCode, err, out.Len(), len(want), firstDiff(out.Bytes(), want))
+			}
+		}
+	}
+}
+
+func firstDiff(a, b []byte) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return min(len(a), len(b))
+}
+
+// caseText is over 1 MiB of Zipf text with one line in eight upper-cased,
+// one word in six capitalised, and café in both cases now and then.
+func caseText(seed int64) string {
+	rng := rand.New(rand.NewSource(seed))
+	lines := strings.SplitAfter(paper.Text(40_000, seed), "\n")
+	for i, line := range lines {
+		words := strings.Split(line, " ")
+		for j, w := range words {
+			switch rng.Intn(48) {
+			case 0, 1, 2, 3, 4, 5, 6, 7:
+				words[j] = strings.ToUpper(w[:1]) + w[1:]
+			case 8:
+				words[j] = "café"
+			case 9:
+				words[j] = "CAFÉ"
+			}
+		}
+		lines[i] = strings.Join(words, " ")
+		if i%8 == 3 {
+			lines[i] = strings.ToUpper(lines[i])
+		}
+	}
+	return strings.Join(lines, "")
+}
+
+// TestLiteralKernelsMatchHost: the literal kernels — grep -i through the
+// ASCII fold, a tr handed to the grep after it, sed's plain replacement —
+// print what the host prints under LC_ALL=C. Among the scripts are the
+// benchmark's stateless chain and its two streaming scripts, and the
+// same chains with an unterminated last line (seed 7).
+func TestLiteralKernelsMatchHost(t *testing.T) {
+	for _, tool := range []string{"tr", "grep", "cut", "sed", "sort"} {
+		if _, err := exec.LookPath(tool); err != nil {
+			t.Skipf("no host %s", tool)
+		}
+	}
+	for _, input := range []string{caseText(44), strings.TrimSuffix(caseText(7), "\n")} {
+		if len(input) < 1<<20 {
+			t.Fatalf("input is %d bytes, want over 1 MiB", len(input))
+		}
+		for _, script := range []string{
+			`tr A-Z a-z | grep water | cut -d ' ' -f1-3 | sed 's/water/WATER/'`,
+			`tr A-Z a-z | grep water | cut -d ' ' -f1 | sort -u`,
+			`tr A-Z a-z | grep water | cut -d ' ' -f1-3`,
+			`tr a-z A-Z | grep WATER`,
+			`tr '[:upper:]' '[:lower:]' | grep 'the '`,
+			`tr -c 'a-z\n' ' ' | grep water`,
+			`tr A-Z a-z | grep -v water | sed 's/the/THE/g'`,
+			`grep -i water`,
+			`grep -i WaTeR | sed 's/water/x/'`,
+			`grep -i -v water`,
+			`grep -i -c water`,
+			`grep -i 'é'`,
+			`grep -i -e café -e glyph`,
+			`grep -i -x 'water'`,
+			`grep -i 'caf.'`,
+		} {
+			matchesHost(t, script, input, false)
+		}
+	}
+}
+
+// TestHeadTailAllButMatchesHost: head with a count spelled -N prints all
+// but the last N lines or bytes, and tail -n -N is tail -n N, read from a
+// pipe or from a file, on a cat's output too.
+func TestHeadTailAllButMatchesHost(t *testing.T) {
+	for _, tool := range []string{"head", "tail"} {
+		if _, err := exec.LookPath(tool); err != nil {
+			t.Skipf("no host %s", tool)
+		}
+	}
+	big := caseText(45)
+	for _, input := range []string{"1\n2\n3\n4\n5\n6\n7\n", big} {
+		for _, script := range []string{
+			"head -n -2", "tail -n -2", "head -c -3", "head -n -0", "head -c -0", "tail -c -3",
+			"head -n -20000", "head -n -2 f", "tail -n -2 f", "head -c -3 f", "cat f | head -n -2",
+		} {
+			matchesHost(t, script, input, strings.Contains(script, " f"))
 		}
 	}
 }
