@@ -14,7 +14,7 @@ import (
 // them carry limit 5 and no other node carries one; at width 8 the
 // aggregation tree's interior merges carry it too; at width 1 the one
 // sort does; an emitted script carries none. Behind uniq -c, no map
-// gets one.
+// gets one; behind head -n -2 nothing does.
 func TestSortHeadPlansLineLimits(t *testing.T) {
 	const script = `cat f | tr A-Z a-z | sort -rn | head -n 5`
 	limits := func(p *Plan) (sorts, others int) {
@@ -68,6 +68,23 @@ func TestSortHeadPlansLineLimits(t *testing.T) {
 		if n.Limit != 0 {
 			t.Errorf("emission plan: %s carries limit %d, want none", n.Name, n.Limit)
 		}
+	}
+	// head -n -2 prints all but the last two lines: it takes no count, so
+	// nothing is limited and the one head runs whole.
+	if p, err = NewCompiler(DefaultOptions(4)).PlanExec(`cat f | sort -rn | head -n -2`); err != nil {
+		t.Fatal(err)
+	}
+	heads := 0
+	for _, n := range p.Items[0].Graph.Nodes {
+		if n.Limit != 0 {
+			t.Errorf("sort | head -n -2: %s (%v) carries limit %d, want none\n%s", n.Name, n.Kind, n.Limit, p.Items[0].Graph.Dump())
+		}
+		if strings.Contains(n.Name, "head") {
+			heads++
+		}
+	}
+	if heads != 1 {
+		t.Errorf("sort | head -n -2 plans %d head nodes, want 1\n%s", heads, p.Items[0].Graph.Dump())
 	}
 }
 
