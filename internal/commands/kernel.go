@@ -38,8 +38,8 @@ import (
 // through the table. grep -i searches through the ASCII fold and prints
 // the line as it was; a grep that absorbed the tr before it (Compose)
 // searches through tr's table and translates only the lines it prints.
-// sed's literal form copies a plain replacement in at the offset the
-// scan found, instead of searching the line again.
+// sed's literal form substitutes from the offset the scan found,
+// instead of searching the line again.
 //
 // What fusion adds is only the composition: a chain like tr | grep | cut
 // normally costs one goroutine and one chunk pipe per stage; the runtime's
@@ -336,9 +336,8 @@ func newLiteral(needle []byte, table *[256]byte) literal {
 
 // index is bytes.Index(hay, needle), read through the table when there is
 // one. A one-byte needle with no table is IndexByte's; every other one
-// goes to literalCandidates (maskedCandidates when an end has a mask),
-// which tests eight start positions a step, and each candidate it reports
-// is verified here, lowest first.
+// goes to literalCandidates, which tests eight start positions a step,
+// and each candidate it reports is verified here, lowest first.
 func (l *literal) index(hay []byte) int {
 	n := len(l.needle)
 	switch {
@@ -349,13 +348,7 @@ func (l *literal) index(hay []byte) int {
 	}
 	i := 0
 	for {
-		var at int
-		var cand uint64
-		if l.firstMask|l.lastMask == 0 {
-			at, cand = literalCandidates(hay[i:], l.first, l.last, n-1)
-		} else {
-			at, cand = maskedCandidates(hay[i:], l.first, l.last, l.firstMask, l.lastMask, n-1)
-		}
+		at, cand := literalCandidates(hay[i:], l.first, l.last, l.firstMask, l.lastMask, n-1)
 		i += at
 		if cand == 0 {
 			break
@@ -410,40 +403,18 @@ func (l *literal) contains(line []byte) bool {
 
 // literalCandidates scans hay for the starts of a needle whose first
 // byte, repeated in every lane, is first, and whose last byte, lastOff
-// bytes on, is last. A step tests the eight starts of one word: x, the
-// word XOR first OR'd with the word lastOff on XOR last, has a zero byte
-// exactly where both bytes match, and the has-zero mask sets that byte's
-// high bit. The mask is exact up to its lowest zero byte; above it a
-// borrow can flag a byte that does not match, which the caller's compare
-// throws out. Each loop takes two steps and branches once. It returns the
-// offset of the first word with a candidate and its mask; or, with cand
-// 0, the offset where fewer than lastOff+16 bytes are left. It calls
-// nothing, so the loop's state stays in registers; the compare is the
-// caller's.
-func literalCandidates(hay []byte, first, last uint64, lastOff int) (at int, cand uint64) {
-	heads, tails := hay[:len(hay)-lastOff], hay[lastOff:]
-	for len(heads) >= 16 && len(tails) >= 16 {
-		lo := (binary.LittleEndian.Uint64(heads) ^ first) | (binary.LittleEndian.Uint64(tails) ^ last)
-		hi := (binary.LittleEndian.Uint64(heads[8:]) ^ first) | (binary.LittleEndian.Uint64(tails[8:]) ^ last)
-		lo, hi = (lo-lowBytes)&^lo&highBits, (hi-lowBytes)&^hi&highBits
-		if lo|hi != 0 {
-			at = len(hay) - lastOff - len(heads)
-			if lo == 0 {
-				return at + 8, hi
-			}
-			return at, lo
-		}
-		heads, tails = heads[16:], tails[16:]
-	}
-	return len(hay) - lastOff - len(heads), 0
-}
-
-// maskedCandidates is literalCandidates with each loaded word OR'd with
-// its end's mask before the compare: the loop of a search through a table
-// under which a needle end has several preimages. It is a loop of its
-// own because the extra ORs, with zero masks, slowed the plain scan by
-// about a tenth.
-func maskedCandidates(hay []byte, first, last, firstMask, lastMask uint64, lastOff int) (at int, cand uint64) {
+// bytes on, is last. A step tests the eight starts of one word: each
+// loaded word is OR'd with its end's mask (zero without a table), and x,
+// the first word XOR first OR'd with the word lastOff on XOR last, has a
+// zero byte exactly where both ends match, and the has-zero mask sets
+// that byte's high bit. The mask is exact up to its lowest zero byte;
+// above it a borrow can flag a byte that does not match, which the
+// caller's compare throws out. Each loop takes two steps and branches
+// once. It returns the offset of the first word with a candidate and its
+// mask; or, with cand 0, the offset where fewer than lastOff+16 bytes are
+// left. It calls nothing, so the loop's state stays in registers; the
+// compare is the caller's.
+func literalCandidates(hay []byte, first, last, firstMask, lastMask uint64, lastOff int) (at int, cand uint64) {
 	heads, tails := hay[:len(hay)-lastOff], hay[lastOff:]
 	for len(heads) >= 16 && len(tails) >= 16 {
 		lo := ((binary.LittleEndian.Uint64(heads) | firstMask) ^ first) | ((binary.LittleEndian.Uint64(tails) | lastMask) ^ last)

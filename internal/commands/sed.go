@@ -190,9 +190,8 @@ func newSedKernel(args []string) (Kernel, bool) {
 // kernel wraps step, sed's per-line body. A script that is one
 // address-less s/LITERAL/REPL/ can only change the lines that contain
 // LITERAL, so the block is searched for it (literalKernel): those lines
-// are rewritten, everything between them is copied verbatim. A
-// replacement with no & and no \ is copied in where the search found
-// LITERAL (replaceAt); any other goes through step.
+// are rewritten from where the search found LITERAL, and everything
+// between them is copied verbatim.
 func (p *sedProgram) kernel() Kernel {
 	lk := lineKernel{perLine: func(out, line []byte) []byte {
 		out, _ = p.step(out, line, 0, false)
@@ -202,33 +201,14 @@ func (p *sedProgram) kernel() Kernel {
 		return &lk
 	}
 	c := &p.cmds[0]
-	k := &literalKernel{lineKernel: lk, lit: newLiteral(c.lit, nil), rest: func(out, lines []byte) []byte {
-		return append(out, lines...)
-	}}
-	if bytes.ContainsAny(c.repl, `&\`) {
-		k.hit = func(out, line []byte, _ int) []byte { return lk.perLine(out, line) }
-	} else {
-		k.hit = func(out, line []byte, at int) []byte { return c.replaceAt(out, line, at, &k.lit) }
+	return &literalKernel{
+		lineKernel: lk,
+		lit:        newLiteral(c.lit, nil),
+		hit: func(out, line []byte, at int) []byte {
+			return append(c.substituteAt(out, line, at), '\n')
+		},
+		rest: func(out, lines []byte) []byte { return append(out, lines...) },
 	}
-	return k
-}
-
-// replaceAt is what step prints for a line whose first match of the s
-// command's fixed pattern lit found at offset at, when the replacement
-// is plain bytes: prefix, replacement and suffix are copied as they are,
-// and under g the rest of the line is searched for the next match.
-func (c *sedCmd) replaceAt(out, line []byte, at int, lit *literal) []byte {
-	for {
-		out = append(append(out, line[:at]...), c.repl...)
-		line = line[at+len(c.lit):]
-		if !c.global {
-			break
-		}
-		if at = lit.index(line); at < 0 {
-			break
-		}
-	}
-	return append(append(out, line...), '\n')
 }
 
 // step is sed's per-line body: it runs the script over one input line
@@ -290,6 +270,7 @@ type sedCmd struct {
 	re         *regexp.Regexp // for s
 	lit        []byte         // for s: non-nil when the pattern is this fixed string, and re is not consulted
 	repl       []byte         // for s, with & and \N markers resolved at run time
+	plainRepl  bool           // repl has no & and no \: it is copied as it is
 	global     bool
 	printSub   bool
 	from, to   []byte // for y
@@ -331,19 +312,7 @@ func (c *sedCmd) substitute(dst, line []byte) ([]byte, bool) {
 		if i < 0 {
 			return dst, false
 		}
-		for {
-			end := i + len(c.lit)
-			dst = append(dst, line[:i]...)
-			dst = appendReplacement(dst, c.repl, line, []int{i, end})
-			line = line[end:]
-			if !c.global {
-				break
-			}
-			if i = bytes.Index(line, c.lit); i < 0 {
-				break
-			}
-		}
-		return append(dst, line...), true
+		return c.substituteAt(dst, line, i), true
 	}
 	var matches [][]int
 	if c.global {
@@ -357,7 +326,7 @@ func (c *sedCmd) substitute(dst, line []byte) ([]byte, bool) {
 	last := 0
 	for _, m := range matches {
 		dst = append(dst, line[last:m[0]]...)
-		dst = appendReplacement(dst, c.repl, line, m)
+		dst = c.appendReplacement(dst, line, m)
 		last = m[1]
 		// Avoid infinite loops on empty matches.
 		if m[0] == m[1] && last < len(line) {
@@ -368,7 +337,30 @@ func (c *sedCmd) substitute(dst, line []byte) ([]byte, bool) {
 	return append(dst, line[last:]...), true
 }
 
-func appendReplacement(out, repl, src []byte, m []int) []byte {
+// substituteAt is substitute's fixed-pattern form for a line whose first
+// match is at i: the literal kernel passes the offset its scan found.
+func (c *sedCmd) substituteAt(dst, line []byte, i int) []byte {
+	for {
+		end := i + len(c.lit)
+		dst = append(dst, line[:i]...)
+		dst = c.appendReplacement(dst, line, []int{i, end})
+		line = line[end:]
+		if !c.global {
+			break
+		}
+		if i = bytes.Index(line, c.lit); i < 0 {
+			break
+		}
+	}
+	return append(dst, line...)
+}
+
+// appendReplacement appends the replacement for the match m of src.
+func (c *sedCmd) appendReplacement(out, src []byte, m []int) []byte {
+	if c.plainRepl {
+		return append(out, c.repl...)
+	}
+	repl := c.repl
 	for i := 0; i < len(repl); i++ {
 		c := repl[i]
 		switch {
@@ -514,6 +506,7 @@ func parseOneSedCmd(s string) (*sedCmd, string, error) {
 			cmd.lit = []byte(pat)
 		}
 		cmd.repl = []byte(unescapeDelim(repl, delim))
+		cmd.plainRepl = !bytes.ContainsAny(cmd.repl, `&\`)
 		return cmd, rest[flagsEnd:], nil
 	case 'y':
 		if len(s) < 2 {

@@ -87,10 +87,10 @@ func (p *trProgram) translate(out, in []byte) []byte {
 }
 
 // mapsLines reports whether the program is a pure byte map that leaves
-// every line where it was: no -d, no -s, '\n' onto itself and no other
-// byte onto '\n'. Such a tr can run inside the grep after it (Compose).
+// every line where it was: no -d, no -s, '\n' intact and no other byte
+// onto '\n'. Such a tr can run inside the grep after it (Compose).
 func (p *trProgram) mapsLines() bool {
-	if p.del || p.squeeze || p.xlat['\n'] != '\n' {
+	if p.del || p.squeeze || !p.newlineIntact {
 		return false
 	}
 	for i, c := range p.xlat {

@@ -44,6 +44,7 @@ var composeCases = []composeCase{
 
 	// tr that moves lines, deletes or squeezes.
 	{[]string{" ", "\\n"}, []string{"water"}, false},
+	{[]string{"\\n", " "}, []string{"water"}, false},
 	{[]string{"-d", "aeiou"}, []string{"wtr"}, false},
 	{[]string{"-s", " "}, []string{"water"}, false},
 	// Needle ends with more than two preimages.
