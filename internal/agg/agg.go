@@ -26,7 +26,7 @@ import (
 //
 // Commands whose output ignores the order of their input lines are
 // marked Commutative (see dfg.AggSpec): sort unless it keeps input order
-// among key ties, wc, and grep -c.
+// among key ties, the count stage, wc, and grep -c.
 func Resolve(name string, flagArgs []string, inv *annot.Invocation) (*dfg.AggSpec, bool) {
 	switch name {
 	case "sort":
@@ -63,6 +63,18 @@ func Resolve(name string, flagArgs []string, inv *annot.Invocation) (*dfg.AggSpe
 			MapName: "uniq", MapArgs: flagArgs,
 			AggName: "pash-agg-uniq", AggArgs: flagArgs,
 			Associative: true,
+		}, true
+	case "pash-sort-count":
+		// The count stage that core puts in place of `sort FLAGS | uniq
+		// -c` under a total order: each map counts its chunk's lines and
+		// prints the distinct ones in order behind their counts, and the
+		// aggregate merges those streams by line and sums the counts of
+		// equal lines. A sum cares neither which map a count came from
+		// nor in what order its lines arrived.
+		return &dfg.AggSpec{
+			MapName: name, MapArgs: flagArgs,
+			AggName: "pash-agg-sort-count", AggArgs: flagArgs,
+			Associative: true, Commutative: true,
 		}, true
 	case "wc":
 		// Column sums of column sums; counts ignore line order. The maps
@@ -152,6 +164,10 @@ func Install(reg *commands.Registry) {
 	reg.Set("pash-agg-sum", commands.Entry{Run: aggSum})
 	reg.Set("pash-agg-tac", commands.Entry{Run: aggTac})
 	reg.Set("pash-agg-bigrams", commands.Entry{Run: aggBigrams})
+	// The count stage's map runs only where a plan puts it, so it is
+	// installed beside its aggregate and not as a builtin.
+	reg.Set("pash-sort-count", commands.Entry{Run: commands.SortCount})
+	reg.Set("pash-agg-sort-count", commands.Entry{Run: commands.SortCountMerge})
 	// head and tail aggregate themselves; the pash-agg- names stay what
 	// plans, emitted scripts and pash-prims call them by.
 	for _, name := range []string{"head", "tail"} {

@@ -122,6 +122,8 @@ func TestMapAggregatePairs(t *testing.T) {
 		{"tail", []string{"-3"}},
 		{"tac", nil},
 		{"bigrams-aux", nil},
+		{"pash-sort-count", nil},
+		{"pash-sort-count", []string{"-t,", "-k2", "-f"}},
 	}
 	for _, c := range cases {
 		c := c
@@ -262,6 +264,9 @@ func TestCommutativeIsPermutationInvariant(t *testing.T) {
 		{"tail", []string{"-n", "3"}},
 		{"tac", nil},
 		{"bigrams-aux", nil},
+		{"pash-sort-count", nil},
+		{"pash-sort-count", []string{"-k2"}},
+		{"pash-sort-count", []string{"-fr"}},
 	}
 	words := []string{"apple", "Apple", "APPLE", "a-b", "ab", "a b", "x:2:b", "x:10:a", "7", "07", "7.0", "kiwi", "", " kiwi"}
 	r := reg()

@@ -3,6 +3,7 @@ package agg
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"strconv"
 	"strings"
 
@@ -41,17 +42,11 @@ func aggUniq(ctx *commands.Context) error {
 		if !counting {
 			return rec{count: 1, line: append([]byte(nil), raw...)}, nil
 		}
-		// uniq -c format: %7d SPACE line.
-		trimmed := bytes.TrimLeft(raw, " ")
-		sp := bytes.IndexByte(trimmed, ' ')
-		if sp < 0 {
+		n, line, ok := commands.CutUniqCount(raw)
+		if !ok {
 			return rec{}, fmt.Errorf("pash-agg-uniq: malformed count line %q", raw)
 		}
-		n, err := strconv.ParseInt(string(trimmed[:sp]), 10, 64)
-		if err != nil {
-			return rec{}, fmt.Errorf("pash-agg-uniq: bad count in %q", raw)
-		}
-		return rec{count: n, line: append([]byte(nil), trimmed[sp+1:]...)}, nil
+		return rec{count: n, line: append([]byte(nil), line...)}, nil
 	}
 	var counted []byte
 	emit := func(r rec) error {
@@ -104,10 +99,12 @@ func aggUniq(ctx *commands.Context) error {
 }
 
 // aggWc sums the numeric columns of the per-chunk wc outputs, preserving
-// wc's formatting (bare number for a single column, %7d columns
-// otherwise). It handles any of wc's column subsets (wc -lw, -lwc, ...).
-// --label=NAME appends a file name as wc prints it; a labelled input row
-// (an interior tree node's) parses by its leading columns.
+// wc's formatting: a bare number for a single column, and otherwise
+// columns as wide as wc makes them for its input — 7 for stdin, the
+// digits of the file's size for the file --label=NAME names. It handles
+// any of wc's column subsets (wc -lw, -lwc, ...). --label=NAME appends
+// the file name as wc prints it; a labelled input row (an interior tree
+// node's) parses by its leading columns.
 func aggWc(ctx *commands.Context) error {
 	var operands []string
 	label, cols := "", map[rune]bool{}
@@ -152,12 +149,16 @@ func aggWc(ctx *commands.Context) error {
 			return err
 		}
 	}
+	width := 7
+	if label != "" {
+		width = sizeDigits(ctx.FS, label)
+	}
 	var sb strings.Builder
 	for i, s := range sums {
 		if i > 0 {
 			sb.WriteByte(' ')
 		}
-		fmt.Fprintf(&sb, "%7d", s)
+		fmt.Fprintf(&sb, "%*d", width, s)
 	}
 	row := sb.String()
 	if ncols == 1 {
@@ -171,6 +172,23 @@ func aggWc(ctx *commands.Context) error {
 		return err
 	}
 	return lw.Flush()
+}
+
+// sizeDigits is the width wc gives the columns of one file operand, as
+// GNU's wc does: the digits of the file's size, or 7 when it is not a
+// regular file whose size can be read.
+func sizeDigits(fs commands.FS, name string) int {
+	f, err := fs.Open(name)
+	if err != nil {
+		return 7
+	}
+	defer f.Close()
+	if st, ok := f.(interface{ Stat() (os.FileInfo, error) }); ok {
+		if fi, err := st.Stat(); err == nil && fi.Mode().IsRegular() {
+			return len(strconv.FormatInt(fi.Size(), 10))
+		}
+	}
+	return 7
 }
 
 // aggSum adds one integer per input line across all inputs (grep -c).

@@ -102,6 +102,8 @@ var aggTreeCases = []aggTreeCase{
 	{"uniq", []string{"-c"}, "pash-agg-uniq", []string{"-c"}},
 	{"uniq", nil, "pash-agg-uniq", nil},
 	{"tac", nil, "pash-agg-tac", nil},
+	{"pash-sort-count", nil, "pash-agg-sort-count", nil},
+	{"pash-sort-count", []string{"-rn"}, "pash-agg-sort-count", []string{"-rn"}},
 }
 
 func randomCorpus(rng *rand.Rand, n int) string {
@@ -211,5 +213,6 @@ func TestResolveAssociativity(t *testing.T) {
 	check("uniq", []string{"-c"}, true)
 	check("wc", []string{"-l"}, true)
 	check("tac", nil, true)
+	check("pash-sort-count", []string{"-k2"}, true)
 	check("bigrams-aux", nil, false)
 }

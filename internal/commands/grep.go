@@ -137,7 +137,7 @@ var asciiFold = func() (t [256]byte) {
 // predicate.
 //
 // Fast path: fixed-string matching (-F, or patterns with no regexp
-// metacharacters) runs on bytes.Contains/bytes.Equal with zero per-line
+// metacharacters, and neither -w nor -o) runs on bytes.Contains/bytes.Equal with zero per-line
 // allocations instead of compiling a regexp — on fixed patterns the
 // stdlib substring search is several times faster than RE2's machine.
 // Under -i a fixed pattern is folded to lower case and searched for
@@ -148,9 +148,9 @@ var asciiFold = func() (t [256]byte) {
 // string": one fixed pattern, no -x, no -w. The kernel then searches
 // blocks for it instead of asking every line.
 func buildGrepMatcher(spec *grepSpec) (match func(line []byte) bool, first *regexp.Regexp, lit *literal, err error) {
-	fixed := spec.fixed
-	if !fixed && !spec.wordMatch && !spec.onlyMatching {
-		fixed = true
+	// -w and -o take the regexp path, where -F quotes each pattern.
+	fixed := !spec.wordMatch && !spec.onlyMatching
+	if fixed && !spec.fixed {
 		for _, p := range spec.patterns {
 			if !plainPattern(p) {
 				fixed = false
@@ -189,6 +189,9 @@ func buildGrepMatcher(spec *grepSpec) (match func(line []byte) bool, first *rege
 	}
 	var res []*regexp.Regexp
 	for _, p := range spec.patterns {
+		if spec.fixed {
+			p = regexp.QuoteMeta(p)
+		}
 		if spec.wordMatch {
 			p = `(^|\W)(` + p + `)($|\W)`
 		}

@@ -5,6 +5,7 @@ import (
 	"cmp"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"math/bits"
@@ -53,14 +54,9 @@ func (k *sortKey) ordered() bool {
 	return k.numeric || k.foldCase || k.dictionary || k.skipStart || k.skipEnd
 }
 
-// sortCmd implements sort: flags -n, -r, -u, -f, -d, -b, -s, -m, -c,
-// -k POS1[,POS2] (with per-key b/d/f/n/r), -t SEP, -o FILE, --parallel=N.
-// Comparisons are GNU sort's under LC_ALL=C.
-func sortCmd(ctx *Context) error {
-	cfg := sortConfig{}
-	var operands []string
-	outFile := ""
-	args := ctx.Args
+// parseSort reads a sort argv: its configuration, its operands and the
+// -o file. The errors are sort's usage messages.
+func parseSort(args []string) (cfg sortConfig, operands []string, outFile string, err error) {
 	for i := 0; i < len(args); i++ {
 		a := args[i]
 		grab := func(attached string) (string, error) {
@@ -69,7 +65,7 @@ func sortCmd(ctx *Context) error {
 			}
 			i++
 			if i >= len(args) {
-				return "", ctx.Errorf("option %q requires an argument", a)
+				return "", fmt.Errorf("option %q requires an argument", a)
 			}
 			return args[i], nil
 		}
@@ -79,34 +75,32 @@ func sortCmd(ctx *Context) error {
 		case strings.HasPrefix(a, "--parallel="):
 			n, err := strconv.Atoi(a[len("--parallel="):])
 			if err != nil || n < 1 {
-				return ctx.Errorf("invalid --parallel value %q", a)
+				return cfg, nil, "", fmt.Errorf("invalid --parallel value %q", a)
 			}
 			cfg.parallel = n
 		case strings.HasPrefix(a, "-k"):
 			v, err := grab(a[2:])
 			if err != nil {
-				return err
+				return cfg, nil, "", err
 			}
 			k, err := parseSortKey(v)
 			if err != nil {
-				return ctx.Errorf("invalid key %q: %v", v, err)
+				return cfg, nil, "", fmt.Errorf("invalid key %q: %v", v, err)
 			}
 			cfg.keys = append(cfg.keys, k)
 		case strings.HasPrefix(a, "-t"):
 			v, err := grab(a[2:])
 			if err != nil {
-				return err
+				return cfg, nil, "", err
 			}
 			if len(v) != 1 {
-				return ctx.Errorf("separator must be one character")
+				return cfg, nil, "", errors.New("separator must be one character")
 			}
 			cfg.delim = v[0]
 		case strings.HasPrefix(a, "-o"):
-			v, err := grab(a[2:])
-			if err != nil {
-				return err
+			if outFile, err = grab(a[2:]); err != nil {
+				return cfg, nil, "", err
 			}
-			outFile = v
 		default:
 			for _, c := range a[1:] {
 				switch c {
@@ -129,10 +123,21 @@ func sortCmd(ctx *Context) error {
 				case 'c':
 					cfg.check = true
 				default:
-					return ctx.Errorf("unsupported flag -%c", c)
+					return cfg, nil, "", fmt.Errorf("unsupported flag -%c", c)
 				}
 			}
 		}
+	}
+	return cfg, operands, outFile, nil
+}
+
+// sortCmd implements sort: flags -n, -r, -u, -f, -d, -b, -s, -m, -c,
+// -k POS1[,POS2] (with per-key b/d/f/n/r), -t SEP, -o FILE, --parallel=N.
+// Comparisons are GNU sort's under LC_ALL=C.
+func sortCmd(ctx *Context) error {
+	cfg, operands, outFile, err := parseSort(ctx.Args)
+	if err != nil {
+		return ctx.Errorf("%v", err)
 	}
 
 	out := ctx.Stdout
@@ -799,11 +804,37 @@ func (lt *loserTree) beats(a, b int) bool {
 }
 
 // mergeSorted streams a k-way merge of already-sorted line readers into
-// lw, selecting with a loser tree, and stops after limit lines. A
-// source's head line stays where its scanner found it — inside the
-// source's current block — until the merge has written it out and pulls
-// that source again, so no line is copied on the way in.
+// lw and stops after limit lines; with unique set it prints the first of
+// each run of equal lines.
 func mergeSorted(readers []io.Reader, lw *LineWriter, ord *lineOrder, unique bool, limit int) error {
+	// prev outlives its source's next pull, so -u keeps a copy.
+	var prev []byte
+	var prevKey uint64
+	written := 0
+	return mergeRuns(readers, ord, nil, func(_ int, line []byte, key uint64) (bool, error) {
+		if unique && written > 0 && ord.compare(prevKey, prev, key, line) == 0 {
+			return true, nil
+		}
+		if err := lw.WriteLine(line); err != nil {
+			return false, err
+		}
+		written++
+		if unique {
+			prev, prevKey = append(prev[:0], line...), key
+		}
+		return written < limit, nil
+	})
+}
+
+// mergeRuns k-way merges already-sorted line readers under ord,
+// selecting with a loser tree, and hands visit each line in merged order
+// with its source and decoration, until visit reports false. cut, when
+// set, gives the part of source src's raw line that the order compares
+// (sort -m compares the whole line). A source's head line stays where
+// its scanner found it — inside the source's current block — until visit
+// has seen it and the merge pulls that source again, so no line is
+// copied on the way in.
+func mergeRuns(readers []io.Reader, ord *lineOrder, cut func(src int, raw []byte) ([]byte, error), visit func(src int, line []byte, key uint64) (bool, error)) error {
 	k := len(readers)
 	if k == 0 {
 		return nil
@@ -822,6 +853,12 @@ func mergeSorted(readers []io.Reader, lw *LineWriter, ord *lineOrder, unique boo
 			live--
 			return iters[i].Err()
 		}
+		if cut != nil {
+			var err error
+			if line, err = cut(i, line); err != nil {
+				return err
+			}
+		}
 		lt.keys[i], lt.lines[i] = ord.decorate(line), line
 		return nil
 	}
@@ -832,22 +869,10 @@ func mergeSorted(readers []io.Reader, lw *LineWriter, ord *lineOrder, unique boo
 		}
 	}
 	lt.build()
-	// prev outlives its source's next pull, so -u keeps a copy.
-	var prev []byte
-	var prevKey uint64
-	first := true
-	for written := 0; live > 0 && written < limit; {
+	for live > 0 {
 		w := lt.winner()
-		key, line := lt.keys[w], lt.lines[w]
-		if !unique || first || ord.compare(prevKey, prev, key, line) != 0 {
-			if err := lw.WriteLine(line); err != nil {
-				return err
-			}
-			written++
-			if unique {
-				prev, prevKey = append(prev[:0], line...), key
-			}
-			first = false
+		if more, err := visit(w, lt.lines[w], lt.keys[w]); !more || err != nil {
+			return err
 		}
 		if err := pull(w); err != nil {
 			return err

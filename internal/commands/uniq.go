@@ -9,7 +9,7 @@ import (
 func init() { register("uniq", uniq) }
 
 // uniq filters adjacent duplicate lines. Flags: -c (prefix counts),
-// -d (only duplicated), -u (only unique), -i (ignore case), -f N (skip N
+// -d (only duplicated), -u (only unique), -i (ignore ASCII case), -f N (skip N
 // fields), -s N (skip N chars), -w N (compare at most N chars).
 func uniq(ctx *Context) error {
 	var countFlag, dupOnly, uniqOnly, ignoreCase bool
@@ -72,6 +72,7 @@ func uniq(ctx *Context) error {
 		return ctx.Errorf("writing to an output file operand is not supported")
 	}
 
+	var folded []byte
 	keyOf := func(line []byte) []byte {
 		k := line
 		for f := 0; f < skipFields && len(k) > 0; f++ {
@@ -93,7 +94,14 @@ func uniq(ctx *Context) error {
 			k = k[:checkChars]
 		}
 		if ignoreCase {
-			k = bytes.ToLower(k)
+			// -i folds ASCII letters only, as GNU uniq does under
+			// LC_ALL=C; bytes.ToLower would fold É and turn every
+			// invalid byte into U+FFFD.
+			folded = folded[:0]
+			for _, c := range k {
+				folded = append(folded, asciiFold[c])
+			}
+			k = folded
 		}
 		return k
 	}
@@ -157,4 +165,24 @@ func AppendUniqCount(b []byte, count int64) []byte {
 		b = append(b, ' ')
 	}
 	return append(append(b, d...), ' ')
+}
+
+// CutUniqCount splits a line that uniq -c printed into its count and the
+// line it counted; ok is false when raw is not of that form.
+func CutUniqCount(raw []byte) (count int64, line []byte, ok bool) {
+	i := 0
+	for i < len(raw) && raw[i] == ' ' {
+		i++
+	}
+	j := i
+	for j < len(raw) && '0' <= raw[j] && raw[j] <= '9' {
+		j++
+	}
+	if j == i || j-i > 18 || j == len(raw) || raw[j] != ' ' {
+		return 0, nil, false
+	}
+	for _, c := range raw[i:j] {
+		count = count*10 + int64(c-'0')
+	}
+	return count, raw[j+1:], true
 }

@@ -23,9 +23,10 @@ func (c *wcCounts) add(o wcCounts) {
 }
 
 // wc counts lines, words, bytes, and characters. Flags: -l, -w, -c, -m.
-// Default output is lines, words, bytes. Multiple files get a totals row
-// and GNU's column width: the digits of the files' total size, at least
-// 7 when one of them is stdin (GNU's width for a pipe).
+// Default output is lines, words, bytes. Multiple files get a totals row.
+// Columns take GNU's width: the digits of the files' total size, at least
+// 7 when one of them is stdin (GNU's width for a pipe); one input counted
+// in one column prints the bare number.
 func wc(ctx *Context) error {
 	var showLines, showWords, showBytes, showChars bool
 	var operands []string
@@ -57,10 +58,7 @@ func wc(ctx *Context) error {
 	lw := NewLineWriter(ctx.Stdout)
 	defer lw.Flush()
 
-	width := 1 // several files; one input is padded to 7
-	if len(operands) < 2 {
-		width = 7
-	}
+	width := 1
 	emit := func(c wcCounts, name string) error {
 		var cols []string
 		if showLines {
@@ -112,9 +110,7 @@ func wc(ctx *Context) error {
 			fileBytes += c.bytes
 		}
 	}
-	if len(files) > 1 {
-		width = max(width, len(strconv.FormatInt(fileBytes, 10)))
-	}
+	width = max(width, len(strconv.FormatInt(fileBytes, 10)))
 	for i, c := range counts {
 		label := files[i]
 		if len(operands) == 0 {

@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/agg"
 	"repro/internal/annot"
+	"repro/internal/commands"
 	"repro/internal/dfg"
 	"repro/internal/shell"
 )
@@ -313,9 +315,42 @@ func (c *Compiler) resolveAgg(name string, flagLits []string, inv *annot.Invocat
 	return agg.Resolve(name, flagLits, inv)
 }
 
-// Optimize applies the parallelization transformations in place.
+// Optimize applies the count-pair rule and then the parallelization
+// transformations, in place.
 func (c *Compiler) Optimize(g *dfg.Graph) {
+	c.countPairs(g)
 	dfg.Apply(g, c.dfgOptions())
+}
+
+// countPairs is the count-pair rule: a builtin `sort FLAGS` whose one
+// consumer is a builtin plain `uniq -c` becomes one pure stage,
+// `pash-sort-count FLAGS`, when sort's own parser takes FLAGS as a total
+// order with no -m, -c, -o or -u (commands.SortCountable). Its maps count
+// lines in a table and sort only the distinct ones; its aggregate merges
+// the counts by line and sums them. Under a total order lines that
+// compare equal are byte-equal, so the stage prints what the pair
+// prints. A user command under either name, any other uniq argv and any
+// other sort keep the pair. An emitted script keeps it too:
+// OptimizeForEmission does not run the rule, so -emit prints the
+// script's own commands.
+func (c *Compiler) countPairs(g *dfg.Graph) {
+	for _, n := range slices.Clone(g.Nodes) {
+		if n.Kind != dfg.KindCommand || n.Name != "sort" || n.Class != annot.Pure || len(n.Out) != 1 || c.isUser(n.Name) {
+			continue
+		}
+		u := n.Out[0].To
+		if u == nil || u.Kind != dfg.KindCommand || u.Name != "uniq" || c.isUser(u.Name) ||
+			len(u.In) != 1 || u.StdinInput != 0 || !slices.Equal(u.Args, []dfg.Arg{dfg.Lit("-c")}) {
+			continue
+		}
+		flags := literalArgs(n)
+		if !commands.SortCountable(flags) {
+			continue
+		}
+		spec, _ := agg.Resolve("pash-sort-count", flags, nil)
+		g.Absorb(n)
+		n.Name, n.Agg = spec.MapName, spec
+	}
 }
 
 // OptimizeForEmission applies the transformations with the barrier split

@@ -13,8 +13,8 @@ import (
 // what feeds it. At width 4 every sort map and the sort -m that merges
 // them carry limit 5 and no other node carries one; at width 8 the
 // aggregation tree's interior merges carry it too; at width 1 the one
-// sort does; an emitted script carries none. Behind uniq -c, no map
-// gets one; behind head -n -2 nothing does.
+// sort does; an emitted script carries none. Behind uniq -c and behind
+// the count stage, no map gets one; behind head -n -2 nothing does.
 func TestSortHeadPlansLineLimits(t *testing.T) {
 	const script = `cat f | tr A-Z a-z | sort -rn | head -n 5`
 	limits := func(p *Plan) (sorts, others int) {
@@ -51,17 +51,33 @@ func TestSortHeadPlansLineLimits(t *testing.T) {
 		}
 	}
 	// uniq -c's first five output lines can need more than five input
-	// lines, so its aggregate keeps the limit to itself.
-	p, err := NewCompiler(DefaultOptions(4)).PlanExec(`cat f | sort | uniq -c | head -n 5`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range p.Items[0].Graph.Nodes {
-		if want := map[bool]int{true: 5}[n.Kind == dfg.KindAgg && n.Name == "pash-agg-uniq"]; n.Limit != want {
-			t.Errorf("sort | uniq -c | head -n 5: %s (%v) carries limit %d, want %d\n%s", n.Name, n.Kind, n.Limit, want, p.Items[0].Graph.Dump())
+	// lines, so its aggregate keeps the limit to itself; so does the
+	// count stage's aggregate, whose first five lines can sum counts
+	// from anywhere in its maps' output.
+	for src, agg := range map[string]string{
+		`cat f | tr A-Z a-z | uniq -c | head -n 5`: "pash-agg-uniq",
+		`cat f | sort | uniq -c | head -n 5`:       "pash-agg-sort-count",
+	} {
+		p, err := NewCompiler(DefaultOptions(4)).PlanExec(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		limited := 0
+		for _, n := range p.Items[0].Graph.Nodes {
+			if n.Kind == dfg.KindAgg && n.Name == agg {
+				limited++
+				continue
+			}
+			if n.Limit != 0 {
+				t.Errorf("%s: %s (%v) carries limit %d, want 0\n%s", src, n.Name, n.Kind, n.Limit, p.Items[0].Graph.Dump())
+			}
+		}
+		if limited != 1 {
+			t.Errorf("%s: %d %s nodes, want 1\n%s", src, limited, agg, p.Items[0].Graph.Dump())
 		}
 	}
-	if p, err = NewCompiler(DefaultOptions(4)).Plan(script); err != nil {
+	p, err := NewCompiler(DefaultOptions(4)).Plan(script)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for _, n := range p.Items[0].Graph.Nodes {

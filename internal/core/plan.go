@@ -483,10 +483,11 @@ func (pc *PlanCache) Stats() PlanCacheStats {
 	}
 }
 
-// optimizeAt runs the parallelization transformations at an explicit
-// width (the per-run effective width the scheduler granted), leaving
-// the compiler's configured width untouched.
+// optimizeAt is Optimize at an explicit width (the per-run effective
+// width the scheduler granted), leaving the compiler's configured width
+// untouched.
 func (c *Compiler) optimizeAt(g *dfg.Graph, width int) {
+	c.countPairs(g)
 	opts := c.dfgOptions()
 	opts.Width = width
 	dfg.Apply(g, opts)

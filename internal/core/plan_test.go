@@ -459,14 +459,14 @@ func TestCommutativeConsumerPlanShape(t *testing.T) {
 			sortLine, nodes, merges, barriers, rr, p.Items[0].Graph.Dump())
 	}
 
-	// sort absorbs the merge; uniq -c and sort -rn each read one stream
-	// and are order-sensitive / fed by an aggregate, so each keeps a
-	// split of its own — uniq's the barrier kind.
+	// sort | uniq -c is one commutative count stage, which absorbs the
+	// merge; sort -rn reads its aggregate's one stream and keeps a split
+	// of its own, a round-robin one: no barrier is left.
 	if p, err = c.PlanExec(wfLine); err != nil {
 		t.Fatal(err)
 	}
-	if nodes, merges, barriers, _ := shape(p); nodes != 14 || merges != 0 || barriers != 1 {
-		t.Errorf("%s: %d nodes, %d merges, %d barrier splits; want 14, 0, 1\n%s",
+	if nodes, merges, barriers, _ := shape(p); nodes != 10 || merges != 0 || barriers != 0 {
+		t.Errorf("%s: %d nodes, %d merges, %d barrier splits; want 10, 0, 0\n%s",
 			wfLine, nodes, merges, barriers, p.Items[0].Graph.Dump())
 	}
 

@@ -375,6 +375,22 @@ func (g *Graph) OutputEdges() []*Edge {
 	return out
 }
 
+// Absorb merges n's one consumer into n: the edge between them and the
+// consumer leave the graph, and n produces what the consumer produced.
+// The caller has checked that n has one output edge and that its
+// consumer reads nothing else, and gives n the pair's name and argv.
+func (g *Graph) Absorb(n *Node) {
+	e := n.Out[0]
+	c := e.To
+	g.removeEdge(e)
+	n.Out = c.Out
+	for _, o := range n.Out {
+		o.From = n
+	}
+	c.In, c.Out = nil, nil
+	g.removeNode(c)
+}
+
 // removeNode deletes a node (the caller must have already detached its
 // edges).
 func (g *Graph) removeNode(n *Node) {

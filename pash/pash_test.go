@@ -554,6 +554,9 @@ func TestLiteralKernelsMatchHost(t *testing.T) {
 			`grep -i -e café -e glyph`,
 			`grep -i -x 'water'`,
 			`grep -i 'caf.'`,
+			`grep -F -w the`,
+			`grep -F -o th`,
+			`grep -F -w -e 'the' -e 'a.b'`,
 		} {
 			matchesHost(t, script, input, false)
 		}
@@ -576,6 +579,118 @@ func TestHeadTailAllButMatchesHost(t *testing.T) {
 			"head -n -20000", "head -n -2 f", "tail -n -2 f", "head -c -3 f", "cat f | head -n -2",
 		} {
 			matchesHost(t, script, input, strings.Contains(script, " f"))
+		}
+	}
+}
+
+// countInputs are the count stage's adversarial inputs, each over 1 MiB
+// but the empty one: a duplicate-heavy stream of short lines with
+// numbers, separators, case, high bytes, blank lines and three copies of
+// a line longer than a 64 KiB block; the same without its final newline;
+// a unique-heavy one, on which the stage's table closes and the rest is
+// sorted as count-1 records; and nothing.
+func countInputs() map[string]string {
+	rng := rand.New(rand.NewSource(46))
+	words := strings.Fields(caseText(46))
+	long := strings.Repeat("long line ", 7<<10)
+	var dup, unique strings.Builder
+	for dup.Len() < 1<<20 {
+		switch n := rng.Intn(100); {
+		case n < 60:
+			dup.WriteString(words[rng.Intn(len(words))])
+		case n < 75:
+			dup.WriteString(words[rng.Intn(len(words))] + " " + words[rng.Intn(len(words))])
+		case n < 85:
+			fmt.Fprintf(&dup, "%0*d,%s", rng.Intn(3), rng.Intn(20), words[rng.Intn(50)])
+		case n < 90:
+			dup.WriteString([]string{"\xff", "\xfe b", "é", "É", " x", "x ", "\t"}[rng.Intn(7)])
+		case n < 99:
+		default:
+			if rng.Intn(300) == 0 {
+				dup.WriteString(long)
+			}
+		}
+		dup.WriteByte('\n')
+	}
+	dup.WriteString(long + "\n" + long + "\n" + long + "\n")
+	for unique.Len() < 1<<20+1<<12 {
+		fmt.Fprintf(&unique, "%d,%x %s\n", rng.Intn(80000), rng.Intn(1<<20), words[rng.Intn(len(words))])
+	}
+	return map[string]string{
+		"duplicate-heavy": dup.String(),
+		"unterminated":    strings.TrimSuffix(dup.String(), "\n"),
+		"unique-heavy":    unique.String(),
+		"empty":           "",
+	}
+}
+
+// TestSortCountMatchesHost: sort | uniq -c under a total order runs as
+// the count stage, and prints what the host prints under LC_ALL=C at
+// widths 1, 2 and 4, from a pipe and from a file: the word-frequency
+// script's count and sort -rn behind a stateless map, sort's orders, a
+// head behind the pair, and on the unique-heavy input the stage's
+// fallback. The forms the rule refuses — sort -s under a key, sort -u,
+// uniq -c with another flag, plain uniq — print the host's bytes too.
+func TestSortCountMatchesHost(t *testing.T) {
+	for _, tool := range []string{"tr", "sort", "uniq", "head"} {
+		if _, err := exec.LookPath(tool); err != nil {
+			t.Skipf("no host %s", tool)
+		}
+	}
+	rows := []struct {
+		script        string
+		file, refused bool
+	}{
+		{`tr A-Z a-z | sort | uniq -c | sort -rn`, false, false},
+		{`cat f | tr A-Z a-z | sort | uniq -c | sort -rn`, true, false},
+		{`sort | uniq -c`, false, false},
+		{`sort -r f | uniq -c`, true, false},
+		{`sort -n | uniq -c`, false, false},
+		{`sort -f f | uniq -c`, true, false},
+		{`sort -k2 | uniq -c`, false, false},
+		{`sort -t, -k2 f | uniq -c`, true, false},
+		{`cat f | sort -rn | uniq -c | head -n 5`, true, false},
+		{`sort -s -k1 | uniq -c`, false, true},
+		{`sort -s -k2 f | uniq -c`, true, true},
+		{`sort -u | uniq -c`, false, true},
+		{`sort f | uniq -c -i`, true, true},
+		{`sort | uniq -c -f1`, false, true},
+		{`sort f | uniq`, true, true},
+	}
+	for name, input := range countInputs() {
+		if name != "empty" && len(input) <= 1<<20 {
+			t.Fatalf("%s input is %d bytes, want over 1 MiB", name, len(input))
+		}
+		for _, row := range rows {
+			// The unterminated input is the duplicate-heavy one less a
+			// byte; the rows the rule refuses run sort and uniq as before.
+			if name == "unterminated" && row.refused {
+				continue
+			}
+			t.Run(name, func(t *testing.T) {
+				t.Parallel()
+				matchesHost(t, row.script, input, row.file)
+			})
+		}
+	}
+}
+
+// TestWcPadsLikeHost: wc over one file pads its columns to the digits
+// of the file's size, a column it does not print (-lw) included, at
+// every width; over stdin it pads to 7.
+func TestWcPadsLikeHost(t *testing.T) {
+	dir := t.TempDir()
+	for name, body := range map[string]string{"s": "the end\nother\nbathe\n", "m": paper.Text(12_000, 37)} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, script := range []string{"wc s", "wc -lw s", "cat s | wc", "wc -l s", "wc m", "wc -lw m", "cat m | wc", "wc -l m"} {
+		want := hostOutput(t, dir, "", "sh", "-c", script)
+		for _, width := range []int{1, 2, 4} {
+			if got := runAt(t, width, dir, script, ""); got != want {
+				t.Errorf("%s at width %d: %q, host %q", script, width, got, want)
+			}
 		}
 	}
 }
