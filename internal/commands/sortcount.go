@@ -8,6 +8,7 @@ import (
 	"hash/maphash"
 	"io"
 	"math"
+	"math/bits"
 )
 
 // This file is `sort FLAGS | uniq -c` as one pure command, for a sort
@@ -87,10 +88,11 @@ const (
 // hash table over its arena. The arena holds each distinct line once,
 // newline-terminated, in the order first seen, and after the table
 // closes every later line as it came: such a line is a count-1 record,
-// whether or not the table holds it too. An entry is three words and a
-// hash; no line is a Go string, so the garbage collector sees two slices.
+// whether or not the table holds it too. No line is a Go string and no
+// slice holds a pointer, so the garbage collector has nothing to scan.
 type countTable struct {
 	slots    []int32 // 1 + an index into entries, 0 when empty; a power of two long
+	shift    uint    // a hash's top bits pick its slot: 64 - log2(len(slots))
 	entries  []countEntry
 	arena    []byte
 	tableEnd int   // arena[:tableEnd] is the table's lines
@@ -151,8 +153,9 @@ func (t *countTable) read(r io.Reader) error {
 }
 
 // find returns the slot that holds line, or the empty slot where it
-// would go, and line's hash. A line of up to eight bytes is its first
-// word and its length, and compares as those two numbers.
+// would go, and line's hash and first word. A line of up to eight bytes
+// is its first word and its length: it hashes as those two numbers,
+// multiplied by 2^64/φ, and compares as them.
 func (t *countTable) find(line []byte) (*int32, uint64, uint64) {
 	w := lineWord(line)
 	h := (w ^ uint64(len(line))) * 0x9e3779b97f4a7c15
@@ -160,7 +163,7 @@ func (t *countTable) find(line []byte) (*int32, uint64, uint64) {
 		h = maphash.Bytes(countSeed, line)
 	}
 	mask := uint64(len(t.slots) - 1)
-	for i := h >> 32 & mask; ; i = (i + 1) & mask {
+	for i := h >> t.shift; ; i = (i + 1) & mask {
 		s := &t.slots[i]
 		if *s == 0 {
 			return s, h, w
@@ -204,9 +207,10 @@ func (t *countTable) add(line []byte) {
 // grow doubles the slots (from 256) and places every entry again.
 func (t *countTable) grow() {
 	t.slots = make([]int32, max(256, 2*len(t.slots)))
+	t.shift = uint(64 - bits.TrailingZeros(uint(len(t.slots))))
 	mask := uint64(len(t.slots) - 1)
 	for j, e := range t.entries {
-		i := e.hash >> 32 & mask
+		i := e.hash >> t.shift
 		for t.slots[i] != 0 {
 			i = (i + 1) & mask
 		}
@@ -222,12 +226,14 @@ func (t *countTable) grow() {
 // coalesces and formats them from the blocks, in order.
 func (t *countTable) print(lw *LineWriter, ord *lineOrder, workers int) error {
 	recs := sortRecs(ord.index(t.arena), t.arena, ord, workers, math.MaxInt)
+	// Two batches: one filling while the other prints. Each channel can
+	// hold both, so no send blocks.
 	full, free, quit := make(chan *countBatch, 2), make(chan *countBatch, 2), make(chan struct{})
 	for range 2 {
 		free <- &countBatch{lines: make([]byte, 0, BlockSize)}
 	}
 	errc := make(chan error, 1)
-	go func() { errc <- t.printBatches(lw, full, free, quit) }()
+	go func() { errc <- printBatches(lw, full, free, quit) }()
 	for i := 0; i < len(recs); {
 		var b *countBatch
 		select {
@@ -242,7 +248,7 @@ func (t *countTable) print(lw *LineWriter, ord *lineOrder, workers int) error {
 			b.lines = append(b.lines, line...)
 			b.counts = append(b.counts, t.count(r.off, line[:r.len]))
 		}
-		full <- b // never blocks: full holds every batch there is
+		full <- b
 	}
 	close(full)
 	return <-errc
@@ -258,36 +264,54 @@ type countBatch struct {
 // printBatches prints the batches on full as uniq -c prints the lines
 // they hold, each with its count, and returns each batch on free; it
 // closes quit if it stops early.
-func (t *countTable) printBatches(lw *LineWriter, full <-chan *countBatch, free chan<- *countBatch, quit chan struct{}) error {
-	var pending, out []byte
-	var sum int64
-	have := false
+func printBatches(lw *LineWriter, full <-chan *countBatch, free chan<- *countBatch, quit chan struct{}) error {
+	runs := countRuns{lw: lw}
 	for b := range full {
 		lines := b.lines
 		for _, n := range b.counts {
 			j := bytes.IndexByte(lines, '\n')
-			line := lines[:j]
+			if err := runs.add(lines[:j], n); err != nil {
+				close(quit)
+				return err
+			}
 			lines = lines[j+1:]
-			if have && bytes.Equal(line, pending) {
-				sum += n
-				continue
-			}
-			if have {
-				out = append(AppendUniqCount(out[:0], sum), pending...)
-				if err := lw.WriteLine(out); err != nil {
-					close(quit)
-					return err
-				}
-			}
-			pending, sum, have = append(pending[:0], line...), n, true
 		}
 		free <- b
 	}
-	if !have {
+	return runs.flush()
+}
+
+// countRuns prints each run of equal lines it is handed once, behind the
+// sum of their counts, as uniq -c does.
+type countRuns struct {
+	lw        *LineWriter
+	line, out []byte // the run's line, a copy: it outlives the caller's
+	sum       int64
+	have      bool
+}
+
+// add counts n more of line: in the run, when line is the run's line,
+// or else in a new run, once the last one is printed.
+func (c *countRuns) add(line []byte, n int64) error {
+	if c.have && bytes.Equal(line, c.line) {
+		c.sum += n
 		return nil
 	}
-	out = append(AppendUniqCount(out[:0], sum), pending...)
-	return lw.WriteLine(out)
+	if err := c.flush(); err != nil {
+		return err
+	}
+	c.line, c.sum, c.have = append(c.line[:0], line...), n, true
+	return nil
+}
+
+// flush prints the run so far.
+func (c *countRuns) flush() error {
+	if !c.have {
+		return nil
+	}
+	c.have = false
+	c.out = append(AppendUniqCount(c.out[:0], c.sum), c.line...)
+	return c.lw.WriteLine(c.out)
 }
 
 // count is the count of the record at off, whose line is line.
@@ -325,30 +349,12 @@ func SortCountMerge(ctx *Context) error {
 		counts[src] = n
 		return line, nil
 	}
-	// The pending line outlives its source's next pull, so it is a copy.
-	var pending, out []byte
-	var sum int64
-	have := false
-	flush := func() error {
-		if !have {
-			return nil
-		}
-		out = append(AppendUniqCount(out[:0], sum), pending...)
-		return lw.WriteLine(out)
-	}
+	runs := countRuns{lw: lw}
 	err = mergeRuns(readers, ord, cut, func(src int, line []byte, _ uint64) (bool, error) {
-		if have && bytes.Equal(line, pending) {
-			sum += counts[src]
-			return true, nil
-		}
-		if err := flush(); err != nil {
-			return false, err
-		}
-		pending, sum, have = append(pending[:0], line...), counts[src], true
-		return true, nil
+		return true, runs.add(line, counts[src])
 	})
 	if err == nil {
-		err = flush()
+		err = runs.flush()
 	}
 	if err != nil {
 		return err
