@@ -413,19 +413,25 @@ func (o *lineOrder) equal(a, b []byte) bool {
 
 // index builds the sort index over an arena of newline-terminated lines.
 func (o *lineOrder) index(arena []byte) []sortRec {
-	recs := make([]sortRec, 0, bytes.Count(arena, newline))
-	for off := 0; off < len(arena); {
+	return o.appendIndex(make([]sortRec, 0, bytes.Count(arena, newline)), arena, 0)
+}
+
+// appendIndex appends the records of the lines of arena[from:] to recs.
+func (o *lineOrder) appendIndex(recs []sortRec, arena []byte, from int) []sortRec {
+	for off := from; off < len(arena); {
 		n := bytes.IndexByte(arena[off:], '\n')
-		var key uint64
-		if o.key == nil {
-			key = loadWord(arena, off, n)
-		} else {
-			key = o.decorate(arena[off : off+n])
-		}
-		recs = append(recs, sortRec{key: key, off: off, len: n})
+		recs = append(recs, o.rec(arena, off, n))
 		off += n + 1
 	}
 	return recs
+}
+
+// rec is the record of the n-byte line at arena[off:].
+func (o *lineOrder) rec(arena []byte, off, n int) sortRec {
+	if o.key == nil {
+		return sortRec{key: loadWord(arena, off, n), off: off, len: n}
+	}
+	return sortRec{key: o.decorate(arena[off : off+n]), off: off, len: n}
 }
 
 // sortRecs sorts the index and returns its first limit records. With

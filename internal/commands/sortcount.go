@@ -9,6 +9,7 @@ import (
 	"io"
 	"math"
 	"math/bits"
+	"sync"
 )
 
 // This file is `sort FLAGS | uniq -c` as one pure command, for a sort
@@ -59,7 +60,8 @@ func SortCount(ctx *Context) error {
 		return err
 	}
 	defer cleanup()
-	var t countTable
+	t := countTables.Get().(*countTable)
+	defer t.recycle()
 	for _, r := range readers {
 		if err := t.read(r); err != nil {
 			return err
@@ -86,9 +88,9 @@ const (
 
 // countTable counts lines by their exact bytes, in an open-addressing
 // hash table over its arena. The arena holds each distinct line once,
-// newline-terminated, in the order first seen, and after the table
-// closes every later line as it came: such a line is a count-1 record,
-// whether or not the table holds it too. No line is a Go string and no
+// newline-terminated and behind its entry's index, in the order first
+// seen, and after the table closes every later line as it came: such a
+// line is a count-1 record, whether or not the table holds it too. No line is a Go string and no
 // slice holds a pointer, so the garbage collector has nothing to scan.
 type countTable struct {
 	slots    []int32 // 1 + an index into entries, 0 when empty; a power of two long
@@ -98,12 +100,29 @@ type countTable struct {
 	tableEnd int   // arena[:tableEnd] is the table's lines
 	lines    int64 // lines read while the table was open
 	closed   bool
+	counts   [2][]int64 // the print batches' counts, kept for the next use
 }
 
 type countEntry struct {
 	hash, word uint64 // word: the line's first eight bytes (lineWord)
 	off, len   int
 	count      int64
+}
+
+// countTables keeps tables for reuse. A daemon counts many small
+// inputs, and growing a table's slices is most of what a small count
+// allocates. A table that grew past 16,384 slots or a 1 MiB arena is
+// left to the collector, so the pool holds at most about 1.4 MiB a table.
+var countTables = sync.Pool{New: func() any { return new(countTable) }}
+
+// recycle empties the table into countTables.
+func (t *countTable) recycle() {
+	if len(t.slots) > 1<<14 || cap(t.arena) > 1<<20 {
+		return
+	}
+	clear(t.slots)
+	*t = countTable{slots: t.slots, shift: t.shift, entries: t.entries[:0], arena: t.arena[:0], counts: t.counts}
+	countTables.Put(t)
 }
 
 // countSeed seeds the table's hash. The output never depends on it: the
@@ -195,6 +214,7 @@ func (t *countTable) add(line []byte) {
 		t.entries[*s-1].count++
 		return
 	}
+	t.arena = binary.LittleEndian.AppendUint32(t.arena, uint32(len(t.entries)))
 	t.entries = append(t.entries, countEntry{hash: h, word: w, off: len(t.arena), len: len(line), count: 1})
 	*s = int32(len(t.entries))
 	t.arena = append(append(t.arena, line...), '\n')
@@ -220,34 +240,47 @@ func (t *countTable) grow() {
 
 // print sorts the arena's lines under ord and prints each run of equal
 // ones once, behind the sum of its records' counts, as uniq -c does.
-// Two goroutines share the printing as sort and uniq -c would: this one
-// gathers the lines in sorted order into blocks, a read from anywhere in
-// the arena per line, which a loop this light overlaps; the other
-// coalesces and formats them from the blocks, in order.
+// The lines go out in sorted order through 64 KiB batches: this
+// goroutine gathers them, a read from anywhere in the arena per line,
+// which a loop this light overlaps, and once there is more than one
+// batch a second goroutine coalesces and formats them, as uniq -c runs
+// beside sort.
 func (t *countTable) print(lw *LineWriter, ord *lineOrder, workers int) error {
-	recs := sortRecs(ord.index(t.arena), t.arena, ord, workers, math.MaxInt)
-	// Two batches: one filling while the other prints. Each channel can
-	// hold both, so no send blocks.
-	full, free, quit := make(chan *countBatch, 2), make(chan *countBatch, 2), make(chan struct{})
-	for range 2 {
-		free <- &countBatch{lines: make([]byte, 0, BlockSize)}
+	recs := make([]sortRec, 0, len(t.entries)+bytes.Count(t.arena[t.tableEnd:], newline))
+	for _, e := range t.entries {
+		recs = append(recs, ord.rec(t.arena, e.off, e.len))
 	}
+	recs = sortRecs(ord.appendIndex(recs, t.arena, t.tableEnd), t.arena, ord, workers, math.MaxInt)
+
+	batches := [2]countBatch{{lines: GetBlock(), counts: t.counts[0]}, {lines: GetBlock(), counts: t.counts[1]}}
+	defer func() {
+		for i, b := range batches {
+			PutBlock(b.lines)
+			t.counts[i] = b.counts
+		}
+	}()
+	runs := countRuns{lw: lw}
+	i := t.gather(&batches[0], recs, 0)
+	if i == len(recs) {
+		if err := batches[0].print(&runs); err != nil {
+			return err
+		}
+		return runs.flush()
+	}
+	// Each channel can hold both batches, so no send blocks.
+	full, free, quit := make(chan *countBatch, 2), make(chan *countBatch, 2), make(chan struct{})
+	full <- &batches[0]
+	free <- &batches[1]
 	errc := make(chan error, 1)
-	go func() { errc <- printBatches(lw, full, free, quit) }()
-	for i := 0; i < len(recs); {
+	go func() { errc <- printBatches(&runs, full, free, quit) }()
+	for i < len(recs) {
 		var b *countBatch
 		select {
 		case b = <-free:
 		case <-quit: // the printer failed
 			return <-errc
 		}
-		b.lines, b.counts = b.lines[:0], b.counts[:0]
-		for ; i < len(recs) && len(b.lines) < BlockSize; i++ {
-			r := recs[i]
-			line := t.arena[r.off : r.off+r.len+1]
-			b.lines = append(b.lines, line...)
-			b.counts = append(b.counts, t.count(r.off, line[:r.len]))
-		}
+		i = t.gather(b, recs, i)
 		full <- b
 	}
 	close(full)
@@ -261,20 +294,38 @@ type countBatch struct {
 	counts []int64
 }
 
-// printBatches prints the batches on full as uniq -c prints the lines
-// they hold, each with its count, and returns each batch on free; it
-// closes quit if it stops early.
-func printBatches(lw *LineWriter, full <-chan *countBatch, free chan<- *countBatch, quit chan struct{}) error {
-	runs := countRuns{lw: lw}
+// gather refills b from recs[i:], up to a block's worth of lines, and
+// returns the index of the first record it left.
+func (t *countTable) gather(b *countBatch, recs []sortRec, i int) int {
+	b.lines, b.counts = b.lines[:0], b.counts[:0]
+	for ; i < len(recs) && len(b.lines) < BlockSize; i++ {
+		r := recs[i]
+		b.lines = append(b.lines, t.arena[r.off:r.off+r.len+1]...)
+		b.counts = append(b.counts, t.count(r.off))
+	}
+	return i
+}
+
+// print hands each of b's lines, with its count, to runs.
+func (b *countBatch) print(runs *countRuns) error {
+	lines := b.lines
+	for _, n := range b.counts {
+		j := bytes.IndexByte(lines, '\n')
+		if err := runs.add(lines[:j], n); err != nil {
+			return err
+		}
+		lines = lines[j+1:]
+	}
+	return nil
+}
+
+// printBatches prints the batches on full through runs and returns each
+// on free; it closes quit if it stops early.
+func printBatches(runs *countRuns, full <-chan *countBatch, free chan<- *countBatch, quit chan struct{}) error {
 	for b := range full {
-		lines := b.lines
-		for _, n := range b.counts {
-			j := bytes.IndexByte(lines, '\n')
-			if err := runs.add(lines[:j], n); err != nil {
-				close(quit)
-				return err
-			}
-			lines = lines[j+1:]
+		if err := b.print(runs); err != nil {
+			close(quit)
+			return err
 		}
 		free <- b
 	}
@@ -314,13 +365,13 @@ func (c *countRuns) flush() error {
 	return c.lw.WriteLine(c.out)
 }
 
-// count is the count of the record at off, whose line is line.
-func (t *countTable) count(off int, line []byte) int64 {
+// count is the count of the record at off: a table line's entry index
+// is the four bytes in front of it.
+func (t *countTable) count(off int) int64 {
 	if off >= t.tableEnd {
 		return 1
 	}
-	s, _, _ := t.find(line)
-	return t.entries[*s-1].count
+	return t.entries[binary.LittleEndian.Uint32(t.arena[off-4:])].count
 }
 
 // SortCountMerge is the count stage's aggregate: it merges count
