@@ -180,3 +180,24 @@ func FuzzSortCount(f *testing.F) {
 		}
 	})
 }
+
+// failAfter fails every write once n bytes have been written.
+type failAfter struct{ n int }
+
+func (w *failAfter) Write(p []byte) (int, error) {
+	if w.n -= len(p); w.n < 0 {
+		return 0, fmt.Errorf("consumer gone")
+	}
+	return len(p), nil
+}
+
+// TestSortCountStopsWhenOutputFails: when the reader of the map's output
+// goes away mid-print, across several batches, the map returns the
+// write error instead of hanging on its printer.
+func TestSortCountStopsWhenOutputFails(t *testing.T) {
+	text := countText(rand.New(rand.NewSource(47)), 40000, 40000)
+	err := SortCount(&Context{Name: "count", Stdin: strings.NewReader(text), Stdout: &failAfter{n: 3 * BlockSize}, Stderr: io.Discard})
+	if err == nil {
+		t.Fatal("the map printed into a failed writer without an error")
+	}
+}
