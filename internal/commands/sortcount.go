@@ -90,8 +90,9 @@ const (
 // hash table over its arena. The arena holds each distinct line once,
 // newline-terminated and behind its entry's index, in the order first
 // seen, and after the table closes every later line as it came: such a
-// line is a count-1 record, whether or not the table holds it too. No line is a Go string and no
-// slice holds a pointer, so the garbage collector has nothing to scan.
+// line is a count-1 record, whether or not the table holds it too. No
+// line is a Go string and no slice holds a pointer, so the garbage
+// collector has nothing to scan.
 type countTable struct {
 	slots    []int32 // 1 + an index into entries, 0 when empty; a power of two long
 	shift    uint    // a hash's top bits pick its slot: 64 - log2(len(slots))

@@ -604,7 +604,7 @@ func countInputs() map[string]string {
 			fmt.Fprintf(&dup, "%0*d,%s", rng.Intn(3), rng.Intn(20), words[rng.Intn(50)])
 		case n < 90:
 			dup.WriteString([]string{"\xff", "\xfe b", "é", "É", " x", "x ", "\t"}[rng.Intn(7)])
-		case n < 99:
+		case n < 99: // a blank line
 		default:
 			if rng.Intn(300) == 0 {
 				dup.WriteString(long)
