@@ -204,6 +204,13 @@ func TestAggWcFormats(t *testing.T) {
 	if got != "      3       6      15\n" {
 		t.Errorf("wc agg = %q", got)
 	}
+	// Labelled, the columns are as wide as the named file's size, or 7
+	// when it is not a regular file.
+	for label, want := range map[string]string{"a": " 3  6 15 a\n", "/dev/null": "      3       6      15 /dev/null\n"} {
+		if got := runCmd(t, r, dir, "pash-agg-wc", []string{"--label=" + label, "a", "b"}, ""); got != want {
+			t.Errorf("wc agg --label=%s = %q, want %q", label, got, want)
+		}
+	}
 }
 
 func TestAggSum(t *testing.T) {

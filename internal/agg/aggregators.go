@@ -3,7 +3,6 @@ package agg
 import (
 	"bytes"
 	"fmt"
-	"os"
 	"strconv"
 	"strings"
 
@@ -174,21 +173,16 @@ func aggWc(ctx *commands.Context) error {
 	return lw.Flush()
 }
 
-// sizeDigits is the width wc gives the columns of one file operand, as
-// GNU's wc does: the digits of the file's size, or 7 when it is not a
-// regular file whose size can be read.
+// sizeDigits is the width wc gives the columns of one file operand:
+// WcWidth of the file's size, or of no regular file when it is not one.
 func sizeDigits(fs commands.FS, name string) int {
 	f, err := fs.Open(name)
 	if err != nil {
-		return 7
+		return commands.WcWidth(0, true)
 	}
 	defer f.Close()
-	if st, ok := f.(interface{ Stat() (os.FileInfo, error) }); ok {
-		if fi, err := st.Stat(); err == nil && fi.Mode().IsRegular() {
-			return len(strconv.FormatInt(fi.Size(), 10))
-		}
-	}
-	return 7
+	size, ok := commands.RegularSize(f)
+	return commands.WcWidth(size, !ok)
 }
 
 // aggSum adds one integer per input line across all inputs (grep -c).

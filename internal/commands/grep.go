@@ -191,6 +191,9 @@ func buildGrepMatcher(spec *grepSpec) (match func(line []byte) bool, first *rege
 	for _, p := range spec.patterns {
 		if spec.fixed {
 			p = regexp.QuoteMeta(p)
+			if spec.ignoreCase {
+				p = foldASCIIPattern(p)
+			}
 		}
 		if spec.wordMatch {
 			p = `(^|\W)(` + p + `)($|\W)`
@@ -198,7 +201,7 @@ func buildGrepMatcher(spec *grepSpec) (match func(line []byte) bool, first *rege
 		if spec.lineMatch {
 			p = `^(` + p + `)$`
 		}
-		if spec.ignoreCase {
+		if spec.ignoreCase && !spec.fixed {
 			p = `(?i)` + p
 		}
 		re, err := regexp.Compile(p)
@@ -216,6 +219,22 @@ func buildGrepMatcher(spec *grepSpec) (match func(line []byte) bool, first *rege
 		return false
 	}
 	return matcher, res[0], nil, nil
+}
+
+// foldASCIIPattern makes a quoted pattern match each ASCII letter in
+// either case and every other byte as itself, as the literal kernel's
+// fold does: (?i) would fold É with é too.
+func foldASCIIPattern(quoted string) string {
+	var sb strings.Builder
+	for i := 0; i < len(quoted); i++ {
+		c := quoted[i]
+		if lower := c | 0x20; 'a' <= lower && lower <= 'z' {
+			sb.WriteString("[" + string(lower) + string(lower-0x20) + "]")
+		} else {
+			sb.WriteByte(c)
+		}
+	}
+	return sb.String()
 }
 
 // grepProgram is a compiled grep invocation: the parsed flags plus the

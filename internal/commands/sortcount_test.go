@@ -100,14 +100,29 @@ func countText(rng *rand.Rand, n, words int) string {
 // over maps of cut input, print `sort FLAGS | uniq -c` for every shape
 // of total order: on small vocabularies, with an unterminated last line,
 // empty, and on a unique-heavy input whose table closes, so that later
-// lines are count-1 records the one sort coalesces with the table's.
+// lines are count-1 records the one sort coalesces with the table's; a
+// duplicate-heavy input whose first lines are mostly new keeps it open.
 func TestSortCountMatchesSortUniq(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	dup := countText(rng, 3000, 40)
-	unique := countText(rng, 2*countTableWarmup, 2*countTableWarmup)
+	var sb strings.Builder // seven lines in eight distinct
+	for i := 0; i < 3*countTableWindow; i++ {
+		if i%8 == 0 {
+			sb.WriteString(countText(rng, 1, 40))
+		} else {
+			fmt.Fprintf(&sb, "w%d x,%d\n", i, rng.Intn(7))
+		}
+	}
+	unique := sb.String()
 	var tb countTable
 	if tb.read(strings.NewReader(unique)); !tb.closed || tb.tableEnd == len(tb.arena) {
 		t.Fatalf("the unique-heavy input leaves the table open (%d entries of %d lines)", len(tb.entries), tb.lines)
+	}
+	// Words drawn evenly from a vocabulary half a window large are new
+	// at first and then seldom: the table must stay open.
+	var open countTable
+	if open.read(bytes.NewReader(shareText(8*countTableWindow, countTableWindow/2))); open.closed {
+		t.Fatalf("a 6%%-distinct input closes the table (%d entries of %d lines)", len(open.entries), open.lines)
 	}
 	for _, flags := range countOrders {
 		for _, text := range []string{dup, strings.TrimSuffix(dup, "\n"), "", "\n", "x", unique} {
@@ -199,5 +214,46 @@ func TestSortCountStopsWhenOutputFails(t *testing.T) {
 	err := SortCount(&Context{Name: "count", Stdin: strings.NewReader(text), Stdout: &failAfter{n: 3 * BlockSize}, Stderr: io.Discard})
 	if err == nil {
 		t.Fatal("the map printed into a failed writer without an error")
+	}
+}
+
+// shareText is n word lines drawn uniformly from distinct words, so
+// that the share of distinct lines sets how much the count table saves.
+func shareText(n, distinct int) []byte {
+	rng := rand.New(rand.NewSource(20210426))
+	var buf bytes.Buffer
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&buf, "w%x\n", uint64(rng.Intn(distinct))*2654435761%(1<<40))
+	}
+	return buf.Bytes()
+}
+
+// BenchmarkSortCount is the count stage's map at width 1 over the
+// batch-sort workload's word-frequency stream (3% distinct), its sort.txt
+// lines (98% distinct), and 400k words at distinct shares from 3% to 89%,
+// either side of the share at which the table closes.
+func BenchmarkSortCount(b *testing.B) {
+	const n = 400_000
+	for _, in := range []struct {
+		name string
+		text []byte
+	}{
+		{"wf-words", sortWorkloadText(166_000, 1)},
+		{"sort.txt", sortWorkloadText(150_000, 0)},
+		{"distinct-3%", shareText(n, n/32)},
+		{"distinct-12%", shareText(n, n/8)},
+		{"distinct-25%", shareText(n, n/4)},
+		{"distinct-43%", shareText(n, n/2)},
+		{"distinct-89%", shareText(n, 4*n)},
+	} {
+		b.Run(in.name, func(b *testing.B) {
+			b.SetBytes(int64(len(in.text)))
+			for i := 0; i < b.N; i++ {
+				ctx := &Context{Stdin: bytes.NewReader(in.text), Stdout: io.Discard, Stderr: io.Discard}
+				if err := SortCount(ctx); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

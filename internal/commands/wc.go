@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"os"
 	"strconv"
 	"strings"
 )
@@ -24,9 +25,8 @@ func (c *wcCounts) add(o wcCounts) {
 
 // wc counts lines, words, bytes, and characters. Flags: -l, -w, -c, -m.
 // Default output is lines, words, bytes. Multiple files get a totals row.
-// Columns take GNU's width: the digits of the files' total size, at least
-// 7 when one of them is stdin (GNU's width for a pipe); one input counted
-// in one column prints the bare number.
+// Columns take GNU's width (WcWidth); one input counted in one column
+// prints the bare number.
 func wc(ctx *Context) error {
 	var showLines, showWords, showBytes, showChars bool
 	var operands []string
@@ -58,7 +58,7 @@ func wc(ctx *Context) error {
 	lw := NewLineWriter(ctx.Stdout)
 	defer lw.Flush()
 
-	width := 1
+	var width int
 	emit := func(c wcCounts, name string) error {
 		var cols []string
 		if showLines {
@@ -91,26 +91,24 @@ func wc(ctx *Context) error {
 	}
 	// The width of several files' rows is known only once all are
 	// counted, so every file is counted before the first row.
-	var counts []wcCounts
-	var err error
+	var (
+		counts    []wcCounts
+		total     wcCounts
+		regular   int64 // the regular files' total size
+		irregular bool  // an input that is not a regular file
+		err       error
+	)
 	for _, name := range files {
-		var c wcCounts
-		if c, err = wcFile(ctx, name, showWords || showChars); err != nil {
+		c, size, ok, ferr := wcFile(ctx, name, showWords || showChars)
+		if err = ferr; err != nil {
 			break
 		}
 		counts = append(counts, c)
-	}
-	var total wcCounts
-	var fileBytes int64
-	for i, c := range counts {
 		total.add(c)
-		if files[i] == "-" {
-			width = max(width, 7) // stdin counts as a pipe
-		} else {
-			fileBytes += c.bytes
-		}
+		regular += size
+		irregular = irregular || !ok
 	}
-	width = max(width, len(strconv.FormatInt(fileBytes, 10)))
+	width = WcWidth(regular, irregular)
 	for i, c := range counts {
 		label := files[i]
 		if len(operands) == 0 {
@@ -131,14 +129,42 @@ func wc(ctx *Context) error {
 	return lw.Flush()
 }
 
-// wcFile counts one operand, "-" being stdin.
-func wcFile(ctx *Context, name string, wordsOrChars bool) (wcCounts, error) {
+// wcFile counts one operand, "-" being stdin, and reports its size when
+// it is a regular file. Stdin counts as a pipe whatever it is.
+func wcFile(ctx *Context, name string, wordsOrChars bool) (wcCounts, int64, bool, error) {
 	readers, cleanup, err := ctx.OpenInputs(sliceOf(name))
 	if err != nil {
-		return wcCounts{}, err
+		return wcCounts{}, 0, false, err
 	}
 	defer cleanup()
-	return countStream(readers[0], wordsOrChars)
+	var size int64
+	ok := false
+	if name != "-" {
+		size, ok = RegularSize(readers[0])
+	}
+	c, err := countStream(readers[0], wordsOrChars)
+	return c, size, ok, err
+}
+
+// WcWidth is GNU wc's column width: the digits of the regular files'
+// total size, and at least 7 when an input is not a regular file (stdin,
+// a pipe, a device).
+func WcWidth(regular int64, irregular bool) int {
+	width := len(strconv.FormatInt(regular, 10))
+	if irregular {
+		width = max(width, 7)
+	}
+	return width
+}
+
+// RegularSize is the size of r when r is an open regular file.
+func RegularSize(r io.Reader) (int64, bool) {
+	if st, ok := r.(interface{ Stat() (os.FileInfo, error) }); ok {
+		if fi, err := st.Stat(); err == nil && fi.Mode().IsRegular() {
+			return fi.Size(), true
+		}
+	}
+	return 0, false
 }
 
 // countStream tallies r. Lines and bytes are always counted, by a

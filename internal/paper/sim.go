@@ -63,11 +63,13 @@ type nodeState struct {
 	consumed float64
 }
 
-// blockingCommands emit no output before consuming all input.
+// blockingCommands emit no output before consuming all input. The
+// count stage's map (pash-sort-count) sorts before it prints, as sort
+// does; its aggregate merges, as sort -m does, and streams.
 var blockingCommands = map[string]bool{
 	"sort": true, "tac": true, "wc": true, "diff": true,
 	"pash-split": true, "pash-agg-tac": true, "pash-agg-wc": true,
-	"pash-agg-sum": true,
+	"pash-agg-sum": true, "pash-sort-count": true,
 }
 
 // isBlocking classifies a node for the fluid model. sort -m streams (it

@@ -59,10 +59,21 @@ func TestStreamingChainOverlaps(t *testing.T) {
 }
 
 func TestBlockingStageSerializes(t *testing.T) {
-	// sort blocks: downstream cannot start until it finishes.
-	g, times := buildChain(spec{"sort", time.Second}, spec{"tr", time.Second})
-	ms := makespan(g, times, 8, 0)
-	approx(t, ms, 2*time.Second, 0.15, "blocking serialization")
+	// sort blocks: downstream cannot start until it finishes. So does
+	// the count stage's map, which sorts before it prints; its aggregate
+	// streams, as sort -m does.
+	for _, c := range []struct {
+		name string
+		want time.Duration
+	}{
+		{"sort", 2 * time.Second},
+		{"pash-sort-count", 2 * time.Second},
+		{"pash-agg-sort-count", time.Second},
+	} {
+		g, times := buildChain(spec{c.name, time.Second}, spec{"tr", time.Second})
+		ms := makespan(g, times, 8, 0)
+		approx(t, ms, c.want, 0.15, c.name+" then tr")
+	}
 }
 
 func TestFanOutScales(t *testing.T) {

@@ -557,6 +557,9 @@ func TestLiteralKernelsMatchHost(t *testing.T) {
 			`grep -F -w the`,
 			`grep -F -o th`,
 			`grep -F -w -e 'the' -e 'a.b'`,
+			`grep -F -i -w é`,
+			`grep -F -i -w café`,
+			`grep -F -i -o café`,
 		} {
 			matchesHost(t, script, input, false)
 		}
@@ -587,8 +590,8 @@ func TestHeadTailAllButMatchesHost(t *testing.T) {
 // but the empty one: a duplicate-heavy stream of short lines with
 // numbers, separators, case, high bytes, blank lines and three copies of
 // a line longer than a 64 KiB block; the same without its final newline;
-// a unique-heavy one, on which the stage's table closes and the rest is
-// sorted as count-1 records; and nothing.
+// a unique-heavy one, long enough for the stage's table to close, so
+// that the rest is sorted as count-1 records; and nothing.
 func countInputs() map[string]string {
 	rng := rand.New(rand.NewSource(46))
 	words := strings.Fields(caseText(46))
@@ -613,7 +616,8 @@ func countInputs() map[string]string {
 		dup.WriteByte('\n')
 	}
 	dup.WriteString(long + "\n" + long + "\n" + long + "\n")
-	for unique.Len() < 1<<20+1<<12 {
+	// About 84,000 lines: the table first judges a window at line 65,536.
+	for unique.Len() < 1<<20+1<<18 {
 		fmt.Fprintf(&unique, "%d,%x %s\n", rng.Intn(80000), rng.Intn(1<<20), words[rng.Intn(len(words))])
 	}
 	return map[string]string{
@@ -677,7 +681,8 @@ func TestSortCountMatchesHost(t *testing.T) {
 
 // TestWcPadsLikeHost: wc over one file pads its columns to the digits
 // of the file's size, a column it does not print (-lw) included, at
-// every width; over stdin it pads to 7.
+// every width; over stdin, or with an operand that is not a regular
+// file (a device), it pads to 7.
 func TestWcPadsLikeHost(t *testing.T) {
 	dir := t.TempDir()
 	for name, body := range map[string]string{"s": "the end\nother\nbathe\n", "m": paper.Text(12_000, 37)} {
@@ -685,7 +690,10 @@ func TestWcPadsLikeHost(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, script := range []string{"wc s", "wc -lw s", "cat s | wc", "wc -l s", "wc m", "wc -lw m", "cat m | wc", "wc -l m"} {
+	for _, script := range []string{
+		"wc s", "wc -lw s", "cat s | wc", "wc -l s", "wc m", "wc -lw m", "cat m | wc", "wc -l m",
+		"wc /dev/null", "wc -lw /dev/null", "wc s /dev/null",
+	} {
 		want := hostOutput(t, dir, "", "sh", "-c", script)
 		for _, width := range []int{1, 2, 4} {
 			if got := runAt(t, width, dir, script, ""); got != want {
