@@ -188,6 +188,27 @@ func TestAggUniqBoundaryMerge(t *testing.T) {
 	if got := runCmd(t, r, dir, "pash-agg-uniq", []string{"-c", "c", "d"}, ""); got != "12345678 x\n" {
 		t.Errorf("wide merge = %q, want %q", got, "12345678 x\n")
 	}
+	// A run across three chunks, one across an empty chunk, and plain
+	// uniq, which keeps one line of each run.
+	for name, body := range map[string]string{
+		"e": "", "x": "      1 x\n", "p": "x\n", "q": "x\ny\n", "r": "y\nz\n",
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-c", "a", "x", "b"}, "      6 x\n      1 y\n"},
+		{[]string{"-c", "a", "e", "x"}, "      3 x\n"},
+		{[]string{"p", "q", "e", "r", "r"}, "x\ny\nz\ny\nz\n"},
+	} {
+		if got := runCmd(t, r, dir, "pash-agg-uniq", tc.args, ""); got != tc.want {
+			t.Errorf("pash-agg-uniq %v = %q, want %q", tc.args, got, tc.want)
+		}
+	}
 }
 
 func TestAggWcFormats(t *testing.T) {

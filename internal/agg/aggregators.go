@@ -11,7 +11,9 @@ import (
 
 // aggUniq merges the outputs of parallel uniq instances. Within each
 // chunk lines are already deduplicated; only runs that straddle chunk
-// boundaries need fixing. With -c the straddling runs' counts are added.
+// boundaries need fixing: plain uniq drops a line equal to the one before
+// it, and with -c the count stage's printer adds the straddling runs'
+// counts.
 func aggUniq(ctx *commands.Context) error {
 	counting := false
 	var operands []string
@@ -33,66 +35,28 @@ func aggUniq(ctx *commands.Context) error {
 	lw := commands.NewLineWriter(ctx.Stdout)
 	defer lw.Flush()
 
-	type rec struct {
-		count int64
-		line  []byte
-	}
-	parse := func(raw []byte) (rec, error) {
-		if !counting {
-			return rec{count: 1, line: append([]byte(nil), raw...)}, nil
-		}
-		n, line, ok := commands.CutUniqCount(raw)
-		if !ok {
-			return rec{}, fmt.Errorf("pash-agg-uniq: malformed count line %q", raw)
-		}
-		return rec{count: n, line: append([]byte(nil), line...)}, nil
-	}
-	var counted []byte
-	emit := func(r rec) error {
+	runs := commands.CountRuns{Out: lw}
+	var last []byte
+	have := false
+	err = commands.EachLineReaders(readers, func(raw []byte) error {
 		if counting {
-			counted = append(commands.AppendUniqCount(counted[:0], r.count), r.line...)
-			return lw.WriteLine(counted)
-		}
-		return lw.WriteLine(r.line)
-	}
-
-	pending := rec{}
-	havePending := false
-	for _, r := range readers {
-		it := commands.NewLineIter(r)
-		firstOfChunk := true
-		for {
-			raw, ok := it.Next()
+			n, line, ok := commands.CutUniqCount(raw)
 			if !ok {
-				break
+				return fmt.Errorf("pash-agg-uniq: malformed count line %q", raw)
 			}
-			cur, err := parse(raw)
-			if err != nil {
-				return err
-			}
-			if havePending && firstOfChunk && bytes.Equal(pending.line, cur.line) {
-				// Run straddles the boundary: merge into pending.
-				pending.count += cur.count
-				firstOfChunk = false
-				continue
-			}
-			if havePending {
-				if err := emit(pending); err != nil {
-					return err
-				}
-			}
-			pending = cur
-			havePending = true
-			firstOfChunk = false
+			return runs.Add(line, n)
 		}
-		if err := it.Err(); err != nil {
-			return err
+		if have && bytes.Equal(raw, last) {
+			return nil
 		}
+		last, have = append(last[:0], raw...), true
+		return lw.WriteLine(raw)
+	})
+	if err == nil {
+		err = runs.Flush()
 	}
-	if havePending {
-		if err := emit(pending); err != nil {
-			return err
-		}
+	if err != nil {
+		return err
 	}
 	return lw.Flush()
 }

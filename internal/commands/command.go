@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -199,21 +200,48 @@ func (ctx *Context) stdin() io.Reader {
 // fusion exactly like the builtins.
 type KernelMaker func(args []string) (Kernel, bool)
 
-// AggSpec is the extension-API (map, aggregate) pair for a
-// user-registered pure command: running the map on each input chunk and
-// the aggregate over the map outputs must reproduce the original
-// command. It mirrors dfg.AggSpec without importing it (the compiler
-// converts). Nil MapArgs/AggArgs mean "reuse the invocation's own
-// flags" (the sort/sort -m convention); MapName "" means the command
+// AggSpec is a (map, aggregate) implementation pair for a P command
+// (§3.2 Custom Aggregators): running MapName on each input chunk and
+// AggName over the map outputs must reproduce the original command. The
+// agg library resolves the builtins' pairs; a user entry carries its
+// own, in which nil MapArgs/AggArgs mean "reuse the invocation's own
+// flags" (the sort/sort -m convention) and MapName "" means the command
 // itself is its own map.
 type AggSpec struct {
-	MapName     string
-	MapArgs     []string
-	AggName     string
-	AggArgs     []string
+	MapName string
+	MapArgs []string
+	AggName string
+	AggArgs []string
+	// Associative marks aggregators whose output can be re-aggregated:
+	// agg(agg(x1···xk)·agg(xk+1···xn)) == agg(x1···xn). Only associative
+	// aggregators may be arranged into fan-in-k trees; the conservative
+	// default (false) keeps the flat n-ary aggregate.
 	Associative bool
-	StopsEarly  bool
+	// Takes is the number of lines a prefix-taking command (head -n K)
+	// reads at most; 0 means it is not one. Inserting a split before a
+	// prefix-taker (t2) is pure loss — the barrier split drains the whole
+	// input the command would never have read, and early-exit
+	// propagation dies at the barrier — while T still applies when an
+	// upstream cat already provides parallelism. The node that feeds
+	// its standard input gets Node.Limit = Takes. A prefix-taker whose
+	// count the planner cannot read (a user command registered as
+	// stopping early) takes TakesUnknown lines, which limits nothing.
+	Takes int
+	// Commutative marks commands whose output depends only on the
+	// multiset of their input lines: permuting the lines leaves the
+	// output bytes unchanged. Their maps need no contiguous partition, so
+	// such a command absorbs an order-restoring KindMerge in front of it
+	// (each map reads one framed replica's interleaved stream as is) and
+	// is fed by the streaming round-robin split instead of the barrier
+	// split. The contract is exactly that permutation invariance;
+	// internal/agg's TestCommutativeIsPermutationInvariant enforces it
+	// for every spec that sets the flag and shows sort -s/-u under a key
+	// failing it.
+	Commutative bool
 }
+
+// TakesUnknown is AggSpec.Takes for a prefix-taker of unknown count.
+const TakesUnknown = math.MaxInt
 
 // Entry is everything the registry holds for one command name. A name
 // has one entry, and installing one replaces all of it: a kernel or an

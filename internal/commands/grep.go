@@ -133,8 +133,7 @@ var asciiFold = func() (t [256]byte) {
 	return t
 }()
 
-// buildGrepMatcher compiles the spec's patterns into a per-line
-// predicate.
+// compile builds the program's per-line predicate from its patterns.
 //
 // Fast path: fixed-string matching (-F, or patterns with no regexp
 // metacharacters, and neither -w nor -o) runs on bytes.Contains/bytes.Equal with zero per-line
@@ -144,14 +143,19 @@ var asciiFold = func() (t [256]byte) {
 // through asciiFold: ASCII letters only, and no allocation either. A
 // regexp under -i keeps RE2's Unicode folding.
 //
-// lit is non-nil when the whole predicate is "the line contains this
+// lit is set when the whole predicate is "the line contains this
 // string": one fixed pattern, no -x, no -w. The kernel then searches
 // blocks for it instead of asking every line.
-func buildGrepMatcher(spec *grepSpec) (match func(line []byte) bool, first *regexp.Regexp, lit *literal, err error) {
+//
+// Otherwise the patterns are one leftmost-longest alternation, whose
+// first group is the pattern's match: -x wraps it in ^…$, and else -w in
+// a non-word byte or the line's edge on each side, as GNU grep's -x
+// overrides -w.
+func (g *grepProgram) compile() error {
 	// -w and -o take the regexp path, where -F quotes each pattern.
-	fixed := !spec.wordMatch && !spec.onlyMatching
-	if fixed && !spec.fixed {
-		for _, p := range spec.patterns {
+	fixed := !g.wordMatch && !g.onlyMatching
+	if fixed && !g.fixed {
+		for _, p := range g.patterns {
 			if !plainPattern(p) {
 				fixed = false
 				break
@@ -160,11 +164,11 @@ func buildGrepMatcher(spec *grepSpec) (match func(line []byte) bool, first *rege
 	}
 	if fixed {
 		var table *[256]byte
-		if spec.ignoreCase {
+		if g.ignoreCase {
 			table = &asciiFold
 		}
-		pats := make([]literal, len(spec.patterns))
-		for i, p := range spec.patterns {
+		pats := make([]literal, len(g.patterns))
+		for i, p := range g.patterns {
 			needle := []byte(p)
 			if table != nil {
 				for j, c := range needle {
@@ -173,11 +177,11 @@ func buildGrepMatcher(spec *grepSpec) (match func(line []byte) bool, first *rege
 			}
 			pats[i] = newLiteral(needle, table)
 		}
-		lineMatch := spec.lineMatch
-		if len(pats) == 1 && !lineMatch && !spec.wordMatch && len(pats[0].needle) > 0 && !bytes.Contains(pats[0].needle, newline) {
-			lit = &pats[0]
+		lineMatch := g.lineMatch
+		if len(pats) == 1 && !lineMatch && !g.wordMatch && len(pats[0].needle) > 0 && !bytes.Contains(pats[0].needle, newline) {
+			g.lit = &pats[0]
 		}
-		return func(line []byte) bool {
+		g.match = func(line []byte) bool {
 			for i := range pats {
 				p := &pats[i]
 				if lineMatch && p.equal(line) || !lineMatch && p.contains(line) {
@@ -185,40 +189,52 @@ func buildGrepMatcher(spec *grepSpec) (match func(line []byte) bool, first *rege
 				}
 			}
 			return false
-		}, nil, lit, nil
+		}
+		return nil
 	}
-	var res []*regexp.Regexp
-	for _, p := range spec.patterns {
-		if spec.fixed {
+	alts := make([]string, len(g.patterns))
+	for i, p := range g.patterns {
+		if g.fixed {
 			p = regexp.QuoteMeta(p)
-			if spec.ignoreCase {
+			if g.ignoreCase {
 				p = foldASCIIPattern(p)
 			}
+		} else if _, err := regexp.Compile(p); err != nil {
+			return fmt.Errorf("invalid pattern %q: %v", p, err)
 		}
-		if spec.wordMatch {
-			p = `(^|\W)(` + p + `)($|\W)`
+		alts[i] = "(?:" + p + ")"
+	}
+	alt := strings.Join(alts, "|")
+	compile := func(wrap string) (*regexp.Regexp, error) {
+		if g.ignoreCase && !g.fixed {
+			wrap = "(?i)" + wrap
 		}
-		if spec.lineMatch {
-			p = `^(` + p + `)$`
-		}
-		if spec.ignoreCase && !spec.fixed {
-			p = `(?i)` + p
-		}
-		re, err := regexp.Compile(p)
+		re, err := regexp.Compile(wrap)
 		if err != nil {
-			return nil, nil, nil, fmt.Errorf("invalid pattern %q: %v", p, err)
+			return nil, fmt.Errorf("invalid pattern %q: %v", wrap, err)
 		}
-		res = append(res, re)
+		re.Longest()
+		return re, nil
 	}
-	matcher := func(line []byte) bool {
-		for _, re := range res {
-			if re.Match(line) {
-				return true
-			}
+	wrap := "(" + alt + ")"
+	switch {
+	case g.lineMatch:
+		wrap = "^" + wrap + "$"
+	case g.wordMatch:
+		// After a word -o searches on from the byte before its end, with
+		// no ^: the byte that ends one word may begin the next.
+		var err error
+		if g.next, err = compile(`\W` + wrap + `(?:$|\W)`); err != nil {
+			return err
 		}
-		return false
+		wrap = `(?:^|\W)` + wrap + `(?:$|\W)`
 	}
-	return matcher, res[0], nil, nil
+	re, err := compile(wrap)
+	if err != nil {
+		return err
+	}
+	g.re, g.match = re, re.Match
+	return nil
 }
 
 // foldASCIIPattern makes a quoted pattern match each ASCII letter in
@@ -242,8 +258,9 @@ func foldASCIIPattern(quoted string) string {
 type grepProgram struct {
 	*grepSpec
 	match  func(line []byte) bool
-	lit    *literal       // non-nil: match is "contains lit" (buildGrepMatcher)
-	only   *regexp.Regexp // -o: print this pattern's matches, not the line
+	lit    *literal       // non-nil: match is "contains lit" (compile)
+	re     *regexp.Regexp // the regexp path's predicate; -o prints its first group
+	next   *regexp.Regexp // -o -w: re after the first word, without ^
 	silent bool           // -c -l -L -q: selected lines are counted, not printed
 }
 
@@ -253,14 +270,7 @@ func parseGrepProgram(args []string) (*grepProgram, error) {
 		return nil, err
 	}
 	g := &grepProgram{grepSpec: spec, silent: spec.count || spec.filesWithMatches || spec.filesWithout || spec.quiet}
-	var first *regexp.Regexp
-	if g.match, first, g.lit, err = buildGrepMatcher(spec); err != nil {
-		return nil, err
-	}
-	if spec.onlyMatching {
-		g.only = first
-	}
-	return g, nil
+	return g, g.compile()
 }
 
 // emit is grep's per-line body: it reports whether the line is selected
@@ -273,14 +283,40 @@ func (g *grepProgram) emit(out, line []byte, name string, lineno int) ([]byte, b
 	}
 	switch {
 	case g.silent:
-	case g.only != nil:
-		for _, m := range g.only.FindAll(line, -1) {
-			out = appendGrepLine(out, m, name, lineno)
-		}
+	case g.onlyMatching:
+		out = g.appendMatches(out, line, name, lineno)
 	default:
 		out = appendGrepLine(out, line, name, lineno)
 	}
 	return out, true
+}
+
+// appendMatches appends what -o prints for a selected line: each match,
+// left to right, as a line of its own, and no empty one, as GNU grep.
+// Under -w a word's trailing separator is searched again, by next.
+func (g *grepProgram) appendMatches(out, line []byte, name string, lineno int) []byte {
+	if g.next == nil {
+		for _, m := range g.re.FindAllSubmatchIndex(line, -1) {
+			if m[3] > m[2] {
+				out = appendGrepLine(out, line[m[2]:m[3]], name, lineno)
+			}
+		}
+		return out
+	}
+	re, from := g.re, 0
+	for from < len(line) {
+		m := re.FindSubmatchIndex(line[from:])
+		if m == nil {
+			break
+		}
+		start, end := from+m[2], from+m[3]
+		if end > start {
+			out = appendGrepLine(out, line[start:end], name, lineno)
+			end--
+		}
+		re, from = g.next, end
+	}
+	return out
 }
 
 func appendGrepLine(out, text []byte, name string, lineno int) []byte {

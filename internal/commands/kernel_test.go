@@ -2,17 +2,17 @@ package commands
 
 import (
 	"bytes"
-	"errors"
 	"io"
 	"math/rand"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"testing/iotest"
+
+	"repro/internal/hostcheck"
 )
 
 // runCommandOn executes a registered command over input and returns its
@@ -269,10 +269,7 @@ func TestKernelsAgainstHostCoreutils(t *testing.T) {
 	}
 	for _, tool := range []string{"tr", "cut", "sed", "grep", "rev", "sort"} {
 		t.Run(tool, func(t *testing.T) {
-			path, err := exec.LookPath(tool)
-			if err != nil {
-				t.Skipf("no host %s", tool)
-			}
+			t.Parallel()
 			toolInputs := inputs
 			if tool == "sort" {
 				toolInputs = slices.Concat(inputs, sortInputs)
@@ -285,22 +282,11 @@ func TestKernelsAgainstHostCoreutils(t *testing.T) {
 					if tool == "rev" && strings.ContainsFunc(input, func(r rune) bool { return r >= 0x80 }) {
 						continue // util-linux rev decodes characters and refuses high bytes under LC_ALL=C
 					}
-					cmd := exec.Command(path, tc.args...)
-					cmd.Env = append(os.Environ(), "LC_ALL=C", "LANG=C")
-					cmd.Stdin = strings.NewReader(input)
-					want, herr := cmd.Output()
-					var exit *exec.ExitError
-					if herr != nil && !errors.As(herr, &exit) {
-						t.Fatalf("host %s %v: %v", tool, tc.args, herr)
-					}
+					host := hostcheck.Run(t, "sh", "", tool+" "+hostcheck.Quote(tc.args...), input)
 					got, err := runCommandOn(t, tc.name, tc.args, input)
-					if got != string(want) {
-						t.Fatalf("%s %v on %q:\nhost: %q\nours: %q",
-							tool, tc.args, clipText(input), clipText(string(want)), clipText(got))
-					}
-					if ExitCode(err) != cmd.ProcessState.ExitCode() {
-						t.Fatalf("%s %v on %q: exit %d, host %d",
-							tool, tc.args, clipText(input), ExitCode(err), cmd.ProcessState.ExitCode())
+					if got != host.Stdout || ExitCode(err) != host.Code {
+						t.Fatalf("%s %v on %q: exit %d, host %d; %s",
+							tool, tc.args, clipText(input), ExitCode(err), host.Code, hostcheck.Diff(got, host.Stdout))
 					}
 				}
 			}

@@ -252,13 +252,13 @@ func (t *countTable) print(lw *LineWriter, ord *lineOrder, workers int) error {
 			t.counts[i] = b.counts
 		}
 	}()
-	runs := countRuns{lw: lw}
+	runs := CountRuns{Out: lw}
 	i := t.gather(&batches[0], recs, 0)
 	if i == len(recs) {
 		if err := batches[0].print(&runs); err != nil {
 			return err
 		}
-		return runs.flush()
+		return runs.Flush()
 	}
 	// Each channel can hold both batches, so no send blocks.
 	full, free, quit := make(chan *countBatch, 2), make(chan *countBatch, 2), make(chan struct{})
@@ -300,11 +300,11 @@ func (t *countTable) gather(b *countBatch, recs []sortRec, i int) int {
 }
 
 // print hands each of b's lines, with its count, to runs.
-func (b *countBatch) print(runs *countRuns) error {
+func (b *countBatch) print(runs *CountRuns) error {
 	lines := b.lines
 	for _, n := range b.counts {
 		j := bytes.IndexByte(lines, '\n')
-		if err := runs.add(lines[:j], n); err != nil {
+		if err := runs.Add(lines[:j], n); err != nil {
 			return err
 		}
 		lines = lines[j+1:]
@@ -314,7 +314,7 @@ func (b *countBatch) print(runs *countRuns) error {
 
 // printBatches prints the batches on full through runs and returns each
 // on free; it closes quit if it stops early.
-func printBatches(runs *countRuns, full <-chan *countBatch, free chan<- *countBatch, quit chan struct{}) error {
+func printBatches(runs *CountRuns, full <-chan *countBatch, free chan<- *countBatch, quit chan struct{}) error {
 	for b := range full {
 		if err := b.print(runs); err != nil {
 			close(quit)
@@ -322,40 +322,41 @@ func printBatches(runs *countRuns, full <-chan *countBatch, free chan<- *countBa
 		}
 		free <- b
 	}
-	return runs.flush()
+	return runs.Flush()
 }
 
-// countRuns prints each run of equal lines it is handed once, behind the
-// sum of their counts, as uniq -c does.
-type countRuns struct {
-	lw        *LineWriter
+// CountRuns prints each run of equal lines it is handed once, behind the
+// sum of their counts, as uniq -c does: the count stage's printer, and
+// pash-agg-uniq -c's.
+type CountRuns struct {
+	Out       *LineWriter
 	line, out []byte // the run's line, a copy: it outlives the caller's
 	sum       int64
 	have      bool
 }
 
-// add counts n more of line: in the run, when line is the run's line,
+// Add counts n more of line: in the run, when line is the run's line,
 // or else in a new run, once the last one is printed.
-func (c *countRuns) add(line []byte, n int64) error {
+func (c *CountRuns) Add(line []byte, n int64) error {
 	if c.have && bytes.Equal(line, c.line) {
 		c.sum += n
 		return nil
 	}
-	if err := c.flush(); err != nil {
+	if err := c.Flush(); err != nil {
 		return err
 	}
 	c.line, c.sum, c.have = append(c.line[:0], line...), n, true
 	return nil
 }
 
-// flush prints the run so far.
-func (c *countRuns) flush() error {
+// Flush prints the run so far.
+func (c *CountRuns) Flush() error {
 	if !c.have {
 		return nil
 	}
 	c.have = false
 	c.out = append(AppendUniqCount(c.out[:0], c.sum), c.line...)
-	return c.lw.WriteLine(c.out)
+	return c.Out.WriteLine(c.out)
 }
 
 // count is the count of the record at off: a table line's entry index
@@ -393,12 +394,12 @@ func SortCountMerge(ctx *Context) error {
 		counts[src] = n
 		return line, nil
 	}
-	runs := countRuns{lw: lw}
+	runs := CountRuns{Out: lw}
 	err = mergeRuns(readers, ord, cut, func(src int, line []byte, _ uint64) (bool, error) {
-		return true, runs.add(line, counts[src])
+		return true, runs.Add(line, counts[src])
 	})
 	if err == nil {
-		err = runs.flush()
+		err = runs.Flush()
 	}
 	if err != nil {
 		return err

@@ -287,20 +287,10 @@ func literalArgs(n *dfg.Node) []string {
 // convention), and an empty MapName means the command maps itself.
 func (c *Compiler) resolveAgg(name string, flagLits []string, inv *annot.Invocation) (*dfg.AggSpec, bool) {
 	if e, _ := c.Cmds.Entry(name); e.User {
-		as := e.Agg
-		if as == nil {
+		if e.Agg == nil {
 			return nil, false
 		}
-		spec := &dfg.AggSpec{
-			MapName:     as.MapName,
-			MapArgs:     as.MapArgs,
-			AggName:     as.AggName,
-			AggArgs:     as.AggArgs,
-			Associative: as.Associative,
-		}
-		if as.StopsEarly {
-			spec.Takes = dfg.TakesUnknown
-		}
+		spec := *e.Agg
 		if spec.MapName == "" {
 			spec.MapName = name
 		}
@@ -310,7 +300,7 @@ func (c *Compiler) resolveAgg(name string, flagLits []string, inv *annot.Invocat
 		if spec.AggArgs == nil {
 			spec.AggArgs = flagLits
 		}
-		return spec, true
+		return &spec, true
 	}
 	return agg.Resolve(name, flagLits, inv)
 }

@@ -10,10 +10,10 @@ package dfg
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"repro/internal/annot"
+	"repro/internal/commands"
 )
 
 // NodeKind distinguishes ordinary commands from the runtime primitives
@@ -125,9 +125,6 @@ type Node struct {
 	Remote *RemoteSpec
 }
 
-// TakesUnknown is AggSpec.Takes for a prefix-taker of unknown count.
-const TakesUnknown = math.MaxInt
-
 // SplitImpl names the implementation a KindSplit node runs with.
 type SplitImpl int
 
@@ -168,41 +165,9 @@ type FusedStage struct {
 	Args []string
 }
 
-// AggSpec is a (map, aggregate) implementation pair for a P command
-// (§3.2 Custom Aggregators): running MapName on each input chunk and
-// AggName over the map outputs must reproduce the original command.
-type AggSpec struct {
-	MapName string
-	MapArgs []string
-	AggName string
-	AggArgs []string
-	// Associative marks aggregators whose output can be re-aggregated:
-	// agg(agg(x1···xk)·agg(xk+1···xn)) == agg(x1···xn). Only associative
-	// aggregators may be arranged into fan-in-k trees; the conservative
-	// default (false) keeps the flat n-ary aggregate.
-	Associative bool
-	// Takes is the number of lines a prefix-taking command (head -n K)
-	// reads at most; 0 means it is not one. Inserting a split before a
-	// prefix-taker (t2) is pure loss — the barrier split drains the whole
-	// input the command would never have read, and early-exit
-	// propagation dies at the barrier — while T still applies when an
-	// upstream cat already provides parallelism. The node that feeds
-	// its standard input gets Node.Limit = Takes. A prefix-taker whose
-	// count the planner cannot read (a user command registered as
-	// stopping early) takes TakesUnknown lines, which limits nothing.
-	Takes int
-	// Commutative marks commands whose output depends only on the
-	// multiset of their input lines: permuting the lines leaves the
-	// output bytes unchanged. Their maps need no contiguous partition, so
-	// such a command absorbs an order-restoring KindMerge in front of it
-	// (each map reads one framed replica's interleaved stream as is) and
-	// is fed by the streaming round-robin split instead of the barrier
-	// split. The contract is exactly that permutation invariance;
-	// internal/agg's TestCommutativeIsPermutationInvariant enforces it
-	// for every spec that sets the flag and shows sort -s/-u under a key
-	// failing it.
-	Commutative bool
-}
+// AggSpec is a P command's (map, aggregate) pair; see commands.AggSpec,
+// which a user registration fills in too.
+type AggSpec = commands.AggSpec
 
 // ArgStrings renders the template with the provided per-input names.
 func (n *Node) ArgStrings(inputName func(i int) string) []string {

@@ -4,6 +4,7 @@ import (
 	"strings"
 
 	"repro/internal/annot"
+	"repro/internal/commands"
 )
 
 // Options configures the parallelization transformations and the runtime
@@ -148,7 +149,7 @@ func limitPrefixes(g *Graph, opts Options) {
 		}
 	}
 	for _, n := range g.Nodes {
-		if n.Agg != nil && n.Agg.Takes > 0 && n.Agg.Takes != TakesUnknown && n.StdinInput >= 0 {
+		if n.Agg != nil && n.Agg.Takes > 0 && n.Agg.Takes != commands.TakesUnknown && n.StdinInput >= 0 {
 			limit(n.In[n.StdinInput].From, n.Agg.Takes)
 		}
 	}

@@ -160,7 +160,9 @@ func (s *Session) Register(spec CommandSpec) error {
 			AggName:     ag.AggName,
 			AggArgs:     ag.AggArgs,
 			Associative: ag.Associative,
-			StopsEarly:  ag.StopsEarly,
+		}
+		if ag.StopsEarly {
+			pair.Takes = commands.TakesUnknown
 		}
 	}
 

@@ -3,17 +3,17 @@ package pash
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/hostcheck"
 	"repro/internal/paper"
 )
 
@@ -181,236 +181,6 @@ func TestWidthFourMatchesWidthOneOnGroupingCommands(t *testing.T) {
 	}
 }
 
-// TestSortTieRulesMatchHost checks sort's tie rules against the host's
-// GNU sort under LC_ALL=C, through a session that plans like the pash
-// binary: each script reads its input from a pipe, so it plans the whole
-// width ceiling, 1, 2, 4 and 8. Every input is over 1 MiB. -nu and -nru
-// keep the first of each run of equal keys in input order, -u -k2,2 and
-// -s -k2,2 do the same for a field, -f falls back to the whole line,
-// -cu reports equal neighbours, and a later -k key breaks an earlier
-// one's ties.
-func TestSortTieRulesMatchHost(t *testing.T) {
-	host, err := exec.LookPath("sort")
-	if err != nil {
-		t.Skip("no host sort")
-	}
-	rng := rand.New(rand.NewSource(33))
-	var ints, numbered, pairs strings.Builder
-	for ints.Len() < 1200<<10 {
-		fmt.Fprintf(&ints, "%s%d\n", strings.Repeat("0", rng.Intn(3)), rng.Intn(1000))
-	}
-	for pairs.Len() < 1200<<10 {
-		fmt.Fprintf(&pairs, "%d %d\n", rng.Intn(50), rng.Intn(1000))
-	}
-	// Capitalise one line in eight, so -f has case to fold.
-	text := paper.Text(40_000, 33)
-	lines := strings.SplitAfter(text[:len(text)-1], "\n")
-	for i := 0; i < len(lines); i += 8 {
-		lines[i] = strings.ToUpper(lines[i][:1]) + lines[i][1:]
-	}
-	text = strings.Join(lines, "") + "\n"
-	for i, line := range lines {
-		fmt.Fprintf(&numbered, "%d %s", i%100, line)
-	}
-	numbered.WriteByte('\n')
-	sortedInts := strings.SplitAfter(ints.String(), "\n")
-	slices.Sort(sortedInts)
-	for _, tc := range []struct {
-		argv  []string
-		input string
-	}{
-		{[]string{"-nu"}, ints.String()},
-		{[]string{"-u", "-k2,2"}, text},
-		{[]string{"-f"}, text},
-		{[]string{"-s", "-k2,2"}, text},
-		{[]string{"-nru"}, numbered.String()},
-		{[]string{"-cu"}, strings.Join(sortedInts, "")},
-		{[]string{"-k1,1n", "-k2,2n"}, pairs.String()},
-	} {
-		if len(tc.input) < 1<<20 {
-			t.Fatalf("sort %v: input is %d bytes, want over 1 MiB", tc.argv, len(tc.input))
-		}
-		cmd := exec.Command(host, tc.argv...)
-		cmd.Env = append(os.Environ(), "LC_ALL=C")
-		cmd.Stdin = strings.NewReader(tc.input)
-		want, err := cmd.Output()
-		if _, exit := err.(*exec.ExitError); err != nil && !exit {
-			t.Fatal(err)
-		}
-		script := "sort " + strings.Join(tc.argv, " ")
-		for _, width := range []int{1, 2, 4, 8} {
-			s := NewSession(Options{Width: width, Preset: Planned})
-			var out bytes.Buffer
-			pipe := struct{ io.Reader }{strings.NewReader(tc.input)} // no size to plan from
-			code, st, _ := s.RunStats(context.Background(), script, pipe, &out, io.Discard)
-			if code != cmd.ProcessState.ExitCode() || out.String() != string(want) {
-				t.Errorf("%s at width %d (%v): exit %d and %d lines, host exit %d and %d lines",
-					script, width, st.Widths, code, strings.Count(out.String(), "\n"),
-					cmd.ProcessState.ExitCode(), bytes.Count(want, []byte("\n")))
-			}
-		}
-	}
-}
-
-// TestSortLimitMatchesHost checks that a sort read by head -n K, which
-// the planner limits to its first K lines, prints what the host's sort |
-// head prints under LC_ALL=C, at widths 1, 2 and 4 through a session
-// that plans like the pash binary (input from a pipe). Every input is
-// over 1 MiB: uniq -c counts, most of them equal, for the orders without
-// a key and -n; words with one line in eight capitalised for -f, -k2,
-// -s -k1,1 and -u; colon-separated numbers for -t: -k2n.
-func TestSortLimitMatchesHost(t *testing.T) {
-	host, err := exec.LookPath("sort")
-	if err != nil {
-		t.Skip("no host sort")
-	}
-	rng := rand.New(rand.NewSource(44))
-	zipf := rand.NewZipf(rng, 1.3, 1, 5000)
-	var counts, colons strings.Builder
-	for counts.Len() < 1200<<10 {
-		fmt.Fprintf(&counts, "%7d w%d\n", 1+zipf.Uint64()%40, rng.Intn(3000))
-	}
-	for colons.Len() < 1200<<10 {
-		fmt.Fprintf(&colons, "k%d:%d:%d\n", rng.Intn(9), rng.Intn(500), rng.Intn(10))
-	}
-	text := paper.Text(40_000, 44)
-	lines := strings.SplitAfter(text[:len(text)-1], "\n")
-	for i := 0; i < len(lines); i += 8 {
-		lines[i] = strings.ToUpper(lines[i][:1]) + lines[i][1:]
-	}
-	text = strings.Join(lines, "") + "\n"
-	for _, tc := range []struct {
-		argv  []string
-		input string
-	}{
-		{nil, counts.String()},
-		{[]string{"-r"}, counts.String()},
-		{[]string{"-n"}, counts.String()},
-		{[]string{"-rn"}, counts.String()},
-		{[]string{"-f"}, text},
-		{[]string{"-k2"}, text},
-		{[]string{"-t:", "-k2n"}, colons.String()},
-		{[]string{"-s", "-k1,1"}, text},
-		{[]string{"-u"}, text},
-	} {
-		if len(tc.input) < 1<<20 {
-			t.Fatalf("sort %v: input is %d bytes, want over 1 MiB", tc.argv, len(tc.input))
-		}
-		for _, k := range []int{1, 7, 3000} {
-			cmd := exec.Command("sh", "-c", fmt.Sprintf(`"$0" "$@" | head -n %d`, k), host)
-			cmd.Args = append(cmd.Args, tc.argv...)
-			cmd.Env = append(os.Environ(), "LC_ALL=C")
-			cmd.Stdin = strings.NewReader(tc.input)
-			want, err := cmd.Output()
-			if err != nil {
-				t.Fatal(err)
-			}
-			script := fmt.Sprintf("sort %s | head -n %d", strings.Join(tc.argv, " "), k)
-			for _, width := range []int{1, 2, 4} {
-				s := NewSession(Options{Width: width, Preset: Planned})
-				var out bytes.Buffer
-				pipe := struct{ io.Reader }{strings.NewReader(tc.input)} // no size to plan from
-				code, st, err := s.RunStats(context.Background(), script, pipe, &out, io.Discard)
-				if err != nil || code != 0 || out.String() != string(want) {
-					t.Errorf("%s at width %d (%v): exit %d, err %v, %d lines differ from the host's %d",
-						script, width, st.Widths, code, err, strings.Count(out.String(), "\n"), bytes.Count(want, []byte("\n")))
-				}
-			}
-		}
-	}
-}
-
-// hostOutput runs a host command in dir over stdin under LC_ALL=C,
-// skipping the test when the host has no such command.
-func hostOutput(t *testing.T, dir, stdin, name string, argv ...string) string {
-	t.Helper()
-	host, err := exec.LookPath(name)
-	if err != nil {
-		t.Skipf("no host %s", name)
-	}
-	cmd := exec.Command(host, argv...)
-	cmd.Dir, cmd.Stdin = dir, strings.NewReader(stdin)
-	cmd.Env = append(os.Environ(), "LC_ALL=C")
-	out, err := cmd.Output()
-	if err != nil {
-		t.Fatalf("host %s %v: %v", name, argv, err)
-	}
-	return string(out)
-}
-
-// runAt runs a script at exactly the given width, in dir, over stdin.
-func runAt(t *testing.T, width int, dir, script, stdin string) string {
-	t.Helper()
-	s := NewSession(DefaultOptions(width))
-	s.Dir = dir
-	var out bytes.Buffer
-	if code, err := s.Run(context.Background(), script, strings.NewReader(stdin), &out, io.Discard); err != nil || code != 0 {
-		t.Fatalf("%s at width %d: exit %d, %v", script, width, code, err)
-	}
-	return out.String()
-}
-
-// TestPasteStdinMatchesHost: a paste that names stdin more than once
-// reads the one stream alternately, at every width.
-func TestPasteStdinMatchesHost(t *testing.T) {
-	text := paper.Text(50_001, 35) // an odd number of lines
-	if len(text) < 1<<20 || strings.Count(text, "\n")%2 == 0 {
-		t.Fatalf("input: %d bytes, %d lines; want over 1 MiB and odd", len(text), strings.Count(text, "\n"))
-	}
-	for _, argv := range [][]string{{"-", "-"}, {"-", "-", "-"}, {"-d,", "-", "-"}} {
-		want := hostOutput(t, "", text, "paste", argv...)
-		script := "cat | paste " + strings.Join(argv, " ")
-		for _, width := range []int{1, 4} {
-			if got := runAt(t, width, "", script, text); got != want {
-				t.Errorf("%s at width %d: %d bytes, host %d", script, width, len(got), len(want))
-			}
-		}
-	}
-}
-
-// TestWcFileNameMatchesHost: wc over one file operand prints its name
-// at every width, through every level of the aggregation tree.
-func TestWcFileNameMatchesHost(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "t"), []byte(paper.Text(150_000, 36)), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, argv := range [][]string{{"t"}, {"-l", "t"}, {"-c", "t"}, {"-lw", "t"}} {
-		want := hostOutput(t, dir, "", "wc", argv...)
-		script := "wc " + strings.Join(argv, " ")
-		for _, width := range []int{1, 2, 4, 8, 16} {
-			if got := runAt(t, width, dir, script, ""); got != want {
-				t.Errorf("%s at width %d: %q, host %q", script, width, got, want)
-			}
-		}
-	}
-}
-
-// TestWcFilesMatchHost checks wc over several files against the host's:
-// GNU pads every column to the digits of the files' total size, a
-// single-column count included.
-func TestWcFilesMatchHost(t *testing.T) {
-	dir := t.TempDir()
-	var seq strings.Builder
-	for i := 1; i <= 12345; i++ {
-		fmt.Fprintf(&seq, "%d\n", i)
-	}
-	for name, body := range map[string]string{"w1": "a\nb\n", "w2": seq.String()} {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, argv := range [][]string{{"-l", "w1", "w2"}, {"w1", "w2"}, {"-c", "w1", "w2", "w1"}, {"-lw", "w2", "w1"}, {"-m", "w1", "w1"}} {
-		want := hostOutput(t, dir, "", "wc", argv...)
-		script := "wc " + strings.Join(argv, " ")
-		for _, width := range []int{1, 4} {
-			if got := runAt(t, width, dir, script, ""); got != want {
-				t.Errorf("%s at width %d: %q, host %q", script, width, got, want)
-			}
-		}
-	}
-}
-
 // TestAwkRefusedByName: awk runs only the subset its doc comment
 // states. Each program in the table is valid POSIX awk outside it, and
 // fails before reading input, with stderr naming the construct, at
@@ -446,56 +216,323 @@ func TestAwkRefusedByName(t *testing.T) {
 	}
 }
 
-// matchesHost runs script through sessions that plan like the pash
-// binary, at widths 1, 2 and 4, with input from a pipe and, when file is
-// set, from the file named f in the session's directory, and requires
-// the bytes sh prints for it under LC_ALL=C, and at width 1 its exit
-// status. A wider plan's status is its final merge's: a grep that selects
-// nothing behind a split exits 0, where the host's exits 1.
-func matchesHost(t *testing.T, script, input string, file bool) {
-	t.Helper()
+// hostRow is one script of a host table, run by matchesHost.
+type hostRow struct {
+	script string
+	input  string   // the hostInputs text on stdin, and in f when the script reads f
+	files  []string // hostInputs texts written into the directory under their names
+	widths []int    // run beyond widths 1, 2 and 4
+}
+
+// hostRows is a host table: the rows of one TestXxxMatchesHost test.
+type hostRows []hostRow
+
+// add appends one row per script, each a copy of row.
+func (rows *hostRows) add(row hostRow, scripts ...string) {
+	for _, script := range scripts {
+		row.script = script
+		*rows = append(*rows, row)
+	}
+}
+
+// run is the host oracle's one driver. It runs every row through
+// matchesHost, in parallel, as a subtest named by the row's input (or
+// files, joined by +) that holds one named by its script.
+func (rows hostRows) run(t *testing.T) {
+	t.Parallel()
+	inputs := hostInputs()
+	for _, row := range rows {
+		for _, name := range append([]string{row.input}, row.files...) {
+			if len(inputs[name]) <= 1<<20 && !slices.Contains(smallInputs, name) {
+				t.Fatalf("input %s is %d bytes, want over 1 MiB", name, len(inputs[name]))
+			}
+		}
+		label := row.input
+		if row.files != nil {
+			label = strings.Join(row.files, "+")
+		}
+		t.Run(label, func(t *testing.T) {
+			t.Parallel()
+			t.Run(row.script, func(t *testing.T) { matchesHost(t, row, inputs) })
+		})
+	}
+}
+
+// statusAtWidth1 are the rows held to the host's exit status at width 1
+// only. They select nothing, and a wider plan exits with its final
+// merge's status, 0, where the host's grep exits 1 (ROADMAP item 7).
+var statusAtWidth1 = map[string]bool{`grep -i -x 'water'`: true, `grep -F -i -w é`: true}
+
+// The host tests below are the host oracle: every row prints the bytes
+// sh prints for it under LC_ALL=C, and exits alike, at every width.
+
+// TestSortTieRulesMatchHost: -nu and -nru keep the first of each run of
+// equal keys in input order, -u -k2,2 and -s -k2,2 do the same for a
+// field, -f falls back to the whole line, -cu reports equal neighbours,
+// and a later -k key breaks an earlier one's ties.
+func TestSortTieRulesMatchHost(t *testing.T) {
+	var rows hostRows
+	rows.add(hostRow{input: "ints", widths: []int{8}}, "sort -nu")
+	rows.add(hostRow{input: "tie-text", widths: []int{8}}, "sort -u -k2,2", "sort -f", "sort -s -k2,2")
+	rows.add(hostRow{input: "numbered", widths: []int{8}}, "sort -nru")
+	rows.add(hostRow{input: "sorted-ints", widths: []int{8}}, "sort -cu")
+	rows.add(hostRow{input: "pairs", widths: []int{8}}, "sort -k1,1n -k2,2n")
+	rows.run(t)
+}
+
+// TestSortLimitMatchesHost: a sort read by head -n K, which the planner
+// limits to its first K lines, under every order.
+func TestSortLimitMatchesHost(t *testing.T) {
+	var rows hostRows
+	for _, k := range []string{"1", "7", "3000"} {
+		head := " | head -n " + k
+		rows.add(hostRow{input: "counts"}, "sort"+head, "sort -r"+head, "sort -n"+head, "sort -rn"+head)
+		rows.add(hostRow{input: "limit-text"}, "sort -f"+head, "sort -k2"+head, "sort -s -k1,1"+head, "sort -u"+head)
+		rows.add(hostRow{input: "colons"}, "sort -t: -k2n"+head)
+	}
+	rows.run(t)
+}
+
+// TestPasteStdinMatchesHost: a paste that names stdin more than once
+// reads the one stream alternately, over an odd number of lines.
+func TestPasteStdinMatchesHost(t *testing.T) {
+	if n := strings.Count(hostInputs()["paste"], "\n"); n%2 == 0 {
+		t.Fatalf("paste input has %d lines, want an odd number", n)
+	}
+	var rows hostRows
+	rows.add(hostRow{input: "paste"}, "cat | paste - -", "cat | paste - - -", "cat | paste -d, - -")
+	rows.run(t)
+}
+
+// TestWcFileNameMatchesHost: wc over one file prints its name through
+// every level of the aggregation tree.
+func TestWcFileNameMatchesHost(t *testing.T) {
+	var rows hostRows
+	rows.add(hostRow{files: []string{"t"}, widths: []int{8, 16}}, "wc t", "wc -l t", "wc -c t", "wc -lw t")
+	rows.run(t)
+}
+
+// TestWcFilesMatchHost: wc over several files, one of them named twice,
+// pads to the digits of their total size.
+func TestWcFilesMatchHost(t *testing.T) {
+	var rows hostRows
+	rows.add(hostRow{files: []string{"w1", "w2"}},
+		"wc -l w1 w2", "wc w1 w2", "wc -c w1 w2 w1", "wc -lw w2 w1", "wc -m w1 w1")
+	rows.run(t)
+}
+
+// TestLiteralKernelsMatchHost: the literal kernels — grep -i through the
+// ASCII fold, a tr handed to the grep after it, sed's plain replacement —
+// among them the benchmark's stateless chain and its two streaming
+// scripts, also over an unterminated last line (case-7); and grep -o
+// prints each leftmost-longest match of any pattern, and -w only whole
+// words, two of them adjacent too.
+func TestLiteralKernelsMatchHost(t *testing.T) {
+	var rows hostRows
+	for _, input := range []string{"case-44", "case-7"} {
+		rows.add(hostRow{input: input},
+			`tr A-Z a-z | grep water | cut -d ' ' -f1-3 | sed 's/water/WATER/'`,
+			`tr A-Z a-z | grep water | cut -d ' ' -f1 | sort -u`,
+			`tr A-Z a-z | grep water | cut -d ' ' -f1-3`,
+			`tr a-z A-Z | grep WATER`,
+			`tr '[:upper:]' '[:lower:]' | grep 'the '`,
+			`tr -c 'a-z\n' ' ' | grep water`,
+			`tr A-Z a-z | grep -v water | sed 's/the/THE/g'`,
+			`grep -i water`,
+			`grep -i WaTeR | sed 's/water/x/'`,
+			`grep -i -v water`,
+			`grep -i -c water`,
+			`grep -i 'é'`,
+			`grep -i -e café -e glyph`,
+			`grep -i -x 'water'`,
+			`grep -i 'caf.'`,
+			`grep -F -w the`,
+			`grep -F -o th`,
+			`grep -F -w -e 'the' -e 'a.b'`,
+			`grep -F -i -w é`,
+			`grep -F -i -w café`,
+			`grep -F -i -o café`)
+	}
+	rows.add(hostRow{input: "words"}, "grep -o -w the", "grep -F -o -w the", "grep -o -e th -e en", "grep -o -e th -e the")
+	rows.run(t)
+}
+
+// TestHeadTailAllButMatchesHost: head with a count spelled -N prints all
+// but the last N lines or bytes, and tail -n -N is tail -n N.
+func TestHeadTailAllButMatchesHost(t *testing.T) {
+	var rows hostRows
+	for _, input := range []string{"seven", "case-45"} {
+		rows.add(hostRow{input: input},
+			"head -n -2", "tail -n -2", "head -c -3", "head -n -0", "head -c -0", "tail -c -3",
+			"head -n -20000", "head -n -2 f", "tail -n -2 f", "head -c -3 f", "cat f | head -n -2")
+	}
+	rows.run(t)
+}
+
+// TestSortCountMatchesHost: sort | uniq -c under a total order runs as
+// the count stage: the word-frequency script, sort's orders, a head
+// behind the pair, and on the unique-heavy input the stage's fallback.
+// The forms the rule refuses print the host's bytes too, and uniq merges
+// its runs across chunk boundaries.
+func TestSortCountMatchesHost(t *testing.T) {
+	counted := []string{
+		`tr A-Z a-z | sort | uniq -c | sort -rn`,
+		`cat f | tr A-Z a-z | sort | uniq -c | sort -rn`,
+		`sort | uniq -c`,
+		`sort -r f | uniq -c`,
+		`sort -n | uniq -c`,
+		`sort -f f | uniq -c`,
+		`sort -k2 | uniq -c`,
+		`sort -t, -k2 f | uniq -c`,
+		`cat f | sort -rn | uniq -c | head -n 5`,
+	}
+	refused := []string{
+		`sort -s -k1 | uniq -c`,
+		`sort -s -k2 f | uniq -c`,
+		`sort -u | uniq -c`,
+		`sort f | uniq -c -i`,
+		`sort | uniq -c -f1`,
+		`sort f | uniq`,
+	}
+	var rows hostRows
+	for _, input := range []string{"duplicate-heavy", "unique-heavy", "empty"} {
+		rows.add(hostRow{input: input}, counted...)
+		rows.add(hostRow{input: input}, refused...)
+	}
+	// The unterminated input is the duplicate-heavy one less a byte; the
+	// rows the rule refuses run sort and uniq as before.
+	rows.add(hostRow{input: "unterminated"}, counted...)
+	rows.add(hostRow{input: "runs"}, "uniq -c", "uniq", "cat f | uniq -c")
+	rows.run(t)
+}
+
+// TestWcPadsLikeHost: wc over one file pads its columns to the digits of
+// the file's size, a column it does not print (-lw) included; over stdin
+// or a device it pads to 7.
+func TestWcPadsLikeHost(t *testing.T) {
+	var rows hostRows
+	rows.add(hostRow{files: []string{"s", "m"}},
+		"wc s", "wc -lw s", "cat s | wc", "wc -l s", "wc m", "wc -lw m", "cat m | wc", "wc -l m",
+		"wc /dev/null", "wc -lw /dev/null", "wc s /dev/null")
+	rows.run(t)
+}
+
+// matchesHost runs row's script through sessions at exactly each of its
+// widths, as the pash binary plans an unsized pipe, in a directory that
+// holds its files, with its input on the pipe; a script that reads the
+// file f, which holds the input, runs with stdin empty too. Every run
+// must print the bytes sh prints for the script under LC_ALL=C and exit
+// with its status.
+func matchesHost(t *testing.T, row hostRow, inputs map[string]string) {
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "f"), []byte(input), 0o644); err != nil {
-		t.Fatal(err)
+	write := func(name, text string) {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	cmd := exec.Command("sh", "-c", script)
-	cmd.Dir = dir
-	cmd.Env = append(os.Environ(), "LC_ALL=C")
-	cmd.Stdin = strings.NewReader(input)
-	want, err := cmd.Output()
-	var exit *exec.ExitError
-	if err != nil && !errors.As(err, &exit) {
-		t.Fatalf("host %q: %v", script, err)
+	for _, name := range row.files {
+		write(name, inputs[name])
 	}
-	wantCode := cmd.ProcessState.ExitCode()
-	for _, width := range []int{1, 2, 4} {
-		for _, fromFile := range []bool{false, true} {
-			if fromFile && !file {
-				continue
-			}
-			s := NewSession(Options{Width: width, Preset: Planned})
+	legs := []string{inputs[row.input]}
+	if slices.Contains(strings.Fields(row.script), "f") {
+		write("f", legs[0])
+		legs = append(legs, "")
+	}
+	host := hostcheck.Run(t, "sh", dir, row.script, legs[0])
+	for _, width := range append([]int{1, 2, 4}, row.widths...) {
+		for i, stdin := range legs {
+			s := NewSession(DefaultOptions(width))
 			s.Dir = dir
-			var stdin io.Reader = struct{ io.Reader }{strings.NewReader(input)} // no size to plan from
-			if fromFile {
-				stdin = strings.NewReader("")
-			}
 			var out bytes.Buffer
-			code, st, err := s.RunStats(context.Background(), script, stdin, &out, io.Discard)
-			if err != nil || width == 1 && code != wantCode || out.String() != string(want) {
-				t.Errorf("%q at width %d (%v, file %v): exit %d (host %d), err %v, %d bytes, host %d; first difference at byte %d",
-					script, width, st.Widths, fromFile, code, wantCode, err, out.Len(), len(want), firstDiff(out.Bytes(), want))
+			pipe := struct{ io.Reader }{strings.NewReader(stdin)} // no size to plan from
+			code, st, err := s.RunStats(context.Background(), row.script, pipe, &out, io.Discard)
+			statusHeld := width == 1 || !statusAtWidth1[row.script]
+			if got := out.String(); err != nil || statusHeld && code != host.Code || got != host.Stdout {
+				t.Errorf("at width %d (%v, stdin empty %v): exit %d (host %d), err %v, %s",
+					width, st.Widths, i == 1, code, host.Code, err, hostcheck.Diff(got, host.Stdout))
 			}
 		}
 	}
 }
 
-func firstDiff(a, b []byte) int {
-	for i := range min(len(a), len(b)) {
-		if a[i] != b[i] {
-			return i
-		}
+// smallInputs are the host tables' inputs that may be 1 MiB or less.
+var smallInputs = []string{"", "empty", "seven", "s", "m", "w1", "w2"}
+
+// hostInputs are the texts of the host tables by name, built once and
+// only read.
+var hostInputs = sync.OnceValue(func() map[string]string {
+	in := countInputs()
+	in[""] = ""
+
+	// sort's tie rules: numbers with leading zeros, pairs of numbers, and
+	// words with a line in eight capitalised and numbered.
+	rng := rand.New(rand.NewSource(33))
+	var ints, numbered, pairs strings.Builder
+	for ints.Len() < 1200<<10 {
+		fmt.Fprintf(&ints, "%s%d\n", strings.Repeat("0", rng.Intn(3)), rng.Intn(1000))
 	}
-	return min(len(a), len(b))
+	for pairs.Len() < 1200<<10 {
+		fmt.Fprintf(&pairs, "%d %d\n", rng.Intn(50), rng.Intn(1000))
+	}
+	text := capitalised(33)
+	for i, line := range strings.SplitAfter(text[:len(text)-1], "\n") {
+		fmt.Fprintf(&numbered, "%d %s", i%100, line)
+	}
+	numbered.WriteByte('\n')
+	sortedInts := strings.SplitAfter(ints.String(), "\n")
+	slices.Sort(sortedInts)
+	in["ints"], in["pairs"], in["tie-text"], in["numbered"] = ints.String(), pairs.String(), text, numbered.String()
+	in["sorted-ints"] = strings.Join(sortedInts, "")
+
+	// sort | head -n K: uniq -c counts, most of them equal, and
+	// colon-separated numbers.
+	rng = rand.New(rand.NewSource(44))
+	zipf := rand.NewZipf(rng, 1.3, 1, 5000)
+	var counts, colons strings.Builder
+	for counts.Len() < 1200<<10 {
+		fmt.Fprintf(&counts, "%7d w%d\n", 1+zipf.Uint64()%40, rng.Intn(3000))
+	}
+	for colons.Len() < 1200<<10 {
+		fmt.Fprintf(&colons, "k%d:%d:%d\n", rng.Intn(9), rng.Intn(500), rng.Intn(10))
+	}
+	in["counts"], in["colons"], in["limit-text"] = counts.String(), colons.String(), capitalised(44)
+
+	var seq strings.Builder
+	for i := 1; i <= 12345; i++ {
+		fmt.Fprintf(&seq, "%d\n", i)
+	}
+	in["paste"] = paper.Text(50_001, 35) // an odd number of lines
+	in["t"] = paper.Text(150_000, 36)
+	in["w1"], in["w2"] = "a\nb\n", seq.String()
+	in["s"], in["m"] = "the end\nother\nbathe\n", paper.Text(12_000, 37)
+	in["case-44"], in["case-7"] = caseText(44), strings.TrimSuffix(caseText(7), "\n")
+	in["seven"], in["case-45"] = "1\n2\n3\n4\n5\n6\n7\n", caseText(45)
+
+	// grep -o and -w: one line in five is "the" next to itself, at a
+	// line's start or end, or inside a word.
+	lines := strings.SplitAfter(caseText(47), "\n")
+	for i := 0; i < len(lines); i += 5 {
+		lines[i] = []string{"the the\n", "the,the\n", "bathe other\n", "then the\n", "en the_the then\n"}[i/5%5]
+	}
+	in["words"] = strings.Join(lines, "")
+
+	// uniq: the duplicate-heavy lines in order, so that runs of equal
+	// lines straddle the chunks' boundaries.
+	runs := strings.SplitAfter(in["duplicate-heavy"], "\n")
+	slices.Sort(runs)
+	in["runs"] = strings.Join(runs, "")
+	return in
+})
+
+// capitalised is over 1 MiB of Zipf text with one line in eight
+// capitalised, so that sort -f has case to fold.
+func capitalised(seed int64) string {
+	text := paper.Text(40_000, seed)
+	lines := strings.SplitAfter(text[:len(text)-1], "\n")
+	for i := 0; i < len(lines); i += 8 {
+		lines[i] = strings.ToUpper(lines[i][:1]) + lines[i][1:]
+	}
+	return strings.Join(lines, "") + "\n"
 }
 
 // caseText is over 1 MiB of Zipf text with one line in eight upper-cased,
@@ -521,69 +558,6 @@ func caseText(seed int64) string {
 		}
 	}
 	return strings.Join(lines, "")
-}
-
-// TestLiteralKernelsMatchHost: the literal kernels — grep -i through the
-// ASCII fold, a tr handed to the grep after it, sed's plain replacement —
-// print what the host prints under LC_ALL=C. Among the scripts are the
-// benchmark's stateless chain and its two streaming scripts, and the
-// same chains with an unterminated last line (seed 7).
-func TestLiteralKernelsMatchHost(t *testing.T) {
-	for _, tool := range []string{"tr", "grep", "cut", "sed", "sort"} {
-		if _, err := exec.LookPath(tool); err != nil {
-			t.Skipf("no host %s", tool)
-		}
-	}
-	for _, input := range []string{caseText(44), strings.TrimSuffix(caseText(7), "\n")} {
-		if len(input) < 1<<20 {
-			t.Fatalf("input is %d bytes, want over 1 MiB", len(input))
-		}
-		for _, script := range []string{
-			`tr A-Z a-z | grep water | cut -d ' ' -f1-3 | sed 's/water/WATER/'`,
-			`tr A-Z a-z | grep water | cut -d ' ' -f1 | sort -u`,
-			`tr A-Z a-z | grep water | cut -d ' ' -f1-3`,
-			`tr a-z A-Z | grep WATER`,
-			`tr '[:upper:]' '[:lower:]' | grep 'the '`,
-			`tr -c 'a-z\n' ' ' | grep water`,
-			`tr A-Z a-z | grep -v water | sed 's/the/THE/g'`,
-			`grep -i water`,
-			`grep -i WaTeR | sed 's/water/x/'`,
-			`grep -i -v water`,
-			`grep -i -c water`,
-			`grep -i 'é'`,
-			`grep -i -e café -e glyph`,
-			`grep -i -x 'water'`,
-			`grep -i 'caf.'`,
-			`grep -F -w the`,
-			`grep -F -o th`,
-			`grep -F -w -e 'the' -e 'a.b'`,
-			`grep -F -i -w é`,
-			`grep -F -i -w café`,
-			`grep -F -i -o café`,
-		} {
-			matchesHost(t, script, input, false)
-		}
-	}
-}
-
-// TestHeadTailAllButMatchesHost: head with a count spelled -N prints all
-// but the last N lines or bytes, and tail -n -N is tail -n N, read from a
-// pipe or from a file, on a cat's output too.
-func TestHeadTailAllButMatchesHost(t *testing.T) {
-	for _, tool := range []string{"head", "tail"} {
-		if _, err := exec.LookPath(tool); err != nil {
-			t.Skipf("no host %s", tool)
-		}
-	}
-	big := caseText(45)
-	for _, input := range []string{"1\n2\n3\n4\n5\n6\n7\n", big} {
-		for _, script := range []string{
-			"head -n -2", "tail -n -2", "head -c -3", "head -n -0", "head -c -0", "tail -c -3",
-			"head -n -20000", "head -n -2 f", "tail -n -2 f", "head -c -3 f", "cat f | head -n -2",
-		} {
-			matchesHost(t, script, input, strings.Contains(script, " f"))
-		}
-	}
 }
 
 // countInputs are the count stage's adversarial inputs, each over 1 MiB
@@ -625,80 +599,5 @@ func countInputs() map[string]string {
 		"unterminated":    strings.TrimSuffix(dup.String(), "\n"),
 		"unique-heavy":    unique.String(),
 		"empty":           "",
-	}
-}
-
-// TestSortCountMatchesHost: sort | uniq -c under a total order runs as
-// the count stage, and prints what the host prints under LC_ALL=C at
-// widths 1, 2 and 4, from a pipe and from a file: the word-frequency
-// script's count and sort -rn behind a stateless map, sort's orders, a
-// head behind the pair, and on the unique-heavy input the stage's
-// fallback. The forms the rule refuses — sort -s under a key, sort -u,
-// uniq -c with another flag, plain uniq — print the host's bytes too.
-func TestSortCountMatchesHost(t *testing.T) {
-	for _, tool := range []string{"tr", "sort", "uniq", "head"} {
-		if _, err := exec.LookPath(tool); err != nil {
-			t.Skipf("no host %s", tool)
-		}
-	}
-	rows := []struct {
-		script        string
-		file, refused bool
-	}{
-		{`tr A-Z a-z | sort | uniq -c | sort -rn`, false, false},
-		{`cat f | tr A-Z a-z | sort | uniq -c | sort -rn`, true, false},
-		{`sort | uniq -c`, false, false},
-		{`sort -r f | uniq -c`, true, false},
-		{`sort -n | uniq -c`, false, false},
-		{`sort -f f | uniq -c`, true, false},
-		{`sort -k2 | uniq -c`, false, false},
-		{`sort -t, -k2 f | uniq -c`, true, false},
-		{`cat f | sort -rn | uniq -c | head -n 5`, true, false},
-		{`sort -s -k1 | uniq -c`, false, true},
-		{`sort -s -k2 f | uniq -c`, true, true},
-		{`sort -u | uniq -c`, false, true},
-		{`sort f | uniq -c -i`, true, true},
-		{`sort | uniq -c -f1`, false, true},
-		{`sort f | uniq`, true, true},
-	}
-	for name, input := range countInputs() {
-		if name != "empty" && len(input) <= 1<<20 {
-			t.Fatalf("%s input is %d bytes, want over 1 MiB", name, len(input))
-		}
-		for _, row := range rows {
-			// The unterminated input is the duplicate-heavy one less a
-			// byte; the rows the rule refuses run sort and uniq as before.
-			if name == "unterminated" && row.refused {
-				continue
-			}
-			t.Run(name, func(t *testing.T) {
-				t.Parallel()
-				matchesHost(t, row.script, input, row.file)
-			})
-		}
-	}
-}
-
-// TestWcPadsLikeHost: wc over one file pads its columns to the digits
-// of the file's size, a column it does not print (-lw) included, at
-// every width; over stdin, or with an operand that is not a regular
-// file (a device), it pads to 7.
-func TestWcPadsLikeHost(t *testing.T) {
-	dir := t.TempDir()
-	for name, body := range map[string]string{"s": "the end\nother\nbathe\n", "m": paper.Text(12_000, 37)} {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, script := range []string{
-		"wc s", "wc -lw s", "cat s | wc", "wc -l s", "wc m", "wc -lw m", "cat m | wc", "wc -l m",
-		"wc /dev/null", "wc -lw /dev/null", "wc s /dev/null",
-	} {
-		want := hostOutput(t, dir, "", "sh", "-c", script)
-		for _, width := range []int{1, 2, 4} {
-			if got := runAt(t, width, dir, script, ""); got != want {
-				t.Errorf("%s at width %d: %q, host %q", script, width, got, want)
-			}
-		}
 	}
 }
