@@ -9,7 +9,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/annot"
 	"repro/internal/commands"
 )
 
@@ -42,7 +41,7 @@ func runCmd(t *testing.T, r *commands.Registry, dir, name string, args []string,
 func checkPair(t *testing.T, name string, argv []string) {
 	t.Helper()
 	r := reg()
-	stdReg := annot.StdRegistry()
+	stdReg := commands.Std()
 	inv := stdReg.Classify(name, argv)
 	spec, ok := Resolve(name, argv, inv)
 	if !ok {
@@ -134,7 +133,7 @@ func TestMapAggregatePairs(t *testing.T) {
 }
 
 func TestResolveRefusals(t *testing.T) {
-	stdReg := annot.StdRegistry()
+	stdReg := commands.Std()
 	refuse := []struct {
 		name string
 		argv []string
@@ -298,7 +297,7 @@ func TestCommutativeIsPermutationInvariant(t *testing.T) {
 	}
 	words := []string{"apple", "Apple", "APPLE", "a-b", "ab", "a b", "x:2:b", "x:10:a", "7", "07", "7.0", "kiwi", "", " kiwi"}
 	r := reg()
-	stdReg := annot.StdRegistry()
+	stdReg := commands.Std()
 	for _, c := range cases {
 		spec, ok := Resolve(c.name, c.argv, stdReg.Classify(c.name, c.argv))
 		if !ok {

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/annot"
 	"repro/internal/commands"
 )
 
@@ -200,7 +199,7 @@ func TestResolveAssociativity(t *testing.T) {
 	// Everything else resolved here is associative.
 	check := func(name string, args []string, want bool) {
 		t.Helper()
-		inv := annot.StdRegistry().Classify(name, args)
+		inv := commands.Std().Classify(name, args)
 		spec, ok := Resolve(name, args, inv)
 		if !ok {
 			t.Fatalf("Resolve(%s %v) failed", name, args)

@@ -1,7 +1,8 @@
 // Package annot implements PaSh's parallelizability classes (§3.1), the
-// lightweight annotation language of §3.2 / Appendix A, a registry of
-// annotation records for the POSIX and GNU Coreutils standard libraries,
-// and the parallelizability study behind Table 1.
+// lightweight annotation language of §3.2 / Appendix A, and the
+// standard library of annotation records for the POSIX and GNU
+// Coreutils commands. The command registry (internal/commands) files
+// each record in its name's entry and classifies invocations by it.
 package annot
 
 import "fmt"

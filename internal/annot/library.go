@@ -2,125 +2,8 @@ package annot
 
 import (
 	"fmt"
-	"sort"
 	"sync"
-	"sync/atomic"
 )
-
-// registryGen hands out globally unique generation numbers (see
-// Generation).
-var registryGen atomic.Uint64
-
-// Registry holds annotation records and classifies concrete invocations.
-// It plays the role of PaSh's annotation store: records are expressed once
-// per command (not per script) and looked up by name during compilation.
-type Registry struct {
-	mu   sync.RWMutex
-	recs map[string]*Record
-	gen  uint64
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{recs: map[string]*Record{}, gen: registryGen.Add(1)}
-}
-
-// Register parses DSL source and adds all records, replacing any existing
-// records with the same name (the §3.2 maintenance story: annotations can
-// be updated as commands evolve).
-func (r *Registry) Register(src string) error {
-	recs, err := ParseRecords(src)
-	if err != nil {
-		return err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, rec := range recs {
-		r.recs[rec.Name] = rec
-	}
-	r.gen = registryGen.Add(1)
-	return nil
-}
-
-// Replace installs rec as name's record, replacing the record the name
-// had together with the refiner it carried. A nil rec leaves the name
-// unannotated: the conservative side-effectful default. The session
-// layer parses and checks a user's record before it copies the
-// registry, so a rejected record leaves the session unchanged.
-func (r *Registry) Replace(name string, rec *Record) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if rec == nil {
-		delete(r.recs, name)
-	} else {
-		r.recs[name] = rec
-	}
-	r.gen = registryGen.Add(1)
-}
-
-// Generation identifies the registry's record state. It changes on
-// every mutation and is globally unique across diverged registries, so
-// plan caches can key on it.
-func (r *Registry) Generation() uint64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.gen
-}
-
-// Clone returns an independent copy of the registry (records are
-// immutable once parsed, so they are shared; the maps are not). It
-// backs the session layer's copy-on-write extension story.
-func (r *Registry) Clone() *Registry {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	nr := &Registry{recs: make(map[string]*Record, len(r.recs)), gen: r.gen}
-	for k, v := range r.recs {
-		nr.recs[k] = v
-	}
-	return nr
-}
-
-// Lookup returns the record for a command name, if any.
-func (r *Registry) Lookup(name string) (*Record, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	rec, ok := r.recs[name]
-	return rec, ok
-}
-
-// Names returns all annotated command names, sorted.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.recs))
-	for k := range r.recs {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Classify resolves an invocation. Unknown commands get the conservative
-// default (§5.1 "resorts to conservative defaults if none is found"):
-// side-effectful, reading stdin.
-func (r *Registry) Classify(name string, argv []string) *Invocation {
-	rec, ok := r.Lookup(name)
-	if !ok {
-		// A user CommandFunc cannot open files, so stdin is the only
-		// thing an unannotated name can ever read.
-		return &Invocation{
-			Name:   name,
-			Class:  SideEffectful,
-			Opts:   (&Record{Name: name}).ParseArgs(argv),
-			Inputs: []StreamRef{{Kind: StreamStdin}},
-		}
-	}
-	inv := rec.Resolve(argv)
-	if rec.refine != nil {
-		rec.refine(inv)
-	}
-	return inv
-}
 
 // stdlibSrc is PaSh's "data-parallel standard library": annotation records
 // for the POSIX/GNU commands that the benchmarks exercise. Records are in
@@ -343,25 +226,16 @@ touch {
 }
 `
 
-var (
-	stdOnce sync.Once
-	stdReg  *Registry
-	stdErr  error
-)
+// Stdlib returns the standard library's records, parsed once and shared
+// (records are immutable once parsed). The command registry files each
+// under its name, in the name's entry. It panics if the embedded records
+// fail to parse (a build-time bug, caught by tests).
+func Stdlib() []*Record { return stdlib() }
 
-// StdRegistry returns the shared registry preloaded with the standard
-// library annotations. It panics if the embedded records fail to parse
-// (a build-time bug, caught by tests).
-func StdRegistry() *Registry {
-	stdOnce.Do(func() {
-		stdReg = NewRegistry()
-		stdErr = stdReg.Register(stdlibSrc)
-		if stdErr == nil {
-			installRefiners(stdReg)
-		}
-	})
-	if stdErr != nil {
-		panic(fmt.Sprintf("annot: standard library failed to parse: %v", stdErr))
+var stdlib = sync.OnceValue(func() []*Record {
+	recs, err := ParseRecords(stdlibSrc)
+	if err != nil {
+		panic(fmt.Sprintf("annot: standard library failed to parse: %v", err))
 	}
-	return stdReg
-}
+	return recs
+})

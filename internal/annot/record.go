@@ -17,9 +17,6 @@ type Record struct {
 	// information in its command specifications.
 	ValueOpts map[string]bool
 	Clauses   []Clause
-	// refine is the builtin's semantic check, run after the clauses
-	// (see installRefiners); nil for every record parsed from source.
-	refine refiner
 }
 
 // Clause is one `| predicate => assignment` arm of a record.

@@ -13,10 +13,11 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/annot"
 )
 
 // Func is a command implementation. A nil error is exit status 0; an
@@ -244,10 +245,13 @@ type AggSpec struct {
 const TakesUnknown = math.MaxInt
 
 // Entry is everything the registry holds for one command name. A name
-// has one entry, and installing one replaces all of it: a kernel or an
-// aggregator pair never outlives the implementation it describes.
+// has one entry, and installing one replaces all of it: a kernel, an
+// aggregator pair or an annotation record never outlives the
+// implementation it describes.
 type Entry struct {
-	// Run is the implementation.
+	// Run is the implementation; nil for a name that has only a record
+	// (the annotation library describes commands this substrate does not
+	// implement), which every lookup but Classify treats as absent.
 	Run Func
 	// Kernel builds an invocation's per-block form; nil means none.
 	Kernel KernelMaker
@@ -258,6 +262,14 @@ type Entry struct {
 	// agg library), and it never ships to a worker, whose registry does
 	// not hold it.
 	User bool
+	// Record is the name's annotation record (§3, Appendix A); nil
+	// classifies every invocation side-effectful, reading stdin.
+	Record *annot.Record
+	// Refine is a builtin's semantic check, run after Record's clauses:
+	// it judges argv by the command's own grammar (a sed script, a tr
+	// SET), which the DSL cannot express. A refiner only ever demotes an
+	// invocation to a less parallelizable class, never promotes it.
+	Refine func(*annot.Invocation)
 }
 
 // registryGen hands out globally unique generation numbers: any two
@@ -302,8 +314,30 @@ func (r *Registry) Entry(name string) (Entry, bool) {
 
 // Lookup finds a command's implementation.
 func (r *Registry) Lookup(name string) (Func, bool) {
-	e, ok := r.Entry(name)
-	return e.Run, ok
+	e, _ := r.Entry(name)
+	return e.Run, e.Run != nil
+}
+
+// Classify resolves an invocation against the name's record and
+// refiner. A name with no record gets the conservative default (§5.1
+// "resorts to conservative defaults if none is found"): side-effectful,
+// reading stdin — a user CommandFunc cannot open files, so stdin is the
+// only thing an unannotated name can ever read.
+func (r *Registry) Classify(name string, argv []string) *annot.Invocation {
+	e, _ := r.Entry(name)
+	if e.Record == nil {
+		return &annot.Invocation{
+			Name:   name,
+			Class:  annot.SideEffectful,
+			Opts:   (&annot.Record{Name: name}).ParseArgs(argv),
+			Inputs: []annot.StreamRef{{Kind: annot.StreamStdin}},
+		}
+	}
+	inv := e.Record.Resolve(argv)
+	if e.Refine != nil {
+		e.Refine(inv)
+	}
+	return inv
 }
 
 // NewKernel builds the kernel for an invocation from the name's entry.
@@ -350,28 +384,18 @@ func (r *Registry) Clone() *Registry {
 	return nr
 }
 
-// Names returns registered command names, sorted.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.entries))
-	for k := range r.entries {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Run executes a command by name with the given context. The context's
 // Name is set and, when unset, stdio/FS get safe defaults. Exec defaults
-// to dispatching back into the registry.
+// to dispatching back into the registry. A name with no implementation
+// is the shell's "command not found": one line on stderr and exit
+// status 127, from which the script goes on as it would in sh.
 func (r *Registry) Run(name string, ctx *Context) error {
 	f, ok := r.Lookup(name)
 	if !ok {
 		if ctx.Stderr != nil {
 			fmt.Fprintf(ctx.Stderr, "%s: command not found\n", name)
 		}
-		return fmt.Errorf("commands: %q: not found", name)
+		return &ExitError{Code: 127}
 	}
 	ctx.Name = name
 	if ctx.Stdout == nil {
@@ -421,8 +445,24 @@ func installAll(r *Registry) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for name, f := range builtins {
-		r.entries[name] = Entry{Run: f, Kernel: kernelMakers[name]}
+		r.entries[name] = Entry{Run: f, Kernel: kernelMakers[name], Refine: refiners[name]}
 	}
+	for _, rec := range annot.Stdlib() {
+		e := r.entries[rec.Name]
+		e.Record = rec
+		r.entries[rec.Name] = e
+	}
+}
+
+// refiners maps builtin command names to the semantic checks their
+// entries carry, each defined beside the parser it asks.
+var refiners = map[string]func(*annot.Invocation){
+	"sed":   refineSed,
+	"sort":  refineSort,
+	"uniq":  refineUniq,
+	"paste": refinePaste,
+	"tr":    refineTr,
+	"xargs": refineXargs,
 }
 
 // builtins is populated by the per-command files' register calls.

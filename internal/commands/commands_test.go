@@ -559,11 +559,16 @@ func TestFileCmd(t *testing.T) {
 	}
 }
 
+// TestUnknownCommand: a name no entry implements — unknown, or one with
+// only an annotation record — is the shell's "command not found": one
+// line on stderr and exit status 127.
 func TestUnknownCommand(t *testing.T) {
-	var out bytes.Buffer
-	err := Std().Run("no-such-cmd", &Context{Stdout: &out, Stderr: &out})
-	if err == nil {
-		t.Fatal("want error for unknown command")
+	for _, name := range []string{"no-such-cmd", "tsort"} {
+		var out bytes.Buffer
+		err := Std().Run(name, &Context{Stdout: &out, Stderr: &out})
+		if ExitCode(err) != 127 || out.String() != name+": command not found\n" {
+			t.Errorf("%s: err %v, output %q; want exit 127 and one not-found line", name, err, out.String())
+		}
 	}
 }
 

@@ -3,6 +3,8 @@ package commands
 import (
 	"strconv"
 	"strings"
+
+	"repro/internal/annot"
 )
 
 func init() {
@@ -73,6 +75,15 @@ func fold(ctx *Context) error {
 		return err
 	}
 	return lw.Flush()
+}
+
+// refinePaste demotes multi-input paste from stateless to pure:
+// interleaving several streams consumes them in lockstep, which is not a
+// per-line map over one concatenated input.
+func refinePaste(inv *annot.Invocation) {
+	if inv.Class == annot.Stateless && len(inv.Opts.Operands) > 1 {
+		inv.Class = annot.Pure
+	}
 }
 
 // paste merges corresponding lines of its inputs with a delimiter

@@ -6,6 +6,8 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+
+	"repro/internal/annot"
 )
 
 func init() { register("sed", sed) }
@@ -157,15 +159,25 @@ func (p *sedProgram) lineMap() bool {
 	return true
 }
 
-// SedIsLineMap reports whether a sed invocation maps each input line to
-// its output independently of every other line, so that running it over
-// line-aligned chunks and concatenating reproduces the whole run. The
-// annotation library classifies sed by it, over all of the invocation's
-// -e scripts. An invocation sed itself rejects (-f included) is not one:
-// its usage error should come from one node, as at width 1.
-func SedIsLineMap(args []string) bool {
-	p, err := parseSedProgram(args)
-	return err == nil && p.lineMap()
+// refineSed demotes a sed invocation that is not a map over lines to
+// NonParallelizable: a map is one whose output for each line depends on
+// that line alone, so that running it over line-aligned chunks and
+// concatenating reproduces the whole run. s///, y///, p and d behind no
+// address or a /regex/ one act on one line's pattern space alone (-n and
+// s///p included: they only choose what is printed for that line); a
+// numeric or $ address, q and = read the line's position in the whole
+// input, and anything sed does not parse — hold space, branching, r/w,
+// -f, unknown flags — is refused outright, so its usage error comes from
+// one node as at width 1. The verdict covers every -e script of the argv.
+// A bare "sed" is the study's question about the command's default
+// class, not an invocation: nothing to demote.
+func refineSed(inv *annot.Invocation) {
+	if !inv.Class.DataParallelizable() || len(inv.Opts.Raw) == 0 {
+		return
+	}
+	if p, err := parseSedProgram(inv.Opts.Raw); err != nil || !p.lineMap() {
+		inv.Class = annot.NonParallelizable
+	}
 }
 
 // kernelForm reports whether the kernel runs the program: a line map

@@ -14,6 +14,8 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+
+	"repro/internal/annot"
 )
 
 func init() { register("sort", sortCmd) }
@@ -129,6 +131,14 @@ func parseSort(args []string) (cfg sortConfig, operands []string, outFile string
 		}
 	}
 	return cfg, operands, outFile, nil
+}
+
+// refineSort demotes sort -R (random order, which sort refuses) to
+// NonParallelizable: its usage error comes from one node, as at width 1.
+func refineSort(inv *annot.Invocation) {
+	if inv.Opts.Has("-R") || inv.Opts.Has("--random-sort") {
+		inv.Class = annot.NonParallelizable
+	}
 }
 
 // sortCmd implements sort: flags -n, -r, -u, -f, -d, -b, -s, -m, -c,

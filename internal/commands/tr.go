@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+
+	"repro/internal/annot"
 )
 
 func init() { register("tr", tr) }
@@ -204,13 +206,21 @@ func parseTrProgram(args []string) (*trProgram, error) {
 	return p, nil
 }
 
-// TrKeepsNewlines reports whether a tr invocation leaves every '\n' of
-// its input where it was, so that line-aligned chunks stay line-aligned.
-// The annotation library classifies tr by it. An invocation tr itself
-// rejects keeps them vacuously.
-func TrKeepsNewlines(args []string) bool {
-	p, err := parseTrProgram(args)
-	return err != nil || p.newlineIntact
+// refineTr demotes a tr invocation that deletes or rewrites newlines
+// from stateless to pure. Stateless means a map over lines: every
+// consumer of a stateless replica (a framed successor, a commutative map
+// behind an absorbed round-robin merge, a stream window) relies on its
+// chunks ending where lines end, and `tr -d '\n'` or `tr '\n' ' '` glues
+// lines across chunk boundaries. Squeezing newlines keeps chunks
+// line-aligned and stays stateless, and an invocation tr itself rejects
+// keeps them vacuously.
+func refineTr(inv *annot.Invocation) {
+	if inv.Class != annot.Stateless {
+		return
+	}
+	if p, err := parseTrProgram(inv.Opts.Raw); err == nil && !p.newlineIntact {
+		inv.Class = annot.Pure
+	}
 }
 
 // tr transliterates, squeezes, or deletes characters. Flags: -d (delete

@@ -4,9 +4,19 @@ import (
 	"bytes"
 	"strconv"
 	"strings"
+
+	"repro/internal/annot"
 )
 
 func init() { register("uniq", uniq) }
+
+// refineUniq demotes uniq with an output-file operand (uniq IN OUT
+// writes a file) to side-effectful.
+func refineUniq(inv *annot.Invocation) {
+	if len(inv.Opts.Operands) > 1 {
+		inv.Class = annot.SideEffectful
+	}
+}
 
 // uniq filters adjacent duplicate lines. Flags: -c (prefix counts),
 // -d (only duplicated), -u (only unique), -i (ignore ASCII case), -f N (skip N

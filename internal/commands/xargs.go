@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"repro/internal/annot"
 )
 
 func init() { register("xargs", xargs) }
@@ -65,20 +67,20 @@ func parseXargs(args []string) (xargsArgs, error) {
 	return x, nil
 }
 
-// XargsPerLine reports whether xargs under argv runs its command once per
-// input item that never spans lines — one word (-n 1) or one line (-L 1,
-// -I) — so that its output over line-aligned chunks is the concatenation
-// of their outputs. Any larger batch groups items across line boundaries;
-// an argv xargs refuses is not a map either.
-func XargsPerLine(argv []string) bool {
-	x, err := parseXargs(argv)
-	switch {
-	case err != nil:
-		return false
-	case x.repl != "" || x.maxLines > 0:
-		return x.repl != "" || x.maxLines == 1
+// refineXargs demotes xargs to NonParallelizable unless it runs its
+// command once per input item that never spans lines — one word (-n 1)
+// or one line (-L 1, -I) — so that its output over line-aligned chunks
+// is the concatenation of their outputs. Any larger batch, the default
+// one included, groups items across line boundaries; an argv xargs
+// refuses is not a map either.
+func refineXargs(inv *annot.Invocation) {
+	if inv.Class != annot.Stateless {
+		return
 	}
-	return x.maxArgs == 1
+	x, err := parseXargs(inv.Opts.Raw)
+	if err != nil || x.repl == "" && x.maxLines != 1 && (x.maxLines > 0 || x.maxArgs != 1) {
+		inv.Class = annot.NonParallelizable
+	}
 }
 
 // xargs builds command invocations from input lines. Flags: -n MAX (args

@@ -53,7 +53,7 @@ func (c *Compiler) CompilePipeline(stages []Stage, io RegionIO) (*dfg.Graph, err
 	var prevOut *dfg.Edge
 
 	for si, st := range stages {
-		inv := c.Annot.Classify(st.Name, st.Args)
+		inv := c.Cmds.Classify(st.Name, st.Args)
 		node := dfg.NewNode(dfg.KindCommand, st.Name, nil, inv.Class)
 
 		// Per-stage redirections override the ambient bindings.

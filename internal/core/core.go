@@ -7,7 +7,6 @@ package core
 
 import (
 	"repro/internal/agg"
-	"repro/internal/annot"
 	"repro/internal/commands"
 	"repro/internal/dfg"
 	"repro/internal/runtime"
@@ -76,16 +75,16 @@ func (p Preset) String() string { return presets[p].name }
 // DefaultOptions is the configuration the paper calls "Par + Split".
 func DefaultOptions(width int) Options { return Options{Width: width} }
 
-// Compiler holds the registries the compilation pipeline consults plus
-// the shared control-plane state: the plan cache and, optionally, the
-// machine-wide scheduler. A Compiler value is treated as an immutable
-// snapshot during a run — mutators (the pash session layer) replace
-// registries copy-on-write and swap in a fresh struct rather than
-// mutating one a concurrent run may be reading.
+// Compiler holds the command registry the compilation pipeline consults
+// (implementations, kernels, aggregator pairs and annotation records,
+// one entry per name) plus the shared control-plane state: the plan
+// cache and, optionally, the machine-wide scheduler. A Compiler value is
+// treated as an immutable snapshot during a run — mutators (the pash
+// session layer) replace the registry copy-on-write and swap in a fresh
+// struct rather than mutating one a concurrent run may be reading.
 type Compiler struct {
-	Annot *annot.Registry
-	Cmds  *commands.Registry
-	Opts  Options
+	Cmds *commands.Registry
+	Opts Options
 
 	// Plans caches planned+optimized region templates keyed by the
 	// canonical region fingerprint and planning options; nil disables
@@ -119,13 +118,12 @@ type WorkerPool interface {
 	Fingerprint() string
 }
 
-// NewCompiler builds a compiler over the standard annotation and command
-// registries with the given options and a default-sized plan cache.
+// NewCompiler builds a compiler over the standard command registry with
+// the given options and a default-sized plan cache.
 func NewCompiler(opts Options) *Compiler {
 	reg := commands.NewStd()
 	agg.Install(reg)
 	return &Compiler{
-		Annot: annot.StdRegistry(),
 		Cmds:  reg,
 		Opts:  opts,
 		Plans: NewPlanCache(0),

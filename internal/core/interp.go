@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -471,6 +472,12 @@ func (in *Interp) expander() *shell.Expander {
 		Glob:   true,
 		Dir:    in.dir,
 		Status: func() int { return int(in.status.Load()) },
+		Pwd: func() string {
+			if abs, err := filepath.Abs(in.dir); err == nil {
+				return abs
+			}
+			return in.dir
+		},
 		CmdSub: func(src string) (string, error) {
 			var out bytes.Buffer
 			sub := in.nested(in.env, runtime.StdIO{Stdin: strings.NewReader(""), Stdout: &out, Stderr: in.stdio.Stderr})
@@ -748,6 +755,10 @@ func (in *Interp) envSnapshot() map[string]string {
 	return in.envSnap
 }
 
+// shellBuiltins names the commands the interpreter runs itself, never as
+// a region: those that change its state, and those it refuses by name.
+var shellBuiltins = map[string]bool{"cd": true, "export": true, "wait": true, "exec": true, "set": true, "umask": true, "ulimit": true}
+
 // builtin handles the few commands that must mutate interpreter state.
 func (in *Interp) builtin(ctx context.Context, st Stage) (int, bool, error) {
 	switch st.Name {
@@ -761,7 +772,7 @@ func (in *Interp) builtin(ctx context.Context, st Stage) (int, bool, error) {
 			return 1, true, nil
 		}
 		if !strings.HasPrefix(dir, "/") {
-			dir = in.dir + "/" + dir
+			dir = filepath.Join(in.dir, dir)
 		}
 		in.dir = dir
 		return 0, true, nil
@@ -775,10 +786,16 @@ func (in *Interp) builtin(ctx context.Context, st Stage) (int, bool, error) {
 	case "wait":
 		code, err := in.waitJobs()
 		return code, true, err
-	case "exec", "set", "umask", "ulimit":
-		// Accepted and ignored: benchmark scripts use them only for
-		// shell housekeeping.
-		return 0, true, nil
+	case "umask":
+		if len(st.Args) > 0 {
+			// Accepted and ignored: files are created 0644 regardless.
+			return 0, true, nil
+		}
+		fallthrough
+	case "exec", "set", "ulimit":
+		// The interpreter keeps no shell options, process image or
+		// limits: going on as if it did would run a different script.
+		return 1, true, fmt.Errorf("core: %s is not supported", strings.Join(append([]string{st.Name}, st.Args...), " "))
 	}
 	_ = ctx
 	return 0, false, nil

@@ -326,11 +326,78 @@ func TestRegionStats(t *testing.T) {
 	}
 }
 
+// TestUnknownCommandConservative: a command no entry implements — an
+// unknown name, or one the annotation library describes but this
+// substrate does not run (tsort) — exits 127 after one "command not
+// found" line, and the script goes on, as in sh.
 func TestUnknownCommandConservative(t *testing.T) {
-	// Unknown commands abort that region with a useful error.
-	_, _, err := runScriptCode(t, DefaultOptions(4), "definitely-not-a-command", "", "", nil)
-	if err == nil {
-		t.Error("expected error for unknown command")
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "g"), []byte("a b\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ src, out string }{
+		{"definitely-not-a-command", ""},
+		{"tsort g", ""},
+		{"definitely-not-a-command; echo after", "after\n"},
+		{"definitely-not-a-command || echo recovered", "recovered\n"},
+	} {
+		var out, stderr bytes.Buffer
+		code, err := Run(context.Background(), NewCompiler(DefaultOptions(4)), tc.src, dir, nil,
+			runtime.StdIO{Stdin: strings.NewReader(""), Stdout: &out, Stderr: &stderr})
+		wantCode := 127
+		if tc.out != "" {
+			wantCode = 0
+		}
+		if err != nil || code != wantCode || out.String() != tc.out {
+			t.Errorf("%q: code %d, err %v, out %q; want %d, no error, %q", tc.src, code, err, out.String(), wantCode, tc.out)
+		}
+		if n := strings.Count(stderr.String(), "not found"); n != 1 {
+			t.Errorf("%q: %d \"not found\" lines on stderr, want 1:\n%s", tc.src, n, stderr.String())
+		}
+	}
+}
+
+// TestInterpRefusesUnimplementedState: shell state the interpreter does
+// not keep — options, positional and special parameters, the process
+// image, limits — is an error that names the construct, before anything
+// after it runs, never a silent no-op or an empty expansion. The emitter
+// keeps such a region verbatim for sh. $PWD is the job's directory and
+// follows cd.
+func TestInterpRefusesUnimplementedState(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, "sub"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for src, construct := range map[string]string{
+		"set -e; false; echo after": "set -e",
+		"set -- a b c; echo after":  "set -- a b c",
+		"set; echo after":           "set",
+		"exec echo hi; echo after":  "exec echo hi",
+		"umask; echo after":         "umask",
+		"ulimit -n; echo after":     "ulimit -n",
+		"echo $#":                   "$#",
+		"echo $@":                   "$@",
+		`echo "$*"`:                 "$*",
+		"echo $$ x":                 "$$",
+		"echo $0 x":                 "$0",
+		"echo $!":                   "$!",
+		"echo $1":                   "$1",
+		"echo ${10}":                "$10",
+		"cat <<EOF\n$2\nEOF":        "$2",
+	} {
+		out, _, err := runScriptCode(t, DefaultOptions(2), src, "", dir, nil)
+		if err == nil || !strings.Contains(err.Error(), construct+" is not supported") || out != "" {
+			t.Errorf("%q: out %q, err %v; want no output and an error naming %s", src, out, err, construct)
+		}
+		if strings.HasPrefix(construct, "$") {
+			p, err := NewCompiler(DefaultOptions(2)).Plan(src)
+			if err != nil || len(p.Items) != 1 || p.Items[0].Verbatim == "" {
+				t.Errorf("%q: emitted as %+v (%v), want one verbatim region", src, p, err)
+			}
+		}
+	}
+	if out := runScript(t, DefaultOptions(1), "umask 022; echo $PWD; cd sub; echo $PWD", "", dir, nil); out != dir+"\n"+dir+"/sub\n" {
+		t.Errorf("$PWD across cd = %q, want %s and %s/sub", out, dir, dir)
 	}
 }
 

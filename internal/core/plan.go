@@ -85,19 +85,17 @@ func regionKey(stages []Stage) string {
 }
 
 // planKey extends a region fingerprint with the options that planning
-// consults, at the given effective width, plus the annotation and
-// command registry generations. The generations make re-registration
-// bust the cache by construction: registering a command, kernel,
-// aggregator, or annotation bumps the registry's globally unique
-// generation, so a cached plan built against the old registries can
-// never be served for the new ones — even when a cache outlives a
-// registration or is shared across compiler snapshots.
+// consults, at the given effective width, plus the command registry's
+// generation. The generation makes re-registration bust the cache by
+// construction: registering a command, kernel, aggregator, or annotation
+// bumps the registry's globally unique generation, so a cached plan
+// built against the old registry can never be served for the new one —
+// even when a cache outlives a registration or is shared across
+// compiler snapshots.
 func (c *Compiler) planKey(region string, width int) string {
 	o := c.Opts
 	b := make([]byte, 0, len(region)+72)
 	b = append(b, 'g')
-	b = strconv.AppendUint(b, c.Annot.Generation(), 10)
-	b = append(b, ',')
 	b = strconv.AppendUint(b, c.Cmds.Generation(), 10)
 	b = append(b, 'w')
 	b = strconv.AppendInt(b, int64(width), 10)

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/annot"
 	"repro/internal/commands"
 	"repro/internal/dfg"
 	"repro/internal/runtime"
@@ -61,15 +62,12 @@ func TestPlanCacheHitOutputIdentical(t *testing.T) {
 	}
 }
 
-// TestPlanKeyIncludesRegistryGeneration: registering into the command
-// or annotation registry must invalidate cached plans by construction,
-// even when the cache object itself survives — the plan key carries
-// both registry generations.
+// TestPlanKeyIncludesRegistryGeneration: registering a command or an
+// annotation record must invalidate cached plans by construction, even
+// when the cache object itself survives — the plan key carries the
+// registry's generation.
 func TestPlanKeyIncludesRegistryGeneration(t *testing.T) {
 	c := NewCompiler(DefaultOptions(4))
-	// NewCompiler shares the process-wide annotation registry; clone it
-	// before mutating so this test's registrations stay private.
-	c.Annot = c.Annot.Clone()
 	stages := []Stage{{Name: "grep", Args: []string{"x"}}, {Name: "wc", Args: []string{"-l"}}}
 
 	if _, hit, err := c.PlanRegion(stages, 4); err != nil || hit {
@@ -90,9 +88,13 @@ func TestPlanKeyIncludesRegistryGeneration(t *testing.T) {
 	}
 
 	// Same for annotation registrations.
-	if err := c.Annot.Register(`grep { | _ => (E, [], []) }`); err != nil {
+	rec, err := annot.ParseRecord(`grep { | _ => (E, [], []) }`)
+	if err != nil {
 		t.Fatal(err)
 	}
+	e, _ := c.Cmds.Entry("grep")
+	e.Record = rec
+	c.Cmds.Set("grep", e)
 	if _, hit, err := c.PlanRegion(stages, 4); err != nil || hit {
 		t.Fatalf("plan after annotation registration should miss: hit=%v err=%v", hit, err)
 	}
@@ -409,8 +411,12 @@ func TestBackgroundJobExitPropagation(t *testing.T) {
 	if err != nil || code != 0 {
 		t.Errorf("wait after succeeding job: code=%d err=%v", code, err)
 	}
+	_, code, err = runScriptCode(t, Options{Width: 1}, "definitely-not-a-command & wait", "", "", nil)
+	if err != nil || code != 127 {
+		t.Errorf("wait after a command not found: code=%d err=%v, want 127/nil", code, err)
+	}
 	// A background job hitting a real error propagates it at script end.
-	_, _, err = runScriptCode(t, Options{Width: 1}, "definitely-not-a-command &", "", "", nil)
+	_, _, err = runScriptCode(t, Options{Width: 1}, "echo $1 &", "", "", nil)
 	if err == nil {
 		t.Error("background error swallowed")
 	}
@@ -542,8 +548,10 @@ func TestPositionalSedIsNotStateless(t *testing.T) {
 			}
 		}
 	}
-	if commands.SedIsLineMap([]string{"2,3d;s/a/b/"}) || commands.SedIsLineMap([]string{"-n", "2,$p"}) || commands.SedIsLineMap([]string{"$d"}) {
-		t.Error("SedIsLineMap calls an address range or $ a line map")
+	for _, argv := range [][]string{{"2,3d;s/a/b/"}, {"-n", "2,$p"}, {"$d"}} {
+		if class := commands.Std().Classify("sed", argv).Class; class.DataParallelizable() {
+			t.Errorf("sed %q classifies %v: an address range or $ is not a line map", argv, class)
+		}
 	}
 	p, err := NewCompiler(DefaultOptions(4)).PlanExec(ranged)
 	if err != nil || len(p.Items) != 1 || p.Items[0].Graph == nil {

@@ -103,8 +103,7 @@ func (in *Interp) PlanStream(list *shell.List) (*StreamPlan, error) {
 		return nil, err
 	}
 	for _, st := range stages {
-		switch st.Name {
-		case "cd", "export", "wait", "exec", "set", "umask", "ulimit":
+		if shellBuiltins[st.Name] {
 			return nil, notStreamable("builtin %s cannot stream", st.Name)
 		}
 	}

@@ -130,10 +130,10 @@ type DistOptions struct {
 	// (user-registered custom commands exist only in the coordinator's
 	// registry). Nil means every name ships.
 	Shippable func(name string) bool
-	// KeySalt mixes coordinator-side planning state (registry
-	// generations) into each spec's Key, so a re-registration on the
+	// KeySalt mixes coordinator-side planning state (the registry's
+	// generation) into each spec's Key, so a re-registration on the
 	// coordinator also invalidates worker-cached plans built from the
-	// old registries.
+	// old registry.
 	KeySalt string
 }
 

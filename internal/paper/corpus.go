@@ -2,6 +2,7 @@ package paper
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 )
 
@@ -273,6 +274,21 @@ grep water in.txt) | sort`, nil
 			Highlights: "an assignment-only pipeline stage sets nothing and writes nothing: the next stage reads EOF",
 			Setup: func(dir string, scale int) (string, error) {
 				return `echo STDIN | { x=1 | cat; echo "[$x]"; }`, nil
+			},
+		},
+		{
+			Name:       "quoted-glob",
+			Structure:  "S;S",
+			Highlights: "a quoted *, ? or [ is a literal character: only the unquoted a* and a? glob, relative or under $PWD",
+			Setup: func(dir string, scale int) (string, error) {
+				for name, text := range map[string]string{"a1": "abc\nxyz\n", "a2": "aa\n"} {
+					if err := os.WriteFile(filepath.Join(dir, name), []byte(text), 0o644); err != nil {
+						return "", err
+					}
+				}
+				return `echo 'a*' "a*" a*
+echo "$PWD"/a? | sed "s;$PWD/;;g"
+grep 'a*' a1`, nil
 			},
 		},
 	}

@@ -46,11 +46,14 @@ func TestStudyAgreesWithAnnotations(t *testing.T) {
 	// entry, the record's default-flag class must match the study class.
 	// Refiners judge concrete invocations (xargs without -n 1 is not a
 	// map), not the study's question about the command.
-	reg := annot.StdRegistry()
+	recs := map[string]*annot.Record{}
+	for _, rec := range annot.Stdlib() {
+		recs[rec.Name] = rec
+	}
 	for set, study := range studies {
 		for class, names := range study {
 			for _, name := range names {
-				rec, ok := reg.Lookup(name)
+				rec, ok := recs[name]
 				if !ok {
 					continue
 				}

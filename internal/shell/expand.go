@@ -97,7 +97,7 @@ func (e *Env) Snapshot() (map[string]string, uint64) {
 }
 
 // ExpandError reports an expansion the engine refuses to perform (command
-// substitution, unsupported special parameters).
+// substitution without a runner, special and positional parameters).
 type ExpandError struct {
 	Msg string
 }
@@ -125,11 +125,25 @@ type Expander struct {
 	// would change Env for every command — and without Status, $? is
 	// looked up in Env like any name (undefined, so dynamic to Strict).
 	Status func() int
+	// Pwd, when set, gives $PWD: the working directory, which follows cd.
+	Pwd func() string
+}
+
+// refusedParam reports a positional or special parameter other than $?:
+// the engine keeps no positional arguments, shell name, process ids or
+// option flags, so each is refused by name rather than expanded empty.
+func refusedParam(name string) bool {
+	return name != "" && (name[0] >= '0' && name[0] <= '9' || len(name) == 1 && strings.Contains("#@*$!-", name))
 }
 
 func (x *Expander) param(name string) (string, error) {
-	if name == "?" && x.Status != nil {
+	switch {
+	case name == "?" && x.Status != nil:
 		return strconv.Itoa(x.Status()), nil
+	case name == "PWD" && x.Pwd != nil:
+		return x.Pwd(), nil
+	case refusedParam(name):
+		return "", &ExpandError{Msg: "parameter $" + name + " is not supported"}
 	}
 	v, ok := x.Env.Lookup(name)
 	if !ok && x.Strict {
@@ -156,15 +170,13 @@ func (x *Expander) ExpandWord(w *Word) ([]string, error) {
 	// a single-quoted pattern — expands to itself: no brace, parameter,
 	// split or glob pass has anything to do, and none is run.
 	if len(w.Parts) == 1 {
-		text, literal := "", false
 		switch p := w.Parts[0].(type) {
 		case *Lit:
-			text, literal = p.Text, true
+			if !((x.Glob || x.Strict) && strings.ContainsAny(p.Text, "*?[")) {
+				return []string{p.Text}, nil
+			}
 		case *SglQuoted:
-			text, literal = p.Text, true
-		}
-		if literal && !((x.Glob || x.Strict) && strings.ContainsAny(text, "*?[")) {
-			return []string{text}, nil
+			return []string{p.Text}, nil
 		}
 	}
 	// Brace expansion first, producing one or more words.
@@ -172,18 +184,21 @@ func (x *Expander) ExpandWord(w *Word) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	var fields []string
+	var out []string
 	for _, bw := range words {
 		fs, err := x.expandFields(bw)
 		if err != nil {
 			return nil, err
 		}
-		fields = append(fields, fs...)
+		for _, f := range fs {
+			if f.glob && x.Glob {
+				out = append(out, x.glob(f)...)
+			} else {
+				out = append(out, f.text)
+			}
+		}
 	}
-	if x.Glob {
-		fields = x.globFields(fields)
-	}
-	return fields, nil
+	return out, nil
 }
 
 // ExpandString expands a word in a no-split context (assignment RHS,
@@ -240,13 +255,23 @@ func (x *Expander) expandPartNoSplit(p WordPart) (string, error) {
 	return "", &ExpandError{Msg: fmt.Sprintf("unknown word part %T", p)}
 }
 
-// field assembly with split tracking: quoted segments never split.
+// segment is one part of a word as it expands: a literal or a quoted
+// part never splits, and only an unquoted part's *, ? and [ glob.
 type segment struct {
 	text   string
+	split  bool
 	quoted bool
 }
 
-func (x *Expander) expandFields(w *Word) ([]string, error) {
+// field is one field of an expanded word. glob marks a field with an
+// unquoted *, ? or [; pattern is then its text with every quoted
+// metacharacter (and every backslash) escaped, the pattern it globs by.
+type field struct {
+	text, pattern string
+	glob          bool
+}
+
+func (x *Expander) expandFields(w *Word) ([]field, error) {
 	var segs []segment
 	for _, p := range w.Parts {
 		switch p := p.(type) {
@@ -254,7 +279,7 @@ func (x *Expander) expandFields(w *Word) ([]string, error) {
 			if x.Strict && strings.ContainsAny(p.Text, "*?[") {
 				return nil, &ExpandError{Msg: "pattern " + p.Text + " is globbed at run time"}
 			}
-			segs = append(segs, segment{text: p.Text, quoted: true})
+			segs = append(segs, segment{text: p.Text})
 		case *SglQuoted:
 			segs = append(segs, segment{text: p.Text, quoted: true})
 		case *DblQuoted:
@@ -275,13 +300,13 @@ func (x *Expander) expandFields(w *Word) ([]string, error) {
 			if x.Strict && strings.ContainsAny(v, "*?[") {
 				return nil, &ExpandError{Msg: "$" + p.Name + " is globbed at run time"}
 			}
-			segs = append(segs, segment{text: v, quoted: false})
+			segs = append(segs, segment{text: v, split: true})
 		case *CmdSub:
 			out, err := x.runCmdSub(p.Src)
 			if err != nil {
 				return nil, err
 			}
-			segs = append(segs, segment{text: out, quoted: false})
+			segs = append(segs, segment{text: out, split: true})
 		default:
 			return nil, &ExpandError{Msg: fmt.Sprintf("unexpected part %T after brace expansion", p)}
 		}
@@ -290,71 +315,78 @@ func (x *Expander) expandFields(w *Word) ([]string, error) {
 }
 
 // joinAndSplit implements POSIX field splitting with default IFS over the
-// unquoted segments, while quoted segments glue to their neighbors.
-func joinAndSplit(segs []segment) []string {
-	var fields []string
-	var cur strings.Builder
-	started := false
+// split segments, while the others glue to their neighbors. A field's
+// pattern is its text until a byte needs escaping.
+func joinAndSplit(segs []segment) []field {
+	var fields []field
+	var cur, pat strings.Builder
+	started, glob, escaped := false, false, false
 	emit := func() {
 		if started {
-			fields = append(fields, cur.String())
+			f := field{text: cur.String(), glob: glob}
+			if f.pattern = f.text; escaped {
+				f.pattern = pat.String()
+			}
+			fields = append(fields, f)
 			cur.Reset()
-			started = false
+			pat.Reset()
+			started, glob, escaped = false, false, false
 		}
 	}
 	for _, s := range segs {
-		if s.quoted {
-			cur.WriteString(s.text)
-			started = true
-			continue
-		}
-		// Split unquoted text on IFS whitespace.
 		t := s.text
-		i := 0
-		for i < len(t) {
+		for i := 0; i < len(t); i++ {
 			c := t[i]
-			if c == ' ' || c == '\t' || c == '\n' {
+			if s.split && (c == ' ' || c == '\t' || c == '\n') {
 				emit()
-				i++
 				continue
+			}
+			meta := c == '*' || c == '?' || c == '['
+			if esc := c == '\\' || s.quoted && meta; escaped || esc {
+				if !escaped {
+					pat.WriteString(cur.String())
+					escaped = true
+				}
+				if esc {
+					pat.WriteByte('\\')
+				}
+				pat.WriteByte(c)
 			}
 			cur.WriteByte(c)
 			started = true
-			i++
+			glob = glob || meta && !s.quoted
 		}
+		started = started || !s.split
 	}
 	emit()
 	return fields
 }
 
-func (x *Expander) globFields(fields []string) []string {
-	var out []string
-	for _, f := range fields {
-		if !strings.ContainsAny(f, "*?[") {
-			out = append(out, f)
-			continue
-		}
-		pat := f
-		if x.Dir != "" && !filepath.IsAbs(pat) {
-			pat = filepath.Join(x.Dir, f)
-		}
-		matches, err := filepath.Glob(pat)
-		if err != nil || len(matches) == 0 {
-			out = append(out, f)
-			continue
-		}
-		sort.Strings(matches)
-		if x.Dir != "" {
-			for i, m := range matches {
-				if rel, err := filepath.Rel(x.Dir, m); err == nil {
-					matches[i] = rel
-				}
+// glob expands one field by its pattern relative to Dir, sorted; a
+// pattern that matches nothing stays the field's text, as in sh.
+func (x *Expander) glob(f field) []string {
+	pat, rel := f.pattern, x.Dir != "" && !filepath.IsAbs(f.pattern)
+	if rel {
+		pat = filepath.Join(x.Dir, pat)
+	}
+	matches, err := filepath.Glob(pat)
+	if err != nil || len(matches) == 0 {
+		return []string{f.text}
+	}
+	sort.Strings(matches)
+	if rel {
+		for i, m := range matches {
+			if rel, err := filepath.Rel(x.Dir, m); err == nil {
+				matches[i] = rel
 			}
 		}
-		out = append(out, matches...)
 	}
-	return out
+	return matches
 }
+
+// maxBraceWords bounds the words one word's brace expansion makes: a
+// range like {1..99999999999999999999} is refused, not run out of memory.
+const maxBraceWords = 1 << 20
 
 // expandBraces rewrites a word containing BraceRange/BraceList parts into
 // the cartesian product of plain words.
@@ -363,9 +395,12 @@ func expandBraces(w *Word) ([]*Word, error) {
 		switch p := p.(type) {
 		case *BraceRange:
 			lo, hi := p.Lo, p.Hi
-			step := 1
+			step, span := 1, uint64(hi-lo)
 			if hi < lo {
-				step = -1
+				step, span = -1, uint64(lo-hi)
+			}
+			if span >= maxBraceWords {
+				return nil, &ExpandError{Msg: fmt.Sprintf("brace range {%d..%d} makes more than %d words", lo, hi, maxBraceWords)}
 			}
 			var out []*Word
 			for v := lo; ; v += step {
@@ -375,6 +410,9 @@ func expandBraces(w *Word) ([]*Word, error) {
 					return nil, err
 				}
 				out = append(out, sub...)
+				if len(out) > maxBraceWords {
+					return nil, &ExpandError{Msg: fmt.Sprintf("brace expansion makes more than %d words", maxBraceWords)}
+				}
 				if v == hi {
 					break
 				}

@@ -173,8 +173,11 @@ func TestEnvScoping(t *testing.T) {
 // strings.Fields for default-IFS input.
 func TestQuickFieldSplitMatchesFields(t *testing.T) {
 	f := func(ws []bool, raw string) bool {
-		segs := []segment{{text: raw, quoted: false}}
-		got := joinAndSplit(segs)
+		segs := []segment{{text: raw, split: true}}
+		var got []string
+		for _, f := range joinAndSplit(segs) {
+			got = append(got, f.text)
+		}
 		want := fieldsDefaultIFS(raw)
 		return reflect.DeepEqual(got, want)
 	}
@@ -211,7 +214,7 @@ func TestQuickQuotedNeverSplits(t *testing.T) {
 	f := func(a, b string) bool {
 		segs := []segment{{text: a, quoted: true}, {text: b, quoted: true}}
 		got := joinAndSplit(segs)
-		return len(got) == 1 && got[0] == a+b
+		return len(got) == 1 && got[0].text == a+b
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)

@@ -1,6 +1,8 @@
 package shell
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -60,6 +62,11 @@ EOF`,
 	`echo {a,b,c} {1..9} pre{x,y}post`,
 	`true && false || echo done; echo $?`,
 	`sort <f 2>err.log >>out.txt`,
+	// Quoting and globbing: only an unquoted *, ? or [ globs.
+	`echo 'a*' "a?" a* a? \[ab] [ab] "[x" '*' "b"*`,
+	`x='a*'; echo $x "$x" 'b'"?" \*`,
+	// Special and positional parameters, which expansion refuses.
+	`echo $# $@ $* $$ $0 $! $1 ${10} ${-} "$#" "x$@"`,
 	``,
 	`#comment only`,
 }
@@ -83,11 +90,20 @@ func FuzzParse(f *testing.F) {
 }
 
 // FuzzExpand: word expansion must never panic on any parsed script.
-// Expansion errors are fine; panics are not. Globbing is off (no
-// filesystem access from the fuzzer) and command substitution uses a
-// pure echo stand-in.
+// Expansion errors are fine; panics are not. Globbing runs against a
+// directory whose names the seeds' patterns match, and command
+// substitution uses a pure echo stand-in. Two rules hold of every word:
+// one made only of quoted parts expands to its own text, glob
+// characters included, and one holding a refused parameter ($#, $1, ...)
+// is an error naming one, never an empty field.
 func FuzzExpand(f *testing.F) {
 	seedAll(f)
+	dir := f.TempDir()
+	for _, name := range []string{"a1", "a2", "b?", "[x", "*", "xval"} {
+		if err := os.WriteFile(filepath.Join(dir, name), nil, 0o644); err != nil {
+			f.Fatal(err)
+		}
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		list, err := Parse(src)
 		if err != nil {
@@ -97,22 +113,82 @@ func FuzzExpand(f *testing.F) {
 		env.Set("x", "xval")
 		env.Set("base", "b")
 		x := &Expander{
-			Env: env,
+			Env:  env,
+			Glob: true,
+			Dir:  dir,
 			CmdSub: func(s string) (string, error) {
 				return "sub:" + s, nil
 			},
 		}
-		expandNode(x, list)
+		expandNode(x, list, func(w *Word) {
+			fields, err := x.ExpandWord(w)
+			if text, ok := quotedText(w); ok && (err != nil || len(fields) != 1 || fields[0] != text) {
+				t.Fatalf("%q: quoted word %q expands to %q, %v", src, text, fields, err)
+			}
+			if refused := refusedParams(w.Parts); len(refused) > 0 {
+				named := false
+				for _, name := range refused {
+					named = named || err != nil && strings.Contains(err.Error(), "$"+name+" ")
+				}
+				if !named || fields != nil {
+					t.Fatalf("%q: word with %v expands to %q, %v; want an error naming one", src, refused, fields, err)
+				}
+			}
+		})
 	})
 }
 
-// expandNode walks every word in the AST through the expander.
-func expandNode(x *Expander, n Node) {
+// quotedText is the text of a word made only of quoted literal parts.
+func quotedText(w *Word) (string, bool) {
+	var b strings.Builder
+	for _, p := range w.Parts {
+		switch p := p.(type) {
+		case *SglQuoted:
+			b.WriteString(p.Text)
+		case *DblQuoted:
+			for _, ip := range p.Parts {
+				lit, ok := ip.(*Lit)
+				if !ok {
+					return "", false
+				}
+				b.WriteString(lit.Text)
+			}
+		default:
+			return "", false
+		}
+	}
+	return b.String(), len(w.Parts) > 0
+}
+
+// refusedParams lists the refused parameters among parts, through
+// double quotes and brace lists.
+func refusedParams(parts []WordPart) []string {
+	var out []string
+	for _, p := range parts {
+		switch p := p.(type) {
+		case *Param:
+			if refusedParam(p.Name) {
+				out = append(out, p.Name)
+			}
+		case *DblQuoted:
+			out = append(out, refusedParams(p.Parts)...)
+		case *BraceList:
+			for _, it := range p.Items {
+				out = append(out, refusedParams(it.Parts)...)
+			}
+		}
+	}
+	return out
+}
+
+// expandNode walks every word in the AST through the expander, handing
+// each argument and loop item to check as well.
+func expandNode(x *Expander, n Node, check func(*Word)) {
 	switch n := n.(type) {
 	case nil:
 	case *List:
 		for _, it := range n.Items {
-			expandNode(x, it.Cmd)
+			expandNode(x, it.Cmd, check)
 		}
 	case *Simple:
 		for _, a := range n.Assigns {
@@ -121,7 +197,7 @@ func expandNode(x *Expander, n Node) {
 			}
 		}
 		for _, w := range n.Args {
-			x.ExpandWord(w)
+			check(w)
 		}
 		for _, r := range n.Redirs {
 			if r.Target != nil {
@@ -130,31 +206,31 @@ func expandNode(x *Expander, n Node) {
 		}
 	case *Pipeline:
 		for _, c := range n.Cmds {
-			expandNode(x, c)
+			expandNode(x, c, check)
 		}
 	case *AndOr:
-		expandNode(x, n.First)
+		expandNode(x, n.First, check)
 		for _, p := range n.Rest {
-			expandNode(x, p.Cmd)
+			expandNode(x, p.Cmd, check)
 		}
 	case *For:
 		for _, w := range n.Items {
-			x.ExpandWord(w)
+			check(w)
 		}
-		expandNode(x, n.Body)
+		expandNode(x, n.Body, check)
 	case *If:
-		expandNode(x, n.Cond)
-		expandNode(x, n.Then)
+		expandNode(x, n.Cond, check)
+		expandNode(x, n.Then, check)
 		if n.Else != nil {
-			expandNode(x, n.Else)
+			expandNode(x, n.Else, check)
 		}
 	case *While:
-		expandNode(x, n.Cond)
-		expandNode(x, n.Body)
+		expandNode(x, n.Cond, check)
+		expandNode(x, n.Body, check)
 	case *Subshell:
-		expandNode(x, n.Body)
+		expandNode(x, n.Body, check)
 	case *Brace:
-		expandNode(x, n.Body)
+		expandNode(x, n.Body, check)
 	}
 }
 

@@ -189,16 +189,6 @@ func (p *parser) wordIs(s string) bool {
 	return wordLitEq(p.tok.word, s)
 }
 
-// reserved words that terminate an inner list.
-func (p *parser) atReserved(words ...string) bool {
-	for _, w := range words {
-		if p.wordIs(w) {
-			return true
-		}
-	}
-	return false
-}
-
 // parseList parses a command list until the stop predicate matches (the
 // stopping token is not consumed).
 func (p *parser) parseList(stop func(token) bool) (*List, error) {

@@ -120,7 +120,7 @@ type CommandSpec struct {
 // whether the name held a builtin or an earlier registration. Only what
 // the spec supplies applies. An Aggregator with an Agg installs AggName
 // the same way, as an unannotated command of its own. Registration
-// starts a fresh plan cache and bumps the registry generations, so no
+// starts a fresh plan cache and bumps the registry generation, so no
 // plan made under the old entry is served.
 func (s *Session) Register(spec CommandSpec) error {
 	if spec.Name == "" {
@@ -170,15 +170,12 @@ func (s *Session) Register(spec CommandSpec) error {
 	defer s.mu.Unlock()
 	cc := *s.compiler
 	cc.Cmds = cc.Cmds.Clone()
-	cc.Annot = cc.Annot.Clone()
-	cc.Cmds.Set(spec.Name, commands.Entry{Run: wrapCommand(spec.Run), Kernel: spec.Kernel, Agg: pair, User: true})
-	cc.Annot.Replace(spec.Name, rec)
+	cc.Cmds.Set(spec.Name, commands.Entry{Run: wrapCommand(spec.Run), Kernel: spec.Kernel, Agg: pair, User: true, Record: rec})
 	if ag := spec.Aggregator; ag != nil {
 		if ag.Agg != nil {
 			// The aggregate is a user entry of its own, with no record:
 			// nothing the name meant before describes the wrapper.
 			cc.Cmds.Set(ag.AggName, commands.Entry{Run: wrapAggregator(ag.Agg), User: true})
-			cc.Annot.Replace(ag.AggName, nil)
 		} else if _, ok := cc.Cmds.Lookup(ag.AggName); !ok {
 			// A nil Agg promises AggName already exists; surface the
 			// broken promise here rather than as command-not-found the

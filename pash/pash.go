@@ -83,7 +83,7 @@ func NewScheduler(tokens int) *Scheduler { return runtime.NewScheduler(tokens) }
 // Session holds a compiler configuration plus the execution environment.
 // Sessions are safe for concurrent Run calls: each run takes an
 // immutable snapshot of the compiler, and extension methods
-// (Register, SetOptions, UseScheduler) replace registries copy-on-write
+// (Register, SetOptions, UseScheduler) replace the compiler copy-on-write
 // instead of mutating state a running script may be reading. Dir and
 // Vars are plain fields — set them before sharing the session.
 type Session struct {

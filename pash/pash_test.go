@@ -77,8 +77,8 @@ func TestRegisterCommandAndAnnotation(t *testing.T) {
 	// registration.
 	s2 := NewSession(DefaultOptions(2))
 	var out2 bytes.Buffer
-	if _, err := s2.Run(context.Background(), "double", strings.NewReader("x\n"), &out2, io.Discard); err == nil {
-		t.Error("custom command leaked into a fresh session")
+	if code, err := s2.Run(context.Background(), "double", strings.NewReader("x\n"), &out2, io.Discard); err != nil || code != 127 {
+		t.Errorf("custom command leaked into a fresh session: code %d, err %v, want 127 (not found)", code, err)
 	}
 }
 

@@ -241,6 +241,7 @@ func TestStreamNotStreamable(t *testing.T) {
 		"sort | uniq -c",   // two-stage fold would be unsound
 		"wc -l > out.txt",  // stream owns stdout
 		"cd /tmp",          // builtin
+		"exec cat",         // builtin the interpreter refuses
 		"grep a; grep b",   // two statements
 		"x=1 grep a",       // assignment prefix
 		"cat f | wc -l",    // reads no stdin
