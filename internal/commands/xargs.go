@@ -109,13 +109,13 @@ func xargs(ctx *Context) error {
 			callArgs = append(callArgs, argv...)
 		}
 		err := ctx.Exec(name, callArgs, strings.NewReader(""), ctx.Stdout)
-		if err != nil {
-			if _, ok := err.(*ExitError); ok {
-				return nil // non-zero child status does not stop xargs
-			}
-			return err
+		if code := ExitCode(err); code == 126 || code == 127 {
+			return err // a command that cannot be run stops xargs with its status, as in GNU xargs
 		}
-		return nil
+		if _, ok := err.(*ExitError); ok {
+			return nil // any other non-zero child status does not stop xargs
+		}
+		return err
 	}
 
 	if x.repl != "" || x.maxLines > 0 {

@@ -329,30 +329,40 @@ func TestRegionStats(t *testing.T) {
 // TestUnknownCommandConservative: a command no entry implements — an
 // unknown name, or one the annotation library describes but this
 // substrate does not run (tsort) — exits 127 after one "command not
-// found" line, and the script goes on, as in sh.
+// found" line, and the script goes on, as in sh. Run by xargs, it stops
+// xargs with that status, as GNU xargs does, at every width.
 func TestUnknownCommandConservative(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "g"), []byte("a b\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct{ src, out string }{
-		{"definitely-not-a-command", ""},
-		{"tsort g", ""},
-		{"definitely-not-a-command; echo after", "after\n"},
-		{"definitely-not-a-command || echo recovered", "recovered\n"},
-	} {
-		var out, stderr bytes.Buffer
-		code, err := Run(context.Background(), NewCompiler(DefaultOptions(4)), tc.src, dir, nil,
-			runtime.StdIO{Stdin: strings.NewReader(""), Stdout: &out, Stderr: &stderr})
-		wantCode := 127
-		if tc.out != "" {
-			wantCode = 0
-		}
-		if err != nil || code != wantCode || out.String() != tc.out {
-			t.Errorf("%q: code %d, err %v, out %q; want %d, no error, %q", tc.src, code, err, out.String(), wantCode, tc.out)
-		}
-		if n := strings.Count(stderr.String(), "not found"); n != 1 {
-			t.Errorf("%q: %d \"not found\" lines on stderr, want 1:\n%s", tc.src, n, stderr.String())
+	for _, width := range []int{1, 4} {
+		for _, tc := range []struct {
+			src, out string
+			merged   bool // status held at width 1 only: a wider plan exits with its merge's, 0 (ROADMAP item 7)
+		}{
+			{"definitely-not-a-command", "", false},
+			{"tsort g", "", false},
+			{"definitely-not-a-command; echo after", "after\n", false},
+			{"definitely-not-a-command || echo recovered", "recovered\n", false},
+			{"seq 3 | xargs nosuch", "", false},
+			{"seq 3 | xargs -n 1 nosuch", "", true},
+			{"seq 3 | xargs -n 1 nosuch; echo after", "after\n", false},
+		} {
+			var out, stderr bytes.Buffer
+			code, err := Run(context.Background(), NewCompiler(DefaultOptions(width)), tc.src, dir, nil,
+				runtime.StdIO{Stdin: strings.NewReader(""), Stdout: &out, Stderr: &stderr})
+			wantCode := 127
+			if tc.out != "" {
+				wantCode = 0
+			}
+			if err != nil || (width == 1 || !tc.merged) && code != wantCode || out.String() != tc.out {
+				t.Errorf("%q at width %d: code %d, err %v, out %q; want %d, no error, %q",
+					tc.src, width, code, err, out.String(), wantCode, tc.out)
+			}
+			if n := strings.Count(stderr.String(), "not found"); n != 1 {
+				t.Errorf("%q at width %d: %d \"not found\" lines on stderr, want 1:\n%s", tc.src, width, n, stderr.String())
+			}
 		}
 	}
 }

@@ -316,21 +316,18 @@ func (x *Expander) expandFields(w *Word) ([]field, error) {
 
 // joinAndSplit implements POSIX field splitting with default IFS over the
 // split segments, while the others glue to their neighbors. A field's
-// pattern is its text until a byte needs escaping.
+// pattern is its text with each backslash and quoted metacharacter
+// escaped.
 func joinAndSplit(segs []segment) []field {
 	var fields []field
 	var cur, pat strings.Builder
-	started, glob, escaped := false, false, false
+	started, glob := false, false
 	emit := func() {
 		if started {
-			f := field{text: cur.String(), glob: glob}
-			if f.pattern = f.text; escaped {
-				f.pattern = pat.String()
-			}
-			fields = append(fields, f)
+			fields = append(fields, field{text: cur.String(), pattern: pat.String(), glob: glob})
 			cur.Reset()
 			pat.Reset()
-			started, glob, escaped = false, false, false
+			started, glob = false, false
 		}
 	}
 	for _, s := range segs {
@@ -342,16 +339,10 @@ func joinAndSplit(segs []segment) []field {
 				continue
 			}
 			meta := c == '*' || c == '?' || c == '['
-			if esc := c == '\\' || s.quoted && meta; escaped || esc {
-				if !escaped {
-					pat.WriteString(cur.String())
-					escaped = true
-				}
-				if esc {
-					pat.WriteByte('\\')
-				}
-				pat.WriteByte(c)
+			if c == '\\' || s.quoted && meta {
+				pat.WriteByte('\\')
 			}
+			pat.WriteByte(c)
 			cur.WriteByte(c)
 			started = true
 			glob = glob || meta && !s.quoted

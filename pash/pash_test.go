@@ -259,9 +259,13 @@ func (rows hostRows) run(t *testing.T) {
 }
 
 // statusAtWidth1 are the rows held to the host's exit status at width 1
-// only. They select nothing, and a wider plan exits with its final
-// merge's status, 0, where the host's grep exits 1 (ROADMAP item 7).
-var statusAtWidth1 = map[string]bool{`grep -i -x 'water'`: true, `grep -F -i -w é`: true}
+// only. A wider plan exits with its final merge's status, 0 (ROADMAP
+// item 7), where the host's grep, which selects nothing, exits 1, and
+// the host's xargs, which cannot run its command, exits 127.
+var statusAtWidth1 = map[string]bool{
+	`grep -i -x 'water'`: true, `grep -F -i -w é`: true,
+	"xargs -n 1 nosuch": true, "xargs -L 1 nosuch": true, "xargs -I{} nosuch {}": true,
+}
 
 // The host tests below are the host oracle: every row prints the bytes
 // sh prints for it under LC_ALL=C, and exits alike, at every width.
@@ -414,6 +418,14 @@ func TestWcPadsLikeHost(t *testing.T) {
 	rows.add(hostRow{files: []string{"s", "m"}},
 		"wc s", "wc -lw s", "cat s | wc", "wc -l s", "wc m", "wc -lw m", "cat m | wc", "wc -l m",
 		"wc /dev/null", "wc -lw /dev/null", "wc s /dev/null")
+	rows.run(t)
+}
+
+// TestXargsUnrunnableMatchesHost: a command xargs cannot run stops
+// xargs, which exits 127 having printed nothing.
+func TestXargsUnrunnableMatchesHost(t *testing.T) {
+	var rows hostRows
+	rows.add(hostRow{input: "seven"}, "xargs nosuch", "xargs -n 1 nosuch", "xargs -L 1 nosuch", "xargs -I{} nosuch {}")
 	rows.run(t)
 }
 
