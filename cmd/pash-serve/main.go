@@ -68,9 +68,10 @@
 // Retry-After derived from scheduler state). Usage is metered per
 // tenant (jobs, wall time, data-plane bytes) with O(1) in-memory
 // accounting; the net effect is committed in the background to the
-// -meter-commit JSONL file on watermark crossings — commit
-// information, not traffic — and /metrics carries a live row per
-// tenant (admitted, sheds by cause, usage vs quota, commits).
+// -meter-commit JSONL file once a tenant has 64 uncommitted jobs, or
+// its oldest is a second old — commit information, not traffic — and
+// /metrics carries a live row per tenant (admitted, sheds by cause,
+// usage vs quota, commits).
 //
 // # Graceful drain
 //
@@ -139,8 +140,6 @@ func main() {
 	tenantRate := flag.Float64("tenant-rate", 0, "per-tenant admission rate in jobs/second (0 = unlimited)")
 	tenantBurst := flag.Int("tenant-burst", 0, "per-tenant admission burst in jobs (0 = derived from -tenant-rate)")
 	meterCommit := flag.String("meter-commit", "", "JSONL file receiving committed per-tenant usage (empty = in-memory only)")
-	meterWatermark := flag.Int64("meter-watermark", 64, "uncommitted jobs per tenant that trigger a background usage commit")
-	meterInterval := flag.Duration("meter-interval", 50*time.Millisecond, "background usage committer tick")
 	dir := flag.String("dir", "", "working directory for script file access")
 	workerMode := flag.Bool("worker", false, "run as a data-plane worker (serve /exec only)")
 	workers := flag.String("workers", "", "comma-separated worker addresses to coordinate")
@@ -224,11 +223,9 @@ func main() {
 	// outstanding usage deltas on stop.
 	if *tenantQuota > 0 || *tenantRate > 0 || *meterCommit != "" {
 		mc := meter.Config{
-			DefaultQuota:   *tenantQuota,
-			Rate:           *tenantRate,
-			Burst:          *tenantBurst,
-			HighWatermark:  *meterWatermark,
-			CommitInterval: *meterInterval,
+			DefaultQuota: *tenantQuota,
+			Rate:         *tenantRate,
+			Burst:        *tenantBurst,
 		}
 		if *meterCommit != "" {
 			sink, err := meter.NewFileSink(*meterCommit)

@@ -5,16 +5,18 @@ import (
 	"encoding/binary"
 	"io"
 	"math/bits"
+	"time"
 )
 
 // This file defines the kernel layer: the per-block form of the hot
-// stateless commands, and the one driver that runs it. A kernel is not a
-// second implementation of its command — it is the command. tr, cut and
-// rev are argv-parse + runKernel; sed and grep run runKernel for every
-// invocation their kernel accepts, and keep a per-line loop of their own
-// only for the position-dependent flags (sed: numeric addresses, p d q =
-// and -n; grep: -n -c -m -q -l -o -H), around the same per-line body the
-// kernel wraps. Each kernel lives next to its command's argv parser.
+// stateless commands, and the one loop that runs it (KernelChain). A
+// kernel is not a second implementation of its command — it is the
+// command. tr, cut and rev are argv-parse + runKernel; sed and grep run
+// runKernel for every invocation their kernel accepts, and keep a
+// per-line loop of their own only for the position-dependent flags (sed:
+// numeric addresses, p d q = and -n; grep: -n -c -m -q -l -o -H), around
+// the same per-line body the kernel wraps. Each kernel lives next to its
+// command's argv parser.
 //
 // What a kernel scans, per block and per line: tr has no lines, it maps
 // the block in one pass. lineKernel finds every newline of the block and
@@ -43,9 +45,11 @@ import (
 //
 // What fusion adds is only the composition: a chain like tr | grep | cut
 // normally costs one goroutine and one chunk pipe per stage; the runtime's
-// StageChain instead runs the chain's kernels back to back over pooled
-// blocks in a single goroutine, with zero intermediate pipes, after
-// Compose has merged the one pair of kernels whose work it can share.
+// StageChain instead hands the chain's kernels, after Compose has merged
+// the one pair whose work it can share, to the same loop a command runs
+// its one kernel through: KernelChain pushes each pooled block through
+// them back to back, in a single goroutine, with zero intermediate pipes
+// — over a whole stream, or chunk by chunk for the framed protocol.
 
 // Kernel is a composable streaming transform: the per-block form of a
 // stateless command.
@@ -92,45 +96,156 @@ func NewKernel(name string, args []string) (Kernel, bool) {
 }
 
 // runKernel is the data loop of every kernel-capable command: it opens
-// the operands (standard input when there are none), pushes each reader's
-// blocks through k and hands the output blocks on by ownership transfer.
-// Finish runs at every reader's end, not only the last: an unterminated
-// final line of one file ends before the next file starts, exactly as if
-// the command had run once per file and the outputs were concatenated.
-// The result is the kernel's accumulated status.
+// the operands (standard input when there are none) and streams each
+// reader through k as a one-kernel chain. Finish runs at every reader's
+// end, not only the last: an unterminated final line of one file ends
+// before the next file starts, exactly as if the command had run once
+// per file and the outputs were concatenated. The result is the
+// kernel's accumulated status.
 func runKernel(ctx *Context, k Kernel, operands []string) error {
 	readers, cleanup, err := ctx.OpenInputs(operands)
 	if err != nil {
 		return err
 	}
 	defer cleanup()
-	emit := func(out []byte) error {
-		if len(out) == 0 {
-			PutBlock(out)
-			return nil
-		}
-		return writeBlock(ctx.Stdout, out)
-	}
+	kc := KernelChain{Kernels: []Kernel{k}}
 	for _, r := range readers {
-		for {
-			b, release, err := NextBlock(r)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return err
-			}
-			out := k.Apply(GetBlock(), b)
-			release()
-			if err := emit(out); err != nil {
-				return err
-			}
-		}
-		if err := emit(k.Finish(GetBlock())); err != nil {
+		if err := kc.Stream(r, ctx.Stdout); err != nil {
 			return err
 		}
 	}
 	return k.Status()
+}
+
+// StageTime is one kernel stage's attribution: the time spent inside its
+// kernel and the bytes that crossed it. BytesIn/BytesOut play the role
+// the pipe meters played before fusion removed the pipes.
+type StageTime struct {
+	Name     string
+	Active   time.Duration
+	BytesIn  int64
+	BytesOut int64
+}
+
+// KernelChain is the one loop that pushes blocks through kernels: a
+// kernel-capable command's one kernel, a fused node's chain, a framed
+// replica's. Each kernel reads the previous one's output; a pass-through
+// slot (cat, or a tr that Compose handed to the grep after it) is skipped,
+// so a block no kernel transforms moves on by ownership, uncopied. Meters,
+// when set (one per kernel), are charged with each stage's time and bytes;
+// only one goroutine may run a metered chain at a time.
+type KernelChain struct {
+	Kernels []Kernel
+	Meters  []StageTime
+}
+
+// Stream pushes every block of r through the chain and hands what comes
+// out to w by ownership, then cascades the kernels' end-of-stream output:
+// each stage's Finish output flows through the stages after it, in order,
+// before those stages finish themselves. It reports transport failures
+// only; the chain's status is its last kernel's Status.
+func (kc KernelChain) Stream(r io.Reader, w io.Writer) error {
+	for {
+		b, release, err := NextBlock(r)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return err
+		}
+		out, release := kc.push(0, b, release, false)
+		if err := emitBlock(w, out, release); err != nil {
+			return err
+		}
+	}
+	var tail []byte // the first live stage's block: no block more than a lone kernel needs
+	for i, k := range kc.Kernels {
+		if passThrough(k) {
+			continue
+		}
+		t, _ := kc.push(i+1, kc.stage(i, nil, true), nil, false)
+		if tail == nil {
+			tail = t
+			continue
+		}
+		tail = append(tail, t...)
+		PutBlock(t)
+	}
+	return emitBlock(w, tail, nil)
+}
+
+// Chunk is the per-chunk form, for the framed protocol: it runs the chain
+// over one chunk as an independent stream, Finish included, and returns
+// the one output block the chunk becomes, owned by the caller — empty
+// when nothing survives, the chunk itself when no kernel transforms it.
+// The chunk is given back through release as soon as a stage has
+// replaced it, so its block is back in the pool, still warm, for the next
+// stage's output.
+func (kc KernelChain) Chunk(chunk []byte, release func()) []byte {
+	out, _ := kc.push(0, chunk, release, true)
+	return out
+}
+
+// push runs one block through the stages from from on and returns what
+// the last one made of it; whole finishes each stage over it. cur is the
+// source's block, given back through release once a stage has replaced
+// it, or an owned pool block when release is nil; the release returned
+// is still pending when no stage replaced it. An empty block goes no
+// further: no kernel is handed empty input.
+func (kc KernelChain) push(from int, cur []byte, release func(), whole bool) ([]byte, func()) {
+	for i := from; i < len(kc.Kernels) && len(cur) > 0; i++ {
+		if passThrough(kc.Kernels[i]) {
+			continue
+		}
+		next := kc.stage(i, cur, whole)
+		if release == nil {
+			PutBlock(cur)
+		} else {
+			release()
+			release = nil
+		}
+		cur = next
+	}
+	return cur, release
+}
+
+// stage runs kernel i over in into a fresh pool block — then Finish, when
+// finish is set — charging its meter when the chain has meters.
+func (kc KernelChain) stage(i int, in []byte, finish bool) []byte {
+	var start time.Time
+	if kc.Meters != nil {
+		start = time.Now()
+	}
+	k, out := kc.Kernels[i], GetBlock()
+	if len(in) > 0 {
+		out = k.Apply(out, in)
+	}
+	if finish {
+		out = k.Finish(out)
+	}
+	if kc.Meters != nil {
+		m := &kc.Meters[i]
+		m.Active += time.Since(start)
+		m.BytesIn += int64(len(in))
+		m.BytesOut += int64(len(out))
+	}
+	return out
+}
+
+// passThrough reports whether k is a no-op the loop routes blocks past.
+func passThrough(k Kernel) bool {
+	_, ok := k.(interface{ IsPassThrough() })
+	return ok
+}
+
+// emitBlock hands an output block to w (WriteBlock), recycling an empty
+// one: only a stage's own output block, or no block at all, is empty.
+func emitBlock(w io.Writer, b []byte, release func()) error {
+	if len(b) == 0 {
+		PutBlock(b)
+		return nil
+	}
+	return WriteBlock(w, b, release)
 }
 
 // stdinOnly reports whether operands name standard input exclusively
@@ -432,16 +547,16 @@ func literalCandidates(hay []byte, first, last, firstMask, lastMask uint64, last
 	return len(hay) - lastOff - len(heads), 0
 }
 
-// identityKernel is cat with no flags: a pass-through. The fused
-// executor special-cases it to skip the copy entirely.
+// identityKernel is cat with no flags: a pass-through. The kernel loop
+// skips it, so it costs no copy at all.
 type identityKernel struct{}
 
 func (identityKernel) Apply(out, in []byte) []byte { return append(out, in...) }
 func (identityKernel) Finish(out []byte) []byte    { return out }
 func (identityKernel) Status() error               { return nil }
 
-// IsPassThrough marks the kernel as a no-op for the fused executor,
-// which then routes blocks past it without the copy Apply would make.
+// IsPassThrough marks the kernel as a no-op for the kernel loop, which
+// then routes blocks past it without the copy Apply would make.
 func (identityKernel) IsPassThrough() {}
 
 func newCatKernel(args []string) (Kernel, bool) {

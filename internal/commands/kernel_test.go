@@ -786,6 +786,141 @@ func TestDataPlaneAllocations(t *testing.T) {
 	}
 }
 
+// blockSource is a ChunkReader over fixed blocks it keeps: its release
+// is one func value, so reading allocates nothing, and counts its calls.
+type blockSource struct {
+	blocks   [][]byte
+	next     int
+	released int
+	release  func()
+}
+
+func newBlockSource(blocks [][]byte) *blockSource {
+	s := &blockSource{blocks: blocks}
+	s.release = func() { s.released++ }
+	return s
+}
+
+func (s *blockSource) ReadChunk() ([]byte, func(), error) {
+	if s.next == len(s.blocks) {
+		return nil, s.release, io.EOF
+	}
+	s.next++
+	return s.blocks[s.next-1], s.release, nil
+}
+
+func (s *blockSource) Read(p []byte) (int, error) { panic("blockSource is read by chunks") }
+
+// chunkTaker is a ChunkWriter that keeps what it is handed.
+type chunkTaker struct{ chunks [][]byte }
+
+func (c *chunkTaker) Write(p []byte) (int, error) { panic("chunkTaker takes chunks") }
+func (c *chunkTaker) WriteChunk(b []byte) error   { c.chunks = append(c.chunks, b); return nil }
+
+// TestKernelChainAllocations pins the steady state of the one kernel
+// loop: over the batch-stateless chain tr | grep | cut | sed, metered and
+// with tr's slot a pass-through (Compose hands the tr to the grep), the
+// stream form and the per-chunk form allocate nothing per block; and a
+// chain that passes everything through hands each source block on
+// uncopied, without giving it back.
+func TestKernelChainAllocations(t *testing.T) {
+	text := kernelBenchText(40_000)
+	var blocks [][]byte // every one ends mid-line
+	for i := 0; i+BlockSize <= len(text); i += BlockSize {
+		blocks = append(blocks, text[i:i+BlockSize])
+	}
+	var ks []Kernel
+	for _, st := range [][]string{{"tr", "A-Z", "a-z"}, {"grep", "water"}, {"cut", "-d", " ", "-f1-3"}, {"sed", "s/water/WATER/"}} {
+		k, ok := NewKernel(st[0], st[1:])
+		if !ok {
+			t.Fatalf("NewKernel(%v) not capable", st)
+		}
+		ks = append(ks, k)
+	}
+	Compose(ks)
+	if !passThrough(ks[0]) {
+		t.Fatal("tr A-Z a-z did not compose into grep water: no pass-through slot")
+	}
+	kc := KernelChain{Kernels: ks, Meters: make([]StageTime, len(ks))}
+	sink := &chunkSink{}
+	src := newBlockSource(blocks)
+	forms := map[string]func(){
+		"stream": func() {
+			src.next = 0
+			must(t, kc.Stream(src, sink))
+		},
+		"per-chunk": func() {
+			for _, b := range blocks {
+				must(t, sink.WriteChunk(kc.Chunk(b, src.release)))
+			}
+		},
+	}
+	for form, run := range forms {
+		run()
+		if sink.bytes == 0 || kc.Meters[1].BytesIn == 0 || kc.Meters[0] != (StageTime{}) {
+			t.Fatalf("%s: %d bytes out, meters %+v: want output, grep charged and the pass-through slot not", form, sink.bytes, kc.Meters)
+		}
+		if raceEnabled {
+			continue // the pool drops blocks on purpose: fresh ones are allocated
+		}
+		if a := testing.AllocsPerRun(10, run); a != 0 {
+			t.Errorf("%s: %.0f allocations per pass over %d blocks, want 0", form, a, len(blocks))
+		}
+	}
+
+	cat, _ := NewKernel("cat", nil)
+	through := KernelChain{Kernels: []Kernel{cat, cat}}
+	src, taker := newBlockSource(blocks), &chunkTaker{}
+	must(t, through.Stream(src, taker))
+	for i, b := range blocks {
+		if out := through.Chunk(b, src.release); &out[0] != &b[0] || len(out) != len(b) {
+			t.Fatalf("per-chunk: block %d came out as a copy", i)
+		}
+		if i >= len(taker.chunks) || &taker.chunks[i][0] != &b[0] || len(taker.chunks[i]) != len(b) {
+			t.Fatalf("stream: block %d came out as a copy (%d blocks out of %d)", i, len(taker.chunks), len(blocks))
+		}
+	}
+	if len(taker.chunks) != len(blocks) || src.released != 0 {
+		t.Fatalf("stream: %d blocks out of %d, %d given back: want every source block handed on", len(taker.chunks), len(blocks), src.released)
+	}
+}
+
+// TestChunkHandOffToPlainWriter: a chunk that reaches a writer which
+// does not take chunks is copied out and then given back through its
+// source's release, exactly once — by CopyChunks, by the round-robin
+// merge and by a kernel chain no stage of which replaced the chunk. A
+// chunk need not be a whole pool block (a pipe's chunk after a partial
+// Read is not), so recycling it through PutBlock would lose it.
+func TestChunkHandOffToPlainWriter(t *testing.T) {
+	blocks := [][]byte{[]byte("a\nb\n"), []byte("c\n"), []byte("d\ne\n")}
+	want := "a\nb\nc\nd\ne\n"
+	cat, _ := NewKernel("cat", nil)
+	for name, run := range map[string]func(w io.Writer) (int, error){
+		"CopyChunks": func(w io.Writer) (int, error) {
+			src := newBlockSource(blocks)
+			_, err := CopyChunks(w, src)
+			return src.released, err
+		},
+		"MergeChunksRoundRobin": func(w io.Writer) (int, error) {
+			even, odd := newBlockSource([][]byte{blocks[0], blocks[2]}), newBlockSource(blocks[1:2])
+			err := MergeChunksRoundRobin([]io.Reader{even, odd}, w)
+			return even.released + odd.released, err
+		},
+		"KernelChain.Stream": func(w io.Writer) (int, error) {
+			src := newBlockSource(blocks)
+			err := KernelChain{Kernels: []Kernel{cat}}.Stream(src, w)
+			return src.released, err
+		},
+	} {
+		var out bytes.Buffer
+		released, err := run(&out)
+		must(t, err)
+		if out.String() != want || released != len(blocks) {
+			t.Errorf("%s: wrote %q and gave back %d chunks, want %q and %d", name, out.String(), released, want, len(blocks))
+		}
+	}
+}
+
 // chunkSink is a ChunkWriter that recycles what it is handed, as a pipe's
 // reader does once it has drained a chunk.
 type chunkSink struct{ bytes, chunks int }

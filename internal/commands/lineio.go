@@ -75,20 +75,6 @@ func CopyChunks(dst io.Writer, src io.Reader) (int64, error) {
 	cw, wok := dst.(ChunkWriter)
 	var n int64
 	switch {
-	case rok && wok:
-		for {
-			b, _, err := cr.ReadChunk()
-			if err == io.EOF {
-				return n, nil
-			}
-			if err != nil {
-				return n, err
-			}
-			n += int64(len(b))
-			if err := cw.WriteChunk(b); err != nil {
-				return n, err
-			}
-		}
 	case rok:
 		for {
 			b, release, err := cr.ReadChunk()
@@ -98,12 +84,10 @@ func CopyChunks(dst io.Writer, src io.Reader) (int64, error) {
 			if err != nil {
 				return n, err
 			}
-			_, werr := dst.Write(b)
-			release()
-			if werr != nil {
-				return n, werr
-			}
 			n += int64(len(b))
+			if err := WriteBlock(dst, b, release); err != nil {
+				return n, err
+			}
 		}
 	case wok:
 		for {
@@ -138,18 +122,19 @@ func CopyChunks(dst io.Writer, src io.Reader) (int64, error) {
 // not data and are dropped, so b is never empty. release follows the
 // ChunkReader contract; err is io.EOF at end of stream. A read error that
 // arrives together with bytes is reported by the following call.
-func NextBlock(r io.Reader) (b []byte, release func(), err error) {
+func NextBlock(r io.Reader) ([]byte, func(), error) {
 	if cr, ok := r.(ChunkReader); ok {
 		for {
-			b, release, err = cr.ReadChunk()
+			b, release, err := cr.ReadChunk()
 			if err != nil || len(b) > 0 {
 				return b, release, err
 			}
 			release()
 		}
 	}
-	b = GetBlock()
-	n := 0
+	// Only this path's release captures the block: a chunk costs no
+	// allocation.
+	b, n, err := GetBlock(), 0, error(nil)
 	for n == 0 && err == nil {
 		n, err = r.Read(b[:BlockSize])
 	}
@@ -520,17 +505,24 @@ func (lw *LineWriter) WriteChunk(b []byte) error {
 		PutBlock(b)
 		return err
 	}
-	return writeBlock(lw.w, b)
+	return WriteBlock(lw.w, b, nil)
 }
 
-// writeBlock hands an owned block to w: by ownership transfer when w
-// takes chunks, else its bytes are written and the block recycled.
-func writeBlock(w io.Writer, b []byte) error {
+// WriteBlock hands an owned block to w: by ownership transfer when w
+// takes chunks, else its bytes are written and the block given back —
+// through release when b is a ChunkReader's chunk, to the pool when
+// release is nil. It is the one hand-off of an owned block, from the
+// kernel loop, the merge and the runtime's splits alike.
+func WriteBlock(w io.Writer, b []byte, release func()) error {
 	if cw, ok := w.(ChunkWriter); ok {
 		return cw.WriteChunk(b)
 	}
 	_, err := w.Write(b)
-	PutBlock(b)
+	if release != nil {
+		release()
+	} else {
+		PutBlock(b)
+	}
 	return err
 }
 

@@ -37,11 +37,9 @@ func rrMerge(ctx *Context) error {
 }
 
 // MergeChunksRoundRobin drains the readers one chunk at a time in strict
-// rotation, writing each chunk to w (by ownership transfer when w is a
-// ChunkWriter). Exported so the runtime and tests can reassemble
-// round-robin-split streams directly.
+// rotation, handing each chunk to w (WriteBlock). Exported so the
+// runtime and tests can reassemble round-robin-split streams directly.
 func MergeChunksRoundRobin(readers []io.Reader, w io.Writer) error {
-	cw, chunked := w.(ChunkWriter)
 	open := make([]bool, len(readers))
 	remaining := len(readers)
 	for i := range open {
@@ -74,16 +72,8 @@ func MergeChunksRoundRobin(readers []io.Reader, w io.Writer) error {
 			if err != nil {
 				return err
 			}
-			if chunked {
-				if werr := cw.WriteChunk(b); werr != nil {
-					return werr
-				}
-				continue
-			}
-			_, werr := w.Write(b)
-			release()
-			if werr != nil {
-				return werr
+			if err := WriteBlock(w, b, release); err != nil {
+				return err
 			}
 		}
 	}

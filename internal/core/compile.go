@@ -350,6 +350,6 @@ func (c *Compiler) countPairs(g *dfg.Graph) {
 // has no shell rendering (its kernels exist only in-process).
 func (c *Compiler) OptimizeForEmission(g *dfg.Graph) {
 	opts := c.dfgOptions()
-	opts.Emit = true
+	opts.Emit, opts.KernelCapable = true, nil
 	dfg.Apply(g, opts)
 }

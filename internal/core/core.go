@@ -133,8 +133,9 @@ func NewCompiler(opts Options) *Compiler {
 func (c *Compiler) dfgOptions() dfg.Options {
 	o := presets[c.Opts.Preset].dfg
 	o.Width = c.Opts.Width
-	o.KernelCapable = c.Cmds.KernelCapable
-	o.DisableFusion = c.Opts.DisableFusion
+	if !c.Opts.DisableFusion {
+		o.KernelCapable = c.Cmds.KernelCapable
+	}
 	return o
 }
 

@@ -6,10 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"repro/internal/commands"
@@ -480,7 +482,9 @@ func (in *Interp) expander() *shell.Expander {
 		},
 		CmdSub: func(src string) (string, error) {
 			var out bytes.Buffer
-			sub := in.nested(in.env, runtime.StdIO{Stdin: strings.NewReader(""), Stdout: &out, Stderr: in.stdio.Stderr})
+			// A subshell scope, as *shell.Subshell runs in: assignments
+			// and a cd inside $( ) do not reach the caller.
+			sub := in.nested(in.env.Child(), runtime.StdIO{Stdin: strings.NewReader(""), Stdout: &out, Stderr: in.stdio.Stderr})
 			list, err := shell.Parse(src)
 			if err != nil {
 				return "", err
@@ -766,13 +770,20 @@ func (in *Interp) builtin(ctx context.Context, st Stage) (int, bool, error) {
 		if len(st.Args) != 1 {
 			return 1, true, fmt.Errorf("cd: expected one argument")
 		}
-		dir := st.Args[0]
-		if in.sandbox && (strings.HasPrefix(dir, "/") || strings.Contains(dir, "..")) {
-			fmt.Fprintf(in.stdio.Stderr, "pash: cd: %s: %v\n", dir, commands.ErrJailEscape)
-			return 1, true, nil
+		// The target resolves as every path of the job does, jail
+		// included, and must be a directory: otherwise the shell stays
+		// where it is.
+		dir, err := commands.OSFS{Dir: in.dir, Jail: in.sandbox}.Resolve(st.Args[0])
+		if err == nil {
+			if fi, serr := os.Stat(dir); serr != nil {
+				err = errors.Unwrap(serr) // the cause, not the host path
+			} else if !fi.IsDir() {
+				err = syscall.ENOTDIR
+			}
 		}
-		if !strings.HasPrefix(dir, "/") {
-			dir = filepath.Join(in.dir, dir)
+		if err != nil {
+			fmt.Fprintf(in.stdio.Stderr, "pash: cd: %s: %v\n", st.Args[0], err)
+			return 1, true, nil
 		}
 		in.dir = dir
 		return 0, true, nil

@@ -69,9 +69,10 @@ func TestExecuteRunsThePlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := c.dfgOptions()
-	o.Emit = true
+	kernelCapable := o.KernelCapable
+	o.Emit, o.KernelCapable = true, nil
 	dfg.Apply(bg, o)
-	o.Emit = false
+	o.Emit, o.KernelCapable = false, kernelCapable
 	dfg.Fuse(bg, o)
 	_, _, barrier := exec(c, bg)
 

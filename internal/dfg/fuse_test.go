@@ -142,20 +142,15 @@ func chainStdin(t *testing.T, specs ...*Node) *Graph {
 	return g
 }
 
-// TestFuseDisabled leaves the graph untouched under the knob.
+// TestFuseDisabled leaves the graph untouched without capability
+// information, the one way to turn fusion off.
 func TestFuseDisabled(t *testing.T) {
 	g := chain(t, sNode("tr", "a", "b"), sNode("grep", "x"))
 	opts := fuseOpts(1)
-	opts.DisableFusion = true
+	opts.KernelCapable = nil
 	Apply(g, opts)
 	if countKind(g, KindFused) != 0 || len(g.Nodes) != 2 {
-		t.Fatalf("fusion ran despite DisableFusion:\n%s", g.Dump())
-	}
-	// And without capability information.
-	g2 := chain(t, sNode("tr", "a", "b"), sNode("grep", "x"))
-	Apply(g2, Options{Width: 1})
-	if countKind(g2, KindFused) != 0 {
-		t.Fatalf("fusion ran without KernelCapable:\n%s", g2.Dump())
+		t.Fatalf("fusion ran without KernelCapable:\n%s", g.Dump())
 	}
 }
 

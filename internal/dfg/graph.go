@@ -184,11 +184,7 @@ func (n *Node) ArgStrings(inputName func(i int) string) []string {
 
 func (n *Node) String() string {
 	if n.Kind == KindFused {
-		names := make([]string, len(n.Stages))
-		for i, st := range n.Stages {
-			names[i] = st.Name
-		}
-		return fmt.Sprintf("#%d %s %s (%s)", n.ID, n.Kind, n.Class, strings.Join(names, "|"))
+		return fmt.Sprintf("#%d %s %s (%s)", n.ID, n.Kind, n.Class, stageNames(n.Stages))
 	}
 	var parts []string
 	for _, a := range n.Args {

@@ -204,86 +204,22 @@ func fingerprintSpec(spec *RemoteSpec, salt string) string {
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 
-// remotableChain walks the linear chain of shippable nodes starting at
-// the consumer of e: single stdin input, single output, literal argv,
-// stateless semantics (KindCommand with a stateless class, KindMap, or
-// KindFused). It returns the chain's nodes and the edge leaving the
-// last one; an empty chain means the consumer is not shippable.
-func remotableChain(e *Edge) ([]*Node, *Edge) {
-	var chain []*Node
-	for {
-		n := e.To
-		if n == nil || !remotableNode(n) {
-			return chain, e
-		}
-		chain = append(chain, n)
-		e = n.Out[0]
-	}
-}
-
-func remotableNode(n *Node) bool {
-	if len(n.In) != 1 || len(n.Out) != 1 || n.StdinInput != 0 {
-		return false
-	}
+// ships is distribution's join rule: a stateless command, the map of a
+// pure command — a stateless invocation over its chunk by the (map, agg)
+// contract — or a fused chain.
+func ships(_, n *Node) bool {
 	switch n.Kind {
-	case KindFused:
+	case KindFused, KindMap:
 		return true
 	case KindCommand:
-	case KindMap:
-		// Map instances of pure commands are stateless invocations over
-		// their chunk by the (map, agg) contract.
-	default:
-		return false
+		return n.Class == annot.Stateless
 	}
-	if n.Kind == KindCommand && n.Class != annot.Stateless {
-		return false
-	}
-	for _, a := range n.Args {
-		if a.InputIdx >= 0 {
-			return false
-		}
-	}
-	return true
+	return false
 }
 
-// chainStages flattens a remotable chain into wire stages.
-func chainStages(chain []*Node) []FusedStage {
-	var out []FusedStage
-	for _, n := range chain {
-		if n.Kind == KindFused {
-			out = append(out, n.Stages...)
-			continue
-		}
-		args := make([]string, len(n.Args))
-		for i, a := range n.Args {
-			args[i] = a.Text
-		}
-		out = append(out, FusedStage{Name: n.Name, Args: args})
-	}
-	return out
-}
-
-// collapseRemote replaces the chain nodes between head edge e and the
-// chain's outgoing edge with one KindRemote node carrying spec.
-func collapseRemote(g *Graph, chain []*Node, in, out *Edge, spec *RemoteSpec) *Node {
-	r := g.AddNode(NewNode(KindRemote, "pash-remote", nil, annot.Stateless))
-	r.Remote = spec
-	if in != nil {
-		in.To = r
-		r.In = []*Edge{in}
-		r.StdinInput = 0
-	}
-	out.From = r
-	r.Out = []*Edge{out}
-	for i, n := range chain {
-		if i > 0 {
-			// The edge feeding this node is interior to the chain.
-			g.removeEdge(n.In[0])
-		}
-		n.In, n.Out = nil, nil
-		g.removeNode(n)
-	}
-	return r
+// remoteNode is the KindRemote node that replaces a shipped chain.
+func remoteNode(spec *RemoteSpec) *Node {
+	return &Node{Kind: KindRemote, Name: "pash-remote", Class: annot.Stateless, StdinInput: -1, Remote: spec}
 }
 
 // distributeChains rewrites the consumer chains of a split that relays
@@ -304,7 +240,7 @@ func collapseRemote(g *Graph, chain []*Node, in, out *Edge, spec *RemoteSpec) *N
 func distributeChains(g *Graph, split *Node, opts DistOptions) []*Node {
 	var remotes []*Node
 	for _, e := range snapshotEdges(split.Out) {
-		chain, last := remotableChain(e)
+		chain, last := chainAt(e, ships)
 		if len(chain) == 0 || last.To == nil {
 			continue
 		}
@@ -313,11 +249,11 @@ func distributeChains(g *Graph, split *Node, opts DistOptions) []*Node {
 			continue
 		}
 		to, rr := last.To.Kind, split.Split == RoundRobinSplit
-		if ships := to == KindAgg || !rr && (to == KindCat || to == KindMerge); !ships {
+		if !(to == KindAgg || !rr && (to == KindCat || to == KindMerge)) {
 			continue
 		}
-		spec := &RemoteSpec{Stages: stages, Streamed: true}
-		remotes = append(remotes, collapseRemote(g, chain, e, last, spec))
+		r := remoteNode(&RemoteSpec{Stages: stages, Streamed: true})
+		remotes = append(remotes, g.collapse(chain, e, last, r))
 	}
 	return remotes
 }
@@ -331,13 +267,13 @@ func distributeFileRanges(g *Graph, split *Node, opts DistOptions) []*Node {
 	path := split.In[0].Source.Path
 	outs := snapshotEdges(split.Out)
 	type branch struct {
-		chain []*Node
-		head  *Edge
-		last  *Edge
+		chain      []*Node
+		head, last *Edge
+		stages     []FusedStage
 	}
 	branches := make([]branch, 0, len(outs))
 	for _, e := range outs {
-		chain, last := remotableChain(e)
+		chain, last := chainAt(e, ships)
 		if len(chain) == 0 || last.To == nil {
 			return nil
 		}
@@ -346,19 +282,17 @@ func distributeFileRanges(g *Graph, split *Node, opts DistOptions) []*Node {
 		default:
 			return nil
 		}
-		if !opts.shippableStages(chainStages(chain)) {
+		stages := chainStages(chain)
+		if !opts.shippableStages(stages) {
 			return nil
 		}
-		branches = append(branches, branch{chain: chain, head: e, last: last})
+		branches = append(branches, branch{chain, e, last, stages})
 	}
 	n := len(branches)
 	remotes := make([]*Node, 0, n)
 	for i, br := range branches {
-		spec := &RemoteSpec{
-			Stages: chainStages(br.chain),
-			Path:   path, Slice: i, Of: n,
-		}
-		r := collapseRemote(g, br.chain, nil, br.last, spec)
+		r := remoteNode(&RemoteSpec{Stages: br.stages, Path: path, Slice: i, Of: n})
+		g.collapse(br.chain, nil, br.last, r)
 		// The split's feed edge into this branch is gone with the split.
 		br.head.To = nil
 		g.removeEdge(br.head)

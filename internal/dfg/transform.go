@@ -32,17 +32,15 @@ type Options struct {
 	Eager      bool
 	EagerBytes int
 	// Emit plans a graph that is rendered as a shell script, where real
-	// processes have no chunk framing and fused nodes have no rendering:
-	// every split is the barrier split and nothing fuses.
+	// processes have no chunk framing: every split is the barrier split.
+	// Fused nodes have no rendering either, so an emitting caller leaves
+	// KernelCapable nil, as core's OptimizeForEmission does.
 	Emit bool
 	// KernelCapable reports whether a command invocation has a
 	// composable kernel implementation (commands.Registry.KernelCapable). It
-	// drives the post-transformation fusion pass; nil disables fusion
-	// entirely (no capability information).
+	// drives the post-transformation fusion pass; nil is the one way to
+	// turn fusion off.
 	KernelCapable func(name string, args []string) bool
-	// DisableFusion turns the stage-fusion pass off even when
-	// KernelCapable is available.
-	DisableFusion bool
 	// AggFanIn shapes the aggregation stage of parallelized pure
 	// commands: 0 picks automatically (fan-in-4 trees once the width
 	// reaches aggTreeMinWidth, for associative aggregators), a negative

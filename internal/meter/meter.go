@@ -15,8 +15,7 @@
 // and appends the net effect to a pluggable Sink (a JSONL file to
 // start). Commits are watermark-driven with hysteresis: a tenant
 // commits when its uncommitted job count reaches the high watermark,
-// then disarms until the accumulator drains back under the low
-// watermark — so sustained load produces one commit per watermark
+// then disarms until the accumulator drains back to half of it — so sustained load produces one commit per watermark
 // crossing, not one write per request. A max-age backstop commits
 // long-idle dirty tenants so the sink never lags unboundedly.
 //
@@ -78,10 +77,9 @@ type Config struct {
 	Rate  float64
 	Burst int
 	// HighWatermark is the uncommitted job count that triggers a
-	// background commit (default 64); LowWatermark re-arms watermark
-	// commits once the accumulator drains under it (default High/2).
+	// background commit (default 64); watermark commits re-arm once the
+	// accumulator drains to half of it.
 	HighWatermark int64
-	LowWatermark  int64
 	// CommitInterval is the committer's tick (default 50ms);
 	// CommitMaxAge commits any tenant whose oldest uncommitted charge
 	// is older than this even below the watermark (default 1s).
@@ -97,9 +95,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.HighWatermark <= 0 {
 		c.HighWatermark = 64
-	}
-	if c.LowWatermark <= 0 || c.LowWatermark >= c.HighWatermark {
-		c.LowWatermark = c.HighWatermark / 2
 	}
 	if c.CommitInterval <= 0 {
 		c.CommitInterval = 50 * time.Millisecond
@@ -359,7 +354,7 @@ func (m *Meter) CommitTick(now time.Time) int {
 		if mag < 0 {
 			mag = -mag
 		}
-		if !t.armed.Load() && mag <= m.cfg.LowWatermark {
+		if !t.armed.Load() && mag <= m.cfg.HighWatermark/2 {
 			t.armed.Store(true)
 		}
 		watermark := t.armed.Load() && mag >= m.cfg.HighWatermark

@@ -199,7 +199,6 @@ func TestWatermarkCommitAndHysteresis(t *testing.T) {
 	sink := &memSink{}
 	m := New(Config{
 		HighWatermark: 10,
-		LowWatermark:  5,
 		CommitMaxAge:  time.Hour, // keep the age backstop out of this test
 		Sink:          sink,
 		now:           clk.now,

@@ -31,6 +31,21 @@ func writeText(dir, name string, lines int) error {
 	return textFile(filepath.Join(dir, name), lines, seed)
 }
 
+// writeFiles writes each named file's text under dir, making the
+// directories a name needs.
+func writeFiles(dir string, files map[string]string) error {
+	for name, text := range files {
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			return err
+		}
+		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // OneLiners returns the Tab. 2 collection. scale=1 means roughly 20k
 // input lines (laptop-sized); the paper used 1-100 GB.
 func OneLiners() []Bench {
@@ -281,14 +296,38 @@ grep water in.txt) | sort`, nil
 			Structure:  "S;S",
 			Highlights: "a quoted *, ? or [ is a literal character: only the unquoted a* and a? glob, relative or under $PWD",
 			Setup: func(dir string, scale int) (string, error) {
-				for name, text := range map[string]string{"a1": "abc\nxyz\n", "a2": "aa\n"} {
-					if err := os.WriteFile(filepath.Join(dir, name), []byte(text), 0o644); err != nil {
-						return "", err
-					}
+				if err := writeFiles(dir, map[string]string{"a1": "abc\nxyz\n", "a2": "aa\n"}); err != nil {
+					return "", err
 				}
 				return `echo 'a*' "a*" a*
 echo "$PWD"/a? | sed "s;$PWD/;;g"
 grep 'a*' a1`, nil
+			},
+		},
+		{
+			Name:       "cmdsub-scope",
+			Structure:  "x=$(S;S);S",
+			Highlights: "a command substitution is a subshell: its assignment and its cd stay inside",
+			Setup: func(dir string, scale int) (string, error) {
+				if err := writeFiles(dir, map[string]string{"f": "outer\n", "sub/f": "inner\n"}); err != nil {
+					return "", err
+				}
+				return `x=1
+y=$(x=2; cd sub && cat f)
+echo "$x $y"
+cat f`, nil
+			},
+		},
+		{
+			Name:       "cd-missing",
+			Structure:  "cd||S;S",
+			Highlights: "cd to a directory that does not exist fails and leaves the shell where it was",
+			Setup: func(dir string, scale int) (string, error) {
+				if err := writeFiles(dir, map[string]string{"f": "still here\n"}); err != nil {
+					return "", err
+				}
+				return `cd nosuchdir 2>/dev/null || echo refused
+cat f`, nil
 			},
 		},
 	}

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"time"
 
 	"repro/internal/commands"
 	"repro/internal/dfg"
@@ -18,10 +17,11 @@ import (
 // collapsed commands, a framed replica's single command, a remote spec's
 // shipped chain on a worker or on the coordinator's local rung. It runs
 // the chain over a whole stream (Stream) or once per input chunk
-// (PerChunk), through composed kernels — one goroutine, zero
-// intermediate pipes — when every stage has one, and through the
-// registry's command implementations otherwise. The two forms produce the
-// same bytes and the same status (TestStageChainEquivalence).
+// (PerChunk), through composed kernels — commands.KernelChain, the one
+// kernel loop: one goroutine, zero intermediate pipes — when every stage
+// has one, and through the registry's command implementations otherwise.
+// The two forms produce the same bytes and the same status
+// (TestStageChainEquivalence).
 type StageChain struct {
 	reg    *commands.Registry
 	stages []dfg.FusedStage
@@ -41,7 +41,7 @@ type StageChain struct {
 	// between the stages metered before fusion removed them. Only the
 	// kernel form charges them, and only one goroutine may run a metered
 	// chain at a time.
-	meters []StageTime
+	meters []commands.StageTime
 }
 
 // NewStageChain validates the stages against the registry and prepares a
@@ -117,49 +117,31 @@ func exitStatus(err error) (int, error) {
 }
 
 // applyChunk runs the whole chain, with the kernel set in hand (nil:
-// commands), over one chunk as an independent stream, returning a pooled
+// commands), over one chunk as an independent stream, returning the
 // output block the caller owns. A chunk's exit status is not the
 // stream's (grep finding nothing in this chunk is normal) and is
 // dropped. It gives the chunk's block back by calling release exactly
-// once, as soon as no stage reads the input any more, so the block is
-// back in the pool, still warm, for the next stage's output.
+// once, as soon as no stage reads the input any more, unless the block
+// itself is the output (kernels that all pass it through).
 func (c *StageChain) applyChunk(ks []commands.Kernel, chunk []byte, release func()) ([]byte, error) {
-	cur, owned := chunk, false
-	recycle := func() { // cur's block: the caller's until a stage has replaced it
-		if owned {
-			commands.PutBlock(cur)
-		} else {
+	if ks != nil {
+		return commands.KernelChain{Kernels: ks, Meters: c.meters}.Chunk(chunk, release), nil
+	}
+	cur := chunk
+	for _, st := range c.stages {
+		col := &chunkCollector{buf: commands.GetBlock()}
+		_, err := exitStatus(c.reg.Run(st.Name, c.context(st, bytes.NewReader(cur), col)))
+		if release != nil {
 			release()
-		}
-	}
-	for i, st := range c.stages {
-		var next []byte
-		if ks == nil {
-			col := &chunkCollector{buf: commands.GetBlock()}
-			if _, err := exitStatus(c.reg.Run(st.Name, c.context(st, bytes.NewReader(cur), col))); err != nil {
-				commands.PutBlock(col.buf)
-				recycle()
-				return nil, err
-			}
-			next = col.buf
-		} else if _, id := ks[i].(interface{ IsPassThrough() }); id {
-			continue
-		} else if c.meters == nil {
-			next = ks[i].Finish(ks[i].Apply(commands.GetBlock(), cur))
+			release = nil
 		} else {
-			start := time.Now()
-			next = ks[i].Finish(ks[i].Apply(commands.GetBlock(), cur))
-			m := &c.meters[i]
-			m.Active += time.Since(start)
-			m.BytesIn += int64(len(cur))
-			m.BytesOut += int64(len(next))
+			commands.PutBlock(cur)
 		}
-		recycle()
-		cur, owned = next, true
-	}
-	if !owned {
-		cur = append(commands.GetBlock(), chunk...)
-		release()
+		if err != nil {
+			commands.PutBlock(col.buf)
+			return nil, err
+		}
+		cur = col.buf
 	}
 	return cur, nil
 }
@@ -204,11 +186,10 @@ func (c *StageChain) PerChunk(ctx context.Context, cr commands.ChunkReader, cw c
 // failures, and the consumer of w hanging up, are errors.
 func (c *StageChain) Stream(r io.Reader, w io.Writer) (int, error) {
 	if ks := c.kernels(); ks != nil {
-		meters := c.meters
-		if meters == nil {
-			meters = make([]StageTime, len(ks))
+		err := commands.KernelChain{Kernels: ks, Meters: c.meters}.Stream(r, w)
+		if err == nil {
+			err = ks[len(ks)-1].Status()
 		}
-		err := runFusedStreaming(r, w, ks, meters)
 		if err == nil {
 			// A kernel's status accumulates over its lifetime, so only a
 			// set that ended with status 0 is as good as new.
@@ -282,90 +263,4 @@ func (c *chunkCollector) WriteChunk(b []byte) error {
 	c.buf = append(c.buf, b...)
 	commands.PutBlock(b)
 	return nil
-}
-
-// applyStage runs one kernel over one block, charging the stage meter.
-func applyStage(k commands.Kernel, m *StageTime, in []byte) []byte {
-	start := time.Now()
-	out := k.Apply(commands.GetBlock(), in)
-	m.Active += time.Since(start)
-	m.BytesIn += int64(len(in))
-	m.BytesOut += int64(len(out))
-	return out
-}
-
-// runFusedStreaming is the non-framed loop: read blocks (NextBlock:
-// zero-copy when the input edge speaks chunks), pass each through the
-// kernel chain, hand the survivor downstream, then cascade the kernels'
-// end-of-stream output. The chain's exit status is the last stage's
-// (shell pipeline semantics within the fused segment).
-func runFusedStreaming(r io.Reader, w io.Writer, kernels []commands.Kernel, meters []StageTime) error {
-	process := func(cur []byte, release func()) error {
-		owned := false // cur is a pool block we own (vs the source's block)
-		for i, k := range kernels {
-			if _, id := k.(interface{ IsPassThrough() }); id {
-				continue
-			}
-			next := applyStage(k, &meters[i], cur)
-			if owned {
-				commands.PutBlock(cur)
-			} else {
-				release()
-			}
-			cur, owned = next, true
-			if len(cur) == 0 {
-				commands.PutBlock(cur)
-				return nil
-			}
-		}
-		// writeChunkTo transfers ownership (pool block or source block
-		// alike); an un-transformed source block simply keeps its release
-		// uncalled, per the ownership contract.
-		return writeChunkTo(w, cur)
-	}
-
-	for {
-		b, release, err := commands.NextBlock(r)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		if err := process(b, release); err != nil {
-			return err
-		}
-	}
-
-	// End of stream: each stage's Finish output flows through the
-	// stages after it, in order, before those stages finish themselves.
-	// A pass-through kernel has none, and is not charged for it.
-	tail := commands.GetBlock()
-	for i := range kernels {
-		if _, id := kernels[i].(interface{ IsPassThrough() }); id {
-			continue
-		}
-		start := time.Now()
-		t := kernels[i].Finish(commands.GetBlock())
-		meters[i].Active += time.Since(start)
-		meters[i].BytesOut += int64(len(t))
-		for j := i + 1; j < len(kernels) && len(t) > 0; j++ {
-			if _, id := kernels[j].(interface{ IsPassThrough() }); id {
-				continue
-			}
-			nt := applyStage(kernels[j], &meters[j], t)
-			commands.PutBlock(t)
-			t = nt
-		}
-		tail = append(tail, t...)
-		commands.PutBlock(t)
-	}
-	if len(tail) > 0 {
-		if err := writeChunkTo(w, tail); err != nil {
-			return err
-		}
-	} else {
-		commands.PutBlock(tail)
-	}
-	return kernels[len(kernels)-1].Status()
 }

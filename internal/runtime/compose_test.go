@@ -138,7 +138,11 @@ func checkComposed(t testing.TB, tc composeCase, input string, seed int64) {
 	plain, composed := composedPair(t, tc)
 	stream := func(ks []commands.Kernel) (string, int) {
 		var out bytes.Buffer
-		err := runFusedStreaming(&pieceReader{rest: []byte(input), rng: rand.New(rand.NewSource(seed))}, &out, ks, make([]StageTime, len(ks)))
+		kc := commands.KernelChain{Kernels: ks, Meters: make([]commands.StageTime, len(ks))}
+		err := kc.Stream(&pieceReader{rest: []byte(input), rng: rand.New(rand.NewSource(seed))}, &out)
+		if err == nil {
+			err = ks[len(ks)-1].Status()
+		}
 		status, err := exitStatus(err)
 		if err != nil {
 			t.Fatal(err)

@@ -73,17 +73,7 @@ type NodeTime struct {
 	// Stages breaks a fused node's work down per collapsed stage: the
 	// fused loop attributes kernel time and byte traffic to each stage
 	// even though no pipe separates them any more.
-	Stages []StageTime
-}
-
-// StageTime is one fused stage's attribution: time spent inside the
-// stage's kernel and the bytes that crossed it. BytesIn/BytesOut play
-// the role the pipe meters played before fusion removed the pipes.
-type StageTime struct {
-	Name     string
-	Active   time.Duration
-	BytesIn  int64
-	BytesOut int64
+	Stages []commands.StageTime
 }
 
 // Execute runs the graph to completion: one goroutine per node, edges as
@@ -248,7 +238,7 @@ func (ex *executor) runNode(ctx context.Context, n, final *dfg.Node) NodeTime {
 	// builtin bug, a user-registered extension kernel or aggregator, a
 	// chain stage — fails this job alone; the process and every other job
 	// survive.
-	var stages []StageTime
+	var stages []commands.StageTime
 	err := func() (err error) {
 		defer Contain("node "+n.Name, &err)
 		stages, err = ex.dispatch(ctx, n)
@@ -402,7 +392,7 @@ func (ex *executor) closeNodeEdges(n *dfg.Node) {
 
 // dispatch executes one node by kind; a node that ran as a stage chain
 // through kernels also reports its per-stage attribution.
-func (ex *executor) dispatch(ctx context.Context, n *dfg.Node) ([]StageTime, error) {
+func (ex *executor) dispatch(ctx context.Context, n *dfg.Node) ([]commands.StageTime, error) {
 	args := n.ArgStrings(func(i int) string { return ex.names[n.In[i].ID] })
 	switch {
 	case n.Kind == dfg.KindSplit:
@@ -461,7 +451,7 @@ func (ex *executor) dispatch(ctx context.Context, n *dfg.Node) ([]StageTime, err
 // the one chain runner: once per chunk under the round-robin frame
 // discipline, over the whole stream otherwise, the node's exit status
 // being the last stage's.
-func (ex *executor) runChain(ctx context.Context, n *dfg.Node, stages []dfg.FusedStage) ([]StageTime, error) {
+func (ex *executor) runChain(ctx context.Context, n *dfg.Node, stages []dfg.FusedStage) ([]commands.StageTime, error) {
 	chain, err := NewStageChain(ex.reg, stages, ex.overlay, ex.cfg.Env, ex.stdio.Stderr)
 	if err != nil {
 		return nil, err
@@ -470,7 +460,7 @@ func (ex *executor) runChain(ctx context.Context, n *dfg.Node, stages []dfg.Fuse
 		chain.kpool = nil
 	}
 	if chain.kpool != nil {
-		chain.meters = make([]StageTime, len(stages))
+		chain.meters = make([]commands.StageTime, len(stages))
 		for i, st := range stages {
 			chain.meters[i].Name = st.Name
 		}

@@ -47,10 +47,11 @@ func buildChainGraph(t testing.TB, width int, disableFusion bool, specs ...[2]in
 	}
 	e := g.AddEdge(&dfg.Edge{From: prev, Sink: dfg.Binding{Kind: dfg.BindStdout}})
 	prev.Out = append(prev.Out, e)
-	dfg.Apply(g, dfg.Options{
-		Width: width, Split: width > 1, Eager: true,
-		KernelCapable: commands.Std().KernelCapable, DisableFusion: disableFusion,
-	})
+	opts := dfg.Options{Width: width, Split: width > 1, Eager: true}
+	if !disableFusion {
+		opts.KernelCapable = commands.Std().KernelCapable
+	}
+	dfg.Apply(g, opts)
 	if err := g.Validate(); err != nil {
 		t.Fatalf("graph invalid: %v", err)
 	}
@@ -194,7 +195,7 @@ func TestFusedStageMeters(t *testing.T) {
 	if len(st) != 2 || st[0].Name != "tr" || st[1].Name != "grep" {
 		t.Fatalf("stage names wrong: %+v", st)
 	}
-	if st[0] != (StageTime{Name: "tr"}) {
+	if st[0] != (commands.StageTime{Name: "tr"}) {
 		t.Fatalf("absorbed tr slot charged %+v, want nothing", st[0])
 	}
 	if st[1].BytesIn != int64(len(input)) || st[1].BytesOut != int64(out.Len()) || st[1].Active <= 0 {

@@ -81,7 +81,7 @@ func GeneralSplit(r io.Reader, ws []io.WriteCloser) error {
 				commands.PutBlock(piece)
 				continue
 			}
-			if err := writeChunkTo(w, piece); err == ErrDownstreamClosed {
+			if err := commands.WriteBlock(w, piece, nil); err == ErrDownstreamClosed {
 				// This consumer hung up; the rest of its partition has
 				// nowhere to go, the other partitions are unaffected.
 				hungUp = true
@@ -127,7 +127,7 @@ func roundRobinSplit(r io.Reader, ws []io.WriteCloser) error {
 			commands.PutBlock(block)
 			return nil
 		}
-		werr := writeChunkTo(ws[i], block)
+		werr := commands.WriteBlock(ws[i], block, nil)
 		if werr == ErrDownstreamClosed {
 			closed[i] = true
 			if alive--; alive == 0 {
@@ -143,17 +143,6 @@ func roundRobinSplit(r io.Reader, ws []io.WriteCloser) error {
 		// killed by SIGPIPE.
 		return nil
 	}
-	return err
-}
-
-// writeChunkTo hands block ownership to w, copying only when w does not
-// speak the chunk protocol.
-func writeChunkTo(w io.Writer, block []byte) error {
-	if cw, ok := w.(commands.ChunkWriter); ok {
-		return cw.WriteChunk(block)
-	}
-	_, err := w.Write(block)
-	commands.PutBlock(block)
 	return err
 }
 
