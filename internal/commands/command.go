@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
@@ -26,12 +27,15 @@ import (
 type Func func(ctx *Context) error
 
 // ExitError is a non-zero exit status that is still a "normal" result
-// (e.g. grep with no matches exits 1).
+// (e.g. grep with no matches exits 1). Err, when set, is the failure the
+// command reported before it exited: an input it could not open.
 type ExitError struct {
 	Code int
+	Err  error
 }
 
 func (e *ExitError) Error() string { return fmt.Sprintf("exit status %d", e.Code) }
+func (e *ExitError) Unwrap() error { return e.Err }
 
 // ExitCode extracts the conventional exit code from a command error:
 // 0 for nil, the embedded code for *ExitError, 1 otherwise.
@@ -158,7 +162,9 @@ func (ctx *Context) Errorf(format string, args ...interface{}) error {
 
 // OpenInputs opens the command's input streams following the UNIX
 // convention: each operand is opened as a file, "-" means stdin, and no
-// operands at all means stdin.
+// operands at all means stdin. An operand that does not exist is
+// reported and fails the command, not the script: it exits 2 as GNU grep
+// and sort do, 1 otherwise.
 func (ctx *Context) OpenInputs(operands []string) ([]io.Reader, func(), error) {
 	if len(operands) == 0 {
 		return []io.Reader{ctx.stdin()}, func() {}, nil
@@ -179,6 +185,13 @@ func (ctx *Context) OpenInputs(operands []string) ([]io.Reader, func(), error) {
 		if err != nil {
 			cleanup()
 			fmt.Fprintf(ctx.Stderr, "%s: %v\n", ctx.Name, err)
+			if errors.Is(err, fs.ErrNotExist) {
+				code := 1
+				if ctx.Name == "grep" || ctx.Name == "sort" {
+					code = 2
+				}
+				return nil, nil, &ExitError{Code: code, Err: err}
+			}
 			return nil, nil, err
 		}
 		readers = append(readers, f)

@@ -146,15 +146,14 @@ type KernelChain struct {
 // only; the chain's status is its last kernel's Status.
 func (kc KernelChain) Stream(r io.Reader, w io.Writer) error {
 	for {
-		b, release, err := NextBlock(r)
+		b, err := NextBlock(r)
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return err
 		}
-		out, release := kc.push(0, b, release, false)
-		if err := emitBlock(w, out, release); err != nil {
+		if err := emitBlock(w, kc.push(0, b, false)); err != nil {
 			return err
 		}
 	}
@@ -163,7 +162,7 @@ func (kc KernelChain) Stream(r io.Reader, w io.Writer) error {
 		if passThrough(k) {
 			continue
 		}
-		t, _ := kc.push(i+1, kc.stage(i, nil, true), nil, false)
+		t := kc.push(i+1, kc.stage(i, nil, true), false)
 		if tail == nil {
 			tail = t
 			continue
@@ -171,42 +170,34 @@ func (kc KernelChain) Stream(r io.Reader, w io.Writer) error {
 		tail = append(tail, t...)
 		PutBlock(t)
 	}
-	return emitBlock(w, tail, nil)
+	return emitBlock(w, tail)
 }
 
 // Chunk is the per-chunk form, for the framed protocol: it runs the chain
 // over one chunk as an independent stream, Finish included, and returns
 // the one output block the chunk becomes, owned by the caller — empty
 // when nothing survives, the chunk itself when no kernel transforms it.
-// The chunk is given back through release as soon as a stage has
-// replaced it, so its block is back in the pool, still warm, for the next
-// stage's output.
-func (kc KernelChain) Chunk(chunk []byte, release func()) []byte {
-	out, _ := kc.push(0, chunk, release, true)
-	return out
+// The chunk is owned by the chain and given back with PutBlock as soon as
+// a stage has replaced it, so its block is back in the pool, still warm,
+// for the next stage's output.
+func (kc KernelChain) Chunk(chunk []byte) []byte {
+	return kc.push(0, chunk, true)
 }
 
-// push runs one block through the stages from from on and returns what
-// the last one made of it; whole finishes each stage over it. cur is the
-// source's block, given back through release once a stage has replaced
-// it, or an owned pool block when release is nil; the release returned
-// is still pending when no stage replaced it. An empty block goes no
-// further: no kernel is handed empty input.
-func (kc KernelChain) push(from int, cur []byte, release func(), whole bool) ([]byte, func()) {
+// push runs one owned block through the stages from from on and returns
+// what the last one made of it; whole finishes each stage over it. Each
+// block a stage has replaced goes back to the pool. An empty block goes
+// no further: no kernel is handed empty input.
+func (kc KernelChain) push(from int, cur []byte, whole bool) []byte {
 	for i := from; i < len(kc.Kernels) && len(cur) > 0; i++ {
 		if passThrough(kc.Kernels[i]) {
 			continue
 		}
 		next := kc.stage(i, cur, whole)
-		if release == nil {
-			PutBlock(cur)
-		} else {
-			release()
-			release = nil
-		}
+		PutBlock(cur)
 		cur = next
 	}
-	return cur, release
+	return cur
 }
 
 // stage runs kernel i over in into a fresh pool block — then Finish, when
@@ -240,12 +231,12 @@ func passThrough(k Kernel) bool {
 
 // emitBlock hands an output block to w (WriteBlock), recycling an empty
 // one: only a stage's own output block, or no block at all, is empty.
-func emitBlock(w io.Writer, b []byte, release func()) error {
+func emitBlock(w io.Writer, b []byte) error {
 	if len(b) == 0 {
 		PutBlock(b)
 		return nil
 	}
-	return WriteBlock(w, b, release)
+	return WriteBlock(w, b)
 }
 
 // stdinOnly reports whether operands name standard input exclusively

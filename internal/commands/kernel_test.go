@@ -295,18 +295,18 @@ func TestKernelsAgainstHostCoreutils(t *testing.T) {
 }
 
 // tokenSource is a chunk source that interleaves empty framing tokens
-// with its data chunks.
+// with its data chunks, each handed out as an owned pool block.
 type tokenSource struct{ chunks [][]byte }
 
 func (s *tokenSource) Read([]byte) (int, error) { panic("chunk sources are read by ReadChunk") }
 
-func (s *tokenSource) ReadChunk() ([]byte, func(), error) {
+func (s *tokenSource) ReadChunk() ([]byte, error) {
 	if len(s.chunks) == 0 {
-		return nil, func() {}, io.EOF
+		return nil, io.EOF
 	}
-	b := s.chunks[0]
+	b := append(GetBlock(), s.chunks[0]...)
 	s.chunks = s.chunks[1:]
-	return b, func() {}, nil
+	return b, nil
 }
 
 // TestNextBlock pins the block reader's two promises: a chunk source's
@@ -315,7 +315,7 @@ func (s *tokenSource) ReadChunk() ([]byte, func(), error) {
 func TestNextBlock(t *testing.T) {
 	drain := func(r io.Reader) (blocks []string) {
 		for {
-			b, release, err := NextBlock(r)
+			b, err := NextBlock(r)
 			if err == io.EOF {
 				return blocks
 			}
@@ -323,7 +323,7 @@ func TestNextBlock(t *testing.T) {
 				t.Fatal(err)
 			}
 			blocks = append(blocks, string(b))
-			release()
+			PutBlock(b)
 		}
 	}
 	got := drain(&tokenSource{chunks: [][]byte{{}, []byte("ab\n"), {}, {}, []byte("c")}})
@@ -732,9 +732,10 @@ type plainReader struct{ r io.Reader }
 func (p plainReader) Read(b []byte) (int, error) { return p.r.Read(b) }
 
 // TestDataPlaneAllocations pins the steady state of the stateless data
-// plane: a kernel's Apply into a block with room allocates nothing, and
-// the line-aligning reader hands on pool blocks without allocating or
-// copying one per block.
+// plane: a kernel's Apply into a block with room allocates nothing, the
+// line-aligning reader hands on pool blocks without allocating or
+// copying one per block, and NextBlock over a plain reader allocates
+// nothing per block.
 func TestDataPlaneAllocations(t *testing.T) {
 	text := kernelBenchText(40_000)                                     // a little over 1 MiB
 	blocks := [][]byte{text[:BlockSize], text[BlockSize : 2*BlockSize]} // both end mid-line
@@ -784,29 +785,60 @@ func TestDataPlaneAllocations(t *testing.T) {
 	if a1, a8 := read(1), read(8); a8-a1 > 112/2 {
 		t.Errorf("EachLineBlock allocates per block: %.0f over 1 MiB, %.0f over 8 MiB", a1, a8)
 	}
+
+	if raceEnabled {
+		return // the pool drops blocks on purpose: fresh ones are allocated
+	}
+	r := &bytes.Reader{}
+	plain := io.Reader(plainReader{r})
+	next := func() {
+		r.Reset(mib)
+		for {
+			b, err := NextBlock(plain)
+			if err == io.EOF {
+				return
+			}
+			PutBlock(b)
+		}
+	}
+	next() // warm the pool
+	if a := testing.AllocsPerRun(10, next); a != 0 {
+		t.Errorf("NextBlock over a plain reader: %.0f allocations over %d blocks, want 0", a, len(mib)/BlockSize+1)
+	}
 }
 
-// blockSource is a ChunkReader over fixed blocks it keeps: its release
-// is one func value, so reading allocates nothing, and counts its calls.
+// countFresh counts the blocks the pool has to allocate until the test
+// ends: every GetBlock it cannot serve from a given-back block is one.
+// It is how a test sees whether blocks come back.
+func countFresh(t *testing.T) *atomic.Int64 {
+	var fresh atomic.Int64
+	origNew := blockPool.New
+	blockPool.New = func() interface{} { fresh.Add(1); return origNew() }
+	t.Cleanup(func() { blockPool.New = origNew })
+	return &fresh
+}
+
+// blockSource is a ChunkReader over fixed blocks: it hands each out as an
+// owned pool block copy, as a pipe hands out the blocks queued in it, and
+// keeps the copies it handed out since the last rewind.
 type blockSource struct {
-	blocks   [][]byte
-	next     int
-	released int
-	release  func()
+	blocks [][]byte
+	handed [][]byte
 }
 
 func newBlockSource(blocks [][]byte) *blockSource {
-	s := &blockSource{blocks: blocks}
-	s.release = func() { s.released++ }
-	return s
+	return &blockSource{blocks: blocks, handed: make([][]byte, 0, len(blocks))}
 }
 
-func (s *blockSource) ReadChunk() ([]byte, func(), error) {
-	if s.next == len(s.blocks) {
-		return nil, s.release, io.EOF
+func (s *blockSource) rewind() { s.handed = s.handed[:0] }
+
+func (s *blockSource) ReadChunk() ([]byte, error) {
+	if len(s.handed) == len(s.blocks) {
+		return nil, io.EOF
 	}
-	s.next++
-	return s.blocks[s.next-1], s.release, nil
+	b := append(GetBlock(), s.blocks[len(s.handed)]...)
+	s.handed = append(s.handed, b)
+	return b, nil
 }
 
 func (s *blockSource) Read(p []byte) (int, error) { panic("blockSource is read by chunks") }
@@ -822,7 +854,8 @@ func (c *chunkTaker) WriteChunk(b []byte) error   { c.chunks = append(c.chunks, 
 // with tr's slot a pass-through (Compose hands the tr to the grep), the
 // stream form and the per-chunk form allocate nothing per block; and a
 // chain that passes everything through hands each source block on
-// uncopied, without giving it back.
+// uncopied, without giving it back: the source's blocks stay distinct,
+// where a block given back would come out of the pool again.
 func TestKernelChainAllocations(t *testing.T) {
 	text := kernelBenchText(40_000)
 	var blocks [][]byte // every one ends mid-line
@@ -846,12 +879,13 @@ func TestKernelChainAllocations(t *testing.T) {
 	src := newBlockSource(blocks)
 	forms := map[string]func(){
 		"stream": func() {
-			src.next = 0
+			src.rewind()
 			must(t, kc.Stream(src, sink))
 		},
 		"per-chunk": func() {
-			for _, b := range blocks {
-				must(t, sink.WriteChunk(kc.Chunk(b, src.release)))
+			src.rewind()
+			for b, err := src.ReadChunk(); err == nil; b, err = src.ReadChunk() {
+				must(t, sink.WriteChunk(kc.Chunk(b)))
 			}
 		},
 	}
@@ -871,52 +905,68 @@ func TestKernelChainAllocations(t *testing.T) {
 	cat, _ := NewKernel("cat", nil)
 	through := KernelChain{Kernels: []Kernel{cat, cat}}
 	src, taker := newBlockSource(blocks), &chunkTaker{}
+	seen := map[*byte]bool{}
+	check := func(form string) {
+		if len(taker.chunks) != len(blocks) {
+			t.Fatalf("%s: %d blocks out of %d: want every source block handed on", form, len(taker.chunks), len(blocks))
+		}
+		for i, out := range taker.chunks {
+			if b := src.handed[i]; &out[0] != &b[0] || len(out) != len(b) {
+				t.Fatalf("%s: block %d came out as a copy", form, i)
+			}
+			if seen[&out[0]] {
+				t.Fatalf("%s: block %d came out of the pool again: it was handed on and given back", form, i)
+			}
+			seen[&out[0]] = true
+		}
+		taker.chunks = nil
+	}
 	must(t, through.Stream(src, taker))
-	for i, b := range blocks {
-		if out := through.Chunk(b, src.release); &out[0] != &b[0] || len(out) != len(b) {
-			t.Fatalf("per-chunk: block %d came out as a copy", i)
-		}
-		if i >= len(taker.chunks) || &taker.chunks[i][0] != &b[0] || len(taker.chunks[i]) != len(b) {
-			t.Fatalf("stream: block %d came out as a copy (%d blocks out of %d)", i, len(taker.chunks), len(blocks))
-		}
+	check("stream")
+	src.rewind()
+	for b, err := src.ReadChunk(); err == nil; b, err = src.ReadChunk() {
+		taker.chunks = append(taker.chunks, through.Chunk(b))
 	}
-	if len(taker.chunks) != len(blocks) || src.released != 0 {
-		t.Fatalf("stream: %d blocks out of %d, %d given back: want every source block handed on", len(taker.chunks), len(blocks), src.released)
-	}
+	check("per-chunk")
 }
 
 // TestChunkHandOffToPlainWriter: a chunk that reaches a writer which
-// does not take chunks is copied out and then given back through its
-// source's release, exactly once — by CopyChunks, by the round-robin
-// merge and by a kernel chain no stage of which replaced the chunk. A
-// chunk need not be a whole pool block (a pipe's chunk after a partial
-// Read is not), so recycling it through PutBlock would lose it.
+// does not take chunks is copied out and then given back to the pool —
+// by CopyChunks, by the round-robin merge and by a kernel chain no stage
+// of which replaced the chunk. Counted at the pool, as in
+// TestLineWriterReturnsItsBlock: a hand-off that kept its chunks would
+// cost a fresh block for every chunk of every cycle.
 func TestChunkHandOffToPlainWriter(t *testing.T) {
+	fresh := countFresh(t)
 	blocks := [][]byte{[]byte("a\nb\n"), []byte("c\n"), []byte("d\ne\n")}
 	want := "a\nb\nc\nd\ne\n"
 	cat, _ := NewKernel("cat", nil)
-	for name, run := range map[string]func(w io.Writer) (int, error){
-		"CopyChunks": func(w io.Writer) (int, error) {
-			src := newBlockSource(blocks)
-			_, err := CopyChunks(w, src)
-			return src.released, err
+	const cycles = 200
+	for name, run := range map[string]func(w io.Writer) error{
+		"CopyChunks": func(w io.Writer) error {
+			_, err := CopyChunks(w, newBlockSource(blocks))
+			return err
 		},
-		"MergeChunksRoundRobin": func(w io.Writer) (int, error) {
+		"MergeChunksRoundRobin": func(w io.Writer) error {
 			even, odd := newBlockSource([][]byte{blocks[0], blocks[2]}), newBlockSource(blocks[1:2])
-			err := MergeChunksRoundRobin([]io.Reader{even, odd}, w)
-			return even.released + odd.released, err
+			return MergeChunksRoundRobin([]io.Reader{even, odd}, w)
 		},
-		"KernelChain.Stream": func(w io.Writer) (int, error) {
-			src := newBlockSource(blocks)
-			err := KernelChain{Kernels: []Kernel{cat}}.Stream(src, w)
-			return src.released, err
+		"KernelChain.Stream": func(w io.Writer) error {
+			return KernelChain{Kernels: []Kernel{cat}}.Stream(newBlockSource(blocks), w)
 		},
 	} {
-		var out bytes.Buffer
-		released, err := run(&out)
-		must(t, err)
-		if out.String() != want || released != len(blocks) {
-			t.Errorf("%s: wrote %q and gave back %d chunks, want %q and %d", name, out.String(), released, want, len(blocks))
+		before := fresh.Load()
+		for i := 0; i < cycles; i++ {
+			var out bytes.Buffer
+			must(t, run(&out))
+			if out.String() != want {
+				t.Fatalf("%s: wrote %q, want %q", name, out.String(), want)
+			}
+		}
+		// Half a chunk a cycle, not zero: under the race detector
+		// sync.Pool drops a quarter of what it is given.
+		if n := fresh.Load() - before; n > cycles*int64(len(blocks))/2 {
+			t.Errorf("%s: %d fresh blocks over %d cycles of %d chunks, want the chunks given back", name, n, cycles, len(blocks))
 		}
 	}
 }
@@ -941,10 +991,7 @@ func (c *chunkSink) WriteChunk(b []byte) error {
 // detector sync.Pool drops a quarter of what it is given; a writer that
 // keeps its block costs one per cycle (two behind a ChunkWriter).
 func TestLineWriterReturnsItsBlock(t *testing.T) {
-	var fresh atomic.Int64
-	origNew := blockPool.New
-	blockPool.New = func() interface{} { fresh.Add(1); return origNew() }
-	defer func() { blockPool.New = origNew }()
+	fresh := countFresh(t)
 
 	const cycles = 200
 	line := []byte("a line of output")

@@ -34,14 +34,16 @@ func GetBlock() []byte {
 	return blockPool.Get().(*[BlockSize]byte)[:0]
 }
 
-// PutBlock recycles a block obtained from GetBlock (or grown elsewhere).
-// Only blocks whose capacity still equals BlockSize are pooled; oversized
-// or sub-sliced blocks are left for the garbage collector. Callers must
-// not touch b after PutBlock returns.
+// PutBlock gives an owned block back: one obtained from GetBlock, a
+// ChunkReader's chunk, or one grown elsewhere. Only blocks whose capacity
+// still equals BlockSize are pooled; oversized or sub-sliced blocks are
+// left for the garbage collector. Callers must not touch b after PutBlock
+// returns (the race build poisons it).
 func PutBlock(b []byte) {
 	if cap(b) != BlockSize {
 		return
 	}
+	poison(b[:BlockSize])
 	blockPool.Put((*[BlockSize]byte)(b[:BlockSize]))
 }
 
@@ -57,13 +59,11 @@ type ChunkWriter interface {
 }
 
 // ChunkReader is implemented by sources that yield whole blocks with
-// their ownership. The returned release function recycles the block; the
-// caller must either call it exactly once when done with b, or not at
-// all if it passes ownership onward (e.g. into a ChunkWriter). err is
-// io.EOF at end of stream, in which case b is nil and release is a
-// no-op.
+// their ownership. Like every owner of a block, the caller either passes
+// b on (WriteChunk, WriteBlock) or gives it back with PutBlock. err is
+// io.EOF at end of stream, in which case b is nil.
 type ChunkReader interface {
-	ReadChunk() (b []byte, release func(), err error)
+	ReadChunk() (b []byte, err error)
 }
 
 // CopyChunks streams src to dst moving whole blocks, transferring
@@ -77,7 +77,7 @@ func CopyChunks(dst io.Writer, src io.Reader) (int64, error) {
 	switch {
 	case rok:
 		for {
-			b, release, err := cr.ReadChunk()
+			b, err := cr.ReadChunk()
 			if err == io.EOF {
 				return n, nil
 			}
@@ -85,7 +85,7 @@ func CopyChunks(dst io.Writer, src io.Reader) (int64, error) {
 				return n, err
 			}
 			n += int64(len(b))
-			if err := WriteBlock(dst, b, release); err != nil {
+			if err := WriteBlock(dst, b); err != nil {
 				return n, err
 			}
 		}
@@ -119,31 +119,29 @@ func CopyChunks(dst io.Writer, src io.Reader) (int64, error) {
 // kernel driver and the runtime's fused loop. A single Read fills a block,
 // never ReadFull — waiting for a full block would stall line delivery on
 // slow streaming sources — and a chunk source's empty framing tokens are
-// not data and are dropped, so b is never empty. release follows the
-// ChunkReader contract; err is io.EOF at end of stream. A read error that
-// arrives together with bytes is reported by the following call.
-func NextBlock(r io.Reader) ([]byte, func(), error) {
+// not data and are dropped, so b is never empty. The caller owns b and
+// passes it on or gives it back with PutBlock; err is io.EOF at end of
+// stream. A read error that arrives together with bytes is reported by
+// the following call.
+func NextBlock(r io.Reader) ([]byte, error) {
 	if cr, ok := r.(ChunkReader); ok {
 		for {
-			b, release, err := cr.ReadChunk()
+			b, err := cr.ReadChunk()
 			if err != nil || len(b) > 0 {
-				return b, release, err
+				return b, err
 			}
-			release()
+			PutBlock(b)
 		}
 	}
-	// Only this path's release captures the block: a chunk costs no
-	// allocation.
 	b, n, err := GetBlock(), 0, error(nil)
 	for n == 0 && err == nil {
 		n, err = r.Read(b[:BlockSize])
 	}
 	if n == 0 {
 		PutBlock(b)
-		return nil, func() {}, err
+		return nil, err
 	}
-	b = b[:n]
-	return b, func() { PutBlock(b) }, nil
+	return b[:n], nil
 }
 
 // EachLineBlock streams r as newline-aligned blocks: every block handed
@@ -209,7 +207,7 @@ func eachLineBlockChunks(r io.Reader, fn func(block []byte) error) error {
 		return fn(merged)
 	}
 	for {
-		b, release, err := NextBlock(r)
+		b, err := NextBlock(r)
 		if err == io.EOF {
 			if carry == nil {
 				return nil
@@ -223,20 +221,23 @@ func eachLineBlockChunks(r io.Reader, fn func(block []byte) error) error {
 			}
 			return err
 		}
-		// The source hands us the block's ownership; fold release into
-		// PutBlock semantics by copying out of sub-sliced blocks.
+		// The block's ownership passes to fn as it is, whole or cut
+		// after its last newline.
 		cut := bytes.LastIndexByte(b, '\n')
 		switch {
 		case cut == len(b)-1:
-			if ferr := emitOwned(b, release, emit); ferr != nil {
+			if ferr := emit(b); ferr != nil {
 				return ferr
 			}
 		case cut < 0:
-			carry = append(carryOrNew(carry), b...)
-			release()
+			if carry == nil {
+				carry = GetBlock()
+			}
+			carry = append(carry, b...)
+			PutBlock(b)
 		default:
 			nc := append(GetBlock(), b[cut+1:]...)
-			if ferr := emitHead(b[:cut+1], b, release, emit); ferr != nil {
+			if ferr := emit(b[:cut+1]); ferr != nil {
 				PutBlock(nc)
 				return ferr
 			}
@@ -245,48 +246,11 @@ func eachLineBlockChunks(r io.Reader, fn func(block []byte) error) error {
 	}
 }
 
-func carryOrNew(carry []byte) []byte {
-	if carry == nil {
-		return GetBlock()
-	}
-	return carry
-}
-
-// emitOwned forwards a whole chunk-reader block to fn. The pipe's
-// release is dropped in favor of fn's PutBlock obligation when the block
-// is a full (poolable) block; sub-sliced blocks are forwarded and the
-// original released by the eventual PutBlock being a no-op.
-func emitOwned(b []byte, release func(), emit func([]byte) error) error {
-	if cap(b) == BlockSize {
-		return emit(b) // fn recycles via PutBlock; release never called
-	}
-	// Sub-sliced or oversized: copy into a pooled block so downstream
-	// PutBlock keeps working, then release the original.
-	nb := append(GetBlock(), b...)
-	release()
-	return emit(nb)
-}
-
-// emitHead forwards the newline-terminated prefix of a block whose tail
-// was copied into the carry buffer.
-func emitHead(head, orig []byte, release func(), emit func([]byte) error) error {
-	if cap(orig) == BlockSize && &orig[0] == &head[0] {
-		// head shares orig's backing array from index 0: hand it over and
-		// let PutBlock(orig-capacity slice) recycle it. PutBlock checks
-		// capacity, and cap(head) == cap(orig) when they share a start.
-		return emit(head)
-	}
-	nb := append(GetBlock(), head...)
-	release()
-	return emit(nb)
-}
-
 // blockScanner pulls newline-delimited lines out of a stream block by
 // block (NextBlock). It is the engine behind EachLine and LineIter.
 type blockScanner struct {
 	r       io.Reader
 	blk     []byte // current block (owned)
-	release func() // recycles blk
 	off     int
 	pending []byte // partial line spanning blocks
 	err     error
@@ -298,7 +262,7 @@ func newBlockScanner(r io.Reader) *blockScanner { return &blockScanner{r: r} }
 // dropBlock recycles the current block.
 func (s *blockScanner) dropBlock() {
 	if s.blk != nil {
-		s.release()
+		PutBlock(s.blk)
 		s.blk, s.off = nil, 0
 	}
 }
@@ -309,7 +273,7 @@ func (s *blockScanner) fill() bool {
 	if s.eof {
 		return false
 	}
-	b, release, err := NextBlock(s.r)
+	b, err := NextBlock(s.r)
 	if err != nil {
 		s.eof = true
 		if err != io.EOF {
@@ -317,7 +281,7 @@ func (s *blockScanner) fill() bool {
 		}
 		return false
 	}
-	s.blk, s.release, s.off = b, release, 0
+	s.blk, s.off = b, 0
 	return true
 }
 
@@ -505,24 +469,19 @@ func (lw *LineWriter) WriteChunk(b []byte) error {
 		PutBlock(b)
 		return err
 	}
-	return WriteBlock(lw.w, b, nil)
+	return WriteBlock(lw.w, b)
 }
 
 // WriteBlock hands an owned block to w: by ownership transfer when w
-// takes chunks, else its bytes are written and the block given back —
-// through release when b is a ChunkReader's chunk, to the pool when
-// release is nil. It is the one hand-off of an owned block, from the
-// kernel loop, the merge and the runtime's splits alike.
-func WriteBlock(w io.Writer, b []byte, release func()) error {
+// takes chunks, else its bytes are written and the block given back with
+// PutBlock. It is the one hand-off of an owned block, from the kernel
+// loop, the merge and the runtime's splits alike.
+func WriteBlock(w io.Writer, b []byte) error {
 	if cw, ok := w.(ChunkWriter); ok {
 		return cw.WriteChunk(b)
 	}
 	_, err := w.Write(b)
-	if release != nil {
-		release()
-	} else {
-		PutBlock(b)
-	}
+	PutBlock(b)
 	return err
 }
 
@@ -553,7 +512,7 @@ func readArena(r io.Reader, arena []byte) ([]byte, error) {
 	start := len(arena)
 	if cr, ok := r.(ChunkReader); ok {
 		for {
-			b, release, err := cr.ReadChunk()
+			b, err := cr.ReadChunk()
 			if err == io.EOF {
 				break
 			}
@@ -561,7 +520,7 @@ func readArena(r io.Reader, arena []byte) ([]byte, error) {
 				return arena, err
 			}
 			arena = append(arenaRoom(arena, len(b)), b...)
-			release()
+			PutBlock(b)
 		}
 	} else {
 		for {

@@ -63,7 +63,7 @@ func MergeChunksRoundRobin(readers []io.Reader, w io.Writer) error {
 				remaining--
 				continue
 			}
-			b, release, err := cr.ReadChunk()
+			b, err := cr.ReadChunk()
 			if err == io.EOF {
 				open[i] = false
 				remaining--
@@ -72,7 +72,7 @@ func MergeChunksRoundRobin(readers []io.Reader, w io.Writer) error {
 			if err != nil {
 				return err
 			}
-			if err := WriteBlock(w, b, release); err != nil {
+			if err := WriteBlock(w, b); err != nil {
 				return err
 			}
 		}

@@ -143,7 +143,7 @@ var countSeed = maphash.MakeSeed()
 func (t *countTable) read(r io.Reader) error {
 	var carry []byte // the start of a line that runs past its block
 	for !t.closed {
-		b, release, err := NextBlock(r)
+		blk, err := NextBlock(r)
 		if err == io.EOF {
 			if len(carry) > 0 {
 				t.add(carry)
@@ -153,6 +153,7 @@ func (t *countTable) read(r io.Reader) error {
 		if err != nil {
 			return err
 		}
+		b := blk // resliced as lines are counted; blk is what goes back
 		for len(b) > 0 && !t.closed {
 			i := bytes.IndexByte(b, '\n')
 			if i < 0 {
@@ -170,7 +171,7 @@ func (t *countTable) read(r io.Reader) error {
 		if t.closed {
 			t.arena = append(t.arena, b...)
 		}
-		release()
+		PutBlock(blk)
 	}
 	var err error
 	t.arena, err = readArena(r, t.arena)

@@ -194,7 +194,7 @@ func countStream(r io.Reader, wordsOrChars bool) (wcCounts, error) {
 		}
 	}
 	for {
-		b, release, err := NextBlock(r)
+		b, err := NextBlock(r)
 		if err == io.EOF {
 			return c, nil
 		}
@@ -202,6 +202,6 @@ func countStream(r io.Reader, wordsOrChars bool) (wcCounts, error) {
 			return c, err
 		}
 		tally(b)
-		release()
+		PutBlock(b)
 	}
 }

@@ -1,30 +1,50 @@
 package core
 
 import (
+	"bytes"
+	"context"
 	"strings"
 	"testing"
+
+	"repro/internal/runtime"
 )
 
 // Failure-injection tests: the compiler and runtime must fail loudly and
 // cleanly (no hangs, no partial silence) on bad inputs.
 
+// A missing input file fails the command that reads it, not the script:
+// the command reports it and the script goes on, at every width, where a
+// split reads the file (and must not hang) as much as where the command
+// opens it itself.
 func TestMissingInputFileFails(t *testing.T) {
-	_, _, err := runScriptCode(t, DefaultOptions(4), "cat does-not-exist.txt | sort", "", t.TempDir(), nil)
-	if err == nil {
-		t.Fatal("missing input file must error")
-	}
-	if !strings.Contains(err.Error(), "does-not-exist") {
-		t.Errorf("error does not name the file: %v", err)
+	for _, opts := range []Options{{Width: 1}, DefaultOptions(4)} {
+		out, stderr, code, err := runScriptStderr(t, opts, "cat does-not-exist.txt | sort; echo after")
+		if err != nil || out != "after\n" || code != 0 {
+			t.Fatalf("width %d: output %q, status %d, err %v; want after, 0 and no error", opts.Width, out, code, err)
+		}
+		if !strings.Contains(stderr, "does-not-exist") {
+			t.Errorf("width %d: stderr does not name the file: %q", opts.Width, stderr)
+		}
 	}
 }
 
 func TestMissingInputFileParallelFails(t *testing.T) {
-	// Same failure with the transformed graph (split over a missing
-	// file must not hang).
-	_, _, err := runScriptCode(t, Options{Width: 8, Preset: ParBSplit}, "grep x < nope.txt | tr a-z A-Z", "", t.TempDir(), nil)
-	if err == nil {
-		t.Fatal("missing redirect input must error")
+	// The same through a redirect, under a split that reads the missing
+	// file: the region ends, reports the file and the script goes on.
+	out, stderr, _, err := runScriptStderr(t, Options{Width: 8, Preset: ParBSplit}, "grep x < nope.txt | tr a-z A-Z; echo after")
+	if err != nil || out != "after\n" || !strings.Contains(stderr, "nope.txt") {
+		t.Fatalf("output %q, stderr %q, err %v; want after, nope.txt reported and no error", out, stderr, err)
 	}
+}
+
+// runScriptStderr runs src in a fresh directory and returns its stdout,
+// its stderr, its status and its error.
+func runScriptStderr(t *testing.T, opts Options, src string) (string, string, int, error) {
+	t.Helper()
+	var out, stderr bytes.Buffer
+	code, err := Run(context.Background(), NewCompiler(opts), src, t.TempDir(), nil,
+		runtime.StdIO{Stdin: strings.NewReader(""), Stdout: &out, Stderr: &stderr})
+	return out.String(), stderr.String(), code, err
 }
 
 func TestBadFlagFails(t *testing.T) {
@@ -59,12 +79,13 @@ func TestSyntaxErrorSurfaces(t *testing.T) {
 }
 
 func TestErrorInOneParallelBranchPropagates(t *testing.T) {
-	// comm against a missing dictionary: the error must propagate out
-	// of the parallel region, not deadlock the other branches.
+	// comm against a missing dictionary: its failure must propagate out
+	// of the parallel region as comm's status, 1 as the host's, not
+	// deadlock the other branches.
 	src := "tr A-Z a-z | sort -u | comm -23 - missing-dict.txt"
-	_, _, err := runScriptCode(t, DefaultOptions(4), src, "a\nb\n", t.TempDir(), nil)
-	if err == nil {
-		t.Fatal("missing config file must error")
+	_, code, err := runScriptCode(t, DefaultOptions(4), src, "a\nb\n", t.TempDir(), nil)
+	if err != nil || code != 1 {
+		t.Fatalf("missing dictionary: status %d, err %v; want status 1 and no error", code, err)
 	}
 }
 

@@ -94,13 +94,13 @@ type sliceSource struct {
 	next   int
 }
 
-func (s *sliceSource) ReadChunk() ([]byte, func(), error) {
+func (s *sliceSource) ReadChunk() ([]byte, error) {
 	if s.next == len(s.chunks) {
-		return nil, func() {}, io.EOF
+		return nil, io.EOF
 	}
 	b := append(commands.GetBlock(), s.chunks[s.next]...)
 	s.next++
-	return b, func() { commands.PutBlock(b) }, nil
+	return b, nil
 }
 
 // collector is the downstream edge: it keeps the bytes and recycles the

@@ -26,14 +26,6 @@ import (
 // itself through runtime.ExecRemoteLocal. internal/runtime/README.md
 // ("Failure model") states the ladder's contract.
 
-// pendingChunk is one input chunk the session has read and still owns:
-// release recycles it exactly once, when the local rung consumes it or
-// when the session ends.
-type pendingChunk struct {
-	b       []byte
-	release func()
-}
-
 // session is one remote node's dispatch state, carried across attempts.
 // The two wire shapes differ only in whether they ship an input:
 //
@@ -49,9 +41,9 @@ type pendingChunk struct {
 type session struct {
 	req *runtime.RemoteRequest
 
-	// retained holds the chunks read from req.In and not yet released,
-	// in order. Every new rung replays them before it reads live.
-	retained []pendingChunk
+	// retained holds the chunks read from req.In that the session still
+	// owns, in order. Every new rung replays them before it reads live.
+	retained [][]byte
 	// consumed records that req.In was read to EOF; a later rung then
 	// serves the input from retained alone. Written by the single
 	// in-flight sender, read after it has finished.
@@ -69,7 +61,7 @@ func (p *Pool) ExecRemote(ctx context.Context, req *runtime.RemoteRequest) error
 		return runtime.ExecRemoteLocal(ctx, req)
 	}
 	s := &session{req: req}
-	defer s.release()
+	defer s.discard()
 	return p.run(ctx, s)
 }
 
@@ -103,35 +95,23 @@ func (p *Pool) run(ctx context.Context, s *session) error {
 }
 
 // retain keeps one input chunk for replay, charged to the job's pipe
-// budget until released. A refused charge fails the run: no worker is
-// at fault.
-func (s *session) retain(pc pendingChunk) error {
-	if err := s.req.Budget.ChargePipe(len(pc.b)); err != nil {
-		pc.release()
+// budget while the session holds it. A refused charge fails the run: no
+// worker is at fault.
+func (s *session) retain(b []byte) error {
+	if err := s.req.Budget.ChargePipe(len(b)); err != nil {
+		commands.PutBlock(b)
 		return runtime.MarkFatal(err)
 	}
-	s.retained = append(s.retained, pc)
+	s.retained = append(s.retained, b)
 	return nil
 }
 
-// pop hands over the oldest retained chunk, and its budget charge with
-// it.
-func (s *session) pop() (pendingChunk, bool) {
-	if len(s.retained) == 0 {
-		return pendingChunk{}, false
-	}
-	pc := s.retained[0]
-	s.retained = s.retained[1:]
-	s.req.Budget.ReleasePipe(len(pc.b))
-	return pc, true
-}
-
-// release recycles whatever is still retained; it runs on every exit
+// discard gives back whatever is still retained; it runs on every exit
 // path of the session.
-func (s *session) release() {
-	for _, pc := range s.retained {
-		s.req.Budget.ReleasePipe(len(pc.b))
-		pc.release()
+func (s *session) discard() {
+	for _, b := range s.retained {
+		s.req.Budget.ReleasePipe(len(b))
+		commands.PutBlock(b)
 	}
 	s.retained = nil
 }
@@ -154,19 +134,24 @@ func (s *session) local(ctx context.Context) error {
 	return runtime.ExecRemoteLocal(ctx, &req)
 }
 
-// replayReader is the input as the local rung reads it. Ownership of
-// each retained chunk passes to the consumer; anything it leaves unread
-// stays with the session and is released there.
+// replayReader is the input as the local rung reads it. Each retained
+// chunk passes to the consumer, oldest first, and its budget charge with
+// it; anything it leaves unread stays with the session and is given back
+// there.
 type replayReader struct{ s *session }
 
-func (r replayReader) ReadChunk() ([]byte, func(), error) {
-	if pc, ok := r.s.pop(); ok {
-		return pc.b, pc.release, nil
+func (r replayReader) ReadChunk() ([]byte, error) {
+	s := r.s
+	if len(s.retained) > 0 {
+		b := s.retained[0]
+		s.retained = s.retained[1:]
+		s.req.Budget.ReleasePipe(len(b))
+		return b, nil
 	}
-	if r.s.consumed {
-		return nil, func() {}, io.EOF
+	if s.consumed {
+		return nil, io.EOF
 	}
-	return r.s.req.In.ReadChunk()
+	return s.req.In.ReadChunk()
 }
 
 // skipWriter forwards an output stream minus the prefix an earlier rung
@@ -426,13 +411,13 @@ func (l *link) sendInput() error {
 	if s.req.In == nil {
 		return nil
 	}
-	for _, pc := range s.retained {
-		if err := l.sendChunk(pc.b); err != nil {
+	for _, b := range s.retained {
+		if err := l.sendChunk(b); err != nil {
 			return err
 		}
 	}
 	for !s.consumed {
-		b, release, err := s.req.In.ReadChunk()
+		b, err := s.req.In.ReadChunk()
 		if err == io.EOF {
 			s.consumed = true
 			break
@@ -443,12 +428,12 @@ func (l *link) sendInput() error {
 		if len(b) == 0 {
 			// A byte stream carries no empty chunks, and on the wire a
 			// zero-length frame ends the stream.
-			release()
+			commands.PutBlock(b)
 			continue
 		}
 		// Retain before sending: once the chunk is on the wire it must
 		// survive for replay whatever happens next.
-		if err := s.retain(pendingChunk{b: b, release: release}); err != nil {
+		if err := s.retain(b); err != nil {
 			return err
 		}
 		if err := l.sendChunk(b); err != nil {

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -133,8 +134,13 @@ func (w *Worker) handleExec(rw http.ResponseWriter, r *http.Request) {
 		if spec.Path != "" {
 			return runtime.RunRemoteSpec(chain, spec, fs, nil, out)
 		}
-		in := &frameSource{w: w, body: r.Body}
-		return in.drain(runtime.RunRemoteSpec(chain, spec, fs, runtime.ChunkReaderAsReader(in), out))
+		// The input the chain left unread (a head that stopped early) is
+		// drained, so the coordinator's sender completes. The chain's
+		// error comes first, then the input's.
+		in := runtime.ChunkReaderAsReader(&frameSource{w: w, body: r.Body})
+		err = runtime.RunRemoteSpec(chain, spec, fs, in, out)
+		_, inErr := commands.CopyChunks(io.Discard, in)
+		return cmp.Or(err, inErr)
 	}()
 	code := 0
 	if execErr != nil {
@@ -170,9 +176,9 @@ type frameSource struct {
 	err  error
 }
 
-func (f *frameSource) ReadChunk() ([]byte, func(), error) {
+func (f *frameSource) ReadChunk() ([]byte, error) {
 	if f.err != nil {
-		return nil, func() {}, f.err
+		return nil, f.err
 	}
 	raw, err := readFrame(f.body)
 	switch {
@@ -186,33 +192,14 @@ func (f *frameSource) ReadChunk() ([]byte, func(), error) {
 	}
 	if err != nil {
 		f.err = err
-		return nil, func() {}, err
+		return nil, err
 	}
 	f.w.meter(func(m *WorkerMetrics) {
 		m.ChunksIn++
 		m.BytesIn += int64(len(raw))
 		m.WireBytesIn += int64(frameHeader + len(raw))
 	})
-	return raw, func() { commands.PutBlock(raw) }, nil
-}
-
-// drain reads whatever input the chain left unread (a head that stopped
-// early), so the coordinator's sender completes, and returns the
-// chain's error, else the input's.
-func (f *frameSource) drain(execErr error) error {
-	for {
-		_, release, err := f.ReadChunk()
-		if err == io.EOF {
-			return execErr
-		}
-		if err != nil {
-			if execErr != nil {
-				return execErr
-			}
-			return err
-		}
-		release()
-	}
+	return raw, nil
 }
 
 // frameStreamWriter frames a plain output stream for the wire, one

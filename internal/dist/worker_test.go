@@ -22,13 +22,13 @@ import (
 // oneChunk is a single-chunk input edge.
 type oneChunk struct{ b []byte }
 
-func (o *oneChunk) ReadChunk() ([]byte, func(), error) {
+func (o *oneChunk) ReadChunk() ([]byte, error) {
 	if o.b == nil {
-		return nil, func() {}, io.EOF
+		return nil, io.EOF
 	}
 	b := append(commands.GetBlock(), o.b...)
 	o.b = nil
-	return b, func() { commands.PutBlock(b) }, nil
+	return b, nil
 }
 
 type sink struct{ bytes.Buffer }

@@ -61,7 +61,7 @@ func BenchmarkPipeThroughput(b *testing.B) {
 		go func() {
 			defer close(done)
 			for {
-				blk, release, err := p.ReadChunk()
+				blk, err := p.ReadChunk()
 				if err == io.EOF {
 					return
 				}
@@ -69,8 +69,7 @@ func BenchmarkPipeThroughput(b *testing.B) {
 					b.Error(err)
 					return
 				}
-				_ = blk
-				release()
+				commands.PutBlock(blk)
 			}
 		}()
 		b.ResetTimer()
@@ -108,11 +107,11 @@ func drainStreams(streams []*edgeStream) chan struct{} {
 			go func(r readEnd, ch chan struct{}) {
 				defer close(ch)
 				for {
-					_, release, err := r.ReadChunk()
+					blk, err := r.ReadChunk()
 					if err != nil {
 						return
 					}
-					release()
+					commands.PutBlock(blk)
 				}
 			}(readEnd{s.p}, ch)
 		}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"sync"
 
 	"repro/internal/commands"
@@ -120,23 +121,22 @@ func exitStatus(err error) (int, error) {
 // commands), over one chunk as an independent stream, returning the
 // output block the caller owns. A chunk's exit status is not the
 // stream's (grep finding nothing in this chunk is normal) and is
-// dropped. It gives the chunk's block back by calling release exactly
-// once, as soon as no stage reads the input any more, unless the block
-// itself is the output (kernels that all pass it through).
-func (c *StageChain) applyChunk(ks []commands.Kernel, chunk []byte, release func()) ([]byte, error) {
+// dropped. It owns the chunk and gives its block back with PutBlock as
+// soon as no stage reads the input any more, unless the block itself is
+// the output (kernels that all pass it through).
+func (c *StageChain) applyChunk(ks []commands.Kernel, chunk []byte) ([]byte, error) {
 	if ks != nil {
-		return commands.KernelChain{Kernels: ks, Meters: c.meters}.Chunk(chunk, release), nil
+		return commands.KernelChain{Kernels: ks, Meters: c.meters}.Chunk(chunk), nil
 	}
 	cur := chunk
 	for _, st := range c.stages {
 		col := &chunkCollector{buf: commands.GetBlock()}
-		_, err := exitStatus(c.reg.Run(st.Name, c.context(st, bytes.NewReader(cur), col)))
-		if release != nil {
-			release()
-			release = nil
-		} else {
-			commands.PutBlock(cur)
+		runErr := c.reg.Run(st.Name, c.context(st, bytes.NewReader(cur), col))
+		_, err := exitStatus(runErr)
+		if errors.Is(runErr, fs.ErrNotExist) {
+			err = runErr // the command's failure, not this chunk's status
 		}
+		commands.PutBlock(cur)
 		if err != nil {
 			commands.PutBlock(col.buf)
 			return nil, err
@@ -159,7 +159,7 @@ func (c *StageChain) PerChunk(ctx context.Context, cr commands.ChunkReader, cw c
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		b, release, err := cr.ReadChunk()
+		b, err := cr.ReadChunk()
 		if err == io.EOF {
 			if ks != nil {
 				c.kpool.Put(ks)
@@ -169,7 +169,7 @@ func (c *StageChain) PerChunk(ctx context.Context, cr commands.ChunkReader, cw c
 		if err != nil {
 			return err
 		}
-		out, err := c.applyChunk(ks, b, release)
+		out, err := c.applyChunk(ks, b)
 		if err != nil {
 			return err
 		}

@@ -23,13 +23,13 @@ import (
 // chunkSource serves a fixed sequence of chunks, empty ones included.
 type chunkSource struct{ chunks []string }
 
-func (s *chunkSource) ReadChunk() ([]byte, func(), error) {
+func (s *chunkSource) ReadChunk() ([]byte, error) {
 	if len(s.chunks) == 0 {
-		return nil, func() {}, io.EOF
+		return nil, io.EOF
 	}
 	b := append(commands.GetBlock(), s.chunks[0]...)
 	s.chunks = s.chunks[1:]
-	return b, func() { commands.PutBlock(b) }, nil
+	return b, nil
 }
 
 // chunkSink keeps every chunk it is handed as one frame.

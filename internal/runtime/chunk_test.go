@@ -19,7 +19,9 @@ import (
 // TestChunkPipeStress hammers one pipe with several concurrent chunk
 // writers and byte readers at random chunk sizes. Run under -race it
 // checks the locking discipline; the byte totals check ownership
-// transfer (no chunk lost or double-delivered).
+// transfer (no chunk lost or double-delivered). A second pipe has one
+// consumer that mixes Read and ReadChunk: its bytes arrive intact, and a
+// chunk read after a partial Read is still a whole block.
 func TestChunkPipeStress(t *testing.T) {
 	const writers = 4
 	const chunksPerWriter = 200
@@ -79,6 +81,83 @@ func TestChunkPipeStress(t *testing.T) {
 	if got != want {
 		t.Fatalf("read %d bytes, wrote %d", got, want)
 	}
+
+	text := make([]byte, 1<<20)
+	rng.Read(text)
+	mixed := newPipe(96 * 1024)
+	go func() {
+		defer mixed.CloseWrite()
+		wrng := rand.New(rand.NewSource(8))
+		for rest := text; len(rest) > 0; {
+			n := min(len(rest), wrng.Intn(commands.BlockSize+1))
+			var err error
+			if wrng.Intn(3) == 0 {
+				_, err = mixed.Write(rest[:n])
+			} else {
+				err = mixed.WriteChunk(append(commands.GetBlock(), rest[:n]...))
+			}
+			if err != nil {
+				t.Errorf("mixed writer: %v", err)
+				return
+			}
+			rest = rest[n:]
+		}
+	}()
+	var read []byte
+	buf := make([]byte, 5000)
+	for {
+		if rng.Intn(2) == 0 {
+			n, err := mixed.Read(buf[:1+rng.Intn(len(buf))])
+			read = append(read, buf[:n]...)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatalf("mixed read: %v", err)
+			}
+			continue
+		}
+		b, err := mixed.ReadChunk()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("mixed read chunk: %v", err)
+		}
+		if cap(b) != commands.BlockSize {
+			t.Fatalf("a chunk of capacity %d: not a whole block", cap(b))
+		}
+		read = append(read, b...)
+		commands.PutBlock(b)
+	}
+	if !bytes.Equal(read, text) {
+		t.Fatalf("mixed consumer read %d bytes, not the %d written", len(read), len(text))
+	}
+}
+
+// TestPipeChunkAllocations: a chunk's round trip through a pipe, one
+// WriteChunk and one ReadChunk, allocates nothing once the queue has its
+// backing array. The stateless data plane's other allocation checks are
+// commands.TestDataPlaneAllocations.
+func TestPipeChunkAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the pool drops blocks on purpose under the race detector")
+	}
+	p := newPipe(0)
+	trip := func() {
+		if err := p.WriteChunk(append(commands.GetBlock(), "a line\n"...)); err != nil {
+			t.Fatal(err)
+		}
+		b, err := p.ReadChunk()
+		if err != nil {
+			t.Fatal(err)
+		}
+		commands.PutBlock(b)
+	}
+	trip()
+	if a := testing.AllocsPerRun(100, trip); a != 0 {
+		t.Errorf("WriteChunk + ReadChunk through newPipe(0): %.0f allocations, want 0", a)
+	}
 }
 
 // TestChunkPipeEarlyCloseRead checks the SIGPIPE analog on the chunk
@@ -125,7 +204,7 @@ func TestChunkPipeFramingTokens(t *testing.T) {
 	p.CloseWrite()
 	var seen []string
 	for {
-		b, release, err := p.ReadChunk()
+		b, err := p.ReadChunk()
 		if err == io.EOF {
 			break
 		}
@@ -133,7 +212,7 @@ func TestChunkPipeFramingTokens(t *testing.T) {
 			t.Fatal(err)
 		}
 		seen = append(seen, string(b))
-		release()
+		commands.PutBlock(b)
 	}
 	if fmt.Sprint(seen) != fmt.Sprint(payloads) {
 		t.Errorf("chunk frames = %q, want %q", seen, payloads)

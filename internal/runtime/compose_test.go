@@ -88,7 +88,8 @@ func composeInputs(rng *rand.Rand) []string {
 	return inputs
 }
 
-// pieceReader serves its input as chunks of random sizes.
+// pieceReader serves its input as chunks of random sizes, each an owned
+// copy: a pool block, or a larger one when the piece is over a block.
 type pieceReader struct {
 	rest []byte
 	rng  *rand.Rand
@@ -96,17 +97,17 @@ type pieceReader struct {
 
 func (p *pieceReader) Read([]byte) (int, error) { panic("chunk sources are read by ReadChunk") }
 
-func (p *pieceReader) ReadChunk() ([]byte, func(), error) {
+func (p *pieceReader) ReadChunk() ([]byte, error) {
 	if len(p.rest) == 0 {
-		return nil, func() {}, io.EOF
+		return nil, io.EOF
 	}
 	n := 1 + p.rng.Intn(min(len(p.rest), 2*commands.BlockSize))
 	if p.rng.Intn(4) == 0 {
 		n = min(len(p.rest), commands.BlockSize)
 	}
-	b := p.rest[:n]
+	b := append(commands.GetBlock(), p.rest[:n]...)
 	p.rest = p.rest[n:]
-	return b, func() {}, nil
+	return b, nil
 }
 
 // composedPair builds the case's kernel set twice, the second composed.
@@ -158,11 +159,11 @@ func checkComposed(t testing.TB, tc composeCase, input string, seed int64) {
 		var frames []string
 		src := &pieceReader{rest: []byte(input), rng: rand.New(rand.NewSource(seed))}
 		for {
-			b, release, err := src.ReadChunk()
+			b, err := src.ReadChunk()
 			if err == io.EOF {
 				break
 			}
-			out, err := chain.applyChunk(ks, b, release)
+			out, err := chain.applyChunk(ks, b)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,10 +1,12 @@
 package runtime
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"strconv"
 	"strings"
 	"sync"
@@ -122,6 +124,8 @@ type executor struct {
 	mu          sync.Mutex
 	firstErr    error
 	finalStatus int
+	// replicaStatus is a framed replica's that could not open an input.
+	replicaStatus int
 
 	closers []io.Closer
 	closeMu sync.Mutex
@@ -142,6 +146,13 @@ func (ex *executor) run(ctx context.Context) (*Result, error) {
 		order, _ = ex.g.TopoOrder() // open has validated the graph: acyclic
 	}
 	nodeTimes := make([]NodeTime, len(order))
+	for _, n := range order {
+		// A split stands for the command it splits, which would print
+		// nothing and fail on a missing input: so does the region.
+		if n.Kind == dfg.KindSplit && ex.cannotOpen(n) {
+			return &Result{ExitCode: 2, NodeCount: len(ex.g.Nodes), NodeTimes: nodeTimes}, nil
+		}
+	}
 	final := ex.finalNode()
 	if ex.sequential {
 		// One node at a time; the first failure ends the run.
@@ -175,7 +186,7 @@ func (ex *executor) run(ctx context.Context) (*Result, error) {
 	if ex.firstErr != nil {
 		return nil, ex.firstErr
 	}
-	return &Result{ExitCode: ex.finalStatus, NodeCount: len(ex.g.Nodes), NodeTimes: nodeTimes}, nil
+	return &Result{ExitCode: cmp.Or(ex.finalStatus, ex.replicaStatus), NodeCount: len(ex.g.Nodes), NodeTimes: nodeTimes}, nil
 }
 
 // open validates the graph and materializes its edges: after it, every
@@ -252,6 +263,10 @@ func (ex *executor) runNode(ctx context.Context, n, final *dfg.Node) NodeTime {
 	}
 	if n == final {
 		ex.finalStatus = commands.ExitCode(err)
+	} else if n.Framed && errors.Is(err, fs.ErrNotExist) {
+		// A replica stands for its command, which fails the region when
+		// the final node does not.
+		ex.replicaStatus = commands.ExitCode(err)
 	}
 	ex.mu.Unlock()
 	// The node is done: close its ends of every edge. Closing unread
@@ -294,14 +309,19 @@ func (ex *executor) materialize(e *dfg.Edge) error {
 		// Internal producer: a stream. Created below together with the
 		// consumer end.
 	case e.Source.Kind == dfg.BindFile:
-		// Opened before any node runs: a missing or jailed input fails the
-		// region before it writes a byte.
+		// Opened before any node runs: a jailed input fails the region
+		// before it writes a byte, a missing one only the node that reads
+		// it (missingInput).
 		f, err := ex.overlay.base.Open(e.Source.Path)
-		if err != nil {
+		switch {
+		case errors.Is(err, fs.ErrNotExist):
+			ex.readers[e.ID] = missingInput{err}
+		case err != nil:
 			return fmt.Errorf("runtime: input %s: %w", e.Source.Path, err)
+		default:
+			ex.readers[e.ID] = f
+			ex.track(f)
 		}
-		ex.readers[e.ID] = f
-		ex.track(f)
 	case e.Source.Kind == dfg.BindStdin:
 		r := ex.stdio.Stdin
 		if r == nil {
@@ -393,6 +413,9 @@ func (ex *executor) closeNodeEdges(n *dfg.Node) {
 // dispatch executes one node by kind; a node that ran as a stage chain
 // through kernels also reports its per-stage attribution.
 func (ex *executor) dispatch(ctx context.Context, n *dfg.Node) ([]commands.StageTime, error) {
+	if ex.cannotOpen(n) {
+		return nil, &commands.ExitError{Code: 2} // dash's status; the node does not run
+	}
 	args := n.ArgStrings(func(i int) string { return ex.names[n.In[i].ID] })
 	switch {
 	case n.Kind == dfg.KindSplit:
@@ -521,20 +544,43 @@ type overlayFS struct {
 
 // operandFS is one node's view of the overlay: opening one of its file
 // operands returns the file the executor already opened for that edge,
-// so each operand is opened once per region (cat f f takes both of f's).
-// Any other open goes to the overlay.
+// so each operand is opened once per region (cat f f takes both of f's),
+// or the error that open met when the file does not exist. Any other
+// open goes to the overlay.
 type operandFS struct {
 	*overlayFS
 	files map[string][]io.ReadCloser
 }
 
 func (o *operandFS) Open(path string) (io.ReadCloser, error) {
-	if fs := o.files[path]; len(fs) > 0 {
-		o.files[path] = fs[1:]
-		return fs[0], nil
+	if rs := o.files[path]; len(rs) > 0 {
+		o.files[path] = rs[1:]
+		if m, ok := rs[0].(missingInput); ok {
+			return nil, m.err
+		}
+		return rs[0], nil
 	}
 	return o.overlayFS.Open(path)
 }
+
+// cannotOpen reports, as dash reports a `< file` it cannot open, whether
+// n reads a missing file as a stream (an input with no operand name).
+func (ex *executor) cannotOpen(n *dfg.Node) bool {
+	for _, e := range n.In {
+		if m, ok := ex.readers[e.ID].(missingInput); ok && ex.names[e.ID] == "" {
+			fmt.Fprintf(ex.stdio.Stderr, "pash: cannot %v\n", m.err)
+			return true
+		}
+	}
+	return false
+}
+
+// missingInput stands for a graph-input file that does not exist: the
+// command that names it gets its open error (operandFS).
+type missingInput struct{ err error }
+
+func (m missingInput) Read([]byte) (int, error) { return 0, m.err }
+func (m missingInput) Close() error             { return nil }
 
 // Open resolves virtual names to their streams.
 func (o *overlayFS) Open(path string) (io.ReadCloser, error) {

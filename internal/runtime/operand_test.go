@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"io"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -34,13 +33,16 @@ func (c *countingFS) Open(path string) (io.ReadCloser, error) {
 // TestOperandOpenedOnce: a file operand is opened once per region. The
 // executor opens it before any node runs, and the command that opens the
 // operand by name is handed that file, under the operand's real name.
-// A missing or jailed operand still fails the region before it writes a
-// byte.
+// A jailed operand fails the region before it writes a byte; a missing
+// one fails the command that names it, which reports it and exits 1
+// (grep and sort 2), and the region ends with that status.
 func TestOperandOpenedOnce(t *testing.T) {
 	dir := t.TempDir()
 	for name, text := range map[string]string{"f": "x1\ny\nx2\n", "a": "1\n2\n3\n", "b": "2\n3\n4\n"} {
 		must(t, os.WriteFile(filepath.Join(dir, name), []byte(text), 0o644))
 	}
+	var stderr bytes.Buffer
+	status := 0
 	run := func(cfg Config, name string, args []string, operands ...string) (string, map[string]int, error) {
 		t.Helper()
 		g := dfg.New()
@@ -58,8 +60,11 @@ func TestOperandOpenedOnce(t *testing.T) {
 		n.Out = append(n.Out, g.AddEdge(&dfg.Edge{From: n, Sink: dfg.Binding{Kind: dfg.BindStdout}}))
 		counter := &countingFS{OSFS: commands.OSFS{Dir: cfg.Dir, Jail: cfg.Sandbox}, opens: map[string]int{}}
 		var out bytes.Buffer
-		ex := &executor{g: g, reg: testRegistry(), stdio: StdIO{Stdout: &out}, cfg: cfg, overlay: &overlayFS{base: counter}}
-		_, err := ex.run(context.Background())
+		ex := &executor{g: g, reg: testRegistry(), stdio: StdIO{Stdout: &out, Stderr: &stderr}, cfg: cfg, overlay: &overlayFS{base: counter}}
+		res, err := ex.run(context.Background())
+		if res != nil {
+			status = res.ExitCode
+		}
 		return out.String(), counter.opens, err
 	}
 	for _, c := range []struct {
@@ -83,11 +88,25 @@ func TestOperandOpenedOnce(t *testing.T) {
 		}
 	}
 
-	out, _, err := run(Config{Dir: dir}, "cat", nil, "f", "nope")
-	if !errors.Is(err, fs.ErrNotExist) || out != "" {
-		t.Errorf("cat f nope: err %v, output %q; want no such file and no output", err, out)
+	for _, c := range []struct {
+		name     string
+		args     []string
+		operands []string
+		status   int
+		want     string
+	}{
+		{"cat", nil, []string{"nope"}, 1, ""},
+		{"sort", nil, []string{"f", "nope"}, 2, ""},
+		{"grep", []string{"x"}, []string{"f", "nope"}, 2, "f:x1\nf:x2\n"},
+	} {
+		stderr.Reset()
+		out, _, err := run(Config{Dir: dir}, c.name, c.args, c.operands...)
+		if err != nil || status != c.status || out != c.want || !bytes.Contains(stderr.Bytes(), []byte("nope")) {
+			t.Errorf("%s %v %v: err %v, status %d, output %q, stderr %q; want status %d, output %q and nope reported",
+				c.name, c.args, c.operands, err, status, out, stderr.String(), c.status, c.want)
+		}
 	}
-	out, _, err = run(Config{Dir: dir, Sandbox: true}, "cat", nil, "f", "../f")
+	out, _, err := run(Config{Dir: dir, Sandbox: true}, "cat", nil, "f", "../f")
 	if !errors.Is(err, commands.ErrJailEscape) || out != "" {
 		t.Errorf("sandboxed cat f ../f: err %v, output %q; want a jail escape and no output", err, out)
 	}

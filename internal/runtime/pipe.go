@@ -190,13 +190,18 @@ func (p *pipe) Write(b []byte) (int, error) {
 	}
 }
 
-// dropHead recycles and removes the fully-consumed head block. Callers
-// hold mu.
-func (p *pipe) dropHead() {
-	commands.PutBlock(p.blocks[0])
+// popHead removes the head block and returns it. Taking the last one
+// rewinds the queue, which keeps its backing array. Callers hold mu.
+func (p *pipe) popHead() []byte {
+	head := p.blocks[0]
 	p.blocks[0] = nil
-	p.blocks = p.blocks[1:]
+	if len(p.blocks) == 1 {
+		p.blocks = p.blocks[:0]
+	} else {
+		p.blocks = p.blocks[1:]
+	}
 	p.off = 0
+	return head
 }
 
 // Read consumes buffered bytes, blocking while the pipe is open and
@@ -213,7 +218,7 @@ func (p *pipe) Read(b []byte) (int, error) {
 		}
 		// Skip framing tokens so byte consumers never see them.
 		for len(p.blocks) > 0 && p.off >= len(p.blocks[0]) {
-			p.dropHead()
+			commands.PutBlock(p.popHead())
 		}
 		if p.size > 0 && len(b) > 0 {
 			read := 0
@@ -224,7 +229,7 @@ func (p *pipe) Read(b []byte) (int, error) {
 				p.off += c
 				p.size -= c
 				if p.off >= len(head) {
-					p.dropHead()
+					commands.PutBlock(p.popHead())
 				}
 			}
 			p.budget.ReleasePipe(read)
@@ -239,30 +244,30 @@ func (p *pipe) Read(b []byte) (int, error) {
 }
 
 // ReadChunk dequeues the next whole block, transferring its ownership to
-// the caller. The release function recycles the block's backing array;
-// call it exactly once when done, or never if ownership moves onward.
-// Returns io.EOF after the writer closes and the queue drains.
-func (p *pipe) ReadChunk() ([]byte, func(), error) {
+// the caller, who passes it on or gives it back with PutBlock. A head
+// block that Read has consumed part of has its unread tail moved to its
+// front first, so every chunk is a whole block. Returns io.EOF after the
+// writer closes and the queue drains.
+func (p *pipe) ReadChunk() ([]byte, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for {
 		if p.closedR {
-			return nil, func() {}, io.ErrClosedPipe
+			return nil, io.ErrClosedPipe
 		}
 		if len(p.blocks) > 0 {
-			head := p.blocks[0]
-			payload := head[p.off:]
-			p.blocks[0] = nil
-			p.blocks = p.blocks[1:]
-			p.off = 0
-			p.size -= len(payload)
-			p.budget.ReleasePipe(len(payload))
+			off := p.off
+			head := p.popHead()
+			if off > 0 {
+				head = head[:copy(head, head[off:])]
+			}
+			p.size -= len(head)
+			p.budget.ReleasePipe(len(head))
 			p.wwait.Signal()
-			release := func() { commands.PutBlock(head) }
-			return payload, release, nil
+			return head, nil
 		}
 		if p.closedW {
-			return nil, func() {}, io.EOF
+			return nil, io.EOF
 		}
 		p.metered(&p.rwait, p.readMeter)
 	}
@@ -346,9 +351,9 @@ func (w writeEnd) Close() error                { w.p.CloseWrite(); return nil }
 
 type readEnd struct{ p *pipe }
 
-func (r readEnd) Read(b []byte) (int, error)         { return r.p.Read(b) }
-func (r readEnd) ReadChunk() ([]byte, func(), error) { return r.p.ReadChunk() }
-func (r readEnd) Close() error                       { r.p.CloseRead(); return nil }
+func (r readEnd) Read(b []byte) (int, error) { return r.p.Read(b) }
+func (r readEnd) ReadChunk() ([]byte, error) { return r.p.ReadChunk() }
+func (r readEnd) Close() error               { r.p.CloseRead(); return nil }
 
 // Compile-time checks: the edge ends speak the chunk protocol.
 var (

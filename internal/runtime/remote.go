@@ -206,44 +206,40 @@ func ChunkReaderAsReader(cr commands.ChunkReader) io.Reader {
 	return &chunkStreamReader{cr: cr}
 }
 
+// chunkStreamReader keeps the whole block Read is part way through, blk,
+// and how much of it Read has consumed, off; blk is nil between chunks.
 type chunkStreamReader struct {
-	cr      commands.ChunkReader
-	buf     []byte
-	release func()
+	cr  commands.ChunkReader
+	blk []byte
+	off int
 }
 
 func (r *chunkStreamReader) Read(p []byte) (int, error) {
-	for len(r.buf) == 0 {
-		r.drop()
-		b, rel, err := r.cr.ReadChunk()
+	for r.off == len(r.blk) {
+		commands.PutBlock(r.blk)
+		b, err := r.cr.ReadChunk()
+		r.blk, r.off = b, 0
 		if err != nil {
 			return 0, err
 		}
-		r.buf, r.release = b, rel
 	}
-	n := copy(p, r.buf)
-	r.buf = r.buf[n:]
-	if len(r.buf) == 0 {
-		r.drop()
+	n := copy(p, r.blk[r.off:])
+	r.off += n
+	if r.off == len(r.blk) {
+		commands.PutBlock(r.blk)
+		r.blk, r.off = nil, 0
 	}
 	return n, nil
 }
 
 // ReadChunk passes framing through when no partial chunk is buffered;
-// a buffered remainder is handed off as one owned chunk.
-func (r *chunkStreamReader) ReadChunk() ([]byte, func(), error) {
-	if len(r.buf) > 0 {
-		blk := append(commands.GetBlock(), r.buf...)
-		r.buf = nil
-		r.drop()
-		return blk, func() { commands.PutBlock(blk) }, nil
+// a buffered remainder is moved to the front of its block and handed off
+// as one owned chunk.
+func (r *chunkStreamReader) ReadChunk() ([]byte, error) {
+	if r.blk == nil {
+		return r.cr.ReadChunk()
 	}
-	return r.cr.ReadChunk()
-}
-
-func (r *chunkStreamReader) drop() {
-	if r.release != nil {
-		r.release()
-		r.release = nil
-	}
+	b := r.blk[:copy(r.blk, r.blk[r.off:])]
+	r.blk, r.off = nil, 0
+	return b, nil
 }

@@ -81,7 +81,7 @@ func GeneralSplit(r io.Reader, ws []io.WriteCloser) error {
 				commands.PutBlock(piece)
 				continue
 			}
-			if err := commands.WriteBlock(w, piece, nil); err == ErrDownstreamClosed {
+			if err := commands.WriteBlock(w, piece); err == ErrDownstreamClosed {
 				// This consumer hung up; the rest of its partition has
 				// nowhere to go, the other partitions are unaffected.
 				hungUp = true
@@ -127,7 +127,7 @@ func roundRobinSplit(r io.Reader, ws []io.WriteCloser) error {
 			commands.PutBlock(block)
 			return nil
 		}
-		werr := commands.WriteBlock(ws[i], block, nil)
+		werr := commands.WriteBlock(ws[i], block)
 		if werr == ErrDownstreamClosed {
 			closed[i] = true
 			if alive--; alive == 0 {

@@ -261,10 +261,12 @@ func (rows hostRows) run(t *testing.T) {
 // statusAtWidth1 are the rows held to the host's exit status at width 1
 // only. A wider plan exits with its final merge's status, 0 (ROADMAP
 // item 7), where the host's grep, which selects nothing, exits 1, and
-// the host's xargs, which cannot run its command, exits 127.
+// the host's xargs, which cannot run its command, exits 127; and with
+// 2 where a split cannot open its input, where the host's cat exits 1.
 var statusAtWidth1 = map[string]bool{
 	`grep -i -x 'water'`: true, `grep -F -i -w é`: true,
 	"xargs -n 1 nosuch": true, "xargs -L 1 nosuch": true, "xargs -I{} nosuch {}": true,
+	"cat nosuchfile": true,
 }
 
 // The host tests below are the host oracle: every row prints the bytes
@@ -426,6 +428,23 @@ func TestWcPadsLikeHost(t *testing.T) {
 func TestXargsUnrunnableMatchesHost(t *testing.T) {
 	var rows hostRows
 	rows.add(hostRow{input: "seven"}, "xargs nosuch", "xargs -n 1 nosuch", "xargs -L 1 nosuch", "xargs -I{} nosuch {}")
+	rows.run(t)
+}
+
+// TestMissingInputMatchesHost: a missing input file, an operand or a
+// `<` redirect, fails its command, which reports it, and the script goes
+// on: grep and sort exit 2, cat 1, a redirect 2. Wider, a split reads
+// the file, and the region runs nothing and exits 2, so every row prints
+// the host's bytes and `cat nosuchfile || …` holds cat's non-zero status
+// at every width; a framed replica that cannot open its operand exits
+// with its command's status.
+func TestMissingInputMatchesHost(t *testing.T) {
+	var rows hostRows
+	rows.add(hostRow{input: ""},
+		"sort nosuchfile; echo after", "sort nosuchfile", "grep a nosuchfile; echo $?",
+		"cat nosuchfile", "cat nosuchfile || echo recovered",
+		"cat < nosuchfile; echo $?", "sort < nosuchfile || echo failed", "wc -l < nosuchfile; echo $?")
+	rows.add(hostRow{input: "seven"}, "sort -u | comm -23 - nosuchfile; echo $?")
 	rows.run(t)
 }
 
