@@ -26,7 +26,7 @@ import (
 //
 // Commands whose output ignores the order of their input lines are
 // marked Commutative (see dfg.AggSpec): sort unless it keeps input order
-// among key ties, the count stage, wc, and grep -c.
+// among key ties, the count and count-and-rank stages, wc, and grep -c.
 func Resolve(name string, flagArgs []string, inv *annot.Invocation) (*dfg.AggSpec, bool) {
 	switch name {
 	case "sort":
@@ -74,6 +74,18 @@ func Resolve(name string, flagArgs []string, inv *annot.Invocation) (*dfg.AggSpe
 		return &dfg.AggSpec{
 			MapName: name, MapArgs: flagArgs,
 			AggName: "pash-agg-sort-count", AggArgs: flagArgs,
+			Associative: true, Commutative: true,
+		}, true
+	case "pash-count-rank":
+		// The count-and-rank stage that core puts in place of `sort
+		// FLAGS | uniq -c | sort -n` (or -rn): each map counts its
+		// chunk's lines and prints partial counts in any order, and the
+		// aggregate sums the counts of equal lines and ranks them. Its
+		// output is count lines too, so partial aggregates aggregate
+		// again, and neither the maps' order nor their lines' matters.
+		return &dfg.AggSpec{
+			MapName: "pash-count", MapArgs: nil,
+			AggName: "pash-agg-count-rank", AggArgs: flagArgs,
 			Associative: true, Commutative: true,
 		}, true
 	case "wc":
@@ -164,10 +176,14 @@ func Install(reg *commands.Registry) {
 	reg.Set("pash-agg-sum", commands.Entry{Run: aggSum})
 	reg.Set("pash-agg-tac", commands.Entry{Run: aggTac})
 	reg.Set("pash-agg-bigrams", commands.Entry{Run: aggBigrams})
-	// The count stage's map runs only where a plan puts it, so it is
-	// installed beside its aggregate and not as a builtin.
+	// The count and count-and-rank stages run only where a plan puts
+	// them, so they are installed beside their aggregates and not as
+	// builtins.
 	reg.Set("pash-sort-count", commands.Entry{Run: commands.SortCount})
 	reg.Set("pash-agg-sort-count", commands.Entry{Run: commands.SortCountMerge})
+	reg.Set("pash-count-rank", commands.Entry{Run: commands.CountRank})
+	reg.Set("pash-count", commands.Entry{Run: commands.CountLines})
+	reg.Set("pash-agg-count-rank", commands.Entry{Run: commands.CountRankMerge})
 	// head and tail aggregate themselves; the pash-agg- names stay what
 	// plans, emitted scripts and pash-prims call them by.
 	for _, name := range []string{"head", "tail"} {

@@ -123,6 +123,8 @@ func TestMapAggregatePairs(t *testing.T) {
 		{"bigrams-aux", nil},
 		{"pash-sort-count", nil},
 		{"pash-sort-count", []string{"-t,", "-k2", "-f"}},
+		{"pash-count-rank", []string{"-n"}},
+		{"pash-count-rank", []string{"-rn"}},
 	}
 	for _, c := range cases {
 		c := c
@@ -294,6 +296,8 @@ func TestCommutativeIsPermutationInvariant(t *testing.T) {
 		{"pash-sort-count", nil},
 		{"pash-sort-count", []string{"-k2"}},
 		{"pash-sort-count", []string{"-fr"}},
+		{"pash-count-rank", []string{"-n"}},
+		{"pash-count-rank", []string{"-rn"}},
 	}
 	words := []string{"apple", "Apple", "APPLE", "a-b", "ab", "a b", "x:2:b", "x:10:a", "7", "07", "7.0", "kiwi", "", " kiwi"}
 	r := reg()

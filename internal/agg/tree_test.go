@@ -103,6 +103,10 @@ var aggTreeCases = []aggTreeCase{
 	{"tac", nil, "pash-agg-tac", nil},
 	{"pash-sort-count", nil, "pash-agg-sort-count", nil},
 	{"pash-sort-count", []string{"-rn"}, "pash-agg-sort-count", []string{"-rn"}},
+	// The stage's own ranked output is count lines, in an order the
+	// aggregate does not care about: a map of sorts.
+	{"pash-count-rank", []string{"-rn"}, "pash-agg-count-rank", []string{"-rn"}},
+	{"pash-count-rank", []string{"-n"}, "pash-agg-count-rank", []string{"-n"}},
 }
 
 func randomCorpus(rng *rand.Rand, n int) string {
@@ -213,5 +217,6 @@ func TestResolveAssociativity(t *testing.T) {
 	check("wc", []string{"-l"}, true)
 	check("tac", nil, true)
 	check("pash-sort-count", []string{"-k2"}, true)
+	check("pash-count-rank", []string{"-rn"}, true)
 	check("bigrams-aux", nil, false)
 }

@@ -58,12 +58,14 @@ func TestConformanceAgainstSystemShell(t *testing.T) {
 	}
 }
 
-// conformsTo requires the bench's output at widths 1 and 8 to be what
-// the named shell prints for it, and skips a script that shell fails.
+// conformsTo requires the bench's output and exit status at widths 1
+// and 8 to be what the named shell prints and exits with for it, and
+// skips a script that shell fails: one that exits other than with the
+// bench's Status.
 func conformsTo(t *testing.T, sh string, b paper.Bench) {
 	p := prepare(t, b)
 	host := hostcheck.Run(t, sh, p.dir, p.script, "")
-	if host.Code != 0 {
+	if host.Code != b.Status {
 		t.Skipf("%s cannot run this script: exit %d: %s", sh, host.Code, strings.TrimSpace(host.Stderr))
 	}
 	for _, w := range []int{1, 8} {
@@ -71,8 +73,8 @@ func conformsTo(t *testing.T, sh string, b paper.Bench) {
 		if err != nil {
 			t.Fatalf("width %d: %v", w, err)
 		}
-		if got := string(res.output); got != host.Stdout {
-			t.Errorf("width %d diverges from %s: %s\nscript:\n%s", w, sh, hostcheck.Diff(got, host.Stdout), p.script)
+		if got := string(res.output); got != host.Stdout || res.code != host.Code {
+			t.Errorf("width %d diverges from %s: exit %d (host %d), %s\nscript:\n%s", w, sh, res.code, host.Code, hostcheck.Diff(got, host.Stdout), p.script)
 		}
 	}
 }

@@ -9,6 +9,7 @@ func init() {
 	register("echo", echo)
 	register("seq", seq)
 	register("true", trueCmd)
+	register(":", trueCmd)
 	register("false", falseCmd)
 	register("test", testCmd)
 	register("[", bracketCmd)

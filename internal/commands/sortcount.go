@@ -2,6 +2,7 @@ package commands
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"io"
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
 )
 
@@ -110,6 +112,7 @@ type countTable struct {
 	windowAt int // len(entries) when the current window began
 	closed   bool
 	counts   [2][]int64 // the print batches' counts, kept for the next use
+	recs     []sortRec  // the ranked records, kept for the next use
 }
 
 type countEntry struct {
@@ -126,16 +129,17 @@ var countTables = sync.Pool{New: func() any { return new(countTable) }}
 
 // recycle empties the table into countTables.
 func (t *countTable) recycle() {
-	if len(t.slots) > 1<<14 || cap(t.arena) > 1<<20 {
+	if len(t.slots) > 1<<14 || cap(t.arena) > 1<<20 || cap(t.recs) > 1<<14 {
 		return
 	}
 	clear(t.slots)
-	*t = countTable{slots: t.slots, shift: t.shift, entries: t.entries[:0], arena: t.arena[:0], counts: t.counts}
+	*t = countTable{slots: t.slots, shift: t.shift, entries: t.entries[:0], arena: t.arena[:0], counts: t.counts, recs: t.recs[:0]}
 	countTables.Put(t)
 }
 
 // countSeed seeds the table's hash. The output never depends on it: the
-// table's lines are sorted before they print.
+// table's lines are sorted or ranked before they print, and the count
+// stage's aggregate sums whatever order its maps print in.
 var countSeed = maphash.MakeSeed()
 
 // read counts r's lines while the table is open, and appends the rest
@@ -200,21 +204,26 @@ func (t *countTable) find(line []byte) (*int32, uint64) {
 // add counts one line of an open table, and closes the table at the
 // end of a window that passes its share.
 func (t *countTable) add(line []byte) {
+	t.insert(line, 1)
+	if t.lines++; t.lines%countTableWindow == 0 {
+		t.closed = t.lines > countTableWindow && len(t.entries)-t.windowAt > countTableNew
+		t.windowAt = len(t.entries)
+	}
+}
+
+// insert adds n to line's count, entering the line when it is new.
+func (t *countTable) insert(line []byte, n int64) {
 	if 2*len(t.entries) >= len(t.slots) {
 		t.grow()
 	}
 	if s, h := t.find(line); *s != 0 {
-		t.entries[*s-1].count++
+		t.entries[*s-1].count += n
 	} else {
 		t.arena = binary.LittleEndian.AppendUint32(t.arena, uint32(len(t.entries)))
-		t.entries = append(t.entries, countEntry{hash: h, off: len(t.arena), len: len(line), count: 1})
+		t.entries = append(t.entries, countEntry{hash: h, off: len(t.arena), len: len(line), count: n})
 		*s = int32(len(t.entries))
 		t.arena = append(append(t.arena, line...), '\n')
 		t.tableEnd = len(t.arena)
-	}
-	if t.lines++; t.lines%countTableWindow == 0 {
-		t.closed = t.lines > countTableWindow && len(t.entries)-t.windowAt > countTableNew
-		t.windowAt = len(t.entries)
 	}
 }
 
@@ -330,10 +339,10 @@ func printBatches(runs *CountRuns, full <-chan *countBatch, free chan<- *countBa
 // sum of their counts, as uniq -c does: the count stage's printer, and
 // pash-agg-uniq -c's.
 type CountRuns struct {
-	Out       *LineWriter
-	line, out []byte // the run's line, a copy: it outlives the caller's
-	sum       int64
-	have      bool
+	Out  *LineWriter
+	line []byte // the run's line, a copy: it outlives the caller's
+	sum  int64
+	have bool
 }
 
 // Add counts n more of line: in the run, when line is the run's line,
@@ -356,8 +365,7 @@ func (c *CountRuns) Flush() error {
 		return nil
 	}
 	c.have = false
-	c.out = append(AppendUniqCount(c.out[:0], c.sum), c.line...)
-	return c.Out.WriteLine(c.out)
+	return writeCount(c.Out, c.sum, c.line)
 }
 
 // count is the count of the record at off: a table line's entry index
@@ -406,4 +414,291 @@ func SortCountMerge(ctx *Context) error {
 		return err
 	}
 	return lw.Flush()
+}
+
+// The count-and-rank stage is `sort FLAGS | uniq -c | sort -n`, or -rn,
+// as one pure command, for a count pair the count stage takes. The pair
+// prints one `%7d LINE` per distinct line, and the key of sort -n is
+// that count. Equal counts print equal prefixes, so their ties fall to
+// sort's last resort, bytewise over LINE, which -r reverses with the
+// rest. So the triple prints each distinct line behind its count,
+// ordered by count and then bytewise by line, both reversed under -r,
+// whatever the first sort's flags were. The stage ranks the count
+// table's entries in that order and formats only the lines it prints.
+// Its maps (pash-count) print partial counts in any order, and its
+// aggregate sums the counts of equal lines and ranks them.
+
+// SortRankable reports whether sort's argv, read by sort's own parser,
+// is a numeric order of whole lines, reversed or not, and nothing else:
+// no key, separator, -s, -u, -f, -b, -d, -m, -c, -o or operand.
+func SortRankable(args []string) (reverse, ok bool) {
+	cfg, operands, outFile, err := parseSort(args)
+	return cfg.reverse, err == nil && len(operands) == 0 && outFile == "" && cfg.ranks()
+}
+
+// ranks reports whether the configuration is -n or -rn alone, with
+// --parallel at most, which changes no output.
+func (cfg *sortConfig) ranks() bool {
+	return cfg.numeric && !cfg.foldCase && !cfg.dictionary && !cfg.blanks && !cfg.unique &&
+		!cfg.stable && !cfg.merge && !cfg.check && cfg.keys == nil && cfg.delim == 0
+}
+
+// parseRank reads the argv of the rank stage and its aggregate: -n or
+// -rn, and their input operands.
+func parseRank(ctx *Context) (reverse bool, operands []string, err error) {
+	cfg, operands, outFile, err := parseSort(ctx.Args)
+	if err == nil && (outFile != "" || !cfg.ranks()) {
+		err = errors.New("not a numeric order of whole lines")
+	}
+	if err != nil {
+		return false, nil, ctx.Errorf("%v", err)
+	}
+	return cfg.reverse, operands, nil
+}
+
+// CountRank is the count-and-rank stage, the whole triple at width 1:
+// `sort | uniq -c | sort -n` over its inputs, or `sort -rn` last for
+// -rn. With ctx.Limit K it settles and prints only the first K lines.
+func CountRank(ctx *Context) error {
+	reverse, operands, err := parseRank(ctx)
+	if err != nil {
+		return err
+	}
+	readers, cleanup, err := ctx.OpenInputs(operands)
+	if err != nil {
+		return err
+	}
+	defer cleanup()
+	t := countTables.Get().(*countTable)
+	defer t.recycle()
+	for _, r := range readers {
+		if err := t.read(r); err != nil {
+			return err
+		}
+	}
+	return t.printRanked(ctx, reverse)
+}
+
+// CountLines is the count-and-rank stage's map: it counts its inputs'
+// lines and prints uniq -c's line for each, in no order: the table's
+// lines as first seen, then each line read after the table closed, with
+// a count of 1. A line can print more than once; the aggregate sums it.
+func CountLines(ctx *Context) error {
+	readers, cleanup, err := ctx.OpenInputs(ctx.Args)
+	if err != nil {
+		return err
+	}
+	defer cleanup()
+	t := countTables.Get().(*countTable)
+	defer t.recycle()
+	for _, r := range readers {
+		if err := t.read(r); err != nil {
+			return err
+		}
+	}
+	lw := NewLineWriter(ctx.Stdout)
+	defer lw.Flush()
+	for _, e := range t.entries {
+		if err := writeCount(lw, e.count, t.arena[e.off:e.off+e.len]); err != nil {
+			return err
+		}
+	}
+	for off := t.tableEnd; off < len(t.arena); {
+		n := bytes.IndexByte(t.arena[off:], '\n')
+		if err := writeCount(lw, 1, t.arena[off:off+n]); err != nil {
+			return err
+		}
+		off += n + 1
+	}
+	return lw.Flush()
+}
+
+// CountRankMerge is the count-and-rank stage's aggregate: it reads
+// count lines, in any order, from every input, sums the counts of equal
+// lines and prints them ranked, as CountRank does. Its output is count
+// lines, so partial aggregates aggregate again.
+func CountRankMerge(ctx *Context) error {
+	reverse, operands, err := parseRank(ctx)
+	if err != nil {
+		return err
+	}
+	readers, cleanup, err := ctx.OpenInputs(operands)
+	if err != nil {
+		return err
+	}
+	defer cleanup()
+	t := countTables.Get().(*countTable)
+	defer t.recycle()
+	err = EachLineReaders(readers, func(raw []byte) error {
+		n, line, ok := CutUniqCount(raw)
+		if !ok {
+			return fmt.Errorf("%s: malformed count line %q", ctx.Name, raw)
+		}
+		t.insert(line, n)
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	return t.printRanked(ctx, reverse)
+}
+
+// printRanked prints the table's distinct lines ranked, the first
+// ctx.Limit of them or all, each behind its count as uniq -c prints it.
+func (t *countTable) printRanked(ctx *Context, reverse bool) error {
+	limit := ctx.Limit
+	if limit <= 0 {
+		limit = math.MaxInt
+	}
+	lw := NewLineWriter(ctx.Stdout)
+	defer lw.Flush()
+	for _, r := range t.ranked(reverse, limit) {
+		n := r.key
+		if reverse {
+			n = ^n
+		}
+		if err := writeCount(lw, int64(n), t.arena[r.off:r.off+r.len]); err != nil {
+			return err
+		}
+	}
+	return lw.Flush()
+}
+
+// ranked returns the first limit of the table's distinct lines in rank
+// order: by count and then bytewise by line, both descending when
+// reverse. Each record is keyed by its line's count, complemented when
+// reverse. An open table's entries are those lines, in no order, and
+// rankSort settles the first limit of them. A closed table's lines come
+// in line order (coalesce), which rankLineOrdered ranks.
+func (t *countTable) ranked(reverse bool, limit int) []sortRec {
+	closed := t.tableEnd < len(t.arena)
+	recs := t.recs[:0]
+	if closed {
+		recs = t.coalesce(recs)
+	} else {
+		for _, e := range t.entries {
+			recs = append(recs, sortRec{key: uint64(e.count), off: e.off, len: e.len})
+		}
+	}
+	t.recs = recs
+	if reverse {
+		complementKeys(recs)
+	}
+	limit = min(limit, len(recs))
+	if closed {
+		rankLineOrdered(recs, t.arena, reverse)
+	} else {
+		rankSort(recs, t.arena, reverse, depthBudget(recs), 0, limit)
+	}
+	return recs[:limit]
+}
+
+// coalesce appends to recs one record per distinct line of a closed
+// table, in ascending line order, keyed by the line's count: the
+// table's records, its entries and the lines read after it closed, are
+// sorted bytewise, and each run of equal lines becomes its first
+// record, keyed by the sum of the run's counts.
+func (t *countTable) coalesce(recs []sortRec) []sortRec {
+	for _, e := range t.entries {
+		recs = append(recs, ascending.rec(t.arena, e.off, e.len))
+	}
+	recs = ascending.appendIndex(recs, t.arena, t.tableEnd)
+	settleLines(recs, t.arena, false, 0, len(recs))
+	out := recs[:0]
+	for i := 0; i < len(recs); {
+		r := recs[i]
+		line := t.arena[r.off : r.off+r.len]
+		sum := t.count(r.off)
+		for i++; i < len(recs) && bytes.Equal(t.arena[recs[i].off:recs[i].off+recs[i].len], line); i++ {
+			sum += t.count(recs[i].off)
+		}
+		out = append(out, sortRec{key: uint64(sum), off: r.off, len: r.len})
+	}
+	return out
+}
+
+// writeCount prints line behind its count, as uniq -c does.
+func writeCount(lw *LineWriter, n int64, line []byte) error {
+	var count [24]byte
+	if _, err := lw.Write(AppendUniqCount(count[:0], n)); err != nil {
+		return err
+	}
+	return lw.WriteLine(line)
+}
+
+// rankLineOrdered ranks recs, records in ascending line order keyed
+// by their counts, complemented when reverse. Lines of one count keep
+// that order, or its reverse under reverse, so the records of the
+// commonest count, most of them where a unique-heavy input closed the
+// table, stay one run in order, and only the others are ranked, to go
+// before or after the run. The commonest count is the majority vote's
+// (Boyer and Moore): any count that more than half the records share.
+func rankLineOrdered(recs []sortRec, arena []byte, reverse bool) {
+	if reverse {
+		slices.Reverse(recs)
+	}
+	var mode uint64
+	votes := 0
+	for _, r := range recs {
+		switch {
+		case votes == 0:
+			mode, votes = r.key, 1
+		case r.key == mode:
+			votes++
+		default:
+			votes--
+		}
+	}
+	var others []sortRec
+	run := 0
+	for _, r := range recs {
+		if r.key == mode {
+			recs[run] = r
+			run++
+		} else {
+			others = append(others, r)
+		}
+	}
+	rankSort(others, arena, reverse, depthBudget(others), 0, len(others))
+	below, _ := slices.BinarySearchFunc(others, mode, func(r sortRec, k uint64) int { return cmp.Compare(r.key, k) })
+	copy(recs[below:], recs[:run])
+	copy(recs, others[:below])
+	copy(recs[below+run:], others[below:])
+}
+
+// rankSort settles positions [lo, hi) of recs, lines keyed by their
+// counts, complemented when reverse, in rank order: keySort's partial
+// quicksort on the keys, whose groups of equal counts go to the multikey
+// quicksort over their lines. A group's keys are its count again when
+// it returns.
+func rankSort(recs []sortRec, arena []byte, reverse bool, budget, lo, hi int) {
+	for len(recs) > 1 && lo < len(recs) && hi > 0 {
+		if budget == 0 || len(recs) <= mkqSmall {
+			sign := 1
+			if reverse {
+				sign = -1
+			}
+			slices.SortFunc(recs, func(x, y sortRec) int {
+				if x.key != y.key {
+					return cmp.Compare(x.key, y.key)
+				}
+				return sign * bytes.Compare(arena[x.off:x.off+x.len], arena[y.off:y.off+y.len])
+			})
+			return
+		}
+		p := pivotKey(recs)
+		lt, gt := partition3(recs, p)
+		rankSort(recs[:lt], arena, reverse, budget-1, lo, hi)
+		if ties := recs[lt:gt]; len(ties) > 1 && lo < gt && hi > lt {
+			for i := range ties {
+				r := &ties[i]
+				r.key = loadWord(arena, r.off, r.len)
+			}
+			settleLines(ties, arena, reverse, lo-lt, hi-lt)
+			for i := range ties {
+				ties[i].key = p
+			}
+		}
+		recs, lo, hi, budget = recs[gt:], lo-gt, hi-gt, budget-1
+	}
 }

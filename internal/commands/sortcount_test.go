@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -33,8 +34,14 @@ func (memFS) Create(string) (io.WriteCloser, error) { return nil, fmt.Errorf("re
 func (memFS) Append(string) (io.WriteCloser, error) { return nil, fmt.Errorf("read-only") }
 
 func runFunc(f Func, args []string, stdin string, fs FS) (string, error) {
+	return runLimit(f, args, stdin, fs, 0)
+}
+
+// runLimit runs f as a plan runs a node whose consumer reads only its
+// first limit lines, or all of them for 0.
+func runLimit(f Func, args []string, stdin string, fs FS, limit int) (string, error) {
 	var out, errb bytes.Buffer
-	err := f(&Context{Name: "count", Args: args, Stdin: strings.NewReader(stdin), Stdout: &out, Stderr: &errb, FS: fs})
+	err := f(&Context{Name: "count", Args: args, Stdin: strings.NewReader(stdin), Stdout: &out, Stderr: &errb, FS: fs, Limit: limit})
 	return out.String(), err
 }
 
@@ -96,6 +103,20 @@ func countText(rng *rand.Rand, n, words int) string {
 	return sb.String()
 }
 
+// uniqueText is three table windows of lines, seven in eight distinct:
+// the count table closes on it.
+func uniqueText(rng *rand.Rand) string {
+	var sb strings.Builder
+	for i := 0; i < 3*countTableWindow; i++ {
+		if i%8 == 0 {
+			sb.WriteString(countText(rng, 1, 40))
+		} else {
+			fmt.Fprintf(&sb, "w%d x,%d\n", i, rng.Intn(7))
+		}
+	}
+	return sb.String()
+}
+
 // TestSortCountMatchesSortUniq: the count stage's map, and its aggregate
 // over maps of cut input, print `sort FLAGS | uniq -c` for every shape
 // of total order: on small vocabularies, with an unterminated last line,
@@ -105,15 +126,7 @@ func countText(rng *rand.Rand, n, words int) string {
 func TestSortCountMatchesSortUniq(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	dup := countText(rng, 3000, 40)
-	var sb strings.Builder // seven lines in eight distinct
-	for i := 0; i < 3*countTableWindow; i++ {
-		if i%8 == 0 {
-			sb.WriteString(countText(rng, 1, 40))
-		} else {
-			fmt.Fprintf(&sb, "w%d x,%d\n", i, rng.Intn(7))
-		}
-	}
-	unique := sb.String()
+	unique := uniqueText(rng)
 	var tb countTable
 	if tb.read(strings.NewReader(unique)); !tb.closed || tb.tableEnd == len(tb.arena) {
 		t.Fatalf("the unique-heavy input leaves the table open (%d entries of %d lines)", len(tb.entries), tb.lines)
@@ -256,4 +269,176 @@ func BenchmarkSortCount(b *testing.B) {
 			}
 		})
 	}
+}
+
+// rankForms are the spellings of the rank sort the count-and-rank stage
+// takes.
+var rankForms = [][]string{{"-n"}, {"-rn"}, {"-nr"}, {"-r", "-n"}}
+
+// checkCountRank holds the count-and-rank stage to the unfused
+// `sort FLAGS | uniq -c` (SortCount) followed by `sort RANK`, and
+// `head -n LIMIT` for a limit above 0, over text: the stage alone, and
+// its aggregate, flat and through a partial aggregate, over the maps of
+// text cut at the line indexes in cuts. It returns what differs, or "".
+func checkCountRank(flags, rank []string, text string, cuts []int, limit int) string {
+	counted, err := runFunc(SortCount, flags, text, nil)
+	if err != nil {
+		return fmt.Sprintf("sort %v | uniq -c: %v", flags, err)
+	}
+	want, err := runFunc(sortCmd, rank, counted, nil)
+	if err != nil {
+		return fmt.Sprintf("sort %v: %v", rank, err)
+	}
+	if lines := strings.SplitAfter(want, "\n"); limit > 0 && limit < len(lines) {
+		want = strings.Join(lines[:limit], "")
+	}
+	if got, err := runLimit(CountRank, rank, text, nil, limit); err != nil || got != want {
+		return fmt.Sprintf("stage %v limit %d over %q: %v\n got %q\nwant %q", rank, limit, text, err, got, want)
+	}
+	lines := strings.SplitAfter(text, "\n")
+	if len(cuts) > 0 {
+		// The table closes after the first cut's lines: the rest are
+		// count-1 records, coalesced before they rank.
+		var t countTable
+		t.read(strings.NewReader(strings.Join(lines[:min(cuts[0], len(lines))], "")))
+		t.closed = true
+		t.read(strings.NewReader(strings.Join(lines[min(cuts[0], len(lines)):], "")))
+		var out bytes.Buffer
+		reverse, _ := SortRankable(rank)
+		if err := t.printRanked(&Context{Stdout: &out, Limit: limit}, reverse); err != nil || out.String() != want {
+			return fmt.Sprintf("stage %v limit %d over %q, its table closed after %d lines: %v\n got %q\nwant %q", rank, limit, text, cuts[0], err, out.String(), want)
+		}
+	}
+	fs, names, from := memFS{}, []string(nil), 0
+	for i, cut := range append(cuts, len(lines)) {
+		cut = min(max(cut, from), len(lines))
+		name := fmt.Sprintf("m%d", i)
+		var err error
+		if fs[name], err = runFunc(CountLines, nil, strings.Join(lines[from:cut], ""), nil); err != nil {
+			return fmt.Sprintf("map: %v", err)
+		}
+		names, from = append(names, name), cut
+	}
+	flat, err := runLimit(CountRankMerge, append(slices.Clone(rank), names...), "", fs, limit)
+	if err != nil || flat != want {
+		return fmt.Sprintf("aggregate %v limit %d of %d maps over %q (cuts %v): %v\n got %q\nwant %q", rank, limit, len(names), text, cuts, err, flat, want)
+	}
+	if fs["p"], err = runFunc(CountRankMerge, append(slices.Clone(rank), names[:len(names)/2+1]...), "", fs); err != nil {
+		return fmt.Sprintf("partial aggregate: %v", err)
+	}
+	tree, err := runLimit(CountRankMerge, append(append(slices.Clone(rank), "p"), names[len(names)/2+1:]...), "", fs, limit)
+	if err != nil || tree != want {
+		return fmt.Sprintf("aggregate %v limit %d over a partial aggregate over %q (cuts %v): %v\n got %q\nwant %q", rank, limit, text, cuts, err, tree, want)
+	}
+	return ""
+}
+
+// tiedText is every word of a vocabulary the same number of times, in
+// shuffled order, and a few words more often: ranks are mostly ties.
+func tiedText(rng *rand.Rand) string {
+	var lines []string
+	for w := 0; w < 600; w++ {
+		for i := 0; i < 3+w%60/59; i++ {
+			lines = append(lines, fmt.Sprintf("t%d %s\n", w%97, strings.Repeat("x", w%11)))
+		}
+	}
+	rng.Shuffle(len(lines), func(i, j int) { lines[i], lines[j] = lines[j], lines[i] })
+	return strings.Join(lines, "")
+}
+
+// TestCountRankMatchesPipeline: the count-and-rank stage, its map and
+// its aggregate print `sort | uniq -c | sort -n` (or -rn, in any
+// spelling), under head -n K or not, for first sorts of several orders:
+// on many equal counts, an unterminated last line, blank and long
+// lines, nothing, and on a unique-heavy input whose table closes, so
+// that the stage coalesces before it ranks.
+func TestCountRankMatchesPipeline(t *testing.T) {
+	rng := rand.New(rand.NewSource(55))
+	dup := countText(rng, 3000, 40)
+	texts := []string{dup, strings.TrimSuffix(dup, "\n"), tiedText(rng), "", "\n", "x", "b\n\na\n\n"}
+	for _, rank := range rankForms {
+		for _, flags := range [][]string{nil, {"-f"}, {"-rn"}, {"-t,", "-k2"}} {
+			for _, text := range texts {
+				for _, limit := range []int{0, 1, 5, 100} {
+					cuts := []int{rng.Intn(1000), 1000 + rng.Intn(2000)}
+					if msg := checkCountRank(flags, rank, text, cuts, limit); msg != "" {
+						t.Fatal(msg[:min(len(msg), 2000)])
+					}
+				}
+			}
+		}
+	}
+	unique := uniqueText(rng)
+	for _, rank := range rankForms[:2] {
+		for _, limit := range []int{0, 5} {
+			if msg := checkCountRank(nil, rank, unique, []int{40000, 70000}, limit); msg != "" {
+				t.Fatal(msg[:min(len(msg), 2000)])
+			}
+		}
+	}
+}
+
+// TestSortRankableRefuses: the count-and-rank stage takes exactly a
+// numeric order of whole lines, reversed or not, in any spelling; every
+// other sort argv keeps its own sort, and the stage refuses to run it.
+func TestSortRankableRefuses(t *testing.T) {
+	for _, c := range []struct {
+		args    []string
+		reverse bool
+	}{
+		{[]string{"-n"}, false}, {[]string{"-rn"}, true}, {[]string{"-nr"}, true},
+		{[]string{"-r", "-n"}, true}, {[]string{"-n", "--parallel=2"}, false},
+	} {
+		if reverse, ok := SortRankable(c.args); !ok || reverse != c.reverse {
+			t.Errorf("sort %v: SortRankable = %v, %v; want %v, true", c.args, reverse, ok, c.reverse)
+		}
+	}
+	refused := [][]string{
+		nil, {"-r"}, {"-rns"}, {"-rnu"}, {"-k1,1nr"}, {"-t", " ", "-rn"}, {"-t ", "-n"}, {"-fn"}, {"-bn"},
+		{"-dn"}, {"-g"}, {"-rg"}, {"-mn"}, {"-cn"}, {"-o", "out", "-n"}, {"-rn", "-k1"},
+	}
+	for _, args := range append(refused, []string{"-rn", "f"}, []string{"-rn", "-"}) {
+		if _, ok := SortRankable(args); ok {
+			t.Errorf("sort %v taken", args)
+		}
+	}
+	for _, args := range refused {
+		if _, err := runFunc(CountRank, args, "b\na\n", nil); err == nil {
+			t.Errorf("the count-and-rank stage ran sort %v", args)
+		}
+		if _, err := runFunc(CountRankMerge, args, "", memFS{}); err == nil {
+			t.Errorf("the count-and-rank aggregate ran sort %v", args)
+		}
+	}
+	if _, err := runFunc(CountRankMerge, []string{"-rn"}, "apple\n", nil); err == nil {
+		t.Error("the aggregate summed a line with no count")
+	}
+}
+
+// TestCountRankStopsWhenOutputFails: when the reader of the stage's
+// output goes away mid-print, the stage returns the write error.
+func TestCountRankStopsWhenOutputFails(t *testing.T) {
+	text := countText(rand.New(rand.NewSource(55)), 40000, 40000)
+	err := CountRank(&Context{Name: "rank", Args: []string{"-rn"}, Stdin: strings.NewReader(text), Stdout: &failAfter{n: 3 * BlockSize}, Stderr: io.Discard})
+	if err == nil {
+		t.Fatal("the stage printed into a failed writer without an error")
+	}
+}
+
+// FuzzCountRank: from fuzzer-chosen lines, a first sort's total order,
+// a rank spelling, a limit and a cut into one to four chunks, the stage,
+// its flat aggregate and an aggregate over a partial one each print
+// `sort FLAGS | uniq -c | sort RANK | head -n LIMIT`.
+func FuzzCountRank(f *testing.F) {
+	f.Add("b\na\nb\n", uint8(0), uint8(0), uint16(1), uint16(2), uint16(3))
+	f.Add("10\n9\n09\n\n\n-0\n0\nx", uint8(1|2<<2|1<<6), uint8(2), uint16(2), uint16(0), uint16(5))
+	f.Add("a b\nA b\na  b\n\n\xff\na b\n\xff\n", uint8(3|4<<2|2<<6), uint8(1), uint16(1), uint16(3), uint16(3))
+	f.Add("x\ny\nx\ny\nz\n", uint8(2|3<<6), uint8(5), uint16(0), uint16(1), uint16(4))
+	f.Fuzz(func(t *testing.T, text string, mode, limit uint8, c1, c2, c3 uint16) {
+		cuts := []int{int(c1), int(c2), int(c3)}[:mode>>6]
+		flags := countOrders[int(mode>>2&15)%len(countOrders)]
+		if msg := checkCountRank(flags, rankForms[mode&3], text, cuts, int(limit)); msg != "" {
+			t.Fatal(msg)
+		}
+	})
 }

@@ -319,10 +319,14 @@ func (c *Compiler) Optimize(g *dfg.Graph) {
 // lines in a table and sort only the distinct ones; its aggregate merges
 // the counts by line and sums them. Under a total order lines that
 // compare equal are byte-equal, so the stage prints what the pair
-// prints. A user command under either name, any other uniq argv and any
-// other sort keep the pair. An emitted script keeps it too:
-// OptimizeForEmission does not run the rule, so -emit prints the
-// script's own commands.
+// prints. When the pair's one consumer is in turn a builtin `sort -n` or
+// `sort -rn` (commands.SortRankable), the three become one
+// count-and-rank stage, `pash-count-rank -n` or `-rn`, over the first
+// sort's inputs: it ranks the table by count and line instead of
+// printing it for the last sort to parse and sort again. A user command
+// under any of the names, any other uniq argv and any other sort keep
+// the commands. An emitted script keeps them too: OptimizeForEmission
+// does not run the rule, so -emit prints the script's own commands.
 func (c *Compiler) countPairs(g *dfg.Graph) {
 	for _, n := range slices.Clone(g.Nodes) {
 		if n.Kind != dfg.KindCommand || n.Name != "sort" || n.Class != annot.Pure || len(n.Out) != 1 || c.isUser(n.Name) {
@@ -337,10 +341,45 @@ func (c *Compiler) countPairs(g *dfg.Graph) {
 		if !commands.SortCountable(flags) {
 			continue
 		}
-		spec, _ := agg.Resolve("pash-sort-count", flags, nil)
 		g.Absorb(n)
-		n.Name, n.Agg = spec.MapName, spec
+		name := "pash-sort-count"
+		if reverse, ok := ranks(n); ok {
+			name, flags = "pash-count-rank", []string{"-n"}
+			if reverse {
+				flags[0] = "-rn"
+			}
+			g.Absorb(n)
+			args := []dfg.Arg{dfg.Lit(flags[0])}
+			for _, a := range n.Args {
+				if a.InputIdx >= 0 {
+					args = append(args, a)
+				}
+			}
+			n.Args = args
+		}
+		n.Name = name
+		n.Agg, _ = agg.Resolve(name, flags, nil)
 	}
+}
+
+// ranks reports whether the count stage n feeds only a sort that reads
+// it on stdin and orders numerically by whole line
+// (commands.SortRankable), and whether that sort is reversed. The sort
+// is the builtin: the count pair's own sort was.
+func ranks(n *dfg.Node) (reverse, ok bool) {
+	if len(n.Out) != 1 {
+		return false, false
+	}
+	s := n.Out[0].To
+	if s == nil || s.Kind != dfg.KindCommand || s.Name != "sort" || s.Class != annot.Pure ||
+		len(s.In) != 1 || s.StdinInput != 0 || len(s.Out) != 1 {
+		return false, false
+	}
+	flags := literalArgs(s)
+	if len(flags) != len(s.Args) {
+		return false, false
+	}
+	return commands.SortRankable(flags)
 }
 
 // OptimizeForEmission applies the transformations with the barrier split

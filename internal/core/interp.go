@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -53,6 +54,9 @@ type Interp struct {
 	// generation and make every region re-copy the environment.
 	// Background jobs update it too, hence atomic.
 	status atomic.Int32
+	// subStatus is the exit status of the last command substitution,
+	// which a command of assignments alone exits with.
+	subStatus atomic.Int32
 
 	// envSnap is env as of generation envGen (envSnapshot).
 	envMu   sync.Mutex
@@ -203,7 +207,7 @@ func (in *Interp) RunScript(ctx context.Context, src string) (int, error) {
 // RunParsed executes an already-parsed script, so callers that parse
 // for validation (the Job API) do not pay the parse twice.
 func (in *Interp) RunParsed(ctx context.Context, list *shell.List) (int, error) {
-	code, err := in.runList(ctx, list)
+	code, err := exited(in.runList(ctx, list))
 	_, werr := in.waitJobs()
 	if err == nil {
 		err = werr
@@ -250,7 +254,7 @@ func (in *Interp) runList(ctx context.Context, list *shell.List) (int, error) {
 				var c int
 				err := func() (err error) {
 					defer runtime.Contain("background job", &err)
-					c, err = in.runCommand(ctx, cmd)
+					c, err = exited(in.runCommand(ctx, cmd))
 					return err
 				}()
 				ch <- jobResult{code: c, err: err}
@@ -359,7 +363,7 @@ func (in *Interp) runCommand(ctx context.Context, cmd shell.Command) (int, error
 		}
 	case *shell.Subshell:
 		sub := in.nested(in.env.Child(), in.stdio)
-		code, err := sub.runList(ctx, cmd.Body)
+		code, err := exited(sub.runList(ctx, cmd.Body))
 		if _, werr := sub.waitJobs(); err == nil {
 			err = werr
 		}
@@ -429,7 +433,7 @@ func (in *Interp) runCompoundPipeline(ctx context.Context, p *shell.Pipeline) (i
 			var code int
 			err := func() (err error) {
 				defer runtime.Contain("pipeline stage", &err)
-				code, err = sub.runCommand(ctx, c)
+				code, err = exited(sub.runCommand(ctx, c))
 				return err
 			}()
 			if _, werr := sub.waitJobs(); err == nil {
@@ -489,9 +493,11 @@ func (in *Interp) expander() *shell.Expander {
 			if err != nil {
 				return "", err
 			}
-			if _, err := sub.runList(context.Background(), list); err != nil {
+			code, err := exited(sub.runList(context.Background(), list))
+			if err != nil {
 				return "", err
 			}
+			in.subStatus.Store(int32(code))
 			if _, werr := sub.waitJobs(); werr != nil {
 				return "", werr
 			}
@@ -584,10 +590,12 @@ func (in *Interp) applyOverrides(ovs []envOverride) func() {
 func (in *Interp) runPipeline(ctx context.Context, simples []*shell.Simple) (int, error) {
 	x := in.expander()
 
-	// A lone assignment command mutates the environment; a bare
+	// A lone assignment command mutates the environment and exits with
+	// the status of its last command substitution, or 0; a bare
 	// redirection list opens/creates its targets.
 	if len(simples) == 1 && len(simples[0].Args) == 0 {
 		s := simples[0]
+		in.subStatus.Store(0)
 		for _, a := range s.Assigns {
 			v, err := x.ExpandString(a.Value)
 			if err != nil {
@@ -596,9 +604,11 @@ func (in *Interp) runPipeline(ctx context.Context, simples []*shell.Simple) (int
 			in.env.Set(a.Name, v)
 		}
 		if len(s.Redirs) > 0 {
-			return in.bareRedirs(x, s.Redirs)
+			if code, err := in.bareRedirs(x, s.Redirs); code != 0 || err != nil {
+				return code, err
+			}
 		}
-		return 0, nil
+		return int(in.subStatus.Load()), nil
 	}
 
 	stages, overrides, err := expandStages(x, simples)
@@ -761,7 +771,7 @@ func (in *Interp) envSnapshot() map[string]string {
 
 // shellBuiltins names the commands the interpreter runs itself, never as
 // a region: those that change its state, and those it refuses by name.
-var shellBuiltins = map[string]bool{"cd": true, "export": true, "wait": true, "exec": true, "set": true, "umask": true, "ulimit": true}
+var shellBuiltins = map[string]bool{"cd": true, "export": true, "wait": true, "exec": true, "set": true, "umask": true, "ulimit": true, "exit": true}
 
 // builtin handles the few commands that must mutate interpreter state.
 func (in *Interp) builtin(ctx context.Context, st Stage) (int, bool, error) {
@@ -797,6 +807,19 @@ func (in *Interp) builtin(ctx context.Context, st Stage) (int, bool, error) {
 	case "wait":
 		code, err := in.waitJobs()
 		return code, true, err
+	case "exit":
+		// exit [n] ends the script, or the subshell it runs in, with n,
+		// or with $? when n is absent.
+		code := int(in.status.Load())
+		if len(st.Args) > 0 {
+			n, err := strconv.Atoi(st.Args[0])
+			if err != nil || n < 0 {
+				fmt.Fprintf(in.stdio.Stderr, "pash: exit: %s: numeric argument required\n", st.Args[0])
+				n = 2
+			}
+			code = n & 0xff
+		}
+		return code, true, exitStatus(code)
 	case "umask":
 		if len(st.Args) > 0 {
 			// Accepted and ignored: files are created 0644 regardless.
@@ -810,6 +833,21 @@ func (in *Interp) builtin(ctx context.Context, st Stage) (int, bool, error) {
 	}
 	_ = ctx
 	return 0, false, nil
+}
+
+// exitStatus is the error exit unwinds the script with, up to the
+// subshell, command substitution or script it ends.
+type exitStatus int
+
+func (e exitStatus) Error() string { return fmt.Sprintf("exit %d", int(e)) }
+
+// exited is a scope's status and error once an exit inside it has
+// unwound it: the exit's code, and no error.
+func exited(code int, err error) (int, error) {
+	if e, ok := err.(exitStatus); ok {
+		return int(e), nil
+	}
+	return code, err
 }
 
 // Run is the package-level convenience: parse and execute a script with

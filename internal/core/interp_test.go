@@ -193,7 +193,10 @@ func TestExitCodes(t *testing.T) {
 }
 
 // TestStatusParameter: $? is the exit status of the most recent
-// pipeline, and dash agrees when it is on PATH.
+// pipeline, and dash agrees when it is on PATH. An exit in a pipeline's
+// compound stage or a subshell ends only that, with exit's n modulo 256
+// or, without one, $?; an assignment-only command exits with its last
+// command substitution's status.
 func TestStatusParameter(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "f"), []byte("aa\nbb\n"), 0o644); err != nil {
@@ -204,6 +207,13 @@ func TestStatusParameter(t *testing.T) {
 		{`false; echo $?`, "1\n"},
 		{`true; echo $?`, "0\n"},
 		{`grep -q zz f; echo $?`, "1\n"},
+		{`: | cat; echo $?`, "0\n"},
+		{`echo x | { exit 7; }; echo $?`, "7\n"},
+		{`{ exit 8; } | cat; echo $?`, "0\n"},
+		{`false; (exit); echo $?`, "1\n"},
+		{`(exit 300); echo $?`, "44\n"},
+		{`x=$(false); echo $?`, "1\n"},
+		{`false; x=1; echo $?`, "0\n"},
 	} {
 		if got := runScript(t, Options{Width: 1}, tc.src, "", dir, nil); got != tc.want {
 			t.Errorf("%s: got %q, want %q", tc.src, got, tc.want)

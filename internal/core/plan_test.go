@@ -465,14 +465,14 @@ func TestCommutativeConsumerPlanShape(t *testing.T) {
 			sortLine, nodes, merges, barriers, rr, p.Items[0].Graph.Dump())
 	}
 
-	// sort | uniq -c is one commutative count stage, which absorbs the
-	// merge; sort -rn reads its aggregate's one stream and keeps a split
-	// of its own, a round-robin one: no barrier is left.
+	// sort | uniq -c | sort -rn is one commutative count-and-rank stage,
+	// which absorbs the merge: the split feeds the tr chains and the
+	// maps, one aggregate ranks, and no barrier is left.
 	if p, err = c.PlanExec(wfLine); err != nil {
 		t.Fatal(err)
 	}
-	if nodes, merges, barriers, _ := shape(p); nodes != 10 || merges != 0 || barriers != 0 {
-		t.Errorf("%s: %d nodes, %d merges, %d barrier splits; want 10, 0, 0\n%s",
+	if nodes, merges, barriers, _ := shape(p); nodes != 6 || merges != 0 || barriers != 0 {
+		t.Errorf("%s: %d nodes, %d merges, %d barrier splits; want 6, 0, 0\n%s",
 			wfLine, nodes, merges, barriers, p.Items[0].Graph.Dump())
 	}
 

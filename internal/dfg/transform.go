@@ -220,7 +220,7 @@ func snapshotEdges(es []*Edge) []*Edge {
 func consumesInOrder(n *Node) bool {
 	switch n.Name {
 	case "cat", "sed", "tr", "cut", "head", "tail", "fold",
-		"rev", "iconv", "nl", "uniq", "pash-sort-count":
+		"rev", "iconv", "nl", "uniq", "pash-sort-count", "pash-count-rank":
 		return true
 	case "sort":
 		// sort -m interleaves its inputs (an N-way merge), so

@@ -67,6 +67,7 @@ func Quote(argv ...string) string {
 var builtins = map[string]bool{
 	"cd": true, "echo": true, "exec": true, "export": true, "set": true,
 	"true": true, "false": true, "read": true, "wait": true, "umask": true,
+	":": true, "exit": true,
 }
 
 // scriptCommands returns every command the script names as a literal word,

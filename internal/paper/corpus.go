@@ -25,6 +25,8 @@ type Bench struct {
 	Setup func(dir string, scale int) (string, error)
 	// Vars returns extra environment (PASH_CURL_ROOT etc.).
 	Vars func(dir string) map[string]string
+	// Status is the exit status a POSIX shell ends the script with.
+	Status int
 }
 
 func writeText(dir, name string, lines int) error {
@@ -330,7 +332,44 @@ cat f`, nil
 cat f`, nil
 			},
 		},
+		{
+			Name:       "colon",
+			Structure:  ":;S",
+			Highlights: "the null command : succeeds",
+			Setup:      script(`: ; echo $?`),
+		},
+		{
+			Name:       "exit",
+			Structure:  "S;exit;S",
+			Highlights: "exit ends the script with its status: nothing after it runs",
+			Setup:      script(`echo a; exit 3; echo b`),
+			Status:     3,
+		},
+		{
+			Name:       "exit-subshell",
+			Structure:  "(exit);S",
+			Highlights: "exit in a subshell ends only the subshell, whose status is exit's",
+			Setup:      script(`(exit 4); echo $?`),
+		},
+		{
+			Name:       "exit-cmdsub",
+			Structure:  "x=$(exit);S",
+			Highlights: "exit in a command substitution ends only it, and an assignment-only command exits with its status",
+			Setup:      script(`x=$(exit 5); echo $?`),
+		},
+		{
+			Name:       "exit-loop",
+			Structure:  "for(exit)",
+			Highlights: "exit inside a loop ends the script, not just the loop",
+			Setup:      script(`for i in 1 2; do exit 6; done`),
+			Status:     6,
+		},
 	}
+}
+
+// script is a Setup for a script that reads no input.
+func script(src string) func(string, int) (string, error) {
+	return func(string, int) (string, error) { return src, nil }
 }
 
 // NOAA returns the §6.3 weather use case (Fig. 1's script against the

@@ -65,11 +65,14 @@ type nodeState struct {
 
 // blockingCommands emit no output before consuming all input. The
 // count stage's map (pash-sort-count) sorts before it prints, as sort
-// does; its aggregate merges, as sort -m does, and streams.
+// does; its aggregate merges, as sort -m does, and streams. The
+// count-and-rank stage, its map and its aggregate each print only once
+// they have counted everything.
 var blockingCommands = map[string]bool{
 	"sort": true, "tac": true, "wc": true, "diff": true,
 	"pash-split": true, "pash-agg-tac": true, "pash-agg-wc": true,
 	"pash-agg-sum": true, "pash-sort-count": true,
+	"pash-count-rank": true, "pash-count": true, "pash-agg-count-rank": true,
 }
 
 // isBlocking classifies a node for the fluid model. sort -m streams (it

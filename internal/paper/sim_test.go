@@ -61,7 +61,8 @@ func TestStreamingChainOverlaps(t *testing.T) {
 func TestBlockingStageSerializes(t *testing.T) {
 	// sort blocks: downstream cannot start until it finishes. So does
 	// the count stage's map, which sorts before it prints; its aggregate
-	// streams, as sort -m does.
+	// streams, as sort -m does. The count-and-rank stage, its map and its
+	// aggregate each print only once they have counted everything.
 	for _, c := range []struct {
 		name string
 		want time.Duration
@@ -69,6 +70,9 @@ func TestBlockingStageSerializes(t *testing.T) {
 		{"sort", 2 * time.Second},
 		{"pash-sort-count", 2 * time.Second},
 		{"pash-agg-sort-count", time.Second},
+		{"pash-count-rank", 2 * time.Second},
+		{"pash-count", 2 * time.Second},
+		{"pash-agg-count-rank", 2 * time.Second},
 	} {
 		g, times := buildChain(spec{c.name, time.Second}, spec{"tr", time.Second})
 		ms := makespan(g, times, 8, 0)

@@ -137,26 +137,35 @@ func TestChunkPipeStress(t *testing.T) {
 
 // TestPipeChunkAllocations: a chunk's round trip through a pipe, one
 // WriteChunk and one ReadChunk, allocates nothing once the queue has its
-// backing array. The stateless data plane's other allocation checks are
-// commands.TestDataPlaneAllocations.
+// backing array, whether the round trip drains the queue or the pipe
+// always holds one block more than it hands out. The stateless data
+// plane's other allocation checks are commands.TestDataPlaneAllocations.
 func TestPipeChunkAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the pool drops blocks on purpose under the race detector")
 	}
-	p := newPipe(0)
-	trip := func() {
-		if err := p.WriteChunk(append(commands.GetBlock(), "a line\n"...)); err != nil {
-			t.Fatal(err)
+	for _, queued := range []int{0, 1, 5} {
+		p := newPipe(0)
+		write := func() {
+			if err := p.WriteChunk(append(commands.GetBlock(), "a line\n"...)); err != nil {
+				t.Fatal(err)
+			}
 		}
-		b, err := p.ReadChunk()
-		if err != nil {
-			t.Fatal(err)
+		for range queued {
+			write()
 		}
-		commands.PutBlock(b)
-	}
-	trip()
-	if a := testing.AllocsPerRun(100, trip); a != 0 {
-		t.Errorf("WriteChunk + ReadChunk through newPipe(0): %.0f allocations, want 0", a)
+		trip := func() {
+			write()
+			b, err := p.ReadChunk()
+			if err != nil {
+				t.Fatal(err)
+			}
+			commands.PutBlock(b)
+		}
+		trip()
+		if a := testing.AllocsPerRun(100, trip); a != 0 {
+			t.Errorf("WriteChunk + ReadChunk through newPipe(0) holding %d blocks: %.0f allocations, want 0", queued, a)
+		}
 	}
 }
 

@@ -60,6 +60,10 @@ type pipe struct {
 	closedW bool
 	closedR bool
 
+	// array is blocks' backing array from its first element, with no
+	// length: the queue drifts along it as blocks pop and append.
+	array [][]byte
+
 	readMeter  *int64 // atomic ns blocked in reads
 	writeMeter *int64 // atomic ns blocked in writes
 
@@ -93,9 +97,21 @@ func (p *pipe) metered(c *sync.Cond, meter *int64) {
 	atomic.AddInt64(meter, int64(time.Since(start)))
 }
 
-// enqueue appends an owned block and wakes one reader. Callers hold mu.
+// enqueue appends an owned block and wakes one reader. A queue that
+// has drifted to the end of its array, popped at the front and appended
+// at the back, moves back to the array's start when at most half of the
+// array is queued, so a queue that never drains allocates only when it
+// grows. Callers hold mu.
 func (p *pipe) enqueue(b []byte) {
+	if len(p.blocks) == cap(p.blocks) && 2*len(p.blocks) <= cap(p.array) {
+		n := copy(p.array[:cap(p.array)], p.blocks)
+		clear(p.array[n:cap(p.array)])
+		p.blocks = p.array[:n]
+	}
 	p.blocks = append(p.blocks, b)
+	if cap(p.blocks) > cap(p.array) {
+		p.array = p.blocks[:0] // append moved the queue to a larger array
+	}
 	p.size += len(b)
 	p.traffic.note(len(b), 1)
 	p.rwait.Signal()
@@ -190,16 +206,12 @@ func (p *pipe) Write(b []byte) (int, error) {
 	}
 }
 
-// popHead removes the head block and returns it. Taking the last one
-// rewinds the queue, which keeps its backing array. Callers hold mu.
+// popHead removes the head block and returns it; the queue drifts along
+// its array until enqueue moves it back. Callers hold mu.
 func (p *pipe) popHead() []byte {
 	head := p.blocks[0]
 	p.blocks[0] = nil
-	if len(p.blocks) == 1 {
-		p.blocks = p.blocks[:0]
-	} else {
-		p.blocks = p.blocks[1:]
-	}
+	p.blocks = p.blocks[1:]
 	p.off = 0
 	return head
 }
@@ -293,7 +305,7 @@ func (p *pipe) CloseRead() {
 		commands.PutBlock(b)
 	}
 	p.budget.ReleasePipe(p.size)
-	p.blocks = nil
+	p.blocks, p.array = nil, nil
 	p.off = 0
 	p.size = 0
 	p.rwait.Broadcast()

@@ -412,6 +412,42 @@ func TestSortCountMatchesHost(t *testing.T) {
 	rows.run(t)
 }
 
+// TestSortRankMatchesHost: `sort | uniq -c | sort -n`, in each spelling
+// of -n and -rn and under head -n K, is the count-and-rank stage, from a
+// pipe and from a file: on many equal counts, where the last resort
+// orders the lines, an unterminated last line, blank lines, lines longer
+// than a block, and the unique-heavy input, on which the stage's table
+// closes. The forms the rule refuses print the host's bytes too.
+func TestSortRankMatchesHost(t *testing.T) {
+	var ranked []string
+	for _, rank := range []string{"sort -n", "sort -rn", "sort -nr", "sort -r -n"} {
+		ranked = append(ranked, "sort | uniq -c | "+rank, "sort f | uniq -c | "+rank)
+		for _, k := range []string{"1", "5", "100"} {
+			ranked = append(ranked, "sort | uniq -c | "+rank+" | head -n "+k)
+		}
+	}
+	ranked = append(ranked, "sort -f | uniq -c | sort -rn", "cat f | sort -f | uniq -c | sort -n | head -n 5")
+	refused := []string{
+		"sort | uniq -c | sort -rns",
+		"sort f | uniq -c | sort -rnu",
+		"sort | uniq -c | sort -k1,1nr",
+		"sort | uniq -c | sort -t' ' -rn",
+		"sort f | uniq -c -i | sort -rn | head -n 5",
+	}
+	var rows hostRows
+	for _, input := range []string{"duplicate-heavy", "unterminated", "ties", "unique-heavy"} {
+		rows.add(hostRow{input: input}, ranked...)
+	}
+	for _, input := range []string{"duplicate-heavy", "ties"} {
+		rows.add(hostRow{input: input}, refused...)
+	}
+	rows.add(hostRow{input: "empty"}, "sort | uniq -c | sort -rn", "sort f | uniq -c | sort -n | head -n 5")
+	rows.add(hostRow{input: "duplicate-heavy", widths: []int{8}},
+		"tr A-Z a-z | sort | uniq -c | sort -rn", "cat f | tr A-Z a-z | sort | uniq -c | sort -rn | head -n 20")
+	rows.add(hostRow{input: "ties", widths: []int{8}}, "sort | uniq -c | sort -n | head -n 100")
+	rows.run(t)
+}
+
 // TestWcPadsLikeHost: wc over one file pads its columns to the digits of
 // the file's size, a column it does not print (-lw) included; over stdin
 // or a device it pads to 7.
@@ -596,7 +632,8 @@ func caseText(seed int64) string {
 // numbers, separators, case, high bytes, blank lines and three copies of
 // a line longer than a 64 KiB block; the same without its final newline;
 // a unique-heavy one, long enough for the stage's table to close, so
-// that the rest is sorted as count-1 records; and nothing.
+// that the rest is sorted as count-1 records; one whose lines all share
+// one of four counts, in shuffled order; and nothing.
 func countInputs() map[string]string {
 	rng := rand.New(rand.NewSource(46))
 	words := strings.Fields(caseText(46))
@@ -625,7 +662,15 @@ func countInputs() map[string]string {
 	for unique.Len() < 1<<20+1<<18 {
 		fmt.Fprintf(&unique, "%d,%x %s\n", rng.Intn(80000), rng.Intn(1<<20), words[rng.Intn(len(words))])
 	}
+	var ties []string
+	for w := 0; len(ties) < 150_000; w++ {
+		for range 1 + w%4 {
+			ties = append(ties, fmt.Sprintf("%s %d\n", words[w%len(words)], w))
+		}
+	}
+	rng.Shuffle(len(ties), func(i, j int) { ties[i], ties[j] = ties[j], ties[i] })
 	return map[string]string{
+		"ties":            strings.Join(ties, ""),
 		"duplicate-heavy": dup.String(),
 		"unterminated":    strings.TrimSuffix(dup.String(), "\n"),
 		"unique-heavy":    unique.String(),
